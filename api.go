@@ -252,7 +252,10 @@ func AttachServable(data []byte) (*PackedGraph, error) { return succinct.AttachS
 func IsServable(prefix []byte) bool { return succinct.IsServable(prefix) }
 
 // Adjacency is the neighborhood view shared by *Graph and *PackedGraph;
-// algorithms written against it traverse either representation.
+// algorithms written against it traverse either representation. Push-style
+// traversals walk out-lists per vertex (ForNeighbors); pull-style kernels
+// such as PageRank take in-lists a vertex range at a time (ScanInLists),
+// which a packed graph decodes back to back into one reused buffer.
 type Adjacency = graph.Adjacency
 
 // AdjacencyEdges extends Adjacency with canonical-edge enumeration — the

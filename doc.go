@@ -62,8 +62,11 @@
 // canonical adjacency behind a block directory, typically 3-5x smaller
 // than v1. ReadSnapshot dispatches on the version tag. In memory,
 // PackGraph produces a PackedGraph, a blocked bit-packed CSR that BFSOn
-// and PageRankOn traverse in place, decoding neighbors on the fly at a
-// small constant-factor slowdown; Unpack restores a bit-identical Graph.
+// and PageRankOn traverse in place, decoding neighbors on the fly: on the
+// benchmark's rmat14 graph packed BFS takes about 1.3x and packed PageRank
+// about 3x the raw-CSR time, memory-mapped or on the heap (the traverse.* and
+// centrality.* rungs of benchmark/README.md); Unpack restores a
+// bit-identical Graph.
 // Result.ComputeStorage reports both footprints and the combined
 // lossy-times-lossless reduction after any compression run.
 //

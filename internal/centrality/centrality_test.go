@@ -2,10 +2,14 @@ package centrality
 
 import (
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
+	"slimgraph/internal/rng"
+	"slimgraph/internal/succinct"
 )
 
 func sumsToOne(t *testing.T, pr []float64) {
@@ -73,6 +77,133 @@ func TestPageRankParallelMatchesSequential(t *testing.T) {
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-9 {
 			t.Fatalf("rank[%d]: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// referencePageRank is the straight-line power iteration PageRankOn must
+// reproduce bit for bit: sequential, one rank[u]/deg(u) division per arc,
+// in-neighbors taken in increasing order. It reads the representation only
+// through N, Degree and ForNeighbors (in-lists are the transposed
+// out-lists), so it shares nothing with the ScanInLists pull loop.
+func referencePageRank(g graph.Adjacency, opts PageRankOptions) []float64 {
+	o := opts.withDefaults()
+	n := g.N()
+	in := make([][]graph.NodeID, n)
+	for u := 0; u < n; u++ {
+		g.ForNeighbors(graph.NodeID(u), func(w graph.NodeID) { in[w] = append(in[w], graph.NodeID(u)) })
+	}
+	rank := make([]float64, n)
+	next := make([]float64, n)
+	inv := 1.0 / float64(n)
+	for i := range rank {
+		rank[i] = inv
+	}
+	base := (1 - o.Damping) * inv
+	for iter := 0; iter < o.MaxIter; iter++ {
+		dangling := 0.0
+		for v := 0; v < n; v++ {
+			if g.Degree(graph.NodeID(v)) == 0 {
+				dangling += rank[v]
+			}
+		}
+		danglingShare := o.Damping * dangling * inv
+		delta := 0.0
+		for v := 0; v < n; v++ {
+			sum := 0.0
+			for _, u := range in[v] {
+				sum += rank[u] / float64(g.Degree(u))
+			}
+			next[v] = base + danglingShare + o.Damping*sum
+			delta += math.Abs(next[v] - rank[v])
+		}
+		rank, next = next, rank
+		if delta < o.Tolerance {
+			break
+		}
+	}
+	return rank
+}
+
+// mapServable writes pg's servable image to a temporary file and maps it.
+func mapServable(t *testing.T, pg *succinct.PackedGraph) *succinct.Mapped {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.slim")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := succinct.WriteServable(f, pg); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := succinct.OpenPacked(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// TestPageRankOnMatchesPerArcReference pins the hoisted pull loop to the
+// textbook per-arc form with == on every float, for every representation
+// and worker count, on graphs with isolated and dangling vertices whose
+// size is not a multiple of the packed block.
+func TestPageRankOnMatchesPerArcReference(t *testing.T) {
+	r := rng.New(211)
+	const n = 601
+	var arcs []graph.Edge
+	for i := 0; i < 4000; i++ {
+		// Sources avoid the top of the ID range, targets the bottom: the
+		// directed graph gets dangling sinks, pure sources and — ID 300,
+		// skipped by both — an isolated vertex.
+		u, v := graph.NodeID(r.Intn(500)), graph.NodeID(100+r.Intn(501))
+		if u != 300 && v != 300 {
+			arcs = append(arcs, graph.E(u, v))
+		}
+	}
+	graphs := map[string]*graph.Graph{
+		"undirected": gen.RMAT(9, 6, 0.57, 0.19, 0.19, 5), // skewed, ~1/4 isolated
+		"directed":   graph.FromEdges(n, true, arcs),
+	}
+	for name, g := range graphs {
+		isolated, sinks := 0, 0
+		for v := graph.NodeID(0); int(v) < g.N(); v++ {
+			if g.Degree(v) == 0 && g.InDegree(v) == 0 {
+				isolated++
+			} else if g.Degree(v) == 0 {
+				sinks++
+			}
+		}
+		if isolated == 0 || (g.Directed() && sinks == 0) {
+			t.Fatalf("%s: %d isolated vertices, %d dangling sinks: the case lost its coverage", name, isolated, sinks)
+		}
+		pg := succinct.Pack(g, 0, succinct.WithBlockVertices(16))
+		reps := map[string]graph.Adjacency{
+			"raw":           g,
+			"packed":        pg,
+			"packed-degree": succinct.Pack(g, 0, succinct.WithOrder(succinct.OrderDegree)),
+			"mapped":        mapServable(t, pg),
+		}
+		want := referencePageRank(g, PageRankOptions{})
+		for rep, a := range reps {
+			ref := want
+			if rep == "packed-degree" {
+				// Relabeling reorders every in-list and with it the float
+				// sums: the reference runs in the relabeled ID space.
+				ref = referencePageRank(a, PageRankOptions{})
+			}
+			for _, workers := range []int{1, 2, 7} {
+				got := PageRankOn(a, PageRankOptions{Workers: workers})
+				for v := range ref {
+					if got[v] != ref[v] {
+						t.Fatalf("%s/%s workers=%d: rank[%d] = %v, per-arc reference %v",
+							name, rep, workers, v, got[v], ref[v])
+					}
+				}
+			}
 		}
 	}
 }

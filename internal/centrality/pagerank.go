@@ -45,55 +45,51 @@ func PageRank(g *graph.Graph, opts PageRankOptions) []float64 {
 }
 
 // PageRankOn is PageRank over any graph.Adjacency — the raw CSR or a
-// succinct PackedGraph decoded on the fly — with identical numerics: the
-// in-neighbor visit order matches InNeighbors, so the two paths produce
-// bit-identical vectors for the same graph.
+// succinct PackedGraph decoded on the fly — through one pull loop with
+// identical numerics: in-neighbors are summed in increasing order on every
+// representation, so all of them produce bit-identical vectors for the same
+// graph. The worker count changes no per-vertex value either; it only
+// reorders the L1 delta that decides when to stop.
+//
+// Nothing per arc touches the representation's directory or divides: the
+// degree vector is read once per call, contrib[u] = rank[u]/deg(u) once per
+// vertex per iteration, and the arc loop adds contrib[u] over lists that
+// ScanInLists decodes into one reused buffer per worker.
 func PageRankOn(g graph.Adjacency, opts PageRankOptions) []float64 {
 	o := opts.withDefaults()
 	n := g.N()
 	if n == 0 {
 		return nil
 	}
+	deg := OutDegrees(g, o.Workers)
+	dangling := Dangling(deg, 0, graph.NodeID(n))
 	rank := make([]float64, n)
 	next := make([]float64, n)
+	contrib := make([]float64, n)
+	bufs := make([][]graph.NodeID, parallel.Resolve(o.Workers, n))
 	inv := 1.0 / float64(n)
 	for i := range rank {
 		rank[i] = inv
 	}
 	base := (1 - o.Damping) * inv
 	for iter := 0; iter < o.MaxIter; iter++ {
-		// Mass of dangling vertices spreads uniformly.
-		dangling := parallel.SumFloat64(n, o.Workers, func(v int) float64 {
-			if g.Degree(graph.NodeID(v)) == 0 {
-				return rank[v]
-			}
-			return 0
-		})
-		danglingShare := o.Damping * dangling * inv
-		// Pull formulation: next[v] = base + d * sum_{u->v} rank[u]/deg(u).
-		// The raw CSR keeps its direct slice loop (no per-edge interface
-		// dispatch); every other representation goes through Adjacency.
-		if cg, ok := g.(*graph.Graph); ok {
-			parallel.For(n, o.Workers, func(v int) {
-				sum := 0.0
-				for _, u := range cg.InNeighbors(graph.NodeID(v)) {
-					sum += rank[u] / float64(cg.Degree(u))
-				}
-				next[v] = base + danglingShare + o.Damping*sum
-			})
-		} else {
-			parallel.ForChunks(n, o.Workers, func(lo, hi int) {
-				// One closure per chunk so the per-vertex visit allocates
-				// nothing.
-				var sum float64
-				add := func(u graph.NodeID) { sum += rank[u] / float64(g.Degree(u)) }
-				for v := lo; v < hi; v++ {
-					sum = 0
-					g.ForInNeighbors(graph.NodeID(v), add)
-					next[v] = base + danglingShare + o.Damping*sum
-				}
-			})
+		// Mass of dangling vertices spreads uniformly. Summed in ascending
+		// vertex order, the order the cluster coordinator uses too.
+		danglingMass := 0.0
+		for _, v := range dangling {
+			danglingMass += rank[v]
 		}
+		danglingShare := o.Damping * danglingMass * inv
+		parallel.ForChunks(n, o.Workers, func(lo, hi int) {
+			Contributions(contrib[lo:hi], rank[lo:hi], deg[lo:hi])
+		})
+		// Pull formulation: next[v] = base + d * sum_{u->v} rank[u]/deg(u).
+		parallel.ForWorker(n, o.Workers, func(w, lo, hi int) {
+			bufs[w] = PullSums(g, graph.NodeID(lo), graph.NodeID(hi), contrib, next[lo:hi], bufs[w])
+			for v := lo; v < hi; v++ {
+				next[v] = base + danglingShare + o.Damping*next[v]
+			}
+		})
 		delta := parallel.SumFloat64(n, o.Workers, func(v int) float64 {
 			return math.Abs(next[v] - rank[v])
 		})
@@ -103,4 +99,59 @@ func PageRankOn(g graph.Adjacency, opts PageRankOptions) []float64 {
 		}
 	}
 	return rank
+}
+
+// OutDegrees reads g's out-degree vector, deg[v] = g.Degree(v): the one
+// pass over the representation's directory a PageRank call makes.
+func OutDegrees(g graph.Adjacency, workers int) []int32 {
+	deg := make([]int32, g.N())
+	parallel.ForChunks(len(deg), workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			deg[v] = int32(g.Degree(graph.NodeID(v)))
+		}
+	})
+	return deg
+}
+
+// Dangling returns the vertices of [lo, hi) with out-degree 0, ascending.
+// Their rank mass is what every iteration redistributes uniformly; summing
+// it over this list equals summing over all vertices, because the others
+// would add exact zeros.
+func Dangling(deg []int32, lo, hi graph.NodeID) []graph.NodeID {
+	var out []graph.NodeID
+	for v := lo; v < hi; v++ {
+		if deg[v] == 0 {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// Contributions sets contrib[i] = rank[i]/deg[i], the mass vertex i sends
+// along each out-arc. The quotient has the operands of the textbook per-arc
+// rank[u]/deg(u), so hoisting it changes no bit of the result. Dangling
+// vertices get 0; they are nobody's in-neighbor, so it is never read.
+func Contributions(contrib, rank []float64, deg []int32) {
+	for i, d := range deg {
+		if d == 0 {
+			contrib[i] = 0
+			continue
+		}
+		contrib[i] = rank[i] / float64(d)
+	}
+}
+
+// PullSums is the pull step over the vertex range [lo, hi): sums[v-lo] =
+// Σ contrib[u] over the in-neighbors u of v, accumulated in increasing-u
+// order — the only float order PageRank's per-vertex values depend on. buf
+// is the list decode buffer; the possibly grown buffer is returned for the
+// next call.
+func PullSums(g graph.Adjacency, lo, hi graph.NodeID, contrib, sums []float64, buf []graph.NodeID) []graph.NodeID {
+	return g.ScanInLists(lo, hi, buf, func(v graph.NodeID, nbrs []graph.NodeID) {
+		sum := 0.0
+		for _, u := range nbrs {
+			sum += contrib[u]
+		}
+		sums[v-lo] = sum
+	})
 }

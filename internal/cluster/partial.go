@@ -3,6 +3,7 @@ package cluster
 import (
 	"sort"
 
+	"slimgraph/internal/centrality"
 	"slimgraph/internal/distributed"
 	"slimgraph/internal/graph"
 )
@@ -44,29 +45,21 @@ func expandFrontier(g graph.Adjacency, r distributed.Range, frontier []int32) []
 // list the coordinator sums rank mass over — the order matching the
 // single-node sequential reduction.
 func danglingIn(g graph.Adjacency, r distributed.Range) []int32 {
-	var out []int32
-	for v := r.Lo; v < r.Hi; v++ {
-		if g.Degree(v) == 0 {
-			out = append(out, int32(v))
-		}
-	}
-	return out
+	return centrality.Dangling(centrality.OutDegrees(g, 1), r.Lo, r.Hi)
 }
 
 // pullSums computes one PageRank pull iteration for the owned range:
 // sums[i] = Σ ranks[u]/deg(u) over the in-neighbors u of vertex Lo+i,
-// accumulated in in-neighbor order — exactly the per-vertex sum of
-// centrality.PageRankOn, so the coordinator's next[v] = base + dangling +
-// damping*sums[i] reproduces the single-node floats bit for bit.
+// accumulated in in-neighbor order by the very pull step
+// centrality.PageRankOn runs (contributions are divided out once per
+// sub-request, then summed), so the coordinator's next[v] = base +
+// dangling + damping*sums[i] reproduces the single-node floats bit for
+// bit.
 func pullSums(g graph.Adjacency, r distributed.Range, ranks []float64) []float64 {
+	contrib := make([]float64, len(ranks))
+	centrality.Contributions(contrib, ranks, centrality.OutDegrees(g, 1))
 	sums := make([]float64, r.Len())
-	var sum float64
-	add := func(u graph.NodeID) { sum += ranks[u] / float64(g.Degree(u)) }
-	for v := r.Lo; v < r.Hi; v++ {
-		sum = 0
-		g.ForInNeighbors(v, add)
-		sums[v-r.Lo] = sum
-	}
+	centrality.PullSums(g, r.Lo, r.Hi, contrib, sums, nil)
 	return sums
 }
 

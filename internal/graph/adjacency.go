@@ -6,8 +6,8 @@ package graph
 // (traverse.BFSOn, centrality.PageRankOn) run directly on the packed form
 // without inflating it back to a Graph.
 //
-// ForNeighbors and ForInNeighbors visit neighbors in increasing vertex
-// order; for undirected graphs the two are identical.
+// ForNeighbors visits, and ScanInLists hands out, neighbors in increasing
+// vertex order; for undirected graphs in- and out-lists are identical.
 type Adjacency interface {
 	// N returns the number of vertices.
 	N() int
@@ -16,9 +16,16 @@ type Adjacency interface {
 	// ForNeighbors invokes fn for every out-neighbor of v, in increasing
 	// order.
 	ForNeighbors(v NodeID, fn func(w NodeID))
-	// ForInNeighbors invokes fn for every in-neighbor of v, in increasing
-	// order (the same set as ForNeighbors for undirected graphs).
-	ForInNeighbors(v NodeID, fn func(w NodeID))
+	// ScanInLists invokes fn(v, nbrs) for every v in [lo, hi), ascending,
+	// with v's in-neighbors in increasing order (the same set as
+	// ForNeighbors for undirected graphs) — the range primitive of
+	// pull-style kernels, which lets a representation resolve its directory
+	// once per range rather than once per vertex. buf is scratch a decoding
+	// representation reuses from list to list; the (possibly grown) buffer
+	// is returned for the next call. nbrs may alias buf or the
+	// representation's own storage: it is valid only until fn returns and
+	// must not be modified.
+	ScanInLists(lo, hi NodeID, buf []NodeID, fn func(v NodeID, nbrs []NodeID)) []NodeID
 }
 
 // AdjacencyEdges extends Adjacency with the canonical edge list: the view a
@@ -76,10 +83,11 @@ func (g *Graph) ForNeighbors(v NodeID, fn func(w NodeID)) {
 	}
 }
 
-// ForInNeighbors invokes fn for every in-neighbor of v in increasing order,
-// satisfying Adjacency.
-func (g *Graph) ForInNeighbors(v NodeID, fn func(w NodeID)) {
-	for _, w := range g.InNeighbors(v) {
-		fn(w)
+// ScanInLists hands fn zero-copy sub-slices of the in-CSR, satisfying
+// Adjacency; buf is returned untouched.
+func (g *Graph) ScanInLists(lo, hi NodeID, buf []NodeID, fn func(v NodeID, nbrs []NodeID)) []NodeID {
+	for v := lo; v < hi; v++ {
+		fn(v, g.InNeighbors(v))
 	}
+	return buf
 }

@@ -24,18 +24,17 @@ func DegreeDistribution(g *graph.Graph) []float64 {
 // DegreeDistributionOn is DegreeDistribution over any adjacency view, with
 // identical output for the same graph: degrees agree by contract, and the
 // histogram shape (max degree + 1 bins, one for degree 0) matches
-// graph.DegreeHistogram. Packed graphs pay one varint decode per vertex.
+// graph.DegreeHistogram. One pass — the histogram grows as larger degrees
+// appear — so packed graphs pay one varint decode per vertex.
 func DegreeDistributionOn(a graph.Adjacency) []float64 {
 	n := a.N()
-	maxDeg := 0
+	h := make([]int64, 1)
 	for v := 0; v < n; v++ {
-		if d := a.Degree(graph.NodeID(v)); d > maxDeg {
-			maxDeg = d
+		d := a.Degree(graph.NodeID(v))
+		if d >= len(h) {
+			h = append(h, make([]int64, d+1-len(h))...)
 		}
-	}
-	h := make([]int64, maxDeg+1)
-	for v := 0; v < n; v++ {
-		h[a.Degree(graph.NodeID(v))]++
+		h[d]++
 	}
 	out := make([]float64, len(h))
 	if n == 0 {

@@ -3,8 +3,9 @@
 package succinct
 
 // Allocation pins for the hot accessor loops the serving layer runs per
-// query: ForNeighbors/ForInNeighbors stream the payload through a caller
-// callback, Iter/Next stream it through a value-type cursor, and Degree /
+// query: ForNeighbors streams the payload through a caller callback,
+// ScanInLists decodes a range of lists into a caller buffer (warm after the
+// first pass), Iter/Next stream through a value-type cursor, and Degree /
 // EdgeWeight are direct reads. None of them may allocate per call — a BFS
 // over a packed graph touches every list once and per-call garbage would
 // dominate the traversal. Excluded under -race, whose instrumentation
@@ -36,7 +37,13 @@ func TestHotAccessorsDoNotAllocate(t *testing.T) {
 			}
 		}
 		check("ForNeighbors", func() { pg.ForNeighbors(step(), fn) })
-		check("ForInNeighbors", func() { pg.ForInNeighbors(step(), fn) })
+		var buf []graph.NodeID
+		scan := func(_ graph.NodeID, nbrs []graph.NodeID) { sink += graph.NodeID(len(nbrs)) }
+		buf = pg.ScanInLists(0, graph.NodeID(pg.N()), buf, scan)
+		check("ScanInLists", func() {
+			u := step()
+			buf = pg.ScanInLists(u, min(u+70, graph.NodeID(pg.N())), buf, scan)
+		})
 		check("Iter", func() {
 			it := pg.Iter(step())
 			for w, ok := it.Next(); ok; w, ok = it.Next() {

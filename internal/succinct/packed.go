@@ -333,9 +333,15 @@ func (pg *PackedGraph) inStart(v graph.NodeID) int {
 	return int(pg.inBlockOff[int(v)>>pg.shift]) + int(pg.inRel.get(int(v)))
 }
 
-// Degree returns the out-degree of v: one varint decode.
+// Degree returns the out-degree of v: one varint decode, nearly always of a
+// single byte. That case is tested here rather than inside Uvarint, which
+// would no longer inline into the list scans with it.
 func (pg *PackedGraph) Degree(v graph.NodeID) int {
-	d, _ := Uvarint(pg.payload, pg.start(v))
+	pos := pg.start(v)
+	if pos < len(pg.payload) && pg.payload[pos] < 0x80 {
+		return int(pg.payload[pos])
+	}
+	d, _ := Uvarint(pg.payload, pos)
 	return int(d)
 }
 
@@ -373,13 +379,30 @@ func (pg *PackedGraph) ForNeighbors(v graph.NodeID, fn func(w graph.NodeID)) {
 	forList(pg.payload, pg.start(v), v, fn)
 }
 
-// ForInNeighbors is ForNeighbors for the in-direction.
-func (pg *PackedGraph) ForInNeighbors(v graph.NodeID, fn func(w graph.NodeID)) {
-	if !pg.directed {
-		forList(pg.payload, pg.start(v), v, fn)
-		return
+// ScanInLists decodes the in-lists of [lo, hi) back to back into buf: the
+// offset directory is resolved once, for lo, and every later list starts
+// where the previous one ended (blocks are contiguous in the payload). A
+// list that fails to decode reads as empty and the scan resumes from the
+// directory.
+func (pg *PackedGraph) ScanInLists(lo, hi graph.NodeID, buf []graph.NodeID, fn func(v graph.NodeID, nbrs []graph.NodeID)) []graph.NodeID {
+	if lo >= hi {
+		return buf
 	}
-	forList(pg.inPayload, pg.inStart(v), v, fn)
+	payload, start := pg.payload, pg.start
+	if pg.directed {
+		payload, start = pg.inPayload, pg.inStart
+	}
+	pos := start(lo)
+	for v := lo; v < hi; v++ {
+		var next int
+		buf, next = DecodeList(buf[:0], payload, pos, v)
+		if next == pos && v+1 < hi {
+			next = start(v + 1)
+		}
+		pos = next
+		fn(v, buf)
+	}
+	return buf
 }
 
 // Neighbors appends v's decoded out-neighbors to dst and returns the grown

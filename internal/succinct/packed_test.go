@@ -9,6 +9,7 @@ package succinct
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"slimgraph/internal/centrality"
@@ -154,23 +155,125 @@ func TestAccessorsMatchGraph(t *testing.T) {
 			if _, ok := it.Next(); ok {
 				t.Fatalf("%v: iterator overran at %d", c, v)
 			}
-			wantIn := g.InNeighbors(id)
-			i = 0
-			pg.ForInNeighbors(id, func(w graph.NodeID) {
-				if wantIn[i] != w {
-					t.Fatalf("%v: in-neighbor %d of %d: got %d want %d", c, i, v, w, wantIn[i])
+			pg.ScanInLists(id, id+1, nil, func(u graph.NodeID, got []graph.NodeID) {
+				if u != id || !slices.Equal(got, g.InNeighbors(id)) {
+					t.Fatalf("%v: in-neighbors of %d: got %v (as vertex %d) want %v", c, v, got, u, g.InNeighbors(id))
 				}
-				i++
 			})
-			if i != len(wantIn) {
-				t.Fatalf("%v: ForInNeighbors visited %d of %d", c, i, len(wantIn))
-			}
 		}
 		for e := 0; e < g.M(); e++ {
 			if pg.EdgeWeight(graph.EdgeID(e)) != g.EdgeWeight(graph.EdgeID(e)) {
 				t.Fatalf("%v: weight mismatch at edge %d", c, e)
 			}
 		}
+	}
+}
+
+// inLists is the per-vertex reference ScanInLists is checked against: the
+// transposed ForNeighbors lists (u ascending, so each in-list is too).
+func inLists(a graph.Adjacency) [][]graph.NodeID {
+	in := make([][]graph.NodeID, a.N())
+	for u := 0; u < a.N(); u++ {
+		a.ForNeighbors(graph.NodeID(u), func(w graph.NodeID) { in[w] = append(in[w], graph.NodeID(u)) })
+	}
+	return in
+}
+
+// checkScanInLists scans [lo, hi) and requires exactly the vertices of the
+// range, ascending, each with its reference in-list.
+func checkScanInLists(t *testing.T, name string, a graph.Adjacency, want [][]graph.NodeID, lo, hi graph.NodeID, buf []graph.NodeID) []graph.NodeID {
+	t.Helper()
+	next := lo
+	buf = a.ScanInLists(lo, hi, buf, func(v graph.NodeID, nbrs []graph.NodeID) {
+		if v != next || v >= hi {
+			t.Fatalf("%s [%d, %d): visited %d, want %d", name, lo, hi, v, next)
+		}
+		if !slices.Equal(nbrs, want[v]) {
+			t.Fatalf("%s [%d, %d): in-list of %d = %v, want %v", name, lo, hi, v, nbrs, want[v])
+		}
+		next++
+	})
+	if next != max(lo, hi) {
+		t.Fatalf("%s [%d, %d): scan stopped at %d", name, lo, hi, next)
+	}
+	return buf
+}
+
+// ScanInLists must hand out, list by list, what the per-vertex accessors
+// do — on the raw CSR and on packed graphs of every block size and order —
+// for empty ranges, ranges inside one block, ranges straddling blocks, and
+// a vertex count that is not a multiple of the block size.
+func TestScanInListsMatchesPerVertexLists(t *testing.T) {
+	for _, c := range packCases() {
+		r := rng.New(53)
+		const n = 157
+		g := randomGraph(r, c, n, 1100)
+		want := inLists(g)
+		for v := range want {
+			if !slices.Equal(want[v], g.InNeighbors(graph.NodeID(v))) {
+				t.Fatalf("%v: transposed ForNeighbors disagrees with InNeighbors at %d", c, v)
+			}
+		}
+		type rep struct {
+			name  string
+			a     graph.Adjacency
+			want  [][]graph.NodeID
+			block graph.NodeID
+		}
+		reps := []rep{{"raw", g, want, 64}}
+		for _, block := range []int{4, 16, DefaultBlockVertices} {
+			for _, o := range []Order{OrderNone, OrderDegree} {
+				pg := Pack(g, 0, WithBlockVertices(block), WithOrder(o))
+				w := want
+				if o != OrderNone {
+					w = inLists(pg) // the relabeled ID space
+				}
+				reps = append(reps, rep{fmt.Sprintf("%v block=%d order=%s", c, block, o), pg, w, graph.NodeID(block)})
+			}
+		}
+		for _, p := range reps {
+			b := p.block
+			ranges := [][2]graph.NodeID{
+				{0, 0}, {n, n}, {5, 5}, {9, 3}, // empty
+				{0, n}, {0, 1}, {n - 1, n}, // whole graph and its ends
+				{1, b - 1}, {0, b}, // inside one block
+				{b - 1, b + 1}, {b / 2, min(2*b+b/2, n)}, {b, n}, // straddling
+				{n - n%b - 1, n}, // into the short last block
+			}
+			for i := 0; i < 40; i++ {
+				lo := graph.NodeID(r.Intn(n + 1))
+				ranges = append(ranges, [2]graph.NodeID{lo, lo + graph.NodeID(r.Intn(n+1-int(lo)))})
+			}
+			var buf []graph.NodeID // reused across scans, like a kernel's
+			for _, rg := range ranges {
+				buf = checkScanInLists(t, p.name, p.a, p.want, rg[0], rg[1], buf)
+			}
+		}
+	}
+}
+
+// A list that does not decode reads as empty and the scan carries on from
+// the directory: memory safety on an unverified image must not cost the
+// rest of the range.
+func TestScanInListsSkipsCorruptList(t *testing.T) {
+	r := rng.New(59)
+	g := randomGraph(r, packCase{}, 90, 2400)
+	pg := Pack(g, 0, WithBlockVertices(16))
+	want := inLists(pg)
+	const victim = 41
+	if pg.Degree(victim) < 12 {
+		t.Fatalf("vertex %d has degree %d; the case needs a list of 12+ bytes", victim, pg.Degree(victim))
+	}
+	bad := *pg
+	bad.payload = slices.Clone(pg.payload)
+	// Ten continuation bytes where the first neighbor should be: an
+	// overlong varint no decoder accepts.
+	for i := 1; i <= MaxVarintLen; i++ {
+		bad.payload[bad.start(victim)+i] = 0x80
+	}
+	want[victim] = nil
+	for _, rg := range [][2]graph.NodeID{{0, 90}, {victim, victim + 1}, {victim - 3, victim + 3}, {30, victim + 1}} {
+		checkScanInLists(t, "corrupt", &bad, want, rg[0], rg[1], nil)
 	}
 }
 

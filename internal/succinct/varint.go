@@ -1,6 +1,10 @@
 package succinct
 
-import "slimgraph/internal/graph"
+import (
+	"slices"
+
+	"slimgraph/internal/graph"
+)
 
 // MaxVarintLen is the maximum number of bytes one encoded uint64 occupies.
 const MaxVarintLen = 10
@@ -63,8 +67,14 @@ func AppendList(dst []byte, base graph.NodeID, nbrs []graph.NodeID) []byte {
 }
 
 // DecodeList appends the list encoded at pos to dst and returns the grown
-// slice and the position after the list. Corrupt input (truncated varints)
-// returns next == pos with dst unchanged.
+// slice and the position after the list. Corrupt input (truncated varints,
+// or a declared length the remaining bytes cannot hold) returns next == pos
+// with dst unchanged.
+//
+// The destination is sized once from the declared length, and gaps of one
+// or two bytes — at ~11 payload bits per arc, nearly all of them — are
+// decoded inline; anything longer, and anything within a byte of the end of
+// buf, goes through Uvarint.
 func DecodeList(dst []graph.NodeID, buf []byte, pos int, base graph.NodeID) ([]graph.NodeID, int) {
 	d, p := Uvarint(buf, pos)
 	if p == pos {
@@ -73,21 +83,40 @@ func DecodeList(dst []graph.NodeID, buf []byte, pos int, base graph.NodeID) ([]g
 	if d == 0 {
 		return dst, p
 	}
+	// Every entry occupies at least one byte, which bounds the allocation a
+	// corrupt length can ask for.
+	if d > uint64(len(buf)-p) {
+		return dst, pos
+	}
 	raw, q := Uvarint(buf, p)
 	if q == p {
 		return dst, pos
 	}
+	n := len(dst)
+	dst = slices.Grow(dst, int(d))[:n+int(d)]
+	out := dst[n:]
 	cur := int64(base) + UnZigZag(raw)
-	dst = append(dst, graph.NodeID(cur))
+	out[0] = graph.NodeID(cur)
 	p = q
-	for i := uint64(1); i < d; i++ {
-		gap, q := Uvarint(buf, p)
-		if q == p {
-			return dst[:len(dst)-int(i)], pos
+	for i := 1; i < len(out); i++ {
+		var gap uint64
+		if p+1 < len(buf) && buf[p]&buf[p+1] < 0x80 {
+			// One or two bytes, decoded without a branch on which: two is
+			// the continuation bit of the first byte, and the second byte
+			// contributes only under its mask.
+			b0, b1 := uint64(buf[p]), uint64(buf[p+1])
+			two := b0 >> 7
+			gap = b0&0x7f | (b1<<7)&-two
+			p += 1 + int(two)
+		} else {
+			gap, q = Uvarint(buf, p)
+			if q == p {
+				return dst[:n], pos
+			}
+			p = q
 		}
 		cur += int64(gap) + 1
-		dst = append(dst, graph.NodeID(cur))
-		p = q
+		out[i] = graph.NodeID(cur)
 	}
 	return dst, p
 }

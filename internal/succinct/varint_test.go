@@ -2,6 +2,7 @@ package succinct
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"slimgraph/internal/graph"
@@ -79,6 +80,76 @@ func TestListRoundTrip(t *testing.T) {
 			}
 			if skip := skipList(buf, 0); skip != len(buf) {
 				t.Fatalf("skipList consumed %d of %d", skip, len(buf))
+			}
+		}
+	}
+}
+
+// decodeListRef is the straight-line decoder DecodeList's fast paths must
+// agree with: one Uvarint per entry, append per neighbor, fail in place.
+func decodeListRef(dst []graph.NodeID, buf []byte, pos int, base graph.NodeID) ([]graph.NodeID, int) {
+	d, p := Uvarint(buf, pos)
+	if p == pos {
+		return dst, pos
+	}
+	n := len(dst)
+	cur := int64(base)
+	for i := uint64(0); i < d; i++ {
+		raw, q := Uvarint(buf, p)
+		if q == p {
+			return dst[:n], pos
+		}
+		if i == 0 {
+			cur += UnZigZag(raw)
+		} else {
+			cur += int64(raw) + 1
+		}
+		dst = append(dst, graph.NodeID(cur))
+		p = q
+	}
+	return dst, p
+}
+
+// TestDecodeListGapWidthsAtBufferEnd puts a gap of every decoder path — the
+// one- and two-byte fast paths, the three-byte and the maximal ten-byte
+// slow path — last in the buffer, where the two-byte lookahead has nothing
+// to look at, after runs that mix the widths. The decode must consume the
+// buffer exactly and match the reference; every truncation must fail in
+// place and leave dst as it was.
+func TestDecodeListGapWidthsAtBufferEnd(t *testing.T) {
+	gapOfWidth := map[int]uint64{1: 0x7f, 2: 0x80, 3: 1 << 14, 10: 1<<63 | 5}
+	leads := [][]uint64{nil, {0}, {3, 0x3fff, 0, 1 << 20, 0x7f, 0x80}}
+	const base = graph.NodeID(1000)
+	for width, last := range gapOfWidth {
+		if got := len(AppendUvarint(nil, last)); got != width {
+			t.Fatalf("gap %#x encodes to %d bytes, the table says %d", last, got, width)
+		}
+		for _, lead := range leads {
+			gaps := append(slices.Clone(lead), last)
+			buf := AppendUvarint(nil, uint64(1+len(gaps)))
+			buf = AppendUvarint(buf, ZigZag(-7)) // first neighbor: base-7
+			for _, gap := range gaps {
+				buf = AppendUvarint(buf, gap)
+			}
+			kept := []graph.NodeID{42, 43}
+			want, wantNext := decodeListRef(slices.Clone(kept), buf, 0, base)
+			got, next := DecodeList(slices.Clone(kept), buf, 0, base)
+			if next != len(buf) || wantNext != len(buf) || !slices.Equal(got, want) {
+				t.Fatalf("width %d after %v: consumed %d of %d, got %v want %v", width, lead, next, len(buf), got, want)
+			}
+			if len(got) != len(kept)+1+len(gaps) || got[2] != base-7 {
+				t.Fatalf("width %d after %v: decoded %v", width, lead, got)
+			}
+			// The same list followed by more payload decodes identically.
+			longer := append(slices.Clone(buf), 0xff, 0xff, 0x01)
+			if got, next := DecodeList(slices.Clone(kept), longer, 0, base); next != len(buf) || !slices.Equal(got, want) {
+				t.Fatalf("width %d after %v with trailing bytes: consumed %d, got %v", width, lead, next, got)
+			}
+			for cut := 0; cut < len(buf); cut++ {
+				got, next := DecodeList(slices.Clone(kept), buf[:cut], 0, base)
+				if next != 0 || !slices.Equal(got, kept) {
+					t.Fatalf("width %d after %v cut to %d of %d bytes: next=%d dst=%v", width, lead, cut, len(buf), next, got)
+				}
 			}
 		}
 	}
