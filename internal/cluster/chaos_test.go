@@ -177,12 +177,26 @@ func TestClusterChaosSoak(t *testing.T) {
 	// flaky: well over a hundred injected faults land somewhere in the run,
 	// but no single request can draw enough of them to exhaust its retry
 	// budget and every quota empties before the workload does.
-	inj := resilience.NewInjector(
-		&resilience.FaultRule{Path: "/part/", P: 0.12, Seed: 11, Times: 40, Action: resilience.FaultDrop},
-		&resilience.FaultRule{Path: "/part/", P: 0.08, Seed: 22, Times: 30, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
-		&resilience.FaultRule{Path: "/part/", P: 0.08, Seed: 33, Times: 30, Action: resilience.FaultTruncate},
-		&resilience.FaultRule{Path: "/triangles", P: 0.25, Seed: 44, Times: 20, Action: resilience.FaultDelay, Delay: 2 * time.Millisecond},
-	)
+	//
+	// The routed rules aim torn replies and 503s at the two routes that
+	// carry a request vector and run many rounds per query — where a frame
+	// cut short or a half-failed round would be easiest to mistake for an
+	// answer. They start once the burst from the catch-all rules has mostly
+	// drained and fire sparsely, so they land mid-query all through the run
+	// without stacking three failures on one sub-request often enough to
+	// cost the cluster a quorum.
+	routed := []*resilience.FaultRule{
+		{Path: "/part/bfs", After: 100, P: 0.05, Seed: 55, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/part/bfs", After: 100, P: 0.05, Seed: 66, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/part/pr-pull", After: 400, P: 0.02, Seed: 77, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/part/pr-pull", After: 400, P: 0.02, Seed: 88, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+	}
+	inj := resilience.NewInjector(append([]*resilience.FaultRule{
+		{Path: "/part/", P: 0.12, Seed: 11, Times: 40, Action: resilience.FaultDrop},
+		{Path: "/part/", P: 0.08, Seed: 22, Times: 30, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/part/", P: 0.08, Seed: 33, Times: 30, Action: resilience.FaultTruncate},
+		{Path: "/triangles", P: 0.25, Seed: 44, Times: 20, Action: resilience.FaultDelay, Delay: 2 * time.Millisecond},
+	}, routed...)...)
 	// Provisioned for the workload: 8 concurrent clients (plus retry
 	// amplification) must never trip admission control on a slow 1-CPU CI
 	// box — this soak asserts fault tolerance, not load shedding.
@@ -244,6 +258,11 @@ func TestClusterChaosSoak(t *testing.T) {
 		t.Fatal("fault injector never fired: the soak tested nothing")
 	}
 	t.Logf("injected %d faults across %d requests", inj.Fired(), workers*iters)
+	for _, r := range routed {
+		if r.Fired() == 0 {
+			t.Errorf("the %v rule on %s never fired", r.Action, r.Path)
+		}
+	}
 
 	// Cache exactness under chaos: injected failures happen on the wire, so
 	// shard-side executions stay single-flight — never failed, never

@@ -27,8 +27,13 @@
 // histograms, exact triangle counts — merge in fixed shard order with all
 // floating-point reductions performed sequentially by the coordinator, so
 // responses are byte-identical to internal/server's for a fixed seed at
-// workers=1 (the cluster tests pin this). DOULION-approximate triangle
-// counts and §5 quality comparison run whole on one replica and relay.
+// workers=1 (the cluster tests pin this). Each scatter round encodes its
+// one bulk vector (the frontier, the rank vector) once, as a fixed-width
+// little-endian frame every shard's sub-request shares, and every shard
+// answers with the same kind of frame (protocol.go), so a round costs a
+// copy per element rather than a decimal print and parse per shard.
+// DOULION-approximate triangle counts and §5 quality comparison run whole
+// on one replica and relay.
 package cluster
 
 import (
@@ -115,17 +120,17 @@ func errBody(code int, body []byte) *httpError {
 	return &httpError{code: code, msg: fmt.Sprintf("status %d: %s", code, bytes.TrimSpace(body))}
 }
 
-// doJSON performs one HTTP exchange against a shard: method addr+path with
-// optional query and body, decoding a 2xx JSON reply into out (when
-// non-nil) and any other reply into an *httpError.
-func doJSON(ctx context.Context, client *http.Client, method, addr, path string, query url.Values, contentType string, body io.Reader, out any) error {
+// doRaw performs one HTTP exchange against a shard: method addr+path with
+// optional query and body, returning a 2xx reply's body and turning any
+// other reply into an *httpError.
+func doRaw(ctx context.Context, client *http.Client, method, addr, path string, query url.Values, contentType string, body io.Reader) ([]byte, error) {
 	u := addr + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -141,9 +146,9 @@ func doJSON(ctx context.Context, client *http.Client, method, addr, path string,
 	resilience.SetDeadlineHeader(req.Header, ctx)
 	resp, err := client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body, resp.ContentLength)
 	// Drain whatever is left (bounded — a broken body won't block) and
 	// close on every path, success or error: an undrained body poisons the
 	// keep-alive connection, and under retry load a leaked connection per
@@ -151,13 +156,29 @@ func doJSON(ctx context.Context, client *http.Client, method, addr, path string,
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 256<<10))
 	resp.Body.Close()
 	if err != nil {
-		return fmt.Errorf("reading reply: %w", err)
+		return nil, fmt.Errorf("reading reply: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return errBody(resp.StatusCode, data)
+		return nil, errBody(resp.StatusCode, data)
 	}
-	if out == nil {
-		return nil
+	return data, nil
+}
+
+// readBody reads r to EOF into a buffer sized once from the declared body
+// length (a 128 KiB rank vector costs io.ReadAll a dozen regrow-and-copy
+// rounds), capped so a lying header reserves at most 1 MiB ahead of bytes.
+func readBody(r io.Reader, declared int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(declared, 1<<20))+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// doJSON is doRaw for the JSON routes: a 2xx reply decodes into out (when
+// non-nil).
+func doJSON(ctx context.Context, client *http.Client, method, addr, path string, query url.Values, contentType string, body io.Reader, out any) error {
+	data, err := doRaw(ctx, client, method, addr, path, query, contentType, body)
+	if err != nil || out == nil {
+		return err
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("decoding reply: %w", err)

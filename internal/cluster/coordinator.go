@@ -3,12 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -465,47 +465,68 @@ func (c *Coordinator) target(ctx context.Context, name string, p server.QueryPar
 	return cr.N, cr.Spec, nil
 }
 
-// scatterParts scatters one partial computation over the live shard set:
-// part p of `of` goes to the p-th live shard, which recomputes its range
-// from (p, of) locally — part index and shard rank are independent, so ANY
-// shard can serve ANY part. It returns how many parts the query ran as
-// (callers merge out(0..of-1) in part order).
+// partScatter is one query's reusable state for scatter rounds against one
+// part route: what the sub-requests address, the most elements a reply
+// vector may carry, and the buffers every round reuses.
+type partScatter[T elem] struct {
+	c           *Coordinator
+	name, route string
+	p           server.QueryParams // Spec already canonical
+	max         int
+	raws        [][]byte
+	buf         []T
+}
+
+func newPartScatter[T elem](c *Coordinator, name, route, canonical string, p server.QueryParams, max int) *partScatter[T] {
+	p.Spec = canonical
+	return &partScatter[T]{c: c, name: name, route: route, p: p, max: max, raws: make([][]byte, len(c.opts.Shards))}
+}
+
+// round scatters one partial computation over the live shard set: part p
+// of `of` goes to the p-th live shard, which recomputes its range from
+// (p, of) locally — part index and shard rank are independent, so ANY
+// shard can serve ANY part. body is the round's request frame, encoded
+// once by the caller and shared by every sub-request (nil: none). visit
+// sees each part's reply in part order; v is valid only during the call.
 //
 // Failure handling is re-partition-and-retry: a shard whose sub-request
-// fails fatally (after the retry policy's attempts) is blacklisted for
-// this request and the WHOLE part set re-scatters over the survivors with
-// the new `of`. Correctness is unaffected — partition ranges are pure
-// functions of (part, of) and partial kernels pure functions of (graph,
-// range), so the merged response stays byte-identical to single-node no
-// matter how many survivors serve it. Replies decode into out only after
-// a fully successful round, so a half-failed round can't leave stale
-// fields behind. A 4xx relays verbatim immediately: every replica rejects
-// an invalid request identically.
-func (c *Coordinator) scatterParts(ctx context.Context, name, path string, req partRequest, out func(part int) any) (int, error) {
-	bad := make(map[int]bool)
+// fails fatally (after the retry policy's attempts; a reply that is not a
+// whole frame counts) is blacklisted for this round and the WHOLE part set
+// re-scatters over the survivors with the new `of`. Correctness is
+// unaffected — partition ranges are pure functions of (part, of) and
+// partial kernels pure functions of (graph, range), so the merged response
+// stays byte-identical to single-node no matter how many survivors serve
+// it. Replies are decoded and visited only after a fully successful round,
+// so a half-failed round leaves nothing behind. A 4xx relays verbatim
+// immediately: every replica rejects an invalid request identically.
+func (s *partScatter[T]) round(ctx context.Context, body []byte, visit func(scalars [3]int64, v []T)) error {
+	c := s.c
+	path := "/internal/v1/graphs/" + url.PathEscape(s.name) + "/part/" + s.route
+	var bad map[int]bool
 	var lastErr error
 	lastShard := -1
 	for {
-		candidates := make([]int, 0, len(c.opts.Shards))
-		for _, i := range c.liveShards() {
-			if !bad[i] {
-				candidates = append(candidates, i)
-			}
+		candidates := c.liveShards()
+		if bad != nil {
+			candidates = slices.DeleteFunc(candidates, func(i int) bool { return bad[i] })
 		}
 		if len(candidates) == 0 || ctx.Err() != nil {
 			if lastShard < 0 {
-				return 0, server.Errf(http.StatusBadGateway, "no live shards for %s", name)
+				return server.Errf(http.StatusBadGateway, "no live shards for %s", s.name)
 			}
-			return 0, server.Errf(http.StatusBadGateway, "shard %d (%s): %v",
+			return server.Errf(http.StatusBadGateway, "shard %d (%s): %v",
 				lastShard, c.opts.Shards[lastShard], lastErr)
 		}
 		of := len(candidates)
-		raws := make([]json.RawMessage, of)
-		errs := c.scatterOver(ctx, candidates, "part:"+path, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
-			r := req
-			r.Shard = pos
-			r.Of = of
-			return postJSON(ctx, c.client, addr, "/internal/v1/graphs/"+url.PathEscape(name)+"/part/"+path, r, &raws[pos])
+		errs := c.scatterOver(ctx, candidates, "part:"+s.route, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
+			q := url.Values{"shard": {strconv.Itoa(pos)}, "of": {strconv.Itoa(of)}}
+			addCommonParams(q, s.p)
+			data, err := doRaw(ctx, c.client, http.MethodPost, addr, path, q, "application/octet-stream", bytes.NewReader(body))
+			if err == nil {
+				_, err = checkFrame(data, widthOf[T](), s.max)
+			}
+			s.raws[pos] = data
+			return err
 		})
 		failed := false
 		for pos, err := range errs {
@@ -514,7 +535,10 @@ func (c *Coordinator) scatterParts(ctx context.Context, name, path string, req p
 			}
 			var he *httpError
 			if errors.As(err, &he) && he.code >= 400 && he.code < 500 {
-				return 0, server.Errf(he.code, "%s", he.msg)
+				return server.Errf(he.code, "%s", he.msg)
+			}
+			if bad == nil {
+				bad = make(map[int]bool)
 			}
 			bad[candidates[pos]] = true
 			lastErr, lastShard = err, candidates[pos]
@@ -523,12 +547,15 @@ func (c *Coordinator) scatterParts(ctx context.Context, name, path string, req p
 		if failed {
 			continue
 		}
-		for pos := range raws {
-			if err := json.Unmarshal(raws[pos], out(pos)); err != nil {
-				return 0, server.Errf(http.StatusBadGateway, "decoding part %d from shard %d: %v", pos, candidates[pos], err)
+		for pos := range of {
+			scalars, v, err := decodeFrame(s.buf, s.raws[pos], s.max)
+			if err != nil {
+				return server.Errf(http.StatusBadGateway, "decoding part %d from shard %d: %v", pos, candidates[pos], err)
 			}
+			s.buf = v
+			visit(scalars, v)
 		}
-		return of, nil
+		return nil
 	}
 }
 
@@ -552,23 +579,21 @@ func (c *Coordinator) BFS(ctx context.Context, name string, root int32, p server
 	}
 	dist[root] = 0
 	frontier := []int32{root}
-	base := partRequest{Spec: canonical, Seed: p.Seed, Workers: p.Workers}
+	sc := newPartScatter[int32](c, name, "bfs", canonical, p, n)
+	var body []byte
 	for level := int32(1); len(frontier) > 0; level++ {
-		parts := make([]bfsPartResponse, len(c.opts.Shards))
-		req := base
-		req.Frontier = frontier
-		of, err := c.scatterParts(ctx, name, "bfs", req, func(p int) any { return &parts[p] })
-		if err != nil {
-			return nil, err
-		}
+		body = appendFrame(body[:0], [3]int64{}, frontier)
 		frontier = frontier[:0]
-		for _, part := range parts[:of] {
-			for _, v := range part.Next {
+		err := sc.round(ctx, body, func(_ [3]int64, next []int32) {
+			for _, v := range next {
 				if dist[v] < 0 {
 					dist[v] = level
 					frontier = append(frontier, v)
 				}
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	reached := 0
@@ -615,25 +640,23 @@ func (c *Coordinator) PageRank(ctx context.Context, name string, k int, p server
 	if err != nil {
 		return nil, err
 	}
-	base := partRequest{Spec: canonical, Seed: p.Seed, Workers: p.Workers}
 	var ranks []float64
 	if n > 0 {
-		inits := make([]prInitResponse, len(c.opts.Shards))
-		of, err := c.scatterParts(ctx, name, "pr-init", base, func(p int) any { return &inits[p] })
-		if err != nil {
-			return nil, err
-		}
 		// Part ranges are contiguous and ascending, so concatenating the
 		// per-range dangling lists yields the globally ascending list; the
 		// non-dangling vertices the single-node sum skips contribute exact
 		// zeros, so summing only these matches it bitwise.
 		var dangling []int32
-		for _, init := range inits[:of] {
-			if init.N != n {
-				return nil, server.Errf(http.StatusBadGateway,
-					"replicas disagree on vertex count: %d vs %d", init.N, n)
-			}
-			dangling = append(dangling, init.Dangling...)
+		agree := true
+		err := newPartScatter[int32](c, name, "pr-init", canonical, p, n).round(ctx, nil, func(init [3]int64, d []int32) {
+			agree = agree && init[0] == int64(n)
+			dangling = append(dangling, d...)
+		})
+		if err == nil && !agree {
+			err = server.Errf(http.StatusBadGateway, "replicas disagree on vertex count: not all report %d", n)
+		}
+		if err != nil {
+			return nil, err
 		}
 		rank := make([]float64, n)
 		next := make([]float64, n)
@@ -642,23 +665,22 @@ func (c *Coordinator) PageRank(ctx context.Context, name string, k int, p server
 			rank[i] = inv
 		}
 		baseMass := (1 - prDamping) * inv
+		pull := newPartScatter[float64](c, name, "pr-pull", canonical, p, n)
+		var body []byte
 		for iter := 0; iter < prMaxIter; iter++ {
 			danglingMass := 0.0
 			for _, v := range dangling {
 				danglingMass += rank[v]
 			}
 			danglingShare := prDamping * danglingMass * inv
-			pulls := make([]prPullResponse, len(c.opts.Shards))
-			req := base
-			req.Ranks = rank
-			pof, err := c.scatterParts(ctx, name, "pr-pull", req, func(p int) any { return &pulls[p] })
+			body = appendFrame(body[:0], [3]int64{}, rank)
+			err := pull.round(ctx, body, func(lo [3]int64, sums []float64) {
+				for j, sum := range sums {
+					next[int(lo[0])+j] = baseMass + danglingShare + prDamping*sum
+				}
+			})
 			if err != nil {
 				return nil, err
-			}
-			for _, pull := range pulls[:pof] {
-				for j, sum := range pull.Sums {
-					next[int(pull.Lo)+j] = baseMass + danglingShare + prDamping*sum
-				}
 			}
 			delta := 0.0
 			for v := 0; v < n; v++ {
@@ -696,15 +718,12 @@ func (c *Coordinator) Triangles(ctx context.Context, name, mode string, prob flo
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]trianglesPartResponse, len(c.opts.Shards))
-	base := partRequest{Spec: canonical, Seed: p.Seed, Workers: p.Workers}
-	of, err := c.scatterParts(ctx, name, "triangles", base, func(p int) any { return &parts[p] })
+	var total int64
+	err = newPartScatter[int64](c, name, "triangles", canonical, p, 0).round(ctx, nil, func(count [3]int64, _ []int64) {
+		total += count[0]
+	})
 	if err != nil {
 		return nil, err
-	}
-	var total int64
-	for _, part := range parts[:of] {
-		total += part.Count
 	}
 	return &server.TrianglesResponse{Graph: name, Spec: canonical, Mode: mode, Count: &total}, nil
 }
@@ -718,15 +737,12 @@ func (c *Coordinator) Degrees(ctx context.Context, name string, p server.QueryPa
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]degreesPartResponse, len(c.opts.Shards))
-	base := partRequest{Spec: canonical, Seed: p.Seed, Workers: p.Workers}
-	of, err := c.scatterParts(ctx, name, "degrees", base, func(p int) any { return &parts[p] })
+	var partials [][]int64
+	err = newPartScatter[int64](c, name, "degrees", canonical, p, n).round(ctx, nil, func(_ [3]int64, counts []int64) {
+		partials = append(partials, slices.Clone(counts))
+	})
 	if err != nil {
 		return nil, err
-	}
-	partials := make([][]int64, of)
-	for i, part := range parts[:of] {
-		partials[i] = part.Counts
 	}
 	merged := distributed.MergeHistograms(partials)
 	if len(merged) == 0 {

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"sort"
+	"math/bits"
 
 	"slimgraph/internal/centrality"
 	"slimgraph/internal/distributed"
@@ -16,28 +16,29 @@ import (
 
 // expandFrontier returns the sorted, deduplicated out-neighbors of the
 // frontier vertices this range owns — one shard's share of a
-// level-synchronous BFS step.
+// level-synchronous BFS step. Neighbors are marked in an n-bit set and the
+// set bits read back in ascending order, so no candidate is ever sorted.
 func expandFrontier(g graph.Adjacency, r distributed.Range, frontier []int32) []int32 {
-	var next []int32
+	seen := make([]uint64, (g.N()+63)/64)
 	for _, u := range frontier {
 		if !r.Contains(u) {
 			continue
 		}
 		g.ForNeighbors(u, func(w graph.NodeID) {
-			next = append(next, int32(w))
+			seen[w>>6] |= 1 << (uint(w) & 63)
 		})
 	}
-	if len(next) == 0 {
-		return next
+	count := 0
+	for _, word := range seen {
+		count += bits.OnesCount64(word)
 	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	uniq := next[:1]
-	for _, v := range next[1:] {
-		if v != uniq[len(uniq)-1] {
-			uniq = append(uniq, v)
+	next := make([]int32, 0, count)
+	for i, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			next = append(next, int32(i<<6+bits.TrailingZeros64(word)))
 		}
 	}
-	return uniq
+	return next
 }
 
 // danglingIn returns the out-degree-0 vertices of the range, ascending.
@@ -68,25 +69,31 @@ func pullSums(g graph.Adjacency, r distributed.Range, ranks []float64) []float64
 // each forward neighbor w > u, triangles {u, w, x} with x > w are
 // |fwd(u) ∩ fwd(w)|. Every triangle {a < b < c} is counted exactly once —
 // at u=a, w=b — so per-range counts sum to the exact global count (integer
-// sums are associative; no merge-order caveats). Assumes simple graphs,
-// like the single-node exact counter.
+// sums are associative; no merge-order caveats). The forward lists of
+// every vertex an intersection can touch — [r.Lo, n), since w > u — are
+// built once, in one ForNeighbors pass, into an offsets+targets pair that
+// dies with the sub-request. Assumes simple graphs, like the single-node
+// exact counter.
 func countForward(g graph.Adjacency, r distributed.Range) int64 {
-	var total int64
-	var fu, fw []graph.NodeID
-	forward := func(v graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-		buf = buf[:0]
+	n := graph.NodeID(g.N())
+	offsets := make([]int, n-r.Lo+1)
+	var targets []graph.NodeID
+	for v := r.Lo; v < n; v++ {
 		g.ForNeighbors(v, func(w graph.NodeID) {
 			if w > v {
-				buf = append(buf, w)
+				targets = append(targets, w)
 			}
 		})
-		return buf
+		offsets[v-r.Lo+1] = len(targets)
 	}
+	forward := func(v graph.NodeID) []graph.NodeID {
+		return targets[offsets[v-r.Lo]:offsets[v-r.Lo+1]]
+	}
+	var total int64
 	for u := r.Lo; u < r.Hi; u++ {
-		fu = forward(u, fu)
+		fu := forward(u)
 		for _, w := range fu {
-			fw = forward(w, fw)
-			total += intersectCount(fu, fw)
+			total += intersectCount(fu, forward(w))
 		}
 	}
 	return total

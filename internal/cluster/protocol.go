@@ -1,68 +1,101 @@
 package cluster
 
-// The /internal/v1 shard protocol: a handful of JSON messages the
-// coordinator exchanges with shards beyond the public API. Replication
-// (graph load/unload, variant purge) addresses whole objects; partial
-// queries address the shard's vertex range, which the shard derives itself
-// from (shard, of) — ranges are a pure function of the target's degree
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+)
+
+// The /internal/v1 shard protocol: what the coordinator exchanges with
+// shards beyond the public API. Replication (graph load/unload, variant
+// purge) addresses whole objects; partial queries (POST .../part/{route})
+// address the shard's vertex range, which the shard derives itself from
+// (shard, of) — ranges are a pure function of the target's degree
 // sequence, so they never travel on the wire.
+//
+// Part routes follow the convention graph replication already uses: the
+// request scalars (spec, seed, workers, shard, of) ride in the query
+// string and the one bulk vector is an application/octet-stream body. That
+// body and every 2xx part reply are the same little-endian frame:
+//
+//	offset  0  "SGF"                magic
+//	offset  3  element width        4 (int32) or 8 (int64, float64 bits)
+//	offset  4  element count        uint32
+//	offset  8  three int64 scalars  meaning fixed per route, 0 if unused
+//	offset 32  count × width bytes  the vector
+//
+// valid only when its byte length is exactly 32 + count × width, which
+// lets a receiver reject a torn read in place and never allocate past the
+// bytes it was handed; floats cross as IEEE-754 bit patterns, bit-exact.
+// appendFrame and decodeFrame are the only writer and reader. Error
+// replies stay {"error": ...} JSON, so 4xx relaying matches every other
+// route. Per route (request vector → reply scalars; reply vector):
+//
+//	bfs        frontier []int32 → —; candidate next level []int32
+//	pr-init    — → n, lo, hi; dangling vertices of the range []int32
+//	pr-pull    ranks []float64 → lo; pull sums of the range []float64
+//	degrees    — → —; out-degree histogram of the range []int64
+//	triangles  — → triangles with minimum vertex in the range; —
 
-// partRequest selects the target of a partial computation: the original
-// graph (empty Spec) or a cached variant, plus this shard's position in the
-// partition. Frontier rides along for BFS expansion, Ranks for a PageRank
-// pull iteration.
-type partRequest struct {
-	Spec    string `json:"spec,omitempty"`
-	Seed    uint64 `json:"seed"`
-	Workers int    `json:"workers"`
-	// Shard/Of position this request in the partition: the receiver owns
-	// range Shard of PartitionByDegree(target, Of).
-	Shard int `json:"shard"`
-	Of    int `json:"of"`
+// elem is the set of vector element types a frame carries.
+type elem interface{ int32 | int64 | float64 }
 
-	Frontier []int32   `json:"frontier,omitempty"`
-	Ranks    []float64 `json:"ranks,omitempty"`
+const (
+	frameMagic  = "SGF"
+	frameHeader = 32
+)
+
+// frameSize is the exact byte length of a frame of count elements.
+func frameSize(width, count int) int { return frameHeader + width*count }
+
+func widthOf[T elem]() int { return binary.Size(*new(T)) }
+
+// appendFrame appends the frame of (scalars, v) to dst.
+func appendFrame[T elem](dst []byte, scalars [3]int64, v []T) []byte {
+	width := widthOf[T]()
+	dst = append(slices.Grow(dst, frameSize(width, len(v))), frameMagic...)
+	dst = append(dst, byte(width))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
+	dst, _ = binary.Append(dst, binary.LittleEndian, scalars[:]) // fixed-size data: cannot fail
+	dst, _ = binary.Append(dst, binary.LittleEndian, v)
+	return dst
 }
 
-// bfsPartResponse returns the sorted, deduplicated neighbors reachable
-// from the owned part of the frontier. The coordinator filters visited
-// vertices; levels stay exact regardless of which shard proposes a vertex
-// first because the merge is level-synchronous.
-type bfsPartResponse struct {
-	Next []int32 `json:"next"`
+// checkFrame validates a frame's envelope — magic, the expected element
+// width, a count of at most max, a byte length that is exactly what the
+// count declares (so every truncation fails here) — and returns the count.
+func checkFrame(data []byte, width, max int) (int, error) {
+	if len(data) < frameHeader || string(data[:3]) != frameMagic {
+		return 0, fmt.Errorf("not a part frame (%d bytes)", len(data))
+	}
+	if int(data[3]) != width {
+		return 0, fmt.Errorf("frame element width %d, want %d", data[3], width)
+	}
+	count := int(binary.LittleEndian.Uint32(data[4:]))
+	if count > max {
+		return 0, fmt.Errorf("frame declares %d elements, at most %d allowed", count, max)
+	}
+	if len(data) != frameSize(width, count) {
+		return 0, fmt.Errorf("frame declares %d elements but is %d bytes, want %d", count, len(data), frameSize(width, count))
+	}
+	return count, nil
 }
 
-// prInitResponse describes the owned range once per PageRank run: its
-// bounds and the dangling (out-degree 0) vertices inside it, ascending.
-type prInitResponse struct {
-	N        int     `json:"n"`
-	Lo       int32   `json:"lo"`
-	Hi       int32   `json:"hi"`
-	Dangling []int32 `json:"dangling"`
-}
-
-// prPullResponse carries one iteration's raw pull sums for the owned
-// range: sums[i] = Σ rank[u]/deg(u) over in-neighbors u of vertex Lo+i, in
-// in-neighbor order. The coordinator applies damping, base, and dangling
-// mass itself so every float operation happens exactly once, in the
-// single-node order.
-type prPullResponse struct {
-	Lo   int32     `json:"lo"`
-	Sums []float64 `json:"sums"`
-}
-
-// degreesPartResponse is the out-degree histogram of the owned range,
-// sized to the local maximum degree plus one.
-type degreesPartResponse struct {
-	Counts []int64 `json:"counts"`
-}
-
-// trianglesPartResponse is the number of triangles whose lowest-ID vertex
-// falls in the owned range; the per-shard counts sum to the exact global
-// count because each triangle is counted exactly once, at its minimum
-// vertex.
-type trianglesPartResponse struct {
-	Count int64 `json:"count"`
+// decodeFrame validates data with checkFrame and decodes it, reusing dst's
+// backing array when it is large enough; otherwise the one allocation is
+// the count-element vector, count having been checked against the bytes.
+func decodeFrame[T elem](dst []T, data []byte, max int) (scalars [3]int64, v []T, err error) {
+	count, err := checkFrame(data, widthOf[T](), max)
+	if err != nil {
+		return scalars, nil, err
+	}
+	if cap(dst) < count {
+		dst = make([]T, count)
+	}
+	v = dst[:count]
+	_, _ = binary.Decode(data[8:], binary.LittleEndian, scalars[:]) // lengths checked above: cannot fail
+	_, _ = binary.Decode(data[frameHeader:], binary.LittleEndian, v)
+	return scalars, v, nil
 }
 
 // purgeRequest asks a shard to drop one cached variant by its canonical

@@ -1,0 +1,203 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"testing"
+
+	"slimgraph/internal/gen"
+	"slimgraph/internal/graphio"
+	"slimgraph/internal/server"
+)
+
+// roundTrip encodes (scalars, v), checks the frame's size, and decodes it
+// back; equal compares elements (bit patterns for floats).
+func roundTrip[T elem](t *testing.T, scalars [3]int64, v []T, equal func(a, b T) bool) {
+	t.Helper()
+	data := appendFrame([]byte("prefix"), scalars, v)[len("prefix"):]
+	if len(data) != frameSize(widthOf[T](), len(v)) {
+		t.Fatalf("frame of %d elements is %d bytes, want %d", len(v), len(data), frameSize(widthOf[T](), len(v)))
+	}
+	gotScalars, got, err := decodeFrame[T](nil, data, len(v))
+	if err != nil {
+		t.Fatalf("decoding %d elements: %v", len(v), err)
+	}
+	if gotScalars != scalars || !slices.EqualFunc(got, v, equal) {
+		t.Fatalf("round trip changed the frame:\n got %v %v\nwant %v %v", gotScalars, got, scalars, v)
+	}
+	// A destination with room is reused, one without is replaced.
+	dst := make([]T, 0, len(v)+1)
+	if _, got, _ = decodeFrame(dst, data, len(v)); len(v) > 0 && &got[0] != &dst[:1][0] {
+		t.Fatalf("decodeFrame did not reuse a large enough destination")
+	}
+	if _, _, err := decodeFrame[T](nil, data, len(v)-1); len(v) > 0 && err == nil {
+		t.Fatalf("a frame of %d elements passed a bound of %d", len(v), len(v)-1)
+	}
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	scalars := [3]int64{math.MinInt64, -1, math.MaxInt64}
+	roundTrip(t, scalars, []int32{}, func(a, b int32) bool { return a == b })
+	roundTrip(t, scalars, []int32{0, -1, 1, math.MinInt32, math.MaxInt32}, func(a, b int32) bool { return a == b })
+	roundTrip(t, scalars, []int64(nil), func(a, b int64) bool { return a == b })
+	roundTrip(t, [3]int64{}, []int64{0, -1, math.MinInt64, math.MaxInt64}, func(a, b int64) bool { return a == b })
+	roundTrip(t, scalars, []float64{}, same)
+	roundTrip(t, scalars, []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8000000000123), 1.0 / 3,
+	}, same)
+}
+
+// TestFrameRejectsEveryTruncation cuts a frame at every length and pads it
+// at the end: only the whole frame decodes, and a rejected frame leaves
+// the destination alone.
+func TestFrameRejectsEveryTruncation(t *testing.T) {
+	data := appendFrame(nil, [3]int64{1, 2, 3}, []float64{1, 2, 3, 4, 5})
+	dst := []float64{9, 9, 9, 9, 9}
+	for cut := 0; cut < len(data); cut++ {
+		if _, _, err := decodeFrame(dst, data[:cut], 5); err == nil {
+			t.Fatalf("frame cut to %d of %d bytes decoded", cut, len(data))
+		}
+	}
+	if _, _, err := decodeFrame(dst, append(slices.Clone(data), 0), 5); err == nil {
+		t.Fatal("frame with a trailing byte decoded")
+	}
+	if !slices.Equal(dst, []float64{9, 9, 9, 9, 9}) {
+		t.Fatalf("rejected frames wrote to the destination: %v", dst)
+	}
+	for _, mutate := range []func(b []byte){
+		func(b []byte) { b[0] = 's' },                                  // magic
+		func(b []byte) { b[3] = 4 },                                    // width
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 4) },     // count below the bytes
+		func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 1<<31) }, // count far above them
+	} {
+		bad := slices.Clone(data)
+		mutate(bad)
+		if _, _, err := decodeFrame[float64](nil, bad, math.MaxInt32); err == nil {
+			t.Fatalf("mutated frame %x decoded", bad[:8])
+		}
+	}
+}
+
+// FuzzPartFrame feeds arbitrary bytes to the decoder at all three element
+// types: it must not panic, must accept only frames whose length is
+// exactly what the header declares (so no truncation and no count/length
+// mismatch survives), must honor the element bound, and must never hand
+// back more elements than the bytes justify. Accepted frames re-encode to
+// the same bytes.
+func FuzzPartFrame(f *testing.F) {
+	f.Add(appendFrame(nil, [3]int64{}, []int32{1, 2, 3}), 8)
+	f.Add(appendFrame(nil, [3]int64{7}, []int64(nil)), 0)
+	f.Add(appendFrame(nil, [3]int64{0, 1, 2}, []float64{0.5, math.Inf(1)}), 1)
+	f.Add([]byte("SGF\x08\xff\xff\xff\xff"), 1<<31-1)
+	f.Add([]byte(`{"error":"no graph"}`), 4)
+	f.Fuzz(func(t *testing.T, data []byte, max int) {
+		fuzzFrame[int32](t, data, max)
+		fuzzFrame[int64](t, data, max)
+		fuzzFrame[float64](t, data, max)
+	})
+}
+
+func fuzzFrame[T elem](t *testing.T, data []byte, max int) {
+	scalars, v, err := decodeFrame[T](nil, data, max)
+	if err != nil {
+		if v != nil {
+			t.Fatalf("rejected frame still returned %d elements", len(v))
+		}
+		return
+	}
+	if len(v) > max || cap(v)*widthOf[T]() > len(data) || len(data) != frameSize(widthOf[T](), len(v)) {
+		t.Fatalf("accepted %d elements (cap %d, bound %d) from %d bytes", len(v), cap(v), max, len(data))
+	}
+	if again := appendFrame(nil, scalars, v); !bytes.Equal(again, data) {
+		t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", again, data)
+	}
+}
+
+// TestShardRejectsHostileParts posts malformed part sub-requests straight
+// at a shard: every one is a 400 with a JSON error, never a 5xx, a panic,
+// or a silently skipped vertex.
+func TestShardRejectsHostileParts(t *testing.T) {
+	g := testGraph(t)
+	n := g.N()
+	sh := mustShard(t, server.Options{MaxWorkers: 4})
+	if err := sh.Server().AddGraph("g", "", "test", g, 1); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(sh.Handler())
+	defer ts.Close()
+	const q = "?seed=1&workers=1&shard=0&of=1"
+	ranks := make([]float64, n)
+	oversized := appendFrame(nil, [3]int64{}, make([]int32, n+1))
+	lying := appendFrame(nil, [3]int64{}, []int32{0, 1})
+	binary.LittleEndian.PutUint32(lying[4:], uint32(n))
+
+	for _, tc := range []struct {
+		name, path string
+		body       []byte
+		want       int
+		wantErr    string
+	}{
+		{"bfs ok", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []int32{0, 0, 5}), 200, ""},
+		{"pr-pull ok", "/part/pr-pull" + q, appendFrame(nil, [3]int64{}, ranks), 200, ""},
+		{"degrees ok", "/part/degrees" + q, nil, 200, ""},
+		{"frontier id == n", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []int32{0, int32(n)}), 400, "outside [0,"},
+		{"frontier id < 0", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []int32{-1}), 400, "outside [0,"},
+		{"frontier longer than n", "/part/bfs" + q, oversized, 400, "too large"},
+		{"count disagrees with length", "/part/bfs" + q, lying, 400, "declares"},
+		{"truncated frontier", "/part/bfs" + q, lying[:frameHeader+3], 400, "declares"},
+		{"no frontier", "/part/bfs" + q, nil, 400, "not a part frame"},
+		{"JSON frontier", "/part/bfs" + q, []byte(`{"frontier":[0]}`), 400, "not a part frame"},
+		{"float frontier", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []float64{0}), 400, "width"},
+		{"short ranks", "/part/pr-pull" + q, appendFrame(nil, [3]int64{}, ranks[:n-1]), 400, "rank vector length"},
+		{"long ranks", "/part/pr-pull" + q, appendFrame(nil, [3]int64{}, make([]float64, n+1)), 400, "too large"},
+		{"body on a bodiless route", "/part/degrees" + q, []byte{0}, 400, "too large"},
+		{"body on triangles", "/part/triangles" + q, lying, 400, "too large"},
+		{"bad shard", "/part/degrees?seed=1&workers=1&shard=x&of=1", nil, 400, "bad part query"},
+		{"bad seed", "/part/degrees?seed=-1&workers=1&shard=0&of=1", nil, 400, "bad part query"},
+		{"missing of", "/part/degrees?seed=1&workers=1&shard=0", nil, 400, "bad part query"},
+		{"shard beyond of", "/part/degrees?seed=1&workers=1&shard=3&of=3", nil, 400, "invalid partition position 3 of 3"},
+		{"unknown graph", "/part/degrees" + q, nil, 404, "no graph"},
+	} {
+		name := "g"
+		if tc.want == http.StatusNotFound {
+			name = "missing"
+		}
+		code, body := do(t, "POST", ts.URL+"/internal/v1/graphs/"+name+tc.path, "application/octet-stream", tc.body)
+		if code != tc.want || !strings.Contains(string(body), tc.wantErr) {
+			t.Errorf("%s: status %d body %.120q, want %d mentioning %q", tc.name, code, body, tc.want, tc.wantErr)
+		}
+		if tc.want != 200 && !bytes.HasPrefix(body, []byte(`{"error":`)) {
+			t.Errorf("%s: error reply is not the JSON error shape: %.120q", tc.name, body)
+		}
+	}
+}
+
+// TestShardLoadRejectsBadWorkers pins the handleLoad bugfix: workers=abc
+// used to load with 0 workers instead of failing.
+func TestShardLoadRejectsBadWorkers(t *testing.T) {
+	sh := mustShard(t, server.Options{})
+	ts := httptest.NewServer(sh.Handler())
+	defer ts.Close()
+	var snap bytes.Buffer
+	if _, err := graphio.WritePacked(&snap, gen.Path(5)); err != nil {
+		t.Fatal(err)
+	}
+	code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=abc", "application/octet-stream", snap.Bytes())
+	if code != http.StatusBadRequest || !strings.Contains(string(body), `bad workers \"abc\"`) {
+		t.Fatalf("workers=abc: status %d: %s", code, body)
+	}
+	if code, _ := get(t, ts.URL+"/v1/graphs/g"); code != http.StatusNotFound {
+		t.Fatalf("rejected load still created the graph: status %d", code)
+	}
+	if code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=2", "application/octet-stream", snap.Bytes()); code != http.StatusCreated {
+		t.Fatalf("workers=2: status %d: %s", code, body)
+	}
+}

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"slimgraph/internal/distributed"
 	"slimgraph/internal/graph"
@@ -43,11 +45,11 @@ func WrapShard(srv *server.Server) *Shard {
 	srv.Handle("POST /internal/v1/graphs", s.handleLoad)
 	srv.Handle("DELETE /internal/v1/graphs/{name}", s.handleUnload)
 	srv.Handle("POST /internal/v1/graphs/{name}/purge", s.handlePurge)
-	srv.Handle("POST /internal/v1/graphs/{name}/part/bfs", s.handlePartBFS)
-	srv.Handle("POST /internal/v1/graphs/{name}/part/pr-init", s.handlePartPRInit)
-	srv.Handle("POST /internal/v1/graphs/{name}/part/pr-pull", s.handlePartPRPull)
-	srv.Handle("POST /internal/v1/graphs/{name}/part/degrees", s.handlePartDegrees)
-	srv.Handle("POST /internal/v1/graphs/{name}/part/triangles", s.handlePartTriangles)
+	srv.Handle("POST /internal/v1/graphs/{name}/part/bfs", s.part(4, partBFS))
+	srv.Handle("POST /internal/v1/graphs/{name}/part/pr-init", s.part(0, partPRInit))
+	srv.Handle("POST /internal/v1/graphs/{name}/part/pr-pull", s.part(8, partPRPull))
+	srv.Handle("POST /internal/v1/graphs/{name}/part/degrees", s.part(0, partDegrees))
+	srv.Handle("POST /internal/v1/graphs/{name}/part/triangles", s.part(0, partTriangles))
 	return s
 }
 
@@ -79,8 +81,11 @@ func (s *Shard) handleLoad(w http.ResponseWriter, r *http.Request) {
 		shardWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("parsing replicated graph: %v", err)})
 		return
 	}
-	workers := 0
-	fmt.Sscanf(q.Get("workers"), "%d", &workers)
+	workers, err := strconv.Atoi(q.Get("workers"))
+	if err != nil {
+		shardWriteErr(w, server.Errf(http.StatusBadRequest, "bad workers %q", q.Get("workers")))
+		return
+	}
 	info, err := s.srv.Local().Create(r.Context(), q.Get("name"), q.Get("memory"), q.Get("source"), g, workers)
 	if err != nil {
 		shardWriteErr(w, err)
@@ -112,94 +117,97 @@ func (s *Shard) handlePurge(w http.ResponseWriter, r *http.Request) {
 	shardWriteJSON(w, http.StatusOK, purgeResponse{Purged: purged})
 }
 
-// partial decodes a partRequest, resolves its target (original or cached
-// variant — a cache miss recomputes it, so an evicted variant heals
-// transparently), and computes this shard's range.
-func (s *Shard) partial(w http.ResponseWriter, r *http.Request) (req partRequest, t partTarget, ok bool) {
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		shardWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad JSON body: %v", err)})
-		return req, t, false
-	}
-	if req.Of < 1 || req.Shard < 0 || req.Shard >= req.Of {
-		shardWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("invalid partition position %d of %d", req.Shard, req.Of)})
-		return req, t, false
-	}
-	adj, _, release, err := s.srv.Local().Target(r.PathValue("name"), server.QueryParams{
-		Spec: req.Spec, Seed: req.Seed, Workers: req.Workers,
-	})
-	if err != nil {
-		shardWriteErr(w, err)
-		return req, t, false
-	}
-	t.g = adj
-	t.release = release
-	t.r = distributed.PartitionByDegree(adj, req.Of)[req.Shard]
-	return req, t, true
-}
-
-// partTarget pairs a resolved target with this shard's owned range. done
-// must be called when the handler finishes: it releases the pin that keeps
-// a memory-mapped original from being unmapped mid-computation.
+// partTarget is a resolved part sub-request: the target adjacency, this
+// shard's owned range, and the raw request body.
 type partTarget struct {
-	g       graph.Adjacency
-	r       distributed.Range
-	release func()
+	g    graph.Adjacency
+	r    distributed.Range
+	body []byte
 }
 
-func (t partTarget) done() {
-	if t.release != nil {
-		t.release()
+// part serves one part route. It parses the query string, resolves the
+// target (original or cached variant — a cache miss recomputes it, so an
+// evicted variant heals transparently), computes this shard's range, reads
+// the body, and answers with the kernel's reply frame; whatever the kernel
+// rejects is the request's fault, a 400. width is the element width of the
+// request vector the route takes (0: none): the body is capped at the
+// frame of an n-element vector, so a hostile sender cannot make the shard
+// buffer more than the target justifies.
+func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		seed, errSeed := strconv.ParseUint(q.Get("seed"), 10, 64)
+		workers, errWorkers := strconv.Atoi(q.Get("workers"))
+		shard, errShard := strconv.Atoi(q.Get("shard"))
+		of, errOf := strconv.Atoi(q.Get("of"))
+		if err := errors.Join(errSeed, errWorkers, errShard, errOf); err != nil {
+			shardWriteErr(w, server.Errf(http.StatusBadRequest, "bad part query %q: %v", r.URL.RawQuery, err))
+			return
+		}
+		if of < 1 || shard < 0 || shard >= of {
+			shardWriteErr(w, server.Errf(http.StatusBadRequest, "invalid partition position %d of %d", shard, of))
+			return
+		}
+		adj, _, release, err := s.srv.Local().Target(r.PathValue("name"), server.QueryParams{
+			Spec: q.Get("spec"), Seed: seed, Workers: workers,
+		})
+		if err != nil {
+			shardWriteErr(w, err)
+			return
+		}
+		defer release() // the pin that keeps a mapped original from being unmapped mid-computation
+		limit := 0
+		if width > 0 {
+			limit = frameSize(width, adj.N())
+		}
+		body, err := readBody(http.MaxBytesReader(w, r.Body, int64(limit)), min(r.ContentLength, int64(limit)))
+		var reply []byte
+		if err == nil {
+			reply, err = kernel(partTarget{g: adj, r: distributed.PartitionByDegree(adj, of)[shard], body: body})
+		}
+		if err != nil {
+			shardWriteErr(w, server.Errf(http.StatusBadRequest, "%v", err))
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+		_, _ = w.Write(reply) // a failed write is the coordinator's torn read to retry
 	}
 }
 
-func (s *Shard) handlePartBFS(w http.ResponseWriter, r *http.Request) {
-	req, t, ok := s.partial(w, r)
-	if !ok {
-		return
+func partBFS(t partTarget) ([]byte, error) {
+	n := t.g.N()
+	_, frontier, err := decodeFrame[int32](nil, t.body, n)
+	if err != nil {
+		return nil, err
 	}
-	defer t.done()
-	shardWriteJSON(w, http.StatusOK, bfsPartResponse{Next: expandFrontier(t.g, t.r, req.Frontier)})
+	for _, u := range frontier {
+		if u < 0 || int(u) >= n {
+			return nil, fmt.Errorf("frontier vertex %d outside [0, %d)", u, n)
+		}
+	}
+	return appendFrame(nil, [3]int64{}, expandFrontier(t.g, t.r, frontier)), nil
 }
 
-func (s *Shard) handlePartPRInit(w http.ResponseWriter, r *http.Request) {
-	_, t, ok := s.partial(w, r)
-	if !ok {
-		return
-	}
-	defer t.done()
-	shardWriteJSON(w, http.StatusOK, prInitResponse{
-		N: t.g.N(), Lo: t.r.Lo, Hi: t.r.Hi, Dangling: danglingIn(t.g, t.r),
-	})
+func partPRInit(t partTarget) ([]byte, error) {
+	return appendFrame(nil, [3]int64{int64(t.g.N()), int64(t.r.Lo), int64(t.r.Hi)}, danglingIn(t.g, t.r)), nil
 }
 
-func (s *Shard) handlePartPRPull(w http.ResponseWriter, r *http.Request) {
-	req, t, ok := s.partial(w, r)
-	if !ok {
-		return
+func partPRPull(t partTarget) ([]byte, error) {
+	_, ranks, err := decodeFrame[float64](nil, t.body, t.g.N())
+	if err != nil {
+		return nil, err
 	}
-	defer t.done()
-	if len(req.Ranks) != t.g.N() {
-		shardWriteJSON(w, http.StatusBadRequest, map[string]string{
-			"error": fmt.Sprintf("rank vector length %d, graph has %d vertices", len(req.Ranks), t.g.N())})
-		return
+	if len(ranks) != t.g.N() {
+		return nil, fmt.Errorf("rank vector length %d, graph has %d vertices", len(ranks), t.g.N())
 	}
-	shardWriteJSON(w, http.StatusOK, prPullResponse{Lo: t.r.Lo, Sums: pullSums(t.g, t.r, req.Ranks)})
+	return appendFrame(nil, [3]int64{int64(t.r.Lo)}, pullSums(t.g, t.r, ranks)), nil
 }
 
-func (s *Shard) handlePartDegrees(w http.ResponseWriter, r *http.Request) {
-	_, t, ok := s.partial(w, r)
-	if !ok {
-		return
-	}
-	defer t.done()
-	shardWriteJSON(w, http.StatusOK, degreesPartResponse{Counts: distributed.HistogramRange(t.g, t.r)})
+func partDegrees(t partTarget) ([]byte, error) {
+	return appendFrame(nil, [3]int64{}, distributed.HistogramRange(t.g, t.r)), nil
 }
 
-func (s *Shard) handlePartTriangles(w http.ResponseWriter, r *http.Request) {
-	_, t, ok := s.partial(w, r)
-	if !ok {
-		return
-	}
-	defer t.done()
-	shardWriteJSON(w, http.StatusOK, trianglesPartResponse{Count: countForward(t.g, t.r)})
+func partTriangles(t partTarget) ([]byte, error) {
+	return appendFrame[int64](nil, [3]int64{countForward(t.g, t.r)}, nil), nil
 }
