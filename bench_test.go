@@ -359,11 +359,6 @@ func BenchmarkTriangleKernel(b *testing.B) {
 			sg.Del(t.E[r.Intn(3)])
 		}
 	}
-	b.Run("reference", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.New(g, 1, 0).ReferenceRunTriangleKernel(kernel)
-		}
-	})
 	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			core.New(g, 1, 0).RunTriangleKernel(kernel)

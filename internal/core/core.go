@@ -14,10 +14,26 @@
 // seed yields a bit-identical compressed graph regardless of the worker
 // count or scheduling — reproducibility the paper's evaluation methodology
 // needs.
+//
+// Cost of a kernel instance. The engine runs millions of instances, so an
+// instance costs what enumerating its element costs plus the kernel body:
+// each chunk of a Run*Kernel loop keeps one generator and re-seeds it in
+// place per element (rng.Rand.Reseed — the stream is exactly rng.New's, no
+// instance allocates), and kernels capture their parameters in the closure
+// rather than looking them up per instance. A triangle kernel may also name
+// an idle predicate (TriangleIdle): a condition on the triangle's three
+// edges under which the kernel changes nothing whatever it draws — for
+// Edge-Once, "all three edges already considered": the chosen edge is
+// considered, so nothing is deleted, and re-marking is idempotent. Such an
+// instance is retired before its key is hashed or its generator seeded.
+// Skipping it is exact under any schedule because a no-op has no effect to
+// reorder, and the flags the predicates read are monotone (set, never
+// cleared), so an instance idle when tested is idle when it would have run.
 package core
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"slimgraph/internal/bitset"
@@ -37,8 +53,11 @@ type SG struct {
 	deletedVertices *bitset.Atomic
 	considered      *graph.EdgeSet // Edge-Once flags (§4.3)
 
-	weightBits []uint64 // new edge weights as float64 bits; 0 = unset
-	reweighted int32    // atomic flag: any SetWeight call happened
+	// Reweighting state, allocated by the first SetWeight: most schemes
+	// never reweight and pay nothing for the m-length column.
+	weightOnce sync.Once
+	weightSet  *graph.EdgeSet // edges a kernel assigned a weight
+	weightBits []uint64       // their new weights as float64 bits
 
 	params map[string]float64
 }
@@ -53,7 +72,6 @@ func New(g *graph.Graph, seed uint64, workers int) *SG {
 		deletedEdges:    graph.NewEdgeSet(g.M()),
 		deletedVertices: bitset.NewAtomic(g.N()),
 		considered:      graph.NewEdgeSet(g.M()),
-		weightBits:      make([]uint64, g.M()),
 		params:          make(map[string]float64),
 	}
 }
@@ -115,8 +133,14 @@ func (sg *SG) WasConsidered(e graph.EdgeID) bool { return sg.considered.Contains
 // spectral kernel's "e.weight = 1/edge_stays"). Safe when each edge is
 // written by one kernel instance, which edge kernels guarantee.
 func (sg *SG) SetWeight(e graph.EdgeID, w float64) {
+	sg.weightOnce.Do(sg.allocWeights)
 	atomic.StoreUint64(&sg.weightBits[e], math.Float64bits(w))
-	atomic.StoreInt32(&sg.reweighted, 1)
+	sg.weightSet.Add(e)
+}
+
+func (sg *SG) allocWeights() {
+	sg.weightBits = make([]uint64, sg.g.M())
+	sg.weightSet = graph.NewEdgeSet(sg.g.M())
 }
 
 // DeletedEdgeCount returns the number of edges deleted so far (exact only
@@ -126,9 +150,9 @@ func (sg *SG) DeletedEdgeCount() int { return sg.deletedEdges.Count() }
 // DeletedVertexCount returns the number of vertices deleted so far.
 func (sg *SG) DeletedVertexCount() int { return sg.deletedVertices.Count() }
 
-// elementRand returns the deterministic per-element PRNG.
-func (sg *SG) elementRand(kind, key uint64) *rng.Rand {
-	return rng.New(rng.Hash64(sg.seed^kind, key))
+// reseed restarts r as the deterministic per-element PRNG.
+func (sg *SG) reseed(r *rng.Rand, kind, key uint64) {
+	r.Reseed(rng.Hash64(sg.seed^kind, key))
 }
 
 // Kind tags keep per-element random streams of different kernel types
@@ -156,6 +180,7 @@ type EdgeKernel func(sg *SG, r *rng.Rand, e EdgeView)
 func (sg *SG) RunEdgeKernel(k EdgeKernel) {
 	g := sg.g
 	parallel.ForChunks(g.M(), sg.workers, func(lo, hi int) {
+		r := new(rng.Rand)
 		for e := lo; e < hi; e++ {
 			id := graph.EdgeID(e)
 			u, v := g.EdgeEndpoints(id)
@@ -164,7 +189,8 @@ func (sg *SG) RunEdgeKernel(k EdgeKernel) {
 				DegU: g.Degree(u), DegV: g.Degree(v),
 				Weight: g.EdgeWeight(id),
 			}
-			k(sg, sg.elementRand(kindEdge, uint64(e)), view)
+			sg.reseed(r, kindEdge, uint64(e))
+			k(sg, r, view)
 		}
 	})
 }
@@ -184,10 +210,12 @@ type VertexKernel func(sg *SG, r *rng.Rand, v VertexView)
 func (sg *SG) RunVertexKernel(k VertexKernel) {
 	g := sg.g
 	parallel.ForChunks(g.N(), sg.workers, func(lo, hi int) {
+		r := new(rng.Rand)
 		for v := lo; v < hi; v++ {
 			id := graph.NodeID(v)
 			view := VertexView{ID: id, Deg: g.Degree(id), Neighbors: g.Neighbors(id)}
-			k(sg, sg.elementRand(kindVertex, uint64(v)), view)
+			sg.reseed(r, kindVertex, uint64(v))
+			k(sg, r, view)
 		}
 	})
 }
@@ -204,48 +232,46 @@ type TriangleView struct {
 // TriangleKernel is a compression kernel whose scope is a triangle (§4.3).
 type TriangleKernel func(sg *SG, r *rng.Rand, t TriangleView)
 
+// TriangleIdle reports that a kernel instance on the triangle with edges e
+// would change nothing whatever it draws (see the package doc). It is tested
+// concurrently with running instances and must only read monotone state.
+type TriangleIdle func(e [3]graph.EdgeID) bool
+
 // RunTriangleKernel enumerates all triangles (O(m^{3/2}) work) and executes
 // the kernel on each, in parallel: it builds a triangles.Engine once for
 // the run and drives the kernel off it. The per-triangle PRNG is keyed by
 // the triangle's edge IDs, so results are schedule-independent.
 func (sg *SG) RunTriangleKernel(k TriangleKernel) {
-	sg.RunTriangleKernelOn(triangles.NewEngine(sg.g, sg.workers), k)
+	sg.RunTriangleKernelOn(triangles.NewEngine(sg.g, sg.workers), k, nil)
 }
 
 // RunTriangleKernelOn is RunTriangleKernel over a prebuilt enumeration
 // engine, so callers that already enumerated (e.g. for per-edge triangle
 // counts) pay for the forward CSR only once. The engine must have been
-// built for this SG's graph.
-func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel) {
+// built for this SG's graph. Instances for which idle (optional) holds are
+// retired without running the kernel.
+func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel, idle TriangleIdle) {
 	g := sg.g
 	if en.Graph() != g {
 		panic("core: triangle engine built for a different graph")
 	}
-	en.ForEach(func(t triangles.Triangle) {
-		view := TriangleView{V: t.V, E: t.E}
-		for i, e := range t.E {
-			view.Weights[i] = g.EdgeWeight(e)
+	en.ForEachBatch(func() func([]triangles.Triangle) {
+		r := new(rng.Rand)
+		return func(batch []triangles.Triangle) {
+			for i := range batch {
+				t := &batch[i]
+				if idle != nil && idle(t.E) {
+					continue
+				}
+				view := TriangleView{V: t.V, E: t.E}
+				for j, e := range t.E {
+					view.Weights[j] = g.EdgeWeight(e)
+				}
+				sg.reseed(r, kindTriangle,
+					rng.Hash64(uint64(t.E[0]), rng.Hash64(uint64(t.E[1]), uint64(t.E[2]))))
+				k(sg, r, view)
+			}
 		}
-		key := rng.Hash64(uint64(t.E[0]), rng.Hash64(uint64(t.E[1]), uint64(t.E[2])))
-		k(sg, sg.elementRand(kindTriangle, key), view)
-	})
-}
-
-// ReferenceRunTriangleKernel is RunTriangleKernel over the preserved
-// pre-engine enumeration (triangles.ReferenceForEach), with identical
-// per-triangle PRNG keying. Like graph.ReferenceBuild it exists as the
-// pinned baseline: differential tests compare deletion sets against it and
-// the benchmarks keep measuring the same seed implementation as the engine
-// evolves.
-func (sg *SG) ReferenceRunTriangleKernel(k TriangleKernel) {
-	g := sg.g
-	triangles.ReferenceForEach(g, sg.workers, func(t triangles.Triangle) {
-		view := TriangleView{V: t.V, E: t.E}
-		for i, e := range t.E {
-			view.Weights[i] = g.EdgeWeight(e)
-		}
-		key := rng.Hash64(uint64(t.E[0]), rng.Hash64(uint64(t.E[1]), uint64(t.E[2])))
-		k(sg, sg.elementRand(kindTriangle, key), view)
 	})
 }
 
@@ -265,16 +291,33 @@ type SubgraphKernel func(sg *SG, r *rng.Rand, s SubgraphView)
 // RunSubgraphKernel executes the kernel once per subgraph of the mapping,
 // in parallel. mapping[v] must be a dense subgraph index in [0, count).
 func (sg *SG) RunSubgraphKernel(mapping []int32, count int, k SubgraphKernel) {
-	members := make([][]graph.NodeID, count)
+	// Counting sort of the vertices by subgraph into one array: after the
+	// fill, end[c] is where subgraph c's members (ascending) stop and
+	// subgraph c+1's begin.
+	end := make([]int, count+1)
+	for _, c := range mapping {
+		end[c+1]++
+	}
+	for c := 0; c < count; c++ {
+		end[c+1] += end[c]
+	}
+	members := make([]graph.NodeID, len(mapping))
 	for v, c := range mapping {
-		members[c] = append(members[c], graph.NodeID(v))
+		members[end[c]] = graph.NodeID(v)
+		end[c]++
 	}
 	parallel.ForChunks(count, sg.workers, func(lo, hi int) {
+		r := new(rng.Rand)
 		for c := lo; c < hi; c++ {
-			view := SubgraphView{
-				Index: int32(c), Members: members[c], Of: mapping, Count: count,
+			begin := 0
+			if c > 0 {
+				begin = end[c-1]
 			}
-			k(sg, sg.elementRand(kindSubgraph, uint64(c)), view)
+			view := SubgraphView{
+				Index: int32(c), Members: members[begin:end[c]], Of: mapping, Count: count,
+			}
+			sg.reseed(r, kindSubgraph, uint64(c))
+			k(sg, r, view)
 		}
 	})
 }
@@ -312,10 +355,10 @@ func (sg *SG) Materialize() *graph.Graph {
 		})
 	}
 	var reweight func(e graph.EdgeID) float64
-	if atomic.LoadInt32(&sg.reweighted) != 0 {
+	if sg.weightSet != nil {
 		reweight = func(e graph.EdgeID) float64 {
-			if bits := atomic.LoadUint64(&sg.weightBits[e]); bits != 0 {
-				return math.Float64frombits(bits)
+			if sg.weightSet.Contains(e) {
+				return math.Float64frombits(atomic.LoadUint64(&sg.weightBits[e]))
 			}
 			return g.EdgeWeight(e)
 		}

@@ -145,6 +145,49 @@ func TestSetWeightMaterializes(t *testing.T) {
 	}
 }
 
+// A kernel may assign weight 0: set-ness is tracked apart from the value, so
+// the zero materializes instead of the original weight, and edges the kernel
+// left alone keep theirs.
+func TestSetWeightZeroMaterializes(t *testing.T) {
+	g := gen.WithUniformWeights(gen.Cycle(10), 1, 5, 3)
+	sg := New(g, 1, 2)
+	sg.RunEdgeKernel(func(sg *SG, r *rng.Rand, e EdgeView) {
+		if e.ID%2 == 0 {
+			sg.SetWeight(e.ID, 0)
+		}
+	})
+	h := sg.Materialize()
+	for e := 0; e < h.M(); e++ {
+		want := g.EdgeWeight(graph.EdgeID(e))
+		if e%2 == 0 {
+			want = 0
+		}
+		if got := h.EdgeWeight(graph.EdgeID(e)); got != want {
+			t.Fatalf("edge %d: weight %v, want %v", e, got, want)
+		}
+	}
+}
+
+// The weight column exists only once a kernel reweights: a deleting kernel
+// leaves it unallocated.
+func TestWeightColumnAllocatedOnFirstSetWeight(t *testing.T) {
+	g := gen.ErdosRenyi(100, 300, 2)
+	sg := New(g, 1, 2)
+	sg.RunEdgeKernel(func(sg *SG, r *rng.Rand, e EdgeView) {
+		if r.Float64() < 0.5 {
+			sg.Del(e.ID)
+		}
+	})
+	sg.Materialize()
+	if sg.weightBits != nil || sg.weightSet != nil {
+		t.Fatal("a kernel that never reweights allocated the weight column")
+	}
+	sg.SetWeight(0, 2)
+	if len(sg.weightBits) != g.M() {
+		t.Fatalf("weight column has %d entries after SetWeight, want %d", len(sg.weightBits), g.M())
+	}
+}
+
 func TestNoChangesMaterializesIdentical(t *testing.T) {
 	g := gen.ErdosRenyi(100, 300, 2)
 	sg := New(g, 1, 2)
@@ -228,12 +271,31 @@ func TestUniformDeletionConcentrationProperty(t *testing.T) {
 	}
 }
 
+// referenceRunTriangleKernel is the oracle for RunTriangleKernelOn: the
+// preserved pre-engine enumeration (triangles.ReferenceForEach) driving the
+// kernel straight-line — a fresh generator per triangle from rng.New, no
+// idle predicate, no batching — with the same per-triangle PRNG keying.
+func referenceRunTriangleKernel(sg *SG, k TriangleKernel) {
+	g := sg.g
+	triangles.ReferenceForEach(g, sg.workers, func(t triangles.Triangle) {
+		view := TriangleView{V: t.V, E: t.E}
+		for i, e := range t.E {
+			view.Weights[i] = g.EdgeWeight(e)
+		}
+		key := rng.Hash64(uint64(t.E[0]), rng.Hash64(uint64(t.E[1]), uint64(t.E[2])))
+		k(sg, rng.New(rng.Hash64(sg.seed^kindTriangle, key)), view)
+	})
+}
+
 // TestTriangleKernelDeletionsMatchReference pins the engine rewrite to the
 // pre-engine behaviour: for a deletion kernel the SG deletion marks are
 // identical whether triangles come from the Engine or from the reference
 // path. Order-independent kernels (PRNG keyed by edge IDs) must match at
 // any worker count; order-dependent Edge-Once kernels must match in the
 // sequential engine mode, whose enumeration order is the reference order.
+// The guarded cases run the engine with the kernel's idle predicate against
+// the unguarded reference: retiring idle instances must not move a single
+// deletion, and the predicate must actually fire.
 func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 	g := gen.PlantedPartition(200, 15, 0.55, 120, 23)
 	basicKernel := func(sg *SG, r *rng.Rand, tr TriangleView) {
@@ -261,20 +323,48 @@ func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 		}
 		return out
 	}
+	allDeleted := func(sg *SG) TriangleIdle {
+		return func(e [3]graph.EdgeID) bool {
+			return sg.Deleted(e[0]) && sg.Deleted(e[1]) && sg.Deleted(e[2])
+		}
+	}
+	allConsidered := func(sg *SG) TriangleIdle {
+		return func(e [3]graph.EdgeID) bool {
+			return sg.WasConsidered(e[0]) && sg.WasConsidered(e[1]) && sg.WasConsidered(e[2])
+		}
+	}
 	cases := []struct {
 		name    string
 		kernel  TriangleKernel
+		idle    func(sg *SG) TriangleIdle // nil: unguarded
 		workers []int
 	}{
-		{"basic", basicKernel, []int{1, 8}}, // schedule-independent: any worker count
-		{"edge-once", eoKernel, []int{1}},   // order-dependent: sequential contract
+		{"basic", basicKernel, nil, []int{1, 8}}, // schedule-independent: any worker count
+		{"edge-once", eoKernel, nil, []int{1}},   // order-dependent: sequential contract
+		{"basic guarded", basicKernel, allDeleted, []int{1, 8}},
+		{"edge-once guarded", eoKernel, allConsidered, []int{1}},
 	}
 	for _, c := range cases {
 		for _, workers := range c.workers {
 			engineSG := New(g, 42, workers)
-			engineSG.RunTriangleKernel(c.kernel)
+			var idle TriangleIdle
+			var retired int64
+			if c.idle != nil {
+				inner := c.idle(engineSG)
+				idle = func(e [3]graph.EdgeID) bool {
+					if inner(e) {
+						atomic.AddInt64(&retired, 1)
+						return true
+					}
+					return false
+				}
+			}
+			engineSG.RunTriangleKernelOn(triangles.NewEngine(g, workers), c.kernel, idle)
+			if c.idle != nil && retired == 0 {
+				t.Fatalf("%s workers=%d: the idle predicate never fired", c.name, workers)
+			}
 			refSG := New(g, 42, workers)
-			refSG.ReferenceRunTriangleKernel(c.kernel)
+			referenceRunTriangleKernel(refSG, c.kernel)
 			got, want := deletions(engineSG), deletions(refSG)
 			if len(got) != len(want) {
 				t.Fatalf("%s workers=%d: %d deletions, reference %d", c.name, workers, len(got), len(want))
@@ -301,5 +391,5 @@ func TestRunTriangleKernelOnWrongGraphPanics(t *testing.T) {
 			t.Fatal("no panic for engine built on a different graph")
 		}
 	}()
-	sg.RunTriangleKernelOn(triangles.NewEngine(other, 1), func(*SG, *rng.Rand, TriangleView) {})
+	sg.RunTriangleKernelOn(triangles.NewEngine(other, 1), func(*SG, *rng.Rand, TriangleView) {}, nil)
 }

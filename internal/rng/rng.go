@@ -40,12 +40,17 @@ type Rand struct {
 // New returns a generator seeded from the given seed via SplitMix64, as
 // recommended by the xoshiro authors.
 func New(seed uint64) *Rand {
-	var r Rand
-	st := seed
+	r := new(Rand)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed restarts r in place as the stream New(seed) returns, so a loop over
+// millions of elements keeps one generator instead of allocating one each.
+func (r *Rand) Reseed(seed uint64) {
 	for i := range r.s {
-		r.s[i] = SplitMix64(&st)
+		r.s[i] = SplitMix64(&seed)
 	}
-	return &r
 }
 
 // Split returns a new generator whose stream is independent of r's with

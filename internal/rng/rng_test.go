@@ -49,6 +49,22 @@ func TestRandReproducible(t *testing.T) {
 	}
 }
 
+// Reseed restarts a used generator as exactly the stream New returns — the
+// kernel loops rely on this to keep one generator per chunk.
+func TestReseedMatchesNew(t *testing.T) {
+	r := New(1)
+	for seed := uint64(0); seed < 50; seed++ {
+		r.Uint64() // leave the previous stream mid-way
+		r.Reseed(seed * 0x9e3779b97f4a7c15)
+		fresh := New(seed * 0x9e3779b97f4a7c15)
+		for i := 0; i < 8; i++ {
+			if x, y := r.Uint64(), fresh.Uint64(); x != y {
+				t.Fatalf("seed %d draw %d: reseeded %d, fresh %d", seed, i, x, y)
+			}
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	r1, r2 := New(7), New(8)
 	same := 0

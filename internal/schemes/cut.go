@@ -28,9 +28,8 @@ func CutSparsify(g *graph.Graph, rho float64, seed uint64, workers int) *Result 
 	}
 	strength := forestIndices(g)
 	sg := core.New(g, seed, workers)
-	sg.SetParam("rho", rho)
 	sg.RunEdgeKernel(func(sg *core.SG, r *rng.Rand, e core.EdgeView) {
-		stay := math.Min(1, sg.Param("rho")/float64(strength[e.ID]))
+		stay := math.Min(1, rho/float64(strength[e.ID]))
 		if stay < r.Float64() {
 			sg.Del(e.ID)
 		} else if stay < 1 {
@@ -87,9 +86,8 @@ func VertexSample(g *graph.Graph, keep float64, seed uint64, workers int) *Resul
 	}
 	start := time.Now()
 	sg := core.New(g, seed, workers)
-	sg.SetParam("p", keep)
 	sg.RunVertexKernel(func(sg *core.SG, r *rng.Rand, v core.VertexView) {
-		if sg.Param("p") < r.Float64() {
+		if keep < r.Float64() {
 			sg.DelVertex(v.ID)
 		}
 	})

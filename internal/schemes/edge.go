@@ -20,10 +20,8 @@ func Uniform(g *graph.Graph, p float64, seed uint64, workers int) *Result {
 	}
 	start := time.Now()
 	sg := core.New(g, seed, workers)
-	sg.SetParam("p", p)
 	sg.RunEdgeKernel(func(sg *core.SG, r *rng.Rand, e core.EdgeView) {
-		edgeStays := sg.Param("p")
-		if edgeStays < r.Float64() {
+		if p < r.Float64() { // p is the probability the edge stays
 			sg.Del(e.ID)
 		}
 	})
@@ -77,7 +75,6 @@ func Spectral(g *graph.Graph, opts SpectralOptions) *Result {
 		upsilon = opts.P * math.Log(float64(max(g.N(), 2)))
 	}
 	sg := core.New(g, opts.Seed, opts.Workers)
-	sg.SetParam("upsilon", upsilon)
 	reweight := opts.Reweight
 	sg.RunEdgeKernel(func(sg *core.SG, r *rng.Rand, e core.EdgeView) {
 		minDeg := e.DegU
@@ -87,7 +84,7 @@ func Spectral(g *graph.Graph, opts SpectralOptions) *Result {
 		if minDeg == 0 {
 			return
 		}
-		edgeStays := math.Min(1, sg.Param("upsilon")/float64(minDeg))
+		edgeStays := math.Min(1, upsilon/float64(minDeg))
 		if edgeStays < r.Float64() {
 			sg.Del(e.ID)
 		} else if reweight && edgeStays < 1 {

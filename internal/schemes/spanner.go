@@ -2,6 +2,7 @@ package schemes
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"slimgraph/internal/core"
@@ -60,39 +61,39 @@ func Spanner(g *graph.Graph, opts SpannerOptions) *Result {
 		keep.Add(e)
 	}
 	sg := core.New(g, opts.Seed, opts.Workers)
-	mode := opts.Mode
-	sg.RunSubgraphKernel(idx, d.NumClusters(), func(sg *core.SG, r *rng.Rand, s core.SubgraphView) {
-		// An inter-cluster edge is owned by its lower-indexed cluster, so
-		// each edge has exactly one deciding kernel instance.
-		var seenPair map[int32]bool
-		if mode == PerClusterPair {
-			seenPair = make(map[int32]bool)
-		}
+	mode, count := opts.Mode, d.NumClusters()
+	// seen[j] is the mark under which an edge into cluster j was last kept.
+	// A mark (a member vertex, or the instance's own cluster) belongs to
+	// exactly one kernel instance, so instances recycle the slices without
+	// clearing them.
+	seenPool := sync.Pool{New: func() any {
+		seen := make([]int32, count)
+		return &seen
+	}}
+	sg.RunSubgraphKernel(idx, count, func(sg *core.SG, r *rng.Rand, s core.SubgraphView) {
+		pooled := seenPool.Get().(*[]int32)
+		defer seenPool.Put(pooled)
+		seen := *pooled
 		for _, v := range s.Members {
-			nbrs, eids := sg.Graph().NeighborEdges(v)
-			var seenVertex map[int32]bool
-			if mode == PerVertex {
-				seenVertex = make(map[int32]bool)
+			// PerVertex keeps one edge per (vertex, cluster); PerClusterPair
+			// one per cluster pair, decided by the lower-indexed cluster so
+			// each edge has exactly one deciding kernel instance.
+			mark := int32(v) + 1
+			if mode == PerClusterPair {
+				mark = s.Index + 1
 			}
+			nbrs, eids := sg.Graph().NeighborEdges(v)
 			for i, w := range nbrs {
 				j := s.Of[w]
 				if j == s.Index {
 					continue // intra-cluster: only tree edges survive
 				}
-				switch mode {
-				case PerClusterPair:
-					if s.Index > j {
-						continue // owned by the other side
-					}
-					if !seenPair[j] {
-						seenPair[j] = true
-						keep.Add(eids[i])
-					}
-				case PerVertex:
-					if !seenVertex[j] {
-						seenVertex[j] = true
-						keep.Add(eids[i])
-					}
+				if mode == PerClusterPair && s.Index > j {
+					continue // owned by the other side
+				}
+				if seen[j] != mark {
+					seen[j] = mark
+					keep.Add(eids[i])
 				}
 			}
 		}

@@ -123,27 +123,43 @@ func TriangleReduction(g *graph.Graph, opts TROptions) *Result {
 		perEdge = eng.PerEdge()
 	}
 	sg := core.New(g, opts.Seed, opts.Workers)
-	sg.SetParam("p", opts.P)
-	sg.SetParam("x", float64(x))
-	kernel := trKernel(opts.Variant, perEdge)
-	sg.RunTriangleKernelOn(eng, kernel)
+	sg.RunTriangleKernelOn(eng, trKernel(opts.Variant, opts.P, x, perEdge), trIdle(sg, opts.Variant))
 	return finish("tr", opts.paramString(), g, sg.Materialize(), start)
+}
+
+// trIdle returns the variant's no-op condition (core.TriangleIdle): the
+// state of a triangle's edges in which trKernel changes nothing whether or
+// not the triangle is sampled and whichever edge it picks.
+func trIdle(sg *core.SG, variant TRVariant) core.TriangleIdle {
+	switch variant {
+	case TRBasic:
+		// Every candidate is already deleted, and Del is idempotent.
+		return func(e [3]graph.EdgeID) bool {
+			return sg.Deleted(e[0]) && sg.Deleted(e[1]) && sg.Deleted(e[2])
+		}
+	case TRMaxWeight:
+		// The heaviest edge is gone, or the triangle is no longer a cycle.
+		return func(e [3]graph.EdgeID) bool {
+			return sg.Deleted(e[0]) || sg.Deleted(e[1]) || sg.Deleted(e[2])
+		}
+	default:
+		// EO, CT, EO-redirect: every edge was considered, so the candidate
+		// is not fresh and there is nothing left to mark.
+		return func(e [3]graph.EdgeID) bool {
+			return sg.WasConsidered(e[0]) && sg.WasConsidered(e[1]) && sg.WasConsidered(e[2])
+		}
+	}
 }
 
 // trKernel builds the triangle kernel for the non-collapse variants —
 // these are the p-1-reduction and p-1-reduction-EO kernels of Listing 1.
-func trKernel(variant TRVariant, perEdge []int64) core.TriangleKernel {
+func trKernel(variant TRVariant, trStays float64, x int, perEdge []int64) core.TriangleKernel {
 	return func(sg *core.SG, r *rng.Rand, t core.TriangleView) {
-		trStays := sg.Param("p")
 		if r.Float64() >= trStays {
 			return // triangle not sampled for reduction
 		}
 		switch variant {
 		case TRBasic:
-			x := 1
-			if sg.Param("x") == 2 {
-				x = 2
-			}
 			first := r.Intn(3)
 			sg.Del(t.E[first])
 			if x == 2 {
@@ -209,9 +225,8 @@ func collapseTR(g *graph.Graph, opts TROptions, start time.Time) *Result {
 	uf := unionfind.New(g.N())
 	var mu sync.Mutex
 	sg := core.New(g, opts.Seed, opts.Workers)
-	sg.SetParam("p", opts.P)
 	sg.RunTriangleKernel(func(sg *core.SG, r *rng.Rand, t core.TriangleView) {
-		if r.Float64() >= sg.Param("p") {
+		if r.Float64() >= opts.P {
 			return
 		}
 		mu.Lock()

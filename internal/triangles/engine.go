@@ -7,11 +7,11 @@ import (
 
 // Engine is a precomputed, reusable triangle-enumeration substrate: the
 // rank permutation and rank-oriented forward CSR built once, then shared by
-// every enumeration (ForEach, Count, PerVertex, PerEdge, List) and by
-// core.RunTriangleKernel. Construction is O(n + m) on top of the input CSR
-// and uses only the deterministic primitives of internal/parallel, so the
-// structure — and every result derived from it — is bit-identical for any
-// worker count.
+// every enumeration (ForEachBatch, ForEach, Count, PerVertex, PerEdge, List)
+// and by core.RunTriangleKernel. Construction is O(n + m) on top of the
+// input CSR and uses only the deterministic primitives of internal/parallel,
+// so the structure — and every result derived from it — is bit-identical for
+// any worker count.
 //
 // Orientation invariant: vertices are ranked by the key (degree, ID), and
 // the forward list F(v) holds exactly the neighbors w with
@@ -187,45 +187,76 @@ func (en *Engine) orient(e graph.EdgeID) (u, v graph.NodeID) {
 	return u, v
 }
 
-// ForEach calls fn once for every triangle in the graph. With an effective
-// worker count of 1 the triangles arrive in the reference order (ascending
+// batchCap is the emission batch size: triangles are written into a
+// per-range buffer of this many entries (6 KiB, L1-resident) and handed to
+// the consumer a batch at a time, so the per-triangle path makes no indirect
+// call of the engine's own.
+const batchCap = 256
+
+// batcher is the one emitter every enumeration shares: the intersection
+// kernels push matches into buf and each full batch goes to sink.
+type batcher struct {
+	buf  []Triangle
+	n    int
+	sink func(batch []Triangle)
+}
+
+func (b *batcher) push(t Triangle) {
+	b.buf[b.n] = t
+	b.n++
+	if b.n == len(b.buf) {
+		b.flush()
+	}
+}
+
+// flush stays out of line so that push fits the inlining budget.
+//
+//go:noinline
+func (b *batcher) flush() {
+	if b.n > 0 {
+		b.sink(b.buf[:b.n])
+		b.n = 0
+	}
+}
+
+// ForEachBatch enumerates every triangle in batches. newSink is called once
+// per work range, on the goroutine that enumerates it, and the sink it
+// returns receives that range's triangles in reference order (ascending
 // rank-lowest EdgeID, then ascending third-vertex ID — identical to
-// ReferenceForEach); with more workers fn is invoked concurrently and must
-// be safe for that.
-func (en *Engine) ForEach(fn func(t Triangle)) {
-	m := en.g.M()
-	if m == 0 {
-		return
-	}
-	if parallel.Resolve(en.workers, m) == 1 {
-		en.forRange(0, m, fn)
-		return
-	}
-	parallel.ForBalanced(m, en.workers, en.work, func(lo, hi int) {
-		en.forRange(lo, hi, fn)
+// ReferenceForEach), so per-range consumer state needs no synchronization.
+// A batch is only valid during the call: the buffer is reused. With an
+// effective worker count of 1 there is one range and the whole enumeration
+// is in reference order; with more workers ranges run concurrently.
+func (en *Engine) ForEachBatch(newSink func() func(batch []Triangle)) {
+	parallel.ForBalanced(en.g.M(), en.workers, en.work, func(lo, hi int) {
+		en.emitRange(lo, hi, batchCap, newSink())
 	})
 }
 
-// forRange emits every triangle whose rank-lowest edge lies in [lo, hi), in
-// reference order within the range.
-func (en *Engine) forRange(lo, hi int, fn func(Triangle)) {
-	// One emit closure per range (not per edge): cu/cv/ce are rebound each
-	// iteration so the intersection kernels stay allocation-free.
-	var cu, cv graph.NodeID
-	var ce graph.EdgeID
-	emit := func(w graph.NodeID, euw, evw graph.EdgeID) {
-		fn(Triangle{
-			V: [3]graph.NodeID{cu, cv, w},
-			E: [3]graph.EdgeID{ce, euw, evw},
-		})
+// ForEach calls fn once for every triangle in the graph, in the order and
+// under the concurrency of ForEachBatch: with more than one worker fn is
+// invoked concurrently and must be safe for that.
+func (en *Engine) ForEach(fn func(t Triangle)) {
+	sink := func(batch []Triangle) {
+		for _, t := range batch {
+			fn(t)
+		}
 	}
+	en.ForEachBatch(func() func([]Triangle) { return sink })
+}
+
+// emitRange hands sink every triangle whose rank-lowest edge lies in
+// [lo, hi), in reference order, in batches of up to capacity.
+func (en *Engine) emitRange(lo, hi, capacity int, sink func(batch []Triangle)) {
+	b := batcher{buf: make([]Triangle, capacity), sink: sink}
 	for e := lo; e < hi; e++ {
-		ce = graph.EdgeID(e)
-		cu, cv = en.orient(ce)
+		ce := graph.EdgeID(e)
+		cu, cv := en.orient(ce)
 		un, ue := en.forward(cu)
 		vn, ve := en.forward(cv)
-		intersectEmit(un, ue, vn, ve, emit)
+		intersectEmit(un, ue, vn, ve, cu, cv, ce, &b)
 	}
+	b.flush()
 }
 
 // countRange counts the triangles whose rank-lowest edge lies in [lo, hi)
@@ -282,108 +313,62 @@ func (en *Engine) accWorkers(m int) int {
 	return parallel.Resolve(w, m)
 }
 
-// PerVertex returns counts[v] = number of triangles containing vertex v,
-// accumulated in per-worker arrays reduced at the end (no atomics).
-func (en *Engine) PerVertex() []int64 {
-	n, m := en.g.N(), en.g.M()
-	counts := make([]int64, n)
-	if m == 0 {
-		return counts
+// accumulate returns size per-element triangle counts, add tallying one
+// batch. Each worker tallies into its own array (worker 0 into the result
+// itself) and the arrays are summed at the end — no atomics.
+func (en *Engine) accumulate(size int, add func(acc []int64, batch []Triangle)) []int64 {
+	m := en.g.M()
+	counts := make([]int64, size)
+	per := make([][]int64, en.accWorkers(m))
+	per[0] = counts
+	for w := 1; w < len(per); w++ {
+		per[w] = make([]int64, size)
 	}
-	nw := en.accWorkers(m)
-	if nw == 1 {
-		en.vertexRange(0, m, counts)
-		return counts
-	}
-	per := make([][]int64, nw)
-	for w := range per {
-		per[w] = make([]int64, n)
-	}
-	parallel.ForBalancedWorker(m, nw, en.work, func(w, lo, hi int) {
-		en.vertexRange(lo, hi, per[w])
+	parallel.ForBalancedWorker(m, len(per), en.work, func(w, lo, hi int) {
+		acc := per[w]
+		en.emitRange(lo, hi, batchCap, func(batch []Triangle) { add(acc, batch) })
 	})
-	parallel.ForChunks(n, en.workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			var s int64
-			for w := 0; w < nw; w++ {
-				s += per[w][v]
+	if len(per) > 1 {
+		parallel.ForChunks(size, en.workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				for _, acc := range per[1:] {
+					counts[i] += acc[i]
+				}
 			}
-			counts[v] = s
-		}
-	})
+		})
+	}
 	return counts
 }
 
-func (en *Engine) vertexRange(lo, hi int, acc []int64) {
-	var cu, cv graph.NodeID
-	visit := func(w graph.NodeID, _, _ graph.EdgeID) {
-		acc[cu]++
-		acc[cv]++
-		acc[w]++
-	}
-	for e := lo; e < hi; e++ {
-		cu, cv = en.orient(graph.EdgeID(e))
-		un, ue := en.forward(cu)
-		vn, ve := en.forward(cv)
-		intersectEmit(un, ue, vn, ve, visit)
-	}
+// PerVertex returns counts[v] = number of triangles containing vertex v.
+func (en *Engine) PerVertex() []int64 {
+	return en.accumulate(en.g.N(), func(acc []int64, batch []Triangle) {
+		for i := range batch {
+			for _, v := range batch[i].V {
+				acc[v]++
+			}
+		}
+	})
 }
 
 // PerEdge returns counts[e] = number of triangles containing canonical edge
-// e, accumulated in per-worker arrays reduced at the end (no atomics). The
-// CT variant of Triangle Reduction removes edges that belong to the fewest
-// triangles first, which needs exactly this array.
+// e. The CT variant of Triangle Reduction removes edges that belong to the
+// fewest triangles first, which needs exactly this array.
 func (en *Engine) PerEdge() []int64 {
-	m := en.g.M()
-	counts := make([]int64, m)
-	if m == 0 {
-		return counts
-	}
-	nw := en.accWorkers(m)
-	if nw == 1 {
-		en.edgeRange(0, m, counts)
-		return counts
-	}
-	per := make([][]int64, nw)
-	for w := range per {
-		per[w] = make([]int64, m)
-	}
-	parallel.ForBalancedWorker(m, nw, en.work, func(w, lo, hi int) {
-		en.edgeRange(lo, hi, per[w])
-	})
-	parallel.ForChunks(m, en.workers, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			var s int64
-			for w := 0; w < nw; w++ {
-				s += per[w][e]
+	return en.accumulate(en.g.M(), func(acc []int64, batch []Triangle) {
+		for i := range batch {
+			for _, e := range batch[i].E {
+				acc[e]++
 			}
-			counts[e] = s
 		}
 	})
-	return counts
-}
-
-func (en *Engine) edgeRange(lo, hi int, acc []int64) {
-	var ce graph.EdgeID
-	emit := func(_ graph.NodeID, euw, evw graph.EdgeID) {
-		acc[ce]++
-		acc[euw]++
-		acc[evw]++
-	}
-	for e := lo; e < hi; e++ {
-		ce = graph.EdgeID(e)
-		u, v := en.orient(ce)
-		un, ue := en.forward(u)
-		vn, ve := en.forward(v)
-		intersectEmit(un, ue, vn, ve, emit)
-	}
 }
 
 // List materializes all triangles in the reference order regardless of the
 // engine's worker count. Intended for tests and small graphs.
 func (en *Engine) List() []Triangle {
 	var out []Triangle
-	en.forRange(0, en.g.M(), func(t Triangle) { out = append(out, t) })
+	en.emitRange(0, en.g.M(), batchCap, func(batch []Triangle) { out = append(out, batch...) })
 	return out
 }
 
@@ -418,12 +403,13 @@ func gallopTo(a []graph.NodeID, from int, w graph.NodeID) int {
 	return lo
 }
 
-// intersectEmit reports every common element of the ID-sorted forward lists
-// (an, ae) and (bn, be), in increasing ID order, together with both edge
-// IDs. The kernel is adaptive: linear merge for balanced lengths, galloping
-// over the longer list when skewed past gallopCutoff.
+// intersectEmit pushes one triangle {u, v, w} per common element w of the
+// ID-sorted forward lists (an, ae) of u and (bn, be) of v, in increasing ID
+// order; e is the edge {u, v}. The kernel is adaptive: linear merge for
+// balanced lengths, galloping over the longer list when skewed past
+// gallopCutoff.
 func intersectEmit(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be []graph.EdgeID,
-	emit func(w graph.NodeID, ea, eb graph.EdgeID)) {
+	u, v graph.NodeID, e graph.EdgeID, out *batcher) {
 	switch {
 	case len(an) == 0 || len(bn) == 0:
 	case len(an) > gallopCutoff*len(bn):
@@ -434,7 +420,7 @@ func intersectEmit(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be [
 				return
 			}
 			if an[j] == w {
-				emit(w, ae[j], be[i])
+				out.push(Triangle{V: [3]graph.NodeID{u, v, w}, E: [3]graph.EdgeID{e, ae[j], be[i]}})
 				j++
 			}
 		}
@@ -446,7 +432,7 @@ func intersectEmit(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be [
 				return
 			}
 			if bn[j] == w {
-				emit(w, ae[i], be[j])
+				out.push(Triangle{V: [3]graph.NodeID{u, v, w}, E: [3]graph.EdgeID{e, ae[i], be[j]}})
 				j++
 			}
 		}
@@ -454,22 +440,19 @@ func intersectEmit(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be [
 		i, j := 0, 0
 		for i < len(an) && j < len(bn) {
 			x, y := an[i], bn[j]
-			switch {
-			case x < y:
-				i++
-			case x > y:
-				j++
-			default:
-				emit(x, ae[i], be[j])
-				i++
-				j++
+			if x == y {
+				out.push(Triangle{V: [3]graph.NodeID{u, v, x}, E: [3]graph.EdgeID{e, ae[i], be[j]}})
 			}
+			i += b2i(x <= y)
+			j += b2i(x >= y)
 		}
 	}
 }
 
 // intersectCount is intersectEmit reduced to the match count — the Count
-// hot path, free of any per-match call.
+// hot path, free of any per-match call. Its balanced arm advances both
+// cursors by comparison results instead of branching on them: which list is
+// ahead is a coin flip the branch predictor loses.
 func intersectCount(an, bn []graph.NodeID) int64 {
 	var c int64
 	switch {
@@ -502,17 +485,17 @@ func intersectCount(an, bn []graph.NodeID) int64 {
 		i, j := 0, 0
 		for i < len(an) && j < len(bn) {
 			x, y := an[i], bn[j]
-			switch {
-			case x < y:
-				i++
-			case x > y:
-				j++
-			default:
-				c++
-				i++
-				j++
-			}
+			c += int64(b2i(x == y))
+			i += b2i(x <= y)
+			j += b2i(x >= y)
 		}
 	}
 	return c
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -16,6 +16,16 @@
 // single-use Engine; callers enumerating more than once over the same graph
 // should build the Engine themselves and reuse it.
 //
+// Emission is batched. One emitter serves ForEachBatch, ForEach, PerVertex,
+// PerEdge and List: the intersection writes each match as a Triangle into a
+// per-range buffer of 256 entries and the consumer is called once per full
+// buffer (and once for the remainder), so a triangle costs the merge step
+// that found it plus one 24-byte store, not a call. Order guarantee: within
+// a work range, batches arrive — and triangles lie within a batch — in the
+// reference order, ascending rank-lowest EdgeID then ascending third-vertex
+// ID, whatever the batch capacity; at one worker the graph is a single
+// range. Only Count bypasses the emitter, with a match-counting merge.
+//
 // Directed graphs are NOT supported here: callers must symmetrize first
 // (enumeration panics on a directed graph).
 package triangles

@@ -255,6 +255,106 @@ func TestListMatchesReferenceOrder(t *testing.T) {
 	}
 }
 
+// Batched emission must not depend on the batch capacity: for capacities
+// around one element and around the production 256, the concatenated batches
+// are List() — itself pinned to the reference order above. The clique
+// drives the intersection past the gallop cutoff (47-long against 1-long
+// forward lists), so galloping and merging arms both emit into batches that
+// fill mid-intersection.
+func TestBatchedEmissionOrderAcrossCapacities(t *testing.T) {
+	graphs := diffGraphs()
+	for name, g := range graphs {
+		en := NewEngine(g, 1)
+		want := en.List()
+		for _, capacity := range []int{1, 2, 255, 256} {
+			var got []Triangle
+			en.emitRange(0, g.M(), capacity, func(batch []Triangle) {
+				if len(batch) == 0 || len(batch) > capacity {
+					t.Fatalf("%s capacity %d: batch of %d", name, capacity, len(batch))
+				}
+				got = append(got, batch...)
+			})
+			if len(got) != len(want) {
+				t.Fatalf("%s capacity %d: %d triangles, List has %d", name, capacity, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s capacity %d: triangle %d = %+v, List %+v", name, capacity, i, got[i], want[i])
+				}
+			}
+		}
+		// ForEachBatch at one worker is one range in the same order.
+		i := 0
+		en.ForEachBatch(func() func([]Triangle) {
+			return func(batch []Triangle) {
+				for _, tr := range batch {
+					if i >= len(want) || tr != want[i] {
+						t.Fatalf("%s: ForEachBatch triangle %d = %+v out of List order", name, i, tr)
+					}
+					i++
+				}
+			}
+		})
+		if i != len(want) {
+			t.Fatalf("%s: ForEachBatch emitted %d triangles, List has %d", name, i, len(want))
+		}
+	}
+}
+
+// The counting merge (branch-free in its balanced arm) and the emitting
+// merge must agree on random sorted lists: empty, disjoint, identical, and
+// length ratios on both sides of the gallop cutoff.
+func TestIntersectCountMatchesEmit(t *testing.T) {
+	r := rng.New(5)
+	sorted := func(n, universe int) []graph.NodeID {
+		seen := map[int]bool{}
+		for len(seen) < n {
+			seen[r.Intn(universe)] = true
+		}
+		out := make([]graph.NodeID, 0, n)
+		for v := 0; v < universe; v++ {
+			if seen[v] {
+				out = append(out, graph.NodeID(v))
+			}
+		}
+		return out
+	}
+	emitted := func(an, bn []graph.NodeID) int64 {
+		var n int64
+		out := batcher{buf: make([]Triangle, 3), sink: func(batch []Triangle) { n += int64(len(batch)) }}
+		ids := make([]graph.EdgeID, len(an)+len(bn))
+		intersectEmit(an, ids[:len(an)], bn, ids[:len(bn)], 0, 0, 0, &out)
+		out.flush()
+		return n
+	}
+	check := func(name string, an, bn []graph.NodeID) {
+		t.Helper()
+		want := int64(len(mapIntersect(an, bn)))
+		for _, pair := range [][2][]graph.NodeID{{an, bn}, {bn, an}} {
+			if got := intersectCount(pair[0], pair[1]); got != want {
+				t.Fatalf("%s (%d vs %d): intersectCount = %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
+			}
+			if got := emitted(pair[0], pair[1]); got != want {
+				t.Fatalf("%s (%d vs %d): intersectEmit pushed %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
+			}
+		}
+	}
+	a := sorted(40, 200)
+	check("empty", nil, a)
+	check("identical", a, a)
+	evens, odds := make([]graph.NodeID, 50), make([]graph.NodeID, 50)
+	for i := range evens {
+		evens[i], odds[i] = graph.NodeID(2*i), graph.NodeID(2*i+1)
+	}
+	check("disjoint", evens, odds)
+	for trial := 0; trial < 50; trial++ {
+		for _, ratio := range []int{1, 3, 15, 16, 17} {
+			short := sorted(1+r.Intn(12), 400)
+			check("ratio", short, sorted(ratio*len(short), 400))
+		}
+	}
+}
+
 func TestCountersWorkerIndependentAndMatchNaive(t *testing.T) {
 	for name, g := range diffGraphs() {
 		wantPV, wantPE := naivePerElement(g)
@@ -361,12 +461,20 @@ func TestIntersectKernelsAdaptive(t *testing.T) {
 		want := mapIntersect(an, bn)
 
 		var got []graph.NodeID
-		intersectEmit(an, ae, bn, be, func(w graph.NodeID, ea, eb graph.EdgeID) {
-			if ea != graph.EdgeID(1000+int(w)) || eb != graph.EdgeID(1000+int(w)) {
-				t.Fatalf("case %d: wrong edge ids %d/%d for match %d", ci, ea, eb, w)
+		out := batcher{buf: make([]Triangle, 2), sink: func(batch []Triangle) {
+			for _, tr := range batch {
+				w, ea, eb := tr.V[2], tr.E[1], tr.E[2]
+				if ea != graph.EdgeID(1000+int(w)) || eb != graph.EdgeID(1000+int(w)) {
+					t.Fatalf("case %d: wrong edge ids %d/%d for match %d", ci, ea, eb, w)
+				}
+				if tr.V[0] != 7 || tr.V[1] != 9 || tr.E[0] != 11 {
+					t.Fatalf("case %d: triangle %v lost its discovering edge", ci, tr)
+				}
+				got = append(got, w)
 			}
-			got = append(got, w)
-		})
+		}}
+		intersectEmit(an, ae, bn, be, 7, 9, 11, &out)
+		out.flush()
 		if len(got) != len(want) {
 			t.Fatalf("case %d: emit found %v, want %v", ci, got, want)
 		}
