@@ -135,7 +135,8 @@ func ReadGraph(r io.Reader, directed bool) (*Graph, error) {
 func IsSnapshot(prefix []byte) bool { return graphio.SniffSnapshot(prefix) }
 
 // Succinct in-memory storage: the blocked, bit-packed CSR of
-// internal/succinct, traversed in place by BFSOn/PageRankOn.
+// internal/succinct, which every algorithm taking an Adjacency or an
+// AdjacencyEdges runs on in place.
 
 // PackedGraph is the succinct in-memory form: gap-encoded adjacency behind
 // a two-level offset directory, decoded on the fly by its accessors.
@@ -251,16 +252,17 @@ func AttachServable(data []byte) (*PackedGraph, error) { return succinct.AttachS
 // the v1/v2.0 wire snapshots ReadSnapshot decodes).
 func IsServable(prefix []byte) bool { return succinct.IsServable(prefix) }
 
-// Adjacency is the neighborhood view shared by *Graph and *PackedGraph;
-// algorithms written against it traverse either representation. Push-style
+// Adjacency is the neighborhood view shared by *Graph and *PackedGraph.
+// Each algorithm taking it (or AdjacencyEdges) has one implementation, which
+// answers identically on either representation. Push-style
 // traversals walk out-lists per vertex (ForNeighbors); pull-style kernels
 // such as PageRank take in-lists a vertex range at a time (ScanInLists),
 // which a packed graph decodes back to back into one reused buffer.
 type Adjacency = graph.Adjacency
 
 // AdjacencyEdges extends Adjacency with canonical-edge enumeration — the
-// view the packed-form kernels (triangles, degrees, compare, MST) consume,
-// implemented by *Graph and *PackedGraph alike.
+// view the whole-graph kernels (triangles, compare, BFS critical edges, MST)
+// consume, implemented by *Graph and *PackedGraph alike.
 type AdjacencyEdges = graph.AdjacencyEdges
 
 // Generators (deterministic per seed). See internal/gen for the analog
@@ -448,33 +450,13 @@ func LookupScheme(name string) (SchemeInfo, bool) { return schemes.Lookup(name) 
 // SchemeNames returns all registered scheme names, sorted.
 func SchemeNames() []string { return schemes.Names() }
 
-// Uniform keeps every edge independently with probability keep (§4.2.2).
-//
-// Deprecated: use NewUniform (or ParseScheme("uniform:p=...")); the flat
-// functions remain for compatibility.
-func Uniform(g *Graph, keep float64, seed uint64, workers int) *Result {
-	return schemes.Uniform(g, keep, seed, workers)
-}
-
-// SpectralOptions configures SpectralSparsify; see schemes.SpectralOptions.
-type SpectralOptions = schemes.SpectralOptions
-
-// Upsilon variants for SpectralSparsify.
+// Upsilon variants for WithUpsilonVariant.
 const (
 	UpsilonLogN   = schemes.UpsilonLogN
 	UpsilonAvgDeg = schemes.UpsilonAvgDeg
 )
 
-// SpectralSparsify samples edge e with probability min(1, Υ/min(du, dv)),
-// preserving the graph spectrum (§4.2.1).
-//
-// Deprecated: use NewSpectral (or ParseScheme("spectral:p=...")).
-func SpectralSparsify(g *Graph, opts SpectralOptions) *Result { return schemes.Spectral(g, opts) }
-
-// TROptions configures TriangleReduction; see schemes.TROptions.
-type TROptions = schemes.TROptions
-
-// Triangle Reduction variants (§4.3).
+// Triangle Reduction variants (§4.3) for WithTRVariant.
 const (
 	TRBasic     = schemes.TRBasic
 	TREO        = schemes.TREO
@@ -483,55 +465,15 @@ const (
 	TRCollapse  = schemes.TRCollapse
 )
 
-// TriangleReduction applies Triangle p-x-Reduction in the selected variant.
-//
-// Deprecated: use NewTR (or ParseScheme("tr-eo:p=...")).
-func TriangleReduction(g *Graph, opts TROptions) *Result {
-	return schemes.TriangleReduction(g, opts)
-}
-
-// RemoveLowDegree deletes degree <= 1 vertices (their edges vanish, IDs are
-// kept), preserving betweenness centrality structure (§4.4).
-//
-// Deprecated: use NewLowDegree (or ParseScheme("lowdeg")).
-func RemoveLowDegree(g *Graph, workers int) *Result { return schemes.LowDegree(g, workers) }
-
-// CutSparsify builds a Benczúr–Karger cut sparsifier (the §4.6 extension
-// scheme): edges sampled inversely to their Nagamochi–Ibaraki strength and
-// reweighted, preserving all cut weights within 1±ε for rho = O(log n/ε²);
-// rho <= 0 picks 8·ln n.
-//
-// Deprecated: use NewCutSparsify (or ParseScheme("cut:rho=...")).
-func CutSparsify(g *Graph, rho float64, seed uint64, workers int) *Result {
-	return schemes.CutSparsify(g, rho, seed, workers)
-}
-
-// VertexSample keeps every vertex independently with probability keep;
-// edges incident to removed vertices vanish (the vertex-sampling class of
-// §2).
-//
-// Deprecated: use NewVertexSample (or ParseScheme("vertexsample:p=...")).
-func VertexSample(g *Graph, keep float64, seed uint64, workers int) *Result {
-	return schemes.VertexSample(g, keep, seed, workers)
-}
-
 // MinCut returns the weight of a global minimum cut (Stoer–Wagner; O(n^3),
 // for verification-scale graphs).
 func MinCut(g *Graph) float64 { return mincut.StoerWagner(g) }
 
-// SpannerOptions configures Spanner; see schemes.SpannerOptions.
-type SpannerOptions = schemes.SpannerOptions
-
-// Inter-cluster edge modes for Spanner.
+// Inter-cluster edge modes for WithInterClusterMode.
 const (
 	PerVertex      = schemes.PerVertex
 	PerClusterPair = schemes.PerClusterPair
 )
-
-// Spanner derives an O(k)-spanner via low-diameter decomposition (§4.5.3).
-//
-// Deprecated: use NewSpanner (or ParseScheme("spanner:k=...")).
-func Spanner(g *Graph, opts SpannerOptions) *Result { return schemes.Spanner(g, opts) }
 
 // SummarizeOptions configures Summarize; see summarize.Options.
 type SummarizeOptions = summarize.Options
@@ -575,20 +517,9 @@ func NewSG(g *Graph, seed uint64, workers int) *SG { return core.New(g, seed, wo
 // BFSResult is the parent tree and level of every vertex.
 type BFSResult = traverse.BFSResult
 
-// BFS runs a parallel breadth-first search from root.
-func BFS(g *Graph, root NodeID, workers int) *BFSResult { return traverse.BFS(g, root, workers) }
-
-// BFSOn is BFS over any Adjacency — in particular a PackedGraph, which it
-// traverses in place, decoding lists on the fly.
-func BFSOn(g Adjacency, root NodeID, workers int) *BFSResult {
-	return traverse.BFSOn(g, root, workers)
-}
-
-// PageRankOn is PageRank over any Adjacency (standard parameters), with
-// numerics identical to PageRank on the equivalent Graph.
-func PageRankOn(g Adjacency, workers int) []float64 {
-	return centrality.PageRankOn(g, centrality.PageRankOptions{Workers: workers})
-}
+// BFS runs a parallel breadth-first search from root over any Adjacency — a
+// Graph, or a PackedGraph traversed in place, decoding lists on the fly.
+func BFS(g Adjacency, root NodeID, workers int) *BFSResult { return traverse.BFS(g, root, workers) }
 
 // Dijkstra returns exact shortest-path distances and the SSSP parent array.
 func Dijkstra(g *Graph, root NodeID) ([]float64, []NodeID) { return traverse.Dijkstra(g, root) }
@@ -605,8 +536,8 @@ func Diameter(g *Graph, workers int) int32 {
 }
 
 // PageRank returns the PageRank distribution (sums to 1) with standard
-// parameters (damping 0.85).
-func PageRank(g *Graph, workers int) []float64 {
+// parameters (damping 0.85), bit-identical on a Graph and its PackedGraph.
+func PageRank(g Adjacency, workers int) []float64 {
 	return centrality.PageRank(g, centrality.PageRankOptions{Workers: workers})
 }
 
@@ -614,7 +545,7 @@ func PageRank(g *Graph, workers int) []float64 {
 type PageRankOptions = centrality.PageRankOptions
 
 // PageRankWith runs PageRank with explicit options.
-func PageRankWith(g *Graph, opts PageRankOptions) []float64 { return centrality.PageRank(g, opts) }
+func PageRankWith(g Adjacency, opts PageRankOptions) []float64 { return centrality.PageRank(g, opts) }
 
 // Betweenness returns exact Brandes betweenness centrality (O(nm)).
 func Betweenness(g *Graph, workers int) []float64 { return centrality.Betweenness(g, workers) }
@@ -626,13 +557,14 @@ func BetweennessSampled(g *Graph, sources []NodeID, workers int) []float64 {
 
 // ConnectedComponents returns per-vertex component labels (smallest member
 // ID).
-func ConnectedComponents(g *Graph) []NodeID { return components.Labels(g) }
+func ConnectedComponents(g Adjacency) []NodeID { return components.Labels(g) }
 
 // ComponentCount returns the number of connected components.
-func ComponentCount(g *Graph) int { return components.Count(g) }
+func ComponentCount(g Adjacency) int { return components.Count(g) }
 
-// TriangleCount returns the exact number of triangles.
-func TriangleCount(g *Graph, workers int) int64 { return triangles.Count(g, workers) }
+// TriangleCount returns the exact number of triangles; a PackedGraph is
+// counted in place.
+func TriangleCount(g AdjacencyEdges, workers int) int64 { return triangles.Count(g, workers) }
 
 // TrianglesPerVertex returns the per-vertex triangle counts.
 func TrianglesPerVertex(g *Graph, workers int) []int64 { return triangles.PerVertex(g, workers) }
@@ -643,22 +575,10 @@ func TrianglesPerEdge(g *Graph, workers int) []int64 { return triangles.PerEdge(
 
 // TriangleCountApprox estimates the triangle count with DOULION edge
 // sampling: each edge survives with probability p and the sampled count is
-// scaled by p^-3.
-func TriangleCountApprox(g *Graph, p float64, seed uint64, workers int) float64 {
+// scaled by p^-3. The coin flips key on canonical edge IDs, which every
+// representation of a graph shares.
+func TriangleCountApprox(g AdjacencyEdges, p float64, seed uint64, workers int) float64 {
 	return triangles.CountApprox(g, p, seed, workers)
-}
-
-// TriangleCountOn is TriangleCount over any canonical-edge view — in
-// particular a PackedGraph counted in place, bit-identical to the raw CSR.
-func TriangleCountOn(a AdjacencyEdges, workers int) int64 {
-	return triangles.CountOn(a, workers)
-}
-
-// TriangleCountApproxOn is TriangleCountApprox over any canonical-edge
-// view; the DOULION coin flips key on canonical edge IDs, so the estimate is
-// identical for every representation of the same graph.
-func TriangleCountApproxOn(a AdjacencyEdges, p float64, seed uint64, workers int) float64 {
-	return triangles.CountApproxOn(a, p, seed, workers)
 }
 
 // TriangleEngine is the reusable triangle-enumeration substrate: a
@@ -669,20 +589,14 @@ func TriangleCountApproxOn(a AdjacencyEdges, p float64, seed uint64, workers int
 type TriangleEngine = triangles.Engine
 
 // NewTriangleEngine builds the enumeration substrate for g (undirected
-// only; workers <= 0 uses all CPUs).
-func NewTriangleEngine(g *Graph, workers int) *TriangleEngine {
+// only; workers <= 0 uses all CPUs). A PackedGraph's edges feed the oriented
+// CSR directly, no unpack.
+func NewTriangleEngine(g AdjacencyEdges, workers int) *TriangleEngine {
 	return triangles.NewEngine(g, workers)
 }
 
-// NewTriangleEngineOn builds the engine over any canonical-edge view — a
-// PackedGraph's edges feed the oriented CSR directly, no unpack — with
-// structure identical to the raw CSR's engine.
-func NewTriangleEngineOn(a AdjacencyEdges, workers int) *TriangleEngine {
-	return triangles.NewEngineOn(a, workers)
-}
-
 // MSTWeight returns the weight of a minimum spanning forest (Kruskal).
-func MSTWeight(g *Graph) float64 { return mst.Kruskal(g).Weight }
+func MSTWeight(g AdjacencyEdges) float64 { return mst.Kruskal(g).Weight }
 
 // ColoringNumber returns the Szekeres–Wilf coloring number
 // (degeneracy + 1).
@@ -713,7 +627,7 @@ func ReorderedNeighborPairs(g *Graph, orig, comp []float64) float64 {
 
 // BFSCriticalRetention returns |Ẽcr|/|Ecr| averaged over the given roots —
 // the BFS accuracy metric of §5.
-func BFSCriticalRetention(orig, compressed *Graph, roots []NodeID, workers int) float64 {
+func BFSCriticalRetention(orig, compressed AdjacencyEdges, roots []NodeID, workers int) float64 {
 	return metrics.BFSCriticalMulti(orig, compressed, roots, workers)
 }
 
@@ -723,20 +637,14 @@ type Quality = metrics.Quality
 
 // CompareGraphs computes the Quality of comp against orig. The vertex set
 // must be unchanged (no collapse/summarize variants); workers <= 0 means
-// all CPUs.
-func CompareGraphs(orig, comp *Graph, workers int) (*Quality, error) {
+// all CPUs. Either side may be raw or packed; the Quality is bit-identical
+// for the same logical graphs.
+func CompareGraphs(orig, comp AdjacencyEdges, workers int) (*Quality, error) {
 	return metrics.CompareGraphs(orig, comp, workers)
 }
 
-// CompareGraphsOn is CompareGraphs over any pair of canonical-edge views
-// (raw, packed, or mixed), with bit-identical Quality for the same logical
-// graphs.
-func CompareGraphsOn(orig, comp AdjacencyEdges, workers int) (*Quality, error) {
-	return metrics.CompareGraphsOn(orig, comp, workers)
-}
-
 // DegreeDistribution returns the fraction of vertices per degree.
-func DegreeDistribution(g *Graph) []float64 { return metrics.DegreeDistribution(g) }
+func DegreeDistribution(g Adjacency) []float64 { return metrics.DegreeDistribution(g) }
 
 // PowerLawSlope fits the degree distribution's log-log slope and R^2.
 func PowerLawSlope(dist []float64) (slope, r2 float64) { return metrics.PowerLawSlope(dist) }

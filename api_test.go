@@ -9,6 +9,21 @@ import (
 	"slimgraph"
 )
 
+// compress applies the registry spec to g with the given seed (and the
+// default worker count), failing the test or benchmark on any error.
+func compress(tb testing.TB, g *slimgraph.Graph, spec string, seed uint64) *slimgraph.Result {
+	tb.Helper()
+	s, err := slimgraph.ParseScheme(spec, slimgraph.WithSeed(seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := s.Apply(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // TestEndToEndPipeline exercises the full paper pipeline through the public
 // API: generate, compress with several schemes, run stage-2 algorithms,
 // evaluate with the accuracy metrics.
@@ -21,7 +36,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	origCC := slimgraph.ComponentCount(g)
 	origT := slimgraph.TriangleCount(g, 0)
 
-	uni := slimgraph.Uniform(g, 0.5, 7, 0)
+	uni := compress(t, g, "uniform:p=0.5", 7)
 	if uni.Output.M() >= g.M() {
 		t.Fatal("uniform did not compress")
 	}
@@ -30,12 +45,12 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("KL = %v", kl)
 	}
 
-	eo := slimgraph.TriangleReduction(g, slimgraph.TROptions{P: 0.5, Variant: slimgraph.TREO, Seed: 7})
+	eo := compress(t, g, "tr-eo:p=0.5", 7)
 	if cc := slimgraph.ComponentCount(eo.Output); cc != origCC {
 		t.Fatalf("EO TR changed #CC: %d -> %d", origCC, cc)
 	}
 
-	sp := slimgraph.Spanner(g, slimgraph.SpannerOptions{K: 8, Seed: 7})
+	sp := compress(t, g, "spanner:k=8", 7)
 	if cc := slimgraph.ComponentCount(sp.Output); cc != origCC {
 		t.Fatalf("spanner changed #CC: %d -> %d", origCC, cc)
 	}
@@ -113,8 +128,7 @@ func TestIORoundTripPublicAPI(t *testing.T) {
 func TestWeightedPipelineMSTPreserved(t *testing.T) {
 	g := slimgraph.WithUniformWeights(slimgraph.GenerateCommunities(200, 20, 0.6, 100, 4), 1, 50, 5)
 	before := slimgraph.MSTWeight(g)
-	res := slimgraph.TriangleReduction(g, slimgraph.TROptions{
-		P: 1, Variant: slimgraph.TRMaxWeight, Seed: 6, Workers: 1})
+	res := compress(t, g, "tr-maxweight:p=1,workers=1", 6)
 	after := slimgraph.MSTWeight(res.Output)
 	if math.Abs(before-after) > 1e-9 {
 		t.Fatalf("MST weight %v -> %v", before, after)
@@ -178,7 +192,7 @@ func TestDistributedPublicAPI(t *testing.T) {
 func TestReorderedPairsPublicAPI(t *testing.T) {
 	g := slimgraph.GenerateRMAT(9, 8, 11)
 	orig := slimgraph.PageRank(g, 0)
-	comp := slimgraph.PageRank(slimgraph.Uniform(g, 0.5, 3, 0).Output, 0)
+	comp := slimgraph.PageRank(compress(t, g, "uniform:p=0.5", 3).Output, 0)
 	frac := slimgraph.ReorderedPairs(orig, comp)
 	if frac <= 0 || frac >= 0.5 {
 		t.Fatalf("reordered fraction %v", frac)
@@ -236,7 +250,7 @@ func TestServablePublicAPI(t *testing.T) {
 	if att.N() != g.N() || att.M() != g.M() {
 		t.Fatalf("attached identity %d/%d, want %d/%d", att.N(), att.M(), g.N(), g.M())
 	}
-	if got, want := slimgraph.BFSOn(att, 0, 0), slimgraph.BFS(g, 0, 0); got.Reached() != want.Reached() {
+	if got, want := slimgraph.BFS(att, 0, 0), slimgraph.BFS(g, 0, 0); got.Reached() != want.Reached() {
 		t.Fatalf("BFS over attached image reached %d, raw %d", got.Reached(), want.Reached())
 	}
 

@@ -191,7 +191,7 @@ func BenchmarkPackedBFS(b *testing.B) {
 		// Decode-on-the-fly traversal of the packed form; the acceptance
 		// bar is within 4x of raw-csr above.
 		for i := 0; i < b.N; i++ {
-			traverse.BFSOn(pg, 0, 0)
+			traverse.BFS(pg, 0, 0)
 		}
 	})
 }
@@ -225,10 +225,10 @@ func BenchmarkPackedTriangles(b *testing.B) {
 	b.Run("packed", func(b *testing.B) {
 		// Engine build from the packed canonical edge columns + count.
 		for i := 0; i < b.N; i++ {
-			triangles.CountOn(pg, 0)
+			triangles.Count(pg, 0)
 		}
 	})
-	en := triangles.NewEngineOn(pg, 0)
+	en := triangles.NewEngine(pg, 0)
 	b.Run("packed-prebuilt", func(b *testing.B) {
 		// The server's steady state: the per-entry engine arena is built
 		// once, queries only enumerate.
@@ -248,7 +248,7 @@ func BenchmarkPackedDegrees(b *testing.B) {
 	})
 	b.Run("packed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			metrics.DegreeDistributionOn(pg)
+			metrics.DegreeDistribution(pg)
 		}
 	})
 }
@@ -265,7 +265,7 @@ func BenchmarkSchemeUniform(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimgraph.Uniform(g, 0.5, uint64(i), 0)
+		compress(b, g, "uniform:p=0.5", uint64(i))
 	}
 }
 
@@ -273,8 +273,7 @@ func BenchmarkSchemeSpectral(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimgraph.SpectralSparsify(g, slimgraph.SpectralOptions{
-			P: 1, Variant: slimgraph.UpsilonLogN, Seed: uint64(i)})
+		compress(b, g, "spectral:p=1,variant=logn", uint64(i))
 	}
 }
 
@@ -282,8 +281,7 @@ func BenchmarkSchemeTREO(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimgraph.TriangleReduction(g, slimgraph.TROptions{
-			P: 0.5, Variant: slimgraph.TREO, Seed: uint64(i)})
+		compress(b, g, "tr-eo:p=0.5", uint64(i))
 	}
 }
 
@@ -291,7 +289,7 @@ func BenchmarkSchemeSpanner(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slimgraph.Spanner(g, slimgraph.SpannerOptions{K: 8, Seed: uint64(i)})
+		compress(b, g, "spanner:k=8", uint64(i))
 	}
 }
 

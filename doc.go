@@ -61,8 +61,10 @@
 // (WriteBinary), and the v2 packed snapshot (WritePacked) — gap-encoded
 // canonical adjacency behind a block directory, typically 3-5x smaller
 // than v1. ReadSnapshot dispatches on the version tag. In memory,
-// PackGraph produces a PackedGraph, a blocked bit-packed CSR that BFSOn
-// and PageRankOn traverse in place, decoding neighbors on the fly: on the
+// PackGraph produces a PackedGraph, a blocked bit-packed CSR that BFS,
+// PageRank and every other algorithm taking an Adjacency run on in place,
+// decoding neighbors on the fly — there is one implementation per
+// algorithm, the same loop for a Graph and for a PackedGraph: on the
 // benchmark's rmat14 graph packed BFS takes about 1.3x and packed PageRank
 // about 3x the raw-CSR time, memory-mapped or on the heap (the traverse.* and
 // centrality.* rungs of benchmark/README.md); Unpack restores a
@@ -109,11 +111,14 @@
 // and failures are never cached. Requests default to a one-worker budget,
 // making responses byte-identical for a fixed seed.
 //
-// Packed-resident graphs serve every query on the packed form in place:
-// BFS, PageRank, triangles, degrees, and the original side of compare all
-// consume the PackedGraph's adjacency views directly, the oriented
-// triangle engine is built lazily once per catalog entry and reused
-// across queries, and Unpack is reachable only from variant computation.
+// Every query resolves one target — the resident original (raw, packed or
+// memory-mapped) or a cached variant — and hands it to the algorithm's one
+// implementation, so packed-resident graphs serve on the packed form in
+// place: BFS, PageRank, triangles, degrees, and the original side of
+// compare all consume the PackedGraph's adjacency views directly, the
+// oriented triangle engine is built lazily once per catalog entry and
+// reused across queries, and Unpack is reachable only from variant
+// computation.
 // Answers are byte-identical to a raw-resident catalog; the guarantee is
 // pinned by a test that fails on any Unpack during query serving.
 //

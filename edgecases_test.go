@@ -14,19 +14,19 @@ func edgeless(n int) *slimgraph.Graph { return slimgraph.FromEdges(n, false, nil
 
 func TestSchemesOnEdgelessGraph(t *testing.T) {
 	g := edgeless(50)
-	if res := slimgraph.Uniform(g, 0.5, 1, 2); res.Output.M() != 0 || res.Output.N() != 50 {
+	if res := compress(t, g, "uniform:p=0.5,workers=2", 1); res.Output.M() != 0 || res.Output.N() != 50 {
 		t.Fatal("uniform broke an edgeless graph")
 	}
-	if res := slimgraph.TriangleReduction(g, slimgraph.TROptions{P: 1, Variant: slimgraph.TREO, Seed: 1}); res.Output.M() != 0 {
+	if res := compress(t, g, "tr-eo:p=1", 1); res.Output.M() != 0 {
 		t.Fatal("TR broke an edgeless graph")
 	}
-	if res := slimgraph.Spanner(g, slimgraph.SpannerOptions{K: 4, Seed: 1}); res.Output.N() != 50 {
+	if res := compress(t, g, "spanner:k=4", 1); res.Output.N() != 50 {
 		t.Fatal("spanner broke an edgeless graph")
 	}
-	if res := slimgraph.RemoveLowDegree(g, 2); res.Output.N() != 50 {
+	if res := compress(t, g, "lowdeg:workers=2", 0); res.Output.N() != 50 {
 		t.Fatal("lowdeg broke an edgeless graph")
 	}
-	if res := slimgraph.CutSparsify(g, 0, 1, 2); res.Output.M() != 0 {
+	if res := compress(t, g, "cut:workers=2", 1); res.Output.M() != 0 {
 		t.Fatal("cut sparsifier broke an edgeless graph")
 	}
 	s := slimgraph.Summarize(g, slimgraph.SummarizeOptions{Iterations: 3, Seed: 1})
@@ -37,13 +37,13 @@ func TestSchemesOnEdgelessGraph(t *testing.T) {
 
 func TestSchemesOnSingleEdge(t *testing.T) {
 	g := slimgraph.FromEdges(2, false, []slimgraph.Edge{slimgraph.E(0, 1)})
-	if res := slimgraph.Uniform(g, 1, 1, 1); res.Output.M() != 1 {
+	if res := compress(t, g, "uniform:p=1,workers=1", 1); res.Output.M() != 1 {
 		t.Fatal("keep-all dropped the only edge")
 	}
-	if res := slimgraph.TriangleReduction(g, slimgraph.TROptions{P: 1, Variant: slimgraph.TRBasic, Seed: 1}); res.Output.M() != 1 {
+	if res := compress(t, g, "tr:p=1", 1); res.Output.M() != 1 {
 		t.Fatal("TR removed a non-triangle edge")
 	}
-	if res := slimgraph.Spanner(g, slimgraph.SpannerOptions{K: 2, Seed: 1}); res.Output.M() != 1 {
+	if res := compress(t, g, "spanner:k=2", 1); res.Output.M() != 1 {
 		t.Fatal("spanner dropped a forest edge")
 	}
 }
@@ -116,10 +116,9 @@ func starEdges(n int) []slimgraph.Edge {
 func TestCompressionOfCompressed(t *testing.T) {
 	// Stacking schemes (a realistic pipeline) must compose cleanly.
 	g := slimgraph.GenerateCommunities(2000, 20, 0.5, 3000, 9)
-	step1 := slimgraph.TriangleReduction(g, slimgraph.TROptions{P: 0.5, Variant: slimgraph.TREO, Seed: 1})
-	step2 := slimgraph.SpectralSparsify(step1.Output, slimgraph.SpectralOptions{
-		P: 2, Variant: slimgraph.UpsilonLogN, Seed: 2})
-	step3 := slimgraph.Spanner(step2.Output, slimgraph.SpannerOptions{K: 4, Seed: 3})
+	step1 := compress(t, g, "tr-eo:p=0.5", 1)
+	step2 := compress(t, step1.Output, "spectral:p=2,variant=logn", 2)
+	step3 := compress(t, step2.Output, "spanner:k=4", 3)
 	if step3.Output.M() >= g.M() {
 		t.Fatal("stacked pipeline did not compress")
 	}
@@ -147,7 +146,7 @@ func TestDirectedGraphPipeline(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("directed PageRank sums to %v", sum)
 	}
-	res := slimgraph.Uniform(d, 0.6, 1, 1)
+	res := compress(t, d, "uniform:p=0.6,workers=1", 1)
 	if !res.Output.Directed() {
 		t.Fatal("uniform sampling lost directedness")
 	}

@@ -15,9 +15,14 @@ func Example() {
 	})
 	// Triangle Reduction removes one edge of the (only) triangle and never
 	// touches the tail.
-	res := slimgraph.TriangleReduction(g, slimgraph.TROptions{
-		P: 1, Variant: slimgraph.TRBasic, Seed: 7, Workers: 1,
-	})
+	tr, err := slimgraph.ParseScheme("tr:p=1", slimgraph.WithSeed(7), slimgraph.WithWorkers(1))
+	if err != nil {
+		panic(err)
+	}
+	res, err := tr.Apply(g)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("edges before:", g.M())
 	fmt.Println("edges after: ", res.Output.M())
 	fmt.Println("tail intact: ", res.Output.HasEdge(2, 3))

@@ -21,10 +21,9 @@ func main() {
 
 	// Stage 1: three compression kernels with very different contracts.
 	results := []*slimgraph.Result{
-		slimgraph.Uniform(g, 0.5, 1, 0), // keep half the edges
-		slimgraph.TriangleReduction(g, slimgraph.TROptions{
-			P: 0.8, Variant: slimgraph.TREO, Seed: 1}),
-		slimgraph.Spanner(g, slimgraph.SpannerOptions{K: 8, Seed: 1}),
+		compress(g, "uniform:p=0.5", 1), // keep half the edges
+		compress(g, "tr-eo:p=0.8", 1),
+		compress(g, "spanner:k=8", 1),
 	}
 
 	// Stage 2: run the algorithms on each compressed graph and compare.
@@ -41,4 +40,18 @@ func main() {
 	fmt.Println("\nNote how Edge-Once Triangle Reduction preserves the component")
 	fmt.Println("count exactly, uniform sampling preserves triangle counts in")
 	fmt.Println("expectation, and the spanner trades triangles for distance bounds.")
+}
+
+// compress applies a registry spec to g; the examples' specs are fixed, so
+// an error is a bug.
+func compress(g *slimgraph.Graph, spec string, seed uint64) *slimgraph.Result {
+	s, err := slimgraph.ParseScheme(spec, slimgraph.WithSeed(seed))
+	if err != nil {
+		panic(err)
+	}
+	res, err := s.Apply(g)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

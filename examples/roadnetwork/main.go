@@ -26,15 +26,14 @@ func main() {
 	// Spanners: distance stretch vs compression.
 	fmt.Printf("%-14s %8s %14s %14s\n", "scheme", "ratio", "mean stretch", "max stretch")
 	for _, k := range []int{2, 4, 8} {
-		res := slimgraph.Spanner(g, slimgraph.SpannerOptions{K: k, Seed: 5})
+		res := compress(g, fmt.Sprintf("spanner:k=%d", k), 5)
 		dist, _ := slimgraph.Dijkstra(res.Output, 0)
 		mean, max := stretch(origDist, dist)
 		fmt.Printf("spanner k=%-3d %9.3f %14.3f %14.3f\n", k, res.CompressionRatio(), mean, max)
 	}
 
 	// Max-weight TR: exact MST preservation, tiny compression on roads.
-	tr := slimgraph.TriangleReduction(g, slimgraph.TROptions{
-		P: 1, Variant: slimgraph.TRMaxWeight, Seed: 5, Workers: 1})
+	tr := compress(g, "tr-maxweight:p=1,workers=1", 5)
 	fmt.Printf("\nmax-weight TR: ratio %.3f (roads have few triangles)\n", tr.CompressionRatio())
 	fmt.Printf("  MST weight: %.1f -> %.1f (preserved exactly: %v)\n",
 		origMST, slimgraph.MSTWeight(tr.Output),
@@ -70,4 +69,18 @@ func stretch(orig, comp []float64) (mean, max float64) {
 		mean /= float64(count)
 	}
 	return mean, max
+}
+
+// compress applies a registry spec to g; the examples' specs are fixed, so
+// an error is a bug.
+func compress(g *slimgraph.Graph, spec string, seed uint64) *slimgraph.Result {
+	s, err := slimgraph.ParseScheme(spec, slimgraph.WithSeed(seed))
+	if err != nil {
+		panic(err)
+	}
+	res, err := s.Apply(g)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

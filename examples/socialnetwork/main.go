@@ -33,14 +33,13 @@ func main() {
 	fmt.Printf("%-12s %8s %6d %9d %8d %12s\n", "original", "1.000",
 		origCC, origMatch, origColor, "-")
 	for _, variant := range []struct {
-		name string
-		v    slimgraph.TROptions
+		name, spec string
 	}{
-		{"basic", slimgraph.TROptions{P: 0.5, Variant: slimgraph.TRBasic, Seed: 3}},
-		{"EO", slimgraph.TROptions{P: 0.5, Variant: slimgraph.TREO, Seed: 3}},
-		{"CT", slimgraph.TROptions{P: 0.5, Variant: slimgraph.TRCT, Seed: 3}},
+		{"basic", "tr:p=0.5"},
+		{"EO", "tr-eo:p=0.5"},
+		{"CT", "tr-ct:p=0.5"},
 	} {
-		res := slimgraph.TriangleReduction(g, variant.v)
+		res := compress(g, variant.spec, 3)
 		compBC := slimgraph.BetweennessSampled(res.Output, sources, 0)
 		fmt.Printf("%-12s %8.3f %6d %9d %8d %12.4f\n",
 			variant.name, res.CompressionRatio(),
@@ -51,11 +50,24 @@ func main() {
 	}
 
 	// Triangle collapse shrinks the vertex set itself.
-	col := slimgraph.TriangleReduction(g, slimgraph.TROptions{
-		P: 0.3, Variant: slimgraph.TRCollapse, Seed: 3})
+	col := compress(g, "tr-collapse:p=0.3", 3)
 	fmt.Printf("\ncollapse(p=0.3): n %d -> %d, m %d -> %d\n",
 		g.N(), col.Output.N(), g.M(), col.Output.M())
 
 	fmt.Println("\nTable 3's promises hold: EO keeps every component intact and the")
 	fmt.Println("matching within 2/3; the coloring number shrinks by at most ~1/3.")
+}
+
+// compress applies a registry spec to g; the examples' specs are fixed, so
+// an error is a bug.
+func compress(g *slimgraph.Graph, spec string, seed uint64) *slimgraph.Result {
+	s, err := slimgraph.ParseScheme(spec, slimgraph.WithSeed(seed))
+	if err != nil {
+		panic(err)
+	}
+	res, err := s.Apply(g)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -23,8 +23,7 @@ func main() {
 	// unweighted (8 bytes/edge); pass Reweight=true when downstream
 	// algorithms need the unbiased Laplacian instead of minimal storage.
 	origPR := slimgraph.PageRank(g, 0)
-	spec := slimgraph.SpectralSparsify(g, slimgraph.SpectralOptions{
-		P: 1, Variant: slimgraph.UpsilonLogN, Seed: 9})
+	spec := compress(g, "spectral:p=1,variant=logn", 9)
 	fmt.Println(spec)
 	fmt.Printf("  KL(PageRank): %.4f, snapshot now %d KiB\n",
 		slimgraph.KLDivergence(origPR, slimgraph.PageRank(spec.Output, 0)),
@@ -34,7 +33,7 @@ func main() {
 	fmt.Printf("\n%-14s %10s %8s %8s\n", "compression", "edges", "slope", "R^2")
 	fmt.Printf("%-14s %10d %8.2f %8.2f\n", "none", g.M(), slope, r2)
 	for _, k := range []int{2, 32} {
-		res := slimgraph.Spanner(g, slimgraph.SpannerOptions{K: k, Seed: 9})
+		res := compress(g, fmt.Sprintf("spanner:k=%d", k), 9)
 		s, r := slimgraph.PowerLawSlope(slimgraph.DegreeDistribution(res.Output))
 		fmt.Printf("spanner k=%-4d %10d %8.2f %8.2f\n", k, res.Output.M(), s, r)
 	}
@@ -49,4 +48,18 @@ func main() {
 	dec := sum.Decode()
 	fmt.Printf("  decoded m: %d (original %d; ε bounds the drift by 2εm = %.0f)\n",
 		dec.M(), sites.M(), 0.2*float64(sites.M()))
+}
+
+// compress applies a registry spec to g; the examples' specs are fixed, so
+// an error is a bug.
+func compress(g *slimgraph.Graph, spec string, seed uint64) *slimgraph.Result {
+	s, err := slimgraph.ParseScheme(spec, slimgraph.WithSeed(seed))
+	if err != nil {
+		panic(err)
+	}
+	res, err := s.Apply(g)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

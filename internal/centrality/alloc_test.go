@@ -22,10 +22,10 @@ func TestPageRankOnPackedAllocations(t *testing.T) {
 	large := succinct.Pack(gen.RMAT(12, 8, 0.57, 0.19, 0.19, 3), 0)
 	run := func(pg *succinct.PackedGraph, workers, iters int) (allocs float64, bytes uint64) {
 		opts := PageRankOptions{Workers: workers, MaxIter: iters, Tolerance: 1e-300}
-		allocs = testing.AllocsPerRun(5, func() { PageRankOn(pg, opts) })
+		allocs = testing.AllocsPerRun(5, func() { PageRank(pg, opts) })
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		PageRankOn(pg, opts)
+		PageRank(pg, opts)
 		runtime.ReadMemStats(&after)
 		return allocs, after.TotalAlloc - before.TotalAlloc
 	}

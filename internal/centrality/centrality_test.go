@@ -196,7 +196,7 @@ func TestPageRankOnMatchesPerArcReference(t *testing.T) {
 				ref = referencePageRank(a, PageRankOptions{})
 			}
 			for _, workers := range []int{1, 2, 7} {
-				got := PageRankOn(a, PageRankOptions{Workers: workers})
+				got := PageRank(a, PageRankOptions{Workers: workers})
 				for v := range ref {
 					if got[v] != ref[v] {
 						t.Fatalf("%s/%s workers=%d: rank[%d] = %v, per-arc reference %v",

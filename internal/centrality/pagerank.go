@@ -40,22 +40,18 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 // into the KL divergence. Dangling vertices (out-degree 0) redistribute
 // their mass uniformly, so the distribution stays normalized even on
 // heavily compressed graphs with isolated vertices.
-func PageRank(g *graph.Graph, opts PageRankOptions) []float64 {
-	return PageRankOn(g, opts)
-}
-
-// PageRankOn is PageRank over any graph.Adjacency — the raw CSR or a
-// succinct PackedGraph decoded on the fly — through one pull loop with
-// identical numerics: in-neighbors are summed in increasing order on every
-// representation, so all of them produce bit-identical vectors for the same
-// graph. The worker count changes no per-vertex value either; it only
-// reorders the L1 delta that decides when to stop.
+//
+// One pull loop serves every graph.Adjacency, raw CSR or PackedGraph decoded
+// on the fly: in-neighbors are summed in increasing order on all of them, so
+// the vectors are bit-identical for the same graph. The worker count changes
+// no per-vertex value either; it only reorders the L1 delta that decides
+// when to stop.
 //
 // Nothing per arc touches the representation's directory or divides: the
 // degree vector is read once per call, contrib[u] = rank[u]/deg(u) once per
 // vertex per iteration, and the arc loop adds contrib[u] over lists that
 // ScanInLists decodes into one reused buffer per worker.
-func PageRankOn(g graph.Adjacency, opts PageRankOptions) []float64 {
+func PageRank(g graph.Adjacency, opts PageRankOptions) []float64 {
 	o := opts.withDefaults()
 	n := g.N()
 	if n == 0 {
@@ -155,3 +151,6 @@ func PullSums(g graph.Adjacency, lo, hi graph.NodeID, contrib, sums []float64, b
 		sums[v-lo] = sum
 	})
 }
+
+// PageRankOn forwards to PageRank for benchmark/ (frozen); the next benchmark PR deletes it.
+func PageRankOn(g graph.Adjacency, opts PageRankOptions) []float64 { return PageRank(g, opts) }

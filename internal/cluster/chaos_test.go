@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +155,78 @@ func TestClusterKillShardFailover(t *testing.T) {
 		code, body := get(t, cts.URL+u)
 		if code != http.StatusOK || !bytes.Equal(body, want[u]) {
 			t.Errorf("recovered cluster %s: status %d", u, code)
+		}
+	}
+}
+
+// TestCompressSurvivesFailedProbe pins the quorum write against a shard that
+// a half-open breaker admitted and that then fails during the write: the two
+// shards that answered are a majority, so the client gets their answer — the
+// one a single node gives — and the failed probe is owed a compress repair,
+// exactly as if its breaker had still been open when the write began.
+func TestCompressSurvivesFailedProbe(t *testing.T) {
+	g := testGraph(t)
+	single := mustServer(t, server.Options{MaxWorkers: 4})
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	if err := single.AddGraph("g", "", "test", g.Clone(), 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The rule's host is filled in once the shard has a port; nothing has
+	// been sent by then.
+	down := &resilience.FaultRule{Path: "/compress", Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable}
+	inj := resilience.NewInjector(down)
+	lc, cts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{
+		Client:           &http.Client{Transport: inj.RoundTripper(http.DefaultTransport)},
+		BreakerThreshold: 1,
+		// Any later look at an open breaker finds the cooldown over, so the
+		// next write admits the shard half-open; no prober and no other
+		// traffic means nothing else moves the breaker.
+		BreakerCooldown: time.Nanosecond,
+	})
+	down.Host = strings.TrimPrefix(lc.Addr(2), "http://")
+	if _, err := lc.Coordinator.Create(t.Context(), "g", "", "test", g.Clone(), 1); err != nil {
+		t.Fatal(err)
+	}
+	lc.Coordinator.breakers[2].RecordFailure()
+	if st := lc.Coordinator.BreakerState(2); st != resilience.BreakerOpen {
+		t.Fatalf("shard 2 breaker = %v, want open", st)
+	}
+
+	req := server.CompressRequest{Spec: "uniform:p=0.5", Seed: 42, Workers: 1}
+	normalized := func(url string) server.CompressResponse {
+		t.Helper()
+		code, body := postAs(t, url+"/v1/graphs/g/compress", req)
+		if code != http.StatusOK {
+			t.Fatalf("compress via %s: status %d: %s", url, code, body)
+		}
+		var cr server.CompressResponse
+		if err := json.Unmarshal(body, &cr); err != nil {
+			t.Fatal(err)
+		}
+		cr.ElapsedMS = 0 // wall-clock, the only fields that may differ
+		for i := range cr.Stages {
+			cr.Stages[i].ElapsedMS = 0
+		}
+		return cr
+	}
+	want, got := normalized(sts.URL), normalized(cts.URL)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("quorum write answered %+v, single node %+v", got, want)
+	}
+	if down.Fired() == 0 {
+		t.Fatal("the fault rule never fired: shard 2 was not written to")
+	}
+	if st := lc.Coordinator.BreakerState(2); st != resilience.BreakerOpen {
+		t.Errorf("after the failed probe, shard 2 breaker = %v, want open", st)
+	}
+	if n := lc.Coordinator.PendingRepairs(2); n != 1 {
+		t.Errorf("shard 2 is owed %d repairs, want the one compress", n)
+	}
+	for i := 0; i < 2; i++ {
+		if cs := lc.Shard(i).Server().CacheStats(); cs.Entries != 1 {
+			t.Errorf("shard %d holds %d variants after the quorum write, want 1", i, cs.Entries)
 		}
 	}
 }

@@ -164,6 +164,8 @@ func TestClusterErrorsMatchSingleNode(t *testing.T) {
 	urls := []string{
 		"/v1/graphs/nope/bfs?root=0",                      // 404 unknown graph
 		"/v1/graphs/g/bfs?root=100000",                    // 400 root out of range
+		"/v1/graphs/g/bfs?root=4294967296",                // 400 root that would wrap to 0 as int32
+		"/v1/graphs/g/bfs?root=-1&spec=uniform:p=0.5",     // 400 before any scheme runs
 		"/v1/graphs/g/bfs?root=0&spec=bogus",              // 422 unknown scheme
 		"/v1/graphs/g/bfs?root=0&spec=uniform:p=2",        // 422 bad parameter
 		"/v1/graphs/dg/triangles",                         // 422 directed

@@ -385,6 +385,11 @@ func (c *Coordinator) deadShards(live []int) []int {
 // partial query served meanwhile hits only live shards, which all hold the
 // variant. Below a majority the write is refused (503): accepting it would
 // let a minority serve a variant most of the cluster never saw.
+//
+// A shard admitted on a half-open breaker is a probe of a shard that was
+// dead a moment ago. If the probe fails during the write, the shard is what
+// it was before it — dead, owed the same compress repair — and the write
+// still stands on the live majority rather than failing the client.
 func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.QueryParams) (*server.CompressResponse, error) {
 	ctx = c.withBudget(ctx)
 	if _, err := c.Info(ctx, name); err != nil {
@@ -395,11 +400,29 @@ func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.
 		return nil, server.Errf(http.StatusServiceUnavailable,
 			"compress quorum lost: %d of %d shards live", len(live), len(c.opts.Shards))
 	}
+	probe := make([]bool, len(live))
+	for pos, i := range live {
+		probe[pos] = c.breakers[i].State() == resilience.BreakerHalfOpen
+	}
 	resps := make([]server.CompressResponse, len(live))
 	req := server.CompressRequest{Spec: spec, Seed: p.Seed, Workers: p.Workers}
 	errs := c.scatterOver(ctx, live, "compress:"+name, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
 		return postJSON(ctx, c.client, addr, "/v1/graphs/"+url.PathEscape(name)+"/compress", req, &resps[pos])
 	})
+	var (
+		okLive  []int
+		okResps []server.CompressResponse
+		okErrs  []error
+	)
+	for pos, i := range live {
+		if probe[pos] && errs[pos] != nil && shardFatal(errs[pos]) {
+			continue // a failed probe: still dead
+		}
+		okLive, okResps, okErrs = append(okLive, i), append(okResps, resps[pos]), append(okErrs, errs[pos])
+	}
+	if len(okLive)*2 > len(c.opts.Shards) {
+		live, resps, errs = okLive, okResps, okErrs
+	}
 	if err := c.mergeErrorsOver(live, errs); err != nil {
 		c.purgeVariant(name, spec, p)
 		return nil, err
@@ -633,7 +656,7 @@ var prDamping = 0.85
 // the sequential L1 delta. Every floating-point reduction happens once, on
 // the coordinator, in ascending vertex order — float addition is not
 // associative, so this ordering (not just the partition) is what makes the
-// scores bit-identical to centrality.PageRankOn at workers=1.
+// scores bit-identical to centrality.PageRank at workers=1.
 func (c *Coordinator) PageRank(ctx context.Context, name string, k int, p server.QueryParams) (*server.PageRankResponse, error) {
 	ctx = c.withBudget(ctx)
 	n, canonical, err := c.target(ctx, name, p)

@@ -91,10 +91,11 @@ func (lc *LocalCluster) Addr(i int) string { return "http://" + lc.lns[i].Addr()
 // engine (catalog, variant cache) survives in memory, modelling a node
 // whose durable state outlives the outage; RestartShard brings it back on
 // the same address.
+//
+// The server owns the listener once Serve has it, so Close on the server is
+// the one close: closing the listener here as well makes the second of the
+// two fail with "use of closed network connection".
 func (lc *LocalCluster) KillShard(i int) error {
-	if err := lc.lns[i].Close(); err != nil {
-		return err
-	}
 	return lc.srvs[i].Close()
 }
 

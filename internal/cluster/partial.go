@@ -52,7 +52,7 @@ func danglingIn(g graph.Adjacency, r distributed.Range) []int32 {
 // pullSums computes one PageRank pull iteration for the owned range:
 // sums[i] = Σ ranks[u]/deg(u) over the in-neighbors u of vertex Lo+i,
 // accumulated in in-neighbor order by the very pull step
-// centrality.PageRankOn runs (contributions are divided out once per
+// centrality.PageRank runs (contributions are divided out once per
 // sub-request, then summed), so the coordinator's next[v] = base +
 // dangling + damping*sums[i] reproduces the single-node floats bit for
 // bit.

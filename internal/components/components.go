@@ -16,15 +16,10 @@ import (
 )
 
 // Labels assigns every vertex a component label via repeated BFS. Labels
-// are the smallest vertex ID in each component, so output is deterministic.
-func Labels(g *graph.Graph) []graph.NodeID {
-	return LabelsOn(g)
-}
-
-// LabelsOn is Labels over any adjacency view — the raw CSR or a packed
-// graph traversed in place — with identical output: the sweep only depends
-// on neighbor visit order, which Adjacency fixes to increasing ID.
-func LabelsOn(a graph.Adjacency) []graph.NodeID {
+// are the smallest vertex ID in each component, so output is deterministic,
+// and the same on every representation: the sweep depends only on neighbor
+// visit order, which Adjacency fixes to increasing ID.
+func Labels(a graph.Adjacency) []graph.NodeID {
 	n := a.N()
 	label := make([]graph.NodeID, n)
 	for i := range label {
@@ -109,13 +104,8 @@ func LabelsPropagation(g *graph.Graph, workers int) []graph.NodeID {
 // Count returns the number of connected components. Isolated vertices count
 // as components of size 1, matching the paper's convention (removing all
 // edges of a vertex adds a component).
-func Count(g *graph.Graph) int {
-	return CountLabels(Labels(g))
-}
-
-// CountOn is Count over any adjacency view.
-func CountOn(a graph.Adjacency) int {
-	return CountLabels(LabelsOn(a))
+func Count(a graph.Adjacency) int {
+	return CountLabels(Labels(a))
 }
 
 // CountLabels returns the number of distinct labels.

@@ -46,11 +46,11 @@ func PackedKernels(cfg Config) *Table {
 		for _, o := range orders {
 			pg := succinct.Pack(g, cfg.Workers, succinct.WithOrder(o))
 			hist := succinct.GapHistogram(g, pg.Perm(), cfg.Workers)
-			pTri := measure(func() { triangles.CountOn(pg, cfg.Workers) })
-			pDeg := measure(func() { metrics.DegreeDistributionOn(pg) })
-			pBFS := measure(func() { traverse.BFSOn(pg, 0, cfg.Workers) })
+			pTri := measure(func() { triangles.Count(pg, cfg.Workers) })
+			pDeg := measure(func() { metrics.DegreeDistribution(pg) })
+			pBFS := measure(func() { traverse.BFS(pg, 0, cfg.Workers) })
 			pPR := measure(func() {
-				centrality.PageRankOn(pg, centrality.PageRankOptions{Workers: cfg.Workers})
+				centrality.PageRank(pg, centrality.PageRankOptions{Workers: cfg.Workers})
 			})
 			payloadBE, totalBE := 0.0, 0.0
 			if g.M() > 0 {

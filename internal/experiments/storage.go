@@ -43,7 +43,7 @@ func Storage(cfg Config) *Table {
 			packB := graphio.PackedSize(out)
 			pg := succinct.Pack(out, cfg.Workers)
 			raw := measure(func() { traverse.BFS(out, 0, cfg.Workers) })
-			packed := measure(func() { traverse.BFSOn(pg, 0, cfg.Workers) })
+			packed := measure(func() { traverse.BFS(pg, 0, cfg.Workers) })
 			bitsPerEdge := 0.0
 			if out.M() > 0 {
 				bitsPerEdge = float64(packB) * 8 / float64(out.M())

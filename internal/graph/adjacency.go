@@ -2,9 +2,9 @@ package graph
 
 // Adjacency is the read-only neighborhood view shared by *Graph and any
 // alternative representation — notably internal/succinct's PackedGraph,
-// whose lists are decoded on the fly. Traversals written against Adjacency
-// (traverse.BFSOn, centrality.PageRankOn) run directly on the packed form
-// without inflating it back to a Graph.
+// whose lists are decoded on the fly. Every stage-2 kernel has one body,
+// written against this interface (or AdjacencyEdges), so the same loop runs
+// on the raw CSR and on the packed form in place.
 //
 // ForNeighbors visits, and ScanInLists hands out, neighbors in increasing
 // vertex order; for undirected graphs in- and out-lists are identical.
@@ -73,6 +73,32 @@ func (g *Graph) ForEdges(fn func(e EdgeID, u, v NodeID, w float64)) {
 // This is the zero-copy input of the triangle engine's edge-centric build.
 func (g *Graph) EdgeColumns() (eu, ev []NodeID) {
 	return g.edgeU, g.edgeV
+}
+
+// EdgeColumnsOf fetches the canonical edge columns of a: zero-copy views when
+// the representation exposes them (raw CSR, owned == false), a
+// block-parallel bulk decode when it supports one (packed), and a serial
+// ForEdges sweep otherwise. Callers must not modify borrowed columns.
+func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) {
+	if t, ok := a.(interface {
+		EdgeColumns() (eu, ev []NodeID)
+	}); ok {
+		eu, ev = t.EdgeColumns()
+		return eu, ev, false
+	}
+	m := a.M()
+	eu = make([]NodeID, m)
+	ev = make([]NodeID, m)
+	if t, ok := a.(interface {
+		FillEdgeColumns(eu, ev []NodeID, workers int)
+	}); ok {
+		t.FillEdgeColumns(eu, ev, workers)
+		return eu, ev, true
+	}
+	a.ForEdges(func(e EdgeID, u, v NodeID, _ float64) {
+		eu[e], ev[e] = u, v
+	})
+	return eu, ev, true
 }
 
 // ForNeighbors invokes fn for every out-neighbor of v in increasing order,

@@ -5,27 +5,6 @@ import (
 	"slimgraph/internal/traverse"
 )
 
-// CriticalEdges returns the critical-edge set of a BFS traversal per the
-// paper's Figure 4 taxonomy: tree edges plus potential edges — every edge
-// connecting consecutive BFS levels, i.e. any edge that could appear in
-// some BFS tree from the same root. Edges with an unreachable endpoint are
-// never critical.
-func CriticalEdges(g *graph.Graph, dist []int32) []graph.EdgeID {
-	var out []graph.EdgeID
-	for e := 0; e < g.M(); e++ {
-		id := graph.EdgeID(e)
-		u, v := g.EdgeEndpoints(id)
-		du, dv := dist[u], dist[v]
-		if du < 0 || dv < 0 {
-			continue
-		}
-		if du-dv == 1 || dv-du == 1 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // BFSCriticalResult reports the critical-edge retention of a compressed
 // graph for one root.
 type BFSCriticalResult struct {
@@ -42,12 +21,12 @@ func (r *BFSCriticalResult) Retention() float64 {
 	return float64(r.CompressedCritical) / float64(r.OriginalCritical)
 }
 
-// CriticalEdgeCountOn counts the critical edges of a BFS traversal over any
-// canonical-edge view without materializing the edge set — the |Ecr| that
-// retention normalizes by. It agrees with len(CriticalEdges) on the raw CSR
-// of the same graph: the edge set and the distance vector (unique shortest
-// hop counts) are representation-independent.
-func CriticalEdgeCountOn(a graph.AdjacencyEdges, dist []int32) int {
+// CriticalEdgeCount counts the critical edges of a BFS traversal per the
+// paper's Figure 4 taxonomy: tree edges plus potential edges — every edge
+// connecting consecutive BFS levels, i.e. any edge that could appear in some
+// BFS tree from the same root. Edges with an unreachable endpoint are never
+// critical. This is the |Ecr| that retention normalizes by.
+func CriticalEdgeCount(a graph.AdjacencyEdges, dist []int32) int {
 	count := 0
 	a.ForEdges(func(_ graph.EdgeID, u, v graph.NodeID, _ float64) {
 		du, dv := dist[u], dist[v]
@@ -62,42 +41,30 @@ func CriticalEdgeCountOn(a graph.AdjacencyEdges, dist []int32) int {
 }
 
 // BFSCritical runs BFS from root on both graphs (which must share a vertex
-// set) and compares critical-edge counts.
-func BFSCritical(orig, compressed *graph.Graph, root graph.NodeID, workers int) *BFSCriticalResult {
-	return BFSCriticalOn(orig, compressed, root, workers)
-}
-
-// BFSCriticalOn is BFSCritical over any pair of canonical-edge views,
-// traversing both in place via traverse.BFSOn.
-func BFSCriticalOn(orig, compressed graph.AdjacencyEdges, root graph.NodeID, workers int) *BFSCriticalResult {
+// set), traversing each in place, and compares critical-edge counts.
+func BFSCritical(orig, compressed graph.AdjacencyEdges, root graph.NodeID, workers int) *BFSCriticalResult {
 	if orig.N() != compressed.N() {
 		panic("metrics: graphs must share a vertex set")
 	}
-	do := traverse.BFSOn(orig, root, workers)
-	dc := traverse.BFSOn(compressed, root, workers)
+	do := traverse.BFS(orig, root, workers)
+	dc := traverse.BFS(compressed, root, workers)
 	return &BFSCriticalResult{
 		Root:               root,
-		OriginalCritical:   CriticalEdgeCountOn(orig, do.Dist),
-		CompressedCritical: CriticalEdgeCountOn(compressed, dc.Dist),
+		OriginalCritical:   CriticalEdgeCount(orig, do.Dist),
+		CompressedCritical: CriticalEdgeCount(compressed, dc.Dist),
 	}
 }
 
 // BFSCriticalMulti averages retention over several roots, as the paper does
 // when reporting that accuracy "is maintained when different root vertices
 // are picked".
-func BFSCriticalMulti(orig, compressed *graph.Graph, roots []graph.NodeID, workers int) float64 {
-	return BFSCriticalMultiOn(orig, compressed, roots, workers)
-}
-
-// BFSCriticalMultiOn is BFSCriticalMulti over any pair of canonical-edge
-// views.
-func BFSCriticalMultiOn(orig, compressed graph.AdjacencyEdges, roots []graph.NodeID, workers int) float64 {
+func BFSCriticalMulti(orig, compressed graph.AdjacencyEdges, roots []graph.NodeID, workers int) float64 {
 	if len(roots) == 0 {
 		return 1
 	}
 	total := 0.0
 	for _, r := range roots {
-		total += BFSCriticalOn(orig, compressed, r, workers).Retention()
+		total += BFSCritical(orig, compressed, r, workers).Retention()
 	}
 	return total / float64(len(roots))
 }

@@ -7,26 +7,10 @@ import (
 )
 
 // DegreeDistribution returns fraction[d] = share of vertices with
-// (out-)degree d — the quantity plotted in Figures 7 and 8.
-func DegreeDistribution(g *graph.Graph) []float64 {
-	h := g.DegreeHistogram()
-	out := make([]float64, len(h))
-	n := float64(g.N())
-	if n == 0 {
-		return out
-	}
-	for d, c := range h {
-		out[d] = float64(c) / n
-	}
-	return out
-}
-
-// DegreeDistributionOn is DegreeDistribution over any adjacency view, with
-// identical output for the same graph: degrees agree by contract, and the
-// histogram shape (max degree + 1 bins, one for degree 0) matches
-// graph.DegreeHistogram. One pass — the histogram grows as larger degrees
-// appear — so packed graphs pay one varint decode per vertex.
-func DegreeDistributionOn(a graph.Adjacency) []float64 {
+// (out-)degree d — the quantity plotted in Figures 7 and 8 — with max
+// degree + 1 bins (one for degree 0). One pass, the histogram growing as
+// larger degrees appear, so a packed graph pays one varint decode per vertex.
+func DegreeDistribution(a graph.Adjacency) []float64 {
 	n := a.N()
 	h := make([]int64, 1)
 	for v := 0; v < n; v++ {
@@ -45,6 +29,9 @@ func DegreeDistributionOn(a graph.Adjacency) []float64 {
 	}
 	return out
 }
+
+// DegreeDistributionOn forwards to DegreeDistribution for benchmark/ (frozen); the next benchmark PR deletes it.
+func DegreeDistributionOn(a graph.Adjacency) []float64 { return DegreeDistribution(a) }
 
 // PowerLawSlope fits log(fraction) = a + slope*log(degree) by least squares
 // over degrees >= 1 with nonzero mass, returning the slope and the fit's

@@ -148,9 +148,8 @@ func TestReorderedNeighborPairs(t *testing.T) {
 func TestCriticalEdgesPath(t *testing.T) {
 	g := gen.Path(5)
 	dist := []int32{0, 1, 2, 3, 4}
-	ce := CriticalEdges(g, dist)
-	if len(ce) != 4 {
-		t.Fatalf("path critical edges %d, want 4", len(ce))
+	if ce := CriticalEdgeCount(g, dist); ce != 4 {
+		t.Fatalf("path critical edges %d, want 4", ce)
 	}
 }
 
@@ -159,15 +158,13 @@ func TestCriticalEdgesSkipLevelEdges(t *testing.T) {
 	// level-1 vertices -> not critical.
 	g := gen.Cycle(4)
 	dist := []int32{0, 1, 2, 1}
-	ce := CriticalEdges(g, dist)
-	if len(ce) != 4 {
-		t.Fatalf("C4 critical edges %d, want 4", len(ce))
+	if ce := CriticalEdgeCount(g, dist); ce != 4 {
+		t.Fatalf("C4 critical edges %d, want 4", ce)
 	}
 	h := graph.FromEdges(3, false, []graph.Edge{graph.E(0, 1), graph.E(0, 2), graph.E(1, 2)})
 	// From root 0: dists 0,1,1; edge (1,2) same level -> not critical.
-	ce = CriticalEdges(h, []int32{0, 1, 1})
-	if len(ce) != 2 {
-		t.Fatalf("triangle critical edges %d, want 2", len(ce))
+	if ce := CriticalEdgeCount(h, []int32{0, 1, 1}); ce != 2 {
+		t.Fatalf("triangle critical edges %d, want 2", ce)
 	}
 }
 

@@ -48,18 +48,12 @@ type Quality struct {
 // are defined over a shared ID space); callers must not pass a
 // vertex-renumbering variant (triangle collapse, summarize). workers <= 0
 // means all CPUs.
-func CompareGraphs(orig, comp *graph.Graph, workers int) (*Quality, error) {
-	return CompareGraphsOn(orig, comp, workers)
-}
-
-// CompareGraphsOn is CompareGraphs over any pair of canonical-edge views —
-// raw CSR, packed graph, or a mix — with bit-identical Quality for the same
-// logical graphs: every sub-metric (PageRank numerics, component counts,
-// triangle counts, BFS critical-edge counts, degree distributions, Kruskal's
-// float summation order) is representation-independent by the contracts of
-// its On-variant. This is what lets the server compare a packed original
-// against a compressed variant without materializing either.
-func CompareGraphsOn(orig, comp graph.AdjacencyEdges, workers int) (*Quality, error) {
+//
+// Either side may be raw or packed: every sub-metric's kernel is
+// representation-independent down to float summation order, so the Quality
+// is bit-identical for the same logical graphs — which is what lets the
+// server compare a packed original against a variant without unpacking it.
+func CompareGraphs(orig, comp graph.AdjacencyEdges, workers int) (*Quality, error) {
 	if orig.N() != comp.N() {
 		return nil, fmt.Errorf("metrics: compare needs a shared vertex set (orig n=%d, compressed n=%d)",
 			orig.N(), comp.N())
@@ -75,23 +69,28 @@ func CompareGraphsOn(orig, comp graph.AdjacencyEdges, workers int) (*Quality, er
 	if orig.M() > 0 {
 		q.EdgeReduction = 1 - float64(comp.M())/float64(orig.M())
 	}
-	prO := centrality.PageRankOn(orig, centrality.PageRankOptions{Workers: workers})
-	prC := centrality.PageRankOn(comp, centrality.PageRankOptions{Workers: workers})
+	prO := centrality.PageRank(orig, centrality.PageRankOptions{Workers: workers})
+	prC := centrality.PageRank(comp, centrality.PageRankOptions{Workers: workers})
 	q.KLPageRank = KLDivergence(prO, prC)
 	q.ReorderedPairs = ReorderedPairs(prO, prC)
-	q.Components = components.CountOn(orig)
-	q.CompressedComponents = components.CountOn(comp)
+	q.Components = components.Count(orig)
+	q.CompressedComponents = components.Count(comp)
 	if !orig.Directed() {
 		// The triangle engine is defined over undirected graphs only.
-		q.Triangles = triangles.CountOn(orig, workers)
-		q.CompressedTriangles = triangles.CountOn(comp, workers)
+		q.Triangles = triangles.Count(orig, workers)
+		q.CompressedTriangles = triangles.Count(comp, workers)
 	}
 	roots := []graph.NodeID{0, graph.NodeID(orig.N() / 2)}
-	q.BFSRetention = BFSCriticalMultiOn(orig, comp, roots, workers)
-	q.DegreeDistance = DistributionDistance(DegreeDistributionOn(orig), DegreeDistributionOn(comp))
+	q.BFSRetention = BFSCriticalMulti(orig, comp, roots, workers)
+	q.DegreeDistance = DistributionDistance(DegreeDistribution(orig), DegreeDistribution(comp))
 	if orig.Weighted() && comp.Weighted() {
-		wO, wC := mst.KruskalOn(orig).Weight, mst.KruskalOn(comp).Weight
+		wO, wC := mst.Kruskal(orig).Weight, mst.Kruskal(comp).Weight
 		q.MSTWeight, q.CompressedMSTWeight = &wO, &wC
 	}
 	return q, nil
+}
+
+// CompareGraphsOn forwards to CompareGraphs for benchmark/ (frozen); the next benchmark PR deletes it.
+func CompareGraphsOn(orig, comp graph.AdjacencyEdges, workers int) (*Quality, error) {
+	return CompareGraphs(orig, comp, workers)
 }

@@ -21,48 +21,14 @@ type Result struct {
 }
 
 // Kruskal computes a minimum spanning forest by sorting edges by weight
-// (ties broken by EdgeID for determinism).
-func Kruskal(g *graph.Graph) *Result {
-	m := g.M()
-	order := make([]graph.EdgeID, m)
-	for e := range order {
-		order[e] = graph.EdgeID(e)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		wi, wj := g.EdgeWeight(order[i]), g.EdgeWeight(order[j])
-		if wi != wj {
-			return wi < wj
-		}
-		return order[i] < order[j]
-	})
-	uf := unionfind.New(g.N())
-	res := &Result{}
-	for _, e := range order {
-		u, v := g.EdgeEndpoints(e)
-		if uf.Union(u, v) {
-			res.Edges = append(res.Edges, e)
-			res.Weight += g.EdgeWeight(e)
-		}
-	}
-	res.Trees = uf.Sets()
-	return res
-}
-
-// KruskalOn is Kruskal over any canonical-edge view. Edge IDs, the (weight,
-// EdgeID) tie-break, and the union order all agree with the raw CSR, so the
-// forest — edges, weight sum, and tree count — is identical for every
-// representation of the same graph.
-func KruskalOn(a graph.AdjacencyEdges) *Result {
-	if g, ok := a.(*graph.Graph); ok {
-		return Kruskal(g)
-	}
+// (ties broken by EdgeID for determinism). It reads only the canonical edge
+// list, so the forest — edges, weight sum, and tree count — is identical for
+// every representation of the same graph.
+func Kruskal(a graph.AdjacencyEdges) *Result {
 	m := a.M()
-	eu := make([]graph.NodeID, m)
-	ev := make([]graph.NodeID, m)
+	eu, ev, _ := graph.EdgeColumnsOf(a, 1)
 	ew := make([]float64, m)
-	a.ForEdges(func(e graph.EdgeID, u, v graph.NodeID, w float64) {
-		eu[e], ev[e], ew[e] = u, v, w
-	})
+	a.ForEdges(func(e graph.EdgeID, _, _ graph.NodeID, w float64) { ew[e] = w })
 	order := make([]graph.EdgeID, m)
 	for e := range order {
 		order[e] = graph.EdgeID(e)

@@ -81,7 +81,6 @@ type entry struct {
 // must be called when the request is done (releasing a heap view is a
 // no-op).
 type view struct {
-	e   *entry
 	raw *graph.Graph
 	pg  *succinct.PackedGraph
 	rel func()
@@ -93,19 +92,11 @@ func (v *view) release() {
 	}
 }
 
-// adjacency returns the pinned neighborhood view: the raw CSR, or the
-// packed/mapped form traversed in place.
-func (v *view) adjacency() graph.Adjacency {
-	if v.raw != nil {
-		return v.raw
-	}
-	return v.pg
-}
-
-// adjacencyEdges returns the pinned canonical-edge view. Query handlers
-// consume this (never a transient unpack), which is what keeps packed and
-// mapped entries serving in place on every query path.
-func (v *view) adjacencyEdges() graph.AdjacencyEdges {
+// adjacency returns the pinned resident form: the raw CSR, or the
+// packed/mapped form read in place. Query handlers consume this (never a
+// transient unpack), which is what keeps packed and mapped entries serving
+// in place on every query path.
+func (v *view) adjacency() graph.AdjacencyEdges {
 	if v.raw != nil {
 		return v.raw
 	}
@@ -115,7 +106,7 @@ func (v *view) adjacencyEdges() graph.AdjacencyEdges {
 // materialize returns the entry as a raw *graph.Graph: the resident CSR
 // under ResidencyRaw, a transient unpack otherwise, which the caller must
 // not retain beyond the request. Only variant computation (variantOf) may
-// call this: every query handler runs on adjacencyEdges.
+// call this: every query handler runs on adjacency.
 func (v *view) materialize(workers int) *graph.Graph {
 	if v.raw != nil {
 		return v.raw
@@ -128,21 +119,20 @@ func (v *view) materialize(workers int) *graph.Graph {
 func (v *view) transient() bool { return v.raw == nil }
 
 // triangleEngine returns the entry's oriented triangle engine, building it
-// over this view's pinned form on first use (or after a spill reclaimed the
-// previous arena). The engine's structure is deterministic and identical
-// across tiers and worker counts, so the cached build is shared and only
-// the enumeration worker budget varies per request.
-func (v *view) triangleEngine(workers int) *triangles.Engine {
-	e := v.e
+// over a — the entry's resident form, pinned by the caller — on first use (or
+// after a spill reclaimed the previous arena). The engine's structure is
+// deterministic and identical across tiers and worker counts, so the cached
+// build is shared and only the enumeration worker budget varies per request.
+func (e *entry) triangleEngine(a graph.AdjacencyEdges, workers int) *triangles.Engine {
 	e.mu.Lock()
 	en := e.engine
 	e.mu.Unlock()
 	if en == nil {
 		// Build outside the entry lock: the arena can take a while on a big
-		// graph and the inputs are this view's pinned (immutable) form. Two
-		// racing builds produce identical structures; the first to publish
-		// wins and the loser's arena is garbage.
-		built := triangles.NewEngineOn(v.adjacencyEdges(), workers)
+		// graph and the input is pinned and immutable. Two racing builds
+		// produce identical structures; the first to publish wins and the
+		// loser's arena is garbage.
+		built := triangles.NewEngine(a, workers)
 		e.mu.Lock()
 		if e.engine == nil {
 			e.engine = built
@@ -166,15 +156,15 @@ func (e *entry) acquire() (*view, error) {
 	}
 	switch {
 	case e.raw != nil:
-		return &view{e: e, raw: e.raw}, nil
+		return &view{raw: e.raw}, nil
 	case e.packed != nil:
-		return &view{e: e, pg: e.packed}, nil
+		return &view{pg: e.packed}, nil
 	case e.mapped != nil:
 		rel, err := e.mapped.Acquire()
 		if err != nil {
 			return nil, err
 		}
-		return &view{e: e, pg: e.mapped.PackedGraph, rel: rel}, nil
+		return &view{pg: e.mapped.PackedGraph, rel: rel}, nil
 	case e.file != "":
 		m, err := succinct.OpenPacked(e.file)
 		if err != nil {
@@ -188,7 +178,7 @@ func (e *entry) acquire() (*view, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &view{e: e, pg: m.PackedGraph, rel: rel}, nil
+		return &view{pg: m.PackedGraph, rel: rel}, nil
 	}
 	return nil, fmt.Errorf("graph %q has no resident form", e.name)
 }

@@ -179,9 +179,9 @@ func (l *Local) Create(_ context.Context, name, memory, source string, g *graph.
 
 // Info implements Catalog.
 func (l *Local) Info(_ context.Context, name string) (*GraphInfo, error) {
-	e, ok := l.catalog.get(name)
-	if !ok {
-		return nil, Errf(http.StatusNotFound, "no graph %q", name)
+	e, err := l.lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	info := infoOf(e)
 	return &info, nil
@@ -330,30 +330,22 @@ func trimInputs(res *schemes.Result, g *graph.Graph) {
 	}
 }
 
-// variantTarget returns the cached (possibly freshly computed) variant's
-// output graph for a non-empty spec. Queries over the original never come
-// here: they run on the entry's resident adjacency — raw, packed, or
-// memory-mapped — in place, so no query path unpacks the original.
-func (l *Local) variantTarget(e *entry, spec string, seed uint64, workers int) (*graph.Graph, string, error) {
-	res, canonical, _, err := l.variantOf(e, spec, seed, workers)
+// Target resolves the graph a query runs on: the entry's resident form —
+// raw, packed, or memory-mapped, read in place, never unpacked — when p.Spec
+// is empty, otherwise the cached (possibly freshly computed) variant. The
+// canonical spec ("" for the original) rides along, as does a release the
+// caller must invoke when done: it pins a memory-mapped original against
+// concurrent unmap. Every query of this backend, and every partial
+// computation of a cluster shard over its vertex range, starts here.
+func (l *Local) Target(name string, p QueryParams) (graph.AdjacencyEdges, string, func(), error) {
+	e, err := l.lookup(name)
 	if err != nil {
-		return nil, "", err
+		return nil, "", nil, err
 	}
-	return res.Output, canonical, nil
+	return l.target(e, p)
 }
 
-// Target resolves the adjacency a query runs on without materializing a raw
-// CSR for packed originals: the resident adjacency when p.Spec is empty,
-// otherwise the cached variant. The canonical spec ("" for the original)
-// rides along, as does a release the caller must invoke when done with the
-// adjacency — it pins a memory-mapped original against concurrent unmap.
-// This is the entry point cluster shards use for partial computations over
-// their vertex range.
-func (l *Local) Target(name string, p QueryParams) (graph.Adjacency, string, func(), error) {
-	e, ok := l.catalog.get(name)
-	if !ok {
-		return nil, "", nil, Errf(http.StatusNotFound, "no graph %q", name)
-	}
+func (l *Local) target(e *entry, p QueryParams) (graph.AdjacencyEdges, string, func(), error) {
 	if p.Spec == "" {
 		v, err := l.acquireView(e)
 		if err != nil {
@@ -374,9 +366,9 @@ func (l *Local) Target(name string, p QueryParams) (graph.Adjacency, string, fun
 // keeps a variant the client was told failed. A spilled snapshot of the key
 // is deleted too: purge means gone, not "gone until the next fault-in".
 func (l *Local) PurgeVariant(name, spec string, seed uint64, workers int) (bool, error) {
-	e, ok := l.catalog.get(name)
-	if !ok {
-		return false, Errf(http.StatusNotFound, "no graph %q", name)
+	e, err := l.lookup(name)
+	if err != nil {
+		return false, err
 	}
 	sch, err := schemes.Parse(spec, schemes.WithSeed(seed), schemes.WithWorkers(workers))
 	if err != nil {
@@ -440,68 +432,30 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 
 // BFS implements QueryBackend.
 func (l *Local) BFS(_ context.Context, name string, root int32, p QueryParams) (*BFSResponse, error) {
-	e, err := l.lookup(name)
+	g, spec, release, err := l.Target(name, p)
 	if err != nil {
 		return nil, err
 	}
-	workers := l.clampWorkers(p.Workers)
-	var res *traverse.BFSResult
-	spec := ""
-	if p.Spec == "" {
-		// The original traverses through Adjacency, so a packed or mapped
-		// entry is walked in place without unpacking.
-		v, err := l.acquireView(e)
-		if err != nil {
-			return nil, err
-		}
-		defer v.release()
-		adj := v.adjacency()
-		if root < 0 || int(root) >= adj.N() {
-			return nil, Errf(http.StatusBadRequest, "root %d outside [0, %d)", root, adj.N())
-		}
-		res = traverse.BFSOn(adj, root, workers)
-	} else {
-		g, canonical, err := l.variantTarget(e, p.Spec, p.Seed, workers)
-		if err != nil {
-			return nil, err
-		}
-		if root < 0 || int(root) >= g.N() {
-			return nil, Errf(http.StatusBadRequest, "root %d outside [0, %d)", root, g.N())
-		}
-		spec = canonical
-		res = traverse.BFS(g, root, workers)
+	defer release()
+	if root < 0 || int(root) >= g.N() {
+		return nil, Errf(http.StatusBadRequest, "root %d outside [0, %d)", root, g.N())
 	}
+	res := traverse.BFS(g, root, l.clampWorkers(p.Workers))
 	return &BFSResponse{
-		Graph: e.name, Spec: spec, Root: root,
+		Graph: name, Spec: spec, Root: root,
 		Reached: res.Reached(), Ecc: res.Ecc(), Dist: res.Dist,
 	}, nil
 }
 
 // PageRank implements QueryBackend.
 func (l *Local) PageRank(_ context.Context, name string, k int, p QueryParams) (*PageRankResponse, error) {
-	e, err := l.lookup(name)
+	g, spec, release, err := l.Target(name, p)
 	if err != nil {
 		return nil, err
 	}
-	workers := l.clampWorkers(p.Workers)
-	var ranks []float64
-	spec := ""
-	if p.Spec == "" {
-		v, err := l.acquireView(e)
-		if err != nil {
-			return nil, err
-		}
-		defer v.release()
-		ranks = centrality.PageRankOn(v.adjacency(), centrality.PageRankOptions{Workers: workers})
-	} else {
-		g, canonical, err := l.variantTarget(e, p.Spec, p.Seed, workers)
-		if err != nil {
-			return nil, err
-		}
-		spec = canonical
-		ranks = centrality.PageRank(g, centrality.PageRankOptions{Workers: workers})
-	}
-	return &PageRankResponse{Graph: e.name, Spec: spec, K: k, Top: TopK(ranks, k)}, nil
+	defer release()
+	ranks := centrality.PageRank(g, centrality.PageRankOptions{Workers: l.clampWorkers(p.Workers)})
+	return &PageRankResponse{Graph: name, Spec: spec, K: k, Top: TopK(ranks, k)}, nil
 }
 
 // Triangles implements QueryBackend. mode and prob must already be
@@ -514,69 +468,41 @@ func (l *Local) Triangles(_ context.Context, name, mode string, prob float64, p 
 	if e.directed {
 		return nil, Errf(http.StatusUnprocessableEntity, "triangle counting is defined for undirected graphs")
 	}
-	workers := l.clampWorkers(p.Workers)
-	resp := &TrianglesResponse{Graph: e.name, Mode: mode}
-	if p.Spec == "" {
-		// The original counts on the resident form in place: exact counting
-		// reuses the entry's cached oriented engine, and DOULION samples by
-		// canonical edge ID, which all residency tiers share.
-		v, err := l.acquireView(e)
-		if err != nil {
-			return nil, err
-		}
-		defer v.release()
-		if mode == "exact" {
-			c := v.triangleEngine(workers).Count()
-			resp.Count = &c
-			// The arena build above may have pushed the catalog past its
-			// budget; settle up before answering.
-			l.catalog.enforceBudget()
-		} else {
-			est := triangles.CountApproxOn(v.adjacencyEdges(), prob, p.Seed, workers)
-			resp.Estimate = &est
-		}
-		return resp, nil
-	}
-	g, spec, err := l.variantTarget(e, p.Spec, p.Seed, workers)
+	g, spec, release, err := l.target(e, p)
 	if err != nil {
 		return nil, err
 	}
-	resp.Spec = spec
-	if mode == "exact" {
-		c := triangles.Count(g, workers)
-		resp.Count = &c
-	} else {
+	defer release()
+	workers := l.clampWorkers(p.Workers)
+	resp := &TrianglesResponse{Graph: name, Spec: spec, Mode: mode}
+	switch {
+	case mode != "exact":
 		est := triangles.CountApprox(g, prob, p.Seed, workers)
 		resp.Estimate = &est
+	case p.Spec == "":
+		// The original reuses the entry's cached oriented engine. Building
+		// its arena may push the catalog past its budget; settle up before
+		// answering.
+		c := e.triangleEngine(g, workers).Count()
+		resp.Count = &c
+		l.catalog.enforceBudget()
+	default:
+		c := triangles.Count(g, workers)
+		resp.Count = &c
 	}
 	return resp, nil
 }
 
 // Degrees implements QueryBackend.
 func (l *Local) Degrees(_ context.Context, name string, p QueryParams) (*DegreesResponse, error) {
-	e, err := l.lookup(name)
+	g, spec, release, err := l.Target(name, p)
 	if err != nil {
 		return nil, err
 	}
-	var dist []float64
-	spec := ""
-	if p.Spec == "" {
-		v, err := l.acquireView(e)
-		if err != nil {
-			return nil, err
-		}
-		defer v.release()
-		dist = metrics.DegreeDistributionOn(v.adjacency())
-	} else {
-		g, canonical, err := l.variantTarget(e, p.Spec, p.Seed, l.clampWorkers(p.Workers))
-		if err != nil {
-			return nil, err
-		}
-		spec = canonical
-		dist = metrics.DegreeDistribution(g)
-	}
+	defer release()
+	dist := metrics.DegreeDistribution(g)
 	slope, r2 := metrics.PowerLawSlope(dist)
-	return &DegreesResponse{Graph: e.name, Spec: spec, Dist: dist, Slope: slope, R2: r2}, nil
+	return &DegreesResponse{Graph: name, Spec: spec, Dist: dist, Slope: slope, R2: r2}, nil
 }
 
 // Compare implements QueryBackend. p.Spec must be non-empty.
@@ -585,20 +511,19 @@ func (l *Local) Compare(_ context.Context, name string, p QueryParams) (*Compare
 	if err != nil {
 		return nil, err
 	}
-	workers := l.clampWorkers(p.Workers)
-	res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, workers)
+	comp, canonical, _, err := l.target(e, p)
 	if err != nil {
 		return nil, err
 	}
-	// The original side runs on the resident view (packed or mapped in
+	// The original side runs on the resident form (packed or mapped in
 	// place); every Quality sub-metric is representation-independent, so the
 	// report is byte-identical to comparing against the raw CSR.
-	v, err := l.acquireView(e)
+	orig, _, release, err := l.target(e, QueryParams{})
 	if err != nil {
 		return nil, err
 	}
-	defer v.release()
-	q, err := metrics.CompareGraphsOn(v.adjacencyEdges(), res.Output, workers)
+	defer release()
+	q, err := metrics.CompareGraphs(orig, comp, l.clampWorkers(p.Workers))
 	if err != nil {
 		return nil, Errf(http.StatusUnprocessableEntity, "%v", err)
 	}

@@ -11,13 +11,14 @@ import (
 // work delegated to the QueryBackend (Local in one process, the cluster
 // coordinator across shards).
 
+// params parses the query parameters every analytics endpoint shares.
 func (s *Server) params(r *http.Request) (QueryParams, error) {
 	q := r.URL.Query()
 	p := QueryParams{Spec: q.Get("spec")}
 	if v := q.Get("seed"); v != "" {
 		seed, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			return p, err
+			return p, Errf(http.StatusBadRequest, "%v", err)
 		}
 		p.Seed = seed
 	}
@@ -29,115 +30,72 @@ func (s *Server) params(r *http.Request) (QueryParams, error) {
 	return p, nil
 }
 
-// lookup resolves the request's {name} against the catalog so handlers
-// preserve the 404-before-body-parse error order of the single-node server.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*GraphInfo, bool) {
-	info, err := s.cat.Info(r.Context(), r.PathValue("name"))
-	if err != nil {
-		writeBackendErr(w, err)
-		return nil, false
+// query is the one shape every query endpoint has: take an admission slot,
+// resolve {name} (so an unknown graph is a 404 before anything is parsed),
+// parse the shared parameters, and hand both to call, which validates the
+// endpoint's own cheap parameters before it runs the backend — so a bad
+// request never costs (or caches) a scheme execution. Errors carry their
+// status as an *Error.
+func (s *Server) query(call func(r *http.Request, info *GraphInfo, p QueryParams) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		release, ok := s.admit(w, r)
+		if !ok {
+			return
+		}
+		defer release()
+		info, err := s.cat.Info(r.Context(), r.PathValue("name"))
+		var p QueryParams
+		if err == nil && r.Method == http.MethodGet { // compress carries its parameters in the body
+			p, err = s.params(r)
+		}
+		var resp any
+		if err == nil {
+			resp, err = call(r, info, p)
+		}
+		if err != nil {
+			writeBackendErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	return info, true
 }
 
-func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if _, ok := s.lookup(w, r); !ok {
-		return
-	}
+func (s *Server) compress(r *http.Request, info *GraphInfo, _ QueryParams) (any, error) {
 	var req CompressRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad JSON body: %v", err)
-		return
+		return nil, Errf(http.StatusBadRequest, "bad JSON body: %v", err)
 	}
 	if req.Spec == "" {
-		writeErr(w, http.StatusBadRequest, "missing \"spec\"")
-		return
+		return nil, Errf(http.StatusBadRequest, "missing \"spec\"")
 	}
 	p := QueryParams{Seed: req.Seed, Workers: s.clampWorkers(req.Workers)}
-	resp, err := s.backend.Compress(r.Context(), r.PathValue("name"), req.Spec, p)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.backend.Compress(r.Context(), info.Name, req.Spec, p)
 }
 
-func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if _, ok := s.lookup(w, r); !ok {
-		return
-	}
-	p, err := s.params(r)
+func (s *Server) bfs(r *http.Request, info *GraphInfo, p QueryParams) (any, error) {
+	root, err := intParam(r.URL.Query(), "root", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	rootInt, err := intParam(r.URL.Query(), "root", 0)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+	// Checked before narrowing to a vertex ID, which would wrap a root past
+	// 2^31 into range. No scheme adds vertices, so a root the original lacks
+	// is out of range for every variant; one only a vertex-shrinking variant
+	// lacks is the backend's to reject.
+	if root < 0 || root >= info.N {
+		return nil, Errf(http.StatusBadRequest, "root %d outside [0, %d)", root, info.N)
 	}
-	resp, err := s.backend.BFS(r.Context(), r.PathValue("name"), int32(rootInt), p)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.backend.BFS(r.Context(), info.Name, int32(root), p)
 }
 
-func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if _, ok := s.lookup(w, r); !ok {
-		return
-	}
-	p, err := s.params(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+func (s *Server) pageRank(r *http.Request, info *GraphInfo, p QueryParams) (any, error) {
 	k, err := intParam(r.URL.Query(), "k", 10)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	resp, err := s.backend.PageRank(r.Context(), r.PathValue("name"), k, p)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.backend.PageRank(r.Context(), info.Name, k, p)
 }
 
-func (s *Server) handleTriangles(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	info, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	p, err := s.params(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Validate every cheap parameter before dispatching: a bad mode must
-	// not cost (and cache) a full scheme execution first.
+func (s *Server) triangles(r *http.Request, info *GraphInfo, p QueryParams) (any, error) {
 	q := r.URL.Query()
 	mode := q.Get("mode")
 	if mode == "" {
@@ -150,73 +108,28 @@ func (s *Server) handleTriangles(w http.ResponseWriter, r *http.Request) {
 		if v := q.Get("p"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil || f <= 0 || f > 1 {
-				writeErr(w, http.StatusBadRequest, "parameter p must be in (0, 1], got %q", v)
-				return
+				return nil, Errf(http.StatusBadRequest, "parameter p must be in (0, 1], got %q", v)
 			}
 			prob = f
 		}
 	default:
-		writeErr(w, http.StatusBadRequest, "unknown mode %q (exact or approx)", mode)
-		return
+		return nil, Errf(http.StatusBadRequest, "unknown mode %q (exact or approx)", mode)
 	}
 	if info.Directed {
-		writeErr(w, http.StatusUnprocessableEntity, "triangle counting is defined for undirected graphs")
-		return
+		return nil, Errf(http.StatusUnprocessableEntity, "triangle counting is defined for undirected graphs")
 	}
-	resp, err := s.backend.Triangles(r.Context(), r.PathValue("name"), mode, prob, p)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.backend.Triangles(r.Context(), info.Name, mode, prob, p)
 }
 
-func (s *Server) handleDegrees(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if _, ok := s.lookup(w, r); !ok {
-		return
-	}
-	p, err := s.params(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	resp, err := s.backend.Degrees(r.Context(), r.PathValue("name"), p)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+func (s *Server) degrees(r *http.Request, info *GraphInfo, p QueryParams) (any, error) {
+	return s.backend.Degrees(r.Context(), info.Name, p)
 }
 
-// handleCompare computes the §5 quality metrics of a cached (or freshly
-// computed) variant against its original.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	if _, ok := s.lookup(w, r); !ok {
-		return
-	}
-	p, err := s.params(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+// compare serves the §5 quality metrics of a cached (or freshly computed)
+// variant against its original.
+func (s *Server) compare(r *http.Request, info *GraphInfo, p QueryParams) (any, error) {
 	if p.Spec == "" {
-		writeErr(w, http.StatusBadRequest, "compare needs a spec parameter")
-		return
+		return nil, Errf(http.StatusBadRequest, "compare needs a spec parameter")
 	}
-	resp, err := s.backend.Compare(r.Context(), r.PathValue("name"), p)
-	if err != nil {
-		writeBackendErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.backend.Compare(r.Context(), info.Name, p)
 }

@@ -295,12 +295,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/graphs", s.handleCreateGraph)
 	s.mux.HandleFunc("GET /v1/graphs/{name}", s.handleGetGraph)
 	s.mux.HandleFunc("DELETE /v1/graphs/{name}", s.handleDeleteGraph)
-	s.mux.HandleFunc("POST /v1/graphs/{name}/compress", s.handleCompress)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/bfs", s.handleBFS)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/pagerank", s.handlePageRank)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/triangles", s.handleTriangles)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/degrees", s.handleDegrees)
-	s.mux.HandleFunc("GET /v1/graphs/{name}/compare", s.handleCompare)
+	s.mux.HandleFunc("POST /v1/graphs/{name}/compress", s.query(s.compress))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/bfs", s.query(s.bfs))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/pagerank", s.query(s.pageRank))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/triangles", s.query(s.triangles))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/degrees", s.query(s.degrees))
+	s.mux.HandleFunc("GET /v1/graphs/{name}/compare", s.query(s.compare))
 }
 
 // admit claims one of the MaxConcurrent heavy-request slots, waiting at
@@ -449,7 +449,14 @@ func (s *Server) createGenerated(w http.ResponseWriter, r *http.Request) {
 func (s *Server) createUploaded(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
-	directed := q.Get("directed") == "true"
+	directed := false
+	if v := q.Get("directed"); v != "" {
+		var err error
+		if directed, err = strconv.ParseBool(v); err != nil {
+			writeErr(w, http.StatusBadRequest, "parameter directed: want a boolean, got %q", v)
+			return
+		}
+	}
 	g, err := graphio.ReadAuto(r.Body, directed)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "parsing uploaded graph: %v", err)
@@ -511,7 +518,7 @@ func intParam(q url.Values, name string, def int) (int, error) {
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("parameter %s: want an integer, got %q", name, v)
+		return 0, Errf(http.StatusBadRequest, "parameter %s: want an integer, got %q", name, v)
 	}
 	return n, nil
 }

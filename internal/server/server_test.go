@@ -437,6 +437,12 @@ func TestErrorPaths(t *testing.T) {
 			[]byte(`{"spec":"uniform:p=0.5,workers=2"}`), http.StatusUnprocessableEntity},
 		{"bad root", "GET", "/v1/graphs/e/bfs?root=100000", "", nil, http.StatusBadRequest},
 		{"non-numeric root", "GET", "/v1/graphs/e/bfs?root=abc", "", nil, http.StatusBadRequest},
+		{"negative root", "GET", "/v1/graphs/e/bfs?root=-1", "", nil, http.StatusBadRequest},
+		{"root that wraps to 0 as int32", "GET", "/v1/graphs/e/bfs?root=4294967296", "", nil, http.StatusBadRequest},
+		{"root that wraps to 1 as int32", "GET", "/v1/graphs/e/bfs?root=4294967297", "", nil, http.StatusBadRequest},
+		{"wrapping root on a variant", "GET", "/v1/graphs/e/bfs?root=4294967296&spec=uniform:p=0.5", "", nil,
+			http.StatusBadRequest},
+		{"non-boolean directed", "POST", "/v1/graphs?name=y&directed=yes", "", []byte("0 1\n"), http.StatusBadRequest},
 		{"non-numeric k", "GET", "/v1/graphs/e/pagerank?k=abc", "", nil, http.StatusBadRequest},
 		{"non-numeric workers", "GET", "/v1/graphs/e/degrees?workers=abc", "", nil, http.StatusBadRequest},
 		{"bad mode before execution", "GET", "/v1/graphs/e/triangles?mode=zzz&spec=uniform:p=0.1&seed=77", "",
@@ -452,6 +458,23 @@ func TestErrorPaths(t *testing.T) {
 		code, body := do(t, tc.method, ts.URL+tc.path, tc.ct, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d (body %s)", tc.name, code, tc.want, body)
+		}
+	}
+
+	// A root past 2^31 gets the message any other out-of-range root gets.
+	_, small := do(t, "GET", ts.URL+"/v1/graphs/e/bfs?root=100000", "", nil)
+	_, big := do(t, "GET", ts.URL+"/v1/graphs/e/bfs?root=4294967296", "", nil)
+	if want := strings.Replace(string(small), "100000", "4294967296", 1); string(big) != want {
+		t.Errorf("root=4294967296: body %s, want %s", big, want)
+	}
+	// directed is a strict boolean, and still means what it says.
+	for v, want := range map[string]bool{"true": true, "1": true, "false": false, "": false} {
+		name := "dir-" + v
+		code, body := do(t, "POST", ts.URL+"/v1/graphs?name="+name+"&directed="+v, "", []byte("0 1\n"))
+		mustStatus(t, http.StatusCreated, code, body)
+		var info GraphInfo
+		if err := json.Unmarshal(body, &info); err != nil || info.Directed != want {
+			t.Errorf("directed=%q: created %s (err %v), want directed=%t", v, body, err, want)
 		}
 	}
 }

@@ -5,8 +5,7 @@ package succinct
 // Allocation pins for the hot accessor loops the serving layer runs per
 // query: ForNeighbors streams the payload through a caller callback,
 // ScanInLists decodes a range of lists into a caller buffer (warm after the
-// first pass), Iter/Next stream through a value-type cursor, and Degree /
-// EdgeWeight are direct reads. None of them may allocate per call — a BFS
+// first pass), and Degree / EdgeWeight are direct reads. None of them may allocate per call — a BFS
 // over a packed graph touches every list once and per-call garbage would
 // dominate the traversal. Excluded under -race, whose instrumentation
 // inflates AllocsPerRun.
@@ -43,12 +42,6 @@ func TestHotAccessorsDoNotAllocate(t *testing.T) {
 		check("ScanInLists", func() {
 			u := step()
 			buf = pg.ScanInLists(u, min(u+70, graph.NodeID(pg.N())), buf, scan)
-		})
-		check("Iter", func() {
-			it := pg.Iter(step())
-			for w, ok := it.Next(); ok; w, ok = it.Next() {
-				sink += w
-			}
 		})
 		check("Degree/InDegree/EdgeWeight", func() {
 			u := step()

@@ -133,7 +133,7 @@ func TestKernelsOnRelabeledPackMatchRaw(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					pg := Pack(g, workers, WithOrder(o), WithBlockVertices(block))
 					perm := pg.Perm()
-					bfs := traverse.BFSOn(pg, pg.PackedID(root), 1)
+					bfs := traverse.BFS(pg, pg.PackedID(root), 1)
 					for v := 0; v < g.N(); v++ {
 						if bfs.Dist[perm[v]] != rawBFS.Dist[v] {
 							t.Fatalf("%v order %s: BFS dist of %d: packed %d raw %d",
@@ -141,15 +141,15 @@ func TestKernelsOnRelabeledPackMatchRaw(t *testing.T) {
 						}
 					}
 					if !c.directed {
-						if tri := triangles.CountOn(pg, workers); tri != rawTri {
+						if tri := triangles.Count(pg, workers); tri != rawTri {
 							t.Fatalf("%v order %s block %d workers %d: triangles %d, raw %d",
 								c, o, block, workers, tri, rawTri)
 						}
 					}
-					if deg := metrics.DegreeDistributionOn(pg); !reflect.DeepEqual(deg, rawDeg) {
+					if deg := metrics.DegreeDistribution(pg); !reflect.DeepEqual(deg, rawDeg) {
 						t.Fatalf("%v order %s: degree distribution differs under relabel", c, o)
 					}
-					pr := centrality.PageRankOn(pg, centrality.PageRankOptions{Workers: 1})
+					pr := centrality.PageRank(pg, centrality.PageRankOptions{Workers: 1})
 					for v := 0; v < g.N(); v++ {
 						if d := math.Abs(pr[perm[v]] - rawPR[v]); d > 1e-10 {
 							t.Fatalf("%v order %s: PageRank of %d drifts by %g", c, o, v, d)

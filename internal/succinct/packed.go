@@ -54,7 +54,7 @@ type PackedGraph struct {
 }
 
 // PackedGraph implements graph.Adjacency and graph.AdjacencyEdges, so both
-// per-vertex traversals (BFSOn, PageRankOn) and whole-graph kernels
+// per-vertex traversals (BFS, PageRank) and whole-graph kernels
 // (triangle counting, quality metrics) run on it in place.
 var (
 	_ graph.Adjacency      = (*PackedGraph)(nil)
@@ -410,41 +410,6 @@ func (pg *PackedGraph) ScanInLists(lo, hi graph.NodeID, buf []graph.NodeID, fn f
 func (pg *PackedGraph) Neighbors(dst []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	dst, _ = DecodeList(dst, pg.payload, pg.start(v), v)
 	return dst
-}
-
-// NeighborIter streams one adjacency list without allocation or callbacks.
-// The zero value is an exhausted iterator.
-type NeighborIter struct {
-	buf     []byte
-	pos     int
-	left    uint64
-	cur     int64
-	started bool
-}
-
-// Iter returns a streaming iterator over v's out-neighbors.
-func (pg *PackedGraph) Iter(v graph.NodeID) NeighborIter {
-	pos := pg.start(v)
-	d, p := Uvarint(pg.payload, pos)
-	return NeighborIter{buf: pg.payload, pos: p, left: d, cur: int64(v)}
-}
-
-// Next returns the next neighbor, or ok == false when the list is
-// exhausted.
-func (it *NeighborIter) Next() (w graph.NodeID, ok bool) {
-	if it.left == 0 {
-		return 0, false
-	}
-	it.left--
-	raw, p := Uvarint(it.buf, it.pos)
-	it.pos = p
-	if !it.started {
-		it.started = true
-		it.cur += UnZigZag(raw)
-	} else {
-		it.cur += int64(raw) + 1
-	}
-	return graph.NodeID(it.cur), true
 }
 
 // EdgeWeight returns the weight of canonical edge e (1 when unweighted).

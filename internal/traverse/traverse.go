@@ -49,12 +49,13 @@ func (r *BFSResult) Ecc() int32 {
 	return max
 }
 
-// BFS runs a level-synchronous parallel breadth-first search from root.
-// Vertices are claimed with CAS on the parent array, so with workers > 1
-// parent choices among same-level candidates are nondeterministic (levels
-// are always exact). workers <= 0 uses all CPUs; workers == 1 is fully
-// deterministic.
-func BFS(g *graph.Graph, root graph.NodeID, workers int) *BFSResult {
+// BFS runs a level-synchronous parallel breadth-first search from root over
+// any graph.Adjacency, so a PackedGraph is traversed in place, its lists
+// decoded on the fly. Vertices are claimed with CAS on the parent array, so
+// with workers > 1 parent choices among same-level candidates are
+// nondeterministic (levels are always exact). workers <= 0 uses all CPUs;
+// workers == 1 is fully deterministic.
+func BFS(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
 	n := g.N()
 	parent := make([]graph.NodeID, n)
 	dist := make([]int32, n)
@@ -66,63 +67,10 @@ func BFS(g *graph.Graph, root graph.NodeID, workers int) *BFSResult {
 	dist[root] = 0
 	frontier := []graph.NodeID{root}
 	level := int32(0)
-	// One scratch allocation (and one body closure) per traversal, not per
-	// level: the per-worker next-frontier slices keep their capacity across
-	// levels — a level uses the first nw of them, truncated to length 0 —
-	// and the hoisted body reads frontier/level through the closure.
-	scratch := make([][]graph.NodeID, parallel.Resolve(workers, n))
-	var nextPer [][]graph.NodeID
-	body := func(w, lo, hi int) {
-		local := nextPer[w]
-		for i := lo; i < hi; i++ {
-			u := frontier[i]
-			for _, v := range g.Neighbors(u) {
-				if atomic.CompareAndSwapInt32(&parent[v], -1, u) {
-					dist[v] = level
-					local = append(local, v)
-				}
-			}
-		}
-		nextPer[w] = local
-	}
-	for len(frontier) > 0 {
-		level++
-		nw := parallel.Resolve(workers, len(frontier))
-		nextPer = scratch[:nw]
-		for w := range nextPer {
-			nextPer[w] = nextPer[w][:0]
-		}
-		parallel.ForWorker(len(frontier), nw, body)
-		frontier = frontier[:0]
-		for _, part := range nextPer {
-			frontier = append(frontier, part...)
-		}
-	}
-	return &BFSResult{Parent: parent, Dist: dist}
-}
-
-// BFSOn is BFS over any graph.Adjacency — the raw CSR or a succinct
-// PackedGraph whose lists are decoded on the fly — so compressed storage is
-// traversed in place, never inflated. Semantics match BFS exactly: levels
-// are always exact; with workers > 1 parent choices among same-level
-// candidates are nondeterministic.
-func BFSOn(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
-	n := g.N()
-	parent := make([]graph.NodeID, n)
-	dist := make([]int32, n)
-	for i := range parent {
-		parent[i] = -1
-		dist[i] = -1
-	}
-	parent[root] = root
-	dist[root] = 0
-	frontier := []graph.NodeID{root}
-	level := int32(0)
-	// As in BFS, all per-level state is hoisted so a traversal allocates
-	// its scratch once: per-worker visit closures (created up front, each
-	// owning a state cell rebound per vertex so ForNeighbors stays
-	// allocation-free) and per-worker next-frontier slices whose capacity
-	// survives across levels.
+	// All per-level state is hoisted so a traversal allocates its scratch
+	// once: per-worker visit closures (created up front, each owning a state
+	// cell rebound per vertex so ForNeighbors stays allocation-free) and
+	// per-worker next-frontier slices whose capacity survives across levels.
 	maxW := parallel.Resolve(workers, n)
 	states := make([]struct {
 		u     graph.NodeID
@@ -160,6 +108,11 @@ func BFSOn(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
 		}
 	}
 	return &BFSResult{Parent: parent, Dist: dist}
+}
+
+// BFSOn forwards to BFS for benchmark/ (frozen); the next benchmark PR deletes it.
+func BFSOn(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
+	return BFS(g, root, workers)
 }
 
 // Inf is the distance assigned to unreachable vertices by SSSP routines.

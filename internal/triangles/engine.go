@@ -52,20 +52,14 @@ type Engine struct {
 	ownsCols bool
 }
 
-// NewEngine builds the enumeration substrate for a raw CSR graph. workers
-// <= 0 uses all CPUs; the same value drives every subsequent enumeration on
-// the engine. Directed graphs are not supported: callers must symmetrize
-// first.
-func NewEngine(g *graph.Graph, workers int) *Engine {
-	return NewEngineOn(g, workers)
-}
-
-// NewEngineOn builds the enumeration substrate for any canonical-edge view —
+// NewEngine builds the enumeration substrate for any canonical-edge view —
 // *graph.Graph or succinct.PackedGraph alike, which is how the server counts
 // triangles on packed graphs without materializing a raw CSR. For a fixed
 // logical graph the built structure and every result are bit-identical
-// across representations and worker counts.
-func NewEngineOn(a graph.AdjacencyEdges, workers int) *Engine {
+// across representations and worker counts. workers <= 0 uses all CPUs; the
+// same value drives every subsequent enumeration on the engine. Directed
+// graphs are not supported: callers must symmetrize first.
+func NewEngine(a graph.AdjacencyEdges, workers int) *Engine {
 	if a.Directed() {
 		panic("triangles: directed graphs are not supported; symmetrize first")
 	}
@@ -77,7 +71,7 @@ func NewEngineOn(a graph.AdjacencyEdges, workers int) *Engine {
 		en.key[v] = uint64(a.Degree(graph.NodeID(v)))<<32 | uint64(uint32(v))
 	})
 
-	en.eu, en.ev, en.ownsCols = edgeColumns(a, workers)
+	en.eu, en.ev, en.ownsCols = graph.EdgeColumnsOf(a, workers)
 
 	// Edge-centric forward fill: stably scatter every canonical edge to its
 	// lower-rank endpoint. Edges arrive in canonical (u, v) order, so the
@@ -115,30 +109,8 @@ func NewEngineOn(a graph.AdjacencyEdges, workers int) *Engine {
 	return en
 }
 
-// edgeColumns fetches the canonical edge columns of a: zero-copy views when
-// the representation exposes them (raw CSR), a block-parallel bulk decode
-// when it supports one (packed), and a serial ForEdges sweep otherwise.
-func edgeColumns(a graph.AdjacencyEdges, workers int) (eu, ev []graph.NodeID, owned bool) {
-	if t, ok := a.(interface {
-		EdgeColumns() (eu, ev []graph.NodeID)
-	}); ok {
-		eu, ev = t.EdgeColumns()
-		return eu, ev, false
-	}
-	m := a.M()
-	eu = make([]graph.NodeID, m)
-	ev = make([]graph.NodeID, m)
-	if t, ok := a.(interface {
-		FillEdgeColumns(eu, ev []graph.NodeID, workers int)
-	}); ok {
-		t.FillEdgeColumns(eu, ev, workers)
-		return eu, ev, true
-	}
-	a.ForEdges(func(e graph.EdgeID, u, v graph.NodeID, _ float64) {
-		eu[e], ev[e] = u, v
-	})
-	return eu, ev, true
-}
+// NewEngineOn forwards to NewEngine for benchmark/ (frozen); the next benchmark PR deletes it.
+func NewEngineOn(a graph.AdjacencyEdges, workers int) *Engine { return NewEngine(a, workers) }
 
 // SizeBytes estimates the heap bytes the engine's arena holds: the rank
 // keys, the forward CSR (offsets, neighbor and edge-ID columns), the

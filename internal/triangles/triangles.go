@@ -57,15 +57,10 @@ func ForEach(g *graph.Graph, workers int, fn func(t Triangle)) {
 	NewEngine(g, workers).ForEach(fn)
 }
 
-// Count returns the number of triangles in g.
-func Count(g *graph.Graph, workers int) int64 {
-	return NewEngine(g, workers).Count()
-}
-
-// CountOn is Count over any canonical-edge view — raw CSR or packed graph —
-// with a bit-identical result for the same logical graph.
-func CountOn(a graph.AdjacencyEdges, workers int) int64 {
-	return NewEngineOn(a, workers).Count()
+// Count returns the number of triangles in a — raw CSR or packed graph, with
+// a bit-identical result for the same logical graph.
+func Count(a graph.AdjacencyEdges, workers int) int64 {
+	return NewEngine(a, workers).Count()
 }
 
 // PerVertex returns counts[v] = number of triangles containing vertex v.
@@ -93,38 +88,19 @@ func AveragePerVertex(g *graph.Graph, workers int) float64 {
 // CountApprox estimates the triangle count with DOULION (Tsourakakis et
 // al.): sample each edge with probability p, count triangles in the sample,
 // scale by p^-3. The paper cites this family as what makes TR affordable on
-// the largest graphs.
-func CountApprox(g *graph.Graph, p float64, seed uint64, workers int) float64 {
+// the largest graphs. The coin flip hashes the canonical edge ID and kept
+// edges stay in canonical order, so every representation estimates the same.
+func CountApprox(a graph.AdjacencyEdges, p float64, seed uint64, workers int) float64 {
 	if p <= 0 || p > 1 {
 		panic("triangles: sampling probability must be in (0, 1]")
 	}
-	sampled := g.FilterEdges(func(e graph.EdgeID) bool {
-		return sampleEdge(e, p, seed)
-	}, nil)
-	return float64(Count(sampled, workers)) / (p * p * p)
-}
-
-// sampleEdge is the DOULION coin flip: a uniform in [0, 1) hashed from the
-// canonical edge ID, so the sample — and everything downstream of it — is
-// identical for every representation of the same graph.
-func sampleEdge(e graph.EdgeID, p float64, seed uint64) bool {
-	u := float64(rng.Hash64(seed, uint64(e))>>11) / (1 << 53)
-	return u < p
-}
-
-// CountApproxOn is CountApprox over any canonical-edge view. The sample is
-// drawn from canonical edge IDs, which agree across representations, and the
-// kept edges stay in canonical order, so the estimate matches CountApprox on
-// the raw CSR of the same graph bit for bit.
-func CountApproxOn(a graph.AdjacencyEdges, p float64, seed uint64, workers int) float64 {
-	if g, ok := a.(*graph.Graph); ok {
-		return CountApprox(g, p, seed, workers)
+	if a.Directed() {
+		panic("triangles: directed graphs are not supported; symmetrize first")
 	}
-	if p <= 0 || p > 1 {
-		panic("triangles: sampling probability must be in (0, 1]")
+	eu, ev, _ := graph.EdgeColumnsOf(a, workers)
+	keep := func(e int) bool {
+		return float64(rng.Hash64(seed, uint64(e))>>11)/(1<<53) < p
 	}
-	eu, ev, _ := edgeColumns(a, workers)
-	keep := func(e int) bool { return sampleEdge(graph.EdgeID(e), p, seed) }
 	kept := make([]graph.Edge, parallel.Pack(a.M(), workers, keep, nil))
 	parallel.Pack(a.M(), workers, keep, func(e int, pos int64) {
 		kept[pos] = graph.Edge{U: eu[e], V: ev[e], W: 1}
@@ -134,6 +110,11 @@ func CountApproxOn(a graph.AdjacencyEdges, p float64, seed uint64, workers int) 
 		panic(fmt.Sprintf("triangles: edge view is not canonical: %v", err))
 	}
 	return float64(Count(sampled, workers)) / (p * p * p)
+}
+
+// CountApproxOn forwards to CountApprox for benchmark/ (frozen); the next benchmark PR deletes it.
+func CountApproxOn(a graph.AdjacencyEdges, p float64, seed uint64, workers int) float64 {
+	return CountApprox(a, p, seed, workers)
 }
 
 // List materializes all triangles in the deterministic reference order.
