@@ -8,7 +8,6 @@ import (
 	"slimgraph/internal/coloring"
 	"slimgraph/internal/components"
 	"slimgraph/internal/core"
-	"slimgraph/internal/distributed"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
@@ -716,24 +715,14 @@ const (
 // when the data directory cannot be opened or scanned.
 func NewServer(opts ServerOptions) (*Server, error) { return server.New(opts) }
 
-// Distributed compression (§7.3), simulated: see internal/distributed.
-
-// DistributedEngine runs registry schemes over degree-partitioned vertex
-// ranges with one goroutine per simulated rank; the output is identical for
-// any rank count because scheme decisions are keyed by global element IDs.
-type DistributedEngine = distributed.Engine
-
-// DistributedRun is the outcome of a distributed compression.
-type DistributedRun = distributed.Run
-
 // PartitionRange is one rank's contiguous vertex range.
-type PartitionRange = distributed.Range
+type PartitionRange = cluster.Range
 
 // PartitionByDegree splits a graph's vertices into parts contiguous ranges
 // balanced by degree+1 — the 1D partitioning the cluster's shards use to
 // agree on vertex ownership.
 func PartitionByDegree(g *Graph, parts int) []PartitionRange {
-	return distributed.PartitionByDegree(g, parts)
+	return cluster.PartitionByDegree(g, parts)
 }
 
 // Sharded serving: a coordinator + N shard cluster behind the same

@@ -1,5 +1,5 @@
-// Command graphgen writes synthetic graphs (the dataset analogs of
-// DESIGN.md §3) to edge-list or binary files.
+// Command graphgen writes synthetic graphs (the generators internal/gen
+// provides as analogs of the paper's datasets) to edge-list or binary files.
 //
 // Usage:
 //

@@ -1,7 +1,9 @@
 // Command slimbench regenerates the tables and figures of the paper's
 // evaluation section on synthetic dataset analogs. Every artifact prints as
 // an aligned text table with a "paper shape" note describing what the
-// original reported; EXPERIMENTS.md records the comparison.
+// original reported, so the comparison is on the page. It is the
+// paper-evaluation CLI and nothing else: performance is measured by
+// benchmark/ (bash benchmark/run.sh), the repository's one perf harness.
 //
 // Usage:
 //
@@ -11,15 +13,12 @@
 //	slimbench -guidelines          # just the §7.5 selection guide
 //	slimbench -compare "uniform:p=0.5;tr-eo:p=0.8|spanner:k=8"
 //	                               # arbitrary registry specs side by side
-//	slimbench -only triangles -cpuprofile cpu.out
-//	                               # profile a run for perf work
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"strings"
 
 	"slimgraph/internal/experiments"
@@ -45,10 +44,6 @@ var drivers = []struct {
 	{"timing", experiments.Timing, "§7.4: compression timing"},
 	{"lowrank", experiments.LowRank, "§7.4: low-rank baseline"},
 	{"cuts", experiments.CutPreservation, "§6.3: min-cut preservation (+ §4.6 cut sparsifier)"},
-	{"core", experiments.CoreBench, "Engine core: rebuild-free CSR construction vs sort-based reference"},
-	{"triangles", experiments.TriangleBench, "Triangle engine: oriented forward CSR vs pre-engine reference"},
-	{"storage", experiments.Storage, "§5 storage: packed (v2) snapshots + in-place packed-BFS slowdown"},
-	{"packed", experiments.PackedKernels, "Packed kernels: locality orderings × packed-vs-raw runtime (no Unpack)"},
 	{"abl-eo", experiments.AblationEO, "Ablation: Edge-Once semantics"},
 	{"abl-spanner", experiments.AblationSpanner, "Ablation: spanner inter-cluster rule"},
 	{"abl-upsilon", experiments.AblationUpsilon, "Ablation: spectral Υ sweep"},
@@ -65,24 +60,8 @@ func main() {
 		compare    = flag.String("compare", "",
 			"semicolon-separated registry specs (schemes or pipelines) to compare, e.g. "+
 				`"uniform:p=0.5;tr-eo:p=0.8|spanner:k=8"`)
-		cpuprofile = flag.String("cpuprofile", "",
-			"write a pprof CPU profile of the run to this file (go tool pprof <file>)")
 	)
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slimbench: -cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "slimbench: -cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
 
 	if *list {
 		for _, d := range drivers {

@@ -203,7 +203,7 @@
 //
 // All randomness is seed-deterministic and independent of the worker
 // count; a Result records the compressed graph, timing, vertex remapping,
-// and (for pipelines) the per-stage Results. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for the paper-vs-measured record of every
-// table and figure.
+// and (for pipelines) the per-stage Results. README.md "Layout" is the
+// system inventory; cmd/slimbench prints every table and figure of the
+// paper's evaluation with the shape the paper reported beside it.
 package slimgraph

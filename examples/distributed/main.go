@@ -1,6 +1,6 @@
-// Distributed compression of a graph too large for one "node": simulated
-// MPI-RMA-style rank-partitioned uniform sampling (§7.3, Figure 8), with
-// per-rank partition statistics and the degree-distribution check that the
+// Distributed-style compression (§7.3, Figure 8): uniform sampling with one
+// worker per rank, the degree-balanced vertex ranges the ranks (and the
+// cluster's shards) would own, and the degree-distribution check that the
 // power-law shape survives.
 package main
 
@@ -20,17 +20,24 @@ func main() {
 	fmt.Printf("  degree power law: slope %.2f (R^2 %.2f)\n\n", slope, r2)
 
 	for _, ranks := range []int{4, 16} {
-		engine := slimgraph.DistributedEngine{Ranks: ranks, Seed: 7}
-		run, err := engine.Compress(g, "uniform:p=0.6") // keep 60%
+		scheme, err := slimgraph.ParseScheme("uniform:p=0.6", // keep 60%
+			slimgraph.WithSeed(7), slimgraph.WithWorkers(ranks))
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(run)
-		for _, s := range run.PerRank {
-			fmt.Printf("  rank %2d: owns vertices [%7d, %7d), %8d arcs, %8d cut\n",
-				s.Rank, s.Vertices.Lo, s.Vertices.Hi, s.Arcs, s.CutArcs)
+		res, err := scheme.Apply(g)
+		if err != nil {
+			log.Fatal(err)
 		}
-		s, r := slimgraph.PowerLawSlope(slimgraph.DegreeDistribution(run.Output))
+		fmt.Printf("%d ranks: %v\n", ranks, res)
+		for rank, r := range slimgraph.PartitionByDegree(g, ranks) {
+			var arcs int64
+			for v := r.Lo; v < r.Hi; v++ {
+				arcs += int64(g.Degree(v))
+			}
+			fmt.Printf("  rank %2d: owns vertices [%7d, %7d), %8d arcs\n", rank, r.Lo, r.Hi, arcs)
+		}
+		s, r := slimgraph.PowerLawSlope(slimgraph.DegreeDistribution(res.Output))
 		fmt.Printf("  compressed power law: slope %.2f (R^2 %.2f)\n\n", s, r)
 	}
 	fmt.Println("The compressed graph is identical for any rank count: every")

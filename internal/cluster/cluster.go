@@ -6,7 +6,7 @@
 // The design is compute-partitioned, storage-replicated: every shard holds
 // the whole graph (raw or succinctly packed, the PR 3 representation
 // traversed in place), and work is split by the degree-aware contiguous
-// vertex ranges of distributed.PartitionByDegree, which every shard
+// vertex ranges of PartitionByDegree (partition.go), which every shard
 // recomputes locally from the degree sequence — ownership needs no
 // metadata exchange, and it stays correct even for compressed variants
 // whose vertex count differs from the original. Replicating storage is
@@ -48,6 +48,7 @@ import (
 
 	"slimgraph/internal/obs"
 	"slimgraph/internal/resilience"
+	"slimgraph/internal/server"
 )
 
 // Options configures a Coordinator.
@@ -148,7 +149,7 @@ func doRaw(ctx context.Context, client *http.Client, method, addr, path string, 
 	if err != nil {
 		return nil, err
 	}
-	data, err := readBody(resp.Body, resp.ContentLength)
+	data, err := server.ReadBody(resp.Body, resp.ContentLength)
 	// Drain whatever is left (bounded — a broken body won't block) and
 	// close on every path, success or error: an undrained body poisons the
 	// keep-alive connection, and under retry load a leaked connection per
@@ -162,15 +163,6 @@ func doRaw(ctx context.Context, client *http.Client, method, addr, path string, 
 		return nil, errBody(resp.StatusCode, data)
 	}
 	return data, nil
-}
-
-// readBody reads r to EOF into a buffer sized once from the declared body
-// length (a 128 KiB rank vector costs io.ReadAll a dozen regrow-and-copy
-// rounds), capped so a lying header reserves at most 1 MiB ahead of bytes.
-func readBody(r io.Reader, declared int64) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(declared, 1<<20))+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
 }
 
 // doJSON is doRaw for the JSON routes: a 2xx reply decodes into out (when

@@ -13,6 +13,7 @@ import (
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
+	"slimgraph/internal/oracle"
 	"slimgraph/internal/server"
 )
 
@@ -181,6 +182,30 @@ func TestClusterErrorsMatchSingleNode(t *testing.T) {
 		}
 		if gotCode != wantCode || !bytes.Equal(got, want) {
 			t.Errorf("%s:\n single (%d): %s\ncluster (%d): %s", u, wantCode, want, gotCode, got)
+		}
+	}
+	for name, upload := range oracle.HostileSnapshots() {
+		wantCode, want := do(t, "POST", sts.URL+"/v1/graphs?name=hostile", "", upload)
+		gotCode, got := do(t, "POST", cts.URL+"/v1/graphs?name=hostile", "", upload)
+		if wantCode != http.StatusBadRequest || !strings.Contains(string(want), "graphio: snapshot ") {
+			t.Errorf("hostile upload %s: single node status %d, body %s; want 400 from graphio's bounds", name, wantCode, want)
+		}
+		if gotCode != wantCode || !bytes.Equal(got, want) {
+			t.Errorf("hostile upload %s:\n single (%d): %s\ncluster (%d): %s", name, wantCode, want, gotCode, got)
+		}
+	}
+}
+
+// TestShardLoadRefusesHostileSnapshots drives the replication route
+// directly: a shard is as exposed to a lying snapshot header as the public
+// upload route is, and answers it the same way.
+func TestShardLoadRefusesHostileSnapshots(t *testing.T) {
+	ts := httptest.NewServer(mustShard(t, server.Options{}).Handler())
+	defer ts.Close()
+	for name, upload := range oracle.HostileSnapshots() {
+		code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=hostile&workers=1", "", upload)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "graphio: snapshot ") {
+			t.Errorf("%s: status %d, body %s; want 400 from graphio's bounds", name, code, body)
 		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"slimgraph/internal/distributed"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
 	"slimgraph/internal/metrics"
@@ -767,7 +766,7 @@ func (c *Coordinator) Degrees(ctx context.Context, name string, p server.QueryPa
 	if err != nil {
 		return nil, err
 	}
-	merged := distributed.MergeHistograms(partials)
+	merged := MergeHistograms(partials)
 	if len(merged) == 0 {
 		// n == 0: a single node still emits the MaxDegree()+1 == 1 bucket.
 		merged = make([]int64, 1)

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"slimgraph/internal/centrality"
-	"slimgraph/internal/distributed"
 	"slimgraph/internal/graph"
 )
 
@@ -18,7 +17,7 @@ import (
 // frontier vertices this range owns — one shard's share of a
 // level-synchronous BFS step. Neighbors are marked in an n-bit set and the
 // set bits read back in ascending order, so no candidate is ever sorted.
-func expandFrontier(g graph.Adjacency, r distributed.Range, frontier []int32) []int32 {
+func expandFrontier(g graph.Adjacency, r Range, frontier []int32) []int32 {
 	seen := make([]uint64, (g.N()+63)/64)
 	for _, u := range frontier {
 		if !r.Contains(u) {
@@ -45,7 +44,7 @@ func expandFrontier(g graph.Adjacency, r distributed.Range, frontier []int32) []
 // Concatenated in shard order these form the globally ascending dangling
 // list the coordinator sums rank mass over — the order matching the
 // single-node sequential reduction.
-func danglingIn(g graph.Adjacency, r distributed.Range) []int32 {
+func danglingIn(g graph.Adjacency, r Range) []int32 {
 	return centrality.Dangling(centrality.OutDegrees(g, 1), r.Lo, r.Hi)
 }
 
@@ -56,7 +55,7 @@ func danglingIn(g graph.Adjacency, r distributed.Range) []int32 {
 // sub-request, then summed), so the coordinator's next[v] = base +
 // dangling + damping*sums[i] reproduces the single-node floats bit for
 // bit.
-func pullSums(g graph.Adjacency, r distributed.Range, ranks []float64) []float64 {
+func pullSums(g graph.Adjacency, r Range, ranks []float64) []float64 {
 	contrib := make([]float64, len(ranks))
 	centrality.Contributions(contrib, ranks, centrality.OutDegrees(g, 1))
 	sums := make([]float64, r.Len())
@@ -74,7 +73,7 @@ func pullSums(g graph.Adjacency, r distributed.Range, ranks []float64) []float64
 // built once, in one ForNeighbors pass, into an offsets+targets pair that
 // dies with the sub-request. Assumes simple graphs, like the single-node
 // exact counter.
-func countForward(g graph.Adjacency, r distributed.Range) int64 {
+func countForward(g graph.Adjacency, r Range) int64 {
 	n := graph.NodeID(g.N())
 	offsets := make([]int, n-r.Lo+1)
 	var targets []graph.NodeID

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"slimgraph/internal/distributed"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/succinct"
@@ -16,7 +15,7 @@ import (
 // expandFrontierSorted is the sort-and-unique expandFrontier the n-bit set
 // replaced, kept as the reference the new one must match element for
 // element.
-func expandFrontierSorted(g graph.Adjacency, r distributed.Range, frontier []int32) []int32 {
+func expandFrontierSorted(g graph.Adjacency, r Range, frontier []int32) []int32 {
 	next := []int32{}
 	for _, u := range frontier {
 		if !r.Contains(u) {
@@ -42,7 +41,7 @@ func TestExpandFrontierMatchesSortReference(t *testing.T) {
 	} {
 		for form, adj := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
 			for _, of := range []int{1, 2, 3, 5} {
-				for part, r := range distributed.PartitionByDegree(adj, of) {
+				for part, r := range PartitionByDegree(adj, of) {
 					for _, size := range []int{0, 1, 7, 200, 3 * g.N()} {
 						frontier := make([]int32, size)
 						for i := range frontier {
@@ -75,7 +74,7 @@ func TestCountForwardMatchesTriangleCount(t *testing.T) {
 		for form, adj := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
 			for _, of := range []int{1, 2, 3, 5} {
 				var got int64
-				for _, r := range distributed.PartitionByDegree(adj, of) {
+				for _, r := range PartitionByDegree(adj, of) {
 					got += countForward(adj, r)
 				}
 				if got != want {

@@ -7,9 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
-	"slimgraph/internal/distributed"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/graphio"
 	"slimgraph/internal/server"
 )
 
@@ -76,7 +74,7 @@ func shardWriteErr(w http.ResponseWriter, err error) {
 // — name, memory policy, provenance — matches every other replica's.
 func (s *Shard) handleLoad(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	g, err := graphio.ReadAuto(r.Body, q.Get("directed") == "true")
+	g, err := server.ReadUpload(r, q.Get("directed") == "true")
 	if err != nil {
 		shardWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("parsing replicated graph: %v", err)})
 		return
@@ -121,7 +119,7 @@ func (s *Shard) handlePurge(w http.ResponseWriter, r *http.Request) {
 // shard's owned range, and the raw request body.
 type partTarget struct {
 	g    graph.Adjacency
-	r    distributed.Range
+	r    Range
 	body []byte
 }
 
@@ -160,10 +158,10 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 		if width > 0 {
 			limit = frameSize(width, adj.N())
 		}
-		body, err := readBody(http.MaxBytesReader(w, r.Body, int64(limit)), min(r.ContentLength, int64(limit)))
+		body, err := server.ReadBody(http.MaxBytesReader(w, r.Body, int64(limit)), min(r.ContentLength, int64(limit)))
 		var reply []byte
 		if err == nil {
-			reply, err = kernel(partTarget{g: adj, r: distributed.PartitionByDegree(adj, of)[shard], body: body})
+			reply, err = kernel(partTarget{g: adj, r: PartitionByDegree(adj, of)[shard], body: body})
 		}
 		if err != nil {
 			shardWriteErr(w, server.Errf(http.StatusBadRequest, "%v", err))
@@ -205,7 +203,7 @@ func partPRPull(t partTarget) ([]byte, error) {
 }
 
 func partDegrees(t partTarget) ([]byte, error) {
-	return appendFrame(nil, [3]int64{}, distributed.HistogramRange(t.g, t.r)), nil
+	return appendFrame(nil, [3]int64{}, HistogramRange(t.g, t.r)), nil
 }
 
 func partTriangles(t partTarget) ([]byte, error) {

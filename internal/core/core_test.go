@@ -7,6 +7,7 @@ import (
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
+	"slimgraph/internal/oracle"
 	"slimgraph/internal/rng"
 	"slimgraph/internal/triangles"
 )
@@ -272,12 +273,12 @@ func TestUniformDeletionConcentrationProperty(t *testing.T) {
 }
 
 // referenceRunTriangleKernel is the oracle for RunTriangleKernelOn: the
-// preserved pre-engine enumeration (triangles.ReferenceForEach) driving the
+// preserved pre-engine enumeration (oracle.ReferenceForEach) driving the
 // kernel straight-line — a fresh generator per triangle from rng.New, no
 // idle predicate, no batching — with the same per-triangle PRNG keying.
 func referenceRunTriangleKernel(sg *SG, k TriangleKernel) {
 	g := sg.g
-	triangles.ReferenceForEach(g, sg.workers, func(t triangles.Triangle) {
+	oracle.ReferenceForEach(g, sg.workers, func(t triangles.Triangle) {
 		view := TriangleView{V: t.V, E: t.E}
 		for i, e := range t.E {
 			view.Weights[i] = g.EdgeWeight(e)

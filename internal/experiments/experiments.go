@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7) on synthetic analogs of the paper's datasets. Each
 // exported function produces one Table whose rows mirror what the paper
-// reports; cmd/slimbench prints them and the root bench_test.go wraps each
-// in a testing.B benchmark. EXPERIMENTS.md records paper-vs-measured.
+// reports, with the shape the paper claims in Table.Note; cmd/slimbench
+// prints them and this package's tests assert the shapes at smoke scale.
+// The timings some tables carry (Figure 5, §7.4) are the paper's relative
+// speedups; the repository's performance record is benchmark/ alone.
 package experiments
 
 import (
@@ -18,9 +20,8 @@ import (
 
 // Config controls experiment sizing and determinism.
 type Config struct {
-	// Scale selects graph sizes: 0 = smoke (seconds, used by tests and
-	// go test -bench), 1 = paper-shape runs (default for cmd/slimbench),
-	// 2 = large.
+	// Scale selects graph sizes: 0 = smoke (seconds, used by tests),
+	// 1 = paper-shape runs (default for cmd/slimbench), 2 = large.
 	Scale   int
 	Seed    uint64
 	Workers int

@@ -279,6 +279,18 @@ func TestFigure8Shape(t *testing.T) {
 			t.Fatalf("graph %d: degree-distribution slopes not negative (%v, %v)", g, s0, s7)
 		}
 	}
+	// The figure's ranks are workers: decisions keyed by global edge ID make
+	// the sampled graph the same on 4, 8 or 16 of them.
+	ng := fig8Graphs(smoke)[2]
+	cfg := smoke
+	cfg.Workers = 4
+	want := compress(cfg, ng.G, "uniform:p=0.6").Output
+	for _, ranks := range []int{8, 16} {
+		cfg.Workers = ranks
+		if got := compress(cfg, ng.G, "uniform:p=0.6").Output; !got.Equal(want) {
+			t.Fatalf("%s: output on %d ranks differs from 4 ranks", ng.Key, ranks)
+		}
+	}
 }
 
 func TestWeightedTRShape(t *testing.T) {

@@ -26,12 +26,13 @@ func Figure6Spectral(cfg Config) *Table {
 // TR, but its Listing 1 EO pseudocode is inconsistent and §6.1/Table 5
 // require the protective Edge-Once semantics (at most one deletion per
 // triangle, survivors shielded), under which EO/CT remove at most as many
-// edges — see the schemes.TREO doc comment and EXPERIMENTS.md.
+// edges — see the schemes.TREO doc comment; AblationEO runs both readings
+// side by side.
 func Figure6TR(cfg Config) *Table {
 	t := &Table{
 		ID:     "Figure 6 (right)",
 		Title:  "edge reduction: 0.5-1-TR vs CT-0.5-1-TR vs EO-0.5-1-TR",
-		Note:   "variants differ consistently across graphs (see EXPERIMENTS.md on EO semantics)",
+		Note:   "variants differ consistently across graphs (see abl-eo on EO semantics)",
 		Header: []string{"graph", "analog", "m", "red(basic)", "red(CT)", "red(EO)"},
 	}
 	graphs := table6Graphs(cfg)

@@ -4,8 +4,9 @@
 // datasets. Those are proprietary-hosted downloads; this reproduction
 // substitutes deterministic generators whose knobs control exactly the
 // structural features the evaluation depends on: sparsity (m/n), degree
-// skew (power-law exponent), and triangle density (T/n). DESIGN.md §3 maps
-// each paper dataset to its generator analog.
+// skew (power-law exponent), and triangle density (T/n). The *Graphs
+// functions of internal/experiments map each paper dataset (Table 4) to its
+// generator analog.
 package gen
 
 import (

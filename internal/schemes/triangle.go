@@ -34,7 +34,8 @@ const (
 	// (its else-branch is unreachable), and Fig. 6 claims EO removes more
 	// edges than TRBasic while §6.1/Table 5 require the protective
 	// semantics implemented here, under which EO removes at most as many.
-	// We follow the theory; EXPERIMENTS.md records the deviation.
+	// We follow the theory; experiments.Figure6TR and AblationEO measure the
+	// deviation (slimbench -only fig6b,abl-eo).
 	TREO
 	// TRCT is the Count-Triangles variant of EO: the candidate edge is the
 	// one belonging to the fewest triangles (instead of a uniform pick),
@@ -55,8 +56,8 @@ const (
 	// not-yet-considered edges (marking only that edge), so nearly every
 	// sampled triangle removes a distinct edge. This is the semantics
 	// under which Fig. 6's "EO removes more than basic" holds, at the cost
-	// of the §6.1 guarantees; it exists for the ablation study in
-	// EXPERIMENTS.md. Use TREO for the theory-grade behaviour.
+	// of the §6.1 guarantees; it exists for the ablation study
+	// (experiments.AblationEO). Use TREO for the theory-grade behaviour.
 	TREORedirect
 )
 

@@ -9,7 +9,6 @@ import (
 	"slimgraph/internal/graph"
 	"slimgraph/internal/metrics"
 	"slimgraph/internal/obs"
-	"slimgraph/internal/schemes"
 )
 
 // This file defines the seam between the HTTP surface and the engine that
@@ -82,22 +81,6 @@ type QueryBackend interface {
 	Degrees(ctx context.Context, name string, p QueryParams) (*DegreesResponse, error)
 	Compare(ctx context.Context, name string, p QueryParams) (*CompareResponse, error)
 	Stats(ctx context.Context) (*StatsResponse, error)
-}
-
-// VariantStore caches compressed variants under canonical keys with
-// single-flight deduplication. The Local engine owns one; the coordinator
-// replicates keys across every shard's store.
-type VariantStore interface {
-	// GetOrCompute returns the variant for key, running compute at most
-	// once across concurrent callers; cached reports whether this caller
-	// avoided an execution.
-	GetOrCompute(key Key, compute func() (*schemes.Result, error)) (res *schemes.Result, cached bool, err error)
-	// PurgeGraph drops every resident variant of the named graph.
-	PurgeGraph(name string) int
-	// PurgeKey drops one resident variant, reporting whether it was there.
-	PurgeKey(key Key) bool
-	// Stats snapshots the store's counters.
-	Stats() CacheStats
 }
 
 // --- wire types ------------------------------------------------------------

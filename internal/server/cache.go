@@ -180,20 +180,6 @@ func (c *cache) purgeKey(key Key) bool {
 	return true
 }
 
-// GetOrCompute implements VariantStore.
-func (c *cache) GetOrCompute(key Key, compute func() (*schemes.Result, error)) (*schemes.Result, bool, error) {
-	return c.get(key, compute)
-}
-
-// PurgeGraph implements VariantStore.
-func (c *cache) PurgeGraph(name string) int { return c.purgeGraph(name) }
-
-// PurgeKey implements VariantStore.
-func (c *cache) PurgeKey(key Key) bool { return c.purgeKey(key) }
-
-// Stats implements VariantStore.
-func (c *cache) Stats() CacheStats { return c.snapshot() }
-
 // snapshot returns the current counters.
 func (c *cache) snapshot() CacheStats {
 	c.mu.Lock()

@@ -136,7 +136,7 @@ func (e *entry) triangleEngine(a graph.AdjacencyEdges, workers int) *triangles.E
 		e.mu.Lock()
 		if e.engine == nil {
 			e.engine = built
-			if e.cat != nil && e.cat.onEngineBuild != nil {
+			if e.cat.onEngineBuild != nil {
 				e.cat.onEngineBuild()
 			}
 		}
@@ -151,9 +151,7 @@ func (e *entry) triangleEngine(a graph.AdjacencyEdges, workers int) *triangles.E
 func (e *entry) acquire() (*view, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cat != nil {
-		e.lastUse = e.cat.clock.Add(1)
-	}
+	e.lastUse = e.cat.clock.Add(1)
 	switch {
 	case e.raw != nil:
 		return &view{raw: e.raw}, nil
@@ -171,9 +169,7 @@ func (e *entry) acquire() (*view, error) {
 			return nil, fmt.Errorf("graph %q: faulting in %s: %v", e.name, e.file, err)
 		}
 		e.mapped = m
-		if e.cat != nil {
-			e.cat.tier.graphFaultIns.Add(1)
-		}
+		e.cat.tier.graphFaultIns.Add(1)
 		rel, err := m.Acquire()
 		if err != nil {
 			return nil, err
@@ -246,9 +242,7 @@ func (e *entry) spill(store *store) int64 {
 		e.mapped = m
 	}
 	e.raw, e.packed, e.engine = nil, nil, nil
-	if e.cat != nil {
-		e.cat.tier.graphSpills.Add(1)
-	}
+	e.cat.tier.graphSpills.Add(1)
 	return freed
 }
 

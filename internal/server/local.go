@@ -85,7 +85,7 @@ func (l *Local) Attached() []string { return l.attached }
 // histograms register lazily per scheme family in variantOf.
 func (l *Local) instrument() {
 	cacheCounter := func(name, help string, read func(CacheStats) int64) {
-		l.reg.CounterFunc(name, help, func() float64 { return float64(read(l.cache.Stats())) })
+		l.reg.CounterFunc(name, help, func() float64 { return float64(read(l.cache.snapshot())) })
 	}
 	cacheCounter("slimgraph_cache_hits_total",
 		"Variant-cache lookups answered by a resident entry.",
@@ -107,10 +107,10 @@ func (l *Local) instrument() {
 		func(s CacheStats) int64 { return s.Evictions })
 	l.reg.GaugeFunc("slimgraph_cache_entries",
 		"Compressed variants currently resident.",
-		func() float64 { return float64(l.cache.Stats().Entries) })
+		func() float64 { return float64(l.cache.snapshot().Entries) })
 	l.reg.GaugeFunc("slimgraph_cache_capacity",
 		"Variant-cache capacity bound.",
-		func() float64 { return float64(l.cache.Stats().Capacity) })
+		func() float64 { return float64(l.cache.snapshot().Capacity) })
 	l.reg.GaugeFunc("slimgraph_catalog_graphs",
 		"Named graphs resident in the catalog.",
 		func() float64 { return float64(l.catalog.size()) })
@@ -201,7 +201,7 @@ func (l *Local) Drop(_ context.Context, name string) (*DeleteResponse, error) {
 	if !l.catalog.remove(name) {
 		return nil, Errf(http.StatusNotFound, "no graph %q", name)
 	}
-	dropped := l.cache.PurgeGraph(name)
+	dropped := l.cache.purgeGraph(name)
 	return &DeleteResponse{Deleted: name, VariantsDropped: dropped}, nil
 }
 
@@ -239,7 +239,7 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 	}
 	canonical = schemes.Spec(sch)
 	key := Key{Graph: e.name, Gen: e.gen, Spec: canonical, Seed: seed, Workers: workers}
-	res, cached, err = l.cache.GetOrCompute(key, func() (*schemes.Result, error) {
+	res, cached, err = l.cache.get(key, func() (*schemes.Result, error) {
 		if r, ok := l.loadSpilledVariant(e, canonical, key, workers); ok {
 			return r, nil
 		}
@@ -378,7 +378,7 @@ func (l *Local) PurgeVariant(name, spec string, seed uint64, workers int) (bool,
 	if st := l.catalog.store; st != nil {
 		st.removeVariant(e.name, key)
 	}
-	return l.cache.PurgeKey(key), nil
+	return l.cache.purgeKey(key), nil
 }
 
 // lookup fetches a catalog entry or a 404 Error.
@@ -534,7 +534,7 @@ func (l *Local) Compare(_ context.Context, name string, p QueryParams) (*Compare
 func (l *Local) Stats(_ context.Context) (*StatsResponse, error) {
 	build := obs.Build()
 	resp := &StatsResponse{
-		Cache:         l.cache.Stats(),
+		Cache:         l.cache.snapshot(),
 		Graphs:        l.catalog.size(),
 		UptimeSeconds: time.Since(l.start).Seconds(),
 		Build:         &build,
@@ -557,7 +557,7 @@ func (l *Local) Stats(_ context.Context) (*StatsResponse, error) {
 }
 
 // CacheStats snapshots the variant-cache counters.
-func (l *Local) CacheStats() CacheStats { return l.cache.Stats() }
+func (l *Local) CacheStats() CacheStats { return l.cache.snapshot() }
 
 // TopK returns the k highest-scoring vertices, score descending with vertex
 // ID as the deterministic tie-break.
@@ -589,5 +589,4 @@ func TopK(ranks []float64, k int) []RankedVertex {
 var (
 	_ Catalog      = (*Local)(nil)
 	_ QueryBackend = (*Local)(nil)
-	_ VariantStore = (*cache)(nil)
 )

@@ -156,7 +156,8 @@ func TestReadyGaugeTracksReadiness(t *testing.T) {
 // BenchmarkMiddlewareOverhead measures the observability tax on the hottest
 // cheap path: a BFS query answered from a warmed variant cache. It reports
 // both the instrumented handler and the bare mux so the delta is visible in
-// one run; the acceptance bar is < 3% (tracked in BENCH_pr8.json).
+// one run; the acceptance bar is < 3% (the absolute cost is the
+// obs.middleware_us rung of the benchmark/ ladder).
 func BenchmarkMiddlewareOverhead(b *testing.B) {
 	bench := func(b *testing.B, instrumented bool) {
 		s, err := New(Options{CacheCapacity: 8})

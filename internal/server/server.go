@@ -23,16 +23,18 @@
 // byte-identical for a fixed seed; a higher budget is an explicit opt-in
 // (responses stay correct but float reductions may round differently).
 //
-// The HTTP layer is decoupled from execution by the Catalog / QueryBackend
-// / VariantStore interfaces (backend.go): New wires the in-process Local
+// The HTTP layer is decoupled from execution by the Catalog and
+// QueryBackend interfaces (backend.go): New wires the in-process Local
 // engine, NewWithBackend accepts any implementation — internal/cluster's
 // coordinator serves the same API by scatter/gathering over shards.
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -446,6 +448,28 @@ func (s *Server) createGenerated(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
+// ReadBody reads r to EOF into a buffer sized once from the declared body
+// length (a 128 KiB rank vector costs io.ReadAll a dozen regrow-and-copy
+// rounds), capped so a lying header reserves at most 1 MiB ahead of bytes.
+func ReadBody(r io.Reader, declared int64) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, max(0, min(declared, 1<<20))+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// ReadUpload parses the graph a request body carries (graphio.ReadAuto) from
+// the buffered body, not the stream: graphio bounds every header-declared
+// count by the size of its source, and only the bytes actually received are
+// a size the client cannot inflate — a 16-byte snapshot header declaring
+// 2^32-1 edges must be a 400, not a 64 GiB allocation.
+func ReadUpload(r *http.Request, directed bool) (*graph.Graph, error) {
+	body, err := ReadBody(r.Body, r.ContentLength)
+	if err != nil {
+		return nil, err
+	}
+	return graphio.ReadAuto(bytes.NewReader(body), directed)
+}
+
 func (s *Server) createUploaded(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
@@ -457,7 +481,7 @@ func (s *Server) createUploaded(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	g, err := graphio.ReadAuto(r.Body, directed)
+	g, err := ReadUpload(r, directed)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "parsing uploaded graph: %v", err)
 		return

@@ -14,6 +14,7 @@ import (
 	"slimgraph/internal/centrality"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graphio"
+	"slimgraph/internal/oracle"
 	"slimgraph/internal/schemes"
 )
 
@@ -458,6 +459,13 @@ func TestErrorPaths(t *testing.T) {
 		code, body := do(t, tc.method, ts.URL+tc.path, tc.ct, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d (body %s)", tc.name, code, tc.want, body)
+		}
+	}
+
+	for name, upload := range oracle.HostileSnapshots() {
+		code, body := do(t, "POST", ts.URL+"/v1/graphs?name=hostile", "", upload)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "graphio: snapshot ") {
+			t.Errorf("hostile upload %s: status %d, body %s; want 400 from graphio's bounds", name, code, body)
 		}
 	}
 

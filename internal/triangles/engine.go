@@ -195,10 +195,11 @@ func (b *batcher) flush() {
 // per work range, on the goroutine that enumerates it, and the sink it
 // returns receives that range's triangles in reference order (ascending
 // rank-lowest EdgeID, then ascending third-vertex ID — identical to
-// ReferenceForEach), so per-range consumer state needs no synchronization.
-// A batch is only valid during the call: the buffer is reused. With an
-// effective worker count of 1 there is one range and the whole enumeration
-// is in reference order; with more workers ranges run concurrently.
+// ReferenceForEach in the test-only internal/oracle), so per-range consumer
+// state needs no synchronization. A batch is only valid during the call:
+// the buffer is reused. With an effective worker count of 1 there is one
+// range and the whole enumeration is in reference order; with more workers
+// ranges run concurrently.
 func (en *Engine) ForEachBatch(newSink func() func(batch []Triangle)) {
 	parallel.ForBalanced(en.g.M(), en.workers, en.work, func(lo, hi int) {
 		en.emitRange(lo, hi, batchCap, newSink())

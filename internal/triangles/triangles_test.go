@@ -2,7 +2,6 @@ package triangles
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +9,11 @@ import (
 	"slimgraph/internal/graph"
 	"slimgraph/internal/rng"
 )
+
+// DiffGraphs hands diffGraphs to the external triangles_test package,
+// where the tests against internal/oracle live (oracle imports this
+// package, so they cannot be in-package).
+var DiffGraphs = diffGraphs
 
 func TestCountSmallKnown(t *testing.T) {
 	cases := []struct {
@@ -240,21 +244,6 @@ func diffGraphs() map[string]*graph.Graph {
 	return gs
 }
 
-func TestListMatchesReferenceOrder(t *testing.T) {
-	for name, g := range diffGraphs() {
-		want := ReferenceList(g)
-		got := List(g)
-		if len(got) != len(want) {
-			t.Fatalf("%s: List has %d triangles, reference %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: triangle %d = %+v, reference %+v", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // Batched emission must not depend on the batch capacity: for capacities
 // around one element and around the production 256, the concatenated batches
 // are List() — itself pinned to the reference order above. The clique
@@ -374,31 +363,6 @@ func TestCountersWorkerIndependentAndMatchNaive(t *testing.T) {
 				t.Errorf("%s workers=%d: PerEdge mismatch", name, workers)
 			}
 		}
-	}
-}
-
-func TestEngineReuse(t *testing.T) {
-	// One engine drives every enumeration; results match the single-use
-	// wrappers and the reference path.
-	g := gen.RMAT(9, 10, 0.57, 0.19, 0.19, 5)
-	en := NewEngine(g, 4)
-	if en.Graph() != g {
-		t.Fatal("engine does not report its graph")
-	}
-	if got, want := en.Count(), ReferenceCount(g, 1); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-	if !int64sEqual(en.PerVertex(), ReferencePerVertex(g, 1)) {
-		t.Fatal("PerVertex mismatch")
-	}
-	if !int64sEqual(en.PerEdge(), ReferencePerEdge(g, 1)) {
-		t.Fatal("PerEdge mismatch")
-	}
-	var viaForEach int64
-	var mu sync.Mutex
-	en.ForEach(func(Triangle) { mu.Lock(); viaForEach++; mu.Unlock() })
-	if viaForEach != en.Count() {
-		t.Fatalf("ForEach saw %d triangles, Count %d", viaForEach, en.Count())
 	}
 }
 
