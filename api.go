@@ -302,13 +302,13 @@ func WithUniformWeights(g *Graph, lo, hi float64, seed uint64) *Graph {
 }
 
 // Compression schemes (Table 2 of the paper). All are deterministic per
-// seed and independent of the worker count (workers <= 0 means all CPUs).
+// seed at one worker; Scheme.Apply states which stay so at any worker count
+// (workers <= 0 means all CPUs).
 //
-// The primary surface is the Scheme interface plus the registry: build
-// schemes with ParseScheme ("uniform:p=0.5", "tr-eo:p=0.8|spanner:k=8") or
-// the New* constructors with functional options, then Apply them to any
-// graph. The free functions further down are the original flat API, kept as
-// thin wrappers.
+// The surface is the Scheme interface plus the registry. The spec string is
+// the one way to build a scheme — ParseScheme("uniform:p=0.5"),
+// ParseScheme("tr-eo:p=0.8|spanner:k=8") — and a SchemeInfo (a kernel plus a
+// parameter table) passed to RegisterScheme is the one way to add one.
 
 // Result is the outcome of one compression run.
 type Result = schemes.Result
@@ -324,97 +324,35 @@ type Scheme = schemes.Scheme
 // Pipeline chains schemes; it is itself a Scheme.
 type Pipeline = schemes.Pipeline
 
-// SchemeOption is a functional option for scheme constructors.
+// SchemeOption is a run setting every scheme accepts: WithSeed or
+// WithWorkers. Everything specific to one scheme is a spec parameter.
 type SchemeOption = schemes.Option
 
-// SchemeInfo describes one registry entry.
+// SchemeInfo declares one registry entry: Name, About, the parameter table
+// Params, and the kernel Apply(g, args).
 type SchemeInfo = schemes.Registration
 
-// Functional options shared by the scheme constructors; see each
-// internal/schemes option for semantics and which schemes accept it.
+// SchemeParam is one row of a scheme's parameter table: key, kind, default,
+// and the closed range or value list the registry checks specs against.
+type SchemeParam = schemes.Param
+
+// SchemeArgs is what a registered kernel receives: Seed, Workers and the
+// typed getters Float, Int, Bool, Enum over its declared parameters.
+type SchemeArgs = schemes.Args
+
+// Parameter kinds for SchemeParam.Kind.
+const (
+	ParamFloat = schemes.Float
+	ParamInt   = schemes.Int
+	ParamBool  = schemes.Bool
+	ParamEnum  = schemes.Enum
+)
 
 // WithSeed sets the random seed (every scheme is deterministic per seed).
 func WithSeed(seed uint64) SchemeOption { return schemes.WithSeed(seed) }
 
 // WithWorkers sets the parallelism (<= 0 means all CPUs).
 func WithWorkers(workers int) SchemeOption { return schemes.WithWorkers(workers) }
-
-// WithProbability sets the scheme's probability parameter p.
-func WithProbability(p float64) SchemeOption { return schemes.WithProbability(p) }
-
-// WithKeepProbability is WithProbability under the sampling schemes' name.
-func WithKeepProbability(p float64) SchemeOption { return schemes.WithKeepProbability(p) }
-
-// WithEdgesPerTriangle sets x for Triangle p-x-Reduction (1 or 2).
-func WithEdgesPerTriangle(x int) SchemeOption { return schemes.WithEdgesPerTriangle(x) }
-
-// WithTRVariant selects the Triangle Reduction flavor.
-func WithTRVariant(v schemes.TRVariant) SchemeOption { return schemes.WithTRVariant(v) }
-
-// WithUpsilonVariant selects how the spectral sparsifier's Υ scales.
-func WithUpsilonVariant(v schemes.UpsilonVariant) SchemeOption {
-	return schemes.WithUpsilonVariant(v)
-}
-
-// WithReweight keeps the spectral output unbiased (w(e)/p_e).
-func WithReweight(on bool) SchemeOption { return schemes.WithReweight(on) }
-
-// WithStretch sets the spanner stretch parameter k >= 1.
-func WithStretch(k int) SchemeOption { return schemes.WithStretch(k) }
-
-// WithInterClusterMode selects the spanner's inter-cluster edge rule.
-func WithInterClusterMode(m schemes.InterClusterMode) SchemeOption {
-	return schemes.WithInterClusterMode(m)
-}
-
-// WithEpsilon sets the summarization error budget.
-func WithEpsilon(eps float64) SchemeOption { return schemes.WithEpsilon(eps) }
-
-// WithIterations sets the summarization round count.
-func WithIterations(n int) SchemeOption { return schemes.WithIterations(n) }
-
-// WithRho sets the cut sparsifier's sampling density (<= 0 means auto).
-func WithRho(rho float64) SchemeOption { return schemes.WithRho(rho) }
-
-// WithOrderName selects the relabel scheme's locality ordering by name
-// (degree, bfs, or window).
-func WithOrderName(name string) SchemeOption { return schemes.WithOrderName(name) }
-
-// Scheme constructors (functional options; see each internal/schemes
-// constructor for defaults).
-
-// NewUniform builds the uniform edge-sampling scheme (§4.2.2).
-func NewUniform(opts ...SchemeOption) (Scheme, error) { return schemes.NewUniform(opts...) }
-
-// NewVertexSample builds the vertex-sampling scheme (§2's sampling class).
-func NewVertexSample(opts ...SchemeOption) (Scheme, error) { return schemes.NewVertexSample(opts...) }
-
-// NewSpectral builds the spectral sparsification scheme (§4.2.1).
-func NewSpectral(opts ...SchemeOption) (Scheme, error) { return schemes.NewSpectral(opts...) }
-
-// NewTR builds a Triangle Reduction scheme (§4.3).
-func NewTR(opts ...SchemeOption) (Scheme, error) { return schemes.NewTR(opts...) }
-
-// NewLowDegree builds the degree <= 1 removal scheme (§4.4).
-func NewLowDegree(opts ...SchemeOption) (Scheme, error) { return schemes.NewLowDegree(opts...) }
-
-// NewLowDegreeIterative builds the fixpoint leaf-peeling variant.
-func NewLowDegreeIterative(opts ...SchemeOption) (Scheme, error) {
-	return schemes.NewLowDegreeIterative(opts...)
-}
-
-// NewSpanner builds the O(k)-spanner scheme (§4.5.3).
-func NewSpanner(opts ...SchemeOption) (Scheme, error) { return schemes.NewSpanner(opts...) }
-
-// NewCutSparsify builds the Benczúr–Karger cut sparsifier scheme (§4.6).
-func NewCutSparsify(opts ...SchemeOption) (Scheme, error) { return schemes.NewCutSparsify(opts...) }
-
-// NewSummarize builds the lossy ε-summarization scheme (§4.5.4).
-func NewSummarize(opts ...SchemeOption) (Scheme, error) { return schemes.NewSummarize(opts...) }
-
-// NewRelabel builds the lossless gap-minimizing relabel scheme; its
-// Result's VertexMap carries the permutation.
-func NewRelabel(opts ...SchemeOption) (Scheme, error) { return schemes.NewRelabel(opts...) }
 
 // NewPipeline chains schemes into one Scheme applied left to right.
 func NewPipeline(stages ...Scheme) (*Pipeline, error) { return schemes.NewPipeline(stages...) }
@@ -425,22 +363,21 @@ func NewPipeline(stages ...Scheme) (*Pipeline, error) { return schemes.NewPipeli
 //	stage  := name [":" params]
 //	params := key "=" value ("," key "=" value)*
 //
-// Defaults (typically WithSeed, WithWorkers) apply to every stage; explicit
-// spec parameters win. SchemeSpec(ParseScheme(s)) round-trips.
+// Defaults (WithSeed, WithWorkers) apply to every stage; a stage's own
+// seed= or workers= wins. Every other key must be a row of the named
+// scheme's parameter table and may be given once.
+// SchemeSpec(ParseScheme(s)) round-trips.
 func ParseScheme(spec string, defaults ...SchemeOption) (Scheme, error) {
 	return schemes.Parse(spec, defaults...)
-}
-
-// NewScheme builds a registered scheme by name.
-func NewScheme(name string, opts ...SchemeOption) (Scheme, error) {
-	return schemes.New(name, opts...)
 }
 
 // SchemeSpec returns the spec string Parse round-trips for s.
 func SchemeSpec(s Scheme) string { return schemes.Spec(s) }
 
 // RegisterScheme adds a scheme to the registry, making it addressable by
-// name from specs, pipelines, both CLIs, and the experiment harness.
+// name from specs, pipelines, both CLIs, the server and the experiment
+// harness. The registry parses, range-checks and defaults the declared
+// parameters and hands the kernel its SchemeArgs.
 func RegisterScheme(r SchemeInfo) { schemes.Register(r) }
 
 // LookupScheme returns the registration for name.
@@ -449,30 +386,9 @@ func LookupScheme(name string) (SchemeInfo, bool) { return schemes.Lookup(name) 
 // SchemeNames returns all registered scheme names, sorted.
 func SchemeNames() []string { return schemes.Names() }
 
-// Upsilon variants for WithUpsilonVariant.
-const (
-	UpsilonLogN   = schemes.UpsilonLogN
-	UpsilonAvgDeg = schemes.UpsilonAvgDeg
-)
-
-// Triangle Reduction variants (§4.3) for WithTRVariant.
-const (
-	TRBasic     = schemes.TRBasic
-	TREO        = schemes.TREO
-	TRCT        = schemes.TRCT
-	TRMaxWeight = schemes.TRMaxWeight
-	TRCollapse  = schemes.TRCollapse
-)
-
 // MinCut returns the weight of a global minimum cut (Stoer–Wagner; O(n^3),
 // for verification-scale graphs).
 func MinCut(g *Graph) float64 { return mincut.StoerWagner(g) }
-
-// Inter-cluster edge modes for WithInterClusterMode.
-const (
-	PerVertex      = schemes.PerVertex
-	PerClusterPair = schemes.PerClusterPair
-)
 
 // SummarizeOptions configures Summarize; see summarize.Options.
 type SummarizeOptions = summarize.Options

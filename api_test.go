@@ -94,6 +94,71 @@ func TestCustomKernelThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestRegisteredKernelReceivesItsArguments: a scheme registered from outside
+// internal/schemes — a kernel plus a parameter table — is handed the seed,
+// the worker budget and its declared parameter, already parsed, checked and
+// defaulted, and is a first-class registry name: canonical spec, Result
+// labels, pipelines and table-driven errors included.
+func TestRegisteredKernelReceivesItsArguments(t *testing.T) {
+	var got struct {
+		seed    uint64
+		workers int
+		p       float64
+		hard    bool
+	}
+	slimgraph.RegisterScheme(slimgraph.SchemeInfo{
+		Name:  "test-lowpair",
+		About: "drop edges between two low-degree endpoints w.p. p (test only)",
+		Params: []slimgraph.SchemeParam{
+			{Key: "p", Kind: slimgraph.ParamFloat, Default: "0.9", Min: 0, Max: 1},
+			{Key: "hard", Kind: slimgraph.ParamBool, Default: "false"},
+		},
+		Apply: func(g *slimgraph.Graph, a slimgraph.SchemeArgs) (*slimgraph.Result, error) {
+			got.seed, got.workers, got.p, got.hard = a.Seed, a.Workers, a.Float("p"), a.Bool("hard")
+			p := a.Float("p")
+			sg := slimgraph.NewSG(g, a.Seed, a.Workers)
+			sg.RunEdgeKernel(func(sg *slimgraph.SG, r *slimgraph.Rand, e slimgraph.EdgeView) {
+				if e.DegU+e.DegV < 8 && r.Float64() < p {
+					sg.Del(e.ID)
+				}
+			})
+			return &slimgraph.Result{Output: sg.Materialize()}, nil
+		},
+	})
+	g := slimgraph.GenerateBarabasiAlbert(2000, 3, 5)
+	s, err := slimgraph.ParseScheme("test-lowpair:p=0.3", slimgraph.WithSeed(7), slimgraph.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec := slimgraph.SchemeSpec(s); spec != "test-lowpair:p=0.3,hard=false" {
+		t.Fatalf("canonical spec %q", spec)
+	}
+	res, err := s.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.seed != 7 || got.workers != 2 || got.p != 0.3 || got.hard {
+		t.Fatalf("kernel received %+v, want seed 7, workers 2, p 0.3, hard false", got)
+	}
+	if res.Scheme != "test-lowpair" || res.Params != "p=0.3,hard=false" || res.Input != g || res.Elapsed <= 0 {
+		t.Fatalf("registry did not stamp the Result: %s(%s), elapsed %v", res.Scheme, res.Params, res.Elapsed)
+	}
+	if res.Output.M() >= g.M() {
+		t.Fatal("registered kernel removed nothing")
+	}
+	if _, err := slimgraph.ParseScheme("test-lowpair"); err != nil { // defaults
+		t.Fatal(err)
+	}
+	if _, err := slimgraph.ParseScheme("test-lowpair:hard=true|lowdeg"); err != nil { // pipelines
+		t.Fatal(err)
+	}
+	for _, bad := range []string{"test-lowpair:p=1.5", "test-lowpair:p=NaN", "test-lowpair:k=3", "test-lowpair:p=0.1,p=0.2"} {
+		if _, err := slimgraph.ParseScheme(bad); err == nil {
+			t.Errorf("ParseScheme(%q): expected the table to refuse it", bad)
+		}
+	}
+}
+
 func TestSummarizeRoundTripPublicAPI(t *testing.T) {
 	g := slimgraph.GenerateCommunities(300, 30, 0.7, 100, 3)
 	s := slimgraph.Summarize(g, slimgraph.SummarizeOptions{Iterations: 6, Seed: 1})

@@ -178,9 +178,15 @@ func usage(fs *flag.FlagSet) {
 	fmt.Fprintf(fs.Output(), "usage: slimgraph [flags]\n\nFlags:\n")
 	fs.PrintDefaults()
 	fmt.Fprint(fs.Output(), "\n"+specGrammar)
+	// One line per registered scheme; the parameters and their defaults are
+	// rendered from the registration's table.
 	for _, name := range slimgraph.SchemeNames() {
 		info, _ := slimgraph.LookupScheme(name)
-		fmt.Fprintf(fs.Output(), "  %-16s %s\n", name, info.About)
+		line := info.About
+		if len(info.Params) > 0 {
+			line += " (" + info.Usage() + ")"
+		}
+		fmt.Fprintf(fs.Output(), "  %-16s %s\n", name, line)
 	}
 }
 

@@ -34,12 +34,21 @@ func TestUsageGrammar(t *testing.T) {
 	if !strings.Contains(stderr, grammar) {
 		t.Errorf("usage lost the spec grammar block; got:\n%s", stderr)
 	}
-	// Every registered scheme is listed with its About line.
+	// Every registered scheme is listed with its About line and, from its
+	// parameter table, every key with its default.
 	for _, name := range slimgraph.SchemeNames() {
 		info, _ := slimgraph.LookupScheme(name)
 		if !strings.Contains(stderr, info.About) {
 			t.Errorf("usage does not document scheme %q (%s)", name, info.About)
 		}
+		for _, p := range info.Params {
+			if !strings.Contains(stderr, p.Key+"="+p.Default) {
+				t.Errorf("usage of %q does not show %s=%s", name, p.Key, p.Default)
+			}
+		}
+	}
+	if want := "spanner          O(k)-spanner via low-diameter decomposition (k=8, mode=pervertex|perpair)\n"; !strings.Contains(stderr, want) {
+		t.Errorf("usage lost the rendered spanner line %q; got:\n%s", want, stderr)
 	}
 }
 

@@ -7,15 +7,37 @@
 // # Schemes, the registry, and pipelines
 //
 // Every compression scheme is a Scheme: an immutable, configured value with
-// a Name, a canonical parameter string, and Apply. Schemes are built three
-// equivalent ways:
+// a Name, a canonical parameter string, and Apply. There is one way to build
+// one — the spec string, through the registry:
 //
-//   - By spec, through the registry: ParseScheme("uniform:p=0.5") or
-//     ParseScheme("tr-eo:p=0.8|spanner:k=8") — the "|" chains stages into a
-//     Pipeline, which is itself a Scheme.
-//   - By constructor with functional options: NewSpanner(WithStretch(8),
-//     WithSeed(1)), NewTR(WithTRVariant(TREO), WithProbability(0.8)), ...
-//   - By name: NewScheme("cut", WithRho(3)).
+//	s, err := ParseScheme("tr-eo:p=0.8|spanner:k=8", WithSeed(1))
+//
+// A stage is a registry name and that scheme's parameters ("uniform:p=0.5",
+// "spectral:p=1,variant=avgdeg,reweight=true"); "|" chains stages into a
+// Pipeline, which is itself a Scheme. WithSeed and WithWorkers are the only
+// options: they are run settings every scheme accepts, everything else is a
+// parameter. slimgraph -h and GET /v1/schemes list every name with its
+// parameters and defaults.
+//
+// And there is one way to add one — a kernel plus a parameter table:
+//
+//	RegisterScheme(SchemeInfo{
+//		Name:   "weakties",
+//		About:  "drop edges in no triangle w.p. p",
+//		Params: []SchemeParam{{Key: "p", Kind: ParamFloat, Default: "0.5", Min: 0, Max: 1}},
+//		Apply: func(g *Graph, a SchemeArgs) (*Result, error) {
+//			sg := NewSG(g, a.Seed, a.Workers)
+//			... a.Float("p") ...
+//			return &Result{Output: sg.Materialize()}, nil
+//		},
+//	})
+//
+// The registry does the rest from the table: it parses each key, checks it
+// against the row's closed range or value list (NaN is inside no range; a
+// key given twice, or not in the table, is an error that names it), fills
+// defaults, prints the canonical spec in table order, and stamps the
+// Result's labels and elapsed time. Adding a parameter to a scheme is one
+// row. examples/customkernel registers a three-kernel scheme this way.
 //
 // The registry (RegisterScheme, LookupScheme, SchemeNames) is the single
 // dispatch point: both CLIs (cmd/slimgraph, cmd/slimbench) and the whole
@@ -39,8 +61,9 @@
 //   - The programming model: compression kernels — small functions that
 //     observe one vertex, edge, triangle, or subgraph and delete or
 //     reweight elements — executed in parallel over the graph (NewSG and
-//     the Run*Kernel methods). Custom kernels become first-class schemes by
-//     wrapping them in a Scheme and calling RegisterScheme.
+//     the Run*Kernel methods). A custom kernel becomes a first-class scheme
+//     by registering it with its parameter table (RegisterScheme): it is
+//     handed the seed, the worker budget and its parsed parameters.
 //
 //   - The execution engine: compression runs as stage 1 (kernels mark
 //     deletions atomically; Materialize rebuilds a compact CSR), and any

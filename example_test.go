@@ -7,7 +7,8 @@ import (
 )
 
 // The smallest complete pipeline: compress, process, evaluate. Results are
-// deterministic for a fixed seed regardless of worker count.
+// deterministic for a fixed seed — for tr, as for every scheme whose kernel
+// instances share no state (see Scheme.Apply), at any worker count.
 func Example() {
 	// A triangle with a tail: 0-1-2 closed, 2-3 pendant.
 	g := slimgraph.FromEdges(4, false, []slimgraph.Edge{

@@ -169,6 +169,10 @@ func TestClusterErrorsMatchSingleNode(t *testing.T) {
 		"/v1/graphs/g/bfs?root=-1&spec=uniform:p=0.5",     // 400 before any scheme runs
 		"/v1/graphs/g/bfs?root=0&spec=bogus",              // 422 unknown scheme
 		"/v1/graphs/g/bfs?root=0&spec=uniform:p=2",        // 422 bad parameter
+		"/v1/graphs/g/bfs?root=0&spec=uniform:p=NaN",      // 422 NaN is inside no range
+		"/v1/graphs/g/triangles?spec=tr-eo:p=NaN",         // 422 on a scattered kernel too
+		"/v1/graphs/g/degrees?spec=uniform:p=0.5,p=0.9",   // 422 repeated key
+		"/v1/graphs/g/triangles?mode=approx&p=NaN",        // 400 NaN p
 		"/v1/graphs/dg/triangles",                         // 422 directed
 		"/v1/graphs/g/triangles?mode=approx&p=7",          // 400 bad p
 		"/v1/graphs/g/compare",                            // 400 missing spec

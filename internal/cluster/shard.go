@@ -58,16 +58,6 @@ func (s *Shard) Handler() http.Handler { return s.srv.Handler() }
 // programmatic preloads).
 func (s *Shard) Server() *server.Server { return s.srv }
 
-func shardWriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func shardWriteErr(w http.ResponseWriter, err error) {
-	shardWriteJSON(w, server.StatusOf(err), map[string]string{"error": err.Error()})
-}
-
 // handleLoad replicates a graph onto this shard: the body is any snapshot
 // graphio.ReadAuto sniffs (the coordinator sends the succinct packed
 // format), with identity carried in query parameters so the catalog entry
@@ -76,43 +66,43 @@ func (s *Shard) handleLoad(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	g, err := server.ReadUpload(r, q.Get("directed") == "true")
 	if err != nil {
-		shardWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("parsing replicated graph: %v", err)})
+		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("parsing replicated graph: %v", err)})
 		return
 	}
 	workers, err := strconv.Atoi(q.Get("workers"))
 	if err != nil {
-		shardWriteErr(w, server.Errf(http.StatusBadRequest, "bad workers %q", q.Get("workers")))
+		server.WriteErr(w, server.Errf(http.StatusBadRequest, "bad workers %q", q.Get("workers")))
 		return
 	}
 	info, err := s.srv.Local().Create(r.Context(), q.Get("name"), q.Get("memory"), q.Get("source"), g, workers)
 	if err != nil {
-		shardWriteErr(w, err)
+		server.WriteErr(w, err)
 		return
 	}
-	shardWriteJSON(w, http.StatusCreated, info)
+	server.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Shard) handleUnload(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.srv.Local().Drop(r.Context(), r.PathValue("name"))
 	if err != nil {
-		shardWriteErr(w, err)
+		server.WriteErr(w, err)
 		return
 	}
-	shardWriteJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Shard) handlePurge(w http.ResponseWriter, r *http.Request) {
 	var req purgeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		shardWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad JSON body: %v", err)})
+		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad JSON body: %v", err)})
 		return
 	}
 	purged, err := s.srv.Local().PurgeVariant(r.PathValue("name"), req.Spec, req.Seed, req.Workers)
 	if err != nil {
-		shardWriteErr(w, err)
+		server.WriteErr(w, err)
 		return
 	}
-	shardWriteJSON(w, http.StatusOK, purgeResponse{Purged: purged})
+	server.WriteJSON(w, http.StatusOK, purgeResponse{Purged: purged})
 }
 
 // partTarget is a resolved part sub-request: the target adjacency, this
@@ -139,18 +129,18 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 		shard, errShard := strconv.Atoi(q.Get("shard"))
 		of, errOf := strconv.Atoi(q.Get("of"))
 		if err := errors.Join(errSeed, errWorkers, errShard, errOf); err != nil {
-			shardWriteErr(w, server.Errf(http.StatusBadRequest, "bad part query %q: %v", r.URL.RawQuery, err))
+			server.WriteErr(w, server.Errf(http.StatusBadRequest, "bad part query %q: %v", r.URL.RawQuery, err))
 			return
 		}
 		if of < 1 || shard < 0 || shard >= of {
-			shardWriteErr(w, server.Errf(http.StatusBadRequest, "invalid partition position %d of %d", shard, of))
+			server.WriteErr(w, server.Errf(http.StatusBadRequest, "invalid partition position %d of %d", shard, of))
 			return
 		}
 		adj, _, release, err := s.srv.Local().Target(r.PathValue("name"), server.QueryParams{
 			Spec: q.Get("spec"), Seed: seed, Workers: workers,
 		})
 		if err != nil {
-			shardWriteErr(w, err)
+			server.WriteErr(w, err)
 			return
 		}
 		defer release() // the pin that keeps a mapped original from being unmapped mid-computation
@@ -164,7 +154,7 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 			reply, err = kernel(partTarget{g: adj, r: PartitionByDegree(adj, of)[shard], body: body})
 		}
 		if err != nil {
-			shardWriteErr(w, server.Errf(http.StatusBadRequest, "%v", err))
+			server.WriteErr(w, server.Errf(http.StatusBadRequest, "%v", err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"slimgraph/internal/components"
-	"slimgraph/internal/schemes"
 )
 
 func TestAblationEOShape(t *testing.T) {
@@ -30,10 +29,8 @@ func TestAblationEORedirectMatchesFig6Claim(t *testing.T) {
 	// On triangle-rich graphs, redirect-EO removes at least as many edges
 	// as basic TR — the Fig. 6 shape the default semantics trades away.
 	g := table6Graphs(smoke)[3].G // densest planted-communities analog
-	basic := schemes.TriangleReduction(g, schemes.TROptions{
-		P: 0.5, Variant: schemes.TRBasic, Seed: 1, Workers: 2})
-	redir := schemes.TriangleReduction(g, schemes.TROptions{
-		P: 0.5, Variant: schemes.TREORedirect, Seed: 1, Workers: 2})
+	basic := compress(Config{Seed: 1, Workers: 2}, g, "tr:p=0.5")
+	redir := compress(Config{Seed: 1, Workers: 2}, g, "tr-eo-redirect:p=0.5")
 	if redir.EdgeReduction() < 0.9*basic.EdgeReduction() {
 		t.Fatalf("redirect reduction %v far below basic %v",
 			redir.EdgeReduction(), basic.EdgeReduction())
@@ -48,8 +45,7 @@ func TestAblationEORedirectMatchesFig6Claim(t *testing.T) {
 func TestAblationEOProtectiveKeepsComponents(t *testing.T) {
 	g := table6Graphs(smoke)[3].G
 	before := components.Count(g)
-	prot := schemes.TriangleReduction(g, schemes.TROptions{
-		P: 0.9, Variant: schemes.TREO, Seed: 2, Workers: 1})
+	prot := compress(Config{Seed: 2, Workers: 1}, g, "tr-eo:p=0.9")
 	if components.Count(prot.Output) != before {
 		t.Fatal("protective EO changed component count")
 	}

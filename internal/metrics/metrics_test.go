@@ -178,7 +178,14 @@ func TestBFSCriticalIdentityRetention(t *testing.T) {
 
 func TestBFSCriticalDropsWithSpanner(t *testing.T) {
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 5)
-	sp := schemes.Spanner(g, schemes.SpannerOptions{K: 32, Seed: 7, Workers: 2})
+	sch, err := schemes.Parse("spanner:k=32", schemes.WithSeed(7), schemes.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := sch.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ret := BFSCriticalMulti(g, sp.Output, []graph.NodeID{0, 5, 100}, 2)
 	if ret >= 1 || ret <= 0 {
 		t.Fatalf("spanner k=32 retention %v, want in (0, 1)", ret)

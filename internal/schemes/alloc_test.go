@@ -32,3 +32,18 @@ func TestApplyAllocationsIndependentOfSize(t *testing.T) {
 		}
 	}
 }
+
+// TestParseAllocations pins the cost of the one construction path: Parse
+// sits on the cache-hit path of every ?spec= query and in every batch
+// compress, so a stage must cost a scheme value and its argument slice, not
+// a closure or a map per key. This spec takes 10 allocations.
+func TestParseAllocations(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Parse("tr-eo:p=0.8|spanner:k=8", WithSeed(1), WithWorkers(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Errorf("Parse allocates %.0f times, want <= 12", allocs)
+	}
+}

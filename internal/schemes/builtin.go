@@ -1,456 +1,108 @@
 package schemes
 
 import (
-	"fmt"
+	"math"
 	"strings"
-	"time"
 
 	"slimgraph/internal/graph"
 	"slimgraph/internal/succinct"
 	"slimgraph/internal/summarize"
 )
 
-// stamp aligns a Result's labels with the Scheme that produced it, so the
-// bookkeeping of registry-built runs always matches their spec.
-func stamp(res *Result, s Scheme) *Result {
-	res.Scheme = s.Name()
-	res.Params = s.Params()
-	return res
+// The built-in schemes: one Registration each — a kernel (in edge.go,
+// vertex.go, triangle.go, spanner.go, cut.go, or below) and its parameter
+// table. Adding a parameter to a scheme is one row here plus the
+// a.Float/Int/Bool/Enum read in its kernel.
+
+var inf = math.Inf(1)
+
+// keepProbability is the p of the sampling schemes and the TR family.
+var keepProbability = Param{Key: "p", Kind: Float, Default: "0.5", Min: 0, Max: 1}
+
+func init() {
+	Register(Registration{Name: "uniform", Apply: uniform,
+		About:  "uniform edge sampling: keep each edge w.p. p",
+		Params: []Param{keepProbability}})
+	Register(Registration{Name: "vertexsample", Apply: vertexSample,
+		About:  "vertex sampling: keep each vertex w.p. p",
+		Params: []Param{keepProbability}})
+	Register(Registration{Name: "spectral", Apply: spectral,
+		About: "spectral sparsification; p scales Υ",
+		Params: []Param{
+			{Key: "p", Kind: Float, Default: "1", Min: math.SmallestNonzeroFloat64, Max: inf}, // p > 0
+			{Key: "variant", Kind: Enum, Default: "logn", Values: []string{"logn", "avgdeg"}},
+			{Key: "reweight", Kind: Bool, Default: "false"},
+		}})
+
+	// The TR family: every variant is a name of its own, and tr:variant=v is
+	// sugar for that name. x is in every table so that x=1 is accepted
+	// everywhere, but only the basic variant's range reaches 2.
+	trParams := func(maxX float64) []Param {
+		return []Param{keepProbability, {Key: "x", Kind: Int, Default: "1", Min: 1, Max: maxX, Quiet: true}}
+	}
+	Register(Registration{Name: "tr", Apply: triangleReduction(TRBasic),
+		About: "Triangle p-x-Reduction; variant=v is sugar for tr-v",
+		Params: append(trParams(2), Param{Key: "variant", Kind: Enum, Default: "basic",
+			Values: []string{"basic", "EO", "CT", "maxweight", "collapse", "EO-redirect", "redirect"},
+			Sugar: map[string]string{"basic": "tr", "EO": "tr-eo", "CT": "tr-ct", "maxweight": "tr-maxweight",
+				"collapse": "tr-collapse", "EO-redirect": "tr-eo-redirect", "redirect": "tr-eo-redirect"}})})
+	for _, v := range []TRVariant{TREO, TRCT, TRMaxWeight, TRCollapse, TREORedirect} {
+		Register(Registration{Name: "tr-" + strings.ToLower(v.String()), Apply: triangleReduction(v),
+			About:  "Triangle p-1-Reduction, " + v.String() + " variant",
+			Params: trParams(1), Sequential: v == TRMaxWeight})
+	}
+
+	Register(Registration{Name: "lowdeg", Apply: lowDegree,
+		About: "remove degree <= 1 vertices"})
+	Register(Registration{Name: "lowdeg-iter", Apply: lowDegreeIterative,
+		About: "peel degree <= 1 vertices to a fixpoint (keeps the 2-core)"})
+	Register(Registration{Name: "spanner", Apply: spanner,
+		About: "O(k)-spanner via low-diameter decomposition",
+		Params: []Param{
+			{Key: "k", Kind: Int, Default: "8", Min: 1, Max: inf},
+			{Key: "mode", Kind: Enum, Default: "pervertex", Values: []string{"pervertex", "perpair"}},
+		}})
+	Register(Registration{Name: "cut", Apply: cutSparsify,
+		About:  "Benczur-Karger cut sparsifier; rho=auto is 8 ln n",
+		Params: []Param{{Key: "rho", Kind: Float, Default: "auto", Min: -inf, Max: inf, Auto: true}}})
+	Register(Registration{Name: "summarize", Apply: summarizeDecoded,
+		About: "SWeG-style lossy eps-summary, decoded",
+		Params: []Param{
+			{Key: "eps", Kind: Float, Default: "0.1", Min: 0, Max: inf},
+			{Key: "iters", Kind: Int, Default: "10", Min: 1, Max: inf},
+		}})
+	Register(Registration{Name: "relabel", Apply: relabel,
+		About:  "lossless gap-minimizing vertex relabel",
+		Params: []Param{{Key: "order", Kind: Enum, Default: "degree", Values: []string{"degree", "bfs", "window"}}}})
 }
 
-// uniformScheme implements Scheme for random uniform edge sampling.
-type uniformScheme struct {
-	keep    float64
-	seed    uint64
-	workers int
-}
-
-// NewUniform builds the uniform edge-sampling scheme (§4.2.2). Options:
-// WithKeepProbability (default 0.5), WithSeed, WithWorkers.
-func NewUniform(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("uniform", "p"); err != nil {
-		return nil, err
-	}
-	keep := 0.5
-	if c.set["p"] {
-		keep = c.p
-	}
-	if keep < 0 || keep > 1 {
-		return nil, fmt.Errorf("schemes: uniform keep probability %g outside [0, 1]", keep)
-	}
-	return &uniformScheme{keep: keep, seed: c.seed, workers: c.workers}, nil
-}
-
-func (s *uniformScheme) Name() string   { return "uniform" }
-func (s *uniformScheme) Params() string { return fmt.Sprintf("p=%g", s.keep) }
-func (s *uniformScheme) Apply(g *graph.Graph) (*Result, error) {
-	return stamp(Uniform(g, s.keep, s.seed, s.workers), s), nil
-}
-
-// vertexSampleScheme implements Scheme for uniform vertex sampling.
-type vertexSampleScheme struct {
-	keep    float64
-	seed    uint64
-	workers int
-}
-
-// NewVertexSample builds the vertex-sampling scheme (§2's sampling class).
-// Options: WithKeepProbability (default 0.5), WithSeed, WithWorkers.
-func NewVertexSample(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("vertexsample", "p"); err != nil {
-		return nil, err
-	}
-	keep := 0.5
-	if c.set["p"] {
-		keep = c.p
-	}
-	if keep < 0 || keep > 1 {
-		return nil, fmt.Errorf("schemes: vertexsample keep probability %g outside [0, 1]", keep)
-	}
-	return &vertexSampleScheme{keep: keep, seed: c.seed, workers: c.workers}, nil
-}
-
-func (s *vertexSampleScheme) Name() string   { return "vertexsample" }
-func (s *vertexSampleScheme) Params() string { return fmt.Sprintf("p=%g", s.keep) }
-func (s *vertexSampleScheme) Apply(g *graph.Graph) (*Result, error) {
-	return stamp(VertexSample(g, s.keep, s.seed, s.workers), s), nil
-}
-
-// spectralScheme implements Scheme for spectral sparsification.
-type spectralScheme struct {
-	opts SpectralOptions
-}
-
-// NewSpectral builds the spectral sparsification scheme (§4.2.1). Options:
-// WithProbability (Υ scale, default 1), WithUpsilonVariant (default logn),
-// WithReweight (default false), WithSeed, WithWorkers.
-func NewSpectral(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("spectral", "p", "variant", "reweight"); err != nil {
-		return nil, err
-	}
-	o := SpectralOptions{P: 1, Seed: c.seed, Workers: c.workers, Reweight: c.reweight}
-	if c.set["p"] {
-		o.P = c.p
-	}
-	if o.P <= 0 {
-		return nil, fmt.Errorf("schemes: spectral requires p > 0, got %g", o.P)
-	}
-	if c.set["variant"] {
-		switch strings.ToLower(c.variant) {
-		case "logn":
-			o.Variant = UpsilonLogN
-		case "avgdeg":
-			o.Variant = UpsilonAvgDeg
-		default:
-			return nil, fmt.Errorf("schemes: unknown spectral variant %q (logn or avgdeg)", c.variant)
-		}
-	}
-	return &spectralScheme{opts: o}, nil
-}
-
-func (s *spectralScheme) Name() string { return "spectral" }
-func (s *spectralScheme) Params() string {
-	return fmt.Sprintf("p=%g,variant=%s,reweight=%t", s.opts.P, s.opts.Variant, s.opts.Reweight)
-}
-func (s *spectralScheme) Apply(g *graph.Graph) (*Result, error) {
-	return stamp(Spectral(g, s.opts), s), nil
-}
-
-// trScheme implements Scheme for the Triangle Reduction family.
-type trScheme struct {
-	opts TROptions
-}
-
-// trNames maps each TR variant to its registry name.
-var trNames = map[TRVariant]string{
-	TRBasic:      "tr",
-	TREO:         "tr-eo",
-	TRCT:         "tr-ct",
-	TRMaxWeight:  "tr-maxweight",
-	TRCollapse:   "tr-collapse",
-	TREORedirect: "tr-eo-redirect",
-}
-
-// ParseTRVariant maps a variant name (a TRVariant.String value or a registry
-// name suffix, case-insensitive) to the TRVariant.
-func ParseTRVariant(name string) (TRVariant, error) {
-	switch strings.ToLower(name) {
-	case "basic", "":
-		return TRBasic, nil
-	case "eo":
-		return TREO, nil
-	case "ct":
-		return TRCT, nil
-	case "maxweight":
-		return TRMaxWeight, nil
-	case "collapse":
-		return TRCollapse, nil
-	case "eo-redirect", "redirect":
-		return TREORedirect, nil
-	}
-	return 0, fmt.Errorf("schemes: unknown TR variant %q (basic, EO, CT, maxweight, collapse, EO-redirect)", name)
-}
-
-// NewTR builds a Triangle Reduction scheme (§4.3). Options: WithProbability
-// (triangle sampling, default 0.5), WithTRVariant (default basic),
-// WithEdgesPerTriangle (basic only), WithSeed, WithWorkers. The max-weight
-// variant defaults to one worker, where its MST preservation is exact;
-// WithWorkers overrides.
-func NewTR(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("tr", "p", "x", "variant"); err != nil {
-		return nil, err
-	}
-	o := TROptions{P: 0.5, X: 1, Seed: c.seed, Workers: c.workers}
-	if c.set["p"] {
-		o.P = c.p
-	}
-	if o.P < 0 || o.P > 1 {
-		return nil, fmt.Errorf("schemes: TR probability %g outside [0, 1]", o.P)
-	}
-	if c.set["variant"] {
-		v, err := ParseTRVariant(c.variant)
-		if err != nil {
-			return nil, err
-		}
-		o.Variant = v
-	}
-	if c.set["x"] {
-		o.X = c.x
-	}
-	if o.X != 1 && o.X != 2 {
-		return nil, fmt.Errorf("schemes: TR removes 1 or 2 edges per triangle, got x=%d", o.X)
-	}
-	if o.X == 2 && o.Variant != TRBasic {
-		return nil, fmt.Errorf("schemes: p-2-TR is only defined for the basic variant")
-	}
-	if o.Variant == TRMaxWeight && !c.set["workers"] {
-		o.Workers = 1
-	}
-	return &trScheme{opts: o}, nil
-}
-
-func (s *trScheme) Name() string { return trNames[s.opts.Variant] }
-func (s *trScheme) Params() string {
-	if s.opts.X == 2 {
-		return fmt.Sprintf("p=%g,x=2", s.opts.P)
-	}
-	return fmt.Sprintf("p=%g", s.opts.P)
-}
-func (s *trScheme) Apply(g *graph.Graph) (*Result, error) {
-	return stamp(TriangleReduction(g, s.opts), s), nil
-}
-
-// lowDegScheme implements Scheme for low-degree vertex removal.
-type lowDegScheme struct {
-	iterative bool
-	workers   int
-}
-
-// NewLowDegree builds the degree <= 1 removal scheme (§4.4). Options:
-// WithWorkers (the scheme is deterministic, WithSeed is accepted and
-// ignored for harness uniformity).
-func NewLowDegree(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("lowdeg"); err != nil {
-		return nil, err
-	}
-	return &lowDegScheme{workers: c.workers}, nil
-}
-
-// NewLowDegreeIterative builds the fixpoint variant: leaves are peeled
-// until only the 2-core remains.
-func NewLowDegreeIterative(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("lowdeg-iter"); err != nil {
-		return nil, err
-	}
-	return &lowDegScheme{iterative: true, workers: c.workers}, nil
-}
-
-func (s *lowDegScheme) Name() string {
-	if s.iterative {
-		return "lowdeg-iter"
-	}
-	return "lowdeg"
-}
-func (s *lowDegScheme) Params() string { return "" }
-func (s *lowDegScheme) Apply(g *graph.Graph) (*Result, error) {
-	if s.iterative {
-		return stamp(LowDegreeIterative(g, s.workers), s), nil
-	}
-	return stamp(LowDegree(g, s.workers), s), nil
-}
-
-// spannerScheme implements Scheme for LDD-based spanners.
-type spannerScheme struct {
-	opts SpannerOptions
-}
-
-// NewSpanner builds the O(k)-spanner scheme (§4.5.3). Options: WithStretch
-// (default 8), WithInterClusterMode (default pervertex), WithSeed,
-// WithWorkers.
-func NewSpanner(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("spanner", "k", "mode"); err != nil {
-		return nil, err
-	}
-	o := SpannerOptions{K: 8, Seed: c.seed, Workers: c.workers}
-	if c.set["k"] {
-		o.K = c.k
-	}
-	if o.K < 1 {
-		return nil, fmt.Errorf("schemes: spanner requires k >= 1, got %d", o.K)
-	}
-	if c.set["mode"] {
-		switch strings.ToLower(c.mode) {
-		case "pervertex":
-			o.Mode = PerVertex
-		case "perpair":
-			o.Mode = PerClusterPair
-		default:
-			return nil, fmt.Errorf("schemes: unknown spanner mode %q (pervertex or perpair)", c.mode)
-		}
-	}
-	return &spannerScheme{opts: o}, nil
-}
-
-func (s *spannerScheme) Name() string { return "spanner" }
-func (s *spannerScheme) Params() string {
-	return fmt.Sprintf("k=%d,mode=%s", s.opts.K, s.opts.Mode)
-}
-func (s *spannerScheme) Apply(g *graph.Graph) (*Result, error) {
-	return stamp(Spanner(g, s.opts), s), nil
-}
-
-// cutScheme implements Scheme for the Benczúr–Karger cut sparsifier.
-type cutScheme struct {
-	rho     float64
-	seed    uint64
-	workers int
-}
-
-// NewCutSparsify builds the cut sparsifier scheme (§4.6). Options: WithRho
-// (default auto = 8·ln n), WithSeed, WithWorkers.
-func NewCutSparsify(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("cut", "rho"); err != nil {
-		return nil, err
-	}
-	rho := 0.0
-	if c.set["rho"] {
-		rho = c.rho
-	}
-	return &cutScheme{rho: rho, seed: c.seed, workers: c.workers}, nil
-}
-
-func (s *cutScheme) Name() string { return "cut" }
-func (s *cutScheme) Params() string {
-	if s.rho <= 0 {
-		return "rho=auto"
-	}
-	return fmt.Sprintf("rho=%g", s.rho)
-}
-func (s *cutScheme) Apply(g *graph.Graph) (*Result, error) {
-	return stamp(CutSparsify(g, s.rho, s.seed, s.workers), s), nil
-}
-
-// summarizeScheme implements Scheme for SWeG-style ε-summarization. Its
+// summarizeDecoded is SWeG-style ε-summarization (§4.5.4) as a Scheme. Its
 // Result carries the decoded graph; the Summary itself (superedges,
 // corrections, storage accounting) rides in Result.Aux.
-type summarizeScheme struct {
-	opts summarize.Options
+func summarizeDecoded(g *graph.Graph, a Args) (*Result, error) {
+	sum := summarize.Summarize(g, summarize.Options{
+		Epsilon: a.Float("eps"), Iterations: a.Int("iters"), Seed: a.Seed, Workers: a.Workers})
+	return &Result{Output: sum.Decode(), Aux: sum}, nil
 }
 
-// NewSummarize builds the lossy ε-summarization scheme (§4.5.4). Options:
-// WithEpsilon (default 0.1), WithIterations (default 10), WithSeed,
-// WithWorkers.
-func NewSummarize(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("summarize", "eps", "iters"); err != nil {
-		return nil, err
-	}
-	o := summarize.Options{Epsilon: 0.1, Iterations: 10, Seed: c.seed, Workers: c.workers}
-	if c.set["eps"] {
-		o.Epsilon = c.eps
-	}
-	if o.Epsilon < 0 {
-		return nil, fmt.Errorf("schemes: summarize requires eps >= 0, got %g", o.Epsilon)
-	}
-	if c.set["iters"] {
-		o.Iterations = c.iters
-	}
-	if o.Iterations < 1 {
-		return nil, fmt.Errorf("schemes: summarize requires iters >= 1, got %d", o.Iterations)
-	}
-	return &summarizeScheme{opts: o}, nil
-}
-
-func (s *summarizeScheme) Name() string { return "summarize" }
-func (s *summarizeScheme) Params() string {
-	return fmt.Sprintf("eps=%g,iters=%d", s.opts.Epsilon, s.opts.Iterations)
-}
-func (s *summarizeScheme) Apply(g *graph.Graph) (*Result, error) {
-	sum := summarize.Summarize(g, s.opts)
-	res := &Result{
-		Scheme: s.Name(), Params: s.Params(),
-		Input: g, Output: sum.Decode(),
-		Elapsed: sum.Elapsed,
-		Aux:     sum,
-	}
-	return res, nil
-}
-
-// relabelScheme implements Scheme for locality relabeling: the same graph
-// under a gap-minimizing vertex permutation. It removes nothing —
-// EdgeReduction is 0 and every query answer is the original's after ID
-// translation — but it shrinks the succinct encoding, so it composes as a
-// storage stage, e.g. "uniform:p=0.5|relabel:order=bfs". The permutation
-// rides in Result.VertexMap exactly like a vertex-renumbering scheme's
-// (VertexMap[old] = new, never -1: no vertex is dropped).
-type relabelScheme struct {
-	order   succinct.Order
-	workers int
-}
-
-// NewRelabel builds the relabel scheme. Options: WithOrderName (degree, bfs,
-// or window; default degree — order=none is rejected as a no-op),
-// WithWorkers (WithSeed is accepted and ignored: every ordering is
-// deterministic).
-func NewRelabel(opts ...Option) (Scheme, error) {
-	c := buildConfig(opts)
-	if err := c.allow("relabel", "order"); err != nil {
-		return nil, err
-	}
-	o := succinct.OrderDegree
-	if c.set["order"] {
-		var err error
-		o, err = succinct.ParseOrder(c.order)
-		if err != nil {
-			return nil, fmt.Errorf("schemes: %w", err)
-		}
-		if o == succinct.OrderNone {
-			return nil, fmt.Errorf("schemes: relabel with order=none is a no-op; use degree, bfs, or window")
-		}
-	}
-	return &relabelScheme{order: o, workers: c.workers}, nil
-}
-
-func (s *relabelScheme) Name() string   { return "relabel" }
-func (s *relabelScheme) Params() string { return "order=" + s.order.String() }
-func (s *relabelScheme) Apply(g *graph.Graph) (*Result, error) {
-	start := time.Now()
-	perm := succinct.ComputeOrder(g, s.order, s.workers)
-	out, err := g.Permute(perm, s.workers)
+// relabel is locality relabeling: the same graph under a gap-minimizing
+// vertex permutation (degree, bfs or window — a succinct.Order other than
+// none, which would be a no-op). It removes nothing — EdgeReduction is 0 and
+// every query answer is the original's after ID translation — but it shrinks
+// the succinct encoding, so it composes as a storage stage, e.g.
+// "uniform:p=0.5|relabel:order=bfs". The permutation rides in
+// Result.VertexMap exactly like a vertex-renumbering scheme's
+// (VertexMap[old] = new, never -1: no vertex is dropped). Every ordering is
+// deterministic, so the seed is moot.
+func relabel(g *graph.Graph, a Args) (*Result, error) {
+	order, err := succinct.ParseOrder(a.Enum("order"))
 	if err != nil {
 		return nil, err
 	}
-	res := finish(s.Name(), s.Params(), g, out, start)
-	res.VertexMap = perm
-	return res, nil
-}
-
-func init() {
-	Register(Registration{Name: "uniform", New: NewUniform,
-		About: "uniform edge sampling: keep each edge w.p. p (p=0.5)"})
-	Register(Registration{Name: "vertexsample", New: NewVertexSample,
-		About: "vertex sampling: keep each vertex w.p. p (p=0.5)"})
-	Register(Registration{Name: "spectral", New: NewSpectral,
-		About: "spectral sparsification (p=1, variant=logn|avgdeg, reweight=false)"})
-	Register(Registration{Name: "tr", New: NewTR,
-		About: "Triangle p-x-Reduction (p=0.5, x=1|2, variant=basic)"})
-	for _, v := range []TRVariant{TREO, TRCT, TRMaxWeight, TRCollapse, TREORedirect} {
-		v := v
-		name := trNames[v]
-		Register(Registration{
-			Name:  name,
-			About: fmt.Sprintf("Triangle p-1-Reduction, %s variant (p=0.5)", v),
-			New: func(opts ...Option) (Scheme, error) {
-				// The variant is this name's identity; an explicit variant
-				// option would mislabel the run.
-				for _, o := range opts {
-					if o.key == "variant" && !o.isDefault {
-						return nil, fmt.Errorf(
-							"schemes: %s fixes the variant; use tr:variant=... instead", name)
-					}
-				}
-				return NewTR(append([]Option{WithTRVariant(v)}, opts...)...)
-			},
-		})
+	perm := succinct.ComputeOrder(g, order, a.Workers)
+	out, err := g.Permute(perm, a.Workers)
+	if err != nil {
+		return nil, err
 	}
-	Register(Registration{Name: "lowdeg", New: NewLowDegree,
-		About: "remove degree <= 1 vertices"})
-	Register(Registration{Name: "lowdeg-iter", New: NewLowDegreeIterative,
-		About: "peel degree <= 1 vertices to a fixpoint (keeps the 2-core)"})
-	Register(Registration{Name: "spanner", New: NewSpanner,
-		About: "O(k)-spanner via low-diameter decomposition (k=8, mode=pervertex|perpair)"})
-	Register(Registration{Name: "cut", New: NewCutSparsify,
-		About: "Benczur-Karger cut sparsifier (rho=auto)"})
-	Register(Registration{Name: "summarize", New: NewSummarize,
-		About: "SWeG-style lossy eps-summary, decoded (eps=0.1, iters=10)"})
-	Register(Registration{Name: "relabel", New: NewRelabel,
-		About: "lossless gap-minimizing vertex relabel (order=degree|bfs|window)"})
+	return &Result{Output: out, VertexMap: perm}, nil
 }

@@ -1,9 +1,7 @@
 package schemes
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"slimgraph/internal/core"
 	"slimgraph/internal/graph"
@@ -11,7 +9,7 @@ import (
 	"slimgraph/internal/unionfind"
 )
 
-// CutSparsify implements a practical Benczúr–Karger cut sparsifier — the
+// cutSparsify implements a practical Benczúr–Karger cut sparsifier — the
 // first of the §4.6 "future Slim Graph versions" schemes, expressed as an
 // edge kernel. Edge strengths are lower-bounded with Nagamochi–Ibaraki
 // forest decomposition (edge in the i-th spanning forest has local
@@ -19,15 +17,15 @@ import (
 // min(1, rho/strength) and is reweighted by 1/p_e, which preserves every
 // cut within 1±ε w.h.p. for rho = O(log n / ε²).
 //
-// rho <= 0 picks the standard 8·ln(n) (ε ≈ 1/2 constants); larger rho keeps
+// rho=auto picks the standard 8·ln(n) (ε ≈ 1/2 constants); larger rho keeps
 // more edges and tightens cut preservation.
-func CutSparsify(g *graph.Graph, rho float64, seed uint64, workers int) *Result {
-	start := time.Now()
+func cutSparsify(g *graph.Graph, a Args) (*Result, error) {
+	rho := a.Float("rho")
 	if rho <= 0 {
 		rho = 8 * math.Log(float64(max(g.N(), 2)))
 	}
 	strength := forestIndices(g)
-	sg := core.New(g, seed, workers)
+	sg := core.New(g, a.Seed, a.Workers)
 	sg.RunEdgeKernel(func(sg *core.SG, r *rng.Rand, e core.EdgeView) {
 		stay := math.Min(1, rho/float64(strength[e.ID]))
 		if stay < r.Float64() {
@@ -36,7 +34,7 @@ func CutSparsify(g *graph.Graph, rho float64, seed uint64, workers int) *Result 
 			sg.SetWeight(e.ID, e.Weight/stay)
 		}
 	})
-	return finish("cut", fmt.Sprintf("rho=%.1f", rho), g, sg.Materialize(), start)
+	return &Result{Output: sg.Materialize()}, nil
 }
 
 // forestIndices assigns every edge its Nagamochi–Ibaraki forest index: the
@@ -73,23 +71,4 @@ func forestIndices(g *graph.Graph) []int32 {
 		remaining = next
 	}
 	return index
-}
-
-// VertexSample implements the simplest member of the sampling class the
-// paper catalogs in §2 ([79, 99, 160]): every vertex independently remains
-// with probability keep; edges incident to removed vertices vanish. Vertex
-// IDs are preserved (removed vertices become isolated) so per-vertex
-// outputs stay aligned.
-func VertexSample(g *graph.Graph, keep float64, seed uint64, workers int) *Result {
-	if keep < 0 || keep > 1 {
-		panic("schemes: VertexSample probability must be in [0, 1]")
-	}
-	start := time.Now()
-	sg := core.New(g, seed, workers)
-	sg.RunVertexKernel(func(sg *core.SG, r *rng.Rand, v core.VertexView) {
-		if keep < r.Float64() {
-			sg.DelVertex(v.ID)
-		}
-	})
-	return finish("vertexsample", fmt.Sprintf("keep=%g", keep), g, sg.Materialize(), start)
 }

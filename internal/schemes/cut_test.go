@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestForestIndicesTree(t *testing.T) {
 func TestCutSparsifyKeepsWeakEdges(t *testing.T) {
 	// Bridges have strength <= 2 << rho, so they must all survive.
 	g := bottleneck(20, 3)
-	res := CutSparsify(g, 8, 1, 2)
+	res := applySpec(t, g, "cut:rho=8", 1, 2)
 	bridgesKept := 0
 	for e := 0; e < res.Output.M(); e++ {
 		u, v := res.Output.EdgeEndpoints(graph.EdgeID(e))
@@ -72,14 +73,14 @@ func TestCutSparsifyKeepsWeakEdges(t *testing.T) {
 func TestCutSparsifyPreservesMinCut(t *testing.T) {
 	g := bottleneck(20, 4)
 	before := mincut.StoerWagner(g)
-	res := CutSparsify(g, 0, 3, 2) // default rho
+	res := applySpec(t, g, "cut", 3, 2) // default rho
 	after := mincut.StoerWagner(res.Output)
 	if math.Abs(after-before) > 0.5*before {
 		t.Fatalf("min cut %v -> %v (more than 50%% drift)", before, after)
 	}
 	// Uniform sampling at the same edge budget does NOT protect the cut.
 	keep := res.CompressionRatio()
-	uni := Uniform(g, keep, 3, 2)
+	uni := applySpec(t, g, fmt.Sprintf("uniform:p=%g", keep), 3, 2)
 	uniCut := mincut.StoerWagner(uni.Output)
 	if uniCut >= after {
 		t.Logf("note: uniform cut %v >= sparsifier cut %v on this seed", uniCut, after)
@@ -88,7 +89,7 @@ func TestCutSparsifyPreservesMinCut(t *testing.T) {
 
 func TestCutSparsifyOutputWeighted(t *testing.T) {
 	g := gen.Complete(30)
-	res := CutSparsify(g, 4, 5, 2)
+	res := applySpec(t, g, "cut:rho=4", 5, 2)
 	if !res.Output.Weighted() {
 		t.Fatal("reweighted sparsifier output must be weighted")
 	}
@@ -101,7 +102,7 @@ func TestCutSparsifyOutputWeighted(t *testing.T) {
 
 func TestCutSparsifyConnectivityPreserved(t *testing.T) {
 	g := gen.PlantedPartition(300, 30, 0.5, 200, 7)
-	res := CutSparsify(g, 0, 9, 2)
+	res := applySpec(t, g, "cut", 9, 2)
 	// Forest-1 edges (strength 1) always stay with rho >= 1, so the
 	// component structure is intact.
 	if got, want := componentsOf(res.Output), componentsOf(g); got != want {
@@ -136,10 +137,10 @@ func componentsOf(g *graph.Graph) int {
 
 func TestVertexSampleExtremes(t *testing.T) {
 	g := gen.ErdosRenyi(200, 800, 1)
-	if res := VertexSample(g, 1, 1, 2); res.Output.M() != g.M() {
+	if res := applySpec(t, g, "vertexsample:p=1", 1, 2); res.Output.M() != g.M() {
 		t.Fatal("keep=1 removed edges")
 	}
-	if res := VertexSample(g, 0, 1, 2); res.Output.M() != 0 {
+	if res := applySpec(t, g, "vertexsample:p=0", 1, 2); res.Output.M() != 0 {
 		t.Fatal("keep=0 kept edges")
 	}
 }
@@ -147,7 +148,7 @@ func TestVertexSampleExtremes(t *testing.T) {
 func TestVertexSampleRatioQuadratic(t *testing.T) {
 	// An edge survives iff both endpoints do: expected ratio = keep^2.
 	g := gen.ErdosRenyi(2000, 20000, 3)
-	res := VertexSample(g, 0.7, 5, 4)
+	res := applySpec(t, g, "vertexsample:p=0.7", 5, 4)
 	want := 0.7 * 0.7
 	if math.Abs(res.CompressionRatio()-want) > 0.05 {
 		t.Fatalf("ratio %v, want ~%v", res.CompressionRatio(), want)

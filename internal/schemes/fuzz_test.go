@@ -29,6 +29,8 @@ func FuzzParseScheme(f *testing.F) {
 		"", "|", ":", "a:b", "uniform:", "uniform:p=", "uniform:=0.5", "uniform:p=0.5,",
 		"uniform:p=NaN", "uniform:p=+Inf", "uniform:workers=2", "uniform:seed=1|uniform:seed=2",
 		"tr:x=3", "tr-eo:x=2", "summarize:iters=0", "spanner:k=0",
+		"spectral:p=NaN", "cut:rho=nan", "summarize:eps=NaN", "tr-eo:p=NaN", "uniform:p=0.5,p=0.9",
+		"tr:variant=EO,variant=CT", "relabel:order=bfs", "cut:rho=-Inf", "spectral:p=5e-324",
 	} {
 		f.Add(seed)
 	}
@@ -47,6 +49,12 @@ func FuzzParseScheme(f *testing.F) {
 		}
 		if again := Spec(s2); again != canonical {
 			t.Fatalf("canonical spec is not a fixpoint: %q -> %q -> %q", spec, canonical, again)
+		}
+		// NaN is inside no parameter range: it would compare false against
+		// every bound, run as whatever the kernel makes of it, and key the
+		// variant cache under a spec no other spelling reaches.
+		if strings.Contains(strings.ToLower(canonical), "nan") {
+			t.Fatalf("accepted %q canonicalises to %q", spec, canonical)
 		}
 		// Canonical specs of single-stage schemes must not smuggle in
 		// pipeline or stage separators beyond what the grammar allows.

@@ -14,28 +14,28 @@ import (
 // subgraph of the original graph, m, CG, d, T, and M̂C never increase".
 
 // allSchemes runs every subgraph-producing scheme on g with the given seed.
-func allSchemes(g *graph.Graph, seed uint64) []*Result {
+func allSchemes(t testing.TB, g *graph.Graph, seed uint64) []*Result {
 	return []*Result{
-		Uniform(g, 0.6, seed, 2),
-		Spectral(g, SpectralOptions{P: 1, Variant: UpsilonLogN, Seed: seed, Workers: 2}),
-		Spectral(g, SpectralOptions{P: 0.5, Variant: UpsilonAvgDeg, Seed: seed, Workers: 2}),
-		TriangleReduction(g, TROptions{P: 0.7, Variant: TRBasic, Seed: seed, Workers: 2}),
-		TriangleReduction(g, TROptions{P: 0.7, Variant: TREO, Seed: seed, Workers: 2}),
-		TriangleReduction(g, TROptions{P: 0.7, Variant: TRCT, Seed: seed, Workers: 2}),
-		TriangleReduction(g, TROptions{P: 0.7, Variant: TREORedirect, Seed: seed, Workers: 2}),
-		TriangleReduction(g, TROptions{P: 0.7, X: 2, Variant: TRBasic, Seed: seed, Workers: 2}),
-		LowDegree(g, 2),
-		Spanner(g, SpannerOptions{K: 4, Seed: seed, Workers: 2}),
-		Spanner(g, SpannerOptions{K: 4, Mode: PerClusterPair, Seed: seed, Workers: 2}),
-		CutSparsify(g, 6, seed, 2),
-		VertexSample(g, 0.8, seed, 2),
+		applySpec(t, g, "uniform:p=0.6", seed, 2),
+		applySpec(t, g, "spectral:p=1,variant=logn", seed, 2),
+		applySpec(t, g, "spectral:p=0.5,variant=avgdeg", seed, 2),
+		applySpec(t, g, "tr:p=0.7", seed, 2),
+		applySpec(t, g, "tr-eo:p=0.7", seed, 2),
+		applySpec(t, g, "tr-ct:p=0.7", seed, 2),
+		applySpec(t, g, "tr-eo-redirect:p=0.7", seed, 2),
+		applySpec(t, g, "tr:p=0.7,x=2", seed, 2),
+		applySpec(t, g, "lowdeg", 0, 2),
+		applySpec(t, g, "spanner:k=4", seed, 2),
+		applySpec(t, g, "spanner:k=4,mode=perpair", seed, 2),
+		applySpec(t, g, "cut:rho=6", seed, 2),
+		applySpec(t, g, "vertexsample:p=0.8", seed, 2),
 	}
 }
 
 func TestEverySchemeReturnsSubgraphProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.PlantedPartition(200, 20, 0.5, 150, seed)
-		for _, res := range allSchemes(g, seed) {
+		for _, res := range allSchemes(t, g, seed) {
 			out := res.Output
 			if out.N() != g.N() {
 				return false // vertex set preserved (no scheme here compacts)
@@ -67,12 +67,12 @@ func TestEverySchemeDeterministicAcrossWorkersProperty(t *testing.T) {
 	g := gen.PlantedPartition(150, 15, 0.5, 120, 77)
 	run := func(workers int) []int {
 		outs := []*Result{
-			Uniform(g, 0.6, 5, workers),
-			Spectral(g, SpectralOptions{P: 1, Variant: UpsilonLogN, Seed: 5, Workers: workers}),
-			TriangleReduction(g, TROptions{P: 0.7, Variant: TRBasic, Seed: 5, Workers: workers}),
-			LowDegree(g, workers),
-			CutSparsify(g, 6, 5, workers),
-			VertexSample(g, 0.8, 5, workers),
+			applySpec(t, g, "uniform:p=0.6", 5, workers),
+			applySpec(t, g, "spectral:p=1,variant=logn", 5, workers),
+			applySpec(t, g, "tr:p=0.7", 5, workers),
+			applySpec(t, g, "lowdeg", 0, workers),
+			applySpec(t, g, "cut:rho=6", 5, workers),
+			applySpec(t, g, "vertexsample:p=0.8", 5, workers),
 		}
 		ms := make([]int, len(outs))
 		for i, r := range outs {
@@ -91,7 +91,7 @@ func TestEverySchemeDeterministicAcrossWorkersProperty(t *testing.T) {
 func TestMaxDegreeNeverIncreasesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.RMAT(8, 8, 0.57, 0.19, 0.19, seed)
-		for _, res := range allSchemes(g, seed) {
+		for _, res := range allSchemes(t, g, seed) {
 			if res.Output.MaxDegree() > g.MaxDegree() {
 				return false
 			}
@@ -106,7 +106,7 @@ func TestMaxDegreeNeverIncreasesProperty(t *testing.T) {
 func TestWeightedInputsSurviveEverySchemeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.WithUniformWeights(gen.PlantedPartition(120, 12, 0.5, 100, seed), 1, 9, seed+1)
-		for _, res := range allSchemes(g, seed) {
+		for _, res := range allSchemes(t, g, seed) {
 			out := res.Output
 			if !out.Weighted() {
 				return false // weights must not be silently dropped

@@ -1,6 +1,8 @@
 package schemes
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,33 +40,88 @@ func TestEveryRegisteredSchemeConstructsAndApplies(t *testing.T) {
 	}
 }
 
+// TestNewRejectsInvalidParams is generated from the registry: every row of
+// every registered parameter table is probed through the one construction
+// path for the contract the table states — the default round-trips, both
+// ends of the range are inside it, one step beyond either end is not, NaN is
+// inside no range, a key given twice or not in the table is refused (the
+// latter listing the keys that are).
 func TestNewRejectsInvalidParams(t *testing.T) {
-	cases := []struct {
-		name string
-		opts []Option
-	}{
-		{"uniform", []Option{WithKeepProbability(1.5)}},
-		{"uniform", []Option{WithKeepProbability(-0.1)}},
-		{"uniform", []Option{WithStretch(3)}},   // k is not a uniform option
-		{"uniform", []Option{WithEpsilon(0.1)}}, // neither is eps
-		{"spectral", []Option{WithProbability(0)}},
-		{"spectral", []Option{withVariantName("bogus")}},
-		{"tr", []Option{WithProbability(2)}},
-		{"tr", []Option{WithEdgesPerTriangle(3)}},
-		{"tr-eo", []Option{WithEdgesPerTriangle(2)}}, // x=2 is basic-only
-		{"tr", []Option{withVariantName("bogus")}},
-		{"tr-ct", []Option{withVariantName("eo")}}, // alias names fix their variant
-		{"lowdeg", []Option{WithProbability(0.5)}},
-		{"spanner", []Option{WithStretch(0)}},
-		{"spanner", []Option{withModeName("bogus")}},
-		{"summarize", []Option{WithEpsilon(-1)}},
-		{"summarize", []Option{WithIterations(0)}},
-		{"vertexsample", []Option{WithKeepProbability(2)}},
-	}
-	for _, c := range cases {
-		if _, err := New(c.name, c.opts...); err == nil {
-			t.Errorf("New(%q, %v): expected error", c.name, c.opts)
+	accept := func(spec string) Scheme {
+		t.Helper()
+		s, err := Parse(spec)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", spec, err)
+			return nil
 		}
+		if again, err := Parse(Spec(s)); err != nil || Spec(again) != Spec(s) {
+			t.Errorf("Parse(%q): canonical %q is not a fixpoint (%v)", spec, Spec(s), err)
+		}
+		return s
+	}
+	reject := func(spec string, mention ...string) {
+		t.Helper()
+		_, err := Parse(spec)
+		if err == nil {
+			t.Errorf("Parse(%q): expected an error", spec)
+			return
+		}
+		for _, m := range mention {
+			if !strings.Contains(err.Error(), m) {
+				t.Errorf("Parse(%q): error %q does not mention %q", spec, err, m)
+			}
+		}
+	}
+	float := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	for _, name := range Names() {
+		reg, _ := Lookup(name)
+		bare := accept(name)
+		accepted := "accepted: "
+		for _, p := range reg.Params {
+			accepted += p.Key + ","
+			set := name + ":" + p.Key + "="
+			if s := accept(set + p.Default); s != nil && Spec(s) != Spec(bare) {
+				t.Errorf("%s%s is %q, the bare name %q", set, p.Default, Spec(s), Spec(bare))
+			}
+			reject(set+p.Default+","+p.Key+"="+p.Default, p.Key, "twice")
+			switch p.Kind {
+			case Float:
+				accept(set + float(p.Min))
+				accept(set + float(p.Max))
+				reject(set+"NaN", p.Key)
+				if !math.IsInf(p.Min, -1) {
+					reject(set+float(math.Nextafter(p.Min, math.Inf(-1))), p.Key)
+				}
+				if !math.IsInf(p.Max, 1) {
+					reject(set+float(math.Nextafter(p.Max, math.Inf(1))), p.Key)
+				}
+			case Int:
+				accept(set + strconv.Itoa(int(p.Min)))
+				reject(set+strconv.Itoa(int(p.Min)-1), p.Key)
+				if math.IsInf(p.Max, 1) {
+					accept(set + strconv.Itoa(math.MaxInt))
+				} else {
+					accept(set + strconv.Itoa(int(p.Max)))
+					reject(set+strconv.Itoa(int(p.Max)+1), p.Key)
+				}
+				reject(set+"1.5", p.Key)
+			case Bool:
+				accept(set + "true")
+				accept(set + "false")
+				reject(set+"maybe", p.Key)
+			case Enum:
+				for _, v := range p.Values {
+					for _, spelling := range []string{v, strings.ToUpper(v), strings.ToLower(v)} {
+						s := accept(set + spelling)
+						if want, sugar := p.Sugar[v]; sugar && s != nil && s.Name() != want {
+							t.Errorf("%s%s built %q, want %q", set, spelling, s.Name(), want)
+						}
+					}
+				}
+				reject(set+"no-such-value", p.Key, p.Values[0])
+			}
+		}
+		reject(name+":no-such-key=1", name, "no-such-key", accepted+"seed,workers")
 	}
 }
 
@@ -85,6 +142,17 @@ func TestParseErrors(t *testing.T) {
 		"bogus:p=0.5",         // unknown scheme
 		"spanner:k=8,mode=zz", // bad enum
 		"tr:p=0.5,x=2,variant=EO",
+		"tr-eo:x=2",        // x=2 is basic-only
+		"tr-ct:variant=eo", // alias names fix their variant
+		"uniform:k=3",      // k is not a uniform parameter
+		"uniform:eps=0.1",  // neither is eps
+		"lowdeg:p=0.5",
+		"relabel:order=none", // a no-op is not an ordering
+		"uniform:p=NaN", "spectral:p=NaN", "cut:rho=NaN", "summarize:eps=NaN", "tr-eo:p=NaN",
+		"uniform:p=0.5,p=0.9",           // a repeated key never silently wins
+		"uniform:p=0.5,seed=1,seed=2",   // seed and workers included
+		"tr:variant=EO,variant=CT",      // and the sugar key
+		"uniform:p=0.5|uniform:p=1,p=1", // in any stage
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): expected error", spec)
@@ -135,12 +203,12 @@ func TestParseAppliesDefaultsAndSpecWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := s.(*uniformScheme)
-	if u.seed != 99 {
-		t.Fatalf("spec seed should override default, got %d", u.seed)
+	a := s.(*scheme).args
+	if a.Seed != 99 {
+		t.Fatalf("spec seed should override default, got %d", a.Seed)
 	}
-	if u.workers != 3 {
-		t.Fatalf("default workers lost, got %d", u.workers)
+	if a.Workers != 3 {
+		t.Fatalf("default workers lost, got %d", a.Workers)
 	}
 }
 
@@ -152,16 +220,19 @@ func TestMaxWeightStaysSequentialUnderParseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := s.(*trScheme).opts.Workers; w != 1 {
+	if w := s.(*scheme).args.Workers; w != 1 {
 		t.Fatalf("Parse default workers leaked into tr-maxweight: %d", w)
 	}
-	// An explicit constructor option is a deliberate override and wins.
-	s, err = New("tr-maxweight", WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := s.(*trScheme).opts.Workers; w != 8 {
-		t.Fatalf("explicit workers override lost: %d", w)
+	// The spec's own workers= is a deliberate override and wins, under the
+	// sugared spelling too.
+	for _, spec := range []string{"tr-maxweight:p=1,workers=8", "tr:variant=maxweight,workers=8"} {
+		s, err = Parse(spec, WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := s.(*scheme).args.Workers; w != 8 {
+			t.Fatalf("%s: explicit workers override lost: %d", spec, w)
+		}
 	}
 }
 
@@ -184,9 +255,16 @@ func TestLookupAndNames(t *testing.T) {
 func TestRegisterRejectsBadNames(t *testing.T) {
 	for _, bad := range []Registration{
 		{},
-		{Name: "x y", New: NewUniform},
-		{Name: "a|b", New: NewUniform},
-		{Name: "uniform", New: NewUniform}, // duplicate
+		{Name: "no-kernel"},
+		{Name: "x y", Apply: uniform},
+		{Name: "a|b", Apply: uniform},
+		{Name: "uniform", Apply: uniform}, // duplicate
+		{Name: "bad-table-1", Apply: uniform, Params: []Param{keepProbability, keepProbability}},
+		{Name: "bad-table-2", Apply: uniform, Params: []Param{{Key: "seed", Kind: Int, Default: "1", Max: 9}}},
+		{Name: "bad-table-3", Apply: uniform, Params: []Param{{Key: "p", Kind: Float, Default: "2", Max: 1}}},
+		{Name: "bad-table-4", Apply: uniform, Params: []Param{{Key: "m", Kind: Enum, Default: "c", Values: []string{"a", "b"}}}},
+		{Name: "bad-table-5", Apply: uniform, Params: []Param{{Key: "m", Kind: Enum, Default: "a", Values: []string{"a", "b"},
+			Sugar: map[string]string{"a": "uniform"}}}}, // b is sugar for nothing
 	} {
 		func() {
 			defer func() {

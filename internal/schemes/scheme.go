@@ -1,9 +1,8 @@
 package schemes
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"strconv"
+	"time"
 
 	"slimgraph/internal/graph"
 )
@@ -18,11 +17,14 @@ type Scheme interface {
 	// Params is the canonical parameter string, e.g. "p=0.5". It is empty
 	// for parameterless schemes and always parses back: see Spec and Parse.
 	Params() string
-	// Apply compresses g; it never mutates g. Per-element random choices
-	// are deterministic per seed. Schemes whose kernels share state across
-	// instances (the EO/CT/maxweight TR variants' consider-state) are
-	// additionally order-sensitive under real parallelism; run them with
-	// WithWorkers(1) for bit-identical repeats.
+	// Apply compresses g; it never mutates g. Every scheme is deterministic
+	// per seed at one worker. With more workers the output is still the
+	// same for every scheme whose kernel instances share no state; the five
+	// that do — tr-eo, tr-ct, tr-maxweight, tr-eo-redirect (consider-state,
+	// liveness of the other two edges) and tr-collapse (union order) — are
+	// order-sensitive under real parallelism and bit-repeatable only with
+	// WithWorkers(1). testdata/golden.txt's scheduleFree column pins exactly
+	// this split.
 	Apply(g *graph.Graph) (*Result, error)
 }
 
@@ -39,159 +41,89 @@ func Spec(s Scheme) string {
 	return s.Name()
 }
 
-// Option configures a scheme constructor. Options are shared across
-// constructors; each constructor rejects options that do not apply to its
-// scheme (WithSeed and WithWorkers apply to every scheme). Options passed
-// as Parse defaults carry their value but do not count as explicitly set,
-// so schemes with conditional defaults (tr-maxweight's one-worker rule)
-// still apply them.
-type Option struct {
-	key       string
-	apply     func(*config)
-	isDefault bool
-}
-
-// asDefault marks an option as a caller-supplied default rather than an
-// explicit setting.
-func asDefault(o Option) Option {
-	o.isDefault = true
-	return o
-}
-
-type config struct {
-	set      map[string]bool
-	seed     uint64
-	workers  int
-	p        float64
-	x        int
-	k        int
-	eps      float64
-	iters    int
-	rho      float64
-	reweight bool
-	variant  string // raw variant name; the scheme interprets it
-	mode     string // raw inter-cluster mode name (spanner)
-	order    string // raw locality-ordering name (relabel)
-}
-
-func buildConfig(opts []Option) *config {
-	c := &config{set: map[string]bool{}}
-	for _, o := range opts {
-		if !o.isDefault {
-			c.set[o.key] = true
-		}
-		o.apply(c)
-	}
-	return c
-}
-
-// allow returns an error naming the first set option outside the allowed
-// list. Seed and workers are always allowed.
-func (c *config) allow(scheme string, keys ...string) error {
-	allowed := map[string]bool{"seed": true, "workers": true}
-	for _, k := range keys {
-		allowed[k] = true
-	}
-	var bad []string
-	for k := range c.set {
-		if !allowed[k] {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	sort.Strings(keys)
-	return fmt.Errorf("schemes: %s does not accept option %q (accepted: %s)",
-		scheme, strings.Join(bad, ","), strings.Join(append(keys, "seed", "workers"), ","))
-}
-
-func option(key string, apply func(*config)) Option { return Option{key: key, apply: apply} }
+// Option is a run setting every scheme accepts — the seed or the worker
+// budget — passed to Parse as a default for all stages. Everything specific
+// to one scheme is a parameter in the spec string.
+type Option func(*Args)
 
 // WithSeed sets the random seed. Every scheme is deterministic per seed.
-func WithSeed(seed uint64) Option {
-	return option("seed", func(c *config) { c.seed = seed })
+func WithSeed(seed uint64) Option { return func(a *Args) { a.Seed = seed } }
+
+// WithWorkers sets the parallelism (<= 0 means all CPUs). Which outputs
+// depend on it is stated once, on Scheme.Apply.
+func WithWorkers(workers int) Option { return func(a *Args) { a.Workers = workers } }
+
+// Args is what a registered kernel is handed at Apply time: the run
+// settings and the value of every parameter its Registration declares,
+// already parsed, range-checked and defaulted.
+type Args struct {
+	Seed    uint64
+	Workers int
+
+	params []Param  // the registration's table
+	values []string // canonical spelling per table row
 }
 
-// WithWorkers sets the parallelism (<= 0 means all CPUs). Outputs do not
-// depend on the worker count.
-func WithWorkers(workers int) Option {
-	return option("workers", func(c *config) { c.workers = workers })
+// value returns the canonical spelling of a declared parameter. Asking for
+// a key or a kind the table does not declare is a programmer error.
+func (a Args) value(key string, kind Kind) string {
+	if i := index(a.params, key); i >= 0 && a.params[i].Kind == kind {
+		return a.values[i]
+	}
+	panic("schemes: kernel read undeclared " + kind.String() + " parameter " + strconv.Quote(key))
 }
 
-// WithProbability sets the scheme's probability parameter p: the keep
-// probability for uniform and vertexsample, the Υ scale for spectral, and
-// the triangle sampling probability for the TR family.
-func WithProbability(p float64) Option {
-	return option("p", func(c *config) { c.p = p })
+// Float returns a Float parameter; an Auto parameter left automatic reads 0.
+func (a Args) Float(key string) float64 {
+	f, _ := strconv.ParseFloat(a.value(key, Float), 64) // "auto" fails to parse: 0
+	return f
 }
 
-// WithKeepProbability is WithProbability under the name the edge- and
-// vertex-sampling schemes use: every element stays with probability p.
-func WithKeepProbability(p float64) Option { return WithProbability(p) }
-
-// WithEdgesPerTriangle sets x for Triangle p-x-Reduction (1 or 2; only the
-// basic variant supports 2).
-func WithEdgesPerTriangle(x int) Option {
-	return option("x", func(c *config) { c.x = x })
+// Int returns an Int parameter.
+func (a Args) Int(key string) int {
+	n, _ := strconv.Atoi(a.value(key, Int))
+	return n
 }
 
-// WithTRVariant selects the Triangle Reduction flavor.
-func WithTRVariant(v TRVariant) Option {
-	return option("variant", func(c *config) { c.variant = v.String() })
+// Bool returns a Bool parameter.
+func (a Args) Bool(key string) bool { return a.value(key, Bool) == "true" }
+
+// Enum returns an Enum parameter in the spelling its Values list uses.
+func (a Args) Enum(key string) string { return a.value(key, Enum) }
+
+// scheme is the one Scheme implementation behind every registry name: a
+// registration plus the arguments one spec stage resolved to.
+type scheme struct {
+	reg  *Registration
+	args Args
 }
 
-// WithUpsilonVariant selects how the spectral sparsifier's Υ scales.
-func WithUpsilonVariant(v UpsilonVariant) Option {
-	return option("variant", func(c *config) { c.variant = v.String() })
+func (s *scheme) Name() string { return s.reg.Name }
+
+// Params renders the table's rows in table order as "key=value,…", leaving
+// out Quiet rows that sit at their default.
+func (s *scheme) Params() string {
+	b := make([]byte, 0, 64)
+	for i, p := range s.reg.Params {
+		if p.Sugar != nil || (p.Quiet && s.args.values[i] == s.reg.defaults[i]) {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, p.Key...), '='), s.args.values[i]...)
+	}
+	return string(b)
 }
 
-// WithReweight keeps the spectral output unbiased: kept edges get weight
-// w(e)/p_e.
-func WithReweight(on bool) Option {
-	return option("reweight", func(c *config) { c.reweight = on })
-}
-
-// WithStretch sets the spanner stretch parameter k >= 1.
-func WithStretch(k int) Option {
-	return option("k", func(c *config) { c.k = k })
-}
-
-// WithInterClusterMode selects the spanner's inter-cluster edge rule.
-func WithInterClusterMode(m InterClusterMode) Option {
-	return option("mode", func(c *config) { c.mode = m.String() })
-}
-
-// WithEpsilon sets the summarization error budget.
-func WithEpsilon(eps float64) Option {
-	return option("eps", func(c *config) { c.eps = eps })
-}
-
-// WithIterations sets the summarization round count.
-func WithIterations(n int) Option {
-	return option("iters", func(c *config) { c.iters = n })
-}
-
-// WithRho sets the cut sparsifier's sampling density; rho <= 0 selects the
-// automatic 8·ln n.
-func WithRho(rho float64) Option {
-	return option("rho", func(c *config) { c.rho = rho })
-}
-
-// withVariantName is the parser's untyped variant option; the constructor
-// interprets the string per scheme.
-func withVariantName(name string) Option {
-	return option("variant", func(c *config) { c.variant = name })
-}
-
-// withModeName is the parser's untyped inter-cluster mode option.
-func withModeName(name string) Option {
-	return option("mode", func(c *config) { c.mode = name })
-}
-
-// WithOrderName selects the relabel scheme's locality ordering by name
-// (degree, bfs, or window — a succinct.Order name other than none).
-func WithOrderName(name string) Option {
-	return option("order", func(c *config) { c.order = name })
+// Apply runs the kernel and stamps the bookkeeping every Result shares:
+// labels that match the spec, the input, and the elapsed time.
+func (s *scheme) Apply(g *graph.Graph) (*Result, error) {
+	start := time.Now()
+	res, err := s.reg.Apply(g, s.args)
+	if err != nil {
+		return nil, err
+	}
+	res.Scheme, res.Params, res.Input, res.Elapsed = s.Name(), s.Params(), g, time.Since(start)
+	return res, nil
 }

@@ -14,8 +14,12 @@
 // the one scheme with a convergence loop and a non-graph output (summary +
 // corrections).
 //
-// Every scheme returns a Result carrying the compressed graph and the
-// bookkeeping the evaluation needs (edge reduction, timing).
+// A scheme is a kernel plus a parameter table: one Registration in
+// builtin.go each. The registry (registry.go) is the rest — the spec
+// grammar, range checks, defaults, the canonical spec string, usage text —
+// and Parse is the one way to build a Scheme. Every scheme returns a Result
+// carrying the compressed graph and the bookkeeping the evaluation needs
+// (edge reduction, timing), stamped once by the registry.
 package schemes
 
 import (
@@ -90,12 +94,4 @@ func (r *Result) Breakdown() []StageTiming {
 		out = append(out, st.Breakdown()...)
 	}
 	return out
-}
-
-func finish(scheme, params string, in, out *graph.Graph, start time.Time) *Result {
-	return &Result{
-		Scheme: scheme, Params: params,
-		Input: in, Output: out,
-		Elapsed: time.Since(start),
-	}
 }

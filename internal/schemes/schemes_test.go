@@ -1,6 +1,7 @@
 package schemes
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -15,10 +16,10 @@ import (
 
 func TestUniformExtremes(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1000, 1)
-	if got := Uniform(g, 1, 1, 2); got.Output.M() != g.M() {
+	if got := applySpec(t, g, "uniform:p=1", 1, 2); got.Output.M() != g.M() {
 		t.Fatalf("p=1 removed edges: %d -> %d", g.M(), got.Output.M())
 	}
-	if got := Uniform(g, 0, 1, 2); got.Output.M() != 0 {
+	if got := applySpec(t, g, "uniform:p=0", 1, 2); got.Output.M() != 0 {
 		t.Fatalf("p=0 kept %d edges", got.Output.M())
 	}
 }
@@ -26,7 +27,7 @@ func TestUniformExtremes(t *testing.T) {
 func TestUniformRatioNearP(t *testing.T) {
 	g := gen.ErdosRenyi(1000, 10000, 2)
 	for _, p := range []float64{0.2, 0.5, 0.8} {
-		res := Uniform(g, p, 42, 4)
+		res := applySpec(t, g, fmt.Sprintf("uniform:p=%g", p), 42, 4)
 		if math.Abs(res.CompressionRatio()-p) > 0.05 {
 			t.Fatalf("p=%v: ratio %v", p, res.CompressionRatio())
 		}
@@ -38,8 +39,8 @@ func TestUniformRatioNearP(t *testing.T) {
 
 func TestUniformDeterministicPerSeed(t *testing.T) {
 	g := gen.ErdosRenyi(300, 2000, 3)
-	a := Uniform(g, 0.5, 7, 1)
-	b := Uniform(g, 0.5, 7, 8)
+	a := applySpec(t, g, "uniform:p=0.5", 7, 1)
+	b := applySpec(t, g, "uniform:p=0.5", 7, 8)
 	if a.Output.M() != b.Output.M() {
 		t.Fatalf("worker count changed result: %d vs %d", a.Output.M(), b.Output.M())
 	}
@@ -50,7 +51,7 @@ func TestSpectralKeepsVertexCoverage(t *testing.T) {
 	// w.h.p. With Υ = ln n, low-degree vertices keep all their edges
 	// (p_e = 1 when min degree <= Υ).
 	g := gen.BarabasiAlbert(2000, 3, 5)
-	res := Spectral(g, SpectralOptions{P: 1, Variant: UpsilonLogN, Seed: 1, Workers: 4})
+	res := applySpec(t, g, "spectral:p=1,variant=logn", 1, 4)
 	isolatedBefore := 0
 	isolatedAfter := 0
 	for v := 0; v < g.N(); v++ {
@@ -68,7 +69,7 @@ func TestSpectralKeepsVertexCoverage(t *testing.T) {
 
 func TestSpectralReweighting(t *testing.T) {
 	g := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 3)
-	res := Spectral(g, SpectralOptions{P: 0.5, Variant: UpsilonLogN, Reweight: true, Seed: 2, Workers: 2})
+	res := applySpec(t, g, "spectral:p=0.5,variant=logn,reweight=true", 2, 2)
 	if !res.Output.Weighted() {
 		t.Fatal("reweighted output not weighted")
 	}
@@ -95,8 +96,8 @@ func TestSpectralReweighting(t *testing.T) {
 
 func TestSpectralVariantsDiffer(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 7)
-	a := Spectral(g, SpectralOptions{P: 0.5, Variant: UpsilonLogN, Seed: 1, Workers: 2})
-	b := Spectral(g, SpectralOptions{P: 0.5, Variant: UpsilonAvgDeg, Seed: 1, Workers: 2})
+	a := applySpec(t, g, "spectral:p=0.5,variant=logn", 1, 2)
+	b := applySpec(t, g, "spectral:p=0.5,variant=avgdeg", 1, 2)
 	if a.Output.M() == b.Output.M() {
 		t.Logf("variants coincidentally equal: %d", a.Output.M())
 	}
@@ -112,7 +113,7 @@ func TestTRBasicOnlyRemovesTriangleEdges(t *testing.T) {
 		edges = append(edges, graph.E(v, v+1))
 	}
 	g := graph.FromEdges(21, false, edges)
-	res := TriangleReduction(g, TROptions{P: 1, Variant: TRBasic, Seed: 3, Workers: 1})
+	res := applySpec(t, g, "tr:p=1", 3, 1)
 	if g.M()-res.Output.M() != 1 {
 		t.Fatalf("removed %d edges, want exactly 1 (one triangle)", g.M()-res.Output.M())
 	}
@@ -126,7 +127,7 @@ func TestTRBasicOnlyRemovesTriangleEdges(t *testing.T) {
 
 func TestTRZeroPNoOp(t *testing.T) {
 	g := gen.PlantedPartition(200, 20, 0.5, 100, 5)
-	res := TriangleReduction(g, TROptions{P: 0, Variant: TRBasic, Seed: 1, Workers: 2})
+	res := applySpec(t, g, "tr:p=0", 1, 2)
 	if res.Output.M() != g.M() {
 		t.Fatalf("p=0 removed %d edges", g.M()-res.Output.M())
 	}
@@ -134,8 +135,8 @@ func TestTRZeroPNoOp(t *testing.T) {
 
 func TestTRP2RemovesMore(t *testing.T) {
 	g := gen.PlantedPartition(300, 30, 0.4, 100, 7)
-	one := TriangleReduction(g, TROptions{P: 0.5, X: 1, Variant: TRBasic, Seed: 9, Workers: 2})
-	two := TriangleReduction(g, TROptions{P: 0.5, X: 2, Variant: TRBasic, Seed: 9, Workers: 2})
+	one := applySpec(t, g, "tr:p=0.5", 9, 2)
+	two := applySpec(t, g, "tr:p=0.5,x=2", 9, 2)
 	if two.Output.M() >= one.Output.M() {
 		t.Fatalf("p-2-TR kept %d >= p-1-TR %d", two.Output.M(), one.Output.M())
 	}
@@ -146,9 +147,9 @@ func TestTREOProtectsSharedEdges(t *testing.T) {
 	// edge and survivors are shielded, so EO keeps at least as many edges
 	// as basic p-1-TR (see the TREO doc comment for the Fig. 6 tension).
 	g := gen.PlantedPartition(400, 40, 0.5, 200, 11)
-	basic := TriangleReduction(g, TROptions{P: 0.5, Variant: TRBasic, Seed: 13, Workers: 2})
-	eo := TriangleReduction(g, TROptions{P: 0.5, Variant: TREO, Seed: 13, Workers: 2})
-	ct := TriangleReduction(g, TROptions{P: 0.5, Variant: TRCT, Seed: 13, Workers: 2})
+	basic := applySpec(t, g, "tr:p=0.5", 13, 2)
+	eo := applySpec(t, g, "tr-eo:p=0.5", 13, 2)
+	ct := applySpec(t, g, "tr-ct:p=0.5", 13, 2)
 	if eo.Output.M() < basic.Output.M() {
 		t.Fatalf("EO kept %d < basic %d", eo.Output.M(), basic.Output.M())
 	}
@@ -168,7 +169,7 @@ func TestTREOPreservesConnectivityEmpirically(t *testing.T) {
 	// triangle-rich graphs.
 	g := gen.PlantedPartition(300, 30, 0.6, 300, 17)
 	before := components.Count(g)
-	res := TriangleReduction(g, TROptions{P: 0.9, Variant: TREO, Seed: 19, Workers: 1})
+	res := applySpec(t, g, "tr-eo:p=0.9", 19, 1)
 	after := components.Count(res.Output)
 	if after != before {
 		t.Fatalf("components %d -> %d under EO TR", before, after)
@@ -179,7 +180,7 @@ func TestTRMaxWeightPreservesMSTWeight(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.WithUniformWeights(gen.PlantedPartition(150, 15, 0.5, 100, seed), 1, 100, seed+1)
 		before := mst.Kruskal(g)
-		res := TriangleReduction(g, TROptions{P: 1, Variant: TRMaxWeight, Seed: seed, Workers: 1})
+		res := applySpec(t, g, "tr-maxweight:p=1", seed, 1)
 		after := mst.Kruskal(res.Output)
 		return math.Abs(before.Weight-after.Weight) < 1e-9 && before.Trees == after.Trees
 	}
@@ -190,7 +191,7 @@ func TestTRMaxWeightPreservesMSTWeight(t *testing.T) {
 
 func TestTRCollapseShrinksVertices(t *testing.T) {
 	g := gen.PlantedPartition(200, 20, 0.6, 100, 23)
-	res := TriangleReduction(g, TROptions{P: 0.8, Variant: TRCollapse, Seed: 29, Workers: 2})
+	res := applySpec(t, g, "tr-collapse:p=0.8", 29, 2)
 	if res.Output.N() >= g.N() {
 		t.Fatalf("collapse kept %d vertices of %d", res.Output.N(), g.N())
 	}
@@ -210,7 +211,7 @@ func TestTRCollapseShrinksVertices(t *testing.T) {
 
 func TestLowDegreeRemovesLeaves(t *testing.T) {
 	g := gen.Star(30)
-	res := LowDegree(g, 2)
+	res := applySpec(t, g, "lowdeg", 0, 2)
 	if res.Output.M() != 0 {
 		t.Fatalf("star after leaf removal has %d edges", res.Output.M())
 	}
@@ -225,7 +226,7 @@ func TestLowDegreeKeepsCore(t *testing.T) {
 		graph.E(0, 1), graph.E(1, 2), graph.E(0, 2),
 		graph.E(0, 3), graph.E(1, 4), graph.E(2, 5),
 	})
-	res := LowDegree(g, 1)
+	res := applySpec(t, g, "lowdeg", 0, 1)
 	if res.Output.M() != 3 {
 		t.Fatalf("m = %d, want 3 (the triangle)", res.Output.M())
 	}
@@ -246,8 +247,8 @@ func TestLowDegreeIterativePeelsChains(t *testing.T) {
 		edges = append(edges, graph.E(i-1, i)) // chain 4-5-6-7-8
 	}
 	g := graph.FromEdges(9, false, edges)
-	single := LowDegree(g, 1)
-	iter := LowDegreeIterative(g, 1)
+	single := applySpec(t, g, "lowdeg", 0, 1)
+	iter := applySpec(t, g, "lowdeg-iter", 0, 1)
 	if single.Output.M() <= iter.Output.M() {
 		t.Fatalf("iteration did not peel more: %d vs %d", single.Output.M(), iter.Output.M())
 	}
@@ -259,7 +260,7 @@ func TestLowDegreeIterativePeelsChains(t *testing.T) {
 func TestSpannerPreservesConnectivity(t *testing.T) {
 	for _, k := range []int{2, 8, 32} {
 		g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 31)
-		res := Spanner(g, SpannerOptions{K: k, Seed: 37, Workers: 2})
+		res := applySpec(t, g, fmt.Sprintf("spanner:k=%d", k), 37, 2)
 		if components.Count(res.Output) != components.Count(g) {
 			t.Fatalf("k=%d: spanner changed component count", k)
 		}
@@ -273,7 +274,7 @@ func TestSpannerLargerKFewerEdges(t *testing.T) {
 	g := gen.RMAT(11, 8, 0.57, 0.19, 0.19, 41)
 	prev := g.M() + 1
 	for _, k := range []int{2, 8, 32, 128} {
-		res := Spanner(g, SpannerOptions{K: k, Seed: 43, Workers: 2})
+		res := applySpec(t, g, fmt.Sprintf("spanner:k=%d", k), 43, 2)
 		if res.Output.M() > prev {
 			t.Fatalf("k=%d kept %d edges, more than smaller k (%d)", k, res.Output.M(), prev)
 		}
@@ -284,7 +285,7 @@ func TestSpannerLargerKFewerEdges(t *testing.T) {
 func TestSpannerDistanceStretchBounded(t *testing.T) {
 	g := gen.Grid2D(20, 20, true)
 	k := 4
-	res := Spanner(g, SpannerOptions{K: k, Seed: 47, Workers: 1})
+	res := applySpec(t, g, fmt.Sprintf("spanner:k=%d", k), 47, 1)
 	orig := traverse.BFS(g, 0, 1)
 	comp := traverse.BFS(res.Output, 0, 1)
 	logn := math.Log2(float64(g.N()))
@@ -307,8 +308,8 @@ func TestSpannerDistanceStretchBounded(t *testing.T) {
 
 func TestSpannerPerVertexKeepsMore(t *testing.T) {
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 53)
-	pair := Spanner(g, SpannerOptions{K: 4, Mode: PerClusterPair, Seed: 59, Workers: 2})
-	perv := Spanner(g, SpannerOptions{K: 4, Mode: PerVertex, Seed: 59, Workers: 2})
+	pair := applySpec(t, g, "spanner:k=4,mode=perpair", 59, 2)
+	perv := applySpec(t, g, "spanner:k=4,mode=pervertex", 59, 2)
 	if perv.Output.M() < pair.Output.M() {
 		t.Fatalf("per-vertex kept %d < per-pair %d", perv.Output.M(), pair.Output.M())
 	}
@@ -318,7 +319,7 @@ func TestSpannerKillsTriangles(t *testing.T) {
 	// Table 6: spanners, especially for large k, eliminate most triangles.
 	g := gen.PlantedPartition(400, 40, 0.5, 200, 61)
 	before := triangles.Count(g, 2)
-	res := Spanner(g, SpannerOptions{K: 32, Seed: 67, Workers: 2})
+	res := applySpec(t, g, "spanner:k=32", 67, 2)
 	after := triangles.Count(res.Output, 2)
 	if after*10 > before {
 		t.Fatalf("spanner kept %d of %d triangles", after, before)
@@ -327,7 +328,7 @@ func TestSpannerKillsTriangles(t *testing.T) {
 
 func TestResultStringAndRatios(t *testing.T) {
 	g := gen.Cycle(10)
-	res := Uniform(g, 0.5, 1, 1)
+	res := applySpec(t, g, "uniform:p=0.5", 1, 1)
 	if res.String() == "" || res.Scheme != "uniform" {
 		t.Fatal("result metadata broken")
 	}
@@ -340,7 +341,7 @@ func BenchmarkUniformRMAT14(b *testing.B) {
 	g := gen.RMAT(14, 8, 0.57, 0.19, 0.19, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Uniform(g, 0.5, uint64(i), 0)
+		applySpec(b, g, "uniform:p=0.5", uint64(i), 0)
 	}
 }
 
@@ -348,7 +349,7 @@ func BenchmarkTREO_RMAT12(b *testing.B) {
 	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TriangleReduction(g, TROptions{P: 0.5, Variant: TREO, Seed: uint64(i)})
+		applySpec(b, g, "tr-eo:p=0.5", uint64(i), 0)
 	}
 }
 
@@ -356,6 +357,6 @@ func BenchmarkSpannerRMAT12(b *testing.B) {
 	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Spanner(g, SpannerOptions{K: 8, Seed: uint64(i)})
+		applySpec(b, g, "spanner:k=8", uint64(i), 0)
 	}
 }

@@ -1,9 +1,7 @@
 package schemes
 
 import (
-	"fmt"
 	"sync"
-	"time"
 
 	"slimgraph/internal/core"
 	"slimgraph/internal/graph"
@@ -44,8 +42,9 @@ const (
 	// TRMaxWeight removes the maximum-weight edge of a sampled triangle,
 	// and only when the triangle's other two edges are still present — the
 	// cycle property then guarantees the MST weight is preserved exactly
-	// (§4.3, §6.1). Exactness holds for the sequential engine (Workers=1);
-	// parallel runs preserve it up to rare races.
+	// (§4.3, §6.1). Exactness holds for the sequential engine (one worker,
+	// which is why its registration is Sequential); parallel runs preserve
+	// it up to rare races.
 	TRMaxWeight
 	// TRCollapse collapses each sampled triangle into a single vertex,
 	// shrinking the vertex set as well (§4.3 "Triangle p-Reduction by
@@ -78,54 +77,27 @@ func (v TRVariant) String() string {
 	}
 }
 
-// TROptions configures TriangleReduction.
-type TROptions struct {
-	P       float64 // triangle sampling probability
-	X       int     // edges removed per sampled triangle (TRBasic only); 0 means 1
-	Variant TRVariant
-	Seed    uint64
-	Workers int
-}
-
-func (o TROptions) paramString() string {
-	x := o.X
-	if x == 0 {
-		x = 1
+// triangleReduction returns the kernel of Triangle p-x-Reduction (§4.3) in
+// the given variant. Work is O(m^{3/2}) for the triangle enumeration
+// (Table 2); the CT variant adds one extra enumeration to count triangles
+// per edge. x is 1 for every variant but the basic one, which also takes 2.
+func triangleReduction(variant TRVariant) func(*graph.Graph, Args) (*Result, error) {
+	return func(g *graph.Graph, a Args) (*Result, error) {
+		p := a.Float("p")
+		if variant == TRCollapse {
+			return collapseTR(g, p, a), nil
+		}
+		// One engine per run: the CT variant's per-edge counting pass and
+		// the kernel enumeration share the same forward CSR.
+		eng := triangles.NewEngine(g, a.Workers)
+		var perEdge []int64
+		if variant == TRCT {
+			perEdge = eng.PerEdge()
+		}
+		sg := core.New(g, a.Seed, a.Workers)
+		sg.RunTriangleKernelOn(eng, trKernel(variant, p, a.Int("x"), perEdge), trIdle(sg, variant))
+		return &Result{Output: sg.Materialize()}, nil
 	}
-	return fmt.Sprintf("p=%g,x=%d,variant=%s", o.P, x, o.Variant)
-}
-
-// TriangleReduction applies Triangle p-x-Reduction (§4.3) in the selected
-// variant. Work is O(m^{3/2}) for the triangle enumeration (Table 2); the
-// CT variant adds one extra enumeration to count triangles per edge.
-func TriangleReduction(g *graph.Graph, opts TROptions) *Result {
-	if opts.P < 0 || opts.P > 1 {
-		panic("schemes: TR probability must be in [0, 1]")
-	}
-	x := opts.X
-	if x == 0 {
-		x = 1
-	}
-	if x != 1 && x != 2 {
-		panic("schemes: TR removes 1 or 2 edges per triangle")
-	}
-	if x == 2 && opts.Variant != TRBasic {
-		panic("schemes: p-2-TR is only defined for the basic variant")
-	}
-	start := time.Now()
-	if opts.Variant == TRCollapse {
-		return collapseTR(g, opts, start)
-	}
-	// One engine per run: the CT variant's per-edge counting pass and the
-	// kernel enumeration share the same forward CSR.
-	eng := triangles.NewEngine(g, opts.Workers)
-	var perEdge []int64
-	if opts.Variant == TRCT {
-		perEdge = eng.PerEdge()
-	}
-	sg := core.New(g, opts.Seed, opts.Workers)
-	sg.RunTriangleKernelOn(eng, trKernel(opts.Variant, opts.P, x, perEdge), trIdle(sg, opts.Variant))
-	return finish("tr", opts.paramString(), g, sg.Materialize(), start)
 }
 
 // trIdle returns the variant's no-op condition (core.TriangleIdle): the
@@ -222,12 +194,12 @@ func trKernel(variant TRVariant, trStays float64, x int, perEdge []int64) core.T
 // collapseTR implements Triangle p-Reduction by Collapse: sampled
 // triangles are merged into supervertices via union-find, then the graph is
 // contracted (parallel edges merged, loops dropped).
-func collapseTR(g *graph.Graph, opts TROptions, start time.Time) *Result {
+func collapseTR(g *graph.Graph, p float64, a Args) *Result {
 	uf := unionfind.New(g.N())
 	var mu sync.Mutex
-	sg := core.New(g, opts.Seed, opts.Workers)
+	sg := core.New(g, a.Seed, a.Workers)
 	sg.RunTriangleKernel(func(sg *core.SG, r *rng.Rand, t core.TriangleView) {
-		if r.Float64() >= opts.P {
+		if r.Float64() >= p {
 			return
 		}
 		mu.Lock()
@@ -236,7 +208,5 @@ func collapseTR(g *graph.Graph, opts TROptions, start time.Time) *Result {
 		mu.Unlock()
 	})
 	contracted, remap := g.Contract(uf.Labels())
-	res := finish("tr", opts.paramString(), g, contracted, start)
-	res.VertexMap = remap
-	return res
+	return &Result{Output: contracted, VertexMap: remap}
 }

@@ -13,9 +13,9 @@ import (
 // Spec(Parse(spec)) round-trip fixpoint — the seed, and the worker budget.
 // Two requests that spell the same scheme differently ("uniform:p=0.5" vs
 // "uniform: p=0.5") land on the same Key. Workers are part of the Key
-// because a few schemes (tr-maxweight, tr-collapse) are seed-deterministic
-// only at workers=1: a budget>1 execution must never be served to a
-// default deterministic request.
+// because the schemes whose kernel instances share state (listed once, on
+// schemes.Scheme.Apply) are seed-deterministic only at workers=1: a budget>1
+// execution must never be served to a default deterministic request.
 type Key struct {
 	Graph   string
 	Gen     uint64

@@ -53,10 +53,10 @@ func (s *Server) query(call func(r *http.Request, info *GraphInfo, p QueryParams
 			resp, err = call(r, info, p)
 		}
 		if err != nil {
-			writeBackendErr(w, err)
+			WriteErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -107,7 +107,7 @@ func (s *Server) triangles(r *http.Request, info *GraphInfo, p QueryParams) (any
 	case "approx":
 		if v := q.Get("p"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 || f > 1 {
+			if err != nil || !(f > 0 && f <= 1) { // written so that NaN fails
 				return nil, Errf(http.StatusBadRequest, "parameter p must be in (0, 1], got %q", v)
 			}
 			prob = f

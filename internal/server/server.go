@@ -276,7 +276,7 @@ func (s *Server) AddGenerated(name, kind string, scale, edgeFactor, n int, seed 
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// The probe result also lands on the slimgraph_ready gauge, so a
@@ -288,7 +288,7 @@ func (s *Server) routes() {
 			return
 		}
 		s.ready.Set(1)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	s.mux.Handle("GET /metrics", s.opts.Registry.Handler())
 	s.mux.HandleFunc("GET /v1/schemes", s.handleSchemes)
@@ -348,19 +348,27 @@ func (s *Server) reject(w http.ResponseWriter) {
 
 // --- JSON plumbing ---------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON is the one JSON response writer of the server and of the
+// cluster's shard routes. It marshals before it writes the status, so a
+// value encoding/json refuses (a NaN or an infinity that slipped through
+// validation) is a 500 with an error body, never a 200 with an empty one.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeBackendErr surfaces a backend error with its embedded status.
-func writeBackendErr(w http.ResponseWriter, err error) {
+// WriteErr surfaces a backend error with its embedded status (StatusOf).
+func WriteErr(w http.ResponseWriter, err error) {
 	writeErr(w, StatusOf(err), "%v", err)
 }
 
@@ -375,36 +383,50 @@ func infoOf(e *entry) GraphInfo {
 	}
 }
 
+// schemeInfo is one registry entry as GET /v1/schemes lists it; the
+// parameter rows come from the registration's table.
 type schemeInfo struct {
-	Name  string `json:"name"`
-	About string `json:"about"`
+	Name   string        `json:"name"`
+	About  string        `json:"about"`
+	Params []schemeParam `json:"params"`
+}
+
+type schemeParam struct {
+	Key     string `json:"key"`
+	Kind    string `json:"kind"`
+	Default string `json:"default"`
+	Range   string `json:"range"`
 }
 
 func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 	var out []schemeInfo
 	for _, name := range schemes.Names() {
 		reg, _ := schemes.Lookup(name)
-		out = append(out, schemeInfo{Name: reg.Name, About: reg.About})
+		params := make([]schemeParam, len(reg.Params))
+		for i, p := range reg.Params {
+			params[i] = schemeParam{Key: p.Key, Kind: p.Kind.String(), Default: p.Default, Range: p.Range()}
+		}
+		out = append(out, schemeInfo{Name: reg.Name, About: reg.About, Params: params})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := s.backend.Stats(r.Context())
 	if err != nil {
-		writeBackendErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	out, err := s.cat.List(r.Context())
 	if err != nil {
-		writeBackendErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
@@ -442,10 +464,10 @@ func (s *Server) createGenerated(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.cat.Create(r.Context(), req.Name, req.Memory, source, g, workers)
 	if err != nil {
-		writeBackendErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	WriteJSON(w, http.StatusCreated, info)
 }
 
 // ReadBody reads r to EOF into a buffer sized once from the declared body
@@ -493,28 +515,28 @@ func (s *Server) createUploaded(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.cat.Create(r.Context(), name, q.Get("memory"), "upload", g, s.clampWorkers(rawWorkers))
 	if err != nil {
-		writeBackendErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	info, err := s.cat.Info(r.Context(), r.PathValue("name"))
 	if err != nil {
-		writeBackendErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.cat.Drop(r.Context(), r.PathValue("name"))
 	if err != nil {
-		writeBackendErr(w, err)
+		WriteErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- request parameter helpers ---------------------------------------------

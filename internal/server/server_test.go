@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -285,7 +286,7 @@ func TestCachedVariantMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n') // writeJSON streams via Encoder, which appends it
+	want = append(want, '\n') // WriteJSON ends every body with it
 	if !bytes.Equal(served, want) {
 		t.Errorf("served PageRank differs from offline computation:\n%s\nvs\n%s", served, want)
 	}
@@ -436,6 +437,16 @@ func TestErrorPaths(t *testing.T) {
 			http.StatusUnprocessableEntity},
 		{"in-spec workers rejected", "POST", "/v1/graphs/e/compress", "application/json",
 			[]byte(`{"spec":"uniform:p=0.5,workers=2"}`), http.StatusUnprocessableEntity},
+		{"NaN parameter", "GET", "/v1/graphs/e/bfs?spec=uniform:p=NaN", "", nil, http.StatusUnprocessableEntity},
+		{"NaN parameter on a kernel that would run it as p=1", "GET", "/v1/graphs/e/triangles?spec=tr-eo:p=NaN", "", nil,
+			http.StatusUnprocessableEntity},
+		{"NaN spectral scale", "GET", "/v1/graphs/e/degrees?spec=spectral:p=NaN", "", nil, http.StatusUnprocessableEntity},
+		{"NaN rho", "GET", "/v1/graphs/e/degrees?spec=cut:rho=NaN", "", nil, http.StatusUnprocessableEntity},
+		{"NaN eps", "POST", "/v1/graphs/e/compress", "application/json",
+			[]byte(`{"spec":"summarize:eps=NaN"}`), http.StatusUnprocessableEntity},
+		{"repeated key", "GET", "/v1/graphs/e/bfs?spec=uniform:p=0.5,p=0.9", "", nil, http.StatusUnprocessableEntity},
+		{"repeated key in compare", "GET", "/v1/graphs/e/compare?spec=uniform:p=0.5,p=0.9", "", nil,
+			http.StatusUnprocessableEntity},
 		{"bad root", "GET", "/v1/graphs/e/bfs?root=100000", "", nil, http.StatusBadRequest},
 		{"non-numeric root", "GET", "/v1/graphs/e/bfs?root=abc", "", nil, http.StatusBadRequest},
 		{"negative root", "GET", "/v1/graphs/e/bfs?root=-1", "", nil, http.StatusBadRequest},
@@ -450,6 +461,7 @@ func TestErrorPaths(t *testing.T) {
 			nil, http.StatusBadRequest},
 		{"bad mode", "GET", "/v1/graphs/e/triangles?mode=zzz", "", nil, http.StatusBadRequest},
 		{"bad doulion p", "GET", "/v1/graphs/e/triangles?mode=approx&p=7", "", nil, http.StatusBadRequest},
+		{"NaN doulion p", "GET", "/v1/graphs/e/triangles?mode=approx&p=NaN", "", nil, http.StatusBadRequest},
 		{"compare without spec", "GET", "/v1/graphs/e/compare", "", nil, http.StatusBadRequest},
 		{"compare renumbering variant", "GET", "/v1/graphs/e/compare?spec=tr-collapse:p=1", "", nil,
 			http.StatusUnprocessableEntity},
@@ -460,6 +472,28 @@ func TestErrorPaths(t *testing.T) {
 		if code != tc.want {
 			t.Errorf("%s: status %d, want %d (body %s)", tc.name, code, tc.want, body)
 		}
+		if !bytes.Contains(body, []byte(`"error":`)) {
+			t.Errorf("%s: body %q carries no error message", tc.name, body)
+		}
+	}
+
+	// The repeated key is named, not silently resolved to the later value.
+	if _, body := do(t, "GET", ts.URL+"/v1/graphs/e/bfs?spec=uniform:p=0.5,p=0.9", "", nil); !bytes.Contains(body, []byte("parameter p given twice")) {
+		t.Errorf("repeated key: body %s does not name it", body)
+	}
+	// A sampling probability whose cube underflows samples nothing and
+	// estimates 0, not 0/0 — a NaN the JSON encoder refuses.
+	code, body := do(t, "GET", ts.URL+"/v1/graphs/e/triangles?mode=approx&p=1e-300", "", nil)
+	var tiny TrianglesResponse
+	if err := json.Unmarshal(body, &tiny); code != http.StatusOK || err != nil || tiny.Estimate == nil || *tiny.Estimate != 0 {
+		t.Errorf("p=1e-300: status %d, body %q (err %v); want 200 with estimate 0", code, body, err)
+	}
+	// An unencodable value that does reach the writer is a 500 with an
+	// error body, not a 200 header followed by nothing.
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]float64{"estimate": math.NaN()})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"error":"encoding response: `) {
+		t.Errorf("WriteJSON(NaN): status %d, body %q; want a 500 with an error body", rec.Code, rec.Body)
 	}
 
 	for name, upload := range oracle.HostileSnapshots() {

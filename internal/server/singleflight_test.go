@@ -13,46 +13,31 @@ import (
 	"slimgraph/internal/schemes"
 )
 
-// countingScheme is an instrumented identity scheme: every Apply bumps a
-// counter and lingers long enough that concurrent requests overlap, so the
-// tests can observe exactly how many times the cache really executed it.
-type countingScheme struct{ fail bool }
-
+// test-count is an instrumented identity scheme: every Apply bumps a counter
+// and lingers long enough that concurrent requests overlap, so the tests can
+// observe exactly how many times the cache really executed it. test-fail
+// counts its attempts and always fails.
 var (
 	applyCount atomic.Int64 // test-count executions
 	failCount  atomic.Int64 // test-fail execution attempts
 )
 
-func (c *countingScheme) Name() string {
-	if c.fail {
-		return "test-fail"
-	}
-	return "test-count"
-}
-func (c *countingScheme) Params() string { return "" }
-func (c *countingScheme) Apply(g *graph.Graph) (*schemes.Result, error) {
-	if c.fail {
-		failCount.Add(1)
-		return nil, errors.New("test-fail: injected failure")
-	}
-	applyCount.Add(1)
-	time.Sleep(50 * time.Millisecond)
-	return &schemes.Result{Scheme: "test-count", Input: g, Output: g}, nil
-}
-
 func init() {
 	schemes.Register(schemes.Registration{
 		Name:  "test-count",
 		About: "instrumented identity scheme (test only)",
-		New: func(opts ...schemes.Option) (schemes.Scheme, error) {
-			return &countingScheme{}, nil
+		Apply: func(g *graph.Graph, _ schemes.Args) (*schemes.Result, error) {
+			applyCount.Add(1)
+			time.Sleep(50 * time.Millisecond)
+			return &schemes.Result{Output: g}, nil
 		},
 	})
 	schemes.Register(schemes.Registration{
 		Name:  "test-fail",
 		About: "always-failing scheme (test only)",
-		New: func(opts ...schemes.Option) (schemes.Scheme, error) {
-			return &countingScheme{fail: true}, nil
+		Apply: func(*graph.Graph, schemes.Args) (*schemes.Result, error) {
+			failCount.Add(1)
+			return nil, errors.New("test-fail: injected failure")
 		},
 	})
 }

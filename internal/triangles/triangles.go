@@ -91,7 +91,7 @@ func AveragePerVertex(g *graph.Graph, workers int) float64 {
 // the largest graphs. The coin flip hashes the canonical edge ID and kept
 // edges stay in canonical order, so every representation estimates the same.
 func CountApprox(a graph.AdjacencyEdges, p float64, seed uint64, workers int) float64 {
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) { // written so that NaN fails
 		panic("triangles: sampling probability must be in (0, 1]")
 	}
 	if a.Directed() {
@@ -109,7 +109,11 @@ func CountApprox(a graph.AdjacencyEdges, p float64, seed uint64, workers int) fl
 	if err != nil {
 		panic(fmt.Sprintf("triangles: edge view is not canonical: %v", err))
 	}
-	return float64(Count(sampled, workers)) / (p * p * p)
+	count := Count(sampled, workers)
+	if count == 0 {
+		return 0 // not 0/0 when p is so small that p³ underflows
+	}
+	return float64(count) / (p * p * p)
 }
 
 // CountApproxOn forwards to CountApprox for benchmark/ (frozen); the next benchmark PR deletes it.

@@ -174,6 +174,28 @@ func TestCountApproxNearExact(t *testing.T) {
 	}
 }
 
+// TestCountApproxDegenerateP: an empty sample estimates 0 — even when p is so
+// small that p³ underflows and 0/p³ would be NaN — and NaN is not a
+// probability (p <= 0 || p > 1 is false for it).
+func TestCountApproxDegenerateP(t *testing.T) {
+	g := gen.PlantedPartition(200, 20, 0.5, 100, 17)
+	for _, p := range []float64{1e-300, math.SmallestNonzeroFloat64} {
+		if est := CountApprox(g, p, 1, 2); est != 0 {
+			t.Errorf("p=%g: estimate %v, want 0", p, est)
+		}
+	}
+	for _, p := range []float64{math.NaN(), 0, -1, 1.5, math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("p=%v: no panic", p)
+				}
+			}()
+			CountApprox(g, p, 1, 2)
+		}()
+	}
+}
+
 func TestDirectedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
