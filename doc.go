@@ -164,9 +164,10 @@
 // The same API scales out (internal/cluster, run as slimgraphd -role
 // coordinator|shard or in-process via NewLocalCluster): a coordinator
 // serves /v1/graphs by scatter/gathering partial computations — BFS
-// frontier expansions, PageRank pull sums, degree histograms, forward
-// triangle counts — over N shard replicas, splitting work by the same
-// degree-balanced contiguous ranges as PartitionByDegree. Storage is
+// frontier expansions, PageRank pull sums, degree histograms, triangle
+// counts of engine work slices — over N shard replicas, splitting vertex
+// work by the same degree-balanced contiguous ranges as PartitionByDegree;
+// each part and each reduction is the single node's own kernel. Storage is
 // replicated, compute is partitioned: that keeps the determinism contract
 // intact (element-keyed scheme randomness needs the whole graph), so a
 // cluster's responses are byte-identical to a single node's for a fixed

@@ -49,6 +49,15 @@ func (b *Bits) Count() int {
 	return c
 }
 
+// ForEach calls fn with the index of every set bit, ascending.
+func (b *Bits) ForEach(fn func(i int)) {
+	for wi, w := range b.words {
+		for ; w != 0; w &= w - 1 {
+			fn(wi*wordBits + bits.TrailingZeros64(w))
+		}
+	}
+}
+
 // Reset clears all bits.
 func (b *Bits) Reset() {
 	for i := range b.words {

@@ -1,9 +1,11 @@
 package centrality
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"slimgraph/internal/gen"
@@ -313,5 +315,61 @@ func BenchmarkBetweennessSampled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BetweennessSampled(g, sources, 0)
+	}
+}
+
+// TestPowerIteratePartitionedPull feeds the power-iteration driver the pull
+// a cluster coordinator feeds it — every part recomputing the contributions
+// from the broadcast rank vector and summing only its own vertex range — and
+// requires PageRank's vector bit for bit at workers 1, in PageRank's number
+// of iterations, however many parts the range is cut into.
+func TestPowerIteratePartitionedPull(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
+		"grid32": gen.Grid2D(32, 32, true),
+	} {
+		for form, adj := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
+			one := PageRankOptions{Workers: 1}
+			want := PageRank(adj, one)
+			n := adj.N()
+			deg := OutDegrees(adj, 1)
+			for _, of := range []int{1, 2, 3, 7} {
+				iters := 0
+				got, err := PowerIterate(n, Dangling(deg, 0, graph.NodeID(n)), one, func(rank, sums []float64) error {
+					iters++
+					for part := 0; part < of; part++ {
+						lo, hi := n*part/of, n*(part+1)/of
+						contrib := make([]float64, n)
+						Contributions(contrib, rank, deg)
+						PullSums(adj, graph.NodeID(lo), graph.NodeID(hi), contrib, sums[lo:hi], nil)
+					}
+					return nil
+				})
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s/%s over %d parts: err %v, vector differs from PageRank's", name, form, of, err)
+				}
+				capped := func(maxIter int) []float64 {
+					return PageRank(adj, PageRankOptions{Workers: 1, MaxIter: maxIter})
+				}
+				if !slices.Equal(capped(iters), want) || slices.Equal(capped(iters-1), want) {
+					t.Fatalf("%s/%s over %d parts: %d pulls is not the iteration PageRank stops at", name, form, of, iters)
+				}
+			}
+		}
+	}
+}
+
+func TestPowerIterateReturnsPullError(t *testing.T) {
+	boom := errors.New("shard down")
+	pulls := 0
+	got, err := PowerIterate(4, nil, PageRankOptions{}, func(_, _ []float64) error {
+		pulls++
+		if pulls == 3 {
+			return boom
+		}
+		return nil
+	})
+	if got != nil || !errors.Is(err, boom) || pulls != 3 {
+		t.Fatalf("got %v, err %v after %d pulls; want nil, the pull's error, 3", got, err, pulls)
 	}
 }

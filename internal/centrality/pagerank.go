@@ -52,41 +52,65 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 // vertex per iteration, and the arc loop adds contrib[u] over lists that
 // ScanInLists decodes into one reused buffer per worker.
 func PageRank(g graph.Adjacency, opts PageRankOptions) []float64 {
-	o := opts.withDefaults()
 	n := g.N()
-	if n == 0 {
+	deg := OutDegrees(g, opts.Workers)
+	contrib := make([]float64, n)
+	bufs := make([][]graph.NodeID, parallel.Resolve(opts.Workers, n))
+	// The local pull returns no error, so neither does the iteration.
+	ranks, _ := PowerIterate(n, Dangling(deg, 0, graph.NodeID(n)), opts, func(rank, sums []float64) error {
+		parallel.ForChunks(n, opts.Workers, func(lo, hi int) {
+			Contributions(contrib[lo:hi], rank[lo:hi], deg[lo:hi])
+		})
+		parallel.ForWorker(n, opts.Workers, func(w, lo, hi int) {
+			bufs[w] = PullSums(g, graph.NodeID(lo), graph.NodeID(hi), contrib, sums[lo:hi], bufs[w])
+		})
 		return nil
+	})
+	return ranks
+}
+
+// PowerIterate is the PageRank power iteration with the one step that reads
+// the graph left to the caller: pull must set sums[v] = Σ rank[u]/deg(u)
+// over the in-neighbors u of every vertex v, each sum accumulated in
+// increasing-u order (Contributions then PullSums, over any split of the
+// vertex range). Everything scalar happens here, once — uniform start, the
+// dangling mass summed in the ascending order of dangling (the out-degree-0
+// vertices), next[v] = (1-d)/n + d·dangling/n + d·sums[v], the L1 delta, the
+// tolerance test and the iteration cap — so a backend that pulls locally in
+// parallel and one that scatters the pull over shards return the same
+// floats without mirroring a line of it. It returns the rank vector (nil
+// when n is 0); an error from pull stops the iteration and is returned as
+// is.
+//
+// opts.Workers only parallelises the per-vertex update and reorders the L1
+// delta that decides when to stop; at Workers 1 both run in ascending
+// vertex order.
+func PowerIterate(n int, dangling []graph.NodeID, opts PageRankOptions, pull func(rank, sums []float64) error) ([]float64, error) {
+	o := opts.withDefaults()
+	if n == 0 {
+		return nil, nil
 	}
-	deg := OutDegrees(g, o.Workers)
-	dangling := Dangling(deg, 0, graph.NodeID(n))
 	rank := make([]float64, n)
 	next := make([]float64, n)
-	contrib := make([]float64, n)
-	bufs := make([][]graph.NodeID, parallel.Resolve(o.Workers, n))
 	inv := 1.0 / float64(n)
 	for i := range rank {
 		rank[i] = inv
 	}
 	base := (1 - o.Damping) * inv
 	for iter := 0; iter < o.MaxIter; iter++ {
-		// Mass of dangling vertices spreads uniformly. Summed in ascending
-		// vertex order, the order the cluster coordinator uses too.
+		// Mass of dangling vertices spreads uniformly.
 		danglingMass := 0.0
 		for _, v := range dangling {
 			danglingMass += rank[v]
 		}
 		danglingShare := o.Damping * danglingMass * inv
-		parallel.ForChunks(n, o.Workers, func(lo, hi int) {
-			Contributions(contrib[lo:hi], rank[lo:hi], deg[lo:hi])
-		})
-		// Pull formulation: next[v] = base + d * sum_{u->v} rank[u]/deg(u).
-		parallel.ForWorker(n, o.Workers, func(w, lo, hi int) {
-			bufs[w] = PullSums(g, graph.NodeID(lo), graph.NodeID(hi), contrib, next[lo:hi], bufs[w])
-			for v := lo; v < hi; v++ {
-				next[v] = base + danglingShare + o.Damping*next[v]
-			}
-		})
+		if err := pull(rank, next); err != nil {
+			return nil, err
+		}
+		// Pull formulation: next[v] = base + d * sum_{u->v} rank[u]/deg(u),
+		// finished in the pass that takes the L1 delta (each v visited once).
 		delta := parallel.SumFloat64(n, o.Workers, func(v int) float64 {
+			next[v] = base + danglingShare + o.Damping*next[v]
 			return math.Abs(next[v] - rank[v])
 		})
 		rank, next = next, rank
@@ -94,7 +118,7 @@ func PageRank(g graph.Adjacency, opts PageRankOptions) []float64 {
 			break
 		}
 	}
-	return rank
+	return rank, nil
 }
 
 // OutDegrees reads g's out-degree vector, deg[v] = g.Degree(v): the one

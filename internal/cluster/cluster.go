@@ -5,16 +5,18 @@
 //
 // The design is compute-partitioned, storage-replicated: every shard holds
 // the whole graph (raw or succinctly packed, the PR 3 representation
-// traversed in place), and work is split by the degree-aware contiguous
-// vertex ranges of PartitionByDegree (partition.go), which every shard
-// recomputes locally from the degree sequence — ownership needs no
-// metadata exchange, and it stays correct even for compressed variants
-// whose vertex count differs from the original. Replicating storage is
-// what keeps the paper's determinism contract intact: compression schemes
-// key every random decision by global element ID (internal/core), so a
-// variant computed on any replica is byte-identical to the single-node
-// result, something no storage-partitioned execution of a global scheme
-// (spanners, triangle reduction) could guarantee.
+// traversed in place), and work is split into parts (i, of) that a shard
+// turns into its share locally — the degree-aware contiguous vertex range
+// of PartitionByDegree (partition.go) for BFS, PageRank and degrees, the
+// triangle engine's work-balanced edge slice for exact counts — from
+// nothing but the target graph, so ownership needs no metadata exchange,
+// and it stays correct even for compressed variants whose vertex count
+// differs from the original. Replicating storage is what keeps the paper's
+// determinism contract intact: compression schemes key every random
+// decision by global element ID (internal/core), so a variant computed on
+// any replica is byte-identical to the single-node result, something no
+// storage-partitioned execution of a global scheme (spanners, triangle
+// reduction) could guarantee.
 //
 // The same property drives the variant cache: the coordinator forwards one
 // canonical (spec, seed, workers) key to every shard's single-flight cache,
@@ -24,16 +26,23 @@
 // variant behind.
 //
 // Scatter/gather queries — BFS frontiers, PageRank iterations, degree
-// histograms, exact triangle counts — merge in fixed shard order with all
-// floating-point reductions performed sequentially by the coordinator, so
-// responses are byte-identical to internal/server's for a fixed seed at
-// workers=1 (the cluster tests pin this). Each scatter round encodes its
-// one bulk vector (the frontier, the rank vector) once, as a fixed-width
-// little-endian frame every shard's sub-request shares, and every shard
-// answers with the same kind of frame (protocol.go), so a round costs a
-// copy per element rather than a decimal print and parse per shard.
-// DOULION-approximate triangle counts and §5 quality comparison run whole
-// on one replica and relay.
+// histograms, exact triangle counts — run the single node's kernels, not
+// copies of them; the coordinator only schedules. A shard's part is the
+// kernel package's range form (centrality.PullSums, metrics.DegreeHistogram,
+// triangles.Engine.CountPart on an engine built for the sub-request), and
+// so is what becomes of the replies: centrality.PowerIterate drives
+// PageRank with a scatter round as its pull step, metrics.AddHistogram and
+// Distribution finish degrees, traverse.BFSResult summarises the distances.
+// Replies merge in part order and every floating-point reduction happens
+// once, sequentially, in that shared code, so responses are byte-identical
+// to internal/server's for a fixed seed at workers=1 by construction (the
+// cluster tests pin it too). Each scatter round encodes its one bulk vector
+// (the frontier, the rank vector) once, as a fixed-width little-endian
+// frame every shard's sub-request shares, and every shard answers with the
+// same kind of frame (protocol.go), so a round costs a copy per element
+// rather than a decimal print and parse per shard. DOULION-approximate
+// triangle counts and §5 quality comparison run whole on one replica and
+// relay.
 package cluster
 
 import (

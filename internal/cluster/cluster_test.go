@@ -175,6 +175,9 @@ func TestClusterErrorsMatchSingleNode(t *testing.T) {
 		"/v1/graphs/g/triangles?mode=approx&p=NaN",        // 400 NaN p
 		"/v1/graphs/dg/triangles",                         // 422 directed
 		"/v1/graphs/g/triangles?mode=approx&p=7",          // 400 bad p
+		"/v1/graphs/g/triangles?mode=exact&p=banana",      // 400 p is validated in either mode
+		"/v1/graphs/g/triangles?p=1.5",                    // 400 out of range, mode defaulted
+		"/v1/graphs/g/pagerank?k=-3",                      // 400 negative k
 		"/v1/graphs/g/compare",                            // 400 missing spec
 		"/v1/graphs/g/pagerank?spec=uniform:p=0.5,seed=9", // 422 seed in spec
 	}

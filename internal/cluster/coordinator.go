@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -14,12 +13,14 @@ import (
 	"sync"
 	"time"
 
+	"slimgraph/internal/centrality"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
 	"slimgraph/internal/metrics"
 	"slimgraph/internal/obs"
 	"slimgraph/internal/resilience"
 	"slimgraph/internal/server"
+	"slimgraph/internal/traverse"
 )
 
 // Coordinator serves the public slimgraphd API over N shard replicas: it
@@ -199,21 +200,31 @@ func (c *Coordinator) Ready() error {
 	return nil
 }
 
+// rejection returns the client-facing form of a shard's 4xx reply, nil for
+// any other error. A 4xx is the request's fault (validation: unknown scheme,
+// bad root, missing graph) and every replica rejects it identically, so the
+// first one seen is THE error and relays verbatim — byte-identical to a
+// single node's.
+func rejection(err error) error {
+	var he *httpError
+	if errors.As(err, &he) && he.code >= 400 && he.code < 500 {
+		return server.Errf(he.code, "%s", he.msg)
+	}
+	return nil
+}
+
 // mergeErrorsOver reduces per-shard errors (positional, from scatterOver
-// over shards) to one client-facing error: a 4xx shard reply (validation:
-// unknown scheme, bad root, missing graph) relays verbatim — every replica
-// rejects identically, so the first is THE error, byte-identical to a
-// single node's — while transport failures, timeouts, and 5xx surface as
-// 502 naming the first failing shard.
+// over shards) to one client-facing error: the first rejection relays
+// verbatim, while transport failures, timeouts, and 5xx surface as 502
+// naming the first failing shard.
 func (c *Coordinator) mergeErrorsOver(shards []int, errs []error) error {
 	var firstPos = -1
 	for pos, err := range errs {
 		if err == nil {
 			continue
 		}
-		var he *httpError
-		if errors.As(err, &he) && he.code >= 400 && he.code < 500 {
-			return server.Errf(he.code, "%s", he.msg)
+		if rejected := rejection(err); rejected != nil {
+			return rejected
 		}
 		if firstPos < 0 {
 			firstPos = pos
@@ -555,9 +566,8 @@ func (s *partScatter[T]) round(ctx context.Context, body []byte, visit func(scal
 			if err == nil {
 				continue
 			}
-			var he *httpError
-			if errors.As(err, &he) && he.code >= 400 && he.code < 500 {
-				return server.Errf(he.code, "%s", he.msg)
+			if rejected := rejection(err); rejected != nil {
+				return rejected
 			}
 			if bad == nil {
 				bad = make(map[int]bool)
@@ -618,111 +628,60 @@ func (c *Coordinator) BFS(ctx context.Context, name string, root int32, p server
 			return nil, err
 		}
 	}
-	reached := 0
-	var ecc int32
-	for _, d := range dist {
-		if d >= 0 {
-			reached++
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
+	res := traverse.BFSResult{Dist: dist}
 	return &server.BFSResponse{
 		Graph: name, Spec: canonical, Root: root,
-		Reached: reached, Ecc: ecc, Dist: dist,
+		Reached: res.Reached(), Ecc: res.Ecc(), Dist: dist,
 	}, nil
 }
 
-// PageRank defaults, mirroring centrality.PageRankOptions.withDefaults —
-// the coordinator reimplements the power iteration's scalar steps (base,
-// dangling mass, damping, L1 delta) in the exact single-node order, with
-// shards supplying only the per-vertex pull sums.
-const (
-	prTol     = 1e-9
-	prMaxIter = 100
-)
-
-// prDamping is deliberately a var, not a const: the single node computes
-// (1 - damping) at runtime from a float64, and an untyped-constant 0.85
-// would let (1 - prDamping) fold exactly to 0.15 at compile time — one ulp
-// away from the runtime subtraction, which compounds across iterations.
-var prDamping = 0.85
-
-// PageRank runs the distributed power iteration. Per iteration the full
-// rank vector is broadcast; each shard returns raw pull sums for its
-// range; the coordinator applies base + dangling + damping per vertex and
-// the sequential L1 delta. Every floating-point reduction happens once, on
-// the coordinator, in ascending vertex order — float addition is not
-// associative, so this ordering (not just the partition) is what makes the
-// scores bit-identical to centrality.PageRank at workers=1.
+// PageRank runs centrality.PowerIterate with a scatter round as the pull
+// step: per iteration the full rank vector is broadcast and each shard
+// returns the raw pull sums of its range, which land in the driver's vector
+// at the range's offset. Every scalar step and every floating-point
+// reduction is the driver's — the code centrality.PageRank runs — at
+// Workers 1, so in ascending vertex order: float addition is not
+// associative, and that ordering (not just the partition) is what makes the
+// scores bit-identical to a single node's at workers=1.
 func (c *Coordinator) PageRank(ctx context.Context, name string, k int, p server.QueryParams) (*server.PageRankResponse, error) {
 	ctx = c.withBudget(ctx)
 	n, canonical, err := c.target(ctx, name, p)
 	if err != nil {
 		return nil, err
 	}
-	var ranks []float64
-	if n > 0 {
-		// Part ranges are contiguous and ascending, so concatenating the
-		// per-range dangling lists yields the globally ascending list; the
-		// non-dangling vertices the single-node sum skips contribute exact
-		// zeros, so summing only these matches it bitwise.
-		var dangling []int32
-		agree := true
-		err := newPartScatter[int32](c, name, "pr-init", canonical, p, n).round(ctx, nil, func(init [3]int64, d []int32) {
-			agree = agree && init[0] == int64(n)
-			dangling = append(dangling, d...)
+	// Part ranges are contiguous and ascending, so concatenating the
+	// per-range dangling lists yields the globally ascending list.
+	var dangling []int32
+	agree := true
+	err = newPartScatter[int32](c, name, "pr-init", canonical, p, n).round(ctx, nil, func(init [3]int64, d []int32) {
+		agree = agree && init[0] == int64(n)
+		dangling = append(dangling, d...)
+	})
+	if err == nil && !agree {
+		err = server.Errf(http.StatusBadGateway, "replicas disagree on vertex count: not all report %d", n)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pull := newPartScatter[float64](c, name, "pr-pull", canonical, p, n)
+	var body []byte
+	ranks, err := centrality.PowerIterate(n, dangling, centrality.PageRankOptions{Workers: 1}, func(rank, sums []float64) error {
+		body = appendFrame(body[:0], [3]int64{}, rank)
+		return pull.round(ctx, body, func(lo [3]int64, part []float64) {
+			copy(sums[lo[0]:], part)
 		})
-		if err == nil && !agree {
-			err = server.Errf(http.StatusBadGateway, "replicas disagree on vertex count: not all report %d", n)
-		}
-		if err != nil {
-			return nil, err
-		}
-		rank := make([]float64, n)
-		next := make([]float64, n)
-		inv := 1.0 / float64(n)
-		for i := range rank {
-			rank[i] = inv
-		}
-		baseMass := (1 - prDamping) * inv
-		pull := newPartScatter[float64](c, name, "pr-pull", canonical, p, n)
-		var body []byte
-		for iter := 0; iter < prMaxIter; iter++ {
-			danglingMass := 0.0
-			for _, v := range dangling {
-				danglingMass += rank[v]
-			}
-			danglingShare := prDamping * danglingMass * inv
-			body = appendFrame(body[:0], [3]int64{}, rank)
-			err := pull.round(ctx, body, func(lo [3]int64, sums []float64) {
-				for j, sum := range sums {
-					next[int(lo[0])+j] = baseMass + danglingShare + prDamping*sum
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			delta := 0.0
-			for v := 0; v < n; v++ {
-				delta += math.Abs(next[v] - rank[v])
-			}
-			rank, next = next, rank
-			if delta < prTol {
-				break
-			}
-		}
-		ranks = rank
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &server.PageRankResponse{Graph: name, Spec: canonical, K: k, Top: server.TopK(ranks, k)}, nil
 }
 
-// Triangles counts exactly by summing per-shard forward counts (each
-// triangle lands on the shard owning its minimum vertex; integer sums are
-// exact in any order). mode=approx (DOULION) relays to shard 0: the
-// estimate samples edges by global edge ID, so any single replica computes
-// the canonical answer.
+// Triangles counts exactly by summing triangles.Engine.CountPart over the
+// parts (each triangle lands in the work slice holding its rank-lowest
+// edge; integer sums are exact in any order). mode=approx (DOULION) relays
+// to one live replica: the estimate samples edges by global edge ID, so any
+// single replica computes the canonical answer.
 func (c *Coordinator) Triangles(ctx context.Context, name, mode string, prob float64, p server.QueryParams) (*server.TrianglesResponse, error) {
 	ctx = c.withBudget(ctx)
 	if mode == "approx" {
@@ -750,34 +709,23 @@ func (c *Coordinator) Triangles(ctx context.Context, name, mode string, prob flo
 	return &server.TrianglesResponse{Graph: name, Spec: canonical, Mode: mode, Count: &total}, nil
 }
 
-// Degrees merges per-shard degree histograms (deterministic integer
-// reduction in shard order) and computes the fractions and power-law fit
-// exactly as metrics.DegreeDistribution + PowerLawSlope do on one node.
+// Degrees adds up the per-part degree histograms (integer sums, exact in any
+// order) and finishes with the histogram → distribution step and power-law
+// fit metrics.DegreeDistribution + PowerLawSlope run on one node.
 func (c *Coordinator) Degrees(ctx context.Context, name string, p server.QueryParams) (*server.DegreesResponse, error) {
 	ctx = c.withBudget(ctx)
 	n, canonical, err := c.target(ctx, name, p)
 	if err != nil {
 		return nil, err
 	}
-	var partials [][]int64
+	var hist []int64
 	err = newPartScatter[int64](c, name, "degrees", canonical, p, n).round(ctx, nil, func(_ [3]int64, counts []int64) {
-		partials = append(partials, slices.Clone(counts))
+		hist = metrics.AddHistogram(hist, counts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged := MergeHistograms(partials)
-	if len(merged) == 0 {
-		// n == 0: a single node still emits the MaxDegree()+1 == 1 bucket.
-		merged = make([]int64, 1)
-	}
-	dist := make([]float64, len(merged))
-	if n > 0 {
-		fn := float64(n)
-		for d, cnt := range merged {
-			dist[d] = float64(cnt) / fn
-		}
-	}
+	dist := metrics.Distribution(hist, n)
 	slope, r2 := metrics.PowerLawSlope(dist)
 	return &server.DegreesResponse{Graph: name, Spec: canonical, Dist: dist, Slope: slope, R2: r2}, nil
 }
@@ -813,9 +761,8 @@ func (c *Coordinator) relay(ctx context.Context, path string, q url.Values, out 
 		if err == nil {
 			return nil
 		}
-		var he *httpError
-		if errors.As(err, &he) && he.code >= 400 && he.code < 500 {
-			return server.Errf(he.code, "%s", he.msg)
+		if rejected := rejection(err); rejected != nil {
+			return rejected
 		}
 		lastErr, lastShard = err, i
 		if ctx.Err() != nil {

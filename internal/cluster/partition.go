@@ -1,10 +1,13 @@
 package cluster
 
-import "slimgraph/internal/graph"
+import (
+	"slimgraph/internal/graph"
+	"slimgraph/internal/parallel"
+)
 
 // The partitioning layer of the paper's distributed-memory pipeline (§3.2,
 // §7.3): degree-aware 1D vertex ranges over any graph.Adjacency (a packed
-// graph is partitioned in place) and the degree-histogram reduction.
+// graph is partitioned in place).
 
 // Range is a half-open contiguous vertex range [Lo, Hi) owned by one rank.
 type Range struct {
@@ -29,58 +32,40 @@ func PartitionByDegree(g graph.Adjacency, parts int) []Range {
 	if parts < 1 {
 		parts = 1
 	}
+	cut := degreeCuts(g, parts)
+	ranges := make([]Range, parts)
+	for i := range ranges {
+		ranges[i].Lo = cut(i)
+		ranges[i].Hi = cut(i + 1)
+	}
+	return ranges
+}
+
+// partRange returns PartitionByDegree(g, parts)[i] without the other
+// ranges: what a shard derives from a sub-request's (shard, of), at a cost
+// that depends on the graph and not on `of`.
+func partRange(g graph.Adjacency, i, parts int) Range {
+	cut := degreeCuts(g, parts)
+	return Range{Lo: cut(i), Hi: cut(i + 1)}
+}
+
+// degreeCuts returns cut(k), the vertex at which part k of parts opens: the
+// first one where the degree+1 prefix weight reaches k/parts of the total,
+// so cut(0) = 0 and cut(parts) = n. The returned function walks the prefix
+// forward only — call it with nondecreasing k.
+func degreeCuts(g graph.Adjacency, parts int) func(k int) int32 {
 	n := g.N()
 	var total int64
 	for v := 0; v < n; v++ {
 		total += int64(g.Degree(graph.NodeID(v))) + 1
 	}
-	ranges := make([]Range, parts)
-	lo := 0
+	v := 0
 	var acc int64
-	for i := 0; i < parts; i++ {
-		// Close part i at the prefix weight nearest its proportional share.
-		target := total * int64(i+1) / int64(parts)
-		hi := lo
-		for hi < n && acc < target {
-			acc += int64(g.Degree(graph.NodeID(hi))) + 1
-			hi++
+	return func(k int) int32 {
+		// Close part k-1 at the prefix weight nearest its proportional share.
+		for target := parallel.Share(total, k, parts); v < n && acc < target; v++ {
+			acc += int64(g.Degree(graph.NodeID(v))) + 1
 		}
-		ranges[i] = Range{Lo: int32(lo), Hi: int32(hi)}
-		lo = hi
+		return int32(v)
 	}
-	ranges[parts-1].Hi = int32(n)
-	return ranges
-}
-
-// HistogramRange returns the out-degree histogram of the vertices in r,
-// sized to the local maximum degree plus one.
-func HistogramRange(g graph.Adjacency, r Range) []int64 {
-	local := make([]int64, 0)
-	for v := r.Lo; v < r.Hi; v++ {
-		d := g.Degree(v)
-		for len(local) <= d {
-			local = append(local, 0)
-		}
-		local[d]++
-	}
-	return local
-}
-
-// MergeHistograms sums partial histograms into one sized to the longest
-// part — the reduction step of a distributed degree analysis. Merging in
-// slice order keeps the result deterministic (integer sums are associative,
-// but a fixed order costs nothing and documents the intent).
-func MergeHistograms(parts [][]int64) []int64 {
-	var merged []int64
-	for _, part := range parts {
-		if len(part) > len(merged) {
-			grown := make([]int64, len(part))
-			copy(grown, merged)
-			merged = grown
-		}
-		for d, c := range part {
-			merged[d] += c
-		}
-	}
-	return merged
 }

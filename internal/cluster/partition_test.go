@@ -6,6 +6,7 @@ import (
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
+	"slimgraph/internal/metrics"
 	"slimgraph/internal/succinct"
 )
 
@@ -22,6 +23,9 @@ func TestPartitionCoversDisjointly(t *testing.T) {
 			for i, r := range ranges {
 				if r.Lo != prevHi {
 					t.Fatalf("n=%d parts=%d rank=%d: gap at %d", n, parts, i, r.Lo)
+				}
+				if own := partRange(g, i, parts); own != r {
+					t.Fatalf("n=%d parts=%d rank=%d: derived alone %+v, in the partition %+v", n, parts, i, own, r)
 				}
 				covered += r.Len()
 				prevHi = r.Hi
@@ -76,8 +80,8 @@ func TestPartitionWorksOnPackedGraph(t *testing.T) {
 }
 
 func TestDegreeHistogramMatchesLocal(t *testing.T) {
-	// The reduction behind the coordinator's /degrees: per-range histograms
-	// merged in rank order equal the single-node histogram, raw or packed.
+	// The reduction behind the coordinator's /degrees: the histograms of the
+	// partition's ranges add up to the single-node histogram, raw or packed.
 	g := gen.BarabasiAlbert(1000, 3, 13)
 	local := g.DegreeHistogram()
 	for _, tc := range []struct {
@@ -85,11 +89,11 @@ func TestDegreeHistogramMatchesLocal(t *testing.T) {
 		adj   graph.Adjacency
 		parts int
 	}{{"raw", g, 7}, {"packed", succinct.Pack(g, 1), 3}} {
-		var partials [][]int64
+		var merged []int64
 		for _, r := range PartitionByDegree(tc.adj, tc.parts) {
-			partials = append(partials, HistogramRange(tc.adj, r))
+			merged = metrics.AddHistogram(merged, metrics.DegreeHistogram(tc.adj, r.Lo, r.Hi))
 		}
-		if merged := MergeHistograms(partials); !slices.Equal(merged, local) {
+		if !slices.Equal(merged, local) {
 			t.Fatalf("%s: merged histogram %v, want %v", tc.name, merged, local)
 		}
 	}

@@ -9,9 +9,10 @@ import (
 // The /internal/v1 shard protocol: what the coordinator exchanges with
 // shards beyond the public API. Replication (graph load/unload, variant
 // purge) addresses whole objects; partial queries (POST .../part/{route})
-// address the shard's vertex range, which the shard derives itself from
-// (shard, of) — ranges are a pure function of the target's degree
-// sequence, so they never travel on the wire.
+// address part `shard` of `of`, which the shard turns into its share of
+// the work itself — a vertex range for bfs, pr-init, pr-pull and degrees,
+// a slice of the triangle engine's edge order for triangles — both pure
+// functions of the target graph, so they never travel on the wire.
 //
 // Part routes follow the convention graph replication already uses: the
 // request scalars (spec, seed, workers, shard, of) ride in the query
@@ -35,7 +36,11 @@ import (
 //	pr-init    — → n, lo, hi; dangling vertices of the range []int32
 //	pr-pull    ranks []float64 → lo; pull sums of the range []float64
 //	degrees    — → —; out-degree histogram of the range []int64
-//	triangles  — → triangles with minimum vertex in the range; —
+//	triangles  — → triangles.Engine.CountPart of the part (a work slice
+//	           of the edge order, not a vertex range); —
+//
+// PageRank's scalar steps (base, dangling share, damping, L1 delta, stop)
+// are centrality.PowerIterate's; a pr-pull round is its pull step.
 
 // elem is the set of vector element types a frame carries.
 type elem interface{ int32 | int64 | float64 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -131,6 +132,9 @@ func TestShardRejectsHostileParts(t *testing.T) {
 	if err := sh.Server().AddGraph("g", "", "test", g, 1); err != nil {
 		t.Fatal(err)
 	}
+	if err := sh.Server().AddGraph("dg", "", "test", gen.RMATDirected(6, 4, 0.57, 0.19, 0.19, 3), 1); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(sh.Handler())
 	defer ts.Close()
 	const q = "?seed=1&workers=1&shard=0&of=1"
@@ -165,12 +169,32 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		{"missing of", "/part/degrees?seed=1&workers=1&shard=0", nil, 400, "bad part query"},
 		{"shard beyond of", "/part/degrees?seed=1&workers=1&shard=3&of=3", nil, 400, "invalid partition position 3 of 3"},
 		{"unknown graph", "/part/degrees" + q, nil, 404, "no graph"},
+		// `of` is the client's to set and the shard port is the public port:
+		// a part of two billion is derived like any other (see the
+		// allocation bound below), never by laying out every range.
+		{"first of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=0&of=2147483647", nil, 200, ""},
+		{"last of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=2147483646&of=2147483647", nil, 200, ""},
+		{"bfs part of 2^31-1", "/part/bfs?seed=1&workers=1&shard=5&of=2147483647", appendFrame(nil, [3]int64{}, []int32{0}), 200, ""},
+		{"triangles part of 2^31-1", "/part/triangles?seed=1&workers=1&shard=1073741823&of=2147483647", nil, 200, ""},
+		// The public route refuses a directed graph before any backend runs,
+		// but the part route is reachable on its own: 4xx, not the engine's panic.
+		{"directed triangles", "/part/triangles" + q, nil, 400, "undirected"},
+		{"of past int", "/part/degrees?seed=1&workers=1&shard=0&of=99999999999999999999", nil, 400, "bad part query"},
 	} {
 		name := "g"
-		if tc.want == http.StatusNotFound {
+		switch {
+		case tc.want == http.StatusNotFound:
 			name = "missing"
+		case strings.HasPrefix(tc.name, "directed"):
+			name = "dg"
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		code, body := do(t, "POST", ts.URL+"/internal/v1/graphs/"+name+tc.path, "application/octet-stream", tc.body)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("%s: serving it allocated %d bytes on a %d-vertex graph", tc.name, grew, n)
+		}
 		if code != tc.want || !strings.Contains(string(body), tc.wantErr) {
 			t.Errorf("%s: status %d body %.120q, want %d mentioning %q", tc.name, code, body, tc.want, tc.wantErr)
 		}

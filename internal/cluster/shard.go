@@ -7,8 +7,12 @@ import (
 	"net/http"
 	"strconv"
 
+	"slimgraph/internal/bitset"
+	"slimgraph/internal/centrality"
 	"slimgraph/internal/graph"
+	"slimgraph/internal/metrics"
 	"slimgraph/internal/server"
+	"slimgraph/internal/triangles"
 )
 
 // Shard is one cluster member: a full public slimgraphd (so any replica
@@ -105,22 +109,24 @@ func (s *Shard) handlePurge(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, purgeResponse{Purged: purged})
 }
 
-// partTarget is a resolved part sub-request: the target adjacency, this
-// shard's owned range, and the raw request body.
+// partTarget is a resolved part sub-request: the target graph, which part
+// of how many this shard was handed, the worker budget, and the raw request
+// body. The vertex-range routes own partRange(g, part, of).
 type partTarget struct {
-	g    graph.Adjacency
-	r    Range
-	body []byte
+	g        graph.AdjacencyEdges
+	part, of int
+	workers  int
+	body     []byte
 }
 
 // part serves one part route. It parses the query string, resolves the
 // target (original or cached variant — a cache miss recomputes it, so an
-// evicted variant heals transparently), computes this shard's range, reads
-// the body, and answers with the kernel's reply frame; whatever the kernel
-// rejects is the request's fault, a 400. width is the element width of the
-// request vector the route takes (0: none): the body is capped at the
-// frame of an n-element vector, so a hostile sender cannot make the shard
-// buffer more than the target justifies.
+// evicted variant heals transparently), reads the body, and answers with
+// the kernel's reply frame; whatever the kernel rejects is the request's
+// fault, a 400. width is the element width of the request vector the route
+// takes (0: none): the body is capped at the frame of an n-element vector,
+// so a hostile sender cannot make the shard buffer more than the target
+// justifies; nor does anything allocate in proportion to `of`.
 func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -136,7 +142,8 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 			server.WriteErr(w, server.Errf(http.StatusBadRequest, "invalid partition position %d of %d", shard, of))
 			return
 		}
-		adj, _, release, err := s.srv.Local().Target(r.PathValue("name"), server.QueryParams{
+		local := s.srv.Local()
+		adj, _, release, err := local.Target(r.PathValue("name"), server.QueryParams{
 			Spec: q.Get("spec"), Seed: seed, Workers: workers,
 		})
 		if err != nil {
@@ -151,7 +158,7 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 		body, err := server.ReadBody(http.MaxBytesReader(w, r.Body, int64(limit)), min(r.ContentLength, int64(limit)))
 		var reply []byte
 		if err == nil {
-			reply, err = kernel(partTarget{g: adj, r: PartitionByDegree(adj, of)[shard], body: body})
+			reply, err = kernel(partTarget{g: adj, part: shard, of: of, workers: local.ClampWorkers(workers), body: body})
 		}
 		if err != nil {
 			server.WriteErr(w, server.Errf(http.StatusBadRequest, "%v", err))
@@ -162,6 +169,11 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 		_, _ = w.Write(reply) // a failed write is the coordinator's torn read to retry
 	}
 }
+
+// The part kernels. Each runs on the full replica through graph.Adjacency
+// (raw CSR or packed form, traversed in place) restricted to its part, and
+// each is deterministic: a pure function of (graph, part, of), any float
+// accumulation happening in the order the single-node algorithm uses.
 
 func partBFS(t partTarget) ([]byte, error) {
 	n := t.g.N()
@@ -174,11 +186,15 @@ func partBFS(t partTarget) ([]byte, error) {
 			return nil, fmt.Errorf("frontier vertex %d outside [0, %d)", u, n)
 		}
 	}
-	return appendFrame(nil, [3]int64{}, expandFrontier(t.g, t.r, frontier)), nil
+	return appendFrame(nil, [3]int64{}, expandFrontier(t.g, partRange(t.g, t.part, t.of), frontier)), nil
 }
 
 func partPRInit(t partTarget) ([]byte, error) {
-	return appendFrame(nil, [3]int64{int64(t.g.N()), int64(t.r.Lo), int64(t.r.Hi)}, danglingIn(t.g, t.r)), nil
+	// Concatenated in part order the ranges' dangling lists are the globally
+	// ascending one centrality.PowerIterate sums rank mass over.
+	r := partRange(t.g, t.part, t.of)
+	dangling := centrality.Dangling(centrality.OutDegrees(t.g, 1), r.Lo, r.Hi)
+	return appendFrame(nil, [3]int64{int64(t.g.N()), int64(r.Lo), int64(r.Hi)}, dangling), nil
 }
 
 func partPRPull(t partTarget) ([]byte, error) {
@@ -189,13 +205,46 @@ func partPRPull(t partTarget) ([]byte, error) {
 	if len(ranks) != t.g.N() {
 		return nil, fmt.Errorf("rank vector length %d, graph has %d vertices", len(ranks), t.g.N())
 	}
-	return appendFrame(nil, [3]int64{int64(t.r.Lo)}, pullSums(t.g, t.r, ranks)), nil
+	// sums[i] = Σ ranks[u]/deg(u) over the in-neighbors u of vertex Lo+i, by
+	// the very pull step centrality.PageRank runs (contributions divided out
+	// once per sub-request, then summed in in-neighbor order), so
+	// centrality.PowerIterate on the coordinator gets the single-node floats.
+	r := partRange(t.g, t.part, t.of)
+	contrib := make([]float64, len(ranks))
+	centrality.Contributions(contrib, ranks, centrality.OutDegrees(t.g, 1))
+	sums := make([]float64, r.Len())
+	centrality.PullSums(t.g, r.Lo, r.Hi, contrib, sums, nil)
+	return appendFrame(nil, [3]int64{int64(r.Lo)}, sums), nil
 }
 
 func partDegrees(t partTarget) ([]byte, error) {
-	return appendFrame(nil, [3]int64{}, HistogramRange(t.g, t.r)), nil
+	r := partRange(t.g, t.part, t.of)
+	return appendFrame(nil, [3]int64{}, metrics.DegreeHistogram(t.g, r.Lo, r.Hi)), nil
 }
 
+// partTriangles counts this part's work slice on an engine that lives for
+// the sub-request: a shard keeps no triangle arena resident.
 func partTriangles(t partTarget) ([]byte, error) {
-	return appendFrame[int64](nil, [3]int64{countForward(t.g, t.r)}, nil), nil
+	if t.g.Directed() {
+		return nil, errors.New("triangle counting is defined for undirected graphs")
+	}
+	count := triangles.NewEngine(t.g, t.workers).CountPart(t.part, t.of)
+	return appendFrame[int64](nil, [3]int64{count}, nil), nil
+}
+
+// expandFrontier returns the sorted, deduplicated out-neighbors of the
+// frontier vertices this range owns — one shard's share of a
+// level-synchronous BFS step. Neighbors are marked in an n-bit set and the
+// set bits read back in ascending order, so no candidate is ever sorted.
+func expandFrontier(g graph.Adjacency, r Range, frontier []int32) []int32 {
+	seen := bitset.New(g.N())
+	for _, u := range frontier {
+		if !r.Contains(u) {
+			continue
+		}
+		g.ForNeighbors(u, func(w graph.NodeID) { seen.Set(int(w)) })
+	}
+	next := make([]int32, 0, seen.Count())
+	seen.ForEach(func(i int) { next = append(next, int32(i)) })
+	return next
 }

@@ -9,7 +9,6 @@ import (
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/succinct"
-	"slimgraph/internal/triangles"
 )
 
 // expandFrontierSorted is the sort-and-unique expandFrontier the n-bit set
@@ -53,32 +52,6 @@ func TestExpandFrontierMatchesSortReference(t *testing.T) {
 								name, form, part, of, size, len(got), len(want), got, want)
 						}
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestCountForwardMatchesTriangleCount pins the transient forward lists:
-// on undirected simple graphs the per-part counts sum to the single-node
-// exact count, for every split, on raw and packed forms.
-func TestCountForwardMatchesTriangleCount(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
-		"rmat":     gen.RMAT(9, 8, 0.57, 0.19, 0.19, 5),
-		"ba":       gen.BarabasiAlbert(400, 3, 7),
-		"complete": gen.Complete(17),
-		"grid":     gen.Grid2D(12, 9, true),
-		"path":     gen.Path(6),
-	} {
-		want := triangles.Count(g, 1)
-		for form, adj := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
-			for _, of := range []int{1, 2, 3, 5} {
-				var got int64
-				for _, r := range PartitionByDegree(adj, of) {
-					got += countForward(adj, r)
-				}
-				if got != want {
-					t.Errorf("%s/%s over %d parts: %d triangles, single node counts %d", name, form, of, got, want)
 				}
 			}
 		}

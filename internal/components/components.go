@@ -3,8 +3,8 @@
 // The number of connected components is one of the twelve graph properties
 // of Table 3: Triangle Reduction and spanners preserve it exactly, spectral
 // sparsification w.h.p., and uniform sampling can increase it by up to pm.
-// Three interchangeable algorithms are provided (BFS sweep, union-find, and
-// parallel label propagation); tests cross-check them.
+// Two interchangeable algorithms are provided (BFS sweep and parallel label
+// propagation); tests cross-check them against a union-find pass.
 package components
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"slimgraph/internal/graph"
 	"slimgraph/internal/parallel"
-	"slimgraph/internal/unionfind"
 )
 
 // Labels assigns every vertex a component label via repeated BFS. Labels
@@ -49,17 +48,6 @@ func Labels(a graph.Adjacency) []graph.NodeID {
 		}
 	}
 	return label
-}
-
-// LabelsUnionFind computes component labels with a union-find pass over the
-// canonical edge list.
-func LabelsUnionFind(g *graph.Graph) []graph.NodeID {
-	uf := unionfind.New(g.N())
-	for e := 0; e < g.M(); e++ {
-		u, v := g.EdgeEndpoints(graph.EdgeID(e))
-		uf.Union(u, v)
-	}
-	return uf.Labels()
 }
 
 // LabelsPropagation computes component labels by parallel min-label

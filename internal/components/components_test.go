@@ -1,6 +1,7 @@
 package components
 
 import (
+	"slimgraph/internal/unionfind"
 	"testing"
 	"testing/quick"
 
@@ -107,4 +108,15 @@ func BenchmarkLabelPropagationRMAT14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		LabelsPropagation(g, 0)
 	}
+}
+
+// LabelsUnionFind computes component labels with a union-find pass over the
+// canonical edge list.
+func LabelsUnionFind(g *graph.Graph) []graph.NodeID {
+	uf := unionfind.New(g.N())
+	for e := 0; e < g.M(); e++ {
+		u, v := g.EdgeEndpoints(graph.EdgeID(e))
+		uf.Union(u, v)
+	}
+	return uf.Labels()
 }

@@ -8,19 +8,45 @@ import (
 
 // DegreeDistribution returns fraction[d] = share of vertices with
 // (out-)degree d — the quantity plotted in Figures 7 and 8 — with max
-// degree + 1 bins (one for degree 0). One pass, the histogram growing as
-// larger degrees appear, so a packed graph pays one varint decode per vertex.
+// degree + 1 bins (one for degree 0).
 func DegreeDistribution(a graph.Adjacency) []float64 {
-	n := a.N()
-	h := make([]int64, 1)
-	for v := 0; v < n; v++ {
-		d := a.Degree(graph.NodeID(v))
+	return Distribution(DegreeHistogram(a, 0, graph.NodeID(a.N())), a.N())
+}
+
+// DegreeHistogram returns h[d] = number of vertices in [lo, hi) with
+// (out-)degree d, sized to the range's largest degree + 1 (empty for an
+// empty range). One pass, the histogram growing as larger degrees appear,
+// so a packed graph pays one varint decode per vertex.
+func DegreeHistogram(a graph.Adjacency, lo, hi graph.NodeID) []int64 {
+	var h []int64
+	for v := lo; v < hi; v++ {
+		d := a.Degree(v)
 		if d >= len(h) {
 			h = append(h, make([]int64, d+1-len(h))...)
 		}
 		h[d]++
 	}
-	out := make([]float64, len(h))
+	return h
+}
+
+// AddHistogram adds src to dst bin by bin, growing dst to src's length, and
+// returns it: the histograms of ranges that tile [0, n) add up to the
+// whole graph's in any order.
+func AddHistogram(dst, src []int64) []int64 {
+	if len(src) > len(dst) {
+		dst = append(dst, make([]int64, len(src)-len(dst))...)
+	}
+	for d, c := range src {
+		dst[d] += c
+	}
+	return dst
+}
+
+// Distribution turns the degree histogram of an n-vertex graph into
+// fractions of n. There is always a degree-0 bin, so an empty graph reads
+// as one zero.
+func Distribution(h []int64, n int) []float64 {
+	out := make([]float64, max(len(h), 1))
 	if n == 0 {
 		return out
 	}

@@ -49,20 +49,6 @@ func KLDivergence(p, q []float64) float64 {
 	return d
 }
 
-// KLDivergenceSmoothed adds eps to every entry of both distributions before
-// comparing, which keeps the divergence finite when compression zeroes an
-// entry (e.g. a vertex losing all rank mass).
-func KLDivergenceSmoothed(p, q []float64, eps float64) float64 {
-	checkPair(p, q)
-	ps := make([]float64, len(p))
-	qs := make([]float64, len(q))
-	for i := range p {
-		ps[i] = p[i] + eps
-		qs[i] = q[i] + eps
-	}
-	return KLDivergence(ps, qs)
-}
-
 // JensenShannon returns the Jensen–Shannon divergence, the symmetrized and
 // always-finite relative of KL — provided for the §5 divergence comparison.
 func JensenShannon(p, q []float64) float64 {

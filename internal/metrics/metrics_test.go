@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"slimgraph/internal/graph"
 	"slimgraph/internal/rng"
 	"slimgraph/internal/schemes"
+	"slimgraph/internal/succinct"
 )
 
 func TestKLIdenticalIsZero(t *testing.T) {
@@ -241,4 +243,72 @@ func BenchmarkReorderedPairs100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ReorderedPairs(orig, comp)
 	}
+}
+
+// TestRangeHistogramsAddUpToDistribution: the histograms of vertex ranges
+// that tile [0, n) add up to the whole graph's, and the distribution step
+// over the sum is DegreeDistribution bit for bit — what a cluster's
+// /degrees is made of — on raw and packed forms, down to the empty graph's
+// single zero bin.
+func TestRangeHistogramsAddUpToDistribution(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
+		"grid32": gen.Grid2D(32, 32, true),
+		"empty":  gen.ErdosRenyi(0, 0, 1),
+	} {
+		n := g.N()
+		for form, a := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
+			whole := DegreeHistogram(a, 0, graph.NodeID(n))
+			if n > 0 && !slices.Equal(whole, g.DegreeHistogram()) {
+				t.Fatalf("%s/%s: whole-range histogram differs from the graph's own", name, form)
+			}
+			want := DegreeDistribution(a)
+			for _, of := range []int{1, 2, 3, 7} {
+				var sum []int64
+				for part := of - 1; part >= 0; part-- { // any order adds up
+					sum = AddHistogram(sum, DegreeHistogram(a, graph.NodeID(n*part/of), graph.NodeID(n*(part+1)/of)))
+				}
+				if !slices.Equal(sum, whole) {
+					t.Errorf("%s/%s: %d range histograms add up to %v, whole graph %v", name, form, of, sum, whole)
+				}
+				if got := Distribution(sum, n); !slices.Equal(got, want) {
+					t.Errorf("%s/%s over %d ranges: distribution %v, DegreeDistribution %v", name, form, of, got, want)
+				}
+			}
+		}
+	}
+	if got := DegreeDistribution(gen.ErdosRenyi(0, 0, 1)); !slices.Equal(got, []float64{0}) {
+		t.Errorf("empty graph: distribution %v, want the one zero bin", got)
+	}
+}
+
+// KLDivergenceSmoothed adds eps to every entry of both distributions before
+// comparing, which keeps the divergence finite when compression zeroes an
+// entry (e.g. a vertex losing all rank mass).
+func KLDivergenceSmoothed(p, q []float64, eps float64) float64 {
+	checkPair(p, q)
+	ps := make([]float64, len(p))
+	qs := make([]float64, len(q))
+	for i := range p {
+		ps[i] = p[i] + eps
+		qs[i] = q[i] + eps
+	}
+	return KLDivergence(ps, qs)
+}
+
+// NaiveReorderedPairs is the O(n^2) reference used by tests.
+func NaiveReorderedPairs(orig, comp []float64) float64 {
+	n := len(orig)
+	if n < 2 {
+		return 0
+	}
+	var count int64
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if (orig[i]-orig[j])*(comp[i]-comp[j]) < 0 {
+				count++
+			}
+		}
+	}
+	return float64(count) / float64(n) / float64(n)
 }

@@ -72,23 +72,6 @@ func discordantPairs(orig, comp []float64) int64 {
 	return merge(0, n)
 }
 
-// NaiveReorderedPairs is the O(n^2) reference used by tests.
-func NaiveReorderedPairs(orig, comp []float64) float64 {
-	n := len(orig)
-	if n < 2 {
-		return 0
-	}
-	var count int64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if (orig[i]-orig[j])*(comp[i]-comp[j]) < 0 {
-				count++
-			}
-		}
-	}
-	return float64(count) / float64(n) / float64(n)
-}
-
 // ReorderedNeighborPairs counts discordant pairs only over adjacent
 // vertices — the O(m) variant the paper recommends when O(n^2) is too
 // expensive (§5). Normalized by the edge count of g.

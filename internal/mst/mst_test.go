@@ -2,6 +2,8 @@ package mst
 
 import (
 	"math"
+	"slimgraph/internal/unionfind"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -100,4 +102,64 @@ func BenchmarkKruskalRMAT13(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Kruskal(g)
 	}
+}
+
+// Boruvka computes a minimum spanning forest with Borůvka rounds: each
+// component repeatedly selects its lightest outgoing edge. Ties are broken
+// by EdgeID, which guarantees termination and a forest identical in weight
+// to Kruskal's.
+func Boruvka(g *graph.Graph) *Result {
+	n := g.N()
+	uf := unionfind.New(n)
+	res := &Result{}
+	for {
+		// best[c] = lightest outgoing edge of component c.
+		best := make(map[graph.NodeID]graph.EdgeID)
+		for e := 0; e < g.M(); e++ {
+			id := graph.EdgeID(e)
+			u, v := g.EdgeEndpoints(id)
+			cu, cv := graph.NodeID(uf.Find(u)), graph.NodeID(uf.Find(v))
+			if cu == cv {
+				continue
+			}
+			for _, c := range [2]graph.NodeID{cu, cv} {
+				cur, ok := best[c]
+				if !ok || less(g, id, cur) {
+					best[c] = id
+				}
+			}
+		}
+		if len(best) == 0 {
+			break
+		}
+		merged := false
+		// Deterministic merge order: by component label.
+		comps := make([]graph.NodeID, 0, len(best))
+		for c := range best {
+			comps = append(comps, c)
+		}
+		sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
+		for _, c := range comps {
+			e := best[c]
+			u, v := g.EdgeEndpoints(e)
+			if uf.Union(u, v) {
+				res.Edges = append(res.Edges, e)
+				res.Weight += g.EdgeWeight(e)
+				merged = true
+			}
+		}
+		if !merged {
+			break
+		}
+	}
+	res.Trees = uf.Sets()
+	return res
+}
+
+func less(g *graph.Graph, a, b graph.EdgeID) bool {
+	wa, wb := g.EdgeWeight(a), g.EdgeWeight(b)
+	if wa != wb {
+		return wa < wb
+	}
+	return a < b
 }

@@ -10,7 +10,9 @@
 package parallel
 
 import (
+	"math/bits"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -134,8 +136,9 @@ func ForWorker(n, workers int, body func(worker, lo, hi int)) {
 
 // ForBalanced runs body(lo, hi) over contiguous ranges covering [0, n),
 // cutting the range where the prefix-summed work is equal rather than where
-// the index is: prefix must have length n+1 with prefix[i] = total weight of
-// items [0, i) (nondecreasing, as produced by ExclusiveScan plus the total).
+// the index is: prefix must have length n+1 with prefix[i]-prefix[0] = total
+// weight of items [0, i) (nondecreasing, as produced by ExclusiveScan plus
+// the total; a sub-slice of such an array balances the sub-range it spans).
 // Workers claim ~16 near-equal-work grains each, so a handful of heavy items
 // (hub vertices, dense rows) no longer serialize one chunk. Each item is
 // visited exactly once; zero-weight items ride along with the range that
@@ -159,12 +162,11 @@ func ForBalancedWorker(n, workers int, prefix []int64, body func(worker, lo, hi 
 		panic("parallel: ForBalanced prefix must have length n+1")
 	}
 	workers = normalize(workers, n)
-	total := prefix[n]
-	if workers == 1 || total <= 0 {
-		if workers == 1 {
-			body(0, 0, n)
-			return
-		}
+	if workers == 1 {
+		body(0, 0, n)
+		return
+	}
+	if prefix[n] <= prefix[0] {
 		// No weight information: fall back to index chunking.
 		ForWorker(n, workers, body)
 		return
@@ -172,27 +174,6 @@ func ForBalancedWorker(n, workers int, prefix []int64, body func(worker, lo, hi 
 	grains := workers * 16
 	if grains > n {
 		grains = n
-	}
-	// cut(g) is the first index whose prefix reaches grain g's share of the
-	// total; cut(0) = 0 and cut(grains) = n so the ranges tile [0, n).
-	cut := func(g int) int {
-		if g <= 0 {
-			return 0
-		}
-		if g >= grains {
-			return n
-		}
-		target := total * int64(g) / int64(grains)
-		lo, hi := 0, n
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if prefix[mid] < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
 	}
 	var next int64
 	var wg sync.WaitGroup
@@ -205,7 +186,7 @@ func ForBalancedWorker(n, workers int, prefix []int64, body func(worker, lo, hi 
 				if g >= grains {
 					return
 				}
-				lo, hi := cut(g), cut(g+1)
+				lo, hi := BalancedCut(prefix, g, grains), BalancedCut(prefix, g+1, grains)
 				if lo < hi {
 					body(w, lo, hi)
 				}
@@ -213,6 +194,34 @@ func ForBalancedWorker(n, workers int, prefix []int64, body func(worker, lo, hi 
 		}(w)
 	}
 	wg.Wait()
+}
+
+// BalancedCut returns where part g begins when the n = len(prefix)-1 items
+// of a ForBalanced prefix array are cut into parts of equal work: the first
+// index whose prefix reaches g/parts of the total. BalancedCut(prefix, 0,
+// parts) = 0 and BalancedCut(prefix, parts, parts) = n, so the ranges
+// [cut(g), cut(g+1)) tile [0, n) for every parts >= 1 — more parts than
+// items just leaves some of them empty.
+func BalancedCut(prefix []int64, g, parts int) int {
+	n := len(prefix) - 1
+	if g <= 0 {
+		return 0
+	}
+	if g >= parts {
+		return n
+	}
+	target := prefix[0] + Share(prefix[n]-prefix[0], g, parts)
+	return sort.Search(n, func(i int) bool { return prefix[i] >= target })
+}
+
+// Share returns ⌊total·g/parts⌋ for total >= 0 and 0 <= g <= parts, the
+// weight that parts [0, g) of a balanced split own. The product is taken in
+// 128 bits: a part count that arrives from outside the process (a cluster
+// sub-request's `of`) cannot overflow it into a cut that runs backwards.
+func Share(total int64, g, parts int) int64 {
+	hi, lo := bits.Mul64(uint64(total), uint64(g))
+	q, _ := bits.Div64(hi, lo, uint64(parts))
+	return int64(q)
 }
 
 // Blocks returns the block count used by the block-deterministic primitives
@@ -453,27 +462,4 @@ func SumFloat64(n, workers int, body func(i int) float64) float64 {
 		mu.Unlock()
 	})
 	return total
-}
-
-// MaxInt64 reduces body over [0, n) by maximum. Returns 0 for n <= 0.
-func MaxInt64(n, workers int, body func(i int) int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	var mu sync.Mutex
-	best := body(0)
-	ForChunks(n, workers, func(lo, hi int) {
-		local := body(lo)
-		for i := lo + 1; i < hi; i++ {
-			if v := body(i); v > local {
-				local = v
-			}
-		}
-		mu.Lock()
-		if local > best {
-			best = local
-		}
-		mu.Unlock()
-	})
-	return best
 }

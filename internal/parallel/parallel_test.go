@@ -94,17 +94,6 @@ func TestSumFloat64(t *testing.T) {
 	}
 }
 
-func TestMaxInt64(t *testing.T) {
-	vals := []int64{3, -1, 7, 7, 0, 5}
-	got := MaxInt64(len(vals), 3, func(i int) int64 { return vals[i] })
-	if got != 7 {
-		t.Fatalf("MaxInt64 = %d, want 7", got)
-	}
-	if MaxInt64(0, 3, func(i int) int64 { return 1 }) != 0 {
-		t.Fatal("MaxInt64 of empty range should be 0")
-	}
-}
-
 func TestForZeroAndNegativeN(t *testing.T) {
 	called := false
 	For(0, 4, func(i int) { called = true })
@@ -365,4 +354,44 @@ func TestForBalancedPrefixLengthPanics(t *testing.T) {
 		}
 	}()
 	ForBalanced(5, 2, make([]int64, 5), func(lo, hi int) {})
+}
+
+// TestBalancedCutTiles: for any part count — including one no shard count
+// could justify, on weights whose product with it overflows 64 bits — the
+// cuts are monotone from 0 to n, and a sub-slice of the prefix array cuts
+// the sub-range it spans exactly as a prefix rebuilt from its weights does.
+func TestBalancedCutTiles(t *testing.T) {
+	weights := []int64{1 << 40, 1, 0, 1 << 41, 7, 0, 0, 1 << 39, 3}
+	prefix := prefixOf(weights)
+	n := len(weights)
+	for _, parts := range []int{1, 2, 3, n, n + 1, 1000, 1<<31 - 1} {
+		if BalancedCut(prefix, 0, parts) != 0 || BalancedCut(prefix, parts, parts) != n {
+			t.Fatalf("%d parts: cuts do not span [0, %d]", parts, n)
+		}
+		probes := []int{1, 2, parts / 3, parts / 2, parts - 2, parts - 1}
+		prev := 0
+		for _, g := range probes {
+			if g < 1 || g >= parts {
+				continue
+			}
+			cut := BalancedCut(prefix, g, parts)
+			if cut < prev || cut > n {
+				t.Fatalf("%d parts: cut(%d) = %d after %d", parts, g, cut, prev)
+			}
+			prev = cut
+		}
+	}
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo; hi <= n; hi++ {
+			rebuilt := prefixOf(weights[lo:hi])
+			for g := 0; g <= 4; g++ {
+				if got, want := BalancedCut(prefix[lo:hi+1], g, 4), BalancedCut(rebuilt, g, 4); got != want {
+					t.Fatalf("items [%d, %d) cut %d of 4: %d on the sub-slice, %d rebuilt", lo, hi, g, got, want)
+				}
+			}
+		}
+	}
+	if got := Share(1<<62, 1<<31-2, 1<<31-1); got != (1<<62)/(1<<31-1)*(1<<31-2)+((1<<62)%(1<<31-1))*(1<<31-2)/(1<<31-1) {
+		t.Fatalf("Share(2^62, 2^31-2, 2^31-1) = %d", got)
+	}
 }

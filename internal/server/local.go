@@ -148,10 +148,10 @@ func (l *Local) instrument() {
 		"Oriented triangle-engine arenas built (once per catalog entry, on first exact count).").Inc
 }
 
-// clampWorkers resolves a requested worker budget: <= 0 means the
+// ClampWorkers resolves a requested worker budget: <= 0 means the
 // deterministic default of one worker, and the result never exceeds
 // MaxWorkers.
-func (l *Local) clampWorkers(workers int) int {
+func (l *Local) ClampWorkers(workers int) int {
 	if workers <= 0 {
 		return 1
 	}
@@ -165,7 +165,7 @@ func (l *Local) clampWorkers(workers int) int {
 
 // Create implements Catalog.
 func (l *Local) Create(_ context.Context, name, memory, source string, g *graph.Graph, workers int) (*GraphInfo, error) {
-	e, err := l.catalog.put(name, memory, source, g, l.clampWorkers(workers))
+	e, err := l.catalog.put(name, memory, source, g, l.ClampWorkers(workers))
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, errExists) {
@@ -353,7 +353,7 @@ func (l *Local) target(e *entry, p QueryParams) (graph.AdjacencyEdges, string, f
 		}
 		return v.adjacency(), "", v.release, nil
 	}
-	res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, l.clampWorkers(p.Workers))
+	res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, l.ClampWorkers(p.Workers))
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -398,7 +398,7 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 	if err != nil {
 		return nil, err
 	}
-	res, canonical, cached, err := l.variantOf(e, spec, p.Seed, l.clampWorkers(p.Workers))
+	res, canonical, cached, err := l.variantOf(e, spec, p.Seed, l.ClampWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -440,7 +440,7 @@ func (l *Local) BFS(_ context.Context, name string, root int32, p QueryParams) (
 	if root < 0 || int(root) >= g.N() {
 		return nil, Errf(http.StatusBadRequest, "root %d outside [0, %d)", root, g.N())
 	}
-	res := traverse.BFS(g, root, l.clampWorkers(p.Workers))
+	res := traverse.BFS(g, root, l.ClampWorkers(p.Workers))
 	return &BFSResponse{
 		Graph: name, Spec: spec, Root: root,
 		Reached: res.Reached(), Ecc: res.Ecc(), Dist: res.Dist,
@@ -454,7 +454,7 @@ func (l *Local) PageRank(_ context.Context, name string, k int, p QueryParams) (
 		return nil, err
 	}
 	defer release()
-	ranks := centrality.PageRank(g, centrality.PageRankOptions{Workers: l.clampWorkers(p.Workers)})
+	ranks := centrality.PageRank(g, centrality.PageRankOptions{Workers: l.ClampWorkers(p.Workers)})
 	return &PageRankResponse{Graph: name, Spec: spec, K: k, Top: TopK(ranks, k)}, nil
 }
 
@@ -473,7 +473,7 @@ func (l *Local) Triangles(_ context.Context, name, mode string, prob float64, p 
 		return nil, err
 	}
 	defer release()
-	workers := l.clampWorkers(p.Workers)
+	workers := l.ClampWorkers(p.Workers)
 	resp := &TrianglesResponse{Graph: name, Spec: spec, Mode: mode}
 	switch {
 	case mode != "exact":
@@ -523,7 +523,7 @@ func (l *Local) Compare(_ context.Context, name string, p QueryParams) (*Compare
 		return nil, err
 	}
 	defer release()
-	q, err := metrics.CompareGraphs(orig, comp, l.clampWorkers(p.Workers))
+	q, err := metrics.CompareGraphs(orig, comp, l.ClampWorkers(p.Workers))
 	if err != nil {
 		return nil, Errf(http.StatusUnprocessableEntity, "%v", err)
 	}

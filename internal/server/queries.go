@@ -92,6 +92,9 @@ func (s *Server) pageRank(r *http.Request, info *GraphInfo, p QueryParams) (any,
 	if err != nil {
 		return nil, err
 	}
+	if k < 0 {
+		return nil, Errf(http.StatusBadRequest, "parameter k must not be negative, got %d", k)
+	}
 	return s.backend.PageRank(r.Context(), info.Name, k, p)
 }
 
@@ -101,19 +104,18 @@ func (s *Server) triangles(r *http.Request, info *GraphInfo, p QueryParams) (any
 	if mode == "" {
 		mode = "exact"
 	}
-	prob := 0.1
-	switch mode {
-	case "exact":
-	case "approx":
-		if v := q.Get("p"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || !(f > 0 && f <= 1) { // written so that NaN fails
-				return nil, Errf(http.StatusBadRequest, "parameter p must be in (0, 1], got %q", v)
-			}
-			prob = f
-		}
-	default:
+	if mode != "exact" && mode != "approx" {
 		return nil, Errf(http.StatusBadRequest, "unknown mode %q (exact or approx)", mode)
+	}
+	// p only steers mode=approx, but a value that is not a probability is
+	// refused in either mode rather than silently ignored in one.
+	prob := 0.1
+	if v := q.Get("p"); v != "" {
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(f > 0 && f <= 1) { // written so that NaN fails
+			return nil, Errf(http.StatusBadRequest, "parameter p must be in (0, 1], got %q", v)
+		}
+		prob = f
 	}
 	if info.Directed {
 		return nil, Errf(http.StatusUnprocessableEntity, "triangle counting is defined for undirected graphs")

@@ -456,12 +456,15 @@ func TestErrorPaths(t *testing.T) {
 			http.StatusBadRequest},
 		{"non-boolean directed", "POST", "/v1/graphs?name=y&directed=yes", "", []byte("0 1\n"), http.StatusBadRequest},
 		{"non-numeric k", "GET", "/v1/graphs/e/pagerank?k=abc", "", nil, http.StatusBadRequest},
+		{"negative k", "GET", "/v1/graphs/e/pagerank?k=-3", "", nil, http.StatusBadRequest},
 		{"non-numeric workers", "GET", "/v1/graphs/e/degrees?workers=abc", "", nil, http.StatusBadRequest},
 		{"bad mode before execution", "GET", "/v1/graphs/e/triangles?mode=zzz&spec=uniform:p=0.1&seed=77", "",
 			nil, http.StatusBadRequest},
 		{"bad mode", "GET", "/v1/graphs/e/triangles?mode=zzz", "", nil, http.StatusBadRequest},
 		{"bad doulion p", "GET", "/v1/graphs/e/triangles?mode=approx&p=7", "", nil, http.StatusBadRequest},
 		{"NaN doulion p", "GET", "/v1/graphs/e/triangles?mode=approx&p=NaN", "", nil, http.StatusBadRequest},
+		{"unparsable p in exact mode", "GET", "/v1/graphs/e/triangles?mode=exact&p=banana", "", nil, http.StatusBadRequest},
+		{"out-of-range p in exact mode", "GET", "/v1/graphs/e/triangles?p=0", "", nil, http.StatusBadRequest},
 		{"compare without spec", "GET", "/v1/graphs/e/compare", "", nil, http.StatusBadRequest},
 		{"compare renumbering variant", "GET", "/v1/graphs/e/compare?spec=tr-collapse:p=1", "", nil,
 			http.StatusUnprocessableEntity},

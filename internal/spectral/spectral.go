@@ -34,21 +34,6 @@ func LaplacianMatVec(g *graph.Graph, x, y []float64, workers int) {
 	})
 }
 
-// RayleighQuotient returns x^T L x / x^T x.
-func RayleighQuotient(g *graph.Graph, x []float64, workers int) float64 {
-	y := make([]float64, len(x))
-	LaplacianMatVec(g, x, y, workers)
-	num, den := 0.0, 0.0
-	for i := range x {
-		num += x[i] * y[i]
-		den += x[i] * x[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // QuadraticForm returns x^T L x = sum over edges w_uv (x_u - x_v)^2,
 // computed edge-wise (numerically stable and cheap).
 func QuadraticForm(g *graph.Graph, x []float64) float64 {

@@ -94,11 +94,6 @@ func Pack(g *graph.Graph, workers int, opts ...PackOption) *PackedGraph {
 	return pack(g, cfg, workers)
 }
 
-// PackWithBlock is Pack with an explicit vertex-block size.
-func PackWithBlock(g *graph.Graph, blockVertices, workers int) *PackedGraph {
-	return Pack(g, workers, WithBlockVertices(blockVertices))
-}
-
 func pack(g *graph.Graph, cfg packConfig, workers int) *PackedGraph {
 	shift := shiftFor(cfg.blockVertices)
 	pg := &PackedGraph{

@@ -285,3 +285,8 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("BitsPerEdge %v", s.BitsPerEdge)
 	}
 }
+
+// PackWithBlock is Pack with an explicit vertex-block size.
+func PackWithBlock(g *graph.Graph, blockVertices, workers int) *PackedGraph {
+	return Pack(g, workers, WithBlockVertices(blockVertices))
+}

@@ -243,22 +243,28 @@ func (en *Engine) countRange(lo, hi int) int64 {
 	return c
 }
 
-// Count returns the number of triangles. Per-worker counters replace the
-// per-triangle atomic of the reference path; integer addition commutes, so
-// the result is independent of the worker count.
-func (en *Engine) Count() int64 {
-	m := en.g.M()
-	if m == 0 {
-		return 0
-	}
-	nw := parallel.Resolve(en.workers, m)
+// Count returns the number of triangles.
+func (en *Engine) Count() int64 { return en.CountPart(0, 1) }
+
+// CountPart counts the triangles whose rank-lowest edge lies in part i of
+// the canonical edge order cut into `of` slices of equal intersection work
+// — the same cut the engine's own workers claim grains by, so a part is a
+// fair share of Count's time, not of its edges. The slices tile the edge
+// order: for every of >= 1 the parts sum to Count(), which is how a cluster
+// spreads one exact count over shards that each hold the whole graph.
+// Per-worker counters replace the per-triangle atomic of the reference
+// path; integer addition commutes, so the result is independent of the
+// worker count.
+func (en *Engine) CountPart(i, of int) int64 {
+	lo, hi := parallel.BalancedCut(en.work, i, of), parallel.BalancedCut(en.work, i+1, of)
+	nw := parallel.Resolve(en.workers, hi-lo)
 	if nw == 1 {
-		return en.countRange(0, m)
+		return en.countRange(lo, hi)
 	}
 	const pad = 8 // one cache line per counter
 	acc := make([]int64, nw*pad)
-	parallel.ForBalancedWorker(m, en.workers, en.work, func(w, lo, hi int) {
-		acc[w*pad] += en.countRange(lo, hi)
+	parallel.ForBalancedWorker(hi-lo, en.workers, en.work[lo:hi+1], func(w, a, b int) {
+		acc[w*pad] += en.countRange(lo+a, lo+b)
 	})
 	var total int64
 	for w := 0; w < nw; w++ {
