@@ -256,7 +256,10 @@ func IsServable(prefix []byte) bool { return succinct.IsServable(prefix) }
 // answers identically on either representation. Push-style
 // traversals walk out-lists per vertex (ForNeighbors); pull-style kernels
 // such as PageRank take in-lists a vertex range at a time (ScanInLists),
-// which a packed graph decodes back to back into one reused buffer.
+// which a packed graph decodes back to back into one reused buffer; a
+// bottom-up BFS level asks each unvisited vertex for its first in-neighbor
+// in the frontier (FirstInNeighborIn), and a packed graph decodes that list
+// no further than the answer.
 type Adjacency = graph.Adjacency
 
 // AdjacencyEdges extends Adjacency with canonical-edge enumeration — the
@@ -432,8 +435,10 @@ func NewSG(g *Graph, seed uint64, workers int) *SG { return core.New(g, seed, wo
 // BFSResult is the parent tree and level of every vertex.
 type BFSResult = traverse.BFSResult
 
-// BFS runs a parallel breadth-first search from root over any Adjacency — a
-// Graph, or a PackedGraph traversed in place, decoding lists on the fly.
+// BFS runs a parallel, direction-optimising breadth-first search from root
+// over any Adjacency — a Graph, or a PackedGraph traversed in place, decoding
+// lists on the fly. Dist is the same on every representation and at every
+// worker count; Parent is at workers == 1.
 func BFS(g Adjacency, root NodeID, workers int) *BFSResult { return traverse.BFS(g, root, workers) }
 
 // Dijkstra returns exact shortest-path distances and the SSSP parent array.

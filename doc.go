@@ -88,7 +88,7 @@
 // PageRank and every other algorithm taking an Adjacency run on in place,
 // decoding neighbors on the fly — there is one implementation per
 // algorithm, the same loop for a Graph and for a PackedGraph: on the
-// benchmark's rmat14 graph packed BFS takes about 1.3x and packed PageRank
+// benchmark's rmat14 graph packed BFS takes about 1.5x and packed PageRank
 // about 3x the raw-CSR time, memory-mapped or on the heap (the traverse.* and
 // centrality.* rungs of benchmark/README.md); Unpack restores a
 // bit-identical Graph.

@@ -1,5 +1,7 @@
 package graph
 
+import "slimgraph/internal/bitset"
+
 // Adjacency is the read-only neighborhood view shared by *Graph and any
 // alternative representation — notably internal/succinct's PackedGraph,
 // whose lists are decoded on the fly. Every stage-2 kernel has one body,
@@ -26,6 +28,12 @@ type Adjacency interface {
 	// representation's own storage: it is valid only until fn returns and
 	// must not be modified.
 	ScanInLists(lo, hi NodeID, buf []NodeID, fn func(v NodeID, nbrs []NodeID)) []NodeID
+	// FirstInNeighborIn returns the smallest in-neighbor of v that is a
+	// member of set, or -1 when there is none — the question a bottom-up BFS
+	// step asks of every unvisited vertex. set must hold N() bits. The answer
+	// needs v's list only up to the first member, so a decoding
+	// representation stops decoding there.
+	FirstInNeighborIn(v NodeID, set *bitset.Bits) NodeID
 }
 
 // AdjacencyEdges extends Adjacency with the canonical edge list: the view a
@@ -107,6 +115,17 @@ func (g *Graph) ForNeighbors(v NodeID, fn func(w NodeID)) {
 	for _, w := range g.Neighbors(v) {
 		fn(w)
 	}
+}
+
+// FirstInNeighborIn walks v's in-list up to the first member of set,
+// satisfying Adjacency.
+func (g *Graph) FirstInNeighborIn(v NodeID, set *bitset.Bits) NodeID {
+	for _, u := range g.InNeighbors(v) {
+		if set.Get(int(u)) {
+			return u
+		}
+	}
+	return -1
 }
 
 // ScanInLists hands fn zero-copy sub-slices of the in-CSR, satisfying

@@ -5,7 +5,8 @@ package succinct
 // Allocation pins for the hot accessor loops the serving layer runs per
 // query: ForNeighbors streams the payload through a caller callback,
 // ScanInLists decodes a range of lists into a caller buffer (warm after the
-// first pass), and Degree / EdgeWeight are direct reads. None of them may allocate per call — a BFS
+// first pass), FirstInNeighborIn decodes into nothing at all, and Degree /
+// EdgeWeight are direct reads. None of them may allocate per call — a BFS
 // over a packed graph touches every list once and per-call garbage would
 // dominate the traversal. Excluded under -race, whose instrumentation
 // inflates AllocsPerRun.
@@ -13,6 +14,7 @@ package succinct
 import (
 	"testing"
 
+	"slimgraph/internal/bitset"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/rng"
 )
@@ -43,6 +45,11 @@ func TestHotAccessorsDoNotAllocate(t *testing.T) {
 			u := step()
 			buf = pg.ScanInLists(u, min(u+70, graph.NodeID(pg.N())), buf, scan)
 		})
+		set := bitset.New(pg.N())
+		for i := 0; i < pg.N(); i += 7 {
+			set.Set(i)
+		}
+		check("FirstInNeighborIn", func() { sink += pg.FirstInNeighborIn(step(), set) })
 		check("Degree/InDegree/EdgeWeight", func() {
 			u := step()
 			sink += graph.NodeID(pg.Degree(u) + pg.InDegree(u))

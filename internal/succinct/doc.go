@@ -18,8 +18,9 @@
 //     directory in the Log(Graph) style — an absolute byte offset per block
 //     of ~64 vertices plus a bit-packed per-vertex offset relative to the
 //     block start, using exactly ceil(log2(max block payload)) bits per
-//     vertex. Degree, Neighbors, ForNeighbors and ScanInLists decode on the
-//     fly; Unpack restores a bit-identical graph.Graph.
+//     vertex. Degree, Neighbors, ForNeighbors, ScanInLists and
+//     FirstInNeighborIn decode on the fly; Unpack restores a bit-identical
+//     graph.Graph.
 //
 //   - Storage stream (format.go): the byte sections of the graphio v2
 //     snapshot ("packed" format). Only the canonical direction is stored —

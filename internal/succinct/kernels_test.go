@@ -71,8 +71,11 @@ func runKernels(a, comp graph.AdjacencyEdges, workers int) (kernelResults, []gra
 }
 
 // TestKernelsAgreeAcrossRepresentations is the one table behind "one body
-// per kernel": every kernel × {raw CSR, Pack, OpenPacked mapping} × five
-// kinds of graph × workers {1, 2, 7} against the raw CSR at one worker.
+// per kernel": every kernel × {raw CSR, Pack, OpenPacked mapping} × nine
+// kinds of graph × workers {1, 2, 7} against the raw CSR at one worker. The
+// path, the star, the two components and the single vertex are there for the
+// BFS direction switch: frontiers that never grow heavy, one that is a single
+// hub, a part no level reaches.
 func TestKernelsAgreeAcrossRepresentations(t *testing.T) {
 	r := rng.New(43)
 	graphs := []struct {
@@ -84,6 +87,11 @@ func TestKernelsAgreeAcrossRepresentations(t *testing.T) {
 		{"directed", randomGraph(r, packCase{directed: true}, 150, 1200)},
 		{"weighted", randomGraph(r, packCase{weighted: true}, 150, 1200)},
 		{"directed-weighted", randomGraph(r, packCase{directed: true, weighted: true}, 150, 1200)},
+		{"path", gen.Path(300)},
+		{"star", gen.Star(200)},
+		{"two-components", graph.FromEdges(9, false, []graph.Edge{
+			graph.E(0, 1), graph.E(1, 2), graph.E(2, 0), graph.E(2, 3), graph.E(5, 6), graph.E(6, 7)})},
+		{"single-vertex", graph.FromEdges(1, false, nil)},
 		{"empty", graph.FromEdges(0, false, nil)},
 	}
 	dir := t.TempDir()

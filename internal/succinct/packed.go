@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"slimgraph/internal/bitset"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/parallel"
 )
@@ -398,6 +399,16 @@ func (pg *PackedGraph) ScanInLists(lo, hi graph.NodeID, buf []graph.NodeID, fn f
 		fn(v, buf)
 	}
 	return buf
+}
+
+// FirstInNeighborIn decodes v's in-list only up to its first member of set,
+// satisfying graph.Adjacency. A list that fails to decode before a member
+// turns up reads as having none.
+func (pg *PackedGraph) FirstInNeighborIn(v graph.NodeID, set *bitset.Bits) graph.NodeID {
+	if pg.directed {
+		return firstInSet(pg.inPayload, pg.inStart(v), v, pg.n, set)
+	}
+	return firstInSet(pg.payload, pg.start(v), v, pg.n, set)
 }
 
 // Neighbors appends v's decoded out-neighbors to dst and returns the grown

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"slimgraph/internal/bitset"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/rng"
 )
@@ -124,11 +125,28 @@ func TestAccessorsMatchGraph(t *testing.T) {
 			pg.Weighted() != g.Weighted() || pg.NumArcs() != int64(g.NumArcs()) {
 			t.Fatalf("%v: shape mismatch: %v vs %v", c, pg, g)
 		}
+		// Sets for the early-exit probe: empty, sparse, and all but vertex 0.
+		sets := []*bitset.Bits{bitset.New(g.N()), bitset.New(g.N()), bitset.New(g.N())}
+		for v := 1; v < g.N(); v++ {
+			if v%9 == 0 {
+				sets[1].Set(v)
+			}
+			sets[2].Set(v)
+		}
 		var buf []graph.NodeID
 		for v := 0; v < g.N(); v++ {
 			id := graph.NodeID(v)
 			if pg.Degree(id) != g.Degree(id) || pg.InDegree(id) != g.InDegree(id) {
 				t.Fatalf("%v: degree mismatch at %d", c, v)
+			}
+			for i, set := range sets {
+				want := graph.NodeID(-1)
+				if j := slices.IndexFunc(g.InNeighbors(id), func(u graph.NodeID) bool { return set.Get(int(u)) }); j >= 0 {
+					want = g.InNeighbors(id)[j]
+				}
+				if got, raw := pg.FirstInNeighborIn(id, set), g.FirstInNeighborIn(id, set); got != want || raw != want {
+					t.Fatalf("%v: first in-neighbor of %d in set %d: packed %d, raw %d, want %d", c, v, i, got, raw, want)
+				}
 			}
 			want := g.Neighbors(id)
 			buf = pg.Neighbors(buf[:0], id)

@@ -3,6 +3,7 @@ package succinct
 import (
 	"slices"
 
+	"slimgraph/internal/bitset"
 	"slimgraph/internal/graph"
 )
 
@@ -119,6 +120,52 @@ func DecodeList(dst []graph.NodeID, buf []byte, pos int, base graph.NodeID) ([]g
 		out[i] = graph.NodeID(cur)
 	}
 	return dst, p
+}
+
+// firstInSet returns the first neighbor of the list encoded at pos that is a
+// member of set, or -1: DecodeList followed by a linear membership search,
+// without the destination and without the gaps behind the hit. n is the
+// vertex count; set holds at least n bits and is never read at or beyond n.
+// Corruption in front of the hit — a declared length the remaining bytes
+// cannot hold, an undecodable gap, a neighbor outside [0, n) — reads as "not
+// found". Gaps of one or two bytes take DecodeList's inline path.
+func firstInSet(buf []byte, pos int, base graph.NodeID, n int, set *bitset.Bits) graph.NodeID {
+	d, p := Uvarint(buf, pos)
+	if p == pos || d == 0 || d > uint64(len(buf)-p) {
+		return -1
+	}
+	raw, q := Uvarint(buf, p)
+	if q == p {
+		return -1
+	}
+	cur := int64(base) + UnZigZag(raw)
+	p = q
+	for i := uint64(1); ; i++ {
+		w := graph.NodeID(cur)
+		if uint32(w) >= uint32(n) {
+			return -1
+		}
+		if set.Get(int(w)) {
+			return w
+		}
+		if i == d {
+			return -1
+		}
+		var gap uint64
+		if p+1 < len(buf) && buf[p]&buf[p+1] < 0x80 {
+			b0, b1 := uint64(buf[p]), uint64(buf[p+1])
+			two := b0 >> 7
+			gap = b0&0x7f | (b1<<7)&-two
+			p += 1 + int(two)
+		} else {
+			gap, q = Uvarint(buf, p)
+			if q == p {
+				return -1
+			}
+			p = q
+		}
+		cur += int64(gap) + 1
+	}
 }
 
 // skipList advances past the list encoded at pos without materializing it.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"slimgraph/internal/bitset"
 	"slimgraph/internal/graph"
 )
 
@@ -190,20 +191,67 @@ func FuzzVarintRoundTrip(f *testing.F) {
 	})
 }
 
+// firstMember is the linear membership search the early-exit probe stands
+// for: the first of nbrs in set, unless a neighbor outside [0, n) comes first.
+func firstMember(nbrs []graph.NodeID, n int, set *bitset.Bits) graph.NodeID {
+	for _, w := range nbrs {
+		if w < 0 || int(w) >= n {
+			return -1
+		}
+		if set.Get(int(w)) {
+			return w
+		}
+	}
+	return -1
+}
+
 // FuzzDecodeListRobust feeds arbitrary bytes to the list decoder, which
-// must never panic and must fail in place on corruption.
+// must never panic and must fail in place on corruption, and to the
+// early-exit probe, which for any base, vertex count and set must answer
+// what DecodeList followed by firstMember answers and must not read the set
+// at or beyond n. The probe stops at its first hit, so on a corrupt list it
+// is held to the longest prefix that does decode: "not found" unless a
+// member precedes the damage.
 func FuzzDecodeListRobust(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add(AppendList(nil, 3, []graph.NodeID{4, 9, 17}))
-	f.Add([]byte{0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		got, next := DecodeList(nil, buf, 0, 0)
+	f.Add([]byte{}, int32(0), uint16(0), []byte{})
+	f.Add([]byte{0x00}, int32(0), uint16(8), []byte{0xff})
+	f.Add(AppendList(nil, 3, []graph.NodeID{4, 9, 17}), int32(3), uint16(20), []byte{0x00, 0x02, 0x02})
+	f.Add(AppendList(nil, 3, []graph.NodeID{4, 9, 17}), int32(3), uint16(9), []byte{0x00, 0x02, 0x02})
+	f.Add([]byte{0xff, 0xff, 0xff}, int32(1), uint16(64), []byte{0xaa})
+	f.Add([]byte{0x02, 0x00, 0xff}, int32(5), uint16(70), []byte{0xff}) // a hit, then a truncated gap
+	f.Add([]byte{0x03, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00}, int32(0), uint16(100), []byte{0xff})
+	f.Fuzz(func(t *testing.T, buf []byte, base int32, n16 uint16, members []byte) {
+		got, next := DecodeList(nil, buf, 0, base)
 		if next == 0 && len(got) != 0 {
 			t.Fatalf("failed decode returned %d values", len(got))
 		}
 		if next < 0 || next > len(buf) {
 			t.Fatalf("decode consumed %d of %d", next, len(buf))
+		}
+		n := int(n16)
+		set := bitset.New(n)
+		for i := 0; i < n && len(members) > 0; i++ {
+			if members[i/8%len(members)]>>(i%8)&1 != 0 {
+				set.Set(i)
+			}
+		}
+		// Poison the tail of the last word: a probe that looks at or beyond
+		// n finds a member there and returns it.
+		for i := n; i%64 != 0; i++ {
+			set.Set(i)
+		}
+		want := firstMember(got, n, set)
+		if d, p := Uvarint(buf, 0); next == 0 && p > 0 && d <= uint64(len(buf)-p) {
+			for k := uint64(1); k <= d; k++ {
+				prefix, ok := DecodeList(nil, append(AppendUvarint(nil, k), buf[p:]...), 0, base)
+				if ok == 0 {
+					break
+				}
+				want = firstMember(prefix, n, set)
+			}
+		}
+		if probe := firstInSet(buf, 0, base, n, set); probe != want {
+			t.Fatalf("probe of %x (base %d, n %d) = %d, DecodeList and a linear search give %d", buf, base, n, probe, want)
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"slimgraph/internal/bitset"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/parallel"
 )
@@ -49,12 +50,29 @@ func (r *BFSResult) Ecc() int32 {
 	return max
 }
 
-// BFS runs a level-synchronous parallel breadth-first search from root over
-// any graph.Adjacency, so a PackedGraph is traversed in place, its lists
-// decoded on the fly. Vertices are claimed with CAS on the parent array, so
-// with workers > 1 parent choices among same-level candidates are
-// nondeterministic (levels are always exact). workers <= 0 uses all CPUs;
-// workers == 1 is fully deterministic.
+// The direction switch of BFS is Beamer's: a level goes bottom-up when
+// bfsAlpha times its frontier's degree sum exceeds the degree sum of the
+// unvisited vertices, and the search returns top-down once the frontier holds
+// fewer than n/bfsBeta vertices.
+const (
+	bfsAlpha = 15
+	bfsBeta  = 18
+)
+
+// BFS runs a level-synchronous, direction-optimising parallel breadth-first
+// search from root over any graph.Adjacency, so a PackedGraph is traversed in
+// place, its lists decoded on the fly. A top-down level expands the frontier
+// through ForNeighbors and claims vertices with CAS on the parent array; a
+// bottom-up level asks every unvisited vertex for its smallest in-neighbor in
+// the frontier (FirstInNeighborIn), over vertex ranges owned by one worker
+// each. Which direction a level takes follows from N, Degree and the frontier
+// sizes alone.
+//
+// What is deterministic: Dist, always — every representation, every worker
+// count. Parent at one worker, identically on every representation of a
+// graph. With workers > 1 the parents a bottom-up level assigns (the
+// smallest-ID frontier neighbor) still are; among the same-level candidates
+// of a top-down level the CAS race picks. workers <= 0 uses all CPUs.
 func BFS(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
 	n := g.N()
 	parent := make([]graph.NodeID, n)
@@ -75,19 +93,22 @@ func BFS(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
 	states := make([]struct {
 		u     graph.NodeID
 		local []graph.NodeID
-		_     [32]byte // pad cells to a cache line: u/local are written per vertex
+		found int      // discoveries of one bottom-up level
+		_     [24]byte // pad cells to a cache line: u/local are written per vertex
 	}, maxW)
 	visits := make([]func(graph.NodeID), maxW)
 	for w := range visits {
 		st := &states[w]
 		visits[w] = func(v graph.NodeID) {
-			if atomic.CompareAndSwapInt32(&parent[v], -1, st.u) {
+			// Test, then CAS: most arcs lead to a vertex already claimed, and
+			// only a discovery pays for the locked instruction.
+			if atomic.LoadInt32(&parent[v]) == -1 && atomic.CompareAndSwapInt32(&parent[v], -1, st.u) {
 				dist[v] = level
 				st.local = append(st.local, v)
 			}
 		}
 	}
-	body := func(w, lo, hi int) {
+	topDown := func(w, lo, hi int) {
 		st := &states[w]
 		visit := visits[w]
 		for i := lo; i < hi; i++ {
@@ -95,19 +116,90 @@ func BFS(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
 			g.ForNeighbors(st.u, visit)
 		}
 	}
-	for len(frontier) > 0 {
-		level++
-		nw := parallel.Resolve(workers, len(frontier))
-		for w := 0; w < nw; w++ {
-			states[w].local = states[w].local[:0]
+	// A bottom-up level reads its frontier as a bit per vertex and writes the
+	// next one the same way. Its chunks are ranges of 64-vertex words: a
+	// worker owns the words of next it sets and the parent entries behind
+	// them, so the level needs no atomics and its outcome no luck.
+	words := (n + 63) / 64
+	var front, next *bitset.Bits
+	bottomUp := func(w, lo, hi int) {
+		st := &states[w]
+		for v, end := graph.NodeID(lo*64), graph.NodeID(min(hi*64, n)); v < end; v++ {
+			if parent[v] != -1 {
+				continue
+			}
+			if p := g.FirstInNeighborIn(v, front); p >= 0 {
+				parent[v] = p
+				dist[v] = level
+				next.Set(int(v))
+				st.found++
+			}
 		}
-		parallel.ForWorker(len(frontier), nw, body)
-		frontier = frontier[:0]
-		for w := 0; w < nw; w++ {
-			frontier = append(frontier, states[w].local...)
+	}
+	up := false
+	for size := 1; size > 0; {
+		level++
+		if !up && bottomUpPays(g, frontier, parent) {
+			up = true
+			if front == nil {
+				front, next = bitset.New(n), bitset.New(n)
+			}
+			front.Reset()
+			for _, u := range frontier {
+				front.Set(int(u))
+			}
+		} else if up && size < n/bfsBeta {
+			up = false
+			frontier = frontier[:0]
+			front.ForEach(func(v int) { frontier = append(frontier, graph.NodeID(v)) })
+		}
+		if up {
+			nw := parallel.Resolve(workers, words)
+			next.Reset()
+			parallel.ForWorker(words, nw, bottomUp)
+			size = 0
+			for w := 0; w < nw; w++ {
+				size += states[w].found
+				states[w].found = 0
+			}
+			front, next = next, front
+		} else {
+			nw := parallel.Resolve(workers, len(frontier))
+			for w := 0; w < nw; w++ {
+				states[w].local = states[w].local[:0]
+			}
+			parallel.ForWorker(len(frontier), nw, topDown)
+			frontier = frontier[:0]
+			for w := 0; w < nw; w++ {
+				frontier = append(frontier, states[w].local...)
+			}
+			size = len(frontier)
 		}
 	}
 	return &BFSResult{Parent: parent, Dist: dist}
+}
+
+// bottomUpPays applies the entry half of the direction switch to a top-down
+// frontier. A bottom-up level reads all n parent entries, so a frontier with
+// fewer than n arcs to follow is expanded without a further question — a
+// path, a grid or a star never sums a degree beyond its frontier's. The
+// unvisited sum is taken only behind that gate, and only until it settles
+// the comparison.
+func bottomUpPays(g graph.Adjacency, frontier, parent []graph.NodeID) bool {
+	var arcs int64
+	for _, u := range frontier {
+		arcs += int64(g.Degree(u))
+	}
+	if arcs < int64(len(parent)) {
+		return false
+	}
+	var unvisited int64
+	for v := 0; v < len(parent) && unvisited < bfsAlpha*arcs; v++ {
+		if parent[v] == -1 {
+			unvisited += int64(g.Degree(graph.NodeID(v)))
+		}
+	}
+	return unvisited < bfsAlpha*arcs
 }
 
 // BFSOn forwards to BFS for benchmark/ (frozen); the next benchmark PR deletes it.
@@ -257,7 +349,7 @@ func DeltaStepping(g *graph.Graph, root graph.NodeID, delta float64, workers int
 // DoubleSweepDiameter returns a lower bound on the (unweighted) diameter:
 // run BFS from start, then BFS from the farthest vertex found. On trees the
 // bound is exact; on general graphs it is a standard tight heuristic.
-func DoubleSweepDiameter(g *graph.Graph, start graph.NodeID, workers int) int32 {
+func DoubleSweepDiameter(g graph.Adjacency, start graph.NodeID, workers int) int32 {
 	first := BFS(g, start, workers)
 	far := start
 	var best int32
@@ -273,7 +365,7 @@ func DoubleSweepDiameter(g *graph.Graph, start graph.NodeID, workers int) int32 
 
 // AveragePathLength estimates the mean finite shortest-path length by
 // running BFS from the given sample roots and averaging finite distances.
-func AveragePathLength(g *graph.Graph, roots []graph.NodeID, workers int) float64 {
+func AveragePathLength(g graph.Adjacency, roots []graph.NodeID, workers int) float64 {
 	var sum float64
 	var count int64
 	for _, r := range roots {

@@ -8,6 +8,7 @@ import (
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/rng"
+	"slimgraph/internal/succinct"
 )
 
 func TestBFSPath(t *testing.T) {
@@ -185,9 +186,15 @@ func TestBFSRandomizedDistancesTriangleInequality(t *testing.T) {
 
 func BenchmarkBFSRMAT14(b *testing.B) {
 	g := gen.RMAT(14, 8, 0.57, 0.19, 0.19, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BFS(g, 0, 0)
+	for _, rep := range []struct {
+		name string
+		a    graph.Adjacency
+	}{{"raw", g}, {"packed", succinct.Pack(g, 0)}} {
+		b.Run(rep.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				BFS(rep.a, 0, 1)
+			}
+		})
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 // Graph500 output validator: parent edges must exist, levels must be
 // consistent (dist[v] == dist[parent[v]] + 1), the root must be its own
 // parent at level 0, reachability must agree between Parent and Dist, and
-// no graph edge may span more than one level. It returns the first
-// violation found, or nil.
+// no graph edge may span more than one level. An arc u->v of a directed
+// graph binds one way only: a reached u reaches v, at most one level on
+// (dist[v] <= dist[u]+1); how far back it leads is free. It returns the
+// first violation found, or nil.
 func ValidateTree(g *graph.Graph, res *BFSResult, root graph.NodeID) error {
 	n := g.N()
 	if len(res.Parent) != n || len(res.Dist) != n {
@@ -44,14 +46,17 @@ func ValidateTree(g *graph.Graph, res *BFSResult, root graph.NodeID) error {
 	for e := 0; e < g.M(); e++ {
 		u, v := g.EdgeEndpoints(graph.EdgeID(e))
 		du, dv := res.Dist[u], res.Dist[v]
+		if g.Directed() && du < 0 {
+			continue
+		}
 		if (du < 0) != (dv < 0) {
 			return fmt.Errorf("traverse: edge (%d, %d) crosses the reachability frontier", u, v)
 		}
-		if du >= 0 {
-			diff := du - dv
-			if diff < -1 || diff > 1 {
-				return fmt.Errorf("traverse: edge (%d, %d) spans levels %d and %d", u, v, du, dv)
-			}
+		if du < 0 {
+			continue
+		}
+		if dv > du+1 || (!g.Directed() && du > dv+1) {
+			return fmt.Errorf("traverse: edge (%d, %d) spans levels %d and %d", u, v, du, dv)
 		}
 	}
 	return nil

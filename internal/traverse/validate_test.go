@@ -71,3 +71,33 @@ func TestValidateTreeOnCompressedGraphBFS(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestValidateTreeDirected(t *testing.T) {
+	// 0 -> 1 -> 2 -> 0: the closing arc leads from level 2 back to level 0,
+	// which only an undirected edge may not do.
+	cycle := graph.FromEdges(3, true, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 0)})
+	res := BFS(cycle, 0, 1)
+	if err := ValidateTree(cycle, res, 0); err != nil {
+		t.Fatalf("3-cycle: %v", err)
+	}
+	// The forward rule still binds: nothing reached may point at something
+	// unreached, or more than one level on.
+	res.Dist[2], res.Parent[2] = -1, -1
+	if err := ValidateTree(cycle, res, 0); err == nil {
+		t.Fatal("accepted an arc out of the reached set")
+	}
+	chord := graph.FromEdges(4, true, []graph.Edge{graph.E(0, 1), graph.E(1, 2), graph.E(2, 3), graph.E(0, 3)})
+	long := &BFSResult{Parent: []graph.NodeID{0, 0, 1, 2}, Dist: []int32{0, 1, 2, 3}}
+	if err := ValidateTree(chord, long, 0); err == nil {
+		t.Fatal("accepted an arc that skips two levels")
+	}
+
+	g := gen.RMATDirected(8, 4, 0.57, 0.19, 0.19, 17)
+	for root := graph.NodeID(0); root < 20; root++ {
+		for _, workers := range []int{1, 4} {
+			if err := ValidateTree(g, BFS(g, root, workers), root); err != nil {
+				t.Fatalf("directed random, root %d at %d workers: %v", root, workers, err)
+			}
+		}
+	}
+}
