@@ -542,10 +542,9 @@ func readPackedBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Gra
 		return nil, fmt.Errorf("graphio: implausible packed directory: %d blocks of %d vertices",
 			numBlocks, blockVertices)
 	}
-	// Every list costs at least one byte and every edge at most MaxVarintLen
-	// plus its share of the list header, so a payload larger than this bound
-	// can only come from corruption — reject it before allocating.
-	if maxPayload := (uint64(h.n) + uint64(h.m)) * (succinct.MaxVarintLen + 1); payloadLen > maxPayload {
+	// Beyond the codec's bound a payload can only come from corruption —
+	// reject it before allocating.
+	if payloadLen > uint64(succinct.MaxPayloadBytes(int64(h.n), int64(h.m))) {
 		return nil, fmt.Errorf("graphio: implausible payload length %d for n=%d m=%d",
 			payloadLen, h.n, h.m)
 	}

@@ -1,0 +1,129 @@
+package succinct
+
+import (
+	"slices"
+	"testing"
+
+	"slimgraph/internal/bitset"
+	"slimgraph/internal/gen"
+	"slimgraph/internal/graph"
+	"slimgraph/internal/rng"
+)
+
+// TestAccessorsAgreeOnCorruptedPayloads is the differential test of the
+// corrupt-input contract in doc.go. It damages copies of packed graphs —
+// byte flips anywhere in a payload, length headers overwritten with lengths
+// from one to beyond 2^34, gaps no reader accepts planted mid-list — and
+// then reads every vertex through every accessor. Whatever the damage: the bulk readers (Neighbors, ScanInLists)
+// agree with each other and return a list only when all of it decodes; the
+// streaming reader delivers exactly the neighbors in front of the first
+// damage, which is the whole list whenever the bulk readers return one; the
+// early-exit probe answers a linear search of what the streaming reader
+// would deliver; Degree and InDegree answer from the header alone; and
+// nothing panics or reads outside the payload.
+func TestAccessorsAgreeOnCorruptedPayloads(t *testing.T) {
+	directedTwin := func(g *graph.Graph) *graph.Graph {
+		edges := make([]graph.Edge, g.M())
+		for e := range edges {
+			u, v := g.EdgeEndpoints(graph.EdgeID(e))
+			if e%2 == 1 {
+				u, v = v, u
+			}
+			edges[e] = graph.Edge{U: u, V: v, W: 1}
+		}
+		return graph.FromEdges(g.N(), true, edges)
+	}
+	rmat10, grid32 := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77), gen.Grid2D(32, 32, true)
+	inputs := map[string]*graph.Graph{
+		"rmat10": rmat10, "rmat10-directed": directedTwin(rmat10),
+		"grid32": grid32, "grid32-directed": directedTwin(grid32),
+	}
+	const copies, perCopy = 80, 5 // 4 graphs x 80 x 5 = 1600 corruptions, four in five of them flips and headers
+	lengths := []uint64{1, 2, 31, 127, 128, 1000, 1 << 14, 1 << 20, 1 << 34, 1<<63 | 1}
+	// Damage in the middle of a list: a gap of 2^32, and an overlong varint.
+	wide := [][]byte{{0x80, 0x80, 0x80, 0x80, 0x10}, slices.Repeat([]byte{0x80}, MaxVarintLen+1)}
+	for name, g := range inputs {
+		pg := Pack(g, 0)
+		r := rng.New(97)
+		for c := 0; c < copies; c++ {
+			bad := *pg
+			bad.payload = slices.Clone(pg.payload)
+			bad.inPayload = slices.Clone(pg.inPayload)
+			for k := 0; k < perCopy; k++ {
+				payload, start := bad.payload, bad.start
+				if bad.directed && r.Intn(2) == 1 {
+					payload, start = bad.inPayload, bad.inStart
+				}
+				switch r.Intn(5) {
+				case 0, 1:
+					payload[r.Intn(len(payload))] ^= byte(1 + r.Intn(255))
+				case 2, 3:
+					header := AppendUvarint(nil, lengths[r.Intn(len(lengths))])
+					copy(payload[start(graph.NodeID(r.Intn(bad.n))):], header)
+				default:
+					copy(payload[r.Intn(len(payload)):], wide[r.Intn(len(wide))])
+				}
+			}
+			checkAccessorsAgree(t, name, &bad, r)
+		}
+	}
+}
+
+func checkAccessorsAgree(t *testing.T, name string, pg *PackedGraph, r *rng.Rand) {
+	t.Helper()
+	set := bitset.New(pg.n)
+	for v := 0; v < pg.n; v++ {
+		if r.Intn(4) == 0 {
+			set.Set(v)
+		}
+	}
+	inPayload, inStart := pg.payload, pg.start
+	if pg.directed {
+		inPayload, inStart = pg.inPayload, pg.inStart
+	}
+	// A range scan reads lists back to back, so behind a damaged list that
+	// still decodes it is out of step with the directory: it is held to
+	// visiting every vertex, the per-vertex scans below to the lists.
+	visited := 0
+	pg.ScanInLists(0, graph.NodeID(pg.n), nil, func(graph.NodeID, []graph.NodeID) { visited++ })
+	if visited != pg.n {
+		t.Fatalf("%s: ScanInLists visited %d of %d vertices", name, visited, pg.n)
+	}
+	for i := 0; i < pg.n; i++ {
+		v := graph.NodeID(i)
+		// Out-lists: Degree, Neighbors, ForNeighbors.
+		declared, prefix, next := decodeListRef(pg.payload, pg.start(v), v)
+		whole := prefix
+		if next == pg.start(v) {
+			whole = nil // damaged: the bulk readers return nothing
+		}
+		if got := pg.Neighbors(nil, v); !slices.Equal(got, whole) {
+			t.Fatalf("%s: Neighbors(%d) = %v, want %v", name, v, got, whole)
+		}
+		var stream []graph.NodeID
+		pg.ForNeighbors(v, func(w graph.NodeID) { stream = append(stream, w) })
+		if !slices.Equal(stream, prefix) {
+			t.Fatalf("%s: ForNeighbors(%d) = %v, want %v", name, v, stream, prefix)
+		}
+		if d := pg.Degree(v); d != declared || (whole != nil && d != len(whole)) {
+			t.Fatalf("%s: Degree(%d) = %d, header declares %d, list decodes to %d", name, v, d, declared, len(whole))
+		}
+		// In-lists: InDegree, ScanInLists, FirstInNeighborIn.
+		declared, prefix, next = decodeListRef(inPayload, inStart(v), v)
+		whole = prefix
+		if next == inStart(v) {
+			whole = nil
+		}
+		pg.ScanInLists(v, v+1, nil, func(_ graph.NodeID, got []graph.NodeID) {
+			if !slices.Equal(got, whole) {
+				t.Fatalf("%s: ScanInLists at %d = %v, want %v", name, v, got, whole)
+			}
+		})
+		if d := pg.InDegree(v); d != declared || (whole != nil && d != len(whole)) {
+			t.Fatalf("%s: InDegree(%d) = %d, header declares %d, list decodes to %d", name, v, d, declared, len(whole))
+		}
+		if got, want := pg.FirstInNeighborIn(v, set), firstMember(prefix, pg.n, set); got != want {
+			t.Fatalf("%s: FirstInNeighborIn(%d) = %d, a linear search of %v gives %d", name, v, got, prefix, want)
+		}
+	}
+}

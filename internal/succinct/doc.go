@@ -11,7 +11,25 @@
 //   - Codec (varint.go): LEB128 varints, zig-zag signed mapping, and a
 //     per-list layout for sorted adjacency — varint(degree), then the first
 //     neighbor as a zig-zag delta from the owning vertex, then strictly
-//     positive gaps encoded as varint(gap-1).
+//     positive gaps encoded as varint(gap-1). The codec is varint.go: no
+//     other file reads or writes a list's bytes (CI greps for it), and the
+//     block-level readers — Unpack, ForEdges, Verify, DecodeStored — are
+//     back-to-back DecodeList scans. A candidate codec supplies AppendList
+//     and its byte accounting listWidths; the three readers DecodeList
+//     (bulk), firstInSet (early exit) and streamList (no destination);
+//     listLen; and MaxPayloadBytes. The readers share one corrupt-input
+//     contract. A list whose length header does not decode, or declares
+//     more entries than bytes remain, has length 0 and is empty to all
+//     three; so is one whose first neighbor does not decode or lies outside
+//     [0, 2^31), though listLen, which reads the header alone (anything
+//     more would cost a decode per Degree), still reports what it declares.
+//     Damage behind the first neighbor — an undecodable gap, a gap or a
+//     neighbor of 2^31 or more — makes DecodeList fail in place, returning
+//     nothing, while firstInSet and streamList, which cannot take back what
+//     they delivered, stop there: the neighbors in front of the damage are
+//     real, and nothing is invented behind it. No reader returns a
+//     neighbor outside [0, 2^31), reads outside the payload, or runs longer
+//     than the payload is.
 //
 //   - PackedGraph (packed.go): every vertex's adjacency encoded with the
 //     codec into one payload byte stream, addressed by a two-level offset

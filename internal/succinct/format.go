@@ -2,11 +2,8 @@ package succinct
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"slimgraph/internal/graph"
-	"slimgraph/internal/parallel"
 )
 
 // Sections is the body of a packed (graphio v2) snapshot: the canonical
@@ -36,23 +33,15 @@ func (s *Sections) NumBlocks() int { return len(s.BlockOff) - 1 }
 // CPUs): blocks are encoded independently and concatenated in block order.
 func EncodeStored(g *graph.Graph, workers int) *Sections {
 	shift := shiftFor(DefaultBlockVertices)
-	canonical := func(v int, _ []graph.NodeID) []graph.NodeID {
-		nb := g.Neighbors(graph.NodeID(v))
-		if g.Directed() {
-			return nb
-		}
-		i := sort.Search(len(nb), func(i int) bool { return nb[i] > graph.NodeID(v) })
-		return nb[i:]
+	canonical := g.Neighbors
+	if !g.Directed() {
+		canonical = func(v graph.NodeID) []graph.NodeID { return forward(g.Neighbors(v), v) }
 	}
-	payload, blockOff, starts, _ := encodeLists(g.N(), shift, workers, false, canonical)
-	edgeStart := make([]uint64, len(starts))
-	for i, s := range starts {
-		edgeStart[i] = uint64(s)
-	}
+	payload, blockOff, _ := encodeLists(g.N(), shift, workers, canonical)
 	return &Sections{
 		BlockVertices: 1 << shift,
 		BlockOff:      blockOff,
-		EdgeStart:     edgeStart,
+		EdgeStart:     edgeStarts[uint64](g, shift),
 		Payload:       payload,
 	}
 }
@@ -64,26 +53,10 @@ func EncodeStored(g *graph.Graph, workers int) *Sections {
 // the weight section a snapshot writer must emit — or nil when g is
 // unweighted. OrderNone degrades to plain EncodeStored.
 func EncodeStoredOrder(g *graph.Graph, order Order, workers int) (*Sections, []float64) {
-	perm := ComputeOrder(g, order, workers)
-	enc := g
-	if perm != nil {
-		var err error
-		if enc, err = g.Permute(perm, workers); err != nil {
-			panic(fmt.Sprintf("succinct: ComputeOrder produced an invalid permutation: %v", err))
-		}
-	}
+	enc, perm := relabel(g, order, workers)
 	s := EncodeStored(enc, workers)
 	s.Perm = perm
-	var weights []float64
-	if enc.Weighted() {
-		weights = make([]float64, enc.M())
-		parallel.ForChunks(enc.M(), workers, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				weights[e] = enc.EdgeWeight(graph.EdgeID(e))
-			}
-		})
-	}
-	return s, weights
+	return s, canonicalWeights(enc, workers)
 }
 
 // DecodeStored rebuilds the graph from snapshot sections, block-parallel.
@@ -94,128 +67,67 @@ func EncodeStoredOrder(g *graph.Graph, order Order, workers int) (*Sections, []f
 // a non-bijective or truncated permutation — return an error rather than
 // panicking.
 func DecodeStored(n, m int, directed, weighted bool, s *Sections, weights []float64, workers int) (*graph.Graph, error) {
-	numBlocks := s.NumBlocks()
-	if numBlocks < 0 || len(s.EdgeStart) != numBlocks+1 {
-		return nil, fmt.Errorf("succinct: directory tables disagree: %d offsets, %d edge starts",
-			len(s.BlockOff), len(s.EdgeStart))
-	}
 	shift := shiftFor(s.BlockVertices)
-	if 1<<shift != s.BlockVertices || numBlocks != numBlocksFor(n, shift) {
-		return nil, fmt.Errorf("succinct: block directory does not cover %d vertices: %d blocks of %d",
-			n, numBlocks, s.BlockVertices)
+	numBlocks := numBlocksFor(n, shift)
+	if 1<<shift != s.BlockVertices {
+		return nil, fmt.Errorf("succinct: block size %d is not a power of two", s.BlockVertices)
 	}
-	if numBlocks > 0 {
-		if s.BlockOff[0] != 0 || s.BlockOff[numBlocks] != uint64(len(s.Payload)) ||
-			s.EdgeStart[0] != 0 || s.EdgeStart[numBlocks] != uint64(m) {
-			return nil, fmt.Errorf("succinct: directory endpoints do not span payload/edges")
-		}
-	} else if m != 0 {
-		return nil, fmt.Errorf("succinct: %d edges but no blocks", m)
+	if err := checkDirectory("payload", s.BlockOff, numBlocks, uint64(len(s.Payload))); err != nil {
+		return nil, err
 	}
-	if weighted && len(weights) != m {
+	if err := checkDirectory("edge-start", s.EdgeStart, numBlocks, uint64(m)); err != nil {
+		return nil, err
+	}
+	if !weighted {
+		weights = nil
+	} else if len(weights) != m {
 		return nil, fmt.Errorf("succinct: %d weights for %d edges", len(weights), m)
 	}
 	edges := make([]graph.Edge, m)
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(b int, msg string) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = fmt.Errorf("succinct: block %d: %s", b, msg)
-		}
-		mu.Unlock()
-	}
-	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
-		lo := b << shift
-		hi := lo + 1<<shift
-		if hi > n {
-			hi = n
-		}
-		if s.BlockOff[b] > s.BlockOff[b+1] || s.BlockOff[b+1] > uint64(len(s.Payload)) ||
-			s.EdgeStart[b] > s.EdgeStart[b+1] || s.EdgeStart[b+1] > uint64(m) {
-			fail(b, "directory entries out of order")
-			return
-		}
-		pos, end := int(s.BlockOff[b]), int(s.BlockOff[b+1])
-		ei, eiEnd := int(s.EdgeStart[b]), int(s.EdgeStart[b+1])
-		for v := lo; v < hi; v++ {
-			d, p := Uvarint(s.Payload, pos)
-			if p == pos {
-				fail(b, "truncated degree varint")
-				return
-			}
-			if uint64(eiEnd-ei) < d {
-				fail(b, "more edges than the directory declares")
-				return
-			}
-			cur := int64(v)
-			for i := uint64(0); i < d; i++ {
-				raw, q := Uvarint(s.Payload, p)
-				if q == p {
-					fail(b, "truncated gap varint")
-					return
-				}
-				if i == 0 {
-					cur += UnZigZag(raw)
-				} else {
-					cur += int64(raw) + 1
-				}
-				p = q
-				w := 1.0
-				if weighted {
-					w = weights[ei]
-				}
-				edges[ei] = graph.Edge{U: graph.NodeID(v), V: graph.NodeID(cur), W: w}
-				ei++
-			}
-			pos = p
-		}
-		if pos != end || ei != eiEnd {
-			fail(b, "payload or edge count does not match the directory")
-		}
+	err := firstBlockError(numBlocks, workers, func(b int) error {
+		return s.decodeBlock(b, n, weights, edges)
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
+	var inv []graph.NodeID
 	if s.Perm != nil {
 		if err := graph.ValidatePermutation(n, s.Perm); err != nil {
 			return nil, fmt.Errorf("succinct: stored permutation: %w", err)
 		}
-		inv := graph.InvertPermutation(s.Perm, workers)
-		// On the canonical path below FromCanonicalEdges bounds-checks the
-		// decoded endpoints; here they index inv first, so check now.
-		bad := parallel.SumInt64(m, workers, func(e int) int64 {
-			if v := edges[e].V; v < 0 || int(v) >= n {
-				return 1
-			}
-			return 0
-		})
-		if bad != 0 {
-			return nil, fmt.Errorf("succinct: %d decoded edges with out-of-range endpoints", bad)
-		}
-		parallel.ForChunks(m, workers, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				edges[e].U = inv[edges[e].U]
-				edges[e].V = inv[edges[e].V]
-			}
-		})
-		// The inverse mapping scrambles canonical order, so rebuild through
-		// the full builder. The builder silently normalizes self-loops and
-		// duplicates a corrupt payload might decode to — re-check the edge
-		// count to keep corruption loud.
-		bld := graph.NewBuilder(n, directed)
-		bld.AddEdges(edges)
-		if weighted {
-			bld.SetWeighted()
-		}
-		g, err := bld.Build()
-		if err != nil {
-			return nil, err
-		}
-		if g.M() != m {
-			return nil, fmt.Errorf("succinct: payload decodes to %d edges after normalization, want %d", g.M(), m)
-		}
-		return g, nil
+		inv = graph.InvertPermutation(s.Perm, workers)
 	}
-	return graph.FromCanonicalEdges(n, directed, weighted, edges)
+	return restore(n, directed, weighted, edges, inv, workers)
+}
+
+// decodeBlock decodes block b's canonical lists into the slots of edges the
+// directory assigns them, with weights[e] (1 when nil) as edge e's weight.
+// The block must consume exactly the bytes and the edges it declares.
+func (s *Sections) decodeBlock(b, n int, weights []float64, edges []graph.Edge) error {
+	lo, hi := blockRange(b, shiftFor(s.BlockVertices), n)
+	pos, end := int(s.BlockOff[b]), int(s.BlockOff[b+1])
+	ei, eiEnd := int(s.EdgeStart[b]), int(s.EdgeStart[b+1])
+	var nbrs []graph.NodeID
+	for v := lo; v < hi; v++ {
+		var next int
+		nbrs, next = DecodeList(nbrs[:0], s.Payload[:end], pos, graph.NodeID(v))
+		if next == pos {
+			return fmt.Errorf("succinct: vertex %d: the list does not decode", v)
+		}
+		if len(nbrs) > eiEnd-ei {
+			return fmt.Errorf("succinct: block %d: more edges than the directory declares", b)
+		}
+		for _, w := range nbrs {
+			edges[ei] = graph.Edge{U: graph.NodeID(v), V: w, W: 1}
+			if weights != nil {
+				edges[ei].W = weights[ei]
+			}
+			ei++
+		}
+		pos = next
+	}
+	if pos != end || ei != eiEnd {
+		return fmt.Errorf("succinct: block %d: payload or edge count does not match the directory", b)
+	}
+	return nil
 }

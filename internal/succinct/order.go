@@ -2,7 +2,6 @@ package succinct
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -59,7 +58,10 @@ func ParseOrder(s string) (Order, error) {
 // windowSize is the refinement window of OrderWindow: large enough to give
 // the barycenter sort room, small enough that a re-sorted window cannot
 // scramble the global BFS locality it starts from.
-const windowSize = 256
+const (
+	windowShift = 8
+	windowSize  = 1 << windowShift
+)
 
 // ComputeOrder returns the permutation of o over g, with perm[old] = new;
 // OrderNone returns nil (the identity). Every ordering is deterministic:
@@ -135,13 +137,9 @@ func windowOrder(g *graph.Graph, workers int) []graph.NodeID {
 	base := bfsOrder(g, workers)
 	inv := graph.InvertPermutation(base, workers)
 	perm := make([]graph.NodeID, n)
-	numWin := (n + windowSize - 1) / windowSize
+	numWin := numBlocksFor(n, windowShift)
 	parallel.ForBlocks(numWin, numWin, workers, func(k, _, _ int) {
-		lo := k * windowSize
-		hi := lo + windowSize
-		if hi > n {
-			hi = n
-		}
+		lo, hi := blockRange(k, windowShift, n)
 		type scored struct {
 			v     graph.NodeID
 			pos   graph.NodeID
@@ -231,40 +229,24 @@ func (h *GapHist) Quantile(q float64) int {
 }
 
 // GapHistogram measures g's out-adjacency gap stream under perm
-// (perm[old] = new; nil means the identity) without building the payload:
-// per new-ID list, the zig-zagged head delta and the gap-1 values exactly as
-// AppendList would encode them. Deterministic for any worker count.
+// (perm[old] = new; nil means the identity, anything else must be a
+// bijection of [0, n)) without building the payload: per new-ID list, the
+// widths and the byte size exactly as AppendList would encode them.
+// Deterministic for any worker count.
 func GapHistogram(g *graph.Graph, perm []graph.NodeID, workers int) GapHist {
+	if perm != nil {
+		var err error
+		if g, err = g.Permute(perm, workers); err != nil {
+			panic(fmt.Sprintf("succinct: GapHistogram: %v", err))
+		}
+	}
 	n := g.N()
 	numBlocks := parallel.Blocks(n, 0, workers)
 	partial := make([]GapHist, numBlocks)
-	var inv []graph.NodeID
-	if perm != nil {
-		inv = graph.InvertPermutation(perm, workers)
-	}
 	parallel.ForBlocks(n, numBlocks, workers, func(b, lo, hi int) {
 		h := &partial[b]
-		var scratch []graph.NodeID
 		for v := lo; v < hi; v++ {
-			var nb []graph.NodeID
-			if perm == nil {
-				nb = g.Neighbors(graph.NodeID(v))
-			} else {
-				scratch = relabeledList(g.Neighbors(inv[v]), perm, scratch)
-				nb = scratch
-			}
-			h.PayloadBytes += int64(uvarintLen(uint64(len(nb))))
-			if len(nb) == 0 {
-				continue
-			}
-			head := ZigZag(int64(nb[0]) - int64(v))
-			h.Bits[bits.Len64(head)]++
-			h.PayloadBytes += int64(uvarintLen(head))
-			for i := 1; i < len(nb); i++ {
-				gap := uint64(nb[i]-nb[i-1]) - 1
-				h.Bits[bits.Len64(gap)]++
-				h.PayloadBytes += int64(uvarintLen(gap))
-			}
+			h.PayloadBytes += listWidths(graph.NodeID(v), g.Neighbors(graph.NodeID(v)), &h.Bits)
 		}
 	})
 	var out GapHist
@@ -275,20 +257,4 @@ func GapHistogram(g *graph.Graph, perm []graph.NodeID, workers int) GapHist {
 		out.PayloadBytes += partial[b].PayloadBytes
 	}
 	return out
-}
-
-// uvarintLen returns the encoded length of v in bytes.
-func uvarintLen(v uint64) int {
-	return (bits.Len64(v|1) + 6) / 7
-}
-
-// relabeledList maps nb through perm into buf (reused across calls) and
-// sorts it — the adjacency of a vertex in the relabeled ID space.
-func relabeledList(nb []graph.NodeID, perm []graph.NodeID, buf []graph.NodeID) []graph.NodeID {
-	buf = buf[:0]
-	for _, w := range nb {
-		buf = append(buf, perm[w])
-	}
-	slices.Sort(buf)
-	return buf
 }

@@ -3,7 +3,6 @@ package succinct
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 
 	"slimgraph/internal/bitset"
@@ -70,11 +69,11 @@ type packConfig struct {
 	order         Order
 }
 
-// WithOrder selects a gap-minimizing vertex relabeling applied while
-// packing: the graph is relabeled during the block-parallel encode, so the
-// accessors and Unpack see the permuted ID space while OriginalID/PackedID
-// translate back. OrderNone (the default) keeps original IDs and original
-// canonical edge IDs.
+// WithOrder selects a gap-minimizing vertex relabeling applied before the
+// encode, so the accessors see the permuted ID space while
+// OriginalID/PackedID translate back and Unpack restores the original.
+// OrderNone (the default) keeps original IDs and original canonical edge
+// IDs.
 func WithOrder(o Order) PackOption {
 	return func(c *packConfig) { c.order = o }
 }
@@ -92,90 +91,55 @@ func Pack(g *graph.Graph, workers int, opts ...PackOption) *PackedGraph {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return pack(g, cfg, workers)
-}
-
-func pack(g *graph.Graph, cfg packConfig, workers int) *PackedGraph {
 	shift := shiftFor(cfg.blockVertices)
 	pg := &PackedGraph{
 		n: g.N(), m: g.M(),
 		directed: g.Directed(), weighted: g.Weighted(),
 		shift: shift,
+		arcs:  int64(g.NumArcs()),
 		order: cfg.order,
 	}
-	outList := func(v int, _ []graph.NodeID) []graph.NodeID { return g.Neighbors(graph.NodeID(v)) }
-	inList := func(v int, _ []graph.NodeID) []graph.NodeID { return g.InNeighbors(graph.NodeID(v)) }
-	pg.perm = ComputeOrder(g, cfg.order, workers)
+	g, pg.perm = relabel(g, cfg.order, workers)
 	if pg.perm != nil {
 		pg.inv = graph.InvertPermutation(pg.perm, workers)
-		perm, inv := pg.perm, pg.inv
-		outList = func(v int, buf []graph.NodeID) []graph.NodeID {
-			return relabeledList(g.Neighbors(inv[v]), perm, buf)
-		}
-		inList = func(v int, buf []graph.NodeID) []graph.NodeID {
-			return relabeledList(g.InNeighbors(inv[v]), perm, buf)
-		}
 	}
-	var itemStart []int64
-	pg.payload, pg.blockOff, itemStart, pg.rel = encodeLists(pg.n, shift, workers, true, outList)
-	pg.arcs = itemStart[len(itemStart)-1]
+	pg.payload, pg.blockOff, pg.rel = encodeLists(pg.n, shift, workers, g.Neighbors)
 	if pg.directed {
-		pg.inPayload, pg.inBlockOff, _, pg.inRel = encodeLists(pg.n, shift, workers, true, inList)
-		// Directed out-lists are the canonical edge list itself.
-		pg.edgeStart = itemStart
-	} else {
-		pg.edgeStart = forwardStarts(pg.n, shift, workers, outList)
+		pg.inPayload, pg.inBlockOff, pg.inRel = encodeLists(pg.n, shift, workers, g.InNeighbors)
 	}
-	if pg.weighted {
-		if pg.perm != nil {
-			pg.weights = permutedWeights(g, pg.perm, workers)
-		} else {
-			pg.weights = make([]float64, pg.m)
-			parallel.ForChunks(pg.m, workers, func(lo, hi int) {
-				for e := lo; e < hi; e++ {
-					pg.weights[e] = g.EdgeWeight(graph.EdgeID(e))
-				}
-			})
-		}
-	}
+	pg.edgeStart = edgeStarts[int64](g, shift)
+	pg.weights = canonicalWeights(g, workers)
 	return pg
 }
 
-// permutedWeights re-sorts g's canonical edge weights into the canonical
-// order of the relabeled graph: endpoints map through perm (swapped back
-// into u <= v for undirected graphs) and edges re-sort by (u, v). Simple
-// graphs have unique (u, v) pairs, so the order — and the weight array — is
-// fully determined.
-func permutedWeights(g *graph.Graph, perm []graph.NodeID, workers int) []float64 {
-	type permEdge struct {
-		u, v graph.NodeID
-		w    float64
+// relabel returns g under the vertex permutation of o (perm[old] = new) and
+// that permutation, or g itself and nil for OrderNone. Pack and the stored
+// snapshot encoder both relabel here, through graph.Permute, and then encode
+// the result plainly.
+func relabel(g *graph.Graph, o Order, workers int) (*graph.Graph, []graph.NodeID) {
+	perm := ComputeOrder(g, o, workers)
+	if perm == nil {
+		return g, nil
 	}
-	m := g.M()
-	edges := make([]permEdge, m)
-	parallel.ForChunks(m, workers, func(lo, hi int) {
+	permuted, err := g.Permute(perm, workers)
+	if err != nil {
+		panic(fmt.Sprintf("succinct: ComputeOrder produced an invalid permutation: %v", err))
+	}
+	return permuted, perm
+}
+
+// canonicalWeights copies g's canonical edge weights out, or returns nil
+// when g is unweighted.
+func canonicalWeights(g *graph.Graph, workers int) []float64 {
+	if !g.Weighted() {
+		return nil
+	}
+	weights := make([]float64, g.M())
+	parallel.ForChunks(g.M(), workers, func(lo, hi int) {
 		for e := lo; e < hi; e++ {
-			u, v := g.EdgeEndpoints(graph.EdgeID(e))
-			nu, nv := perm[u], perm[v]
-			if !g.Directed() && nu > nv {
-				nu, nv = nv, nu
-			}
-			edges[e] = permEdge{u: nu, v: nv, w: g.EdgeWeight(graph.EdgeID(e))}
+			weights[e] = g.EdgeWeight(graph.EdgeID(e))
 		}
 	})
-	slices.SortFunc(edges, func(a, b permEdge) int {
-		switch {
-		case a.u != b.u:
-			return int(a.u) - int(b.u)
-		case a.v != b.v:
-			return int(a.v) - int(b.v)
-		}
-		return 0
-	})
-	weights := make([]float64, m)
-	for e := range edges {
-		weights[e] = edges[e].w
-	}
 	return weights
 }
 
@@ -194,62 +158,51 @@ func numBlocksFor(n int, shift uint) int {
 	return ((n - 1) >> shift) + 1
 }
 
+// blockRange returns the vertices [lo, hi) of block b.
+func blockRange(b int, shift uint, n int) (lo, hi int) {
+	lo = b << shift
+	return lo, min(lo+1<<shift, n)
+}
+
+// firstBlockError runs check for every block in parallel and returns the
+// error of the lowest block that has one.
+func firstBlockError(numBlocks, workers int, check func(b int) error) error {
+	errs := make([]error, numBlocks)
+	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) { errs[b] = check(b) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // encodeLists gap-encodes list(v) for every v in [0, n) into one payload.
 // Vertex blocks (fixed size 1<<shift) are encoded independently under
 // parallel.ForBlocks and concatenated in block order, so the bytes are
 // identical for every worker count. It returns the payload, the absolute
-// per-block byte offsets (numBlocks+1), the exclusive prefix sums of list
-// lengths per block (numBlocks+1), and — when withRel — the bit-packed
-// per-vertex offsets relative to the block starts.
-//
-// list receives a scratch slice it may reuse (relabeling closures build the
-// permuted list in it); the returned slice becomes the next call's scratch.
-// list must be safe for concurrent calls on distinct scratches.
-func encodeLists(n int, shift uint, workers int, withRel bool, list func(v int, buf []graph.NodeID) []graph.NodeID) ([]byte, []uint64, []int64, bitArray) {
+// per-block byte offsets (numBlocks+1), and the bit-packed per-vertex
+// offsets relative to the block starts. list must be safe for concurrent
+// calls.
+func encodeLists(n int, shift uint, workers int, list func(v graph.NodeID) []graph.NodeID) ([]byte, []uint64, bitArray) {
 	numBlocks := numBlocksFor(n, shift)
 	bufs := make([][]byte, numBlocks)
-	var relOf [][]uint32
-	if withRel {
-		relOf = make([][]uint32, numBlocks)
-	}
-	itemStart := make([]int64, numBlocks+1)
+	relOf := make([][]uint32, numBlocks)
 	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
-		lo := b << shift
-		hi := lo + 1<<shift
-		if hi > n {
-			hi = n
-		}
+		lo, hi := blockRange(b, shift, n)
 		var buf []byte
-		var rels []uint32
-		var items int64
-		var scratch []graph.NodeID
+		rels := make([]uint32, 0, hi-lo)
 		for v := lo; v < hi; v++ {
-			if withRel {
-				rels = append(rels, uint32(len(buf)))
-			}
-			nb := list(v, scratch)
-			scratch = nb
-			items += int64(len(nb))
-			buf = AppendList(buf, graph.NodeID(v), nb)
+			rels = append(rels, uint32(len(buf)))
+			buf = AppendList(buf, graph.NodeID(v), list(graph.NodeID(v)))
 		}
-		bufs[b] = buf
-		if withRel {
-			relOf[b] = rels
-		}
-		itemStart[b+1] = items
+		bufs[b], relOf[b] = buf, rels
 	})
 	blockOff := make([]uint64, numBlocks+1)
 	var maxRel uint64
-	for b := 0; b < numBlocks; b++ {
+	for b, rels := range relOf {
 		blockOff[b+1] = blockOff[b] + uint64(len(bufs[b]))
-		itemStart[b+1] += itemStart[b]
-		if withRel {
-			if rels := relOf[b]; len(rels) > 0 {
-				if last := uint64(rels[len(rels)-1]); last > maxRel {
-					maxRel = last
-				}
-			}
-		}
+		maxRel = max(maxRel, uint64(rels[len(rels)-1]))
 	}
 	payload := make([]byte, blockOff[numBlocks])
 	parallel.ForChunks(numBlocks, workers, func(blo, bhi int) {
@@ -257,46 +210,26 @@ func encodeLists(n int, shift uint, workers int, withRel bool, list func(v int, 
 			copy(payload[blockOff[b]:], bufs[b])
 		}
 	})
-	var rel bitArray
-	if withRel {
-		rel = newBitArray(n, widthFor(maxRel))
-		// Entries straddle word boundaries, so the fill is serial.
-		for b := 0; b < numBlocks; b++ {
-			base := b << shift
-			for i, r := range relOf[b] {
-				rel.set(base+i, uint64(r))
-			}
+	rel := newBitArray(n, widthFor(maxRel))
+	// Entries straddle word boundaries, so the fill is serial.
+	for b, rels := range relOf {
+		for i, r := range rels {
+			rel.set(b<<shift+i, uint64(r))
 		}
 	}
-	return payload, blockOff, itemStart, rel
+	return payload, blockOff, rel
 }
 
-// forwardStarts returns, per vertex block, the number of canonical edges
-// owned by earlier blocks. An undirected vertex owns its forward arcs
-// (neighbors greater than itself) — exactly the canonical (U <= V) list.
-// list follows the encodeLists scratch contract, so the same (possibly
-// relabeling) closure feeds both.
-func forwardStarts(n int, shift uint, workers int, list func(v int, buf []graph.NodeID) []graph.NodeID) []int64 {
-	numBlocks := numBlocksFor(n, shift)
-	starts := make([]int64, numBlocks+1)
-	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
-		lo := b << shift
-		hi := lo + 1<<shift
-		if hi > n {
-			hi = n
-		}
-		var c int64
-		var scratch []graph.NodeID
-		for v := lo; v < hi; v++ {
-			nb := list(v, scratch)
-			scratch = nb
-			i := sort.Search(len(nb), func(i int) bool { return nb[i] > graph.NodeID(v) })
-			c += int64(len(nb) - i)
-		}
-		starts[b+1] = c
-	})
-	for b := 0; b < numBlocks; b++ {
-		starts[b+1] += starts[b]
+// edgeStarts returns, per vertex block, the number of canonical edges owned
+// by earlier blocks (numBlocks+1 entries). Canonical edges are sorted by
+// their owning endpoint U — a directed edge's source, the smaller endpoint
+// of an undirected one — so each entry is the first edge ID whose U reaches
+// the block.
+func edgeStarts[T int64 | uint64](g *graph.Graph, shift uint) []T {
+	eu, _ := g.EdgeColumns()
+	starts := make([]T, numBlocksFor(g.N(), shift)+1)
+	for b := range starts {
+		starts[b] = T(sort.Search(len(eu), func(e int) bool { return int(eu[e]) >= b<<shift }))
 	}
 	return starts
 }
@@ -320,25 +253,21 @@ func (pg *PackedGraph) Weighted() bool { return pg.weighted }
 // BlockVertices returns the vertex-block size of the offset directory.
 func (pg *PackedGraph) BlockVertices() int { return 1 << pg.shift }
 
-// start returns the payload position of v's encoded list.
+// start returns the payload position of v's encoded list. Every accessor
+// begins here, so it is kept within the inliner's budget.
 func (pg *PackedGraph) start(v graph.NodeID) int {
-	return int(pg.blockOff[int(v)>>pg.shift]) + int(pg.rel.get(int(v)))
+	return int(pg.blockOff[v>>pg.shift]) + int(pg.rel.get(int(v)))
 }
 
 func (pg *PackedGraph) inStart(v graph.NodeID) int {
-	return int(pg.inBlockOff[int(v)>>pg.shift]) + int(pg.inRel.get(int(v)))
+	return int(pg.inBlockOff[v>>pg.shift]) + int(pg.inRel.get(int(v)))
 }
 
-// Degree returns the out-degree of v: one varint decode, nearly always of a
-// single byte. That case is tested here rather than inside Uvarint, which
-// would no longer inline into the list scans with it.
+// Degree returns the out-degree of v: the length header of its list, nearly
+// always a single byte. A header that does not decode, or that declares
+// more entries than the payload has bytes left, reads as 0.
 func (pg *PackedGraph) Degree(v graph.NodeID) int {
-	pos := pg.start(v)
-	if pos < len(pg.payload) && pg.payload[pos] < 0x80 {
-		return int(pg.payload[pos])
-	}
-	d, _ := Uvarint(pg.payload, pos)
-	return int(d)
+	return listLen(pg.payload, pg.start(v))
 }
 
 // InDegree returns the in-degree of v (equal to Degree for undirected
@@ -347,45 +276,33 @@ func (pg *PackedGraph) InDegree(v graph.NodeID) int {
 	if !pg.directed {
 		return pg.Degree(v)
 	}
-	d, _ := Uvarint(pg.inPayload, pg.inStart(v))
-	return int(d)
-}
-
-// forList decodes the list at pos, invoking fn for every neighbor in
-// increasing order.
-func forList(buf []byte, pos int, base graph.NodeID, fn func(w graph.NodeID)) {
-	d, p := Uvarint(buf, pos)
-	if d == 0 {
-		return
-	}
-	raw, p := Uvarint(buf, p)
-	cur := int64(base) + UnZigZag(raw)
-	fn(graph.NodeID(cur))
-	for i := uint64(1); i < d; i++ {
-		gap, q := Uvarint(buf, p)
-		cur += int64(gap) + 1
-		fn(graph.NodeID(cur))
-		p = q
-	}
+	return listLen(pg.inPayload, pg.inStart(v))
 }
 
 // ForNeighbors decodes v's out-neighbors on the fly, in increasing order,
 // without allocating.
 func (pg *PackedGraph) ForNeighbors(v graph.NodeID, fn func(w graph.NodeID)) {
-	forList(pg.payload, pg.start(v), v, fn)
+	streamList(pg.payload, pg.start(v), v, fn)
 }
 
-// ScanInLists decodes the in-lists of [lo, hi) back to back into buf: the
-// offset directory is resolved once, for lo, and every later list starts
-// where the previous one ended (blocks are contiguous in the payload). A
-// list that fails to decode reads as empty and the scan resumes from the
-// directory.
+// ScanInLists decodes the in-lists of [lo, hi) back to back into buf,
+// satisfying graph.Adjacency.
 func (pg *PackedGraph) ScanInLists(lo, hi graph.NodeID, buf []graph.NodeID, fn func(v graph.NodeID, nbrs []graph.NodeID)) []graph.NodeID {
+	return pg.scanLists(true, lo, hi, buf, fn)
+}
+
+// scanLists decodes the out-lists of [lo, hi), or with in their in-lists,
+// back to back into buf: the offset directory is resolved once, for lo, and
+// every later list starts where the previous one ended (blocks are
+// contiguous in the payload). A list that fails to decode reads as empty
+// and the scan resumes from the directory; behind a damaged list that still
+// decodes, the scan is out of step with the directory until then.
+func (pg *PackedGraph) scanLists(in bool, lo, hi graph.NodeID, buf []graph.NodeID, fn func(v graph.NodeID, nbrs []graph.NodeID)) []graph.NodeID {
 	if lo >= hi {
 		return buf
 	}
 	payload, start := pg.payload, pg.start
-	if pg.directed {
+	if in && pg.directed {
 		payload, start = pg.inPayload, pg.inStart
 	}
 	pos := start(lo)
@@ -452,34 +369,31 @@ func (pg *PackedGraph) PackedID(v graph.NodeID) graph.NodeID {
 	return pg.perm[v]
 }
 
-// forCanonicalBlock decodes the canonical arcs of block b in edge-ID order,
-// invoking fn with each edge's ID and endpoints (in the packed ID space).
-func (pg *PackedGraph) forCanonicalBlock(b int, fn func(e int64, u, v graph.NodeID)) {
-	lo := b << pg.shift
-	hi := lo + 1<<pg.shift
-	if hi > pg.n {
-		hi = pg.n
-	}
-	ei := pg.edgeStart[b]
-	pos := int(pg.blockOff[b])
-	for v := lo; v < hi; v++ {
-		d, p := Uvarint(pg.payload, pos)
-		cur := int64(v)
-		for i := uint64(0); i < d; i++ {
-			raw, q := Uvarint(pg.payload, p)
-			if i == 0 {
-				cur += UnZigZag(raw)
-			} else {
-				cur += int64(raw) + 1
+// forward returns the neighbors greater than v: the arcs an undirected
+// vertex owns, which are exactly its canonical (U < V) edges.
+func forward(nbrs []graph.NodeID, v graph.NodeID) []graph.NodeID {
+	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] > v })
+	return nbrs[i:]
+}
+
+// forCanonical decodes the canonical arcs block-parallel, invoking fn with
+// each edge's ID and endpoints (in the packed ID space) — within a block, and
+// with one worker over all of them, in increasing edge-ID order.
+func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u, v graph.NodeID)) {
+	numBlocks := numBlocksFor(pg.n, pg.shift)
+	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
+		lo, hi := blockRange(b, pg.shift, pg.n)
+		e := pg.edgeStart[b]
+		pg.scanLists(false, graph.NodeID(lo), graph.NodeID(hi), nil, func(u graph.NodeID, nbrs []graph.NodeID) {
+			if !pg.directed {
+				nbrs = forward(nbrs, u)
 			}
-			p = q
-			if pg.directed || cur > int64(v) {
-				fn(ei, graph.NodeID(v), graph.NodeID(cur))
-				ei++
+			for _, v := range nbrs {
+				fn(e, u, v)
+				e++
 			}
-		}
-		pos = p
-	}
+		})
+	})
 }
 
 // ForEdges invokes fn for every canonical edge in increasing EdgeID order
@@ -487,24 +401,16 @@ func (pg *PackedGraph) forCanonicalBlock(b int, fn func(e int64, u, v graph.Node
 // graph.AdjacencyEdges view whole-graph kernels consume. IDs are in the
 // packed space; map through OriginalID for relabeled packs.
 func (pg *PackedGraph) ForEdges(fn func(e graph.EdgeID, u, v graph.NodeID, w float64)) {
-	numBlocks := numBlocksFor(pg.n, pg.shift)
-	for b := 0; b < numBlocks; b++ {
-		pg.forCanonicalBlock(b, func(e int64, u, v graph.NodeID) {
-			fn(graph.EdgeID(e), u, v, pg.EdgeWeight(graph.EdgeID(e)))
-		})
-	}
+	pg.forCanonical(1, func(e int64, u, v graph.NodeID) {
+		fn(graph.EdgeID(e), u, v, pg.EdgeWeight(graph.EdgeID(e)))
+	})
 }
 
 // FillEdgeColumns decodes the canonical edge endpoints into eu and ev (len
 // M() each), block-parallel — the bulk edge fetch behind the packed triangle
 // engine build. workers <= 0 means all CPUs.
 func (pg *PackedGraph) FillEdgeColumns(eu, ev []graph.NodeID, workers int) {
-	numBlocks := numBlocksFor(pg.n, pg.shift)
-	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
-		pg.forCanonicalBlock(b, func(e int64, u, v graph.NodeID) {
-			eu[e], ev[e] = u, v
-		})
-	})
+	pg.forCanonical(workers, func(e int64, u, v graph.NodeID) { eu[e], ev[e] = u, v })
 }
 
 // UnpackHook, when non-nil, observes every Unpack call before any decoding
@@ -522,40 +428,60 @@ func (pg *PackedGraph) Unpack(workers int) *graph.Graph {
 	if UnpackHook != nil {
 		UnpackHook(pg)
 	}
-	numBlocks := numBlocksFor(pg.n, pg.shift)
 	edges := make([]graph.Edge, pg.m)
-	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
-		pg.forCanonicalBlock(b, func(e int64, u, v graph.NodeID) {
-			edges[e] = graph.Edge{U: u, V: v, W: pg.EdgeWeight(graph.EdgeID(e))}
-		})
+	pg.forCanonical(workers, func(e int64, u, v graph.NodeID) {
+		edges[e] = graph.Edge{U: u, V: v, W: pg.EdgeWeight(graph.EdgeID(e))}
 	})
-	if pg.inv != nil {
-		// Relabeled pack: map endpoints back to original IDs. The mapping
-		// scrambles canonical order, so rebuild through the deterministic
-		// counting-sort path instead of FromCanonicalEdges.
-		inv := pg.inv
-		parallel.ForChunks(pg.m, workers, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				edges[e].U = inv[edges[e].U]
-				edges[e].V = inv[edges[e].V]
-			}
-		})
-		bld := graph.NewBuilder(pg.n, pg.directed)
-		bld.AddEdges(edges)
-		if pg.weighted {
-			bld.SetWeighted()
-		}
-		g, err := bld.Build()
-		if err != nil {
-			panic(fmt.Sprintf("succinct: corrupt packed graph: %v", err))
-		}
-		return g
-	}
-	g, err := graph.FromCanonicalEdges(pg.n, pg.directed, pg.weighted, edges)
+	g, err := restore(pg.n, pg.directed, pg.weighted, edges, pg.inv, workers)
 	if err != nil {
 		panic(fmt.Sprintf("succinct: corrupt packed graph: %v", err))
 	}
 	return g
+}
+
+// restore builds the graph whose canonical edges, in the stored ID space,
+// are edges; inv maps stored IDs back to original ones (nil: the identity).
+// It is the tail Unpack and DecodeStored share, and it keeps corruption
+// loud: endpoints outside [0, n), an edge list that is not canonical, or —
+// under a relabeling — one that shrinks when the builder normalizes it, all
+// return an error.
+func restore(n int, directed, weighted bool, edges []graph.Edge, inv []graph.NodeID, workers int) (*graph.Graph, error) {
+	if inv == nil {
+		return graph.FromCanonicalEdges(n, directed, weighted, edges)
+	}
+	// FromCanonicalEdges bounds-checks the endpoints on the path above; here
+	// they index inv first.
+	bad := parallel.SumInt64(len(edges), workers, func(e int) int64 {
+		if u, v := edges[e].U, edges[e].V; u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return 1
+		}
+		return 0
+	})
+	if bad != 0 {
+		return nil, fmt.Errorf("succinct: %d decoded edges with out-of-range endpoints", bad)
+	}
+	parallel.ForChunks(len(edges), workers, func(lo, hi int) {
+		for e := lo; e < hi; e++ {
+			edges[e].U = inv[edges[e].U]
+			edges[e].V = inv[edges[e].V]
+		}
+	})
+	// The mapping scrambles canonical order, so rebuild through the
+	// deterministic counting-sort builder. It silently drops the self-loops
+	// and duplicates a corrupt payload might decode to, hence the recount.
+	bld := graph.NewBuilder(n, directed)
+	bld.AddEdges(edges)
+	if weighted {
+		bld.SetWeighted()
+	}
+	g, err := bld.Build()
+	if err != nil {
+		return nil, err
+	}
+	if g.M() != len(edges) {
+		return nil, fmt.Errorf("succinct: payload decodes to %d edges after normalization, want %d", g.M(), len(edges))
+	}
+	return g, nil
 }
 
 // Stats breaks down a PackedGraph's footprint.

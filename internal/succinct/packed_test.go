@@ -285,6 +285,63 @@ func TestScanInListsSkipsCorruptList(t *testing.T) {
 	}
 }
 
+// Every accessor must read a list that does not decode the way ScanInLists
+// does — as empty — instead of inventing neighbors out of the bytes it could
+// not decode, or looping for as long as the length header says.
+func TestAccessorsReadCorruptListAsEmpty(t *testing.T) {
+	r := rng.New(59)
+	g := randomGraph(r, packCase{}, 90, 2400)
+	pg := Pack(g, 0, WithBlockVertices(16))
+	const victim = 41
+	if pg.Degree(victim) < 12 {
+		t.Fatalf("vertex %d has degree %d; the case needs a list of 12+ bytes", victim, pg.Degree(victim))
+	}
+	all := bitset.New(pg.N())
+	for v := 0; v < pg.N(); v++ {
+		all.Set(v)
+	}
+	cases := map[string]struct {
+		corrupt    func(list []byte)
+		wantDegree int // Degree sees the header alone
+	}{
+		// Ten continuation bytes where the first neighbor should be.
+		"overlong head": {func(list []byte) {
+			for i := 1; i <= MaxVarintLen; i++ {
+				list[i] = 0x80
+			}
+		}, pg.Degree(victim)},
+		// A length header declaring 2^34 entries.
+		"length beyond the payload": {func(list []byte) {
+			copy(list, []byte{0x80, 0x80, 0x80, 0x80, 0x40})
+		}, 0},
+	}
+	for name, c := range cases {
+		bad := *pg
+		bad.payload = slices.Clone(pg.payload)
+		c.corrupt(bad.payload[bad.start(victim):])
+		if d := bad.Degree(victim); d != c.wantDegree {
+			t.Fatalf("%s: Degree = %d, want %d", name, d, c.wantDegree)
+		}
+		if d := bad.InDegree(victim); d != c.wantDegree {
+			t.Fatalf("%s: InDegree = %d, want %d", name, d, c.wantDegree)
+		}
+		bad.ForNeighbors(victim, func(w graph.NodeID) {
+			t.Fatalf("%s: ForNeighbors delivered %d", name, w)
+		})
+		if nb := bad.Neighbors(nil, victim); len(nb) != 0 {
+			t.Fatalf("%s: Neighbors = %v", name, nb)
+		}
+		bad.ScanInLists(victim, victim+1, nil, func(_ graph.NodeID, nb []graph.NodeID) {
+			if len(nb) != 0 {
+				t.Fatalf("%s: ScanInLists = %v", name, nb)
+			}
+		})
+		if w := bad.FirstInNeighborIn(victim, all); w != -1 {
+			t.Fatalf("%s: FirstInNeighborIn = %d", name, w)
+		}
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	r := rng.New(47)
 	g := randomGraph(r, packCase{false, true}, 400, 6000)

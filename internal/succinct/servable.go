@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"unsafe"
 
 	"slimgraph/internal/graph"
-	"slimgraph/internal/parallel"
 )
 
 // This file defines the servable snapshot image: graphio format version 2,
@@ -291,13 +291,12 @@ func parseServableHeader(data []byte) (servableLayout, error) {
 	if !l.directed && l.inPayloadLen != 0 {
 		return l, fmt.Errorf("succinct: servable image: undirected graph with an in-payload section")
 	}
-	// Every list costs at least one byte and every arc at most MaxVarintLen
-	// bytes plus its share of the degree varints, so payloads beyond this
-	// bound can only be corruption — reject before trusting any offset.
-	if maxOut := (int64(l.n) + l.arcs) * MaxVarintLen; l.payloadLen < 0 || l.payloadLen > maxOut {
+	// Beyond the codec's bound a payload can only be corruption — reject
+	// before trusting any offset.
+	if l.payloadLen < 0 || l.payloadLen > MaxPayloadBytes(int64(l.n), l.arcs) {
 		return l, fmt.Errorf("succinct: servable image: implausible payload length %d for n=%d arcs=%d", l.payloadLen, l.n, l.arcs)
 	}
-	if maxIn := (int64(l.n) + int64(l.m)) * MaxVarintLen; l.inPayloadLen < 0 || l.inPayloadLen > maxIn {
+	if l.inPayloadLen < 0 || l.inPayloadLen > MaxPayloadBytes(int64(l.n), int64(l.m)) {
 		return l, fmt.Errorf("succinct: servable image: implausible in-payload length %d", l.inPayloadLen)
 	}
 	l.resolve()
@@ -428,51 +427,34 @@ func attachBitArray(data []byte, off int64, n int, width uint, zc bool) bitArray
 	return a
 }
 
-// checkDirectories validates the cheap structural invariants of an attached
-// graph: monotonic directories that span the payload and the edge count.
-// It never touches the payload, so attach stays free of decode work.
-func (pg *PackedGraph) checkDirectories() error {
-	check := func(name string, off []uint64, end uint64) error {
-		if len(off) == 0 {
-			if end != 0 {
-				return fmt.Errorf("succinct: servable image: empty %s directory spans %d bytes", name, end)
-			}
-			return nil
-		}
-		if off[0] != 0 || off[len(off)-1] != end {
-			return fmt.Errorf("succinct: servable image: %s directory does not span [0, %d]", name, end)
-		}
-		for i := 1; i < len(off); i++ {
-			if off[i] < off[i-1] {
-				return fmt.Errorf("succinct: servable image: %s directory not monotonic at block %d", name, i-1)
-			}
-		}
-		return nil
+// checkDirectory reports whether dir is a directory of numBlocks blocks over
+// [0, end]: one entry per block boundary, from 0, never decreasing, to end.
+func checkDirectory[T int64 | uint64](name string, dir []T, numBlocks int, end T) error {
+	if len(dir) != numBlocks+1 || dir[0] != 0 || dir[numBlocks] != end {
+		return fmt.Errorf("succinct: %s directory: %d entries do not span %d blocks over [0, %d]", name, len(dir), numBlocks, end)
 	}
-	if err := check("payload", pg.blockOff, uint64(len(pg.payload))); err != nil {
-		return err
-	}
-	if pg.directed {
-		if err := check("in-payload", pg.inBlockOff, uint64(len(pg.inPayload))); err != nil {
-			return err
-		}
-	}
-	es := pg.edgeStart
-	if len(es) == 0 {
-		if pg.m != 0 {
-			return fmt.Errorf("succinct: servable image: %d edges but no blocks", pg.m)
-		}
-		return nil
-	}
-	if es[0] != 0 || es[len(es)-1] != int64(pg.m) {
-		return fmt.Errorf("succinct: servable image: edge-start directory does not span [0, %d]", pg.m)
-	}
-	for i := 1; i < len(es); i++ {
-		if es[i] < es[i-1] {
-			return fmt.Errorf("succinct: servable image: edge starts not monotonic at block %d", i-1)
+	for b := 1; b <= numBlocks; b++ {
+		if dir[b] < dir[b-1] {
+			return fmt.Errorf("succinct: %s directory not monotonic at block %d", name, b-1)
 		}
 	}
 	return nil
+}
+
+// checkDirectories validates the cheap structural invariants of an attached
+// graph: monotonic directories that span the payloads and the edge count.
+// It never touches a payload, so attach stays free of decode work.
+func (pg *PackedGraph) checkDirectories() error {
+	numBlocks := numBlocksFor(pg.n, pg.shift)
+	if err := checkDirectory("payload", pg.blockOff, numBlocks, uint64(len(pg.payload))); err != nil {
+		return err
+	}
+	if pg.directed {
+		if err := checkDirectory("in-payload", pg.inBlockOff, numBlocks, uint64(len(pg.inPayload))); err != nil {
+			return err
+		}
+	}
+	return checkDirectory("edge-start", pg.edgeStart, numBlocks, int64(pg.m))
 }
 
 // Verify runs the full payload check an attach skips: every adjacency list
@@ -486,79 +468,52 @@ func (pg *PackedGraph) Verify(workers int) error {
 	if err := pg.checkDirectories(); err != nil {
 		return err
 	}
-	verify := func(payload []byte, blockOff []uint64, rel *bitArray, canonical bool) error {
-		numBlocks := numBlocksFor(pg.n, pg.shift)
-		errs := make([]error, numBlocks)
-		parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
-			lo := b << pg.shift
-			hi := lo + 1<<pg.shift
-			if hi > pg.n {
-				hi = pg.n
-			}
-			pos, end := int(blockOff[b]), int(blockOff[b+1])
-			var canonArcs int64
-			for v := lo; v < hi; v++ {
-				if int(blockOff[b])+int(rel.get(v)) != pos {
-					errs[b] = fmt.Errorf("succinct: vertex %d: relative offset disagrees with the payload", v)
-					return
-				}
-				d, p := Uvarint(payload, pos)
-				if p == pos {
-					errs[b] = fmt.Errorf("succinct: vertex %d: truncated degree varint", v)
-					return
-				}
-				if d > uint64(pg.n) {
-					errs[b] = fmt.Errorf("succinct: vertex %d: degree %d exceeds n=%d", v, d, pg.n)
-					return
-				}
-				prev := int64(-1)
-				cur := int64(v)
-				for i := uint64(0); i < d; i++ {
-					raw, q := Uvarint(payload, p)
-					if q == p {
-						errs[b] = fmt.Errorf("succinct: vertex %d: truncated gap varint", v)
-						return
-					}
-					if i == 0 {
-						cur += UnZigZag(raw)
-					} else {
-						cur += int64(raw) + 1
-					}
-					p = q
-					if cur <= prev || cur < 0 || cur >= int64(pg.n) {
-						errs[b] = fmt.Errorf("succinct: vertex %d: neighbor %d out of range or order", v, cur)
-						return
-					}
-					prev = cur
-					if canonical && (pg.directed || cur > int64(v)) {
-						canonArcs++
-					}
-				}
-				pos = p
-			}
-			if pos != end {
-				errs[b] = fmt.Errorf("succinct: block %d: payload does not match the directory", b)
-				return
-			}
-			if canonical && canonArcs != pg.edgeStart[b+1]-pg.edgeStart[b] {
-				errs[b] = fmt.Errorf("succinct: block %d: %d canonical edges, directory declares %d",
-					b, canonArcs, pg.edgeStart[b+1]-pg.edgeStart[b])
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := verify(pg.payload, pg.blockOff, &pg.rel, true); err != nil {
-		return err
-	}
-	if pg.directed {
-		if err := verify(pg.inPayload, pg.inBlockOff, &pg.inRel, false); err != nil {
+	return firstBlockError(numBlocksFor(pg.n, pg.shift), workers, func(b int) error {
+		if err := pg.verifyBlock(b, pg.payload, pg.blockOff, &pg.rel, true); err != nil || !pg.directed {
 			return err
 		}
+		return pg.verifyBlock(b, pg.inPayload, pg.inBlockOff, &pg.inRel, false)
+	})
+}
+
+// verifyBlock checks block b of one payload: DecodeList vouches for each
+// list's varints and for strictly increasing neighbors at or above 0, so
+// what is left per list is where it starts, its last neighbor against n
+// (which bounds its length too) and that it holds no self-loop (no graph
+// has one, and Unpack's builder refuses it), and per block the bytes and —
+// on the canonical payload — the edges it accounts for.
+func (pg *PackedGraph) verifyBlock(b int, payload []byte, blockOff []uint64, rel *bitArray, canonical bool) error {
+	lo, hi := blockRange(b, pg.shift, pg.n)
+	pos, end := int(blockOff[b]), int(blockOff[b+1])
+	var canonArcs int64
+	var nbrs []graph.NodeID
+	for v := lo; v < hi; v++ {
+		if int(blockOff[b])+int(rel.get(v)) != pos {
+			return fmt.Errorf("succinct: vertex %d: relative offset disagrees with the payload", v)
+		}
+		var next int
+		nbrs, next = DecodeList(nbrs[:0], payload[:end], pos, graph.NodeID(v))
+		if next == pos {
+			return fmt.Errorf("succinct: vertex %d: the list does not decode", v)
+		}
+		if len(nbrs) > 0 && int(nbrs[len(nbrs)-1]) >= pg.n {
+			return fmt.Errorf("succinct: vertex %d: neighbor %d out of range", v, nbrs[len(nbrs)-1])
+		}
+		if _, loop := slices.BinarySearch(nbrs, graph.NodeID(v)); loop {
+			return fmt.Errorf("succinct: vertex %d: self-loop", v)
+		}
+		if pg.directed {
+			canonArcs += int64(len(nbrs))
+		} else {
+			canonArcs += int64(len(forward(nbrs, graph.NodeID(v))))
+		}
+		pos = next
+	}
+	if pos != end {
+		return fmt.Errorf("succinct: block %d: payload does not match the directory", b)
+	}
+	if want := pg.edgeStart[b+1] - pg.edgeStart[b]; canonical && canonArcs != want {
+		return fmt.Errorf("succinct: block %d: %d canonical edges, directory declares %d", b, canonArcs, want)
 	}
 	return nil
 }

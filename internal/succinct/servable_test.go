@@ -267,6 +267,23 @@ func TestServableCorruptionRejected(t *testing.T) {
 	})
 }
 
+// A verified image must unpack: Verify refuses the one list DecodeList
+// accepts and the graph builder does not, a self-loop.
+func TestVerifyRejectsSelfLoop(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		pg := Pack(graph.FromEdges(3, directed, []graph.Edge{{U: 0, V: 1, W: 1}}), 1)
+		if err := pg.Verify(1); err != nil {
+			t.Fatalf("directed=%v: control: %v", directed, err)
+		}
+		bad := *pg
+		bad.payload = bytes.Clone(pg.payload)
+		bad.payload[1] = 0 // vertex 0's first neighbor: itself
+		if err := bad.Verify(1); err == nil {
+			t.Fatalf("directed=%v: Verify accepted a self-loop", directed)
+		}
+	}
+}
+
 // FuzzAttachServable feeds arbitrary bytes to the attach + verify path:
 // whatever the input, it must return (never panic), and anything that
 // attaches and verifies must unpack without panicking.

@@ -1,6 +1,14 @@
 package succinct
 
+// This file is the list codec: the only non-test code that reads or writes
+// the bytes of an adjacency list. Everything else in the package — and
+// everything outside it — addresses payloads list by list through the
+// functions below, so replacing the layout (a fixed-width or group-varint
+// codec) is an edit to this file alone. doc.go states what a candidate
+// codec must supply and the corrupt-input contract the readers share.
+
 import (
+	"math/bits"
 	"slices"
 
 	"slimgraph/internal/bitset"
@@ -9,6 +17,11 @@ import (
 
 // MaxVarintLen is the maximum number of bytes one encoded uint64 occupies.
 const MaxVarintLen = 10
+
+// nodeLimit is one past the largest graph.NodeID. Every reader refuses a
+// neighbor at or beyond it, and a gap at or beyond it, rather than let the
+// conversion to NodeID truncate it into a plausible vertex.
+const nodeLimit = 1 << 31
 
 // AppendUvarint appends x in LEB128 form: seven value bits per byte, high
 // bit set on every byte but the last.
@@ -42,6 +55,11 @@ func Uvarint(buf []byte, pos int) (x uint64, next int) {
 	return 0, pos
 }
 
+// uvarintLen returns the encoded length of v in bytes.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
 // ZigZag maps a signed delta onto the unsigned varint domain so that small
 // magnitudes of either sign stay short: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
 func ZigZag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
@@ -67,10 +85,57 @@ func AppendList(dst []byte, base graph.NodeID, nbrs []graph.NodeID) []byte {
 	return dst
 }
 
+// listWidths is AppendList without the bytes: it returns the size the list
+// would encode to and counts, in widths, the minimal binary width of every
+// value behind the length header (the zig-zagged head, then each gap-1).
+func listWidths(base graph.NodeID, nbrs []graph.NodeID, widths *[65]int64) (size int64) {
+	size = int64(uvarintLen(uint64(len(nbrs))))
+	if len(nbrs) == 0 {
+		return size
+	}
+	head := ZigZag(int64(nbrs[0]) - int64(base))
+	widths[bits.Len64(head)]++
+	size += int64(uvarintLen(head))
+	for i := 1; i < len(nbrs); i++ {
+		gap := uint64(nbrs[i]-nbrs[i-1]) - 1
+		widths[bits.Len64(gap)]++
+		size += int64(uvarintLen(gap))
+	}
+	return size
+}
+
+// MaxPayloadBytes bounds the size of any payload the readers below accept
+// for the given number of lists and of entries over all of them: one length
+// header per list, one value per entry, MaxVarintLen bytes at most for each.
+// A section that declares more can only be corrupt, and is refused before
+// anything is sized from it.
+func MaxPayloadBytes(lists, entries int64) int64 {
+	return (lists + entries) * MaxVarintLen
+}
+
+// listLen returns the declared length of the list encoded at pos, or 0 when
+// the header does not decode or declares more entries than buf has bytes
+// left (every entry occupies at least one) — the lists DecodeList refuses on
+// the header alone. A single-byte header, nearly every one, is answered
+// without the varint loop.
+func listLen(buf []byte, pos int) int {
+	if pos < len(buf) {
+		if d := int(buf[pos]); d < 0x80 && d < len(buf)-pos {
+			return d
+		}
+	}
+	d, p := Uvarint(buf, pos)
+	if d > uint64(len(buf)-p) {
+		return 0
+	}
+	return int(d)
+}
+
 // DecodeList appends the list encoded at pos to dst and returns the grown
-// slice and the position after the list. Corrupt input (truncated varints,
-// or a declared length the remaining bytes cannot hold) returns next == pos
-// with dst unchanged.
+// slice and the position after the list. Corrupt input — a truncated or
+// overlong varint, a declared length the remaining bytes cannot hold, a
+// neighbor outside [0, nodeLimit) — returns next == pos with dst unchanged.
+// What it does return is strictly increasing.
 //
 // The destination is sized once from the declared length, and gaps of one
 // or two bytes — at ~11 payload bits per arc, nearly all of them — are
@@ -90,13 +155,13 @@ func DecodeList(dst []graph.NodeID, buf []byte, pos int, base graph.NodeID) ([]g
 		return dst, pos
 	}
 	raw, q := Uvarint(buf, p)
-	if q == p {
+	cur := int64(base) + UnZigZag(raw)
+	if q == p || uint64(cur) >= nodeLimit {
 		return dst, pos
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, int(d))[:n+int(d)]
 	out := dst[n:]
-	cur := int64(base) + UnZigZag(raw)
 	out[0] = graph.NodeID(cur)
 	p = q
 	for i := 1; i < len(out); i++ {
@@ -111,13 +176,17 @@ func DecodeList(dst []graph.NodeID, buf []byte, pos int, base graph.NodeID) ([]g
 			p += 1 + int(two)
 		} else {
 			gap, q = Uvarint(buf, p)
-			if q == p {
+			if q == p || gap >= nodeLimit || cur >= nodeLimit {
 				return dst[:n], pos
 			}
 			p = q
 		}
 		cur += int64(gap) + 1
 		out[i] = graph.NodeID(cur)
+	}
+	// The values only grow, so the last one answers for all of them.
+	if cur >= nodeLimit {
+		return dst[:n], pos
 	}
 	return dst, p
 }
@@ -138,15 +207,15 @@ func firstInSet(buf []byte, pos int, base graph.NodeID, n int, set *bitset.Bits)
 	if q == p {
 		return -1
 	}
+	limit := uint64(min(n, nodeLimit))
 	cur := int64(base) + UnZigZag(raw)
 	p = q
 	for i := uint64(1); ; i++ {
-		w := graph.NodeID(cur)
-		if uint32(w) >= uint32(n) {
+		if uint64(cur) >= limit {
 			return -1
 		}
-		if set.Get(int(w)) {
-			return w
+		if set.Get(int(cur)) {
+			return graph.NodeID(cur)
 		}
 		if i == d {
 			return -1
@@ -159,7 +228,7 @@ func firstInSet(buf []byte, pos int, base graph.NodeID, n int, set *bitset.Bits)
 			p += 1 + int(two)
 		} else {
 			gap, q = Uvarint(buf, p)
-			if q == p {
+			if q == p || gap >= nodeLimit {
 				return -1
 			}
 			p = q
@@ -168,19 +237,45 @@ func firstInSet(buf []byte, pos int, base graph.NodeID, n int, set *bitset.Bits)
 	}
 }
 
-// skipList advances past the list encoded at pos without materializing it.
-// Corruption returns next == pos.
-func skipList(buf []byte, pos int) (next int) {
+// streamList invokes fn for every neighbor of the list encoded at pos, in
+// increasing order, without a destination. A list DecodeList refuses at its
+// header or head delivers nothing; damage further in — an undecodable gap,
+// a neighbor at or beyond nodeLimit — ends the stream there, after the
+// prefix that did decode (what was delivered cannot be taken back, and
+// nothing is invented in its place). Gaps of one or two bytes take
+// DecodeList's inline path.
+func streamList(buf []byte, pos int, base graph.NodeID, fn func(w graph.NodeID)) {
 	d, p := Uvarint(buf, pos)
-	if p == pos {
-		return pos
+	if p == pos || d == 0 || d > uint64(len(buf)-p) {
+		return
 	}
-	for i := uint64(0); i < d; i++ {
-		_, q := Uvarint(buf, p)
-		if q == p {
-			return pos
+	raw, q := Uvarint(buf, p)
+	if q == p {
+		return
+	}
+	cur := int64(base) + UnZigZag(raw)
+	p = q
+	for i := uint64(1); ; i++ {
+		if uint64(cur) >= nodeLimit {
+			return
 		}
-		p = q
+		fn(graph.NodeID(cur))
+		if i == d {
+			return
+		}
+		var gap uint64
+		if p+1 < len(buf) && buf[p]&buf[p+1] < 0x80 {
+			b0, b1 := uint64(buf[p]), uint64(buf[p+1])
+			two := b0 >> 7
+			gap = b0&0x7f | (b1<<7)&-two
+			p += 1 + int(two)
+		} else {
+			gap, q = Uvarint(buf, p)
+			if q == p || gap >= nodeLimit {
+				return
+			}
+			p = q
+		}
+		cur += int64(gap) + 1
 	}
-	return p
 }

@@ -1,6 +1,7 @@
 package succinct
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -79,46 +80,60 @@ func TestListRoundTrip(t *testing.T) {
 					t.Fatalf("base %d list %v: got %v", base, nbrs, got)
 				}
 			}
-			if skip := skipList(buf, 0); skip != len(buf) {
-				t.Fatalf("skipList consumed %d of %d", skip, len(buf))
-			}
 		}
 	}
 }
 
-// decodeListRef is the straight-line decoder DecodeList's fast paths must
-// agree with: one Uvarint per entry, append per neighbor, fail in place.
-func decodeListRef(dst []graph.NodeID, buf []byte, pos int, base graph.NodeID) ([]graph.NodeID, int) {
+// decodeListRef is the straight-line decoder the three readers in varint.go
+// must agree with: one Uvarint per entry, append per neighbor. It returns
+// the length the header declares (0 when the header does not decode or
+// declares more entries than bytes remain), the neighbors in front of the
+// first damage — an undecodable varint, a gap or a neighbor outside
+// [0, nodeLimit) — and the position after the list, or pos when there was
+// damage. DecodeList must fail in place exactly when it reports damage and
+// return its neighbors otherwise; the streaming loop and the early-exit
+// probe, which cannot take back what they delivered, see its neighbors
+// either way.
+func decodeListRef(buf []byte, pos int, base graph.NodeID) (declared int, nbrs []graph.NodeID, next int) {
 	d, p := Uvarint(buf, pos)
-	if p == pos {
-		return dst, pos
+	if p == pos || d > uint64(len(buf)-p) {
+		return 0, nil, pos
 	}
-	n := len(dst)
 	cur := int64(base)
 	for i := uint64(0); i < d; i++ {
 		raw, q := Uvarint(buf, p)
-		if q == p {
-			return dst[:n], pos
+		if q == p || (i > 0 && raw >= nodeLimit) {
+			return int(d), nbrs, pos
 		}
 		if i == 0 {
 			cur += UnZigZag(raw)
 		} else {
 			cur += int64(raw) + 1
 		}
-		dst = append(dst, graph.NodeID(cur))
+		if cur < 0 || cur >= nodeLimit {
+			return int(d), nbrs, pos
+		}
+		nbrs = append(nbrs, graph.NodeID(cur))
 		p = q
 	}
-	return dst, p
+	return int(d), nbrs, p
+}
+
+// streamed collects what the streaming loop delivers for the list at pos.
+func streamed(buf []byte, pos int, base graph.NodeID) []graph.NodeID {
+	var out []graph.NodeID
+	streamList(buf, pos, base, func(w graph.NodeID) { out = append(out, w) })
+	return out
 }
 
 // TestDecodeListGapWidthsAtBufferEnd puts a gap of every decoder path — the
-// one- and two-byte fast paths, the three-byte and the maximal ten-byte
-// slow path — last in the buffer, where the two-byte lookahead has nothing
-// to look at, after runs that mix the widths. The decode must consume the
-// buffer exactly and match the reference; every truncation must fail in
-// place and leave dst as it was.
+// one- and two-byte fast paths, the three-byte and the five-byte slow path
+// (the widest a NodeID needs) — last in the buffer, where the two-byte
+// lookahead has nothing to look at, after runs that mix the widths. The
+// decode must consume the buffer exactly and match the reference; every
+// truncation must fail in place and leave dst as it was.
 func TestDecodeListGapWidthsAtBufferEnd(t *testing.T) {
-	gapOfWidth := map[int]uint64{1: 0x7f, 2: 0x80, 3: 1 << 14, 10: 1<<63 | 5}
+	gapOfWidth := map[int]uint64{1: 0x7f, 2: 0x80, 3: 1 << 14, 5: 1 << 28}
 	leads := [][]uint64{nil, {0}, {3, 0x3fff, 0, 1 << 20, 0x7f, 0x80}}
 	const base = graph.NodeID(1000)
 	for width, last := range gapOfWidth {
@@ -133,13 +148,17 @@ func TestDecodeListGapWidthsAtBufferEnd(t *testing.T) {
 				buf = AppendUvarint(buf, gap)
 			}
 			kept := []graph.NodeID{42, 43}
-			want, wantNext := decodeListRef(slices.Clone(kept), buf, 0, base)
+			_, ref, refNext := decodeListRef(buf, 0, base)
+			want := append(slices.Clone(kept), ref...)
 			got, next := DecodeList(slices.Clone(kept), buf, 0, base)
-			if next != len(buf) || wantNext != len(buf) || !slices.Equal(got, want) {
+			if next != len(buf) || refNext != len(buf) || !slices.Equal(got, want) {
 				t.Fatalf("width %d after %v: consumed %d of %d, got %v want %v", width, lead, next, len(buf), got, want)
 			}
 			if len(got) != len(kept)+1+len(gaps) || got[2] != base-7 {
 				t.Fatalf("width %d after %v: decoded %v", width, lead, got)
+			}
+			if s := streamed(buf, 0, base); !slices.Equal(s, ref) {
+				t.Fatalf("width %d after %v: streamed %v, want %v", width, lead, s, ref)
 			}
 			// The same list followed by more payload decodes identically.
 			longer := append(slices.Clone(buf), 0xff, 0xff, 0x01)
@@ -152,6 +171,61 @@ func TestDecodeListGapWidthsAtBufferEnd(t *testing.T) {
 					t.Fatalf("width %d after %v cut to %d of %d bytes: next=%d dst=%v", width, lead, cut, len(buf), next, got)
 				}
 			}
+		}
+	}
+}
+
+// A neighbor that leaves [0, 2^31) must be refused, not truncated into a
+// plausible NodeID: by a head below 0, by one gap (2^31, the smallest
+// refused; 2^32, which truncation would turn into a gap of 0; the maximal
+// ten-byte varint, negative as an int64) and by small gaps adding up. The
+// bulk decode fails in place; the streaming loop and the probe stop in
+// front of the offender.
+func TestReadersRefuseNeighborsBeyondNodeID(t *testing.T) {
+	list := func(head int64, gaps ...uint64) []byte {
+		buf := AppendUvarint(nil, uint64(1+len(gaps)))
+		buf = AppendUvarint(buf, ZigZag(head))
+		for _, gap := range gaps {
+			buf = AppendUvarint(buf, gap)
+		}
+		return append(buf, 0x00, 0x00) // more payload behind the list
+	}
+	const base = graph.NodeID(10)
+	cases := map[string]struct {
+		buf  []byte
+		want []graph.NodeID // what decodes in front of the offender
+	}{
+		"negative head":       {list(-11, 3), nil},
+		"head at 2^31":        {list(1<<31-10, 3), nil},
+		"gap of 2^31":         {list(-7, 4, 1<<31, 0), []graph.NodeID{3, 8}},
+		"gap of 2^32":         {list(-7, 4, 1<<32, 0), []graph.NodeID{3, 8}},
+		"ten-byte gap":        {list(-7, 4, 1<<63|5, 0), []graph.NodeID{3, 8}},
+		"small gaps add up":   {list(1<<31-12, 0, 0), []graph.NodeID{1<<31 - 2, 1<<31 - 1}},
+		"largest id accepted": {list(1<<31-12, 0), []graph.NodeID{1<<31 - 2, 1<<31 - 1}},
+	}
+	for name, c := range cases {
+		kept := []graph.NodeID{42}
+		got, next := DecodeList(slices.Clone(kept), c.buf, 0, base)
+		if name == "largest id accepted" {
+			if next != len(c.buf)-2 || !slices.Equal(got[1:], c.want) {
+				t.Fatalf("%s: DecodeList = %v, consumed %d", name, got, next)
+			}
+		} else if next != 0 || !slices.Equal(got, kept) {
+			t.Fatalf("%s: DecodeList accepted the list: %v (consumed %d)", name, got, next)
+		}
+		if s := streamed(c.buf, 0, base); !slices.Equal(s, c.want) {
+			t.Fatalf("%s: streamed %v, want %v", name, s, c.want)
+		}
+		// No member in front of the offender: the probe must not find the
+		// truncated neighbor behind it.
+		set := bitset.New(64)
+		for i := 0; i < 64; i++ {
+			if !slices.Contains(c.want, graph.NodeID(i)) {
+				set.Set(i)
+			}
+		}
+		if w := firstInSet(c.buf, 0, base, 64, set); w != -1 {
+			t.Fatalf("%s: the probe found %d", name, w)
 		}
 	}
 }
@@ -207,11 +281,12 @@ func firstMember(nbrs []graph.NodeID, n int, set *bitset.Bits) graph.NodeID {
 
 // FuzzDecodeListRobust feeds arbitrary bytes to the list decoder, which
 // must never panic and must fail in place on corruption, and to the
-// early-exit probe, which for any base, vertex count and set must answer
-// what DecodeList followed by firstMember answers and must not read the set
-// at or beyond n. The probe stops at its first hit, so on a corrupt list it
-// is held to the longest prefix that does decode: "not found" unless a
-// member precedes the damage.
+// streaming loop and the early-exit probe, which for any base, vertex count
+// and set must deliver what DecodeList delivers — the probe, DecodeList
+// followed by firstMember — and must not read the set at or beyond n. Both
+// stop at the first damage, so on a corrupt list they are held to the
+// longest prefix that does decode: nothing behind it, "not found" unless a
+// member precedes it. The declared length is held to the same header checks.
 func FuzzDecodeListRobust(f *testing.F) {
 	f.Add([]byte{}, int32(0), uint16(0), []byte{})
 	f.Add([]byte{0x00}, int32(0), uint16(8), []byte{0xff})
@@ -220,6 +295,8 @@ func FuzzDecodeListRobust(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff}, int32(1), uint16(64), []byte{0xaa})
 	f.Add([]byte{0x02, 0x00, 0xff}, int32(5), uint16(70), []byte{0xff}) // a hit, then a truncated gap
 	f.Add([]byte{0x03, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00}, int32(0), uint16(100), []byte{0xff})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x40, 0x02, 0x00}, int32(0), uint16(16), []byte{0xff}) // 2^34 entries declared
+	f.Add([]byte{0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, int32(7), uint16(16), []byte{0xff})
 	f.Fuzz(func(t *testing.T, buf []byte, base int32, n16 uint16, members []byte) {
 		got, next := DecodeList(nil, buf, 0, base)
 		if next == 0 && len(got) != 0 {
@@ -227,6 +304,9 @@ func FuzzDecodeListRobust(f *testing.F) {
 		}
 		if next < 0 || next > len(buf) {
 			t.Fatalf("decode consumed %d of %d", next, len(buf))
+		}
+		if !slices.IsSortedFunc(got, func(a, b graph.NodeID) int { return cmp.Compare(a, b+1) }) || (len(got) > 0 && got[0] < 0) {
+			t.Fatalf("decode of %x (base %d) is not strictly increasing from 0 up: %v", buf, base, got)
 		}
 		n := int(n16)
 		set := bitset.New(n)
@@ -240,18 +320,25 @@ func FuzzDecodeListRobust(f *testing.F) {
 		for i := n; i%64 != 0; i++ {
 			set.Set(i)
 		}
-		want := firstMember(got, n, set)
+		longest, declared := got, len(got)
 		if d, p := Uvarint(buf, 0); next == 0 && p > 0 && d <= uint64(len(buf)-p) {
+			declared = int(d)
 			for k := uint64(1); k <= d; k++ {
 				prefix, ok := DecodeList(nil, append(AppendUvarint(nil, k), buf[p:]...), 0, base)
 				if ok == 0 {
 					break
 				}
-				want = firstMember(prefix, n, set)
+				longest = prefix
 			}
 		}
-		if probe := firstInSet(buf, 0, base, n, set); probe != want {
+		if s := streamed(buf, 0, base); !slices.Equal(s, longest) {
+			t.Fatalf("stream of %x (base %d) = %v, DecodeList gives %v", buf, base, s, longest)
+		}
+		if want, probe := firstMember(longest, n, set), firstInSet(buf, 0, base, n, set); probe != want {
 			t.Fatalf("probe of %x (base %d, n %d) = %d, DecodeList and a linear search give %d", buf, base, n, probe, want)
+		}
+		if l := listLen(buf, 0); l != declared {
+			t.Fatalf("listLen of %x = %d, the header checks of DecodeList give %d", buf, l, declared)
 		}
 	})
 }
