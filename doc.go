@@ -229,5 +229,8 @@
 // count; a Result records the compressed graph, timing, vertex remapping,
 // and (for pipelines) the per-stage Results. README.md "Layout" is the
 // system inventory; cmd/slimbench prints every table and figure of the
-// paper's evaluation with the shape the paper reported beside it.
+// paper's evaluation with the shape the paper reported beside it — each a
+// rendering of the typed rows one evaluator (internal/experiments) measures
+// per (graph, spec) pair — and, with -frontier, the registry-wide accuracy
+// frontier against packed bits/edge as JSON.
 package slimgraph

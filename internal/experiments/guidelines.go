@@ -1,15 +1,10 @@
 package experiments
 
-// Guidelines renders the §7.5 scheme-selection guidance as a table: for
+// guidelines renders the §7.5 scheme-selection guidance as a table: for
 // each target algorithm or property, the recommended scheme(s), derived
 // from the paper's Table 3 plus the empirical findings of §7.
-func Guidelines() *Table {
-	t := &Table{
-		ID:     "§7.5",
-		Title:  "how to select a compression scheme",
-		Note:   "first consult accuracy (Table 3), then feasibility (Table 2), then parameters (Fig. 5)",
-		Header: []string{"you care about", "use", "why"},
-	}
+func guidelines(_ Config, t *Table) {
+	t.Header = []string{"you care about", "use", "why"}
 	t.AddRow("connected components", "EO p-1-TR or spanner",
 		"both preserve #CC; uniform/spectral can disconnect")
 	t.AddRow("MST weight", "max-weight p-1-TR",
@@ -32,30 +27,4 @@ func Guidelines() *Table {
 		"spanners approach spanning trees; p-2-TR removes two edges per triangle")
 	t.AddRow("weighted/directed support", "check Table 2 first",
 		"TR needs weights only for the max-weight variant; spanners are undirected")
-	return t
-}
-
-// All runs every experiment and returns the tables in presentation order.
-func All(cfg Config) []*Table {
-	return []*Table{
-		Table2(cfg),
-		Table3(cfg),
-		Figure5(cfg),
-		Figure6Spectral(cfg),
-		Figure6TR(cfg),
-		Table5(cfg),
-		Table6(cfg),
-		BFSCritical(cfg),
-		ReorderedPairs(cfg),
-		Figure7(cfg),
-		Figure8(cfg),
-		WeightedTR(cfg),
-		Timing(cfg),
-		LowRank(cfg),
-		CutPreservation(cfg),
-		AblationEO(cfg),
-		AblationSpanner(cfg),
-		AblationUpsilon(cfg),
-		Guidelines(),
-	}
 }
