@@ -131,13 +131,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printMetrics(stdout, g, res.Output, *workers)
 	}
 	if *out != "" {
-		if *format == "packed" {
-			printOrderReport(stdout, res.Output, packOrder, *workers)
-		}
 		written, err := writeOutput(*out, *format, packOrder, res.Output)
 		if err != nil {
 			fmt.Fprintln(stderr, "slimgraph:", err)
 			return 1
+		}
+		if *format == "packed" {
+			printOrderReport(stdout, res.Output, packOrder, res.Storage.OutputPackedBytes, written, *workers)
 		}
 		in := slimgraph.BinarySize(g)
 		fmt.Fprintf(stdout, "wrote %s (%s, %d bytes; input binary %d bytes, %.1fx smaller)\n",
@@ -148,8 +148,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // printOrderReport shows what the pack's gap encoding looks like and — for a
 // relabeling order — what the permutation buys: payload bits per edge and
-// the gap-width histogram before and after the relabel.
-func printOrderReport(stdout io.Writer, g *slimgraph.Graph, order slimgraph.Order, workers int) {
+// the gap-width histogram of the adjacency before and after the relabel,
+// then the net effect on the file: written bytes under the order against
+// unordered, the packed size without one, with the stored permutation
+// charged against the payload it saves.
+func printOrderReport(stdout io.Writer, g *slimgraph.Graph, order slimgraph.Order, unordered, written int64, workers int) {
 	line := func(label string, h slimgraph.GapHist) {
 		bitsPerEdge := 0.0
 		if g.M() > 0 {
@@ -168,10 +171,13 @@ func printOrderReport(stdout io.Writer, g *slimgraph.Graph, order slimgraph.Orde
 	perm := slimgraph.ComputeOrder(g, order, workers)
 	after := slimgraph.GapHistogram(g, perm, workers)
 	line("order="+order.String(), after)
-	if before.PayloadBytes > 0 {
-		fmt.Fprintf(stdout, "  relabel shrinks the gap payload %.2fx (permutation rides in the snapshot: +%d bytes)\n",
-			float64(before.PayloadBytes)/float64(after.PayloadBytes), 4*g.N())
+	permBytes := int64(4 * g.N())
+	verdict := "a net gain"
+	if written >= unordered {
+		verdict = "a net loss: the file grows"
 	}
+	fmt.Fprintf(stdout, "  written file: payload %+d bytes, stored permutation %+d: %d bytes vs %d with -order none (%+d) — %s\n",
+		written-permBytes-unordered, permBytes, written, unordered, written-unordered, verdict)
 }
 
 func usage(fs *flag.FlagSet) {

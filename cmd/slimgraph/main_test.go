@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -219,5 +221,62 @@ func TestSnapshotInputSniffing(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "input: "+g.String()) {
 		t.Errorf("snapshot input not recognized (want %q):\n%s", g.String(), stdout)
+	}
+}
+
+// TestOrderReportStatesNetEffectOnFile checks the -order report charges the
+// stored permutation (4 bytes a vertex) against the payload the relabel
+// saves and calls a larger file a loss: a grid's row-major IDs are already
+// local, so any order only adds the permutation, while a band graph whose
+// IDs were scrambled gets its locality back from -order bfs.
+func TestOrderReportStatesNetEffectOnFile(t *testing.T) {
+	dir := t.TempDir()
+	const n, band = 20000, 8
+	id := rand.New(rand.NewSource(1)).Perm(n)
+	var scrambled strings.Builder
+	for v := 0; v < n; v++ {
+		for d := 1; d <= band && v+d < n; d++ {
+			fmt.Fprintf(&scrambled, "%d %d\n", id[v], id[v+d])
+		}
+	}
+	input := filepath.Join(dir, "band.el")
+	if err := os.WriteFile(input, []byte(scrambled.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	size := func(args ...string) (int64, string) {
+		t.Helper()
+		path := filepath.Join(dir, "out.sgp")
+		args = append(args, "-scheme", "uniform:p=1", "-metrics=false", "-format", "packed", "-out", path)
+		code, stdout, stderr := runCLI(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, stderr)
+		}
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size(), stdout
+	}
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		order   string
+		verdict string
+	}{
+		{"grid", []string{"-gen", "grid", "-n", "1024"}, "degree", "a net loss: the file grows"},
+		{"scrambled band", []string{"-input", input}, "bfs", "a net gain"},
+	} {
+		unordered, stdout := size(tc.args...)
+		if strings.Contains(stdout, "written file:") {
+			t.Errorf("%s: -order none reports a relabel:\n%s", tc.name, stdout)
+		}
+		ordered, stdout := size(append(tc.args, "-order", tc.order)...)
+		want := fmt.Sprintf("%d bytes vs %d with -order none (%+d) — %s", ordered, unordered, ordered-unordered, tc.verdict)
+		if !strings.Contains(stdout, want) {
+			t.Errorf("%s: report lacks %q:\n%s", tc.name, want, stdout)
+		}
+		if grew := ordered >= unordered; grew != strings.Contains(tc.verdict, "loss") {
+			t.Errorf("%s: %d bytes ordered, %d unordered: the case does not show %q", tc.name, ordered, unordered, tc.verdict)
+		}
 	}
 }

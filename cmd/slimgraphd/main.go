@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxWork   = fs.Int("max-workers", 0, "per-request worker-budget cap (0 = all CPUs)")
 		memory    = fs.String("memory", server.MemoryRaw, "residency policy for -load/-demo graphs: raw | packed")
 		dataDir   = fs.String("data-dir", "", "disk tier: persist graphs as servable snapshots here and re-attach them memory-mapped on restart (standalone/shard only)")
-		memBudget = fs.String("mem-budget", "", "catalog heap budget, e.g. 512M or 4G; past it cold graphs spill to -data-dir and serve memory-mapped (requires -data-dir)")
+		memBudget = fs.String("mem-budget", "", "catalog heap budget, e.g. 512M or 4G; past it the least recently used graphs drop their heap form and serve their -data-dir snapshot memory-mapped (requires -data-dir)")
 		demo      = fs.Int("demo", 0, "preload a demo R-MAT graph named \"demo\" at this scale (0 = off)")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof and a /metrics mirror on this extra address (empty = off)")
 		version   = fs.Bool("version", false, "print build/version info and exit")

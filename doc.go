@@ -155,7 +155,7 @@
 // LRU-evicted cache variants — to the same directory, after which they
 // serve mapped (graphs) or fault back in from disk instead of recomputing
 // (variants). DELETE removes the snapshot and defers the munmap until
-// in-flight queries drain. Residency (raw, packed, mapped, cold) shows
+// in-flight queries drain. Residency (raw, packed, mapped) shows
 // per graph on the catalog endpoints, with tier counters on /v1/stats
 // and slimgraph_catalog_tier_* metrics.
 //

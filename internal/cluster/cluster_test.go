@@ -143,6 +143,44 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestClusterListMatchesSingleNode pins the listing endpoints to the same
+// contract: GET /v1/graphs (empty and populated, under both memory
+// policies) and GET /v1/schemes answer with a single node's bytes.
+func TestClusterListMatchesSingleNode(t *testing.T) {
+	single := mustServer(t, server.Options{MaxWorkers: 8})
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	_, cts := startLocal(t, 3, server.Options{MaxWorkers: 8}, Options{})
+
+	same := func(u string) []byte {
+		t.Helper()
+		wantCode, want := get(t, sts.URL+u)
+		gotCode, got := get(t, cts.URL+u)
+		if wantCode != http.StatusOK || gotCode != wantCode || !bytes.Equal(got, want) {
+			t.Fatalf("%s:\n single (%d): %s\ncluster (%d): %s", u, wantCode, want, gotCode, got)
+		}
+		return got
+	}
+	if got := same("/v1/graphs"); string(got) != "[]\n" {
+		t.Fatalf("empty cluster lists as %q, want []", got)
+	}
+	for _, req := range []map[string]any{
+		{"name": "zeta", "gen": "ba", "numVertices": 300, "edgeFactor": 3, "seed": 7, "memory": server.MemoryPacked},
+		{"name": "alpha", "gen": "grid", "numVertices": 100},
+	} {
+		for _, base := range []string{sts.URL, cts.URL} {
+			if code, body := postAs(t, base+"/v1/graphs", req); code != http.StatusCreated {
+				t.Fatalf("create %v: status %d: %s", req["name"], code, body)
+			}
+		}
+	}
+	got := same("/v1/graphs")
+	if a, z := bytes.Index(got, []byte(`"alpha"`)), bytes.Index(got, []byte(`"zeta"`)); a < 0 || z < a {
+		t.Fatalf("cluster list not sorted by name: %s", got)
+	}
+	same("/v1/schemes")
+}
+
 // TestClusterErrorsMatchSingleNode pins the verbatim 4xx relay: validation
 // errors from shards surface with the same status and body a single node
 // produces.

@@ -188,91 +188,17 @@ func parseNodesHeader(comment string) (int, bool) {
 	return 0, false
 }
 
-// Binary snapshot formats share a 16-byte header: magic, version, flags,
-// minor, n, m. Version 1 ("binary") is the fixed-width canonical edge list;
-// version 2 ("packed") is the succinct gap-encoded form. Little-endian
+// Binary snapshot formats share the 16-byte header of
+// succinct.SnapshotHeader. Version 1 ("binary") is the fixed-width canonical
+// edge list; version 2 ("packed") is the succinct gap-encoded form, whose
+// minor 0 is the compact wire form decoded here and whose minor 1
+// (succinct.ServableMinor) is the 8-aligned servable image of
+// internal/succinct that memory-maps without a decode pass. Little-endian
 // throughout.
-//
-// The u16 at offset 6 was padding through v2.0 (always written zero) and now
-// carries the minor version: packed minor 0 is the compact wire form decoded
-// here, minor 1 (succinct.ServableMinor) is the 8-aligned servable image of
-// internal/succinct that memory-maps without a decode pass. Old files read
-// as minor 0, old readers see minor-1 files as having a nonzero pad and the
-// magic still routes them here, where the minor dispatch applies.
-const binaryMagic = succinct.SnapshotMagic // "SLMG"
-
 const (
 	binaryVersion = 1
 	packedVersion = succinct.SnapshotVersion
 )
-
-type snapshotHeader struct {
-	version  uint8
-	minor    uint16
-	directed bool
-	weighted bool
-	permuted bool // v2 only: a vertex permutation section follows the directory
-	n, m     int
-}
-
-func (h snapshotHeader) flags() uint8 {
-	var f uint8
-	if h.directed {
-		f |= 1
-	}
-	if h.weighted {
-		f |= 2
-	}
-	if h.permuted {
-		f |= 4
-	}
-	return f
-}
-
-func writeHeader(bw *bufio.Writer, h snapshotHeader) error {
-	for _, v := range []any{binaryMagic, h.version, h.flags(), h.minor, uint32(h.n), uint32(h.m)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readHeader(br *bufio.Reader) (snapshotHeader, error) {
-	var (
-		magic uint32
-		flags uint8
-		n, m  uint32
-		h     snapshotHeader
-	)
-	for _, p := range []any{&magic, &h.version, &flags, &h.minor, &n, &m} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return h, err
-		}
-	}
-	if magic != binaryMagic {
-		return h, fmt.Errorf("graphio: bad magic %#x", magic)
-	}
-	h.directed = flags&1 != 0
-	h.weighted = flags&2 != 0
-	h.permuted = flags&4 != 0
-	h.n, h.m = int(n), int(m)
-	return h, nil
-}
-
-// encodeHeader is writeHeader into a fixed buffer — the servable read path
-// re-synthesizes the 16 header bytes it already consumed so the image it
-// hands to succinct.AttachServable is byte-complete.
-func encodeHeader(h snapshotHeader) [16]byte {
-	var b [16]byte
-	binary.LittleEndian.PutUint32(b[0:], binaryMagic)
-	b[4] = h.version
-	b[5] = h.flags()
-	binary.LittleEndian.PutUint16(b[6:], h.minor)
-	binary.LittleEndian.PutUint32(b[8:], uint32(h.n))
-	binary.LittleEndian.PutUint32(b[12:], uint32(h.m))
-	return b
-}
 
 // WriteBinary writes the v1 binary snapshot of g — the fixed-width
 // canonical edge list — and returns the number of bytes written. The size
@@ -281,8 +207,8 @@ func encodeHeader(h snapshotHeader) [16]byte {
 func WriteBinary(w io.Writer, g *graph.Graph) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	h := snapshotHeader{version: binaryVersion, directed: g.Directed(), weighted: g.Weighted(), n: g.N(), m: g.M()}
-	if err := writeHeader(bw, h); err != nil {
+	h := succinct.SnapshotHeader{Version: binaryVersion, Directed: g.Directed(), Weighted: g.Weighted(), N: g.N(), M: g.M()}
+	if _, err := bw.Write(h.Append(nil)); err != nil {
 		return 0, err
 	}
 	var buf [16]byte
@@ -291,7 +217,7 @@ func WriteBinary(w io.Writer, g *graph.Graph) (int64, error) {
 		binary.LittleEndian.PutUint32(buf[0:], uint32(u))
 		binary.LittleEndian.PutUint32(buf[4:], uint32(v))
 		rec := buf[:8]
-		if h.weighted {
+		if h.Weighted {
 			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(g.EdgeWeight(graph.EdgeID(e))))
 			rec = buf[:16]
 		}
@@ -307,19 +233,50 @@ func WriteBinary(w io.Writer, g *graph.Graph) (int64, error) {
 
 // ReadBinary reads a v1 snapshot written by WriteBinary.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
-	limit := sourceSize(r)
-	br := bufio.NewReader(r)
-	h, err := readHeader(br)
+	return readSnapshot(bufio.NewReader(r), sourceSize(r), binaryVersion)
+}
+
+// readSnapshot is the one reader under Read, ReadBinary, ReadPacked and
+// ReadAuto. It peeks the shared header, refuses a known version other than
+// want (0 accepts both) by naming the reader that takes it, and dispatches
+// on version and minor: the two decoded forms read their bodies from behind
+// the header, a servable image attaches over its complete bytes and so
+// keeps the header in front. limit is sourceSize of the underlying source.
+func readSnapshot(br *bufio.Reader, limit int64, want uint8) (*graph.Graph, error) {
+	prefix, err := br.Peek(succinct.SnapshotHeaderSize)
 	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	if h.version != binaryVersion {
-		if h.version == packedVersion {
+	h, ok := succinct.ParseSnapshotHeader(prefix)
+	if !ok {
+		return nil, fmt.Errorf("graphio: bad magic %#x", binary.LittleEndian.Uint32(prefix))
+	}
+	if want != 0 && h.Version != want {
+		switch h.Version {
+		case binaryVersion:
+			return nil, fmt.Errorf("graphio: version 1 (binary) snapshot; use ReadBinary or Read")
+		case packedVersion:
 			return nil, fmt.Errorf("graphio: version 2 (packed) snapshot; use ReadPacked or Read")
 		}
-		return nil, fmt.Errorf("graphio: unsupported version %d", h.version)
 	}
-	return readBinaryBody(br, h, limit)
+	servable := h.Version == packedVersion && h.Minor == succinct.ServableMinor
+	if !servable {
+		_, _ = br.Discard(succinct.SnapshotHeaderSize) // peeked above: cannot fail
+	}
+	switch {
+	case h.Version == binaryVersion:
+		return readBinaryBody(br, h, limit)
+	case h.Version != packedVersion:
+		return nil, fmt.Errorf("graphio: unsupported version %d", h.Version)
+	case h.Minor == 0:
+		return readPackedBody(br, h, limit)
+	case servable:
+		return readServableBody(br, h, limit)
+	}
+	return nil, fmt.Errorf("graphio: unsupported packed minor version %d", h.Minor)
 }
 
 // sourceSize reports the total size in bytes of a reader's underlying
@@ -364,25 +321,25 @@ func checkVertexCount(n int, limit int64) error {
 	return nil
 }
 
-func readBinaryBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Graph, error) {
-	if err := checkVertexCount(h.n, limit); err != nil {
+func readBinaryBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*graph.Graph, error) {
+	if err := checkVertexCount(h.N, limit); err != nil {
 		return nil, err
 	}
 	recSize := int64(8)
-	if h.weighted {
+	if h.Weighted {
 		recSize = 16
 	}
-	if err := checkBodySize(16+int64(h.m)*recSize, limit); err != nil {
+	if err := checkBodySize(16+int64(h.M)*recSize, limit); err != nil {
 		return nil, err
 	}
-	edges := make([]graph.Edge, h.m)
+	edges := make([]graph.Edge, h.M)
 	rec := make([]byte, recSize)
 	for i := range edges {
 		if _, err := io.ReadFull(br, rec); err != nil {
 			return nil, err
 		}
 		w := 1.0
-		if h.weighted {
+		if h.Weighted {
 			w = math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
 		}
 		edges[i] = graph.Edge{
@@ -395,12 +352,12 @@ func readBinaryBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Gra
 	// deduplicated by construction — load it through the sort-free CSR
 	// path. Foreign snapshots that violate canonical order fall back to
 	// the full builder.
-	if g, err := graph.FromCanonicalEdges(h.n, h.directed, h.weighted, edges); err == nil {
+	if g, err := graph.FromCanonicalEdges(h.N, h.Directed, h.Weighted, edges); err == nil {
 		return g, nil
 	}
-	b := graph.NewBuilder(h.n, h.directed)
+	b := graph.NewBuilder(h.N, h.Directed)
 	b.AddEdges(edges)
-	if h.weighted {
+	if h.Weighted {
 		b.SetWeighted()
 	}
 	return b.Build()
@@ -430,11 +387,11 @@ func WritePackedOrder(w io.Writer, g *graph.Graph, order succinct.Order) (int64,
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
 	s, weights := succinct.EncodeStoredOrder(g, order, 0)
-	h := snapshotHeader{
-		version: packedVersion, directed: g.Directed(), weighted: g.Weighted(),
-		permuted: s.Perm != nil, n: g.N(), m: g.M(),
+	h := succinct.SnapshotHeader{
+		Version: packedVersion, Directed: g.Directed(), Weighted: g.Weighted(),
+		Permuted: s.Perm != nil, N: g.N(), M: g.M(),
 	}
-	if err := writeHeader(bw, h); err != nil {
+	if _, err := bw.Write(h.Append(nil)); err != nil {
 		return 0, err
 	}
 	for _, v := range []any{uint32(s.BlockVertices), uint32(s.NumBlocks()), uint64(len(s.Payload))} {
@@ -456,7 +413,7 @@ func WritePackedOrder(w io.Writer, g *graph.Graph, order succinct.Order) (int64,
 	if _, err := bw.Write(s.Payload); err != nil {
 		return 0, err
 	}
-	if h.weighted {
+	if h.Weighted {
 		if err := binary.Write(bw, binary.LittleEndian, weights); err != nil {
 			return 0, err
 		}
@@ -474,37 +431,20 @@ func WritePackedOrder(w io.Writer, g *graph.Graph, order succinct.Order) (int64,
 // decoding). The round trip is lossless: the result is graph.Equal to the
 // written graph.
 func ReadPacked(r io.Reader) (*graph.Graph, error) {
-	limit := sourceSize(r)
-	br := bufio.NewReader(r)
-	h, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if h.version != packedVersion {
-		if h.version == binaryVersion {
-			return nil, fmt.Errorf("graphio: version 1 (binary) snapshot; use ReadBinary or Read")
-		}
-		return nil, fmt.Errorf("graphio: unsupported version %d", h.version)
-	}
-	return readPackedBody(br, h, limit)
+	return readSnapshot(bufio.NewReader(r), sourceSize(r), packedVersion)
 }
 
-// readServableBody loads a v2.1 servable image through the heap: the 16
-// header bytes already consumed are re-synthesized in front of the rest of
-// the stream and the whole image is attached, verified (the source is
+// readServableBody loads a v2.1 servable image through the heap: the whole
+// image, header included, is read, attached, verified (the source is
 // untrusted — attach alone does not decode the payload) and unpacked.
-func readServableBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Graph, error) {
-	if err := checkVertexCount(h.n, limit); err != nil {
+func readServableBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*graph.Graph, error) {
+	if err := checkVertexCount(h.N, limit); err != nil {
 		return nil, err
 	}
-	rest, err := io.ReadAll(br)
+	img, err := io.ReadAll(br)
 	if err != nil {
 		return nil, err
 	}
-	hdr := encodeHeader(h)
-	img := make([]byte, 0, len(hdr)+len(rest))
-	img = append(img, hdr[:]...)
-	img = append(img, rest...)
 	pg, err := succinct.AttachServable(img)
 	if err != nil {
 		return nil, fmt.Errorf("graphio: %v", err)
@@ -515,16 +455,9 @@ func readServableBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.G
 	return pg.Unpack(0), nil
 }
 
-func readPackedBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Graph, error) {
-	switch h.minor {
-	case 0:
-		// The compact wire form: decoded below.
-	case succinct.ServableMinor:
-		return readServableBody(br, h, limit)
-	default:
-		return nil, fmt.Errorf("graphio: unsupported packed minor version %d", h.minor)
-	}
-	if err := checkVertexCount(h.n, limit); err != nil {
+// readPackedBody decodes the v2.0 compact wire form.
+func readPackedBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*graph.Graph, error) {
+	if err := checkVertexCount(h.N, limit); err != nil {
 		return nil, err
 	}
 	var (
@@ -538,15 +471,15 @@ func readPackedBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Gra
 	}
 	const maxBlockVertices = 1 << 20
 	if blockVertices == 0 || blockVertices > maxBlockVertices ||
-		uint64(numBlocks)*uint64(blockVertices) >= uint64(h.n)+uint64(blockVertices) {
+		uint64(numBlocks)*uint64(blockVertices) >= uint64(h.N)+uint64(blockVertices) {
 		return nil, fmt.Errorf("graphio: implausible packed directory: %d blocks of %d vertices",
 			numBlocks, blockVertices)
 	}
 	// Beyond the codec's bound a payload can only come from corruption —
 	// reject it before allocating.
-	if payloadLen > uint64(succinct.MaxPayloadBytes(int64(h.n), int64(h.m))) {
+	if payloadLen > uint64(succinct.MaxPayloadBytes(int64(h.N), int64(h.M))) {
 		return nil, fmt.Errorf("graphio: implausible payload length %d for n=%d m=%d",
-			payloadLen, h.n, h.m)
+			payloadLen, h.N, h.M)
 	}
 	nb := int(numBlocks) // int arithmetic: numBlocks+1 must not wrap
 	// Bound every header-declared section against the source size before a
@@ -554,11 +487,11 @@ func readPackedBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Gra
 	// (nb+1)-entry u64 directories, the optional n×i32 permutation, the
 	// payload, the optional m×f64 weights.
 	need := int64(32) + int64(nb+1)*16 + int64(payloadLen)
-	if h.permuted {
-		need += int64(h.n) * 4
+	if h.Permuted {
+		need += int64(h.N) * 4
 	}
-	if h.weighted {
-		need += int64(h.m) * 8
+	if h.Weighted {
+		need += int64(h.M) * 8
 	}
 	if err := checkBodySize(need, limit); err != nil {
 		return nil, err
@@ -575,8 +508,8 @@ func readPackedBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Gra
 	if err := binary.Read(br, binary.LittleEndian, s.EdgeStart); err != nil {
 		return nil, err
 	}
-	if h.permuted {
-		s.Perm = make([]graph.NodeID, h.n)
+	if h.Permuted {
+		s.Perm = make([]graph.NodeID, h.N)
 		if err := binary.Read(br, binary.LittleEndian, s.Perm); err != nil {
 			return nil, err
 		}
@@ -585,40 +518,27 @@ func readPackedBody(br *bufio.Reader, h snapshotHeader, limit int64) (*graph.Gra
 		return nil, err
 	}
 	var weights []float64
-	if h.weighted {
-		weights = make([]float64, h.m)
+	if h.Weighted {
+		weights = make([]float64, h.M)
 		if err := binary.Read(br, binary.LittleEndian, weights); err != nil {
 			return nil, err
 		}
 	}
-	return succinct.DecodeStored(h.n, h.m, h.directed, h.weighted, s, weights, 0)
+	return succinct.DecodeStored(h.N, h.M, h.Directed, h.Weighted, s, weights, 0)
 }
 
 // Read reads a binary snapshot of any version, dispatching on the header
 // tag: v1 (WriteBinary), v2.0 (WritePacked) and v2.1 (succinct.WriteServable)
 // all load through it.
 func Read(r io.Reader) (*graph.Graph, error) {
-	limit := sourceSize(r)
-	br := bufio.NewReader(r)
-	h, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	switch h.version {
-	case binaryVersion:
-		return readBinaryBody(br, h, limit)
-	case packedVersion:
-		return readPackedBody(br, h, limit)
-	default:
-		return nil, fmt.Errorf("graphio: unsupported version %d", h.version)
-	}
+	return readSnapshot(bufio.NewReader(r), sourceSize(r), 0)
 }
 
 // SniffSnapshot reports whether a file beginning with prefix (at least 4
 // bytes of it) is a binary snapshot of either version, letting callers
 // route a path of unknown format between Read and ReadEdgeList.
 func SniffSnapshot(prefix []byte) bool {
-	return len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix) == binaryMagic
+	return len(prefix) >= 4 && binary.LittleEndian.Uint32(prefix) == succinct.SnapshotMagic
 }
 
 // ReadAuto reads a graph of unknown format: binary snapshots (v1 or v2) are
@@ -630,18 +550,7 @@ func ReadAuto(r io.Reader, directed bool) (*graph.Graph, error) {
 	limit := sourceSize(r) // before wrapping: the bufio.Reader hides it
 	br := bufio.NewReader(r)
 	if prefix, err := br.Peek(4); err == nil && SniffSnapshot(prefix) {
-		h, err := readHeader(br)
-		if err != nil {
-			return nil, err
-		}
-		switch h.version {
-		case binaryVersion:
-			return readBinaryBody(br, h, limit)
-		case packedVersion:
-			return readPackedBody(br, h, limit)
-		default:
-			return nil, fmt.Errorf("graphio: unsupported version %d", h.version)
-		}
+		return readSnapshot(br, limit, 0)
 	}
 	return ReadEdgeList(br, directed)
 }

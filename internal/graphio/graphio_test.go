@@ -2,6 +2,8 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"strings"
 	"testing"
 
@@ -182,6 +184,47 @@ func TestBinaryCanonicalFastPathMatchesBuilder(t *testing.T) {
 		}
 		if !h.Equal(g) {
 			t.Fatalf("binary round trip not structurally identical for %v", g)
+		}
+	}
+}
+
+// A v1 file from another writer need not list its edges in canonical order:
+// reversed records, a repeated edge and an undirected edge stored with the
+// larger endpoint first must load through the full builder to the same graph
+// the canonical file gives.
+func TestBinaryForeignEdgeOrderFallsBackToBuilder(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		gen.WithUniformWeights(gen.ErdosRenyi(60, 240, 8), 1, 3, 9),
+		gen.RMATDirected(6, 4, 0.57, 0.19, 0.19, 10),
+	} {
+		var buf bytes.Buffer
+		if _, err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		canonical := buf.Bytes()
+		rec := (len(canonical) - 16) / g.M()
+		foreign := append([]byte(nil), canonical[:16]...)
+		for e := g.M() - 1; e >= 0; e-- {
+			r := append([]byte(nil), canonical[16+e*rec:16+(e+1)*rec]...)
+			if !g.Directed() {
+				copy(r[0:4], canonical[16+e*rec+4:16+e*rec+8])
+				copy(r[4:8], canonical[16+e*rec:16+e*rec+4])
+			}
+			foreign = append(foreign, r...)
+		}
+		foreign = append(foreign, foreign[16:16+rec]...) // the last edge once more
+		binary.LittleEndian.PutUint32(foreign[12:], uint32(g.M()+1))
+		for name, read := range map[string]func(io.Reader) (*graph.Graph, error){
+			"ReadBinary": ReadBinary, "Read": Read,
+			"ReadAuto": func(r io.Reader) (*graph.Graph, error) { return ReadAuto(r, !g.Directed()) },
+		} {
+			h, err := read(bytes.NewReader(foreign))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !h.Equal(g) {
+				t.Errorf("%s: foreign-order file loaded as %v, want %v", name, h, g)
+			}
 		}
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"testing/quick"
 
 	"slimgraph/internal/components"
+	"slimgraph/internal/core"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/mst"
+	"slimgraph/internal/rng"
 	"slimgraph/internal/traverse"
 	"slimgraph/internal/triangles"
 )
@@ -359,4 +361,63 @@ func BenchmarkSpannerRMAT12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		applySpec(b, g, "spanner:k=8", uint64(i), 0)
 	}
+}
+
+// TestVertexSchemesOnDirectedGraph runs the two vertex-deleting schemes on a
+// directed graph and compares each output with a filter written by hand: an
+// arc survives exactly when neither endpoint was deleted — which for the
+// head needs the in-adjacency pass of core.SG.Materialize.
+func TestVertexSchemesOnDirectedGraph(t *testing.T) {
+	g := gen.WithUniformWeights(gen.RMATDirected(10, 8, 0.57, 0.19, 0.19, 5), 1, 9, 6)
+	filter := func(deleted []bool) *graph.Graph {
+		b := graph.NewBuilder(g.N(), true)
+		b.SetWeighted()
+		for e := 0; e < g.M(); e++ {
+			if u, v := g.EdgeEndpoints(graph.EdgeID(e)); !deleted[u] && !deleted[v] {
+				b.AddEdges([]graph.Edge{{U: u, V: v, W: g.EdgeWeight(graph.EdgeID(e))}})
+			}
+		}
+		want, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	check := func(spec string, seed uint64, deleted []bool) {
+		t.Helper()
+		gone, onlyAsHead := 0, 0
+		for v, d := range deleted {
+			if d {
+				gone++
+				if g.Degree(graph.NodeID(v)) == 0 && g.InDegree(graph.NodeID(v)) > 0 {
+					onlyAsHead++
+				}
+			}
+		}
+		if gone == 0 || gone == g.N() || onlyAsHead == 0 {
+			t.Fatalf("%s: %d of %d vertices deleted, %d reachable only as an arc's head: the case is not exercised", spec, gone, g.N(), onlyAsHead)
+		}
+		want := filter(deleted)
+		for _, workers := range []int{1, 3} {
+			if got := applySpec(t, g, spec, seed, workers).Output; !got.Equal(want) {
+				t.Errorf("%s at workers=%d: m=%d, the hand filter keeps %d", spec, workers, got.M(), want.M())
+			}
+		}
+	}
+
+	// lowdeg deletes the vertices of (out-)degree zero or one.
+	leaves := make([]bool, g.N())
+	for v := range leaves {
+		leaves[v] = g.Degree(graph.NodeID(v)) <= 1
+	}
+	check("lowdeg", 0, leaves)
+
+	// vertexsample: replay its draws through the same engine, recording the
+	// decisions instead of acting on them.
+	const seed, keep = 9, 0.5
+	dropped := make([]bool, g.N())
+	core.New(g, seed, 1).RunVertexKernel(func(_ *core.SG, r *rng.Rand, v core.VertexView) {
+		dropped[v.ID] = keep < r.Float64()
+	})
+	check(fmt.Sprintf("vertexsample:p=%g", keep), seed, dropped)
 }

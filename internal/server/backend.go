@@ -95,9 +95,9 @@ type GraphInfo struct {
 	Memory   string `json:"memory"`
 	Source   string `json:"source"`
 	// Residency is where the graph's bytes live right now: "raw" or
-	// "packed" (heap), "mapped" (memory-mapped servable snapshot), or
-	// "cold" (snapshot on disk, mapped on next access). Memory is the
-	// requested policy; Residency is the spiller's current answer.
+	// "packed" (heap), or "mapped" (memory-mapped servable snapshot).
+	// Memory is the requested policy; Residency is the spiller's current
+	// answer.
 	Residency string `json:"residency,omitempty"`
 }
 
@@ -275,7 +275,6 @@ type TierStats struct {
 	// live in the OS page cache and are reclaimable under pressure.
 	MappedBytes     int64 `json:"mappedBytes"`
 	GraphSpills     int64 `json:"graphSpills"`
-	GraphFaultIns   int64 `json:"graphFaultIns"`
 	VariantSpills   int64 `json:"variantSpills"`
 	VariantFaultIns int64 `json:"variantFaultIns"`
 	// Attached counts graphs the startup scan re-attached from the data

@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"sync"
 
-	"slimgraph/internal/schemes"
+	"slimgraph/internal/graph"
 )
 
 // Key identifies one compressed variant in the cache: the graph's identity
@@ -14,8 +14,9 @@ import (
 // Two requests that spell the same scheme differently ("uniform:p=0.5" vs
 // "uniform: p=0.5") land on the same Key. Workers are part of the Key
 // because the schemes whose kernel instances share state (listed once, on
-// schemes.Scheme.Apply) are seed-deterministic only at workers=1: a budget>1
-// execution must never be served to a default deterministic request.
+// Scheme.Apply in internal/schemes) are seed-deterministic only at
+// workers=1: a budget>1 execution must never be served to a default
+// deterministic request.
 type Key struct {
 	Graph   string
 	Gen     uint64
@@ -45,16 +46,28 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// variant is one cached compression result.
+// compressed is what the cache keeps of one compression: exactly what the
+// handlers read of it, computed once where the scheme ran (or its spilled
+// snapshot was faulted in). It holds no reference to the scheme's input,
+// its intermediate stage outputs or its by-products, so a cached variant of
+// a packed or mapped graph cannot pin the transient raw copy it was computed
+// from.
+type compressed struct {
+	output    *graph.Graph
+	elapsedMS float64
+	stages    []StageTiming
+}
+
+// variant is one cache slot.
 type variant struct {
 	key Key
-	res *schemes.Result
+	res *compressed
 }
 
 // call is one in-flight execution that later arrivals wait on.
 type call struct {
 	done chan struct{}
-	res  *schemes.Result
+	res  *compressed
 	err  error
 }
 
@@ -75,7 +88,7 @@ type cache struct {
 	// local engine uses to spill evicted variants to the disk tier. It is
 	// invoked outside the cache lock, after the insertion that displaced
 	// the variant completes. Set before traffic; never mutated after.
-	onEvict func(key Key, res *schemes.Result)
+	onEvict func(key Key, res *compressed)
 }
 
 func newCache(capacity int) *cache {
@@ -93,7 +106,7 @@ func newCache(capacity int) *cache {
 // get returns the variant for key, running compute at most once across all
 // concurrent callers of the same key. cached reports whether this caller
 // avoided an execution of its own (resident hit or coalesced flight).
-func (c *cache) get(key Key, compute func() (*schemes.Result, error)) (res *schemes.Result, cached bool, err error) {
+func (c *cache) get(key Key, compute func() (*compressed, error)) (res *compressed, cached bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)

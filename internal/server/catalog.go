@@ -31,7 +31,7 @@ const (
 // Residency tiers a catalog entry can be in. The memory policy (MemoryRaw /
 // MemoryPacked) is what the client asked for; the residency is where the
 // bytes actually live right now — the memory-budget spiller moves entries
-// down-tier and access faults them back in.
+// from the heap to the mapping of their snapshot, never back.
 const (
 	// ResidencyRaw: the raw CSR is on the heap.
 	ResidencyRaw = "raw"
@@ -41,14 +41,12 @@ const (
 	// directory; queries read the mapping in place and the heap holds
 	// nothing but the directory views.
 	ResidencyMapped = "mapped"
-	// ResidencyCold: only the snapshot file exists; the first access maps it.
-	ResidencyCold = "cold"
 )
 
 // entry is one named graph in the catalog. The identity fields (name,
 // generation, shape, policy, provenance) are immutable after insertion; the
-// residency fields below mu are not — the spiller and the fault-in path move
-// the graph between tiers while queries hold views pinned via acquire.
+// residency fields below mu are not — the spiller moves the graph from the
+// heap to the disk tier while queries hold views pinned via acquire.
 type entry struct {
 	name   string
 	memory string
@@ -61,11 +59,14 @@ type entry struct {
 
 	cat *catalog // owning catalog: budget, store, counters, hooks
 
-	mu     sync.Mutex
-	raw    *graph.Graph          // ResidencyRaw
-	packed *succinct.PackedGraph // ResidencyPacked
-	mapped *succinct.Mapped      // ResidencyMapped
-	file   string                // servable snapshot path, "" when not persisted
+	mu sync.Mutex
+	// heap is the heap-resident form: a *graph.Graph under MemoryRaw, a
+	// *succinct.PackedGraph under MemoryPacked, nil once spilled (and for
+	// graphs the startup scan attached).
+	heap graph.AdjacencyEdges
+	// mapped is the mapping of the write-through snapshot at
+	// store.graphPath(name), opened by attach or by the first spill.
+	mapped *succinct.Mapped
 	// Triangle-engine arena: the rank-oriented forward CSR is a pure
 	// function of the graph, built lazily on the first exact triangle query
 	// and reused until the spiller reclaims it (a rebuild over any tier is
@@ -81,8 +82,11 @@ type entry struct {
 // must be called when the request is done (releasing a heap view is a
 // no-op).
 type view struct {
-	raw *graph.Graph
-	pg  *succinct.PackedGraph
+	// adj is the pinned resident form: the raw CSR, or the packed/mapped
+	// form read in place. Query handlers consume this (never a transient
+	// unpack), which is what keeps packed and mapped entries serving in
+	// place on every query path.
+	adj graph.AdjacencyEdges
 	rel func()
 }
 
@@ -92,31 +96,16 @@ func (v *view) release() {
 	}
 }
 
-// adjacency returns the pinned resident form: the raw CSR, or the
-// packed/mapped form read in place. Query handlers consume this (never a
-// transient unpack), which is what keeps packed and mapped entries serving
-// in place on every query path.
-func (v *view) adjacency() graph.AdjacencyEdges {
-	if v.raw != nil {
-		return v.raw
-	}
-	return v.pg
-}
-
 // materialize returns the entry as a raw *graph.Graph: the resident CSR
 // under ResidencyRaw, a transient unpack otherwise, which the caller must
 // not retain beyond the request. Only variant computation (variantOf) may
-// call this: every query handler runs on adjacency.
+// call this: every query handler runs on adj.
 func (v *view) materialize(workers int) *graph.Graph {
-	if v.raw != nil {
-		return v.raw
+	if g, ok := v.adj.(*graph.Graph); ok {
+		return g
 	}
-	return v.pg.Unpack(workers)
+	return v.adj.(*succinct.PackedGraph).Unpack(workers)
 }
-
-// transient reports whether materialize returns a transient copy whose
-// references must be trimmed from cached results.
-func (v *view) transient() bool { return v.raw == nil }
 
 // triangleEngine returns the entry's oriented triangle engine, building it
 // over a — the entry's resident form, pinned by the caller — on first use (or
@@ -146,77 +135,74 @@ func (e *entry) triangleEngine(a graph.AdjacencyEdges, workers int) *triangles.E
 	return en.WithWorkers(workers)
 }
 
-// acquire pins the entry's current resident form, faulting it in from the
-// disk tier when cold. The returned view must be released.
+// acquire pins the entry's current resident form. The returned view must be
+// released.
 func (e *entry) acquire() (*view, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lastUse = e.cat.clock.Add(1)
 	switch {
-	case e.raw != nil:
-		return &view{raw: e.raw}, nil
-	case e.packed != nil:
-		return &view{pg: e.packed}, nil
+	case e.heap != nil:
+		return &view{adj: e.heap}, nil
 	case e.mapped != nil:
 		rel, err := e.mapped.Acquire()
 		if err != nil {
 			return nil, err
 		}
-		return &view{pg: e.mapped.PackedGraph, rel: rel}, nil
-	case e.file != "":
-		m, err := succinct.OpenPacked(e.file)
-		if err != nil {
-			return nil, fmt.Errorf("graph %q: faulting in %s: %v", e.name, e.file, err)
-		}
-		e.mapped = m
-		e.cat.tier.graphFaultIns.Add(1)
-		rel, err := m.Acquire()
-		if err != nil {
-			return nil, err
-		}
-		return &view{pg: m.PackedGraph, rel: rel}, nil
+		return &view{adj: e.mapped.PackedGraph, rel: rel}, nil
 	}
+	// A request that looked the entry up just before a DELETE emptied it.
 	return nil, fmt.Errorf("graph %q has no resident form", e.name)
 }
 
-// heapBytes estimates the entry's heap footprint (mapped bytes live in the
-// page cache and cost nothing here). Callers hold e.mu.
-func (e *entry) heapBytesLocked() int64 {
-	var b int64
-	if e.raw != nil {
-		b += rawCSRBytes(e.raw)
-	}
-	if e.packed != nil {
-		b += e.packed.SizeBits() / 8
+// footprintLocked estimates the entry's memory split by where it lives: raw
+// CSR bytes, succinct packed bytes and triangle-engine arena bytes (all
+// heap), and memory-mapped servable bytes (page cache, not heap). Callers
+// hold e.mu.
+func (e *entry) footprintLocked() (raw, packed, arena, mapped int64) {
+	switch h := e.heap.(type) {
+	case *graph.Graph:
+		raw = rawCSRBytes(h)
+	case *succinct.PackedGraph:
+		packed = h.SizeBits() / 8
 	}
 	if e.engine != nil {
-		b += e.engine.SizeBytes()
+		arena = e.engine.SizeBytes()
 	}
-	return b
+	if e.mapped != nil {
+		mapped = e.mapped.MappedBytes()
+	}
+	return raw, packed, arena, mapped
 }
 
-// residency names the entry's current tier.
+// heapBytesLocked is the part of the footprint the memory budget bounds.
+func (e *entry) heapBytesLocked() int64 {
+	raw, packed, arena, _ := e.footprintLocked()
+	return raw + packed + arena
+}
+
+// residency names the entry's current tier ("" once DELETE emptied it).
 func (e *entry) residency() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	switch {
-	case e.raw != nil:
+	switch e.heap.(type) {
+	case *graph.Graph:
 		return ResidencyRaw
-	case e.packed != nil:
+	case *succinct.PackedGraph:
 		return ResidencyPacked
-	case e.mapped != nil:
-		return ResidencyMapped
-	default:
-		return ResidencyCold
 	}
+	if e.mapped != nil {
+		return ResidencyMapped
+	}
+	return ""
 }
 
-// spill moves the entry's heap-resident form to the disk tier: the servable
-// snapshot is written if missing, mapped back in, and the heap forms
-// (including the triangle arena) are dropped. In-flight queries that
-// acquired the heap form before the spill keep it alive until they finish;
-// new acquires get the mapping. Returns the heap bytes freed (0 when there
-// was nothing to spill or persisting failed).
+// spill moves the entry to the disk tier: its write-through snapshot is
+// mapped (unless attach or an earlier spill already did) and the heap form
+// and the triangle arena are dropped. In-flight queries that acquired the
+// heap form before the spill keep it alive until they finish; new acquires
+// get the mapping. Returns the heap bytes freed (0 when there was nothing to
+// spill or the snapshot would not map).
 func (e *entry) spill(store *store) int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -224,24 +210,14 @@ func (e *entry) spill(store *store) int64 {
 	if freed == 0 {
 		return 0
 	}
-	if e.file == "" {
-		pg := e.packed
-		if pg == nil {
-			pg = succinct.Pack(e.raw, 0)
-		}
-		if err := store.saveGraph(e.name, pg, storeMeta{Memory: e.memory, Source: e.source}); err != nil {
-			return 0
-		}
-		e.file = store.graphPath(e.name)
-	}
 	if e.mapped == nil {
-		m, err := succinct.OpenPacked(e.file)
+		m, err := succinct.OpenPacked(store.graphPath(e.name))
 		if err != nil {
 			return 0
 		}
 		e.mapped = m
 	}
-	e.raw, e.packed, e.engine = nil, nil, nil
+	e.heap, e.engine = nil, nil
 	e.cat.tier.graphSpills.Add(1)
 	return freed
 }
@@ -250,15 +226,15 @@ func (e *entry) spill(store *store) int64 {
 var errExists = errors.New("already exists")
 
 // catalog is the set of named graphs across both tiers: heap-resident
-// (raw or packed) and disk-resident (mapped or cold servable snapshots
-// under the store's data directory).
+// (raw or packed) and disk-resident (servable snapshots under the store's
+// data directory, served memory-mapped).
 type catalog struct {
 	mu      sync.RWMutex
 	graphs  map[string]*entry
 	nextGen uint64
 
-	// store is the disk tier; nil disables persistence, spilling and
-	// fault-in (the pre-tier in-memory-only behavior).
+	// store is the disk tier; nil disables persistence and spilling (the
+	// pre-tier in-memory-only behavior).
 	store *store
 	// budget caps the catalog's heap bytes; 0 means unbounded. Enforcement
 	// spills least-recently-used entries to the store, so a budget without
@@ -303,10 +279,10 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 	switch memory {
 	case MemoryRaw, "":
 		e.memory = MemoryRaw
-		e.raw = g
+		e.heap = g
 	case MemoryPacked:
 		pg = succinct.Pack(g, workers)
-		e.packed = pg
+		e.heap = pg
 	default:
 		return nil, fmt.Errorf("unknown memory policy %q (want %s or %s)", memory, MemoryRaw, MemoryPacked)
 	}
@@ -325,7 +301,6 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 		if err := c.store.saveGraph(name, pg, storeMeta{Memory: e.memory, Source: source}); err != nil {
 			return nil, err
 		}
-		e.file = c.store.graphPath(name)
 	}
 	c.mu.Lock()
 	if _, taken := c.graphs[name]; taken {
@@ -347,8 +322,7 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 // of the payload), so the first query after a restart serves straight from
 // the page cache.
 func (c *catalog) attach(name string) error {
-	path := c.store.graphPath(name)
-	m, err := succinct.OpenPacked(path)
+	m, err := succinct.OpenPacked(c.store.graphPath(name))
 	if err != nil {
 		return err
 	}
@@ -356,7 +330,7 @@ func (c *catalog) attach(name string) error {
 	e := &entry{
 		name: name, memory: meta.Memory, source: meta.Source, cat: c,
 		n: m.N(), m: m.M(), directed: m.Directed(), weighted: m.Weighted(),
-		mapped: m, file: path,
+		mapped: m,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -391,8 +365,7 @@ func (c *catalog) remove(name string) bool {
 	}
 	e.mu.Lock()
 	m := e.mapped
-	e.raw, e.packed, e.mapped, e.engine = nil, nil, nil, nil
-	e.file = ""
+	e.heap, e.mapped, e.engine = nil, nil, nil
 	e.mu.Unlock()
 	if m != nil {
 		_ = m.Close()
@@ -458,29 +431,17 @@ func (c *catalog) enforceBudget() {
 	}
 }
 
-// residentBytes estimates the catalog's memory footprint split by tier:
-// raw CSR bytes, succinct packed bytes, triangle-engine arena bytes (all
-// heap), and memory-mapped servable bytes (page cache, not heap) — the
-// residency gauges that make both the MemoryPacked policy's savings and the
-// disk tier's offload visible at runtime.
+// residentBytes sums the entries' footprints — the residency gauges that
+// make both the MemoryPacked policy's savings and the disk tier's offload
+// visible at runtime.
 func (c *catalog) residentBytes() (raw, packed, arena, mapped int64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, e := range c.graphs {
 		e.mu.Lock()
-		if e.raw != nil {
-			raw += rawCSRBytes(e.raw)
-		}
-		if e.packed != nil {
-			packed += e.packed.SizeBits() / 8
-		}
-		if e.engine != nil {
-			arena += e.engine.SizeBytes()
-		}
-		if e.mapped != nil {
-			mapped += e.mapped.MappedBytes()
-		}
+		r, p, a, m := e.footprintLocked()
 		e.mu.Unlock()
+		raw, packed, arena, mapped = raw+r, packed+p, arena+a, mapped+m
 	}
 	return raw, packed, arena, mapped
 }

@@ -132,9 +132,6 @@ func (l *Local) instrument() {
 	tierCounter("slimgraph_catalog_tier_graph_spills_total",
 		"Graphs spilled from the heap to the memory-mapped disk tier.",
 		&l.catalog.tier.graphSpills)
-	tierCounter("slimgraph_catalog_tier_graph_faultins_total",
-		"Cold graphs faulted back in (memory-mapped) on access.",
-		&l.catalog.tier.graphFaultIns)
 	tierCounter("slimgraph_catalog_tier_variant_spills_total",
 		"Evicted variants persisted to the disk tier.",
 		&l.catalog.tier.variantSpills)
@@ -205,9 +202,9 @@ func (l *Local) Drop(_ context.Context, name string) (*DeleteResponse, error) {
 	return &DeleteResponse{Deleted: name, VariantsDropped: dropped}, nil
 }
 
-// acquireView pins e's resident form, mapping fault-in failures to a
-// backend Error (a snapshot that vanished out from under the catalog is a
-// server-side failure, not a client one).
+// acquireView pins e's resident form, mapping a failure to a backend Error
+// (an entry emptied or a mapping closed under the request is a server-side
+// failure, not a client one).
 func (l *Local) acquireView(e *entry) (*view, error) {
 	v, err := e.acquire()
 	if err != nil {
@@ -224,7 +221,7 @@ func (l *Local) acquireView(e *entry) (*view, error) {
 // returned canonical spec is the registry round trip Spec(Parse(spec)) that
 // also keys the cache, so syntactic spelling differences coalesce on one
 // entry.
-func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res *schemes.Result, canonical string, cached bool, err error) {
+func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res *compressed, canonical string, cached bool, err error) {
 	// In-spec seed/workers overrides are rejected: the canonical spec does
 	// not carry them, so two different in-spec values would collide on one
 	// cache Key. The request-level parameters are the only way to set them,
@@ -239,8 +236,8 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 	}
 	canonical = schemes.Spec(sch)
 	key := Key{Graph: e.name, Gen: e.gen, Spec: canonical, Seed: seed, Workers: workers}
-	res, cached, err = l.cache.get(key, func() (*schemes.Result, error) {
-		if r, ok := l.loadSpilledVariant(e, canonical, key, workers); ok {
+	res, cached, err = l.cache.get(key, func() (*compressed, error) {
+		if r, ok := l.loadSpilledVariant(key, workers); ok {
 			return r, nil
 		}
 		// Execution latency lands on a per-scheme-family histogram (the
@@ -254,17 +251,20 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 		}
 		defer v.release()
 		start := time.Now()
-		g := v.materialize(workers)
-		r, err := sch.Apply(g)
-		if err == nil && v.transient() {
-			trimInputs(r, g)
+		r, err := sch.Apply(v.materialize(workers))
+		if err != nil {
+			return nil, err
 		}
-		if err == nil {
-			l.reg.Histogram("slimgraph_compress_seconds",
-				"Compression execution latency in seconds, by scheme family.", nil,
-				obs.Label{Key: "scheme", Value: sch.Name()}).Observe(time.Since(start).Seconds())
+		l.reg.Histogram("slimgraph_compress_seconds",
+			"Compression execution latency in seconds, by scheme family.", nil,
+			obs.Label{Key: "scheme", Value: sch.Name()}).Observe(time.Since(start).Seconds())
+		// Only what the handlers read outlives the execution: the Result,
+		// with its input, stage outputs and by-products, is dropped here.
+		c := &compressed{output: r.Output, elapsedMS: millis(r.Elapsed)}
+		for _, st := range r.Breakdown() {
+			c.stages = append(c.stages, StageTiming{Spec: st.Spec, M: st.M, ElapsedMS: millis(st.Elapsed)})
 		}
-		return r, err
+		return c, nil
 	})
 	if err != nil {
 		var se *Error
@@ -275,25 +275,33 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 	return res, canonical, cached, err
 }
 
+// millis is a duration as the responses print it: milliseconds at
+// microsecond resolution.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
 // loadSpilledVariant checks the disk tier for a previously spilled snapshot
 // of exactly this cache key and restores it, skipping the scheme execution.
-// The restored Result carries the canonical spec as its scheme label (the
+// The restored variant reports one stage under the canonical spec (the
 // per-stage breakdown does not survive a spill) and the load time as its
 // elapsed time.
-func (l *Local) loadSpilledVariant(e *entry, canonical string, key Key, workers int) (*schemes.Result, bool) {
+func (l *Local) loadSpilledVariant(key Key, workers int) (*compressed, bool) {
 	st := l.catalog.store
 	if st == nil {
 		return nil, false
 	}
 	start := time.Now()
-	m, err := succinct.OpenPacked(st.variantPath(e.name, key))
+	m, err := succinct.OpenPacked(st.variantPath(key.Graph, key))
 	if err != nil {
 		return nil, false
 	}
 	g := m.Unpack(workers)
 	_ = m.Close()
 	l.catalog.tier.variantFaultIns.Add(1)
-	return &schemes.Result{Scheme: canonical, Output: g, Elapsed: time.Since(start)}, true
+	ms := millis(time.Since(start))
+	return &compressed{
+		output: g, elapsedMS: ms,
+		stages: []StageTiming{{Spec: key.Spec, M: g.M(), ElapsedMS: ms}},
+	}, true
 }
 
 // spillVariant is the cache's eviction hook: a variant displaced by the LRU
@@ -301,32 +309,17 @@ func (l *Local) loadSpilledVariant(e *entry, canonical string, key Key, workers 
 // request for the same key faults it in instead of recomputing. Variants of
 // dropped or re-created graphs (stale generation) are discarded — their
 // directory is gone or going.
-func (l *Local) spillVariant(key Key, res *schemes.Result) {
+func (l *Local) spillVariant(key Key, res *compressed) {
 	st := l.catalog.store
-	if st == nil || res.Output == nil {
+	if st == nil || res.output == nil {
 		return
 	}
 	e, ok := l.catalog.get(key.Graph)
 	if !ok || e.gen != key.Gen {
 		return
 	}
-	if err := st.saveVariant(key.Graph, key, res.Output); err == nil {
+	if err := st.saveVariant(key.Graph, key, res.output); err == nil {
 		l.catalog.tier.variantSpills.Add(1)
-	}
-}
-
-// trimInputs drops references to the transient unpacked CSR of a packed or
-// mapped catalog entry before the Result enters the cache; otherwise every
-// cached variant would pin a full raw copy of the graph the packed memory
-// policy exists to avoid keeping resident.
-func trimInputs(res *schemes.Result, g *graph.Graph) {
-	if res.Input == g {
-		res.Input = nil
-	}
-	for _, st := range res.Stages {
-		if st.Input == g {
-			st.Input = nil
-		}
 	}
 }
 
@@ -351,13 +344,13 @@ func (l *Local) target(e *entry, p QueryParams) (graph.AdjacencyEdges, string, f
 		if err != nil {
 			return nil, "", nil, err
 		}
-		return v.adjacency(), "", v.release, nil
+		return v.adj, "", v.release, nil
 	}
 	res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, l.ClampWorkers(p.Workers))
 	if err != nil {
 		return nil, "", nil, err
 	}
-	return res.Output, canonical, func() {}, nil
+	return res.output, canonical, func() {}, nil
 }
 
 // PurgeVariant drops the cached variant for the canonical
@@ -402,31 +395,23 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 	if err != nil {
 		return nil, err
 	}
-	// Input counts come from the catalog entry: a cached Result of a packed
-	// graph no longer references its (trimmed) input CSR.
+	// Input counts come from the catalog entry: a cached variant keeps no
+	// reference to the graph it was computed from.
 	reduction := 0.0
 	if e.m > 0 {
-		reduction = 1 - float64(res.Output.M())/float64(e.m)
-	}
-	var stages []StageTiming
-	for _, st := range res.Breakdown() {
-		stages = append(stages, StageTiming{
-			Spec:      st.Spec,
-			M:         st.M,
-			ElapsedMS: float64(st.Elapsed.Microseconds()) / 1000,
-		})
+		reduction = 1 - float64(res.output.M())/float64(e.m)
 	}
 	return &CompressResponse{
 		Graph:         e.name,
 		Spec:          canonical,
 		Seed:          p.Seed,
 		Cached:        cached,
-		N:             res.Output.N(),
-		M:             res.Output.M(),
+		N:             res.output.N(),
+		M:             res.output.M(),
 		InputM:        e.m,
 		EdgeReduction: reduction,
-		ElapsedMS:     float64(res.Elapsed.Microseconds()) / 1000,
-		Stages:        stages,
+		ElapsedMS:     res.elapsedMS,
+		Stages:        res.stages,
 	}, nil
 }
 
@@ -547,7 +532,6 @@ func (l *Local) Stats(_ context.Context) (*StatsResponse, error) {
 			HeapBytes:       raw + packed + arena,
 			MappedBytes:     mapped,
 			GraphSpills:     l.catalog.tier.graphSpills.Load(),
-			GraphFaultIns:   l.catalog.tier.graphFaultIns.Load(),
 			VariantSpills:   l.catalog.tier.variantSpills.Load(),
 			VariantFaultIns: l.catalog.tier.variantFaultIns.Load(),
 			Attached:        l.catalog.tier.attached.Load(),

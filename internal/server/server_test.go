@@ -8,12 +8,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"slimgraph/internal/centrality"
 	"slimgraph/internal/gen"
+	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
 	"slimgraph/internal/oracle"
 	"slimgraph/internal/schemes"
@@ -339,36 +343,157 @@ func TestUploadFormats(t *testing.T) {
 	}
 }
 
+// test-pin runs the armed probe's inner spec on its input and returns the
+// inner scheme's Result as it is — Aux, stage Results and all — after
+// setting finalizers that report on freed when the input (the transient
+// unpack of a packed or mapped entry) and, if the probe says it is an
+// intermediate stage's, the output are collected.
+type pinProbe struct {
+	inner        string
+	intermediate bool
+	freed        chan string // buffered: finalizers never block
+}
+
+var pinArmed atomic.Pointer[pinProbe]
+
+func init() {
+	schemes.Register(schemes.Registration{
+		Name:  "test-pin",
+		About: "runs the armed inner spec with finalizers on its graphs (test only)",
+		Apply: func(g *graph.Graph, _ schemes.Args) (*schemes.Result, error) {
+			probe := pinArmed.Load()
+			sch, err := schemes.Parse(probe.inner, schemes.WithSeed(1), schemes.WithWorkers(1))
+			if err != nil {
+				return nil, err
+			}
+			res, err := sch.Apply(g)
+			if err != nil {
+				return nil, err
+			}
+			runtime.SetFinalizer(g, func(*graph.Graph) { probe.freed <- "the transient unpacked CSR" })
+			if probe.intermediate {
+				runtime.SetFinalizer(res.Output, func(*graph.Graph) { probe.freed <- "an intermediate stage's output" })
+			}
+			return res, nil
+		},
+	})
+}
+
 // TestPackedVariantDoesNotPinRawInput checks a cached variant of a packed
-// graph drops its reference to the transient unpacked CSR — the raw copy
-// the packed memory policy exists to avoid keeping resident.
+// or mapped graph keeps nothing but its own output alive: not the transient
+// unpacked CSR it was computed from — the raw copy the packed memory policy
+// exists to avoid keeping resident, which a summarize Result reaches
+// through its Summary — and not a pipeline's intermediate graphs, which
+// its stage Results reach. The finalizers must run while the variant is
+// still cached.
 func TestPackedVariantDoesNotPinRawInput(t *testing.T) {
-	s, ts := newTestServer(t, Options{})
-	createCommunities(t, ts.URL, "pk", 200, 1, MemoryPacked)
-	e, ok := s.local.catalog.get("pk")
-	if !ok {
-		t.Fatal("missing catalog entry")
-	}
-	res, _, _, err := s.local.variantOf(e, "uniform:p=0.5", 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Input != nil {
-		t.Error("cached variant of a packed graph pins the transient unpacked CSR")
+	_, heapTS := newTestServer(t, Options{})
+	createCommunities(t, heapTS.URL, "g", 200, 1, MemoryPacked)
+	// Budget 1: the create spills at once and the entry serves mapped.
+	_, mappedTS := newTestServer(t, Options{DataDir: t.TempDir(), MemBudget: 1})
+	createCommunities(t, mappedTS.URL, "g", 200, 1, MemoryPacked)
+	code, body := get(t, mappedTS.URL+"/v1/graphs/g")
+	mustStatus(t, http.StatusOK, code, body)
+	if !strings.Contains(string(body), `"residency":"mapped"`) {
+		t.Fatalf("want a mapped entry: %s", body)
 	}
 
-	// Raw entries keep Input: it aliases the resident graph anyway.
-	createCommunities(t, ts.URL, "rw", 200, 1, MemoryRaw)
-	e, ok = s.local.catalog.get("rw")
-	if !ok {
-		t.Fatal("missing catalog entry")
+	cases := []struct {
+		spec  string
+		probe pinProbe
+	}{
+		{"test-pin", pinProbe{inner: "summarize:eps=0.2"}},
+		{"test-pin|spanner:k=8", pinProbe{inner: "tr-eo:p=0.8", intermediate: true}},
 	}
-	res, _, _, err = s.local.variantOf(e, "uniform:p=0.5", 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range []struct{ name, base string }{{"packed", heapTS.URL}, {"mapped", mappedTS.URL}} {
+		for _, tc := range cases {
+			probe := tc.probe
+			probe.freed = make(chan string, 2)
+			pinArmed.Store(&probe)
+			req := CompressRequest{Spec: tc.spec, Seed: 1}
+			code, body := postJSON(t, e.base+"/v1/graphs/g/compress", req)
+			mustStatus(t, http.StatusOK, code, body)
+			pinned := map[string]bool{"the transient unpacked CSR": true}
+			if probe.intermediate {
+				pinned["an intermediate stage's output"] = true
+			}
+			for try := 0; try < 50 && len(pinned) > 0; try++ {
+				runtime.GC()
+				select {
+				case what := <-probe.freed:
+					delete(pinned, what)
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			for what := range pinned {
+				t.Errorf("%s entry: the cached %q (%s) variant pins %s", e.name, tc.spec, probe.inner, what)
+			}
+			// The variant itself is still resident and served from the cache.
+			code, body = postJSON(t, e.base+"/v1/graphs/g/compress", req)
+			mustStatus(t, http.StatusOK, code, body)
+			if !strings.Contains(string(body), `"cached":true`) {
+				t.Errorf("%s entry: variant not cached: %s", e.name, body)
+			}
+		}
 	}
-	if res.Input == nil {
-		t.Error("raw entry lost its Input reference")
+}
+
+// TestListGraphsAndSchemes covers the two listing endpoints: GET /v1/graphs
+// is the catalog sorted by name ([] when empty, never null) and
+// GET /v1/schemes is the registry in name order, each parameter row rendered
+// from the registration's table.
+func TestListGraphsAndSchemes(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	code, body := get(t, ts.URL+"/v1/graphs")
+	mustStatus(t, http.StatusOK, code, body)
+	if string(body) != "[]\n" {
+		t.Fatalf("empty catalog lists as %q, want []", body)
+	}
+	createCommunities(t, ts.URL, "zeta", 100, 1, MemoryPacked)
+	createCommunities(t, ts.URL, "alpha", 150, 2, MemoryRaw)
+	code, body = get(t, ts.URL+"/v1/graphs")
+	mustStatus(t, http.StatusOK, code, body)
+	var infos []GraphInfo
+	mustJSON(t, body, &infos)
+	if len(infos) != 2 || infos[0].Name != "alpha" || infos[1].Name != "zeta" {
+		t.Fatalf("list not sorted by name: %s", body)
+	}
+	if a, z := infos[0], infos[1]; a.N != 150 || a.Memory != MemoryRaw || a.Residency != ResidencyRaw ||
+		z.N != 100 || z.Memory != MemoryPacked || z.Residency != ResidencyPacked {
+		t.Fatalf("list entries wrong: %s", body)
+	}
+	for _, info := range infos {
+		code, one := get(t, ts.URL+"/v1/graphs/"+info.Name)
+		mustStatus(t, http.StatusOK, code, one)
+		var got GraphInfo
+		if err := json.Unmarshal(one, &got); err != nil || got != info {
+			t.Errorf("list entry %+v differs from GET of the graph: %s", info, one)
+		}
+	}
+
+	code, body = get(t, ts.URL+"/v1/schemes")
+	mustStatus(t, http.StatusOK, code, body)
+	var listed []schemeInfo
+	mustJSON(t, body, &listed)
+	names := schemes.Names()
+	if len(listed) != len(names) {
+		t.Fatalf("listed %d schemes, the registry has %d", len(listed), len(names))
+	}
+	for i, name := range names {
+		reg, _ := schemes.Lookup(name)
+		got := listed[i]
+		if got.Name != name || got.About != reg.About || len(got.Params) != len(reg.Params) {
+			t.Fatalf("scheme %d: listed %+v, registered %q with %d params", i, got, name, len(reg.Params))
+		}
+		for j, p := range reg.Params {
+			want := schemeParam{Key: p.Key, Kind: p.Kind.String(), Default: p.Default, Range: p.Range()}
+			if got.Params[j] != want {
+				t.Errorf("%s param %d: listed %+v, want %+v", name, j, got.Params[j], want)
+			}
+		}
+	}
+	if !strings.Contains(string(body), `{"key":"p","kind":"float","default":"0.5"`) {
+		t.Errorf("uniform's p row not rendered as expected: %s", body)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestFailureNotCachedNegatively(t *testing.T) {
 func TestCacheLRUAndPurge(t *testing.T) {
 	c := newCache(2)
 	mk := func(spec string) Key { return Key{Graph: "g", Gen: 1, Spec: spec} }
-	compute := func() (*schemes.Result, error) { return &schemes.Result{}, nil }
+	compute := func() (*compressed, error) { return &compressed{}, nil }
 
 	for _, spec := range []string{"a", "b"} {
 		if _, cached, err := c.get(mk(spec), compute); err != nil || cached {

@@ -104,13 +104,19 @@ func writeAtomic(path string, write func(f *os.File) error) error {
 	return nil
 }
 
-// saveGraph persists a graph's servable image and sidecar under its final
-// names. It is the write-through half of the warm-restart guarantee.
-func (s *store) saveGraph(name string, pg *succinct.PackedGraph, meta storeMeta) error {
-	if err := writeAtomic(s.graphPath(name), func(f *os.File) error {
+// writeServable writes pg's servable image to path crash-consistently — the
+// one snapshot writer under graphs and spilled variants alike.
+func writeServable(path string, pg *succinct.PackedGraph) error {
+	return writeAtomic(path, func(f *os.File) error {
 		_, err := succinct.WriteServable(f, pg)
 		return err
-	}); err != nil {
+	})
+}
+
+// saveGraph persists a graph's servable image and sidecar under their final
+// names. It is the write-through half of the warm-restart guarantee.
+func (s *store) saveGraph(name string, pg *succinct.PackedGraph, meta storeMeta) error {
+	if err := writeServable(s.graphPath(name), pg); err != nil {
 		return fmt.Errorf("persisting graph %q: %v", name, err)
 	}
 	raw, err := json.Marshal(meta)
@@ -138,10 +144,7 @@ func (s *store) saveVariant(name string, key Key, g *graph.Graph) error {
 	if _, err := succinct.StatServable(path); err == nil {
 		return nil
 	}
-	return writeAtomic(path, func(f *os.File) error {
-		_, err := succinct.WriteServable(f, succinct.Pack(g, 1))
-		return err
-	})
+	return writeServable(path, succinct.Pack(g, 1))
 }
 
 // removeVariant deletes one spilled variant snapshot.
@@ -202,7 +205,6 @@ func (s *store) scanGraphs() ([]string, error) {
 // slimgraph_catalog_tier_* metrics read it.
 type tierCounters struct {
 	graphSpills     atomic.Int64
-	graphFaultIns   atomic.Int64
 	variantSpills   atomic.Int64
 	variantFaultIns atomic.Int64
 	attached        atomic.Int64 // graphs re-attached by the startup scan

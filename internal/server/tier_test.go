@@ -391,3 +391,56 @@ func mustJSON(t *testing.T, body []byte, v any) {
 		t.Fatalf("unmarshaling %s: %v", body, err)
 	}
 }
+
+// TestTierBudgetCountsHeapPacked pins the budget's accounting of a
+// heap-packed entry: its bytes are the succinct form's (not a raw CSR's
+// estimate), they appear under packed in the residency split and in
+// /v1/stats' heapBytes, and a budget that holds one packed graph but not two
+// spills the least recently used one and keeps the other on the heap.
+func TestTierBudgetCountsHeapPacked(t *testing.T) {
+	one := succinct.Pack(mustGen(t, 11), 1).SizeBits() / 8
+	s, ts := newTestServer(t, Options{MaxWorkers: 2, DataDir: t.TempDir(), MemBudget: one + one/2})
+	create := func(name string, seed uint64) {
+		code, body := postJSON(t, ts.URL+"/v1/graphs", map[string]any{
+			"name": name, "gen": "communities", "numVertices": 400, "seed": seed,
+			"weighted": true, "memory": MemoryPacked,
+		})
+		mustStatus(t, http.StatusCreated, code, body)
+	}
+	residency := func(name string) string {
+		e, ok := s.Local().catalog.get(name)
+		if !ok {
+			t.Fatalf("no entry %q", name)
+		}
+		return e.residency()
+	}
+
+	create("a", 11)
+	raw, packed, arena, mapped := s.Local().catalog.residentBytes()
+	if raw != 0 || packed != one || arena != 0 || mapped != 0 {
+		t.Fatalf("one packed graph under budget: raw=%d packed=%d arena=%d mapped=%d, want packed=%d only", raw, packed, arena, mapped, one)
+	}
+	e, _ := s.Local().catalog.get("a")
+	e.mu.Lock()
+	heap := e.heapBytesLocked()
+	e.mu.Unlock()
+	if heap != one {
+		t.Fatalf("heapBytesLocked = %d, want the packed form's %d", heap, one)
+	}
+	var st StatsResponse
+	code, body := get(t, ts.URL+"/v1/stats")
+	mustStatus(t, http.StatusOK, code, body)
+	mustJSON(t, body, &st)
+	if st.Tier == nil || st.Tier.HeapBytes != one || st.Tier.GraphSpills != 0 {
+		t.Fatalf("stats under budget: %s", body)
+	}
+
+	create("b", 12)
+	if a, b := residency("a"), residency("b"); a != ResidencyMapped || b != ResidencyPacked {
+		t.Fatalf("after the second create: a is %q, b is %q; want the older one mapped, the newer packed", a, b)
+	}
+	raw, packed, _, mapped = s.Local().catalog.residentBytes()
+	if raw != 0 || packed == 0 || packed > one+one/2 || mapped == 0 {
+		t.Fatalf("after the spill: raw=%d packed=%d mapped=%d against budget %d", raw, packed, mapped, one+one/2)
+	}
+}

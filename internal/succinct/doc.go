@@ -40,6 +40,11 @@
 //     FirstInNeighborIn decode on the fly; Unpack restores a bit-identical
 //     graph.Graph.
 //
+//   - Snapshot header (header.go): the 16-byte prefix — magic, version,
+//     flags, minor, n, m — every snapshot version starts with, graphio's
+//     v1 and v2.0 and the servable image alike. SnapshotHeader.Append and
+//     ParseSnapshotHeader are its only writer and reader.
+//
 //   - Storage stream (format.go): the byte sections of the graphio v2
 //     snapshot ("packed" format). Only the canonical direction is stored —
 //     directed out-lists, or the forward (w > v) half of each undirected

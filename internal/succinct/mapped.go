@@ -26,14 +26,6 @@ type Mapped struct {
 	closed bool
 }
 
-// Map attaches a PackedGraph over an in-memory servable image — the
-// zero-copy entry point callers use when they already hold the bytes (an
-// mmap window they manage themselves, a shipped snapshot body). The caller
-// must keep data alive and unmodified for the life of the graph.
-func Map(data []byte) (*PackedGraph, error) {
-	return AttachServable(data)
-}
-
 // OpenPacked maps the servable snapshot image at path and attaches a
 // PackedGraph over it. On linux the file is mmap'd (no heap copy; restart
 // warm-up is directory validation only); elsewhere the image is read into
@@ -63,9 +55,9 @@ func OpenPacked(path string) (*Mapped, error) {
 }
 
 // StatServable reads only the fixed header of the servable image at path —
-// the identity a catalog needs to register a cold entry without mapping or
-// decoding anything. The file's size is checked against the exact size the
-// header implies, so a truncated spill never registers.
+// the identity of a snapshot without mapping or decoding anything. The
+// file's size is checked against the exact size the header implies, so a
+// truncated spill never passes.
 func StatServable(path string) (ServableInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -23,30 +23,11 @@ import (
 // is what lets slimgraphd mmap a snapshot and answer its first packed
 // query in milliseconds after a restart.
 
-// SnapshotMagic is the shared magic of every binary snapshot version
-// ("SLMG", little-endian). graphio and the servable image use the same
-// 16-byte header prefix: magic, version, flags, minor, n, m.
-const SnapshotMagic = uint32(0x534c4d47)
-
-// SnapshotVersion and ServableMinor identify the servable image: format
-// version 2 (packed), minor 1 (aligned, servable). Minor 0 is the compact
-// canonical-only wire form graphio decodes.
-const (
-	SnapshotVersion = 2
-	ServableMinor   = 1
-)
-
 // servableHeaderSize is the fixed prefix before the first section. The
-// first 16 bytes are the shared snapshot header; the rest are
-// servable-specific fixed-width fields padded so sections start 8-aligned.
+// first SnapshotHeaderSize bytes are the shared snapshot header (header.go);
+// the rest are servable-specific fixed-width fields padded so sections start
+// 8-aligned.
 const servableHeaderSize = 64
-
-// Header flag bits, shared with graphio.
-const (
-	flagDirected = 1
-	flagWeighted = 2
-	flagPermuted = 4
-)
 
 // hostLittleEndian reports whether native integer loads read the image's
 // little-endian sections correctly — the precondition for the zero-copy
@@ -159,23 +140,12 @@ func AppendServable(dst []byte, pg *PackedGraph) []byte {
 	dst = append(dst, make([]byte, l.total)...)
 	img := dst[base:]
 
-	var flags uint8
-	if l.directed {
-		flags |= flagDirected
-	}
-	if l.weighted {
-		flags |= flagWeighted
-	}
-	if l.permuted {
-		flags |= flagPermuted
-	}
+	SnapshotHeader{
+		Version: SnapshotVersion, Minor: ServableMinor,
+		Directed: l.directed, Weighted: l.weighted, Permuted: l.permuted,
+		N: l.n, M: l.m,
+	}.Append(img[:0])
 	le := binary.LittleEndian
-	le.PutUint32(img[0:], SnapshotMagic)
-	img[4] = SnapshotVersion
-	img[5] = flags
-	le.PutUint16(img[6:], ServableMinor)
-	le.PutUint32(img[8:], uint32(l.n))
-	le.PutUint32(img[12:], uint32(l.m))
 	le.PutUint32(img[16:], uint32(l.blockVertices))
 	le.PutUint32(img[20:], uint32(l.numBlocks))
 	le.PutUint64(img[24:], uint64(l.arcs))
@@ -226,14 +196,19 @@ func WriteServable(w io.Writer, pg *PackedGraph) (int64, error) {
 // IsServable reports whether prefix (at least 8 bytes) begins a servable
 // image: the snapshot magic with version 2, minor 1.
 func IsServable(prefix []byte) bool {
-	return len(prefix) >= 8 &&
-		binary.LittleEndian.Uint32(prefix) == SnapshotMagic &&
-		prefix[4] == SnapshotVersion &&
-		binary.LittleEndian.Uint16(prefix[6:]) == ServableMinor
+	if len(prefix) < 8 {
+		return false
+	}
+	// Magic, version and minor sit in the first 8 bytes; n and m read as 0
+	// from a shorter prefix and are not looked at.
+	var hdr [SnapshotHeaderSize]byte
+	copy(hdr[:], prefix)
+	h, ok := ParseSnapshotHeader(hdr[:])
+	return ok && h.Version == SnapshotVersion && h.Minor == ServableMinor
 }
 
-// ServableInfo is the cheap-to-read identity of a servable image — what a
-// catalog needs to register a cold entry without touching the sections.
+// ServableInfo is the cheap-to-read identity of a servable image: what
+// its header says, without touching the sections.
 type ServableInfo struct {
 	N, M     int
 	Directed bool
@@ -251,16 +226,13 @@ func parseServableHeader(data []byte) (servableLayout, error) {
 	if len(data) < servableHeaderSize {
 		return l, fmt.Errorf("succinct: servable image: %d bytes is shorter than the %d-byte header", len(data), servableHeaderSize)
 	}
-	le := binary.LittleEndian
-	if !IsServable(data) {
+	h, ok := ParseSnapshotHeader(data)
+	if !ok || h.Version != SnapshotVersion || h.Minor != ServableMinor {
 		return l, fmt.Errorf("succinct: not a servable (v%d.%d) snapshot image", SnapshotVersion, ServableMinor)
 	}
-	flags := data[5]
-	l.directed = flags&flagDirected != 0
-	l.weighted = flags&flagWeighted != 0
-	l.permuted = flags&flagPermuted != 0
-	l.n = int(le.Uint32(data[8:]))
-	l.m = int(le.Uint32(data[12:]))
+	l.directed, l.weighted, l.permuted = h.Directed, h.Weighted, h.Permuted
+	l.n, l.m = h.N, h.M
+	le := binary.LittleEndian
 	l.blockVertices = int(le.Uint32(data[16:]))
 	l.numBlocks = int(le.Uint32(data[20:]))
 	l.arcs = int64(le.Uint64(data[24:]))
