@@ -21,11 +21,22 @@ import (
 // edge {a, b} — and |F(v)| = O(√m) for every v, which bounds each
 // intersection and yields the O(m^{3/2}) total of Table 2.
 //
-// Forward lists are stored sorted by neighbor ID, not by rank. Any shared
-// total order supports the intersection; ID order additionally makes the
+// Forward lists are stored sorted by neighbor ID, not by rank. The
+// intersection needs no order at all — F(eu[e]) is stamped, F(ev[e]) is
+// scanned against the stamps — but scanning in ID order makes the
 // sequential enumeration emit triangles in exactly the reference order
 // (ascending lowest edge, then ascending third vertex), which keeps
 // Edge-Once kernels bit-identical to the pre-engine implementation.
+//
+// Stamp invariant: inside a range, stamp[w] = i+1 exactly when w is the
+// i-th entry of F(a) for the lower-ID endpoint a of the edge being scanned,
+// and 0 otherwise; between ranges the array is all-zero. A range stamps on
+// entry and un-stamps on exit by walking the list, never by clearing n
+// entries. The array is scratch of the call that enumerates — one per
+// worker, allocated by Count, CountPart, ForEachBatch, PerVertex, PerEdge or
+// List and dropped on return — so the engine itself stays immutable, safe
+// for concurrent enumerations, and its resident arena (SizeBytes) has no
+// field for it.
 type Engine struct {
 	g       graph.AdjacencyEdges
 	workers int
@@ -43,7 +54,9 @@ type Engine struct {
 	eid []graph.EdgeID
 
 	// work[e] = total intersection cost of edges [0, e) — the prefix-summed
-	// per-edge estimate |F(u)|+|F(v)|+1 that drives balanced scheduling.
+	// per-edge estimate that drives balanced scheduling: |F(ev[e])|+1 for the
+	// scan, plus 2|F(eu[e])| on the first edge of a run sharing eu[e], whose
+	// forward list is stamped once and erased once for the whole run.
 	work []int64
 
 	// ownsCols records whether eu/ev were allocated by the build (decoded
@@ -102,7 +115,10 @@ func NewEngine(a graph.AdjacencyEdges, workers int) *Engine {
 	parallel.ForBlocks(m, parallel.Blocks(m, 0, workers), workers, func(_, lo, hi int) {
 		for e := lo; e < hi; e++ {
 			u, v := en.eu[e], en.ev[e]
-			en.work[e] = (en.off[u+1] - en.off[u]) + (en.off[v+1] - en.off[v]) + 1
+			en.work[e] = en.off[v+1] - en.off[v] + 1
+			if e == 0 || u != en.eu[e-1] {
+				en.work[e] += 2 * (en.off[u+1] - en.off[u])
+			}
 		}
 	})
 	parallel.ExclusiveScan(en.work, workers)
@@ -144,50 +160,105 @@ func (en *Engine) WithWorkers(workers int) *Engine {
 	return &c
 }
 
-// forward returns F(v) as parallel neighbor/edge views.
-func (en *Engine) forward(v graph.NodeID) ([]graph.NodeID, []graph.EdgeID) {
-	lo, hi := en.off[v], en.off[v+1]
-	return en.nbr[lo:hi], en.eid[lo:hi]
+// marks is one worker's intersection scratch: stamp[w] = i+1 while w is the
+// i-th entry of the forward list currently in list, 0 for every other vertex.
+// It belongs to the enumeration call that allocated it — never to the
+// engine's arena — and is cleared only by walking list again, so moving
+// between lists costs their lengths, not n.
+type marks struct {
+	stamp []int32
+	list  []graph.NodeID
 }
 
-// orient returns the endpoints of e ordered by rank: rank(u) < rank(v).
-func (en *Engine) orient(e graph.EdgeID) (u, v graph.NodeID) {
-	u, v = en.eu[e], en.ev[e]
-	if en.key[v] < en.key[u] {
-		u, v = v, u
+func (en *Engine) newMarks() *marks { return &marks{stamp: make([]int32, len(en.key))} }
+
+// set un-stamps the current list and stamps list; set(nil) leaves the array
+// all-zero, which is how every range hands it to the next.
+func (mk *marks) set(list []graph.NodeID) {
+	for _, w := range mk.list {
+		mk.stamp[w] = 0
 	}
-	return u, v
+	mk.list = list
+	for i, w := range list {
+		mk.stamp[w] = int32(i + 1)
+	}
+}
+
+// enter stamps F(eu[e]) if edge e opens a run of canonical edges sharing that
+// lower-ID endpoint, or opens the range itself: a range never relies on a
+// predecessor's stamps, so any cut of the edge order is a valid range.
+func (en *Engine) enter(mk *marks, e, lo int) {
+	if a := en.eu[e]; e == lo || a != en.eu[e-1] {
+		mk.set(en.nbr[en.off[a]:en.off[a+1]])
+	}
+}
+
+// countRange counts the triangles whose rank-lowest edge lies in [lo, hi)
+// without materializing them: one scan of F(ev[e]) against the stamps of
+// F(eu[e]) per edge. The intersection is symmetric, so nothing is oriented.
+func (en *Engine) countRange(lo, hi int, mk *marks) int64 {
+	var c int64
+	for e := lo; e < hi; e++ {
+		en.enter(mk, e, lo)
+		b := en.ev[e]
+		for _, w := range en.nbr[en.off[b]:en.off[b+1]] {
+			c += int64(uint32(-mk.stamp[w]) >> 31) // stamp[w] != 0, without a branch
+		}
+	}
+	mk.set(nil)
+	return c
 }
 
 // batchCap is the emission batch size: triangles are written into a
-// per-range buffer of this many entries (6 KiB, L1-resident) and handed to
-// the consumer a batch at a time, so the per-triangle path makes no indirect
-// call of the engine's own.
+// per-worker buffer of this many entries (6 KiB, L1-resident) and handed to
+// the consumer a batch at a time, so the per-triangle path makes no call.
 const batchCap = 256
 
-// batcher is the one emitter every enumeration shares: the intersection
-// kernels push matches into buf and each full batch goes to sink.
-type batcher struct {
-	buf  []Triangle
-	n    int
-	sink func(batch []Triangle)
+// emitter is one worker's emission scratch: its marks and the batch buffer
+// every range it claims fills and hands to that range's sink.
+type emitter struct {
+	*marks
+	buf []Triangle
 }
 
-func (b *batcher) push(t Triangle) {
-	b.buf[b.n] = t
-	b.n++
-	if b.n == len(b.buf) {
-		b.flush()
+func (en *Engine) newEmitter(capacity int) *emitter {
+	return &emitter{marks: en.newMarks(), buf: make([]Triangle, capacity)}
+}
+
+// emitRange hands sink every triangle whose rank-lowest edge lies in
+// [lo, hi), in batches of up to len(out.buf) and in reference order —
+// ascending canonical edge, then ascending third vertex, because F(ev[e]) is
+// scanned in its ID order. A match w at position j of F(b) stamped s closes
+// the triangle with edges eid[off[a]+s-1] = {a, w} and eid[off[b]+j] =
+// {b, w}; V and E are written in rank order.
+func (en *Engine) emitRange(lo, hi int, out *emitter, sink func(batch []Triangle)) {
+	stamp, buf, n := out.stamp, out.buf, 0
+	for e := lo; e < hi; e++ {
+		en.enter(out.marks, e, lo)
+		a, b := en.eu[e], en.ev[e]
+		u, v, x := a, b, 0 // x: which of E[1], E[2] is the edge out of F(a)
+		if en.key[b] < en.key[a] {
+			u, v, x = b, a, 1
+		}
+		blo, bhi := en.off[b], en.off[b+1]
+		ae, be := en.eid[en.off[a]:en.off[a+1]], en.eid[blo:bhi]
+		for j, w := range en.nbr[blo:bhi] {
+			s := stamp[w]
+			if s == 0 {
+				continue
+			}
+			t := &buf[n]
+			t.V = [3]graph.NodeID{u, v, w}
+			t.E[0], t.E[1+x], t.E[2-x] = graph.EdgeID(e), ae[s-1], be[j]
+			if n++; n == len(buf) {
+				sink(buf)
+				n = 0
+			}
+		}
 	}
-}
-
-// flush stays out of line so that push fits the inlining budget.
-//
-//go:noinline
-func (b *batcher) flush() {
-	if b.n > 0 {
-		b.sink(b.buf[:b.n])
-		b.n = 0
+	out.set(nil)
+	if n > 0 {
+		sink(buf[:n])
 	}
 }
 
@@ -201,8 +272,20 @@ func (b *batcher) flush() {
 // range and the whole enumeration is in reference order; with more workers
 // ranges run concurrently.
 func (en *Engine) ForEachBatch(newSink func() func(batch []Triangle)) {
-	parallel.ForBalanced(en.g.M(), en.workers, en.work, func(lo, hi int) {
-		en.emitRange(lo, hi, batchCap, newSink())
+	en.forEachRange(en.workers, func(int) func([]Triangle) { return newSink() })
+}
+
+// forEachRange is the one emission loop: every work range is enumerated by
+// the worker that claims it, into that worker's emitter (allocated on its
+// first claim) and out to the sink newSink(worker) returns for the range.
+func (en *Engine) forEachRange(workers int, newSink func(worker int) func(batch []Triangle)) {
+	m := en.g.M()
+	per := make([]*emitter, parallel.Resolve(workers, m))
+	parallel.ForBalancedWorker(m, workers, en.work, func(w, lo, hi int) {
+		if per[w] == nil {
+			per[w] = en.newEmitter(batchCap)
+		}
+		en.emitRange(lo, hi, per[w], newSink(w))
 	})
 }
 
@@ -218,31 +301,6 @@ func (en *Engine) ForEach(fn func(t Triangle)) {
 	en.ForEachBatch(func() func([]Triangle) { return sink })
 }
 
-// emitRange hands sink every triangle whose rank-lowest edge lies in
-// [lo, hi), in reference order, in batches of up to capacity.
-func (en *Engine) emitRange(lo, hi, capacity int, sink func(batch []Triangle)) {
-	b := batcher{buf: make([]Triangle, capacity), sink: sink}
-	for e := lo; e < hi; e++ {
-		ce := graph.EdgeID(e)
-		cu, cv := en.orient(ce)
-		un, ue := en.forward(cu)
-		vn, ve := en.forward(cv)
-		intersectEmit(un, ue, vn, ve, cu, cv, ce, &b)
-	}
-	b.flush()
-}
-
-// countRange counts the triangles whose rank-lowest edge lies in [lo, hi)
-// without materializing them.
-func (en *Engine) countRange(lo, hi int) int64 {
-	var c int64
-	for e := lo; e < hi; e++ {
-		u, v := en.orient(graph.EdgeID(e))
-		c += intersectCount(en.nbr[en.off[u]:en.off[u+1]], en.nbr[en.off[v]:en.off[v+1]])
-	}
-	return c
-}
-
 // Count returns the number of triangles.
 func (en *Engine) Count() int64 { return en.CountPart(0, 1) }
 
@@ -252,19 +310,20 @@ func (en *Engine) Count() int64 { return en.CountPart(0, 1) }
 // fair share of Count's time, not of its edges. The slices tile the edge
 // order: for every of >= 1 the parts sum to Count(), which is how a cluster
 // spreads one exact count over shards that each hold the whole graph.
-// Per-worker counters replace the per-triangle atomic of the reference
-// path; integer addition commutes, so the result is independent of the
-// worker count.
+// Each worker adds into its own padded counter, against its own marks;
+// integer addition commutes, so the result is independent of the worker
+// count.
 func (en *Engine) CountPart(i, of int) int64 {
 	lo, hi := parallel.BalancedCut(en.work, i, of), parallel.BalancedCut(en.work, i+1, of)
 	nw := parallel.Resolve(en.workers, hi-lo)
-	if nw == 1 {
-		return en.countRange(lo, hi)
-	}
 	const pad = 8 // one cache line per counter
 	acc := make([]int64, nw*pad)
+	per := make([]*marks, nw)
 	parallel.ForBalancedWorker(hi-lo, en.workers, en.work[lo:hi+1], func(w, a, b int) {
-		acc[w*pad] += en.countRange(lo+a, lo+b)
+		if per[w] == nil {
+			per[w] = en.newMarks()
+		}
+		acc[w*pad] += en.countRange(lo+a, lo+b, per[w])
 	})
 	var total int64
 	for w := 0; w < nw; w++ {
@@ -296,17 +355,17 @@ func (en *Engine) accWorkers(m int) int {
 // batch. Each worker tallies into its own array (worker 0 into the result
 // itself) and the arrays are summed at the end — no atomics.
 func (en *Engine) accumulate(size int, add func(acc []int64, batch []Triangle)) []int64 {
-	m := en.g.M()
 	counts := make([]int64, size)
-	per := make([][]int64, en.accWorkers(m))
-	per[0] = counts
-	for w := 1; w < len(per); w++ {
-		per[w] = make([]int64, size)
+	per := make([][]int64, en.accWorkers(en.g.M()))
+	sinks := make([]func([]Triangle), len(per))
+	for w := range per {
+		acc := counts
+		if w > 0 {
+			acc = make([]int64, size)
+		}
+		per[w], sinks[w] = acc, func(batch []Triangle) { add(acc, batch) }
 	}
-	parallel.ForBalancedWorker(m, len(per), en.work, func(w, lo, hi int) {
-		acc := per[w]
-		en.emitRange(lo, hi, batchCap, func(batch []Triangle) { add(acc, batch) })
-	})
+	en.forEachRange(len(per), func(w int) func([]Triangle) { return sinks[w] })
 	if len(per) > 1 {
 		parallel.ForChunks(size, en.workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
@@ -347,134 +406,7 @@ func (en *Engine) PerEdge() []int64 {
 // engine's worker count. Intended for tests and small graphs.
 func (en *Engine) List() []Triangle {
 	var out []Triangle
-	en.emitRange(0, en.g.M(), batchCap, func(batch []Triangle) { out = append(out, batch...) })
+	sink := func(batch []Triangle) { out = append(out, batch...) }
+	en.forEachRange(1, func(int) func([]Triangle) { return sink })
 	return out
-}
-
-// gallopCutoff is the length ratio beyond which the intersection switches
-// from linear merge to galloping search over the longer list. Merge costs
-// |A|+|B|; galloping costs ~|B| log |A| — the crossover sits near |A|/|B| =
-// log |A|, and 16 keeps the branchy gallop out of balanced cases.
-const gallopCutoff = 16
-
-// gallopTo returns the first index >= from with a[idx] >= w (or len(a)):
-// exponential probe doubling from the cursor, then binary search inside the
-// bracketed window — O(log d) per lookup where d is the cursor advance, so
-// a full pass over a skewed pair costs O(|short| log |long|).
-func gallopTo(a []graph.NodeID, from int, w graph.NodeID) int {
-	lo, step := from, 1
-	for lo+step < len(a) && a[lo+step] < w {
-		lo += step
-		step <<= 1
-	}
-	hi := lo + step
-	if hi > len(a) {
-		hi = len(a)
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < w {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// intersectEmit pushes one triangle {u, v, w} per common element w of the
-// ID-sorted forward lists (an, ae) of u and (bn, be) of v, in increasing ID
-// order; e is the edge {u, v}. The kernel is adaptive: linear merge for
-// balanced lengths, galloping over the longer list when skewed past
-// gallopCutoff.
-func intersectEmit(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be []graph.EdgeID,
-	u, v graph.NodeID, e graph.EdgeID, out *batcher) {
-	switch {
-	case len(an) == 0 || len(bn) == 0:
-	case len(an) > gallopCutoff*len(bn):
-		j := 0
-		for i, w := range bn {
-			j = gallopTo(an, j, w)
-			if j == len(an) {
-				return
-			}
-			if an[j] == w {
-				out.push(Triangle{V: [3]graph.NodeID{u, v, w}, E: [3]graph.EdgeID{e, ae[j], be[i]}})
-				j++
-			}
-		}
-	case len(bn) > gallopCutoff*len(an):
-		j := 0
-		for i, w := range an {
-			j = gallopTo(bn, j, w)
-			if j == len(bn) {
-				return
-			}
-			if bn[j] == w {
-				out.push(Triangle{V: [3]graph.NodeID{u, v, w}, E: [3]graph.EdgeID{e, ae[i], be[j]}})
-				j++
-			}
-		}
-	default:
-		i, j := 0, 0
-		for i < len(an) && j < len(bn) {
-			x, y := an[i], bn[j]
-			if x == y {
-				out.push(Triangle{V: [3]graph.NodeID{u, v, x}, E: [3]graph.EdgeID{e, ae[i], be[j]}})
-			}
-			i += b2i(x <= y)
-			j += b2i(x >= y)
-		}
-	}
-}
-
-// intersectCount is intersectEmit reduced to the match count — the Count
-// hot path, free of any per-match call. Its balanced arm advances both
-// cursors by comparison results instead of branching on them: which list is
-// ahead is a coin flip the branch predictor loses.
-func intersectCount(an, bn []graph.NodeID) int64 {
-	var c int64
-	switch {
-	case len(an) == 0 || len(bn) == 0:
-	case len(an) > gallopCutoff*len(bn):
-		j := 0
-		for _, w := range bn {
-			j = gallopTo(an, j, w)
-			if j == len(an) {
-				return c
-			}
-			if an[j] == w {
-				c++
-				j++
-			}
-		}
-	case len(bn) > gallopCutoff*len(an):
-		j := 0
-		for _, w := range an {
-			j = gallopTo(bn, j, w)
-			if j == len(bn) {
-				return c
-			}
-			if bn[j] == w {
-				c++
-				j++
-			}
-		}
-	default:
-		i, j := 0, 0
-		for i < len(an) && j < len(bn) {
-			x, y := an[i], bn[j]
-			c += int64(b2i(x == y))
-			i += b2i(x <= y)
-			j += b2i(x >= y)
-		}
-	}
-	return c
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

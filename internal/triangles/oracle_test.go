@@ -12,20 +12,23 @@ import (
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/oracle"
+	"slimgraph/internal/rng"
 	"slimgraph/internal/succinct"
 	"slimgraph/internal/triangles"
 )
 
+// List is the reference sequence whatever the engine's worker count, and
+// Count the reference count, on every differential graph.
 func TestListMatchesReferenceOrder(t *testing.T) {
 	for name, g := range triangles.DiffGraphs() {
 		want := oracle.ReferenceList(g)
-		got := triangles.List(g)
-		if len(got) != len(want) {
-			t.Fatalf("%s: List has %d triangles, reference %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: triangle %d = %+v, reference %+v", name, i, got[i], want[i])
+		for _, workers := range []int{1, 2, 7} {
+			en := triangles.NewEngine(g, workers)
+			if got := en.Count(); got != int64(len(want)) {
+				t.Fatalf("%s workers %d: Count = %d, reference lists %d", name, workers, got, len(want))
+			}
+			if got := en.List(); !slices.Equal(got, want) {
+				t.Fatalf("%s workers %d: List (%d triangles) is not the reference sequence (%d)", name, workers, len(got), len(want))
 			}
 		}
 	}
@@ -60,28 +63,65 @@ func TestEngineReuse(t *testing.T) {
 // stands on: for every number of parts — more parts than edges included —
 // the work slices tile the edge order, so their counts add up to Count()
 // and to the pre-engine enumeration's count, on raw and packed forms and
-// for any worker count.
+// for any worker count. The cuts land inside runs of edges sharing one
+// lower endpoint (checked, wherever the graph has such a run), so a part
+// that relied on its predecessor's stamps would miscount here.
 func TestEnginePartsSumToCount(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
+	graphs := map[string]*graph.Graph{
 		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
 		"grid32": gen.Grid2D(32, 32, true),
 		"path":   gen.Path(3),
 		"empty":  gen.ErdosRenyi(0, 0, 1),
-	} {
+	}
+	for _, name := range []string{"star-of-cliques", "two-hub", "clique"} {
+		graphs[name] = triangles.DiffGraphs()[name]
+	}
+	for name, g := range graphs {
 		want := oracle.ReferenceCount(g, 1)
+		hasRun := g.M() > g.N() // more edges than lower endpoints
 		for form, a := range map[string]graph.AdjacencyEdges{"raw": g, "packed": succinct.Pack(g, 1)} {
 			for _, workers := range []int{1, 3} {
 				en := triangles.NewEngine(a, workers)
 				if got := en.Count(); got != want {
 					t.Fatalf("%s/%s workers %d: Count = %d, reference %d", name, form, workers, got, want)
 				}
-				for _, of := range []int{1, 2, 3, 7, g.M() + 5} {
+				for _, of := range []int{1, 2, 3, 7, g.M() + 1} {
 					var sum int64
 					for i := 0; i < of; i++ {
 						sum += en.CountPart(i, of)
 					}
 					if sum != want {
 						t.Errorf("%s/%s workers %d: %d parts sum to %d triangles, Count is %d", name, form, workers, of, sum, want)
+					}
+					if hasRun && of >= 7 && triangles.MidRunCuts(en, of) == 0 {
+						t.Errorf("%s/%s: no cut of %d parts lands inside a run", name, form, of)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountApproxIsTheSequentialSample pins DOULION's estimate to the last
+// bit: whatever the worker count and representation, it is the exact count
+// of the edges a sequential pass over the hashed coins keeps, over p³.
+func TestCountApproxIsTheSequentialSample(t *testing.T) {
+	g := gen.RMAT(11, 12, 0.57, 0.19, 0.19, 5)
+	forms := map[string]graph.AdjacencyEdges{"raw": g, "packed": succinct.Pack(g, 1)}
+	for _, p := range []float64{1, 0.6, 0.05} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			var kept []graph.Edge
+			for e := 0; e < g.M(); e++ {
+				if float64(rng.Hash64(seed, uint64(e))>>11)/(1<<53) < p {
+					u, v := g.EdgeEndpoints(graph.EdgeID(e))
+					kept = append(kept, graph.Edge{U: u, V: v, W: 1})
+				}
+			}
+			want := float64(oracle.ReferenceCount(graph.FromEdges(g.N(), false, kept), 1)) / (p * p * p)
+			for form, a := range forms {
+				for _, workers := range []int{1, 2, 7} {
+					if got := triangles.CountApprox(a, p, seed, workers); got != want {
+						t.Errorf("p=%v seed=%d %s workers=%d: estimate %v, sequential sample gives %v", p, seed, form, workers, got, want)
 					}
 				}
 			}

@@ -8,23 +8,27 @@
 //
 // All enumeration runs on an Engine: a rank-oriented forward CSR built once
 // per graph (see Engine for the orientation invariant) and then traversed
-// by oriented-wedge intersection with an adaptive merge/galloping kernel,
-// work-balanced over prefix-summed intersection costs. Total work is
-// O(m^{3/2}) — the bound quoted in Table 2 — and, unlike the preserved
-// Reference* path, every adjacency scan is truncated to the O(√m) forward
-// lists. The package-level functions are thin wrappers that build a
-// single-use Engine; callers enumerating more than once over the same graph
-// should build the Engine themselves and reuse it.
+// by one intersection kernel, a marked scan. Canonical edge order groups
+// the edges (a, b) by their lower-ID endpoint a, so a range stamps F(a) into
+// a per-worker array of n entries once per run, scans F(b) against the
+// stamps for every edge of the run — |F(b)| independent loads, no cursor
+// chain — and erases the stamps by walking F(a) again; ranges are
+// work-balanced over the prefix-summed cost of exactly those steps. Total
+// work is O(m^{3/2}) — the bound quoted in Table 2 — because every list
+// touched is an O(√m) forward list. The package-level functions are thin
+// wrappers that build a single-use Engine; callers enumerating more than
+// once over the same graph should build the Engine themselves and reuse it.
 //
 // Emission is batched. One emitter serves ForEachBatch, ForEach, PerVertex,
-// PerEdge and List: the intersection writes each match as a Triangle into a
-// per-range buffer of 256 entries and the consumer is called once per full
-// buffer (and once for the remainder), so a triangle costs the merge step
-// that found it plus one 24-byte store, not a call. Order guarantee: within
-// a work range, batches arrive — and triangles lie within a batch — in the
-// reference order, ascending rank-lowest EdgeID then ascending third-vertex
-// ID, whatever the batch capacity; at one worker the graph is a single
-// range. Only Count bypasses the emitter, with a match-counting merge.
+// PerEdge and List: the scan writes each match as a Triangle into a
+// per-worker buffer of 256 entries and the consumer is called once per full
+// buffer (and once for the remainder of a range), so a triangle costs the
+// scan step that found it plus one 24-byte store, not a call. Order
+// guarantee: within a work range, batches arrive — and triangles lie within
+// a batch — in the reference order, ascending rank-lowest EdgeID then
+// ascending third-vertex ID, whatever the batch capacity; at one worker the
+// graph is a single range. Count runs the same scan and adds up the hits
+// instead of writing them.
 //
 // Directed graphs are NOT supported here: callers must symmetrize first
 // (enumeration panics on a directed graph).
@@ -98,12 +102,28 @@ func CountApprox(a graph.AdjacencyEdges, p float64, seed uint64, workers int) fl
 		panic("triangles: directed graphs are not supported; symmetrize first")
 	}
 	eu, ev, _ := graph.EdgeColumnsOf(a, workers)
-	keep := func(e int) bool {
-		return float64(rng.Hash64(seed, uint64(e))>>11)/(1<<53) < p
-	}
-	kept := make([]graph.Edge, parallel.Pack(a.M(), workers, keep, nil))
-	parallel.Pack(a.M(), workers, keep, func(e int, pos int64) {
-		kept[pos] = graph.Edge{U: eu[e], V: ev[e], W: 1}
+	// Each coin is flipped once: block b of the canonical order writes the IDs
+	// it keeps at the front of its own stretch of ids, and a scan of the block
+	// counts places them — canonical order, whatever the worker count.
+	m := a.M()
+	blocks := parallel.Blocks(m, 0, workers)
+	ids := make([]graph.EdgeID, m)
+	starts := make([]int64, blocks+1)
+	parallel.ForBlocks(m, blocks, workers, func(b, lo, hi int) {
+		k := lo
+		for e := lo; e < hi; e++ {
+			if float64(rng.Hash64(seed, uint64(e))>>11)/(1<<53) < p {
+				ids[k] = graph.EdgeID(e)
+				k++
+			}
+		}
+		starts[b] = int64(k - lo)
+	})
+	kept := make([]graph.Edge, parallel.ExclusiveScan(starts, 1))
+	parallel.ForBlocks(m, blocks, workers, func(b, lo, _ int) {
+		for i, e := range ids[lo : lo+int(starts[b+1]-starts[b])] {
+			kept[starts[b]+int64(i)] = graph.Edge{U: eu[e], V: ev[e], W: 1}
+		}
 	})
 	sampled, err := graph.FromCanonicalEdges(a.N(), false, false, kept)
 	if err != nil {

@@ -2,11 +2,13 @@ package triangles
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
+	"slimgraph/internal/parallel"
 	"slimgraph/internal/rng"
 )
 
@@ -14,6 +16,19 @@ import (
 // where the tests against internal/oracle live (oracle imports this
 // package, so they cannot be in-package).
 var DiffGraphs = diffGraphs
+
+// MidRunCuts reports, for the external tests, how many of CountPart's `of`
+// cuts fall strictly inside a run of canonical edges sharing one lower
+// endpoint — where a part cannot inherit a predecessor's stamps.
+func MidRunCuts(en *Engine, of int) int {
+	mid := 0
+	for i := 1; i < of; i++ {
+		if c := parallel.BalancedCut(en.work, i, of); c > 0 && c < len(en.eu) && en.eu[c] == en.eu[c-1] {
+			mid++
+		}
+	}
+	return mid
+}
 
 func TestCountSmallKnown(t *testing.T) {
 	cases := []struct {
@@ -205,12 +220,26 @@ func TestDirectedPanics(t *testing.T) {
 	Count(gen.RMATDirected(5, 4, 0.57, 0.19, 0.19, 1), 1)
 }
 
+// sinkCount keeps the measured calls of BenchmarkCountRMAT12 alive.
+var sinkCount int64
+
+// BenchmarkCountRMAT12 runs both consumers of the marked-scan kernel on one
+// prebuilt engine: the counting scan and batched emission.
 func BenchmarkCountRMAT12(b *testing.B) {
-	g := gen.RMAT(12, 16, 0.57, 0.19, 0.19, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Count(g, 0)
-	}
+	en := NewEngine(gen.RMAT(12, 16, 0.57, 0.19, 0.19, 1), 0)
+	b.Run("count", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkCount = en.Count()
+		}
+	})
+	b.Run("emit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var n int64
+			sink := func(batch []Triangle) { atomic.AddInt64(&n, int64(len(batch))) }
+			en.ForEachBatch(func() func([]Triangle) { return sink })
+			sinkCount = n
+		}
+	})
 }
 
 // naivePerElement is an O(n·d²) center-based reference: for every vertex u
@@ -246,8 +275,10 @@ func int64sEqual(a, b []int64) bool {
 }
 
 // diffGraphs is the graph spread the engine differential tests run over:
-// skewed, community, clique (forces the galloping kernel), and randomized
-// multigraph inputs.
+// skewed, community, clique (47-long forward lists scanned against 1-long
+// ones and back), a star of cliques and two adjacent hubs (runs of one lower
+// endpoint hundreds of edges long, stamped lists from empty to clique-sized),
+// and randomized multigraph inputs.
 func diffGraphs() map[string]*graph.Graph {
 	gs := map[string]*graph.Graph{
 		"rmat":    gen.RMAT(10, 8, 0.57, 0.19, 0.19, 3),
@@ -263,15 +294,40 @@ func diffGraphs() map[string]*graph.Graph {
 		edges[i] = graph.Edge{U: graph.NodeID(r.Intn(60)), V: graph.NodeID(r.Intn(60)), W: 1}
 	}
 	gs["random"] = graph.FromEdges(60, false, edges)
+
+	// Vertex 0 is adjacent to every member of eight 9-cliques.
+	var star []graph.Edge
+	for c := 0; c < 8; c++ {
+		for i := 1 + 9*c; i < 10+9*c; i++ {
+			star = append(star, graph.Edge{U: 0, V: graph.NodeID(i), W: 1})
+			for j := i + 1; j < 10+9*c; j++ {
+				star = append(star, graph.Edge{U: graph.NodeID(i), V: graph.NodeID(j), W: 1})
+			}
+		}
+	}
+	gs["star-of-cliques"] = graph.FromEdges(73, false, star)
+
+	// Hubs 0 and 199 are adjacent, share 120 neighbours (a ring, so the shared
+	// neighbours close triangles among themselves too) and own 40 each.
+	hubs := []graph.Edge{{U: 0, V: 199, W: 1}}
+	for v := 1; v <= 160; v++ {
+		hubs = append(hubs, graph.Edge{U: 0, V: graph.NodeID(v), W: 1})
+	}
+	for v := 41; v <= 198; v++ {
+		hubs = append(hubs, graph.Edge{U: 199, V: graph.NodeID(v), W: 1})
+	}
+	for v := 41; v < 160; v++ {
+		hubs = append(hubs, graph.Edge{U: graph.NodeID(v), V: graph.NodeID(v + 1), W: 1})
+	}
+	gs["two-hub"] = graph.FromEdges(200, false, hubs)
 	return gs
 }
 
 // Batched emission must not depend on the batch capacity: for capacities
 // around one element and around the production 256, the concatenated batches
 // are List() — itself pinned to the reference order above. The clique
-// drives the intersection past the gallop cutoff (47-long against 1-long
-// forward lists), so galloping and merging arms both emit into batches that
-// fill mid-intersection.
+// scans 1-long forward lists against 47 stamps and 47-long ones against one,
+// so batches fill mid-scan.
 func TestBatchedEmissionOrderAcrossCapacities(t *testing.T) {
 	graphs := diffGraphs()
 	for name, g := range graphs {
@@ -279,7 +335,7 @@ func TestBatchedEmissionOrderAcrossCapacities(t *testing.T) {
 		want := en.List()
 		for _, capacity := range []int{1, 2, 255, 256} {
 			var got []Triangle
-			en.emitRange(0, g.M(), capacity, func(batch []Triangle) {
+			en.emitRange(0, g.M(), en.newEmitter(capacity), func(batch []Triangle) {
 				if len(batch) == 0 || len(batch) > capacity {
 					t.Fatalf("%s capacity %d: batch of %d", name, capacity, len(batch))
 				}
@@ -312,9 +368,34 @@ func TestBatchedEmissionOrderAcrossCapacities(t *testing.T) {
 	}
 }
 
-// The counting merge (branch-free in its balanced arm) and the emitting
-// merge must agree on random sorted lists: empty, disjoint, identical, and
-// length ratios on both sides of the gallop cutoff.
+// pairEngine is the smallest engine whose kernel intersects the ID-sorted
+// lists (an, ae) and (bn, be): vertices a < b beyond every list value with
+// F(a) = an and F(b) = bn, and the canonical edge (a, b) repeated run times,
+// so a range starting past index 0 starts inside a run sharing one a. swap
+// ranks b below a.
+func pairEngine(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be []graph.EdgeID, run int, swap bool) (en *Engine, a, b graph.NodeID) {
+	for _, w := range append(append([]graph.NodeID{}, an...), bn...) {
+		if w >= a {
+			a = w + 1
+		}
+	}
+	b = a + 1
+	en = &Engine{key: make([]uint64, b+1), off: make([]int64, b+2)}
+	en.key[a], en.key[b] = 1, 2
+	if swap {
+		en.key[a], en.key[b] = 2, 1
+	}
+	en.off[b], en.off[b+1] = int64(len(an)), int64(len(an)+len(bn))
+	en.nbr = append(append(en.nbr, an...), bn...)
+	en.eid = append(append(en.eid, ae...), be...)
+	for i := 0; i < run; i++ {
+		en.eu, en.ev = append(en.eu, a), append(en.ev, b)
+	}
+	return en, a, b
+}
+
+// The counting scan and the emitting scan must agree on random sorted lists:
+// empty, disjoint, identical, and length ratios up to 17:1 either way round.
 func TestIntersectCountMatchesEmit(t *testing.T) {
 	r := rng.New(5)
 	sorted := func(n, universe int) []graph.NodeID {
@@ -330,23 +411,19 @@ func TestIntersectCountMatchesEmit(t *testing.T) {
 		}
 		return out
 	}
-	emitted := func(an, bn []graph.NodeID) int64 {
-		var n int64
-		out := batcher{buf: make([]Triangle, 3), sink: func(batch []Triangle) { n += int64(len(batch)) }}
-		ids := make([]graph.EdgeID, len(an)+len(bn))
-		intersectEmit(an, ids[:len(an)], bn, ids[:len(bn)], 0, 0, 0, &out)
-		out.flush()
-		return n
-	}
 	check := func(name string, an, bn []graph.NodeID) {
 		t.Helper()
 		want := int64(len(mapIntersect(an, bn)))
+		ids := make([]graph.EdgeID, len(an)+len(bn))
 		for _, pair := range [][2][]graph.NodeID{{an, bn}, {bn, an}} {
-			if got := intersectCount(pair[0], pair[1]); got != want {
-				t.Fatalf("%s (%d vs %d): intersectCount = %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
+			en, _, _ := pairEngine(pair[0], ids[:len(pair[0])], pair[1], ids[:len(pair[1])], 1, false)
+			if got := en.countRange(0, 1, en.newMarks()); got != want {
+				t.Fatalf("%s (%d vs %d): countRange = %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
 			}
-			if got := emitted(pair[0], pair[1]); got != want {
-				t.Fatalf("%s (%d vs %d): intersectEmit pushed %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
+			var got int64
+			en.emitRange(0, 1, en.newEmitter(3), func(batch []Triangle) { got += int64(len(batch)) })
+			if got != want {
+				t.Fatalf("%s (%d vs %d): emitRange pushed %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
 			}
 		}
 	}
@@ -389,8 +466,9 @@ func TestCountersWorkerIndependentAndMatchNaive(t *testing.T) {
 }
 
 func TestCliqueForcesGallop(t *testing.T) {
-	// In K48 the rank order is the ID order, so edge (0, 46) intersects a
-	// 47-long forward list against a 1-long one — past the gallop cutoff.
+	// In K48 the rank order is the ID order, so edge (0, 46) scans a 1-long
+	// forward list against 47 stamps and edge (45, 46) the reverse — the
+	// length skew the name remembers the galloping arm for.
 	g := gen.Complete(48)
 	want := int64(48 * 47 * 46 / 6)
 	if got := Count(g, 1); got != want {
@@ -416,13 +494,19 @@ func mapIntersect(a, b []graph.NodeID) []graph.NodeID {
 	return out
 }
 
+// TestIntersectKernelsAdaptive drives the kernel over hand-picked list pairs
+// — empty either side, interleaved, 600-long against a handful and against a
+// single hit, miss or out-of-range value — from a range that starts in the
+// middle of a run (edge 11 of 12 sharing one a), under both rank orders of
+// the discovering edge: matches arrive in ID order with the edge IDs of their
+// own lists, and V/E are ordered by rank.
 func TestIntersectKernelsAdaptive(t *testing.T) {
-	mk := func(vals ...int) ([]graph.NodeID, []graph.EdgeID) {
+	mk := func(base int, vals ...int) ([]graph.NodeID, []graph.EdgeID) {
 		ns := make([]graph.NodeID, len(vals))
 		es := make([]graph.EdgeID, len(vals))
 		for i, v := range vals {
 			ns[i] = graph.NodeID(v)
-			es[i] = graph.EdgeID(1000 + v)
+			es[i] = graph.EdgeID(base + v)
 		}
 		return ns, es
 	}
@@ -433,60 +517,86 @@ func TestIntersectKernelsAdaptive(t *testing.T) {
 	cases := [][2][]int{
 		{{}, {1, 2, 3}},
 		{{1, 2, 3}, {}},
-		{{1, 3, 5, 7}, {2, 3, 4, 7}},      // merge
-		{long, {3, 599, 600, 1200, 1797}}, // gallop over first
-		{{3, 599, 600, 1200, 1797}, long}, // gallop over second
+		{{1, 3, 5, 7}, {2, 3, 4, 7}},
+		{long, {3, 599, 600, 1200, 1797}},
+		{{3, 599, 600, 1200, 1797}, long},
 		{long, {0}},
 		{long, {1797}},
 		{long, {1798}},
 		{{5}, long},
 	}
 	for ci, c := range cases {
-		an, ae := mk(c[0]...)
-		bn, be := mk(c[1]...)
+		an, ae := mk(10000, c[0]...)
+		bn, be := mk(20000, c[1]...)
 		want := mapIntersect(an, bn)
-
-		var got []graph.NodeID
-		out := batcher{buf: make([]Triangle, 2), sink: func(batch []Triangle) {
-			for _, tr := range batch {
-				w, ea, eb := tr.V[2], tr.E[1], tr.E[2]
-				if ea != graph.EdgeID(1000+int(w)) || eb != graph.EdgeID(1000+int(w)) {
-					t.Fatalf("case %d: wrong edge ids %d/%d for match %d", ci, ea, eb, w)
-				}
-				if tr.V[0] != 7 || tr.V[1] != 9 || tr.E[0] != 11 {
-					t.Fatalf("case %d: triangle %v lost its discovering edge", ci, tr)
-				}
-				got = append(got, w)
+		for _, swap := range []bool{false, true} {
+			en, a, b := pairEngine(an, ae, bn, be, 12, swap)
+			lowE, highE := 10000, 20000 // edge-ID bases of the rank-lower and rank-higher endpoint
+			if swap {
+				a, b, lowE, highE = b, a, highE, lowE
 			}
-		}}
-		intersectEmit(an, ae, bn, be, 7, 9, 11, &out)
-		out.flush()
-		if len(got) != len(want) {
-			t.Fatalf("case %d: emit found %v, want %v", ci, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("case %d: emit order %v, want %v", ci, got, want)
+			var got []graph.NodeID
+			out := en.newEmitter(2)
+			en.emitRange(11, 12, out, func(batch []Triangle) {
+				for _, tr := range batch {
+					w := tr.V[2]
+					if tr.E[1] != graph.EdgeID(lowE+int(w)) || tr.E[2] != graph.EdgeID(highE+int(w)) {
+						t.Fatalf("case %d swap %v: wrong edge ids %d/%d for match %d", ci, swap, tr.E[1], tr.E[2], w)
+					}
+					if tr.V[0] != a || tr.V[1] != b || tr.E[0] != 11 {
+						t.Fatalf("case %d swap %v: triangle %v lost its discovering edge", ci, swap, tr)
+					}
+					got = append(got, w)
+				}
+			})
+			if len(got) != len(want) {
+				t.Fatalf("case %d swap %v: emit found %v, want %v", ci, swap, got, want)
 			}
-		}
-
-		if got := intersectCount(an, bn); got != int64(len(want)) {
-			t.Fatalf("case %d: count = %d, want %d", ci, got, len(want))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("case %d swap %v: emit order %v, want %v", ci, swap, got, want)
+				}
+			}
+			if got := en.countRange(11, 12, out.marks); got != int64(len(want)) {
+				t.Fatalf("case %d swap %v: count = %d, want %d", ci, swap, got, len(want))
+			}
+			if got := en.countRange(0, 12, out.marks); got != 12*int64(len(want)) {
+				t.Fatalf("case %d swap %v: count over the whole run = %d, want %d", ci, swap, got, 12*len(want))
+			}
 		}
 	}
 }
 
-func TestGallopTo(t *testing.T) {
-	a := []graph.NodeID{2, 4, 4, 8, 16, 32, 64}
-	for _, c := range []struct {
-		from, want int
-		w          graph.NodeID
-	}{
-		{0, 0, 0}, {0, 0, 2}, {0, 1, 3}, {0, 1, 4}, {0, 3, 5},
-		{0, 6, 64}, {0, 7, 65}, {3, 3, 2}, {3, 4, 10}, {7, 7, 1},
-	} {
-		if got := gallopTo(a, c.from, c.w); got != c.want {
-			t.Errorf("gallopTo(from=%d, w=%d) = %d, want %d", c.from, c.w, got, c.want)
+// TestMarksStayZeroBetweenRanges: one stamp array carried across count and
+// emission ranges of two different engines — cuts landing inside runs — is
+// all-zero whenever a range returns, and the ranges still add up.
+func TestMarksStayZeroBetweenRanges(t *testing.T) {
+	graphs := diffGraphs()
+	en1, en2 := NewEngine(graphs["two-hub"], 1), NewEngine(graphs["clique"], 1)
+	mk := en1.newMarks() // the larger of the two vertex sets
+	out := &emitter{marks: mk, buf: make([]Triangle, batchCap)}
+	clean := func(when string) {
+		t.Helper()
+		for v, s := range mk.stamp {
+			if s != 0 {
+				t.Fatalf("%s: stamp[%d] = %d left behind", when, v, s)
+			}
 		}
+	}
+	var got1, got2 int64
+	const parts = 9
+	for i := 0; i < parts; i++ {
+		lo, hi := en1.g.M()*i/parts, en1.g.M()*(i+1)/parts
+		got1 += en1.countRange(lo, hi, mk)
+		clean("after a count range")
+		lo, hi = en2.g.M()*i/parts, en2.g.M()*(i+1)/parts
+		en2.emitRange(lo, hi, out, func(batch []Triangle) { got2 += int64(len(batch)) })
+		clean("after an emission range")
+	}
+	if want := en1.Count(); got1 != want {
+		t.Fatalf("two-hub: ranges count %d, Count %d", got1, want)
+	}
+	if want := en2.Count(); got2 != want {
+		t.Fatalf("clique: ranges emit %d, Count %d", got2, want)
 	}
 }
