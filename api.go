@@ -198,7 +198,7 @@ func WritePackedOrder(w io.Writer, g *Graph, order Order) (int64, error) {
 	return graphio.WritePackedOrder(w, g, order)
 }
 
-// Servable images: the v2.1 snapshot layout whose sections are 8-byte
+// Servable images: the v2.3 snapshot layout whose sections are 8-byte
 // aligned so a PackedGraph attaches over the raw bytes in place — the
 // serving form behind slimgraphd's -data-dir tier. Write once, then open
 // memory-mapped in milliseconds with no decode pass and no heap copy.
@@ -248,7 +248,7 @@ func StatServable(path string) (ServableInfo, error) { return succinct.StatServa
 func AttachServable(data []byte) (*PackedGraph, error) { return succinct.AttachServable(data) }
 
 // IsServable reports whether prefix begins a servable image (as opposed to
-// the v1/v2.0 wire snapshots ReadSnapshot decodes).
+// the v1/v2.2 wire snapshots ReadSnapshot decodes).
 func IsServable(prefix []byte) bool { return succinct.IsServable(prefix) }
 
 // Adjacency is the neighborhood view shared by *Graph and *PackedGraph.

@@ -146,6 +146,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, name := range srv.Local().Attached() {
 			lg.Printf("attached %q from %s (mmap'd, zero decode)", name, *dataDir)
 		}
+		for _, reason := range srv.Local().Skipped() {
+			lg.Printf("not attached from %s: %s", *dataDir, reason)
+		}
 		// Hold traffic off until the preloads finish; a load balancer
 		// watching /readyz won't route to a shard still parsing graphs.
 		srv.SetNotReady("loading graphs")

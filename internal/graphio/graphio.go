@@ -191,10 +191,11 @@ func parseNodesHeader(comment string) (int, bool) {
 // Binary snapshot formats share the 16-byte header of
 // succinct.SnapshotHeader. Version 1 ("binary") is the fixed-width canonical
 // edge list; version 2 ("packed") is the succinct gap-encoded form, whose
-// minor 0 is the compact wire form decoded here and whose minor 1
-// (succinct.ServableMinor) is the 8-aligned servable image of
-// internal/succinct that memory-maps without a decode pass. Little-endian
-// throughout.
+// minor succinct.CompactMinor (v2.2) is the compact wire form decoded here
+// and whose minor succinct.ServableMinor (v2.3) is the 8-aligned servable
+// image of internal/succinct that memory-maps without a decode pass. Minors
+// 0 and 1 were the same two forms with LEB128 lists; they are refused, not
+// read. Little-endian throughout.
 const (
 	binaryVersion = 1
 	packedVersion = succinct.SnapshotVersion
@@ -271,12 +272,14 @@ func readSnapshot(br *bufio.Reader, limit int64, want uint8) (*graph.Graph, erro
 		return readBinaryBody(br, h, limit)
 	case h.Version != packedVersion:
 		return nil, fmt.Errorf("graphio: unsupported version %d", h.Version)
-	case h.Minor == 0:
+	case h.Minor == succinct.CompactMinor:
 		return readPackedBody(br, h, limit)
 	case servable:
 		return readServableBody(br, h, limit)
+	case h.Minor == 1: // the retired servable image
+		return nil, fmt.Errorf("graphio: %v", h.CheckMinor(succinct.ServableMinor))
 	}
-	return nil, fmt.Errorf("graphio: unsupported packed minor version %d", h.Minor)
+	return nil, fmt.Errorf("graphio: %v", h.CheckMinor(succinct.CompactMinor))
 }
 
 // sourceSize reports the total size in bytes of a reader's underlying
@@ -381,14 +384,14 @@ func WritePacked(w io.Writer, g *graph.Graph) (int64, error) {
 // relabeled by the order's gap-minimizing permutation before encoding
 // (usually shrinking the payload) and the permutation is stored in the
 // snapshot, so reading restores the original IDs losslessly. OrderNone is
-// identical to WritePacked — no permutation section is written, keeping the
-// format backward compatible.
+// identical to WritePacked — no permutation section is written.
 func WritePackedOrder(w io.Writer, g *graph.Graph, order succinct.Order) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
 	s, weights := succinct.EncodeStoredOrder(g, order, 0)
 	h := succinct.SnapshotHeader{
-		Version: packedVersion, Directed: g.Directed(), Weighted: g.Weighted(),
+		Version: packedVersion, Minor: succinct.CompactMinor,
+		Directed: g.Directed(), Weighted: g.Weighted(),
 		Permuted: s.Perm != nil, N: g.N(), M: g.M(),
 	}
 	if _, err := bw.Write(h.Append(nil)); err != nil {
@@ -424,9 +427,9 @@ func WritePackedOrder(w io.Writer, g *graph.Graph, order succinct.Order) (int64,
 	return cw.n, nil
 }
 
-// ReadPacked reads a v2 snapshot of either minor — the minor-0 compact wire
-// form written by WritePacked (blocks decode in parallel) or the minor-1
-// servable image written by succinct.WriteServable (attached, verified and
+// ReadPacked reads a v2 snapshot of either minor — the compact wire form
+// written by WritePacked (blocks decode in parallel) or the servable image
+// written by succinct.WriteServable (attached, verified and
 // unpacked; map it instead with succinct.OpenPacked to serve it without
 // decoding). The round trip is lossless: the result is graph.Equal to the
 // written graph.
@@ -434,7 +437,7 @@ func ReadPacked(r io.Reader) (*graph.Graph, error) {
 	return readSnapshot(bufio.NewReader(r), sourceSize(r), packedVersion)
 }
 
-// readServableBody loads a v2.1 servable image through the heap: the whole
+// readServableBody loads a servable image through the heap: the whole
 // image, header included, is read, attached, verified (the source is
 // untrusted — attach alone does not decode the payload) and unpacked.
 func readServableBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*graph.Graph, error) {
@@ -455,7 +458,7 @@ func readServableBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) 
 	return pg.Unpack(0), nil
 }
 
-// readPackedBody decodes the v2.0 compact wire form.
+// readPackedBody decodes the compact wire form.
 func readPackedBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*graph.Graph, error) {
 	if err := checkVertexCount(h.N, limit); err != nil {
 		return nil, err
@@ -528,7 +531,7 @@ func readPackedBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*
 }
 
 // Read reads a binary snapshot of any version, dispatching on the header
-// tag: v1 (WriteBinary), v2.0 (WritePacked) and v2.1 (succinct.WriteServable)
+// tag: v1 (WriteBinary), v2.2 (WritePacked) and v2.3 (succinct.WriteServable)
 // all load through it.
 func Read(r io.Reader) (*graph.Graph, error) {
 	return readSnapshot(bufio.NewReader(r), sourceSize(r), 0)

@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -431,10 +432,10 @@ func TestStorageReductionVisible(t *testing.T) {
 	}
 }
 
-// TestServableMinorDispatch pins that the v2.1 servable image written by
+// TestServableMinorDispatch pins that the servable image written by
 // succinct.WriteServable loads through every dispatching reader — Read,
 // ReadPacked, ReadAuto — and round-trips graph.Equal, while an unknown
-// packed minor is rejected by name.
+// packed minor and the two retired ones are rejected by name.
 func TestServableMinorDispatch(t *testing.T) {
 	for name, g := range map[string]*graph.Graph{
 		"plain":    gen.ErdosRenyi(120, 600, 21),
@@ -471,6 +472,25 @@ func TestServableMinorDispatch(t *testing.T) {
 	raw[6] = 9 // minor u16 low byte
 	if _, err := Read(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "minor") {
 		t.Fatalf("unknown packed minor: %v", err)
+	}
+	// The minors retired with the LEB128 list codec — 0, the compact form,
+	// and 1, the servable image — are refused by every reader with the
+	// version found and the version wanted, not decoded as today's layout.
+	var compact bytes.Buffer
+	if _, err := WritePacked(&compact, gen.ErdosRenyi(10, 30, 23)); err != nil {
+		t.Fatal(err)
+	}
+	for minor, img := range map[byte][]byte{0: compact.Bytes(), 1: raw} {
+		img[6] = minor
+		want := fmt.Sprintf("version 2.%d holds LEB128 gap lists, which are no longer read; want version 2.%d", minor, minor+succinct.CompactMinor)
+		for name, read := range map[string]func(io.Reader) (*graph.Graph, error){
+			"Read": Read, "ReadPacked": ReadPacked,
+			"ReadAuto": func(r io.Reader) (*graph.Graph, error) { return ReadAuto(r, false) },
+		} {
+			if _, err := read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s on a v2.%d snapshot: %v; want an error naming %q", name, minor, err, want)
+			}
+		}
 	}
 }
 

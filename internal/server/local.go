@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -32,8 +33,10 @@ type Local struct {
 	reg     *obs.Registry
 	start   time.Time
 	// attached records the graphs the startup scan re-attached from the data
-	// directory, in attach order — cmd/slimgraphd logs them.
+	// directory, in attach order, and skipped the snapshots it could not
+	// attach, each with the reason — cmd/slimgraphd logs both.
 	attached []string
+	skipped  []string
 }
 
 // NewLocal returns a Local engine. With Options.DataDir set it opens the
@@ -62,12 +65,15 @@ func NewLocal(opts Options) (*Local, error) {
 			return nil, err
 		}
 		for _, name := range names {
-			// A snapshot that no longer attaches (torn by an outside force;
-			// the atomic-write protocol never produces one) is skipped, not
-			// fatal: the rest of the catalog must still come up.
-			if err := l.catalog.attach(name); err == nil {
-				l.attached = append(l.attached, name)
+			// A snapshot that does not attach (written in a retired format
+			// version, or torn by an outside force; the atomic-write
+			// protocol never produces one) is skipped, not fatal: the rest
+			// of the catalog must still come up.
+			if err := l.catalog.attach(name); err != nil {
+				l.skipped = append(l.skipped, fmt.Sprintf("%q: %v", name, err))
+				continue
 			}
+			l.attached = append(l.attached, name)
 		}
 	}
 	l.instrument()
@@ -77,6 +83,10 @@ func NewLocal(opts Options) (*Local, error) {
 // Attached returns the graphs the startup scan re-attached from the data
 // directory, in attach order.
 func (l *Local) Attached() []string { return l.attached }
+
+// Skipped returns, as `"name": reason`, the snapshots in the data directory
+// the startup scan could not attach; they are left on disk and not served.
+func (l *Local) Skipped() []string { return l.skipped }
 
 // instrument registers the engine's observability surface: func-backed
 // counters over the variant cache's own counters (one source of truth, no

@@ -14,7 +14,7 @@ import (
 )
 
 // store is the catalog's disk tier: a data directory holding one servable
-// (v2.1) snapshot per graph plus a small JSON sidecar with the fields a
+// (v2.3) snapshot per graph plus a small JSON sidecar with the fields a
 // snapshot cannot carry (memory policy, provenance), and one directory of
 // spilled variants per graph. Every write is crash-consistent — temp file,
 // fsync, rename, directory fsync — so a file that exists under its final

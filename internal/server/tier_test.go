@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -22,6 +23,54 @@ func mustGen(t *testing.T, seed uint64) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// TestRetiredSnapshotIsNotAttached: a data directory that holds a servable
+// image of a retired version (v2.1: LEB128 lists) comes up without it — the
+// startup scan reports the refusal with the version found and the version
+// wanted, the graph is not served from bytes the current codec would
+// misread, the file is left where it is, and the rest of the directory
+// attaches as usual.
+func TestRetiredSnapshotIsNotAttached(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{CacheCapacity: 4, MaxWorkers: 2, DataDir: dir}
+	first, firstTS := newTestServer(t, opts)
+	for _, name := range []string{"old", "new"} {
+		code, body := postJSON(t, firstTS.URL+"/v1/graphs", map[string]any{
+			"name": name, "gen": "communities", "numVertices": 300, "seed": 5, "memory": MemoryPacked,
+		})
+		mustStatus(t, http.StatusCreated, code, body)
+	}
+	path := first.Local().catalog.store.graphPath("old")
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img[4] != succinct.SnapshotVersion || img[6] != succinct.ServableMinor {
+		t.Fatalf("the store wrote version %d.%d", img[4], img[6])
+	}
+	img[6] = 1 // the servable minor before the list codec changed
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second, secondTS := newTestServer(t, opts)
+	if got := second.Local().Attached(); len(got) != 1 || got[0] != "new" {
+		t.Fatalf("restart attached %v, want [new]", got)
+	}
+	skipped := second.Local().Skipped()
+	if len(skipped) != 1 || !strings.Contains(skipped[0], `"old"`) ||
+		!strings.Contains(skipped[0], "version 2.1 holds LEB128 gap lists") || !strings.Contains(skipped[0], "want version 2.3") {
+		t.Fatalf("restart skipped %q, want one refusal of \"old\" naming version 2.1 and version 2.3", skipped)
+	}
+	if code, body := get(t, secondTS.URL+"/v1/graphs/old/degrees"); code != http.StatusNotFound {
+		t.Fatalf("the retired snapshot is served: status %d, body %s", code, body)
+	}
+	code, body := get(t, secondTS.URL+"/v1/graphs/new/degrees")
+	mustStatus(t, http.StatusOK, code, body)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("the retired snapshot was removed: %v", err)
+	}
 }
 
 // TestTierWarmRestart pins the headline guarantee: a second server over the

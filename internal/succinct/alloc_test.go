@@ -8,10 +8,12 @@ package succinct
 // first pass), FirstInNeighborIn decodes into nothing at all, and Degree /
 // EdgeWeight are direct reads. None of them may allocate per call — a BFS
 // over a packed graph touches every list once and per-call garbage would
-// dominate the traversal. Excluded under -race, whose instrumentation
-// inflates AllocsPerRun.
+// dominate the traversal. The bulk decoder's allocation bound sits here as
+// well. Excluded under -race, whose instrumentation inflates AllocsPerRun
+// and doubles what slices.Grow allocates.
 
 import (
+	"runtime"
 	"testing"
 
 	"slimgraph/internal/bitset"
@@ -58,5 +60,44 @@ func TestHotAccessorsDoNotAllocate(t *testing.T) {
 		if sink == graph.NodeID(0x7fffffff) {
 			t.Log(sink) // keep the accumulator live
 		}
+	}
+}
+
+// TestDeclaredLengthBoundsTheDestination pins the allocation bound of
+// listFits: a reader sizes its destination from a declared length only when
+// the bytes behind the header can hold that many entries, eight of them a
+// byte at the densest, so it never allocates more than 32 B per payload byte
+// it was handed. A 1 MiB all-zero payload under a header of 2^34 entries is
+// refused without sizing anything; the longest list the same zeros do hold
+// (groups of width 0: consecutive neighbors) decodes inside the bound.
+func TestDeclaredLengthBoundsTheDestination(t *testing.T) {
+	zeros := make([]byte, 1<<20)
+	allocated := func(buf []byte, wantEntries int) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, next := DecodeList(nil, buf, 0, 0)
+		runtime.ReadMemStats(&after)
+		if len(got) != wantEntries || (wantEntries == 0) != (next == 0) {
+			t.Fatalf("a %d-byte payload decoded to %d entries (consumed %d), want %d", len(buf), len(got), next, wantEntries)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	hostile := append(AppendUvarint(nil, 1<<34), zeros...)
+	if n := allocated(hostile, 0); n > 4096 {
+		t.Fatalf("refusing 2^34 declared entries allocated %d B", n)
+	}
+	if l := listLen(hostile, 0); l != 0 {
+		t.Fatalf("listLen reports %d for a length the payload cannot hold", l)
+	}
+	// 1 + 8k entries in k+1 bytes behind the header: a head byte and k
+	// width bytes of 0.
+	const k = 1<<16 - 1
+	dense := append(AppendUvarint(nil, 1+8*k), zeros[:k+1]...)
+	if n := allocated(dense, 1+8*k); n > 32*uint64(len(dense))+4096 {
+		t.Fatalf("decoding %d B allocated %d B, more than 32 B per payload byte", len(dense), n)
+	}
+	if _, next := DecodeList(nil, append(AppendUvarint(nil, 2+8*k), zeros[:k+1]...), 0, 0); next != 0 {
+		t.Fatal("one entry more than the bytes can hold was accepted")
 	}
 }

@@ -13,33 +13,25 @@ import (
 // TestAccessorsAgreeOnCorruptedPayloads is the differential test of the
 // corrupt-input contract in doc.go. It damages copies of packed graphs —
 // byte flips anywhere in a payload, length headers overwritten with lengths
-// from one to beyond 2^34, gaps no reader accepts planted mid-list — and
-// then reads every vertex through every accessor. Whatever the damage: the bulk readers (Neighbors, ScanInLists)
-// agree with each other and return a list only when all of it decodes; the
-// streaming reader delivers exactly the neighbors in front of the first
-// damage, which is the whole list whenever the bulk readers return one; the
-// early-exit probe answers a linear search of what the streaming reader
-// would deliver; Degree and InDegree answer from the header alone; and
-// nothing panics or reads outside the payload.
+// from one to beyond 2^34, gaps no reader accepts planted mid-list, a width
+// byte no group has (32–255) planted over a real one, the payload cut short
+// so that groups and gaps run into its end, and cut right behind a group so
+// that a valid group ends inside the final eight bytes — and then reads
+// every vertex through every accessor. Whatever the damage: the bulk
+// readers (Neighbors, ScanInLists) agree with each other and return a list
+// only when all of it decodes; the streaming reader delivers exactly the
+// neighbors in front of the first damage, which is the whole list whenever
+// the bulk readers return one; the early-exit probe answers a linear search
+// of what the streaming reader would deliver; Degree and InDegree answer
+// from the header alone; and nothing panics or reads outside the payload.
 func TestAccessorsAgreeOnCorruptedPayloads(t *testing.T) {
-	directedTwin := func(g *graph.Graph) *graph.Graph {
-		edges := make([]graph.Edge, g.M())
-		for e := range edges {
-			u, v := g.EdgeEndpoints(graph.EdgeID(e))
-			if e%2 == 1 {
-				u, v = v, u
-			}
-			edges[e] = graph.Edge{U: u, V: v, W: 1}
-		}
-		return graph.FromEdges(g.N(), true, edges)
-	}
 	rmat10, grid32 := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77), gen.Grid2D(32, 32, true)
 	inputs := map[string]*graph.Graph{
 		"rmat10": rmat10, "rmat10-directed": directedTwin(rmat10),
 		"grid32": grid32, "grid32-directed": directedTwin(grid32),
 	}
-	const copies, perCopy = 80, 5 // 4 graphs x 80 x 5 = 1600 corruptions, four in five of them flips and headers
-	lengths := []uint64{1, 2, 31, 127, 128, 1000, 1 << 14, 1 << 20, 1 << 34, 1<<63 | 1}
+	const copies, perCopy = 80, 5 // 4 graphs x 80 x 5 = 1600 corruptions
+	lengths := []uint64{1, 2, 8, 9, 31, 127, 128, 1000, 1 << 14, 1 << 20, 1 << 34, 1<<63 | 1}
 	// Damage in the middle of a list: a gap of 2^32, and an overlong varint.
 	wide := [][]byte{{0x80, 0x80, 0x80, 0x80, 0x10}, slices.Repeat([]byte{0x80}, MaxVarintLen+1)}
 	for name, g := range inputs {
@@ -50,23 +42,57 @@ func TestAccessorsAgreeOnCorruptedPayloads(t *testing.T) {
 			bad.payload = slices.Clone(pg.payload)
 			bad.inPayload = slices.Clone(pg.inPayload)
 			for k := 0; k < perCopy; k++ {
-				payload, start := bad.payload, bad.start
+				payload, start := &bad.payload, bad.start
 				if bad.directed && r.Intn(2) == 1 {
-					payload, start = bad.inPayload, bad.inStart
+					payload, start = &bad.inPayload, bad.inStart
 				}
-				switch r.Intn(5) {
-				case 0, 1:
-					payload[r.Intn(len(payload))] ^= byte(1 + r.Intn(255))
-				case 2, 3:
+				// A vertex whose list still has its first group, and where
+				// that group's width byte is; -1 on the grids, whose lists
+				// are all shorter than nine entries.
+				width := -1
+				for try := 0; try < 32 && width < 0; try++ {
+					pos := start(graph.NodeID(r.Intn(bad.n)))
+					if d, p := Uvarint(*payload, pos); p > pos && d > groupSize {
+						if _, q := Uvarint(*payload, p); q > p && q < len(*payload) && (*payload)[q] <= maxGroupWidth {
+							width = q
+						}
+					}
+				}
+				switch kind := r.Intn(10); {
+				case kind < 3:
+					(*payload)[r.Intn(len(*payload))] ^= byte(1 + r.Intn(255))
+				case kind < 6:
 					header := AppendUvarint(nil, lengths[r.Intn(len(lengths))])
-					copy(payload[start(graph.NodeID(r.Intn(bad.n))):], header)
+					copy((*payload)[min(start(graph.NodeID(r.Intn(bad.n))), len(*payload)):], header)
+				case kind < 7:
+					copy((*payload)[r.Intn(len(*payload)):], wide[r.Intn(len(wide))])
+				case kind < 8 && width >= 0:
+					(*payload)[width] = byte(maxGroupWidth + 1 + r.Intn(255-maxGroupWidth))
+				case kind < 9 && width >= 0:
+					// The group at width stays whole and ends zero to seven
+					// bytes in front of the new end of the payload.
+					*payload = (*payload)[:min(width+1+int((*payload)[width])+r.Intn(8), len(*payload))]
 				default:
-					copy(payload[r.Intn(len(payload)):], wide[r.Intn(len(wide))])
+					*payload = (*payload)[:len(*payload)-r.Intn(min(40, len(*payload)))]
 				}
 			}
 			checkAccessorsAgree(t, name, &bad, r)
 		}
 	}
+}
+
+// directedTwin is g with every other canonical edge turned round, directed:
+// the same lists split over an out- and an in-payload.
+func directedTwin(g *graph.Graph) *graph.Graph {
+	edges := make([]graph.Edge, g.M())
+	for e := range edges {
+		u, v := g.EdgeEndpoints(graph.EdgeID(e))
+		if e%2 == 1 {
+			u, v = v, u
+		}
+		edges[e] = graph.Edge{U: u, V: v, W: 1}
+	}
+	return graph.FromEdges(g.N(), true, edges)
 }
 
 func checkAccessorsAgree(t *testing.T, name string, pg *PackedGraph, r *rng.Rand) {

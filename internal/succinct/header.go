@@ -1,17 +1,24 @@
 package succinct
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // SnapshotMagic is the shared magic of every binary snapshot version
 // ("SLMG", little-endian).
 const SnapshotMagic = uint32(0x534c4d47)
 
-// SnapshotVersion and ServableMinor identify the servable image: format
-// version 2 (packed), minor 1 (aligned, servable). Minor 0 is the compact
-// canonical-only wire form graphio decodes.
+// SnapshotVersion is the format version of the two packed forms, which the
+// minor tells apart: CompactMinor is the canonical-only wire form graphio
+// decodes, ServableMinor the aligned image a PackedGraph attaches over.
+// Minors 0 and 1 were the same two forms with one LEB128 varint per gap; the
+// list codec has since moved to groups of eight (varint.go) and no reader of
+// the old lists is kept, so every reader refuses them through CheckMinor.
 const (
 	SnapshotVersion = 2
-	ServableMinor   = 1
+	CompactMinor    = 2
+	ServableMinor   = 3
 )
 
 // SnapshotHeaderSize is the length of the prefix every binary snapshot —
@@ -27,9 +34,8 @@ const (
 	flagPermuted = 4
 )
 
-// SnapshotHeader is the decoded prefix. The u16 at offset 6 was padding
-// through v2.0 (always written zero) and now carries the minor version, so
-// old files read as minor 0.
+// SnapshotHeader is the decoded prefix. The u16 at offset 6 is the minor
+// version; v1 writes it zero.
 type SnapshotHeader struct {
 	Version  uint8
 	Minor    uint16
@@ -77,4 +83,20 @@ func ParseSnapshotHeader(prefix []byte) (h SnapshotHeader, ok bool) {
 		N:        int(le.Uint32(prefix[8:])),
 		M:        int(le.Uint32(prefix[12:])),
 	}, true
+}
+
+// CheckMinor reports whether a version-2 header carries the minor a reader
+// wants, naming both when it does not. A retired minor is told apart from an
+// unknown one: its bytes are LEB128 lists, which must never be decoded as
+// groups, and the way forward is to write the graph again from an edge list
+// or a binary v1 snapshot.
+func (h SnapshotHeader) CheckMinor(want uint16) error {
+	switch {
+	case h.Minor == want:
+		return nil
+	case h.Minor < CompactMinor:
+		return fmt.Errorf("snapshot version %d.%d holds LEB128 gap lists, which are no longer read; want version %d.%d (write the graph again from an edge list or a binary v1 snapshot)",
+			h.Version, h.Minor, SnapshotVersion, want)
+	}
+	return fmt.Errorf("snapshot version %d.%d has another minor than the version %d.%d wanted", h.Version, h.Minor, SnapshotVersion, want)
 }

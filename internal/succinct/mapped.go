@@ -29,8 +29,8 @@ type Mapped struct {
 // OpenPacked maps the servable snapshot image at path and attaches a
 // PackedGraph over it. On linux the file is mmap'd (no heap copy; restart
 // warm-up is directory validation only); elsewhere the image is read into
-// the heap via io.ReaderAt and attached the same way. Only v2.1 servable
-// images open here — write one with WriteServable. The minor-0 packed wire
+// the heap via io.ReaderAt and attached the same way. Only servable (v2.3)
+// images open here — write one with WriteServable. The compact packed wire
 // form must go through graphio's decode path instead.
 func OpenPacked(path string) (*Mapped, error) {
 	f, err := os.Open(path)

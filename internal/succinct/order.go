@@ -230,8 +230,8 @@ func (h *GapHist) Quantile(q float64) int {
 
 // GapHistogram measures g's out-adjacency gap stream under perm
 // (perm[old] = new; nil means the identity, anything else must be a
-// bijection of [0, n)) without building the payload: per new-ID list, the
-// widths and the byte size exactly as AppendList would encode them.
+// bijection of [0, n)) without keeping the payload: per new-ID list, the
+// widths and the byte size of what AppendList encodes.
 // Deterministic for any worker count.
 func GapHistogram(g *graph.Graph, perm []graph.NodeID, workers int) GapHist {
 	if perm != nil {
@@ -245,8 +245,10 @@ func GapHistogram(g *graph.Graph, perm []graph.NodeID, workers int) GapHist {
 	partial := make([]GapHist, numBlocks)
 	parallel.ForBlocks(n, numBlocks, workers, func(b, lo, hi int) {
 		h := &partial[b]
+		var list []byte
 		for v := lo; v < hi; v++ {
-			h.PayloadBytes += listWidths(graph.NodeID(v), g.Neighbors(graph.NodeID(v)), &h.Bits)
+			list = listWidths(list, graph.NodeID(v), g.Neighbors(graph.NodeID(v)), &h.Bits)
+			h.PayloadBytes += int64(len(list))
 		}
 	})
 	var out GapHist

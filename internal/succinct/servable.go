@@ -12,13 +12,13 @@ import (
 )
 
 // This file defines the servable snapshot image: graphio format version 2,
-// minor 1. Where the minor-0 packed snapshot stores only the canonical
-// direction and is decoded into a CSR at load time, the servable image
-// stores every section a PackedGraph serves from — the full gap-encoded
-// adjacency payload(s), the two-level offset directory including the
-// bit-packed per-vertex relative offsets, the canonical edge starts, the
-// pack-time permutation, and the weights — with every section padded to an
-// 8-byte boundary. A little-endian host attaches a PackedGraph directly
+// minor ServableMinor. Where the compact packed snapshot (CompactMinor)
+// stores only the canonical direction and is decoded into a CSR at load
+// time, the servable image stores every section a PackedGraph serves from —
+// the full gap-encoded adjacency payload(s), the two-level offset directory
+// including the bit-packed per-vertex relative offsets, the canonical edge
+// starts, the pack-time permutation, and the weights — with every section
+// padded to an 8-byte boundary. A little-endian host attaches a PackedGraph directly
 // over the image bytes: no decode pass, no heap copy of any section. That
 // is what lets slimgraphd mmap a snapshot and answer its first packed
 // query in milliseconds after a restart.
@@ -194,7 +194,7 @@ func WriteServable(w io.Writer, pg *PackedGraph) (int64, error) {
 }
 
 // IsServable reports whether prefix (at least 8 bytes) begins a servable
-// image: the snapshot magic with version 2, minor 1.
+// image: the snapshot magic with SnapshotVersion and ServableMinor.
 func IsServable(prefix []byte) bool {
 	if len(prefix) < 8 {
 		return false
@@ -227,8 +227,11 @@ func parseServableHeader(data []byte) (servableLayout, error) {
 		return l, fmt.Errorf("succinct: servable image: %d bytes is shorter than the %d-byte header", len(data), servableHeaderSize)
 	}
 	h, ok := ParseSnapshotHeader(data)
-	if !ok || h.Version != SnapshotVersion || h.Minor != ServableMinor {
+	if !ok || h.Version != SnapshotVersion {
 		return l, fmt.Errorf("succinct: not a servable (v%d.%d) snapshot image", SnapshotVersion, ServableMinor)
+	}
+	if err := h.CheckMinor(ServableMinor); err != nil {
+		return l, fmt.Errorf("succinct: servable image: %v", err)
 	}
 	l.directed, l.weighted, l.permuted = h.Directed, h.Weighted, h.Permuted
 	l.n, l.m = h.N, h.M

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"slimgraph/internal/graph"
@@ -240,10 +241,35 @@ func TestServableCorruptionRejected(t *testing.T) {
 		}
 	})
 	t.Run("wrong-minor", func(t *testing.T) {
-		bad := bytes.Clone(img)
-		bad[6] = 0
-		if _, err := AttachServable(bad); err == nil {
-			t.Fatalf("AttachServable accepted a minor-0 header")
+		// The retired minors (0: compact, 1: servable, both with LEB128
+		// lists), the compact form of today and a minor nobody wrote: every
+		// one is refused by an error that names the version found and the
+		// version wanted, by AttachServable, StatServable and OpenPacked
+		// alike, and is never decoded as the current layout.
+		for minor, want := range map[byte]string{
+			0: "version 2.0 holds LEB128 gap lists", 1: "version 2.1 holds LEB128 gap lists",
+			CompactMinor: "version 2.2 has another minor", 9: "version 2.9 has another minor",
+		} {
+			bad := bytes.Clone(img)
+			bad[6] = minor
+			path := filepath.Join(t.TempDir(), "old.sgp")
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, attachErr := AttachServable(bad)
+			_, statErr := StatServable(path)
+			m, openErr := OpenPacked(path)
+			if openErr == nil {
+				m.Close()
+			}
+			for reader, err := range map[string]error{"AttachServable": attachErr, "StatServable": statErr, "OpenPacked": openErr} {
+				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 2.3") {
+					t.Errorf("%s on a minor-%d header: %v; want an error naming %q and version 2.3", reader, minor, err, want)
+				}
+			}
+			if IsServable(bad) {
+				t.Errorf("IsServable accepts a minor-%d header", minor)
+			}
 		}
 	})
 	t.Run("payload-corruption-caught-by-verify", func(t *testing.T) {

@@ -2,6 +2,7 @@ package succinct
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -85,36 +86,57 @@ func TestListRoundTrip(t *testing.T) {
 }
 
 // decodeListRef is the straight-line decoder the three readers in varint.go
-// must agree with: one Uvarint per entry, append per neighbor. It returns
-// the length the header declares (0 when the header does not decode or
-// declares more entries than bytes remain), the neighbors in front of the
-// first damage — an undecodable varint, a gap or a neighbor outside
-// [0, nodeLimit) — and the position after the list, or pos when there was
-// damage. DecodeList must fail in place exactly when it reports damage and
-// return its neighbors otherwise; the streaming loop and the early-exit
-// probe, which cannot take back what they delivered, see its neighbors
-// either way.
+// must agree with: one value per step, bit by bit inside a group, append per
+// neighbor, and nothing shared with the production code but Uvarint. It
+// returns the length the header declares (0 when the header does not decode
+// or declares more entries than the bytes behind it can hold — a byte for
+// the head, one per group of eight gaps, one per gap of the varint tail),
+// the neighbors in front of the first damage — an undecodable varint, a
+// group whose width byte exceeds 31 or whose bytes run past buf, a gap or a
+// neighbor outside [0, nodeLimit) — and the position after the list, or pos
+// when there was damage. DecodeList must fail in place exactly when it
+// reports damage and return its neighbors otherwise; the streaming loop and
+// the early-exit probe, which cannot take back what they delivered, see its
+// neighbors either way.
 func decodeListRef(buf []byte, pos int, base graph.NodeID) (declared int, nbrs []graph.NodeID, next int) {
 	d, p := Uvarint(buf, pos)
-	if p == pos || d > uint64(len(buf)-p) {
+	if p == pos || d == 0 {
+		return 0, nil, p
+	}
+	if gaps := d - 1; 1+gaps/8+gaps%8 > uint64(len(buf)-p) {
 		return 0, nil, pos
 	}
-	cur := int64(base)
-	for i := uint64(0); i < d; i++ {
-		raw, q := Uvarint(buf, p)
-		if q == p || (i > 0 && raw >= nodeLimit) {
+	raw, q := Uvarint(buf, p)
+	cur := int64(base) + UnZigZag(raw)
+	if q == p || cur < 0 || cur >= nodeLimit {
+		return int(d), nil, pos
+	}
+	nbrs = append(nbrs, graph.NodeID(cur))
+	p = q
+	for k := uint64(0); k < d-1; k++ { // gap k follows entry k
+		var gap uint64
+		if k < (d-1)/8*8 {
+			j := int(k % 8)
+			if p >= len(buf) || buf[p] > 31 || p+1+int(buf[p]) > len(buf) {
+				return int(d), nbrs, pos
+			}
+			w := int(buf[p])
+			for b := 0; b < w; b++ {
+				bit := j*w + b
+				gap |= uint64(buf[p+1+bit/8]>>(bit%8)&1) << b
+			}
+			if j == 7 {
+				p += 1 + w
+			}
+		} else if gap, q = Uvarint(buf, p); q == p || gap >= nodeLimit {
 			return int(d), nbrs, pos
-		}
-		if i == 0 {
-			cur += UnZigZag(raw)
 		} else {
-			cur += int64(raw) + 1
+			p = q
 		}
-		if cur < 0 || cur >= nodeLimit {
+		if cur += int64(gap) + 1; cur >= nodeLimit {
 			return int(d), nbrs, pos
 		}
 		nbrs = append(nbrs, graph.NodeID(cur))
-		p = q
 	}
 	return int(d), nbrs, p
 }
@@ -230,6 +252,127 @@ func TestReadersRefuseNeighborsBeyondNodeID(t *testing.T) {
 	}
 }
 
+// TestShortListsKeepTheirBytes pins what the group layout promised the
+// stored formats: a list of fewer than nine entries has no group, so
+// AppendList emits exactly the bytes it emitted when every gap was a varint
+// (captured on the parent commit), and the readers read them back.
+func TestShortListsKeepTheirBytes(t *testing.T) {
+	cases := []struct {
+		base graph.NodeID
+		nbrs []graph.NodeID
+		want string
+	}{
+		{0, nil, "00"},
+		{5, []graph.NodeID{5}, "0100"},
+		{9, []graph.NodeID{0}, "0111"},
+		{0, []graph.NodeID{1073741824}, "018080808008"},
+		{1000, []graph.NodeID{872, 999, 1001, 1128}, "04ff017e017e"},
+		{3, []graph.NodeID{4, 5}, "020200"},
+		{70, []graph.NodeID{2, 131, 16515, 2113668}, "0487018001ff7f80808001"},
+		{1048576, []graph.NodeID{7, 100, 101, 4000, 1073741824}, "05f1ff7f5c00ba1edfe0ffff03"},
+		{12, []graph.NodeID{0, 1, 2, 3, 4, 5, 6}, "0717000000000000"},
+		{0, []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}, "080000000000000000"},
+		{300, []graph.NodeID{10, 138, 139, 16523, 16524, 20000, 20001, 2147483647}, "08c3047f00ff7f00931b00dde3feff07"},
+		{2147483647, []graph.NodeID{0, 2147483647}, "02fdffffff0ffeffffff07"},
+		{64, []graph.NodeID{0, 128, 256, 384, 512, 640, 768, 896}, "087f7f7f7f7f7f7f7f"},
+	}
+	for _, c := range cases {
+		buf := AppendList(nil, c.base, c.nbrs)
+		if got := fmt.Sprintf("%x", buf); got != c.want {
+			t.Errorf("base %d list %v encodes to %s, the parent wrote %s", c.base, c.nbrs, got, c.want)
+		}
+		if got, next := DecodeList(nil, buf, 0, c.base); next != len(buf) || !slices.Equal(got, c.nbrs) {
+			t.Errorf("base %d list %v decodes to %v, consumed %d of %d", c.base, c.nbrs, got, next, len(buf))
+		}
+		if s := streamed(buf, 0, c.base); !slices.Equal(s, c.nbrs) {
+			t.Errorf("base %d list %v streams as %v", c.base, c.nbrs, s)
+		}
+		var widths [65]int64
+		if size := len(listWidths(nil, c.base, c.nbrs, &widths)); size != len(buf) {
+			t.Errorf("base %d list %v: listWidths says %d bytes, AppendList wrote %d", c.base, c.nbrs, size, len(buf))
+		}
+	}
+}
+
+// TestGroupWidths round-trips one list per group width 0…31 — two groups of
+// that width and a varint tail — through the three readers, with the list
+// placed so that its last group takes each load path of decodeGroup and
+// bitsAt: far from the end of the buffer (two loads up to width 15, a load
+// per value above), exactly at the end, and with one to seven bytes behind
+// it (the byte-by-byte load). Every cut of the buffer must fail in place in
+// the bulk reader and stop the other two in front of the damage, and no
+// width may read outside the buffer (the race and bounds checks see to it).
+func TestGroupWidths(t *testing.T) {
+	const base = graph.NodeID(77)
+	for w := 0; w <= maxGroupWidth; w++ {
+		// Gaps of exactly w bits first and last in each group, smaller ones
+		// between, so every bit position of the width carries a value.
+		nbrs := []graph.NodeID{base - 7} // a one-byte head: the first width byte is list[2]
+		for k := 0; k < 16; k++ {
+			gap := uint64(k) * 0x9e3779b9 & (1<<w - 1)
+			if k%8 == 0 || k%8 == 7 {
+				gap |= 1 << w >> 1
+			}
+			if next := uint64(nbrs[len(nbrs)-1]) + gap + 1; next < nodeLimit {
+				nbrs = append(nbrs, graph.NodeID(next))
+			}
+		}
+		if w < 29 { // wider gaps leave no room below nodeLimit for two groups and a tail
+			nbrs = append(nbrs, nbrs[len(nbrs)-1]+1, nbrs[len(nbrs)-1]+300)
+		}
+		list := AppendList(nil, base, nbrs)
+		if len(nbrs) >= 9 && int(list[2]) != w {
+			t.Fatalf("width %d: the first group is stored at width %d", w, list[2])
+		}
+		for _, behind := range []int{64, 0, 1, 2, 3, 4, 5, 6, 7} {
+			// Groups only: the last group ends where the buffer does.
+			for _, entries := range []int{len(nbrs), 1 + (len(nbrs)-1)/8*8} {
+				buf := append(AppendList([]byte{0xee, 0xee, 0xee}, base, nbrs[:entries]), slices.Repeat([]byte{0xff}, behind)...)
+				end := len(buf) - behind
+				want := nbrs[:entries]
+				if _, ref, refNext := decodeListRef(buf, 3, base); refNext != end || !slices.Equal(ref, want) {
+					t.Fatalf("width %d, %d bytes behind: the reference decodes %v, consumed %d of %d", w, behind, ref, refNext, end)
+				}
+				kept := []graph.NodeID{42}
+				if got, next := DecodeList(slices.Clone(kept), buf, 3, base); next != end || !slices.Equal(got[1:], want) {
+					t.Fatalf("width %d, %d bytes behind: DecodeList = %v, consumed %d of %d, want %v", w, behind, got, next, end, want)
+				}
+				if s := streamed(buf, 3, base); !slices.Equal(s, want) {
+					t.Fatalf("width %d, %d bytes behind: streamed %v, want %v", w, behind, s, want)
+				}
+				// The probe looks for the last neighbor, in a set no larger
+				// than 4 Mbit: behind that it must stop at the first
+				// neighbor the set does not cover.
+				n, last := 1<<22, want[len(want)-1]
+				set := bitset.New(n)
+				if int(last) < n {
+					set.Set(int(last))
+				} else {
+					last = -1
+				}
+				if hit := firstInSet(buf, 3, base, n, set); hit != last {
+					t.Fatalf("width %d, %d bytes behind: the probe found %d, want %d", w, behind, hit, last)
+				}
+				if behind != 0 {
+					continue
+				}
+				for cut := 3; cut < len(buf); cut++ {
+					_, ref, _ := decodeListRef(buf[:cut], 3, base)
+					if got, next := DecodeList(slices.Clone(kept), buf[:cut], 3, base); next != 3 || !slices.Equal(got, kept) {
+						t.Fatalf("width %d cut to %d of %d bytes: next=%d dst=%v", w, cut, len(buf), next, got)
+					}
+					if s := streamed(buf[:cut], 3, base); !slices.Equal(s, ref) {
+						t.Fatalf("width %d cut to %d of %d bytes: streamed %v, the reference gives %v", w, cut, len(buf), s, ref)
+					}
+					if hit := firstInSet(buf[:cut], 3, base, n, set); hit != -1 {
+						t.Fatalf("width %d cut to %d of %d bytes: the probe found %d behind the cut", w, cut, len(buf), hit)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzVarintRoundTrip pins the codec's core contract: every uint64 and
 // every signed delta survives encode/decode, truncated prefixes fail in
 // place, and the list layout round-trips a two-element adjacency derived
@@ -280,13 +423,14 @@ func firstMember(nbrs []graph.NodeID, n int, set *bitset.Bits) graph.NodeID {
 }
 
 // FuzzDecodeListRobust feeds arbitrary bytes to the list decoder, which
-// must never panic and must fail in place on corruption, and to the
-// streaming loop and the early-exit probe, which for any base, vertex count
-// and set must deliver what DecodeList delivers — the probe, DecodeList
-// followed by firstMember — and must not read the set at or beyond n. Both
-// stop at the first damage, so on a corrupt list they are held to the
-// longest prefix that does decode: nothing behind it, "not found" unless a
-// member precedes it. The declared length is held to the same header checks.
+// must never panic, must fail in place on corruption and otherwise return
+// what the straight-line reference returns, and to the streaming loop and
+// the early-exit probe, which for any base, vertex count and set must
+// deliver what the reference delivers — the probe, the reference followed
+// by firstMember — and must not read the set at or beyond n. Both stop at
+// the first damage, so on a corrupt list they are held to the neighbors in
+// front of it: nothing behind it, "not found" unless a member precedes it.
+// The declared length is held to the reference's header checks.
 func FuzzDecodeListRobust(f *testing.F) {
 	f.Add([]byte{}, int32(0), uint16(0), []byte{})
 	f.Add([]byte{0x00}, int32(0), uint16(8), []byte{0xff})
@@ -297,6 +441,12 @@ func FuzzDecodeListRobust(f *testing.F) {
 	f.Add([]byte{0x03, 0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00}, int32(0), uint16(100), []byte{0xff})
 	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x40, 0x02, 0x00}, int32(0), uint16(16), []byte{0xff}) // 2^34 entries declared
 	f.Add([]byte{0x02, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, int32(7), uint16(16), []byte{0xff})
+	grouped := AppendList(nil, 40, []graph.NodeID{3, 4, 9, 17, 30, 31, 77, 200, 201, 1000, 5000, 5001})
+	f.Add(grouped, int32(40), uint16(6000), []byte{0x00, 0x00, 0x80})                     // one group and a tail
+	f.Add(grouped[:len(grouped)-4], int32(40), uint16(6000), []byte{0x00})                // the tail cut
+	f.Add(grouped[:6], int32(40), uint16(6000), []byte{0xff})                             // the group cut
+	f.Add([]byte{0x09, 0x00, 0x20, 0x00, 0x00}, int32(0), uint16(64), []byte{0x00})       // a width byte of 32
+	f.Add([]byte{0x11, 0x02, 0x00, 0x00}, int32(0), uint16(64), []byte{0x00, 0x00, 0x01}) // two groups of width 0
 	f.Fuzz(func(t *testing.T, buf []byte, base int32, n16 uint16, members []byte) {
 		got, next := DecodeList(nil, buf, 0, base)
 		if next == 0 && len(got) != 0 {
@@ -320,22 +470,15 @@ func FuzzDecodeListRobust(f *testing.F) {
 		for i := n; i%64 != 0; i++ {
 			set.Set(i)
 		}
-		longest, declared := got, len(got)
-		if d, p := Uvarint(buf, 0); next == 0 && p > 0 && d <= uint64(len(buf)-p) {
-			declared = int(d)
-			for k := uint64(1); k <= d; k++ {
-				prefix, ok := DecodeList(nil, append(AppendUvarint(nil, k), buf[p:]...), 0, base)
-				if ok == 0 {
-					break
-				}
-				longest = prefix
-			}
+		declared, longest, refNext := decodeListRef(buf, 0, base)
+		if next != refNext || (next != 0 && !slices.Equal(got, longest)) {
+			t.Fatalf("decode of %x (base %d) = %v, consumed %d; the reference gives %v, consumed %d", buf, base, got, next, longest, refNext)
 		}
 		if s := streamed(buf, 0, base); !slices.Equal(s, longest) {
-			t.Fatalf("stream of %x (base %d) = %v, DecodeList gives %v", buf, base, s, longest)
+			t.Fatalf("stream of %x (base %d) = %v, the reference gives %v", buf, base, s, longest)
 		}
 		if want, probe := firstMember(longest, n, set), firstInSet(buf, 0, base, n, set); probe != want {
-			t.Fatalf("probe of %x (base %d, n %d) = %d, DecodeList and a linear search give %d", buf, base, n, probe, want)
+			t.Fatalf("probe of %x (base %d, n %d) = %d, the reference and a linear search give %d", buf, base, n, probe, want)
 		}
 		if l := listLen(buf, 0); l != declared {
 			t.Fatalf("listLen of %x = %d, the header checks of DecodeList give %d", buf, l, declared)
