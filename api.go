@@ -648,7 +648,7 @@ func PartitionByDegree(g *Graph, parts int) []PartitionRange {
 
 // Sharded serving: a coordinator + N shard cluster behind the same
 // /v1/graphs HTTP API, byte-identical to a single node for a fixed seed at
-// workers=1. See internal/cluster and cmd/slimgraphd -role.
+// the same worker count. See internal/cluster and cmd/slimgraphd -role.
 
 // ClusterOptions configures a Coordinator: shard base URLs in rank order,
 // the per-shard sub-request deadline, an optional HTTP client, and the
@@ -656,7 +656,7 @@ func PartitionByDegree(g *Graph, parts int) []PartitionRange {
 // threshold/cooldown, background health-probe interval).
 type ClusterOptions = cluster.Options
 
-// Coordinator serves the public API by scatter/gathering over shards; it
+// Coordinator serves the public API over shard replicas; it
 // implements the server's Catalog and QueryBackend seams, so
 // server.NewWithBackend(coord, coord, opts) is a drop-in cluster frontend
 // (NewLocalCluster wires this up for you).

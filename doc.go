@@ -164,16 +164,17 @@
 //
 // The same API scales out (internal/cluster, run as slimgraphd -role
 // coordinator|shard or in-process via NewLocalCluster): a coordinator
-// serves /v1/graphs by scatter/gathering partial computations — BFS
-// frontier expansions, PageRank pull sums, degree histograms, triangle
-// counts of engine work slices — over N shard replicas, splitting vertex
-// work by the same degree-balanced contiguous ranges as PartitionByDegree;
-// each part and each reduction is the single node's own kernel. Storage is
-// replicated, compute is partitioned: that keeps the determinism contract
-// intact (element-keyed scheme randomness needs the whole graph), so a
-// cluster's responses are byte-identical to a single node's for a fixed
-// seed at workers=1, and one compress request populates every replica's
-// variant cache exactly once.
+// serves /v1/graphs over N shard replicas, each holding the whole graph.
+// A kernel whose number of rounds depends on the graph — BFS, PageRank —
+// runs whole on one replica, one sub-request per query; one-round kernels
+// scatter — degree histograms over the same degree-balanced contiguous
+// ranges as PartitionByDegree, triangle counts over engine work slices.
+// Every part, whole run and reduction is the single node's own kernel.
+// Replicated storage keeps the determinism contract intact (element-keyed
+// scheme randomness needs the whole graph), so a cluster's responses are
+// byte-identical to a single node's for a fixed seed at the same worker
+// count, and one compress request populates every replica's variant cache
+// exactly once.
 //
 // # Resilience
 //
@@ -185,7 +186,7 @@
 // consecutive failures, half-open probes after a cooldown) route traffic
 // around a dead shard — opened proactively by a background /readyz prober
 // when ClusterOptions.ProbeInterval is set. Degraded execution is
-// lossless: relay queries fail over to any live replica, partitioned
+// lossless: whole queries fail over to any live replica, partitioned
 // kernels re-scatter their ranges over the survivors (ranges are pure
 // functions of (part, of), so the merged bytes never change), and compress
 // falls back to a quorum write, queueing the missed replica a repair that

@@ -11,13 +11,13 @@ import (
 	"slimgraph/internal/server"
 )
 
-// BenchmarkCoordinatorOverhead measures the scatter/gather tax: the same
-// query against a direct single-node server and against a coordinator over
-// one and three local shards. With one shard the delta is pure cluster
-// plumbing (HTTP hop, frame encode/decode, partition computation) with zero
-// algorithmic win to hide it; degrees is one round with no request vector,
-// bfs one round per level carrying the frontier, pagerank one round per
-// iteration carrying the whole rank vector.
+// BenchmarkCoordinatorOverhead measures the coordinator tax: the same query
+// against a direct single-node server and against a coordinator over one
+// and three local shards. With one shard the delta is pure cluster plumbing
+// (HTTP hop, frame encode/decode, partition computation) with zero
+// algorithmic win to hide it; degrees scatters one part per shard, bfs and
+// pagerank are one sub-request to one replica answering the whole
+// n-element vector.
 func BenchmarkCoordinatorOverhead(b *testing.B) {
 	g := gen.BarabasiAlbert(2000, 4, 7)
 	queries := []struct{ name, path string }{

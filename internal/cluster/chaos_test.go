@@ -19,8 +19,8 @@ import (
 
 // queryURLs is the mixed read workload the fault-tolerance tests replay:
 // every deterministic query endpoint, over the original graph and a
-// compressed variant. All are byte-identical to a single node at workers=1,
-// which is the property that must survive shard loss and injected faults.
+// compressed variant. All are byte-identical to a single node, which is the
+// property that must survive shard loss and injected faults.
 func queryURLs() []string {
 	base := []string{
 		"/v1/graphs/g/bfs?root=0&seed=42&workers=1",
@@ -249,22 +249,22 @@ func TestClusterChaosSoak(t *testing.T) {
 	want := expectedBodies(t, sts)
 
 	// Finite fault quotas (times=) keep the soak honest without making it
-	// flaky: well over a hundred injected faults land somewhere in the run,
+	// flaky: about a hundred injected faults land somewhere in the run,
 	// but no single request can draw enough of them to exhaust its retry
 	// budget and every quota empties before the workload does.
 	//
-	// The routed rules aim torn replies and 503s at the two routes that
-	// carry a request vector and run many rounds per query — where a frame
-	// cut short or a half-failed round would be easiest to mistake for an
-	// answer. They start once the burst from the catch-all rules has mostly
-	// drained and fire sparsely, so they land mid-query all through the run
-	// without stacking three failures on one sub-request often enough to
-	// cost the cluster a quorum.
+	// The routed rules aim torn replies and 503s at the whole-kernel routes,
+	// which carry a whole result vector per reply — where a frame cut short
+	// would be easiest to mistake for an answer. Each query sends one
+	// sub-request there, so they fire from the start; every rule's firing
+	// decisions are a pure function of its seed and match count, and the
+	// workload's three dozen BFS and three dozen PageRank queries reach the
+	// first firing match of each.
 	routed := []*resilience.FaultRule{
-		{Path: "/part/bfs", After: 100, P: 0.05, Seed: 55, Times: 15, Action: resilience.FaultTruncate},
-		{Path: "/part/bfs", After: 100, P: 0.05, Seed: 66, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
-		{Path: "/part/pr-pull", After: 400, P: 0.02, Seed: 77, Times: 15, Action: resilience.FaultTruncate},
-		{Path: "/part/pr-pull", After: 400, P: 0.02, Seed: 88, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/whole/bfs", P: 0.1, Seed: 55, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/whole/bfs", P: 0.1, Seed: 66, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/whole/pagerank", P: 0.1, Seed: 77, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/whole/pagerank", P: 0.1, Seed: 88, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
 	}
 	inj := resilience.NewInjector(append([]*resilience.FaultRule{
 		{Path: "/part/", P: 0.12, Seed: 11, Times: 40, Action: resilience.FaultDrop},

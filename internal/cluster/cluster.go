@@ -1,17 +1,21 @@
 // Package cluster shards slimgraphd across processes: a coordinator serves
-// the ordinary /v1/graphs API by scatter/gathering partial computations
-// over N shard servers, each a full slimgraphd (internal/server) extended
-// with a small /internal/v1 protocol.
+// the ordinary /v1/graphs API over N shard servers, each a full slimgraphd
+// (internal/server) extended with a small /internal/v1 protocol.
 //
-// The design is compute-partitioned, storage-replicated: every shard holds
-// the whole graph (raw or succinctly packed, the PR 3 representation
-// traversed in place), and work is split into parts (i, of) that a shard
-// turns into its share locally — the degree-aware contiguous vertex range
-// of PartitionByDegree (partition.go) for BFS, PageRank and degrees, the
+// The design is storage-replicated: every shard holds the whole graph (raw
+// or succinctly packed, traversed in place). A kernel whose number of
+// rounds depends on the graph — BFS (one round per level), PageRank (one
+// per iteration) — therefore runs whole on one replica, as one sub-request
+// answered with the kernel's whole result vector: a round trip per level
+// or iteration would cost more than the work it distributes. A kernel that
+// needs one round is compute-partitioned: work is split into parts (i, of)
+// that a shard turns into its share locally — the degree-aware contiguous
+// vertex range of PartitionByDegree (partition.go) for degrees, the
 // triangle engine's work-balanced edge slice for exact counts — from
 // nothing but the target graph, so ownership needs no metadata exchange,
 // and it stays correct even for compressed variants whose vertex count
-// differs from the original. Replicating storage is what keeps the paper's
+// differs from the original. No threshold or option chooses between the
+// two; the rule is structural. Replicating storage is what keeps the paper's
 // determinism contract intact: compression schemes key every random
 // decision by global element ID (internal/core), so a variant computed on
 // any replica is byte-identical to the single-node result, something no
@@ -25,24 +29,21 @@
 // purges the key from the others rather than leave a partially replicated
 // variant behind.
 //
-// Scatter/gather queries — BFS frontiers, PageRank iterations, degree
-// histograms, exact triangle counts — run the single node's kernels, not
-// copies of them; the coordinator only schedules. A shard's part is the
-// kernel package's range form (centrality.PullSums, metrics.DegreeHistogram,
-// triangles.Engine.CountPart on an engine built for the sub-request), and
-// so is what becomes of the replies: centrality.PowerIterate drives
-// PageRank with a scatter round as its pull step, metrics.AddHistogram and
-// Distribution finish degrees, traverse.BFSResult summarises the distances.
-// Replies merge in part order and every floating-point reduction happens
-// once, sequentially, in that shared code, so responses are byte-identical
-// to internal/server's for a fixed seed at workers=1 by construction (the
-// cluster tests pin it too). Each scatter round encodes its one bulk vector
-// (the frontier, the rank vector) once, as a fixed-width little-endian
-// frame every shard's sub-request shares, and every shard answers with the
-// same kind of frame (protocol.go), so a round costs a copy per element
-// rather than a decimal print and parse per shard. DOULION-approximate
-// triangle counts and §5 quality comparison run whole on one replica and
-// relay.
+// Every query runs the single node's kernels, not copies of them; the
+// coordinator only schedules. A whole replica runs traverse.BFS or
+// centrality.PageRank at the request's worker count, and the coordinator
+// finishes with the single node's own code (traverse.BFSResult,
+// server.TopK). A shard's part is the kernel package's range form
+// (metrics.DegreeHistogram, triangles.Engine.CountPart on an engine built
+// for the sub-request), merged in part order by metrics.AddHistogram and
+// Distribution or an integer sum. So responses are byte-identical to
+// internal/server's for a fixed seed at every worker count by construction
+// (the cluster tests pin it too). Every compute reply is a fixed-width
+// little-endian frame (protocol.go), so a reply costs a copy per element
+// rather than a decimal print and parse. DOULION-approximate triangle
+// counts and §5 quality comparison run whole on one replica too, relayed
+// over the public JSON routes; every whole request's first replica rotates
+// across the live set.
 package cluster
 
 import (
@@ -83,13 +84,13 @@ type Options struct {
 	Logger obs.Logger
 	// Retry shapes the sub-request retry policy (see resilience.RetryPolicy;
 	// zero value = 3 attempts, 25ms base backoff, seeded jitter). Retries
-	// apply only to idempotent sub-requests — partial kernels, compress
+	// apply only to idempotent sub-requests — compute routes, compress
 	// (single-flight cached shard-side), relays, probes — never to create or
 	// purge.
 	Retry resilience.RetryPolicy
 	// RetryBudget caps retries per client request across its whole fan-out
-	// (a multi-level BFS included). 0 means the default of 16; negative
-	// disables retries entirely.
+	// (a variant's replication, a scatter, a relay's failover). 0 means the
+	// default of 16; negative disables retries entirely.
 	RetryBudget int
 	// BreakerThreshold and BreakerCooldown configure the per-shard circuit
 	// breakers (defaults: 3 consecutive failures, 5s cooldown).
@@ -181,10 +182,18 @@ func doJSON(ctx context.Context, client *http.Client, method, addr, path string,
 	if err != nil || out == nil {
 		return err
 	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("decoding reply: %w", err)
+	return jsonInto(out)(data)
+}
+
+// jsonInto decodes a JSON reply into out; it is also relay's decoder for
+// the public routes.
+func jsonInto(out any) func(reply []byte) error {
+	return func(reply []byte) error {
+		if err := json.Unmarshal(reply, out); err != nil {
+			return fmt.Errorf("decoding reply: %w", err)
+		}
+		return nil
 	}
-	return nil
 }
 
 // postJSON marshals in and POSTs it as application/json.

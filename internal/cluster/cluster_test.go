@@ -52,6 +52,26 @@ func startLocal(t *testing.T, n int, shardOpts server.Options, copts Options) (*
 	return lc, ts
 }
 
+// frontOver serves each handler as a shard and starts a coordinator front
+// over them: the wiring StartLocal does, for tests that need per-shard
+// options or a shard handler wrapped in a fault.
+func frontOver(t *testing.T, copts Options, frontOpts server.Options, shards ...http.Handler) (*Coordinator, *httptest.Server) {
+	t.Helper()
+	for _, h := range shards {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		copts.Shards = append(copts.Shards, ts.URL)
+	}
+	coord, err := NewCoordinator(copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	front := httptest.NewServer(server.NewWithBackend(coord, coord, frontOpts).Handler())
+	t.Cleanup(front.Close)
+	return coord, front
+}
+
 func do(t *testing.T, method, url, contentType string, body []byte) (int, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(method, url, bytes.NewReader(body))
@@ -95,7 +115,7 @@ func testGraph(t *testing.T) *graph.Graph {
 // TestClusterMatchesSingleNode pins the core determinism contract: every
 // query against a 3-shard cluster returns bytes identical to a single-node
 // slimgraphd, for the original graph and for compressed variants, under
-// both memory policies.
+// both memory policies — BFS and PageRank at several worker counts.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	g := testGraph(t)
 	for _, memory := range []string{server.MemoryRaw, server.MemoryPacked} {
@@ -118,13 +138,18 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				if spec != "" {
 					qspec = "&spec=" + strings.ReplaceAll(spec, " ", "%20")
 				}
-				urls := []string{
-					"/v1/graphs/g/bfs?root=0&seed=42&workers=1" + qspec,
-					"/v1/graphs/g/pagerank?k=10&seed=42&workers=1" + qspec,
-					"/v1/graphs/g/triangles?seed=42&workers=1" + qspec,
-					"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers=1" + qspec,
-					"/v1/graphs/g/degrees?seed=42&workers=1" + qspec,
+				// BFS and PageRank run whole on one replica, so they match a
+				// single node at the same worker count, not only at one.
+				var urls []string
+				for _, workers := range []string{"1", "2", "7"} {
+					urls = append(urls,
+						"/v1/graphs/g/bfs?root=0&seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/pagerank?k=10&seed=42&workers="+workers+qspec)
 				}
+				urls = append(urls,
+					"/v1/graphs/g/triangles?seed=42&workers=1"+qspec,
+					"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers=1"+qspec,
+					"/v1/graphs/g/degrees?seed=42&workers=1"+qspec)
 				if spec != "" {
 					urls = append(urls, "/v1/graphs/g/compare?seed=42&workers=1"+qspec)
 				}
@@ -364,22 +389,8 @@ func TestClusterShardFailure(t *testing.T) {
 	shardOpts := server.Options{MaxWorkers: 4}
 	good0, good1 := mustShard(t, shardOpts), mustShard(t, shardOpts)
 	flaky := &flakyShard{inner: mustShard(t, shardOpts).Handler(), delay: 2 * time.Second}
-	t0 := httptest.NewServer(good0.Handler())
-	t1 := httptest.NewServer(good1.Handler())
-	t2 := httptest.NewServer(flaky)
-	defer t0.Close()
-	defer t1.Close()
-	defer t2.Close()
-
-	coord, err := NewCoordinator(Options{
-		Shards:       []string{t0.URL, t1.URL, t2.URL},
-		ShardTimeout: 200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(server.NewWithBackend(coord, coord, server.Options{MaxWorkers: 4}).Handler())
-	defer front.Close()
+	coord, front := frontOver(t, Options{ShardTimeout: 200 * time.Millisecond}, server.Options{MaxWorkers: 4},
+		good0.Handler(), good1.Handler(), flaky)
 
 	if _, err := coord.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
 		t.Fatal(err)

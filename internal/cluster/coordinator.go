@@ -11,9 +11,9 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"slimgraph/internal/centrality"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
 	"slimgraph/internal/metrics"
@@ -41,6 +41,9 @@ type Coordinator struct {
 	proberStop chan struct{}
 	proberDone chan struct{}
 	closeOnce  sync.Once
+
+	// rotation picks each relay's first replica (see relay).
+	rotation atomic.Uint64
 
 	mu     sync.RWMutex
 	graphs map[string]server.GraphInfo
@@ -498,43 +501,25 @@ func (c *Coordinator) target(ctx context.Context, name string, p server.QueryPar
 	return cr.N, cr.Spec, nil
 }
 
-// partScatter is one query's reusable state for scatter rounds against one
-// part route: what the sub-requests address, the most elements a reply
-// vector may carry, and the buffers every round reuses.
-type partScatter[T elem] struct {
-	c           *Coordinator
-	name, route string
-	p           server.QueryParams // Spec already canonical
-	max         int
-	raws        [][]byte
-	buf         []T
-}
-
-func newPartScatter[T elem](c *Coordinator, name, route, canonical string, p server.QueryParams, max int) *partScatter[T] {
-	p.Spec = canonical
-	return &partScatter[T]{c: c, name: name, route: route, p: p, max: max, raws: make([][]byte, len(c.opts.Shards))}
-}
-
-// round scatters one partial computation over the live shard set: part p
-// of `of` goes to the p-th live shard, which recomputes its range from
-// (p, of) locally — part index and shard rank are independent, so ANY
-// shard can serve ANY part. body is the round's request frame, encoded
-// once by the caller and shared by every sub-request (nil: none). visit
-// sees each part's reply in part order; v is valid only during the call.
+// scatterParts runs one partial computation over the live shard set: part
+// k of `of` goes to the k-th live shard, which derives its share from
+// (k, of) locally — part index and shard rank are independent, so ANY
+// shard can serve ANY part. visit sees each part's reply, at most max
+// elements, in part order; v is valid only during the call.
 //
 // Failure handling is re-partition-and-retry: a shard whose sub-request
 // fails fatally (after the retry policy's attempts; a reply that is not a
-// whole frame counts) is blacklisted for this round and the WHOLE part set
-// re-scatters over the survivors with the new `of`. Correctness is
-// unaffected — partition ranges are pure functions of (part, of) and
-// partial kernels pure functions of (graph, range), so the merged response
-// stays byte-identical to single-node no matter how many survivors serve
-// it. Replies are decoded and visited only after a fully successful round,
-// so a half-failed round leaves nothing behind. A 4xx relays verbatim
+// whole frame counts) is blacklisted and the WHOLE part set re-scatters
+// over the survivors with the new `of`. Correctness is unaffected —
+// partition ranges are pure functions of (part, of) and partial kernels
+// pure functions of (graph, range), so the merged response stays
+// byte-identical to single-node no matter how many survivors serve it.
+// Replies are decoded and visited only after a fully successful scatter,
+// so a half-failed one leaves nothing behind. A 4xx relays verbatim
 // immediately: every replica rejects an invalid request identically.
-func (s *partScatter[T]) round(ctx context.Context, body []byte, visit func(scalars [3]int64, v []T)) error {
-	c := s.c
-	path := "/internal/v1/graphs/" + url.PathEscape(s.name) + "/part/" + s.route
+func scatterParts[T elem](ctx context.Context, c *Coordinator, name, route string, p server.QueryParams, max int, visit func(scalars [3]int64, v []T)) error {
+	path := "/internal/v1/graphs/" + url.PathEscape(name) + "/part/" + route
+	raws := make([][]byte, len(c.opts.Shards))
 	var bad map[int]bool
 	var lastErr error
 	lastShard := -1
@@ -545,20 +530,20 @@ func (s *partScatter[T]) round(ctx context.Context, body []byte, visit func(scal
 		}
 		if len(candidates) == 0 || ctx.Err() != nil {
 			if lastShard < 0 {
-				return server.Errf(http.StatusBadGateway, "no live shards for %s", s.name)
+				return server.Errf(http.StatusBadGateway, "no live shards for %s", name)
 			}
 			return server.Errf(http.StatusBadGateway, "shard %d (%s): %v",
 				lastShard, c.opts.Shards[lastShard], lastErr)
 		}
 		of := len(candidates)
-		errs := c.scatterOver(ctx, candidates, "part:"+s.route, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
+		errs := c.scatterOver(ctx, candidates, "part:"+route, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
 			q := url.Values{"shard": {strconv.Itoa(pos)}, "of": {strconv.Itoa(of)}}
-			addCommonParams(q, s.p)
-			data, err := doRaw(ctx, c.client, http.MethodPost, addr, path, q, "application/octet-stream", bytes.NewReader(body))
+			addCommonParams(q, p)
+			data, err := doRaw(ctx, c.client, http.MethodPost, addr, path, q, "", nil)
 			if err == nil {
-				_, err = checkFrame(data, widthOf[T](), s.max)
+				_, err = checkFrame(data, widthOf[T](), max)
 			}
-			s.raws[pos] = data
+			raws[pos] = data
 			return err
 		})
 		failed := false
@@ -579,54 +564,52 @@ func (s *partScatter[T]) round(ctx context.Context, body []byte, visit func(scal
 		if failed {
 			continue
 		}
+		var buf []T
 		for pos := range of {
-			scalars, v, err := decodeFrame(s.buf, s.raws[pos], s.max)
+			scalars, v, err := decodeFrame(buf, raws[pos], max)
 			if err != nil {
 				return server.Errf(http.StatusBadGateway, "decoding part %d from shard %d: %v", pos, candidates[pos], err)
 			}
-			s.buf = v
+			buf = v
 			visit(scalars, v)
 		}
 		return nil
 	}
 }
 
-// BFS runs a level-synchronous distributed BFS: the coordinator owns the
-// distance array and the frontier; each level every shard expands the
-// frontier vertices it owns and returns the candidate next level, merged
-// in shard order. Levels are exact regardless of merge order, so the
-// distance array — and the response bytes — match the single-node server.
+// wholeVector runs a whole-kernel route on one live replica (relay) and
+// returns its reply vector, which must carry exactly n elements: a shorter
+// or longer frame is a torn reply that fails over, never a different-length
+// answer.
+func wholeVector[T elem](ctx context.Context, c *Coordinator, name, route string, q url.Values, p server.QueryParams, n int) ([]T, error) {
+	addCommonParams(q, p)
+	var v []T
+	err := c.relay(ctx, http.MethodPost, "/internal/v1/graphs/"+url.PathEscape(name)+"/whole/"+route, q, func(reply []byte) error {
+		_, got, err := decodeFrame[T](nil, reply, n)
+		if err == nil && len(got) != n {
+			err = fmt.Errorf("reply carries %d elements, want %d", len(got), n)
+		}
+		v = got
+		return err
+	})
+	return v, err
+}
+
+// BFS runs traverse.BFS whole on one live replica, which answers the
+// distance array; traverse.BFSResult summarises it here as on a single
+// node. The number of levels depends on the graph, so the search is never
+// split into rounds: every replica holds the whole graph, and a round trip
+// per level would cost more than the level.
 func (c *Coordinator) BFS(ctx context.Context, name string, root int32, p server.QueryParams) (*server.BFSResponse, error) {
 	ctx = c.withBudget(ctx)
 	n, canonical, err := c.target(ctx, name, p)
 	if err != nil {
 		return nil, err
 	}
-	if root < 0 || int(root) >= n {
-		return nil, server.Errf(http.StatusBadRequest, "root %d outside [0, %d)", root, n)
-	}
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[root] = 0
-	frontier := []int32{root}
-	sc := newPartScatter[int32](c, name, "bfs", canonical, p, n)
-	var body []byte
-	for level := int32(1); len(frontier) > 0; level++ {
-		body = appendFrame(body[:0], [3]int64{}, frontier)
-		frontier = frontier[:0]
-		err := sc.round(ctx, body, func(_ [3]int64, next []int32) {
-			for _, v := range next {
-				if dist[v] < 0 {
-					dist[v] = level
-					frontier = append(frontier, v)
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
+	p.Spec = canonical
+	dist, err := wholeVector[int32](ctx, c, name, "bfs", url.Values{"root": {strconv.Itoa(int(root))}}, p, n)
+	if err != nil {
+		return nil, err
 	}
 	res := traverse.BFSResult{Dist: dist}
 	return &server.BFSResponse{
@@ -635,42 +618,19 @@ func (c *Coordinator) BFS(ctx context.Context, name string, root int32, p server
 	}, nil
 }
 
-// PageRank runs centrality.PowerIterate with a scatter round as the pull
-// step: per iteration the full rank vector is broadcast and each shard
-// returns the raw pull sums of its range, which land in the driver's vector
-// at the range's offset. Every scalar step and every floating-point
-// reduction is the driver's — the code centrality.PageRank runs — at
-// Workers 1, so in ascending vertex order: float addition is not
-// associative, and that ordering (not just the partition) is what makes the
-// scores bit-identical to a single node's at workers=1.
+// PageRank runs centrality.PageRank whole on one live replica at the
+// request's worker count, which answers the rank vector as IEEE-754 bit
+// patterns; server.TopK ranks it here as on a single node, so the scores
+// are bit-identical to a single node's at every worker count. Like BFS,
+// the iteration count depends on the graph, so it is one sub-request.
 func (c *Coordinator) PageRank(ctx context.Context, name string, k int, p server.QueryParams) (*server.PageRankResponse, error) {
 	ctx = c.withBudget(ctx)
 	n, canonical, err := c.target(ctx, name, p)
 	if err != nil {
 		return nil, err
 	}
-	// Part ranges are contiguous and ascending, so concatenating the
-	// per-range dangling lists yields the globally ascending list.
-	var dangling []int32
-	agree := true
-	err = newPartScatter[int32](c, name, "pr-init", canonical, p, n).round(ctx, nil, func(init [3]int64, d []int32) {
-		agree = agree && init[0] == int64(n)
-		dangling = append(dangling, d...)
-	})
-	if err == nil && !agree {
-		err = server.Errf(http.StatusBadGateway, "replicas disagree on vertex count: not all report %d", n)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pull := newPartScatter[float64](c, name, "pr-pull", canonical, p, n)
-	var body []byte
-	ranks, err := centrality.PowerIterate(n, dangling, centrality.PageRankOptions{Workers: 1}, func(rank, sums []float64) error {
-		body = appendFrame(body[:0], [3]int64{}, rank)
-		return pull.round(ctx, body, func(lo [3]int64, part []float64) {
-			copy(sums[lo[0]:], part)
-		})
-	})
+	p.Spec = canonical
+	ranks, err := wholeVector[float64](ctx, c, name, "pagerank", url.Values{}, p, n)
 	if err != nil {
 		return nil, err
 	}
@@ -690,7 +650,7 @@ func (c *Coordinator) Triangles(ctx context.Context, name, mode string, prob flo
 		q.Set("p", strconv.FormatFloat(prob, 'g', -1, 64))
 		addCommonParams(q, p)
 		var resp server.TrianglesResponse
-		if err := c.relay(ctx, "/v1/graphs/"+url.PathEscape(name)+"/triangles", q, &resp); err != nil {
+		if err := c.relay(ctx, http.MethodGet, "/v1/graphs/"+url.PathEscape(name)+"/triangles", q, jsonInto(&resp)); err != nil {
 			return nil, err
 		}
 		return &resp, nil
@@ -699,8 +659,9 @@ func (c *Coordinator) Triangles(ctx context.Context, name, mode string, prob flo
 	if err != nil {
 		return nil, err
 	}
+	p.Spec = canonical
 	var total int64
-	err = newPartScatter[int64](c, name, "triangles", canonical, p, 0).round(ctx, nil, func(count [3]int64, _ []int64) {
+	err = scatterParts(ctx, c, name, "triangles", p, 0, func(count [3]int64, _ []int64) {
 		total += count[0]
 	})
 	if err != nil {
@@ -718,8 +679,9 @@ func (c *Coordinator) Degrees(ctx context.Context, name string, p server.QueryPa
 	if err != nil {
 		return nil, err
 	}
+	p.Spec = canonical
 	var hist []int64
-	err = newPartScatter[int64](c, name, "degrees", canonical, p, n).round(ctx, nil, func(_ [3]int64, counts []int64) {
+	err = scatterParts(ctx, c, name, "degrees", p, n, func(_ [3]int64, counts []int64) {
 		hist = metrics.AddHistogram(hist, counts)
 	})
 	if err != nil {
@@ -737,26 +699,37 @@ func (c *Coordinator) Compare(ctx context.Context, name string, p server.QueryPa
 	q := url.Values{}
 	addCommonParams(q, p)
 	var resp server.CompareResponse
-	if err := c.relay(ctx, "/v1/graphs/"+url.PathEscape(name)+"/compare", q, &resp); err != nil {
+	if err := c.relay(ctx, http.MethodGet, "/v1/graphs/"+url.PathEscape(name)+"/compare", q, jsonInto(&resp)); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// relay forwards one GET to the first live shard, failing over through the
-// live set in rank order. Full replication plus globally-keyed randomness
-// makes every replica's answer byte-identical, so which one serves is
-// invisible to the client. A 4xx relays verbatim (every replica rejects
-// identically); out is only written by a successful exchange, so a
-// truncated reply on one shard can't corrupt the failover's answer.
-func (c *Coordinator) relay(ctx context.Context, path string, q url.Values, out any) error {
+// relay runs one request whole on one live replica. The first choice
+// rotates across the live set per call, so whole queries spread over the
+// replicas instead of all landing on shard 0; a shard that fails fatally
+// (after the retry policy's attempts, under the request's retry budget) is
+// passed over for the next live one. Full replication plus globally-keyed
+// randomness makes every replica's answer byte-identical, so which one
+// serves is invisible to the client. A 4xx relays verbatim (every replica
+// rejects identically). decode turns a 2xx reply into the answer; its error
+// is the shard's — a torn reply — and fails over like any other, so only
+// a whole reply is ever answered.
+func (c *Coordinator) relay(ctx context.Context, method, path string, q url.Values, decode func(reply []byte) error) error {
 	ctx = c.withBudget(ctx)
+	live := c.liveShards()
+	first := int((c.rotation.Add(1) - 1) % uint64(len(live)))
 	var lastErr error
 	lastShard := -1
-	for _, i := range c.liveShards() {
+	for k := range live {
+		i := live[(first+k)%len(live)]
 		addr := c.opts.Shards[i]
 		err := c.callShard(ctx, i, "relay:"+path, c.retry, func(actx context.Context) error {
-			return doJSON(actx, c.client, http.MethodGet, addr, path, q, "", nil, out)
+			data, err := doRaw(actx, c.client, method, addr, path, q, "", nil)
+			if err == nil {
+				err = decode(data)
+			}
+			return err
 		})
 		if err == nil {
 			return nil

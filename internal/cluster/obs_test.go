@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -114,16 +115,20 @@ func TestClusterSubRequestAggregation(t *testing.T) {
 	}
 }
 
-// TestClusterRequestIDStitching sends a scattered BFS with a caller-chosen
-// request ID and checks the same ID appears on the coordinator's log line
-// and on every shard's /part/bfs sub-request log line.
+// TestClusterRequestIDStitching sends a BFS with a caller-chosen request ID
+// and checks the same ID appears on the coordinator's log line and on the
+// one shard log line of the sub-request: a BFS runs whole on one replica,
+// so exactly one shard logs it, the one that served it.
 func TestClusterRequestIDStitching(t *testing.T) {
 	const reqID = "feedface00000042"
-	shardLog, frontLog := &logCapture{}, &logCapture{}
-	lc, ts := startLocal(t, 3,
-		server.Options{MaxWorkers: 4, Logger: shardLog},
-		Options{Logger: frontLog})
-	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+	frontLog := &logCapture{}
+	shardLogs := []*logCapture{{}, {}, {}}
+	var shards []http.Handler
+	for _, l := range shardLogs {
+		shards = append(shards, mustShard(t, server.Options{MaxWorkers: 4, Logger: l}).Handler())
+	}
+	coord, ts := frontOver(t, Options{}, server.Options{MaxWorkers: 4, Logger: frontLog}, shards...)
+	if _, err := coord.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,20 +163,72 @@ func TestClusterRequestIDStitching(t *testing.T) {
 		t.Fatalf("coordinator logged %d BFS lines, want 1", frontBFS)
 	}
 
-	var shardBFS int
-	for _, line := range shardLog.snapshot() {
-		path, _ := line["path"].(string)
-		if !strings.HasSuffix(path, "/part/bfs") {
-			continue
-		}
-		shardBFS++
-		if line["request_id"] != reqID {
-			t.Fatalf("shard sub-request log line carries ID %v, want %q (path %s)",
-				line["request_id"], reqID, path)
+	served := -1
+	for i, l := range shardLogs {
+		for _, line := range l.snapshot() {
+			path, _ := line["path"].(string)
+			if !strings.HasSuffix(path, "/whole/bfs") {
+				continue
+			}
+			if served >= 0 {
+				t.Fatalf("shards %d and %d both logged a BFS sub-request", served, i)
+			}
+			served = i
+			if line["request_id"] != reqID || line["status"] != http.StatusOK {
+				t.Fatalf("shard %d sub-request log line carries ID %v, status %v; want %q, 200",
+					i, line["request_id"], line["status"], reqID)
+			}
 		}
 	}
-	if shardBFS < lc.NumShards() {
-		t.Fatalf("found %d shard /part/bfs log lines, want >= %d", shardBFS, lc.NumShards())
+	if served < 0 {
+		t.Fatal("no shard logged the BFS sub-request")
+	}
+}
+
+// TestRelaysRotateAcrossReplicas pins the spread of whole queries: as many
+// requests in a row as there are shards, of each kind that runs whole on one
+// replica, reach every live shard — each one's
+// slimgraph_shard_requests_total grows.
+func TestRelaysRotateAcrossReplicas(t *testing.T) {
+	lc, ts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{})
+	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	requests := func() []float64 {
+		t.Helper()
+		code, text := get(t, ts.URL+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("metrics status %d", code)
+		}
+		out := make([]float64, lc.NumShards())
+		for _, line := range strings.Split(string(text), "\n") {
+			for i := range out {
+				if v, ok := strings.CutPrefix(line, `slimgraph_shard_requests_total{shard="`+strconv.Itoa(i)+`"} `); ok {
+					out[i], _ = strconv.ParseFloat(v, 64)
+				}
+			}
+		}
+		return out
+	}
+	for _, u := range []string{
+		"/v1/graphs/g/bfs?root=0&seed=42&workers=1",
+		"/v1/graphs/g/pagerank?k=10&seed=42&workers=1",
+		"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers=1",
+		"/v1/graphs/g/compare?spec=uniform:p=0.5&seed=42&workers=1",
+	} {
+		before := requests()
+		for range lc.NumShards() {
+			if code, body := get(t, ts.URL+u); code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", u, code, body)
+			}
+		}
+		after := requests()
+		for i := range before {
+			if after[i] <= before[i] {
+				t.Errorf("%s: shard %d served none of %d requests in a row (%v sub-requests before, %v after)",
+					u, i, lc.NumShards(), before[i], after[i])
+			}
+		}
 	}
 }
 

@@ -8,16 +8,18 @@ import (
 
 // The /internal/v1 shard protocol: what the coordinator exchanges with
 // shards beyond the public API. Replication (graph load/unload, variant
-// purge) addresses whole objects; partial queries (POST .../part/{route})
-// address part `shard` of `of`, which the shard turns into its share of
-// the work itself — a vertex range for bfs, pr-init, pr-pull and degrees,
-// a slice of the triangle engine's edge order for triangles — both pure
-// functions of the target graph, so they never travel on the wire.
+// purge) addresses whole objects. Compute routes come in two kinds, and
+// the kind follows from the kernel, not from a size or an option: a kernel
+// whose number of rounds depends on the graph runs whole on one replica
+// (POST .../whole/{route}); a kernel that needs one round scatters, each
+// sub-request (POST .../part/{route}) addressing part `shard` of `of`,
+// which the shard turns into its share of the work itself — a vertex range
+// for degrees, a slice of the triangle engine's edge order for triangles —
+// a pure function of the target graph, so it never travels on the wire.
 //
-// Part routes follow the convention graph replication already uses: the
-// request scalars (spec, seed, workers, shard, of) ride in the query
-// string and the one bulk vector is an application/octet-stream body. That
-// body and every 2xx part reply are the same little-endian frame:
+// A sub-request's whole input is its query string (spec, seed, workers,
+// plus root or shard and of); no compute route reads a body. Every 2xx
+// compute reply is the same little-endian frame:
 //
 //	offset  0  "SGF"                magic
 //	offset  3  element width        4 (int32) or 8 (int64, float64 bits)
@@ -30,17 +32,16 @@ import (
 // bytes it was handed; floats cross as IEEE-754 bit patterns, bit-exact.
 // appendFrame and decodeFrame are the only writer and reader. Error
 // replies stay {"error": ...} JSON, so 4xx relaying matches every other
-// route. Per route (request vector → reply scalars; reply vector):
+// route. Per route (query parameters → reply scalars; reply vector):
 //
-//	bfs        frontier []int32 → —; candidate next level []int32
-//	pr-init    — → n, lo, hi; dangling vertices of the range []int32
-//	pr-pull    ranks []float64 → lo; pull sums of the range []float64
-//	degrees    — → —; out-degree histogram of the range []int64
-//	triangles  — → triangles.Engine.CountPart of the part (a work slice
-//	           of the edge order, not a vertex range); —
+//	whole/bfs       root → —; traverse.BFS distances, n × int32
+//	whole/pagerank  — → —; centrality.PageRank ranks, n × float64
+//	part/degrees    shard, of → —; out-degree histogram of the range []int64
+//	part/triangles  shard, of → triangles.Engine.CountPart of the part (a
+//	                work slice of the edge order, not a vertex range); —
 //
-// PageRank's scalar steps (base, dangling share, damping, L1 delta, stop)
-// are centrality.PowerIterate's; a pr-pull round is its pull step.
+// A whole reply carries exactly n elements (the target's vertex count);
+// the coordinator treats any other count as a torn reply.
 
 // elem is the set of vector element types a frame carries.
 type elem interface{ int32 | int64 | float64 }
@@ -71,7 +72,7 @@ func appendFrame[T elem](dst []byte, scalars [3]int64, v []T) []byte {
 // count declares (so every truncation fails here) — and returns the count.
 func checkFrame(data []byte, width, max int) (int, error) {
 	if len(data) < frameHeader || string(data[:3]) != frameMagic {
-		return 0, fmt.Errorf("not a part frame (%d bytes)", len(data))
+		return 0, fmt.Errorf("not a reply frame (%d bytes)", len(data))
 	}
 	if int(data[3]) != width {
 		return 0, fmt.Errorf("frame element width %d, want %d", data[3], width)

@@ -8,11 +8,15 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graphio"
+	"slimgraph/internal/resilience"
 	"slimgraph/internal/server"
 )
 
@@ -122,9 +126,9 @@ func fuzzFrame[T elem](t *testing.T, data []byte, max int) {
 	}
 }
 
-// TestShardRejectsHostileParts posts malformed part sub-requests straight
-// at a shard: every one is a 400 with a JSON error, never a 5xx, a panic,
-// or a silently skipped vertex.
+// TestShardRejectsHostileParts posts malformed compute sub-requests
+// straight at a shard: every one is a 400 with a JSON error, never a 5xx, a
+// panic, or a silently wrong answer.
 func TestShardRejectsHostileParts(t *testing.T) {
 	g := testGraph(t)
 	n := g.N()
@@ -138,10 +142,7 @@ func TestShardRejectsHostileParts(t *testing.T) {
 	ts := httptest.NewServer(sh.Handler())
 	defer ts.Close()
 	const q = "?seed=1&workers=1&shard=0&of=1"
-	ranks := make([]float64, n)
-	oversized := appendFrame(nil, [3]int64{}, make([]int32, n+1))
-	lying := appendFrame(nil, [3]int64{}, []int32{0, 1})
-	binary.LittleEndian.PutUint32(lying[4:], uint32(n))
+	const w = "?seed=1&workers=1"
 
 	for _, tc := range []struct {
 		name, path string
@@ -149,41 +150,37 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		want       int
 		wantErr    string
 	}{
-		{"bfs ok", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []int32{0, 0, 5}), 200, ""},
-		{"pr-pull ok", "/part/pr-pull" + q, appendFrame(nil, [3]int64{}, ranks), 200, ""},
+		{"bfs ok", "/whole/bfs" + w + "&root=5", nil, 200, ""},
+		{"pagerank ok", "/whole/pagerank" + w, nil, 200, ""},
 		{"degrees ok", "/part/degrees" + q, nil, 200, ""},
-		{"frontier id == n", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []int32{0, int32(n)}), 400, "outside [0,"},
-		{"frontier id < 0", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []int32{-1}), 400, "outside [0,"},
-		{"frontier longer than n", "/part/bfs" + q, oversized, 400, "too large"},
-		{"count disagrees with length", "/part/bfs" + q, lying, 400, "declares"},
-		{"truncated frontier", "/part/bfs" + q, lying[:frameHeader+3], 400, "declares"},
-		{"no frontier", "/part/bfs" + q, nil, 400, "not a part frame"},
-		{"JSON frontier", "/part/bfs" + q, []byte(`{"frontier":[0]}`), 400, "not a part frame"},
-		{"float frontier", "/part/bfs" + q, appendFrame(nil, [3]int64{}, []float64{0}), 400, "width"},
-		{"short ranks", "/part/pr-pull" + q, appendFrame(nil, [3]int64{}, ranks[:n-1]), 400, "rank vector length"},
-		{"long ranks", "/part/pr-pull" + q, appendFrame(nil, [3]int64{}, make([]float64, n+1)), 400, "too large"},
-		{"body on a bodiless route", "/part/degrees" + q, []byte{0}, 400, "too large"},
-		{"body on triangles", "/part/triangles" + q, lying, 400, "too large"},
-		{"bad shard", "/part/degrees?seed=1&workers=1&shard=x&of=1", nil, 400, "bad part query"},
-		{"bad seed", "/part/degrees?seed=-1&workers=1&shard=0&of=1", nil, 400, "bad part query"},
-		{"missing of", "/part/degrees?seed=1&workers=1&shard=0", nil, 400, "bad part query"},
+		{"root missing", "/whole/bfs" + w, nil, 400, `bad root \"\"`},
+		{"root not a number", "/whole/bfs" + w + "&root=abc", nil, 400, `bad root \"abc\"`},
+		{"root < 0", "/whole/bfs" + w + "&root=-1", nil, 400, "root -1 outside [0,"},
+		{"root == n", "/whole/bfs" + w + "&root=" + strconv.Itoa(n), nil, 400, "root " + strconv.Itoa(n) + " outside [0,"},
+		{"root 2^31", "/whole/bfs" + w + "&root=2147483648", nil, 400, `bad root \"2147483648\"`},
+		// A body is nobody's input: the query string is the whole request.
+		{"body on bfs", "/whole/bfs" + w + "&root=0", []byte(`{"root":-1}`), 200, ""},
+		{"bad shard", "/part/degrees?seed=1&workers=1&shard=x&of=1", nil, 400, "bad sub-request query"},
+		{"bad seed", "/part/degrees?seed=-1&workers=1&shard=0&of=1", nil, 400, "bad sub-request query"},
+		{"bad workers on pagerank", "/whole/pagerank?seed=1&workers=many", nil, 400, "bad sub-request query"},
+		{"missing of", "/part/degrees?seed=1&workers=1&shard=0", nil, 400, "bad sub-request query"},
 		{"shard beyond of", "/part/degrees?seed=1&workers=1&shard=3&of=3", nil, 400, "invalid partition position 3 of 3"},
 		{"unknown graph", "/part/degrees" + q, nil, 404, "no graph"},
+		{"unknown graph, whole", "/whole/bfs" + w + "&root=0", nil, 404, "no graph"},
 		// `of` is the client's to set and the shard port is the public port:
 		// a part of two billion is derived like any other (see the
 		// allocation bound below), never by laying out every range.
 		{"first of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=0&of=2147483647", nil, 200, ""},
 		{"last of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=2147483646&of=2147483647", nil, 200, ""},
-		{"bfs part of 2^31-1", "/part/bfs?seed=1&workers=1&shard=5&of=2147483647", appendFrame(nil, [3]int64{}, []int32{0}), 200, ""},
 		{"triangles part of 2^31-1", "/part/triangles?seed=1&workers=1&shard=1073741823&of=2147483647", nil, 200, ""},
 		// The public route refuses a directed graph before any backend runs,
 		// but the part route is reachable on its own: 4xx, not the engine's panic.
 		{"directed triangles", "/part/triangles" + q, nil, 400, "undirected"},
-		{"of past int", "/part/degrees?seed=1&workers=1&shard=0&of=99999999999999999999", nil, 400, "bad part query"},
+		{"of past int", "/part/degrees?seed=1&workers=1&shard=0&of=99999999999999999999", nil, 400, "bad sub-request query"},
 	} {
 		name := "g"
 		switch {
-		case tc.want == http.StatusNotFound:
+		case strings.HasPrefix(tc.name, "unknown graph"):
 			name = "missing"
 		case strings.HasPrefix(tc.name, "directed"):
 			name = "dg"
@@ -200,6 +197,15 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		}
 		if tc.want != 200 && !bytes.HasPrefix(body, []byte(`{"error":`)) {
 			t.Errorf("%s: error reply is not the JSON error shape: %.120q", tc.name, body)
+		}
+		if tc.want == 200 && strings.HasPrefix(tc.path, "/whole/") {
+			width := 4
+			if strings.HasPrefix(tc.path, "/whole/pagerank") {
+				width = 8
+			}
+			if count, err := checkFrame(body, width, n); err != nil || count != n {
+				t.Errorf("%s: reply is not a frame of %d elements: count %d, %v", tc.name, n, count, err)
+			}
 		}
 	}
 }
@@ -223,5 +229,84 @@ func TestShardLoadRejectsBadWorkers(t *testing.T) {
 	}
 	if code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=2", "application/octet-stream", snap.Bytes()); code != http.StatusCreated {
 		t.Fatalf("workers=2: status %d: %s", code, body)
+	}
+}
+
+// shortReplies serves a real shard, except that every whole-kernel reply is
+// a well-formed frame one element short.
+type shortReplies struct {
+	inner http.Handler
+	cut   atomic.Int64
+}
+
+func (s *shortReplies) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.Contains(r.URL.Path, "/whole/") {
+		s.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	s.inner.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	if rec.Code == http.StatusOK {
+		count := binary.LittleEndian.Uint32(body[4:]) - 1
+		body = body[:frameSize(int(body[3]), int(count))]
+		binary.LittleEndian.PutUint32(body[4:], count)
+		s.cut.Add(1)
+	}
+	w.WriteHeader(rec.Code)
+	_, _ = w.Write(body)
+}
+
+// TestShortWholeReplyFailsOver pins the reply-length check: a whole-kernel
+// reply that is a valid frame of fewer than n elements is a torn reply. It
+// fails over to a replica that answers whole, and when no replica does the
+// client gets a 502 — never a shorter answer.
+func TestShortWholeReplyFailsOver(t *testing.T) {
+	g := testGraph(t)
+	single := mustServer(t, server.Options{MaxWorkers: 4})
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	if err := single.AddGraph("g", "", "test", g.Clone(), 1); err != nil {
+		t.Fatal(err)
+	}
+	urls := []string{
+		"/v1/graphs/g/bfs?root=0&seed=42&workers=1",
+		"/v1/graphs/g/pagerank?k=10&seed=42&workers=1",
+	}
+	for _, short := range []int{1, 3} {
+		var shards []http.Handler
+		var cutters []*shortReplies
+		for i := range 3 {
+			h := http.Handler(mustShard(t, server.Options{MaxWorkers: 4}).Handler())
+			if i < short {
+				s := &shortReplies{inner: h}
+				cutters = append(cutters, s)
+				h = s
+			}
+			shards = append(shards, h)
+		}
+		coord, front := frontOver(t, Options{Retry: resilience.RetryPolicy{BaseDelay: time.Millisecond}},
+			server.Options{MaxWorkers: 4}, shards...)
+		if _, err := coord.Create(t.Context(), "g", "", "test", g.Clone(), 1); err != nil {
+			t.Fatal(err)
+		}
+		// Three rounds, so the rotation leads with every replica.
+		for range 3 {
+			for _, u := range urls {
+				code, body := get(t, front.URL+u)
+				if short < 3 {
+					if _, want := get(t, sts.URL+u); code != http.StatusOK || !bytes.Equal(body, want) {
+						t.Errorf("%d of 3 shards short, %s: status %d: %.200s\nwant %.200s", short, u, code, body, want)
+					}
+				} else if code != http.StatusBadGateway || !strings.Contains(string(body), "elements, want") {
+					t.Errorf("every shard short, %s: status %d: %.200s; want a 502 naming the length", u, code, body)
+				}
+			}
+		}
+		for i, s := range cutters {
+			if s.cut.Load() == 0 {
+				t.Errorf("%d of 3 shards short: shard %d never sent a short reply", short, i)
+			}
+		}
 	}
 }

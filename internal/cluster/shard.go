@@ -5,20 +5,21 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
-	"slimgraph/internal/bitset"
 	"slimgraph/internal/centrality"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/metrics"
 	"slimgraph/internal/server"
+	"slimgraph/internal/traverse"
 	"slimgraph/internal/triangles"
 )
 
 // Shard is one cluster member: a full public slimgraphd (so any replica
 // can also answer the ordinary API, which the coordinator uses for
 // compress, stats, approximate triangles, and compare) extended with the
-// /internal/v1 replication and partial-query protocol.
+// /internal/v1 replication and compute protocol.
 type Shard struct {
 	srv *server.Server
 }
@@ -47,11 +48,10 @@ func WrapShard(srv *server.Server) *Shard {
 	srv.Handle("POST /internal/v1/graphs", s.handleLoad)
 	srv.Handle("DELETE /internal/v1/graphs/{name}", s.handleUnload)
 	srv.Handle("POST /internal/v1/graphs/{name}/purge", s.handlePurge)
-	srv.Handle("POST /internal/v1/graphs/{name}/part/bfs", s.part(4, partBFS))
-	srv.Handle("POST /internal/v1/graphs/{name}/part/pr-init", s.part(0, partPRInit))
-	srv.Handle("POST /internal/v1/graphs/{name}/part/pr-pull", s.part(8, partPRPull))
-	srv.Handle("POST /internal/v1/graphs/{name}/part/degrees", s.part(0, partDegrees))
-	srv.Handle("POST /internal/v1/graphs/{name}/part/triangles", s.part(0, partTriangles))
+	srv.Handle("POST /internal/v1/graphs/{name}/whole/bfs", s.compute(wholeBFS))
+	srv.Handle("POST /internal/v1/graphs/{name}/whole/pagerank", s.compute(wholePageRank))
+	srv.Handle("POST /internal/v1/graphs/{name}/part/degrees", s.compute(part(partDegrees)))
+	srv.Handle("POST /internal/v1/graphs/{name}/part/triangles", s.compute(part(partTriangles)))
 	return s
 }
 
@@ -109,37 +109,26 @@ func (s *Shard) handlePurge(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, purgeResponse{Purged: purged})
 }
 
-// partTarget is a resolved part sub-request: the target graph, which part
-// of how many this shard was handed, the worker budget, and the raw request
-// body. The vertex-range routes own partRange(g, part, of).
-type partTarget struct {
-	g        graph.AdjacencyEdges
-	part, of int
-	workers  int
-	body     []byte
-}
+// kernel is a compute route's work on its resolved target at the clamped
+// worker budget, answering with the reply frame; whatever it rejects is the
+// request's fault, a 400.
+type kernel func(g graph.AdjacencyEdges, workers int) ([]byte, error)
 
-// part serves one part route. It parses the query string, resolves the
-// target (original or cached variant — a cache miss recomputes it, so an
-// evicted variant heals transparently), reads the body, and answers with
-// the kernel's reply frame; whatever the kernel rejects is the request's
-// fault, a 400. width is the element width of the request vector the route
-// takes (0: none): the body is capped at the frame of an n-element vector,
-// so a hostile sender cannot make the shard buffer more than the target
-// justifies; nor does anything allocate in proportion to `of`.
-func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.HandlerFunc {
+// compute serves one compute route. A sub-request's whole input is its
+// query string: seed and workers here, the route's own parameters read by
+// parse, which binds them into the route's kernel — a malformed one is a
+// 400 before anything is resolved. Then the target (original or cached
+// variant — a cache miss recomputes it, so an evicted variant heals
+// transparently) is resolved and the kernel answers. No route reads a body,
+// and nothing allocates in proportion to a query value.
+func (s *Shard) compute(parse func(q url.Values) (kernel, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		seed, errSeed := strconv.ParseUint(q.Get("seed"), 10, 64)
 		workers, errWorkers := strconv.Atoi(q.Get("workers"))
-		shard, errShard := strconv.Atoi(q.Get("shard"))
-		of, errOf := strconv.Atoi(q.Get("of"))
-		if err := errors.Join(errSeed, errWorkers, errShard, errOf); err != nil {
-			server.WriteErr(w, server.Errf(http.StatusBadRequest, "bad part query %q: %v", r.URL.RawQuery, err))
-			return
-		}
-		if of < 1 || shard < 0 || shard >= of {
-			server.WriteErr(w, server.Errf(http.StatusBadRequest, "invalid partition position %d of %d", shard, of))
+		run, errRoute := parse(q)
+		if err := errors.Join(errSeed, errWorkers, errRoute); err != nil {
+			server.WriteErr(w, server.Errf(http.StatusBadRequest, "bad sub-request query %q: %v", r.URL.RawQuery, err))
 			return
 		}
 		local := s.srv.Local()
@@ -151,15 +140,7 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 			return
 		}
 		defer release() // the pin that keeps a mapped original from being unmapped mid-computation
-		limit := 0
-		if width > 0 {
-			limit = frameSize(width, adj.N())
-		}
-		body, err := server.ReadBody(http.MaxBytesReader(w, r.Body, int64(limit)), min(r.ContentLength, int64(limit)))
-		var reply []byte
-		if err == nil {
-			reply, err = kernel(partTarget{g: adj, part: shard, of: of, workers: local.ClampWorkers(workers), body: body})
-		}
+		reply, err := run(adj, local.ClampWorkers(workers))
 		if err != nil {
 			server.WriteErr(w, server.Errf(http.StatusBadRequest, "%v", err))
 			return
@@ -170,81 +151,62 @@ func (s *Shard) part(width int, kernel func(t partTarget) ([]byte, error)) http.
 	}
 }
 
-// The part kernels. Each runs on the full replica through graph.Adjacency
-// (raw CSR or packed form, traversed in place) restricted to its part, and
-// each is deterministic: a pure function of (graph, part, of), any float
-// accumulation happening in the order the single-node algorithm uses.
+// The whole kernels: the single node's own code on the full replica, so
+// the coordinator answers exactly what a single node would at the same
+// worker count.
 
-func partBFS(t partTarget) ([]byte, error) {
-	n := t.g.N()
-	_, frontier, err := decodeFrame[int32](nil, t.body, n)
+// wholeBFS runs traverse.BFS from `root` and answers the distance vector.
+func wholeBFS(q url.Values) (kernel, error) {
+	root, err := strconv.ParseInt(q.Get("root"), 10, 32)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bad root %q", q.Get("root"))
 	}
-	for _, u := range frontier {
-		if u < 0 || int(u) >= n {
-			return nil, fmt.Errorf("frontier vertex %d outside [0, %d)", u, n)
+	return func(g graph.AdjacencyEdges, workers int) ([]byte, error) {
+		if root < 0 || root >= int64(g.N()) {
+			return nil, fmt.Errorf("root %d outside [0, %d)", root, g.N())
 		}
-	}
-	return appendFrame(nil, [3]int64{}, expandFrontier(t.g, partRange(t.g, t.part, t.of), frontier)), nil
+		return appendFrame(nil, [3]int64{}, traverse.BFS(g, graph.NodeID(root), workers).Dist), nil
+	}, nil
 }
 
-func partPRInit(t partTarget) ([]byte, error) {
-	// Concatenated in part order the ranges' dangling lists are the globally
-	// ascending one centrality.PowerIterate sums rank mass over.
-	r := partRange(t.g, t.part, t.of)
-	dangling := centrality.Dangling(centrality.OutDegrees(t.g, 1), r.Lo, r.Hi)
-	return appendFrame(nil, [3]int64{int64(t.g.N()), int64(r.Lo), int64(r.Hi)}, dangling), nil
+// wholePageRank runs centrality.PageRank and answers the rank vector.
+func wholePageRank(url.Values) (kernel, error) {
+	return func(g graph.AdjacencyEdges, workers int) ([]byte, error) {
+		return appendFrame(nil, [3]int64{}, centrality.PageRank(g, centrality.PageRankOptions{Workers: workers})), nil
+	}, nil
 }
 
-func partPRPull(t partTarget) ([]byte, error) {
-	_, ranks, err := decodeFrame[float64](nil, t.body, t.g.N())
-	if err != nil {
-		return nil, err
+// The part kernels. Each runs on the full replica through graph.Adjacency
+// (raw CSR or packed form, traversed in place) restricted to part `part` of
+// `of`, and each is a pure function of (graph, part, of).
+
+// part binds a part kernel to the position its route is handed: part
+// `shard` of `of`, which the kernel turns into its share of the work itself.
+func part(k func(g graph.AdjacencyEdges, part, of, workers int) ([]byte, error)) func(url.Values) (kernel, error) {
+	return func(q url.Values) (kernel, error) {
+		shard, errShard := strconv.Atoi(q.Get("shard"))
+		of, errOf := strconv.Atoi(q.Get("of"))
+		if err := errors.Join(errShard, errOf); err != nil {
+			return nil, err
+		}
+		if of < 1 || shard < 0 || shard >= of {
+			return nil, fmt.Errorf("invalid partition position %d of %d", shard, of)
+		}
+		return func(g graph.AdjacencyEdges, workers int) ([]byte, error) { return k(g, shard, of, workers) }, nil
 	}
-	if len(ranks) != t.g.N() {
-		return nil, fmt.Errorf("rank vector length %d, graph has %d vertices", len(ranks), t.g.N())
-	}
-	// sums[i] = Σ ranks[u]/deg(u) over the in-neighbors u of vertex Lo+i, by
-	// the very pull step centrality.PageRank runs (contributions divided out
-	// once per sub-request, then summed in in-neighbor order), so
-	// centrality.PowerIterate on the coordinator gets the single-node floats.
-	r := partRange(t.g, t.part, t.of)
-	contrib := make([]float64, len(ranks))
-	centrality.Contributions(contrib, ranks, centrality.OutDegrees(t.g, 1))
-	sums := make([]float64, r.Len())
-	centrality.PullSums(t.g, r.Lo, r.Hi, contrib, sums, nil)
-	return appendFrame(nil, [3]int64{int64(r.Lo)}, sums), nil
 }
 
-func partDegrees(t partTarget) ([]byte, error) {
-	r := partRange(t.g, t.part, t.of)
-	return appendFrame(nil, [3]int64{}, metrics.DegreeHistogram(t.g, r.Lo, r.Hi)), nil
+func partDegrees(g graph.AdjacencyEdges, part, of, _ int) ([]byte, error) {
+	r := partRange(g, part, of)
+	return appendFrame(nil, [3]int64{}, metrics.DegreeHistogram(g, r.Lo, r.Hi)), nil
 }
 
 // partTriangles counts this part's work slice on an engine that lives for
 // the sub-request: a shard keeps no triangle arena resident.
-func partTriangles(t partTarget) ([]byte, error) {
-	if t.g.Directed() {
+func partTriangles(g graph.AdjacencyEdges, part, of, workers int) ([]byte, error) {
+	if g.Directed() {
 		return nil, errors.New("triangle counting is defined for undirected graphs")
 	}
-	count := triangles.NewEngine(t.g, t.workers).CountPart(t.part, t.of)
+	count := triangles.NewEngine(g, workers).CountPart(part, of)
 	return appendFrame[int64](nil, [3]int64{count}, nil), nil
-}
-
-// expandFrontier returns the sorted, deduplicated out-neighbors of the
-// frontier vertices this range owns — one shard's share of a
-// level-synchronous BFS step. Neighbors are marked in an n-bit set and the
-// set bits read back in ascending order, so no candidate is ever sorted.
-func expandFrontier(g graph.Adjacency, r Range, frontier []int32) []int32 {
-	seen := bitset.New(g.N())
-	for _, u := range frontier {
-		if !r.Contains(u) {
-			continue
-		}
-		g.ForNeighbors(u, func(w graph.NodeID) { seen.Set(int(w)) })
-	}
-	next := make([]int32, 0, seen.Count())
-	seen.ForEach(func(i int) { next = append(next, int32(i)) })
-	return next
 }
