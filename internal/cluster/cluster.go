@@ -3,47 +3,37 @@
 // (internal/server) extended with a small /internal/v1 protocol.
 //
 // The design is storage-replicated: every shard holds the whole graph (raw
-// or succinctly packed, traversed in place). A kernel whose number of
-// rounds depends on the graph — BFS (one round per level), PageRank (one
-// per iteration) — therefore runs whole on one replica, as one sub-request
-// answered with the kernel's whole result vector: a round trip per level
-// or iteration would cost more than the work it distributes. A kernel that
-// needs one round is compute-partitioned: work is split into parts (i, of)
-// that a shard turns into its share locally — the degree-aware contiguous
-// vertex range of PartitionByDegree (partition.go) for degrees, the
-// triangle engine's work-balanced edge slice for exact counts — from
-// nothing but the target graph, so ownership needs no metadata exchange,
-// and it stays correct even for compressed variants whose vertex count
-// differs from the original. No threshold or option chooses between the
-// two; the rule is structural. Replicating storage is what keeps the paper's
-// determinism contract intact: compression schemes key every random
-// decision by global element ID (internal/core), so a variant computed on
-// any replica is byte-identical to the single-node result, something no
-// storage-partitioned execution of a global scheme (spanners, triangle
-// reduction) could guarantee.
-//
-// The same property drives the variant cache: the coordinator forwards one
+// or succinctly packed, traversed in place). Replicating storage is what
+// keeps the paper's determinism contract intact: compression schemes key
+// every random decision by global element ID (internal/core), so a variant
+// computed on any replica is byte-identical to the single-node result,
+// something no storage-partitioned execution of a global scheme (spanners,
+// triangle reduction) could guarantee. The coordinator forwards one
 // canonical (spec, seed, workers) key to every shard's single-flight cache,
-// so each replica executes a requested scheme exactly once and then serves
-// identical cached bytes; if any shard fails mid-scatter the coordinator
-// purges the key from the others rather than leave a partially replicated
-// variant behind.
+// so each replica executes a requested scheme exactly once; if any shard
+// fails mid-scatter the coordinator purges the key from the others rather
+// than leave a partially replicated variant behind.
 //
-// Every query runs the single node's kernels, not copies of them; the
-// coordinator only schedules. A whole replica runs traverse.BFS or
-// centrality.PageRank at the request's worker count, and the coordinator
-// finishes with the single node's own code (traverse.BFSResult,
-// server.TopK). A shard's part is the kernel package's range form
-// (metrics.DegreeHistogram, triangles.Engine.CountPart on an engine built
-// for the sub-request), merged in part order by metrics.AddHistogram and
-// Distribution or an integer sum. So responses are byte-identical to
-// internal/server's for a fixed seed at every worker count by construction
-// (the cluster tests pin it too). Every compute reply is a fixed-width
-// little-endian frame (protocol.go), so a reply costs a copy per element
-// rather than a decimal print and parse. DOULION-approximate triangle
-// counts and §5 quality comparison run whole on one replica too, relayed
-// over the public JSON routes; every whole request's first replica rotates
-// across the live set.
+// Every query runs the single node's code, not copies of it; the
+// coordinator only schedules. A query is a row of server.Kernels, the one
+// list of servable kernels, and the row's shape is the plan. A kernel whose
+// number of rounds depends on the graph — BFS levels, PageRank iterations —
+// or that reads the whole graph at once (approximate triangles, §5 compare)
+// runs whole on one replica, as one sub-request: a round trip per level or
+// iteration would cost more than the work it distributes. A kernel that
+// needs one round scatters parts (i, of) that a shard turns into its share
+// locally — the degree-aware vertex range of graph.DegreeCuts (the split
+// PartitionByDegree lays out) for degrees, the triangle engine's
+// work-balanced edge slice (triangles.Engine.CountPart, on an engine built
+// for the sub-request) for exact counts — from nothing but the target
+// graph, so ownership needs no metadata exchange and holds for variants
+// whose vertex count differs from the original. No threshold or option
+// chooses between the two. The coordinator then runs the row's own Finish,
+// the function a single node runs, so responses are byte-identical to
+// internal/server's at every worker count by construction (the cluster
+// tests pin it too). Every compute reply but compare's is a fixed-width
+// little-endian frame (protocol.go), a copy per element rather than a
+// decimal print and parse.
 package cluster
 
 import (
@@ -85,11 +75,11 @@ type Options struct {
 	// Retry shapes the sub-request retry policy (see resilience.RetryPolicy;
 	// zero value = 3 attempts, 25ms base backoff, seeded jitter). Retries
 	// apply only to idempotent sub-requests — compute routes, compress
-	// (single-flight cached shard-side), relays, probes — never to create or
+	// (single-flight cached shard-side), probes — never to create or
 	// purge.
 	Retry resilience.RetryPolicy
 	// RetryBudget caps retries per client request across its whole fan-out
-	// (a variant's replication, a scatter, a relay's failover). 0 means the
+	// (a variant's replication, a scatter, a whole row's failover). 0 means the
 	// default of 16; negative disables retries entirely.
 	RetryBudget int
 	// BreakerThreshold and BreakerCooldown configure the per-shard circuit
@@ -182,18 +172,10 @@ func doJSON(ctx context.Context, client *http.Client, method, addr, path string,
 	if err != nil || out == nil {
 		return err
 	}
-	return jsonInto(out)(data)
-}
-
-// jsonInto decodes a JSON reply into out; it is also relay's decoder for
-// the public routes.
-func jsonInto(out any) func(reply []byte) error {
-	return func(reply []byte) error {
-		if err := json.Unmarshal(reply, out); err != nil {
-			return fmt.Errorf("decoding reply: %w", err)
-		}
-		return nil
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("decoding reply: %w", err)
 	}
+	return nil
 }
 
 // postJSON marshals in and POSTs it as application/json.

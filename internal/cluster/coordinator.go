@@ -16,11 +16,9 @@ import (
 
 	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
-	"slimgraph/internal/metrics"
 	"slimgraph/internal/obs"
 	"slimgraph/internal/resilience"
 	"slimgraph/internal/server"
-	"slimgraph/internal/traverse"
 )
 
 // Coordinator serves the public slimgraphd API over N shard replicas: it
@@ -42,7 +40,7 @@ type Coordinator struct {
 	proberDone chan struct{}
 	closeOnce  sync.Once
 
-	// rotation picks each relay's first replica (see relay).
+	// rotation picks each whole row's replica (see dispatch).
 	rotation atomic.Uint64
 
 	mu     sync.RWMutex
@@ -84,7 +82,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		graphs: map[string]server.GraphInfo{},
 	}
 	for i := range opts.Shards {
-		i := i
 		c.breakers = append(c.breakers, resilience.NewBreaker(resilience.BreakerOptions{
 			Threshold: opts.BreakerThreshold,
 			Cooldown:  opts.BreakerCooldown,
@@ -105,9 +102,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	return c, nil
 }
-
-// Shards returns the shard base URLs in rank order.
-func (c *Coordinator) Shards() []string { return append([]string(nil), c.opts.Shards...) }
 
 // Instrument registers the coordinator's sub-request telemetry on reg:
 // per-shard request/failure counters, latency histograms, in-flight and
@@ -134,14 +128,12 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 			up: reg.Gauge("slimgraph_shard_up",
 				"1 when the shard's most recent sub-request succeeded (4xx counts as up: the shard answered).", l),
 		})
-		b := c.breakers[i]
 		reg.GaugeFunc("slimgraph_shard_breaker_state",
 			"Shard circuit breaker position: 0 closed, 1 half-open, 2 open.",
-			func() float64 { return float64(b.State()) }, l)
-		q := c.repairs[i]
+			func() float64 { return float64(c.breakers[i].State()) }, l)
 		reg.GaugeFunc("slimgraph_shard_pending_repairs",
 			"Replica-consistency operations queued for replay when the shard recovers.",
-			func() float64 { return float64(q.size()) }, l)
+			func() float64 { return float64(c.repairs[i].size()) }, l)
 	}
 	c.met = m
 }
@@ -153,34 +145,30 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 // it down and count as failures. A canceled parent context says nothing
 // about the shard (the client hung up), so it bypasses the breaker.
 func (c *Coordinator) observe(i int, fn func() error) error {
-	var sm *shardMetrics
-	if m := c.met; m != nil {
-		sm = &m.perShard[i]
-		sm.inflight.Add(1)
+	if c.met != nil {
+		c.met.perShard[i].inflight.Add(1)
 	}
 	start := time.Now()
 	err := fn()
-	elapsed := time.Since(start).Seconds()
-	if sm != nil {
+	up := err == nil || !shardFatal(err)
+	if m := c.met; m != nil {
+		sm, elapsed := &m.perShard[i], time.Since(start).Seconds()
 		sm.inflight.Add(-1)
 		sm.requests.Inc()
 		sm.latency.Observe(elapsed)
-		c.met.total.Observe(elapsed)
-	}
-	var he *httpError
-	if err == nil || (errors.As(err, &he) && he.code < 500) {
-		if sm != nil {
+		m.total.Observe(elapsed)
+		if up {
 			sm.up.Set(1)
-		}
-		c.breakers[i].RecordSuccess()
-	} else {
-		if sm != nil {
+		} else {
 			sm.failures.Inc()
 			sm.up.Set(0)
 		}
-		if !errors.Is(err, context.Canceled) {
-			c.breakers[i].RecordFailure()
-		}
+	}
+	switch {
+	case up:
+		c.breakers[i].RecordSuccess()
+	case !errors.Is(err, context.Canceled):
+		c.breakers[i].RecordFailure()
 	}
 	return err
 }
@@ -256,11 +244,7 @@ func (c *Coordinator) Create(ctx context.Context, name, memory, source string, g
 		return nil, server.Errf(http.StatusInternalServerError, "packing graph for replication: %v", err)
 	}
 	data := buf.Bytes()
-	q := url.Values{}
-	q.Set("name", name)
-	q.Set("memory", memory)
-	q.Set("source", source)
-	q.Set("workers", strconv.Itoa(workers))
+	q := url.Values{"name": {name}, "memory": {memory}, "source": {source}, "workers": {strconv.Itoa(workers)}}
 	if g.Directed() {
 		q.Set("directed", "true")
 	}
@@ -343,41 +327,34 @@ func (c *Coordinator) Drop(ctx context.Context, name string) (*server.DeleteResp
 		return err
 	})
 	for pos, err := range errs {
-		var he *httpError
-		switch {
-		case errors.As(err, &he) && he.code == http.StatusNotFound:
-			// Already lost the graph: the desired state.
-			errs[pos] = nil
-		case err != nil && shardFatal(err):
-			// Unreachable or failing: owe it the unload instead of failing a
-			// delete the healthy replicas already applied.
-			c.queueRepair(live[pos], repairOp{kind: "unload", graph: name})
-			errs[pos] = nil
+		if he := (*httpError)(nil); errors.As(err, &he) && he.code == http.StatusNotFound {
+			errs[pos] = nil // already lost the graph: the desired state
 		}
 	}
-	for _, i := range c.deadShards(live) {
-		c.queueRepair(i, repairOp{kind: "unload", graph: name})
-	}
+	// An unreachable or failing shard is owed the unload instead of failing a
+	// delete the healthy replicas already applied.
+	c.owe(repairOp{kind: "unload", graph: name}, live, errs)
 	if err := c.mergeErrorsOver(live, errs); err != nil {
 		return nil, err
 	}
 	return &server.DeleteResponse{Deleted: name, VariantsDropped: dropped}, nil
 }
 
-// deadShards returns the complement of live — the shards a cluster-wide
-// write owes a repair to.
-func (c *Coordinator) deadShards(live []int) []int {
-	inLive := make(map[int]bool, len(live))
-	for _, i := range live {
-		inLive[i] = true
-	}
-	var dead []int
-	for i := range c.opts.Shards {
-		if !inLive[i] {
-			dead = append(dead, i)
+// owe queues op for the shards a cluster-wide write could not reach: every
+// shard outside live, and every live one whose error in errs (positional
+// over live) is fatal — an error owe clears, so the write stands.
+func (c *Coordinator) owe(op repairOp, live []int, errs []error) {
+	for pos, err := range errs {
+		if err != nil && shardFatal(err) {
+			c.queueRepair(live[pos], op)
+			errs[pos] = nil
 		}
 	}
-	return dead
+	for i := range c.opts.Shards {
+		if !slices.Contains(live, i) {
+			c.queueRepair(i, op)
+		}
+	}
 }
 
 // --- server.QueryBackend ---------------------------------------------------
@@ -449,13 +426,9 @@ func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.
 				spec, name, live[0], merged.N, merged.M, merged.Spec, live[pos], r.N, r.M, r.Spec)
 		}
 		merged.Cached = merged.Cached && r.Cached
-		if r.ElapsedMS > merged.ElapsedMS {
-			merged.ElapsedMS = r.ElapsedMS
-		}
+		merged.ElapsedMS = max(merged.ElapsedMS, r.ElapsedMS)
 	}
-	for _, i := range c.deadShards(live) {
-		c.queueRepair(i, repairOp{kind: "compress", graph: name, spec: spec, seed: p.Seed, workers: p.Workers})
-	}
+	c.owe(repairOp{kind: "compress", graph: name, spec: spec, seed: p.Seed, workers: p.Workers}, live, nil)
 	return &merged, nil
 }
 
@@ -472,285 +445,102 @@ func (c *Coordinator) purgeVariant(name, spec string, p server.QueryParams) {
 		func(ctx context.Context, _, i int, addr string) error {
 			return postJSON(ctx, c.client, addr, "/internal/v1/graphs/"+url.PathEscape(name)+"/purge", req, nil)
 		})
-	op := repairOp{kind: "purge", graph: name, spec: spec, seed: p.Seed, workers: p.Workers}
-	for pos, err := range errs {
-		if err != nil && shardFatal(err) {
-			c.queueRepair(live[pos], op)
-		}
-	}
-	for _, i := range c.deadShards(live) {
-		c.queueRepair(i, op)
-	}
+	c.owe(repairOp{kind: "purge", graph: name, spec: spec, seed: p.Seed, workers: p.Workers}, live, errs)
 }
 
-// target resolves what a query runs on: (vertex count, canonical spec).
-// With a spec it first replicates the variant cluster-wide via Compress —
-// after which every partial request is a shard-local cache hit.
-func (c *Coordinator) target(ctx context.Context, name string, p server.QueryParams) (n int, canonical string, err error) {
-	info, err := c.Info(ctx, name)
-	if err != nil {
-		return 0, "", err
-	}
-	if p.Spec == "" {
-		return info.N, "", nil
-	}
-	cr, err := c.Compress(ctx, name, p.Spec, p)
-	if err != nil {
-		return 0, "", err
-	}
-	return cr.N, cr.Spec, nil
-}
-
-// scatterParts runs one partial computation over the live shard set: part
-// k of `of` goes to the k-th live shard, which derives its share from
-// (k, of) locally — part index and shard rank are independent, so ANY
-// shard can serve ANY part. visit sees each part's reply, at most max
-// elements, in part order; v is valid only during the call.
-//
-// Failure handling is re-partition-and-retry: a shard whose sub-request
-// fails fatally (after the retry policy's attempts; a reply that is not a
-// whole frame counts) is blacklisted and the WHOLE part set re-scatters
-// over the survivors with the new `of`. Correctness is unaffected —
-// partition ranges are pure functions of (part, of) and partial kernels
-// pure functions of (graph, range), so the merged response stays
-// byte-identical to single-node no matter how many survivors serve it.
-// Replies are decoded and visited only after a fully successful scatter,
-// so a half-failed one leaves nothing behind. A 4xx relays verbatim
-// immediately: every replica rejects an invalid request identically.
-func scatterParts[T elem](ctx context.Context, c *Coordinator, name, route string, p server.QueryParams, max int, visit func(scalars [3]int64, v []T)) error {
-	path := "/internal/v1/graphs/" + url.PathEscape(name) + "/part/" + route
-	raws := make([][]byte, len(c.opts.Shards))
-	var bad map[int]bool
-	var lastErr error
-	lastShard := -1
-	for {
-		candidates := c.liveShards()
-		if bad != nil {
-			candidates = slices.DeleteFunc(candidates, func(i int) bool { return bad[i] })
-		}
-		if len(candidates) == 0 || ctx.Err() != nil {
-			if lastShard < 0 {
-				return server.Errf(http.StatusBadGateway, "no live shards for %s", name)
-			}
-			return server.Errf(http.StatusBadGateway, "shard %d (%s): %v",
-				lastShard, c.opts.Shards[lastShard], lastErr)
-		}
-		of := len(candidates)
-		errs := c.scatterOver(ctx, candidates, "part:"+route, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
-			q := url.Values{"shard": {strconv.Itoa(pos)}, "of": {strconv.Itoa(of)}}
-			addCommonParams(q, p)
-			data, err := doRaw(ctx, c.client, http.MethodPost, addr, path, q, "", nil)
-			if err == nil {
-				_, err = checkFrame(data, widthOf[T](), max)
-			}
-			raws[pos] = data
-			return err
-		})
-		failed := false
-		for pos, err := range errs {
-			if err == nil {
-				continue
-			}
-			if rejected := rejection(err); rejected != nil {
-				return rejected
-			}
-			if bad == nil {
-				bad = make(map[int]bool)
-			}
-			bad[candidates[pos]] = true
-			lastErr, lastShard = err, candidates[pos]
-			failed = true
-		}
-		if failed {
-			continue
-		}
-		var buf []T
-		for pos := range of {
-			scalars, v, err := decodeFrame(buf, raws[pos], max)
-			if err != nil {
-				return server.Errf(http.StatusBadGateway, "decoding part %d from shard %d: %v", pos, candidates[pos], err)
-			}
-			buf = v
-			visit(scalars, v)
-		}
-		return nil
-	}
-}
-
-// wholeVector runs a whole-kernel route on one live replica (relay) and
-// returns its reply vector, which must carry exactly n elements: a shorter
-// or longer frame is a torn reply that fails over, never a different-length
-// answer.
-func wholeVector[T elem](ctx context.Context, c *Coordinator, name, route string, q url.Values, p server.QueryParams, n int) ([]T, error) {
-	addCommonParams(q, p)
-	var v []T
-	err := c.relay(ctx, http.MethodPost, "/internal/v1/graphs/"+url.PathEscape(name)+"/whole/"+route, q, func(reply []byte) error {
-		_, got, err := decodeFrame[T](nil, reply, n)
-		if err == nil && len(got) != n {
-			err = fmt.Errorf("reply carries %d elements, want %d", len(got), n)
-		}
-		v = got
-		return err
-	})
-	return v, err
-}
-
-// BFS runs traverse.BFS whole on one live replica, which answers the
-// distance array; traverse.BFSResult summarises it here as on a single
-// node. The number of levels depends on the graph, so the search is never
-// split into rounds: every replica holds the whole graph, and a round trip
-// per level would cost more than the level.
-func (c *Coordinator) BFS(ctx context.Context, name string, root int32, p server.QueryParams) (*server.BFSResponse, error) {
+// Query implements server.QueryBackend: the row runs on the live shards as
+// its shape says (dispatch), and its own Finish — the code a single node
+// runs — makes the response, so it is byte-identical to a single node's by
+// construction. With a spec, the variant is first replicated cluster-wide
+// via Compress, after which each sub-request is a shard-local cache hit.
+func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
 	ctx = c.withBudget(ctx)
-	n, canonical, err := c.target(ctx, name, p)
+	info, err := c.Info(ctx, q.Graph)
 	if err != nil {
 		return nil, err
 	}
-	p.Spec = canonical
-	dist, err := wholeVector[int32](ctx, c, name, "bfs", url.Values{"root": {strconv.Itoa(int(root))}}, p, n)
-	if err != nil {
-		return nil, err
-	}
-	res := traverse.BFSResult{Dist: dist}
-	return &server.BFSResponse{
-		Graph: name, Spec: canonical, Root: root,
-		Reached: res.Reached(), Ecc: res.Ecc(), Dist: dist,
-	}, nil
-}
-
-// PageRank runs centrality.PageRank whole on one live replica at the
-// request's worker count, which answers the rank vector as IEEE-754 bit
-// patterns; server.TopK ranks it here as on a single node, so the scores
-// are bit-identical to a single node's at every worker count. Like BFS,
-// the iteration count depends on the graph, so it is one sub-request.
-func (c *Coordinator) PageRank(ctx context.Context, name string, k int, p server.QueryParams) (*server.PageRankResponse, error) {
-	ctx = c.withBudget(ctx)
-	n, canonical, err := c.target(ctx, name, p)
-	if err != nil {
-		return nil, err
-	}
-	p.Spec = canonical
-	ranks, err := wholeVector[float64](ctx, c, name, "pagerank", url.Values{}, p, n)
-	if err != nil {
-		return nil, err
-	}
-	return &server.PageRankResponse{Graph: name, Spec: canonical, K: k, Top: server.TopK(ranks, k)}, nil
-}
-
-// Triangles counts exactly by summing triangles.Engine.CountPart over the
-// parts (each triangle lands in the work slice holding its rank-lowest
-// edge; integer sums are exact in any order). mode=approx (DOULION) relays
-// to one live replica: the estimate samples edges by global edge ID, so any
-// single replica computes the canonical answer.
-func (c *Coordinator) Triangles(ctx context.Context, name, mode string, prob float64, p server.QueryParams) (*server.TrianglesResponse, error) {
-	ctx = c.withBudget(ctx)
-	if mode == "approx" {
-		q := url.Values{}
-		q.Set("mode", "approx")
-		q.Set("p", strconv.FormatFloat(prob, 'g', -1, 64))
-		addCommonParams(q, p)
-		var resp server.TrianglesResponse
-		if err := c.relay(ctx, http.MethodGet, "/v1/graphs/"+url.PathEscape(name)+"/triangles", q, jsonInto(&resp)); err != nil {
+	n := info.N
+	if q.Spec != "" {
+		cr, err := c.Compress(ctx, q.Graph, q.Spec, q.QueryParams)
+		if err != nil {
 			return nil, err
 		}
-		return &resp, nil
+		n, q.Spec = cr.N, cr.Spec
 	}
-	_, canonical, err := c.target(ctx, name, p)
+	replies, err := c.dispatch(ctx, q, n)
 	if err != nil {
 		return nil, err
 	}
-	p.Spec = canonical
-	var total int64
-	err = scatterParts(ctx, c, name, "triangles", p, 0, func(count [3]int64, _ []int64) {
-		total += count[0]
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &server.TrianglesResponse{Graph: name, Spec: canonical, Mode: mode, Count: &total}, nil
+	return q.Kernel.Finish(q, q.Spec, n, replies), nil
 }
 
-// Degrees adds up the per-part degree histograms (integer sums, exact in any
-// order) and finishes with the histogram → distribution step and power-law
-// fit metrics.DegreeDistribution + PowerLawSlope run on one node.
-func (c *Coordinator) Degrees(ctx context.Context, name string, p server.QueryParams) (*server.DegreesResponse, error) {
-	ctx = c.withBudget(ctx)
-	n, canonical, err := c.target(ctx, name, p)
-	if err != nil {
-		return nil, err
-	}
-	p.Spec = canonical
-	var hist []int64
-	err = scatterParts(ctx, c, name, "degrees", p, n, func(_ [3]int64, counts []int64) {
-		hist = metrics.AddHistogram(hist, counts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	dist := metrics.Distribution(hist, n)
-	slope, r2 := metrics.PowerLawSlope(dist)
-	return &server.DegreesResponse{Graph: name, Spec: canonical, Dist: dist, Slope: slope, R2: r2}, nil
-}
-
-// Compare relays the §5 quality comparison to one live replica: it needs
-// the whole original and the whole variant side by side, which every
-// replica holds.
-func (c *Coordinator) Compare(ctx context.Context, name string, p server.QueryParams) (*server.CompareResponse, error) {
-	q := url.Values{}
-	addCommonParams(q, p)
-	var resp server.CompareResponse
-	if err := c.relay(ctx, http.MethodGet, "/v1/graphs/"+url.PathEscape(name)+"/compare", q, jsonInto(&resp)); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// relay runs one request whole on one live replica. The first choice
-// rotates across the live set per call, so whole queries spread over the
-// replicas instead of all landing on shard 0; a shard that fails fatally
-// (after the retry policy's attempts, under the request's retry budget) is
-// passed over for the next live one. Full replication plus globally-keyed
-// randomness makes every replica's answer byte-identical, so which one
-// serves is invisible to the client. A 4xx relays verbatim (every replica
-// rejects identically). decode turns a 2xx reply into the answer; its error
-// is the shard's — a torn reply — and fails over like any other, so only
-// a whole reply is ever answered.
-func (c *Coordinator) relay(ctx context.Context, method, path string, q url.Values, decode func(reply []byte) error) error {
-	ctx = c.withBudget(ctx)
-	live := c.liveShards()
-	first := int((c.rotation.Add(1) - 1) % uint64(len(live)))
-	var lastErr error
-	lastShard := -1
-	for k := range live {
-		i := live[(first+k)%len(live)]
-		addr := c.opts.Shards[i]
-		err := c.callShard(ctx, i, "relay:"+path, c.retry, func(actx context.Context) error {
-			data, err := doRaw(actx, c.client, method, addr, path, q, "", nil)
+// dispatch runs q's row on the live shards and returns its replies in part
+// order, each holding at most n elements. A whole row is one sub-request to
+// POST .../whole/{row} on a replica picked by one atomic counter, so whole
+// queries rotate over the live set. A scatter row sends part k of `of` to
+// POST .../part/{row} on the k-th live shard, which derives its share from
+// (k, of) locally — so ANY shard can serve ANY part.
+//
+// A shard whose sub-request fails fatally (after the retry policy's
+// attempts; a torn reply counts) is passed over and the row goes again over
+// the others, a scatter row re-partitioned with the new `of`. Parts are pure
+// functions of (graph, part, of) and every replica holds the same data, so
+// the response does not depend on which shards serve it. A failed round's
+// replies are dropped with it; a 4xx relays verbatim at once.
+func (c *Coordinator) dispatch(ctx context.Context, q server.Query, n int) ([]server.Reply, error) {
+	k := q.Kernel
+	path := "/internal/v1/graphs/" + url.PathEscape(q.Graph) + "/" + k.Shape.String() + "/" + k.Name
+	bad := map[int]bool{}
+	var err error = server.Errf(http.StatusBadGateway, "no live shards for %s", q.Graph)
+	for {
+		shards := slices.DeleteFunc(c.liveShards(), func(i int) bool { return bad[i] })
+		if len(shards) == 0 || ctx.Err() != nil {
+			return nil, err
+		}
+		if k.Shape == server.Whole {
+			shards = shards[int((c.rotation.Add(1)-1)%uint64(len(shards))):][:1]
+		}
+		replies := make([]server.Reply, len(shards))
+		errs := c.scatterOver(ctx, shards, k.Shape.String()+":"+k.Name, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
+			v := subQuery(q)
+			if k.Shape == server.Scatter {
+				v.Set("shard", strconv.Itoa(pos))
+				v.Set("of", strconv.Itoa(len(shards)))
+			}
+			data, err := doRaw(ctx, c.client, http.MethodPost, addr, path, v, "", nil)
 			if err == nil {
-				err = decode(data)
+				replies[pos], err = decodeReply(k, data, n)
 			}
 			return err
 		})
-		if err == nil {
-			return nil
+		if err = c.mergeErrorsOver(shards, errs); err == nil {
+			return replies, nil
 		}
-		if rejected := rejection(err); rejected != nil {
-			return rejected
+		if server.StatusOf(err) != http.StatusBadGateway {
+			return nil, err // a rejection
 		}
-		lastErr, lastShard = err, i
-		if ctx.Err() != nil {
-			break
+		for pos, e := range errs {
+			if e != nil {
+				bad[shards[pos]] = true
+			}
 		}
 	}
-	return server.Errf(http.StatusBadGateway, "shard %d (%s): %v", lastShard, c.opts.Shards[lastShard], lastErr)
 }
 
-func addCommonParams(q url.Values, p server.QueryParams) {
-	if p.Spec != "" {
-		q.Set("spec", p.Spec)
+// subQuery is a sub-request's whole input: the shared parameters and the
+// row's arguments, each left off when zero — what the shard's Parse reads
+// for an absent one is never a different answer.
+func subQuery(q server.Query) url.Values {
+	v := url.Values{"seed": {strconv.FormatUint(q.Seed, 10)}, "workers": {strconv.Itoa(q.Workers)}}
+	for key, val := range map[string]string{
+		"spec": q.Spec, "mode": q.Mode,
+		"root": strconv.Itoa(int(q.Root)), "k": strconv.Itoa(q.K), "p": strconv.FormatFloat(q.P, 'g', -1, 64),
+	} {
+		if val != "" && val != "0" {
+			v.Set(key, val)
+		}
 	}
-	q.Set("seed", strconv.FormatUint(p.Seed, 10))
-	q.Set("workers", strconv.Itoa(p.Workers))
+	return v
 }
 
 // Stats gathers every live shard's /v1/stats and merges them: cluster-wide

@@ -187,25 +187,29 @@ func TestClusterRequestIDStitching(t *testing.T) {
 
 // TestRelaysRotateAcrossReplicas pins the spread of whole queries: as many
 // requests in a row as there are shards, of each kind that runs whole on one
-// replica, reach every live shard — each one's
-// slimgraph_shard_requests_total grows.
+// replica, reach every live shard. It counts each shard's own requests to its
+// /whole/ routes (slimgraph_http_requests_total by endpoint): a query with a
+// spec first replicates its variant to every shard, so the coordinator's
+// per-shard sub-request totals would grow everywhere regardless.
 func TestRelaysRotateAcrossReplicas(t *testing.T) {
 	lc, ts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{})
 	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
 		t.Fatal(err)
 	}
-	requests := func() []float64 {
+	wholeRequests := func() []float64 {
 		t.Helper()
-		code, text := get(t, ts.URL+"/metrics")
-		if code != http.StatusOK {
-			t.Fatalf("metrics status %d", code)
-		}
 		out := make([]float64, lc.NumShards())
-		for _, line := range strings.Split(string(text), "\n") {
-			for i := range out {
-				if v, ok := strings.CutPrefix(line, `slimgraph_shard_requests_total{shard="`+strconv.Itoa(i)+`"} `); ok {
-					out[i], _ = strconv.ParseFloat(v, 64)
+		for i := range out {
+			code, text := get(t, lc.Addr(i)+"/metrics")
+			if code != http.StatusOK {
+				t.Fatalf("shard %d metrics status %d", i, code)
+			}
+			for _, line := range strings.Split(string(text), "\n") {
+				if !strings.HasPrefix(line, `slimgraph_http_requests_total{endpoint="POST /internal/v1/graphs/{name}/whole/`) {
+					continue
 				}
+				v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				out[i] += v
 			}
 		}
 		return out
@@ -216,17 +220,17 @@ func TestRelaysRotateAcrossReplicas(t *testing.T) {
 		"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers=1",
 		"/v1/graphs/g/compare?spec=uniform:p=0.5&seed=42&workers=1",
 	} {
-		before := requests()
+		before := wholeRequests()
 		for range lc.NumShards() {
 			if code, body := get(t, ts.URL+u); code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", u, code, body)
 			}
 		}
-		after := requests()
+		after := wholeRequests()
 		for i := range before {
-			if after[i] <= before[i] {
-				t.Errorf("%s: shard %d served none of %d requests in a row (%v sub-requests before, %v after)",
-					u, i, lc.NumShards(), before[i], after[i])
+			if after[i] != before[i]+1 {
+				t.Errorf("%s: shard %d served %v of %d whole requests in a row, want 1 each",
+					u, i, after[i]-before[i], lc.NumShards())
 			}
 		}
 	}

@@ -24,7 +24,9 @@ func TestPartitionCoversDisjointly(t *testing.T) {
 				if r.Lo != prevHi {
 					t.Fatalf("n=%d parts=%d rank=%d: gap at %d", n, parts, i, r.Lo)
 				}
-				if own := partRange(g, i, parts); own != r {
+				// What a shard derives from a sub-request's (shard, of) alone.
+				cut := graph.DegreeCuts(g, parts)
+				if own := (Range{Lo: cut(i), Hi: cut(i + 1)}); own != r {
 					t.Fatalf("n=%d parts=%d rank=%d: derived alone %+v, in the partition %+v", n, parts, i, own, r)
 				}
 				covered += r.Len()

@@ -2,24 +2,27 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"slices"
+
+	"slimgraph/internal/server"
 )
 
 // The /internal/v1 shard protocol: what the coordinator exchanges with
 // shards beyond the public API. Replication (graph load/unload, variant
-// purge) addresses whole objects. Compute routes come in two kinds, and
-// the kind follows from the kernel, not from a size or an option: a kernel
-// whose number of rounds depends on the graph runs whole on one replica
-// (POST .../whole/{route}); a kernel that needs one round scatters, each
-// sub-request (POST .../part/{route}) addressing part `shard` of `of`,
-// which the shard turns into its share of the work itself — a vertex range
-// for degrees, a slice of the triangle engine's edge order for triangles —
-// a pure function of the target graph, so it never travels on the wire.
+// purge) addresses whole objects. The compute routes are server.Kernels,
+// the one list of servable kernels: each row mounts POST
+// .../{whole|part}/{row} by its shape. A whole row runs on one replica; a
+// scatter row's sub-request addresses part `shard` of `of`, which the row
+// turns into its share of the work itself — a vertex range for degrees, a
+// slice of the triangle engine's edge order for exact triangles — a pure
+// function of the target graph, so it never travels on the wire.
 //
-// A sub-request's whole input is its query string (spec, seed, workers,
-// plus root or shard and of); no compute route reads a body. Every 2xx
-// compute reply is the same little-endian frame:
+// A sub-request's whole input is its query string (spec, seed, workers, the
+// row's own arguments, and shard and of for a scatter row); no compute
+// route reads a body. Every 2xx compute reply but compare's is the same
+// little-endian frame:
 //
 //	offset  0  "SGF"                magic
 //	offset  3  element width        4 (int32) or 8 (int64, float64 bits)
@@ -30,18 +33,19 @@ import (
 // valid only when its byte length is exactly 32 + count × width, which
 // lets a receiver reject a torn read in place and never allocate past the
 // bytes it was handed; floats cross as IEEE-754 bit patterns, bit-exact.
-// appendFrame and decodeFrame are the only writer and reader. Error
-// replies stay {"error": ...} JSON, so 4xx relaying matches every other
-// route. Per route (query parameters → reply scalars; reply vector):
+// appendFrame and decodeFrame are the only writer and reader, under
+// appendReply and decodeReply. compare answers a struct, so its reply is
+// the server.Reply as JSON. Error replies stay {"error": ...} JSON, so 4xx
+// relaying matches every other route. Per route (row arguments → reply
+// scalars; reply vector):
 //
-//	whole/bfs       root → —; traverse.BFS distances, n × int32
-//	whole/pagerank  — → —; centrality.PageRank ranks, n × float64
-//	part/degrees    shard, of → —; out-degree histogram of the range []int64
-//	part/triangles  shard, of → triangles.Engine.CountPart of the part (a
-//	                work slice of the edge order, not a vertex range); —
-//
-// A whole reply carries exactly n elements (the target's vertex count);
-// the coordinator treats any other count as a torn reply.
+//	whole/bfs        root → —; traverse.BFS distances, n × int32
+//	whole/pagerank   k → —; centrality.PageRank ranks, n × float64
+//	whole/triangles  mode=approx, p → the DOULION estimate's bits; —
+//	whole/compare    — → JSON {"Quality": metrics.Quality, …}
+//	part/degrees     — → —; out-degree histogram of the range, []int64
+//	part/triangles   mode=exact → triangles.Engine.CountPart of the part (a
+//	                 work slice of the edge order, not a vertex range); —
 
 // elem is the set of vector element types a frame carries.
 type elem interface{ int32 | int64 | float64 }
@@ -102,6 +106,49 @@ func decodeFrame[T elem](dst []T, data []byte, max int) (scalars [3]int64, v []T
 	_, _ = binary.Decode(data[8:], binary.LittleEndian, scalars[:]) // lengths checked above: cannot fail
 	_, _ = binary.Decode(data[frameHeader:], binary.LittleEndian, v)
 	return scalars, v, nil
+}
+
+// appendReply encodes a compute route's reply: the row's scalars and
+// vector as one frame, or — for a JSON row — the reply as JSON.
+func appendReply(k *server.Kernel, r server.Reply) ([]byte, error) {
+	switch k.Elem {
+	case server.Int32s:
+		return appendFrame(nil, r.Scalars, r.Int32s), nil
+	case server.Int64s:
+		return appendFrame(nil, r.Scalars, r.Int64s), nil
+	case server.Float64s:
+		return appendFrame(nil, r.Scalars, r.Float64s), nil
+	case server.JSON:
+		return json.Marshal(r)
+	}
+	return appendFrame[int64](nil, r.Scalars, nil), nil
+}
+
+// decodeReply is appendReply's inverse for a target of n vertices: a vector
+// holds at most n elements, and a whole row's exactly n — any other count is
+// a torn reply, never a different-length answer.
+func decodeReply(k *server.Kernel, data []byte, n int) (r server.Reply, err error) {
+	count := 0
+	switch k.Elem {
+	case server.Int32s:
+		r.Scalars, r.Int32s, err = decodeFrame[int32](nil, data, n)
+		count = len(r.Int32s)
+	case server.Int64s:
+		r.Scalars, r.Int64s, err = decodeFrame[int64](nil, data, n)
+		count = len(r.Int64s)
+	case server.Float64s:
+		r.Scalars, r.Float64s, err = decodeFrame[float64](nil, data, n)
+		count = len(r.Float64s)
+	case server.JSON:
+		return r, json.Unmarshal(data, &r)
+	default:
+		r.Scalars, _, err = decodeFrame[int64](nil, data, 0)
+		n = 0
+	}
+	if err == nil && k.Shape == server.Whole && count != n {
+		err = fmt.Errorf("reply carries %d elements, want %d", count, n)
+	}
+	return r, err
 }
 
 // purgeRequest asks a shard to drop one cached variant by its canonical

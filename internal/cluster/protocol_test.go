@@ -127,7 +127,7 @@ func fuzzFrame[T elem](t *testing.T, data []byte, max int) {
 }
 
 // TestShardRejectsHostileParts posts malformed compute sub-requests
-// straight at a shard: every one is a 400 with a JSON error, never a 5xx, a
+// straight at a shard: every one is a 4xx with a JSON error, never a 5xx, a
 // panic, or a silently wrong answer.
 func TestShardRejectsHostileParts(t *testing.T) {
 	g := testGraph(t)
@@ -153,11 +153,16 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		{"bfs ok", "/whole/bfs" + w + "&root=5", nil, 200, ""},
 		{"pagerank ok", "/whole/pagerank" + w, nil, 200, ""},
 		{"degrees ok", "/part/degrees" + q, nil, 200, ""},
-		{"root missing", "/whole/bfs" + w, nil, 400, `bad root \"\"`},
-		{"root not a number", "/whole/bfs" + w + "&root=abc", nil, 400, `bad root \"abc\"`},
+		{"approx ok", "/whole/triangles" + w + "&mode=approx&p=0.5", nil, 200, ""},
+		{"compare ok", "/whole/compare" + w + "&spec=uniform:p=0.5", nil, 200, `"Quality":{`},
+		// A row's own arguments are read by its Parse, as on the public route.
+		{"root missing is root 0", "/whole/bfs" + w, nil, 200, ""},
+		{"root not a number", "/whole/bfs" + w + "&root=abc", nil, 400, `parameter root: want an integer, got \"abc\"`},
 		{"root < 0", "/whole/bfs" + w + "&root=-1", nil, 400, "root -1 outside [0,"},
 		{"root == n", "/whole/bfs" + w + "&root=" + strconv.Itoa(n), nil, 400, "root " + strconv.Itoa(n) + " outside [0,"},
-		{"root 2^31", "/whole/bfs" + w + "&root=2147483648", nil, 400, `bad root \"2147483648\"`},
+		{"root 2^31", "/whole/bfs" + w + "&root=2147483648", nil, 400, "root 2147483648 outside [0,"},
+		{"approx p out of range", "/whole/triangles" + w + "&mode=approx&p=2", nil, 400, "parameter p must be in (0, 1]"},
+		{"compare without spec", "/whole/compare" + w, nil, 400, "compare needs a spec parameter"},
 		// A body is nobody's input: the query string is the whole request.
 		{"body on bfs", "/whole/bfs" + w + "&root=0", []byte(`{"root":-1}`), 200, ""},
 		{"bad shard", "/part/degrees?seed=1&workers=1&shard=x&of=1", nil, 400, "bad sub-request query"},
@@ -173,9 +178,9 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		{"first of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=0&of=2147483647", nil, 200, ""},
 		{"last of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=2147483646&of=2147483647", nil, 200, ""},
 		{"triangles part of 2^31-1", "/part/triangles?seed=1&workers=1&shard=1073741823&of=2147483647", nil, 200, ""},
-		// The public route refuses a directed graph before any backend runs,
-		// but the part route is reachable on its own: 4xx, not the engine's panic.
-		{"directed triangles", "/part/triangles" + q, nil, 400, "undirected"},
+		// The part route is reachable on its own: the row's Parse refuses a
+		// directed graph as the public route does, not the engine's panic.
+		{"directed triangles", "/part/triangles" + q, nil, 422, "undirected"},
 		{"of past int", "/part/degrees?seed=1&workers=1&shard=0&of=99999999999999999999", nil, 400, "bad sub-request query"},
 	} {
 		name := "g"
@@ -198,7 +203,7 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		if tc.want != 200 && !bytes.HasPrefix(body, []byte(`{"error":`)) {
 			t.Errorf("%s: error reply is not the JSON error shape: %.120q", tc.name, body)
 		}
-		if tc.want == 200 && strings.HasPrefix(tc.path, "/whole/") {
+		if tc.want == 200 && (strings.HasPrefix(tc.path, "/whole/bfs") || strings.HasPrefix(tc.path, "/whole/pagerank")) {
 			width := 4
 			if strings.HasPrefix(tc.path, "/whole/pagerank") {
 				width = 8

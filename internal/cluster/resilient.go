@@ -18,14 +18,8 @@ import (
 // breakers fed by the observe wrapper, live-set routing with re-partitioned
 // degraded execution, retry with a per-request budget, a background health
 // prober, and the pending-repair queue that makes drops and purges
-// idempotent across an unreachable shard.
-//
-// Degraded execution preserves the byte-identity contract: partition
-// ranges are pure functions of (part, of) recomputed shard-side, and
-// partial kernels are pure functions of (graph, range) — so scattering 2
-// parts over 2 survivors merges to exactly the same response as 3 parts
-// over 3 shards, and a relay served by any live replica is byte-identical
-// to shard 0's (every replica holds identical data).
+// idempotent across an unreachable shard. Degraded execution keeps the
+// byte-identity contract (see dispatch).
 
 // retryPolicy returns the configured policy with defaults applied.
 func (o Options) retryPolicy() resilience.RetryPolicy {
@@ -65,8 +59,8 @@ func (c *Coordinator) withBudget(ctx context.Context) context.Context {
 
 // shardFatal classifies an error as evidence against the shard itself —
 // transport failure, timeout, truncation, or a 5xx — as opposed to a 4xx
-// the request earned on its own merits. Fatal errors drive failover and
-// repair queueing; 4xx errors relay to the client.
+// the request earned on its own merits. Fatal errors drive failover, repair
+// queueing and retries; 4xx errors relay to the client, never retried.
 func shardFatal(err error) bool {
 	var he *httpError
 	if errors.As(err, &he) {
@@ -74,10 +68,6 @@ func shardFatal(err error) bool {
 	}
 	return true
 }
-
-// retryableShardErr mirrors shardFatal for the retry policy: transient
-// transport and 5xx failures are worth another attempt, a 4xx never is.
-func retryableShardErr(err error) bool { return shardFatal(err) }
 
 // allShards returns [0..n) — the scatter set when health is ignored.
 func (c *Coordinator) allShards() []int {
@@ -112,7 +102,7 @@ func (c *Coordinator) liveShards() []int {
 // attempt's budget) and flows through observe, which feeds the telemetry
 // and the breaker.
 func (c *Coordinator) callShard(ctx context.Context, i int, key string, policy resilience.RetryPolicy, fn func(ctx context.Context) error) error {
-	return policy.Do(ctx, key, retryableShardErr, func() error {
+	return policy.Do(ctx, key, shardFatal, func() error {
 		actx, cancel := context.WithTimeout(ctx, c.opts.timeout())
 		defer cancel()
 		return c.observe(i, func() error { return fn(actx) })
@@ -152,29 +142,30 @@ type repairOp struct {
 	workers int
 }
 
-func (op repairOp) key() string {
-	return op.kind + "|" + op.graph + "|" + op.spec + "|" +
-		strconv.FormatUint(op.seed, 10) + "|" + strconv.Itoa(op.workers)
-}
-
 // repairQueue is one shard's deduplicated, ordered pending-repair list.
 type repairQueue struct {
 	mu       sync.Mutex
 	ops      []repairOp
-	seen     map[string]bool
+	seen     map[repairOp]bool
 	draining atomic.Bool
 }
 
-func newRepairQueue() *repairQueue { return &repairQueue{seen: map[string]bool{}} }
+func newRepairQueue() *repairQueue { return &repairQueue{seen: map[repairOp]bool{}} }
 
-func (q *repairQueue) add(op repairOp) {
+// add queues op unless it is already owed: at the back, or at the front
+// for an op a failed drain puts back.
+func (q *repairQueue) add(op repairOp, front bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.seen[op.key()] {
+	if q.seen[op] {
 		return
 	}
-	q.seen[op.key()] = true
-	q.ops = append(q.ops, op)
+	q.seen[op] = true
+	if front {
+		q.ops = append([]repairOp{op}, q.ops...)
+	} else {
+		q.ops = append(q.ops, op)
+	}
 }
 
 func (q *repairQueue) size() int {
@@ -191,18 +182,8 @@ func (q *repairQueue) take() (repairOp, bool) {
 	}
 	op := q.ops[0]
 	q.ops = q.ops[1:]
-	delete(q.seen, op.key())
+	delete(q.seen, op)
 	return op, true
-}
-
-func (q *repairQueue) putBack(op repairOp) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.seen[op.key()] {
-		return
-	}
-	q.seen[op.key()] = true
-	q.ops = append([]repairOp{op}, q.ops...)
 }
 
 // queueRepair records an op owed to shard i. If the breaker is already
@@ -210,7 +191,7 @@ func (q *repairQueue) putBack(op repairOp) {
 // failed against a live shard transiently), the drain starts immediately
 // instead of waiting for a state transition that will never come.
 func (c *Coordinator) queueRepair(i int, op repairOp) {
-	c.repairs[i].add(op)
+	c.repairs[i].add(op, false)
 	if c.breakers[i].State() == resilience.BreakerClosed {
 		go c.drainRepairs(i)
 	}
@@ -232,7 +213,7 @@ func (c *Coordinator) drainRepairs(i int) {
 			return
 		}
 		if err := c.runRepair(context.Background(), i, op); err != nil && shardFatal(err) {
-			c.repairs[i].putBack(op)
+			c.repairs[i].add(op, true)
 			return
 		}
 	}

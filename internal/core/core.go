@@ -79,12 +79,6 @@ func New(g *graph.Graph, seed uint64, workers int) *SG {
 // Graph returns the input graph (stage-1 input; never mutated).
 func (sg *SG) Graph() *graph.Graph { return sg.g }
 
-// Workers returns the configured parallelism.
-func (sg *SG) Workers() int { return sg.workers }
-
-// Seed returns the randomness seed.
-func (sg *SG) Seed() uint64 { return sg.seed }
-
 // SetParam stores a named scheme parameter (the paper's SG.p, Upsilon, ...).
 func (sg *SG) SetParam(name string, v float64) { sg.params[name] = v }
 
@@ -111,9 +105,6 @@ func (sg *SG) DeleteUnmarked(keep *graph.EdgeSet) {
 // isolated) so per-vertex outputs stay comparable; use Compact afterwards
 // to renumber.
 func (sg *SG) DelVertex(v graph.NodeID) { sg.deletedVertices.Set(int(v)) }
-
-// VertexDeleted reports whether v has been deleted.
-func (sg *SG) VertexDeleted(v graph.NodeID) bool { return sg.deletedVertices.Get(int(v)) }
 
 // ConsiderOnce implements the Edge-Once protocol: it atomically marks e as
 // considered and reports whether e had already been considered by an
@@ -142,10 +133,6 @@ func (sg *SG) allocWeights() {
 	sg.weightBits = make([]uint64, sg.g.M())
 	sg.weightSet = graph.NewEdgeSet(sg.g.M())
 }
-
-// DeletedEdgeCount returns the number of edges deleted so far (exact only
-// when no kernels are running).
-func (sg *SG) DeletedEdgeCount() int { return sg.deletedEdges.Count() }
 
 // DeletedVertexCount returns the number of vertices deleted so far.
 func (sg *SG) DeletedVertexCount() int { return sg.deletedVertices.Count() }

@@ -1,6 +1,9 @@
 package graph
 
-import "slimgraph/internal/bitset"
+import (
+	"slimgraph/internal/bitset"
+	"slimgraph/internal/parallel"
+)
 
 // Adjacency is the read-only neighborhood view shared by *Graph and any
 // alternative representation — notably internal/succinct's PackedGraph,
@@ -63,6 +66,34 @@ var (
 	_ Adjacency      = (*Graph)(nil)
 	_ AdjacencyEdges = (*Graph)(nil)
 )
+
+// DegreeCuts splits [0, n) into parts contiguous ranges balanced by vertex
+// weight degree+1 and returns cut(k), the vertex at which part k opens: the
+// first one where the weight prefix reaches k/parts of the total, so cut(0)
+// = 0 and cut(parts) = n. The cuts are a pure function of the degree
+// sequence — every process holding the same graph derives the same part
+// from (k, parts) alone, at a cost that does not depend on parts. The
+// returned function walks the prefix forward only: call it with
+// nondecreasing k. One part needs no weights.
+func DegreeCuts(a Adjacency, parts int) func(k int) NodeID {
+	n := a.N()
+	if parts <= 1 {
+		return func(k int) NodeID { return NodeID(min(k, 1) * n) }
+	}
+	var total int64
+	for v := 0; v < n; v++ {
+		total += int64(a.Degree(NodeID(v))) + 1
+	}
+	v := 0
+	var acc int64
+	return func(k int) NodeID {
+		// Close part k-1 at the prefix weight nearest its proportional share.
+		for target := parallel.Share(total, k, parts); v < n && acc < target; v++ {
+			acc += int64(a.Degree(NodeID(v))) + 1
+		}
+		return NodeID(v)
+	}
+}
 
 // ForEdges invokes fn for every canonical edge in increasing EdgeID order,
 // satisfying AdjacencyEdges.

@@ -14,9 +14,12 @@ import (
 // This file defines the seam between the HTTP surface and the engine that
 // answers it. slimgraphd's handlers parse and validate requests, then call a
 // Catalog (graph CRUD) and a QueryBackend (compress + analytics); both have
-// two interchangeable implementations — the in-process Local engine and the
-// cluster coordinator's remote scatter/gather engine (internal/cluster) —
-// so a single-node server and an N-shard cluster serve the same /v1 API.
+// two implementations — the in-process Local engine and the cluster
+// coordinator (internal/cluster) — so a single-node server and an N-shard
+// cluster serve the same /v1 API. The analytics are the rows of Kernels
+// (queries.go), the one list of servable kernels: both backends answer a
+// Query with its row's Run and Finish, so they share every line of kernel
+// and finishing code.
 
 // Error is a backend failure with the HTTP status it should surface as.
 // Backends return *Error so the transport layer never guesses status codes;
@@ -69,17 +72,13 @@ type Catalog interface {
 	Drop(ctx context.Context, name string) (*DeleteResponse, error)
 }
 
-// QueryBackend executes compression and analytics queries. Implementations
-// must keep responses byte-identical for a fixed (graph, spec, seed,
-// workers=1) regardless of where execution happens — the property the
-// cluster tests pin against the Local engine.
+// QueryBackend executes compression and analytics queries. Responses are
+// byte-identical for a fixed (graph, spec, seed, workers=1) wherever
+// execution happens — the property the cluster tests pin against Local.
 type QueryBackend interface {
 	Compress(ctx context.Context, name, spec string, p QueryParams) (*CompressResponse, error)
-	BFS(ctx context.Context, name string, root int32, p QueryParams) (*BFSResponse, error)
-	PageRank(ctx context.Context, name string, k int, p QueryParams) (*PageRankResponse, error)
-	Triangles(ctx context.Context, name, mode string, prob float64, p QueryParams) (*TrianglesResponse, error)
-	Degrees(ctx context.Context, name string, p QueryParams) (*DegreesResponse, error)
-	Compare(ctx context.Context, name string, p QueryParams) (*CompareResponse, error)
+	// Query answers q with its row's response, q's arguments parsed already.
+	Query(ctx context.Context, q Query) (any, error)
 	Stats(ctx context.Context) (*StatsResponse, error)
 }
 

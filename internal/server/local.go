@@ -10,22 +10,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"slimgraph/internal/centrality"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/metrics"
 	"slimgraph/internal/obs"
 	"slimgraph/internal/schemes"
 	"slimgraph/internal/succinct"
-	"slimgraph/internal/traverse"
 	"slimgraph/internal/triangles"
 )
 
 // Local is the in-process engine: a two-tier catalog of named graphs
 // (heap-resident or memory-mapped from the data directory) plus a
 // single-flight variant cache, implementing Catalog and QueryBackend for a
-// single node. A cluster shard embeds a Local and exposes a few extra
-// methods (Target, PurgeVariant) so the coordinator can drive partial
-// computations and replicate cache keys.
+// single node. A cluster shard serves its compute routes through Part and
+// its variant purges through PurgeVariant.
 type Local struct {
 	opts    Options
 	catalog *catalog
@@ -155,24 +151,11 @@ func (l *Local) instrument() {
 		"Oriented triangle-engine arenas built (once per catalog entry, on first exact count).").Inc
 }
 
-// ClampWorkers resolves a requested worker budget: <= 0 means the
-// deterministic default of one worker, and the result never exceeds
-// MaxWorkers.
-func (l *Local) ClampWorkers(workers int) int {
-	if workers <= 0 {
-		return 1
-	}
-	if workers > l.opts.MaxWorkers {
-		return l.opts.MaxWorkers
-	}
-	return workers
-}
-
 // --- Catalog ---------------------------------------------------------------
 
 // Create implements Catalog.
 func (l *Local) Create(_ context.Context, name, memory, source string, g *graph.Graph, workers int) (*GraphInfo, error) {
-	e, err := l.catalog.put(name, memory, source, g, l.ClampWorkers(workers))
+	e, err := l.catalog.put(name, memory, source, g, l.opts.clampWorkers(workers))
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, errExists) {
@@ -180,8 +163,7 @@ func (l *Local) Create(_ context.Context, name, memory, source string, g *graph.
 		}
 		return nil, Errf(code, "%v", err)
 	}
-	info := infoOf(e)
-	return &info, nil
+	return infoOf(e), nil
 }
 
 // Info implements Catalog.
@@ -190,15 +172,14 @@ func (l *Local) Info(_ context.Context, name string) (*GraphInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := infoOf(e)
-	return &info, nil
+	return infoOf(e), nil
 }
 
 // List implements Catalog.
 func (l *Local) List(_ context.Context) ([]GraphInfo, error) {
 	out := []GraphInfo{}
 	for _, e := range l.catalog.list() {
-		out = append(out, infoOf(e))
+		out = append(out, *infoOf(e))
 	}
 	return out, nil
 }
@@ -208,14 +189,13 @@ func (l *Local) Drop(_ context.Context, name string) (*DeleteResponse, error) {
 	if !l.catalog.remove(name) {
 		return nil, Errf(http.StatusNotFound, "no graph %q", name)
 	}
-	dropped := l.cache.purgeGraph(name)
-	return &DeleteResponse{Deleted: name, VariantsDropped: dropped}, nil
+	return &DeleteResponse{Deleted: name, VariantsDropped: l.cache.purgeGraph(name)}, nil
 }
 
 // acquireView pins e's resident form, mapping a failure to a backend Error
 // (an entry emptied or a mapping closed under the request is a server-side
 // failure, not a client one).
-func (l *Local) acquireView(e *entry) (*view, error) {
+func acquireView(e *entry) (*view, error) {
 	v, err := e.acquire()
 	if err != nil {
 		return nil, Errf(http.StatusInternalServerError, "%v", err)
@@ -255,7 +235,7 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 		// carry the per-stage breakdown). Only real executions observe:
 		// hits, coalesced waiters, and disk fault-ins cost no compression
 		// time.
-		v, err := l.acquireView(e)
+		v, err := acquireView(e)
 		if err != nil {
 			return nil, err
 		}
@@ -338,29 +318,76 @@ func (l *Local) spillVariant(key Key, res *compressed) {
 // is empty, otherwise the cached (possibly freshly computed) variant. The
 // canonical spec ("" for the original) rides along, as does a release the
 // caller must invoke when done: it pins a memory-mapped original against
-// concurrent unmap. Every query of this backend, and every partial
-// computation of a cluster shard over its vertex range, starts here.
+// concurrent unmap.
 func (l *Local) Target(name string, p QueryParams) (graph.AdjacencyEdges, string, func(), error) {
 	e, err := l.lookup(name)
 	if err != nil {
 		return nil, "", nil, err
 	}
-	return l.target(e, p)
+	return l.resolve(e, p)
 }
 
-func (l *Local) target(e *entry, p QueryParams) (graph.AdjacencyEdges, string, func(), error) {
+func (l *Local) resolve(e *entry, p QueryParams) (graph.AdjacencyEdges, string, func(), error) {
 	if p.Spec == "" {
-		v, err := l.acquireView(e)
+		v, err := acquireView(e)
 		if err != nil {
 			return nil, "", nil, err
 		}
 		return v.adj, "", v.release, nil
 	}
-	res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, l.ClampWorkers(p.Workers))
+	res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, l.opts.clampWorkers(p.Workers))
 	if err != nil {
 		return nil, "", nil, err
 	}
 	return res.output, canonical, func() {}, nil
+}
+
+// target is what a row's Run reads: the resolved graph and the catalog
+// entry it came from.
+type target struct {
+	g graph.AdjacencyEdges
+	e *entry
+	// arena: the triangle engine over an original is the entry's cached one
+	// (a single node), not one built for the call (a shard keeps none).
+	arena bool
+}
+
+// engine returns the triangle engine over t. Building the entry's arena
+// may push the catalog past its budget, which is settled before the count.
+func (t *target) engine(workers int) *triangles.Engine {
+	if !t.arena {
+		return triangles.NewEngine(t.g, workers)
+	}
+	en := t.e.triangleEngine(t.g, workers)
+	t.e.cat.enforceBudget()
+	return en
+}
+
+// run resolves q's target and runs part `part` of `of` of its row there, at
+// this node's worker budget: every query of this backend, and every part a
+// cluster shard computes, starts here. arena says whether an original's
+// triangle engine is the entry's cached one. Beside the reply it returns
+// what Finish reads of the target: the canonical spec and the vertex count.
+func (l *Local) run(q Query, part, of int, arena bool) (r Reply, spec string, n int, err error) {
+	e, err := l.lookup(q.Graph)
+	if err != nil {
+		return r, "", 0, err
+	}
+	q.Workers = l.opts.clampWorkers(q.Workers)
+	g, spec, release, err := l.resolve(e, q.QueryParams)
+	if err != nil {
+		return r, "", 0, err
+	}
+	defer release()
+	r, err = q.Kernel.Run(&target{g: g, e: e, arena: arena && q.Spec == ""}, q, part, of)
+	return r, spec, g.N(), err
+}
+
+// Part runs part `part` of `of` of q's row for a cluster shard: the reply
+// Query would finish, with an original's triangle engine built for the call.
+func (l *Local) Part(q Query, part, of int) (Reply, error) {
+	r, _, _, err := l.run(q, part, of, false)
+	return r, err
 }
 
 // PurgeVariant drops the cached variant for the canonical
@@ -401,7 +428,7 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 	if err != nil {
 		return nil, err
 	}
-	res, canonical, cached, err := l.variantOf(e, spec, p.Seed, l.ClampWorkers(p.Workers))
+	res, canonical, cached, err := l.variantOf(e, spec, p.Seed, l.opts.clampWorkers(p.Workers))
 	if err != nil {
 		return nil, err
 	}
@@ -425,104 +452,40 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 	}, nil
 }
 
-// BFS implements QueryBackend.
-func (l *Local) BFS(_ context.Context, name string, root int32, p QueryParams) (*BFSResponse, error) {
-	g, spec, release, err := l.Target(name, p)
+// Query implements QueryBackend: the row's Finish over its Run on the whole
+// target, the typed reply handed over in process.
+func (l *Local) Query(_ context.Context, q Query) (any, error) {
+	r, spec, n, err := l.run(q, 0, 1, true)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	if root < 0 || int(root) >= g.N() {
-		return nil, Errf(http.StatusBadRequest, "root %d outside [0, %d)", root, g.N())
-	}
-	res := traverse.BFS(g, root, l.ClampWorkers(p.Workers))
-	return &BFSResponse{
-		Graph: name, Spec: spec, Root: root,
-		Reached: res.Reached(), Ecc: res.Ecc(), Dist: res.Dist,
-	}, nil
+	return q.Kernel.Finish(q, spec, n, []Reply{r}), nil
 }
 
-// PageRank implements QueryBackend.
-func (l *Local) PageRank(_ context.Context, name string, k int, p QueryParams) (*PageRankResponse, error) {
-	g, spec, release, err := l.Target(name, p)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	ranks := centrality.PageRank(g, centrality.PageRankOptions{Workers: l.ClampWorkers(p.Workers)})
-	return &PageRankResponse{Graph: name, Spec: spec, K: k, Top: TopK(ranks, k)}, nil
+// The typed forwards below are Query on their rows, for benchmark/'s ladder,
+// which times Local directly. Their arguments are Parse's to check: mode is
+// "exact" or "approx", and Triangles needs an undirected graph.
+
+func (l *Local) BFS(ctx context.Context, name string, root int32, p QueryParams) (*BFSResponse, error) {
+	return answer[BFSResponse](l.Query(ctx, Query{Kernel: row("bfs", ""), Graph: name, Root: root, QueryParams: p}))
 }
 
-// Triangles implements QueryBackend. mode and prob must already be
-// validated by the transport layer.
-func (l *Local) Triangles(_ context.Context, name, mode string, prob float64, p QueryParams) (*TrianglesResponse, error) {
-	e, err := l.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if e.directed {
-		return nil, Errf(http.StatusUnprocessableEntity, "triangle counting is defined for undirected graphs")
-	}
-	g, spec, release, err := l.target(e, p)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	workers := l.ClampWorkers(p.Workers)
-	resp := &TrianglesResponse{Graph: name, Spec: spec, Mode: mode}
-	switch {
-	case mode != "exact":
-		est := triangles.CountApprox(g, prob, p.Seed, workers)
-		resp.Estimate = &est
-	case p.Spec == "":
-		// The original reuses the entry's cached oriented engine. Building
-		// its arena may push the catalog past its budget; settle up before
-		// answering.
-		c := e.triangleEngine(g, workers).Count()
-		resp.Count = &c
-		l.catalog.enforceBudget()
-	default:
-		c := triangles.Count(g, workers)
-		resp.Count = &c
-	}
-	return resp, nil
+func (l *Local) PageRank(ctx context.Context, name string, k int, p QueryParams) (*PageRankResponse, error) {
+	return answer[PageRankResponse](l.Query(ctx, Query{Kernel: row("pagerank", ""), Graph: name, K: k, QueryParams: p}))
 }
 
-// Degrees implements QueryBackend.
-func (l *Local) Degrees(_ context.Context, name string, p QueryParams) (*DegreesResponse, error) {
-	g, spec, release, err := l.Target(name, p)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	dist := metrics.DegreeDistribution(g)
-	slope, r2 := metrics.PowerLawSlope(dist)
-	return &DegreesResponse{Graph: name, Spec: spec, Dist: dist, Slope: slope, R2: r2}, nil
+func (l *Local) Triangles(ctx context.Context, name, mode string, prob float64, p QueryParams) (*TrianglesResponse, error) {
+	return answer[TrianglesResponse](l.Query(ctx, Query{Kernel: row("triangles", mode), Graph: name, Mode: mode, P: prob, QueryParams: p}))
 }
 
-// Compare implements QueryBackend. p.Spec must be non-empty.
-func (l *Local) Compare(_ context.Context, name string, p QueryParams) (*CompareResponse, error) {
-	e, err := l.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	comp, canonical, _, err := l.target(e, p)
-	if err != nil {
-		return nil, err
-	}
-	// The original side runs on the resident form (packed or mapped in
-	// place); every Quality sub-metric is representation-independent, so the
-	// report is byte-identical to comparing against the raw CSR.
-	orig, _, release, err := l.target(e, QueryParams{})
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	q, err := metrics.CompareGraphs(orig, comp, l.ClampWorkers(p.Workers))
-	if err != nil {
-		return nil, Errf(http.StatusUnprocessableEntity, "%v", err)
-	}
-	return &CompareResponse{Graph: e.name, Spec: canonical, Seed: p.Seed, Quality: q}, nil
+func (l *Local) Degrees(ctx context.Context, name string, p QueryParams) (*DegreesResponse, error) {
+	return answer[DegreesResponse](l.Query(ctx, Query{Kernel: row("degrees", ""), Graph: name, QueryParams: p}))
+}
+
+// answer narrows a Query result to its row's response type.
+func answer[R any](resp any, err error) (*R, error) {
+	r, _ := resp.(*R)
+	return r, err
 }
 
 // Stats implements QueryBackend.
@@ -550,18 +513,10 @@ func (l *Local) Stats(_ context.Context) (*StatsResponse, error) {
 	return resp, nil
 }
 
-// CacheStats snapshots the variant-cache counters.
-func (l *Local) CacheStats() CacheStats { return l.cache.snapshot() }
-
 // TopK returns the k highest-scoring vertices, score descending with vertex
 // ID as the deterministic tie-break.
 func TopK(ranks []float64, k int) []RankedVertex {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(ranks) {
-		k = len(ranks)
-	}
+	k = max(0, min(k, len(ranks)))
 	order := make([]int32, len(ranks))
 	for i := range order {
 		order[i] = int32(i)
@@ -574,7 +529,7 @@ func TopK(ranks []float64, k int) []RankedVertex {
 		return a < b
 	})
 	top := make([]RankedVertex, k)
-	for i := 0; i < k; i++ {
+	for i := range top {
 		top[i] = RankedVertex{Node: order[i], Score: ranks[order[i]]}
 	}
 	return top

@@ -31,6 +31,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -212,7 +213,7 @@ func (s *Server) CacheStats() CacheStats {
 	if s.local == nil {
 		return CacheStats{}
 	}
-	return s.local.CacheStats()
+	return s.local.cache.snapshot()
 }
 
 // SetNotReady marks the server not ready with the given reason; /readyz
@@ -220,10 +221,7 @@ func (s *Server) CacheStats() CacheStats {
 func (s *Server) SetNotReady(reason string) {
 	s.readyMu.Lock()
 	defer s.readyMu.Unlock()
-	if reason == "" {
-		reason = "not ready"
-	}
-	s.notReady = reason
+	s.notReady = cmp.Or(reason, "not ready")
 }
 
 // SetReady marks the server ready.
@@ -298,11 +296,11 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/graphs/{name}", s.handleGetGraph)
 	s.mux.HandleFunc("DELETE /v1/graphs/{name}", s.handleDeleteGraph)
 	s.mux.HandleFunc("POST /v1/graphs/{name}/compress", s.query(s.compress))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/bfs", s.query(s.bfs))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/pagerank", s.query(s.pageRank))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/triangles", s.query(s.triangles))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/degrees", s.query(s.degrees))
-	s.mux.HandleFunc("GET /v1/graphs/{name}/compare", s.query(s.compare))
+	for i, k := range Kernels {
+		if i == 0 || Kernels[i-1].Name != k.Name {
+			s.mux.HandleFunc("GET /v1/graphs/{name}/"+k.Name, s.query(s.analytics(k)))
+		}
+	}
 }
 
 // admit claims one of the MaxConcurrent heavy-request slots, waiting at
@@ -372,10 +370,19 @@ func WriteErr(w http.ResponseWriter, err error) {
 	writeErr(w, StatusOf(err), "%v", err)
 }
 
+// Respond writes v with code, or err (WriteErr) when it is non-nil.
+func Respond(w http.ResponseWriter, code int, v any, err error) {
+	if err != nil {
+		WriteErr(w, err)
+		return
+	}
+	WriteJSON(w, code, v)
+}
+
 // --- catalog endpoints -----------------------------------------------------
 
-func infoOf(e *entry) GraphInfo {
-	return GraphInfo{
+func infoOf(e *entry) *GraphInfo {
+	return &GraphInfo{
 		Name: e.name, N: e.n, M: e.m,
 		Directed: e.directed, Weighted: e.weighted,
 		Memory: e.memory, Source: e.source,
@@ -413,20 +420,12 @@ func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := s.backend.Stats(r.Context())
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, st)
+	Respond(w, http.StatusOK, st, err)
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	out, err := s.cat.List(r.Context())
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, out)
+	Respond(w, http.StatusOK, out, err)
 }
 
 func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
@@ -435,15 +434,11 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if isJSON(r) {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
 		s.createGenerated(w, r)
 		return
 	}
 	s.createUploaded(w, r)
-}
-
-func isJSON(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), "application/json")
 }
 
 func (s *Server) createGenerated(w http.ResponseWriter, r *http.Request) {
@@ -456,18 +451,14 @@ func (s *Server) createGenerated(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing generator: set \"gen\" to rmat, er, ba, grid, communities, or smallworld")
 		return
 	}
-	workers := s.clampWorkers(req.Workers)
+	workers := s.opts.clampWorkers(req.Workers)
 	g, source, err := Generate(req.Gen, req.Scale, req.EdgeFactor, req.NumVertices, req.Seed, req.Weighted)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	info, err := s.cat.Create(r.Context(), req.Name, req.Memory, source, g, workers)
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusCreated, info)
+	Respond(w, http.StatusCreated, info, err)
 }
 
 // ReadBody reads r to EOF into a buffer sized once from the declared body
@@ -513,30 +504,18 @@ func (s *Server) createUploaded(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	info, err := s.cat.Create(r.Context(), name, q.Get("memory"), "upload", g, s.clampWorkers(rawWorkers))
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusCreated, info)
+	info, err := s.cat.Create(r.Context(), name, q.Get("memory"), "upload", g, s.opts.clampWorkers(rawWorkers))
+	Respond(w, http.StatusCreated, info, err)
 }
 
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	info, err := s.cat.Info(r.Context(), r.PathValue("name"))
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, info)
+	Respond(w, http.StatusOK, info, err)
 }
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.cat.Drop(r.Context(), r.PathValue("name"))
-	if err != nil {
-		WriteErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, resp)
+	Respond(w, http.StatusOK, resp, err)
 }
 
 // --- request parameter helpers ---------------------------------------------
@@ -544,14 +523,11 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 // clampWorkers resolves a requested worker budget: <= 0 means the
 // deterministic default of one worker, and the result never exceeds
 // MaxWorkers.
-func (s *Server) clampWorkers(workers int) int {
+func (o Options) clampWorkers(workers int) int {
 	if workers <= 0 {
 		return 1
 	}
-	if workers > s.opts.MaxWorkers {
-		return s.opts.MaxWorkers
-	}
-	return workers
+	return min(workers, o.MaxWorkers)
 }
 
 // intParam parses an optional integer query parameter strictly: empty means

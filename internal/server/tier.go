@@ -78,21 +78,17 @@ func writeAtomic(path string, write func(f *os.File) error) error {
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

@@ -82,9 +82,6 @@ func StatServable(path string) (ServableInfo, error) {
 	return info, nil
 }
 
-// Path returns the file the mapping was opened from.
-func (m *Mapped) Path() string { return m.path }
-
 // MappedBytes returns the size of the mapped image.
 func (m *Mapped) MappedBytes() int64 {
 	m.mu.Lock()
