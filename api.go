@@ -5,18 +5,14 @@ import (
 
 	"slimgraph/internal/centrality"
 	"slimgraph/internal/cluster"
-	"slimgraph/internal/coloring"
 	"slimgraph/internal/components"
 	"slimgraph/internal/core"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
-	"slimgraph/internal/matching"
 	"slimgraph/internal/metrics"
-	"slimgraph/internal/mincut"
-	"slimgraph/internal/mis"
-	"slimgraph/internal/mst"
 	"slimgraph/internal/obs"
+	"slimgraph/internal/props"
 	"slimgraph/internal/resilience"
 	"slimgraph/internal/rng"
 	"slimgraph/internal/schemes"
@@ -391,7 +387,7 @@ func SchemeNames() []string { return schemes.Names() }
 
 // MinCut returns the weight of a global minimum cut (Stoer–Wagner; O(n^3),
 // for verification-scale graphs).
-func MinCut(g *Graph) float64 { return mincut.StoerWagner(g) }
+func MinCut(g *Graph) float64 { return props.StoerWagner(g) }
 
 // SummarizeOptions configures Summarize; see summarize.Options.
 type SummarizeOptions = summarize.Options
@@ -516,17 +512,17 @@ func NewTriangleEngine(g AdjacencyEdges, workers int) *TriangleEngine {
 }
 
 // MSTWeight returns the weight of a minimum spanning forest (Kruskal).
-func MSTWeight(g AdjacencyEdges) float64 { return mst.Kruskal(g).Weight }
+func MSTWeight(g AdjacencyEdges) float64 { return props.Kruskal(g).Weight }
 
 // ColoringNumber returns the Szekeres–Wilf coloring number
 // (degeneracy + 1).
-func ColoringNumber(g *Graph) int { return coloring.ColoringNumber(g) }
+func ColoringNumber(g *Graph) int { return props.ColoringNumber(g) }
 
 // MatchingSize returns the size of a greedy maximal matching.
-func MatchingSize(g *Graph) int { return matching.Size(g) }
+func MatchingSize(g *Graph) int { return props.MatchingSize(g) }
 
 // IndependentSetSize returns the best greedy maximal-independent-set size.
-func IndependentSetSize(g *Graph) int { return mis.BestSize(g) }
+func IndependentSetSize(g *Graph) int { return props.IndependentSetSize(g) }
 
 // Accuracy metrics (§5).
 

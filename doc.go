@@ -69,7 +69,10 @@
 //     deletions atomically; Materialize rebuilds a compact CSR), and any
 //     graph algorithm runs as stage 2 on the result. BFS, SSSP, PageRank,
 //     betweenness centrality, connected components, triangle counting,
-//     MST, coloring, matching, and independent sets are included.
+//     MST, coloring, matching, and independent sets are included. The
+//     Table 3 properties are each measured by one algorithm
+//     (internal/props): coloring, matching and independent set by one
+//     greedy each, min cut by Stoer–Wagner, MST by Kruskal.
 //
 //   - The analytics subsystem: Kullback–Leibler divergence for
 //     distribution-valued outputs (PageRank), reordered-pair counts for

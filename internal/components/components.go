@@ -104,44 +104,3 @@ func CountLabels(labels []graph.NodeID) int {
 	}
 	return len(seen)
 }
-
-// Sizes returns component sizes keyed by label.
-func Sizes(labels []graph.NodeID) map[graph.NodeID]int {
-	sizes := make(map[graph.NodeID]int)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	return sizes
-}
-
-// Largest returns the size of the largest component.
-func Largest(labels []graph.NodeID) int {
-	best := 0
-	for _, s := range Sizes(labels) {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// SameComponents reports whether two labelings induce the same partition of
-// the vertex set (labels themselves may differ).
-func SameComponents(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	fwd := make(map[graph.NodeID]graph.NodeID)
-	rev := make(map[graph.NodeID]graph.NodeID)
-	for i := range a {
-		if l, ok := fwd[a[i]]; ok && l != b[i] {
-			return false
-		}
-		if l, ok := rev[b[i]]; ok && l != a[i] {
-			return false
-		}
-		fwd[a[i]] = b[i]
-		rev[b[i]] = a[i]
-	}
-	return true
-}

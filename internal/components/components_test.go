@@ -41,7 +41,7 @@ func TestThreeImplementationsAgreeProperty(t *testing.T) {
 		a := Labels(g)
 		b := LabelsUnionFind(g)
 		c := LabelsPropagation(g, 4)
-		return SameComponents(a, b) && SameComponents(a, c)
+		return sameComponents(a, b) && sameComponents(a, c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -65,33 +65,40 @@ func TestEdgelessGraph(t *testing.T) {
 	}
 }
 
-func TestSizesAndLargest(t *testing.T) {
-	g := graph.FromEdges(6, false, []graph.Edge{
-		graph.E(0, 1), graph.E(1, 2), graph.E(3, 4),
-	})
-	l := Labels(g)
-	sizes := Sizes(l)
-	if sizes[0] != 3 || sizes[3] != 2 || sizes[5] != 1 {
-		t.Fatalf("sizes %v", sizes)
-	}
-	if Largest(l) != 3 {
-		t.Fatalf("Largest = %d", Largest(l))
-	}
-}
-
 func TestSameComponentsDetectsDifference(t *testing.T) {
 	a := []graph.NodeID{0, 0, 2}
 	b := []graph.NodeID{5, 5, 7}
-	if !SameComponents(a, b) {
+	if !sameComponents(a, b) {
 		t.Fatal("isomorphic labelings reported different")
 	}
 	c := []graph.NodeID{0, 1, 1}
-	if SameComponents(a, c) {
+	if sameComponents(a, c) {
 		t.Fatal("different partitions reported same")
 	}
-	if SameComponents(a, []graph.NodeID{0}) {
+	if sameComponents(a, []graph.NodeID{0}) {
 		t.Fatal("length mismatch reported same")
 	}
+}
+
+// sameComponents reports whether two labelings induce the same partition of
+// the vertex set (labels themselves may differ).
+func sameComponents(a, b []graph.NodeID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	fwd := make(map[graph.NodeID]graph.NodeID)
+	rev := make(map[graph.NodeID]graph.NodeID)
+	for i := range a {
+		if l, ok := fwd[a[i]]; ok && l != b[i] {
+			return false
+		}
+		if l, ok := rev[b[i]]; ok && l != a[i] {
+			return false
+		}
+		fwd[a[i]] = b[i]
+		rev[b[i]] = a[i]
+	}
+	return true
 }
 
 func BenchmarkLabelsRMAT14(b *testing.B) {

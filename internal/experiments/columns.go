@@ -8,7 +8,7 @@ import (
 	"slimgraph/internal/centrality"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/metrics"
-	"slimgraph/internal/mincut"
+	"slimgraph/internal/props"
 	"slimgraph/internal/triangles"
 )
 
@@ -108,11 +108,11 @@ func reorderedTC(r Row) float64 {
 
 // cutError is the §6.3 cell: the relative change of the global min cut.
 func cutError(r Row) float64 {
-	before := mincut.StoerWagner(r.orig)
+	before := props.StoerWagner(r.orig)
 	if before <= 0 {
 		return 0
 	}
-	return math.Abs(mincut.StoerWagner(r.out)-before) / before
+	return math.Abs(props.StoerWagner(r.out)-before) / before
 }
 
 // isolated counts the vertices the scheme left without any edge.

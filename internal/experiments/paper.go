@@ -6,13 +6,10 @@ import (
 	"slices"
 
 	"slimgraph/internal/centrality"
-	"slimgraph/internal/coloring"
 	"slimgraph/internal/components"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/matching"
 	"slimgraph/internal/metrics"
-	"slimgraph/internal/mincut"
-	"slimgraph/internal/mis"
+	"slimgraph/internal/props"
 	"slimgraph/internal/traverse"
 	"slimgraph/internal/triangles"
 )
@@ -231,9 +228,9 @@ var Artifacts = []Artifact{
 				return keep("uniform", "p")(prior[0].Ratio)
 			}}},
 		Cols: []Column{colGraph,
-			num("min cut", f1, func(r Row) float64 { return mincut.StoerWagner(r.orig) }),
+			num("min cut", f1, func(r Row) float64 { return props.StoerWagner(r.orig) }),
 			label("scheme"), colRatio,
-			num("cut after", f1, func(r Row) float64 { return mincut.StoerWagner(r.out) }),
+			num("cut after", f1, func(r Row) float64 { return props.StoerWagner(r.out) }),
 			num("cut error", f3, cutError)}},
 
 	// The paper's Listing 1 is inconsistent about Edge-Once (see the
@@ -357,7 +354,7 @@ var table3Columns = []Column{label("scheme"),
 	num("maxdeg", f1, func(r Row) float64 { return float64(r.out.MaxDegree()) }),
 	quality("T", func(q *metrics.Quality) string { return d2(int(q.CompressedTriangles)) }),
 	quality("CC", func(q *metrics.Quality) string { return d2(q.CompressedComponents) }),
-	col("CG", func(r Row) string { return d2(coloring.ColoringNumber(r.out)) }),
-	col("IS", func(r Row) string { return d2(mis.BestSize(r.out)) }),
-	col("MC", func(r Row) string { return d2(matching.Size(r.out)) }),
+	col("CG", func(r Row) string { return d2(props.ColoringNumber(r.out)) }),
+	col("IS", func(r Row) string { return d2(props.IndependentSetSize(r.out)) }),
+	col("MC", func(r Row) string { return d2(props.MatchingSize(r.out)) }),
 }

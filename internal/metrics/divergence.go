@@ -89,18 +89,6 @@ func TotalVariation(p, q []float64) float64 {
 	return d / 2
 }
 
-// RelativeChange returns |after-before| / |before| (0 when both are zero) —
-// the simple scalar metric for outputs like component counts.
-func RelativeChange(before, after float64) float64 {
-	if before == 0 {
-		if after == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(after-before) / math.Abs(before)
-}
-
 func checkPair(p, q []float64) {
 	if len(p) != len(q) {
 		panic(fmt.Sprintf("metrics: length mismatch %d vs %d", len(p), len(q)))

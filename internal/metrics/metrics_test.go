@@ -94,18 +94,6 @@ func TestTotalVariation(t *testing.T) {
 	}
 }
 
-func TestRelativeChange(t *testing.T) {
-	if RelativeChange(10, 12) != 0.2 {
-		t.Fatal("RelativeChange(10, 12)")
-	}
-	if RelativeChange(0, 0) != 0 {
-		t.Fatal("RelativeChange(0, 0)")
-	}
-	if !math.IsInf(RelativeChange(0, 5), 1) {
-		t.Fatal("RelativeChange(0, 5)")
-	}
-}
-
 func TestReorderedPairsMatchesNaiveProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)

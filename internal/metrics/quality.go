@@ -6,7 +6,7 @@ import (
 	"slimgraph/internal/centrality"
 	"slimgraph/internal/components"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/mst"
+	"slimgraph/internal/props"
 	"slimgraph/internal/triangles"
 )
 
@@ -84,7 +84,7 @@ func CompareGraphs(orig, comp graph.AdjacencyEdges, workers int) (*Quality, erro
 	q.BFSRetention = BFSCriticalMulti(orig, comp, roots, workers)
 	q.DegreeDistance = DistributionDistance(DegreeDistribution(orig), DegreeDistribution(comp))
 	if orig.Weighted() && comp.Weighted() {
-		wO, wC := mst.Kruskal(orig).Weight, mst.Kruskal(comp).Weight
+		wO, wC := props.Kruskal(orig).Weight, props.Kruskal(comp).Weight
 		q.MSTWeight, q.CompressedMSTWeight = &wO, &wC
 	}
 	return q, nil

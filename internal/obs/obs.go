@@ -173,18 +173,6 @@ func (s HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error)
 	return out, nil
 }
 
-// MergeHistogramSnapshots folds any number of snapshots left to right.
-func MergeHistogramSnapshots(snaps ...HistogramSnapshot) (HistogramSnapshot, error) {
-	var acc HistogramSnapshot
-	var err error
-	for _, s := range snaps {
-		if acc, err = acc.Merge(s); err != nil {
-			return HistogramSnapshot{}, err
-		}
-	}
-	return acc, nil
-}
-
 // --- registry --------------------------------------------------------------
 
 type kind int

@@ -94,13 +94,6 @@ func TestHistogramMergeCommutativeAssociative(t *testing.T) {
 	if abc1.Count != 9 {
 		t.Fatalf("merged count = %d, want 9", abc1.Count)
 	}
-	folded, err := MergeHistogramSnapshots(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(folded, abc1) {
-		t.Fatalf("MergeHistogramSnapshots disagrees with pairwise merge")
-	}
 }
 
 func TestHistogramMergeIdentityAndMismatch(t *testing.T) {

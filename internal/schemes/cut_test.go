@@ -7,7 +7,7 @@ import (
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/mincut"
+	"slimgraph/internal/props"
 )
 
 // bottleneck builds two cliques of size s joined by `bridges` edges; the
@@ -72,16 +72,16 @@ func TestCutSparsifyKeepsWeakEdges(t *testing.T) {
 
 func TestCutSparsifyPreservesMinCut(t *testing.T) {
 	g := bottleneck(20, 4)
-	before := mincut.StoerWagner(g)
+	before := props.StoerWagner(g)
 	res := applySpec(t, g, "cut", 3, 2) // default rho
-	after := mincut.StoerWagner(res.Output)
+	after := props.StoerWagner(res.Output)
 	if math.Abs(after-before) > 0.5*before {
 		t.Fatalf("min cut %v -> %v (more than 50%% drift)", before, after)
 	}
 	// Uniform sampling at the same edge budget does NOT protect the cut.
 	keep := res.CompressionRatio()
 	uni := applySpec(t, g, fmt.Sprintf("uniform:p=%g", keep), 3, 2)
-	uniCut := mincut.StoerWagner(uni.Output)
+	uniCut := props.StoerWagner(uni.Output)
 	if uniCut >= after {
 		t.Logf("note: uniform cut %v >= sparsifier cut %v on this seed", uniCut, after)
 	}

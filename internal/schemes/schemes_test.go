@@ -10,7 +10,7 @@ import (
 	"slimgraph/internal/core"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/mst"
+	"slimgraph/internal/props"
 	"slimgraph/internal/rng"
 	"slimgraph/internal/traverse"
 	"slimgraph/internal/triangles"
@@ -181,9 +181,9 @@ func TestTREOPreservesConnectivityEmpirically(t *testing.T) {
 func TestTRMaxWeightPreservesMSTWeight(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := gen.WithUniformWeights(gen.PlantedPartition(150, 15, 0.5, 100, seed), 1, 100, seed+1)
-		before := mst.Kruskal(g)
+		before := props.Kruskal(g)
 		res := applySpec(t, g, "tr-maxweight:p=1", seed, 1)
-		after := mst.Kruskal(res.Output)
+		after := props.Kruskal(res.Output)
 		return math.Abs(before.Weight-after.Weight) < 1e-9 && before.Trees == after.Trees
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

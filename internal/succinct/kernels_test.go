@@ -11,7 +11,7 @@ import (
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/metrics"
-	"slimgraph/internal/mst"
+	"slimgraph/internal/props"
 	"slimgraph/internal/rng"
 	"slimgraph/internal/traverse"
 	"slimgraph/internal/triangles"
@@ -27,7 +27,7 @@ type kernelResults struct {
 	Labels     []graph.NodeID
 	Components int
 	Degrees    []float64
-	Forest     *mst.Result
+	Forest     *props.Result
 	Critical   int
 	BFSCrit    *metrics.BFSCriticalResult
 	Retention  float64
@@ -47,7 +47,7 @@ func runKernels(a, comp graph.AdjacencyEdges, workers int) (kernelResults, []gra
 		Labels:     components.Labels(a),
 		Components: components.Count(a),
 		Degrees:    metrics.DegreeDistribution(a),
-		Forest:     mst.Kruskal(a),
+		Forest:     props.Kruskal(a),
 	}
 	var err error
 	if res.Quality, err = metrics.CompareGraphs(a, comp, workers); err != nil {

@@ -79,16 +79,6 @@ func PerEdge(g *graph.Graph, workers int) []int64 {
 	return NewEngine(g, workers).PerEdge()
 }
 
-// AveragePerVertex returns T*3/n-style density — the paper reports "average
-// number of triangles per vertex" in Table 6, which counts each triangle at
-// each of its three vertices.
-func AveragePerVertex(g *graph.Graph, workers int) float64 {
-	if g.N() == 0 {
-		return 0
-	}
-	return 3 * float64(Count(g, workers)) / float64(g.N())
-}
-
 // CountApprox estimates the triangle count with DOULION (Tsourakakis et
 // al.): sample each edge with probability p, count triangles in the sample,
 // scale by p^-3. The paper cites this family as what makes TR affordable on

@@ -166,13 +166,6 @@ func TestPerEdgeSumsToThreeT(t *testing.T) {
 	}
 }
 
-func TestAveragePerVertex(t *testing.T) {
-	// K4: 4 triangles, each vertex in 3 of them -> average 3.
-	if got := AveragePerVertex(gen.Complete(4), 1); got != 3 {
-		t.Fatalf("K4 average = %v, want 3", got)
-	}
-}
-
 func TestCountApproxNearExact(t *testing.T) {
 	g := gen.PlantedPartition(400, 20, 0.5, 200, 17)
 	exact := float64(Count(g, 4))
