@@ -192,6 +192,23 @@ func TestDegeneracyKnownValues(t *testing.T) {
 	}
 }
 
+func TestDegeneracyOrderIsPermutation(t *testing.T) {
+	g := gen.RMAT(9, 8, 0.57, 0.19, 0.19, 5)
+	order, _ := smallestLast(g)
+	seen := make([]bool, g.N())
+	for _, v := range order {
+		if seen[v] {
+			t.Fatalf("vertex %d repeated", v)
+		}
+		seen[v] = true
+	}
+	for v, s := range seen {
+		if !s {
+			t.Fatalf("vertex %d missing", v)
+		}
+	}
+}
+
 func TestSmallestLastBeatsOrEqualsNatural(t *testing.T) {
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 7)
 	natural := make([]graph.NodeID, g.N())
@@ -209,6 +226,23 @@ func TestSmallestLastBeatsOrEqualsNatural(t *testing.T) {
 	}
 	if smallest > nat+2 {
 		t.Fatalf("smallest-last %d much worse than natural %d", smallest, nat)
+	}
+}
+
+func TestGreedyAnyOrderValidProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		g := gen.ErdosRenyi(50, 150, seed)
+		order := make([]graph.NodeID, g.N())
+		for i := range order {
+			order[i] = graph.NodeID(i)
+		}
+		r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		colors, used := greedyColoring(g, order)
+		return validColoring(g, colors) && used <= g.MaxDegree()+1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
