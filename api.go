@@ -500,8 +500,9 @@ func TriangleCountApprox(g AdjacencyEdges, p float64, seed uint64, workers int) 
 // TriangleEngine is the reusable triangle-enumeration substrate: a
 // rank-oriented forward CSR built once per graph, shared by counting,
 // per-element counting, and triangle-kernel runs. The package-level
-// triangle functions build a single-use engine internally; construct one
-// explicitly to amortize it across repeated enumerations of the same graph.
+// triangle functions build a single-use substrate internally (TriangleCount
+// only the count-only forward CSR); construct an engine explicitly to
+// amortize it across repeated enumerations of the same graph.
 type TriangleEngine = triangles.Engine
 
 // NewTriangleEngine builds the enumeration substrate for g (undirected

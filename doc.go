@@ -142,9 +142,9 @@
 // implementation, so packed-resident graphs serve on the packed form in
 // place: BFS, PageRank, triangles, degrees, and the original side of
 // compare all consume the PackedGraph's adjacency views directly, the
-// oriented triangle engine is built lazily once per catalog entry and
-// reused across queries (its intersection scratch — one stamp array per
-// worker — belongs to the request, not the entry), and Unpack is reachable
+// count-only forward CSR (triangles.Forward) is built lazily once per
+// catalog entry and reused across queries (its scratch — one stamp array
+// per worker — belongs to the request, not the entry), and Unpack is reachable
 // only from variant computation.
 // Answers are byte-identical to a raw-resident catalog; the guarantee is
 // pinned by a test that fails on any Unpack during query serving.

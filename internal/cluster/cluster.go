@@ -23,9 +23,9 @@
 // iteration would cost more than the work it distributes. A kernel that
 // needs one round scatters parts (i, of) that a shard turns into its share
 // locally — the degree-aware vertex range of graph.DegreeCuts (the split
-// PartitionByDegree lays out) for degrees, the triangle engine's
-// work-balanced edge slice (triangles.Engine.CountPart, on an engine built
-// for the sub-request) for exact counts — from nothing but the target
+// PartitionByDegree lays out) for degrees, a work-balanced vertex range of
+// the count-only forward CSR (triangles.Forward.CountPart, on a Forward
+// built for the sub-request) for exact counts — from nothing but the target
 // graph, so ownership needs no metadata exchange and holds for variants
 // whose vertex count differs from the original. No threshold or option
 // chooses between the two. The coordinator then runs the row's own Finish,

@@ -16,7 +16,7 @@ import (
 // .../{whole|part}/{row} by its shape. A whole row runs on one replica; a
 // scatter row's sub-request addresses part `shard` of `of`, which the row
 // turns into its share of the work itself — a vertex range for degrees, a
-// slice of the triangle engine's edge order for exact triangles — a pure
+// work-balanced vertex range of the forward CSR for exact triangles — a pure
 // function of the target graph, so it never travels on the wire.
 //
 // A sub-request's whole input is its query string (spec, seed, workers, the
@@ -44,8 +44,8 @@ import (
 //	whole/triangles  mode=approx, p → the DOULION estimate's bits; —
 //	whole/compare    — → JSON {"Quality": metrics.Quality, …}
 //	part/degrees     — → —; out-degree histogram of the range, []int64
-//	part/triangles   mode=exact → triangles.Engine.CountPart of the part (a
-//	                 work slice of the edge order, not a vertex range); —
+//	part/triangles   mode=exact → triangles.Forward.CountPart of the part (a
+//	                 vertex range of the forward CSR cut by counting work); —
 
 // elem is the set of vector element types a frame carries.
 type elem interface{ int32 | int64 | float64 }

@@ -67,11 +67,11 @@ type entry struct {
 	// mapped is the mapping of the write-through snapshot at
 	// store.graphPath(name), opened by attach or by the first spill.
 	mapped *succinct.Mapped
-	// Triangle-engine arena: the rank-oriented forward CSR is a pure
-	// function of the graph, built lazily on the first exact triangle query
-	// and reused until the spiller reclaims it (a rebuild over any tier is
-	// bit-identical).
-	engine  *triangles.Engine
+	// Triangle arena: the count-only forward CSR (offsets, lists, work
+	// prefix; no edge IDs) is a pure function of the graph, built lazily on
+	// the first exact triangle query and reused until the spiller reclaims
+	// it (a rebuild over any tier is bit-identical).
+	engine  *triangles.Forward
 	lastUse int64 // catalog clock tick of the last acquire, for LRU spill
 }
 
@@ -107,12 +107,12 @@ func (v *view) materialize(workers int) *graph.Graph {
 	return v.adj.(*succinct.PackedGraph).Unpack(workers)
 }
 
-// triangleEngine returns the entry's oriented triangle engine, building it
-// over a — the entry's resident form, pinned by the caller — on first use (or
-// after a spill reclaimed the previous arena). The engine's structure is
-// deterministic and identical across tiers and worker counts, so the cached
-// build is shared and only the enumeration worker budget varies per request.
-func (e *entry) triangleEngine(a graph.AdjacencyEdges, workers int) *triangles.Engine {
+// triangleEngine returns the entry's triangle arena, building it over a —
+// the entry's resident form, pinned by the caller — on first use (or after a
+// spill reclaimed the previous arena). Its structure is deterministic and
+// identical across tiers and worker counts, so the cached build is shared
+// and only the counting worker budget varies per request.
+func (e *entry) triangleEngine(a graph.AdjacencyEdges, workers int) *triangles.Forward {
 	e.mu.Lock()
 	en := e.engine
 	e.mu.Unlock()
@@ -121,7 +121,7 @@ func (e *entry) triangleEngine(a graph.AdjacencyEdges, workers int) *triangles.E
 		// graph and the input is pinned and immutable. Two racing builds
 		// produce identical structures; the first to publish wins and the
 		// loser's arena is garbage.
-		built := triangles.NewEngine(a, workers)
+		built := triangles.NewForward(a, workers)
 		e.mu.Lock()
 		if e.engine == nil {
 			e.engine = built

@@ -347,16 +347,16 @@ func (l *Local) resolve(e *entry, p QueryParams) (graph.AdjacencyEdges, string, 
 type target struct {
 	g graph.AdjacencyEdges
 	e *entry
-	// arena: the triangle engine over an original is the entry's cached one
-	// (a single node), not one built for the call (a shard keeps none).
+	// arena: the triangles.Forward over an original is the entry's cached
+	// one (a single node), not one built for the call (a shard keeps none).
 	arena bool
 }
 
-// engine returns the triangle engine over t. Building the entry's arena
+// engine returns the triangles.Forward over t. Building the entry's arena
 // may push the catalog past its budget, which is settled before the count.
-func (t *target) engine(workers int) *triangles.Engine {
+func (t *target) engine(workers int) *triangles.Forward {
 	if !t.arena {
-		return triangles.NewEngine(t.g, workers)
+		return triangles.NewForward(t.g, workers)
 	}
 	en := t.e.triangleEngine(t.g, workers)
 	t.e.cat.enforceBudget()
@@ -366,7 +366,7 @@ func (t *target) engine(workers int) *triangles.Engine {
 // run resolves q's target and runs part `part` of `of` of its row there, at
 // this node's worker budget: every query of this backend, and every part a
 // cluster shard computes, starts here. arena says whether an original's
-// triangle engine is the entry's cached one. Beside the reply it returns
+// triangle arena is the entry's cached one. Beside the reply it returns
 // what Finish reads of the target: the canonical spec and the vertex count.
 func (l *Local) run(q Query, part, of int, arena bool) (r Reply, spec string, n int, err error) {
 	e, err := l.lookup(q.Graph)
@@ -384,7 +384,7 @@ func (l *Local) run(q Query, part, of int, arena bool) (r Reply, spec string, n 
 }
 
 // Part runs part `part` of `of` of q's row for a cluster shard: the reply
-// Query would finish, with an original's triangle engine built for the call.
+// Query would finish, with an original's triangles.Forward built for the call.
 func (l *Local) Part(q Query, part, of int) (Reply, error) {
 	r, _, _, err := l.run(q, part, of, false)
 	return r, err

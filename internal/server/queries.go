@@ -152,7 +152,7 @@ var Kernels = []*Kernel{
 		},
 	},
 	{
-		// A part is the triangles whose rank-lowest edge lies in its work slice.
+		// A part is the triangles whose rank-lowest vertex lies in its work slice.
 		Name: "triangles", Mode: "exact", Shape: Scatter, Elem: Scalars,
 		Parse: triangleArgs,
 		Run: func(t *target, q Query, part, of int) (Reply, error) {

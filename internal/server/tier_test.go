@@ -396,10 +396,11 @@ func TestTierVariantSpillAndFaultIn(t *testing.T) {
 	}
 }
 
-// TestArenaBytesAccounted pins the PR 7 regression: the triangle-engine
-// arena is part of the catalog's resident bytes, exposed on the
-// slimgraph_catalog_arena_bytes gauge, and equals the engine's own
-// accounting.
+// TestArenaBytesAccounted pins a fixed regression: the triangle arena is
+// part of the catalog's resident bytes, exposed on the
+// slimgraph_catalog_arena_bytes gauge, and equals the arena's own
+// accounting — which, for a count-only forward CSR, is at most 16(n+1) + 4m
+// bytes.
 func TestArenaBytesAccounted(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxWorkers: 2})
 	code, body := postJSON(t, ts.URL+"/v1/graphs", map[string]any{
@@ -424,6 +425,9 @@ func TestArenaBytesAccounted(t *testing.T) {
 	_, _, arena, _ = s.Local().catalog.residentBytes()
 	if arena == 0 || arena != en.SizeBytes() {
 		t.Fatalf("arena bytes = %d, engine accounts %d", arena, en.SizeBytes())
+	}
+	if limit := 16*int64(e.n+1) + 4*int64(e.m); arena > limit {
+		t.Fatalf("arena bytes = %d over 16(n+1) + 4m = %d", arena, limit)
 	}
 
 	code, body = get(t, ts.URL+"/metrics")

@@ -1,13 +1,16 @@
 package succinct
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"slimgraph/internal/bitset"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/rng"
+	"slimgraph/internal/triangles"
 )
 
 // TestAccessorsAgreeOnCorruptedPayloads is the differential test of the
@@ -151,5 +154,36 @@ func checkAccessorsAgree(t *testing.T, name string, pg *PackedGraph, r *rng.Rand
 		if got, want := pg.FirstInNeighborIn(v, set), firstMember(prefix, pg.n, set); got != want {
 			t.Fatalf("%s: FirstInNeighborIn(%d) = %d, a linear search of %v gives %d", name, v, got, prefix, want)
 		}
+	}
+}
+
+// The corrupt-input contract bounds a decoded neighbor by 2^31, not by n, and
+// nothing ties the lists' arcs to the header's M. triangles.NewForward reads
+// a packed graph through ScanInLists and indexes by neighbor, so both kinds
+// of damage must stop it with a panic naming a corrupt packed graph — the
+// words Unpack uses — never with an index out of range: a list head
+// rewritten so the list decodes to neighbors n and beyond, and a header that
+// undercounts the edges its lists hold.
+func TestForwardRefusesCorruptPayload(t *testing.T) {
+	pg := Pack(randomGraph(rng.New(59), packCase{}, 90, 2400), 0, WithBlockVertices(16))
+	const victim = 41
+	_, head := Uvarint(pg.payload, pg.start(victim))
+	past := *pg
+	past.payload = slices.Clone(pg.payload)
+	past.payload[head] = byte(ZigZag(int64(pg.n - victim))) // one byte, like the head it replaces
+	if nb := past.Neighbors(nil, victim); len(nb) != pg.Degree(victim) || int(nb[0]) != pg.n {
+		t.Fatalf("damaged list decodes to %v, want %d neighbors from %d", nb, pg.Degree(victim), pg.n)
+	}
+	short := *pg
+	short.m--
+	for name, bad := range map[string]*PackedGraph{"neighbor past n": &past, "arcs past m": &short} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "corrupt packed graph") {
+					t.Errorf("%s: NewForward panicked with %q, want a corrupt packed graph", name, msg)
+				}
+			}()
+			triangles.NewForward(bad, 1)
+		}()
 	}
 }

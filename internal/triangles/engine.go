@@ -5,94 +5,58 @@ import (
 	"slimgraph/internal/parallel"
 )
 
-// Engine is a precomputed, reusable triangle-enumeration substrate: the
-// rank permutation and rank-oriented forward CSR built once, then shared by
-// every enumeration (ForEachBatch, ForEach, Count, PerVertex, PerEdge, List)
-// and by core.RunTriangleKernel. Construction is O(n + m) on top of the
-// input CSR and uses only the deterministic primitives of internal/parallel,
-// so the structure — and every result derived from it — is bit-identical for
-// any worker count.
+// Engine is the triangle-emission substrate: a Forward (see it for the
+// orientation invariant) plus what emission reads — the canonical edge
+// columns, the EdgeID of every forward-list entry and a per-edge schedule —
+// built once and shared by every enumeration (ForEachBatch, ForEach,
+// PerVertex, PerEdge, List) and by core.RunTriangleKernel; Count and
+// CountPart run on the embedded Forward. Construction is O(n + m) on top of
+// the input and bit-identical for any worker count.
 //
-// Orientation invariant: vertices are ranked by the key (degree, ID), and
-// the forward list F(v) holds exactly the neighbors w with
-// rank(w) > rank(v), each carrying the canonical EdgeID of {v, w}. Every
-// triangle {a, b, c} with rank(a) < rank(b) < rank(c) therefore appears in
-// exactly one intersection — F(a) ∩ F(b), discovered from its rank-lowest
-// edge {a, b} — and |F(v)| = O(√m) for every v, which bounds each
-// intersection and yields the O(m^{3/2}) total of Table 2.
+// Emission goes edge by edge: a triangle with rank(a) < rank(b) < rank(c)
+// is found once, in F(a) ∩ F(b) from its rank-lowest edge {a, b}. Canonical
+// edges are grouped by their lower-ID endpoint and forward lists are sorted
+// by ID, not by rank, so the sequential enumeration emits in exactly the
+// reference order (ascending lowest edge, then ascending third vertex),
+// which keeps Edge-Once kernels bit-identical to the pre-engine
+// implementation.
 //
-// Forward lists are stored sorted by neighbor ID, not by rank. The
-// intersection needs no order at all — F(eu[e]) is stamped, F(ev[e]) is
-// scanned against the stamps — but scanning in ID order makes the
-// sequential enumeration emit triangles in exactly the reference order
-// (ascending lowest edge, then ascending third vertex), which keeps
-// Edge-Once kernels bit-identical to the pre-engine implementation.
-//
-// Stamp invariant: inside a range, stamp[w] = i+1 exactly when w is the
-// i-th entry of F(a) for the lower-ID endpoint a of the edge being scanned,
-// and 0 otherwise; between ranges the array is all-zero. A range stamps on
-// entry and un-stamps on exit by walking the list, never by clearing n
-// entries. The array is scratch of the call that enumerates — one per
-// worker, allocated by Count, CountPart, ForEachBatch, PerVertex, PerEdge or
-// List and dropped on return — so the engine itself stays immutable, safe
-// for concurrent enumerations, and its resident arena (SizeBytes) has no
-// field for it.
+// Stamp invariant of emission: inside a range, stamp[w] = i+1 exactly when
+// w is the i-th entry of F(a) for the lower-ID endpoint a of the edge being
+// scanned, and 0 otherwise; between ranges the array is all-zero. A range
+// stamps on entry and un-stamps on exit by walking the list. The array is
+// per-worker scratch of the enumerating call, so the engine stays
+// immutable, safe for concurrent enumerations, and its resident arena
+// (SizeBytes) has no field for it.
 type Engine struct {
-	g       graph.AdjacencyEdges
-	workers int
-
-	key []uint64 // rank key per vertex: degree<<32 | ID
-
-	// Canonical edge columns: zero-copy views into the raw CSR when the
-	// representation exposes them, otherwise decoded once at build time.
-	eu, ev []graph.NodeID
-
-	// Forward CSR: off has length n+1; nbr/eid hold, for each vertex, its
-	// higher-ranked neighbors in increasing ID order with canonical EdgeIDs.
-	off []int64
-	nbr []graph.NodeID
-	eid []graph.EdgeID
-
-	// work[e] = total intersection cost of edges [0, e) — the prefix-summed
-	// per-edge estimate that drives balanced scheduling: |F(ev[e])|+1 for the
-	// scan, plus 2|F(eu[e])| on the first edge of a run sharing eu[e], whose
-	// forward list is stamped once and erased once for the whole run.
-	work []int64
-
-	// ownsCols records whether eu/ev were allocated by the build (decoded
-	// from a packed form) rather than borrowed zero-copy from a raw CSR —
-	// SizeBytes only charges the arena for columns it owns.
-	ownsCols bool
+	Forward
+	g        graph.AdjacencyEdges
+	key      []uint64       // rank key per vertex: degree<<32 | ID
+	eu, ev   []graph.NodeID // canonical edge columns, borrowed from a raw CSR or decoded
+	eid      []graph.EdgeID // the canonical EdgeID of every entry of nbr
+	edgeWork []int64        // edgeWork[e] = emission cost of edges [0, e)
+	ownsCols bool           // eu/ev were decoded by the build, so SizeBytes charges them
 }
 
 // NewEngine builds the enumeration substrate for any canonical-edge view —
-// *graph.Graph or succinct.PackedGraph alike, which is how the server counts
-// triangles on packed graphs without materializing a raw CSR. For a fixed
-// logical graph the built structure and every result are bit-identical
-// across representations and worker counts. workers <= 0 uses all CPUs; the
-// same value drives every subsequent enumeration on the engine. Directed
-// graphs are not supported: callers must symmetrize first.
+// *graph.Graph or succinct.PackedGraph alike, without materializing a raw
+// CSR. For a fixed logical graph the built structure and every result are
+// bit-identical across representations and worker counts. workers <= 0 uses
+// all CPUs; the same value drives every subsequent enumeration on the
+// engine. Directed graphs are not supported: callers must symmetrize first.
 func NewEngine(a graph.AdjacencyEdges, workers int) *Engine {
 	if a.Directed() {
 		panic("triangles: directed graphs are not supported; symmetrize first")
 	}
 	n, m := a.N(), a.M()
-	en := &Engine{g: a, workers: workers}
-
-	en.key = make([]uint64, n)
-	parallel.For(n, workers, func(v int) {
-		en.key[v] = uint64(a.Degree(graph.NodeID(v)))<<32 | uint64(uint32(v))
-	})
+	en := &Engine{Forward: Forward{workers: workers}, g: a, key: rankKeys(a, workers)}
 
 	en.eu, en.ev, en.ownsCols = graph.EdgeColumnsOf(a, workers)
 
 	// Edge-centric forward fill: stably scatter every canonical edge to its
 	// lower-rank endpoint. Edges arrive in canonical (u, v) order, so the
-	// arcs landing at vertex v are its lower-ID neighbors ascending (edges
-	// (w, v), sorted by w) followed by its higher-ID neighbors ascending
-	// (edges (v, w), sorted by w) — overall ascending by neighbor ID, with
-	// canonical EdgeIDs. That is bit-identical to a per-vertex rank-filtered
-	// fill of the raw CSR, without needing per-vertex edge views.
+	// arcs landing at vertex v are its lower-ID neighbors ascending followed
+	// by its higher-ID neighbors ascending: NewForward's lists, plus eid.
 	en.nbr = make([]graph.NodeID, m)
 	en.eid = make([]graph.EdgeID, m)
 	lowRank := func(e int) int {
@@ -111,32 +75,31 @@ func NewEngine(a graph.AdjacencyEdges, workers int) *Engine {
 		en.eid[pos] = graph.EdgeID(e)
 	})
 
-	en.work = make([]int64, m+1)
+	// Edge e costs |F(ev[e])|+1 for the scan, plus 2|F(eu[e])| on the first
+	// edge of a run sharing eu[e], whose list is stamped and erased once.
+	en.edgeWork = make([]int64, m+1)
 	parallel.ForBlocks(m, parallel.Blocks(m, 0, workers), workers, func(_, lo, hi int) {
 		for e := lo; e < hi; e++ {
 			u, v := en.eu[e], en.ev[e]
-			en.work[e] = en.off[v+1] - en.off[v] + 1
+			en.edgeWork[e] = en.off[v+1] - en.off[v] + 1
 			if e == 0 || u != en.eu[e-1] {
-				en.work[e] += 2 * (en.off[u+1] - en.off[u])
+				en.edgeWork[e] += 2 * (en.off[u+1] - en.off[u])
 			}
 		}
 	})
-	parallel.ExclusiveScan(en.work, workers)
+	parallel.ExclusiveScan(en.edgeWork, workers)
+	en.weigh()
 	return en
 }
 
 // NewEngineOn forwards to NewEngine for benchmark/ (frozen); the next benchmark PR deletes it.
 func NewEngineOn(a graph.AdjacencyEdges, workers int) *Engine { return NewEngine(a, workers) }
 
-// SizeBytes estimates the heap bytes the engine's arena holds: the rank
-// keys, the forward CSR (offsets, neighbor and edge-ID columns), the
-// scheduling prefix sums, and the canonical edge columns when the build
-// decoded its own copy (a raw CSR lends them zero-copy and is charged
-// nothing here). A catalog uses this to account triangle arenas against its
-// memory budget.
+// SizeBytes estimates the heap bytes the engine's arena holds: the
+// Forward's, the rank keys, eid, the emission schedule, and the edge columns
+// when the build decoded its own copy (a raw CSR lends them zero-copy).
 func (en *Engine) SizeBytes() int64 {
-	b := int64(len(en.key))*8 + int64(len(en.off))*8 + int64(len(en.work))*8
-	b += int64(len(en.nbr))*4 + int64(len(en.eid))*4
+	b := en.Forward.SizeBytes() + int64(len(en.key))*8 + int64(len(en.edgeWork))*8 + int64(len(en.eid))*4
 	if en.ownsCols {
 		b += int64(len(en.eu))*4 + int64(len(en.ev))*4
 	}
@@ -160,7 +123,7 @@ func (en *Engine) WithWorkers(workers int) *Engine {
 	return &c
 }
 
-// marks is one worker's intersection scratch: stamp[w] = i+1 while w is the
+// marks is one worker's emission scratch: stamp[w] = i+1 while w is the
 // i-th entry of the forward list currently in list, 0 for every other vertex.
 // It belongs to the enumeration call that allocated it — never to the
 // engine's arena — and is cleared only by walking list again, so moving
@@ -191,22 +154,6 @@ func (en *Engine) enter(mk *marks, e, lo int) {
 	if a := en.eu[e]; e == lo || a != en.eu[e-1] {
 		mk.set(en.nbr[en.off[a]:en.off[a+1]])
 	}
-}
-
-// countRange counts the triangles whose rank-lowest edge lies in [lo, hi)
-// without materializing them: one scan of F(ev[e]) against the stamps of
-// F(eu[e]) per edge. The intersection is symmetric, so nothing is oriented.
-func (en *Engine) countRange(lo, hi int, mk *marks) int64 {
-	var c int64
-	for e := lo; e < hi; e++ {
-		en.enter(mk, e, lo)
-		b := en.ev[e]
-		for _, w := range en.nbr[en.off[b]:en.off[b+1]] {
-			c += int64(uint32(-mk.stamp[w]) >> 31) // stamp[w] != 0, without a branch
-		}
-	}
-	mk.set(nil)
-	return c
 }
 
 // batchCap is the emission batch size: triangles are written into a
@@ -281,7 +228,7 @@ func (en *Engine) ForEachBatch(newSink func() func(batch []Triangle)) {
 func (en *Engine) forEachRange(workers int, newSink func(worker int) func(batch []Triangle)) {
 	m := en.g.M()
 	per := make([]*emitter, parallel.Resolve(workers, m))
-	parallel.ForBalancedWorker(m, workers, en.work, func(w, lo, hi int) {
+	parallel.ForBalancedWorker(m, workers, en.edgeWork, func(w, lo, hi int) {
 		if per[w] == nil {
 			per[w] = en.newEmitter(batchCap)
 		}
@@ -299,37 +246,6 @@ func (en *Engine) ForEach(fn func(t Triangle)) {
 		}
 	}
 	en.ForEachBatch(func() func([]Triangle) { return sink })
-}
-
-// Count returns the number of triangles.
-func (en *Engine) Count() int64 { return en.CountPart(0, 1) }
-
-// CountPart counts the triangles whose rank-lowest edge lies in part i of
-// the canonical edge order cut into `of` slices of equal intersection work
-// — the same cut the engine's own workers claim grains by, so a part is a
-// fair share of Count's time, not of its edges. The slices tile the edge
-// order: for every of >= 1 the parts sum to Count(), which is how a cluster
-// spreads one exact count over shards that each hold the whole graph.
-// Each worker adds into its own padded counter, against its own marks;
-// integer addition commutes, so the result is independent of the worker
-// count.
-func (en *Engine) CountPart(i, of int) int64 {
-	lo, hi := parallel.BalancedCut(en.work, i, of), parallel.BalancedCut(en.work, i+1, of)
-	nw := parallel.Resolve(en.workers, hi-lo)
-	const pad = 8 // one cache line per counter
-	acc := make([]int64, nw*pad)
-	per := make([]*marks, nw)
-	parallel.ForBalancedWorker(hi-lo, en.workers, en.work[lo:hi+1], func(w, a, b int) {
-		if per[w] == nil {
-			per[w] = en.newMarks()
-		}
-		acc[w*pad] += en.countRange(lo+a, lo+b, per[w])
-	})
-	var total int64
-	for w := 0; w < nw; w++ {
-		total += acc[w*pad]
-	}
-	return total
 }
 
 // maxAccumulators caps the per-worker dense arrays of PerVertex/PerEdge:

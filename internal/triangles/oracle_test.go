@@ -60,12 +60,11 @@ func TestEngineReuse(t *testing.T) {
 }
 
 // TestEnginePartsSumToCount pins the contract a cluster's exact count
-// stands on: for every number of parts — more parts than edges included —
-// the work slices tile the edge order, so their counts add up to Count()
-// and to the pre-engine enumeration's count, on raw and packed forms and
-// for any worker count. The cuts land inside runs of edges sharing one
-// lower endpoint (checked, wherever the graph has such a run), so a part
-// that relied on its predecessor's stamps would miscount here.
+// stands on: for every number of parts — more parts than vertices included —
+// the work slices of Forward.CountPart tile the vertex order, so their counts
+// add up to Count() and to the pre-engine enumeration's count, on raw and
+// packed forms and for any worker count. A part stamps each vertex's list
+// afresh, so it never relies on its predecessor's stamps.
 func TestEnginePartsSumToCount(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
@@ -78,23 +77,22 @@ func TestEnginePartsSumToCount(t *testing.T) {
 	}
 	for name, g := range graphs {
 		want := oracle.ReferenceCount(g, 1)
-		hasRun := g.M() > g.N() // more edges than lower endpoints
 		for form, a := range map[string]graph.AdjacencyEdges{"raw": g, "packed": succinct.Pack(g, 1)} {
 			for _, workers := range []int{1, 3} {
-				en := triangles.NewEngine(a, workers)
-				if got := en.Count(); got != want {
-					t.Fatalf("%s/%s workers %d: Count = %d, reference %d", name, form, workers, got, want)
+				if got := triangles.NewEngine(a, workers).Count(); got != want {
+					t.Fatalf("%s/%s workers %d: Engine.Count = %d, reference %d", name, form, workers, got, want)
 				}
-				for _, of := range []int{1, 2, 3, 7, g.M() + 1} {
+				f := triangles.NewForward(a, workers)
+				if got := f.Count(); got != want {
+					t.Fatalf("%s/%s workers %d: Forward.Count = %d, reference %d", name, form, workers, got, want)
+				}
+				for _, of := range []int{1, 2, 3, 7, g.N() + 1} {
 					var sum int64
 					for i := 0; i < of; i++ {
-						sum += en.CountPart(i, of)
+						sum += f.CountPart(i, of)
 					}
 					if sum != want {
-						t.Errorf("%s/%s workers %d: %d parts sum to %d triangles, Count is %d", name, form, workers, of, sum, want)
-					}
-					if hasRun && of >= 7 && triangles.MidRunCuts(en, of) == 0 {
-						t.Errorf("%s/%s: no cut of %d parts lands inside a run", name, form, of)
+						t.Errorf("%s/%s workers %d: %d parts sum to %d triangles, reference %d", name, form, workers, of, sum, want)
 					}
 				}
 			}

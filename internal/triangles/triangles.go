@@ -6,18 +6,15 @@
 // with the canonical EdgeIDs of its three edges, which is what triangle
 // kernels need in order to delete edges.
 //
-// All enumeration runs on an Engine: a rank-oriented forward CSR built once
-// per graph (see Engine for the orientation invariant) and then traversed
-// by one intersection kernel, a marked scan. Canonical edge order groups
-// the edges (a, b) by their lower-ID endpoint a, so a range stamps F(a) into
-// a per-worker array of n entries once per run, scans F(b) against the
-// stamps for every edge of the run — |F(b)| independent loads, no cursor
-// chain — and erases the stamps by walking F(a) again; ranges are
-// work-balanced over the prefix-summed cost of exactly those steps. Total
-// work is O(m^{3/2}) — the bound quoted in Table 2 — because every list
-// touched is an O(√m) forward list. The package-level functions are thin
-// wrappers that build a single-use Engine; callers enumerating more than
-// once over the same graph should build the Engine themselves and reuse it.
+// Counting and emission share one rank-oriented forward CSR (see Forward
+// for the orientation invariant) but not one substrate. Counting reads the
+// CSR alone: a Forward counts vertex by vertex with one stamp array per
+// worker, each triangle at its rank-lowest vertex, over ranges of the vertex
+// order cut by a work prefix. Emission needs the canonical EdgeIDs too: an
+// Engine embeds a Forward, adds the edge columns, the EdgeIDs of its lists
+// and a per-edge schedule, and scans edge by edge. The package-level
+// functions build a single-use substrate; callers enumerating more than
+// once over the same graph should build and reuse an Engine.
 //
 // Emission is batched. One emitter serves ForEachBatch, ForEach, PerVertex,
 // PerEdge and List: the scan writes each match as a Triangle into a
@@ -27,8 +24,7 @@
 // guarantee: within a work range, batches arrive — and triangles lie within
 // a batch — in the reference order, ascending rank-lowest EdgeID then
 // ascending third-vertex ID, whatever the batch capacity; at one worker the
-// graph is a single range. Count runs the same scan and adds up the hits
-// instead of writing them.
+// graph is a single range.
 //
 // Directed graphs are NOT supported here: callers must symmetrize first
 // (enumeration panics on a directed graph).
@@ -64,7 +60,7 @@ func ForEach(g *graph.Graph, workers int, fn func(t Triangle)) {
 // Count returns the number of triangles in a — raw CSR or packed graph, with
 // a bit-identical result for the same logical graph.
 func Count(a graph.AdjacencyEdges, workers int) int64 {
-	return NewEngine(a, workers).Count()
+	return NewForward(a, workers).Count()
 }
 
 // PerVertex returns counts[v] = number of triangles containing vertex v.

@@ -2,33 +2,21 @@ package triangles
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/parallel"
 	"slimgraph/internal/rng"
+	"slimgraph/internal/succinct"
 )
 
 // DiffGraphs hands diffGraphs to the external triangles_test package,
 // where the tests against internal/oracle live (oracle imports this
 // package, so they cannot be in-package).
 var DiffGraphs = diffGraphs
-
-// MidRunCuts reports, for the external tests, how many of CountPart's `of`
-// cuts fall strictly inside a run of canonical edges sharing one lower
-// endpoint — where a part cannot inherit a predecessor's stamps.
-func MidRunCuts(en *Engine, of int) int {
-	mid := 0
-	for i := 1; i < of; i++ {
-		if c := parallel.BalancedCut(en.work, i, of); c > 0 && c < len(en.eu) && en.eu[c] == en.eu[c-1] {
-			mid++
-		}
-	}
-	return mid
-}
 
 func TestCountSmallKnown(t *testing.T) {
 	cases := []struct {
@@ -365,7 +353,10 @@ func TestBatchedEmissionOrderAcrossCapacities(t *testing.T) {
 // lists (an, ae) and (bn, be): vertices a < b beyond every list value with
 // F(a) = an and F(b) = bn, and the canonical edge (a, b) repeated run times,
 // so a range starting past index 0 starts inside a run sharing one a. swap
-// ranks b below a.
+// ranks b below a. The pair's own edge is listed at its rank-lower end,
+// behind every list value, so the embedded Forward counts an ∩ bn at that
+// vertex while emission, which never scans a list against itself, cannot
+// match it.
 func pairEngine(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be []graph.EdgeID, run int, swap bool) (en *Engine, a, b graph.NodeID) {
 	for _, w := range append(append([]graph.NodeID{}, an...), bn...) {
 		if w >= a {
@@ -373,22 +364,27 @@ func pairEngine(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be []gr
 		}
 	}
 	b = a + 1
-	en = &Engine{key: make([]uint64, b+1), off: make([]int64, b+2)}
+	en = &Engine{key: make([]uint64, b+1), Forward: Forward{off: make([]int64, b+2)}}
+	an, ae, bn, be = slices.Clone(an), slices.Clone(ae), slices.Clone(bn), slices.Clone(be)
 	en.key[a], en.key[b] = 1, 2
 	if swap {
 		en.key[a], en.key[b] = 2, 1
+		bn, be = append(bn, a), append(be, 0)
+	} else {
+		an, ae = append(an, b), append(ae, 0)
 	}
 	en.off[b], en.off[b+1] = int64(len(an)), int64(len(an)+len(bn))
-	en.nbr = append(append(en.nbr, an...), bn...)
-	en.eid = append(append(en.eid, ae...), be...)
+	en.nbr = append(an, bn...)
+	en.eid = append(ae, be...)
 	for i := 0; i < run; i++ {
 		en.eu, en.ev = append(en.eu, a), append(en.ev, b)
 	}
 	return en, a, b
 }
 
-// The counting scan and the emitting scan must agree on random sorted lists:
-// empty, disjoint, identical, and length ratios up to 17:1 either way round.
+// The Forward's counting scan and the Engine's emitting scan must agree on
+// the same random sorted lists: empty, disjoint, identical, and length
+// ratios up to 17:1 either way round, under both rank orders of the pair.
 func TestIntersectCountMatchesEmit(t *testing.T) {
 	r := rng.New(5)
 	sorted := func(n, universe int) []graph.NodeID {
@@ -409,14 +405,16 @@ func TestIntersectCountMatchesEmit(t *testing.T) {
 		want := int64(len(mapIntersect(an, bn)))
 		ids := make([]graph.EdgeID, len(an)+len(bn))
 		for _, pair := range [][2][]graph.NodeID{{an, bn}, {bn, an}} {
-			en, _, _ := pairEngine(pair[0], ids[:len(pair[0])], pair[1], ids[:len(pair[1])], 1, false)
-			if got := en.countRange(0, 1, en.newMarks()); got != want {
-				t.Fatalf("%s (%d vs %d): countRange = %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
-			}
-			var got int64
-			en.emitRange(0, 1, en.newEmitter(3), func(batch []Triangle) { got += int64(len(batch)) })
-			if got != want {
-				t.Fatalf("%s (%d vs %d): emitRange pushed %d, want %d", name, len(pair[0]), len(pair[1]), got, want)
+			for _, swap := range []bool{false, true} {
+				en, _, _ := pairEngine(pair[0], ids[:len(pair[0])], pair[1], ids[:len(pair[1])], 1, swap)
+				if got := en.countRange(0, len(en.off)-1, make([]uint8, len(en.key))); got != want {
+					t.Fatalf("%s (%d vs %d, swap %v): Forward counts %d, want %d", name, len(pair[0]), len(pair[1]), swap, got, want)
+				}
+				var got int64
+				en.emitRange(0, 1, en.newEmitter(3), func(batch []Triangle) { got += int64(len(batch)) })
+				if got != want {
+					t.Fatalf("%s (%d vs %d, swap %v): emitRange pushed %d, want %d", name, len(pair[0]), len(pair[1]), swap, got, want)
+				}
 			}
 		}
 	}
@@ -492,7 +490,8 @@ func mapIntersect(a, b []graph.NodeID) []graph.NodeID {
 // single hit, miss or out-of-range value — from a range that starts in the
 // middle of a run (edge 11 of 12 sharing one a), under both rank orders of
 // the discovering edge: matches arrive in ID order with the edge IDs of their
-// own lists, and V/E are ordered by rank.
+// own lists, and V/E are ordered by rank. The Forward counts the same matches
+// at the rank-lower vertex of the pair, and nowhere else.
 func TestIntersectKernelsAdaptive(t *testing.T) {
 	mk := func(base int, vals ...int) ([]graph.NodeID, []graph.EdgeID) {
 		ns := make([]graph.NodeID, len(vals))
@@ -550,46 +549,74 @@ func TestIntersectKernelsAdaptive(t *testing.T) {
 					t.Fatalf("case %d swap %v: emit order %v, want %v", ci, swap, got, want)
 				}
 			}
-			if got := en.countRange(11, 12, out.marks); got != int64(len(want)) {
-				t.Fatalf("case %d swap %v: count = %d, want %d", ci, swap, got, len(want))
+			stamp := make([]uint8, len(en.key))
+			if got := en.countRange(int(a), int(a)+1, stamp); got != int64(len(want)) {
+				t.Fatalf("case %d swap %v: count at the rank-lower vertex = %d, want %d", ci, swap, got, len(want))
 			}
-			if got := en.countRange(0, 12, out.marks); got != 12*int64(len(want)) {
-				t.Fatalf("case %d swap %v: count over the whole run = %d, want %d", ci, swap, got, 12*len(want))
+			if got := en.countRange(0, len(en.off)-1, stamp); got != int64(len(want)) {
+				t.Fatalf("case %d swap %v: count over every vertex = %d, want %d", ci, swap, got, len(want))
 			}
 		}
 	}
 }
 
-// TestMarksStayZeroBetweenRanges: one stamp array carried across count and
-// emission ranges of two different engines — cuts landing inside runs — is
-// all-zero whenever a range returns, and the ranges still add up.
+// TestMarksStayZeroBetweenRanges: the Forward's byte stamps and the
+// Engine's emission marks, each carried across ranges interleaved with the
+// other's — emission cuts landing inside runs — are all-zero whenever a
+// range returns, and the ranges still add up.
 func TestMarksStayZeroBetweenRanges(t *testing.T) {
 	graphs := diffGraphs()
-	en1, en2 := NewEngine(graphs["two-hub"], 1), NewEngine(graphs["clique"], 1)
-	mk := en1.newMarks() // the larger of the two vertex sets
-	out := &emitter{marks: mk, buf: make([]Triangle, batchCap)}
+	f1, en2 := NewForward(graphs["two-hub"], 1), NewEngine(graphs["clique"], 1)
+	n := len(f1.off) - 1
+	stamp, out := make([]uint8, n), en2.newEmitter(batchCap)
 	clean := func(when string) {
 		t.Helper()
-		for v, s := range mk.stamp {
+		for v, s := range stamp {
 			if s != 0 {
-				t.Fatalf("%s: stamp[%d] = %d left behind", when, v, s)
+				t.Fatalf("%s: count stamp[%d] = %d left behind", when, v, s)
+			}
+		}
+		for v, s := range out.stamp {
+			if s != 0 {
+				t.Fatalf("%s: emission stamp[%d] = %d left behind", when, v, s)
 			}
 		}
 	}
 	var got1, got2 int64
 	const parts = 9
 	for i := 0; i < parts; i++ {
-		lo, hi := en1.g.M()*i/parts, en1.g.M()*(i+1)/parts
-		got1 += en1.countRange(lo, hi, mk)
+		got1 += f1.countRange(n*i/parts, n*(i+1)/parts, stamp)
 		clean("after a count range")
-		lo, hi = en2.g.M()*i/parts, en2.g.M()*(i+1)/parts
+		lo, hi := en2.g.M()*i/parts, en2.g.M()*(i+1)/parts
 		en2.emitRange(lo, hi, out, func(batch []Triangle) { got2 += int64(len(batch)) })
 		clean("after an emission range")
 	}
-	if want := en1.Count(); got1 != want {
+	if want := f1.Count(); got1 != want {
 		t.Fatalf("two-hub: ranges count %d, Count %d", got1, want)
 	}
 	if want := en2.Count(); got2 != want {
 		t.Fatalf("clique: ranges emit %d, Count %d", got2, want)
+	}
+}
+
+// TestForwardMatchesEngine pins the two builds of one forward CSR to each
+// other: NewEngine's edge scatter and NewForward's filtered list scan yield
+// the same offsets, lists and work prefix on every differential graph, raw,
+// packed and degree-relabeled packed, at every worker count.
+func TestForwardMatchesEngine(t *testing.T) {
+	for name, g := range diffGraphs() {
+		forms := map[string]graph.AdjacencyEdges{
+			"raw":         g,
+			"packed":      succinct.Pack(g, 1),
+			"packed-degr": succinct.Pack(g, 1, succinct.WithOrder(succinct.OrderDegree)),
+		}
+		for form, a := range forms {
+			for _, workers := range []int{1, 2, 7} {
+				en, f := NewEngine(a, workers), NewForward(a, workers)
+				if !slices.Equal(en.off, f.off) || !slices.Equal(en.nbr, f.nbr) || !slices.Equal(en.work, f.work) {
+					t.Fatalf("%s/%s workers %d: NewEngine and NewForward build different forward CSRs", name, form, workers)
+				}
+			}
+		}
 	}
 }
