@@ -145,13 +145,16 @@ type PackedStats = succinct.Stats
 // restores a graph.Equal copy.
 func PackGraph(g *Graph, workers int) *PackedGraph { return succinct.Pack(g, workers) }
 
-// Order selects the locality-ordering a pack relabels vertices by: OrderNone
-// keeps original IDs; OrderDegree, OrderBFS, and OrderWindow compute
-// gap-minimizing permutations of increasing effort. Ordered packs record the
-// permutation, so Unpack and the snapshot round trip restore original IDs.
+// Order selects a locality ordering: OrderNone keeps original IDs;
+// OrderDegree, OrderBFS, and OrderWindow compute gap-minimizing permutations
+// of increasing effort. A pack never applies one: PackGraph, WritePacked and
+// WriteServable keep the graph's own IDs and store no permutation. To pack
+// under an order, relabel the graph first with the "relabel:order=..."
+// scheme, whose output is the renumbered graph and whose Result.VertexMap
+// is the permutation.
 type Order = succinct.Order
 
-// Locality orderings for PackGraphOrdered and WritePackedOrder.
+// Locality orderings for ComputeOrder and the relabel scheme.
 const (
 	OrderNone   = succinct.OrderNone
 	OrderDegree = succinct.OrderDegree
@@ -162,14 +165,6 @@ const (
 // ParseOrder maps an ordering name (none, degree, bfs, window;
 // case-insensitive) to its Order.
 func ParseOrder(s string) (Order, error) { return succinct.ParseOrder(s) }
-
-// PackGraphOrdered is PackGraph under a locality ordering: vertices are
-// relabeled by the computed permutation during the encode, shrinking the
-// gap-encoded payload; accessors expose the relabeled space, OriginalID and
-// Unpack translate back.
-func PackGraphOrdered(g *Graph, order Order, workers int) *PackedGraph {
-	return succinct.Pack(g, workers, succinct.WithOrder(order))
-}
 
 // ComputeOrder returns the permutation (perm[old] = new) of the given
 // ordering, or nil for OrderNone. Deterministic for any worker count.
@@ -187,13 +182,6 @@ func GapHistogram(g *Graph, perm []NodeID, workers int) GapHist {
 	return succinct.GapHistogram(g, perm, workers)
 }
 
-// WritePackedOrder is WritePacked under a locality ordering: the snapshot
-// stores the relabeled payload plus the permutation, and reading restores
-// the graph with original IDs (lossless for every ordering).
-func WritePackedOrder(w io.Writer, g *Graph, order Order) (int64, error) {
-	return graphio.WritePackedOrder(w, g, order)
-}
-
 // Servable images: the v2.3 snapshot layout whose sections are 8-byte
 // aligned so a PackedGraph attaches over the raw bytes in place — the
 // serving form behind slimgraphd's -data-dir tier. Write once, then open
@@ -206,8 +194,8 @@ func WritePackedOrder(w io.Writer, g *Graph, order Order) (int64, error) {
 type MappedGraph = succinct.Mapped
 
 // ServableInfo is the identity a servable header carries (vertices, edges,
-// directedness, weights, ordering, exact image size) — enough to register a
-// catalog entry without mapping or decoding anything.
+// directedness, weights, exact image size) — enough to register a catalog
+// entry without mapping or decoding anything.
 type ServableInfo = succinct.ServableInfo
 
 // MmapSupported reports whether OpenServable maps files with mmap on this

@@ -61,9 +61,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers  = fs.Int("workers", 0, "parallelism (0 = all CPUs)")
 		weighted = fs.Bool("weighted", false, "attach uniform [1,100) weights to generated graphs")
 		out      = fs.String("out", "", "write the compressed graph to this file (see -format)")
-		format   = fs.String("format", "edgelist", "output format for -out: edgelist | binary | packed")
-		order    = fs.String("order", "none",
-			"vertex ordering for -format packed: none | degree | bfs | window (relabels on pack, records the permutation; lossless)")
+		format   = fs.String("format", "edgelist",
+			"output format for -out: edgelist | binary | packed (packed keeps the vertex IDs; for a locality order add a relabel:order=degree|bfs|window stage to -scheme)")
 		metrics = fs.Bool("metrics", true, "run stage-2 algorithms and print accuracy metrics")
 	)
 	// Shorthand flags, read back through fs.Visit in buildSpec.
@@ -78,22 +77,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Reject a bad -format or -order before the run: by write time the
-	// compression has already cost minutes and os.Create would truncate the
-	// target.
+	// Reject a bad -format before the run: by write time the compression has
+	// already cost minutes and os.Create would truncate the target.
 	switch *format {
 	case "edgelist", "binary", "packed":
 	default:
 		fmt.Fprintf(stderr, "slimgraph: unknown -format %q (want edgelist, binary, or packed)\n", *format)
-		return 1
-	}
-	packOrder, err := slimgraph.ParseOrder(*order)
-	if err != nil {
-		fmt.Fprintln(stderr, "slimgraph:", err)
-		return 1
-	}
-	if packOrder != slimgraph.OrderNone && *format != "packed" {
-		fmt.Fprintf(stderr, "slimgraph: -order %s applies only to -format packed\n", packOrder)
 		return 1
 	}
 
@@ -131,13 +120,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printMetrics(stdout, g, res.Output, *workers)
 	}
 	if *out != "" {
-		written, err := writeOutput(*out, *format, packOrder, res.Output)
+		written, err := writeOutput(*out, *format, res.Output)
 		if err != nil {
 			fmt.Fprintln(stderr, "slimgraph:", err)
 			return 1
 		}
 		if *format == "packed" {
-			printOrderReport(stdout, res.Output, packOrder, res.Storage.OutputPackedBytes, written, *workers)
+			printEncodingReport(stdout, res.Output, *workers)
 		}
 		in := slimgraph.BinarySize(g)
 		fmt.Fprintf(stdout, "wrote %s (%s, %d bytes; input binary %d bytes, %.1fx smaller)\n",
@@ -146,38 +135,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printOrderReport shows what the pack's gap encoding looks like and — for a
-// relabeling order — what the permutation buys: payload bits per edge and
-// the gap-width histogram of the adjacency before and after the relabel,
-// then the net effect on the file: written bytes under the order against
-// unordered, the packed size without one, with the stored permutation
-// charged against the payload it saves.
-func printOrderReport(stdout io.Writer, g *slimgraph.Graph, order slimgraph.Order, unordered, written int64, workers int) {
-	line := func(label string, h slimgraph.GapHist) {
-		bitsPerEdge := 0.0
-		if g.M() > 0 {
-			bitsPerEdge = float64(h.PayloadBytes) * 8 / float64(g.M())
-		}
-		fmt.Fprintf(stdout, "  %-14s payload %d bytes (%.2f bits/edge), gap widths mean %.2f p50 %d p90 %d p99 %d\n",
-			label, h.PayloadBytes, bitsPerEdge, h.MeanBits(),
-			h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
+// printEncodingReport shows what the pack's gap encoding looks like: payload
+// bits per edge and the gap-width histogram of the adjacency.
+func printEncodingReport(stdout io.Writer, g *slimgraph.Graph, workers int) {
+	h := slimgraph.GapHistogram(g, nil, workers)
+	bitsPerEdge := 0.0
+	if g.M() > 0 {
+		bitsPerEdge = float64(h.PayloadBytes) * 8 / float64(g.M())
 	}
 	fmt.Fprintln(stdout, "-- packed encoding --")
-	before := slimgraph.GapHistogram(g, nil, workers)
-	line("original IDs", before)
-	if order == slimgraph.OrderNone {
-		return
-	}
-	perm := slimgraph.ComputeOrder(g, order, workers)
-	after := slimgraph.GapHistogram(g, perm, workers)
-	line("order="+order.String(), after)
-	permBytes := int64(4 * g.N())
-	verdict := "a net gain"
-	if written >= unordered {
-		verdict = "a net loss: the file grows"
-	}
-	fmt.Fprintf(stdout, "  written file: payload %+d bytes, stored permutation %+d: %d bytes vs %d with -order none (%+d) — %s\n",
-		written-permBytes-unordered, permBytes, written, unordered, written-unordered, verdict)
+	fmt.Fprintf(stdout, "  payload %d bytes (%.2f bits/edge), gap widths mean %.2f p50 %d p90 %d p99 %d\n",
+		h.PayloadBytes, bitsPerEdge, h.MeanBits(), h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99))
 }
 
 func usage(fs *flag.FlagSet) {
@@ -199,7 +167,7 @@ func usage(fs *flag.FlagSet) {
 // writeOutput writes g to path in the selected format and returns the byte
 // count. Edge lists report the file size after the fact; the binary formats
 // count as they write.
-func writeOutput(path, format string, order slimgraph.Order, g *slimgraph.Graph) (int64, error) {
+func writeOutput(path, format string, g *slimgraph.Graph) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -218,7 +186,7 @@ func writeOutput(path, format string, order slimgraph.Order, g *slimgraph.Graph)
 	case "binary":
 		return slimgraph.WriteBinary(f, g)
 	case "packed":
-		return slimgraph.WritePackedOrder(f, g, order)
+		return slimgraph.WritePacked(f, g)
 	default:
 		return 0, fmt.Errorf("unknown -format %q (want edgelist, binary, or packed)", format)
 	}

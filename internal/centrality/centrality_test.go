@@ -183,10 +183,14 @@ func TestPageRankOnMatchesPerArcReference(t *testing.T) {
 			t.Fatalf("%s: %d isolated vertices, %d dangling sinks: the case lost its coverage", name, isolated, sinks)
 		}
 		pg := succinct.Pack(g, 0, succinct.WithBlockVertices(16))
+		byDegree, err := g.Permute(succinct.ComputeOrder(g, succinct.OrderDegree, 0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		reps := map[string]graph.Adjacency{
 			"raw":           g,
 			"packed":        pg,
-			"packed-degree": succinct.Pack(g, 0, succinct.WithOrder(succinct.OrderDegree)),
+			"packed-degree": succinct.Pack(byDegree, 0),
 			"mapped":        mapServable(t, pg),
 		}
 		want := referencePageRank(g, PageRankOptions{})

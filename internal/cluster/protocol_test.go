@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"slimgraph/internal/graphio"
 	"slimgraph/internal/resilience"
 	"slimgraph/internal/server"
+	"slimgraph/internal/succinct"
 )
 
 // roundTrip encodes (scalars, v), checks the frame's size, and decodes it
@@ -234,6 +236,35 @@ func TestShardLoadRejectsBadWorkers(t *testing.T) {
 	}
 	if code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=2", "application/octet-stream", snap.Bytes()); code != http.StatusCreated {
 		t.Fatalf("workers=2: status %d: %s", code, body)
+	}
+}
+
+// TestShardLoadRefusesPermutedSnapshot: a replicated snapshot of either v2
+// minor whose header declares a stored vertex permutation (flag 4) is a 400
+// naming the permutation, and nothing is created.
+func TestShardLoadRefusesPermutedSnapshot(t *testing.T) {
+	ts := httptest.NewServer(mustShard(t, server.Options{}).Handler())
+	defer ts.Close()
+	g := gen.Path(5)
+	var compact, servable bytes.Buffer
+	if _, err := graphio.WritePacked(&compact, g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := succinct.WriteServable(&servable, succinct.Pack(g, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range [][]byte{compact.Bytes(), servable.Bytes()} {
+		h, _ := succinct.ParseSnapshotHeader(snap)
+		h.Permuted = true
+		body := append(h.Append(nil), snap[succinct.SnapshotHeaderSize:]...)
+		code, reply := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=1", "application/octet-stream", body)
+		want := fmt.Sprintf("version 2.%d stores a vertex permutation", h.Minor)
+		if code != http.StatusBadRequest || !strings.Contains(string(reply), want) {
+			t.Errorf("permuted v2.%d load: status %d, body %s; want 400 naming %q", h.Minor, code, reply, want)
+		}
+		if code, _ := get(t, ts.URL+"/v1/graphs/g"); code != http.StatusNotFound {
+			t.Fatalf("the refused load created the graph: status %d", code)
+		}
 	}
 }
 

@@ -195,7 +195,8 @@ func parseNodesHeader(comment string) (int, bool) {
 // and whose minor succinct.ServableMinor (v2.3) is the 8-aligned servable
 // image of internal/succinct that memory-maps without a decode pass. Minors
 // 0 and 1 were the same two forms with LEB128 lists; they are refused, not
-// read. Little-endian throughout.
+// read, and so is a v2 header with flag 4, a stored vertex permutation.
+// Little-endian throughout.
 const (
 	binaryVersion = 1
 	packedVersion = succinct.SnapshotVersion
@@ -239,7 +240,8 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 
 // readSnapshot is the one reader under Read, ReadBinary, ReadPacked and
 // ReadAuto. It peeks the shared header, refuses a known version other than
-// want (0 accepts both) by naming the reader that takes it, and dispatches
+// want (0 accepts both) by naming the reader that takes it, refuses a v2
+// header that declares a stored vertex permutation, and dispatches
 // on version and minor: the two decoded forms read their bodies from behind
 // the header, a servable image attaches over its complete bytes and so
 // keeps the header in front. limit is sourceSize of the underlying source.
@@ -262,6 +264,9 @@ func readSnapshot(br *bufio.Reader, limit int64, want uint8) (*graph.Graph, erro
 		case packedVersion:
 			return nil, fmt.Errorf("graphio: version 2 (packed) snapshot; use ReadPacked or Read")
 		}
+	}
+	if err := h.CheckUnpermuted(); err != nil {
+		return nil, fmt.Errorf("graphio: %v", err)
 	}
 	servable := h.Version == packedVersion && h.Minor == succinct.ServableMinor
 	if !servable {
@@ -373,26 +378,15 @@ func readBinaryBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*
 //
 // Layout after the shared 16-byte header: blockVertices u32, numBlocks u32,
 // payloadLen u64, blockOff (numBlocks+1)×u64, edgeStart (numBlocks+1)×u64,
-// then — when flag bit 4 is set — the pack-time vertex permutation as n
-// little-endian i32, then the payload bytes, then m float64 canonical
-// weights (in the stored ID space) when weighted.
+// the payload bytes, then m float64 canonical weights when weighted. Vertex
+// IDs are g's own: a locality order is a relabel of g before the write.
 func WritePacked(w io.Writer, g *graph.Graph) (int64, error) {
-	return WritePackedOrder(w, g, succinct.OrderNone)
-}
-
-// WritePackedOrder is WritePacked under a locality ordering: the graph is
-// relabeled by the order's gap-minimizing permutation before encoding
-// (usually shrinking the payload) and the permutation is stored in the
-// snapshot, so reading restores the original IDs losslessly. OrderNone is
-// identical to WritePacked — no permutation section is written.
-func WritePackedOrder(w io.Writer, g *graph.Graph, order succinct.Order) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	s, weights := succinct.EncodeStoredOrder(g, order, 0)
+	s := succinct.EncodeStored(g, 0)
 	h := succinct.SnapshotHeader{
 		Version: packedVersion, Minor: succinct.CompactMinor,
-		Directed: g.Directed(), Weighted: g.Weighted(),
-		Permuted: s.Perm != nil, N: g.N(), M: g.M(),
+		Directed: g.Directed(), Weighted: g.Weighted(), N: g.N(), M: g.M(),
 	}
 	if _, err := bw.Write(h.Append(nil)); err != nil {
 		return 0, err
@@ -408,17 +402,16 @@ func WritePackedOrder(w io.Writer, g *graph.Graph, order succinct.Order) (int64,
 	if err := binary.Write(bw, binary.LittleEndian, s.EdgeStart); err != nil {
 		return 0, err
 	}
-	if s.Perm != nil {
-		if err := binary.Write(bw, binary.LittleEndian, s.Perm); err != nil {
-			return 0, err
-		}
-	}
 	if _, err := bw.Write(s.Payload); err != nil {
 		return 0, err
 	}
 	if h.Weighted {
-		if err := binary.Write(bw, binary.LittleEndian, weights); err != nil {
-			return 0, err
+		var buf [8]byte
+		for e := 0; e < h.M; e++ {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(g.EdgeWeight(graph.EdgeID(e))))
+			if _, err := bw.Write(buf[:]); err != nil {
+				return 0, err
+			}
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -487,12 +480,8 @@ func readPackedBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*
 	nb := int(numBlocks) // int arithmetic: numBlocks+1 must not wrap
 	// Bound every header-declared section against the source size before a
 	// single byte of it is allocated: 32 bytes consumed so far, two
-	// (nb+1)-entry u64 directories, the optional n×i32 permutation, the
-	// payload, the optional m×f64 weights.
+	// (nb+1)-entry u64 directories, the payload, the optional m×f64 weights.
 	need := int64(32) + int64(nb+1)*16 + int64(payloadLen)
-	if h.Permuted {
-		need += int64(h.N) * 4
-	}
 	if h.Weighted {
 		need += int64(h.M) * 8
 	}
@@ -510,12 +499,6 @@ func readPackedBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*
 	}
 	if err := binary.Read(br, binary.LittleEndian, s.EdgeStart); err != nil {
 		return nil, err
-	}
-	if h.Permuted {
-		s.Perm = make([]graph.NodeID, h.N)
-		if err := binary.Read(br, binary.LittleEndian, s.Perm); err != nil {
-			return nil, err
-		}
 	}
 	if _, err := io.ReadFull(br, s.Payload); err != nil {
 		return nil, err

@@ -299,53 +299,6 @@ func TestPackedRoundTrip(t *testing.T) {
 	}
 }
 
-// An ordered packed snapshot relabels on write and restores original IDs on
-// read: the round trip is lossless for every ordering, through ReadPacked
-// and the Read dispatcher alike, and OrderNone emits bytes identical to
-// WritePacked so the v2 format stays backward compatible.
-func TestPackedOrderRoundTrip(t *testing.T) {
-	graphs := []*graph.Graph{
-		gen.ErdosRenyi(80, 400, 21),
-		gen.WithUniformWeights(gen.Grid2D(6, 7, true), 1, 9, 22),
-		gen.RMATDirected(6, 4, 0.57, 0.19, 0.19, 23),
-		gen.WithUniformWeights(gen.RMATDirected(6, 4, 0.57, 0.19, 0.19, 24), 1, 3, 25),
-		graph.FromEdges(5, false, nil), // isolated vertices only
-	}
-	orders := []succinct.Order{
-		succinct.OrderNone, succinct.OrderDegree, succinct.OrderBFS, succinct.OrderWindow,
-	}
-	for _, g := range graphs {
-		var plain bytes.Buffer
-		if _, err := WritePacked(&plain, g); err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range orders {
-			var buf bytes.Buffer
-			n, err := WritePackedOrder(&buf, g, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != int64(buf.Len()) {
-				t.Fatalf("order %s: reported %d bytes, wrote %d", o, n, buf.Len())
-			}
-			if o == succinct.OrderNone && !bytes.Equal(buf.Bytes(), plain.Bytes()) {
-				t.Fatal("OrderNone snapshot differs from WritePacked")
-			}
-			raw := buf.Bytes()
-			h, err := ReadPacked(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("order %s: %v", o, err)
-			}
-			if !h.Equal(g) {
-				t.Fatalf("order %s: packed round trip not bit-identical for %v", o, g)
-			}
-			if h, err = Read(bytes.NewReader(raw)); err != nil || !h.Equal(g) {
-				t.Fatalf("order %s: Read dispatch round trip differs (%v)", o, err)
-			}
-		}
-	}
-}
-
 // Read dispatches on the version tag; each versioned reader rejects the
 // other version with a pointer to the right one.
 func TestVersionDispatch(t *testing.T) {
@@ -442,24 +395,22 @@ func TestServableMinorDispatch(t *testing.T) {
 		"weighted": gen.WithUniformWeights(gen.ErdosRenyi(80, 400, 22), 1, 9, 5),
 	} {
 		t.Run(name, func(t *testing.T) {
-			for _, order := range []succinct.Order{succinct.OrderNone, succinct.OrderDegree} {
-				var buf bytes.Buffer
-				if _, err := succinct.WriteServable(&buf, succinct.Pack(g, 0, succinct.WithOrder(order))); err != nil {
-					t.Fatal(err)
-				}
-				raw := buf.Bytes()
-				if !SniffSnapshot(raw) {
-					t.Fatal("servable image not recognized by SniffSnapshot")
-				}
-				if h, err := Read(bytes.NewReader(raw)); err != nil || !h.Equal(g) {
-					t.Fatalf("Read(servable, %v): %v", order, err)
-				}
-				if h, err := ReadPacked(bytes.NewReader(raw)); err != nil || !h.Equal(g) {
-					t.Fatalf("ReadPacked(servable, %v): %v", order, err)
-				}
-				if h, err := ReadAuto(bytes.NewReader(raw), false); err != nil || !h.Equal(g) {
-					t.Fatalf("ReadAuto(servable, %v): %v", order, err)
-				}
+			var buf bytes.Buffer
+			if _, err := succinct.WriteServable(&buf, succinct.Pack(g, 0)); err != nil {
+				t.Fatal(err)
+			}
+			raw := buf.Bytes()
+			if !SniffSnapshot(raw) {
+				t.Fatal("servable image not recognized by SniffSnapshot")
+			}
+			if h, err := Read(bytes.NewReader(raw)); err != nil || !h.Equal(g) {
+				t.Fatalf("Read(servable): %v", err)
+			}
+			if h, err := ReadPacked(bytes.NewReader(raw)); err != nil || !h.Equal(g) {
+				t.Fatalf("ReadPacked(servable): %v", err)
+			}
+			if h, err := ReadAuto(bytes.NewReader(raw), false); err != nil || !h.Equal(g) {
+				t.Fatalf("ReadAuto(servable): %v", err)
 			}
 		})
 	}
@@ -489,6 +440,45 @@ func TestServableMinorDispatch(t *testing.T) {
 		} {
 			if _, err := read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("%s on a v2.%d snapshot: %v; want an error naming %q", name, minor, err, want)
+			}
+		}
+	}
+}
+
+// permutedSnapshots returns, per v2 minor, a snapshot whose header sets flag
+// 4 — a pack-time vertex permutation stored in the body, which no writer
+// produces any more — in front of an otherwise valid body.
+func permutedSnapshots(tb testing.TB) map[uint16][]byte {
+	tb.Helper()
+	g := gen.ErdosRenyi(30, 120, 29)
+	var compact, servable bytes.Buffer
+	if _, err := WritePacked(&compact, g); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := succinct.WriteServable(&servable, succinct.Pack(g, 0)); err != nil {
+		tb.Fatal(err)
+	}
+	out := map[uint16][]byte{}
+	for _, raw := range [][]byte{compact.Bytes(), servable.Bytes()} {
+		h, _ := succinct.ParseSnapshotHeader(raw)
+		h.Permuted = true
+		out[h.Minor] = append(h.Append(nil), raw[succinct.SnapshotHeaderSize:]...)
+	}
+	return out
+}
+
+// TestPermutedSnapshotRefused: a v2 snapshot of either minor whose header
+// declares a stored vertex permutation is refused by every reader with an
+// error that names the permutation, never decoded.
+func TestPermutedSnapshotRefused(t *testing.T) {
+	for minor, img := range permutedSnapshots(t) {
+		want := fmt.Sprintf("version 2.%d stores a vertex permutation", minor)
+		for name, read := range map[string]func(io.Reader) (*graph.Graph, error){
+			"Read": Read, "ReadPacked": ReadPacked,
+			"ReadAuto": func(r io.Reader) (*graph.Graph, error) { return ReadAuto(r, false) },
+		} {
+			if _, err := read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s on a permuted v2.%d snapshot: %v; want an error naming %q", name, minor, err, want)
 			}
 		}
 	}
@@ -554,7 +544,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if _, err := WriteBinary(&bin, gg); err != nil {
 			f.Fatal(err)
 		}
-		if _, err := WritePackedOrder(&packed, gg, succinct.OrderDegree); err != nil {
+		if _, err := WritePacked(&packed, gg); err != nil {
 			f.Fatal(err)
 		}
 		if _, err := succinct.WriteServable(&servable, succinct.Pack(gg, 0)); err != nil {
@@ -565,6 +555,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Add(servable.Bytes())
 	}
 	f.Add([]byte("# Nodes: 4 Edges: 2\n0 1\n2 3\n"))
+	f.Add(permutedSnapshots(f)[succinct.CompactMinor])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if g, err := Read(bytes.NewReader(data)); err == nil && g == nil {
 			t.Fatal("Read returned nil graph without error")

@@ -26,32 +26,43 @@ func mustGen(t *testing.T, seed uint64) *graph.Graph {
 }
 
 // TestRetiredSnapshotIsNotAttached: a data directory that holds a servable
-// image of a retired version (v2.1: LEB128 lists) comes up without it — the
-// startup scan reports the refusal with the version found and the version
-// wanted, the graph is not served from bytes the current codec would
-// misread, the file is left where it is, and the rest of the directory
-// attaches as usual.
+// image of a retired version (v2.1: LEB128 lists) or one whose header
+// declares a stored vertex permutation (flag 4) comes up without it — the
+// startup scan reports each refusal with its reason, the graph is not served
+// from bytes the current reader would misread, the file is left where it
+// is, and the rest of the directory attaches as usual.
 func TestRetiredSnapshotIsNotAttached(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{CacheCapacity: 4, MaxWorkers: 2, DataDir: dir}
 	first, firstTS := newTestServer(t, opts)
-	for _, name := range []string{"old", "new"} {
+	for _, name := range []string{"old", "permuted", "new"} {
 		code, body := postJSON(t, firstTS.URL+"/v1/graphs", map[string]any{
 			"name": name, "gen": "communities", "numVertices": 300, "seed": 5, "memory": MemoryPacked,
 		})
 		mustStatus(t, http.StatusCreated, code, body)
 	}
-	path := first.Local().catalog.store.graphPath("old")
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	refusals := map[string]struct {
+		corrupt func(img []byte)
+		reason  []string
+	}{
+		// The servable minor before the list codec changed.
+		"old": {func(img []byte) { img[6] = 1 }, []string{"version 2.1 holds LEB128 gap lists", "want version 2.3"}},
+		// A pack-time permutation, which no reader maps back any more.
+		"permuted": {func(img []byte) { img[5] |= 4 }, []string{"version 2.3 stores a vertex permutation"}},
 	}
-	if img[4] != succinct.SnapshotVersion || img[6] != succinct.ServableMinor {
-		t.Fatalf("the store wrote version %d.%d", img[4], img[6])
-	}
-	img[6] = 1 // the servable minor before the list codec changed
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
+	for name, r := range refusals {
+		path := first.Local().catalog.store.graphPath(name)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if img[4] != succinct.SnapshotVersion || img[6] != succinct.ServableMinor || img[5]&4 != 0 {
+			t.Fatalf("the store wrote version %d.%d with flags %#x", img[4], img[6], img[5])
+		}
+		r.corrupt(img)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	second, secondTS := newTestServer(t, opts)
@@ -59,18 +70,33 @@ func TestRetiredSnapshotIsNotAttached(t *testing.T) {
 		t.Fatalf("restart attached %v, want [new]", got)
 	}
 	skipped := second.Local().Skipped()
-	if len(skipped) != 1 || !strings.Contains(skipped[0], `"old"`) ||
-		!strings.Contains(skipped[0], "version 2.1 holds LEB128 gap lists") || !strings.Contains(skipped[0], "want version 2.3") {
-		t.Fatalf("restart skipped %q, want one refusal of \"old\" naming version 2.1 and version 2.3", skipped)
+	if len(skipped) != len(refusals) {
+		t.Fatalf("restart skipped %q, want one refusal each of %d snapshots", skipped, len(refusals))
 	}
-	if code, body := get(t, secondTS.URL+"/v1/graphs/old/degrees"); code != http.StatusNotFound {
-		t.Fatalf("the retired snapshot is served: status %d, body %s", code, body)
+	for name, r := range refusals {
+		found := false
+		for _, s := range skipped {
+			if strings.HasPrefix(s, `"`+name+`"`) {
+				found = true
+				for _, reason := range r.reason {
+					if !strings.Contains(s, reason) {
+						t.Errorf("the refusal of %q is %q, want it to name %q", name, s, reason)
+					}
+				}
+			}
+		}
+		if !found {
+			t.Errorf("restart skipped %q, want a refusal of %q", skipped, name)
+		}
+		if code, body := get(t, secondTS.URL+"/v1/graphs/"+name+"/degrees"); code != http.StatusNotFound {
+			t.Fatalf("the refused snapshot %q is served: status %d, body %s", name, code, body)
+		}
+		if _, err := os.Stat(second.Local().catalog.store.graphPath(name)); err != nil {
+			t.Fatalf("the refused snapshot %q was removed: %v", name, err)
+		}
 	}
 	code, body := get(t, secondTS.URL+"/v1/graphs/new/degrees")
 	mustStatus(t, http.StatusOK, code, body)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("the retired snapshot was removed: %v", err)
-	}
 }
 
 // TestTierWarmRestart pins the headline guarantee: a second server over the

@@ -25,7 +25,8 @@ func TestHotAccessorsDoNotAllocate(t *testing.T) {
 	r := rng.New(79)
 	g := randomGraph(r, packCase{true, true}, 300, 3000)
 	for _, o := range []Order{OrderNone, OrderDegree} {
-		pg := Pack(g, 0, WithOrder(o))
+		rg, _ := relabeled(g, o)
+		pg := Pack(rg, 0)
 		var sink graph.NodeID
 		fn := func(w graph.NodeID) { sink += w }
 		v := graph.NodeID(0)

@@ -67,7 +67,9 @@
 //     ParseSnapshotHeader are its only writer and reader, and CheckMinor
 //     the one place a reader refuses the minors 0 and 1 that held LEB128
 //     lists: by naming the version found and the version wanted, never by
-//     decoding old bytes as the new layout.
+//     decoding old bytes as the new layout. CheckUnpermuted beside it
+//     refuses flag 4, a stored pack-time vertex permutation, the same way:
+//     every packed form keeps the vertex IDs of the graph it was given.
 //
 //   - Storage stream (format.go): the byte sections of the compact graphio
 //     v2 snapshot ("packed" format, minor CompactMinor). Only the canonical
@@ -81,7 +83,7 @@
 //
 //   - Servable image (servable.go, mapped.go): format version 2, minor
 //     ServableMinor — the PackedGraph's complete section set (payloads, directory,
-//     bit-packed relative offsets, edge starts, permutation, weights)
+//     bit-packed relative offsets, edge starts, weights)
 //     written with every section padded to an 8-byte boundary and sized
 //     exactly by a fixed 64-byte header. The alignment rule is what makes
 //     the image attachable in place: each word-typed section lands on its

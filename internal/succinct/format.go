@@ -17,12 +17,6 @@ type Sections struct {
 	BlockOff      []uint64 // payload byte offset per block (numBlocks+1)
 	EdgeStart     []uint64 // canonical edges before each block (numBlocks+1)
 	Payload       []byte   // gap-encoded canonical lists, block order
-
-	// Perm is the pack-time vertex relabeling (Perm[original] = stored),
-	// or nil when the snapshot keeps original IDs. When present, the
-	// payload and any weight section are in the relabeled ID space, and
-	// decode maps them back.
-	Perm []graph.NodeID
 }
 
 // NumBlocks returns the number of vertex blocks.
@@ -46,26 +40,10 @@ func EncodeStored(g *graph.Graph, workers int) *Sections {
 	}
 }
 
-// EncodeStoredOrder is EncodeStored under a locality ordering: the graph is
-// relabeled by ComputeOrder(g, order) before encoding and the permutation is
-// recorded in the sections, so DecodeStored restores the original IDs. It
-// also returns the canonical edge weights of the encoded (relabeled) graph —
-// the weight section a snapshot writer must emit — or nil when g is
-// unweighted. OrderNone degrades to plain EncodeStored.
-func EncodeStoredOrder(g *graph.Graph, order Order, workers int) (*Sections, []float64) {
-	enc, perm := relabel(g, order, workers)
-	s := EncodeStored(enc, workers)
-	s.Perm = perm
-	return s, canonicalWeights(enc, workers)
-}
-
 // DecodeStored rebuilds the graph from snapshot sections, block-parallel.
 // weights must hold the canonical edge weights of the stored graph when
-// weighted is true (nil otherwise) — for a relabeled snapshot (s.Perm set)
-// that is the relabeled canonical order EncodeStoredOrder returned, and the
-// decoded graph is mapped back to original IDs. Corrupt sections — including
-// a non-bijective or truncated permutation — return an error rather than
-// panicking.
+// weighted is true (nil otherwise). Corrupt sections return an error rather
+// than panicking.
 func DecodeStored(n, m int, directed, weighted bool, s *Sections, weights []float64, workers int) (*graph.Graph, error) {
 	shift := shiftFor(s.BlockVertices)
 	numBlocks := numBlocksFor(n, shift)
@@ -90,14 +68,7 @@ func DecodeStored(n, m int, directed, weighted bool, s *Sections, weights []floa
 	if err != nil {
 		return nil, err
 	}
-	var inv []graph.NodeID
-	if s.Perm != nil {
-		if err := graph.ValidatePermutation(n, s.Perm); err != nil {
-			return nil, fmt.Errorf("succinct: stored permutation: %w", err)
-		}
-		inv = graph.InvertPermutation(s.Perm, workers)
-	}
-	return restore(n, directed, weighted, edges, inv, workers)
+	return graph.FromCanonicalEdges(n, directed, weighted, edges)
 }
 
 // decodeBlock decodes block b's canonical lists into the slots of edges the

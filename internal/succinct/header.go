@@ -41,7 +41,7 @@ type SnapshotHeader struct {
 	Minor    uint16
 	Directed bool
 	Weighted bool
-	Permuted bool // v2 only: a vertex permutation section is stored
+	Permuted bool // v2 flag 4: a vertex permutation is stored; refused by CheckUnpermuted
 	N, M     int
 }
 
@@ -99,4 +99,17 @@ func (h SnapshotHeader) CheckMinor(want uint16) error {
 			h.Version, h.Minor, SnapshotVersion, want)
 	}
 	return fmt.Errorf("snapshot version %d.%d has another minor than the version %d.%d wanted", h.Version, h.Minor, SnapshotVersion, want)
+}
+
+// CheckUnpermuted refuses a version-2 header with flag 4 set. Such a file
+// holds its lists under a pack-time vertex permutation plus the permutation
+// itself, in a layout no reader decodes any more: packed forms keep original
+// vertex IDs. The way forward is the one CheckMinor names, with the relabel
+// scheme for an order that should stay.
+func (h SnapshotHeader) CheckUnpermuted() error {
+	if h.Version != SnapshotVersion || !h.Permuted {
+		return nil
+	}
+	return fmt.Errorf("snapshot version %d.%d stores a vertex permutation (header flag 4), which is no longer read; packed snapshots keep original vertex IDs (write the graph again from an edge list or a binary v1 snapshot, and relabel it first with the relabel:order=... scheme to keep a locality order)",
+		h.Version, h.Minor)
 }

@@ -9,11 +9,13 @@ import (
 	"slimgraph/internal/parallel"
 )
 
-// Order selects the gap-minimizing vertex relabeling applied while packing
-// (Log(Graph)-style locality ordering): neighbors with nearby IDs gap-encode
-// into fewer bits and traverse with better cache locality. OrderNone keeps
-// original IDs — the only ordering whose packed form shares the original's
-// canonical edge IDs, which is why it stays the server default.
+// Order selects a gap-minimizing vertex relabeling (Log(Graph)-style
+// locality ordering): neighbors with nearby IDs gap-encode into fewer bits
+// and traverse with better cache locality. Packing never applies one — a
+// PackedGraph and both snapshot forms keep the IDs of the graph they are
+// given, so no permutation is ever stored. An order is a relabel of the
+// graph itself (the relabel scheme: ComputeOrder, then graph.Permute), whose
+// output is a renumbered graph. OrderNone keeps original IDs.
 type Order uint8
 
 const (
@@ -97,7 +99,7 @@ func degreeOrder(g *graph.Graph, workers int) []graph.NodeID {
 // are tried in degree order (hubs first), so every component is entered
 // through its best-connected vertex; within a frontier, neighbors enqueue in
 // increasing original ID. The traversal is serial — ordering happens once
-// per pack, and a deterministic frontier is worth more than parallelism.
+// per relabel, and a deterministic frontier is worth more than parallelism.
 func bfsOrder(g *graph.Graph, workers int) []graph.NodeID {
 	n := g.N()
 	perm := make([]graph.NodeID, n)

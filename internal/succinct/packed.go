@@ -47,10 +47,6 @@ type PackedGraph struct {
 
 	edgeStart []int64   // canonical edges owned by vertices before each block
 	weights   []float64 // canonical edge weights; nil when unweighted
-
-	order Order          // relabeling applied at pack time
-	perm  []graph.NodeID // original ID -> packed ID; nil when OrderNone
-	inv   []graph.NodeID // packed ID -> original ID; nil when OrderNone
 }
 
 // PackedGraph implements graph.Adjacency and graph.AdjacencyEdges, so both
@@ -66,16 +62,6 @@ type PackOption func(*packConfig)
 
 type packConfig struct {
 	blockVertices int
-	order         Order
-}
-
-// WithOrder selects a gap-minimizing vertex relabeling applied before the
-// encode, so the accessors see the permuted ID space while
-// OriginalID/PackedID translate back and Unpack restores the original.
-// OrderNone (the default) keeps original IDs and original canonical edge
-// IDs.
-func WithOrder(o Order) PackOption {
-	return func(c *packConfig) { c.order = o }
 }
 
 // WithBlockVertices overrides the vertex-block size of the offset directory,
@@ -84,8 +70,11 @@ func WithBlockVertices(blockVertices int) PackOption {
 	return func(c *packConfig) { c.blockVertices = blockVertices }
 }
 
-// Pack encodes g. The output is deterministic: identical bytes for every
-// worker count (workers <= 0 means all CPUs), for any fixed option set.
+// Pack encodes g under its own vertex IDs, so canonical edge IDs are g's
+// too; a locality order is applied before packing, by relabeling g (the
+// relabel scheme, ComputeOrder with graph.Permute). The output is
+// deterministic: identical bytes for every worker count (workers <= 0 means
+// all CPUs), for any fixed option set.
 func Pack(g *graph.Graph, workers int, opts ...PackOption) *PackedGraph {
 	cfg := packConfig{blockVertices: DefaultBlockVertices}
 	for _, o := range opts {
@@ -97,11 +86,6 @@ func Pack(g *graph.Graph, workers int, opts ...PackOption) *PackedGraph {
 		directed: g.Directed(), weighted: g.Weighted(),
 		shift: shift,
 		arcs:  int64(g.NumArcs()),
-		order: cfg.order,
-	}
-	g, pg.perm = relabel(g, cfg.order, workers)
-	if pg.perm != nil {
-		pg.inv = graph.InvertPermutation(pg.perm, workers)
 	}
 	pg.payload, pg.blockOff, pg.rel = encodeLists(pg.n, shift, workers, g.Neighbors)
 	if pg.directed {
@@ -110,22 +94,6 @@ func Pack(g *graph.Graph, workers int, opts ...PackOption) *PackedGraph {
 	pg.edgeStart = edgeStarts[int64](g, shift)
 	pg.weights = canonicalWeights(g, workers)
 	return pg
-}
-
-// relabel returns g under the vertex permutation of o (perm[old] = new) and
-// that permutation, or g itself and nil for OrderNone. Pack and the stored
-// snapshot encoder both relabel here, through graph.Permute, and then encode
-// the result plainly.
-func relabel(g *graph.Graph, o Order, workers int) (*graph.Graph, []graph.NodeID) {
-	perm := ComputeOrder(g, o, workers)
-	if perm == nil {
-		return g, nil
-	}
-	permuted, err := g.Permute(perm, workers)
-	if err != nil {
-		panic(fmt.Sprintf("succinct: ComputeOrder produced an invalid permutation: %v", err))
-	}
-	return permuted, perm
 }
 
 // canonicalWeights copies g's canonical edge weights out, or returns nil
@@ -343,32 +311,6 @@ func (pg *PackedGraph) EdgeWeight(e graph.EdgeID) float64 {
 	return pg.weights[e]
 }
 
-// Order returns the vertex relabeling applied at pack time.
-func (pg *PackedGraph) Order() Order { return pg.order }
-
-// Perm returns the pack-time permutation with Perm()[original] = packed, or
-// nil when no relabeling was applied. Callers must not modify it. It
-// composes into a scheme pipeline's vertex map exactly like a relabel stage.
-func (pg *PackedGraph) Perm() []graph.NodeID { return pg.perm }
-
-// OriginalID maps a packed vertex ID back to the graph it was packed from
-// (the identity when unordered).
-func (pg *PackedGraph) OriginalID(v graph.NodeID) graph.NodeID {
-	if pg.inv == nil {
-		return v
-	}
-	return pg.inv[v]
-}
-
-// PackedID maps an original vertex ID to its packed ID (the identity when
-// unordered).
-func (pg *PackedGraph) PackedID(v graph.NodeID) graph.NodeID {
-	if pg.perm == nil {
-		return v
-	}
-	return pg.perm[v]
-}
-
 // forward returns the neighbors greater than v: the arcs an undirected
 // vertex owns, which are exactly its canonical (U < V) edges.
 func forward(nbrs []graph.NodeID, v graph.NodeID) []graph.NodeID {
@@ -377,8 +319,8 @@ func forward(nbrs []graph.NodeID, v graph.NodeID) []graph.NodeID {
 }
 
 // forCanonical decodes the canonical arcs block-parallel, invoking fn with
-// each edge's ID and endpoints (in the packed ID space) — within a block, and
-// with one worker over all of them, in increasing edge-ID order.
+// each edge's ID and endpoints — within a block, and with one worker over
+// all of them, in increasing edge-ID order.
 func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u, v graph.NodeID)) {
 	numBlocks := numBlocksFor(pg.n, pg.shift)
 	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
@@ -398,8 +340,7 @@ func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u, v graph.Nod
 
 // ForEdges invokes fn for every canonical edge in increasing EdgeID order
 // with its endpoints and weight, decoding the payload on the fly — the
-// graph.AdjacencyEdges view whole-graph kernels consume. IDs are in the
-// packed space; map through OriginalID for relabeled packs.
+// graph.AdjacencyEdges view whole-graph kernels consume.
 func (pg *PackedGraph) ForEdges(fn func(e graph.EdgeID, u, v graph.NodeID, w float64)) {
 	pg.forCanonical(1, func(e int64, u, v graph.NodeID) {
 		fn(graph.EdgeID(e), u, v, pg.EdgeWeight(graph.EdgeID(e)))
@@ -420,10 +361,9 @@ func (pg *PackedGraph) FillEdgeColumns(eu, ev []graph.NodeID, workers int) {
 // not synchronized and must only be set before concurrent use.
 var UnpackHook func(*PackedGraph)
 
-// Unpack restores the full CSR graph in the ORIGINAL ID space. Pack followed
-// by Unpack is lossless for every ordering: the result is graph.Equal to the
-// packed input. workers <= 0 means all CPUs; the output never depends on the
-// worker count.
+// Unpack restores the full CSR graph. Pack followed by Unpack is lossless:
+// the result is graph.Equal to the packed input. workers <= 0 means all
+// CPUs; the output never depends on the worker count.
 func (pg *PackedGraph) Unpack(workers int) *graph.Graph {
 	if UnpackHook != nil {
 		UnpackHook(pg)
@@ -432,75 +372,28 @@ func (pg *PackedGraph) Unpack(workers int) *graph.Graph {
 	pg.forCanonical(workers, func(e int64, u, v graph.NodeID) {
 		edges[e] = graph.Edge{U: u, V: v, W: pg.EdgeWeight(graph.EdgeID(e))}
 	})
-	g, err := restore(pg.n, pg.directed, pg.weighted, edges, pg.inv, workers)
+	g, err := graph.FromCanonicalEdges(pg.n, pg.directed, pg.weighted, edges)
 	if err != nil {
 		panic(fmt.Sprintf("succinct: corrupt packed graph: %v", err))
 	}
 	return g
 }
 
-// restore builds the graph whose canonical edges, in the stored ID space,
-// are edges; inv maps stored IDs back to original ones (nil: the identity).
-// It is the tail Unpack and DecodeStored share, and it keeps corruption
-// loud: endpoints outside [0, n), an edge list that is not canonical, or —
-// under a relabeling — one that shrinks when the builder normalizes it, all
-// return an error.
-func restore(n int, directed, weighted bool, edges []graph.Edge, inv []graph.NodeID, workers int) (*graph.Graph, error) {
-	if inv == nil {
-		return graph.FromCanonicalEdges(n, directed, weighted, edges)
-	}
-	// FromCanonicalEdges bounds-checks the endpoints on the path above; here
-	// they index inv first.
-	bad := parallel.SumInt64(len(edges), workers, func(e int) int64 {
-		if u, v := edges[e].U, edges[e].V; u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-			return 1
-		}
-		return 0
-	})
-	if bad != 0 {
-		return nil, fmt.Errorf("succinct: %d decoded edges with out-of-range endpoints", bad)
-	}
-	parallel.ForChunks(len(edges), workers, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			edges[e].U = inv[edges[e].U]
-			edges[e].V = inv[edges[e].V]
-		}
-	})
-	// The mapping scrambles canonical order, so rebuild through the
-	// deterministic counting-sort builder. It silently drops the self-loops
-	// and duplicates a corrupt payload might decode to, hence the recount.
-	bld := graph.NewBuilder(n, directed)
-	bld.AddEdges(edges)
-	if weighted {
-		bld.SetWeighted()
-	}
-	g, err := bld.Build()
-	if err != nil {
-		return nil, err
-	}
-	if g.M() != len(edges) {
-		return nil, fmt.Errorf("succinct: payload decodes to %d edges after normalization, want %d", g.M(), len(edges))
-	}
-	return g, nil
-}
-
 // Stats breaks down a PackedGraph's footprint.
 type Stats struct {
 	PayloadBytes  int64 // gap-encoded adjacency stream(s)
-	DirectoryBits int64 // block offsets + relative offsets + edge starts + pack-time permutation
+	DirectoryBits int64 // block offsets + relative offsets + edge starts
 	WeightBytes   int64
 	SizeBits      int64   // total
 	BitsPerEdge   float64 // SizeBits / M
 	RawCSRBits    int64   // footprint of the graph.Graph arrays it replaces
 }
 
-// SizeBits returns the total in-memory footprint in bits. A relabeled pack
-// honestly counts its permutation and inverse at 32 bits per vertex each.
+// SizeBits returns the total in-memory footprint in bits.
 func (pg *PackedGraph) SizeBits() int64 {
 	payload := int64(len(pg.payload)+len(pg.inPayload)) * 8
 	dir := int64(len(pg.blockOff)+len(pg.inBlockOff)+len(pg.edgeStart)) * 64
 	dir += pg.rel.sizeBits() + pg.inRel.sizeBits()
-	dir += int64(len(pg.perm)+len(pg.inv)) * 32
 	return payload + dir + int64(len(pg.weights))*64
 }
 

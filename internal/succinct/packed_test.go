@@ -208,9 +208,10 @@ func checkScanInLists(t *testing.T, name string, a graph.Adjacency, want [][]gra
 }
 
 // ScanInLists must hand out, list by list, what the per-vertex accessors
-// do — on the raw CSR and on packed graphs of every block size and order —
-// for empty ranges, ranges inside one block, ranges straddling blocks, and
-// a vertex count that is not a multiple of the block size.
+// do — on the raw CSR and on packs of every block size, in the graph's own
+// IDs and degree-relabeled — for empty ranges, ranges inside one block,
+// ranges straddling blocks, and a vertex count that is not a multiple of
+// the block size.
 func TestScanInListsMatchesPerVertexLists(t *testing.T) {
 	for _, c := range packCases() {
 		r := rng.New(53)
@@ -231,10 +232,11 @@ func TestScanInListsMatchesPerVertexLists(t *testing.T) {
 		reps := []rep{{"raw", g, want, 64}}
 		for _, block := range []int{4, 16, DefaultBlockVertices} {
 			for _, o := range []Order{OrderNone, OrderDegree} {
-				pg := Pack(g, 0, WithBlockVertices(block), WithOrder(o))
+				rg, _ := relabeled(g, o)
+				pg := Pack(rg, 0, WithBlockVertices(block))
 				w := want
 				if o != OrderNone {
-					w = inLists(pg) // the relabeled ID space
+					w = inLists(rg) // the relabeled ID space
 				}
 				reps = append(reps, rep{fmt.Sprintf("%v block=%d order=%s", c, block, o), pg, w, graph.NodeID(block)})
 			}

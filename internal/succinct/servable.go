@@ -17,11 +17,11 @@ import (
 // time, the servable image stores every section a PackedGraph serves from —
 // the full gap-encoded adjacency payload(s), the two-level offset directory
 // including the bit-packed per-vertex relative offsets, the canonical edge
-// starts, the pack-time permutation, and the weights — with every section
-// padded to an 8-byte boundary. A little-endian host attaches a PackedGraph directly
-// over the image bytes: no decode pass, no heap copy of any section. That
-// is what lets slimgraphd mmap a snapshot and answer its first packed
-// query in milliseconds after a restart.
+// starts and the weights — with every section padded to an 8-byte boundary.
+// A little-endian host attaches a PackedGraph directly over the image bytes:
+// no decode pass, no heap copy of any section. That is what lets slimgraphd
+// mmap a snapshot and answer its first packed query in milliseconds after a
+// restart.
 
 // servableHeaderSize is the fixed prefix before the first section. The
 // first SnapshotHeaderSize bytes are the shared snapshot header (header.go);
@@ -56,8 +56,6 @@ type servableLayout struct {
 	n, m          int
 	directed      bool
 	weighted      bool
-	permuted      bool
-	order         Order
 	blockVertices int
 	numBlocks     int
 	arcs          int64
@@ -71,7 +69,6 @@ type servableLayout struct {
 	rel        int64 // bitWordCount(n, relWidth) u64
 	inBlockOff int64 // directed: (numBlocks+1) u64
 	inRel      int64 // directed: bitWordCount(n, inRelWidth) u64
-	perm       int64 // permuted: n i32
 	payload    int64 // payloadLen bytes
 	inPayload  int64 // directed: inPayloadLen bytes
 	weights    int64 // weighted: m f64
@@ -94,10 +91,6 @@ func (l *servableLayout) resolve() {
 		l.inRel = off
 		off += int64(bitWordCount(l.n, l.inRelWidth)) * 8
 	}
-	if l.permuted {
-		l.perm = off
-		off = align8(off + int64(l.n)*4)
-	}
 	l.payload = off
 	off = align8(off + l.payloadLen)
 	if l.directed {
@@ -115,8 +108,7 @@ func (l *servableLayout) resolve() {
 func layoutOf(pg *PackedGraph) servableLayout {
 	l := servableLayout{
 		n: pg.n, m: pg.m,
-		directed: pg.directed, weighted: pg.weighted, permuted: pg.perm != nil,
-		order:         pg.order,
+		directed: pg.directed, weighted: pg.weighted,
 		blockVertices: 1 << pg.shift,
 		numBlocks:     numBlocksFor(pg.n, pg.shift),
 		arcs:          pg.arcs,
@@ -142,7 +134,7 @@ func AppendServable(dst []byte, pg *PackedGraph) []byte {
 
 	SnapshotHeader{
 		Version: SnapshotVersion, Minor: ServableMinor,
-		Directed: l.directed, Weighted: l.weighted, Permuted: l.permuted,
+		Directed: l.directed, Weighted: l.weighted,
 		N: l.n, M: l.m,
 	}.Append(img[:0])
 	le := binary.LittleEndian
@@ -153,7 +145,6 @@ func AppendServable(dst []byte, pg *PackedGraph) []byte {
 	le.PutUint64(img[40:], uint64(l.inPayloadLen))
 	img[48] = uint8(l.relWidth)
 	img[49] = uint8(l.inRelWidth)
-	img[50] = uint8(l.order)
 
 	putU64s := func(off int64, vs []uint64) {
 		for i, v := range vs {
@@ -168,11 +159,6 @@ func AppendServable(dst []byte, pg *PackedGraph) []byte {
 	if l.directed {
 		putU64s(l.inBlockOff, pg.inBlockOff)
 		putU64s(l.inRel, pg.inRel.words)
-	}
-	if l.permuted {
-		for i, v := range pg.perm {
-			le.PutUint32(img[l.perm+int64(i)*4:], uint32(v))
-		}
 	}
 	copy(img[l.payload:], pg.payload)
 	if l.directed {
@@ -213,7 +199,6 @@ type ServableInfo struct {
 	N, M     int
 	Directed bool
 	Weighted bool
-	Order    Order
 	// Bytes is the exact image size the header implies; a file of any other
 	// size is corrupt.
 	Bytes int64
@@ -233,7 +218,10 @@ func parseServableHeader(data []byte) (servableLayout, error) {
 	if err := h.CheckMinor(ServableMinor); err != nil {
 		return l, fmt.Errorf("succinct: servable image: %v", err)
 	}
-	l.directed, l.weighted, l.permuted = h.Directed, h.Weighted, h.Permuted
+	if err := h.CheckUnpermuted(); err != nil {
+		return l, fmt.Errorf("succinct: servable image: %v", err)
+	}
+	l.directed, l.weighted = h.Directed, h.Weighted
 	l.n, l.m = h.N, h.M
 	le := binary.LittleEndian
 	l.blockVertices = int(le.Uint32(data[16:]))
@@ -243,7 +231,6 @@ func parseServableHeader(data []byte) (servableLayout, error) {
 	l.inPayloadLen = int64(le.Uint64(data[40:]))
 	l.relWidth = uint(data[48])
 	l.inRelWidth = uint(data[49])
-	l.order = Order(data[50])
 
 	const maxBlockVertices = 1 << 20
 	shift := shiftFor(l.blockVertices)
@@ -287,7 +274,7 @@ func servableInfo(prefix []byte) (ServableInfo, error) {
 	}
 	return ServableInfo{
 		N: l.n, M: l.m, Directed: l.directed, Weighted: l.weighted,
-		Order: l.order, Bytes: l.total,
+		Bytes: l.total,
 	}, nil
 }
 
@@ -311,13 +298,12 @@ func u64view(data []byte, off, count int64, zeroCopy bool) []uint64 {
 // AttachServable builds a PackedGraph over a servable image. On a
 // little-endian host every section — payload bytes, offset directories, the
 // bit-packed relative offsets, weights — aliases data directly: no decode
-// pass runs and no section is copied to the heap (the only allocation is
-// the inverse of a stored permutation). The caller must keep data alive and
-// unmodified for the life of the returned graph; Mapped manages that for
-// mmap-backed images.
+// pass runs and no section is copied to the heap. The caller must keep data
+// alive and unmodified for the life of the returned graph; Mapped manages
+// that for mmap-backed images.
 //
-// Corrupt structure (bad magic, sections out of bounds, non-monotonic
-// directories, invalid permutation) returns an error rather than
+// Corrupt structure (bad magic, a refused minor or flag, sections out of
+// bounds, non-monotonic directories) returns an error rather than
 // panicking. Payload bytes are NOT decoded here — Verify runs the full
 // check when the image comes from an untrusted source.
 func AttachServable(data []byte) (*PackedGraph, error) {
@@ -335,7 +321,6 @@ func AttachServable(data []byte) (*PackedGraph, error) {
 		directed: l.directed, weighted: l.weighted,
 		shift: shiftFor(l.blockVertices),
 		arcs:  l.arcs,
-		order: l.order,
 	}
 	pg.blockOff = u64view(data, l.blockOff, int64(nb)+1, zc)
 	edgeStart := u64view(data, l.edgeStart, int64(nb)+1, zc)
@@ -351,20 +336,6 @@ func AttachServable(data []byte) (*PackedGraph, error) {
 	if l.directed {
 		pg.inBlockOff = u64view(data, l.inBlockOff, int64(nb)+1, zc)
 		pg.inRel = attachBitArray(data, l.inRel, l.n, l.inRelWidth, zc)
-	}
-	if l.permuted {
-		if zc {
-			pg.perm = unsafe.Slice((*graph.NodeID)(unsafe.Pointer(&data[l.perm])), l.n)
-		} else {
-			pg.perm = make([]graph.NodeID, l.n)
-			for i := range pg.perm {
-				pg.perm[i] = graph.NodeID(binary.LittleEndian.Uint32(data[l.perm+int64(i)*4:]))
-			}
-		}
-		if err := graph.ValidatePermutation(l.n, pg.perm); err != nil {
-			return nil, fmt.Errorf("succinct: servable image: stored permutation: %w", err)
-		}
-		pg.inv = graph.InvertPermutation(pg.perm, 0)
 	}
 	pg.payload = data[l.payload : l.payload+l.payloadLen : l.payload+l.payloadLen]
 	if l.directed {

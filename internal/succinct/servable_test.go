@@ -37,21 +37,23 @@ func servableTestGraphs() map[string]*graph.Graph {
 }
 
 // TestServableRoundTrip pins: Pack -> AppendServable -> AttachServable is
-// lossless for every graph shape and ordering, the attached accessors agree
-// with the heap-resident twin, and the image bytes are deterministic.
+// lossless for every graph shape, in its own IDs and degree-relabeled, the
+// attached accessors agree with the heap-resident twin, and the image bytes
+// are deterministic.
 func TestServableRoundTrip(t *testing.T) {
-	for name, g := range servableTestGraphs() {
+	for name, base := range servableTestGraphs() {
 		for _, order := range []Order{OrderNone, OrderDegree} {
-			if order != OrderNone && g.N() == 0 {
+			if order != OrderNone && base.N() == 0 {
 				continue
 			}
 			t.Run(name+"/"+order.String(), func(t *testing.T) {
-				pg := Pack(g, 0, WithOrder(order))
+				g, _ := relabeled(base, order)
+				pg := Pack(g, 0)
 				img := AppendServable(nil, pg)
 				if int64(len(img)) != ServableSize(pg) {
 					t.Fatalf("image is %d bytes, ServableSize says %d", len(img), ServableSize(pg))
 				}
-				if img2 := AppendServable(nil, Pack(g, 3, WithOrder(order))); !bytes.Equal(img, img2) {
+				if img2 := AppendServable(nil, Pack(g, 3)); !bytes.Equal(img, img2) {
 					t.Fatalf("image bytes differ across worker counts")
 				}
 				att, err := AttachServable(img)
@@ -78,7 +80,7 @@ func assertPackedEqual(t *testing.T, want, got *PackedGraph) {
 	t.Helper()
 	if want.N() != got.N() || want.M() != got.M() || want.NumArcs() != got.NumArcs() ||
 		want.Directed() != got.Directed() || want.Weighted() != got.Weighted() ||
-		want.Order() != got.Order() || want.BlockVertices() != got.BlockVertices() {
+		want.BlockVertices() != got.BlockVertices() {
 		t.Fatalf("shape mismatch: want %v got %v", want, got)
 	}
 	var wb, gb []graph.NodeID
@@ -98,9 +100,6 @@ func assertPackedEqual(t *testing.T, want, got *PackedGraph) {
 			if wb[i] != gb[i] {
 				t.Fatalf("Neighbors(%d)[%d] differs", v, i)
 			}
-		}
-		if want.OriginalID(graph.NodeID(v)) != got.OriginalID(graph.NodeID(v)) {
-			t.Fatalf("OriginalID(%d) differs", v)
 		}
 	}
 	for e := 0; e < want.M(); e++ {
@@ -272,6 +271,29 @@ func TestServableCorruptionRejected(t *testing.T) {
 			}
 		}
 	})
+	t.Run("permuted", func(t *testing.T) {
+		// Flag 4 declared a stored vertex permutation; no reader decodes one
+		// any more, so each refuses the header by naming it.
+		bad := bytes.Clone(img)
+		h, _ := ParseSnapshotHeader(bad)
+		h.Permuted = true
+		h.Append(bad[:0])
+		path := filepath.Join(t.TempDir(), "permuted.sgp")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, attachErr := AttachServable(bad)
+		_, statErr := StatServable(path)
+		m, openErr := OpenPacked(path)
+		if openErr == nil {
+			m.Close()
+		}
+		for reader, err := range map[string]error{"AttachServable": attachErr, "StatServable": statErr, "OpenPacked": openErr} {
+			if err == nil || !strings.Contains(err.Error(), "version 2.3 stores a vertex permutation") {
+				t.Errorf("%s on a flag-4 header: %v; want an error naming the permutation", reader, err)
+			}
+		}
+	})
 	t.Run("payload-corruption-caught-by-verify", func(t *testing.T) {
 		bad := bytes.Clone(img)
 		// Flip bytes near the end of the payload; attach may accept (it does
@@ -311,21 +333,29 @@ func TestVerifyRejectsSelfLoop(t *testing.T) {
 }
 
 // FuzzAttachServable feeds arbitrary bytes to the attach + verify path:
-// whatever the input, it must return (never panic), and anything that
-// attaches and verifies must unpack without panicking.
+// whatever the input, it must return (never panic), nothing whose header
+// sets flag 4 (a stored permutation) attaches, and anything that attaches
+// and verifies must unpack without panicking.
 func FuzzAttachServable(f *testing.F) {
 	for _, g := range []*graph.Graph{
 		servableRandomGraph(1, 40, 160, false, false),
 		servableRandomGraph(2, 30, 90, true, true),
 	} {
 		f.Add(AppendServable(nil, Pack(g, 0)))
-		f.Add(AppendServable(nil, Pack(g, 0, WithOrder(OrderDegree))))
+		rg, _ := relabeled(g, OrderDegree)
+		f.Add(AppendServable(nil, Pack(rg, 0)))
 	}
 	f.Add([]byte{})
+	permuted := AppendServable(nil, Pack(servableRandomGraph(1, 40, 160, false, false), 0))
+	permuted[5] |= 4 // header flag 4: a stored vertex permutation
+	f.Add(permuted)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pg, err := AttachServable(data)
 		if err != nil {
 			return
+		}
+		if data[5]&4 != 0 {
+			t.Fatal("attached an image whose header declares a stored vertex permutation")
 		}
 		if err := pg.Verify(0); err != nil {
 			return
