@@ -97,8 +97,8 @@ func WriteBinary(w io.Writer, g *Graph) (int64, error) { return graphio.WriteBin
 // ReadBinary reads a v1 snapshot written by WriteBinary.
 func ReadBinary(r io.Reader) (*Graph, error) { return graphio.ReadBinary(r) }
 
-// BinarySize returns the v1 snapshot size without retaining output (the
-// write path runs against a discarding writer, so it can never drift).
+// BinarySize returns the v1 snapshot size WriteBinary would write, computed
+// from the graph's shape without writing anything.
 func BinarySize(g *Graph) int64 { return graphio.BinarySize(g) }
 
 // WritePacked writes the v2 packed snapshot — gap-encoded canonical lists
@@ -316,7 +316,9 @@ type Pipeline = schemes.Pipeline
 type SchemeOption = schemes.Option
 
 // SchemeInfo declares one registry entry: Name, About, the parameter table
-// Params, and the kernel Apply(g, args).
+// Params, and the kernel Apply(g, args). g is an AdjacencyEdges — a Graph, or
+// a PackedGraph or MappedGraph a server compresses in place: an edge kernel
+// reads it as it is (NewSG), anything that needs the CSR takes SG.Graph.
 type SchemeInfo = schemes.Registration
 
 // SchemeParam is one row of a scheme's parameter table: key, kind, default,
@@ -410,9 +412,11 @@ type (
 	SubgraphKernel = core.SubgraphKernel
 )
 
-// NewSG returns a kernel execution context over g. Run kernels with its
+// NewSG returns a kernel execution context over g: a Graph, or a PackedGraph
+// or MappedGraph that edge kernels read in place (vertex, triangle and
+// subgraph kernels decode it once, through SG.Graph). Run kernels with its
 // Run*Kernel methods, then call Materialize for the compressed graph.
-func NewSG(g *Graph, seed uint64, workers int) *SG { return core.New(g, seed, workers) }
+func NewSG(g AdjacencyEdges, seed uint64, workers int) *SG { return core.New(g, seed, workers) }
 
 // Stage-2 algorithms.
 

@@ -113,7 +113,7 @@ func TestRegisteredKernelReceivesItsArguments(t *testing.T) {
 			{Key: "p", Kind: slimgraph.ParamFloat, Default: "0.9", Min: 0, Max: 1},
 			{Key: "hard", Kind: slimgraph.ParamBool, Default: "false"},
 		},
-		Apply: func(g *slimgraph.Graph, a slimgraph.SchemeArgs) (*slimgraph.Result, error) {
+		Apply: func(g slimgraph.AdjacencyEdges, a slimgraph.SchemeArgs) (*slimgraph.Result, error) {
 			got.seed, got.workers, got.p, got.hard = a.Seed, a.Workers, a.Float("p"), a.Bool("hard")
 			p := a.Float("p")
 			sg := slimgraph.NewSG(g, a.Seed, a.Workers)

@@ -25,8 +25,8 @@
 //		Name:   "weakties",
 //		About:  "drop edges in no triangle w.p. p",
 //		Params: []SchemeParam{{Key: "p", Kind: ParamFloat, Default: "0.5", Min: 0, Max: 1}},
-//		Apply: func(g *Graph, a SchemeArgs) (*Result, error) {
-//			sg := NewSG(g, a.Seed, a.Workers)
+//		Apply: func(g AdjacencyEdges, a SchemeArgs) (*Result, error) {
+//			sg := NewSG(g, a.Seed, a.Workers) // g: a Graph, or packed/mapped
 //			... a.Float("p") ...
 //			return &Result{Output: sg.Materialize()}, nil
 //		},
@@ -37,7 +37,10 @@
 // key given twice, or not in the table, is an error that names it), fills
 // defaults, prints the canonical spec in table order, and stamps the
 // Result's labels and elapsed time. Adding a parameter to a scheme is one
-// row. examples/customkernel registers a three-kernel scheme this way.
+// row. The kernel receives its input as an AdjacencyEdges: an edge kernel
+// reads a PackedGraph or MappedGraph in place, while a vertex, triangle or
+// subgraph kernel decodes it once, on first use (SG.Graph).
+// examples/customkernel registers a three-kernel scheme this way.
 //
 // The registry (RegisterScheme, LookupScheme, SchemeNames) is the single
 // dispatch point: both CLIs (cmd/slimgraph, cmd/slimbench) and the whole
@@ -145,10 +148,15 @@
 // compare all consume the PackedGraph's adjacency views directly, the
 // count-only forward CSR (triangles.Forward) is built lazily once per
 // catalog entry and reused across queries (its scratch — one stamp array
-// per worker — belongs to the request, not the entry), and Unpack is reachable
-// only from variant computation.
+// per worker — belongs to the request, not the entry). Compression reads the
+// entry in place as well: Scheme.Apply takes an AdjacencyEdges, and the
+// edge-kernel schemes (uniform, spectral, and pipelines that start with one)
+// walk a packed or mapped graph's canonical edges and build only the
+// variant's CSR. Unpack is reachable only when a scheme that walks CSR
+// internals decodes its input once (SG.Graph).
 // Answers are byte-identical to a raw-resident catalog; the guarantee is
-// pinned by a test that fails on any Unpack during query serving.
+// pinned by a test that fails on any Unpack during query serving or an
+// edge-kernel compress of a packed or mapped graph.
 //
 // With a data directory (slimgraphd -data-dir, ServerOptions.DataDir) the
 // catalog is a two-tier store. Graphs persist as servable snapshots on
@@ -158,9 +166,10 @@
 // byte-identical to the previous process. A heap budget (-mem-budget,
 // ServerOptions.MemBudget) spills least-recently-used graphs — and
 // LRU-evicted cache variants — to the same directory, after which they
-// serve mapped (graphs) or fault back in from disk instead of recomputing
-// (variants). DELETE removes the snapshot and defers the munmap until
-// in-flight queries drain. Residency (raw, packed, mapped) shows
+// serve mapped: graphs in place, and variants once faulted back in from
+// disk instead of recomputed, as an attached mapping that a second eviction
+// closes rather than rewrites. DELETE removes the snapshots and defers every
+// munmap until in-flight queries drain. Residency (raw, packed, mapped) shows
 // per graph on the catalog endpoints, with tier counters on /v1/stats
 // and slimgraph_catalog_tier_* metrics.
 //

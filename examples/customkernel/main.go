@@ -16,8 +16,9 @@ import (
 )
 
 // weakTies drops each edge that closes no triangle with probability p, then
-// prunes the vertices that isolated.
-func weakTies(g *slimgraph.Graph, p float64, seed uint64, workers int) *slimgraph.Graph {
+// prunes the vertices that isolated. g may be a Graph or a packed or mapped
+// one: the triangle kernel decodes it once, the edge kernel reads it as it is.
+func weakTies(g slimgraph.AdjacencyEdges, p float64, seed uint64, workers int) *slimgraph.Graph {
 	// Pass 1 (triangle kernel): mark every edge that closes a triangle.
 	sg := slimgraph.NewSG(g, seed, workers)
 	sg.RunTriangleKernel(func(sg *slimgraph.SG, r *slimgraph.Rand, t slimgraph.TriangleView) {
@@ -67,7 +68,7 @@ func main() {
 		Name:   "weakties",
 		About:  "drop edges in no triangle w.p. p, then isolated vertices",
 		Params: []slimgraph.SchemeParam{{Key: "p", Kind: slimgraph.ParamFloat, Default: "0.5", Min: 0, Max: 1}},
-		Apply: func(g *slimgraph.Graph, a slimgraph.SchemeArgs) (*slimgraph.Result, error) {
+		Apply: func(g slimgraph.AdjacencyEdges, a slimgraph.SchemeArgs) (*slimgraph.Result, error) {
 			return &slimgraph.Result{Output: weakTies(g, a.Float("p"), a.Seed, a.Workers)}, nil
 		},
 	})

@@ -9,6 +9,13 @@
 // input graph; stage 1 marks deletions and Materialize rebuilds the
 // compressed CSR (stage 2 then runs ordinary graph algorithms on it).
 //
+// The input is any graph.AdjacencyEdges, and an edge kernel reads it in
+// place: on a packed or mapped graph, RunEdgeKernel walks one block decode
+// of the canonical edges and Materialize builds the output from the kept
+// ones, so no CSR of the input ever exists. Vertex, triangle and subgraph
+// kernels walk CSR internals and read SG.Graph, which decodes a non-CSR
+// input once, on first use.
+//
 // Randomness is keyed by graph element, not by thread: every kernel
 // instance receives a PRNG seeded with hash(seed, element ID), so a fixed
 // seed yields a bit-identical compressed graph regardless of the worker
@@ -45,9 +52,18 @@ import (
 
 // SG is the global container object available to every kernel instance.
 type SG struct {
-	g       *graph.Graph
+	in      graph.AdjacencyEdges
 	seed    uint64
 	workers int
+
+	// The input as the kernels read it, each fetched once on first use: the
+	// canonical edge columns (zero-copy on a CSR, decoded otherwise) and the
+	// CSR (the input itself, set by New, or one decode of it, set by Graph;
+	// Materialize reads csr directly, after the kernels have returned).
+	edgesOnce sync.Once
+	eu, ev    []graph.NodeID
+	csrOnce   sync.Once
+	csr       *graph.Graph
 
 	deletedEdges    *graph.EdgeSet // stage-1 deletion marks
 	deletedVertices *bitset.Atomic
@@ -62,22 +78,37 @@ type SG struct {
 	params map[string]float64
 }
 
-// New returns an SG over g. seed drives all kernel randomness; workers <= 0
+// New returns an SG over in: a *graph.Graph, or a packed or mapped graph that
+// edge kernels read in place. seed drives all kernel randomness; workers <= 0
 // uses all CPUs.
-func New(g *graph.Graph, seed uint64, workers int) *SG {
-	return &SG{
-		g:               g,
+func New(in graph.AdjacencyEdges, seed uint64, workers int) *SG {
+	sg := &SG{
+		in:              in,
 		seed:            seed,
 		workers:         workers,
-		deletedEdges:    graph.NewEdgeSet(g.M()),
-		deletedVertices: bitset.NewAtomic(g.N()),
-		considered:      graph.NewEdgeSet(g.M()),
+		deletedEdges:    graph.NewEdgeSet(in.M()),
+		deletedVertices: bitset.NewAtomic(in.N()),
+		considered:      graph.NewEdgeSet(in.M()),
 		params:          make(map[string]float64),
 	}
+	sg.csr, _ = in.(*graph.Graph)
+	return sg
 }
 
-// Graph returns the input graph (stage-1 input; never mutated).
-func (sg *SG) Graph() *graph.Graph { return sg.g }
+// Graph returns the input as a CSR (stage-1 input; never mutated): the input
+// itself when it is one, otherwise one decode of it (graph.CSROf), made by
+// the first call and shared by every later one. Safe for concurrent kernel
+// instances.
+func (sg *SG) Graph() *graph.Graph {
+	sg.csrOnce.Do(func() { sg.csr = graph.CSROf(sg.in, sg.workers) })
+	return sg.csr
+}
+
+// edges returns the input's canonical edge columns, fetched once.
+func (sg *SG) edges() (eu, ev []graph.NodeID) {
+	sg.edgesOnce.Do(func() { sg.eu, sg.ev, _ = graph.EdgeColumnsOf(sg.in, sg.workers) })
+	return sg.eu, sg.ev
+}
 
 // SetParam stores a named scheme parameter (the paper's SG.p, Upsilon, ...).
 func (sg *SG) SetParam(name string, v float64) { sg.params[name] = v }
@@ -130,8 +161,8 @@ func (sg *SG) SetWeight(e graph.EdgeID, w float64) {
 }
 
 func (sg *SG) allocWeights() {
-	sg.weightBits = make([]uint64, sg.g.M())
-	sg.weightSet = graph.NewEdgeSet(sg.g.M())
+	sg.weightBits = make([]uint64, sg.in.M())
+	sg.weightSet = graph.NewEdgeSet(sg.in.M())
 }
 
 // DeletedVertexCount returns the number of vertices deleted so far.
@@ -163,18 +194,31 @@ type EdgeView struct {
 // EdgeKernel is a compression kernel whose scope is a single edge.
 type EdgeKernel func(sg *SG, r *rng.Rand, e EdgeView)
 
-// RunEdgeKernel executes the kernel once per canonical edge, in parallel.
+// RunEdgeKernel executes the kernel once per canonical edge, in parallel. It
+// reads the input in place: a CSR through its zero-copy edge columns, any
+// other form through one block-parallel decode of its canonical edges (which
+// Materialize reuses) and one pass over its degrees.
 func (sg *SG) RunEdgeKernel(k EdgeKernel) {
-	g := sg.g
-	parallel.ForChunks(g.M(), sg.workers, func(lo, hi int) {
+	eu, ev := sg.edges()
+	g, csr := sg.in.(*graph.Graph)
+	var deg []int32
+	if !csr {
+		deg = make([]int32, sg.in.N())
+		parallel.ForChunks(len(deg), sg.workers, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				deg[v] = int32(sg.in.Degree(graph.NodeID(v)))
+			}
+		})
+	}
+	parallel.ForChunks(len(eu), sg.workers, func(lo, hi int) {
 		r := new(rng.Rand)
 		for e := lo; e < hi; e++ {
-			id := graph.EdgeID(e)
-			u, v := g.EdgeEndpoints(id)
-			view := EdgeView{
-				ID: id, U: u, V: v,
-				DegU: g.Degree(u), DegV: g.Degree(v),
-				Weight: g.EdgeWeight(id),
+			id, u, v := graph.EdgeID(e), eu[e], ev[e]
+			view := EdgeView{ID: id, U: u, V: v}
+			if csr {
+				view.DegU, view.DegV, view.Weight = g.Degree(u), g.Degree(v), g.EdgeWeight(id)
+			} else {
+				view.DegU, view.DegV, view.Weight = int(deg[u]), int(deg[v]), sg.in.EdgeWeight(id)
 			}
 			sg.reseed(r, kindEdge, uint64(e))
 			k(sg, r, view)
@@ -195,7 +239,7 @@ type VertexKernel func(sg *SG, r *rng.Rand, v VertexView)
 
 // RunVertexKernel executes the kernel once per vertex, in parallel.
 func (sg *SG) RunVertexKernel(k VertexKernel) {
-	g := sg.g
+	g := sg.Graph()
 	parallel.ForChunks(g.N(), sg.workers, func(lo, hi int) {
 		r := new(rng.Rand)
 		for v := lo; v < hi; v++ {
@@ -225,20 +269,20 @@ type TriangleKernel func(sg *SG, r *rng.Rand, t TriangleView)
 type TriangleIdle func(e [3]graph.EdgeID) bool
 
 // RunTriangleKernel enumerates all triangles (O(m^{3/2}) work) and executes
-// the kernel on each, in parallel: it builds a triangles.Engine once for
-// the run and drives the kernel off it. The per-triangle PRNG is keyed by
-// the triangle's edge IDs, so results are schedule-independent.
+// the kernel on each, in parallel: it builds a triangles.Engine over Graph
+// once for the run and drives the kernel off it. The per-triangle PRNG is
+// keyed by the triangle's edge IDs, so results are schedule-independent.
 func (sg *SG) RunTriangleKernel(k TriangleKernel) {
-	sg.RunTriangleKernelOn(triangles.NewEngine(sg.g, sg.workers), k, nil)
+	sg.RunTriangleKernelOn(triangles.NewEngine(sg.Graph(), sg.workers), k, nil)
 }
 
 // RunTriangleKernelOn is RunTriangleKernel over a prebuilt enumeration
 // engine, so callers that already enumerated (e.g. for per-edge triangle
 // counts) pay for the forward CSR only once. The engine must have been
-// built for this SG's graph. Instances for which idle (optional) holds are
+// built for this SG's Graph. Instances for which idle (optional) holds are
 // retired without running the kernel.
 func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel, idle TriangleIdle) {
-	g := sg.g
+	g := sg.Graph()
 	if en.Graph() != g {
 		panic("core: triangle engine built for a different graph")
 	}
@@ -314,15 +358,18 @@ func (sg *SG) RunSubgraphKernel(mapping []int32, count int, k SubgraphKernel) {
 // weights from SetWeight apply. This is the stage-1 output of the engine.
 //
 // The kept-edge set is assembled with word-wise bitset passes (complement
-// of the deletion marks, minus the adjacency of deleted vertices) and the
-// graph is materialized through the direct CSR→CSR path — no edge list, no
-// sorting, no per-edge closure calls.
+// of the deletion marks, minus the adjacency of deleted vertices). When a
+// CSR of the input exists — the input is one, or a kernel decoded one
+// through Graph — the graph is materialized through the direct CSR→CSR path
+// (graph.FilterEdgeSet); otherwise it is built from the kept canonical edges
+// alone (graph.FilterColumns), under the SG's worker budget. Either way: no
+// edge list, no sorting, and bit-identical outputs.
 func (sg *SG) Materialize() *graph.Graph {
-	g := sg.g
-	kept := graph.NewEdgeSet(g.M())
+	kept := graph.NewEdgeSet(sg.in.M())
 	kept.Fill()
 	kept.Subtract(sg.deletedEdges)
 	if sg.deletedVertices.Count() > 0 {
+		g := sg.Graph()
 		parallel.ForChunks(g.N(), sg.workers, func(lo, hi int) {
 			for v := lo; v < hi; v++ {
 				if !sg.deletedVertices.Get(v) {
@@ -347,8 +394,16 @@ func (sg *SG) Materialize() *graph.Graph {
 			if sg.weightSet.Contains(e) {
 				return math.Float64frombits(atomic.LoadUint64(&sg.weightBits[e]))
 			}
-			return g.EdgeWeight(e)
+			return sg.in.EdgeWeight(e)
 		}
 	}
-	return g.FilterEdgeSet(kept, reweight)
+	if sg.csr != nil {
+		return sg.csr.FilterEdgeSet(kept, reweight)
+	}
+	weight := reweight
+	if weight == nil && sg.in.Weighted() {
+		weight = sg.in.EdgeWeight
+	}
+	eu, ev := sg.edges()
+	return graph.FilterColumns(sg.in.N(), sg.in.Directed(), eu, ev, kept, weight, sg.workers)
 }

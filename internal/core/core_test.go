@@ -277,7 +277,7 @@ func TestUniformDeletionConcentrationProperty(t *testing.T) {
 // kernel straight-line — a fresh generator per triangle from rng.New, no
 // idle predicate, no batching — with the same per-triangle PRNG keying.
 func referenceRunTriangleKernel(sg *SG, k TriangleKernel) {
-	g := sg.g
+	g := sg.Graph()
 	oracle.ReferenceForEach(g, sg.workers, func(t triangles.Triangle) {
 		view := TriangleView{V: t.V, E: t.E}
 		for i, e := range t.E {

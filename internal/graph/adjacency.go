@@ -60,6 +60,8 @@ type AdjacencyEdges interface {
 	// order with its endpoints (u <= v for undirected graphs) and weight
 	// (1 when unweighted).
 	ForEdges(fn func(e EdgeID, u, v NodeID, w float64))
+	// EdgeWeight returns the weight of canonical edge e (1 when unweighted).
+	EdgeWeight(e EdgeID) float64
 }
 
 var (
@@ -138,6 +140,18 @@ func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) 
 		eu[e], ev[e] = u, v
 	})
 	return eu, ev, true
+}
+
+// CSROf returns a as a raw CSR: a itself when it is one, otherwise one full
+// decode of a through its Unpack (succinct.PackedGraph and its mapping). It
+// is the one decode on the compression path: kernels that walk CSR internals
+// (vertex, triangle and subgraph kernels, summarize, relabel) call it, most
+// through core.SG.Graph, and edge kernels never do.
+func CSROf(a AdjacencyEdges, workers int) *Graph {
+	if g, ok := a.(*Graph); ok {
+		return g
+	}
+	return a.(interface{ Unpack(workers int) *Graph }).Unpack(workers)
 }
 
 // ForNeighbors invokes fn for every out-neighbor of v in increasing order,

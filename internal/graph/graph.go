@@ -383,7 +383,7 @@ func build(n int, directed, weighted bool, input []Edge) *Graph {
 		sortEdgesByEndpoint(n, &edges)
 	}
 	eu, ev, ew := dedupSorted(edges, weighted)
-	return fromSortedCanonical(n, directed, weighted, eu, ev, ew)
+	return fromSortedCanonical(n, directed, weighted, eu, ev, ew, 0)
 }
 
 // edgesSorted reports whether edges are (U, V, W)-lexicographically
@@ -491,25 +491,26 @@ func dedupSorted(edges []Edge, weighted bool) (eu, ev []NodeID, ew []float64) {
 
 // fromSortedCanonical builds the CSR directly from a canonical edge list:
 // self-loop-free, deduplicated, sorted by (U, V), U <= V for undirected
-// graphs. It takes ownership of the column slices.
+// graphs. It takes ownership of the column slices. workers <= 0 means all
+// CPUs.
 //
 // No sorting happens here. The adjacency of every vertex comes out sorted
 // by construction: arcs are scattered stably in edge-ID order, and for a
 // (U, V)-sorted canonical list the arcs with a fixed source x appear as
 // "in-edges (neighbor < x) in increasing order, then out-edges
 // (neighbor > x) in increasing order" — a sorted sequence.
-func fromSortedCanonical(n int, directed, weighted bool, eu, ev []NodeID, ew []float64) *Graph {
+func fromSortedCanonical(n int, directed, weighted bool, eu, ev []NodeID, ew []float64, workers int) *Graph {
 	g := &Graph{n: n, directed: directed, weighted: weighted, edgeU: eu, edgeV: ev, edgeW: ew}
 	m := len(eu)
 	if directed {
 		// Out-CSR: the canonical list is sorted by U, so the adjacency is
 		// the ev column itself (shared — Graphs are immutable) and EdgeIDs
 		// are the identity.
-		g.offsets = countsToOffsets(parallel.Histogram(m, n, 0,
-			func(e int) int { return int(eu[e]) }))
+		g.offsets = countsToOffsets(parallel.Histogram(m, n, workers,
+			func(e int) int { return int(eu[e]) }), workers)
 		g.nbrs = ev
 		g.eids = make([]EdgeID, m)
-		parallel.ForChunks(m, 0, func(lo, hi int) {
+		parallel.ForChunks(m, workers, func(lo, hi int) {
 			for e := lo; e < hi; e++ {
 				g.eids[e] = EdgeID(e)
 			}
@@ -518,7 +519,7 @@ func fromSortedCanonical(n int, directed, weighted bool, eu, ev []NodeID, ew []f
 		// each destination bucket follows from the edge-ID order.
 		g.inNbrs = make([]NodeID, m)
 		g.inEids = make([]EdgeID, m)
-		g.inOffsets = parallel.CountingScatter(m, n, 0,
+		g.inOffsets = parallel.CountingScatter(m, n, workers,
 			func(e int) int { return int(ev[e]) },
 			func(e int, pos int64) {
 				g.inNbrs[pos] = eu[e]
@@ -530,7 +531,7 @@ func fromSortedCanonical(n int, directed, weighted bool, eu, ev []NodeID, ew []f
 	// is U→V, arc 2e+1 is V→U), stably by source.
 	g.nbrs = make([]NodeID, 2*m)
 	g.eids = make([]EdgeID, 2*m)
-	g.offsets = parallel.CountingScatter(2*m, n, 0,
+	g.offsets = parallel.CountingScatter(2*m, n, workers,
 		func(a int) int {
 			if a&1 == 0 {
 				return int(eu[a>>1])
@@ -551,10 +552,10 @@ func fromSortedCanonical(n int, directed, weighted bool, eu, ev []NodeID, ew []f
 
 // countsToOffsets converts per-vertex counts (length n) into CSR offsets
 // (length n+1) in place of a fresh slice.
-func countsToOffsets(counts []int64) []int64 {
+func countsToOffsets(counts []int64, workers int) []int64 {
 	offsets := make([]int64, len(counts)+1)
 	copy(offsets, counts)
-	total := parallel.ExclusiveScan(offsets[:len(counts)], 0)
+	total := parallel.ExclusiveScan(offsets[:len(counts)], workers)
 	offsets[len(counts)] = total
 	return offsets
 }
@@ -613,7 +614,7 @@ func FromCanonicalEdges(n int, directed, weighted bool, edges []Edge) (*Graph, e
 			}
 		}
 	})
-	return fromSortedCanonical(n, directed, weighted, eu, ev, ew), nil
+	return fromSortedCanonical(n, directed, weighted, eu, ev, ew, 0), nil
 }
 
 // Equal reports whether g and h are structurally identical: same vertex

@@ -9,7 +9,9 @@ package graph
 // transforms exploit this: FilterEdgeSet, FilterEdges, IsolateVertices,
 // Reweight, and Compact stream the old CSR directly into the new one —
 // a kept-edge bitset, an EdgeID remap, and per-vertex copies — with no
-// []Edge materialization and no sorting of any kind. Only transforms that
+// []Edge materialization and no sorting of any kind. FilterColumns is the
+// same filter for an input that is not a CSR: its kept canonical columns go
+// straight into the sort-free construction. Only transforms that
 // scramble vertex order (Contract with arbitrary labels, InducedSubgraph
 // with an unsorted vertex list, Symmetrize) fall back to the parallel
 // counting-sort build.
@@ -35,25 +37,8 @@ func (g *Graph) FilterEdgeSet(keep *EdgeSet, reweight func(e EdgeID) float64) *G
 	if keep.Len() != g.M() {
 		panic(fmt.Sprintf("graph: FilterEdgeSet over universe of %d edges, graph has %d", keep.Len(), g.M()))
 	}
-	m := g.M()
-	weighted := g.weighted || reweight != nil
-
-	// Succinct rank structure over the keep bitset: each entry carries one
-	// 64-edge word of keep bits plus the number of kept edges before it,
-	// so the new EdgeID of a kept edge e is rank[e/64].base +
-	// popcount(bits below e), one cache line per probe. The whole
-	// structure is 16 bytes per 64 edges — cache-resident even for
-	// multi-million edge graphs — so the CSR pack loops below do no large
-	// random lookups.
-	words := keep.words()
-	rank := make([]rankEntry, len(words))
-	run := 0
-	for wi, w := range words {
-		rank[wi] = rankEntry{bits: w, base: EdgeID(run)}
-		run += bits.OnesCount64(w)
-	}
-	mKept := run
-	if mKept == m {
+	rank, mKept := keptRank(keep)
+	if mKept == g.M() {
 		// Nothing deleted: EdgeIDs are stable, so the topology can be
 		// shared (reweight) or copied (plain filter) outright.
 		if reweight != nil {
@@ -61,39 +46,34 @@ func (g *Graph) FilterEdgeSet(keep *EdgeSet, reweight func(e EdgeID) float64) *G
 		}
 		return g.Clone()
 	}
-	h := &Graph{n: g.n, directed: g.directed, weighted: weighted}
-
-	// Pack the canonical columns with trailing-zero iteration over the set
-	// bits; each word knows its starting rank.
-	h.edgeU = make([]NodeID, mKept)
-	h.edgeV = make([]NodeID, mKept)
-	if weighted {
-		h.edgeW = make([]float64, mKept)
+	weight := reweight
+	if weight == nil && g.weighted {
+		weight = g.EdgeWeight
 	}
-	parallel.ForChunks(len(words), 0, func(wlo, whi int) {
-		for wi := wlo; wi < whi; wi++ {
-			pos := rank[wi].base
-			for w := rank[wi].bits; w != 0; w &= w - 1 {
-				e := wi*64 + bits.TrailingZeros64(w)
-				h.edgeU[pos] = g.edgeU[e]
-				h.edgeV[pos] = g.edgeV[e]
-				if weighted {
-					wt := g.EdgeWeight(EdgeID(e))
-					if reweight != nil {
-						wt = reweight(EdgeID(e))
-					}
-					h.edgeW[pos] = wt
-				}
-				pos++
-			}
-		}
-	})
-
+	h := &Graph{n: g.n, directed: g.directed, weighted: weight != nil}
+	h.edgeU, h.edgeV, h.edgeW = packKept(g.edgeU, g.edgeV, rank, mKept, weight, 0)
 	h.offsets, h.nbrs, h.eids = packCSR(g.n, g.offsets, g.nbrs, g.eids, rank)
 	if g.directed {
 		h.inOffsets, h.inNbrs, h.inEids = packCSR(g.n, g.inOffsets, g.inNbrs, g.inEids, rank)
 	}
 	return h
+}
+
+// FilterColumns is FilterEdgeSet for an input that is not a CSR: eu and ev
+// are the canonical edge columns of a graph on n vertices (EdgeColumnsOf),
+// and the result holds exactly the edges in keep, under weight(e) for kept
+// edge e (nil: unweighted). The CSR is built from the kept edges alone, so a
+// packed or mapped graph is compressed without a CSR of its input ever
+// existing, and the result is Equal to FilterEdgeSet on that CSR. The columns
+// must be canonical, as a decode that refuses corrupt input returns them.
+// workers <= 0 means all CPUs.
+func FilterColumns(n int, directed bool, eu, ev []NodeID, keep *EdgeSet, weight func(e EdgeID) float64, workers int) *Graph {
+	if keep.Len() != len(eu) || len(ev) != len(eu) {
+		panic(fmt.Sprintf("graph: FilterColumns over universe of %d edges, columns hold %d and %d", keep.Len(), len(eu), len(ev)))
+	}
+	rank, mKept := keptRank(keep)
+	ku, kv, kw := packKept(eu, ev, rank, mKept, weight, workers)
+	return fromSortedCanonical(n, directed, weight != nil, ku, kv, kw, workers)
 }
 
 // rankEntry is one 64-edge slab of the kept-edge rank structure: the keep
@@ -102,6 +82,47 @@ func (g *Graph) FilterEdgeSet(keep *EdgeSet, reweight func(e EdgeID) float64) *G
 type rankEntry struct {
 	bits uint64
 	base EdgeID
+}
+
+// keptRank builds the succinct rank structure over the keep bitset and
+// counts its members: the new EdgeID of a kept edge e is rank[e/64].base +
+// popcount(bits below e), one cache line per probe. The whole structure is
+// 16 bytes per 64 edges — cache-resident even for multi-million edge graphs
+// — so the pack loops over it do no large random lookups.
+func keptRank(keep *EdgeSet) ([]rankEntry, int) {
+	words := keep.words()
+	rank := make([]rankEntry, len(words))
+	run := 0
+	for wi, w := range words {
+		rank[wi] = rankEntry{bits: w, base: EdgeID(run)}
+		run += bits.OnesCount64(w)
+	}
+	return rank, run
+}
+
+// packKept packs the kept canonical edges into fresh columns with
+// trailing-zero iteration over the set bits (each word knows its starting
+// rank), with weight(e) per kept edge when weight is non-nil.
+func packKept(eu, ev []NodeID, rank []rankEntry, mKept int, weight func(e EdgeID) float64, workers int) (ku, kv []NodeID, kw []float64) {
+	ku = make([]NodeID, mKept)
+	kv = make([]NodeID, mKept)
+	if weight != nil {
+		kw = make([]float64, mKept)
+	}
+	parallel.ForChunks(len(rank), workers, func(wlo, whi int) {
+		for wi := wlo; wi < whi; wi++ {
+			pos := rank[wi].base
+			for w := rank[wi].bits; w != 0; w &= w - 1 {
+				e := wi*64 + bits.TrailingZeros64(w)
+				ku[pos], kv[pos] = eu[e], ev[e]
+				if weight != nil {
+					kw[pos] = weight(EdgeID(e))
+				}
+				pos++
+			}
+		}
+	})
+	return ku, kv, kw
 }
 
 // packCSR streams one CSR direction through the kept-edge rank structure:
@@ -249,7 +270,7 @@ func (g *Graph) compactByMonotoneRemap(remap []NodeID, newN int) *Graph {
 			ew[pos] = g.edgeW[e]
 		}
 	})
-	return fromSortedCanonical(newN, g.directed, g.weighted, eu, ev, ew)
+	return fromSortedCanonical(newN, g.directed, g.weighted, eu, ev, ew, 0)
 }
 
 // Contract merges vertices according to mapping, which assigns every old

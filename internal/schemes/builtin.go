@@ -79,8 +79,8 @@ func init() {
 // summarizeDecoded is SWeG-style ε-summarization (§4.5.4) as a Scheme. Its
 // Result carries the decoded graph; the Summary itself (superedges,
 // corrections, storage accounting) rides in Result.Aux.
-func summarizeDecoded(g *graph.Graph, a Args) (*Result, error) {
-	sum := summarize.Summarize(g, summarize.Options{
+func summarizeDecoded(g graph.AdjacencyEdges, a Args) (*Result, error) {
+	sum := summarize.Summarize(graph.CSROf(g, a.Workers), summarize.Options{
 		Epsilon: a.Float("eps"), Iterations: a.Int("iters"), Seed: a.Seed, Workers: a.Workers})
 	return &Result{Output: sum.Decode(), Aux: sum}, nil
 }
@@ -94,11 +94,12 @@ func summarizeDecoded(g *graph.Graph, a Args) (*Result, error) {
 // Result.VertexMap exactly like a vertex-renumbering scheme's
 // (VertexMap[old] = new, never -1: no vertex is dropped). Every ordering is
 // deterministic, so the seed is moot.
-func relabel(g *graph.Graph, a Args) (*Result, error) {
+func relabel(in graph.AdjacencyEdges, a Args) (*Result, error) {
 	order, err := succinct.ParseOrder(a.Enum("order"))
 	if err != nil {
 		return nil, err
 	}
+	g := graph.CSROf(in, a.Workers)
 	perm := succinct.ComputeOrder(g, order, a.Workers)
 	out, err := g.Permute(perm, a.Workers)
 	if err != nil {

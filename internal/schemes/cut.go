@@ -18,9 +18,10 @@ import (
 // cut within 1±ε w.h.p. for rho = O(log n / ε²).
 //
 // rho=auto picks the standard 8·ln(n) (ε ≈ 1/2 constants); larger rho keeps
-// more edges and tightens cut preservation.
-func cutSparsify(g *graph.Graph, a Args) (*Result, error) {
-	rho := a.Float("rho")
+// more edges and tightens cut preservation. The forest decomposition walks a
+// CSR, decoded once from a packed or mapped input.
+func cutSparsify(in graph.AdjacencyEdges, a Args) (*Result, error) {
+	g, rho := graph.CSROf(in, a.Workers), a.Float("rho")
 	if rho <= 0 {
 		rho = 8 * math.Log(float64(max(g.N(), 2)))
 	}

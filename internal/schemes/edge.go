@@ -11,8 +11,9 @@ import (
 // uniform implements random uniform sampling (§4.2.2, Listing 1 lines
 // 8-10): every edge independently remains with probability p. The fastest
 // scheme; preserves the triangle count in expectation ((1-q)^3 T for
-// removal probability q).
-func uniform(g *graph.Graph, a Args) (*Result, error) {
+// removal probability q). Like spectral, it reads a packed or mapped g in
+// place (core.SG.RunEdgeKernel).
+func uniform(g graph.AdjacencyEdges, a Args) (*Result, error) {
 	p := a.Float("p")
 	sg := core.New(g, a.Seed, a.Workers)
 	sg.RunEdgeKernel(func(sg *core.SG, r *rng.Rand, e core.EdgeView) {
@@ -31,7 +32,7 @@ func uniform(g *graph.Graph, a Args) (*Result, error) {
 // variant selects how Υ scales with the user parameter p: "logn" sets
 // Υ = p·ln n (Spielman–Teng style), "avgdeg" sets Υ = p·m/n
 // (BridgingTheGAP style). Figure 6 (left) compares the two.
-func spectral(g *graph.Graph, a Args) (*Result, error) {
+func spectral(g graph.AdjacencyEdges, a Args) (*Result, error) {
 	var upsilon float64
 	switch p := a.Float("p"); a.Enum("variant") {
 	case "avgdeg":

@@ -8,7 +8,8 @@ import (
 	"slimgraph/internal/graph"
 )
 
-// Pipeline chains schemes: stage i+1 compresses stage i's output. It is
+// Pipeline chains schemes: stage i+1 compresses stage i's output, so only
+// the first stage can read a packed or mapped input in place. It is
 // itself a Scheme, so pipelines nest, register, sweep, and apply exactly
 // like single schemes. The composite Result spans the whole chain — its
 // Input is the original graph, its Output the last stage's graph, its
@@ -49,7 +50,7 @@ func (p *Pipeline) Params() string {
 }
 
 // Apply runs every stage in order and composes the bookkeeping.
-func (p *Pipeline) Apply(g *graph.Graph) (*Result, error) {
+func (p *Pipeline) Apply(g graph.AdjacencyEdges) (*Result, error) {
 	cur := g
 	var vmap []graph.NodeID
 	var elapsed time.Duration
@@ -64,16 +65,17 @@ func (p *Pipeline) Apply(g *graph.Graph) (*Result, error) {
 		vmap = composeVertexMap(vmap, res.VertexMap)
 		cur = res.Output
 	}
+	last := stages[len(stages)-1]
 	final := &Result{
 		Scheme: p.Name(), Params: p.Params(),
-		Input: g, Output: cur,
+		Input: g, Output: last.Output,
 		VertexMap: vmap,
 		Elapsed:   elapsed,
 		Stages:    stages,
 		// The last stage's artifacts describe the pipeline's output, so
 		// they surface at the top level too (earlier stages' Aux stays
 		// reachable through Stages).
-		Aux: stages[len(stages)-1].Aux,
+		Aux: last.Aux,
 	}
 	return final, nil
 }

@@ -129,10 +129,12 @@ type Registration struct {
 	// workers=…: the WithWorkers default does not apply. tr-maxweight sets
 	// it, because its MST preservation is exact only sequentially.
 	Sequential bool
-	// Apply compresses g with the resolved arguments. It fills the Result's
+	// Apply compresses g with the resolved arguments. g may be packed or
+	// mapped: a kernel that walks CSR internals takes graph.CSROf(g, …) (or
+	// core.SG.Graph), an edge kernel reads g in place. It fills the Result's
 	// Output (and VertexMap / Aux where the scheme has them); the registry
 	// stamps Scheme, Params, Input and Elapsed.
-	Apply func(g *graph.Graph, a Args) (*Result, error)
+	Apply func(g graph.AdjacencyEdges, a Args) (*Result, error)
 
 	defaults []string // canonical Default per row, filled by Register
 }

@@ -17,7 +17,10 @@ type Scheme interface {
 	// Params is the canonical parameter string, e.g. "p=0.5". It is empty
 	// for parameterless schemes and always parses back: see Spec and Parse.
 	Params() string
-	// Apply compresses g; it never mutates g. Every scheme is deterministic
+	// Apply compresses g — a *graph.Graph, or a packed or mapped graph, which
+	// the edge-kernel schemes (uniform, spectral) read in place and every
+	// other scheme decodes once (graph.CSROf) — and never mutates it. The
+	// output is the same for every representation of g. Every scheme is deterministic
 	// per seed at one worker. With more workers the output is still the
 	// same for every scheme whose kernel instances share no state; the five
 	// that do — tr-eo, tr-ct, tr-maxweight, tr-eo-redirect (consider-state,
@@ -25,7 +28,7 @@ type Scheme interface {
 	// order-sensitive under real parallelism and bit-repeatable only with
 	// WithWorkers(1). testdata/golden.txt's scheduleFree column pins exactly
 	// this split.
-	Apply(g *graph.Graph) (*Result, error)
+	Apply(g graph.AdjacencyEdges) (*Result, error)
 }
 
 // Spec returns the spec string that Parse round-trips back into an
@@ -118,7 +121,7 @@ func (s *scheme) Params() string {
 
 // Apply runs the kernel and stamps the bookkeeping every Result shares:
 // labels that match the spec, the input, and the elapsed time.
-func (s *scheme) Apply(g *graph.Graph) (*Result, error) {
+func (s *scheme) Apply(g graph.AdjacencyEdges) (*Result, error) {
 	start := time.Now()
 	res, err := s.reg.Apply(g, s.args)
 	if err != nil {

@@ -31,9 +31,9 @@ import (
 
 // Result is the outcome of one compression run.
 type Result struct {
-	Scheme string // scheme name, e.g. "uniform"
-	Params string // human-readable parameter summary, e.g. "p=0.5"
-	Input  *graph.Graph
+	Scheme string               // scheme name, e.g. "uniform"
+	Params string               // human-readable parameter summary, e.g. "p=0.5"
+	Input  graph.AdjacencyEdges // as given to Apply: raw, packed or mapped
 	Output *graph.Graph
 	// VertexMap is non-nil when the scheme changed the vertex set
 	// (triangle collapse): VertexMap[old] = new vertex ID, -1 if dropped.

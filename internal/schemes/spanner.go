@@ -24,9 +24,11 @@ import (
 //
 // The construction runs as a Slim Graph subgraph kernel: the LDD is the
 // mapping of §4.5.2, each cluster is one kernel instance, and kernels mark
-// the edges to keep; a final edge kernel deletes everything unmarked.
-func spanner(g *graph.Graph, a Args) (*Result, error) {
-	perPair := a.Enum("mode") == "perpair"
+// the edges to keep; a final edge kernel deletes everything unmarked. The
+// decomposition and the kernels walk a CSR, decoded once from a packed or
+// mapped input.
+func spanner(in graph.AdjacencyEdges, a Args) (*Result, error) {
+	g, perPair := graph.CSROf(in, a.Workers), a.Enum("mode") == "perpair"
 	d := ldd.Decompose(g, ldd.BetaForSpanner(g.N(), a.Int("k")), a.Seed)
 	idx := d.ClusterIndex()
 	keep := graph.NewEdgeSet(g.M())
@@ -55,7 +57,7 @@ func spanner(g *graph.Graph, a Args) (*Result, error) {
 			if perPair {
 				mark = s.Index + 1
 			}
-			nbrs, eids := sg.Graph().NeighborEdges(v)
+			nbrs, eids := g.NeighborEdges(v)
 			for i, w := range nbrs {
 				j := s.Of[w]
 				if j == s.Index {

@@ -14,7 +14,7 @@ import (
 // applySpec is how every test in this package compresses a graph: the spec
 // string is the one construction path, exactly as the server, the CLIs and
 // the experiment drivers use it.
-func applySpec(t testing.TB, g *graph.Graph, spec string, seed uint64, workers int) *Result {
+func applySpec(t testing.TB, g graph.AdjacencyEdges, spec string, seed uint64, workers int) *Result {
 	t.Helper()
 	s, err := Parse(spec, WithSeed(seed), WithWorkers(workers))
 	if err != nil {

@@ -81,9 +81,11 @@ func (v TRVariant) String() string {
 // the given variant. Work is O(m^{3/2}) for the triangle enumeration
 // (Table 2); the CT variant adds one extra enumeration to count triangles
 // per edge. x is 1 for every variant but the basic one, which also takes 2.
-func triangleReduction(variant TRVariant) func(*graph.Graph, Args) (*Result, error) {
-	return func(g *graph.Graph, a Args) (*Result, error) {
-		p := a.Float("p")
+// The engine and the kernels run on a CSR, decoded once from a packed or
+// mapped input.
+func triangleReduction(variant TRVariant) func(graph.AdjacencyEdges, Args) (*Result, error) {
+	return func(in graph.AdjacencyEdges, a Args) (*Result, error) {
+		g, p := graph.CSROf(in, a.Workers), a.Float("p")
 		if variant == TRCollapse {
 			return collapseTR(g, p, a), nil
 		}

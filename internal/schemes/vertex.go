@@ -14,7 +14,7 @@ import (
 // The vertex set is kept (removed vertices become isolated) so per-vertex
 // outputs stay aligned; callers that want a smaller vertex set can Compact
 // the result.
-func lowDegree(g *graph.Graph, a Args) (*Result, error) {
+func lowDegree(g graph.AdjacencyEdges, a Args) (*Result, error) {
 	return &Result{Output: peelLeaves(g, a.Workers)}, nil
 }
 
@@ -22,7 +22,7 @@ func lowDegree(g *graph.Graph, a Args) (*Result, error) {
 // leaf can expose a new leaf). This is the natural extension the paper's
 // kernel invites; it reduces trees to nothing while leaving the 2-core
 // intact.
-func lowDegreeIterative(g *graph.Graph, a Args) (*Result, error) {
+func lowDegreeIterative(g graph.AdjacencyEdges, a Args) (*Result, error) {
 	for cur := g; ; {
 		next := peelLeaves(cur, a.Workers)
 		if next.M() == cur.M() {
@@ -33,8 +33,9 @@ func lowDegreeIterative(g *graph.Graph, a Args) (*Result, error) {
 }
 
 // peelLeaves is one pass of the kernel. It draws no random numbers, so the
-// seed is moot.
-func peelLeaves(g *graph.Graph, workers int) *graph.Graph {
+// seed is moot. A vertex kernel reads the SG's CSR, decoded once from a
+// packed or mapped g.
+func peelLeaves(g graph.AdjacencyEdges, workers int) *graph.Graph {
 	sg := core.New(g, 0, workers)
 	sg.RunVertexKernel(func(sg *core.SG, r *rng.Rand, v core.VertexView) {
 		if v.Deg == 0 || v.Deg == 1 {
@@ -49,7 +50,7 @@ func peelLeaves(g *graph.Graph, workers int) *graph.Graph {
 // with probability p; edges incident to removed vertices vanish. Vertex IDs
 // are preserved (removed vertices become isolated) so per-vertex outputs
 // stay aligned.
-func vertexSample(g *graph.Graph, a Args) (*Result, error) {
+func vertexSample(g graph.AdjacencyEdges, a Args) (*Result, error) {
 	keep := a.Float("p")
 	sg := core.New(g, a.Seed, a.Workers)
 	sg.RunVertexKernel(func(sg *core.SG, r *rng.Rand, v core.VertexView) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"slimgraph/internal/graph"
+	"slimgraph/internal/succinct"
 )
 
 // Key identifies one compressed variant in the cache: the graph's identity
@@ -50,12 +51,40 @@ type CacheStats struct {
 // handlers read of it, computed once where the scheme ran (or its spilled
 // snapshot was faulted in). It holds no reference to the scheme's input,
 // its intermediate stage outputs or its by-products, so a cached variant of
-// a packed or mapped graph cannot pin the transient raw copy it was computed
-// from.
+// a packed or mapped graph cannot pin a transient decode a CSR scheme made
+// of it.
 type compressed struct {
-	output    *graph.Graph
+	// output is the variant: the *graph.Graph the scheme produced, or, for a
+	// variant faulted back in from the disk tier, the *succinct.Mapped of its
+	// spilled servable snapshot — attached, never decoded. Readers pin a
+	// mapping through pin; the cache closes it when it drops the variant.
+	output    graph.AdjacencyEdges
 	elapsedMS float64
 	stages    []StageTiming
+}
+
+// pin returns the output for one reader and the release the reader must
+// call when done. A mapped output is pinned by its reference count, so an
+// eviction or a purge that closes it mid-query defers the munmap; pin fails
+// once the mapping is closed (the variant left the cache under the caller).
+func (c *compressed) pin() (graph.AdjacencyEdges, func(), error) {
+	m, ok := c.output.(*succinct.Mapped)
+	if !ok {
+		return c.output, func() {}, nil
+	}
+	release, err := m.Acquire()
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.PackedGraph, release, nil
+}
+
+// close releases what the cache held of a dropped variant: a mapping is
+// unmapped once its readers drain; a heap output is left to the collector.
+func (c *compressed) close() {
+	if m, ok := c.output.(*succinct.Mapped); ok {
+		_ = m.Close()
+	}
 }
 
 // variant is one cache slot.
@@ -85,7 +114,8 @@ type cache struct {
 	stats    CacheStats
 	// onEvict, when set, receives every variant displaced by the LRU
 	// capacity bound (not ones purged by graph deletion) — the hook the
-	// local engine uses to spill evicted variants to the disk tier. It is
+	// local engine uses to spill evicted variants to the disk tier, or to
+	// close the mapping of one that was faulted in from there. It is
 	// invoked outside the cache lock, after the insertion that displaced
 	// the variant completes. Set before traffic; never mutated after.
 	onEvict func(key Key, res *compressed)
@@ -157,13 +187,13 @@ func (c *cache) get(key Key, compute func() (*compressed, error)) (res *compress
 	return fl.res, false, fl.err
 }
 
-// purgeGraph drops every resident variant of the named graph (in-flight
-// executions finish but insert under a Key whose generation no longer
-// resolves). It returns the number of variants dropped.
+// purgeGraph drops every resident variant of the named graph, closing the
+// mappings among them (in-flight executions finish but insert under a Key
+// whose generation no longer resolves). It returns the number of variants
+// dropped.
 func (c *cache) purgeGraph(name string) int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	dropped := 0
+	var dropped []*variant
 	var next *list.Element
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
@@ -171,26 +201,52 @@ func (c *cache) purgeGraph(name string) int {
 		if v.key.Graph == name {
 			c.ll.Remove(el)
 			delete(c.entries, v.key)
-			dropped++
+			dropped = append(dropped, v)
 		}
 	}
-	return dropped
+	c.mu.Unlock()
+	for _, v := range dropped {
+		v.res.close()
+	}
+	return len(dropped)
 }
 
-// purgeKey drops one resident variant, reporting whether it was there.
-// An in-flight execution of the key is untouched: it completes and inserts,
-// which is why callers that need "gone for sure" purge after joining or
-// failing the flight, never concurrently with one they started.
+// purgeKey drops one resident variant, closing its mapping if it has one,
+// and reports whether it was there. An in-flight execution of the key is
+// untouched: it completes and inserts, which is why callers that need "gone
+// for sure" purge after joining or failing the flight, never concurrently
+// with one they started.
 func (c *cache) purgeKey(key Key) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
-	if !ok {
-		return false
+	if ok {
+		c.ll.Remove(el)
+		delete(c.entries, key)
 	}
-	c.ll.Remove(el)
-	delete(c.entries, key)
-	return true
+	c.mu.Unlock()
+	if ok {
+		el.Value.(*variant).res.close()
+	}
+	return ok
+}
+
+// residency sums the resident variants by where they live: raw, the CSR
+// bytes of computed outputs (rawCSRBytes), and mapped, the servable images
+// of faulted-in ones — with the variant count of each.
+func (c *cache) residency() (rawBytes, mappedBytes int64, raw, mapped int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		switch out := el.Value.(*variant).res.output.(type) {
+		case *graph.Graph:
+			rawBytes += rawCSRBytes(out)
+			raw++
+		case *succinct.Mapped:
+			mappedBytes += out.MappedBytes()
+			mapped++
+		}
+	}
+	return rawBytes, mappedBytes, raw, mapped
 }
 
 // snapshot returns the current counters.

@@ -22,9 +22,11 @@ const (
 	// MemoryPacked keeps only the succinct PackedGraph resident
 	// (typically 3-5x smaller). Every query over the original — BFS,
 	// PageRank, triangles, degrees, and the original side of compare —
-	// runs on the packed form in place; only compression (computing a
-	// variant) unpacks a transient copy that is dropped once the variant
-	// is cached. Answers are byte-identical to MemoryRaw.
+	// runs on the packed form in place, and so does computing a variant
+	// with an edge-kernel scheme (uniform, spectral, and pipelines that
+	// start with one). Only a scheme that walks CSR internals decodes a
+	// transient copy (graph.CSROf), dropped once the variant is cached.
+	// Answers are byte-identical to MemoryRaw.
 	MemoryPacked = "packed"
 )
 
@@ -83,9 +85,9 @@ type entry struct {
 // no-op).
 type view struct {
 	// adj is the pinned resident form: the raw CSR, or the packed/mapped
-	// form read in place. Query handlers consume this (never a transient
-	// unpack), which is what keeps packed and mapped entries serving in
-	// place on every query path.
+	// form read in place. Query handlers and scheme executions consume this
+	// (never an unpack), which is what keeps packed and mapped entries
+	// serving in place on every query path.
 	adj graph.AdjacencyEdges
 	rel func()
 }
@@ -94,17 +96,6 @@ func (v *view) release() {
 	if v.rel != nil {
 		v.rel()
 	}
-}
-
-// materialize returns the entry as a raw *graph.Graph: the resident CSR
-// under ResidencyRaw, a transient unpack otherwise, which the caller must
-// not retain beyond the request. Only variant computation (variantOf) may
-// call this: every query handler runs on adj.
-func (v *view) materialize(workers int) *graph.Graph {
-	if g, ok := v.adj.(*graph.Graph); ok {
-		return g
-	}
-	return v.adj.(*succinct.PackedGraph).Unpack(workers)
 }
 
 // triangleEngine returns the entry's triangle arena, building it over a —

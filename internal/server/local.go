@@ -132,6 +132,20 @@ func (l *Local) instrument() {
 	l.reg.GaugeFunc("slimgraph_catalog_mapped_bytes",
 		"Bytes of memory-mapped servable snapshots (page cache, not heap).",
 		func() float64 { _, _, _, mapped := l.catalog.residentBytes(); return float64(mapped) })
+	// Cached variants, kept apart from the catalog gauges above: raw is the
+	// CSR of a computed output (heap), mapped the servable image of one
+	// faulted back in from the disk tier (page cache).
+	rawVariants, mappedVariants := obs.Label{Key: "residency", Value: ResidencyRaw}, obs.Label{Key: "residency", Value: ResidencyMapped}
+	const variantBytesHelp = "Estimated bytes of cached variants by residency: raw CSR outputs or mapped spilled snapshots."
+	const variantsHelp = "Cached variants by residency: raw CSR outputs or mapped spilled snapshots."
+	l.reg.GaugeFunc("slimgraph_cache_variant_bytes", variantBytesHelp,
+		func() float64 { b, _, _, _ := l.cache.residency(); return float64(b) }, rawVariants)
+	l.reg.GaugeFunc("slimgraph_cache_variant_bytes", variantBytesHelp,
+		func() float64 { _, b, _, _ := l.cache.residency(); return float64(b) }, mappedVariants)
+	l.reg.GaugeFunc("slimgraph_cache_variants", variantsHelp,
+		func() float64 { _, _, n, _ := l.cache.residency(); return float64(n) }, rawVariants)
+	l.reg.GaugeFunc("slimgraph_cache_variants", variantsHelp,
+		func() float64 { _, _, _, n := l.cache.residency(); return float64(n) }, mappedVariants)
 	tierCounter := func(name, help string, v *atomic.Int64) {
 		l.reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
 	}
@@ -227,21 +241,23 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 	canonical = schemes.Spec(sch)
 	key := Key{Graph: e.name, Gen: e.gen, Spec: canonical, Seed: seed, Workers: workers}
 	res, cached, err = l.cache.get(key, func() (*compressed, error) {
-		if r, ok := l.loadSpilledVariant(key, workers); ok {
+		if r, ok := l.loadSpilledVariant(key); ok {
 			return r, nil
 		}
 		// Execution latency lands on a per-scheme-family histogram (the
 		// pipeline family covers multi-stage specs; /compress responses
 		// carry the per-stage breakdown). Only real executions observe:
 		// hits, coalesced waiters, and disk fault-ins cost no compression
-		// time.
+		// time. The scheme reads the pinned resident form as it is: an edge
+		// kernel walks a packed or mapped graph in place, a CSR scheme
+		// decodes it once and drops the decode with the Result below.
 		v, err := acquireView(e)
 		if err != nil {
 			return nil, err
 		}
 		defer v.release()
 		start := time.Now()
-		r, err := sch.Apply(v.materialize(workers))
+		r, err := sch.Apply(v.adj)
 		if err != nil {
 			return nil, err
 		}
@@ -270,11 +286,12 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // loadSpilledVariant checks the disk tier for a previously spilled snapshot
-// of exactly this cache key and restores it, skipping the scheme execution.
-// The restored variant reports one stage under the canonical spec (the
-// per-stage breakdown does not survive a spill) and the load time as its
-// elapsed time.
-func (l *Local) loadSpilledVariant(key Key, workers int) (*compressed, bool) {
+// of exactly this cache key and attaches it, skipping the scheme execution:
+// the variant serves from the mapping, with no decode pass and no heap copy,
+// until the cache drops it. The restored variant reports one stage under the
+// canonical spec (the per-stage breakdown does not survive a spill) and the
+// attach time as its elapsed time.
+func (l *Local) loadSpilledVariant(key Key) (*compressed, bool) {
 	st := l.catalog.store
 	if st == nil {
 		return nil, false
@@ -284,31 +301,32 @@ func (l *Local) loadSpilledVariant(key Key, workers int) (*compressed, bool) {
 	if err != nil {
 		return nil, false
 	}
-	g := m.Unpack(workers)
-	_ = m.Close()
 	l.catalog.tier.variantFaultIns.Add(1)
 	ms := millis(time.Since(start))
 	return &compressed{
-		output: g, elapsedMS: ms,
-		stages: []StageTiming{{Spec: key.Spec, M: g.M(), ElapsedMS: ms}},
+		output: m, elapsedMS: ms,
+		stages: []StageTiming{{Spec: key.Spec, M: m.M(), ElapsedMS: ms}},
 	}, true
 }
 
 // spillVariant is the cache's eviction hook: a variant displaced by the LRU
 // bound is persisted to the disk tier (unless already there) so a later
-// request for the same key faults it in instead of recomputing. Variants of
-// dropped or re-created graphs (stale generation) are discarded — their
-// directory is gone or going.
+// request for the same key faults it in instead of recomputing. An attached
+// variant is not written again — its file already is the spill — and its
+// mapping is closed instead. Variants of dropped or re-created graphs (stale
+// generation) are discarded — their directory is gone or going.
 func (l *Local) spillVariant(key Key, res *compressed) {
-	st := l.catalog.store
-	if st == nil || res.output == nil {
+	g, ok := res.output.(*graph.Graph)
+	if !ok {
+		res.close()
 		return
 	}
+	st := l.catalog.store
 	e, ok := l.catalog.get(key.Graph)
 	if !ok || e.gen != key.Gen {
 		return
 	}
-	if err := st.saveVariant(key.Graph, key, res.output); err == nil {
+	if err := st.saveVariant(key.Graph, key, g); err == nil {
 		l.catalog.tier.variantSpills.Add(1)
 	}
 }
@@ -335,11 +353,19 @@ func (l *Local) resolve(e *entry, p QueryParams) (graph.AdjacencyEdges, string, 
 		}
 		return v.adj, "", v.release, nil
 	}
-	res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, l.opts.clampWorkers(p.Workers))
-	if err != nil {
-		return nil, "", nil, err
+	for {
+		res, canonical, _, err := l.variantOf(e, p.Spec, p.Seed, l.opts.clampWorkers(p.Workers))
+		if err != nil {
+			return nil, "", nil, err
+		}
+		// A mapped variant is pinned like a mapped original. The pin fails
+		// only when the cache dropped the variant, and closed its mapping,
+		// between the lookup and here; the next lookup attaches it anew or
+		// recomputes it.
+		if g, release, err := res.pin(); err == nil {
+			return g, canonical, release, nil
+		}
 	}
-	return res.output, canonical, func() {}, nil
 }
 
 // target is what a row's Run reads: the resolved graph and the catalog
@@ -514,23 +540,52 @@ func (l *Local) Stats(_ context.Context) (*StatsResponse, error) {
 }
 
 // TopK returns the k highest-scoring vertices, score descending with vertex
-// ID as the deterministic tie-break.
+// ID as the deterministic tie-break. It selects them in one pass through a
+// k-entry heap whose root is the worst vertex kept so far, and sorts only
+// those k: O(n log k), against O(n log n) for ordering every vertex.
 func TopK(ranks []float64, k int) []RankedVertex {
 	k = max(0, min(k, len(ranks)))
-	order := make([]int32, len(ranks))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	// ahead reports whether vertex a ranks before vertex b.
+	ahead := func(a, b int32) bool {
 		if ranks[a] != ranks[b] {
 			return ranks[a] > ranks[b]
 		}
 		return a < b
-	})
+	}
+	// Every kept vertex is ahead of its heap parent, so heap[0] is the worst.
+	heap := make([]int32, k)
+	sift := func(i int) {
+		for {
+			worst, c := i, 2*i+1
+			if c < k && ahead(heap[worst], heap[c]) {
+				worst = c
+			}
+			if c++; c < k && ahead(heap[worst], heap[c]) {
+				worst = c
+			}
+			if worst == i {
+				return
+			}
+			heap[i], heap[worst] = heap[worst], heap[i]
+			i = worst
+		}
+	}
+	for i := range heap {
+		heap[i] = int32(i)
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		sift(i)
+	}
+	for v := int32(k); k > 0 && int(v) < len(ranks); v++ {
+		if ahead(v, heap[0]) {
+			heap[0] = v
+			sift(0)
+		}
+	}
+	sort.Slice(heap, func(i, j int) bool { return ahead(heap[i], heap[j]) })
 	top := make([]RankedVertex, k)
-	for i := range top {
-		top[i] = RankedVertex{Node: order[i], Score: ranks[order[i]]}
+	for i, v := range heap {
+		top[i] = RankedVertex{Node: v, Score: ranks[v]}
 	}
 	return top
 }

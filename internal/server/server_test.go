@@ -343,11 +343,12 @@ func TestUploadFormats(t *testing.T) {
 	}
 }
 
-// test-pin runs the armed probe's inner spec on its input and returns the
-// inner scheme's Result as it is — Aux, stage Results and all — after
-// setting finalizers that report on freed when the input (the transient
-// unpack of a packed or mapped entry) and, if the probe says it is an
-// intermediate stage's, the output are collected.
+// test-pin decodes its input as every CSR scheme does (graph.CSROf: the one
+// transient decode of a packed or mapped entry on the compress path), runs
+// the armed probe's inner spec — a CSR scheme — on that decode and returns
+// the inner scheme's Result as it is — Aux, stage Results and all — after
+// setting finalizers that report on freed when the decode and, if the probe
+// says it is an intermediate stage's, the output are collected.
 type pinProbe struct {
 	inner        string
 	intermediate bool
@@ -360,12 +361,13 @@ func init() {
 	schemes.Register(schemes.Registration{
 		Name:  "test-pin",
 		About: "runs the armed inner spec with finalizers on its graphs (test only)",
-		Apply: func(g *graph.Graph, _ schemes.Args) (*schemes.Result, error) {
+		Apply: func(in graph.AdjacencyEdges, _ schemes.Args) (*schemes.Result, error) {
 			probe := pinArmed.Load()
 			sch, err := schemes.Parse(probe.inner, schemes.WithSeed(1), schemes.WithWorkers(1))
 			if err != nil {
 				return nil, err
 			}
+			g := graph.CSROf(in, 1)
 			res, err := sch.Apply(g)
 			if err != nil {
 				return nil, err
@@ -380,12 +382,13 @@ func init() {
 }
 
 // TestPackedVariantDoesNotPinRawInput checks a cached variant of a packed
-// or mapped graph keeps nothing but its own output alive: not the transient
-// unpacked CSR it was computed from — the raw copy the packed memory policy
-// exists to avoid keeping resident, which a summarize Result reaches
-// through its Summary — and not a pipeline's intermediate graphs, which
-// its stage Results reach. The finalizers must run while the variant is
-// still cached.
+// or mapped graph keeps nothing but its own output alive. Edge-kernel
+// schemes read such an entry in place and make no CSR of it; the cases here
+// are CSR schemes, which decode one transiently (graph.CSROf). The variant
+// must not pin that decode — the raw copy the packed memory policy exists to
+// avoid keeping resident, which a summarize Result reaches through its
+// Summary — nor a pipeline's intermediate graphs, which its stage Results
+// reach. The finalizers must run while the variant is still cached.
 func TestPackedVariantDoesNotPinRawInput(t *testing.T) {
 	_, heapTS := newTestServer(t, Options{})
 	createCommunities(t, heapTS.URL, "g", 200, 1, MemoryPacked)

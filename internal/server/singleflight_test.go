@@ -26,16 +26,16 @@ func init() {
 	schemes.Register(schemes.Registration{
 		Name:  "test-count",
 		About: "instrumented identity scheme (test only)",
-		Apply: func(g *graph.Graph, _ schemes.Args) (*schemes.Result, error) {
+		Apply: func(g graph.AdjacencyEdges, _ schemes.Args) (*schemes.Result, error) {
 			applyCount.Add(1)
 			time.Sleep(50 * time.Millisecond)
-			return &schemes.Result{Output: g}, nil
+			return &schemes.Result{Output: graph.CSROf(g, 1)}, nil
 		},
 	})
 	schemes.Register(schemes.Registration{
 		Name:  "test-fail",
 		About: "always-failing scheme (test only)",
-		Apply: func(*graph.Graph, schemes.Args) (*schemes.Result, error) {
+		Apply: func(graph.AdjacencyEdges, schemes.Args) (*schemes.Result, error) {
 			failCount.Add(1)
 			return nil, errors.New("test-fail: injected failure")
 		},

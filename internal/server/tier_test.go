@@ -8,12 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"slimgraph/internal/graph"
+	"slimgraph/internal/schemes"
 	"slimgraph/internal/succinct"
+	"slimgraph/internal/traverse"
 )
 
 func mustGen(t *testing.T, seed uint64) *graph.Graph {
@@ -522,4 +525,112 @@ func TestTierBudgetCountsHeapPacked(t *testing.T) {
 	if raw != 0 || packed == 0 || packed > one+one/2 || mapped == 0 {
 		t.Fatalf("after the spill: raw=%d packed=%d mapped=%d against budget %d", raw, packed, mapped, one+one/2)
 	}
+}
+
+// TestAttachedVariantLifetime pins the lifetime of a variant faulted in from
+// the disk tier, which serves from the mapping of its spilled snapshot. A
+// query pins the mapping like a mapped original: an eviction, a PurgeVariant
+// or a DELETE of its graph closes the mapping but defers the munmap until
+// the query releases, and a BFS in flight meanwhile answers intact. An
+// attached variant evicted again is not written again — its file is the
+// spill — while every fault-in still counts. CI runs it under -race.
+func TestAttachedVariantLifetime(t *testing.T) {
+	ctx := context.Background()
+	l, err := NewLocal(Options{CacheCapacity: 1, MaxWorkers: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := mustGen(t, 7)
+	if _, err := l.Create(ctx, "g", MemoryPacked, "test", g, 1); err != nil {
+		t.Fatal(err)
+	}
+	a := QueryParams{Spec: "uniform:p=0.5", Seed: 3, Workers: 1}
+	b := QueryParams{Spec: "uniform:p=0.25", Seed: 3, Workers: 1}
+	sch, err := schemes.Parse(a.Spec, schemes.WithSeed(a.Seed), schemes.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sch.Apply(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := traverse.BFS(res.Output, 0, 1).Dist
+
+	tier := &l.catalog.tier
+	counts := func(step string, spills, faultIns int64) {
+		t.Helper()
+		if s, f := tier.variantSpills.Load(), tier.variantFaultIns.Load(); s != spills || f != faultIns {
+			t.Fatalf("%s: %d variant spills and %d fault-ins, want %d and %d", step, s, f, spills, faultIns)
+		}
+	}
+	compress := func(p QueryParams) {
+		t.Helper()
+		if _, err := l.Compress(ctx, "g", p.Spec, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// attach faults a in as a query does and returns what the query holds.
+	attach := func() (graph.AdjacencyEdges, func(), *succinct.Mapped) {
+		t.Helper()
+		adj, _, release, err := l.Target("g", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.cache.mu.Lock()
+		defer l.cache.mu.Unlock()
+		for el := l.cache.ll.Front(); el != nil; el = el.Next() {
+			if v := el.Value.(*variant); v.key.Spec == a.Spec {
+				if m, ok := v.res.output.(*succinct.Mapped); ok {
+					return adj, release, m
+				}
+			}
+		}
+		t.Fatal("the faulted-in variant is not a mapping in the cache")
+		return nil, nil, nil
+	}
+	drained := func(step string, m *succinct.Mapped, release func()) {
+		t.Helper()
+		if m.Unmapped() {
+			t.Fatalf("%s unmapped the variant under an in-flight query", step)
+		}
+		release()
+		if !m.Unmapped() {
+			t.Fatalf("%s: the mapping outlived its last reader", step)
+		}
+	}
+
+	compress(a)
+	compress(b) // evicts a, which spills
+	counts("spilling a", 1, 0)
+
+	adj, release, m := attach() // evicts b, which spills
+	counts("faulting a in", 2, 1)
+	compress(b) // faults b in, evicts the attached a: no write, the mapping closes
+	counts("evicting the attached a", 2, 2)
+	if got := traverse.BFS(adj, 0, 1).Dist; !slices.Equal(got, want) {
+		t.Fatal("BFS over an evicted variant's mapping differs from the raw variant's")
+	}
+	drained("eviction", m, release)
+
+	_, release, m = attach() // evicts the attached b: no write
+	counts("faulting a in again", 2, 3)
+	if _, err := l.PurgeVariant("g", a.Spec, a.Seed, a.Workers); err != nil {
+		t.Fatal(err)
+	}
+	drained("PurgeVariant", m, release)
+
+	compress(a) // recomputed: the purge deleted its spill
+	compress(b) // faults b in, evicts a, which spills again
+	counts("re-spilling a", 3, 4)
+	adj, release, m = attach()
+	counts("faulting a in for the DELETE", 3, 5)
+	dist := make(chan []int32)
+	go func() { dist <- traverse.BFS(adj, 0, 2).Dist }()
+	if _, err := l.Drop(ctx, "g"); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-dist; !slices.Equal(got, want) {
+		t.Fatal("BFS over an attached variant differs from the raw variant's when its graph is deleted mid-query")
+	}
+	drained("DELETE", m, release)
 }

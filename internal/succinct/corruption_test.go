@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"slimgraph/internal/bitset"
+	"slimgraph/internal/core"
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/rng"
@@ -165,7 +166,48 @@ func checkAccessorsAgree(t *testing.T, name string, pg *PackedGraph, r *rng.Rand
 // rewritten so the list decodes to neighbors n and beyond, and a header that
 // undercounts the edges its lists hold.
 func TestForwardRefusesCorruptPayload(t *testing.T) {
-	pg := Pack(randomGraph(rng.New(59), packCase{}, 90, 2400), 0, WithBlockVertices(16))
+	for name, bad := range damagedPayloads(t, packCase{}) {
+		wantCorrupt(t, name+": NewForward", func() { triangles.NewForward(bad, 1) })
+	}
+}
+
+// TestInPlaceCompressRefusesCorruptPayload: an edge kernel reads a packed
+// graph in place through the block decode of its canonical edges, so the
+// damage of TestForwardRefusesCorruptPayload must stop an in-place compress
+// exactly as it stops Unpack — with a panic naming a corrupt packed graph,
+// raised in the calling goroutine at any worker count, whether the kernel
+// would keep every edge or none — and never yield a graph. On the directed
+// twin every out-arc is canonical, so the rewritten head keeps the block's
+// edge count and only the endpoint's range gives the damage away.
+func TestInPlaceCompressRefusesCorruptPayload(t *testing.T) {
+	damaged := damagedPayloads(t, packCase{})
+	for name, bad := range damagedPayloads(t, packCase{directed: true}) {
+		damaged["directed, "+name] = bad
+	}
+	for name, bad := range damaged {
+		for _, workers := range []int{1, 2} {
+			wantCorrupt(t, name+": Unpack", func() { bad.Unpack(workers) })
+			for _, keep := range []float64{0, 1} {
+				wantCorrupt(t, name+": in-place compress", func() {
+					sg := core.New(bad, 1, workers)
+					sg.RunEdgeKernel(func(sg *core.SG, r *rng.Rand, e core.EdgeView) {
+						if keep < r.Float64() {
+							sg.Del(e.ID)
+						}
+					})
+					t.Errorf("%s: kernel ran; returned %v", name, sg.Materialize())
+				})
+			}
+		}
+	}
+}
+
+// damagedPayloads returns two damaged copies of one packed graph of the
+// given case: an out-list head rewritten so the list decodes to neighbors n
+// and beyond, and a header that undercounts the edges its lists hold.
+func damagedPayloads(t *testing.T, c packCase) map[string]*PackedGraph {
+	t.Helper()
+	pg := Pack(randomGraph(rng.New(59), c, 90, 2400), 0, WithBlockVertices(16))
 	const victim = 41
 	_, head := Uvarint(pg.payload, pg.start(victim))
 	past := *pg
@@ -176,14 +218,17 @@ func TestForwardRefusesCorruptPayload(t *testing.T) {
 	}
 	short := *pg
 	short.m--
-	for name, bad := range map[string]*PackedGraph{"neighbor past n": &past, "arcs past m": &short} {
-		func() {
-			defer func() {
-				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "corrupt packed graph") {
-					t.Errorf("%s: NewForward panicked with %q, want a corrupt packed graph", name, msg)
-				}
-			}()
-			triangles.NewForward(bad, 1)
-		}()
-	}
+	return map[string]*PackedGraph{"neighbor past n": &past, "arcs past m": &short}
+}
+
+// wantCorrupt runs read and fails the test unless it panics naming a corrupt
+// packed graph.
+func wantCorrupt(t *testing.T, what string, read func()) {
+	t.Helper()
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "corrupt packed graph") {
+			t.Errorf("%s panicked with %q, want a corrupt packed graph", what, msg)
+		}
+	}()
+	read()
 }

@@ -59,7 +59,11 @@
 //     block start, using exactly ceil(log2(max block payload)) bits per
 //     vertex. Degree, Neighbors, ForNeighbors, ScanInLists and
 //     FirstInNeighborIn decode on the fly; Unpack restores a bit-identical
-//     graph.Graph.
+//     graph.Graph. The canonical-edge readers — ForEdges, FillEdgeColumns
+//     (what an edge kernel compresses a packed graph in place from) and
+//     Unpack — hand out only canonical edges: an endpoint outside [0, n), a
+//     self-loop, or a block holding more or fewer edges than the directory
+//     declares panics as a corrupt packed graph, in the caller's goroutine.
 //
 //   - Snapshot header (header.go): the 16-byte prefix — magic, version,
 //     flags, minor, n, m — every snapshot version starts with, graphio's

@@ -320,22 +320,51 @@ func forward(nbrs []graph.NodeID, v graph.NodeID) []graph.NodeID {
 
 // forCanonical decodes the canonical arcs block-parallel, invoking fn with
 // each edge's ID and endpoints — within a block, and with one worker over
-// all of them, in increasing edge-ID order.
+// all of them, in increasing edge-ID order. Lists decode strictly increasing
+// (doc.go), so what fn sees is canonical by construction once each endpoint
+// lies in [0, n), no arc is a self-loop and every block holds exactly the
+// edges its directory declares. A payload that breaks any of these panics
+// as a corrupt packed graph, from the calling goroutine once the blocks have
+// drained; fn never sees an edge ID outside its block or an endpoint outside
+// [0, n).
 func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u, v graph.NodeID)) {
 	numBlocks := numBlocksFor(pg.n, pg.shift)
-	parallel.ForBlocks(numBlocks, numBlocks, workers, func(b, _, _ int) {
-		lo, hi := blockRange(b, pg.shift, pg.n)
-		e := pg.edgeStart[b]
-		pg.scanLists(false, graph.NodeID(lo), graph.NodeID(hi), nil, func(u graph.NodeID, nbrs []graph.NodeID) {
-			if !pg.directed {
-				nbrs = forward(nbrs, u)
+	var err error
+	if declared := pg.edgeStart[numBlocks]; declared != int64(pg.m) {
+		err = fmt.Errorf("%d edges, directory declares %d", pg.m, declared)
+	} else {
+		err = firstBlockError(numBlocks, workers, func(b int) (err error) {
+			lo, hi := blockRange(b, pg.shift, pg.n)
+			e, end := pg.edgeStart[b], pg.edgeStart[b+1]
+			pg.scanLists(false, graph.NodeID(lo), graph.NodeID(hi), nil, func(u graph.NodeID, nbrs []graph.NodeID) {
+				if !pg.directed {
+					nbrs = forward(nbrs, u)
+				}
+				if err != nil {
+					return
+				}
+				if e+int64(len(nbrs)) > end {
+					err = fmt.Errorf("block %d holds more than its %d edges", b, end-pg.edgeStart[b])
+					return
+				}
+				for _, v := range nbrs {
+					if uint(v) >= uint(pg.n) || v == u {
+						err = fmt.Errorf("vertex %d lists neighbor %d of %d", u, v, pg.n)
+						return
+					}
+					fn(e, u, v)
+					e++
+				}
+			})
+			if err == nil && e != end {
+				err = fmt.Errorf("block %d holds %d of its %d edges", b, e-pg.edgeStart[b], end-pg.edgeStart[b])
 			}
-			for _, v := range nbrs {
-				fn(e, u, v)
-				e++
-			}
+			return err
 		})
-	})
+	}
+	if err != nil {
+		panic(fmt.Sprintf("succinct: corrupt packed graph: %v", err))
+	}
 }
 
 // ForEdges invokes fn for every canonical edge in increasing EdgeID order
