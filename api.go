@@ -317,8 +317,10 @@ type SchemeOption = schemes.Option
 
 // SchemeInfo declares one registry entry: Name, About, the parameter table
 // Params, and the kernel Apply(g, args). g is an AdjacencyEdges — a Graph, or
-// a PackedGraph or MappedGraph a server compresses in place: an edge kernel
-// reads it as it is (NewSG), anything that needs the CSR takes SG.Graph.
+// a PackedGraph or MappedGraph a server compresses in place — and every
+// kernel run through NewSG reads it as it is. Only a scheme that builds a
+// graph on a new vertex set (summarize, relabel, tr-collapse's contraction)
+// takes a CSR of it.
 type SchemeInfo = schemes.Registration
 
 // SchemeParam is one row of a scheme's parameter table: key, kind, default,
@@ -413,9 +415,11 @@ type (
 )
 
 // NewSG returns a kernel execution context over g: a Graph, or a PackedGraph
-// or MappedGraph that edge kernels read in place (vertex, triangle and
-// subgraph kernels decode it once, through SG.Graph). Run kernels with its
-// Run*Kernel methods, then call Materialize for the compressed graph.
+// or MappedGraph, which every kernel reads in place — edge kernels and
+// Materialize through its canonical edge columns (SG.EdgeColumns), vertex
+// kernels through its degrees, triangle kernels through an enumeration
+// engine built over it. Run kernels with its Run*Kernel methods, then call
+// Materialize for the compressed graph.
 func NewSG(g AdjacencyEdges, seed uint64, workers int) *SG { return core.New(g, seed, workers) }
 
 // Stage-2 algorithms.

@@ -37,9 +37,9 @@
 // key given twice, or not in the table, is an error that names it), fills
 // defaults, prints the canonical spec in table order, and stamps the
 // Result's labels and elapsed time. Adding a parameter to a scheme is one
-// row. The kernel receives its input as an AdjacencyEdges: an edge kernel
-// reads a PackedGraph or MappedGraph in place, while a vertex, triangle or
-// subgraph kernel decodes it once, on first use (SG.Graph).
+// row. The kernel receives its input as an AdjacencyEdges, and there is one
+// input path: every kernel — edge, vertex, triangle or subgraph — reads a
+// PackedGraph or MappedGraph in place.
 // examples/customkernel registers a three-kernel scheme this way.
 //
 // The registry (RegisterScheme, LookupScheme, SchemeNames) is the single
@@ -149,14 +149,14 @@
 // count-only forward CSR (triangles.Forward) is built lazily once per
 // catalog entry and reused across queries (its scratch — one stamp array
 // per worker — belongs to the request, not the entry). Compression reads the
-// entry in place as well: Scheme.Apply takes an AdjacencyEdges, and the
-// edge-kernel schemes (uniform, spectral, and pipelines that start with one)
-// walk a packed or mapped graph's canonical edges and build only the
-// variant's CSR. Unpack is reachable only when a scheme that walks CSR
-// internals decodes its input once (SG.Graph).
+// entry in place as well: Scheme.Apply takes an AdjacencyEdges, and every
+// kernel reads a packed or mapped graph's canonical edges, degrees and
+// neighborhoods where they lie and builds only the variant's CSR. Unpack is
+// reachable only from the three schemes that build a graph on a new vertex
+// set — summarize, relabel and tr-collapse's contraction (graph.CSROf).
 // Answers are byte-identical to a raw-resident catalog; the guarantee is
-// pinned by a test that fails on any Unpack during query serving or an
-// edge-kernel compress of a packed or mapped graph.
+// pinned by a test that fails on any Unpack during query serving or a
+// compress of a packed or mapped graph by any other scheme.
 //
 // With a data directory (slimgraphd -data-dir, ServerOptions.DataDir) the
 // catalog is a two-tier store. Graphs persist as servable snapshots on

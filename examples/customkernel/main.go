@@ -17,7 +17,7 @@ import (
 
 // weakTies drops each edge that closes no triangle with probability p, then
 // prunes the vertices that isolated. g may be a Graph or a packed or mapped
-// one: the triangle kernel decodes it once, the edge kernel reads it as it is.
+// one: both kernels read it as it is.
 func weakTies(g slimgraph.AdjacencyEdges, p float64, seed uint64, workers int) *slimgraph.Graph {
 	// Pass 1 (triangle kernel): mark every edge that closes a triangle.
 	sg := slimgraph.NewSG(g, seed, workers)

@@ -9,12 +9,11 @@
 // input graph; stage 1 marks deletions and Materialize rebuilds the
 // compressed CSR (stage 2 then runs ordinary graph algorithms on it).
 //
-// The input is any graph.AdjacencyEdges, and an edge kernel reads it in
-// place: on a packed or mapped graph, RunEdgeKernel walks one block decode
-// of the canonical edges and Materialize builds the output from the kept
-// ones, so no CSR of the input ever exists. Vertex, triangle and subgraph
-// kernels walk CSR internals and read SG.Graph, which decodes a non-CSR
-// input once, on first use.
+// The input is any graph.AdjacencyEdges, and every kernel reads it one way,
+// in place: edge kernels and Materialize walk its canonical edge columns
+// (EdgeColumns: zero-copy on a CSR, one block decode of a packed or mapped
+// graph), vertex kernels its Degree, triangle kernels a triangles.Engine
+// built over it. No CSR of a packed or mapped input ever exists.
 //
 // Randomness is keyed by graph element, not by thread: every kernel
 // instance receives a PRNG seeded with hash(seed, element ID), so a fixed
@@ -56,14 +55,10 @@ type SG struct {
 	seed    uint64
 	workers int
 
-	// The input as the kernels read it, each fetched once on first use: the
-	// canonical edge columns (zero-copy on a CSR, decoded otherwise) and the
-	// CSR (the input itself, set by New, or one decode of it, set by Graph;
-	// Materialize reads csr directly, after the kernels have returned).
+	// The canonical edge columns of the input, fetched once on first use
+	// (zero-copy on a CSR, decoded otherwise): the SG's only cached view.
 	edgesOnce sync.Once
 	eu, ev    []graph.NodeID
-	csrOnce   sync.Once
-	csr       *graph.Graph
 
 	deletedEdges    *graph.EdgeSet // stage-1 deletion marks
 	deletedVertices *bitset.Atomic
@@ -78,11 +73,11 @@ type SG struct {
 	params map[string]float64
 }
 
-// New returns an SG over in: a *graph.Graph, or a packed or mapped graph that
-// edge kernels read in place. seed drives all kernel randomness; workers <= 0
-// uses all CPUs.
+// New returns an SG over in: a *graph.Graph, or a packed or mapped graph,
+// which every kernel reads in place. seed drives all kernel randomness;
+// workers <= 0 uses all CPUs.
 func New(in graph.AdjacencyEdges, seed uint64, workers int) *SG {
-	sg := &SG{
+	return &SG{
 		in:              in,
 		seed:            seed,
 		workers:         workers,
@@ -91,21 +86,14 @@ func New(in graph.AdjacencyEdges, seed uint64, workers int) *SG {
 		considered:      graph.NewEdgeSet(in.M()),
 		params:          make(map[string]float64),
 	}
-	sg.csr, _ = in.(*graph.Graph)
-	return sg
 }
 
-// Graph returns the input as a CSR (stage-1 input; never mutated): the input
-// itself when it is one, otherwise one decode of it (graph.CSROf), made by
-// the first call and shared by every later one. Safe for concurrent kernel
-// instances.
-func (sg *SG) Graph() *graph.Graph {
-	sg.csrOnce.Do(func() { sg.csr = graph.CSROf(sg.in, sg.workers) })
-	return sg.csr
-}
-
-// edges returns the input's canonical edge columns, fetched once.
-func (sg *SG) edges() (eu, ev []graph.NodeID) {
+// EdgeColumns returns the input's canonical edge columns (the endpoints of
+// edge e are eu[e], ev[e]): zero-copy views of a CSR, one block decode of any
+// other form, fetched by the first call and shared by every later one —
+// RunEdgeKernel and Materialize included. Callers must not modify them. Safe
+// for concurrent kernel instances.
+func (sg *SG) EdgeColumns() (eu, ev []graph.NodeID) {
 	sg.edgesOnce.Do(func() { sg.eu, sg.ev, _ = graph.EdgeColumnsOf(sg.in, sg.workers) })
 	return sg.eu, sg.ev
 }
@@ -199,7 +187,7 @@ type EdgeKernel func(sg *SG, r *rng.Rand, e EdgeView)
 // other form through one block-parallel decode of its canonical edges (which
 // Materialize reuses) and one pass over its degrees.
 func (sg *SG) RunEdgeKernel(k EdgeKernel) {
-	eu, ev := sg.edges()
+	eu, ev := sg.EdgeColumns()
 	g, csr := sg.in.(*graph.Graph)
 	var deg []int32
 	if !csr {
@@ -226,12 +214,11 @@ func (sg *SG) RunEdgeKernel(k EdgeKernel) {
 	})
 }
 
-// VertexView is the kernel argument for vertex kernels: a vertex, its
-// degree, and its neighbors.
+// VertexView is the kernel argument for vertex kernels: a vertex and its
+// degree.
 type VertexView struct {
-	ID        graph.NodeID
-	Deg       int
-	Neighbors []graph.NodeID
+	ID  graph.NodeID
+	Deg int
 }
 
 // VertexKernel is a compression kernel whose scope is a single vertex.
@@ -239,12 +226,11 @@ type VertexKernel func(sg *SG, r *rng.Rand, v VertexView)
 
 // RunVertexKernel executes the kernel once per vertex, in parallel.
 func (sg *SG) RunVertexKernel(k VertexKernel) {
-	g := sg.Graph()
-	parallel.ForChunks(g.N(), sg.workers, func(lo, hi int) {
+	parallel.ForChunks(sg.in.N(), sg.workers, func(lo, hi int) {
 		r := new(rng.Rand)
 		for v := lo; v < hi; v++ {
 			id := graph.NodeID(v)
-			view := VertexView{ID: id, Deg: g.Degree(id), Neighbors: g.Neighbors(id)}
+			view := VertexView{ID: id, Deg: sg.in.Degree(id)}
 			sg.reseed(r, kindVertex, uint64(v))
 			k(sg, r, view)
 		}
@@ -269,23 +255,23 @@ type TriangleKernel func(sg *SG, r *rng.Rand, t TriangleView)
 type TriangleIdle func(e [3]graph.EdgeID) bool
 
 // RunTriangleKernel enumerates all triangles (O(m^{3/2}) work) and executes
-// the kernel on each, in parallel: it builds a triangles.Engine over Graph
-// once for the run and drives the kernel off it. The per-triangle PRNG is
-// keyed by the triangle's edge IDs, so results are schedule-independent.
+// the kernel on each, in parallel: it builds a triangles.Engine over the
+// input once for the run and drives the kernel off it. The per-triangle PRNG
+// is keyed by the triangle's edge IDs, so results are schedule-independent.
 func (sg *SG) RunTriangleKernel(k TriangleKernel) {
-	sg.RunTriangleKernelOn(triangles.NewEngine(sg.Graph(), sg.workers), k, nil)
+	sg.RunTriangleKernelOn(triangles.NewEngine(sg.in, sg.workers), k, nil)
 }
 
 // RunTriangleKernelOn is RunTriangleKernel over a prebuilt enumeration
 // engine, so callers that already enumerated (e.g. for per-edge triangle
 // counts) pay for the forward CSR only once. The engine must have been
-// built for this SG's Graph. Instances for which idle (optional) holds are
+// built for this SG's input. Instances for which idle (optional) holds are
 // retired without running the kernel.
 func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel, idle TriangleIdle) {
-	g := sg.Graph()
-	if en.Graph() != g {
+	if en.Graph() != sg.in {
 		panic("core: triangle engine built for a different graph")
 	}
+	weighted := sg.in.Weighted() // unweighted edges weigh 1: no lookup
 	en.ForEachBatch(func() func([]triangles.Triangle) {
 		r := new(rng.Rand)
 		return func(batch []triangles.Triangle) {
@@ -294,9 +280,11 @@ func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel, idle T
 				if idle != nil && idle(t.E) {
 					continue
 				}
-				view := TriangleView{V: t.V, E: t.E}
-				for j, e := range t.E {
-					view.Weights[j] = g.EdgeWeight(e)
+				view := TriangleView{V: t.V, E: t.E, Weights: [3]float64{1, 1, 1}}
+				if weighted {
+					for j, e := range t.E {
+						view.Weights[j] = sg.in.EdgeWeight(e)
+					}
 				}
 				sg.reseed(r, kindTriangle,
 					rng.Hash64(uint64(t.E[0]), rng.Hash64(uint64(t.E[1]), uint64(t.E[2]))))
@@ -357,36 +345,24 @@ func (sg *SG) RunSubgraphKernel(mapping []int32, count int, k SubgraphKernel) {
 // survive unless deleted directly or incident to a deleted vertex; new
 // weights from SetWeight apply. This is the stage-1 output of the engine.
 //
-// The kept-edge set is assembled with word-wise bitset passes (complement
-// of the deletion marks, minus the adjacency of deleted vertices). When a
-// CSR of the input exists — the input is one, or a kernel decoded one
-// through Graph — the graph is materialized through the direct CSR→CSR path
-// (graph.FilterEdgeSet); otherwise it is built from the kept canonical edges
-// alone (graph.FilterColumns), under the SG's worker budget. Either way: no
-// edge list, no sorting, and bit-identical outputs.
+// The kept-edge set is assembled with word-wise bitset passes: the
+// complement of the deletion marks, minus the edges with a deleted endpoint
+// (one sweep of the edge columns). A CSR input is materialized through the
+// direct CSR→CSR path (graph.FilterEdgeSet); any other form is built from
+// the kept canonical edges alone (graph.FilterColumns), under the SG's
+// worker budget. Either way: no edge list, no sorting, and bit-identical
+// outputs.
 func (sg *SG) Materialize() *graph.Graph {
 	kept := graph.NewEdgeSet(sg.in.M())
 	kept.Fill()
 	kept.Subtract(sg.deletedEdges)
 	if sg.deletedVertices.Count() > 0 {
-		g := sg.Graph()
-		parallel.ForChunks(g.N(), sg.workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if !sg.deletedVertices.Get(v) {
-					continue
-				}
-				_, eids := g.NeighborEdges(graph.NodeID(v))
-				for _, e := range eids {
-					kept.Remove(e)
-				}
-				if g.Directed() {
-					_, inEids := g.InNeighborEdges(graph.NodeID(v))
-					for _, e := range inEids {
-						kept.Remove(e)
-					}
-				}
-			}
+		eu, ev := sg.EdgeColumns()
+		dead := graph.NewEdgeSet(sg.in.M())
+		dead.AddBatch(sg.workers, func(e graph.EdgeID) bool {
+			return sg.deletedVertices.Get(int(eu[e])) || sg.deletedVertices.Get(int(ev[e]))
 		})
+		kept.Subtract(dead)
 	}
 	var reweight func(e graph.EdgeID) float64
 	if sg.weightSet != nil {
@@ -397,13 +373,13 @@ func (sg *SG) Materialize() *graph.Graph {
 			return sg.in.EdgeWeight(e)
 		}
 	}
-	if sg.csr != nil {
-		return sg.csr.FilterEdgeSet(kept, reweight)
+	if g, ok := sg.in.(*graph.Graph); ok {
+		return g.FilterEdgeSet(kept, reweight)
 	}
 	weight := reweight
 	if weight == nil && sg.in.Weighted() {
 		weight = sg.in.EdgeWeight
 	}
-	eu, ev := sg.edges()
+	eu, ev := sg.EdgeColumns()
 	return graph.FilterColumns(sg.in.N(), sg.in.Directed(), eu, ev, kept, weight, sg.workers)
 }

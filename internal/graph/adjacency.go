@@ -144,9 +144,9 @@ func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) 
 
 // CSROf returns a as a raw CSR: a itself when it is one, otherwise one full
 // decode of a through its Unpack (succinct.PackedGraph and its mapping). It
-// is the one decode on the compression path: kernels that walk CSR internals
-// (vertex, triangle and subgraph kernels, summarize, relabel) call it, most
-// through core.SG.Graph, and edge kernels never do.
+// is the one decode on the compression path, reached only by the schemes
+// that build a graph on a new vertex set — summarize, relabel and
+// tr-collapse's contraction; every core kernel reads its input in place.
 func CSROf(a AdjacencyEdges, workers int) *Graph {
 	if g, ok := a.(*Graph); ok {
 		return g

@@ -19,7 +19,8 @@ import (
 type Decomposition struct {
 	// Cluster[v] is the center vertex of v's cluster.
 	Cluster []graph.NodeID
-	// Parent[v] is v's parent in the intra-cluster BFS tree; centers have
+	// Parent[v] is v's parent in the intra-cluster BFS tree — the arc
+	// (Parent[v], v) is an edge of the graph — and centers have
 	// Parent[v] == v.
 	Parent []graph.NodeID
 	// Centers lists the cluster centers in activation order.
@@ -43,24 +44,14 @@ func (d *Decomposition) ClusterIndex() []int32 {
 	return idx
 }
 
-// Members returns the vertex list of every cluster, indexed like Centers.
-func (d *Decomposition) Members() [][]graph.NodeID {
-	idx := d.ClusterIndex()
-	members := make([][]graph.NodeID, len(d.Centers))
-	for v := range d.Cluster {
-		i := idx[v]
-		members[i] = append(members[i], graph.NodeID(v))
-	}
-	return members
-}
-
 // Decompose runs the MPX decomposition with parameter beta > 0. Larger beta
 // means earlier fragmentation: more, smaller clusters. Vertex v is captured
 // by the cluster of u exactly when start(u) + dist(u, v) is the global
 // minimum over centers, with start(v) = delta_max - delta_v — implemented
 // exactly (continuous start times, no rounding) as a Dijkstra over unit
-// edge lengths. Deterministic for a fixed seed.
-func Decompose(g *graph.Graph, beta float64, seed uint64) *Decomposition {
+// edge lengths, along out-arcs (ForNeighbors), so it reads a packed or
+// mapped g in place. Deterministic for a fixed seed.
+func Decompose(g graph.Adjacency, beta float64, seed uint64) *Decomposition {
 	if beta <= 0 {
 		panic("ldd: beta must be positive")
 	}
@@ -85,16 +76,27 @@ func Decompose(g *graph.Graph, beta float64, seed uint64) *Decomposition {
 			maxShift = shift[v]
 		}
 	}
-	pq := newArrivalHeap(n + g.NumArcs()/2)
+	arcs := 0
+	for v := 0; v < n; v++ {
+		arcs += g.Degree(graph.NodeID(v))
+	}
+	pq := newArrivalHeap(n + arcs/2)
 	for v := 0; v < n; v++ {
 		pq.push(arrival{
 			key: maxShift - shift[v], v: graph.NodeID(v),
 			from: -1, center: graph.NodeID(v),
 		})
 	}
-	claimed := 0
-	for pq.len() > 0 && claimed < n {
-		a := pq.pop()
+	// a is the arrival being claimed; offer pushes its unclaimed out-neighbors
+	// (one closure for the whole run).
+	var a arrival
+	offer := func(w graph.NodeID) {
+		if d.Cluster[w] < 0 {
+			pq.push(arrival{key: a.key + 1, v: w, from: a.v, center: a.center})
+		}
+	}
+	for claimed := 0; pq.len() > 0 && claimed < n; {
+		a = pq.pop()
 		if d.Cluster[a.v] >= 0 {
 			continue
 		}
@@ -106,11 +108,7 @@ func Decompose(g *graph.Graph, beta float64, seed uint64) *Decomposition {
 			d.Parent[a.v] = a.from
 		}
 		claimed++
-		for _, w := range g.Neighbors(a.v) {
-			if d.Cluster[w] < 0 {
-				pq.push(arrival{key: a.key + 1, v: w, from: a.v, center: a.center})
-			}
-		}
+		g.ForNeighbors(a.v, offer)
 	}
 	return d
 }
@@ -188,21 +186,4 @@ func BetaForSpanner(n, k int) float64 {
 		k = 1
 	}
 	return math.Log(float64(n)) / float64(k)
-}
-
-// TreeEdges returns the canonical EdgeIDs of the intra-cluster BFS forest.
-func (d *Decomposition) TreeEdges(g *graph.Graph) []graph.EdgeID {
-	var out []graph.EdgeID
-	for v := range d.Parent {
-		p := d.Parent[v]
-		if p < 0 || p == graph.NodeID(v) {
-			continue
-		}
-		e, ok := g.FindEdge(p, graph.NodeID(v))
-		if !ok {
-			panic("ldd: BFS parent edge missing from graph")
-		}
-		out = append(out, e)
-	}
-	return out
 }

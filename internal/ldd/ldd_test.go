@@ -8,6 +8,16 @@ import (
 	"slimgraph/internal/traverse"
 )
 
+// members returns the vertex list of every cluster, indexed like Centers.
+func members(d *Decomposition) [][]graph.NodeID {
+	idx := d.ClusterIndex()
+	out := make([][]graph.NodeID, len(d.Centers))
+	for v := range d.Cluster {
+		out[idx[v]] = append(out[idx[v]], graph.NodeID(v))
+	}
+	return out
+}
+
 func TestEveryVertexClustered(t *testing.T) {
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 3)
 	d := Decompose(g, 0.5, 1)
@@ -51,15 +61,34 @@ func TestParentEdgesExistAndStayInCluster(t *testing.T) {
 	}
 }
 
-func TestTreeEdgesFormForest(t *testing.T) {
+// TestParentFormsForest pins the spanner's tree edges: every parent link
+// but a center's self-link is an edge of the graph, the links number
+// n - NumClusters, and every parent chain ends at a center — a forest of
+// graph edges with one tree per cluster.
+func TestParentFormsForest(t *testing.T) {
 	g := gen.RMAT(9, 8, 0.57, 0.19, 0.19, 7)
 	d := Decompose(g, 0.5, 11)
-	edges := d.TreeEdges(g)
+	links := 0
+	for v, p := range d.Parent {
+		if p == graph.NodeID(v) {
+			continue
+		}
+		if !g.HasEdge(p, graph.NodeID(v)) {
+			t.Fatalf("parent link (%d, %d) is not an edge", p, v)
+		}
+		links++
+		u := graph.NodeID(v)
+		for steps := 0; d.Parent[u] != u; steps++ {
+			if steps > g.N() {
+				t.Fatalf("parent chain of %d has a cycle", v)
+			}
+			u = d.Parent[u]
+		}
+	}
 	// A forest over n vertices with c trees has n - c edges; here every
 	// cluster is one tree.
-	want := g.N() - d.NumClusters()
-	if len(edges) != want {
-		t.Fatalf("forest edges %d, want %d", len(edges), want)
+	if want := g.N() - d.NumClusters(); links != want {
+		t.Fatalf("forest edges %d, want %d", links, want)
 	}
 }
 
@@ -119,9 +148,9 @@ func TestClusterIndexDense(t *testing.T) {
 func TestMembersPartition(t *testing.T) {
 	g := gen.RMAT(8, 6, 0.57, 0.19, 0.19, 3)
 	d := Decompose(g, 0.4, 5)
-	members := d.Members()
+	clusters := members(d)
 	total := 0
-	for i, mem := range members {
+	for i, mem := range clusters {
 		total += len(mem)
 		for _, v := range mem {
 			if d.Cluster[v] != d.Centers[i] {
@@ -150,7 +179,7 @@ func TestConnectedClusters(t *testing.T) {
 	// cluster from its center must reach all members.
 	g := gen.Grid2D(15, 15, true)
 	d := Decompose(g, 0.5, 21)
-	for i, mem := range d.Members() {
+	for i, mem := range members(d) {
 		sub, remap := g.InducedSubgraph(mem)
 		center := remap[d.Centers[i]]
 		res := traverse.BFS(sub, center, 1)

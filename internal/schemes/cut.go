@@ -18,15 +18,16 @@ import (
 // cut within 1±ε w.h.p. for rho = O(log n / ε²).
 //
 // rho=auto picks the standard 8·ln(n) (ε ≈ 1/2 constants); larger rho keeps
-// more edges and tightens cut preservation. The forest decomposition walks a
-// CSR, decoded once from a packed or mapped input.
-func cutSparsify(in graph.AdjacencyEdges, a Args) (*Result, error) {
-	g, rho := graph.CSROf(in, a.Workers), a.Float("rho")
+// more edges and tightens cut preservation. The forest decomposition reads
+// the SG's edge columns, which the edge kernel then reuses.
+func cutSparsify(g graph.AdjacencyEdges, a Args) (*Result, error) {
+	rho := a.Float("rho")
 	if rho <= 0 {
 		rho = 8 * math.Log(float64(max(g.N(), 2)))
 	}
-	strength := forestIndices(g)
 	sg := core.New(g, a.Seed, a.Workers)
+	eu, ev := sg.EdgeColumns()
+	strength := forestIndices(g.N(), eu, ev)
 	sg.RunEdgeKernel(func(sg *core.SG, r *rng.Rand, e core.EdgeView) {
 		stay := math.Min(1, rho/float64(strength[e.ID]))
 		if stay < r.Float64() {
@@ -38,15 +39,16 @@ func cutSparsify(in graph.AdjacencyEdges, a Args) (*Result, error) {
 	return &Result{Output: sg.Materialize()}, nil
 }
 
-// forestIndices assigns every edge its Nagamochi–Ibaraki forest index: the
-// round in which a repeated spanning-forest extraction picks it up. Edges
-// in forest i connect components that survived i-1 previous forests, so
-// the local edge connectivity of their endpoints is at least i. Indices
-// are capped at maxForests (such edges are extremely well connected and
-// sampled hardest anyway).
-func forestIndices(g *graph.Graph) []int32 {
+// forestIndices assigns every canonical edge (eu[e], ev[e]) of an n-vertex
+// graph its Nagamochi–Ibaraki forest index: the round in which a repeated
+// spanning-forest extraction picks it up. Edges in forest i connect
+// components that survived i-1 previous forests, so the local edge
+// connectivity of their endpoints is at least i. Indices are capped at
+// maxForests (such edges are extremely well connected and sampled hardest
+// anyway).
+func forestIndices(n int, eu, ev []graph.NodeID) []int32 {
 	const maxForests = 64
-	m := g.M()
+	m := len(eu)
 	index := make([]int32, m)
 	remaining := make([]graph.EdgeID, m)
 	for e := range remaining {
@@ -59,11 +61,10 @@ func forestIndices(g *graph.Graph) []int32 {
 			}
 			break
 		}
-		uf := unionfind.New(g.N())
+		uf := unionfind.New(n)
 		next := remaining[:0]
 		for _, e := range remaining {
-			u, v := g.EdgeEndpoints(e)
-			if uf.Union(u, v) {
+			if uf.Union(eu[e], ev[e]) {
 				index[e] = round // joined the round-th forest
 			} else {
 				next = append(next, e)

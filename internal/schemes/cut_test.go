@@ -28,7 +28,8 @@ func bottleneck(s, bridges int) *graph.Graph {
 
 func TestForestIndicesBottleneck(t *testing.T) {
 	g := bottleneck(10, 2)
-	idx := forestIndices(g)
+	eu, ev := g.EdgeColumns()
+	idx := forestIndices(g.N(), eu, ev)
 	// Bridge edges connect otherwise-separate components: index 1 or 2.
 	for e := 0; e < g.M(); e++ {
 		u, v := g.EdgeEndpoints(graph.EdgeID(e))
@@ -44,7 +45,8 @@ func TestForestIndicesBottleneck(t *testing.T) {
 
 func TestForestIndicesTree(t *testing.T) {
 	g := gen.Path(50)
-	for e, i := range forestIndices(g) {
+	eu, ev := g.EdgeColumns()
+	for e, i := range forestIndices(g.N(), eu, ev) {
 		if i != 1 {
 			t.Fatalf("tree edge %d index %d, want 1", e, i)
 		}

@@ -30,36 +30,6 @@ import (
 // raced at several workers in the core and scheme tests.
 const goldenPath = "testdata/golden.txt"
 
-// goldenSpecs covers every registered name. scheduleFree marks the specs
-// whose output may not depend on the worker count (no state shared between
-// kernel instances); small sends a spec to the small graphs only — the
-// schemes that do not run on a core kernel loop (summarize takes 2 s on
-// rmat14) are pinned at a scale that keeps the test's runtime.
-var goldenSpecs = []struct {
-	spec         string
-	scheduleFree bool
-	small        bool
-}{
-	{"uniform:p=0.5", true, false},
-	{"spectral:p=0.5", true, false},
-	{"spectral:p=0.5,reweight=true", true, false},
-	{"vertexsample:p=0.7", true, false},
-	{"lowdeg", true, false},
-	{"cut", true, false},
-	{"spanner:k=8", true, false},
-	{"spanner:k=8,mode=perpair", true, false},
-	{"tr:p=0.5", true, false},
-	{"tr:p=0.5,x=2", true, false},
-	{"tr-eo:p=0.8", false, false},
-	{"tr-ct:p=0.7", false, false},
-	{"tr-maxweight:p=0.9", false, false},
-	{"tr:p=0.5,variant=EO-redirect", false, false},
-	{"tr-collapse:p=0.5", false, false},
-	{"summarize", true, true},
-	{"relabel:order=bfs", true, true},
-	{"lowdeg-iter", true, true},
-}
-
 var goldenGraphs = []struct {
 	name  string
 	small bool

@@ -130,10 +130,11 @@ type Registration struct {
 	// it, because its MST preservation is exact only sequentially.
 	Sequential bool
 	// Apply compresses g with the resolved arguments. g may be packed or
-	// mapped: a kernel that walks CSR internals takes graph.CSROf(g, …) (or
-	// core.SG.Graph), an edge kernel reads g in place. It fills the Result's
-	// Output (and VertexMap / Aux where the scheme has them); the registry
-	// stamps Scheme, Params, Input and Elapsed.
+	// mapped, and a kernel run through core.New reads it in place; only a
+	// scheme that builds a graph on a new vertex set (summarize, relabel,
+	// tr-collapse's contraction) takes a CSR of it through graph.CSROf. It
+	// fills the Result's Output (and VertexMap / Aux where the scheme has
+	// them); the registry stamps Scheme, Params, Input and Elapsed.
 	Apply func(g graph.AdjacencyEdges, a Args) (*Result, error)
 
 	defaults []string // canonical Default per row, filled by Register

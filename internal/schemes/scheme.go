@@ -18,10 +18,11 @@ type Scheme interface {
 	// for parameterless schemes and always parses back: see Spec and Parse.
 	Params() string
 	// Apply compresses g — a *graph.Graph, or a packed or mapped graph, which
-	// the edge-kernel schemes (uniform, spectral) read in place and every
-	// other scheme decodes once (graph.CSROf) — and never mutates it. The
-	// output is the same for every representation of g. Every scheme is deterministic
-	// per seed at one worker. With more workers the output is still the
+	// every scheme reads in place but summarize, relabel and tr-collapse's
+	// contraction, the three that build a graph on a new vertex set and
+	// decode it once (graph.CSROf) — and never mutates it. The output is the
+	// same for every representation of g. Every scheme is deterministic per
+	// seed at one worker. With more workers the output is still the
 	// same for every scheme whose kernel instances share no state; the five
 	// that do — tr-eo, tr-ct, tr-maxweight, tr-eo-redirect (consider-state,
 	// liveness of the other two edges) and tr-collapse (union order) — are

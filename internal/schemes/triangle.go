@@ -81,11 +81,10 @@ func (v TRVariant) String() string {
 // the given variant. Work is O(m^{3/2}) for the triangle enumeration
 // (Table 2); the CT variant adds one extra enumeration to count triangles
 // per edge. x is 1 for every variant but the basic one, which also takes 2.
-// The engine and the kernels run on a CSR, decoded once from a packed or
-// mapped input.
+// The engine and the kernels read a packed or mapped g in place.
 func triangleReduction(variant TRVariant) func(graph.AdjacencyEdges, Args) (*Result, error) {
-	return func(in graph.AdjacencyEdges, a Args) (*Result, error) {
-		g, p := graph.CSROf(in, a.Workers), a.Float("p")
+	return func(g graph.AdjacencyEdges, a Args) (*Result, error) {
+		p := a.Float("p")
 		if variant == TRCollapse {
 			return collapseTR(g, p, a), nil
 		}
@@ -195,8 +194,10 @@ func trKernel(variant TRVariant, trStays float64, x int, perEdge []int64) core.T
 
 // collapseTR implements Triangle p-Reduction by Collapse: sampled
 // triangles are merged into supervertices via union-find, then the graph is
-// contracted (parallel edges merged, loops dropped).
-func collapseTR(g *graph.Graph, p float64, a Args) *Result {
+// contracted (parallel edges merged, loops dropped). The kernel reads g in
+// place; the contraction, which builds a graph on a new vertex set, takes a
+// CSR of it (graph.CSROf).
+func collapseTR(g graph.AdjacencyEdges, p float64, a Args) *Result {
 	uf := unionfind.New(g.N())
 	var mu sync.Mutex
 	sg := core.New(g, a.Seed, a.Workers)
@@ -209,6 +210,6 @@ func collapseTR(g *graph.Graph, p float64, a Args) *Result {
 		uf.Union(t.V[1], t.V[2])
 		mu.Unlock()
 	})
-	contracted, remap := g.Contract(uf.Labels())
+	contracted, remap := graph.CSROf(g, a.Workers).Contract(uf.Labels())
 	return &Result{Output: contracted, VertexMap: remap}
 }

@@ -33,8 +33,8 @@ func lowDegreeIterative(g graph.AdjacencyEdges, a Args) (*Result, error) {
 }
 
 // peelLeaves is one pass of the kernel. It draws no random numbers, so the
-// seed is moot. A vertex kernel reads the SG's CSR, decoded once from a
-// packed or mapped g.
+// seed is moot. The vertex kernel reads a packed or mapped g's degrees in
+// place.
 func peelLeaves(g graph.AdjacencyEdges, workers int) *graph.Graph {
 	sg := core.New(g, 0, workers)
 	sg.RunVertexKernel(func(sg *core.SG, r *rng.Rand, v core.VertexView) {

@@ -23,10 +23,10 @@ const (
 	// (typically 3-5x smaller). Every query over the original — BFS,
 	// PageRank, triangles, degrees, and the original side of compare —
 	// runs on the packed form in place, and so does computing a variant
-	// with an edge-kernel scheme (uniform, spectral, and pipelines that
-	// start with one). Only a scheme that walks CSR internals decodes a
-	// transient copy (graph.CSROf), dropped once the variant is cached.
-	// Answers are byte-identical to MemoryRaw.
+	// with any scheme but the three that build a graph on a new vertex set
+	// (summarize, relabel, tr-collapse), which decode a transient copy
+	// (graph.CSROf), dropped once the variant is cached. Answers are
+	// byte-identical to MemoryRaw.
 	MemoryPacked = "packed"
 )
 
@@ -193,7 +193,8 @@ func (e *entry) residency() string {
 // and the triangle arena are dropped. In-flight queries that acquired the
 // heap form before the spill keep it alive until they finish; new acquires
 // get the mapping. Returns the heap bytes freed (0 when there was nothing to
-// spill or the snapshot would not map).
+// spill or the snapshot would not map). Only dropping a heap form counts as
+// a graph spill: on an entry already mapped, spill just reclaims the arena.
 func (e *entry) spill(store *store) int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -208,8 +209,10 @@ func (e *entry) spill(store *store) int64 {
 		}
 		e.mapped = m
 	}
+	if e.heap != nil {
+		e.cat.tier.graphSpills.Add(1)
+	}
 	e.heap, e.engine = nil, nil
-	e.cat.tier.graphSpills.Add(1)
 	return freed
 }
 

@@ -248,9 +248,10 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 		// pipeline family covers multi-stage specs; /compress responses
 		// carry the per-stage breakdown). Only real executions observe:
 		// hits, coalesced waiters, and disk fault-ins cost no compression
-		// time. The scheme reads the pinned resident form as it is: an edge
-		// kernel walks a packed or mapped graph in place, a CSR scheme
-		// decodes it once and drops the decode with the Result below.
+		// time. The scheme reads the pinned resident form in place; the
+		// three that build a graph on a new vertex set (summarize, relabel,
+		// tr-collapse) decode it once and drop the decode with the Result
+		// below.
 		v, err := acquireView(e)
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"net/url"
 	"reflect"
 	"regexp"
+	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -13,8 +14,9 @@ import (
 )
 
 // TestPackedQueryPathsNeverUnpack pins the serving-layer guarantee that no
-// /v1/graphs path unpacks a packed or mapped catalog entry: an edge-kernel
-// compress (uniform, spectral) reads the entry in place; BFS, PageRank,
+// /v1/graphs path unpacks a packed or mapped catalog entry: a compress reads
+// the entry in place — edge kernels (uniform, spectral), triangle kernels
+// (tr-eo) and the subgraph kernel (spanner) alike; BFS, PageRank,
 // triangles (exact and approximate), degrees, and the original side of
 // compare all run on the resident form; and a variant faulted back in from
 // the disk tier serves from its mapping. The Unpack tripwire is armed before
@@ -58,11 +60,16 @@ func TestPackedQueryPathsNeverUnpack(t *testing.T) {
 		t.Fatalf("residency %q, want %q (budget 1)", info.Residency, ResidencyMapped)
 	}
 
-	// Compress on every server: the responses agree but for timing.
-	specs := []string{"uniform:p=0.5", "spectral:p=1,reweight=true"}
-	compress := func(base, spec string) CompressResponse {
+	// Compress on every server: the responses agree but for timing. tr-eo
+	// runs at one worker, the only count at which its output is fixed
+	// (Scheme.Apply).
+	specs := []struct {
+		spec    string
+		workers int
+	}{{"uniform:p=0.5", 2}, {"spectral:p=1,reweight=true", 2}, {"tr-eo:p=0.8", 1}, {"spanner:k=8", 2}}
+	compress := func(base, spec string, workers int) CompressResponse {
 		t.Helper()
-		code, body := postJSON(t, base+"/v1/graphs/g/compress", map[string]any{"spec": spec, "seed": 3, "workers": 2})
+		code, body := postJSON(t, base+"/v1/graphs/g/compress", map[string]any{"spec": spec, "seed": 3, "workers": workers})
 		mustStatus(t, http.StatusOK, code, body)
 		var r CompressResponse
 		mustJSON(t, body, &r)
@@ -72,14 +79,14 @@ func TestPackedQueryPathsNeverUnpack(t *testing.T) {
 		}
 		return r
 	}
-	for _, spec := range specs {
-		want := compress(rawTS.URL, spec)
+	for _, sp := range specs {
+		want := compress(rawTS.URL, sp.spec, sp.workers)
 		for _, base := range servers[1:] {
-			if got := compress(base, spec); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s on %s: %+v, raw twin %+v", spec, base, got, want)
+			if got := compress(base, sp.spec, sp.workers); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: %+v, raw twin %+v", sp.spec, base, got, want)
 			}
 		}
-		noUnpack("compress " + spec)
+		noUnpack("compress " + sp.spec)
 	}
 
 	queries := []string{
@@ -91,15 +98,18 @@ func TestPackedQueryPathsNeverUnpack(t *testing.T) {
 		"/v1/graphs/g/triangles?workers=2",
 		"/v1/graphs/g/degrees?workers=2",
 	}
-	for _, spec := range specs {
-		q := "spec=" + url.QueryEscape(spec) + "&seed=3&workers=2"
+	variant := func(i int) string {
+		return "spec=" + url.QueryEscape(specs[i].spec) + "&seed=3&workers=" + strconv.Itoa(specs[i].workers)
+	}
+	for i := range specs {
+		q := variant(i)
 		queries = append(queries, "/v1/graphs/g/bfs?root=0&"+q, "/v1/graphs/g/degrees?"+q,
 			"/v1/graphs/g/triangles?"+q, "/v1/graphs/g/compare?"+q)
 	}
-	// The last query: the mapped server's one slot holds the second spec's
+	// The last queries: the mapped server's one slot holds the last spec's
 	// variant, so BFS and degrees over the first fault it in from disk.
-	faultIn := "spec=" + url.QueryEscape(specs[0]) + "&seed=3&workers=2"
-	queries = append(queries, "/v1/graphs/g/degrees?spec="+url.QueryEscape(specs[1])+"&seed=3&workers=2",
+	faultIn := variant(0)
+	queries = append(queries, "/v1/graphs/g/degrees?"+variant(len(specs)-1),
 		"/v1/graphs/g/bfs?root=0&"+faultIn, "/v1/graphs/g/degrees?"+faultIn)
 	faultIns := &mapped.Local().catalog.tier.variantFaultIns
 	for _, q := range queries {

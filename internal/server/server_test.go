@@ -343,12 +343,12 @@ func TestUploadFormats(t *testing.T) {
 	}
 }
 
-// test-pin decodes its input as every CSR scheme does (graph.CSROf: the one
-// transient decode of a packed or mapped entry on the compress path), runs
-// the armed probe's inner spec — a CSR scheme — on that decode and returns
-// the inner scheme's Result as it is — Aux, stage Results and all — after
-// setting finalizers that report on freed when the decode and, if the probe
-// says it is an intermediate stage's, the output are collected.
+// test-pin decodes its input as summarize, relabel and tr-collapse do
+// (graph.CSROf: the one transient decode of a packed or mapped entry on the
+// compress path), runs the armed probe's inner spec on that decode and
+// returns the inner scheme's Result as it is — Aux, stage Results and all —
+// after setting finalizers that report on freed when the decode and, if the
+// probe says it is an intermediate stage's, the output are collected.
 type pinProbe struct {
 	inner        string
 	intermediate bool
@@ -382,10 +382,10 @@ func init() {
 }
 
 // TestPackedVariantDoesNotPinRawInput checks a cached variant of a packed
-// or mapped graph keeps nothing but its own output alive. Edge-kernel
-// schemes read such an entry in place and make no CSR of it; the cases here
-// are CSR schemes, which decode one transiently (graph.CSROf). The variant
-// must not pin that decode — the raw copy the packed memory policy exists to
+// or mapped graph keeps nothing but its own output alive. Most schemes read
+// such an entry in place and make no CSR of it; the cases here decode one
+// transiently (graph.CSROf), as the schemes that build a graph on a new
+// vertex set do. The variant must not pin that decode — the raw copy the packed memory policy exists to
 // avoid keeping resident, which a summarize Result reaches through its
 // Summary — nor a pipeline's intermediate graphs, which its stage Results
 // reach. The finalizers must run while the variant is still cached.

@@ -168,8 +168,7 @@ func TestTierWarmRestart(t *testing.T) {
 	}
 	succinct.UnpackHook = nil
 
-	// Variants still compute correctly over the mapped original (this path
-	// legitimately unpacks one transient copy).
+	// Variants still compute correctly over the mapped original.
 	code, body = get(t, secondTS.URL+"/v1/graphs/g/bfs?root=0&spec=uniform:p=0.5&seed=3&workers=2")
 	mustStatus(t, http.StatusOK, code, body)
 	code, wantVar := get(t, firstTS.URL+"/v1/graphs/g/bfs?root=0&spec=uniform:p=0.5&seed=3&workers=2")
@@ -251,6 +250,41 @@ func TestTierBudgetSpill(t *testing.T) {
 	}
 	if mapped == 0 {
 		t.Fatal("no mapped bytes after spill")
+	}
+}
+
+// TestArenaReclaimIsNotAGraphSpill pins the graph-spill counter to dropped
+// heap forms: after a restart over a tiny budget the graph is attached
+// mapped, so when the budget reclaims the triangle arena each exact count
+// builds, nothing is spilled — graphSpills stays 0 (on /v1/stats and on
+// slimgraph_catalog_tier_graph_spills_total) while the arena bytes go.
+func TestArenaReclaimIsNotAGraphSpill(t *testing.T) {
+	dir := t.TempDir()
+	_, firstTS := newTestServer(t, Options{MaxWorkers: 2, DataDir: dir})
+	code, body := postJSON(t, firstTS.URL+"/v1/graphs", map[string]any{
+		"name": "g", "gen": "communities", "numVertices": 400, "seed": 11,
+	})
+	mustStatus(t, http.StatusCreated, code, body)
+
+	second, secondTS := newTestServer(t, Options{MaxWorkers: 2, DataDir: dir, MemBudget: 1})
+	cat := second.Local().catalog
+	for i := 0; i < 2; i++ {
+		code, body := get(t, secondTS.URL+"/v1/graphs/g/triangles?workers=2")
+		mustStatus(t, http.StatusOK, code, body)
+		raw, packed, arena, mapped := cat.residentBytes()
+		if raw != 0 || packed != 0 || arena != 0 || mapped == 0 {
+			t.Fatalf("after exact count %d: raw=%d packed=%d arena=%d mapped=%d, want mapped bytes only", i+1, raw, packed, arena, mapped)
+		}
+		if n := cat.tier.graphSpills.Load(); n != 0 {
+			t.Fatalf("after exact count %d: %d graph spills, want 0 (the graph was mapped all along)", i+1, n)
+		}
+	}
+	code, body = get(t, secondTS.URL+"/metrics")
+	mustStatus(t, http.StatusOK, code, body)
+	for _, series := range []string{"slimgraph_catalog_tier_graph_spills_total 0", "slimgraph_triangle_engine_builds_total 2"} {
+		if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + `$`).Match(body) {
+			t.Errorf("metrics lack %q", series)
+		}
 	}
 }
 

@@ -59,9 +59,11 @@
 //     block start, using exactly ceil(log2(max block payload)) bits per
 //     vertex. Degree, Neighbors, ForNeighbors, ScanInLists and
 //     FirstInNeighborIn decode on the fly; Unpack restores a bit-identical
-//     graph.Graph. The canonical-edge readers — ForEdges, FillEdgeColumns
-//     (what an edge kernel compresses a packed graph in place from) and
-//     Unpack — hand out only canonical edges: an endpoint outside [0, n), a
+//     graph.Graph, reached on the compression path only by the three
+//     schemes that build a graph on a new vertex set (summarize, relabel,
+//     tr-collapse's contraction). The canonical-edge readers — ForEdges,
+//     FillEdgeColumns (the edge columns every core kernel compresses a
+//     packed graph in place from) and Unpack — hand out only canonical edges: an endpoint outside [0, n), a
 //     self-loop, or a block holding more or fewer edges than the directory
 //     declares panics as a corrupt packed graph, in the caller's goroutine.
 //
