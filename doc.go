@@ -168,10 +168,13 @@
 // LRU-evicted cache variants — to the same directory, after which they
 // serve mapped: graphs in place, and variants once faulted back in from
 // disk instead of recomputed, as an attached mapping that a second eviction
-// closes rather than rewrites. DELETE removes the snapshots and defers every
-// munmap until in-flight queries drain. Residency (raw, packed, mapped) shows
-// per graph on the catalog endpoints, with tier counters on /v1/stats
-// and slimgraph_catalog_tier_* metrics.
+// closes rather than rewrites. A cached variant is held, pinned and dropped
+// exactly like a catalog graph, and a graph owns its spilled variants: a
+// create clears any a predecessor of the same name left behind, and DELETE
+// removes them before the graph's snapshot, deferring every munmap until
+// in-flight queries drain. Residency (raw, packed, mapped) shows per graph
+// on the catalog endpoints, with tier counters on /v1/stats and
+// slimgraph_catalog_tier_* metrics.
 //
 // # Cluster
 //

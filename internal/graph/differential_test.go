@@ -1,7 +1,7 @@
 package graph
 
 // Differential tests: every rebuild-free construction path (parallel
-// counting-sort build, sorted-canonical scatter, direct CSR→CSR transforms)
+// counting-sort build, sorted-canonical scatter, direct CSR→CSR filter)
 // must produce graphs bit-identical to the serial sort-based
 // ReferenceBuild, over randomized directed/undirected × weighted/unweighted
 // inputs, and must be invariant under the worker count.
@@ -87,18 +87,21 @@ func TestFilterEdgesMatchesReference(t *testing.T) {
 					kept = append(kept, Edge{U: g.edgeU[e], V: g.edgeV[e], W: g.EdgeWeight(EdgeID(e))})
 				}
 			}
-			got := g.FilterEdges(func(e EdgeID) bool { return keep[e] }, nil)
+			got := filterBy(g, func(e EdgeID) bool { return keep[e] }, nil)
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%v trial %d: %v", c, trial, err)
 			}
 			want := ReferenceBuild(n, c.directed, c.weighted, kept)
 			if !got.Equal(want) {
-				t.Fatalf("%v trial %d: CSR→CSR filter differs from sort-based rebuild", c, trial)
+				t.Fatalf("%v trial %d: filter differs from sort-based rebuild", c, trial)
 			}
 		}
 	}
 }
 
+// TestFilterEdgeSetMatchesFilterEdges: a keep set built bit by bit and one
+// built by AddBatch filter alike, and the CSR→CSR path equals FilterColumns
+// over the same canonical columns.
 func TestFilterEdgeSetMatchesFilterEdges(t *testing.T) {
 	r := rng.New(11)
 	g := FromEdges(40, false, randomEdges(r, 40, 250, false))
@@ -111,39 +114,11 @@ func TestFilterEdgeSetMatchesFilterEdges(t *testing.T) {
 		}
 	}
 	a := g.FilterEdgeSet(set, nil)
-	b := g.FilterEdges(func(e EdgeID) bool { return keep[e] }, nil)
-	if !a.Equal(b) {
-		t.Fatal("FilterEdgeSet and FilterEdges disagree")
+	if b := filterBy(g, func(e EdgeID) bool { return keep[e] }, nil); !a.Equal(b) {
+		t.Fatal("FilterEdgeSet over per-bit and batch keep sets disagree")
 	}
-}
-
-func TestCompactMatchesReference(t *testing.T) {
-	for _, c := range buildCases() {
-		r := rng.New(13)
-		for trial := 0; trial < 12; trial++ {
-			n := r.Intn(50) + 2
-			g, _ := buildBoth(t, c, n, randomEdges(r, n, r.Intn(300), c.weighted))
-			dead := make([]bool, n)
-			for v := range dead {
-				dead[v] = r.Bernoulli(0.3)
-			}
-			got, remap := g.Compact(func(v NodeID) bool { return dead[v] })
-			if err := got.Validate(); err != nil {
-				t.Fatalf("%v trial %d: %v", c, trial, err)
-			}
-			var kept []Edge
-			for e := 0; e < g.M(); e++ {
-				u, v := remap[g.edgeU[e]], remap[g.edgeV[e]]
-				if u < 0 || v < 0 {
-					continue
-				}
-				kept = append(kept, Edge{U: u, V: v, W: g.EdgeWeight(EdgeID(e))})
-			}
-			want := ReferenceBuild(got.N(), c.directed, c.weighted, kept)
-			if !got.Equal(want) {
-				t.Fatalf("%v trial %d: Compact differs from sort-based rebuild", c, trial)
-			}
-		}
+	if c := FilterColumns(g.N(), false, g.edgeU, g.edgeV, set, nil, 0); !a.Equal(c) {
+		t.Fatal("FilterEdgeSet and FilterColumns disagree")
 	}
 }
 
@@ -193,9 +168,9 @@ func TestBuildWorkerIndependence(t *testing.T) {
 		if g := FromWeightedEdges(n, true, edges); !g.Equal(baseDir) {
 			t.Fatalf("GOMAXPROCS=%d: directed build differs from serial", procs)
 		}
-		filtered := base.FilterEdges(func(e EdgeID) bool { return e%3 != 0 }, nil)
+		filtered := filterBy(base, func(e EdgeID) bool { return e%3 != 0 }, nil)
 		runtime.GOMAXPROCS(1)
-		if serial := base.FilterEdges(func(e EdgeID) bool { return e%3 != 0 }, nil); !serial.Equal(filtered) {
+		if serial := filterBy(base, func(e EdgeID) bool { return e%3 != 0 }, nil); !serial.Equal(filtered) {
 			t.Fatalf("GOMAXPROCS=%d: filter differs from serial", procs)
 		}
 	}
@@ -284,9 +259,13 @@ func TestEdgeSetBasics(t *testing.T) {
 		t.Fatal("UnionComplement wrong")
 	}
 	var members []EdgeID
-	s.ForEachMember(1, func(e EdgeID) { members = append(members, e) })
+	for e := EdgeID(0); int(e) < s.Len(); e++ {
+		if s.Contains(e) {
+			members = append(members, e)
+		}
+	}
 	if len(members) != 2 || members[0] != 5 || members[1] != 64 {
-		t.Fatalf("ForEachMember %v", members)
+		t.Fatalf("members %v", members)
 	}
 }
 

@@ -55,18 +55,6 @@ func (s *EdgeSet) Subtract(o *EdgeSet) { s.bits.Subtract(o.bits) }
 // operation: requires writer quiescence and equal universe sizes.
 func (s *EdgeSet) UnionComplement(o *EdgeSet) { s.bits.UnionComplement(o.bits) }
 
-// ForEachMember calls body(e) for every member, in increasing EdgeID order
-// when workers == 1. Requires writer quiescence.
-func (s *EdgeSet) ForEachMember(workers int, body func(e EdgeID)) {
-	parallel.ForChunks(s.Len(), workers, func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			if s.bits.Get(e) {
-				body(EdgeID(e))
-			}
-		}
-	})
-}
-
 // AddBatch evaluates pred once per EdgeID in the universe and inserts the
 // members with whole-word stores — an order of magnitude cheaper than
 // per-bit Add when a predicate covers the full universe. Bulk operation:

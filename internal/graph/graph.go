@@ -7,7 +7,7 @@
 // u <= v) and referenced from both CSR directions, so "atomically delete
 // edge e" is a single bit set shared by both directions, and edge weights
 // are stored exactly once. Directed graphs use the directed edge list as the
-// canonical list and additionally keep an in-neighbor CSR.
+// canonical list and additionally keep an in-neighbor CSR (neighbors only).
 //
 // # Rebuild-free construction
 //
@@ -28,11 +28,11 @@
 //   - Input that is already a sorted canonical edge list (a compressed
 //     graph's surviving edges, a binary CSR snapshot) skips normalization,
 //     sorting, and deduplication entirely via FromCanonicalEdges and the
-//     internal fromSortedCanonical path. The CSR→CSR transforms in
-//     transform.go (FilterEdgeSet, FilterEdges, Compact, ...) exploit this:
-//     deleting edges, isolating vertices, and monotone renumberings stream
-//     the old CSR through a kept-edge bitset and an EdgeID remap without
-//     ever materializing or sorting an []Edge.
+//     internal fromSortedCanonical path. The filters in transform.go
+//     (FilterEdgeSet, FilterColumns) exploit this: deleting edges streams
+//     the old CSR, or the kept canonical columns, through a kept-edge
+//     bitset and an EdgeID remap without ever materializing or sorting an
+//     []Edge.
 //
 // All construction paths are deterministic: for a fixed input the CSR
 // arrays are bit-identical regardless of the worker count, which the
@@ -68,7 +68,7 @@ func E(u, v NodeID) Edge { return Edge{U: u, V: v, W: 1} }
 func WE(u, v NodeID, w float64) Edge { return Edge{U: u, V: v, W: w} }
 
 // Graph is an immutable CSR graph. Compression never mutates a Graph; it
-// produces a new one via FilterEdges, Compact, or Contract.
+// produces a new one via FilterEdgeSet, FilterColumns, or Contract.
 type Graph struct {
 	n        int
 	directed bool
@@ -80,10 +80,10 @@ type Graph struct {
 	nbrs    []NodeID
 	eids    []EdgeID
 
-	// In-adjacency CSR, built only for directed graphs.
+	// In-adjacency CSR, built only for directed graphs. Nothing reads the
+	// edge IDs of an in-list, so it keeps none.
 	inOffsets []int64
 	inNbrs    []NodeID
-	inEids    []EdgeID
 
 	// Canonical edge list; for undirected graphs edgeU[e] <= edgeV[e].
 	edgeU []NodeID
@@ -142,15 +142,6 @@ func (g *Graph) InNeighbors(v NodeID) []NodeID {
 	return g.inNbrs[g.inOffsets[v]:g.inOffsets[v+1]]
 }
 
-// InNeighborEdges is NeighborEdges for the in-direction.
-func (g *Graph) InNeighborEdges(v NodeID) ([]NodeID, []EdgeID) {
-	if !g.directed {
-		return g.NeighborEdges(v)
-	}
-	lo, hi := g.inOffsets[v], g.inOffsets[v+1]
-	return g.inNbrs[lo:hi], g.inEids[lo:hi]
-}
-
 // EdgeEndpoints returns the canonical endpoints of edge e. For undirected
 // graphs u <= v.
 func (g *Graph) EdgeEndpoints(e EdgeID) (u, v NodeID) {
@@ -202,6 +193,24 @@ func (g *Graph) TotalWeight() float64 {
 		s += w
 	}
 	return s
+}
+
+// CSRBytes is the resident size in bytes of a Graph with this shape: the
+// out-CSR (64-bit offsets, 32-bit neighbor and edge-ID columns), for a
+// directed graph the in-CSR (offsets and 32-bit neighbors), and the
+// canonical edge list with optional weights. Slice headers and capacity
+// slack are ignored. It is the one statement of the CSR layout's size:
+// succinct.Stats and the server's residency gauges both report it.
+func CSRBytes(n, arcs, m int, directed, weighted bool) int64 {
+	offsets := int64(n+1) * 8
+	b := offsets + int64(arcs)*8 + int64(m)*8
+	if directed {
+		b += offsets + int64(arcs)*4
+	}
+	if weighted {
+		b += int64(m) * 8
+	}
+	return b
 }
 
 // MaxDegree returns the maximum out-degree.
@@ -315,12 +324,6 @@ func NewBuilder(n int, directed bool) *Builder {
 
 // AddEdge adds an unweighted edge (weight 1).
 func (b *Builder) AddEdge(u, v NodeID) { b.edges = append(b.edges, Edge{U: u, V: v, W: 1}) }
-
-// AddWeightedEdge adds a weighted edge and marks the graph weighted.
-func (b *Builder) AddWeightedEdge(u, v NodeID, w float64) {
-	b.weighted = true
-	b.edges = append(b.edges, Edge{U: u, V: v, W: w})
-}
 
 // AddEdges adds a batch of edges; any non-unit weight marks the graph
 // weighted.
@@ -518,13 +521,9 @@ func fromSortedCanonical(n int, directed, weighted bool, eu, ev []NodeID, ew []f
 		// In-CSR: stable scatter by destination; sortedness by U within
 		// each destination bucket follows from the edge-ID order.
 		g.inNbrs = make([]NodeID, m)
-		g.inEids = make([]EdgeID, m)
 		g.inOffsets = parallel.CountingScatter(m, n, workers,
 			func(e int) int { return int(ev[e]) },
-			func(e int, pos int64) {
-				g.inNbrs[pos] = eu[e]
-				g.inEids[pos] = EdgeID(e)
-			})
+			func(e int, pos int64) { g.inNbrs[pos] = eu[e] })
 		return g
 	}
 	// Undirected: scatter both arcs of every edge, in edge-ID order (arc 2e
@@ -631,7 +630,7 @@ func (g *Graph) Equal(h *Graph) bool {
 	if !nodesEqual(g.nbrs, h.nbrs) || !nodesEqual(g.inNbrs, h.inNbrs) {
 		return false
 	}
-	if !nodesEqual(g.eids, h.eids) || !nodesEqual(g.inEids, h.inEids) {
+	if !nodesEqual(g.eids, h.eids) {
 		return false
 	}
 	if !nodesEqual(g.edgeU, h.edgeU) || !nodesEqual(g.edgeV, h.edgeV) {

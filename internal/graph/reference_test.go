@@ -80,13 +80,13 @@ func ReferenceBuild(n int, directed, weighted bool, input []Edge) *Graph {
 		}
 		g.inOffsets = serialPrefixSum(indeg)
 		g.inNbrs = make([]NodeID, m)
-		g.inEids = make([]EdgeID, m)
+		inEids := make([]EdgeID, m)
 		incur := make([]int64, n)
 		copy(incur, g.inOffsets[:n])
 		for e, ed := range edges {
-			referencePlace(g.inNbrs, g.inEids, incur, ed.V, ed.U, EdgeID(e))
+			referencePlace(g.inNbrs, inEids, incur, ed.V, ed.U, EdgeID(e))
 		}
-		referenceSortAdjacency(n, g.inOffsets, g.inNbrs, g.inEids)
+		referenceSortAdjacency(n, g.inOffsets, g.inNbrs, inEids)
 	}
 	return g
 }

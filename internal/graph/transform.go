@@ -5,16 +5,14 @@ package graph
 // compact CSR of the survivors (the "compression" output of §3.2).
 //
 // The canonical edge list of every Graph is sorted by (U, V), and removing
-// edges or applying a monotone vertex renumbering preserves that order. The
-// transforms exploit this: FilterEdgeSet, FilterEdges, IsolateVertices,
-// Reweight, and Compact stream the old CSR directly into the new one —
-// a kept-edge bitset, an EdgeID remap, and per-vertex copies — with no
-// []Edge materialization and no sorting of any kind. FilterColumns is the
-// same filter for an input that is not a CSR: its kept canonical columns go
-// straight into the sort-free construction. Only transforms that
-// scramble vertex order (Contract with arbitrary labels, InducedSubgraph
-// with an unsorted vertex list, Symmetrize) fall back to the parallel
-// counting-sort build.
+// edges preserves that order. The filters exploit this: FilterEdgeSet and
+// Reweight stream an undirected CSR directly into the new one — a kept-edge
+// bitset, an EdgeID remap, and per-vertex copies — with no []Edge
+// materialization and no sorting of any kind. FilterColumns is the same
+// filter over canonical edge columns (a graph that is not a CSR, or a
+// directed one, whose out-CSR is the kept column itself): the kept columns
+// go straight into the sort-free construction. Only Contract, whose labels
+// scramble vertex order, falls back to the parallel counting-sort build.
 
 import (
 	"fmt"
@@ -29,13 +27,21 @@ import (
 // non-nil it supplies the new weight of every kept edge and the result is
 // weighted.
 //
-// This is the direct CSR→CSR path: surviving edges keep their relative
-// order, so the new canonical list is the packed old one, new EdgeIDs are
-// the kept-rank of old ones, and every new adjacency list is a packed copy
-// of the old adjacency — order-preserving, zero sorting, fully parallel.
+// On an undirected graph this is the direct CSR→CSR path: surviving edges
+// keep their relative order, so the new canonical list is the packed old
+// one, new EdgeIDs are the kept-rank of old ones, and every new adjacency
+// list is a packed copy of the old adjacency — order-preserving, zero
+// sorting, fully parallel. A directed graph goes through FilterColumns.
 func (g *Graph) FilterEdgeSet(keep *EdgeSet, reweight func(e EdgeID) float64) *Graph {
 	if keep.Len() != g.M() {
 		panic(fmt.Sprintf("graph: FilterEdgeSet over universe of %d edges, graph has %d", keep.Len(), g.M()))
+	}
+	weight := reweight
+	if weight == nil && g.weighted {
+		weight = g.EdgeWeight
+	}
+	if g.directed {
+		return FilterColumns(g.n, true, g.edgeU, g.edgeV, keep, weight, 0)
 	}
 	rank, mKept := keptRank(keep)
 	if mKept == g.M() {
@@ -46,16 +52,9 @@ func (g *Graph) FilterEdgeSet(keep *EdgeSet, reweight func(e EdgeID) float64) *G
 		}
 		return g.Clone()
 	}
-	weight := reweight
-	if weight == nil && g.weighted {
-		weight = g.EdgeWeight
-	}
-	h := &Graph{n: g.n, directed: g.directed, weighted: weight != nil}
+	h := &Graph{n: g.n, weighted: weight != nil}
 	h.edgeU, h.edgeV, h.edgeW = packKept(g.edgeU, g.edgeV, rank, mKept, weight, 0)
 	h.offsets, h.nbrs, h.eids = packCSR(g.n, g.offsets, g.nbrs, g.eids, rank)
-	if g.directed {
-		h.inOffsets, h.inNbrs, h.inEids = packCSR(g.n, g.inOffsets, g.inNbrs, g.inEids, rank)
-	}
 	return h
 }
 
@@ -178,34 +177,6 @@ func packCSR(n int, offsets []int64, nbrs []NodeID, eids []EdgeID, rank []rankEn
 	return newOffsets, newNbrs, newEids
 }
 
-// FilterEdges returns a new graph containing exactly the canonical edges for
-// which keep returns true; see FilterEdgeSet for the construction. The
-// predicate is evaluated once per edge (in parallel) to materialize the
-// kept-edge set.
-func (g *Graph) FilterEdges(keep func(e EdgeID) bool, reweight func(e EdgeID) float64) *Graph {
-	set := NewEdgeSet(g.M())
-	set.AddBatch(0, keep)
-	return g.FilterEdgeSet(set, reweight)
-}
-
-// IsolateVertices returns a new graph in which every edge incident to a
-// vertex v with remove(v) == true has been deleted. The vertex set is
-// unchanged, which is how Slim Graph's vertex kernels keep outputs of
-// per-vertex algorithms comparable across compression.
-func (g *Graph) IsolateVertices(remove func(v NodeID) bool) *Graph {
-	dead := make([]bool, g.n)
-	parallel.ForChunks(g.n, 0, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			dead[v] = remove(NodeID(v))
-		}
-	})
-	keep := NewEdgeSet(g.M())
-	keep.AddBatch(0, func(e EdgeID) bool {
-		return !dead[g.edgeU[e]] && !dead[g.edgeV[e]]
-	})
-	return g.FilterEdgeSet(keep, nil)
-}
-
 // Reweight returns a copy of the graph with every canonical edge weight
 // replaced by weight(e). The result is always weighted. The topology arrays
 // (offsets, adjacency, EdgeIDs, endpoints) are shared with g — Graphs are
@@ -214,7 +185,7 @@ func (g *Graph) Reweight(weight func(e EdgeID) float64) *Graph {
 	h := &Graph{
 		n: g.n, directed: g.directed, weighted: true,
 		offsets: g.offsets, nbrs: g.nbrs, eids: g.eids,
-		inOffsets: g.inOffsets, inNbrs: g.inNbrs, inEids: g.inEids,
+		inOffsets: g.inOffsets, inNbrs: g.inNbrs,
 		edgeU: g.edgeU, edgeV: g.edgeV,
 		edgeW: make([]float64, g.M()),
 	}
@@ -224,53 +195,6 @@ func (g *Graph) Reweight(weight func(e EdgeID) float64) *Graph {
 		}
 	})
 	return h
-}
-
-// Compact renumbers the graph to exclude vertices with remove(v) == true,
-// dropping their incident edges. It returns the new graph and a mapping
-// old ID -> new ID (-1 for removed vertices).
-//
-// The renumbering is monotone, so the surviving canonical edges stay sorted
-// and canonical; the construction is a pack over the edge columns followed
-// by the sort-free CSR scatter.
-func (g *Graph) Compact(remove func(v NodeID) bool) (*Graph, []NodeID) {
-	remap := make([]NodeID, g.n)
-	next := NodeID(0)
-	for v := 0; v < g.n; v++ {
-		if remove(NodeID(v)) {
-			remap[v] = -1
-		} else {
-			remap[v] = next
-			next++
-		}
-	}
-	h := g.compactByMonotoneRemap(remap, int(next))
-	return h, remap
-}
-
-// compactByMonotoneRemap builds the subgraph on the vertices with
-// remap[v] >= 0, renumbered by remap, which must be strictly increasing on
-// the kept vertices. Kept edges preserve canonical order under a monotone
-// renumbering, so no sorting is needed.
-func (g *Graph) compactByMonotoneRemap(remap []NodeID, newN int) *Graph {
-	keepEdge := func(e int) bool {
-		return remap[g.edgeU[e]] >= 0 && remap[g.edgeV[e]] >= 0
-	}
-	mKept := parallel.Pack(g.M(), 0, keepEdge, nil)
-	eu := make([]NodeID, mKept)
-	ev := make([]NodeID, mKept)
-	var ew []float64
-	if g.weighted {
-		ew = make([]float64, mKept)
-	}
-	parallel.Pack(g.M(), 0, keepEdge, func(e int, pos int64) {
-		eu[pos] = remap[g.edgeU[e]]
-		ev[pos] = remap[g.edgeV[e]]
-		if g.weighted {
-			ew[pos] = g.edgeW[e]
-		}
-	})
-	return fromSortedCanonical(newN, g.directed, g.weighted, eu, ev, ew, 0)
 }
 
 // Contract merges vertices according to mapping, which assigns every old
@@ -332,46 +256,6 @@ func (g *Graph) ContractChecked(mapping []NodeID) (*Graph, []NodeID, error) {
 	return build(int(next), g.directed, g.weighted, edges), remap, nil
 }
 
-// InducedSubgraph returns the subgraph induced by the given vertices,
-// renumbered to [0, len(vertices)), plus the old->new map (-1 if excluded).
-// When vertices is strictly increasing — the common case — the renumbering
-// is monotone and the construction is sort-free.
-func (g *Graph) InducedSubgraph(vertices []NodeID) (*Graph, []NodeID) {
-	remap := make([]NodeID, g.n)
-	for i := range remap {
-		remap[i] = -1
-	}
-	monotone := true
-	for i, v := range vertices {
-		if i > 0 && vertices[i-1] >= v {
-			monotone = false
-		}
-		remap[v] = NodeID(i)
-	}
-	if monotone {
-		return g.compactByMonotoneRemap(remap, len(vertices)), remap
-	}
-	edges := make([]Edge, 0)
-	for e := 0; e < g.M(); e++ {
-		u, v := g.edgeU[e], g.edgeV[e]
-		if remap[u] < 0 || remap[v] < 0 {
-			continue
-		}
-		edges = append(edges, Edge{U: remap[u], V: remap[v], W: g.EdgeWeight(EdgeID(e))})
-	}
-	return build(len(vertices), g.directed, g.weighted, edges), remap
-}
-
-// Symmetrize returns the undirected version of a directed graph (arcs in
-// either direction become one undirected edge). For undirected graphs it
-// returns a structural copy.
-func (g *Graph) Symmetrize() *Graph {
-	if !g.directed {
-		return g.Clone()
-	}
-	return build(g.n, false, g.weighted, g.Edges())
-}
-
 // Clone returns a deep structural copy (used by tests that need to assert
 // immutability of inputs). It copies the CSR arrays directly instead of
 // rebuilding.
@@ -383,7 +267,6 @@ func (g *Graph) Clone() *Graph {
 		eids:      append([]EdgeID(nil), g.eids...),
 		inOffsets: append([]int64(nil), g.inOffsets...),
 		inNbrs:    append([]NodeID(nil), g.inNbrs...),
-		inEids:    append([]EdgeID(nil), g.inEids...),
 		edgeU:     append([]NodeID(nil), g.edgeU...),
 		edgeV:     append([]NodeID(nil), g.edgeV...),
 		edgeW:     append([]float64(nil), g.edgeW...),

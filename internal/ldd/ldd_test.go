@@ -175,14 +175,18 @@ func TestDeterministicPerSeed(t *testing.T) {
 }
 
 func TestConnectedClusters(t *testing.T) {
-	// Every cluster must be connected: BFS inside the induced subgraph of a
-	// cluster from its center must reach all members.
+	// Every cluster must be connected: BFS over the cluster's internal edges
+	// from its center must reach all members.
 	g := gen.Grid2D(15, 15, true)
 	d := Decompose(g, 0.5, 21)
+	idx := d.ClusterIndex()
 	for i, mem := range members(d) {
-		sub, remap := g.InducedSubgraph(mem)
-		center := remap[d.Centers[i]]
-		res := traverse.BFS(sub, center, 1)
+		internal := graph.NewEdgeSet(g.M())
+		internal.AddBatch(0, func(e graph.EdgeID) bool {
+			u, v := g.EdgeEndpoints(e)
+			return int(idx[u]) == i && int(idx[v]) == i
+		})
+		res := traverse.BFS(g.FilterEdgeSet(internal, nil), d.Centers[i], 1)
 		if res.Reached() != len(mem) {
 			t.Fatalf("cluster %d disconnected: reached %d of %d", i, res.Reached(), len(mem))
 		}

@@ -134,32 +134,28 @@ func ForWorker(n, workers int, body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// ForBalanced runs body(lo, hi) over contiguous ranges covering [0, n),
-// cutting the range where the prefix-summed work is equal rather than where
-// the index is: prefix must have length n+1 with prefix[i]-prefix[0] = total
-// weight of items [0, i) (nondecreasing, as produced by ExclusiveScan plus
-// the total; a sub-slice of such an array balances the sub-range it spans).
-// Workers claim ~16 near-equal-work grains each, so a handful of heavy items
-// (hub vertices, dense rows) no longer serialize one chunk. Each item is
-// visited exactly once; zero-weight items ride along with the range that
-// contains them. With workers == 1 the whole range runs inline as one body
-// call in index order.
-func ForBalanced(n, workers int, prefix []int64, body func(lo, hi int)) {
-	ForBalancedWorker(n, workers, prefix, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// ForBalancedWorker is ForBalanced with the claiming worker's index passed
-// to body, so callers can maintain per-worker accumulators without
-// synchronization. Grain boundaries depend only on (n, prefix, workers);
-// which worker claims which grain does not, so per-worker state must be
-// merged order-independently (sums, sets) for worker-count-independent
+// ForBalancedWorker runs body(worker, lo, hi) over contiguous ranges
+// covering [0, n), cutting the range where the prefix-summed work is equal
+// rather than where the index is: prefix must have length n+1 with
+// prefix[i]-prefix[0] = total weight of items [0, i) (nondecreasing, as
+// produced by ExclusiveScan plus the total; a sub-slice of such an array
+// balances the sub-range it spans). Workers claim ~16 near-equal-work grains
+// each, so a handful of heavy items (hub vertices, dense rows) no longer
+// serialize one chunk. Each item is visited exactly once; zero-weight items
+// ride along with the range that contains them. With workers == 1 the whole
+// range runs inline as one body call in index order.
+//
+// The claiming worker's index lets callers keep per-worker accumulators
+// without synchronization. Grain boundaries depend only on (n, prefix,
+// workers); which worker claims which grain does not, so per-worker state
+// must be merged order-independently (sums, sets) for worker-count-independent
 // results.
 func ForBalancedWorker(n, workers int, prefix []int64, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if len(prefix) != n+1 {
-		panic("parallel: ForBalanced prefix must have length n+1")
+		panic("parallel: ForBalancedWorker prefix must have length n+1")
 	}
 	workers = normalize(workers, n)
 	if workers == 1 {
@@ -197,7 +193,7 @@ func ForBalancedWorker(n, workers int, prefix []int64, body func(worker, lo, hi 
 }
 
 // BalancedCut returns where part g begins when the n = len(prefix)-1 items
-// of a ForBalanced prefix array are cut into parts of equal work: the first
+// of a ForBalancedWorker prefix array are cut into parts of equal work: the first
 // index whose prefix reaches g/parts of the total. BalancedCut(prefix, 0,
 // parts) = 0 and BalancedCut(prefix, parts, parts) = n, so the ranges
 // [cut(g), cut(g+1)) tile [0, n) for every parts >= 1 — more parts than

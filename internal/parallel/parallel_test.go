@@ -269,7 +269,7 @@ func TestForBalancedCoversAllIndicesOnce(t *testing.T) {
 				}
 			}
 			hits := make([]int32, n)
-			ForBalanced(n, workers, prefixOf(weights), func(lo, hi int) {
+			ForBalancedWorker(n, workers, prefixOf(weights), func(_, lo, hi int) {
 				// Errorf, not Fatalf: the body runs on worker goroutines.
 				if lo < 0 || hi > n || lo >= hi {
 					t.Errorf("bad range [%d, %d) for n=%d", lo, hi, n)
@@ -299,7 +299,7 @@ func TestForBalancedZeroAndAllZeroWeights(t *testing.T) {
 		n := len(weights)
 		for _, workers := range []int{1, 3, 8} {
 			hits := make([]int32, n)
-			ForBalanced(n, workers, prefixOf(weights), func(lo, hi int) {
+			ForBalancedWorker(n, workers, prefixOf(weights), func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -353,7 +353,7 @@ func TestForBalancedPrefixLengthPanics(t *testing.T) {
 			t.Fatal("no panic for short prefix")
 		}
 	}()
-	ForBalanced(5, 2, make([]int64, 5), func(lo, hi int) {})
+	ForBalancedWorker(5, 2, make([]int64, 5), func(_, lo, hi int) {})
 }
 
 // TestBalancedCutTiles: for any part count — including one no shard count

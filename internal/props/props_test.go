@@ -506,7 +506,9 @@ func TestMSTEdgesFormAcyclicSpanningStructure(t *testing.T) {
 	for _, e := range res.Edges {
 		keep[e] = true
 	}
-	forest := g.FilterEdges(func(e graph.EdgeID) bool { return keep[e] }, nil)
+	kept := graph.NewEdgeSet(g.M())
+	kept.AddBatch(0, func(e graph.EdgeID) bool { return keep[e] })
+	forest := g.FilterEdgeSet(kept, nil)
 	if forest.M() != len(res.Edges) {
 		t.Fatalf("forest m=%d, want %d", forest.M(), len(res.Edges))
 	}

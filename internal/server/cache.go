@@ -3,9 +3,6 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"slimgraph/internal/graph"
-	"slimgraph/internal/succinct"
 )
 
 // Key identifies one compressed variant in the cache: the graph's identity
@@ -47,44 +44,20 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// compressed is what the cache keeps of one compression: exactly what the
-// handlers read of it, computed once where the scheme ran (or its spilled
-// snapshot was faulted in). It holds no reference to the scheme's input,
-// its intermediate stage outputs or its by-products, so a cached variant of
-// a packed or mapped graph cannot pin a transient decode a CSR scheme made
-// of it.
+// compressed is what the cache keeps of one compression: a catalog entry
+// whose heap form is the scheme's output CSR, or whose mapping is the spilled
+// snapshot of one faulted back in (attached, never decoded), plus what the
+// handlers read of the execution. Readers pin it with acquire and the cache
+// closes it when it drops it, as the catalog does a graph. It holds no
+// reference to the scheme's input, its intermediate stage outputs or its
+// by-products, so a cached variant of a packed or mapped graph cannot pin a
+// transient decode a CSR scheme made of it. A variant has no name,
+// generation or policy of its own (its Key is its identity) and builds no
+// triangle arena.
 type compressed struct {
-	// output is the variant: the *graph.Graph the scheme produced, or, for a
-	// variant faulted back in from the disk tier, the *succinct.Mapped of its
-	// spilled servable snapshot — attached, never decoded. Readers pin a
-	// mapping through pin; the cache closes it when it drops the variant.
-	output    graph.AdjacencyEdges
+	*entry
 	elapsedMS float64
 	stages    []StageTiming
-}
-
-// pin returns the output for one reader and the release the reader must
-// call when done. A mapped output is pinned by its reference count, so an
-// eviction or a purge that closes it mid-query defers the munmap; pin fails
-// once the mapping is closed (the variant left the cache under the caller).
-func (c *compressed) pin() (graph.AdjacencyEdges, func(), error) {
-	m, ok := c.output.(*succinct.Mapped)
-	if !ok {
-		return c.output, func() {}, nil
-	}
-	release, err := m.Acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	return m.PackedGraph, release, nil
-}
-
-// close releases what the cache held of a dropped variant: a mapping is
-// unmapped once its readers drain; a heap output is left to the collector.
-func (c *compressed) close() {
-	if m, ok := c.output.(*succinct.Mapped); ok {
-		_ = m.Close()
-	}
 }
 
 // variant is one cache slot.
@@ -113,11 +86,11 @@ type cache struct {
 	calls    map[Key]*call
 	stats    CacheStats
 	// onEvict, when set, receives every variant displaced by the LRU
-	// capacity bound (not ones purged by graph deletion) — the hook the
-	// local engine uses to spill evicted variants to the disk tier, or to
-	// close the mapping of one that was faulted in from there. It is
-	// invoked outside the cache lock, after the insertion that displaced
-	// the variant completes. Set before traffic; never mutated after.
+	// capacity bound (not ones purged by graph deletion) before the cache
+	// closes it — the hook the local engine uses to spill evicted variants to
+	// the disk tier. It is invoked outside the cache lock, after the
+	// insertion that displaced the variant completes. Set before traffic;
+	// never mutated after.
 	onEvict func(key Key, res *compressed)
 }
 
@@ -172,9 +145,7 @@ func (c *cache) get(key Key, compute func() (*compressed, error)) (res *compress
 			v := oldest.Value.(*variant)
 			delete(c.entries, v.key)
 			c.stats.Evictions++
-			if c.onEvict != nil {
-				evicted = append(evicted, v)
-			}
+			evicted = append(evicted, v)
 		}
 	}
 	c.mu.Unlock()
@@ -182,15 +153,17 @@ func (c *cache) get(key Key, compute func() (*compressed, error)) (res *compress
 	// Spill displaced variants outside the lock: the hook may pack and
 	// write a snapshot, and other keys must not queue behind that.
 	for _, v := range evicted {
-		c.onEvict(v.key, v.res)
+		if c.onEvict != nil {
+			c.onEvict(v.key, v.res)
+		}
+		v.res.close()
 	}
 	return fl.res, false, fl.err
 }
 
-// purgeGraph drops every resident variant of the named graph, closing the
-// mappings among them (in-flight executions finish but insert under a Key
-// whose generation no longer resolves). It returns the number of variants
-// dropped.
+// purgeGraph drops and closes every resident variant of the named graph
+// (in-flight executions finish but insert under a Key whose generation no
+// longer resolves). It returns the number of variants dropped.
 func (c *cache) purgeGraph(name string) int {
 	c.mu.Lock()
 	var dropped []*variant
@@ -211,11 +184,10 @@ func (c *cache) purgeGraph(name string) int {
 	return len(dropped)
 }
 
-// purgeKey drops one resident variant, closing its mapping if it has one,
-// and reports whether it was there. An in-flight execution of the key is
-// untouched: it completes and inserts, which is why callers that need "gone
-// for sure" purge after joining or failing the flight, never concurrently
-// with one they started.
+// purgeKey drops and closes one resident variant and reports whether it was
+// there. An in-flight execution of the key is untouched: it completes and
+// inserts, which is why callers that need "gone for sure" purge after
+// joining or failing the flight, never concurrently with one they started.
 func (c *cache) purgeKey(key Key) bool {
 	c.mu.Lock()
 	el, ok := c.entries[key]
@@ -230,19 +202,22 @@ func (c *cache) purgeKey(key Key) bool {
 	return ok
 }
 
-// residency sums the resident variants by where they live: raw, the CSR
-// bytes of computed outputs (rawCSRBytes), and mapped, the servable images
-// of faulted-in ones — with the variant count of each.
+// residency sums the resident variants' footprints by where they live: raw,
+// the CSR bytes of computed outputs, and mapped, the servable images of
+// faulted-in ones — with the variant count of each.
 func (c *cache) residency() (rawBytes, mappedBytes int64, raw, mapped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		switch out := el.Value.(*variant).res.output.(type) {
-		case *graph.Graph:
-			rawBytes += rawCSRBytes(out)
+		e := el.Value.(*variant).res
+		e.mu.Lock()
+		r, _, _, m := e.footprintLocked()
+		e.mu.Unlock()
+		rawBytes, mappedBytes = rawBytes+r, mappedBytes+m
+		if r > 0 {
 			raw++
-		case *succinct.Mapped:
-			mappedBytes += out.MappedBytes()
+		}
+		if m > 0 {
 			mapped++
 		}
 	}

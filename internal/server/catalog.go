@@ -45,10 +45,11 @@ const (
 	ResidencyMapped = "mapped"
 )
 
-// entry is one named graph in the catalog. The identity fields (name,
-// generation, shape, policy, provenance) are immutable after insertion; the
-// residency fields below mu are not — the spiller moves the graph from the
-// heap to the disk tier while queries hold views pinned via acquire.
+// entry is one named graph in the catalog, or one cached variant (compressed
+// embeds it). The identity fields (name, generation, shape, policy,
+// provenance) are immutable after insertion; the residency fields below mu
+// are not — the spiller moves the graph from the heap to the disk tier while
+// queries hold views pinned via acquire, and close empties them.
 type entry struct {
 	name   string
 	memory string
@@ -62,12 +63,13 @@ type entry struct {
 	cat *catalog // owning catalog: budget, store, counters, hooks
 
 	mu sync.Mutex
-	// heap is the heap-resident form: a *graph.Graph under MemoryRaw, a
-	// *succinct.PackedGraph under MemoryPacked, nil once spilled (and for
-	// graphs the startup scan attached).
+	// heap is the heap-resident form: a *graph.Graph under MemoryRaw (and
+	// for a computed variant), a *succinct.PackedGraph under MemoryPacked,
+	// nil once spilled (and for graphs the startup scan attached).
 	heap graph.AdjacencyEdges
 	// mapped is the mapping of the write-through snapshot at
-	// store.graphPath(name), opened by attach or by the first spill.
+	// store.graphPath(name), opened by attach or by the first spill — or,
+	// for a variant faulted back in, of its spilled snapshot.
 	mapped *succinct.Mapped
 	// Triangle arena: the count-only forward CSR (offsets, lists, work
 	// prefix; no edge IDs) is a pure function of the graph, built lazily on
@@ -146,6 +148,19 @@ func (e *entry) acquire() (*view, error) {
 	return nil, fmt.Errorf("graph %q has no resident form", e.name)
 }
 
+// close empties the entry: heap forms are left to the collector once
+// in-flight readers drop them, and the mapping is closed, its munmap
+// deferred until the last reader releases. Later acquires fail.
+func (e *entry) close() {
+	e.mu.Lock()
+	m := e.mapped
+	e.heap, e.mapped, e.engine = nil, nil, nil
+	e.mu.Unlock()
+	if m != nil {
+		_ = m.Close()
+	}
+}
+
 // footprintLocked estimates the entry's memory split by where it lives: raw
 // CSR bytes, succinct packed bytes and triangle-engine arena bytes (all
 // heap), and memory-mapped servable bytes (page cache, not heap). Callers
@@ -153,7 +168,7 @@ func (e *entry) acquire() (*view, error) {
 func (e *entry) footprintLocked() (raw, packed, arena, mapped int64) {
 	switch h := e.heap.(type) {
 	case *graph.Graph:
-		raw = rawCSRBytes(h)
+		raw = graph.CSRBytes(h.N(), h.NumArcs(), h.M(), h.Directed(), h.Weighted())
 	case *succinct.PackedGraph:
 		packed = h.SizeBits() / 8
 	}
@@ -265,21 +280,19 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 	if err := validName(name); err != nil {
 		return nil, err
 	}
-	e := &entry{
-		name: name, memory: memory, source: source, cat: c,
-		n: g.N(), m: g.M(), directed: g.Directed(), weighted: g.Weighted(),
-	}
+	var heap graph.AdjacencyEdges = g
 	var pg *succinct.PackedGraph
 	switch memory {
 	case MemoryRaw, "":
-		e.memory = MemoryRaw
-		e.heap = g
+		memory = MemoryRaw
 	case MemoryPacked:
 		pg = succinct.Pack(g, workers)
-		e.heap = pg
+		heap = pg
 	default:
 		return nil, fmt.Errorf("unknown memory policy %q (want %s or %s)", memory, MemoryRaw, MemoryPacked)
 	}
+	e := c.newEntry(heap, nil)
+	e.name, e.memory, e.source = name, memory, source
 	// Name availability is checked optimistically before the (possibly
 	// expensive) write-through, then authoritatively at insertion.
 	c.mu.RLock()
@@ -292,9 +305,12 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 		if pg == nil {
 			pg = succinct.Pack(g, workers)
 		}
-		if err := c.store.saveGraph(name, pg, storeMeta{Memory: e.memory, Source: source}); err != nil {
+		if err := c.store.saveGraph(name, pg, storeMeta{Memory: memory, Source: source}); err != nil {
 			return nil, err
 		}
+		// Spilled variants belong to the graph that spilled them: whatever
+		// a predecessor under this name left behind must not fault in here.
+		c.store.clearVariants(name)
 	}
 	c.mu.Lock()
 	if _, taken := c.graphs[name]; taken {
@@ -314,18 +330,15 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 // the startup-scan path. The snapshot is memory-mapped immediately (the
 // mapping costs directory validation only, no decode pass and no heap copy
 // of the payload), so the first query after a restart serves straight from
-// the page cache.
+// the page cache. Its spilled variants stay on disk to fault in.
 func (c *catalog) attach(name string) error {
 	m, err := succinct.OpenPacked(c.store.graphPath(name))
 	if err != nil {
 		return err
 	}
 	meta := c.store.loadMeta(name)
-	e := &entry{
-		name: name, memory: meta.Memory, source: meta.Source, cat: c,
-		n: m.N(), m: m.M(), directed: m.Directed(), weighted: m.Weighted(),
-		mapped: m,
-	}
+	e := c.newEntry(nil, m)
+	e.name, e.memory, e.source = name, meta.Memory, meta.Source
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, taken := c.graphs[name]; taken {
@@ -340,6 +353,19 @@ func (c *catalog) attach(name string) error {
 	return nil
 }
 
+// newEntry returns an entry of this catalog resident as heap or, when heap
+// is nil, as mapped, with its shape read from that form — a graph's or a
+// cached variant's. Callers set the identity fields.
+func (c *catalog) newEntry(heap graph.AdjacencyEdges, mapped *succinct.Mapped) *entry {
+	e := &entry{cat: c, heap: heap, mapped: mapped}
+	form := heap
+	if form == nil {
+		form = mapped
+	}
+	e.n, e.m, e.directed, e.weighted = form.N(), form.M(), form.Directed(), form.Weighted()
+	return e
+}
+
 func (c *catalog) get(name string) (*entry, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -347,7 +373,7 @@ func (c *catalog) get(name string) (*entry, bool) {
 	return e, ok
 }
 
-// remove drops the entry from the catalog, closes its mapping (deferred
+// remove drops the entry from the catalog, closes it (the munmap deferred
 // until the last in-flight reader drains), and deletes its disk-tier files.
 func (c *catalog) remove(name string) bool {
 	c.mu.Lock()
@@ -357,13 +383,7 @@ func (c *catalog) remove(name string) bool {
 	if !ok {
 		return false
 	}
-	e.mu.Lock()
-	m := e.mapped
-	e.heap, e.mapped, e.engine = nil, nil, nil
-	e.mu.Unlock()
-	if m != nil {
-		_ = m.Close()
-	}
+	e.close()
 	if c.store != nil {
 		c.store.removeGraph(name)
 	}
@@ -438,24 +458,6 @@ func (c *catalog) residentBytes() (raw, packed, arena, mapped int64) {
 		raw, packed, arena, mapped = raw+r, packed+p, arena+a, mapped+m
 	}
 	return raw, packed, arena, mapped
-}
-
-// rawCSRBytes estimates a Graph's resident size from its public shape: the
-// out-CSR (64-bit offsets, 32-bit neighbor and edge-ID columns), the
-// mirrored in-CSR for directed graphs, and the canonical edge list with
-// optional weights. Arena slack and struct headers are ignored.
-func rawCSRBytes(g *graph.Graph) int64 {
-	offsets := int64(g.N()+1) * 8
-	arcs := int64(g.NumArcs()) * 8 // 4B neighbor + 4B edge ID per arc
-	b := offsets + arcs
-	if g.Directed() {
-		b += offsets + arcs // the in-CSR mirrors the out-CSR
-	}
-	b += int64(g.M()) * 8 // canonical edge endpoints, 4B each
-	if g.Weighted() {
-		b += int64(g.M()) * 8
-	}
-	return b
 }
 
 // Generate builds a graph from the generator request, mirroring the

@@ -267,7 +267,7 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 			obs.Label{Key: "scheme", Value: sch.Name()}).Observe(time.Since(start).Seconds())
 		// Only what the handlers read outlives the execution: the Result,
 		// with its input, stage outputs and by-products, is dropped here.
-		c := &compressed{output: r.Output, elapsedMS: millis(r.Elapsed)}
+		c := &compressed{entry: l.catalog.newEntry(r.Output, nil), elapsedMS: millis(r.Elapsed)}
 		for _, st := range r.Breakdown() {
 			c.stages = append(c.stages, StageTiming{Spec: st.Spec, M: st.M, ElapsedMS: millis(st.Elapsed)})
 		}
@@ -305,47 +305,39 @@ func (l *Local) loadSpilledVariant(key Key) (*compressed, bool) {
 	l.catalog.tier.variantFaultIns.Add(1)
 	ms := millis(time.Since(start))
 	return &compressed{
-		output: m, elapsedMS: ms,
+		entry: l.catalog.newEntry(nil, m), elapsedMS: ms,
 		stages: []StageTiming{{Spec: key.Spec, M: m.M(), ElapsedMS: ms}},
 	}, true
 }
 
-// spillVariant is the cache's eviction hook: a variant displaced by the LRU
-// bound is persisted to the disk tier (unless already there) so a later
-// request for the same key faults it in instead of recomputing. An attached
-// variant is not written again — its file already is the spill — and its
-// mapping is closed instead. Variants of dropped or re-created graphs (stale
-// generation) are discarded — their directory is gone or going.
+// spillVariant is the cache's eviction hook: a computed variant displaced by
+// the LRU bound is persisted to the disk tier (unless already there) so a
+// later request for the same key faults it in instead of recomputing; the
+// cache closes it afterwards. A faulted-in variant has no heap form to write
+// — its file already is the spill. Variants of dropped or re-created graphs
+// (stale generation) are discarded: their directory is cleared or about to
+// be.
 func (l *Local) spillVariant(key Key, res *compressed) {
-	g, ok := res.output.(*graph.Graph)
-	if !ok {
-		res.close()
+	res.mu.Lock()
+	out := res.heap
+	res.mu.Unlock()
+	if out == nil {
 		return
 	}
-	st := l.catalog.store
-	e, ok := l.catalog.get(key.Graph)
-	if !ok || e.gen != key.Gen {
-		return
+	live := func() bool {
+		e, ok := l.catalog.get(key.Graph)
+		return ok && e.gen == key.Gen
 	}
-	if err := st.saveVariant(key.Graph, key, g); err == nil {
+	if l.catalog.store.saveVariant(key.Graph, key, out, live) {
 		l.catalog.tier.variantSpills.Add(1)
 	}
 }
 
-// Target resolves the graph a query runs on: the entry's resident form —
+// resolve pins the graph a query on e runs on: the entry's resident form —
 // raw, packed, or memory-mapped, read in place, never unpacked — when p.Spec
 // is empty, otherwise the cached (possibly freshly computed) variant. The
-// canonical spec ("" for the original) rides along, as does a release the
-// caller must invoke when done: it pins a memory-mapped original against
-// concurrent unmap.
-func (l *Local) Target(name string, p QueryParams) (graph.AdjacencyEdges, string, func(), error) {
-	e, err := l.lookup(name)
-	if err != nil {
-		return nil, "", nil, err
-	}
-	return l.resolve(e, p)
-}
-
+// canonical spec ("" for the original) rides along, as does the release the
+// caller must invoke when done.
 func (l *Local) resolve(e *entry, p QueryParams) (graph.AdjacencyEdges, string, func(), error) {
 	if p.Spec == "" {
 		v, err := acquireView(e)
@@ -359,12 +351,11 @@ func (l *Local) resolve(e *entry, p QueryParams) (graph.AdjacencyEdges, string, 
 		if err != nil {
 			return nil, "", nil, err
 		}
-		// A mapped variant is pinned like a mapped original. The pin fails
-		// only when the cache dropped the variant, and closed its mapping,
-		// between the lookup and here; the next lookup attaches it anew or
-		// recomputes it.
-		if g, release, err := res.pin(); err == nil {
-			return g, canonical, release, nil
+		// A variant is pinned like an original. The pin fails only when the
+		// cache dropped the variant, and closed it, between the lookup and
+		// here; the next lookup faults it in anew or recomputes it.
+		if v, err := res.acquire(); err == nil {
+			return v.adj, canonical, v.release, nil
 		}
 	}
 }
@@ -463,15 +454,15 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 	// reference to the graph it was computed from.
 	reduction := 0.0
 	if e.m > 0 {
-		reduction = 1 - float64(res.output.M())/float64(e.m)
+		reduction = 1 - float64(res.m)/float64(e.m)
 	}
 	return &CompressResponse{
 		Graph:         e.name,
 		Spec:          canonical,
 		Seed:          p.Seed,
 		Cached:        cached,
-		N:             res.output.N(),
-		M:             res.output.M(),
+		N:             res.n,
+		M:             res.m,
 		InputM:        e.m,
 		EdgeReduction: reduction,
 		ElapsedMS:     res.elapsedMS,

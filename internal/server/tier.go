@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"slimgraph/internal/graph"
@@ -26,8 +27,16 @@ import (
 //	graphs/<name>.sgp         servable snapshot (mmap'd to serve)
 //	graphs/<name>.json        {"memory": ..., "source": ...}
 //	variants/<name>/<key>.sgp spilled variant outputs, key = fnv64a(spec|seed|workers)
+//
+// A graph owns its variant directory: a create clears it before the graph
+// is published, and a DELETE removes it before the graph's own files.
 type store struct {
 	dir string
+	// variants orders writes under variants/ against removals there: a
+	// variant spill holds it shared from its liveness check to its rename,
+	// and clearVariants and removeVariant hold it exclusively, so no spill
+	// of a dropped or re-created graph lands after its directory was cleared.
+	variants sync.RWMutex
 }
 
 // storeMeta is the graph sidecar: catalog state that is not part of the
@@ -60,9 +69,10 @@ func (s *store) variantDir(name string) string {
 
 func (s *store) variantPath(name string, key Key) string {
 	// The generation is deliberately not part of the filename: it resets on
-	// restart, and the files must be addressable across restarts. Dropping a
-	// graph removes its whole variant directory, so a re-created graph (new
-	// generation) can never fault in a predecessor's variants.
+	// restart, and the files must be addressable across restarts. Creating
+	// or dropping a graph clears its whole variant directory, so a
+	// re-created graph (new generation) can never fault in a predecessor's
+	// variants.
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s\x00%d\x00%d", key.Spec, key.Seed, key.Workers)
 	return filepath.Join(s.variantDir(name), fmt.Sprintf("%016x.sgp", h.Sum64()))
@@ -128,24 +138,36 @@ func (s *store) saveGraph(name string, pg *succinct.PackedGraph, meta storeMeta)
 	return nil
 }
 
-// saveVariant persists an evicted variant's output graph as a servable
-// snapshot, skipping the write when a complete snapshot for the key already
-// exists (re-evictions of a re-computed variant are common and the bytes
-// are deterministic).
-func (s *store) saveVariant(name string, key Key, g *graph.Graph) error {
-	if err := os.MkdirAll(s.variantDir(name), 0o755); err != nil {
-		return err
+// saveVariant persists an evicted variant's output, a CSR, as a servable
+// snapshot if live() still holds, skipping the write when a complete
+// snapshot for the key already exists (re-evictions of a re-computed
+// variant are common and the bytes are deterministic). It reports whether
+// the snapshot is on disk.
+func (s *store) saveVariant(name string, key Key, out graph.AdjacencyEdges, live func() bool) bool {
+	s.variants.RLock()
+	defer s.variants.RUnlock()
+	if !live() || os.MkdirAll(s.variantDir(name), 0o755) != nil {
+		return false
 	}
 	path := s.variantPath(name, key)
 	if _, err := succinct.StatServable(path); err == nil {
-		return nil
+		return true
 	}
-	return writeServable(path, succinct.Pack(g, 1))
+	return writeServable(path, succinct.Pack(graph.CSROf(out, 1), 1)) == nil
 }
 
 // removeVariant deletes one spilled variant snapshot.
 func (s *store) removeVariant(name string, key Key) {
+	s.variants.Lock()
+	defer s.variants.Unlock()
 	os.Remove(s.variantPath(name, key))
+}
+
+// clearVariants deletes every spilled variant of the named graph.
+func (s *store) clearVariants(name string) {
+	s.variants.Lock()
+	defer s.variants.Unlock()
+	os.RemoveAll(s.variantDir(name))
 }
 
 // loadMeta reads a graph's sidecar; missing or corrupt sidecars degrade to
@@ -163,11 +185,13 @@ func (s *store) loadMeta(name string) storeMeta {
 	return meta
 }
 
-// removeGraph deletes a graph's snapshot, sidecar, and spilled variants.
+// removeGraph deletes a graph's spilled variants, then its snapshot and
+// sidecar: a crash in between leaves a graph without variants, never
+// variants without their graph.
 func (s *store) removeGraph(name string) {
+	s.clearVariants(name)
 	os.Remove(s.graphPath(name))
 	os.Remove(s.metaPath(name))
-	os.RemoveAll(s.variantDir(name))
 }
 
 // scanGraphs returns the names of every complete graph snapshot on disk,

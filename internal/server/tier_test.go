@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -366,7 +367,7 @@ func TestTierDeleteDrainsReaders(t *testing.T) {
 	if e.residency() != ResidencyMapped {
 		t.Fatalf("residency %q, want mapped (budget=1)", e.residency())
 	}
-	adj, _, release, err := l.Target("g", QueryParams{})
+	adj, _, release, err := l.resolve(e, QueryParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +457,124 @@ func TestTierVariantSpillAndFaultIn(t *testing.T) {
 	}
 	if n := tc.variantFaultIns.Load(); n != 1 {
 		t.Fatalf("purged variant was served from disk (fault-ins = %d, want still 1)", n)
+	}
+}
+
+// TestOrphanedVariantIsNotFaultedIn: a spilled variant snapshot that a
+// predecessor left under a graph's name (a crash between the removals of a
+// DELETE, a snapshot the startup scan skipped) is cleared when a graph is
+// created under that name. Compressing the new graph computes its own
+// variant instead of faulting the stale one in, and answers like an
+// untiered twin.
+func TestOrphanedVariantIsNotFaultedIn(t *testing.T) {
+	opts := Options{CacheCapacity: 4, MaxWorkers: 2}
+	_, heapTS := newTestServer(t, opts)
+	tierOpts := opts
+	tierOpts.DataDir = t.TempDir()
+	tiered, tierTS := newTestServer(t, tierOpts)
+
+	// The stale image: another graph's variant filed under g's key.
+	key := Key{Graph: "g", Spec: "uniform:p=0.5", Seed: 3, Workers: 1}
+	if !tiered.Local().catalog.store.saveVariant("g", key, mustGen(t, 9), func() bool { return true }) {
+		t.Fatal("seeding the stale variant snapshot failed")
+	}
+	for _, ts := range []string{heapTS.URL, tierTS.URL} {
+		code, body := postJSON(t, ts+"/v1/graphs", map[string]any{
+			"name": "g", "gen": "communities", "numVertices": 400, "seed": 11,
+		})
+		mustStatus(t, http.StatusCreated, code, body)
+		code, body = postJSON(t, ts+"/v1/graphs/g/compress", map[string]any{
+			"spec": key.Spec, "seed": key.Seed, "workers": key.Workers,
+		})
+		mustStatus(t, http.StatusOK, code, body)
+	}
+	if n := tiered.Local().catalog.tier.variantFaultIns.Load(); n != 0 {
+		t.Fatalf("variant fault-ins = %d, want 0: the stale snapshot was served for the new graph", n)
+	}
+	q := "/v1/graphs/g/bfs?root=0&spec=uniform:p=0.5&seed=3&workers=1"
+	code, wantBody := get(t, heapTS.URL+q)
+	mustStatus(t, http.StatusOK, code, wantBody)
+	code, gotBody := get(t, tierTS.URL+q)
+	mustStatus(t, http.StatusOK, code, gotBody)
+	if !bytes.Equal(wantBody, gotBody) {
+		t.Fatalf("variant of the re-created graph differs from its untiered twin\nheap:   %s\ntiered: %s", wantBody, gotBody)
+	}
+}
+
+// TestSpillRacingDeleteLeavesNoOrphan: variant spills of a graph race its
+// DELETE and re-creation under the same name. Once the churn stops, every
+// spilled snapshot under the name holds the variant of the graph now live.
+// CI runs it under -race.
+func TestSpillRacingDeleteLeavesNoOrphan(t *testing.T) {
+	ctx := context.Background()
+	l, err := NewLocal(Options{CacheCapacity: 1, MaxWorkers: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []string{"uniform:p=0.5", "uniform:p=0.25", "uniform:p=0.75"}
+	const rounds = 20
+	graphs := make([]*graph.Graph, rounds+1)
+	for i := range graphs {
+		graphs[i] = mustGen(t, uint64(i+1))
+	}
+	if _, err := l.Create(ctx, "g", MemoryRaw, "test", graphs[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	stop, progress := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			// Capacity 1: every compress evicts, and so spills, the last
+			// one. A compress that loses its graph to the DELETE fails.
+			_, _ = l.Compress(ctx, "g", specs[i%len(specs)], QueryParams{Seed: 3, Workers: 1})
+			select {
+			case progress <- struct{}{}:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for i := 1; i <= rounds; i++ {
+		// Let a few compresses (and so spills) of the live graph land, then
+		// delete and re-create it while the next ones run.
+		for range len(specs) {
+			<-progress
+		}
+		if _, err := l.Drop(ctx, "g"); err != nil {
+			t.Error(err)
+		}
+		if _, err := l.Create(ctx, "g", MemoryRaw, "test", graphs[i], 1); err != nil {
+			t.Error(err)
+		}
+	}
+	// A full cycle over the live graph spills its variants too.
+	for range len(specs) + 1 {
+		<-progress
+	}
+	close(stop)
+	wg.Wait()
+
+	st := l.catalog.store
+	for _, spec := range specs {
+		path := st.variantPath("g", Key{Graph: "g", Spec: spec, Seed: 3, Workers: 1})
+		m, err := succinct.OpenPacked(path)
+		if err != nil {
+			continue // never spilled for the live graph
+		}
+		sch, err := schemes.Parse(spec, schemes.WithSeed(3), schemes.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sch.Apply(graphs[rounds])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.M() != res.Output.M() || !slices.Equal(traverse.BFS(m, 0, 1).Dist, traverse.BFS(res.Output, 0, 1).Dist) {
+			t.Errorf("%s: the spilled snapshot (m=%d) is not the live graph's variant (m=%d)", spec, m.M(), res.Output.M())
+		}
+		_ = m.Close()
 	}
 }
 
@@ -606,7 +725,11 @@ func TestAttachedVariantLifetime(t *testing.T) {
 	// attach faults a in as a query does and returns what the query holds.
 	attach := func() (graph.AdjacencyEdges, func(), *succinct.Mapped) {
 		t.Helper()
-		adj, _, release, err := l.Target("g", a)
+		e, err := l.lookup("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj, _, release, err := l.resolve(e, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -614,7 +737,7 @@ func TestAttachedVariantLifetime(t *testing.T) {
 		defer l.cache.mu.Unlock()
 		for el := l.cache.ll.Front(); el != nil; el = el.Next() {
 			if v := el.Value.(*variant); v.key.Spec == a.Spec {
-				if m, ok := v.res.output.(*succinct.Mapped); ok {
+				if m := v.res.mapped; m != nil {
 					return adj, release, m
 				}
 			}

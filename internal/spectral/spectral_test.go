@@ -42,7 +42,9 @@ func TestQuadFormErrorIdenticalGraphsIsZero(t *testing.T) {
 func TestQuadFormErrorDetectsEdgeLoss(t *testing.T) {
 	g := gen.ErdosRenyi(100, 500, 3)
 	// Remove half the edges with no reweighting: big spectral error.
-	h := g.FilterEdges(func(e graph.EdgeID) bool { return e%2 == 0 }, nil)
+	keep := graph.NewEdgeSet(g.M())
+	keep.AddBatch(0, func(e graph.EdgeID) bool { return e%2 == 0 })
+	h := g.FilterEdgeSet(keep, nil)
 	err := QuadFormError(g, h, 20, 2)
 	if err < 0.2 {
 		t.Fatalf("halved graph spectral error %v suspiciously low", err)
@@ -95,7 +97,9 @@ func TestLowRankLowRankHasHighErrorOnSparse(t *testing.T) {
 
 func BenchmarkQuadFormErrorRMAT12(b *testing.B) {
 	g := gen.RMAT(12, 8, 0.57, 0.19, 0.19, 1)
-	h := g.FilterEdges(func(e graph.EdgeID) bool { return e%2 == 0 }, nil)
+	keep := graph.NewEdgeSet(g.M())
+	keep.AddBatch(0, func(e graph.EdgeID) bool { return e%2 == 0 })
+	h := g.FilterEdgeSet(keep, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		QuadFormError(g, h, 8, uint64(i))

@@ -443,19 +443,7 @@ func (pg *PackedGraph) Stats() Stats {
 		BitsPerEdge:  pg.BitsPerEdge(),
 	}
 	s.DirectoryBits = s.SizeBits - s.PayloadBytes*8 - s.WeightBytes*8
-	// The raw CSR: offsets (n+1)*64, nbrs+eids 64 per arc, edge columns 64
-	// per edge, doubled offsets/arcs for the directed in-CSR, weights 64
-	// per edge.
-	arcs := pg.arcs
-	offsets := int64(pg.n+1) * 64
-	if pg.directed {
-		arcs *= 2
-		offsets *= 2
-	}
-	s.RawCSRBits = offsets + arcs*64 + int64(pg.m)*64
-	if pg.weighted {
-		s.RawCSRBits += int64(pg.m) * 64
-	}
+	s.RawCSRBits = graph.CSRBytes(pg.n, int(pg.arcs), pg.m, pg.directed, pg.weighted) * 8
 	return s
 }
 

@@ -101,7 +101,7 @@ func (s *Summary) String() string {
 // graphs"); symmetrize first.
 func Summarize(g *graph.Graph, opts Options) *Summary {
 	if g.Directed() {
-		panic("summarize: directed graphs are not supported; call Symmetrize first")
+		panic("summarize: directed graphs are not supported; symmetrize first")
 	}
 	o := opts.withDefaults()
 	start := time.Now()

@@ -65,7 +65,9 @@ func TestValidateTreeOnCompressedGraphBFS(t *testing.T) {
 	// BFS over a compressed graph must still produce a valid tree for that
 	// graph — the stage-2 contract.
 	g := gen.RMAT(9, 8, 0.57, 0.19, 0.19, 3)
-	half := g.FilterEdges(func(e graph.EdgeID) bool { return e%2 == 0 }, nil)
+	keep := graph.NewEdgeSet(g.M())
+	keep.AddBatch(0, func(e graph.EdgeID) bool { return e%2 == 0 })
+	half := g.FilterEdgeSet(keep, nil)
 	res := BFS(half, 0, 4)
 	if err := ValidateTree(half, res, 0); err != nil {
 		t.Fatal(err)
