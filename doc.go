@@ -189,25 +189,26 @@
 // Replicated storage keeps the determinism contract intact (element-keyed
 // scheme randomness needs the whole graph), so a cluster's responses are
 // byte-identical to a single node's for a fixed seed at the same worker
-// count, and one compress request populates every replica's variant cache
-// exactly once.
+// count, and one compress request populates every live replica's variant
+// cache exactly once. A variant is never shipped between replicas: one that
+// missed the compress computes it on the first sub-request that names it.
 //
 // # Resilience
 //
 // The fault-tolerance layer (internal/resilience) keeps that contract
 // intact when shards misbehave. Idempotent sub-requests retry with
 // exponential backoff and deterministic seeded jitter under a per-request
-// retry budget (RetryPolicy; creates and purges never blind-retry), and
+// retry budget (RetryPolicy; creates never blind-retry), and
 // per-shard circuit breakers (BreakerState; closed → open after
 // consecutive failures, half-open probes after a cooldown) route traffic
 // around a dead shard — opened proactively by a background /readyz prober
 // when ClusterOptions.ProbeInterval is set. Degraded execution is
 // lossless: whole queries fail over to any live replica, partitioned
 // kernels re-scatter their ranges over the survivors (ranges are pure
-// functions of (part, of), so the merged bytes never change), and compress
-// falls back to a quorum write, queueing the missed replica a repair that
-// replays when its breaker closes — the same queue that replays unloads
-// and purges so DELETE stays idempotent across an outage. Request
+// functions of (part, of), so the merged bytes never change), compress
+// answers from whichever live replicas succeed, and a DELETE that misses a
+// shard queues it an unload that replays when its breaker closes, so
+// DELETE stays idempotent across an outage. Request
 // deadlines propagate on the DeadlineHeader and are clamped shard-side;
 // handler panics become 500s with the request ID (slimgraph_panics_total)
 // instead of torn connections; and admission control bounds the

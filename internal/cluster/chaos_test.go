@@ -52,12 +52,33 @@ func expectedBodies(t *testing.T, ts *httptest.Server) map[string][]byte {
 	return want
 }
 
+// normalizedCompress compresses g under uniform:p=0.5, seed 42, workers 1
+// via base and returns the response with its wall-clock fields zeroed, the
+// only ones that may differ between a cluster and a single node.
+func normalizedCompress(t *testing.T, base string) server.CompressResponse {
+	t.Helper()
+	code, body := postAs(t, base+"/v1/graphs/g/compress", server.CompressRequest{Spec: "uniform:p=0.5", Seed: 42, Workers: 1})
+	if code != http.StatusOK {
+		t.Fatalf("compress via %s: status %d: %s", base, code, body)
+	}
+	var cr server.CompressResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		t.Fatal(err)
+	}
+	cr.ElapsedMS = 0
+	for i := range cr.Stages {
+		cr.Stages[i].ElapsedMS = 0
+	}
+	return cr
+}
+
 // TestClusterKillShardFailover is the kill-a-shard acceptance test: one of
 // three shards dies mid-workload, every query keeps answering bytes
 // identical to a single node (the survivors re-partition the work), the
 // dead shard's breaker opens, a DELETE while it is down still succeeds and
 // owes it a replayed unload, and after a restart the breaker closes and the
-// pending repairs drain — leaving the recovered replica consistent.
+// unload drains — leaving the recovered replica consistent, computing the
+// variants it missed when they are asked for.
 func TestClusterKillShardFailover(t *testing.T) {
 	g := testGraph(t)
 	single := mustServer(t, server.Options{MaxWorkers: 8})
@@ -111,17 +132,17 @@ func TestClusterKillShardFailover(t *testing.T) {
 		t.Fatalf("after degraded workload, shard 2 breaker = %v, want open", st)
 	}
 
-	// Mutations while a shard is down succeed against the survivors and are
-	// owed to the dead one. The compress takes the quorum-write path (2 of 3
-	// live is a majority); the DELETE queues an unload.
+	// Mutations while a shard is down succeed against the survivors. The
+	// compress warms the survivors only and owes the dead shard nothing;
+	// the DELETE owes it an unload.
 	if code, body := postAs(t, cts.URL+"/v1/graphs/g/compress", server.CompressRequest{Spec: "spanner", Seed: 42, Workers: 1}); code != http.StatusOK {
-		t.Fatalf("quorum compress: status %d: %s", code, body)
+		t.Fatalf("compress with a dead shard: status %d: %s", code, body)
 	}
 	if code, body := do(t, "DELETE", cts.URL+"/v1/graphs/doomed", "", nil); code != http.StatusOK {
 		t.Fatalf("DELETE with a dead shard: status %d: %s", code, body)
 	}
-	if n := lc.Coordinator.PendingRepairs(2); n == 0 {
-		t.Fatal("expected pending repairs queued for the dead shard")
+	if n := lc.Coordinator.PendingRepairs(2); n != 1 {
+		t.Fatalf("the dead shard is owed %d repairs, want only the unload", n)
 	}
 
 	if err := lc.RestartShard(2); err != nil {
@@ -139,15 +160,29 @@ func TestClusterKillShardFailover(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// The replayed repairs left the recovered replica consistent: the
-	// deleted graph is gone and the quorum-written variant is resident.
+	// The replayed unload left the recovered replica consistent: the
+	// deleted graph is gone. The variant compressed while it was down is
+	// computed on its first request there, once, and every spec query over
+	// it answers the single node's bytes.
 	if code, body := get(t, lc.Addr(2)+"/v1/graphs/doomed"); code != http.StatusNotFound {
 		t.Errorf("recovered shard still has dropped graph: status %d: %s", code, body)
 	}
-	if code, body := postAs(t, lc.Addr(2)+"/v1/graphs/g/compress", server.CompressRequest{Spec: "spanner", Seed: 42, Workers: 1}); code != http.StatusOK {
-		t.Errorf("recovered shard compress: status %d: %s", code, body)
-	} else if !bytes.Contains(body, []byte(`"cached":true`)) {
-		t.Errorf("quorum-written variant not re-replicated to recovered shard: %s", body)
+	before := lc.Shard(2).Server().CacheStats().Executions
+	for _, u := range queryURLs() {
+		if !strings.Contains(u, "spec=") {
+			continue
+		}
+		u = strings.Replace(u, "spec=uniform:p=0.5", "spec=spanner", 1)
+		code, wantBody := get(t, sts.URL+u)
+		if code != http.StatusOK {
+			t.Fatalf("single node %s: status %d: %s", u, code, wantBody)
+		}
+		if code, body := get(t, lc.Addr(2)+u); code != http.StatusOK || !bytes.Equal(body, wantBody) {
+			t.Errorf("recovered shard %s: status %d, body %s, want %s", u, code, body, wantBody)
+		}
+	}
+	if n := lc.Shard(2).Server().CacheStats().Executions - before; n != 1 {
+		t.Errorf("recovered shard executed the missed variant %d times, want 1", n)
 	}
 
 	// And it serves traffic again, bytes unchanged.
@@ -159,11 +194,11 @@ func TestClusterKillShardFailover(t *testing.T) {
 	}
 }
 
-// TestCompressSurvivesFailedProbe pins the quorum write against a shard that
-// a half-open breaker admitted and that then fails during the write: the two
-// shards that answered are a majority, so the client gets their answer — the
-// one a single node gives — and the failed probe is owed a compress repair,
-// exactly as if its breaker had still been open when the write began.
+// TestCompressSurvivesFailedProbe pins Compress against a shard that a
+// half-open breaker admitted and that then fails during the compress: the
+// client gets the answer of the two shards that answered — the one a single
+// node gives — and the failed probe is owed nothing, since a replica
+// computes a variant when it is first asked for it.
 func TestCompressSurvivesFailedProbe(t *testing.T) {
 	g := testGraph(t)
 	single := mustServer(t, server.Options{MaxWorkers: 4})
@@ -194,26 +229,9 @@ func TestCompressSurvivesFailedProbe(t *testing.T) {
 		t.Fatalf("shard 2 breaker = %v, want open", st)
 	}
 
-	req := server.CompressRequest{Spec: "uniform:p=0.5", Seed: 42, Workers: 1}
-	normalized := func(url string) server.CompressResponse {
-		t.Helper()
-		code, body := postAs(t, url+"/v1/graphs/g/compress", req)
-		if code != http.StatusOK {
-			t.Fatalf("compress via %s: status %d: %s", url, code, body)
-		}
-		var cr server.CompressResponse
-		if err := json.Unmarshal(body, &cr); err != nil {
-			t.Fatal(err)
-		}
-		cr.ElapsedMS = 0 // wall-clock, the only fields that may differ
-		for i := range cr.Stages {
-			cr.Stages[i].ElapsedMS = 0
-		}
-		return cr
-	}
-	want, got := normalized(sts.URL), normalized(cts.URL)
+	want, got := normalizedCompress(t, sts.URL), normalizedCompress(t, cts.URL)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("quorum write answered %+v, single node %+v", got, want)
+		t.Errorf("cluster compress answered %+v, single node %+v", got, want)
 	}
 	if down.Fired() == 0 {
 		t.Fatal("the fault rule never fired: shard 2 was not written to")
@@ -221,12 +239,59 @@ func TestCompressSurvivesFailedProbe(t *testing.T) {
 	if st := lc.Coordinator.BreakerState(2); st != resilience.BreakerOpen {
 		t.Errorf("after the failed probe, shard 2 breaker = %v, want open", st)
 	}
-	if n := lc.Coordinator.PendingRepairs(2); n != 1 {
-		t.Errorf("shard 2 is owed %d repairs, want the one compress", n)
+	if n := lc.Coordinator.PendingRepairs(2); n != 0 {
+		t.Errorf("shard 2 is owed %d repairs, want none", n)
 	}
 	for i := 0; i < 2; i++ {
 		if cs := lc.Shard(i).Server().CacheStats(); cs.Entries != 1 {
-			t.Errorf("shard %d holds %d variants after the quorum write, want 1", i, cs.Entries)
+			t.Errorf("shard %d holds %d variants after the compress, want 1", i, cs.Entries)
+		}
+	}
+}
+
+// TestCompressWithMinorityLive pins that a variant needs no majority: with
+// two of three breakers open, compress and every spec query answer from the
+// one live replica with the single node's bytes.
+func TestCompressWithMinorityLive(t *testing.T) {
+	g := testGraph(t)
+	single := mustServer(t, server.Options{MaxWorkers: 4})
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	if err := single.AddGraph("g", "", "test", g.Clone(), 1); err != nil {
+		t.Fatal(err)
+	}
+
+	singleCR := normalizedCompress(t, sts.URL) // before expectedBodies caches the variant
+	want := expectedBodies(t, sts)
+
+	lc, cts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour, // nothing half-opens during the test
+	})
+	if _, err := lc.Coordinator.Create(t.Context(), "g", "", "test", g.Clone(), 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, 2} {
+		lc.Coordinator.breakers[i].RecordFailure()
+	}
+
+	if got := normalizedCompress(t, cts.URL); !reflect.DeepEqual(got, singleCR) {
+		t.Errorf("compress with one live replica answered %+v, single node %+v", got, singleCR)
+	}
+	for _, u := range queryURLs() {
+		if !strings.Contains(u, "spec=") {
+			continue
+		}
+		if code, body := get(t, cts.URL+u); code != http.StatusOK || !bytes.Equal(body, want[u]) {
+			t.Errorf("%s with one live replica: status %d: %s", u, code, body)
+		}
+	}
+	for _, i := range []int{1, 2} {
+		if st := lc.Coordinator.BreakerState(i); st != resilience.BreakerOpen {
+			t.Errorf("shard %d breaker = %v, want open throughout", i, st)
+		}
+		if cs := lc.Shard(i).Server().CacheStats(); cs.Entries != 0 {
+			t.Errorf("shard %d behind an open breaker holds %d variants, want 0", i, cs.Entries)
 		}
 	}
 }

@@ -8,11 +8,11 @@
 // every random decision by global element ID (internal/core), so a variant
 // computed on any replica is byte-identical to the single-node result,
 // something no storage-partitioned execution of a global scheme (spanners,
-// triangle reduction) could guarantee. The coordinator forwards one
-// canonical (spec, seed, workers) key to every shard's single-flight cache,
-// so each replica executes a requested scheme exactly once; if any shard
-// fails mid-scatter the coordinator purges the key from the others rather
-// than leave a partially replicated variant behind.
+// triangle reduction) could guarantee. So a variant is never shipped or
+// kept in step between replicas: a replica computes it, once, through its
+// own single-flight cache, on the first request that names it — the
+// coordinator's compress, which warms every live replica, or a sub-request
+// to a replica that missed that or has evicted the variant since.
 //
 // Every query runs the single node's code, not copies of it; the
 // coordinator only schedules. A query is a row of server.Kernels, the one
@@ -75,11 +75,11 @@ type Options struct {
 	// Retry shapes the sub-request retry policy (see resilience.RetryPolicy;
 	// zero value = 3 attempts, 25ms base backoff, seeded jitter). Retries
 	// apply only to idempotent sub-requests — compute routes, compress
-	// (single-flight cached shard-side), probes — never to create or
-	// purge.
+	// (single-flight cached shard-side), stats, drop — never to create,
+	// a replayed unload, or a readiness probe.
 	Retry resilience.RetryPolicy
 	// RetryBudget caps retries per client request across its whole fan-out
-	// (a variant's replication, a scatter, a whole row's failover). 0 means the
+	// (a variant's warm-up, a scatter, a whole row's failover). 0 means the
 	// default of 16; negative disables retries entirely.
 	RetryBudget int
 	// BreakerThreshold and BreakerCooldown configure the per-shard circuit

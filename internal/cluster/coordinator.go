@@ -29,7 +29,9 @@ type Coordinator struct {
 	opts   Options
 	client *http.Client
 	start  time.Time
-	met    *coordMetrics // nil until Instrument; set before traffic
+	// met is nil until Instrument. It is atomic because the prober, which
+	// NewCoordinator starts, may observe a probe before Instrument runs.
+	met atomic.Pointer[coordMetrics]
 
 	// Resilience state (see resilient.go): one breaker and one pending-
 	// repair queue per shard, the retry policy, and the prober lifecycle.
@@ -87,7 +89,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			Cooldown:  opts.BreakerCooldown,
 			OnChange: func(_, to resilience.BreakerState) {
 				// A shard that just proved itself healthy settles its debts:
-				// pending unloads, purges, and variant re-replications replay.
+				// the unloads it missed replay.
 				if to == resilience.BreakerClosed {
 					go c.drainRepairs(i)
 				}
@@ -132,10 +134,10 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 			"Shard circuit breaker position: 0 closed, 1 half-open, 2 open.",
 			func() float64 { return float64(c.breakers[i].State()) }, l)
 		reg.GaugeFunc("slimgraph_shard_pending_repairs",
-			"Replica-consistency operations queued for replay when the shard recovers.",
+			"Graph unloads queued for replay when the shard recovers.",
 			func() float64 { return float64(c.repairs[i].size()) }, l)
 	}
-	c.met = m
+	c.met.Store(m)
 }
 
 // observe wraps one sub-request attempt to shard i with the telemetry:
@@ -145,13 +147,14 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 // it down and count as failures. A canceled parent context says nothing
 // about the shard (the client hung up), so it bypasses the breaker.
 func (c *Coordinator) observe(i int, fn func() error) error {
-	if c.met != nil {
-		c.met.perShard[i].inflight.Add(1)
+	m := c.met.Load()
+	if m != nil {
+		m.perShard[i].inflight.Add(1)
 	}
 	start := time.Now()
 	err := fn()
 	up := err == nil || !shardFatal(err)
-	if m := c.met; m != nil {
+	if m != nil {
 		sm, elapsed := &m.perShard[i], time.Since(start).Seconds()
 		sm.inflight.Add(-1)
 		sm.requests.Inc()
@@ -297,8 +300,8 @@ func (c *Coordinator) List(_ context.Context) ([]server.GraphInfo, error) {
 }
 
 // Drop removes the graph from every shard. VariantsDropped reports the
-// largest per-shard count (replicas hold identical variant sets in steady
-// state, so this is normally every shard's number). Drop is idempotent
+// largest per-shard count (a replica holds the variants it was asked for,
+// so the sets may differ between replicas). Drop is idempotent
 // across an unreachable shard: instead of failing, the unload is recorded
 // as a pending repair and replayed when that shard's breaker closes, so no
 // stale replica survives recovery.
@@ -333,126 +336,83 @@ func (c *Coordinator) Drop(ctx context.Context, name string) (*server.DeleteResp
 	}
 	// An unreachable or failing shard is owed the unload instead of failing a
 	// delete the healthy replicas already applied.
-	c.owe(repairOp{kind: "unload", graph: name}, live, errs)
+	c.owe(name, live, errs)
 	if err := c.mergeErrorsOver(live, errs); err != nil {
 		return nil, err
 	}
 	return &server.DeleteResponse{Deleted: name, VariantsDropped: dropped}, nil
 }
 
-// owe queues op for the shards a cluster-wide write could not reach: every
+// owe queues the unload of graph for the shards Drop could not reach: every
 // shard outside live, and every live one whose error in errs (positional
-// over live) is fatal — an error owe clears, so the write stands.
-func (c *Coordinator) owe(op repairOp, live []int, errs []error) {
+// over live) is fatal — an error owe clears, so the drop stands.
+func (c *Coordinator) owe(graph string, live []int, errs []error) {
 	for pos, err := range errs {
 		if err != nil && shardFatal(err) {
-			c.queueRepair(live[pos], op)
+			c.queueRepair(live[pos], graph)
 			errs[pos] = nil
 		}
 	}
 	for i := range c.opts.Shards {
 		if !slices.Contains(live, i) {
-			c.queueRepair(i, op)
+			c.queueRepair(i, graph)
 		}
 	}
 }
 
 // --- server.QueryBackend ---------------------------------------------------
 
-// Compress replicates one variant: the same (spec, seed, workers) request
-// goes to every live shard's public compress endpoint, so each replica's
-// single-flight cache executes the scheme exactly once and then serves
-// identical bytes (schemes are pure functions of graph, canonical spec,
-// and seed). On a partial failure among the live shards the coordinator
-// purges the key from the ones that succeeded — the client saw an error,
-// so no replica may keep the variant.
-//
-// With a shard's breaker open, Compress degrades to a quorum write: the
-// variant lands on the live majority, the response merges from them, and
-// the missed replica is owed a compress repair that replays when its
-// breaker closes. Determinism makes this sound — the repaired replica
-// computes byte-identical variant bytes from the same (spec, seed) — and a
-// partial query served meanwhile hits only live shards, which all hold the
-// variant. Below a majority the write is refused (503): accepting it would
-// let a minority serve a variant most of the cluster never saw.
-//
-// A shard admitted on a half-open breaker is a probe of a shard that was
-// dead a moment ago. If the probe fails during the write, the shard is what
-// it was before it — dead, owed the same compress repair — and the write
-// still stands on the live majority rather than failing the client.
+// Compress warms one variant on the live replicas: the same (spec, seed,
+// workers) request goes to every live shard's public compress endpoint, so
+// each replica's single-flight cache executes the scheme once. Schemes are
+// pure functions of graph, canonical spec, and seed, so a replica this call
+// missed — down, failing, or one that has since evicted the variant —
+// computes the same bytes on the first sub-request that names it
+// (Local.Part). The response merges the replicas that answered: their
+// spec, n and m must agree, cached holds only if every one of them had the
+// variant, and the elapsed time and its stage breakdown come together from
+// the slowest of them. Compress fails only when no replica answered.
 func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.QueryParams) (*server.CompressResponse, error) {
 	ctx = c.withBudget(ctx)
 	if _, err := c.Info(ctx, name); err != nil {
 		return nil, err
 	}
 	live := c.liveShards()
-	if len(live)*2 <= len(c.opts.Shards) {
-		return nil, server.Errf(http.StatusServiceUnavailable,
-			"compress quorum lost: %d of %d shards live", len(live), len(c.opts.Shards))
-	}
-	probe := make([]bool, len(live))
-	for pos, i := range live {
-		probe[pos] = c.breakers[i].State() == resilience.BreakerHalfOpen
-	}
 	resps := make([]server.CompressResponse, len(live))
 	req := server.CompressRequest{Spec: spec, Seed: p.Seed, Workers: p.Workers}
 	errs := c.scatterOver(ctx, live, "compress:"+name, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
 		return postJSON(ctx, c.client, addr, "/v1/graphs/"+url.PathEscape(name)+"/compress", req, &resps[pos])
 	})
-	var (
-		okLive  []int
-		okResps []server.CompressResponse
-		okErrs  []error
-	)
-	for pos, i := range live {
-		if probe[pos] && errs[pos] != nil && shardFatal(errs[pos]) {
-			continue // a failed probe: still dead
+	first := slices.Index(errs, nil)
+	if first < 0 {
+		return nil, c.mergeErrorsOver(live, errs)
+	}
+	merged := resps[first]
+	for pos := first + 1; pos < len(resps); pos++ {
+		if errs[pos] != nil {
+			continue
 		}
-		okLive, okResps, okErrs = append(okLive, i), append(okResps, resps[pos]), append(okErrs, errs[pos])
-	}
-	if len(okLive)*2 > len(c.opts.Shards) {
-		live, resps, errs = okLive, okResps, okErrs
-	}
-	if err := c.mergeErrorsOver(live, errs); err != nil {
-		c.purgeVariant(name, spec, p)
-		return nil, err
-	}
-	merged := resps[0]
-	for pos := 1; pos < len(resps); pos++ {
 		r := resps[pos]
 		if r.Spec != merged.Spec || r.N != merged.N || r.M != merged.M {
 			return nil, server.Errf(http.StatusBadGateway,
 				"replicas disagree on variant %q of %q: shard %d got n=%d m=%d spec=%q, shard %d got n=%d m=%d spec=%q",
-				spec, name, live[0], merged.N, merged.M, merged.Spec, live[pos], r.N, r.M, r.Spec)
+				spec, name, live[first], merged.N, merged.M, merged.Spec, live[pos], r.N, r.M, r.Spec)
 		}
 		merged.Cached = merged.Cached && r.Cached
-		merged.ElapsedMS = max(merged.ElapsedMS, r.ElapsedMS)
+		if r.ElapsedMS > merged.ElapsedMS {
+			merged.ElapsedMS, merged.Stages = r.ElapsedMS, r.Stages
+		}
 	}
-	c.owe(repairOp{kind: "compress", graph: name, spec: spec, seed: p.Seed, workers: p.Workers}, live, nil)
 	return &merged, nil
-}
-
-// purgeVariant drops a variant key from every live shard after a partial
-// failure, and owes dead or still-failing shards a purge repair. A shard
-// still executing the scheme (the timeout case) inserts when it finishes;
-// the next successful Compress for the key will simply find it cached —
-// correctness is unaffected since variants are deterministic. Purges never
-// blind-retry: the repair queue is the durable retry.
-func (c *Coordinator) purgeVariant(name, spec string, p server.QueryParams) {
-	req := purgeRequest{Spec: spec, Seed: p.Seed, Workers: p.Workers}
-	live := c.liveShards()
-	errs := c.scatterOver(context.Background(), live, "purge:"+name, c.noRetry(),
-		func(ctx context.Context, _, i int, addr string) error {
-			return postJSON(ctx, c.client, addr, "/internal/v1/graphs/"+url.PathEscape(name)+"/purge", req, nil)
-		})
-	c.owe(repairOp{kind: "purge", graph: name, spec: spec, seed: p.Seed, workers: p.Workers}, live, errs)
 }
 
 // Query implements server.QueryBackend: the row runs on the live shards as
 // its shape says (dispatch), and its own Finish — the code a single node
 // runs — makes the response, so it is byte-identical to a single node's by
-// construction. With a spec, the variant is first replicated cluster-wide
-// via Compress, after which each sub-request is a shard-local cache hit.
+// construction. With a spec, Compress first warms the variant on the live
+// replicas and checks that they agree on it; a sub-request is then a
+// shard-local cache hit, or computes the variant on a replica Compress
+// missed.
 func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
 	ctx = c.withBudget(ctx)
 	info, err := c.Info(ctx, q.Graph)
@@ -582,7 +542,7 @@ func (c *Coordinator) Stats(ctx context.Context) (*server.StatsResponse, error) 
 	// Attach the sub-request telemetry (which by now includes the stats
 	// gather itself). The per-shard latency snapshots merge to exactly the
 	// SubRequests aggregate — same bucket layout, observed pairwise.
-	if m := c.met; m != nil {
+	if m := c.met.Load(); m != nil {
 		total := m.total.Snapshot()
 		resp.SubRequests = &total
 		for i := range resp.PerShard {

@@ -5,10 +5,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"slimgraph/internal/obs"
 	"slimgraph/internal/server"
@@ -269,4 +271,21 @@ func TestClusterMetricsExposition(t *testing.T) {
 	if t.Failed() {
 		t.Fatalf("exposition was:\n%s", text)
 	}
+}
+
+// TestInstrumentWhileProbing: the prober NewCoordinator starts may probe a
+// shard before Instrument installs the telemetry, and the two must not
+// race. The sleeps are the point — any signal from the prober to this
+// goroutine would order the accesses and hide a race from -race.
+func TestInstrumentWhileProbing(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer shard.Close()
+	coord, err := NewCoordinator(Options{Shards: []string{shard.URL}, ProbeInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	coord.Instrument(obs.NewRegistry())
+	time.Sleep(20 * time.Millisecond)
+	coord.Close()
 }

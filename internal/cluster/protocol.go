@@ -10,8 +10,10 @@ import (
 )
 
 // The /internal/v1 shard protocol: what the coordinator exchanges with
-// shards beyond the public API. Replication (graph load/unload, variant
-// purge) addresses whole objects. The compute routes are server.Kernels,
+// shards beyond the public API. Replication (graph load and unload)
+// addresses whole graphs; a variant is never shipped or purged, since a
+// shard computes it on the first sub-request that names it. The compute
+// routes are server.Kernels,
 // the one list of servable kernels: each row mounts POST
 // .../{whole|part}/{row} by its shape. A whole row runs on one replica; a
 // scatter row's sub-request addresses part `shard` of `of`, which the row
@@ -149,17 +151,4 @@ func decodeReply(k *server.Kernel, data []byte, n int) (r server.Reply, err erro
 		err = fmt.Errorf("reply carries %d elements, want %d", count, n)
 	}
 	return r, err
-}
-
-// purgeRequest asks a shard to drop one cached variant by its canonical
-// key — the coordinator's cleanup after a partially failed replication.
-type purgeRequest struct {
-	Spec    string `json:"spec"`
-	Seed    uint64 `json:"seed"`
-	Workers int    `json:"workers"`
-}
-
-// purgeResponse reports whether the variant was resident.
-type purgeResponse struct {
-	Purged bool `json:"purged"`
 }

@@ -11,15 +11,15 @@ import (
 	"time"
 
 	"slimgraph/internal/resilience"
-	"slimgraph/internal/server"
 )
 
 // This file is the coordinator's fault-tolerance layer: per-shard circuit
 // breakers fed by the observe wrapper, live-set routing with re-partitioned
 // degraded execution, retry with a per-request budget, a background health
-// prober, and the pending-repair queue that makes drops and purges
-// idempotent across an unreachable shard. Degraded execution keeps the
-// byte-identity contract (see dispatch).
+// prober, and the pending-repair queue that makes a drop idempotent across
+// an unreachable shard. Degraded execution keeps the byte-identity contract
+// (see dispatch); a variant needs no repair, because a replica computes it
+// when first asked.
 
 // retryPolicy returns the configured policy with defaults applied.
 func (o Options) retryPolicy() resilience.RetryPolicy {
@@ -41,7 +41,8 @@ func (o Options) retryBudget() int64 {
 }
 
 // noRetry is the single-attempt variant of the configured policy, for
-// calls that must not blind-retry (create, purge) and for probes.
+// calls that must not blind-retry (create and its rollback, repairs) and
+// for readiness probes.
 func (c *Coordinator) noRetry() resilience.RetryPolicy {
 	p := c.retry
 	p.MaxAttempts = 1
@@ -129,117 +130,96 @@ func (c *Coordinator) scatterOver(ctx context.Context, shards []int, op string, 
 
 // --- pending repairs -------------------------------------------------------
 
-// repairOp is one replica-consistency operation owed to a shard that was
-// unreachable (or failed) when the cluster-wide operation ran: an unload
-// from Drop, a variant purge from a failed Compress, or a variant
-// re-replication from a quorum-write Compress. Ops replay in order when
-// the shard's breaker closes.
-type repairOp struct {
-	kind    string // "unload" | "purge" | "compress"
-	graph   string
-	spec    string
-	seed    uint64
-	workers int
-}
-
-// repairQueue is one shard's deduplicated, ordered pending-repair list.
+// repairQueue is one shard's deduplicated, ordered list of pending
+// unloads: the graphs Drop removed while the shard was unreachable (or
+// failing). They replay in order when the shard's breaker closes.
 type repairQueue struct {
 	mu       sync.Mutex
-	ops      []repairOp
-	seen     map[repairOp]bool
+	graphs   []string
+	seen     map[string]bool
 	draining atomic.Bool
 }
 
-func newRepairQueue() *repairQueue { return &repairQueue{seen: map[repairOp]bool{}} }
+func newRepairQueue() *repairQueue { return &repairQueue{seen: map[string]bool{}} }
 
-// add queues op unless it is already owed: at the back, or at the front
-// for an op a failed drain puts back.
-func (q *repairQueue) add(op repairOp, front bool) {
+// add queues the unload of graph unless it is already owed: at the back,
+// or at the front for one a failed drain puts back.
+func (q *repairQueue) add(graph string, front bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.seen[op] {
+	if q.seen[graph] {
 		return
 	}
-	q.seen[op] = true
+	q.seen[graph] = true
 	if front {
-		q.ops = append([]repairOp{op}, q.ops...)
+		q.graphs = append([]string{graph}, q.graphs...)
 	} else {
-		q.ops = append(q.ops, op)
+		q.graphs = append(q.graphs, graph)
 	}
 }
 
 func (q *repairQueue) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.ops)
+	return len(q.graphs)
 }
 
-func (q *repairQueue) take() (repairOp, bool) {
+func (q *repairQueue) take() (string, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.ops) == 0 {
-		return repairOp{}, false
+	if len(q.graphs) == 0 {
+		return "", false
 	}
-	op := q.ops[0]
-	q.ops = q.ops[1:]
-	delete(q.seen, op)
-	return op, true
+	graph := q.graphs[0]
+	q.graphs = q.graphs[1:]
+	delete(q.seen, graph)
+	return graph, true
 }
 
-// queueRepair records an op owed to shard i. If the breaker is already
-// closed (the shard recovered between the failure and this call, or the op
-// failed against a live shard transiently), the drain starts immediately
-// instead of waiting for a state transition that will never come.
-func (c *Coordinator) queueRepair(i int, op repairOp) {
-	c.repairs[i].add(op, false)
+// queueRepair records the unload of graph owed to shard i. If the breaker
+// is already closed (the shard recovered between the failure and this
+// call, or the unload failed against a live shard transiently), the drain
+// starts immediately instead of waiting for a state transition that will
+// never come.
+func (c *Coordinator) queueRepair(i int, graph string) {
+	c.repairs[i].add(graph, false)
 	if c.breakers[i].State() == resilience.BreakerClosed {
 		go c.drainRepairs(i)
 	}
 }
 
-// drainRepairs replays shard i's pending ops in order, stopping (and
-// re-queueing the op) at the first shard-fatal error — the breaker has
-// re-recorded the failure, and the next close retriggers the drain. A 4xx
-// reply discards the op: its target no longer exists (e.g. a compress
-// repair for a graph dropped in the meantime), which is the desired state.
+// drainRepairs replays shard i's pending unloads in order, stopping (and
+// re-queueing the graph) at the first shard-fatal error — the breaker has
+// re-recorded the failure, and the next close retriggers the drain. Any
+// other reply settles the unload.
 func (c *Coordinator) drainRepairs(i int) {
 	if !c.repairs[i].draining.CompareAndSwap(false, true) {
 		return
 	}
 	defer c.repairs[i].draining.Store(false)
 	for {
-		op, ok := c.repairs[i].take()
+		graph, ok := c.repairs[i].take()
 		if !ok {
 			return
 		}
-		if err := c.runRepair(context.Background(), i, op); err != nil && shardFatal(err) {
-			c.repairs[i].add(op, true)
+		if err := c.runRepair(context.Background(), i, graph); err != nil && shardFatal(err) {
+			c.repairs[i].add(graph, true)
 			return
 		}
 	}
 }
 
-func (c *Coordinator) runRepair(ctx context.Context, i int, op repairOp) error {
-	addr := c.opts.Shards[i]
-	return c.callShard(ctx, i, "repair:"+op.kind+":"+op.graph, c.noRetry(), func(actx context.Context) error {
-		switch op.kind {
-		case "unload":
-			err := doJSON(actx, c.client, http.MethodDelete, addr,
-				"/internal/v1/graphs/"+url.PathEscape(op.graph), nil, "", nil, nil)
-			var he *httpError
-			if errors.As(err, &he) && he.code == http.StatusNotFound {
-				return nil // already gone: the state the unload wanted
-			}
-			return err
-		case "purge":
-			return postJSON(actx, c.client, addr,
-				"/internal/v1/graphs/"+url.PathEscape(op.graph)+"/purge",
-				purgeRequest{Spec: op.spec, Seed: op.seed, Workers: op.workers}, nil)
-		default: // compress: re-replicate the variant this shard missed
-			return postJSON(actx, c.client, addr,
-				"/v1/graphs/"+url.PathEscape(op.graph)+"/compress",
-				server.CompressRequest{Spec: op.spec, Seed: op.seed, Workers: op.workers}, nil)
+// runRepair unloads graph from shard i; a 404 is the state the unload
+// wanted.
+func (c *Coordinator) runRepair(ctx context.Context, i int, graph string) error {
+	return c.callShard(ctx, i, "repair:unload:"+graph, c.noRetry(), func(actx context.Context) error {
+		err := doJSON(actx, c.client, http.MethodDelete, c.opts.Shards[i],
+			"/internal/v1/graphs/"+url.PathEscape(graph), nil, "", nil, nil)
+		var he *httpError
+		if errors.As(err, &he) && he.code == http.StatusNotFound {
+			return nil
 		}
+		return err
 	})
 }
 

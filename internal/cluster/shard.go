@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -41,7 +40,6 @@ func WrapShard(srv *server.Server) *Shard {
 	s := &Shard{srv: srv}
 	srv.Handle("POST /internal/v1/graphs", s.handleLoad)
 	srv.Handle("DELETE /internal/v1/graphs/{name}", s.handleUnload)
-	srv.Handle("POST /internal/v1/graphs/{name}/purge", s.handlePurge)
 	for _, k := range server.Kernels {
 		srv.Handle("POST /internal/v1/graphs/{name}/"+k.Shape.String()+"/"+k.Name, s.compute(k))
 	}
@@ -80,22 +78,13 @@ func (s *Shard) handleUnload(w http.ResponseWriter, r *http.Request) {
 	server.Respond(w, http.StatusOK, resp, err)
 }
 
-func (s *Shard) handlePurge(w http.ResponseWriter, r *http.Request) {
-	var req purgeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		server.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad JSON body: %v", err)})
-		return
-	}
-	purged, err := s.srv.Local().PurgeVariant(r.PathValue("name"), req.Spec, req.Seed, req.Workers)
-	server.Respond(w, http.StatusOK, purgeResponse{Purged: purged}, err)
-}
-
 // compute serves row k's compute route. A sub-request's whole input is its
 // query string: spec, seed and workers, and part `shard` of `of` for a
 // scatter row — a malformed one is a 400 before anything is resolved — plus
 // the row's own arguments, which its Parse reads as on the public route.
-// Local.Part then resolves the target (a variant cache miss recomputes it,
-// so an evicted variant heals transparently) and runs the row. No route
+// Local.Part then resolves the target (a variant this replica does not
+// hold — never warmed here, or evicted — is computed through its cache) and
+// runs the row. No route
 // reads a body, and nothing allocates in proportion to a query value.
 func (s *Shard) compute(k *server.Kernel) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

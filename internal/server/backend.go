@@ -236,8 +236,8 @@ type ShardStats struct {
 	// Breaker is the shard's circuit-breaker position as seen by the
 	// coordinator: "closed", "half-open", or "open".
 	Breaker string `json:"breaker,omitempty"`
-	// PendingRepairs counts replica-consistency operations (unloads, purges,
-	// variant re-replications) queued for replay when the shard recovers.
+	// PendingRepairs counts the graph unloads queued for replay when the
+	// shard recovers.
 	PendingRepairs int `json:"pendingRepairs,omitempty"`
 }
 

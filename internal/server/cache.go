@@ -184,24 +184,6 @@ func (c *cache) purgeGraph(name string) int {
 	return len(dropped)
 }
 
-// purgeKey drops and closes one resident variant and reports whether it was
-// there. An in-flight execution of the key is untouched: it completes and
-// inserts, which is why callers that need "gone for sure" purge after
-// joining or failing the flight, never concurrently with one they started.
-func (c *cache) purgeKey(key Key) bool {
-	c.mu.Lock()
-	el, ok := c.entries[key]
-	if ok {
-		c.ll.Remove(el)
-		delete(c.entries, key)
-	}
-	c.mu.Unlock()
-	if ok {
-		el.Value.(*variant).res.close()
-	}
-	return ok
-}
-
 // residency sums the resident variants' footprints by where they live: raw,
 // the CSR bytes of computed outputs, and mapped, the servable images of
 // faulted-in ones — with the variant count of each.

@@ -20,8 +20,7 @@ import (
 // Local is the in-process engine: a two-tier catalog of named graphs
 // (heap-resident or memory-mapped from the data directory) plus a
 // single-flight variant cache, implementing Catalog and QueryBackend for a
-// single node. A cluster shard serves its compute routes through Part and
-// its variant purges through PurgeVariant.
+// single node. A cluster shard serves its compute routes through Part.
 type Local struct {
 	opts    Options
 	catalog *catalog
@@ -406,27 +405,6 @@ func (l *Local) run(q Query, part, of int, arena bool) (r Reply, spec string, n 
 func (l *Local) Part(q Query, part, of int) (Reply, error) {
 	r, _, _, err := l.run(q, part, of, false)
 	return r, err
-}
-
-// PurgeVariant drops the cached variant for the canonical
-// (spec, seed, workers) key, reporting whether it was resident. The
-// coordinator scatters this after a partial cluster failure so no replica
-// keeps a variant the client was told failed. A spilled snapshot of the key
-// is deleted too: purge means gone, not "gone until the next fault-in".
-func (l *Local) PurgeVariant(name, spec string, seed uint64, workers int) (bool, error) {
-	e, err := l.lookup(name)
-	if err != nil {
-		return false, err
-	}
-	sch, err := schemes.Parse(spec, schemes.WithSeed(seed), schemes.WithWorkers(workers))
-	if err != nil {
-		return false, Errf(http.StatusUnprocessableEntity, "%v", err)
-	}
-	key := Key{Graph: e.name, Gen: e.gen, Spec: schemes.Spec(sch), Seed: seed, Workers: workers}
-	if st := l.catalog.store; st != nil {
-		st.removeVariant(e.name, key)
-	}
-	return l.cache.purgeKey(key), nil
 }
 
 // lookup fetches a catalog entry or a 404 Error.

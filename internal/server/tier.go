@@ -34,8 +34,8 @@ type store struct {
 	dir string
 	// variants orders writes under variants/ against removals there: a
 	// variant spill holds it shared from its liveness check to its rename,
-	// and clearVariants and removeVariant hold it exclusively, so no spill
-	// of a dropped or re-created graph lands after its directory was cleared.
+	// and clearVariants holds it exclusively, so no spill of a dropped or
+	// re-created graph lands after its directory was cleared.
 	variants sync.RWMutex
 }
 
@@ -154,13 +154,6 @@ func (s *store) saveVariant(name string, key Key, out graph.AdjacencyEdges, live
 		return true
 	}
 	return writeServable(path, succinct.Pack(graph.CSROf(out, 1), 1)) == nil
-}
-
-// removeVariant deletes one spilled variant snapshot.
-func (s *store) removeVariant(name string, key Key) {
-	s.variants.Lock()
-	defer s.variants.Unlock()
-	os.Remove(s.variantPath(name, key))
 }
 
 // clearVariants deletes every spilled variant of the named graph.

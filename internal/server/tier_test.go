@@ -445,19 +445,6 @@ func TestTierVariantSpillAndFaultIn(t *testing.T) {
 	if n := tc.variantFaultIns.Load(); n != 1 {
 		t.Fatalf("variant fault-ins = %d, want 1", n)
 	}
-
-	// PurgeVariant means gone from BOTH tiers: the next request recomputes.
-	if _, err := tiered.Local().PurgeVariant("g", "uniform:p=0.5", 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	code, gotBody = get(t, tierTS.URL+q)
-	mustStatus(t, http.StatusOK, code, gotBody)
-	if !bytes.Equal(wantBody, gotBody) {
-		t.Fatalf("recomputed variant differs after purge")
-	}
-	if n := tc.variantFaultIns.Load(); n != 1 {
-		t.Fatalf("purged variant was served from disk (fault-ins = %d, want still 1)", n)
-	}
 }
 
 // TestOrphanedVariantIsNotFaultedIn: a spilled variant snapshot that a
@@ -682,8 +669,8 @@ func TestTierBudgetCountsHeapPacked(t *testing.T) {
 
 // TestAttachedVariantLifetime pins the lifetime of a variant faulted in from
 // the disk tier, which serves from the mapping of its spilled snapshot. A
-// query pins the mapping like a mapped original: an eviction, a PurgeVariant
-// or a DELETE of its graph closes the mapping but defers the munmap until
+// query pins the mapping like a mapped original: an eviction or a DELETE of
+// its graph closes the mapping but defers the munmap until
 // the query releases, and a BFS in flight meanwhile answers intact. An
 // attached variant evicted again is not written again — its file is the
 // spill — while every fault-in still counts. CI runs it under -race.
@@ -769,18 +756,8 @@ func TestAttachedVariantLifetime(t *testing.T) {
 	}
 	drained("eviction", m, release)
 
-	_, release, m = attach() // evicts the attached b: no write
-	counts("faulting a in again", 2, 3)
-	if _, err := l.PurgeVariant("g", a.Spec, a.Seed, a.Workers); err != nil {
-		t.Fatal(err)
-	}
-	drained("PurgeVariant", m, release)
-
-	compress(a) // recomputed: the purge deleted its spill
-	compress(b) // faults b in, evicts a, which spills again
-	counts("re-spilling a", 3, 4)
-	adj, release, m = attach()
-	counts("faulting a in for the DELETE", 3, 5)
+	adj, release, m = attach() // evicts the attached b: no write
+	counts("faulting a in for the DELETE", 2, 3)
 	dist := make(chan []int32)
 	go func() { dist <- traverse.BFS(adj, 0, 2).Dist }()
 	if _, err := l.Drop(ctx, "g"); err != nil {
