@@ -239,8 +239,9 @@ func IsServable(prefix []byte) bool { return succinct.IsServable(prefix) }
 // Each algorithm taking it (or AdjacencyEdges) has one implementation, which
 // answers identically on either representation. Push-style
 // traversals walk out-lists per vertex (ForNeighbors); pull-style kernels
-// such as PageRank take in-lists a vertex range at a time (ScanInLists),
-// which a packed graph decodes back to back into one reused buffer; a
+// take in-lists a vertex range at a time (ScanInLists), which a packed graph
+// decodes back to back into one reused buffer — PageRank once per call, into
+// flat arrays its iterations pull from; a
 // bottom-up BFS level asks each unvisited vertex for its first in-neighbor
 // in the frontier (FirstInNeighborIn), and a packed graph decodes that list
 // no further than the answer.

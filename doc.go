@@ -94,9 +94,10 @@
 // PageRank and every other algorithm taking an Adjacency run on in place,
 // decoding neighbors on the fly — there is one implementation per
 // algorithm, the same loop for a Graph and for a PackedGraph: on the
-// benchmark's rmat14 graph packed BFS takes about 1.5x and packed PageRank
-// about 3x the raw-CSR time, memory-mapped or on the heap (the traverse.* and
-// centrality.* rungs of benchmark/README.md); Unpack restores a
+// benchmark's rmat14 graph packed BFS takes about 1.5x the raw-CSR time and
+// packed PageRank, which decodes the in-lists once per call rather than once
+// per iteration, about 1.1-1.2x, memory-mapped or on the heap (the traverse.*
+// and centrality.* rungs of benchmark/README.md); Unpack restores a
 // bit-identical Graph.
 // Result.ComputeStorage reports both footprints and the combined
 // lossy-times-lossless reduction after any compression run.

@@ -3,11 +3,11 @@
 package centrality
 
 // Allocation pin for PageRankOn over a packed graph: a call allocates its
-// fixed vectors (degrees, dangling list, rank, next, contrib) and one list
-// decode buffer per worker — nothing per vertex, and per iteration only the
-// small closures the parallel loops and the pull step take (one per chunk),
-// never a slice. Excluded under -race, whose instrumentation inflates
-// AllocsPerRun.
+// fixed vectors (degrees, dangling list, rank, next and two contrib buffers)
+// and one decode of the in-lists (graph.InListsOf: offsets plus the lists'
+// doubling growth) — nothing per vertex, and per iteration only the small
+// closure and goroutine start-up of one parallel pass, never a slice.
+// Excluded under -race, whose instrumentation inflates AllocsPerRun.
 
 import (
 	"runtime"
@@ -30,9 +30,9 @@ func TestPageRankOnPackedAllocations(t *testing.T) {
 		return allocs, after.TotalAlloc - before.TotalAlloc
 	}
 
-	// One worker: the vectors, the doubling growth of the dangling list and
-	// of the decode buffer, and a few closures per iteration — whatever the
-	// graph size.
+	// One worker: the vectors, the doubling growth of the decoded in-lists
+	// and of the scan's list buffer, and a closure per iteration — whatever
+	// the graph size.
 	const perIter = 8
 	for _, pg := range []*succinct.PackedGraph{small, large} {
 		if allocs, _ := run(pg, 1, 2); allocs > 32+2*perIter {
@@ -45,14 +45,15 @@ func TestPageRankOnPackedAllocations(t *testing.T) {
 		t.Errorf("PageRankOn allocates %.1f times per iteration, want at most %d closures", (long-short)/40, perIter)
 	}
 	// No slice per iteration: 40 more iterations cost less than one n-vector.
-	if vector := uint64(8 * large.N()); longBytes-shortBytes > vector/2 {
-		t.Errorf("40 extra iterations allocate %d bytes; an n-vector is %d", longBytes-shortBytes, vector)
+	// Signed: the longer run may allocate fewer bytes than the shorter one.
+	extra := int64(longBytes) - int64(shortBytes)
+	if vector := int64(8 * large.N()); extra > vector/2 {
+		t.Errorf("40 extra iterations allocate %d bytes; an n-vector is %d", extra, vector)
 	}
 
-	// Several workers: one decode buffer each, plus per iteration the
-	// goroutine start-up of three parallel loops and one closure per chunk
-	// (8 chunks per worker) — a bound in workers and iterations, two orders
-	// of magnitude below one allocation per vertex.
+	// Several workers: the decode's lists once per block, plus per iteration
+	// the goroutine start-up of one parallel pass — a bound in workers and
+	// iterations, two orders of magnitude below one allocation per vertex.
 	const workers, iters = 4, 10
 	if allocs, _ := run(large, workers, iters); allocs > float64(workers*(16+20*iters)) {
 		t.Errorf("PageRankOn with %d workers allocates %.0f times over %d iterations (n=%d)",

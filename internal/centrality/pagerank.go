@@ -41,22 +41,24 @@ func (o PageRankOptions) withDefaults() PageRankOptions {
 // their mass uniformly, so the distribution stays normalized even on
 // heavily compressed graphs with isolated vertices.
 //
-// One pull loop serves every graph.Adjacency, raw CSR or PackedGraph decoded
-// on the fly: in-neighbors are summed in increasing order on all of them, so
-// the vectors are bit-identical for the same graph. The worker count changes
-// no per-vertex value either; it only reorders the L1 delta that decides
-// when to stop.
+// One pull loop serves every graph.Adjacency: it runs over the flat in-lists
+// graph.InListsOf returns — the raw in-CSR itself, or one decode of a packed
+// or mapped graph per call, never one per iteration. In-neighbors are summed
+// in increasing order on all of them, so the vectors are bit-identical for
+// the same graph. The worker count changes no per-vertex value either; it
+// only reorders the L1 delta that decides when to stop.
 //
-// Nothing per arc touches the representation's directory or divides: the
-// degree vector is read once per call, contrib[u] = rank[u]/deg(u) once per
-// vertex per iteration, and the arc loop adds contrib[u] over lists that
-// ScanInLists decodes into one reused buffer per worker.
+// An iteration is one parallel pass, and nothing per arc divides: for each
+// vertex it pulls Σ contrib[u] over the in-neighbors u, finishes the new
+// rank, adds its change to the worker's delta slot and writes the quotient
+// rank/deg(v) the next iteration pulls into a second contrib buffer.
 func PageRank(g graph.Adjacency, opts PageRankOptions) []float64 {
 	o := opts.withDefaults()
 	n := g.N()
 	if n == 0 {
 		return nil
 	}
+	off, in, _ := graph.InListsOf(g, o.Workers)
 	deg := make([]int32, n)
 	parallel.ForChunks(n, o.Workers, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -64,20 +66,34 @@ func PageRank(g graph.Adjacency, opts PageRankOptions) []float64 {
 		}
 	})
 	// The out-degree-0 vertices, ascending: the order their mass is summed in.
-	var dangling []graph.NodeID
+	zeros := 0
+	for _, d := range deg {
+		if d == 0 {
+			zeros++
+		}
+	}
+	dangling := make([]graph.NodeID, 0, zeros)
 	for v, d := range deg {
 		if d == 0 {
 			dangling = append(dangling, graph.NodeID(v))
 		}
 	}
+	// contrib[u] = rank[u]/deg(u) has the operands of the textbook per-arc
+	// quotient, so hoisting it changes no bit. A dangling vertex is nobody's
+	// in-neighbor, so its 0 is never read.
 	rank := make([]float64, n)
 	next := make([]float64, n)
 	contrib := make([]float64, n)
-	bufs := make([][]graph.NodeID, parallel.Resolve(o.Workers, n))
+	nextContrib := make([]float64, n)
 	inv := 1.0 / float64(n)
-	for i := range rank {
-		rank[i] = inv
+	for v := range rank {
+		rank[v] = inv
+		if deg[v] != 0 {
+			contrib[v] = inv / float64(deg[v])
+		}
 	}
+	const pad = 8 // delta slots a cache line apart
+	deltas := make([]float64, pad*parallel.Resolve(o.Workers, n))
 	base := (1 - o.Damping) * inv
 	for iter := 0; iter < o.MaxIter; iter++ {
 		// Mass of dangling vertices spreads uniformly.
@@ -86,36 +102,34 @@ func PageRank(g graph.Adjacency, opts PageRankOptions) []float64 {
 			danglingMass += rank[v]
 		}
 		danglingShare := o.Damping * danglingMass * inv
-		// contrib has the operands of the textbook per-arc rank[u]/deg(u), so
-		// hoisting the quotient changes no bit. A dangling vertex is nobody's
-		// in-neighbor, so its 0 is never read.
-		parallel.ForChunks(n, o.Workers, func(lo, hi int) {
-			for u := lo; u < hi; u++ {
-				if deg[u] == 0 {
-					contrib[u] = 0
-					continue
-				}
-				contrib[u] = rank[u] / float64(deg[u])
-			}
-		})
-		// next[v] = Σ contrib[u] over the in-neighbors u of v, in increasing-u
-		// order — the only float order the per-vertex values depend on.
+		clear(deltas)
 		parallel.ForWorker(n, o.Workers, func(w, lo, hi int) {
-			bufs[w] = g.ScanInLists(graph.NodeID(lo), graph.NodeID(hi), bufs[w], func(v graph.NodeID, nbrs []graph.NodeID) {
+			// Locals: the swap below reassigns these variables, so the
+			// closure would otherwise read each through a pointer per access.
+			rank, next, contrib, nextContrib := rank, next, contrib, nextContrib
+			delta := 0.0
+			for v := lo; v < hi; v++ {
+				// Σ contrib[u] in increasing-u order — the only float order
+				// the per-vertex values depend on.
 				sum := 0.0
-				for _, u := range nbrs {
+				for _, u := range in[off[v]:off[v+1]] {
 					sum += contrib[u]
 				}
-				next[v] = sum
-			})
-		})
-		// next[v] = base + d·dangling/n + d·sums[v], finished in the pass that
-		// takes the L1 delta (each v visited once).
-		delta := parallel.SumFloat64(n, o.Workers, func(v int) float64 {
-			next[v] = base + danglingShare + o.Damping*next[v]
-			return math.Abs(next[v] - rank[v])
+				r := base + danglingShare + o.Damping*sum
+				next[v] = r
+				delta += math.Abs(r - rank[v])
+				if deg[v] != 0 {
+					nextContrib[v] = r / float64(deg[v])
+				}
+			}
+			deltas[w*pad] += delta
 		})
 		rank, next = next, rank
+		contrib, nextContrib = nextContrib, contrib
+		delta := 0.0
+		for w := 0; w < len(deltas); w += pad {
+			delta += deltas[w]
+		}
 		if delta < o.Tolerance {
 			break
 		}

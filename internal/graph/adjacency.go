@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"slimgraph/internal/bitset"
 	"slimgraph/internal/parallel"
 )
@@ -140,6 +142,48 @@ func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) 
 		eu[e], ev[e] = u, v
 	})
 	return eu, ev, true
+}
+
+// InListsOf returns the in-lists of a as one CSR: v's in-neighbors are
+// nbrs[off[v]:off[v+1]], in increasing order. On a raw CSR they are
+// zero-copy views of its in-CSR, or of its out-CSR when undirected (owned ==
+// false; callers must not modify them). Any other representation is decoded
+// in one block-parallel ScanInLists pass, so its lists are exactly the ones
+// ScanInLists hands out over the blocks of parallel.Blocks(n, 0, workers) —
+// a list that does not decode reads as empty. This is the input of an
+// iterative pull kernel, which pays for the decode once per call rather
+// than once per iteration.
+func InListsOf(a Adjacency, workers int) (off []int64, nbrs []NodeID, owned bool) {
+	if g, ok := a.(*Graph); ok {
+		if g.directed {
+			return g.inOffsets, g.inNbrs, false
+		}
+		return g.offsets, g.nbrs, false
+	}
+	n := a.N()
+	off = make([]int64, n+1)
+	blocks := parallel.Blocks(n, 0, workers)
+	lists := make([][]NodeID, blocks)
+	parallel.ForBlocks(n, blocks, workers, func(b, lo, hi int) {
+		var out []NodeID
+		a.ScanInLists(NodeID(lo), NodeID(hi), nil, func(v NodeID, in []NodeID) {
+			if cap(out)-len(out) < len(in) {
+				// Double, not append's 1.25x: a block's lists run to
+				// megabytes, and regrowth copies would cost more than the decode.
+				out = slices.Grow(out, max(len(in), len(out)))
+			}
+			out = append(out, in...)
+			off[v] = int64(len(in))
+		})
+		lists[b] = out
+	})
+	arcs := parallel.ExclusiveScan(off, workers)
+	if blocks == 1 {
+		return off, lists[0], true
+	}
+	nbrs = make([]NodeID, arcs)
+	parallel.ForBlocks(n, blocks, workers, func(b, lo, _ int) { copy(nbrs[off[lo]:], lists[b]) })
+	return off, nbrs, true
 }
 
 // CSROf returns a as a raw CSR: a itself when it is one, otherwise one full

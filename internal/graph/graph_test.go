@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -324,5 +325,41 @@ func BenchmarkBuild100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = FromEdges(n, false, edges)
+	}
+}
+
+// InListsOf borrows a raw CSR's own arrays — the in-CSR of a directed graph,
+// the out-CSR of an undirected one — and decodes any other representation
+// into the same lists, at any worker count. A struct embedding the *Graph
+// stands in for a representation without a CSR to lend.
+func TestInListsOf(t *testing.T) {
+	r := rng.New(67)
+	for _, directed := range []bool{false, true} {
+		var edges []Edge
+		for i := 0; i < 900; i++ {
+			edges = append(edges, E(NodeID(r.Intn(203)), NodeID(r.Intn(203))))
+		}
+		g := FromEdges(203, directed, edges)
+		wantOff, wantNbrs := g.offsets, g.nbrs
+		if directed {
+			wantOff, wantNbrs = g.inOffsets, g.inNbrs
+		}
+		off, nbrs, owned := InListsOf(g, 0)
+		if owned || &off[0] != &wantOff[0] || len(off) != len(wantOff) || &nbrs[0] != &wantNbrs[0] || len(nbrs) != len(wantNbrs) {
+			t.Fatalf("directed=%v: InListsOf copied the CSR (owned=%v) instead of lending its arrays", directed, owned)
+		}
+		for _, workers := range []int{1, 2, 7} {
+			off, nbrs, owned := InListsOf(struct{ *Graph }{g}, workers)
+			if !owned || len(off) != g.N()+1 || off[g.N()] != int64(len(nbrs)) {
+				t.Fatalf("directed=%v workers=%d: owned=%v, %d offsets ending at %d over %d neighbors",
+					directed, workers, owned, len(off), off[len(off)-1], len(nbrs))
+			}
+			for v := 0; v < g.N(); v++ {
+				got, want := nbrs[off[v]:off[v+1]], g.InNeighbors(NodeID(v))
+				if !slices.Equal(got, want) {
+					t.Fatalf("directed=%v workers=%d: in-list of %d = %v, want %v", directed, workers, v, got, want)
+				}
+			}
+		}
 	}
 }

@@ -441,21 +441,3 @@ func SumInt64(n, workers int, body func(i int) int64) int64 {
 	})
 	return total
 }
-
-// SumFloat64 reduces body over [0, n) by float summation. Partial sums are
-// combined under a mutex (float64 has no atomic add); with a handful of
-// chunks the contention is negligible.
-func SumFloat64(n, workers int, body func(i int) float64) float64 {
-	var mu sync.Mutex
-	total := 0.0
-	ForChunks(n, workers, func(lo, hi int) {
-		local := 0.0
-		for i := lo; i < hi; i++ {
-			local += body(i)
-		}
-		mu.Lock()
-		total += local
-		mu.Unlock()
-	})
-	return total
-}

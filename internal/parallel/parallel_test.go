@@ -86,14 +86,6 @@ func TestSumInt64MatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-func TestSumFloat64(t *testing.T) {
-	const n = 10000
-	got := SumFloat64(n, 4, func(i int) float64 { return 1.0 })
-	if got != n {
-		t.Fatalf("SumFloat64 = %v, want %v", got, float64(n))
-	}
-}
-
 func TestForZeroAndNegativeN(t *testing.T) {
 	called := false
 	For(0, 4, func(i int) { called = true })

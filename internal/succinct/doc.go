@@ -105,9 +105,10 @@
 // Use PackedGraph when a graph must stay resident but is traversed with
 // simple neighborhood scans (BFS, PageRank, component labeling): on the
 // benchmark's pinned graphs it is 8-10x smaller than the raw CSR arrays
-// (20-25 bits per edge against ≈200) at a 1.2-2x traversal slowdown —
+// (20-25 bits per edge against ≈200) at a 1.1-2x traversal slowdown —
 // direction-optimising BFS ≈1.2-1.5x, a sequential scan ≈1.5x, PageRank
-// ≈1.9x (README "Performance"). Use the compact v2 storage stream
+// ≈1.1-1.2x, because it decodes each in-list once per call and iterates over
+// the decoded arrays (README "Performance"). Use the compact v2 storage stream
 // (graphio.WritePacked) for on-disk footprint and interchange, the servable
 // image (WriteServable, OpenPacked) when graphs are served from disk and
 // restarts must not re-decode; use the raw CSR (graph.Graph) when algorithms need canonical
