@@ -24,10 +24,10 @@
 // needs one round scatters parts (i, of) that a shard turns into its share
 // locally — the degree-aware vertex range of graph.DegreeCuts (the split
 // PartitionByDegree lays out) for degrees, a work-balanced vertex range of
-// the count-only forward CSR (triangles.Forward.CountPart, on a Forward
-// built for the sub-request) for exact counts — from nothing but the target
-// graph, so ownership needs no metadata exchange and holds for variants
-// whose vertex count differs from the original. No threshold or option
+// the count-only forward CSR, hub rows included (triangles.Forward.CountPart,
+// on a Forward built for the sub-request), for exact counts — from nothing
+// but the target graph, so ownership needs no metadata exchange and holds
+// for variants whose vertex count differs from the original. No threshold or option
 // chooses between the two. The coordinator then runs the row's own Finish,
 // the function a single node runs, so responses are byte-identical to
 // internal/server's at every worker count by construction (the cluster

@@ -71,10 +71,12 @@ type entry struct {
 	// store.graphPath(name), opened by attach or by the first spill — or,
 	// for a variant faulted back in, of its spilled snapshot.
 	mapped *succinct.Mapped
-	// Triangle arena: the count-only forward CSR (offsets, lists, work
-	// prefix; no edge IDs) is a pure function of the graph, built lazily on
-	// the first exact triangle query and reused until the spiller reclaims
-	// it (a rebuild over any tier is bit-identical).
+	// Triangle arena: the count-only forward CSR (offsets, lists, hub rows
+	// and hub table, work prefix; no edge IDs) is a pure function of the
+	// graph, built lazily on the first exact triangle query and reused until
+	// the spiller reclaims it (a rebuild over any tier is bit-identical). It
+	// holds at most 16(n+1) + 4m bytes: hub rows are chosen only where they
+	// take no more bytes than the list entries they replace.
 	engine  *triangles.Forward
 	lastUse int64 // catalog clock tick of the last acquire, for LRU spill
 }

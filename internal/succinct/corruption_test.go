@@ -164,11 +164,42 @@ func checkAccessorsAgree(t *testing.T, name string, pg *PackedGraph, r *rng.Rand
 // of damage must stop it with a panic naming a corrupt packed graph — the
 // words Unpack uses — never with an index out of range: a list head
 // rewritten so the list decodes to neighbors n and beyond, and a header that
-// undercounts the edges its lists hold.
+// undercounts the edges its lists hold. Both graphs choose hub rows, so the
+// arcs set as row bits must count toward M like list entries: the dense
+// 90-vertex graph makes most of its vertices hubs, and the damage is
+// repeated on a skewed graph where hubs are the few top-ranked vertices.
 func TestForwardRefusesCorruptPayload(t *testing.T) {
-	for name, bad := range damagedPayloads(t, packCase{}) {
+	damaged := damagedPayloads(t, packCase{})
+	pg, victim := hubPayload(t)
+	for name, bad := range damage(t, pg, victim) {
+		damaged["hub rows, "+name] = bad
+	}
+	for name, bad := range damaged {
 		wantCorrupt(t, name+": NewForward", func() { triangles.NewForward(bad, 1) })
 	}
+}
+
+// hubPayload packs rmat10 — 1024 skewed vertices, enough for NewForward to
+// choose hub rows, which its arena shows by staying under the hub-free
+// 16(n+1) + 4m — with one more edge, from an isolated vertex v within 63 of
+// n to v+1, so that v's list has the one-byte head damage rewrites.
+func hubPayload(t *testing.T) (*PackedGraph, int) {
+	t.Helper()
+	g := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77)
+	n := g.N()
+	for v := n - 63; v < n-1; v++ {
+		if g.Degree(graph.NodeID(v)) != 0 {
+			continue
+		}
+		edges := append(g.Edges(), graph.Edge{U: graph.NodeID(v), V: graph.NodeID(v + 1), W: 1})
+		pg := Pack(graph.FromEdges(n, false, edges), 0)
+		if size, hubFree := triangles.NewForward(pg, 1).SizeBytes(), 16*int64(n+1)+4*int64(pg.m); size >= hubFree {
+			t.Fatalf("rmat10 chose no hub rows: arena %d of a hub-free %d bytes", size, hubFree)
+		}
+		return pg, v
+	}
+	t.Fatal("rmat10 has no isolated vertex within 63 of n")
+	return nil, 0
 }
 
 // TestInPlaceCompressRefusesCorruptPayload: an edge kernel reads a packed
@@ -202,19 +233,26 @@ func TestInPlaceCompressRefusesCorruptPayload(t *testing.T) {
 	}
 }
 
-// damagedPayloads returns two damaged copies of one packed graph of the
-// given case: an out-list head rewritten so the list decodes to neighbors n
-// and beyond, and a header that undercounts the edges its lists hold.
+// damagedPayloads returns damage's two copies of one packed graph of the
+// given case.
 func damagedPayloads(t *testing.T, c packCase) map[string]*PackedGraph {
 	t.Helper()
-	pg := Pack(randomGraph(rng.New(59), c, 90, 2400), 0, WithBlockVertices(16))
-	const victim = 41
-	_, head := Uvarint(pg.payload, pg.start(victim))
+	return damage(t, Pack(randomGraph(rng.New(59), c, 90, 2400), 0, WithBlockVertices(16)), 41)
+}
+
+// damage returns two damaged copies of pg: victim's list head rewritten so
+// the list decodes to neighbors n and beyond (the head and its replacement
+// are one byte each, so victim lies within 63 of n), and a header that
+// undercounts the edges its lists hold.
+func damage(t *testing.T, pg *PackedGraph, victim int) map[string]*PackedGraph {
+	t.Helper()
+	v := graph.NodeID(victim)
+	_, head := Uvarint(pg.payload, pg.start(v))
 	past := *pg
 	past.payload = slices.Clone(pg.payload)
 	past.payload[head] = byte(ZigZag(int64(pg.n - victim))) // one byte, like the head it replaces
-	if nb := past.Neighbors(nil, victim); len(nb) != pg.Degree(victim) || int(nb[0]) != pg.n {
-		t.Fatalf("damaged list decodes to %v, want %d neighbors from %d", nb, pg.Degree(victim), pg.n)
+	if nb := past.Neighbors(nil, v); len(nb) != pg.Degree(v) || int(nb[0]) != pg.n {
+		t.Fatalf("damaged list decodes to %v, want %d neighbors from %d", nb, pg.Degree(v), pg.n)
 	}
 	short := *pg
 	short.m--

@@ -5,12 +5,12 @@ import (
 	"slimgraph/internal/parallel"
 )
 
-// Engine is the triangle-emission substrate: a Forward (see it for the
-// orientation invariant) plus what emission reads — the canonical edge
-// columns, the EdgeID of every forward-list entry and a per-edge schedule —
-// built once and shared by every enumeration (ForEachBatch, ForEach,
-// PerVertex, PerEdge, List) and by core.RunTriangleKernel; Count and
-// CountPart run on the embedded Forward. Construction is O(n + m) on top of
+// Engine is the triangle-emission substrate: a Forward of plain lists, no
+// hub rows (see Forward for the orientation invariant), plus what emission
+// reads — the canonical edge columns, the EdgeID of every forward-list
+// entry and a per-edge schedule — built once and shared by every
+// enumeration (ForEachBatch, ForEach, PerVertex, PerEdge, List) and by
+// core.RunTriangleKernel; Count and CountPart run on the embedded Forward. Construction is O(n + m) on top of
 // the input and bit-identical for any worker count.
 //
 // Emission goes edge by edge: a triangle with rank(a) < rank(b) < rank(c)
@@ -56,7 +56,8 @@ func NewEngine(a graph.AdjacencyEdges, workers int) *Engine {
 	// Edge-centric forward fill: stably scatter every canonical edge to its
 	// lower-rank endpoint. Edges arrive in canonical (u, v) order, so the
 	// arcs landing at vertex v are its lower-ID neighbors ascending followed
-	// by its higher-ID neighbors ascending: NewForward's lists, plus eid.
+	// by its higher-ID neighbors ascending: the forward sets NewForward
+	// splits into lists and hub rows, as plain lists, plus eid.
 	en.nbr = make([]graph.NodeID, m)
 	en.eid = make([]graph.EdgeID, m)
 	lowRank := func(e int) int {

@@ -10,11 +10,16 @@
 // for the orientation invariant) but not one substrate. Counting reads the
 // CSR alone: a Forward counts vertex by vertex with one stamp array per
 // worker, each triangle at its rank-lowest vertex, over ranges of the vertex
-// order cut by a work prefix. Emission needs the canonical EdgeIDs too: an
-// Engine embeds a Forward, adds the edge columns, the EdgeIDs of its lists
-// and a per-edge schedule, and scans edge by edge. The package-level
-// functions build a single-use substrate; callers enumerating more than
-// once over the same graph should build and reuse an Engine.
+// order cut by a work prefix. On a skewed graph it keeps the arcs into the
+// top-ranked vertices (the hubs) as a bitmask row per vertex, so most
+// matches are one AND and popcount per word instead of a probe per entry;
+// the rows replace at least as many list bytes as they take, and a graph
+// without such hubs keeps plain lists. Emission needs the canonical EdgeIDs
+// too, one per entry: an Engine embeds a Forward of plain lists, adds the
+// edge columns, the EdgeIDs of its lists and a per-edge schedule, and scans
+// edge by edge. The package-level functions build a single-use substrate;
+// callers enumerating more than once over the same graph should build and
+// reuse an Engine.
 //
 // Emission is batched. One emitter serves ForEachBatch, ForEach, PerVertex,
 // PerEdge and List: the scan writes each match as a Triangle into a

@@ -1,7 +1,11 @@
 package triangles
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -201,11 +205,14 @@ func TestDirectedPanics(t *testing.T) {
 	Count(gen.RMATDirected(5, 4, 0.57, 0.19, 0.19, 1), 1)
 }
 
-// sinkCount keeps the measured calls of BenchmarkCountRMAT12 alive.
+// sinkCount keeps the measured calls of the benchmarks alive.
 var sinkCount int64
 
 // BenchmarkCountRMAT12 runs both consumers of the marked-scan kernel on one
-// prebuilt engine: the counting scan and batched emission.
+// prebuilt engine: the counting scan and batched emission. An Engine's
+// embedded Forward keeps plain lists — emission needs an EdgeID per entry —
+// so its count runs the loop without hub rows; BenchmarkForward times the
+// substrate that has them.
 func BenchmarkCountRMAT12(b *testing.B) {
 	en := NewEngine(gen.RMAT(12, 16, 0.57, 0.19, 0.19, 1), 0)
 	b.Run("count", func(b *testing.B) {
@@ -221,6 +228,32 @@ func BenchmarkCountRMAT12(b *testing.B) {
 			sinkCount = n
 		}
 	})
+}
+
+// BenchmarkForward times the count-only substrate at one worker, its build
+// and a count on the built Forward, on a skewed graph, whose top-ranked
+// vertices become hub rows, and on a grid, which chooses none.
+func BenchmarkForward(b *testing.B) {
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat12", gen.RMAT(12, 16, 0.57, 0.19, 0.19, 1)},
+		{"grid64", gen.Grid2D(64, 64, true)},
+	}
+	for _, c := range graphs {
+		f := NewForward(c.g, 1)
+		b.Run(c.name+"/build", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkCount = NewForward(c.g, 1).SizeBytes()
+			}
+		})
+		b.Run(c.name+"/count", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sinkCount = f.Count()
+			}
+		})
+	}
 }
 
 // naivePerElement is an O(n·d²) center-based reference: for every vertex u
@@ -599,10 +632,27 @@ func TestMarksStayZeroBetweenRanges(t *testing.T) {
 	}
 }
 
+// forwardSet returns F(v) as f stores it, one ID-sorted list: v's list and
+// the hubs of its row, mapped through the hub table.
+func forwardSet(f *Forward, v int) []graph.NodeID {
+	set := slices.Clone(f.nbr[f.off[v]:f.off[v+1]])
+	for i, x := range f.row(v) {
+		for ; x != 0; x &= x - 1 {
+			set = append(set, f.hub[i<<6|bits.TrailingZeros64(x)])
+		}
+	}
+	slices.Sort(set)
+	return set
+}
+
 // TestForwardMatchesEngine pins the two builds of one forward CSR to each
-// other: NewEngine's edge scatter and NewForward's filtered list scan yield
-// the same offsets, lists and work prefix on every differential graph, raw,
-// packed and degree-relabeled packed, at every worker count.
+// other: NewEngine's edge scatter, which keeps plain lists, and NewForward's
+// filtered list scan, which splits off hub rows, yield the same logical
+// forward sets (forwardSet) on every differential graph, raw, packed and
+// degree-relabeled packed, at every worker count. Only where NewForward
+// chose no hubs is the layout one and the same, so only there are offsets,
+// lists and work prefix compared too (with hubs the prefix charges row
+// words).
 func TestForwardMatchesEngine(t *testing.T) {
 	for name, g := range diffGraphs() {
 		byDegree, err := g.Permute(succinct.ComputeOrder(g, succinct.OrderDegree, 1), 1)
@@ -617,8 +667,79 @@ func TestForwardMatchesEngine(t *testing.T) {
 		for form, a := range forms {
 			for _, workers := range []int{1, 2, 7} {
 				en, f := NewEngine(a, workers), NewForward(a, workers)
-				if !slices.Equal(en.off, f.off) || !slices.Equal(en.nbr, f.nbr) || !slices.Equal(en.work, f.work) {
-					t.Fatalf("%s/%s workers %d: NewEngine and NewForward build different forward CSRs", name, form, workers)
+				for v := 0; v < a.N(); v++ {
+					if got := forwardSet(f, v); !slices.Equal(got, en.nbr[en.off[v]:en.off[v+1]]) {
+						t.Fatalf("%s/%s workers %d: F(%d) = %v, the engine's %v", name, form, workers, v, got, en.nbr[en.off[v]:en.off[v+1]])
+					}
+				}
+				if f.words == 0 && (!slices.Equal(en.off, f.off) || !slices.Equal(en.nbr, f.nbr) || !slices.Equal(en.work, f.work)) {
+					t.Fatalf("%s/%s workers %d: NewEngine and NewForward build different hub-free forward CSRs", name, form, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestForwardHubPath runs the hub rows on graphs large enough to choose
+// hubs, raw, packed and memory-mapped, at every worker count: the count is
+// the engine's emission count, the parts of every cut tile it, the hub set
+// is one for every form and worker count, and the arena stays within the
+// hub-free 16(n+1) + 4m.
+func TestForwardHubPath(t *testing.T) {
+	dir := t.TempDir()
+	for _, scale := range []int{12, 13} {
+		g := gen.RMAT(scale, 16, 0.57, 0.19, 0.19, 1)
+		var want int64
+		NewEngine(g, 1).ForEachBatch(func() func([]Triangle) {
+			return func(batch []Triangle) { want += int64(len(batch)) }
+		})
+		pg := succinct.Pack(g, 1)
+		path := filepath.Join(dir, fmt.Sprintf("rmat%d.slim", scale))
+		file, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := succinct.WriteServable(file, pg); err != nil {
+			t.Fatal(err)
+		}
+		if err := file.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := succinct.OpenPacked(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		hubs := NewForward(g, 1).hub
+		if len(hubs) == 0 {
+			t.Fatalf("rmat%d: no hubs chosen", scale)
+		}
+		bound := 16*int64(g.N()+1) + 4*int64(g.M())
+		forms := map[string]graph.AdjacencyEdges{"raw": g, "packed": pg, "mapped": m}
+		for form, a := range forms {
+			for _, workers := range []int{1, 2, 7} {
+				name := fmt.Sprintf("rmat%d/%s workers %d", scale, form, workers)
+				f := NewForward(a, workers)
+				if f.words == 0 {
+					t.Fatalf("%s: no hub rows", name)
+				}
+				if !slices.Equal(f.hub, hubs) {
+					t.Fatalf("%s: hubs %v, the one-worker raw build's %v", name, f.hub, hubs)
+				}
+				if size := f.SizeBytes(); size > bound {
+					t.Fatalf("%s: SizeBytes %d over the hub-free %d", name, size, bound)
+				}
+				if got := f.Count(); got != want {
+					t.Fatalf("%s: Count %d, engine emits %d", name, got, want)
+				}
+				for of := 1; of <= 5; of++ {
+					var sum int64
+					for i := 0; i < of; i++ {
+						sum += f.CountPart(i, of)
+					}
+					if sum != want {
+						t.Fatalf("%s: %d parts sum to %d, want %d", name, of, sum, want)
+					}
 				}
 			}
 		}
