@@ -59,7 +59,7 @@ func FromWeightedEdges(n int, directed bool, edges []Edge) *Graph {
 // through the sort-free construction path. It returns an error when the
 // input is not canonical; use FromEdges for arbitrary input.
 func FromCanonicalEdges(n int, directed, weighted bool, edges []Edge) (*Graph, error) {
-	return graph.FromCanonicalEdges(n, directed, weighted, edges)
+	return graph.FromCanonicalEdges(n, directed, weighted, edges, 0)
 }
 
 // EdgeSet is a dense set of canonical EdgeIDs — the stage-1 mark container

@@ -9,8 +9,9 @@
 //	slimgraphd -role coordinator -addr :8080 \
 //	    -peers http://h1:8081,http://h2:8081     # cluster frontend
 //
-// A coordinator serves the same /v1/graphs API as a standalone server by
-// scatter/gathering over its -peers shards (see internal/cluster). All
+// A coordinator serves the same /v1/graphs API as a standalone server over
+// its -peers shard replicas, one sub-request per query (see
+// internal/cluster). All
 // roles expose /healthz (process liveness), /readyz (traffic readiness:
 // preloads finished; for a coordinator, every shard ready), and /metrics
 // (Prometheus text exposition: per-endpoint latency histograms, variant

@@ -182,16 +182,14 @@
 // The same API scales out (internal/cluster, run as slimgraphd -role
 // coordinator|shard or in-process via NewLocalCluster): a coordinator
 // serves /v1/graphs over N shard replicas, each holding the whole graph.
-// A kernel whose number of rounds depends on the graph — BFS, PageRank —
-// runs whole on one replica, one sub-request per query; one-round kernels
-// scatter — degree histograms over the same degree-balanced contiguous
-// ranges as PartitionByDegree, triangle counts over engine work slices.
-// Every part, whole run and reduction is the single node's own kernel.
-// Replicated storage keeps the determinism contract intact (element-keyed
-// scheme randomness needs the whole graph), so a cluster's responses are
-// byte-identical to a single node's for a fixed seed at the same worker
-// count, and one compress request populates every live replica's variant
-// cache exactly once. A variant is never shipped between replicas: one that
+// Every query — BFS, PageRank, degrees, triangles, compare — runs whole on
+// one replica, one sub-request per query, the replicas taking queries in
+// turn; the shard runs the single node's own kernel and the coordinator
+// the single node's own finishing code. Replicated storage keeps the
+// determinism contract intact (element-keyed scheme randomness needs the
+// whole graph), so a cluster's responses are byte-identical to a single
+// node's for a fixed seed at the same worker count, and one compress
+// request populates every live replica's variant cache exactly once. A variant is never shipped between replicas: one that
 // missed the compress computes it on the first sub-request that names it.
 //
 // # Resilience
@@ -204,13 +202,11 @@
 // consecutive failures, half-open probes after a cooldown) route traffic
 // around a dead shard — opened proactively by a background /readyz prober
 // when ClusterOptions.ProbeInterval is set. Degraded execution is
-// lossless: whole queries fail over to any live replica, partitioned
-// kernels re-scatter their ranges over the survivors (ranges are pure
-// functions of (part, of), so the merged bytes never change), compress
-// answers from whichever live replicas succeed, and a DELETE that misses a
-// shard queues it an unload that replays when its breaker closes, so
-// DELETE stays idempotent across an outage. Request
-// deadlines propagate on the DeadlineHeader and are clamped shard-side;
+// lossless: a query fails over to the next live replica, which holds the
+// same data and so answers the same bytes; compress answers from whichever
+// live replicas succeed; and a DELETE that misses a shard queues it an
+// unload that replays when its breaker closes, so DELETE stays idempotent
+// across an outage. Request deadlines propagate on the DeadlineHeader and are clamped shard-side;
 // handler panics become 500s with the request ID (slimgraph_panics_total)
 // instead of torn connections; and admission control bounds the
 // heavy-request wait queue, answering 429 + Retry-After when full. A
@@ -229,7 +225,7 @@
 // sub-request histograms whose mergeable snapshots (HistogramSnapshot)
 // sum to exactly the cluster aggregate. Every request carries an
 // X-Slimgraph-Request ID (RequestIDHeader), forwarded on shard
-// sub-requests so one ID stitches a scatter/gather together, and emits
+// sub-requests so one ID stitches a query's fan-out together, and emits
 // one structured log line through ServerOptions.Logger
 // (NewTextRequestLogger for key=value output). slimgraphd's -debug-addr
 // adds a pprof listener; /v1/stats reports uptime and build info

@@ -74,7 +74,7 @@ func normalizedCompress(t *testing.T, base string) server.CompressResponse {
 
 // TestClusterKillShardFailover is the kill-a-shard acceptance test: one of
 // three shards dies mid-workload, every query keeps answering bytes
-// identical to a single node (the survivors re-partition the work), the
+// identical to a single node (the survivors take its queries), the
 // dead shard's breaker opens, a DELETE while it is down still succeeds and
 // owes it a replayed unload, and after a restart the breaker closes and the
 // unload drains — leaving the recovered replica consistent, computing the
@@ -318,23 +318,24 @@ func TestClusterChaosSoak(t *testing.T) {
 	// but no single request can draw enough of them to exhaust its retry
 	// budget and every quota empties before the workload does.
 	//
-	// The routed rules aim torn replies and 503s at the whole-kernel routes,
-	// which carry a whole result vector per reply — where a frame cut short
-	// would be easiest to mistake for an answer. Each query sends one
-	// sub-request there, so they fire from the start; every rule's firing
-	// decisions are a pure function of its seed and match count, and the
-	// workload's three dozen BFS and three dozen PageRank queries reach the
-	// first firing match of each.
+	// The routed rules aim drops, torn replies and 503s at the compute
+	// routes, each query's one sub-request: BFS and PageRank carry a whole
+	// result vector per reply — where a frame cut short would be easiest
+	// to mistake for an answer — degrees a histogram, triangles a scalar.
+	// They fire from the start; every rule's firing decisions are a pure
+	// function of its seed and match count, and the workload's three dozen
+	// queries per route reach the first firing match of each.
 	routed := []*resilience.FaultRule{
 		{Path: "/whole/bfs", P: 0.1, Seed: 55, Times: 15, Action: resilience.FaultTruncate},
 		{Path: "/whole/bfs", P: 0.1, Seed: 66, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
 		{Path: "/whole/pagerank", P: 0.1, Seed: 77, Times: 15, Action: resilience.FaultTruncate},
 		{Path: "/whole/pagerank", P: 0.1, Seed: 88, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/whole/degrees", P: 0.12, Seed: 11, Times: 15, Action: resilience.FaultDrop},
+		{Path: "/whole/triangles", P: 0.08, Seed: 22, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/whole/degrees", P: 0.08, Seed: 33, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/whole/triangles", P: 0.08, Seed: 99, Times: 15, Action: resilience.FaultTruncate},
 	}
 	inj := resilience.NewInjector(append([]*resilience.FaultRule{
-		{Path: "/part/", P: 0.12, Seed: 11, Times: 40, Action: resilience.FaultDrop},
-		{Path: "/part/", P: 0.08, Seed: 22, Times: 30, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
-		{Path: "/part/", P: 0.08, Seed: 33, Times: 30, Action: resilience.FaultTruncate},
 		{Path: "/triangles", P: 0.25, Seed: 44, Times: 20, Action: resilience.FaultDelay, Delay: 2 * time.Millisecond},
 	}, routed...)...)
 	// Provisioned for the workload: 8 concurrent clients (plus retry

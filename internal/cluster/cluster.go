@@ -16,24 +16,18 @@
 //
 // Every query runs the single node's code, not copies of it; the
 // coordinator only schedules. A query is a row of server.Kernels, the one
-// list of servable kernels, and the row's shape is the plan. A kernel whose
-// number of rounds depends on the graph — BFS levels, PageRank iterations —
-// or that reads the whole graph at once (approximate triangles, §5 compare)
-// runs whole on one replica, as one sub-request: a round trip per level or
-// iteration would cost more than the work it distributes. A kernel that
-// needs one round scatters parts (i, of) that a shard turns into its share
-// locally — the degree-aware vertex range of graph.DegreeCuts (the split
-// PartitionByDegree lays out) for degrees, a work-balanced vertex range of
-// the count-only forward CSR, hub rows included (triangles.Forward.CountPart,
-// on a Forward built for the sub-request), for exact counts — from nothing
-// but the target graph, so ownership needs no metadata exchange and holds
-// for variants whose vertex count differs from the original. No threshold or option
-// chooses between the two. The coordinator then runs the row's own Finish,
-// the function a single node runs, so responses are byte-identical to
-// internal/server's at every worker count by construction (the cluster
-// tests pin it too). Every compute reply but compare's is a fixed-width
-// little-endian frame (protocol.go), a copy per element rather than a
-// decimal print and parse.
+// list of servable kernels, and every row runs whole on one replica, as one
+// sub-request: every shard holds the whole graph, so splitting a query
+// would only repeat work — a round trip per BFS level or PageRank
+// iteration costs more than the work it distributes, and a part of a
+// one-round kernel (degrees, the exact triangle count) still pays most of
+// a whole query for its setup. Replicas take queries in turn, and a
+// replica that fails one passes it to the next. The coordinator then runs
+// the row's own Finish, the function a single node runs, so responses are
+// byte-identical to internal/server's at every worker count by
+// construction (the cluster tests pin it too). Every compute reply but
+// compare's is a fixed-width little-endian frame (protocol.go), a copy per
+// element rather than a decimal print and parse.
 package cluster
 
 import (
@@ -79,7 +73,7 @@ type Options struct {
 	// a replayed unload, or a readiness probe.
 	Retry resilience.RetryPolicy
 	// RetryBudget caps retries per client request across its whole fan-out
-	// (a variant's warm-up, a scatter, a whole row's failover). 0 means the
+	// (a variant's warm-up, a query's failover). 0 means the
 	// default of 16; negative disables retries entirely.
 	RetryBudget int
 	// BreakerThreshold and BreakerCooldown configure the per-shard circuit
@@ -137,7 +131,7 @@ func doRaw(ctx context.Context, client *http.Client, method, addr, path string, 
 		req.Header.Set("Content-Type", contentType)
 	}
 	// Forward the client request's ID verbatim so one ID stitches the whole
-	// scatter/gather fan-out: the coordinator's middleware put it in ctx,
+	// fan-out: the coordinator's middleware put it in ctx,
 	// and each shard's middleware adopts it for its own log line.
 	if id := obs.RequestID(ctx); id != "" {
 		req.Header.Set(obs.RequestIDHeader, id)

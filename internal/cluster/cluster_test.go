@@ -116,7 +116,7 @@ func testGraph(t *testing.T) *graph.Graph {
 // TestClusterMatchesSingleNode pins the core determinism contract: every
 // query against a 3-shard cluster returns bytes identical to a single-node
 // slimgraphd, for the original graph and for compressed variants, under
-// both memory policies — BFS and PageRank at several worker counts.
+// both memory policies, every row at several worker counts.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	g := testGraph(t)
 	for _, memory := range []string{server.MemoryRaw, server.MemoryPacked} {
@@ -139,18 +139,17 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				if spec != "" {
 					qspec = "&spec=" + strings.ReplaceAll(spec, " ", "%20")
 				}
-				// BFS and PageRank run whole on one replica, so they match a
+				// Every query runs whole on one replica, so it matches a
 				// single node at the same worker count, not only at one.
 				var urls []string
 				for _, workers := range []string{"1", "2", "7"} {
 					urls = append(urls,
 						"/v1/graphs/g/bfs?root=0&seed=42&workers="+workers+qspec,
-						"/v1/graphs/g/pagerank?k=10&seed=42&workers="+workers+qspec)
+						"/v1/graphs/g/pagerank?k=10&seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/triangles?seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/degrees?seed=42&workers="+workers+qspec)
 				}
-				urls = append(urls,
-					"/v1/graphs/g/triangles?seed=42&workers=1"+qspec,
-					"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers=1"+qspec,
-					"/v1/graphs/g/degrees?seed=42&workers=1"+qspec)
 				if spec != "" {
 					urls = append(urls, "/v1/graphs/g/compare?seed=42&workers=1"+qspec)
 				}
@@ -234,7 +233,7 @@ func TestClusterErrorsMatchSingleNode(t *testing.T) {
 		"/v1/graphs/g/bfs?root=0&spec=bogus",              // 422 unknown scheme
 		"/v1/graphs/g/bfs?root=0&spec=uniform:p=2",        // 422 bad parameter
 		"/v1/graphs/g/bfs?root=0&spec=uniform:p=NaN",      // 422 NaN is inside no range
-		"/v1/graphs/g/triangles?spec=tr-eo:p=NaN",         // 422 on a scattered kernel too
+		"/v1/graphs/g/triangles?spec=tr-eo:p=NaN",         // 422 on the exact count too
 		"/v1/graphs/g/degrees?spec=uniform:p=0.5,p=0.9",   // 422 repeated key
 		"/v1/graphs/g/triangles?mode=approx&p=NaN",        // 400 NaN p
 		"/v1/graphs/dg/triangles",                         // 422 directed

@@ -42,7 +42,7 @@ type Coordinator struct {
 	proberDone chan struct{}
 	closeOnce  sync.Once
 
-	// rotation picks each whole row's replica (see dispatch).
+	// rotation picks each query's replica (see dispatch).
 	rotation atomic.Uint64
 
 	mu     sync.RWMutex
@@ -368,7 +368,7 @@ func (c *Coordinator) owe(graph string, live []int, errs []error) {
 // pure functions of graph, canonical spec, and seed, so a replica this call
 // missed — down, failing, or one that has since evicted the variant —
 // computes the same bytes on the first sub-request that names it
-// (Local.Part). The response merges the replicas that answered: their
+// (Local.Compute). The response merges the replicas that answered: their
 // spec, n and m must agree, cached holds only if every one of them had the
 // variant, and the elapsed time and its stage breakdown come together from
 // the slowest of them. Compress fails only when no replica answered.
@@ -406,13 +406,12 @@ func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.
 	return &merged, nil
 }
 
-// Query implements server.QueryBackend: the row runs on the live shards as
-// its shape says (dispatch), and its own Finish — the code a single node
-// runs — makes the response, so it is byte-identical to a single node's by
-// construction. With a spec, Compress first warms the variant on the live
-// replicas and checks that they agree on it; a sub-request is then a
-// shard-local cache hit, or computes the variant on a replica Compress
-// missed.
+// Query implements server.QueryBackend: the row runs on one live replica
+// (dispatch), and its own Finish — the code a single node runs — makes the
+// response, so it is byte-identical to a single node's by construction.
+// With a spec, Compress first warms the variant on the live replicas and
+// checks that they agree on it; the sub-request is then a shard-local cache
+// hit, or computes the variant on a replica Compress missed.
 func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
 	ctx = c.withBudget(ctx)
 	info, err := c.Info(ctx, q.Graph)
@@ -427,63 +426,47 @@ func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
 		}
 		n, q.Spec = cr.N, cr.Spec
 	}
-	replies, err := c.dispatch(ctx, q, n)
+	reply, err := c.dispatch(ctx, q, n)
 	if err != nil {
 		return nil, err
 	}
-	return q.Kernel.Finish(q, q.Spec, n, replies), nil
+	return q.Kernel.Finish(q, q.Spec, n, reply), nil
 }
 
-// dispatch runs q's row on the live shards and returns its replies in part
-// order, each holding at most n elements. A whole row is one sub-request to
-// POST .../whole/{row} on a replica picked by one atomic counter, so whole
-// queries rotate over the live set. A scatter row sends part k of `of` to
-// POST .../part/{row} on the k-th live shard, which derives its share from
-// (k, of) locally — so ANY shard can serve ANY part.
+// dispatch runs q's row as one sub-request to POST .../whole/{route} on a
+// live replica picked by one atomic counter, so queries rotate over the
+// live set, and returns its reply for a target of n vertices.
 //
-// A shard whose sub-request fails fatally (after the retry policy's
-// attempts; a torn reply counts) is passed over and the row goes again over
-// the others, a scatter row re-partitioned with the new `of`. Parts are pure
-// functions of (graph, part, of) and every replica holds the same data, so
-// the response does not depend on which shards serve it. A failed round's
-// replies are dropped with it; a 4xx relays verbatim at once.
-func (c *Coordinator) dispatch(ctx context.Context, q server.Query, n int) ([]server.Reply, error) {
+// A replica whose sub-request fails fatally (after the retry policy's
+// attempts; a torn reply counts) is passed over and the row goes to the
+// next. Every replica holds the same data, so the reply does not depend on
+// which one serves it. A 4xx relays verbatim at once.
+func (c *Coordinator) dispatch(ctx context.Context, q server.Query, n int) (server.Reply, error) {
 	k := q.Kernel
-	path := "/internal/v1/graphs/" + url.PathEscape(q.Graph) + "/" + k.Shape.String() + "/" + k.Name
+	path := "/internal/v1/graphs/" + url.PathEscape(q.Graph) + "/whole/" + k.Name
 	bad := map[int]bool{}
 	var err error = server.Errf(http.StatusBadGateway, "no live shards for %s", q.Graph)
 	for {
 		shards := slices.DeleteFunc(c.liveShards(), func(i int) bool { return bad[i] })
 		if len(shards) == 0 || ctx.Err() != nil {
-			return nil, err
+			return server.Reply{}, err
 		}
-		if k.Shape == server.Whole {
-			shards = shards[int((c.rotation.Add(1)-1)%uint64(len(shards))):][:1]
-		}
-		replies := make([]server.Reply, len(shards))
-		errs := c.scatterOver(ctx, shards, k.Shape.String()+":"+k.Name, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
-			v := subQuery(q)
-			if k.Shape == server.Scatter {
-				v.Set("shard", strconv.Itoa(pos))
-				v.Set("of", strconv.Itoa(len(shards)))
-			}
-			data, err := doRaw(ctx, c.client, http.MethodPost, addr, path, v, "", nil)
+		i := shards[int((c.rotation.Add(1)-1)%uint64(len(shards)))]
+		var reply server.Reply
+		err = c.callShard(ctx, i, "whole:"+k.Name+"/"+strconv.Itoa(i), c.retry, func(ctx context.Context) error {
+			data, err := doRaw(ctx, c.client, http.MethodPost, c.opts.Shards[i], path, subQuery(q), "", nil)
 			if err == nil {
-				replies[pos], err = decodeReply(k, data, n)
+				reply, err = decodeReply(k, data, n)
 			}
 			return err
 		})
-		if err = c.mergeErrorsOver(shards, errs); err == nil {
-			return replies, nil
+		if err = c.mergeErrorsOver([]int{i}, []error{err}); err == nil {
+			return reply, nil
 		}
 		if server.StatusOf(err) != http.StatusBadGateway {
-			return nil, err // a rejection
+			return server.Reply{}, err // a rejection
 		}
-		for pos, e := range errs {
-			if e != nil {
-				bad[shards[pos]] = true
-			}
-		}
+		bad[i] = true
 	}
 }
 

@@ -38,6 +38,43 @@ func (l *logCapture) snapshot() []map[string]any {
 	return append([]map[string]any(nil), l.lines...)
 }
 
+// TestOneSubRequestPerQuery: on three shards, a query of every row of
+// server.Kernels sends exactly one sub-request, to one replica, plus — with
+// a spec — the compress that warms the variant on each live replica.
+func TestOneSubRequestPerQuery(t *testing.T) {
+	lc, ts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{})
+	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	sent := func() (sum int64) {
+		for i := range lc.NumShards() {
+			sum += lc.Front.Registry().Counter("slimgraph_shard_requests_total", "", obs.Label{Key: "shard", Value: strconv.Itoa(i)}).Value()
+		}
+		return sum
+	}
+	for _, k := range server.Kernels {
+		for _, spec := range []string{"", "uniform:p=0.5"} {
+			u := "/v1/graphs/g/" + k.Name + "?seed=42&workers=2&mode=" + k.Mode
+			want := int64(1)
+			if spec != "" {
+				u += "&spec=" + spec
+				want += int64(lc.NumShards())
+			}
+			before := sent()
+			code, body := get(t, ts.URL+u)
+			if code == http.StatusBadRequest && spec == "" && k.Name == "compare" {
+				continue // compare needs a spec
+			}
+			if code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", u, code, body)
+			}
+			if got := sent() - before; got != want {
+				t.Errorf("%s: %d sub-requests, want %d", u, got, want)
+			}
+		}
+	}
+}
+
 // TestClusterSubRequestAggregation pins the histogram-merge invariant on a
 // live 3-shard cluster: merging the per-shard latency snapshots from
 // /v1/stats reproduces the coordinator's SubRequests aggregate exactly

@@ -22,8 +22,7 @@ func (r Range) Contains(v graph.NodeID) bool { return v >= r.Lo && v < r.Hi }
 // ownership (the work of BFS expansion, PageRank pulls, histogram scans),
 // the +1 spreads isolated vertices. The split is a pure function of the
 // degree sequence: every process that sees the same graph computes the same
-// ranges, which is how a shard derives the degrees part it is handed without
-// a metadata exchange. Ranges concatenate to exactly [0, n); trailing ranges
+// ranges without a metadata exchange. Ranges concatenate to exactly [0, n); trailing ranges
 // may be empty when parts exceeds what the weights can fill.
 func PartitionByDegree(g graph.Adjacency, parts int) []Range {
 	if parts < 1 {

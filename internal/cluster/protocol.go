@@ -13,18 +13,13 @@ import (
 // shards beyond the public API. Replication (graph load and unload)
 // addresses whole graphs; a variant is never shipped or purged, since a
 // shard computes it on the first sub-request that names it. The compute
-// routes are server.Kernels,
-// the one list of servable kernels: each row mounts POST
-// .../{whole|part}/{row} by its shape. A whole row runs on one replica; a
-// scatter row's sub-request addresses part `shard` of `of`, which the row
-// turns into its share of the work itself — a vertex range for degrees, a
-// work-balanced vertex range of the forward CSR for exact triangles — a pure
-// function of the target graph, so it never travels on the wire.
+// routes are server.Routes, one per public analytics route: POST
+// .../whole/{route} runs the row its mode picks on this replica, the whole
+// query in one sub-request.
 //
-// A sub-request's whole input is its query string (spec, seed, workers, the
-// row's own arguments, and shard and of for a scatter row); no compute
-// route reads a body. Every 2xx compute reply but compare's is the same
-// little-endian frame:
+// A sub-request's whole input is its query string (spec, seed, workers and
+// the row's own arguments); no compute route reads a body. Every 2xx
+// compute reply but compare's is the same little-endian frame:
 //
 //	offset  0  "SGF"                magic
 //	offset  3  element width        4 (int32) or 8 (int64, float64 bits)
@@ -43,11 +38,10 @@ import (
 //
 //	whole/bfs        root → —; traverse.BFS distances, n × int32
 //	whole/pagerank   k → —; centrality.PageRank ranks, n × float64
-//	whole/triangles  mode=approx, p → the DOULION estimate's bits; —
+//	whole/degrees    — → —; metrics.DegreeHistogram, at most n × int64
+//	whole/triangles  mode=exact → triangles.Forward.Count; —
+//	                 mode=approx, p → the DOULION estimate's bits; —
 //	whole/compare    — → JSON {"Quality": metrics.Quality, …}
-//	part/degrees     — → —; out-degree histogram of the range, []int64
-//	part/triangles   mode=exact → triangles.Forward.CountPart of the part (a
-//	                 vertex range of the forward CSR cut by counting work); —
 
 // elem is the set of vector element types a frame carries.
 type elem interface{ int32 | int64 | float64 }
@@ -127,8 +121,8 @@ func appendReply(k *server.Kernel, r server.Reply) ([]byte, error) {
 }
 
 // decodeReply is appendReply's inverse for a target of n vertices: a vector
-// holds at most n elements, and a whole row's exactly n — any other count is
-// a torn reply, never a different-length answer.
+// holds at most n elements, and a PerVertex row's exactly n — any other
+// count is a torn reply, never a different-length answer.
 func decodeReply(k *server.Kernel, data []byte, n int) (r server.Reply, err error) {
 	count := 0
 	switch k.Elem {
@@ -147,7 +141,7 @@ func decodeReply(k *server.Kernel, data []byte, n int) (r server.Reply, err erro
 		r.Scalars, _, err = decodeFrame[int64](nil, data, 0)
 		n = 0
 	}
-	if err == nil && k.Shape == server.Whole && count != n {
+	if err == nil && k.PerVertex && count != n {
 		err = fmt.Errorf("reply carries %d elements, want %d", count, n)
 	}
 	return r, err

@@ -130,7 +130,8 @@ func fuzzFrame[T elem](t *testing.T, data []byte, max int) {
 
 // TestShardRejectsHostileParts posts malformed compute sub-requests
 // straight at a shard: every one is a 4xx with a JSON error, never a 5xx, a
-// panic, or a silently wrong answer.
+// panic, or a silently wrong answer. Every row is served whole on /whole/;
+// the part routes of the retired scatter protocol are gone.
 func TestShardRejectsHostileParts(t *testing.T) {
 	g := testGraph(t)
 	n := g.N()
@@ -143,7 +144,6 @@ func TestShardRejectsHostileParts(t *testing.T) {
 	}
 	ts := httptest.NewServer(sh.Handler())
 	defer ts.Close()
-	const q = "?seed=1&workers=1&shard=0&of=1"
 	const w = "?seed=1&workers=1"
 
 	for _, tc := range []struct {
@@ -154,7 +154,9 @@ func TestShardRejectsHostileParts(t *testing.T) {
 	}{
 		{"bfs ok", "/whole/bfs" + w + "&root=5", nil, 200, ""},
 		{"pagerank ok", "/whole/pagerank" + w, nil, 200, ""},
-		{"degrees ok", "/part/degrees" + q, nil, 200, ""},
+		{"degrees ok", "/whole/degrees" + w, nil, 200, ""},
+		{"exact ok", "/whole/triangles" + w, nil, 200, ""},
+		{"exact by name ok", "/whole/triangles" + w + "&mode=exact", nil, 200, ""},
 		{"approx ok", "/whole/triangles" + w + "&mode=approx&p=0.5", nil, 200, ""},
 		{"compare ok", "/whole/compare" + w + "&spec=uniform:p=0.5", nil, 200, `"Quality":{`},
 		// A row's own arguments are read by its Parse, as on the public route.
@@ -164,26 +166,26 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		{"root == n", "/whole/bfs" + w + "&root=" + strconv.Itoa(n), nil, 400, "root " + strconv.Itoa(n) + " outside [0,"},
 		{"root 2^31", "/whole/bfs" + w + "&root=2147483648", nil, 400, "root 2147483648 outside [0,"},
 		{"approx p out of range", "/whole/triangles" + w + "&mode=approx&p=2", nil, 400, "parameter p must be in (0, 1]"},
+		{"unknown mode", "/whole/triangles" + w + "&mode=part", nil, 400, `unknown mode \"part\"`},
 		{"compare without spec", "/whole/compare" + w, nil, 400, "compare needs a spec parameter"},
 		// A body is nobody's input: the query string is the whole request.
 		{"body on bfs", "/whole/bfs" + w + "&root=0", []byte(`{"root":-1}`), 200, ""},
-		{"bad shard", "/part/degrees?seed=1&workers=1&shard=x&of=1", nil, 400, "bad sub-request query"},
-		{"bad seed", "/part/degrees?seed=-1&workers=1&shard=0&of=1", nil, 400, "bad sub-request query"},
+		{"bad seed", "/whole/degrees?seed=-1&workers=1", nil, 400, "bad sub-request query"},
+		{"missing seed", "/whole/triangles?workers=1", nil, 400, "bad sub-request query"},
 		{"bad workers on pagerank", "/whole/pagerank?seed=1&workers=many", nil, 400, "bad sub-request query"},
-		{"missing of", "/part/degrees?seed=1&workers=1&shard=0", nil, 400, "bad sub-request query"},
-		{"shard beyond of", "/part/degrees?seed=1&workers=1&shard=3&of=3", nil, 400, "invalid partition position 3 of 3"},
-		{"unknown graph", "/part/degrees" + q, nil, 404, "no graph"},
-		{"unknown graph, whole", "/whole/bfs" + w + "&root=0", nil, 404, "no graph"},
-		// `of` is the client's to set and the shard port is the public port:
-		// a part of two billion is derived like any other (see the
-		// allocation bound below), never by laying out every range.
-		{"first of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=0&of=2147483647", nil, 200, ""},
-		{"last of 2^31-1 parts", "/part/degrees?seed=1&workers=1&shard=2147483646&of=2147483647", nil, 200, ""},
-		{"triangles part of 2^31-1", "/part/triangles?seed=1&workers=1&shard=1073741823&of=2147483647", nil, 200, ""},
-		// The part route is reachable on its own: the row's Parse refuses a
-		// directed graph as the public route does, not the engine's panic.
-		{"directed triangles", "/part/triangles" + q, nil, 422, "undirected"},
-		{"of past int", "/part/degrees?seed=1&workers=1&shard=0&of=99999999999999999999", nil, 400, "bad sub-request query"},
+		{"workers past int", "/whole/degrees?seed=1&workers=99999999999999999999", nil, 400, "bad sub-request query"},
+		{"unknown graph", "/whole/degrees" + w, nil, 404, "no graph"},
+		{"unknown graph, exact", "/whole/triangles" + w, nil, 404, "no graph"},
+		{"unknown graph, bfs", "/whole/bfs" + w + "&root=0", nil, 404, "no graph"},
+		// The compute route is reachable on its own: the row's Parse refuses
+		// a directed graph as the public route does, not the engine's panic.
+		{"directed triangles", "/whole/triangles" + w, nil, 422, "undirected"},
+		{"directed approx", "/whole/triangles" + w + "&mode=approx", nil, 422, "undirected"},
+		// No part route survives, whatever it asks for.
+		{"part degrees", "/part/degrees" + w + "&shard=0&of=1", nil, 404, ""},
+		{"part triangles", "/part/triangles" + w + "&shard=0&of=1", nil, 404, ""},
+		{"part of 2^31-1", "/part/degrees" + w + "&shard=2147483646&of=2147483647", nil, 404, ""},
+		{"part bfs", "/part/bfs" + w + "&root=0", nil, 404, ""},
 	} {
 		name := "g"
 		switch {
@@ -202,17 +204,32 @@ func TestShardRejectsHostileParts(t *testing.T) {
 		if code != tc.want || !strings.Contains(string(body), tc.wantErr) {
 			t.Errorf("%s: status %d body %.120q, want %d mentioning %q", tc.name, code, body, tc.want, tc.wantErr)
 		}
-		if tc.want != 200 && !bytes.HasPrefix(body, []byte(`{"error":`)) {
+		// A route that does not exist is the mux's plain 404; every
+		// compute route answers the JSON error shape.
+		if tc.want != 200 && !strings.HasPrefix(tc.path, "/part/") && !bytes.HasPrefix(body, []byte(`{"error":`)) {
 			t.Errorf("%s: error reply is not the JSON error shape: %.120q", tc.name, body)
 		}
-		if tc.want == 200 && (strings.HasPrefix(tc.path, "/whole/bfs") || strings.HasPrefix(tc.path, "/whole/pagerank")) {
-			width := 4
-			if strings.HasPrefix(tc.path, "/whole/pagerank") {
-				width = 8
-			}
-			if count, err := checkFrame(body, width, n); err != nil || count != n {
-				t.Errorf("%s: reply is not a frame of %d elements: count %d, %v", tc.name, n, count, err)
-			}
+		if tc.want != 200 {
+			continue
+		}
+		// A per-vertex vector is exactly n long, the degree histogram at
+		// most n (largest degree + 1 bins), a count only scalars.
+		width, want := 0, n
+		switch {
+		case strings.HasPrefix(tc.path, "/whole/bfs"):
+			width = 4
+		case strings.HasPrefix(tc.path, "/whole/pagerank"):
+			width = 8
+		case strings.HasPrefix(tc.path, "/whole/degrees"):
+			width, want = 8, g.MaxDegree()+1
+		case strings.HasPrefix(tc.path, "/whole/triangles"):
+			width, want = 8, 0
+		}
+		if width == 0 {
+			continue
+		}
+		if count, err := checkFrame(body, width, n); err != nil || count != want {
+			t.Errorf("%s: reply is not a frame of %d elements: count %d, %v", tc.name, want, count, err)
 		}
 	}
 }

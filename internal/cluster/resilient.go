@@ -14,8 +14,8 @@ import (
 )
 
 // This file is the coordinator's fault-tolerance layer: per-shard circuit
-// breakers fed by the observe wrapper, live-set routing with re-partitioned
-// degraded execution, retry with a per-request budget, a background health
+// breakers fed by the observe wrapper, live-set routing with failover to
+// the next replica, retry with a per-request budget, a background health
 // prober, and the pending-repair queue that makes a drop idempotent across
 // an unreachable shard. Degraded execution keeps the byte-identity contract
 // (see dispatch); a variant needs no repair, because a replica computes it
@@ -70,7 +70,7 @@ func shardFatal(err error) bool {
 	return true
 }
 
-// allShards returns [0..n) — the scatter set when health is ignored.
+// allShards returns [0..n) — the fan-out set when health is ignored.
 func (c *Coordinator) allShards() []int {
 	all := make([]int, len(c.opts.Shards))
 	for i := range all {

@@ -12,7 +12,7 @@ import (
 // Shard is one cluster member: a full public slimgraphd (so any replica
 // can also answer the ordinary API, which the coordinator uses for compress
 // and stats) extended with the /internal/v1 replication protocol and one
-// compute route per row of server.Kernels.
+// compute route per public analytics route (server.Routes).
 type Shard struct {
 	srv *server.Server
 }
@@ -40,8 +40,8 @@ func WrapShard(srv *server.Server) *Shard {
 	s := &Shard{srv: srv}
 	srv.Handle("POST /internal/v1/graphs", s.handleLoad)
 	srv.Handle("DELETE /internal/v1/graphs/{name}", s.handleUnload)
-	for _, k := range server.Kernels {
-		srv.Handle("POST /internal/v1/graphs/{name}/"+k.Shape.String()+"/"+k.Name, s.compute(k))
+	for _, k := range server.Routes() {
+		srv.Handle("POST /internal/v1/graphs/{name}/whole/"+k.Name, s.compute(k))
 	}
 	return s
 }
@@ -78,28 +78,21 @@ func (s *Shard) handleUnload(w http.ResponseWriter, r *http.Request) {
 	server.Respond(w, http.StatusOK, resp, err)
 }
 
-// compute serves row k's compute route. A sub-request's whole input is its
-// query string: spec, seed and workers, and part `shard` of `of` for a
-// scatter row — a malformed one is a 400 before anything is resolved — plus
-// the row's own arguments, which its Parse reads as on the public route.
-// Local.Part then resolves the target (a variant this replica does not
+// compute serves the compute route of k.Name. A sub-request's whole input
+// is its query string: spec, seed and workers — a malformed one is a 400
+// before anything is resolved — plus the row's own arguments, which
+// ParseQuery reads as on the public route, picking the row by mode.
+// Local.Compute then resolves the target (a variant this replica does not
 // hold — never warmed here, or evicted — is computed through its cache) and
-// runs the row. No route
-// reads a body, and nothing allocates in proportion to a query value.
+// runs the row. No route reads a body, and nothing allocates in proportion
+// to a query value.
 func (s *Shard) compute(k *server.Kernel) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query()
-		q := server.Query{Kernel: k, Graph: r.PathValue("name"), QueryParams: server.QueryParams{Spec: v.Get("spec")}}
-		var errs [4]error
+		q := server.Query{Graph: r.PathValue("name"), QueryParams: server.QueryParams{Spec: v.Get("spec")}}
+		var errs [2]error
 		q.Seed, errs[0] = strconv.ParseUint(v.Get("seed"), 10, 64)
 		q.Workers, errs[1] = strconv.Atoi(v.Get("workers"))
-		part, of := 0, 1
-		if k.Shape == server.Scatter {
-			part, errs[2] = strconv.Atoi(v.Get("shard"))
-			if of, errs[3] = strconv.Atoi(v.Get("of")); errs[2] == nil && errs[3] == nil && (of < 1 || part < 0 || part >= of) {
-				errs[3] = fmt.Errorf("invalid partition position %d of %d", part, of)
-			}
-		}
 		if err := errors.Join(errs[:]...); err != nil {
 			server.WriteErr(w, server.Errf(http.StatusBadRequest, "bad sub-request query %q: %v", r.URL.RawQuery, err))
 			return
@@ -107,13 +100,13 @@ func (s *Shard) compute(k *server.Kernel) http.HandlerFunc {
 		local := s.srv.Local()
 		info, err := local.Info(r.Context(), q.Graph)
 		if err == nil {
-			err = k.Parse(v, info, &q)
+			err = k.ParseQuery(v, info, &q)
 		}
 		var reply []byte
 		if err == nil {
 			var res server.Reply
-			if res, err = local.Part(q, part, of); err == nil {
-				reply, err = appendReply(k, res)
+			if res, err = local.Compute(q); err == nil {
+				reply, err = appendReply(q.Kernel, res)
 			}
 		}
 		if err != nil {

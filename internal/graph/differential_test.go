@@ -178,7 +178,7 @@ func TestBuildWorkerIndependence(t *testing.T) {
 
 func TestFromCanonicalEdges(t *testing.T) {
 	g := FromEdges(6, false, []Edge{{0, 1, 1}, {2, 1, 1}, {3, 5, 1}, {0, 4, 1}})
-	got, err := FromCanonicalEdges(6, false, false, g.Edges())
+	got, err := FromCanonicalEdges(6, false, false, g.Edges(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +193,22 @@ func TestFromCanonicalEdges(t *testing.T) {
 		{{U: 0, V: 9, W: 1}},            // out of range
 	}
 	for i, edges := range bad {
-		if _, err := FromCanonicalEdges(6, false, false, edges); err == nil {
+		if _, err := FromCanonicalEdges(6, false, false, edges, 1); err == nil {
 			t.Fatalf("case %d: expected error for non-canonical input", i)
+		}
+	}
+	// The worker count the caller passes never shows in the output.
+	for _, c := range buildCases() {
+		r := rng.New(11)
+		for trial := 0; trial < 6; trial++ {
+			n := r.Intn(300) + 2
+			_, want := buildBoth(t, c, n, randomEdges(r, n, r.Intn(3000), c.weighted))
+			for _, workers := range []int{1, 2, 7} {
+				got, err := FromCanonicalEdges(n, c.directed, c.weighted, want.Edges(), workers)
+				if err != nil || !got.Equal(want) {
+					t.Fatalf("%v trial %d workers %d: canonical rebuild differs (err %v)", c, trial, workers, err)
+				}
+			}
 		}
 	}
 }

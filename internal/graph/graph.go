@@ -565,9 +565,10 @@ func countsToOffsets(counts []int64, workers int) []int64 {
 // (parallel) and then constructs the CSR with zero sorting — the fast path
 // for loading binary CSR snapshots and for any producer that emits edges in
 // canonical order. It returns an error if the input is not canonical; use
-// Builder/FromEdges for arbitrary input.
-func FromCanonicalEdges(n int, directed, weighted bool, edges []Edge) (*Graph, error) {
-	bad := parallel.SumInt64(len(edges), 0, func(i int) int64 {
+// Builder/FromEdges for arbitrary input. workers <= 0 uses all CPUs; the
+// output never depends on the worker count.
+func FromCanonicalEdges(n int, directed, weighted bool, edges []Edge, workers int) (*Graph, error) {
+	bad := parallel.SumInt64(len(edges), workers, func(i int) int64 {
 		e := edges[i]
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n || e.U == e.V {
 			return 1
@@ -604,7 +605,7 @@ func FromCanonicalEdges(n int, directed, weighted bool, edges []Edge) (*Graph, e
 	if weighted {
 		ew = make([]float64, len(edges))
 	}
-	parallel.ForChunks(len(edges), 0, func(lo, hi int) {
+	parallel.ForChunks(len(edges), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			eu[i] = edges[i].U
 			ev[i] = edges[i].V
@@ -613,7 +614,7 @@ func FromCanonicalEdges(n int, directed, weighted bool, edges []Edge) (*Graph, e
 			}
 		}
 	})
-	return fromSortedCanonical(n, directed, weighted, eu, ev, ew, 0), nil
+	return fromSortedCanonical(n, directed, weighted, eu, ev, ew, workers), nil
 }
 
 // Equal reports whether g and h are structurally identical: same vertex

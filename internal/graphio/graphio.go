@@ -360,7 +360,7 @@ func readBinaryBody(br *bufio.Reader, h succinct.SnapshotHeader, limit int64) (*
 	// deduplicated by construction — load it through the sort-free CSR
 	// path. Foreign snapshots that violate canonical order fall back to
 	// the full builder.
-	if g, err := graph.FromCanonicalEdges(h.N, h.Directed, h.Weighted, edges); err == nil {
+	if g, err := graph.FromCanonicalEdges(h.N, h.Directed, h.Weighted, edges, 0); err == nil {
 		return g, nil
 	}
 	b := graph.NewBuilder(h.N, h.Directed)

@@ -29,19 +29,6 @@ func DegreeHistogram(a graph.Adjacency, lo, hi graph.NodeID) []int64 {
 	return h
 }
 
-// AddHistogram adds src to dst bin by bin, growing dst to src's length, and
-// returns it: the histograms of ranges that tile [0, n) add up to the
-// whole graph's in any order.
-func AddHistogram(dst, src []int64) []int64 {
-	if len(src) > len(dst) {
-		dst = append(dst, make([]int64, len(src)-len(dst))...)
-	}
-	for d, c := range src {
-		dst[d] += c
-	}
-	return dst
-}
-
 // Distribution turns the degree histogram of an n-vertex graph into
 // fractions of n. There is always a degree-0 bin, so an empty graph reads
 // as one zero.

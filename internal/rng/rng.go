@@ -88,8 +88,9 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
-// rejection method. It panics if n == 0.
+// Uint64n returns a uniform uint64 in [0, n) by modulo rejection: a draw
+// below 2^64 mod n is redrawn, and the rest are reduced with v % n. It
+// panics if n == 0.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")

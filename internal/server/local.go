@@ -20,7 +20,7 @@ import (
 // Local is the in-process engine: a two-tier catalog of named graphs
 // (heap-resident or memory-mapped from the data directory) plus a
 // single-flight variant cache, implementing Catalog and QueryBackend for a
-// single node. A cluster shard serves its compute routes through Part.
+// single node. A cluster shard serves its compute routes through Compute.
 type Local struct {
 	opts    Options
 	catalog *catalog
@@ -380,12 +380,12 @@ func (t *target) engine(workers int) *triangles.Forward {
 	return en
 }
 
-// run resolves q's target and runs part `part` of `of` of its row there, at
-// this node's worker budget: every query of this backend, and every part a
-// cluster shard computes, starts here. arena says whether an original's
+// run resolves q's target and runs its row there, at this node's worker
+// budget: every query of this backend, and every sub-request a cluster
+// shard serves, starts here. arena says whether an original's
 // triangle arena is the entry's cached one. Beside the reply it returns
 // what Finish reads of the target: the canonical spec and the vertex count.
-func (l *Local) run(q Query, part, of int, arena bool) (r Reply, spec string, n int, err error) {
+func (l *Local) run(q Query, arena bool) (r Reply, spec string, n int, err error) {
 	e, err := l.lookup(q.Graph)
 	if err != nil {
 		return r, "", 0, err
@@ -396,14 +396,14 @@ func (l *Local) run(q Query, part, of int, arena bool) (r Reply, spec string, n 
 		return r, "", 0, err
 	}
 	defer release()
-	r, err = q.Kernel.Run(&target{g: g, e: e, arena: arena && q.Spec == ""}, q, part, of)
+	r, err = q.Kernel.Run(&target{g: g, e: e, arena: arena && q.Spec == ""}, q)
 	return r, spec, g.N(), err
 }
 
-// Part runs part `part` of `of` of q's row for a cluster shard: the reply
-// Query would finish, with an original's triangles.Forward built for the call.
-func (l *Local) Part(q Query, part, of int) (Reply, error) {
-	r, _, _, err := l.run(q, part, of, false)
+// Compute runs q's row for a cluster shard: the reply Query would finish,
+// with an original's triangles.Forward built for the call.
+func (l *Local) Compute(q Query) (Reply, error) {
+	r, _, _, err := l.run(q, false)
 	return r, err
 }
 
@@ -451,11 +451,11 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 // Query implements QueryBackend: the row's Finish over its Run on the whole
 // target, the typed reply handed over in process.
 func (l *Local) Query(_ context.Context, q Query) (any, error) {
-	r, spec, n, err := l.run(q, 0, 1, true)
+	r, spec, n, err := l.run(q, true)
 	if err != nil {
 		return nil, err
 	}
-	return q.Kernel.Finish(q, spec, n, []Reply{r}), nil
+	return q.Kernel.Finish(q, spec, n, r), nil
 }
 
 // The typed forwards below are Query on their rows, for benchmark/'s ladder,

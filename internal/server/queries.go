@@ -20,21 +20,6 @@ import (
 // (Local in one process, the cluster coordinator across shards) runs the
 // rows' own code.
 
-// Shape is how a cluster plans a row; it follows from the kernel, never
-// from a size or an option. Whole runs on one replica as part 0 of 1: the
-// kernel's rounds depend on the graph (BFS levels, PageRank iterations), or
-// it reads the whole graph at once (DOULION's global edge sample, compare).
-// Scatter runs part i of `of` on each of `of` replicas in one round.
-type Shape int
-
-const (
-	Whole Shape = iota
-	Scatter
-)
-
-// String is the shape's route segment between coordinator and shard.
-func (s Shape) String() string { return [...]string{"whole", "part"}[s] }
-
 // Elem is what a row's Reply carries beside its scalars. A frame between
 // shards holds one vector, and its element width alone cannot tell int64
 // from float64; compare's Quality crosses as JSON.
@@ -75,26 +60,27 @@ type Query struct {
 // finishing code, and a new servable kernel is one row.
 type Kernel struct {
 	// Name is the route segment: GET /v1/graphs/{name}/<Name>, and POST
-	// /internal/v1/graphs/{name}/<Shape>/<Name> to a shard. Rows sharing a
+	// /internal/v1/graphs/{name}/whole/<Name> to a shard. Rows sharing a
 	// route are adjacent and told apart by the Mode their Parse reads.
 	Name, Mode string
-	Shape      Shape
 	Elem       Elem
+	// PerVertex says the reply's vector holds exactly one element per
+	// target vertex; any other row's vector holds at most n elements.
+	PerVertex bool
 	// Parse reads the row's own parameters into q and validates them against
 	// the graph, before any scheme runs.
 	Parse func(v url.Values, info *GraphInfo, q *Query) error
-	// Run computes part `part` of `of` on the resolved target, q.Workers
-	// clamped.
-	Run func(t *target, q Query, part, of int) (Reply, error)
-	// Finish turns the replies, in part order, into the response; spec is
-	// the canonical spec and n the target's vertex count.
-	Finish func(q Query, spec string, n int, replies []Reply) any
+	// Run computes the reply on the resolved target, q.Workers clamped.
+	Run func(t *target, q Query) (Reply, error)
+	// Finish turns the reply into the response; spec is the canonical spec
+	// and n the target's vertex count.
+	Finish func(q Query, spec string, n int, r Reply) any
 }
 
 // Kernels is the query table.
 var Kernels = []*Kernel{
 	{
-		Name: "bfs", Shape: Whole, Elem: Int32s,
+		Name: "bfs", Elem: Int32s, PerVertex: true,
 		Parse: func(v url.Values, info *GraphInfo, q *Query) error {
 			root, err := intParam(v, "root", 0)
 			if err == nil {
@@ -106,89 +92,78 @@ var Kernels = []*Kernel{
 			q.Root = int32(root)
 			return err
 		},
-		Run: func(t *target, q Query, _, _ int) (Reply, error) {
+		Run: func(t *target, q Query) (Reply, error) {
 			err := inRange(int(q.Root), t.g.N())
 			if err != nil {
 				return Reply{}, err
 			}
 			return Reply{Int32s: traverse.BFS(t.g, q.Root, q.Workers).Dist}, nil
 		},
-		Finish: func(q Query, spec string, _ int, r []Reply) any {
-			res := traverse.BFSResult{Dist: r[0].Int32s}
+		Finish: func(q Query, spec string, _ int, r Reply) any {
+			res := traverse.BFSResult{Dist: r.Int32s}
 			return &BFSResponse{Graph: q.Graph, Spec: spec, Root: q.Root, Reached: res.Reached(), Ecc: res.Ecc(), Dist: res.Dist}
 		},
 	},
 	{
-		Name: "pagerank", Shape: Whole, Elem: Float64s,
+		Name: "pagerank", Elem: Float64s, PerVertex: true,
 		Parse: func(v url.Values, _ *GraphInfo, q *Query) (err error) {
 			if q.K, err = intParam(v, "k", 10); err == nil && q.K < 0 {
 				err = Errf(http.StatusBadRequest, "parameter k must not be negative, got %d", q.K)
 			}
 			return err
 		},
-		Run: func(t *target, q Query, _, _ int) (Reply, error) {
+		Run: func(t *target, q Query) (Reply, error) {
 			return Reply{Float64s: centrality.PageRank(t.g, centrality.PageRankOptions{Workers: q.Workers})}, nil
 		},
-		Finish: func(q Query, spec string, _ int, r []Reply) any {
-			return &PageRankResponse{Graph: q.Graph, Spec: spec, K: q.K, Top: TopK(r[0].Float64s, q.K)}
+		Finish: func(q Query, spec string, _ int, r Reply) any {
+			return &PageRankResponse{Graph: q.Graph, Spec: spec, K: q.K, Top: TopK(r.Float64s, q.K)}
 		},
 	},
 	{
-		// A part is the out-degree histogram of a degree-balanced vertex range.
-		Name: "degrees", Shape: Scatter, Elem: Int64s,
+		// The out-degree histogram: at most n bins on a simple graph.
+		Name: "degrees", Elem: Int64s,
 		Parse: func(url.Values, *GraphInfo, *Query) error { return nil },
-		Run: func(t *target, _ Query, part, of int) (Reply, error) {
-			cut := graph.DegreeCuts(t.g, of)
-			return Reply{Int64s: metrics.DegreeHistogram(t.g, cut(part), cut(part+1))}, nil
+		Run: func(t *target, _ Query) (Reply, error) {
+			return Reply{Int64s: metrics.DegreeHistogram(t.g, 0, graph.NodeID(t.g.N()))}, nil
 		},
-		Finish: func(q Query, spec string, n int, parts []Reply) any {
-			hist := parts[0].Int64s // the parts are this call's own: add in place
-			for _, r := range parts[1:] {
-				hist = metrics.AddHistogram(hist, r.Int64s)
-			}
-			dist := metrics.Distribution(hist, n)
+		Finish: func(q Query, spec string, n int, r Reply) any {
+			dist := metrics.Distribution(r.Int64s, n)
 			slope, r2 := metrics.PowerLawSlope(dist)
 			return &DegreesResponse{Graph: q.Graph, Spec: spec, Dist: dist, Slope: slope, R2: r2}
 		},
 	},
 	{
-		// A part is the triangles whose rank-lowest vertex lies in its work slice.
-		Name: "triangles", Mode: "exact", Shape: Scatter, Elem: Scalars,
+		Name: "triangles", Mode: "exact", Elem: Scalars,
 		Parse: triangleArgs,
-		Run: func(t *target, q Query, part, of int) (Reply, error) {
-			return Reply{Scalars: [3]int64{t.engine(q.Workers).CountPart(part, of)}}, nil
+		Run: func(t *target, q Query) (Reply, error) {
+			return Reply{Scalars: [3]int64{t.engine(q.Workers).Count()}}, nil
 		},
-		Finish: func(q Query, spec string, _ int, parts []Reply) any {
-			var total int64
-			for _, r := range parts {
-				total += r.Scalars[0]
-			}
-			return &TrianglesResponse{Graph: q.Graph, Spec: spec, Mode: q.Mode, Count: &total}
+		Finish: func(q Query, spec string, _ int, r Reply) any {
+			return &TrianglesResponse{Graph: q.Graph, Spec: spec, Mode: q.Mode, Count: &r.Scalars[0]}
 		},
 	},
 	{
-		// The estimate samples edges by global edge ID, so any one replica
-		// computes it; it crosses as its IEEE-754 bits.
-		Name: "triangles", Mode: "approx", Shape: Whole, Elem: Scalars,
+		// The estimate crosses as its IEEE-754 bits.
+		Name: "triangles", Mode: "approx", Elem: Scalars,
 		Parse: triangleArgs,
-		Run: func(t *target, q Query, _, _ int) (Reply, error) {
+		Run: func(t *target, q Query) (Reply, error) {
 			return Reply{Scalars: [3]int64{int64(math.Float64bits(triangles.CountApprox(t.g, q.P, q.Seed, q.Workers)))}}, nil
 		},
-		Finish: func(q Query, spec string, _ int, r []Reply) any {
-			est := math.Float64frombits(uint64(r[0].Scalars[0]))
+		Finish: func(q Query, spec string, _ int, r Reply) any {
+			est := math.Float64frombits(uint64(r.Scalars[0]))
 			return &TrianglesResponse{Graph: q.Graph, Spec: spec, Mode: q.Mode, Estimate: &est}
 		},
 	},
 	{
 		// The §5 quality metrics of a variant against its original.
-		Name: "compare", Shape: Whole, Elem: JSON,
+		Name: "compare", Elem: JSON,
 		Parse: func(v url.Values, _ *GraphInfo, _ *Query) error {
 			if v.Get("spec") == "" {
 				return Errf(http.StatusBadRequest, "compare needs a spec parameter")
 			}
 			return nil
 		},
-		Run: func(t *target, q Query, _, _ int) (Reply, error) {
+		Run: func(t *target, q Query) (Reply, error) {
 			// The original side runs on its resident form in place; every
 			// Quality sub-metric is representation-independent.
 			orig, err := acquireView(t.e)
@@ -202,8 +177,8 @@ var Kernels = []*Kernel{
 			}
 			return Reply{Quality: quality}, nil
 		},
-		Finish: func(q Query, spec string, _ int, r []Reply) any {
-			return &CompareResponse{Graph: q.Graph, Spec: spec, Seed: q.Seed, Quality: r[0].Quality}
+		Finish: func(q Query, spec string, _ int, r Reply) any {
+			return &CompareResponse{Graph: q.Graph, Spec: spec, Seed: q.Seed, Quality: r.Quality}
 		},
 	},
 }
@@ -211,6 +186,21 @@ var Kernels = []*Kernel{
 // row returns the row answering route name in mode.
 func row(name, mode string) *Kernel {
 	return Kernels[slices.IndexFunc(Kernels, func(k *Kernel) bool { return k.Name == name && k.Mode == mode })]
+}
+
+// Routes is one row per route, the first of the rows sharing its Name.
+func Routes() []*Kernel {
+	return slices.CompactFunc(slices.Clone(Kernels), func(a, b *Kernel) bool { return a.Name == b.Name })
+}
+
+// ParseQuery reads the arguments of k's route into q with k's Parse, and
+// sets q.Kernel to the row of that route answering the mode Parse read.
+func (k *Kernel) ParseQuery(v url.Values, info *GraphInfo, q *Query) error {
+	if err := k.Parse(v, info, q); err != nil {
+		return err
+	}
+	q.Kernel = row(k.Name, q.Mode)
+	return nil
 }
 
 func inRange(root, n int) error {
@@ -301,15 +291,13 @@ func (s *Server) compress(r *http.Request, info *GraphInfo, _ QueryParams) (any,
 	return s.backend.Compress(r.Context(), info.Name, req.Spec, p)
 }
 
-// analytics serves the public route of k.Name: k's Parse reads the row's
-// arguments, and the mode it read picks among the rows sharing the route.
+// analytics serves the public route of k.Name through ParseQuery.
 func (s *Server) analytics(k *Kernel) func(r *http.Request, info *GraphInfo, p QueryParams) (any, error) {
 	return func(r *http.Request, info *GraphInfo, p QueryParams) (any, error) {
 		q := Query{Graph: info.Name, QueryParams: p}
-		if err := k.Parse(r.URL.Query(), info, &q); err != nil {
+		if err := k.ParseQuery(r.URL.Query(), info, &q); err != nil {
 			return nil, err
 		}
-		q.Kernel = row(k.Name, q.Mode)
 		return s.backend.Query(r.Context(), q)
 	}
 }

@@ -26,7 +26,7 @@
 // The HTTP layer is decoupled from execution by the Catalog and
 // QueryBackend interfaces (backend.go): New wires the in-process Local
 // engine, NewWithBackend accepts any implementation — internal/cluster's
-// coordinator serves the same API by scatter/gathering over shards.
+// coordinator serves the same API over shard replicas.
 package server
 
 import (
@@ -296,10 +296,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/graphs/{name}", s.handleGetGraph)
 	s.mux.HandleFunc("DELETE /v1/graphs/{name}", s.handleDeleteGraph)
 	s.mux.HandleFunc("POST /v1/graphs/{name}/compress", s.query(s.compress))
-	for i, k := range Kernels {
-		if i == 0 || Kernels[i-1].Name != k.Name {
-			s.mux.HandleFunc("GET /v1/graphs/{name}/"+k.Name, s.query(s.analytics(k)))
-		}
+	for _, k := range Routes() {
+		s.mux.HandleFunc("GET /v1/graphs/{name}/"+k.Name, s.query(s.analytics(k)))
 	}
 }
 

@@ -68,7 +68,7 @@ func DecodeStored(n, m int, directed, weighted bool, s *Sections, weights []floa
 	if err != nil {
 		return nil, err
 	}
-	return graph.FromCanonicalEdges(n, directed, weighted, edges)
+	return graph.FromCanonicalEdges(n, directed, weighted, edges, workers)
 }
 
 // decodeBlock decodes block b's canonical lists into the slots of edges the

@@ -401,7 +401,7 @@ func (pg *PackedGraph) Unpack(workers int) *graph.Graph {
 	pg.forCanonical(workers, func(e int64, u, v graph.NodeID) {
 		edges[e] = graph.Edge{U: u, V: v, W: pg.EdgeWeight(graph.EdgeID(e))}
 	})
-	g, err := graph.FromCanonicalEdges(pg.n, pg.directed, pg.weighted, edges)
+	g, err := graph.FromCanonicalEdges(pg.n, pg.directed, pg.weighted, edges, workers)
 	if err != nil {
 		panic(fmt.Sprintf("succinct: corrupt packed graph: %v", err))
 	}

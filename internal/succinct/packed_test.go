@@ -59,7 +59,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			n := r.Intn(200) + 1
 			g := randomGraph(r, c, n, r.Intn(800))
 			for _, block := range []int{1, 8, DefaultBlockVertices} {
-				for _, workers := range []int{1, 3} {
+				for _, workers := range []int{1, 2, 7} {
 					pg := PackWithBlock(g, block, workers)
 					if got := pg.Unpack(workers); !got.Equal(g) {
 						t.Fatalf("%v trial %d block %d workers %d: unpack differs",

@@ -10,8 +10,8 @@ import (
 // reads — the canonical edge columns, the EdgeID of every forward-list
 // entry and a per-edge schedule — built once and shared by every
 // enumeration (ForEachBatch, ForEach, PerVertex, PerEdge, List) and by
-// core.RunTriangleKernel; Count and CountPart run on the embedded Forward. Construction is O(n + m) on top of
-// the input and bit-identical for any worker count.
+// core.RunTriangleKernel; Count runs on the embedded Forward. Construction
+// is O(n + m) on top of the input and bit-identical for any worker count.
 //
 // Emission goes edge by edge: a triangle with rank(a) < rank(b) < rank(c)
 // is found once, in F(a) ∩ F(b) from its rank-lowest edge {a, b}. Canonical

@@ -298,28 +298,21 @@ func (f *Forward) countRange(lo, hi int, stamp []uint8) int64 {
 	return c
 }
 
-// Count returns the number of triangles.
-func (f *Forward) Count() int64 { return f.CountPart(0, 1) }
-
-// CountPart counts the triangles whose rank-lowest vertex lies in part i of
-// the vertex order cut into `of` slices of equal counting work — the same
-// cut the workers claim grains by, so a part is a fair share of Count's
-// time. The slices tile the vertex order: for every of >= 1 the parts sum to
-// Count(), which is how a cluster spreads one exact count over shards that
-// each hold the whole graph. Each worker adds into its own padded counter,
-// against its own stamps; integer addition commutes, so the result is
+// Count returns the number of triangles. The workers claim grains of the
+// vertex order cut by counting work; each adds into its own padded counter,
+// against its own stamps. Integer addition commutes, so the result is
 // independent of the worker count.
-func (f *Forward) CountPart(i, of int) int64 {
-	lo, hi := parallel.BalancedCut(f.work, i, of), parallel.BalancedCut(f.work, i+1, of)
-	nw := parallel.Resolve(f.workers, hi-lo)
+func (f *Forward) Count() int64 {
+	n := len(f.off) - 1
+	nw := parallel.Resolve(f.workers, n)
 	const pad = 8 // one cache line per counter
 	acc := make([]int64, nw*pad)
 	per := make([][]uint8, nw)
-	parallel.ForBalancedWorker(hi-lo, f.workers, f.work[lo:hi+1], func(w, a, b int) {
+	parallel.ForBalancedWorker(n, f.workers, f.work, func(w, lo, hi int) {
 		if per[w] == nil {
-			per[w] = make([]uint8, len(f.off)-1)
+			per[w] = make([]uint8, n)
 		}
-		acc[w*pad] += f.countRange(lo+a, lo+b, per[w])
+		acc[w*pad] += f.countRange(lo, hi, per[w])
 	})
 	var total int64
 	for w := 0; w < nw; w++ {

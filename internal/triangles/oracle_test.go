@@ -59,12 +59,12 @@ func TestEngineReuse(t *testing.T) {
 	}
 }
 
-// TestEnginePartsSumToCount pins the contract a cluster's exact count
-// stands on: for every number of parts — more parts than vertices included —
-// the work slices of Forward.CountPart tile the vertex order, so their counts
-// add up to Count() and to the pre-engine enumeration's count, on raw and
-// packed forms and for any worker count. A part stamps each vertex's list
-// afresh, so it never relies on its predecessor's stamps.
+// TestEnginePartsSumToCount pins the contract Count's worker grains stand
+// on: for every number of parts — more parts than vertices included — the
+// work slices of the vertex order tile it, so their counts add up to Count()
+// and to the pre-engine enumeration's count, on raw and packed forms and for
+// any worker count. A slice stamps each vertex's list afresh, so it never
+// relies on its predecessor's stamps.
 func TestEnginePartsSumToCount(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
@@ -89,7 +89,7 @@ func TestEnginePartsSumToCount(t *testing.T) {
 				for _, of := range []int{1, 2, 3, 7, g.N() + 1} {
 					var sum int64
 					for i := 0; i < of; i++ {
-						sum += f.CountPart(i, of)
+						sum += triangles.CountSlice(f, i, of)
 					}
 					if sum != want {
 						t.Errorf("%s/%s workers %d: %d parts sum to %d triangles, reference %d", name, form, workers, of, sum, want)

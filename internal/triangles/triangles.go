@@ -116,7 +116,7 @@ func CountApprox(a graph.AdjacencyEdges, p float64, seed uint64, workers int) fl
 			kept[starts[b]+int64(i)] = graph.Edge{U: eu[e], V: ev[e], W: 1}
 		}
 	})
-	sampled, err := graph.FromCanonicalEdges(a.N(), false, false, kept)
+	sampled, err := graph.FromCanonicalEdges(a.N(), false, false, kept, workers)
 	if err != nil {
 		panic(fmt.Sprintf("triangles: edge view is not canonical: %v", err))
 	}

@@ -735,7 +735,7 @@ func TestForwardHubPath(t *testing.T) {
 				for of := 1; of <= 5; of++ {
 					var sum int64
 					for i := 0; i < of; i++ {
-						sum += f.CountPart(i, of)
+						sum += CountSlice(f, i, of)
 					}
 					if sum != want {
 						t.Fatalf("%s: %d parts sum to %d, want %d", name, of, sum, want)
