@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -80,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		breakerN  = fs.Int("breaker-threshold", 0, "consecutive failures before a shard's breaker opens (coordinator only; 0 = default 3)")
 		breakerCD = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (coordinator only; 0 = default 5s)")
 		probeIvl  = fs.Duration("probe-interval", 0, "background /readyz health-probe interval (coordinator only; 0 = off)")
-		faultSpec = fs.String("fault-inject", "", "deterministic fault-injection spec applied to inbound requests, e.g. \"path=/internal/v1,p=0.1,seed=7,status=503\" (testing only)")
+		faultSpec = fs.String("fault-inject", "", "deterministic fault-injection spec applied to inbound requests, e.g. \"path=/v1/graphs/,p=0.1,seed=7,status=503\", which on a shard fails a tenth of the coordinator's queries and compresses (testing only)")
 	)
 	var loads []string
 	fs.Func("load", "preload name=path (edge list or snapshot; repeatable)", func(v string) error {
@@ -294,7 +295,8 @@ func splitPeers(s string) []string {
 }
 
 // parseBytes parses a human byte size: a plain integer, or one with a K, M,
-// or G suffix (powers of 1024). Empty means 0 (unbounded).
+// or G suffix (powers of 1024). Empty means 0 (unbounded). A size past
+// math.MaxInt64 bytes is an error, never a wrapped product.
 func parseBytes(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -311,8 +313,11 @@ func parseBytes(s string) (int64, error) {
 		mult, s = 1<<30, s[:len(s)-1]
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n < 0 {
+	if err != nil && !errors.Is(err, strconv.ErrRange) || n < 0 {
 		return 0, fmt.Errorf("want a byte size like 512M or 4G, got %q", orig)
+	}
+	if err != nil || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("byte size %q is past the largest, %d bytes", orig, int64(math.MaxInt64))
 	}
 	return n * mult, nil
 }

@@ -42,6 +42,20 @@ func TestRunFlagValidation(t *testing.T) {
 			2, `want a byte size like 512M or 4G, got "lots"`},
 		{"negative mem-budget", []string{"-mem-budget", "-1G"},
 			2, "want a byte size"},
+		{"negative mem-budget past int64", []string{"-mem-budget", "-9223372036854775809"},
+			2, "want a byte size"},
+		// A size past math.MaxInt64 bytes is refused, never wrapped: 2^34+1
+		// GiB once read as 1 GiB, and 2^63-1 KiB as -1024, a disabled budget
+		// (the address cannot listen, so a budget let through ends the run
+		// rather than serving).
+		{"mem-budget wraps to 1G", []string{"-mem-budget", "17179869185G"},
+			2, `byte size "17179869185G" is past the largest, 9223372036854775807 bytes`},
+		{"mem-budget wraps negative", []string{"-mem-budget", "9223372036854775807K", "-addr", "127.0.0.1:-1"},
+			2, `byte size "9223372036854775807K" is past the largest`},
+		{"mem-budget past int64", []string{"-mem-budget", "9223372036854775808"},
+			2, `byte size "9223372036854775808" is past the largest`},
+		{"largest mem-budget in G parses", []string{"-mem-budget", "8589934591G"},
+			2, "-mem-budget requires -data-dir"},
 		{"data-dir on coordinator", []string{"-role", "coordinator",
 			"-peers", "http://x:1", "-data-dir", "/tmp/x"},
 			2, "a coordinator holds no graphs"},

@@ -181,16 +181,18 @@
 //
 // The same API scales out (internal/cluster, run as slimgraphd -role
 // coordinator|shard or in-process via NewLocalCluster): a coordinator
-// serves /v1/graphs over N shard replicas, each holding the whole graph.
-// Every query — BFS, PageRank, degrees, triangles, compare — runs whole on
-// one replica, one sub-request per query, the replicas taking queries in
-// turn; the shard runs the single node's own kernel and the coordinator
-// the single node's own finishing code. Replicated storage keeps the
-// determinism contract intact (element-keyed scheme randomness needs the
-// whole graph), so a cluster's responses are byte-identical to a single
-// node's for a fixed seed at the same worker count, and one compress
-// request populates every live replica's variant cache exactly once. A variant is never shipped between replicas: one that
-// missed the compress computes it on the first sub-request that names it.
+// serves /v1/graphs over N shard replicas, each holding the whole graph
+// and each a full single node. Every query — BFS, PageRank, degrees,
+// triangles, compare — goes as one GET of the same public route to one
+// replica, the replicas taking queries in turn, and the coordinator relays
+// the replica's reply byte for byte; it runs no kernel and rebuilds no
+// response. Replicated storage keeps the determinism contract intact
+// (element-keyed scheme randomness needs the whole graph), so a cluster's
+// responses are byte-identical to a single node's for a fixed seed at the
+// same worker count, and one compress request populates every live
+// replica's variant cache exactly once. A variant is never shipped between
+// replicas: one that lacks it computes it on the first query that names
+// it.
 //
 // # Resilience
 //
@@ -203,7 +205,8 @@
 // around a dead shard — opened proactively by a background /readyz prober
 // when ClusterOptions.ProbeInterval is set. Degraded execution is
 // lossless: a query fails over to the next live replica, which holds the
-// same data and so answers the same bytes; compress answers from whichever
+// same data and so answers the same bytes (a reply cut short, which lacks
+// the closing newline every JSON body ends with, counts as a failure); compress answers from whichever
 // live replicas succeed; and a DELETE that misses a shard queues it an
 // unload that replays when its breaker closes, so DELETE stays idempotent
 // across an outage. Request deadlines propagate on the DeadlineHeader and are clamped shard-side;

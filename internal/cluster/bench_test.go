@@ -14,9 +14,8 @@ import (
 // BenchmarkCoordinatorOverhead measures the coordinator tax: the same query
 // against a direct single-node server and against a coordinator over one
 // and three local shards. With one shard the delta is pure cluster plumbing
-// (HTTP hop, frame encode/decode) with zero algorithmic win to hide it;
-// every query is one sub-request to one replica answering its whole
-// result, the histogram or the n-element vector.
+// (an HTTP hop whose reply body is relayed as is) with zero algorithmic win
+// to hide it; every query is one sub-request to one replica's public route.
 func BenchmarkCoordinatorOverhead(b *testing.B) {
 	g := gen.BarabasiAlbert(2000, 4, 7)
 	queries := []struct{ name, path string }{

@@ -318,22 +318,23 @@ func TestClusterChaosSoak(t *testing.T) {
 	// but no single request can draw enough of them to exhaust its retry
 	// budget and every quota empties before the workload does.
 	//
-	// The routed rules aim drops, torn replies and 503s at the compute
-	// routes, each query's one sub-request: BFS and PageRank carry a whole
-	// result vector per reply — where a frame cut short would be easiest
-	// to mistake for an answer — degrees a histogram, triangles a scalar.
+	// The routed rules aim drops, torn replies and 503s at the replicas'
+	// public query routes, each query's one sub-request: BFS carries a
+	// distance per vertex — where a body cut short would be easiest to
+	// mistake for an answer — PageRank its top k, degrees a distribution,
+	// triangles a scalar.
 	// They fire from the start; every rule's firing decisions are a pure
 	// function of its seed and match count, and the workload's three dozen
 	// queries per route reach the first firing match of each.
 	routed := []*resilience.FaultRule{
-		{Path: "/whole/bfs", P: 0.1, Seed: 55, Times: 15, Action: resilience.FaultTruncate},
-		{Path: "/whole/bfs", P: 0.1, Seed: 66, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
-		{Path: "/whole/pagerank", P: 0.1, Seed: 77, Times: 15, Action: resilience.FaultTruncate},
-		{Path: "/whole/pagerank", P: 0.1, Seed: 88, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
-		{Path: "/whole/degrees", P: 0.12, Seed: 11, Times: 15, Action: resilience.FaultDrop},
-		{Path: "/whole/triangles", P: 0.08, Seed: 22, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
-		{Path: "/whole/degrees", P: 0.08, Seed: 33, Times: 15, Action: resilience.FaultTruncate},
-		{Path: "/whole/triangles", P: 0.08, Seed: 99, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/v1/graphs/g/bfs", P: 0.1, Seed: 55, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/v1/graphs/g/bfs", P: 0.1, Seed: 66, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/v1/graphs/g/pagerank", P: 0.1, Seed: 77, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/v1/graphs/g/pagerank", P: 0.1, Seed: 88, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/v1/graphs/g/degrees", P: 0.12, Seed: 11, Times: 15, Action: resilience.FaultDrop},
+		{Path: "/v1/graphs/g/triangles", P: 0.08, Seed: 22, Times: 15, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+		{Path: "/v1/graphs/g/degrees", P: 0.08, Seed: 33, Times: 15, Action: resilience.FaultTruncate},
+		{Path: "/v1/graphs/g/triangles", P: 0.08, Seed: 99, Times: 15, Action: resilience.FaultTruncate},
 	}
 	inj := resilience.NewInjector(append([]*resilience.FaultRule{
 		{Path: "/triangles", P: 0.25, Seed: 44, Times: 20, Action: resilience.FaultDelay, Delay: 2 * time.Millisecond},

@@ -1,6 +1,7 @@
 // Package cluster shards slimgraphd across processes: a coordinator serves
 // the ordinary /v1/graphs API over N shard servers, each a full slimgraphd
-// (internal/server) extended with a small /internal/v1 protocol.
+// (internal/server) extended with a small /internal/v1 replication
+// protocol (shard.go).
 //
 // The design is storage-replicated: every shard holds the whole graph (raw
 // or succinctly packed, traversed in place). Replicating storage is what
@@ -10,24 +11,20 @@
 // something no storage-partitioned execution of a global scheme (spanners,
 // triangle reduction) could guarantee. So a variant is never shipped or
 // kept in step between replicas: a replica computes it, once, through its
-// own single-flight cache, on the first request that names it — the
-// coordinator's compress, which warms every live replica, or a sub-request
-// to a replica that missed that or has evicted the variant since.
+// own single-flight cache, on the first request that names it.
 //
-// Every query runs the single node's code, not copies of it; the
-// coordinator only schedules. A query is a row of server.Kernels, the one
-// list of servable kernels, and every row runs whole on one replica, as one
-// sub-request: every shard holds the whole graph, so splitting a query
-// would only repeat work — a round trip per BFS level or PageRank
-// iteration costs more than the work it distributes, and a part of a
-// one-round kernel (degrees, the exact triangle count) still pays most of
-// a whole query for its setup. Replicas take queries in turn, and a
-// replica that fails one passes it to the next. The coordinator then runs
-// the row's own Finish, the function a single node runs, so responses are
-// byte-identical to internal/server's at every worker count by
-// construction (the cluster tests pin it too). Every compute reply but
-// compare's is a fixed-width little-endian frame (protocol.go), a copy per
-// element rather than a decimal print and parse.
+// Every replica is a single node, so the coordinator answers a query by
+// asking one: the query goes, as one GET of the same public route, to a
+// live replica, and the replica's reply is relayed byte for byte. A
+// response is therefore byte-identical to internal/server's at every worker
+// count by construction — the replica ran the single node's Parse and Run
+// and wrote its JSON — and the cluster tests pin it too. Splitting a query
+// would only repeat work: a round trip per BFS level or PageRank iteration
+// costs more than the work it distributes, and a part of a one-round kernel
+// still pays most of a whole query for its setup. Replicas take queries in
+// turn, and a replica that fails one (a reply without server.WriteJSON's
+// closing newline is torn and counts) passes it to the next; a 4xx relays
+// at once. The coordinator schedules and holds no kernel logic.
 package cluster
 
 import (
@@ -68,13 +65,14 @@ type Options struct {
 	Logger obs.Logger
 	// Retry shapes the sub-request retry policy (see resilience.RetryPolicy;
 	// zero value = 3 attempts, 25ms base backoff, seeded jitter). Retries
-	// apply only to idempotent sub-requests — compute routes, compress
+	// apply only to idempotent sub-requests — queries, compress
 	// (single-flight cached shard-side), stats, drop — never to create,
 	// a replayed unload, or a readiness probe.
 	Retry resilience.RetryPolicy
-	// RetryBudget caps retries per client request across its whole fan-out
-	// (a variant's warm-up, a query's failover). 0 means the
-	// default of 16; negative disables retries entirely.
+	// RetryBudget caps retries per client request across all of its
+	// sub-requests (a compress's or a drop's fan-out, a query's failover
+	// from replica to replica). 0 means the default of 16; negative disables
+	// retries entirely.
 	RetryBudget int
 	// BreakerThreshold and BreakerCooldown configure the per-shard circuit
 	// breakers (defaults: 3 consecutive failures, 5s cooldown).
@@ -116,8 +114,8 @@ func errBody(code int, body []byte) *httpError {
 }
 
 // doRaw performs one HTTP exchange against a shard: method addr+path with
-// optional query and body, returning a 2xx reply's body and turning any
-// other reply into an *httpError.
+// optional query and body, returning a 2xx reply's whole body and turning
+// any other reply into an *httpError.
 func doRaw(ctx context.Context, client *http.Client, method, addr, path string, query url.Values, contentType string, body io.Reader) ([]byte, error) {
 	u := addr + path
 	if len(query) > 0 {
@@ -155,6 +153,11 @@ func doRaw(ctx context.Context, client *http.Client, method, addr, path string, 
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return nil, errBody(resp.StatusCode, data)
+	}
+	// server.WriteJSON ends every body with a newline, the only raw one
+	// compact JSON holds: a body without it was cut short.
+	if len(data) == 0 || data[len(data)-1] != '\n' {
+		return nil, fmt.Errorf("torn reply: %d bytes without the closing newline", len(data))
 	}
 	return data, nil
 }

@@ -142,16 +142,25 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				// Every query runs whole on one replica, so it matches a
 				// single node at the same worker count, not only at one.
 				var urls []string
+				// Every parsed argument reaches the replica, zeros too: k=0
+				// is no top-k, not the replica's default of ten.
 				for _, workers := range []string{"1", "2", "7"} {
 					urls = append(urls,
 						"/v1/graphs/g/bfs?root=0&seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/bfs?root=3&seed=42&workers="+workers+qspec,
 						"/v1/graphs/g/pagerank?k=10&seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/pagerank?k=0&seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/pagerank?seed=42&workers="+workers+qspec,
 						"/v1/graphs/g/triangles?seed=42&workers="+workers+qspec,
 						"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers="+workers+qspec,
+						"/v1/graphs/g/triangles?mode=approx&seed=0&workers="+workers+qspec,
 						"/v1/graphs/g/degrees?seed=42&workers="+workers+qspec)
 				}
 				if spec != "" {
-					urls = append(urls, "/v1/graphs/g/compare?seed=42&workers=1"+qspec)
+					urls = append(urls,
+						"/v1/graphs/g/compare?seed=42&workers=1"+qspec,
+						"/v1/graphs/g/compare?seed=42&workers=2"+qspec,
+						"/v1/graphs/g/compare?seed=42&workers=7"+qspec)
 				}
 				for _, u := range urls {
 					wantCode, want := get(t, sts.URL+u)
@@ -309,8 +318,12 @@ func TestClusterCacheReplication(t *testing.T) {
 	}
 
 	// Spec queries resolve from every replica's cache: no new executions.
-	if code, body := get(t, cts.URL+"/v1/graphs/g/pagerank?k=5&spec=uniform:p=0.5&seed=42&workers=1"); code != http.StatusOK {
-		t.Fatalf("pagerank: status %d: %s", code, body)
+	// A query goes to one replica and the replicas take them in turn, so
+	// one per replica reaches each.
+	for range lc.NumShards() {
+		if code, body := get(t, cts.URL+"/v1/graphs/g/pagerank?k=5&spec=uniform:p=0.5&seed=42&workers=1"); code != http.StatusOK {
+			t.Fatalf("pagerank: status %d: %s", code, body)
+		}
 	}
 	for i := 0; i < lc.NumShards(); i++ {
 		cs := lc.Shard(i).Server().CacheStats()

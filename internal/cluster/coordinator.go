@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -367,8 +368,7 @@ func (c *Coordinator) owe(graph string, live []int, errs []error) {
 // each replica's single-flight cache executes the scheme once. Schemes are
 // pure functions of graph, canonical spec, and seed, so a replica this call
 // missed — down, failing, or one that has since evicted the variant —
-// computes the same bytes on the first sub-request that names it
-// (Local.Compute). The response merges the replicas that answered: their
+// computes the same bytes on the first query that names it. The response merges the replicas that answered: their
 // spec, n and m must agree, cached holds only if every one of them had the
 // variant, and the elapsed time and its stage breakdown come together from
 // the slowest of them. Compress fails only when no replica answered.
@@ -406,82 +406,68 @@ func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.
 	return &merged, nil
 }
 
-// Query implements server.QueryBackend: the row runs on one live replica
-// (dispatch), and its own Finish — the code a single node runs — makes the
-// response, so it is byte-identical to a single node's by construction.
-// With a spec, Compress first warms the variant on the live replicas and
-// checks that they agree on it; the sub-request is then a shard-local cache
-// hit, or computes the variant on a replica Compress missed.
+// Query implements server.QueryBackend: q goes to one live replica's
+// public route (dispatch), and the replica's reply is the response, relayed
+// byte for byte. A replica's public route runs the single node's Parse and
+// Run, so the response is a single node's by construction; with a spec, the
+// replica computes the variant through its own cache if it lacks it.
 func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
-	ctx = c.withBudget(ctx)
-	info, err := c.Info(ctx, q.Graph)
+	body, err := c.dispatch(c.withBudget(ctx), q)
 	if err != nil {
 		return nil, err
 	}
-	n := info.N
-	if q.Spec != "" {
-		cr, err := c.Compress(ctx, q.Graph, q.Spec, q.QueryParams)
-		if err != nil {
-			return nil, err
-		}
-		n, q.Spec = cr.N, cr.Spec
-	}
-	reply, err := c.dispatch(ctx, q, n)
-	if err != nil {
-		return nil, err
-	}
-	return q.Kernel.Finish(q, q.Spec, n, reply), nil
+	return json.RawMessage(body), nil
 }
 
-// dispatch runs q's row as one sub-request to POST .../whole/{route} on a
-// live replica picked by one atomic counter, so queries rotate over the
-// live set, and returns its reply for a target of n vertices.
+// dispatch sends q as one GET /v1/graphs/{name}/{route} to a live replica
+// picked by one atomic counter, so queries rotate over the live set, and
+// returns the reply's body.
 //
 // A replica whose sub-request fails fatally (after the retry policy's
-// attempts; a torn reply counts) is passed over and the row goes to the
+// attempts; a torn reply counts) is passed over and the query goes to the
 // next. Every replica holds the same data, so the reply does not depend on
 // which one serves it. A 4xx relays verbatim at once.
-func (c *Coordinator) dispatch(ctx context.Context, q server.Query, n int) (server.Reply, error) {
+func (c *Coordinator) dispatch(ctx context.Context, q server.Query) ([]byte, error) {
 	k := q.Kernel
-	path := "/internal/v1/graphs/" + url.PathEscape(q.Graph) + "/whole/" + k.Name
+	path := "/v1/graphs/" + url.PathEscape(q.Graph) + "/" + k.Name
+	args := subQuery(q)
 	bad := map[int]bool{}
 	var err error = server.Errf(http.StatusBadGateway, "no live shards for %s", q.Graph)
 	for {
 		shards := slices.DeleteFunc(c.liveShards(), func(i int) bool { return bad[i] })
 		if len(shards) == 0 || ctx.Err() != nil {
-			return server.Reply{}, err
+			return nil, err
 		}
 		i := shards[int((c.rotation.Add(1)-1)%uint64(len(shards)))]
-		var reply server.Reply
-		err = c.callShard(ctx, i, "whole:"+k.Name+"/"+strconv.Itoa(i), c.retry, func(ctx context.Context) error {
-			data, err := doRaw(ctx, c.client, http.MethodPost, c.opts.Shards[i], path, subQuery(q), "", nil)
-			if err == nil {
-				reply, err = decodeReply(k, data, n)
-			}
+		var body []byte
+		err = c.callShard(ctx, i, k.Name+"/"+strconv.Itoa(i), c.retry, func(ctx context.Context) (err error) {
+			body, err = doRaw(ctx, c.client, http.MethodGet, c.opts.Shards[i], path, args, "", nil)
 			return err
 		})
 		if err = c.mergeErrorsOver([]int{i}, []error{err}); err == nil {
-			return reply, nil
+			return body, nil
 		}
 		if server.StatusOf(err) != http.StatusBadGateway {
-			return server.Reply{}, err // a rejection
+			return nil, err // a rejection
 		}
 		bad[i] = true
 	}
 }
 
-// subQuery is a sub-request's whole input: the shared parameters and the
-// row's arguments, each left off when zero — what the shard's Parse reads
-// for an absent one is never a different answer.
+// subQuery is q as the replica's public route reads it: the shared
+// parameters and every argument a row's Parse read, zeros included — a
+// replica's default for an absent one (pagerank's k) need not be zero. An
+// empty spec or mode reads as an absent one and is left off.
 func subQuery(q server.Query) url.Values {
-	v := url.Values{"seed": {strconv.FormatUint(q.Seed, 10)}, "workers": {strconv.Itoa(q.Workers)}}
-	for key, val := range map[string]string{
-		"spec": q.Spec, "mode": q.Mode,
-		"root": strconv.Itoa(int(q.Root)), "k": strconv.Itoa(q.K), "p": strconv.FormatFloat(q.P, 'g', -1, 64),
-	} {
-		if val != "" && val != "0" {
-			v.Set(key, val)
-		}
+	v := url.Values{
+		"seed": {strconv.FormatUint(q.Seed, 10)}, "workers": {strconv.Itoa(q.Workers)},
+		"root": {strconv.Itoa(int(q.Root))}, "k": {strconv.Itoa(q.K)}, "p": {strconv.FormatFloat(q.P, 'g', -1, 64)},
+	}
+	if q.Spec != "" {
+		v.Set("spec", q.Spec)
+	}
+	if q.Mode != "" {
+		v.Set("mode", q.Mode)
 	}
 	return v
 }

@@ -39,8 +39,8 @@ func (l *logCapture) snapshot() []map[string]any {
 }
 
 // TestOneSubRequestPerQuery: on three shards, a query of every row of
-// server.Kernels sends exactly one sub-request, to one replica, plus — with
-// a spec — the compress that warms the variant on each live replica.
+// server.Kernels sends exactly one sub-request, to one replica, with a spec
+// too — the replica computes the variant if it lacks it.
 func TestOneSubRequestPerQuery(t *testing.T) {
 	lc, ts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{})
 	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
@@ -55,10 +55,8 @@ func TestOneSubRequestPerQuery(t *testing.T) {
 	for _, k := range server.Kernels {
 		for _, spec := range []string{"", "uniform:p=0.5"} {
 			u := "/v1/graphs/g/" + k.Name + "?seed=42&workers=2&mode=" + k.Mode
-			want := int64(1)
 			if spec != "" {
 				u += "&spec=" + spec
-				want += int64(lc.NumShards())
 			}
 			before := sent()
 			code, body := get(t, ts.URL+u)
@@ -68,8 +66,8 @@ func TestOneSubRequestPerQuery(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", u, code, body)
 			}
-			if got := sent() - before; got != want {
-				t.Errorf("%s: %d sub-requests, want %d", u, got, want)
+			if got := sent() - before; got != 1 {
+				t.Errorf("%s: %d sub-requests, want 1", u, got)
 			}
 		}
 	}
@@ -205,8 +203,7 @@ func TestClusterRequestIDStitching(t *testing.T) {
 	served := -1
 	for i, l := range shardLogs {
 		for _, line := range l.snapshot() {
-			path, _ := line["path"].(string)
-			if !strings.HasSuffix(path, "/whole/bfs") {
+			if line["endpoint"] != "GET /v1/graphs/{name}/bfs" {
 				continue
 			}
 			if served >= 0 {
@@ -224,18 +221,17 @@ func TestClusterRequestIDStitching(t *testing.T) {
 	}
 }
 
-// TestRelaysRotateAcrossReplicas pins the spread of whole queries: as many
-// requests in a row as there are shards, of each kind that runs whole on one
-// replica, reach every live shard. It counts each shard's own requests to its
-// /whole/ routes (slimgraph_http_requests_total by endpoint): a query with a
-// spec first replicates its variant to every shard, so the coordinator's
-// per-shard sub-request totals would grow everywhere regardless.
+// TestRelaysRotateAcrossReplicas pins the spread of queries: as many
+// requests in a row as there are shards, of each route, reach every live
+// shard once. It counts each shard's own requests to its public analytics
+// routes (slimgraph_http_requests_total by endpoint), where a query's one
+// sub-request lands.
 func TestRelaysRotateAcrossReplicas(t *testing.T) {
 	lc, ts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{})
 	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
 		t.Fatal(err)
 	}
-	wholeRequests := func() []float64 {
+	queries := func() []float64 {
 		t.Helper()
 		out := make([]float64, lc.NumShards())
 		for i := range out {
@@ -244,7 +240,7 @@ func TestRelaysRotateAcrossReplicas(t *testing.T) {
 				t.Fatalf("shard %d metrics status %d", i, code)
 			}
 			for _, line := range strings.Split(string(text), "\n") {
-				if !strings.HasPrefix(line, `slimgraph_http_requests_total{endpoint="POST /internal/v1/graphs/{name}/whole/`) {
+				if !strings.HasPrefix(line, `slimgraph_http_requests_total{endpoint="GET /v1/graphs/{name}/`) {
 					continue
 				}
 				v, _ := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
@@ -256,19 +252,22 @@ func TestRelaysRotateAcrossReplicas(t *testing.T) {
 	for _, u := range []string{
 		"/v1/graphs/g/bfs?root=0&seed=42&workers=1",
 		"/v1/graphs/g/pagerank?k=10&seed=42&workers=1",
+		"/v1/graphs/g/degrees?seed=42&workers=1",
+		"/v1/graphs/g/triangles?seed=42&workers=1",
 		"/v1/graphs/g/triangles?mode=approx&p=0.5&seed=42&workers=1",
+		"/v1/graphs/g/bfs?root=0&seed=42&workers=1&spec=uniform:p=0.5",
 		"/v1/graphs/g/compare?spec=uniform:p=0.5&seed=42&workers=1",
 	} {
-		before := wholeRequests()
+		before := queries()
 		for range lc.NumShards() {
 			if code, body := get(t, ts.URL+u); code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", u, code, body)
 			}
 		}
-		after := wholeRequests()
+		after := queries()
 		for i := range before {
 			if after[i] != before[i]+1 {
-				t.Errorf("%s: shard %d served %v of %d whole requests in a row, want 1 each",
+				t.Errorf("%s: shard %d served %v of %d queries in a row, want 1 each",
 					u, i, after[i]-before[i], lc.NumShards())
 			}
 		}
@@ -325,4 +324,63 @@ func TestInstrumentWhileProbing(t *testing.T) {
 	coord.Instrument(obs.NewRegistry())
 	time.Sleep(20 * time.Millisecond)
 	coord.Close()
+}
+
+// TestReplicasKeepNoArena: a replica's exact count builds its triangle CSR
+// for the query and keeps none, where a single node caches one per graph.
+// Every replica serves exact counts here (the rotation hands each one a
+// query per round), and none holds an arena afterwards.
+func TestReplicasKeepNoArena(t *testing.T) {
+	metric := func(base, series string) float64 {
+		t.Helper()
+		code, text := get(t, base+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("%s/metrics: status %d", base, code)
+		}
+		for _, line := range strings.Split(string(text), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %q", series, line)
+				}
+				return f
+			}
+		}
+		t.Fatalf("%s/metrics has no %s", base, series)
+		return 0
+	}
+	const u = "/v1/graphs/g/triangles?seed=42&workers=1"
+	single := mustServer(t, server.Options{MaxWorkers: 4})
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	if err := single.AddGraph("g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := get(t, sts.URL+u); code != http.StatusOK {
+		t.Fatalf("single node: status %d: %s", code, body)
+	}
+	if b := metric(sts.URL, "slimgraph_catalog_arena_bytes"); b == 0 {
+		t.Fatal("a single node's exact count kept no arena; the gauge cannot tell a replica apart")
+	}
+
+	lc, ts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{})
+	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 * lc.NumShards() {
+		if code, body := get(t, ts.URL+u); code != http.StatusOK {
+			t.Fatalf("cluster: status %d: %s", code, body)
+		}
+	}
+	for i := range lc.NumShards() {
+		if n := metric(lc.Addr(i), `slimgraph_http_requests_total{endpoint="GET /v1/graphs/{name}/triangles",status="200"}`); n != 2 {
+			t.Errorf("shard %d served %v exact counts, want 2", i, n)
+		}
+		if b := metric(lc.Addr(i), "slimgraph_catalog_arena_bytes"); b != 0 {
+			t.Errorf("shard %d keeps a %v-byte triangle arena, want none", i, b)
+		}
+		if n := metric(lc.Addr(i), "slimgraph_triangle_engine_builds_total"); n != 0 {
+			t.Errorf("shard %d built %v cached arenas, want 0", i, n)
+		}
+	}
 }

@@ -50,7 +50,7 @@ func (c *Coordinator) noRetry() resilience.RetryPolicy {
 }
 
 // withBudget attaches the per-request retry budget once at each public
-// entry point; nested calls (target → Compress) inherit the caller's.
+// entry point; a context that carries one already keeps it.
 func (c *Coordinator) withBudget(ctx context.Context) context.Context {
 	if resilience.RetryBudgetLeft(ctx) >= 0 {
 		return ctx

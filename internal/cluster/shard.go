@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,10 +8,20 @@ import (
 	"slimgraph/internal/server"
 )
 
-// Shard is one cluster member: a full public slimgraphd (so any replica
-// can also answer the ordinary API, which the coordinator uses for compress
-// and stats) extended with the /internal/v1 replication protocol and one
-// compute route per public analytics route (server.Routes).
+// Shard is one cluster member: a full public slimgraphd, whose Local is
+// marked a replica (it keeps no triangle arena), extended with the
+// /internal/v1 replication protocol. The coordinator sends every query to a
+// replica's public route and relays its reply, and compresses and gathers
+// stats through the public API too. Replication addresses whole graphs:
+//
+//	POST   /internal/v1/graphs?name=&memory=&source=&workers=[&directed=true]
+//	       loads the snapshot in the body (any format graphio.ReadAuto
+//	       sniffs; the coordinator sends the succinct packed one)
+//	DELETE /internal/v1/graphs/{name}
+//	       unloads the graph and every variant of it
+//
+// A variant is never shipped or purged: a replica computes it on the first
+// request that names it.
 type Shard struct {
 	srv *server.Server
 }
@@ -29,20 +38,19 @@ func NewShard(opts server.Options) (*Shard, error) {
 
 // WrapShard extends an existing locally backed server (srv.Local() must be
 // non-nil) with the shard protocol — the path cmd/slimgraphd takes so
-// preloads and flags apply once. The internal routes register on the
-// server's own mux (server.Handle) rather than a wrapper mux, so one
-// observability middleware covers the public and internal surfaces with
-// correct per-endpoint patterns and no double counting.
+// preloads and flags apply once — and marks its Local a replica. The
+// internal routes register on the server's own mux (server.Handle) rather
+// than a wrapper mux, so one observability middleware covers the public and
+// internal surfaces with correct per-endpoint patterns and no double
+// counting.
 func WrapShard(srv *server.Server) *Shard {
 	if srv.Local() == nil {
 		panic("cluster: shard requires a locally backed server")
 	}
+	srv.Local().MarkReplica()
 	s := &Shard{srv: srv}
 	srv.Handle("POST /internal/v1/graphs", s.handleLoad)
 	srv.Handle("DELETE /internal/v1/graphs/{name}", s.handleUnload)
-	for _, k := range server.Routes() {
-		srv.Handle("POST /internal/v1/graphs/{name}/whole/"+k.Name, s.compute(k))
-	}
 	return s
 }
 
@@ -76,45 +84,4 @@ func (s *Shard) handleLoad(w http.ResponseWriter, r *http.Request) {
 func (s *Shard) handleUnload(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.srv.Local().Drop(r.Context(), r.PathValue("name"))
 	server.Respond(w, http.StatusOK, resp, err)
-}
-
-// compute serves the compute route of k.Name. A sub-request's whole input
-// is its query string: spec, seed and workers — a malformed one is a 400
-// before anything is resolved — plus the row's own arguments, which
-// ParseQuery reads as on the public route, picking the row by mode.
-// Local.Compute then resolves the target (a variant this replica does not
-// hold — never warmed here, or evicted — is computed through its cache) and
-// runs the row. No route reads a body, and nothing allocates in proportion
-// to a query value.
-func (s *Shard) compute(k *server.Kernel) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		v := r.URL.Query()
-		q := server.Query{Graph: r.PathValue("name"), QueryParams: server.QueryParams{Spec: v.Get("spec")}}
-		var errs [2]error
-		q.Seed, errs[0] = strconv.ParseUint(v.Get("seed"), 10, 64)
-		q.Workers, errs[1] = strconv.Atoi(v.Get("workers"))
-		if err := errors.Join(errs[:]...); err != nil {
-			server.WriteErr(w, server.Errf(http.StatusBadRequest, "bad sub-request query %q: %v", r.URL.RawQuery, err))
-			return
-		}
-		local := s.srv.Local()
-		info, err := local.Info(r.Context(), q.Graph)
-		if err == nil {
-			err = k.ParseQuery(v, info, &q)
-		}
-		var reply []byte
-		if err == nil {
-			var res server.Reply
-			if res, err = local.Compute(q); err == nil {
-				reply, err = appendReply(q.Kernel, res)
-			}
-		}
-		if err != nil {
-			server.WriteErr(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
-		_, _ = w.Write(reply) // a failed write is the coordinator's torn read to retry
-	}
 }

@@ -274,9 +274,9 @@ func (in *Injector) Middleware(next http.Handler) http.Handler {
 // p=<prob>, seed=<n>, after=<n>, times=<n>; exactly one action field is
 // required: drop, truncate, delay=<duration>, or status=<code>.
 //
-//	path=/whole/bfs,p=0.2,seed=7,status=503;path=compress,times=2,delay=250ms
+//	path=/bfs,p=0.2,seed=7,status=503;path=compress,times=2,delay=250ms
 //
-// reads "20% of BFS sub-requests (seeded) answer 503; the first two compress
+// reads "20% of BFS requests (seeded) answer 503; the first two compress
 // calls stall 250ms".
 func ParseFaultSpec(spec string) (*Injector, error) {
 	var rules []*FaultRule

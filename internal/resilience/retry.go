@@ -79,8 +79,9 @@ type retryBudgetKey struct{}
 
 // WithRetryBudget attaches a retry budget to ctx: across every Do call
 // sharing the context, at most n retries (attempts beyond each call's
-// first) are spent. A multi-round request — a level-synchronous BFS issues
-// one scatter per level — is bounded as a whole, not per sub-request.
+// first) are spent. A request that fans out or fails over — a compress sent
+// to every replica, a query passed from one replica to the next — is
+// bounded as a whole, not per sub-request.
 func WithRetryBudget(ctx context.Context, n int64) context.Context {
 	b := &atomic.Int64{}
 	b.Store(n)

@@ -17,9 +17,9 @@ import (
 // two implementations — the in-process Local engine and the cluster
 // coordinator (internal/cluster) — so a single-node server and an N-shard
 // cluster serve the same /v1 API. The analytics are the rows of Kernels
-// (queries.go), the one list of servable kernels: both backends answer a
-// Query with its row's Run and Finish, so they share every line of kernel
-// and finishing code.
+// (queries.go), the one list of servable kernels: Local answers a Query with
+// its row's Run, and the coordinator relays the answer a replica's Local
+// gave to the same public route, so both share every line of kernel code.
 
 // Error is a backend failure with the HTTP status it should surface as.
 // Backends return *Error so the transport layer never guesses status codes;
@@ -77,7 +77,8 @@ type Catalog interface {
 // execution happens — the property the cluster tests pin against Local.
 type QueryBackend interface {
 	Compress(ctx context.Context, name, spec string, p QueryParams) (*CompressResponse, error)
-	// Query answers q with its row's response, q's arguments parsed already.
+	// Query answers q with its row's response, q's arguments parsed
+	// already: a response value, or a json.RawMessage WriteJSON relays.
 	Query(ctx context.Context, q Query) (any, error)
 	Stats(ctx context.Context) (*StatsResponse, error)
 }

@@ -20,13 +20,14 @@ import (
 // Local is the in-process engine: a two-tier catalog of named graphs
 // (heap-resident or memory-mapped from the data directory) plus a
 // single-flight variant cache, implementing Catalog and QueryBackend for a
-// single node. A cluster shard serves its compute routes through Compute.
+// single node. A cluster replica is one too, marked by MarkReplica.
 type Local struct {
 	opts    Options
 	catalog *catalog
 	cache   *cache
 	reg     *obs.Registry
 	start   time.Time
+	replica bool // see MarkReplica
 	// attached records the graphs the startup scan re-attached from the data
 	// directory, in attach order, and skipped the snapshots it could not
 	// attach, each with the reason — cmd/slimgraphd logs both.
@@ -359,13 +360,14 @@ func (l *Local) resolve(e *entry, p QueryParams) (graph.AdjacencyEdges, string, 
 	}
 }
 
-// target is what a row's Run reads: the resolved graph and the catalog
-// entry it came from.
+// target is what a row's Run reads: the resolved graph, the catalog entry it
+// came from and its canonical spec ("" for the original).
 type target struct {
-	g graph.AdjacencyEdges
-	e *entry
+	g    graph.AdjacencyEdges
+	e    *entry
+	spec string
 	// arena: the triangles.Forward over an original is the entry's cached
-	// one (a single node), not one built for the call (a shard keeps none).
+	// one (a single node), not one built for the call (a replica keeps none).
 	arena bool
 }
 
@@ -380,32 +382,10 @@ func (t *target) engine(workers int) *triangles.Forward {
 	return en
 }
 
-// run resolves q's target and runs its row there, at this node's worker
-// budget: every query of this backend, and every sub-request a cluster
-// shard serves, starts here. arena says whether an original's
-// triangle arena is the entry's cached one. Beside the reply it returns
-// what Finish reads of the target: the canonical spec and the vertex count.
-func (l *Local) run(q Query, arena bool) (r Reply, spec string, n int, err error) {
-	e, err := l.lookup(q.Graph)
-	if err != nil {
-		return r, "", 0, err
-	}
-	q.Workers = l.opts.clampWorkers(q.Workers)
-	g, spec, release, err := l.resolve(e, q.QueryParams)
-	if err != nil {
-		return r, "", 0, err
-	}
-	defer release()
-	r, err = q.Kernel.Run(&target{g: g, e: e, arena: arena && q.Spec == ""}, q)
-	return r, spec, g.N(), err
-}
-
-// Compute runs q's row for a cluster shard: the reply Query would finish,
-// with an original's triangles.Forward built for the call.
-func (l *Local) Compute(q Query) (Reply, error) {
-	r, _, _, err := l.run(q, false)
-	return r, err
-}
+// MarkReplica makes l a cluster replica, which keeps no triangle arena: an
+// exact count over an original builds its triangles.Forward for the call.
+// Call it before l serves.
+func (l *Local) MarkReplica() { l.replica = true }
 
 // lookup fetches a catalog entry or a 404 Error.
 func (l *Local) lookup(name string) (*entry, error) {
@@ -448,14 +428,20 @@ func (l *Local) Compress(_ context.Context, name, spec string, p QueryParams) (*
 	}, nil
 }
 
-// Query implements QueryBackend: the row's Finish over its Run on the whole
-// target, the typed reply handed over in process.
+// Query implements QueryBackend: it resolves q's target and runs its row
+// there, at this node's worker budget.
 func (l *Local) Query(_ context.Context, q Query) (any, error) {
-	r, spec, n, err := l.run(q, true)
+	e, err := l.lookup(q.Graph)
 	if err != nil {
 		return nil, err
 	}
-	return q.Kernel.Finish(q, spec, n, r), nil
+	q.Workers = l.opts.clampWorkers(q.Workers)
+	g, spec, release, err := l.resolve(e, q.QueryParams)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return q.Kernel.Run(&target{g: g, e: e, spec: spec, arena: !l.replica && q.Spec == ""}, q)
 }
 
 // The typed forwards below are Query on their rows, for benchmark/'s ladder,

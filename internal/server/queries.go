@@ -2,45 +2,21 @@ package server
 
 import (
 	"encoding/json"
-	"math"
 	"net/http"
 	"net/url"
 	"slices"
 	"strconv"
 
 	"slimgraph/internal/centrality"
-	"slimgraph/internal/graph"
 	"slimgraph/internal/metrics"
 	"slimgraph/internal/traverse"
 	"slimgraph/internal/triangles"
 )
 
 // This file holds the query table — one row per analytics endpoint, the one
-// list of servable kernels — and the HTTP handlers over it. The backend
-// (Local in one process, the cluster coordinator across shards) runs the
-// rows' own code.
-
-// Elem is what a row's Reply carries beside its scalars. A frame between
-// shards holds one vector, and its element width alone cannot tell int64
-// from float64; compare's Quality crosses as JSON.
-type Elem int
-
-const (
-	Scalars Elem = iota
-	Int32s
-	Int64s
-	Float64s
-	JSON
-)
-
-// Reply is one Run's answer.
-type Reply struct {
-	Scalars  [3]int64
-	Int32s   []int32
-	Int64s   []int64
-	Float64s []float64
-	Quality  *metrics.Quality
-}
+// list of servable kernels — and the HTTP handlers over it. Local runs the
+// rows' own code; the cluster coordinator relays a replica's answer to the
+// same public route.
 
 // Query is one analytics request as every layer hands it on: the row that
 // answers it, the graph, the row's own arguments and the shared parameters.
@@ -54,33 +30,25 @@ type Query struct {
 	QueryParams
 }
 
-// Kernel is one row of the query table. The HTTP handler, Local, the
-// cluster coordinator and a cluster shard are each one function over the
-// rows, so a single node and a cluster run the same parser, kernel and
-// finishing code, and a new servable kernel is one row.
+// Kernel is one row of the query table. The HTTP handler and Local are each
+// one function over the rows, and a cluster replica answers the public
+// route, so a single node and a cluster run the same parser and kernel, and
+// a new servable kernel is one row.
 type Kernel struct {
-	// Name is the route segment: GET /v1/graphs/{name}/<Name>, and POST
-	// /internal/v1/graphs/{name}/whole/<Name> to a shard. Rows sharing a
-	// route are adjacent and told apart by the Mode their Parse reads.
+	// Name is the route segment: GET /v1/graphs/{name}/<Name>. Rows sharing
+	// a route are adjacent and told apart by the Mode their Parse reads.
 	Name, Mode string
-	Elem       Elem
-	// PerVertex says the reply's vector holds exactly one element per
-	// target vertex; any other row's vector holds at most n elements.
-	PerVertex bool
 	// Parse reads the row's own parameters into q and validates them against
 	// the graph, before any scheme runs.
 	Parse func(v url.Values, info *GraphInfo, q *Query) error
-	// Run computes the reply on the resolved target, q.Workers clamped.
-	Run func(t *target, q Query) (Reply, error)
-	// Finish turns the reply into the response; spec is the canonical spec
-	// and n the target's vertex count.
-	Finish func(q Query, spec string, n int, r Reply) any
+	// Run answers q on the resolved target, q.Workers clamped: the response.
+	Run func(t *target, q Query) (any, error)
 }
 
 // Kernels is the query table.
 var Kernels = []*Kernel{
 	{
-		Name: "bfs", Elem: Int32s, PerVertex: true,
+		Name: "bfs",
 		Parse: func(v url.Values, info *GraphInfo, q *Query) error {
 			root, err := intParam(v, "root", 0)
 			if err == nil {
@@ -92,93 +60,74 @@ var Kernels = []*Kernel{
 			q.Root = int32(root)
 			return err
 		},
-		Run: func(t *target, q Query) (Reply, error) {
-			err := inRange(int(q.Root), t.g.N())
-			if err != nil {
-				return Reply{}, err
+		Run: func(t *target, q Query) (any, error) {
+			if err := inRange(int(q.Root), t.g.N()); err != nil {
+				return nil, err
 			}
-			return Reply{Int32s: traverse.BFS(t.g, q.Root, q.Workers).Dist}, nil
-		},
-		Finish: func(q Query, spec string, _ int, r Reply) any {
-			res := traverse.BFSResult{Dist: r.Int32s}
-			return &BFSResponse{Graph: q.Graph, Spec: spec, Root: q.Root, Reached: res.Reached(), Ecc: res.Ecc(), Dist: res.Dist}
+			res := traverse.BFS(t.g, q.Root, q.Workers)
+			return &BFSResponse{Graph: q.Graph, Spec: t.spec, Root: q.Root, Reached: res.Reached(), Ecc: res.Ecc(), Dist: res.Dist}, nil
 		},
 	},
 	{
-		Name: "pagerank", Elem: Float64s, PerVertex: true,
+		Name: "pagerank",
 		Parse: func(v url.Values, _ *GraphInfo, q *Query) (err error) {
 			if q.K, err = intParam(v, "k", 10); err == nil && q.K < 0 {
 				err = Errf(http.StatusBadRequest, "parameter k must not be negative, got %d", q.K)
 			}
 			return err
 		},
-		Run: func(t *target, q Query) (Reply, error) {
-			return Reply{Float64s: centrality.PageRank(t.g, centrality.PageRankOptions{Workers: q.Workers})}, nil
-		},
-		Finish: func(q Query, spec string, _ int, r Reply) any {
-			return &PageRankResponse{Graph: q.Graph, Spec: spec, K: q.K, Top: TopK(r.Float64s, q.K)}
+		Run: func(t *target, q Query) (any, error) {
+			ranks := centrality.PageRank(t.g, centrality.PageRankOptions{Workers: q.Workers})
+			return &PageRankResponse{Graph: q.Graph, Spec: t.spec, K: q.K, Top: TopK(ranks, q.K)}, nil
 		},
 	},
 	{
-		// The out-degree histogram: at most n bins on a simple graph.
-		Name: "degrees", Elem: Int64s,
+		Name:  "degrees",
 		Parse: func(url.Values, *GraphInfo, *Query) error { return nil },
-		Run: func(t *target, _ Query) (Reply, error) {
-			return Reply{Int64s: metrics.DegreeHistogram(t.g, 0, graph.NodeID(t.g.N()))}, nil
-		},
-		Finish: func(q Query, spec string, n int, r Reply) any {
-			dist := metrics.Distribution(r.Int64s, n)
+		Run: func(t *target, q Query) (any, error) {
+			dist := metrics.DegreeDistribution(t.g)
 			slope, r2 := metrics.PowerLawSlope(dist)
-			return &DegreesResponse{Graph: q.Graph, Spec: spec, Dist: dist, Slope: slope, R2: r2}
+			return &DegreesResponse{Graph: q.Graph, Spec: t.spec, Dist: dist, Slope: slope, R2: r2}, nil
 		},
 	},
 	{
-		Name: "triangles", Mode: "exact", Elem: Scalars,
+		Name: "triangles", Mode: "exact",
 		Parse: triangleArgs,
-		Run: func(t *target, q Query) (Reply, error) {
-			return Reply{Scalars: [3]int64{t.engine(q.Workers).Count()}}, nil
-		},
-		Finish: func(q Query, spec string, _ int, r Reply) any {
-			return &TrianglesResponse{Graph: q.Graph, Spec: spec, Mode: q.Mode, Count: &r.Scalars[0]}
+		Run: func(t *target, q Query) (any, error) {
+			count := t.engine(q.Workers).Count()
+			return &TrianglesResponse{Graph: q.Graph, Spec: t.spec, Mode: q.Mode, Count: &count}, nil
 		},
 	},
 	{
-		// The estimate crosses as its IEEE-754 bits.
-		Name: "triangles", Mode: "approx", Elem: Scalars,
+		Name: "triangles", Mode: "approx",
 		Parse: triangleArgs,
-		Run: func(t *target, q Query) (Reply, error) {
-			return Reply{Scalars: [3]int64{int64(math.Float64bits(triangles.CountApprox(t.g, q.P, q.Seed, q.Workers)))}}, nil
-		},
-		Finish: func(q Query, spec string, _ int, r Reply) any {
-			est := math.Float64frombits(uint64(r.Scalars[0]))
-			return &TrianglesResponse{Graph: q.Graph, Spec: spec, Mode: q.Mode, Estimate: &est}
+		Run: func(t *target, q Query) (any, error) {
+			est := triangles.CountApprox(t.g, q.P, q.Seed, q.Workers)
+			return &TrianglesResponse{Graph: q.Graph, Spec: t.spec, Mode: q.Mode, Estimate: &est}, nil
 		},
 	},
 	{
 		// The §5 quality metrics of a variant against its original.
-		Name: "compare", Elem: JSON,
+		Name: "compare",
 		Parse: func(v url.Values, _ *GraphInfo, _ *Query) error {
 			if v.Get("spec") == "" {
 				return Errf(http.StatusBadRequest, "compare needs a spec parameter")
 			}
 			return nil
 		},
-		Run: func(t *target, q Query) (Reply, error) {
+		Run: func(t *target, q Query) (any, error) {
 			// The original side runs on its resident form in place; every
 			// Quality sub-metric is representation-independent.
 			orig, err := acquireView(t.e)
 			if err != nil {
-				return Reply{}, err
+				return nil, err
 			}
 			defer orig.release()
 			quality, err := metrics.CompareGraphs(orig.adj, t.g, q.Workers)
 			if err != nil {
-				return Reply{}, Errf(http.StatusUnprocessableEntity, "%v", err)
+				return nil, Errf(http.StatusUnprocessableEntity, "%v", err)
 			}
-			return Reply{Quality: quality}, nil
-		},
-		Finish: func(q Query, spec string, _ int, r Reply) any {
-			return &CompareResponse{Graph: q.Graph, Spec: spec, Seed: q.Seed, Quality: r.Quality}
+			return &CompareResponse{Graph: q.Graph, Spec: t.spec, Seed: q.Seed, Quality: quality}, nil
 		},
 	},
 }

@@ -348,15 +348,23 @@ func (s *Server) reject(w http.ResponseWriter) {
 // cluster's shard routes. It marshals before it writes the status, so a
 // value encoding/json refuses (a NaN or an infinity that slipped through
 // validation) is a 500 with an error body, never a 200 with an empty one.
+// Every body ends with one newline, the only raw newline compact JSON
+// holds, so a reader knows a body that lacks it is torn. A json.RawMessage
+// is a body written by WriteJSON already (a replica's reply the cluster
+// coordinator relays) and goes out verbatim.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		code = http.StatusInternalServerError
-		body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	body, relayed := v.(json.RawMessage)
+	if !relayed {
+		var err error
+		if body, err = json.Marshal(v); err != nil {
+			code = http.StatusInternalServerError
+			body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+		}
+		body = append(body, '\n')
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
