@@ -646,8 +646,8 @@ func PartitionByDegree(g *Graph, parts int) []PartitionRange {
 
 // ClusterOptions configures a Coordinator: shard base URLs in rank order,
 // the per-shard sub-request deadline, an optional HTTP client, and the
-// fault-tolerance knobs (retry policy and budget, circuit-breaker
-// threshold/cooldown, background health-probe interval).
+// fault-tolerance knobs (retry policy, circuit-breaker threshold/cooldown,
+// background health-probe interval).
 type ClusterOptions = cluster.Options
 
 // Coordinator serves the public API over shard replicas; it
@@ -656,8 +656,8 @@ type ClusterOptions = cluster.Options
 // (NewLocalCluster wires this up for you).
 type Coordinator = cluster.Coordinator
 
-// ClusterShard is one cluster member: a full local server extended with
-// the /internal/v1 replication and partial-query protocol.
+// ClusterShard is one cluster member: a plain local server, marked a
+// replica, that the coordinator reaches through the public API alone.
 type ClusterShard = cluster.Shard
 
 // LocalCluster is an in-process coordinator + N shards on loopback
@@ -718,7 +718,7 @@ func NewFaultInjector(rules ...*FaultRule) *FaultInjector {
 
 // ParseFaultSpec parses the -fault-inject grammar: ";"-separated rules of
 // ","-separated key=value fields, e.g.
-// "path=/internal/v1,p=0.1,seed=7,status=503;path=/compress,times=1,drop".
+// "path=/v1/graphs/,p=0.1,seed=7,status=503;path=/compress,times=1,drop".
 func ParseFaultSpec(spec string) (*FaultInjector, error) {
 	return resilience.ParseFaultSpec(spec)
 }

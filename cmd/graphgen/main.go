@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"slimgraph"
+	"slimgraph/internal/gen"
 )
 
 func main() {
@@ -28,30 +29,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var g *slimgraph.Graph
-	switch *kind {
-	case "rmat":
-		g = slimgraph.GenerateRMAT(*scale, *ef, *seed)
-	case "er":
-		g = slimgraph.GenerateErdosRenyi(*n, *n**ef, *seed)
-	case "ba":
-		g = slimgraph.GenerateBarabasiAlbert(*n, *ef, *seed)
-	case "grid":
-		side := 1
-		for side*side < *n {
-			side++
-		}
-		g = slimgraph.GenerateGrid(side, side, false)
-	case "communities":
-		g = slimgraph.GenerateCommunities(*n, 25, 0.5, *n, *seed)
-	case "smallworld":
-		g = slimgraph.GenerateSmallWorld(*n, *ef, 0.1, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "graphgen: unknown type %q\n", *kind)
+	g, _, err := gen.Generate(*kind, *scale, *ef, *n, *seed, *weighted)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)
-	}
-	if *weighted {
-		g = slimgraph.WithUniformWeights(g, 1, 100, *seed+1)
 	}
 	fmt.Fprintln(os.Stderr, "generated:", g)
 
@@ -65,7 +46,6 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	var err error
 	switch *format {
 	case "el":
 		err = slimgraph.WriteEdgeList(w, g)

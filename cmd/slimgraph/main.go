@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"slimgraph"
+	"slimgraph/internal/gen"
 )
 
 const specGrammar = `Scheme specs (the -scheme argument) follow the registry grammar:
@@ -224,26 +225,8 @@ func load(input, genKind string, scale, ef, n int, seed uint64) (*slimgraph.Grap
 		// other content parses as a text edge list.
 		return slimgraph.ReadGraph(f, false)
 	}
-	switch genKind {
-	case "rmat":
-		return slimgraph.GenerateRMAT(scale, ef, seed), nil
-	case "er":
-		return slimgraph.GenerateErdosRenyi(n, n*ef, seed), nil
-	case "ba":
-		return slimgraph.GenerateBarabasiAlbert(n, ef, seed), nil
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		return slimgraph.GenerateGrid(side, side, false), nil
-	case "communities":
-		return slimgraph.GenerateCommunities(n, 25, 0.5, n, seed), nil
-	case "smallworld":
-		return slimgraph.GenerateSmallWorld(n, ef, 0.1, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", genKind)
-	}
+	g, _, err := gen.Generate(genKind, scale, ef, n, seed, false)
+	return g, err
 }
 
 // printMetrics reports the same Quality bundle the server's /compare

@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		role      = fs.String("role", "standalone", "process role: standalone | coordinator | shard")
+		role      = fs.String("role", "standalone", "process role: standalone | coordinator | shard (a shard serves the standalone API to a coordinator, keeping no triangle arena)")
 		peers     = fs.String("peers", "", "comma-separated shard base URLs (coordinator only)")
 		shardTO   = fs.Duration("shard-timeout", 15*time.Second, "per-shard sub-request deadline (coordinator only)")
 		drain     = fs.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		breakerN  = fs.Int("breaker-threshold", 0, "consecutive failures before a shard's breaker opens (coordinator only; 0 = default 3)")
 		breakerCD = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (coordinator only; 0 = default 5s)")
 		probeIvl  = fs.Duration("probe-interval", 0, "background /readyz health-probe interval (coordinator only; 0 = off)")
-		faultSpec = fs.String("fault-inject", "", "deterministic fault-injection spec applied to inbound requests, e.g. \"path=/v1/graphs/,p=0.1,seed=7,status=503\", which on a shard fails a tenth of the coordinator's queries and compresses (testing only)")
+		faultSpec = fs.String("fault-inject", "", "deterministic fault-injection spec applied to inbound requests, e.g. \"path=/v1/graphs/,p=0.1,seed=7,status=503\", which on a shard fails a tenth of the coordinator's queries, compresses and drops (testing only)")
 	)
 	var loads []string
 	fs.Func("load", "preload name=path (edge list or snapshot; repeatable)", func(v string) error {
@@ -108,6 +108,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "slimgraphd %s (%s, revision %s)\n", b.Version, b.GoVersion, rev)
 		return 0
+	}
+
+	// A value outside a flag's range is refused, never read as a default;
+	// only the zero readings the help documents stand.
+	for _, f := range []struct {
+		name, want string
+		bad        bool
+	}{
+		{"cache", "at least 1", *cacheN < 1},
+		{"shard-timeout", "a positive duration", *shardTO <= 0},
+		{"drain", "0 or more", *drain < 0},
+		{"max-concurrent", "0 or more", *maxConc < 0},
+		{"max-workers", "0 or more", *maxWork < 0},
+		{"demo", "0 or more", *demo < 0},
+		{"retries", "0 or more", *retries < 0},
+		{"breaker-threshold", "0 or more", *breakerN < 0},
+		{"breaker-cooldown", "0 or more", *breakerCD < 0},
+		{"probe-interval", "0 or more", *probeIvl < 0},
+	} {
+		if f.bad {
+			fmt.Fprintf(stderr, "slimgraphd: -%s %s: want %s\n", f.name, fs.Lookup(f.name).Value, f.want)
+			return 2
+		}
 	}
 
 	budget, err := parseBytes(*memBudget)
@@ -154,10 +177,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// Hold traffic off until the preloads finish; a load balancer
 		// watching /readyz won't route to a shard still parsing graphs.
 		srv.SetNotReady("loading graphs")
-		handler = srv.Handler()
+		// A shard is a plain server the coordinator reaches through the
+		// public routes; as a replica it keeps no triangle arena.
 		if *role == "shard" {
-			handler = cluster.WrapShard(srv).Handler()
+			srv.Local().MarkReplica()
 		}
+		handler = srv.Handler()
 	case "coordinator":
 		if *dataDir != "" {
 			fmt.Fprintln(stderr, "slimgraphd: -data-dir applies only to standalone and shard roles (a coordinator holds no graphs)")

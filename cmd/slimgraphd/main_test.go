@@ -59,6 +59,41 @@ func TestRunFlagValidation(t *testing.T) {
 		{"data-dir on coordinator", []string{"-role", "coordinator",
 			"-peers", "http://x:1", "-data-dir", "/tmp/x"},
 			2, "a coordinator holds no graphs"},
+		// A value outside a flag's range is refused, never read as a
+		// default. Each case names an address that cannot listen, so a value
+		// let through ends the run with 1 rather than serving.
+		{"cache 0", []string{"-cache", "0", "-addr", "127.0.0.1:-1"},
+			2, "-cache 0: want at least 1"},
+		{"negative cache", []string{"-cache", "-1", "-addr", "127.0.0.1:-1"},
+			2, "-cache -1: want at least 1"},
+		{"shard-timeout 0", []string{"-shard-timeout", "0", "-addr", "127.0.0.1:-1"},
+			2, "-shard-timeout 0s: want a positive duration"},
+		{"negative shard-timeout", []string{"-role", "coordinator", "-peers", "http://x:1",
+			"-shard-timeout", "-1s", "-addr", "127.0.0.1:-1"},
+			2, "-shard-timeout -1s: want a positive duration"},
+		{"negative drain", []string{"-drain", "-1s", "-addr", "127.0.0.1:-1"},
+			2, "-drain -1s: want 0 or more"},
+		{"negative max-concurrent", []string{"-max-concurrent", "-1", "-addr", "127.0.0.1:-1"},
+			2, "-max-concurrent -1: want 0 or more"},
+		{"negative max-workers", []string{"-max-workers", "-1", "-addr", "127.0.0.1:-1"},
+			2, "-max-workers -1: want 0 or more"},
+		{"negative demo", []string{"-demo", "-3", "-addr", "127.0.0.1:-1"},
+			2, "-demo -3: want 0 or more"},
+		{"negative retries", []string{"-role", "coordinator", "-peers", "http://x:1",
+			"-retries", "-2", "-addr", "127.0.0.1:-1"},
+			2, "-retries -2: want 0 or more"},
+		{"negative breaker-threshold", []string{"-breaker-threshold", "-1", "-addr", "127.0.0.1:-1"},
+			2, "-breaker-threshold -1: want 0 or more"},
+		{"negative breaker-cooldown", []string{"-breaker-cooldown", "-1s", "-addr", "127.0.0.1:-1"},
+			2, "-breaker-cooldown -1s: want 0 or more"},
+		{"negative probe-interval", []string{"-probe-interval", "-1ms", "-addr", "127.0.0.1:-1"},
+			2, "-probe-interval -1ms: want 0 or more"},
+		// The documented zero readings stand: the run gets as far as the
+		// listener.
+		{"zero defaults", []string{"-max-concurrent", "0", "-max-workers", "0", "-demo", "0",
+			"-retries", "0", "-breaker-threshold", "0", "-breaker-cooldown", "0",
+			"-probe-interval", "0", "-drain", "0", "-addr", "127.0.0.1:-1"},
+			1, "listen tcp"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

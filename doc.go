@@ -182,7 +182,9 @@
 // The same API scales out (internal/cluster, run as slimgraphd -role
 // coordinator|shard or in-process via NewLocalCluster): a coordinator
 // serves /v1/graphs over N shard replicas, each holding the whole graph
-// and each a full single node. Every query — BFS, PageRank, degrees,
+// and each a plain single node, reached only through its public routes: a
+// create uploads the packed snapshot to every replica's POST /v1/graphs,
+// and a drop sends each one DELETE /v1/graphs/{name}. Every query — BFS, PageRank, degrees,
 // triangles, compare — goes as one GET of the same public route to one
 // replica, the replicas taking queries in turn, and the coordinator relays
 // the replica's reply byte for byte; it runs no kernel and rebuilds no
@@ -198,9 +200,9 @@
 //
 // The fault-tolerance layer (internal/resilience) keeps that contract
 // intact when shards misbehave. Idempotent sub-requests retry with
-// exponential backoff and deterministic seeded jitter under a per-request
-// retry budget (RetryPolicy; creates never blind-retry), and
-// per-shard circuit breakers (BreakerState; closed → open after
+// exponential backoff and deterministic seeded jitter, a bounded number of
+// attempts per call (RetryPolicy; creates never blind-retry), and per-shard
+// circuit breakers (BreakerState; closed → open after
 // consecutive failures, half-open probes after a cooldown) route traffic
 // around a dead shard — opened proactively by a background /readyz prober
 // when ClusterOptions.ProbeInterval is set. Degraded execution is

@@ -349,7 +349,6 @@ func TestClusterChaosSoak(t *testing.T) {
 	}, Options{
 		ShardTimeout:    2 * time.Second,
 		BreakerCooldown: 100 * time.Millisecond,
-		RetryBudget:     64,
 		Client:          &http.Client{Transport: inj.RoundTripper(http.DefaultTransport)},
 	})
 	if _, err := lc.Coordinator.Create(t.Context(), "g", "", "test", g.Clone(), 1); err != nil {

@@ -1,7 +1,7 @@
 // Package cluster shards slimgraphd across processes: a coordinator serves
-// the ordinary /v1/graphs API over N shard servers, each a full slimgraphd
-// (internal/server) extended with a small /internal/v1 replication
-// protocol (shard.go).
+// the ordinary /v1/graphs API over N shard servers, each a plain slimgraphd
+// (internal/server) reached through the same public routes a client uses
+// (shard.go).
 //
 // The design is storage-replicated: every shard holds the whole graph (raw
 // or succinctly packed, traversed in place). Replicating storage is what
@@ -22,9 +22,10 @@
 // would only repeat work: a round trip per BFS level or PageRank iteration
 // costs more than the work it distributes, and a part of a one-round kernel
 // still pays most of a whole query for its setup. Replicas take queries in
-// turn, and a replica that fails one (a reply without server.WriteJSON's
-// closing newline is torn and counts) passes it to the next; a 4xx relays
-// at once. The coordinator schedules and holds no kernel logic.
+// turn, and a replica that fails one (a reply without the closing newline
+// the server writes after every JSON body is torn and counts) passes it to
+// the next; a 4xx relays at once. The coordinator schedules and holds no
+// kernel logic.
 package cluster
 
 import (
@@ -69,11 +70,6 @@ type Options struct {
 	// (single-flight cached shard-side), stats, drop — never to create,
 	// a replayed unload, or a readiness probe.
 	Retry resilience.RetryPolicy
-	// RetryBudget caps retries per client request across all of its
-	// sub-requests (a compress's or a drop's fan-out, a query's failover
-	// from replica to replica). 0 means the default of 16; negative disables
-	// retries entirely.
-	RetryBudget int
 	// BreakerThreshold and BreakerCooldown configure the per-shard circuit
 	// breakers (defaults: 3 consecutive failures, 5s cooldown).
 	BreakerThreshold int
@@ -112,6 +108,10 @@ func errBody(code int, body []byte) *httpError {
 	}
 	return &httpError{code: code, msg: fmt.Sprintf("status %d: %s", code, bytes.TrimSpace(body))}
 }
+
+// graphPath is graph name's public route, the prefix of every sub-request
+// about one graph.
+func graphPath(name string) string { return "/v1/graphs/" + url.PathEscape(name) }
 
 // doRaw performs one HTTP exchange against a shard: method addr+path with
 // optional query and body, returning a 2xx reply's whole body and turning
@@ -154,7 +154,7 @@ func doRaw(ctx context.Context, client *http.Client, method, addr, path string, 
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return nil, errBody(resp.StatusCode, data)
 	}
-	// server.WriteJSON ends every body with a newline, the only raw one
+	// The server ends every JSON body with a newline, the only raw one
 	// compact JSON holds: a body without it was cut short.
 	if len(data) == 0 || data[len(data)-1] != '\n' {
 		return nil, fmt.Errorf("torn reply: %d bytes without the closing newline", len(data))

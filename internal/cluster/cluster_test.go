@@ -275,20 +275,6 @@ func TestClusterErrorsMatchSingleNode(t *testing.T) {
 	}
 }
 
-// TestShardLoadRefusesHostileSnapshots drives the replication route
-// directly: a shard is as exposed to a lying snapshot header as the public
-// upload route is, and answers it the same way.
-func TestShardLoadRefusesHostileSnapshots(t *testing.T) {
-	ts := httptest.NewServer(mustShard(t, server.Options{}).Handler())
-	defer ts.Close()
-	for name, upload := range oracle.HostileSnapshots() {
-		code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=hostile&workers=1", "", upload)
-		if code != http.StatusBadRequest || !strings.Contains(string(body), "graphio: snapshot ") {
-			t.Errorf("%s: status %d, body %s; want 400 from graphio's bounds", name, code, body)
-		}
-	}
-}
-
 // TestClusterCacheReplication pins variant replication: one public compress
 // executes the scheme exactly once on every shard, later spec queries are
 // cache hits everywhere, and a repeated compress reports Cached.

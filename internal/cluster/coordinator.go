@@ -81,7 +81,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		opts:   opts,
 		client: client,
 		start:  time.Now(),
-		retry:  opts.retryPolicy(),
+		retry:  opts.Retry,
 		graphs: map[string]server.GraphInfo{},
 	}
 	for i := range opts.Shards {
@@ -146,7 +146,8 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 // gauge, and the shard's circuit breaker. A 4xx shard reply leaves the
 // shard up — it answered; only transport failures, timeouts, and 5xx mark
 // it down and count as failures. A canceled parent context says nothing
-// about the shard (the client hung up), so it bypasses the breaker.
+// about the shard (the client hung up): the request counts, but neither
+// the up gauge, the failure count nor the breaker hears of it.
 func (c *Coordinator) observe(i int, fn func() error) error {
 	m := c.met.Load()
 	if m != nil {
@@ -155,15 +156,17 @@ func (c *Coordinator) observe(i int, fn func() error) error {
 	start := time.Now()
 	err := fn()
 	up := err == nil || !shardFatal(err)
+	down := !up && !errors.Is(err, context.Canceled)
 	if m != nil {
 		sm, elapsed := &m.perShard[i], time.Since(start).Seconds()
 		sm.inflight.Add(-1)
 		sm.requests.Inc()
 		sm.latency.Observe(elapsed)
 		m.total.Observe(elapsed)
-		if up {
+		switch {
+		case up:
 			sm.up.Set(1)
-		} else {
+		case down:
 			sm.failures.Inc()
 			sm.up.Set(0)
 		}
@@ -171,7 +174,7 @@ func (c *Coordinator) observe(i int, fn func() error) error {
 	switch {
 	case up:
 		c.breakers[i].RecordSuccess()
-	case !errors.Is(err, context.Canceled):
+	case down:
 		c.breakers[i].RecordFailure()
 	}
 	return err
@@ -235,27 +238,25 @@ func (c *Coordinator) mergeErrorsOver(shards []int, errs []error) error {
 
 // --- server.Catalog --------------------------------------------------------
 
-// Create replicates g to every shard: packed once into the succinct v2
-// snapshot (the PR 3 representation — the cheapest bytes to ship), loaded
-// by each shard under the client's memory policy. A partial failure rolls
-// back the shards that succeeded, so the catalog never diverges. Create is
-// deliberately strict — it requires full membership and never blind-retries
-// (a retried load that half-landed would 409) — so a down shard fails the
-// create rather than admitting a graph some replica doesn't hold.
+// Create replicates g to every shard through its public upload route:
+// packed once into the succinct v2 snapshot (the cheapest bytes to ship),
+// loaded by each shard under the client's memory policy. A partial failure
+// rolls back the shards that succeeded, so the catalog never diverges.
+// Create is deliberately strict — it requires full membership and never
+// blind-retries (a retried load that half-landed would 409) — so a down
+// shard fails the create rather than admitting a graph some replica doesn't
+// hold.
 func (c *Coordinator) Create(ctx context.Context, name, memory, source string, g *graph.Graph, workers int) (*server.GraphInfo, error) {
 	var buf bytes.Buffer
 	if _, err := graphio.WritePacked(&buf, g); err != nil {
 		return nil, server.Errf(http.StatusInternalServerError, "packing graph for replication: %v", err)
 	}
 	data := buf.Bytes()
-	q := url.Values{"name": {name}, "memory": {memory}, "source": {source}, "workers": {strconv.Itoa(workers)}}
-	if g.Directed() {
-		q.Set("directed", "true")
-	}
+	q := url.Values{"name": {name}, "memory": {memory}, "directed": {strconv.FormatBool(g.Directed())}, "workers": {strconv.Itoa(workers)}}
 	infos := make([]server.GraphInfo, len(c.opts.Shards))
 	all := c.allShards()
 	errs := c.scatterOver(ctx, all, "create:"+name, c.noRetry(), func(ctx context.Context, _, i int, addr string) error {
-		return doJSON(ctx, c.client, http.MethodPost, addr, "/internal/v1/graphs", q,
+		return doJSON(ctx, c.client, http.MethodPost, addr, "/v1/graphs", q,
 			"application/octet-stream", bytes.NewReader(data), &infos[i])
 	})
 	if err := c.mergeErrorsOver(all, errs); err != nil {
@@ -266,11 +267,14 @@ func (c *Coordinator) Create(ctx context.Context, name, memory, source string, g
 				if errs[i] != nil {
 					return nil
 				}
-				return doJSON(ctx, c.client, http.MethodDelete, addr, "/internal/v1/graphs/"+url.PathEscape(name), nil, "", nil, nil)
+				return doJSON(ctx, c.client, http.MethodDelete, addr, graphPath(name), nil, "", nil, nil)
 			})
 		return nil, err
 	}
+	// A shard records an upload's source as "upload"; the catalog keeps the
+	// client's.
 	info := infos[0]
+	info.Source = source
 	c.mu.Lock()
 	c.graphs[name] = info
 	c.mu.Unlock()
@@ -307,7 +311,6 @@ func (c *Coordinator) List(_ context.Context) ([]server.GraphInfo, error) {
 // as a pending repair and replayed when that shard's breaker closes, so no
 // stale replica survives recovery.
 func (c *Coordinator) Drop(ctx context.Context, name string) (*server.DeleteResponse, error) {
-	ctx = c.withBudget(ctx)
 	c.mu.Lock()
 	_, ok := c.graphs[name]
 	delete(c.graphs, name)
@@ -320,7 +323,7 @@ func (c *Coordinator) Drop(ctx context.Context, name string) (*server.DeleteResp
 	live := c.liveShards()
 	errs := c.scatterOver(ctx, live, "drop:"+name, c.retry, func(ctx context.Context, _, i int, addr string) error {
 		var resp server.DeleteResponse
-		err := doJSON(ctx, c.client, http.MethodDelete, addr, "/internal/v1/graphs/"+url.PathEscape(name), nil, "", nil, &resp)
+		err := doJSON(ctx, c.client, http.MethodDelete, addr, graphPath(name), nil, "", nil, &resp)
 		if err == nil {
 			mu.Lock()
 			if resp.VariantsDropped > dropped {
@@ -373,7 +376,6 @@ func (c *Coordinator) owe(graph string, live []int, errs []error) {
 // variant, and the elapsed time and its stage breakdown come together from
 // the slowest of them. Compress fails only when no replica answered.
 func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.QueryParams) (*server.CompressResponse, error) {
-	ctx = c.withBudget(ctx)
 	if _, err := c.Info(ctx, name); err != nil {
 		return nil, err
 	}
@@ -381,7 +383,7 @@ func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.
 	resps := make([]server.CompressResponse, len(live))
 	req := server.CompressRequest{Spec: spec, Seed: p.Seed, Workers: p.Workers}
 	errs := c.scatterOver(ctx, live, "compress:"+name, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
-		return postJSON(ctx, c.client, addr, "/v1/graphs/"+url.PathEscape(name)+"/compress", req, &resps[pos])
+		return postJSON(ctx, c.client, addr, graphPath(name)+"/compress", req, &resps[pos])
 	})
 	first := slices.Index(errs, nil)
 	if first < 0 {
@@ -412,7 +414,7 @@ func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.
 // Run, so the response is a single node's by construction; with a spec, the
 // replica computes the variant through its own cache if it lacks it.
 func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
-	body, err := c.dispatch(c.withBudget(ctx), q)
+	body, err := c.dispatch(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +431,7 @@ func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
 // which one serves it. A 4xx relays verbatim at once.
 func (c *Coordinator) dispatch(ctx context.Context, q server.Query) ([]byte, error) {
 	k := q.Kernel
-	path := "/v1/graphs/" + url.PathEscape(q.Graph) + "/" + k.Name
+	path := graphPath(q.Graph) + "/" + k.Name
 	args := subQuery(q)
 	bad := map[int]bool{}
 	var err error = server.Errf(http.StatusBadGateway, "no live shards for %s", q.Graph)
@@ -479,7 +481,6 @@ func subQuery(q server.Query) url.Values {
 // row — breaker state, pending repair count, Ready false — but contributes
 // no cache numbers; the aggregate describes what the live cluster holds.
 func (c *Coordinator) Stats(ctx context.Context) (*server.StatsResponse, error) {
-	ctx = c.withBudget(ctx)
 	per := make([]server.ShardStats, len(c.opts.Shards))
 	for i, addr := range c.opts.Shards {
 		per[i] = server.ShardStats{Shard: i, Addr: addr}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"slimgraph/internal/obs"
+	"slimgraph/internal/resilience"
 	"slimgraph/internal/server"
 )
 
@@ -36,6 +37,27 @@ func (l *logCapture) snapshot() []map[string]any {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]map[string]any(nil), l.lines...)
+}
+
+// metricValue reads one series from base's GET /metrics, failing the test
+// when it is absent.
+func metricValue(t *testing.T, base, series string) float64 {
+	t.Helper()
+	code, text := get(t, base+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("%s/metrics: status %d", base, code)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %q", series, line)
+			}
+			return f
+		}
+	}
+	t.Fatalf("%s/metrics has no %s", base, series)
+	return 0
 }
 
 // TestOneSubRequestPerQuery: on three shards, a query of every row of
@@ -331,24 +353,6 @@ func TestInstrumentWhileProbing(t *testing.T) {
 // Every replica serves exact counts here (the rotation hands each one a
 // query per round), and none holds an arena afterwards.
 func TestReplicasKeepNoArena(t *testing.T) {
-	metric := func(base, series string) float64 {
-		t.Helper()
-		code, text := get(t, base+"/metrics")
-		if code != http.StatusOK {
-			t.Fatalf("%s/metrics: status %d", base, code)
-		}
-		for _, line := range strings.Split(string(text), "\n") {
-			if v, ok := strings.CutPrefix(line, series+" "); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					t.Fatalf("%s: %q", series, line)
-				}
-				return f
-			}
-		}
-		t.Fatalf("%s/metrics has no %s", base, series)
-		return 0
-	}
 	const u = "/v1/graphs/g/triangles?seed=42&workers=1"
 	single := mustServer(t, server.Options{MaxWorkers: 4})
 	sts := httptest.NewServer(single.Handler())
@@ -359,7 +363,7 @@ func TestReplicasKeepNoArena(t *testing.T) {
 	if code, body := get(t, sts.URL+u); code != http.StatusOK {
 		t.Fatalf("single node: status %d: %s", code, body)
 	}
-	if b := metric(sts.URL, "slimgraph_catalog_arena_bytes"); b == 0 {
+	if b := metricValue(t, sts.URL, "slimgraph_catalog_arena_bytes"); b == 0 {
 		t.Fatal("a single node's exact count kept no arena; the gauge cannot tell a replica apart")
 	}
 
@@ -373,14 +377,48 @@ func TestReplicasKeepNoArena(t *testing.T) {
 		}
 	}
 	for i := range lc.NumShards() {
-		if n := metric(lc.Addr(i), `slimgraph_http_requests_total{endpoint="GET /v1/graphs/{name}/triangles",status="200"}`); n != 2 {
+		if n := metricValue(t, lc.Addr(i), `slimgraph_http_requests_total{endpoint="GET /v1/graphs/{name}/triangles",status="200"}`); n != 2 {
 			t.Errorf("shard %d served %v exact counts, want 2", i, n)
 		}
-		if b := metric(lc.Addr(i), "slimgraph_catalog_arena_bytes"); b != 0 {
+		if b := metricValue(t, lc.Addr(i), "slimgraph_catalog_arena_bytes"); b != 0 {
 			t.Errorf("shard %d keeps a %v-byte triangle arena, want none", i, b)
 		}
-		if n := metric(lc.Addr(i), "slimgraph_triangle_engine_builds_total"); n != 0 {
+		if n := metricValue(t, lc.Addr(i), "slimgraph_triangle_engine_builds_total"); n != 0 {
 			t.Errorf("shard %d built %v cached arenas, want 0", i, n)
 		}
+	}
+}
+
+// TestClientHangUpLeavesShardUp: a client that gives up on a query says
+// nothing about the shard serving it. The abandoned sub-request counts, but
+// the shard's failure count, its up gauge and its breaker stay as they were.
+func TestClientHangUpLeavesShardUp(t *testing.T) {
+	slow := resilience.NewInjector(&resilience.FaultRule{Path: "/bfs", Action: resilience.FaultDelay, Delay: 2 * time.Second})
+	lc, ts := startLocal(t, 1, server.Options{MaxWorkers: 4}, Options{
+		Client: &http.Client{Transport: slow.RoundTripper(http.DefaultTransport)},
+	})
+	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	reg, shard := lc.Front.Registry(), obs.Label{Key: "shard", Value: "0"}
+	requests := reg.Counter("slimgraph_shard_requests_total", "", shard)
+	failures := reg.Counter("slimgraph_shard_failures_total", "", shard)
+	up := reg.Gauge("slimgraph_shard_up", "", shard)
+	sent := requests.Value()
+	impatient := &http.Client{Timeout: 100 * time.Millisecond}
+	if resp, err := impatient.Get(ts.URL + "/v1/graphs/g/bfs?root=0&seed=1&workers=1"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("a query held 2s answered within the client's 100ms: status %d", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(5 * time.Second); requests.Value() == sent; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never finished the abandoned sub-request")
+		}
+	}
+	if n, u, b := failures.Value(), up.Value(), lc.Coordinator.BreakerState(0); n != 0 || u != 1 || b != resilience.BreakerClosed {
+		t.Errorf("after a client hang-up: failures=%d up=%v breaker=%v, want 0, 1, closed", n, u, b)
+	}
+	if got := requests.Value() - sent; got != 1 {
+		t.Errorf("the abandoned query counted %d sub-requests, want 1", got)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -15,30 +14,11 @@ import (
 
 // This file is the coordinator's fault-tolerance layer: per-shard circuit
 // breakers fed by the observe wrapper, live-set routing with failover to
-// the next replica, retry with a per-request budget, a background health
-// prober, and the pending-repair queue that makes a drop idempotent across
-// an unreachable shard. Degraded execution keeps the byte-identity contract
+// the next replica, per-call retries, a background health prober, and the
+// pending-repair queue that makes a drop idempotent across an unreachable
+// shard. Degraded execution keeps the byte-identity contract
 // (see dispatch); a variant needs no repair, because a replica computes it
 // when first asked.
-
-// retryPolicy returns the configured policy with defaults applied.
-func (o Options) retryPolicy() resilience.RetryPolicy {
-	p := o.Retry
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	return p
-}
-
-func (o Options) retryBudget() int64 {
-	if o.RetryBudget > 0 {
-		return int64(o.RetryBudget)
-	}
-	if o.RetryBudget < 0 {
-		return 0
-	}
-	return 16
-}
 
 // noRetry is the single-attempt variant of the configured policy, for
 // calls that must not blind-retry (create and its rollback, repairs) and
@@ -47,15 +27,6 @@ func (c *Coordinator) noRetry() resilience.RetryPolicy {
 	p := c.retry
 	p.MaxAttempts = 1
 	return p
-}
-
-// withBudget attaches the per-request retry budget once at each public
-// entry point; a context that carries one already keeps it.
-func (c *Coordinator) withBudget(ctx context.Context) context.Context {
-	if resilience.RetryBudgetLeft(ctx) >= 0 {
-		return ctx
-	}
-	return resilience.WithRetryBudget(ctx, c.opts.retryBudget())
 }
 
 // shardFatal classifies an error as evidence against the shard itself —
@@ -213,8 +184,7 @@ func (c *Coordinator) drainRepairs(i int) {
 // wanted.
 func (c *Coordinator) runRepair(ctx context.Context, i int, graph string) error {
 	return c.callShard(ctx, i, "repair:unload:"+graph, c.noRetry(), func(actx context.Context) error {
-		err := doJSON(actx, c.client, http.MethodDelete, c.opts.Shards[i],
-			"/internal/v1/graphs/"+url.PathEscape(graph), nil, "", nil, nil)
+		err := doJSON(actx, c.client, http.MethodDelete, c.opts.Shards[i], graphPath(graph), nil, "", nil, nil)
 		var he *httpError
 		if errors.As(err, &he) && he.code == http.StatusNotFound {
 			return nil

@@ -162,8 +162,9 @@ func checkShape(t *testing.T, name, path string, body []byte, g *graph.Graph) {
 	}
 }
 
-// TestShardLoadRejectsBadWorkers pins the handleLoad bugfix: workers=abc
-// used to load with 0 workers instead of failing.
+// TestShardLoadRejectsBadWorkers: a shard loads a graph through the public
+// upload route, which refuses workers=abc with a 400 instead of loading with
+// a default worker count, and creates nothing.
 func TestShardLoadRejectsBadWorkers(t *testing.T) {
 	sh := mustShard(t, server.Options{})
 	ts := httptest.NewServer(sh.Handler())
@@ -172,21 +173,21 @@ func TestShardLoadRejectsBadWorkers(t *testing.T) {
 	if _, err := graphio.WritePacked(&snap, gen.Path(5)); err != nil {
 		t.Fatal(err)
 	}
-	code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=abc", "application/octet-stream", snap.Bytes())
-	if code != http.StatusBadRequest || !strings.Contains(string(body), `bad workers \"abc\"`) {
+	code, body := do(t, "POST", ts.URL+"/v1/graphs?name=g&workers=abc", "application/octet-stream", snap.Bytes())
+	if code != http.StatusBadRequest || !strings.Contains(string(body), `parameter workers: want an integer, got \"abc\"`) {
 		t.Fatalf("workers=abc: status %d: %s", code, body)
 	}
 	if code, _ := get(t, ts.URL+"/v1/graphs/g"); code != http.StatusNotFound {
 		t.Fatalf("rejected load still created the graph: status %d", code)
 	}
-	if code, body := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=2", "application/octet-stream", snap.Bytes()); code != http.StatusCreated {
+	if code, body := do(t, "POST", ts.URL+"/v1/graphs?name=g&workers=2", "application/octet-stream", snap.Bytes()); code != http.StatusCreated {
 		t.Fatalf("workers=2: status %d: %s", code, body)
 	}
 }
 
-// TestShardLoadRefusesPermutedSnapshot: a replicated snapshot of either v2
-// minor whose header declares a stored vertex permutation (flag 4) is a 400
-// naming the permutation, and nothing is created.
+// TestShardLoadRefusesPermutedSnapshot: a snapshot of either v2 minor
+// uploaded to a shard whose header declares a stored vertex permutation
+// (flag 4) is a 400 naming the permutation, and nothing is created.
 func TestShardLoadRefusesPermutedSnapshot(t *testing.T) {
 	ts := httptest.NewServer(mustShard(t, server.Options{}).Handler())
 	defer ts.Close()
@@ -202,7 +203,7 @@ func TestShardLoadRefusesPermutedSnapshot(t *testing.T) {
 		h, _ := succinct.ParseSnapshotHeader(snap)
 		h.Permuted = true
 		body := append(h.Append(nil), snap[succinct.SnapshotHeaderSize:]...)
-		code, reply := do(t, "POST", ts.URL+"/internal/v1/graphs?name=g&workers=1", "application/octet-stream", body)
+		code, reply := do(t, "POST", ts.URL+"/v1/graphs?name=g&workers=1", "application/octet-stream", body)
 		want := fmt.Sprintf("version 2.%d stores a vertex permutation", h.Minor)
 		if code != http.StatusBadRequest || !strings.Contains(string(reply), want) {
 			t.Errorf("permuted v2.%d load: status %d, body %s; want 400 naming %q", h.Minor, code, reply, want)
@@ -210,6 +211,56 @@ func TestShardLoadRefusesPermutedSnapshot(t *testing.T) {
 		if code, _ := get(t, ts.URL+"/v1/graphs/g"); code != http.StatusNotFound {
 			t.Fatalf("the refused load created the graph: status %d", code)
 		}
+	}
+}
+
+// TestReplicationUsesPublicRoutes: a coordinator's create reaches every
+// shard as POST /v1/graphs, and its rollback and a drop as DELETE
+// /v1/graphs/{name}, counted by each shard's own endpoint metrics. A shard
+// serves no /internal/v1 route.
+func TestReplicationUsesPublicRoutes(t *testing.T) {
+	lc, cts := startLocal(t, 3, server.Options{MaxWorkers: 4}, Options{})
+	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 2 already holds "dup", so creating it through the coordinator
+	// fails there and rolls back on shards 0 and 1.
+	if err := lc.Shard(2).Server().AddGraph("dup", "", "test", gen.Path(5), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.Coordinator.Create(t.Context(), "dup", server.MemoryRaw, "test", testGraph(t), 1); server.StatusOf(err) != http.StatusConflict {
+		t.Fatalf("create over a held name: %v, want a 409", err)
+	}
+	if code, body := do(t, "DELETE", cts.URL+"/v1/graphs/g", "", nil); code != http.StatusOK {
+		t.Fatalf("drop: status %d: %s", code, body)
+	}
+	for i, want := range []map[string]float64{
+		{`endpoint="POST /v1/graphs",status="201"`: 2, `endpoint="DELETE /v1/graphs/{name}",status="200"`: 2},
+		{`endpoint="POST /v1/graphs",status="201"`: 2, `endpoint="DELETE /v1/graphs/{name}",status="200"`: 2},
+		{`endpoint="POST /v1/graphs",status="201"`: 1, `endpoint="POST /v1/graphs",status="409"`: 1, `endpoint="DELETE /v1/graphs/{name}",status="200"`: 1},
+	} {
+		for labels, n := range want {
+			if got := metricValue(t, lc.Addr(i), "slimgraph_http_requests_total{"+labels+"}"); got != n {
+				t.Errorf("shard %d: %s requests %v, want %v", i, labels, got, n)
+			}
+		}
+		wantDup := http.StatusNotFound
+		if i == 2 {
+			wantDup = http.StatusOK
+		}
+		if code, _ := get(t, lc.Addr(i)+"/v1/graphs/dup"); code != wantDup {
+			t.Errorf("shard %d: GET dup status %d after the rollback, want %d", i, code, wantDup)
+		}
+		for _, method := range []string{"POST", "DELETE", "GET"} {
+			for _, path := range []string{"/internal/v1/graphs?name=x&workers=1", "/internal/v1/graphs/dup"} {
+				if code, body := do(t, method, lc.Addr(i)+path, "application/octet-stream", nil); code != http.StatusNotFound {
+					t.Errorf("shard %d: %s %s: status %d: %s, want 404", i, method, path, code, body)
+				}
+			}
+		}
+	}
+	if code, _ := get(t, lc.Addr(2)+"/v1/graphs/g"); code != http.StatusNotFound {
+		t.Errorf("shard 2 still holds the dropped graph: status %d", code)
 	}
 }
 

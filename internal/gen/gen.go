@@ -10,6 +10,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 
 	"slimgraph/internal/graph"
@@ -235,6 +236,48 @@ func WithUniformWeights(g *graph.Graph, lo, hi float64, seed uint64) *graph.Grap
 		u := float64(rng.Hash64(seed, uint64(e))>>11) / (1 << 53)
 		return lo + u*(hi-lo)
 	})
+}
+
+// Generate builds a graph by generator name, the one dispatch behind the
+// CLIs' generator flags and the server's generator requests: rmat
+// (2^scale vertices, ef edges per vertex), er (n vertices, n*ef edges), ba
+// (n vertices, attachment degree ef), grid (the smallest square side with
+// side² ≥ n), communities (n vertices in communities of 25) or smallworld
+// (n vertices, ring degree ef). weighted adds uniform weights in [1, 100)
+// keyed by seed+1. source names the generator with the parameters that
+// shaped the graph.
+func Generate(kind string, scale, ef, n int, seed uint64, weighted bool) (g *graph.Graph, source string, err error) {
+	switch kind {
+	case "rmat":
+		g = RMAT(scale, ef, 0.57, 0.19, 0.19, seed)
+		source = fmt.Sprintf("rmat:scale=%d,ef=%d,seed=%d", scale, ef, seed)
+	case "er":
+		g = ErdosRenyi(n, n*ef, seed)
+		source = fmt.Sprintf("er:n=%d,m=%d,seed=%d", n, n*ef, seed)
+	case "ba":
+		g = BarabasiAlbert(n, ef, seed)
+		source = fmt.Sprintf("ba:n=%d,k=%d,seed=%d", n, ef, seed)
+	case "grid":
+		side := 1
+		for side*side < n {
+			side++
+		}
+		g = Grid2D(side, side, false)
+		source = fmt.Sprintf("grid:side=%d", side)
+	case "communities":
+		g = PlantedPartition(n, 25, 0.5, n, seed)
+		source = fmt.Sprintf("communities:n=%d,seed=%d", n, seed)
+	case "smallworld":
+		g = WattsStrogatz(n, ef, 0.1, seed)
+		source = fmt.Sprintf("smallworld:n=%d,k=%d,seed=%d", n, ef, seed)
+	default:
+		return nil, "", fmt.Errorf("unknown generator %q (rmat, er, ba, grid, communities, smallworld)", kind)
+	}
+	if weighted {
+		g = WithUniformWeights(g, 1, 100, seed+1)
+		source += ",weighted"
+	}
+	return g, source, nil
 }
 
 // LogNormalDegreeGraph builds a graph whose degree sequence is roughly

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"slimgraph/internal/graph"
@@ -179,5 +182,52 @@ func TestLogNormalDegreeGraph(t *testing.T) {
 func BenchmarkRMATScale14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = RMAT(14, 8, 0.57, 0.19, 0.19, uint64(i))
+	}
+}
+
+// edgeDigest hashes g's edges in ID order: endpoints and weight bits.
+func edgeDigest(g *graph.Graph) string {
+	h := fnv.New64a()
+	g.ForEdges(func(e graph.EdgeID, u, v graph.NodeID, w float64) {
+		fmt.Fprintf(h, "%d %d %d %x\n", e, u, v, math.Float64bits(w))
+	})
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestGeneratePinned pins every kind Generate dispatches, at one seed and
+// size, plain and weighted: n, m, the edges and the source string. The
+// digests were taken from the direct generator calls each CLI and the
+// server made before they shared Generate.
+func TestGeneratePinned(t *testing.T) {
+	for _, tc := range []struct {
+		kind, source    string
+		n, m            int
+		plain, weighted string
+	}{
+		{"rmat", "rmat:scale=7,ef=4,seed=5", 128, 350, "74b1affc1fe59c85", "6f4fc20328fc3be8"},
+		{"er", "er:n=300,m=1200,seed=5", 300, 1179, "f7516df160d7fc9e", "2e8482a29694ed3f"},
+		{"ba", "ba:n=300,k=4,seed=5", 300, 1160, "158201c0642990a0", "527380abfb3390d7"},
+		{"grid", "grid:side=18", 324, 612, "10302000c6e72605", "f5623bc77176dbd7"},
+		{"communities", "communities:n=300,seed=5", 300, 2070, "4a6f3bf80f6869aa", "c8913cc78b332cfe"},
+		{"smallworld", "smallworld:n=300,k=4,seed=5", 300, 599, "14b6456f0cc3f806", "d5a9c3d81855bdb5"},
+	} {
+		for _, weighted := range []bool{false, true} {
+			g, source, err := Generate(tc.kind, 7, 4, 300, 5, weighted)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.kind, err)
+			}
+			wantSource, wantDigest := tc.source, tc.plain
+			if weighted {
+				wantSource, wantDigest = tc.source+",weighted", tc.weighted
+			}
+			if source != wantSource || g.N() != tc.n || g.M() != tc.m || edgeDigest(g) != wantDigest {
+				t.Errorf("%s weighted=%v: source %q n=%d m=%d digest %s; want %q n=%d m=%d digest %s",
+					tc.kind, weighted, source, g.N(), g.M(), edgeDigest(g), wantSource, tc.n, tc.m, wantDigest)
+			}
+		}
+	}
+	if _, _, err := Generate("lattice", 7, 4, 300, 5, false); err == nil ||
+		err.Error() != `unknown generator "lattice" (rmat, er, ba, grid, communities, smallworld)` {
+		t.Errorf("unknown kind: %v", err)
 	}
 }

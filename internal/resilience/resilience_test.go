@@ -160,29 +160,6 @@ func TestRetryDoExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetSharedAcrossCalls(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 10, BaseDelay: time.Microsecond}
-	ctx := WithRetryBudget(context.Background(), 3)
-	if RetryBudgetLeft(ctx) != 3 {
-		t.Fatalf("fresh budget should be 3, got %d", RetryBudgetLeft(ctx))
-	}
-	total := 0
-	for i := 0; i < 4; i++ {
-		_ = p.Do(ctx, "k", func(error) bool { return true },
-			func() error { total++; return errors.New("transient") })
-	}
-	// 4 calls × 1 mandatory attempt + 3 budgeted retries total.
-	if total != 7 {
-		t.Fatalf("expected 7 attempts (4 first + 3 retries), got %d", total)
-	}
-	if RetryBudgetLeft(ctx) != 0 {
-		t.Fatalf("budget should be exhausted, got %d", RetryBudgetLeft(ctx))
-	}
-	if RetryBudgetLeft(context.Background()) != -1 {
-		t.Fatalf("no budget should report -1")
-	}
-}
-
 func TestRetryDoRespectsContextCancel(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 100, BaseDelay: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
@@ -74,52 +73,14 @@ func (p RetryPolicy) Backoff(key string, attempt int) time.Duration {
 	return time.Duration(float64(d) * frac)
 }
 
-// retryBudgetKey carries a per-request retry budget through a context.
-type retryBudgetKey struct{}
-
-// WithRetryBudget attaches a retry budget to ctx: across every Do call
-// sharing the context, at most n retries (attempts beyond each call's
-// first) are spent. A request that fans out or fails over — a compress sent
-// to every replica, a query passed from one replica to the next — is
-// bounded as a whole, not per sub-request.
-func WithRetryBudget(ctx context.Context, n int64) context.Context {
-	b := &atomic.Int64{}
-	b.Store(n)
-	return context.WithValue(ctx, retryBudgetKey{}, b)
-}
-
-// takeRetryToken consumes one retry from the context's budget, reporting
-// whether one was available. A context without a budget always grants.
-func takeRetryToken(ctx context.Context) bool {
-	b, ok := ctx.Value(retryBudgetKey{}).(*atomic.Int64)
-	if !ok {
-		return true
-	}
-	return b.Add(-1) >= 0
-}
-
-// RetryBudgetLeft reports the remaining budget, or -1 when ctx carries
-// none.
-func RetryBudgetLeft(ctx context.Context) int64 {
-	b, ok := ctx.Value(retryBudgetKey{}).(*atomic.Int64)
-	if !ok {
-		return -1
-	}
-	if n := b.Load(); n > 0 {
-		return n
-	}
-	return 0
-}
-
 // Do runs attempt until it succeeds, returns a non-retryable error, or the
 // policy is exhausted, returning the last error. retryable classifies
 // errors (nil is never passed); key identifies the call for jitter
 // determinism. Retries stop — and the in-flight error returns unchanged —
-// when ctx is done (the parent request gave up) or the context's retry
-// budget (WithRetryBudget) is spent. Do never retries a call whose error
-// the caller can't rule side effects out for: that judgment is the
-// caller's, expressed by passing MaxAttempts 1 or a retryable that returns
-// false.
+// when ctx is done (the parent request gave up). Do never retries a call
+// whose error the caller can't rule side effects out for: that judgment is
+// the caller's, expressed by passing MaxAttempts 1 or a retryable that
+// returns false.
 func (p RetryPolicy) Do(ctx context.Context, key string, retryable func(error) bool, attempt func() error) error {
 	p = p.withDefaults()
 	var err error
@@ -127,7 +88,7 @@ func (p RetryPolicy) Do(ctx context.Context, key string, retryable func(error) b
 		if err = attempt(); err == nil {
 			return nil
 		}
-		if a >= p.MaxAttempts || !retryable(err) || ctx.Err() != nil || !takeRetryToken(ctx) {
+		if a >= p.MaxAttempts || !retryable(err) || ctx.Err() != nil {
 			return err
 		}
 		t := time.NewTimer(p.Backoff(key, a))

@@ -78,7 +78,7 @@ type Catalog interface {
 type QueryBackend interface {
 	Compress(ctx context.Context, name, spec string, p QueryParams) (*CompressResponse, error)
 	// Query answers q with its row's response, q's arguments parsed
-	// already: a response value, or a json.RawMessage WriteJSON relays.
+	// already: a response value, or a json.RawMessage writeJSON relays.
 	Query(ctx context.Context, q Query) (any, error)
 	Stats(ctx context.Context) (*StatsResponse, error)
 }

@@ -462,10 +462,10 @@ func (c *catalog) residentBytes() (raw, packed, arena, mapped int64) {
 	return raw, packed, arena, mapped
 }
 
-// Generate builds a graph from the generator request, mirroring the
-// slimgraph CLI's -gen dispatch. Every generator is deterministic per seed,
-// which is what lets a cluster coordinator generate once and replicate
-// identical bytes to every shard.
+// Generate builds a graph from the generator request (gen.Generate), its
+// zero sizes read as the defaults. Every generator is deterministic per
+// seed, which is what lets a cluster coordinator generate once and
+// replicate identical bytes to every shard.
 func Generate(kind string, scale, ef, n int, seed uint64, weighted bool) (*graph.Graph, string, error) {
 	if ef <= 0 {
 		ef = 8
@@ -476,37 +476,5 @@ func Generate(kind string, scale, ef, n int, seed uint64, weighted bool) (*graph
 	if scale <= 0 {
 		scale = 12
 	}
-	var g *graph.Graph
-	var source string
-	switch kind {
-	case "rmat":
-		g = gen.RMAT(scale, ef, 0.57, 0.19, 0.19, seed)
-		source = fmt.Sprintf("rmat:scale=%d,ef=%d,seed=%d", scale, ef, seed)
-	case "er":
-		g = gen.ErdosRenyi(n, n*ef, seed)
-		source = fmt.Sprintf("er:n=%d,m=%d,seed=%d", n, n*ef, seed)
-	case "ba":
-		g = gen.BarabasiAlbert(n, ef, seed)
-		source = fmt.Sprintf("ba:n=%d,k=%d,seed=%d", n, ef, seed)
-	case "grid":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		g = gen.Grid2D(side, side, false)
-		source = fmt.Sprintf("grid:side=%d", side)
-	case "communities":
-		g = gen.PlantedPartition(n, 25, 0.5, n, seed)
-		source = fmt.Sprintf("communities:n=%d,seed=%d", n, seed)
-	case "smallworld":
-		g = gen.WattsStrogatz(n, ef, 0.1, seed)
-		source = fmt.Sprintf("smallworld:n=%d,k=%d,seed=%d", n, ef, seed)
-	default:
-		return nil, "", fmt.Errorf("unknown generator %q (rmat, er, ba, grid, communities, smallworld)", kind)
-	}
-	if weighted {
-		g = gen.WithUniformWeights(g, 1, 100, seed+1)
-		source += ",weighted"
-	}
-	return g, source, nil
+	return gen.Generate(kind, scale, ef, n, seed, weighted)
 }

@@ -224,7 +224,7 @@ func (s *Server) query(call func(r *http.Request, info *GraphInfo, p QueryParams
 		if err == nil {
 			resp, err = call(r, info, p)
 		}
-		Respond(w, http.StatusOK, resp, err)
+		respond(w, http.StatusOK, resp, err)
 	}
 }
 

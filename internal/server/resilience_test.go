@@ -104,7 +104,7 @@ func TestDeadlinePropagationRejectsExpired(t *testing.T) {
 // serving afterwards.
 func TestPanicRecovery(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	s.Handle("GET /boom", func(w http.ResponseWriter, r *http.Request) {
+	s.mux.HandleFunc("GET /boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
 

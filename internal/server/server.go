@@ -192,13 +192,6 @@ func NewWithBackend(cat Catalog, backend QueryBackend, opts Options) *Server {
 // logging).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Handle registers an extra route on the server's mux, inside the same
-// observability middleware as the /v1 API — the hook cluster shards use to
-// mount their /internal/v1 surface with correct per-endpoint metrics.
-func (s *Server) Handle(pattern string, handler http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, handler)
-}
-
 // Registry returns the metrics registry every server metric records into —
 // the one GET /metrics serves.
 func (s *Server) Registry() *obs.Registry { return s.opts.Registry }
@@ -274,7 +267,7 @@ func (s *Server) AddGenerated(name, kind string, scale, edgeFactor, n int, seed 
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		// The probe result also lands on the slimgraph_ready gauge, so a
@@ -286,7 +279,7 @@ func (s *Server) routes() {
 			return
 		}
 		s.ready.Set(1)
-		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 	})
 	s.mux.Handle("GET /metrics", s.opts.Registry.Handler())
 	s.mux.HandleFunc("GET /v1/schemes", s.handleSchemes)
@@ -344,15 +337,15 @@ func (s *Server) reject(w http.ResponseWriter) {
 
 // --- JSON plumbing ---------------------------------------------------------
 
-// WriteJSON is the one JSON response writer of the server and of the
-// cluster's shard routes. It marshals before it writes the status, so a
-// value encoding/json refuses (a NaN or an infinity that slipped through
-// validation) is a 500 with an error body, never a 200 with an empty one.
+// writeJSON is the server's one JSON response writer. It marshals before
+// it writes the status, so a value encoding/json refuses (a NaN or an
+// infinity that slipped through validation) is a 500 with an error body,
+// never a 200 with an empty one.
 // Every body ends with one newline, the only raw newline compact JSON
 // holds, so a reader knows a body that lacks it is torn. A json.RawMessage
-// is a body written by WriteJSON already (a replica's reply the cluster
+// is a body written by writeJSON already (a replica's reply the cluster
 // coordinator relays) and goes out verbatim.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	body, relayed := v.(json.RawMessage)
 	if !relayed {
 		var err error
@@ -368,21 +361,17 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// WriteErr surfaces a backend error with its embedded status (StatusOf).
-func WriteErr(w http.ResponseWriter, err error) {
-	writeErr(w, StatusOf(err), "%v", err)
-}
-
-// Respond writes v with code, or err (WriteErr) when it is non-nil.
-func Respond(w http.ResponseWriter, code int, v any, err error) {
+// respond writes v with code, or err with its embedded status (StatusOf)
+// when it is non-nil.
+func respond(w http.ResponseWriter, code int, v any, err error) {
 	if err != nil {
-		WriteErr(w, err)
+		writeErr(w, StatusOf(err), "%v", err)
 		return
 	}
-	WriteJSON(w, code, v)
+	writeJSON(w, code, v)
 }
 
 // --- catalog endpoints -----------------------------------------------------
@@ -421,17 +410,17 @@ func (s *Server) handleSchemes(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, schemeInfo{Name: reg.Name, About: reg.About, Params: params})
 	}
-	WriteJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, err := s.backend.Stats(r.Context())
-	Respond(w, http.StatusOK, st, err)
+	respond(w, http.StatusOK, st, err)
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	out, err := s.cat.List(r.Context())
-	Respond(w, http.StatusOK, out, err)
+	respond(w, http.StatusOK, out, err)
 }
 
 func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
@@ -464,7 +453,7 @@ func (s *Server) createGenerated(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := s.cat.Create(r.Context(), req.Name, req.Memory, source, g, workers)
-	Respond(w, http.StatusCreated, info, err)
+	respond(w, http.StatusCreated, info, err)
 }
 
 // ReadBody reads r to EOF into a buffer sized once from the declared body
@@ -476,12 +465,12 @@ func ReadBody(r io.Reader, declared int64) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// ReadUpload parses the graph a request body carries (graphio.ReadAuto) from
+// readUpload parses the graph a request body carries (graphio.ReadAuto) from
 // the buffered body, not the stream: graphio bounds every header-declared
 // count by the size of its source, and only the bytes actually received are
 // a size the client cannot inflate — a 16-byte snapshot header declaring
 // 2^32-1 edges must be a 400, not a 64 GiB allocation.
-func ReadUpload(r *http.Request, directed bool) (*graph.Graph, error) {
+func readUpload(r *http.Request, directed bool) (*graph.Graph, error) {
 	body, err := ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		return nil, err
@@ -500,7 +489,7 @@ func (s *Server) createUploaded(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	g, err := ReadUpload(r, directed)
+	g, err := readUpload(r, directed)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "parsing uploaded graph: %v", err)
 		return
@@ -511,17 +500,17 @@ func (s *Server) createUploaded(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info, err := s.cat.Create(r.Context(), name, q.Get("memory"), "upload", g, s.opts.clampWorkers(rawWorkers))
-	Respond(w, http.StatusCreated, info, err)
+	respond(w, http.StatusCreated, info, err)
 }
 
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	info, err := s.cat.Info(r.Context(), r.PathValue("name"))
-	Respond(w, http.StatusOK, info, err)
+	respond(w, http.StatusOK, info, err)
 }
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.cat.Drop(r.Context(), r.PathValue("name"))
-	Respond(w, http.StatusOK, resp, err)
+	respond(w, http.StatusOK, resp, err)
 }
 
 // --- request parameter helpers ---------------------------------------------

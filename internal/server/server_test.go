@@ -290,7 +290,7 @@ func TestCachedVariantMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n') // WriteJSON ends every body with it
+	want = append(want, '\n') // writeJSON ends every body with it
 	if !bytes.Equal(served, want) {
 		t.Errorf("served PageRank differs from offline computation:\n%s\nvs\n%s", served, want)
 	}
@@ -622,9 +622,9 @@ func TestErrorPaths(t *testing.T) {
 	// An unencodable value that does reach the writer is a 500 with an
 	// error body, not a 200 header followed by nothing.
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, http.StatusOK, map[string]float64{"estimate": math.NaN()})
+	writeJSON(rec, http.StatusOK, map[string]float64{"estimate": math.NaN()})
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), `"error":"encoding response: `) {
-		t.Errorf("WriteJSON(NaN): status %d, body %q; want a 500 with an error body", rec.Code, rec.Body)
+		t.Errorf("writeJSON(NaN): status %d, body %q; want a 500 with an error body", rec.Code, rec.Body)
 	}
 
 	for name, upload := range oracle.HostileSnapshots() {
