@@ -631,13 +631,14 @@ const (
 func NewServer(opts ServerOptions) (*Server, error) { return server.New(opts) }
 
 // PartitionRange is one rank's contiguous vertex range.
-type PartitionRange = cluster.Range
+type PartitionRange = graph.Range
 
 // PartitionByDegree splits a graph's vertices into parts contiguous ranges
-// balanced by degree+1 — the 1D partitioning the cluster's shards use to
-// agree on vertex ownership.
+// balanced by degree+1 — the 1D partitioning of the paper's
+// distributed-memory pipeline (§3.2, §7.3), a pure function of the degree
+// sequence.
 func PartitionByDegree(g *Graph, parts int) []PartitionRange {
-	return cluster.PartitionByDegree(g, parts)
+	return graph.PartitionByDegree(g, parts)
 }
 
 // Sharded serving: a coordinator + N shard cluster behind the same

@@ -1,7 +1,6 @@
 // Distributed-style compression (§7.3, Figure 8): uniform sampling with one
-// worker per rank, the degree-balanced vertex ranges the ranks (and the
-// cluster's shards) would own, and the degree-distribution check that the
-// power-law shape survives.
+// worker per rank, the degree-balanced vertex ranges the ranks would own,
+// and the degree-distribution check that the power-law shape survives.
 package main
 
 import (

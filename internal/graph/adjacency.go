@@ -99,6 +99,34 @@ func DegreeCuts(a Adjacency, parts int) func(k int) NodeID {
 	}
 }
 
+// Range is a half-open contiguous vertex range [Lo, Hi) owned by one rank.
+type Range struct {
+	Lo, Hi int32
+}
+
+// Len returns the number of vertices in the range.
+func (r Range) Len() int { return int(r.Hi - r.Lo) }
+
+// PartitionByDegree splits [0, n) into parts contiguous ranges balanced by
+// vertex weight degree+1 (DegreeCuts) — the degree term balances arc
+// ownership, the +1 spreads isolated vertices. The split is a pure function
+// of the degree sequence: every process that sees the same graph computes the
+// same ranges without a metadata exchange (the paper's distributed-memory
+// pipeline, §3.2, §7.3). Ranges concatenate to exactly [0, n); trailing
+// ranges may be empty when parts exceeds what the weights can fill.
+func PartitionByDegree(g Adjacency, parts int) []Range {
+	if parts < 1 {
+		parts = 1
+	}
+	cut := DegreeCuts(g, parts)
+	ranges := make([]Range, parts)
+	for i := range ranges {
+		ranges[i].Lo = cut(i)
+		ranges[i].Hi = cut(i + 1)
+	}
+	return ranges
+}
+
 // ForEdges invokes fn for every canonical edge in increasing EdgeID order,
 // satisfying AdjacencyEdges.
 func (g *Graph) ForEdges(fn func(e EdgeID, u, v NodeID, w float64)) {

@@ -1,4 +1,4 @@
-package cluster
+package graph_test
 
 import (
 	"slices"
@@ -14,7 +14,7 @@ func TestPartitionCoversDisjointly(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 100, 1001} {
 		for _, parts := range []int{1, 3, 4, 16} {
 			g := gen.ErdosRenyi(n, 4*n, uint64(n+1))
-			ranges := PartitionByDegree(g, parts)
+			ranges := graph.PartitionByDegree(g, parts)
 			if len(ranges) != parts {
 				t.Fatalf("n=%d parts=%d: got %d ranges", n, parts, len(ranges))
 			}
@@ -24,9 +24,9 @@ func TestPartitionCoversDisjointly(t *testing.T) {
 				if r.Lo != prevHi {
 					t.Fatalf("n=%d parts=%d rank=%d: gap at %d", n, parts, i, r.Lo)
 				}
-				// What a shard derives from a sub-request's (shard, of) alone.
+				// What one rank derives from (rank, parts) alone.
 				cut := graph.DegreeCuts(g, parts)
-				if own := (Range{Lo: cut(i), Hi: cut(i + 1)}); own != r {
+				if own := (graph.Range{Lo: cut(i), Hi: cut(i + 1)}); own != r {
 					t.Fatalf("n=%d parts=%d rank=%d: derived alone %+v, in the partition %+v", n, parts, i, own, r)
 				}
 				covered += r.Len()
@@ -44,7 +44,7 @@ func TestPartitionBalancesArcs(t *testing.T) {
 	// far better than the worst case of all mass in one range.
 	g := gen.BarabasiAlbert(2000, 4, 11)
 	const parts = 8
-	ranges := PartitionByDegree(g, parts)
+	ranges := graph.PartitionByDegree(g, parts)
 	var total int64
 	maxPart := int64(0)
 	for _, r := range ranges {
@@ -72,8 +72,8 @@ func TestPartitionWorksOnPackedGraph(t *testing.T) {
 	// the identical split without an Unpack call.
 	g := gen.RMAT(10, 8, 0.57, 0.19, 0.19, 3)
 	pg := succinct.Pack(g, 1)
-	raw := PartitionByDegree(g, 5)
-	packed := PartitionByDegree(pg, 5)
+	raw := graph.PartitionByDegree(g, 5)
+	packed := graph.PartitionByDegree(pg, 5)
 	for i := range raw {
 		if raw[i] != packed[i] {
 			t.Fatalf("range %d: raw %+v packed %+v", i, raw[i], packed[i])
@@ -92,7 +92,7 @@ func TestDegreeHistogramMatchesLocal(t *testing.T) {
 		parts int
 	}{{"raw", g, 7}, {"packed", succinct.Pack(g, 1), 3}} {
 		merged := make([]int64, len(local))
-		for _, r := range PartitionByDegree(tc.adj, tc.parts) {
+		for _, r := range graph.PartitionByDegree(tc.adj, tc.parts) {
 			for d, c := range metrics.DegreeHistogram(tc.adj, r.Lo, r.Hi) {
 				merged[d] += c // a range's largest degree is at most the graph's
 			}

@@ -106,6 +106,9 @@ func readEdgeList(r io.Reader, directed bool, forceN int) (*graph.Graph, error) 
 		w := 1.0
 		if len(fields) == 3 {
 			w, err = strconv.ParseFloat(fields[2], 64)
+			if err == nil {
+				err = checkWeight(w)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("graphio: line %d: %v", line, err)
 			}
@@ -244,7 +247,9 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 // header that declares a stored vertex permutation, and dispatches
 // on version and minor: the two decoded forms read their bodies from behind
 // the header, a servable image attaches over its complete bytes and so
-// keeps the header in front. limit is sourceSize of the underlying source.
+// keeps the header in front. Whatever the form, a graph with a non-finite
+// weight is refused, naming the edge. limit is sourceSize of the underlying
+// source.
 func readSnapshot(br *bufio.Reader, limit int64, want uint8) (*graph.Graph, error) {
 	prefix, err := br.Peek(succinct.SnapshotHeaderSize)
 	if err != nil {
@@ -272,19 +277,41 @@ func readSnapshot(br *bufio.Reader, limit int64, want uint8) (*graph.Graph, erro
 	if !servable {
 		_, _ = br.Discard(succinct.SnapshotHeaderSize) // peeked above: cannot fail
 	}
+	var g *graph.Graph
 	switch {
 	case h.Version == binaryVersion:
-		return readBinaryBody(br, h, limit)
+		g, err = readBinaryBody(br, h, limit)
 	case h.Version != packedVersion:
 		return nil, fmt.Errorf("graphio: unsupported version %d", h.Version)
 	case h.Minor == succinct.CompactMinor:
-		return readPackedBody(br, h, limit)
+		g, err = readPackedBody(br, h, limit)
 	case servable:
-		return readServableBody(br, h, limit)
+		g, err = readServableBody(br, h, limit)
 	case h.Minor == 1: // the retired servable image
 		return nil, fmt.Errorf("graphio: %v", h.CheckMinor(succinct.ServableMinor))
+	default:
+		return nil, fmt.Errorf("graphio: %v", h.CheckMinor(succinct.CompactMinor))
 	}
-	return nil, fmt.Errorf("graphio: %v", h.CheckMinor(succinct.CompactMinor))
+	if err != nil {
+		return nil, err
+	}
+	if g.Weighted() {
+		for e := range graph.EdgeID(g.M()) {
+			if err := checkWeight(g.EdgeWeight(e)); err != nil {
+				return nil, fmt.Errorf("graphio: edge %d: %v", e, err)
+			}
+		}
+	}
+	return g, nil
+}
+
+// checkWeight refuses a weight no reader accepts: NaN, +Inf or -Inf, which
+// the weighted kernels and every JSON answer would carry through.
+func checkWeight(w float64) error {
+	if math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("weight %v is not finite", w)
+	}
+	return nil
 }
 
 // sourceSize reports the total size in bytes of a reader's underlying

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -68,6 +69,39 @@ func TestReadEdgeListErrors(t *testing.T) {
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in), false); err == nil {
 			t.Fatalf("input %q: expected error", in)
+		}
+	}
+}
+
+// TestNonFiniteWeightRefused writes a NaN, +Inf or -Inf weight in each form
+// a reader takes — the text edge list, the v1 record, the v2.2 weight
+// section and the v2.3 image's weights — and requires the read to fail
+// naming the line or the edge.
+func TestNonFiniteWeightRefused(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		text := fmt.Sprintf("0 1 1\n1 2 %v\n2 0 2\n", w)
+		if _, err := ReadEdgeList(strings.NewReader(text), false); err == nil || !strings.Contains(err.Error(), "line 2: weight") {
+			t.Errorf("edge list with weight %v: err %v, want one naming line 2", w, err)
+		}
+		b := graph.NewBuilder(4, false)
+		b.AddEdges([]graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: w}, {U: 2, V: 3, W: 2}})
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		forms := map[string]func(io.Writer) error{
+			"v1":   func(out io.Writer) error { _, err := WriteBinary(out, g); return err },
+			"v2.2": func(out io.Writer) error { _, err := WritePacked(out, g); return err },
+			"v2.3": func(out io.Writer) error { _, err := succinct.WriteServable(out, succinct.Pack(g, 1)); return err },
+		}
+		for form, write := range forms {
+			var buf bytes.Buffer
+			if err := write(&buf); err != nil {
+				t.Fatalf("%s: %v", form, err)
+			}
+			if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "edge 1: weight") {
+				t.Errorf("%s snapshot with weight %v: err %v, want one naming edge 1", form, w, err)
+			}
 		}
 	}
 }
@@ -537,7 +571,8 @@ func TestSnapshotBodySizeBound(t *testing.T) {
 // FuzzReadSnapshot drives the whole-snapshot surface — header dispatch,
 // both v2 minors, the v1 body, the edge-list fallback — with arbitrary
 // bytes: whatever the input, the readers must return, never panic or
-// over-allocate (the bytes.Reader source size bounds every section).
+// over-allocate (the bytes.Reader source size bounds every section) — and
+// every graph they return has finite weights.
 func FuzzReadSnapshot(f *testing.F) {
 	g := gen.ErdosRenyi(30, 120, 27)
 	w := gen.WithUniformWeights(gen.ErdosRenyi(20, 60, 28), 1, 4, 3)
@@ -559,11 +594,22 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte("# Nodes: 4 Edges: 2\n0 1\n2 3\n"))
 	f.Add(permutedSnapshots(f)[succinct.CompactMinor])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if g, err := Read(bytes.NewReader(data)); err == nil && g == nil {
-			t.Fatal("Read returned nil graph without error")
-		}
-		if g, err := ReadAuto(bytes.NewReader(data), false); err == nil && g == nil {
-			t.Fatal("ReadAuto returned nil graph without error")
+		for reader, read := range map[string]func(io.Reader) (*graph.Graph, error){
+			"Read":     Read,
+			"ReadAuto": func(r io.Reader) (*graph.Graph, error) { return ReadAuto(r, false) },
+		} {
+			g, err := read(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			if g == nil {
+				t.Fatalf("%s returned nil graph without error", reader)
+			}
+			for e := range graph.EdgeID(g.M()) {
+				if w := g.EdgeWeight(e); math.IsNaN(w) || math.IsInf(w, 0) {
+					t.Fatalf("%s returned edge %d with weight %v", reader, e, w)
+				}
+			}
 		}
 	})
 }

@@ -305,7 +305,7 @@ func ParseFaultSpec(spec string) (*Injector, error) {
 			case "method":
 				r.Method = val
 			case "p":
-				if r.P, err = strconv.ParseFloat(val, 64); err != nil || r.P <= 0 || r.P > 1 {
+				if r.P, err = strconv.ParseFloat(val, 64); err != nil || !(r.P > 0 && r.P <= 1) { // written so that NaN fails
 					return nil, fmt.Errorf("resilience: fault rule %q: p must be in (0, 1], got %q", rs, val)
 				}
 			case "seed":

@@ -256,12 +256,70 @@ func TestParseFaultSpec(t *testing.T) {
 
 	for _, bad := range []string{
 		"", "path=/x", "p=2,drop", "status=200", "delay=nope", "drop,truncate",
-		"bogus=1,drop", "times=0,drop", "drop=yes",
+		"bogus=1,drop", "times=0,drop", "drop=yes", "p=NaN,drop",
 	} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Fatalf("spec %q should not parse", bad)
 		}
 	}
+}
+
+// FuzzParseFaultSpec feeds the -fault-inject grammar arbitrary text: it
+// never panics, and every rule it accepts names exactly one action, a firing
+// probability that is unset or in (0, 1], a status in 400-599 for status=
+// and a positive duration for delay=.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"path=/bfs,p=0.2,seed=7,status=503;path=compress,times=2,delay=250ms",
+		"host=8081,drop; method=GET,after=3,truncate", "p=NaN,drop", "p=1e-300,truncate",
+		"status=599,status=400", "delay=-1s", ";;drop;", "p=+Inf,drop",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := ParseFaultSpec(spec)
+		if err != nil {
+			return
+		}
+		var texts []string
+		for _, rs := range strings.Split(spec, ";") {
+			if rs = strings.TrimSpace(rs); rs != "" {
+				texts = append(texts, rs)
+			}
+		}
+		rules := in.Rules()
+		if len(rules) != len(texts) {
+			t.Fatalf("%q: %d rules from %d rule texts", spec, len(rules), len(texts))
+		}
+		for i, r := range rules {
+			actions := 0
+			for _, f := range strings.Split(texts[i], ",") {
+				switch key, _, _ := strings.Cut(strings.TrimSpace(f), "="); key {
+				case "drop", "truncate", "delay", "status":
+					actions++
+				}
+			}
+			if actions != 1 {
+				t.Fatalf("%q: rule %q accepted with %d actions", spec, texts[i], actions)
+			}
+			if r.P != 0 && !(r.P > 0 && r.P <= 1) {
+				t.Fatalf("%q: rule %q accepted with p=%v", spec, texts[i], r.P)
+			}
+			switch r.Action {
+			case FaultDrop, FaultTruncate:
+			case FaultStatus:
+				if r.Status < 400 || r.Status > 599 {
+					t.Fatalf("%q: rule %q accepted with status %d", spec, texts[i], r.Status)
+				}
+			case FaultDelay:
+				if r.Delay <= 0 {
+					t.Fatalf("%q: rule %q accepted with delay %v", spec, texts[i], r.Delay)
+				}
+			default:
+				t.Fatalf("%q: rule %q accepted with action %d", spec, texts[i], r.Action)
+			}
+		}
+	})
 }
 
 func TestFaultRuleDeterminism(t *testing.T) {

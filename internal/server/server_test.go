@@ -343,6 +343,18 @@ func TestUploadFormats(t *testing.T) {
 	}
 }
 
+// TestUploadRefusesNonFiniteWeight uploads an edge list with a NaN weight:
+// the upload is a 400 naming the line, so no query can meet the weight (a
+// compare over it used to answer 500, unable to encode NaN).
+func TestUploadRefusesNonFiniteWeight(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	code, body := do(t, "POST", ts.URL+"/v1/graphs?name=g", "text/plain", []byte("0 1 nan\n1 2 1\n2 0 2\n2 3 1\n"))
+	mustStatus(t, http.StatusBadRequest, code, body)
+	if !strings.Contains(string(body), "line 1: weight NaN is not finite") {
+		t.Errorf("the refusal does not name the line: %s", body)
+	}
+}
+
 // test-pin decodes its input as summarize, relabel and tr-collapse do
 // (graph.CSROf: the one transient decode of a packed or mapped entry on the
 // compress path), runs the armed probe's inner spec on that decode and
