@@ -147,9 +147,11 @@
 // implementation, so packed-resident graphs serve on the packed form in
 // place: BFS, PageRank, triangles, degrees, and the original side of
 // compare all consume the PackedGraph's adjacency views directly, the
-// count-only forward CSR (triangles.Forward) is built lazily once per
-// catalog entry and reused across queries (its scratch — one stamp array
-// per worker — belongs to the request, not the entry). Compression reads the
+// count-only forward CSR (triangles.Forward: 16-bit lists where vertex IDs
+// fit, 32-bit offsets, a work prefix per 64 vertices and hub rows only
+// where a hub arc lands, about 20 bits per edge on a skewed graph) is built
+// lazily once per catalog entry and reused across queries (its scratch —
+// one stamp array per worker — belongs to the request, not the entry). Compression reads the
 // entry in place as well: Scheme.Apply takes an AdjacencyEdges, and every
 // kernel reads a packed or mapped graph's canonical edges, degrees and
 // neighborhoods where they lie and builds only the variant's CSR. Unpack is

@@ -72,11 +72,14 @@ type entry struct {
 	// for a variant faulted back in, of its spilled snapshot.
 	mapped *succinct.Mapped
 	// Triangle arena: the count-only forward CSR (offsets, lists, hub rows
-	// and hub table, work prefix; no edge IDs) is a pure function of the
-	// graph, built lazily on the first exact triangle query and reused until
-	// the spiller reclaims it (a rebuild over any tier is bit-identical). It
-	// holds at most 16(n+1) + 4m bytes: hub rows are chosen only where they
-	// take no more bytes than the list entries they replace.
+	// and their index, hub table, work prefix; no edge IDs) is a pure
+	// function of the graph, built lazily on the first exact triangle query
+	// and reused until the spiller reclaims it (a rebuild over any tier is
+	// bit-identical). Its arrays hold at most 4(n+1) + 24⌈n/64⌉ + 8 + 4H +
+	// 4m bytes, H ≤ 512 the hubs: lists are 16-bit when n ≤ 2¹⁶, only hubs
+	// and vertices with a hub arc store a row, and hub rows are chosen only
+	// where they take no more bytes than the 32-bit list entries they
+	// replace. SizeBytes counts the allocator's rounding too.
 	engine  *triangles.Forward
 	lastUse int64 // catalog clock tick of the last acquire, for LRU spill
 }

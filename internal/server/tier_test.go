@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,7 @@ import (
 	"slimgraph/internal/schemes"
 	"slimgraph/internal/succinct"
 	"slimgraph/internal/traverse"
+	"slimgraph/internal/triangles"
 )
 
 func mustGen(t *testing.T, seed uint64) *graph.Graph {
@@ -604,6 +606,43 @@ func TestArenaBytesAccounted(t *testing.T) {
 	re := regexp.MustCompile(`(?m)^slimgraph_catalog_arena_bytes ([1-9][0-9.e+]*)$`)
 	if !re.Match(body) {
 		t.Fatalf("metrics exposition lacks a non-zero slimgraph_catalog_arena_bytes gauge")
+	}
+}
+
+// TestMappedArenaBytesAreTheForwards: after a restart attaches a graph
+// mapped, one exact count caches its triangle arena, and the
+// slimgraph_catalog_arena_bytes gauge reads exactly what a NewForward over
+// the same snapshot accounts — the served resident bytes are the arena's
+// own SizeBytes, whatever tier it was built over.
+func TestMappedArenaBytesAreTheForwards(t *testing.T) {
+	dir := t.TempDir()
+	_, firstTS := newTestServer(t, Options{MaxWorkers: 2, DataDir: dir})
+	code, body := postJSON(t, firstTS.URL+"/v1/graphs", map[string]any{
+		"name": "g", "gen": "rmat", "scale": 12, "edgeFactor": 8, "seed": 7, "memory": "packed",
+	})
+	mustStatus(t, http.StatusCreated, code, body)
+
+	_, ts := newTestServer(t, Options{MaxWorkers: 2, DataDir: dir})
+	code, body = get(t, ts.URL+"/v1/graphs/g/triangles?workers=1")
+	mustStatus(t, http.StatusOK, code, body)
+	code, body = get(t, ts.URL+"/metrics")
+	mustStatus(t, http.StatusOK, code, body)
+	match := regexp.MustCompile(`(?m)^slimgraph_catalog_arena_bytes (\S+)$`).FindSubmatch(body)
+	if match == nil {
+		t.Fatal("metrics exposition lacks slimgraph_catalog_arena_bytes")
+	}
+	gauge, err := strconv.ParseFloat(string(match[1]), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := succinct.OpenPacked(filepath.Join(dir, "graphs", "g.sgp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if want := triangles.NewForward(m, 1).SizeBytes(); gauge != float64(want) {
+		t.Fatalf("slimgraph_catalog_arena_bytes = %v, NewForward over the mapped snapshot accounts %d", gauge, want)
 	}
 }
 

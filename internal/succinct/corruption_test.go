@@ -180,9 +180,11 @@ func TestForwardRefusesCorruptPayload(t *testing.T) {
 }
 
 // hubPayload packs rmat10 — 1024 skewed vertices, enough for NewForward to
-// choose hub rows, which its arena shows by staying under the hub-free
-// 16(n+1) + 4m — with one more edge, from an isolated vertex v within 63 of
-// n to v+1, so that v's list has the one-byte head damage rewrites.
+// choose hub rows, which its arena shows by staying under what a hub-free
+// one holds at least, its offsets, work prefix and m 16-bit list entries,
+// 4(n+1) + 8(⌈n/64⌉+1) + 2m — with one more edge, from an isolated vertex v
+// within 63 of n to v+1, so that v's list has the one-byte head damage
+// rewrites.
 func hubPayload(t *testing.T) (*PackedGraph, int) {
 	t.Helper()
 	g := gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77)
@@ -193,8 +195,9 @@ func hubPayload(t *testing.T) (*PackedGraph, int) {
 		}
 		edges := append(g.Edges(), graph.Edge{U: graph.NodeID(v), V: graph.NodeID(v + 1), W: 1})
 		pg := Pack(graph.FromEdges(n, false, edges), 0)
-		if size, hubFree := triangles.NewForward(pg, 1).SizeBytes(), 16*int64(n+1)+4*int64(pg.m); size >= hubFree {
-			t.Fatalf("rmat10 chose no hub rows: arena %d of a hub-free %d bytes", size, hubFree)
+		size, hubFree := triangles.NewForward(pg, 1).SizeBytes(), 4*int64(n+1)+8*int64((n+63)/64+1)+2*int64(pg.m)
+		if size >= hubFree {
+			t.Fatalf("rmat10 chose no hub rows: arena %d of a hub-free %d bytes or more", size, hubFree)
 		}
 		return pg, v
 	}

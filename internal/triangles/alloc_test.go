@@ -65,3 +65,24 @@ func mallocs(procs int, fn func()) uint64 {
 	}
 	return fewest
 }
+
+// SizeBytes is what a catalog charges for a cached arena and what the
+// served resident bytes report, so it must be the heap a kept build holds:
+// within 2 % of the live-heap growth across a NewForward over the pinned
+// rmat14 whose result stays reachable. The build's scratch is garbage by
+// the second collection.
+func TestSizeBytesIsTheLiveHeap(t *testing.T) {
+	g := gen.RMAT(14, 16, 0.57, 0.19, 0.19, 77)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f := NewForward(g, 1)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live, size := int64(after.HeapAlloc)-int64(before.HeapAlloc), f.SizeBytes()
+	t.Logf("rmat14: SizeBytes %d, live heap %d (%.1f bits per edge)", size, live, float64(size)*8/float64(g.M()))
+	if math.Abs(float64(live-size)) > 0.02*float64(size) {
+		t.Errorf("rmat14: SizeBytes %d, but the kept build holds %d heap bytes", size, live)
+	}
+	runtime.KeepAlive(f)
+}

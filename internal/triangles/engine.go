@@ -5,13 +5,15 @@ import (
 	"slimgraph/internal/parallel"
 )
 
-// Engine is the triangle-emission substrate: a Forward of plain lists, no
-// hub rows (see Forward for the orientation invariant), plus what emission
+// Engine is the triangle-emission substrate: a Forward of plain 32-bit
+// lists and no hub rows (see Forward for the orientation invariant), as
+// emission reads the EdgeID at each list position, plus what emission
 // reads — the canonical edge columns, the EdgeID of every forward-list
 // entry and a per-edge schedule — built once and shared by every
 // enumeration (ForEachBatch, ForEach, PerVertex, PerEdge, List) and by
-// core.RunTriangleKernel; Count runs on the embedded Forward. Construction
-// is O(n + m) on top of the input and bit-identical for any worker count.
+// core.RunTriangleKernel; Count runs the Forward's count body on the
+// embedded Forward. Construction is O(n + m) on top of the input and
+// bit-identical for any worker count.
 //
 // Emission goes edge by edge: a triangle with rank(a) < rank(b) < rank(c)
 // is found once, in F(a) ∩ F(b) from its rank-lowest edge {a, b}. Canonical
@@ -67,13 +69,19 @@ func NewEngine(a graph.AdjacencyEdges, workers int) *Engine {
 		}
 		return int(u)
 	}
-	en.off = parallel.CountingScatter(m, n, workers, lowRank, func(e int, pos int64) {
+	off := parallel.CountingScatter(m, n, workers, lowRank, func(e int, pos int64) {
 		u, v := en.eu[e], en.ev[e]
 		if en.key[v] < en.key[u] {
 			u, v = v, u
 		}
 		en.nbr[pos] = v
 		en.eid[pos] = graph.EdgeID(e)
+	})
+	en.off = make([]uint32, len(off))
+	parallel.ForChunks(len(off), workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			en.off[v] = uint32(off[v]) // m < 2³¹: EdgeID is int32
+		}
 	})
 
 	// Edge e costs |F(ev[e])|+1 for the scan, plus 2|F(eu[e])| on the first
@@ -82,14 +90,14 @@ func NewEngine(a graph.AdjacencyEdges, workers int) *Engine {
 	parallel.ForBlocks(m, parallel.Blocks(m, 0, workers), workers, func(_, lo, hi int) {
 		for e := lo; e < hi; e++ {
 			u, v := en.eu[e], en.ev[e]
-			en.edgeWork[e] = en.off[v+1] - en.off[v] + 1
+			en.edgeWork[e] = int64(en.off[v+1]-en.off[v]) + 1
 			if e == 0 || u != en.eu[e-1] {
-				en.edgeWork[e] += 2 * (en.off[u+1] - en.off[u])
+				en.edgeWork[e] += 2 * int64(en.off[u+1]-en.off[u])
 			}
 		}
 	})
 	parallel.ExclusiveScan(en.edgeWork, workers)
-	en.weigh()
+	weigh(&en.Forward, en.nbr)
 	return en
 }
 

@@ -10,14 +10,15 @@
 // for the orientation invariant) but not one substrate. Counting reads the
 // CSR alone: a Forward counts vertex by vertex with one stamp array per
 // worker, each triangle at its rank-lowest vertex, over ranges of the vertex
-// order cut by a work prefix. On a skewed graph it keeps the arcs into the
-// top-ranked vertices (the hubs) as a bitmask row per vertex, so most
-// matches are one AND and popcount per word instead of a probe per entry;
-// the rows replace at least as many list bytes as they take, and a graph
-// without such hubs keeps plain lists. Emission needs the canonical EdgeIDs
-// too, one per entry: an Engine embeds a Forward of plain lists, adds the
-// edge columns, the EdgeIDs of its lists and a per-edge schedule, and scans
-// edge by edge. The package-level functions build a single-use substrate;
+// order cut at 64-vertex blocks by a work prefix sampled per block. Its lists
+// are 16-bit where every vertex ID fits. On a skewed graph it keeps the arcs
+// into the top-ranked vertices (the hubs) as a bitmask row for each vertex
+// that has such an arc, so most matches are one AND and popcount per word
+// instead of a probe per entry; the rows replace at least as many 32-bit
+// list bytes as they take, and a graph without such hubs keeps plain lists.
+// Emission needs the canonical EdgeIDs too, one per entry: an Engine embeds
+// a Forward of plain 32-bit lists, adds the edge columns, the EdgeIDs of its
+// lists and a per-edge schedule, and scans edge by edge. The package-level functions build a single-use substrate;
 // callers enumerating more than once over the same graph should build and
 // reuse an Engine.
 //

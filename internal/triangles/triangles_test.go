@@ -231,27 +231,33 @@ func BenchmarkCountRMAT12(b *testing.B) {
 }
 
 // BenchmarkForward times the count-only substrate at one worker, its build
-// and a count on the built Forward, on a skewed graph, whose top-ranked
-// vertices become hub rows, and on a grid, which chooses none.
+// and a count on the built Forward, on skewed graphs, whose top-ranked
+// vertices become hub rows — rmat14 is the served benchmark's pinned graph
+// (seed 77) — and on a grid, which chooses none. Every case reports the
+// arena's bits per edge.
 func BenchmarkForward(b *testing.B) {
 	graphs := []struct {
 		name string
 		g    *graph.Graph
 	}{
 		{"rmat12", gen.RMAT(12, 16, 0.57, 0.19, 0.19, 1)},
+		{"rmat14", gen.RMAT(14, 16, 0.57, 0.19, 0.19, 77)},
 		{"grid64", gen.Grid2D(64, 64, true)},
 	}
 	for _, c := range graphs {
 		f := NewForward(c.g, 1)
+		bitsPerEdge := float64(f.SizeBytes()) * 8 / float64(c.g.M())
 		b.Run(c.name+"/build", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkCount = NewForward(c.g, 1).SizeBytes()
 			}
+			b.ReportMetric(bitsPerEdge, "bits/edge")
 		})
 		b.Run(c.name+"/count", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkCount = f.Count()
 			}
+			b.ReportMetric(bitsPerEdge, "bits/edge")
 		})
 	}
 }
@@ -397,7 +403,7 @@ func pairEngine(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be []gr
 		}
 	}
 	b = a + 1
-	en = &Engine{key: make([]uint64, b+1), Forward: Forward{off: make([]int64, b+2)}}
+	en = &Engine{key: make([]uint64, b+1), Forward: Forward{off: make([]uint32, b+2)}}
 	an, ae, bn, be = slices.Clone(an), slices.Clone(ae), slices.Clone(bn), slices.Clone(be)
 	en.key[a], en.key[b] = 1, 2
 	if swap {
@@ -406,7 +412,7 @@ func pairEngine(an []graph.NodeID, ae []graph.EdgeID, bn []graph.NodeID, be []gr
 	} else {
 		an, ae = append(an, b), append(ae, 0)
 	}
-	en.off[b], en.off[b+1] = int64(len(an)), int64(len(an)+len(bn))
+	en.off[b], en.off[b+1] = uint32(len(an)), uint32(len(an)+len(bn))
 	en.nbr = append(an, bn...)
 	en.eid = append(ae, be...)
 	for i := 0; i < run; i++ {
@@ -440,7 +446,7 @@ func TestIntersectCountMatchesEmit(t *testing.T) {
 		for _, pair := range [][2][]graph.NodeID{{an, bn}, {bn, an}} {
 			for _, swap := range []bool{false, true} {
 				en, _, _ := pairEngine(pair[0], ids[:len(pair[0])], pair[1], ids[:len(pair[1])], 1, swap)
-				if got := en.countRange(0, len(en.off)-1, make([]uint8, len(en.key))); got != want {
+				if got := en.kernel()(0, len(en.off)-1, make([]uint8, len(en.key))); got != want {
 					t.Fatalf("%s (%d vs %d, swap %v): Forward counts %d, want %d", name, len(pair[0]), len(pair[1]), swap, got, want)
 				}
 				var got int64
@@ -583,10 +589,10 @@ func TestIntersectKernelsAdaptive(t *testing.T) {
 				}
 			}
 			stamp := make([]uint8, len(en.key))
-			if got := en.countRange(int(a), int(a)+1, stamp); got != int64(len(want)) {
+			if got := en.kernel()(int(a), int(a)+1, stamp); got != int64(len(want)) {
 				t.Fatalf("case %d swap %v: count at the rank-lower vertex = %d, want %d", ci, swap, got, len(want))
 			}
-			if got := en.countRange(0, len(en.off)-1, stamp); got != int64(len(want)) {
+			if got := en.kernel()(0, len(en.off)-1, stamp); got != int64(len(want)) {
 				t.Fatalf("case %d swap %v: count over every vertex = %d, want %d", ci, swap, got, len(want))
 			}
 		}
@@ -618,7 +624,7 @@ func TestMarksStayZeroBetweenRanges(t *testing.T) {
 	var got1, got2 int64
 	const parts = 9
 	for i := 0; i < parts; i++ {
-		got1 += f1.countRange(n*i/parts, n*(i+1)/parts, stamp)
+		got1 += f1.kernel()(n*i/parts, n*(i+1)/parts, stamp)
 		clean("after a count range")
 		lo, hi := en2.g.M()*i/parts, en2.g.M()*(i+1)/parts
 		en2.emitRange(lo, hi, out, func(batch []Triangle) { got2 += int64(len(batch)) })
@@ -632,13 +638,29 @@ func TestMarksStayZeroBetweenRanges(t *testing.T) {
 	}
 }
 
-// forwardSet returns F(v) as f stores it, one ID-sorted list: v's list and
-// the hubs of its row, mapped through the hub table.
-func forwardSet(f *Forward, v int) []graph.NodeID {
-	set := slices.Clone(f.nbr[f.off[v]:f.off[v+1]])
-	for i, x := range f.row(v) {
-		for ; x != 0; x &= x - 1 {
-			set = append(set, f.hub[i<<6|bits.TrailingZeros64(x)])
+// lists returns f's lists back to back as graph.NodeID, whatever width
+// they are stored at.
+func lists(f *Forward) []graph.NodeID {
+	if f.nbr16 == nil {
+		return f.nbr
+	}
+	out := make([]graph.NodeID, len(f.nbr16))
+	for i, w := range f.nbr16 {
+		out[i] = graph.NodeID(w)
+	}
+	return out
+}
+
+// forwardSet returns F(v) as f stores it, one ID-sorted list: v's list in
+// nbr, f's lists widened by lists, and the hubs of its row, mapped through
+// the hub table.
+func forwardSet(f *Forward, nbr []graph.NodeID, v int) []graph.NodeID {
+	set := slices.Clone(nbr[f.off[v]:f.off[v+1]])
+	if r := f.rowOf(v); r >= 0 {
+		for i, x := range f.row(r) {
+			for ; x != 0; x &= x - 1 {
+				set = append(set, f.hub[i<<6|bits.TrailingZeros64(x)])
+			}
 		}
 	}
 	slices.Sort(set)
@@ -646,13 +668,14 @@ func forwardSet(f *Forward, v int) []graph.NodeID {
 }
 
 // TestForwardMatchesEngine pins the two builds of one forward CSR to each
-// other: NewEngine's edge scatter, which keeps plain lists, and NewForward's
-// filtered list scan, which splits off hub rows, yield the same logical
-// forward sets (forwardSet) on every differential graph, raw, packed and
-// degree-relabeled packed, at every worker count. Only where NewForward
-// chose no hubs is the layout one and the same, so only there are offsets,
-// lists and work prefix compared too (with hubs the prefix charges row
-// words).
+// other: NewEngine's edge scatter, which keeps plain 32-bit lists, and
+// NewForward's filtered list scan, which splits off hub rows and narrows the
+// lists where IDs fit 16 bits, yield the same logical forward sets
+// (forwardSet) on every differential graph, raw, packed and degree-relabeled
+// packed, at every worker count. Only where NewForward chose no hubs is the
+// layout one and the same, so only there are offsets, list values (across
+// widths) and work prefix compared too (with hubs the prefix charges row
+// words). A vertex that is no hub stores a row only if it has a bit set.
 func TestForwardMatchesEngine(t *testing.T) {
 	for name, g := range diffGraphs() {
 		byDegree, err := g.Permute(succinct.ComputeOrder(g, succinct.OrderDegree, 1), 1)
@@ -667,12 +690,16 @@ func TestForwardMatchesEngine(t *testing.T) {
 		for form, a := range forms {
 			for _, workers := range []int{1, 2, 7} {
 				en, f := NewEngine(a, workers), NewForward(a, workers)
+				nbr := lists(f)
 				for v := 0; v < a.N(); v++ {
-					if got := forwardSet(f, v); !slices.Equal(got, en.nbr[en.off[v]:en.off[v+1]]) {
+					if got := forwardSet(f, nbr, v); !slices.Equal(got, en.nbr[en.off[v]:en.off[v+1]]) {
 						t.Fatalf("%s/%s workers %d: F(%d) = %v, the engine's %v", name, form, workers, v, got, en.nbr[en.off[v]:en.off[v+1]])
 					}
+					if r := f.rowOf(v); r >= 0 && !slices.Contains(f.hub, graph.NodeID(v)) && !slices.ContainsFunc(f.row(r), func(x uint64) bool { return x != 0 }) {
+						t.Fatalf("%s/%s workers %d: vertex %d is no hub but stores an empty row", name, form, workers, v)
+					}
 				}
-				if f.words == 0 && (!slices.Equal(en.off, f.off) || !slices.Equal(en.nbr, f.nbr) || !slices.Equal(en.work, f.work)) {
+				if f.words == 0 && (!slices.Equal(en.off, f.off) || !slices.Equal(en.nbr, nbr) || !slices.Equal(en.work, f.work)) {
 					t.Fatalf("%s/%s workers %d: NewEngine and NewForward build different hub-free forward CSRs", name, form, workers)
 				}
 			}
@@ -680,68 +707,143 @@ func TestForwardMatchesEngine(t *testing.T) {
 	}
 }
 
+// byteRule is the most a Forward over n vertices, m edges and h hubs may
+// hold: offsets, row blocks, work prefix and hubRow, plus 4 bytes per edge
+// for its lists, rows and hub table.
+func byteRule(n, m, h int) int64 {
+	return 4*int64(n+1) + 24*int64((n+blockSize-1)/blockSize) + 8 + 4*int64(h) + 4*int64(m)
+}
+
 // TestForwardHubPath runs the hub rows on graphs large enough to choose
-// hubs, raw, packed and memory-mapped, at every worker count: the count is
-// the engine's emission count, the parts of every cut tile it, the hub set
-// is one for every form and worker count, and the arena stays within the
-// hub-free 16(n+1) + 4m.
+// hubs, raw, packed and memory-mapped, at every worker count (see
+// checkForwardForms).
 func TestForwardHubPath(t *testing.T) {
 	dir := t.TempDir()
 	for _, scale := range []int{12, 13} {
-		g := gen.RMAT(scale, 16, 0.57, 0.19, 0.19, 1)
-		var want int64
-		NewEngine(g, 1).ForEachBatch(func() func([]Triangle) {
-			return func(batch []Triangle) { want += int64(len(batch)) }
-		})
-		pg := succinct.Pack(g, 1)
-		path := filepath.Join(dir, fmt.Sprintf("rmat%d.slim", scale))
-		file, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
+		name := fmt.Sprintf("rmat%d", scale)
+		hubs := checkForwardForms(t, dir, name, gen.RMAT(scale, 16, 0.57, 0.19, 0.19, 1))
+		if hubs == 0 {
+			t.Fatalf("%s: no hubs chosen", name)
 		}
-		if _, err := succinct.WriteServable(file, pg); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestForwardWidthsAndBlocks runs the count across the list width and the
+// work blocks' edges: n = 2¹⁶ keeps 16-bit lists and n = 2¹⁶ + 1 does not,
+// both with a 64-hub core and the top ID n−1 in the lists, and n < 64 is one
+// partial block. Each is checked raw, packed and memory-mapped, at every
+// worker count (see checkForwardForms).
+func TestForwardWidthsAndBlocks(t *testing.T) {
+	dir := t.TempDir()
+	for _, n := range []int{1 << 16, 1<<16 + 1, 40} {
+		name := fmt.Sprintf("n%d", n)
+		g := widthGraph(n)
+		if g.Degree(graph.NodeID(n-1)) == 0 {
+			t.Fatalf("%s: vertex n-1 has no edge", name)
 		}
-		if err := file.Close(); err != nil {
-			t.Fatal(err)
+		f := NewForward(g, 1)
+		if narrow := n <= 1<<16; (f.nbr16 != nil) != narrow || (f.nbr != nil) == narrow {
+			t.Fatalf("%s: 16-bit lists %v, 32-bit lists %v", name, f.nbr16 != nil, f.nbr != nil)
 		}
-		m, err := succinct.OpenPacked(path)
-		if err != nil {
-			t.Fatal(err)
+		if !slices.Contains(lists(f), graph.NodeID(n-1)) {
+			t.Fatalf("%s: vertex n-1 is in no list", name)
 		}
-		defer m.Close()
-		hubs := NewForward(g, 1).hub
-		if len(hubs) == 0 {
-			t.Fatalf("rmat%d: no hubs chosen", scale)
+		if hubs := checkForwardForms(t, dir, name, g); (hubs > 0) != (n > 64) {
+			t.Fatalf("%s: %d hubs", name, hubs)
 		}
-		bound := 16*int64(g.N()+1) + 4*int64(g.M())
-		forms := map[string]graph.AdjacencyEdges{"raw": g, "packed": pg, "mapped": m}
-		for form, a := range forms {
-			for _, workers := range []int{1, 2, 7} {
-				name := fmt.Sprintf("rmat%d/%s workers %d", scale, form, workers)
-				f := NewForward(a, workers)
-				if f.words == 0 {
-					t.Fatalf("%s: no hub rows", name)
+	}
+}
+
+// widthGraph returns a graph over n vertices: a ring that also joins every
+// vertex to the one two ahead, so every three consecutive IDs close a
+// triangle and vertex n−1 closes the ring. Past 2¹⁶ vertices it adds 64
+// vertices spread over the IDs, adjacent to each other and each to a
+// 2300-vertex window of the ring — a core whose degrees choose 64 hubs,
+// closing triangles with one, two and three of them. Below 64 vertices it
+// adds a 6-clique on the top IDs.
+func widthGraph(n int) *graph.Graph {
+	var edges []graph.Edge
+	add := func(u, v int) { edges = append(edges, graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: 1}) }
+	for v := 0; v < n; v++ {
+		add(v, (v+1)%n)
+		add(v, (v+2)%n)
+	}
+	if n < 64 {
+		for u := n - 6; u < n; u++ {
+			for v := u + 3; v < n; v++ {
+				add(u, v)
+			}
+		}
+		return graph.FromEdges(n, false, edges)
+	}
+	for i := 0; i < 64; i++ {
+		h := i*1024 + 512
+		for j := i + 1; j < 64; j++ {
+			add(h, j*1024+512)
+		}
+		for k := 0; k < 2300; k++ {
+			if v := (i*1024 + k) % n; v != h {
+				add(h, v)
+			}
+		}
+	}
+	return graph.FromEdges(n, false, edges)
+}
+
+// checkForwardForms checks the Forward of g raw, packed and memory-mapped
+// from a servable snapshot in dir, at workers 1, 2 and 7: the count is the
+// engine's emission count, the parts of every cut into 1..5 slices tile it,
+// the hub set is the one-worker raw build's, and the arena keeps the byte
+// rule. It returns the number of hubs.
+func checkForwardForms(t *testing.T, dir, name string, g *graph.Graph) int {
+	t.Helper()
+	var want int64
+	NewEngine(g, 1).ForEachBatch(func() func([]Triangle) {
+		return func(batch []Triangle) { want += int64(len(batch)) }
+	})
+	pg := succinct.Pack(g, 1)
+	path := filepath.Join(dir, name+".slim")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := succinct.WriteServable(file, pg); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := succinct.OpenPacked(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	hubs := NewForward(g, 1).hub
+	bound := byteRule(g.N(), g.M(), len(hubs))
+	forms := map[string]graph.AdjacencyEdges{"raw": g, "packed": pg, "mapped": m}
+	for form, a := range forms {
+		for _, workers := range []int{1, 2, 7} {
+			name := fmt.Sprintf("%s/%s workers %d", name, form, workers)
+			f := NewForward(a, workers)
+			if !slices.Equal(f.hub, hubs) || f.words != len(hubs)/64 {
+				t.Fatalf("%s: hubs %v in %d words, the one-worker raw build's %v", name, f.hub, f.words, hubs)
+			}
+			if size := f.SizeBytes(); size > bound {
+				t.Fatalf("%s: SizeBytes %d over the byte rule's %d", name, size, bound)
+			}
+			if got := f.Count(); got != want {
+				t.Fatalf("%s: Count %d, engine emits %d", name, got, want)
+			}
+			for of := 1; of <= 5; of++ {
+				var sum int64
+				for i := 0; i < of; i++ {
+					sum += CountSlice(f, i, of)
 				}
-				if !slices.Equal(f.hub, hubs) {
-					t.Fatalf("%s: hubs %v, the one-worker raw build's %v", name, f.hub, hubs)
-				}
-				if size := f.SizeBytes(); size > bound {
-					t.Fatalf("%s: SizeBytes %d over the hub-free %d", name, size, bound)
-				}
-				if got := f.Count(); got != want {
-					t.Fatalf("%s: Count %d, engine emits %d", name, got, want)
-				}
-				for of := 1; of <= 5; of++ {
-					var sum int64
-					for i := 0; i < of; i++ {
-						sum += CountSlice(f, i, of)
-					}
-					if sum != want {
-						t.Fatalf("%s: %d parts sum to %d, want %d", name, of, sum, want)
-					}
+				if sum != want {
+					t.Fatalf("%s: %d parts sum to %d, want %d", name, of, sum, want)
 				}
 			}
 		}
 	}
+	return len(hubs)
 }
