@@ -25,8 +25,12 @@
 // instance costs what enumerating its element costs plus the kernel body:
 // each chunk of a Run*Kernel loop keeps one generator and re-seeds it in
 // place per element (rng.Rand.Reseed — the stream is exactly rng.New's, no
-// instance allocates), and kernels capture their parameters in the closure
-// rather than looking them up per instance. A triangle kernel may also name
+// instance allocates). A reseed only stores the element's seed, and the
+// instance's first draw costs one SplitMix64 output, so an instance that
+// draws once (most do) or never pays for no more of the generator than it
+// uses. An edge instance looks its weight up only on a weighted input, and
+// kernels capture their parameters in the closure rather than looking them
+// up per instance. A triangle kernel may also name
 // an idle predicate (TriangleIdle): a condition on the triangle's three
 // edges under which the kernel changes nothing whatever it draws — for
 // Edge-Once, "all three edges already considered": the chosen edge is
@@ -185,7 +189,8 @@ type EdgeKernel func(sg *SG, r *rng.Rand, e EdgeView)
 // RunEdgeKernel executes the kernel once per canonical edge, in parallel. It
 // reads the input in place: a CSR through its zero-copy edge columns, any
 // other form through one block-parallel decode of its canonical edges (which
-// Materialize reuses) and one pass over its degrees.
+// Materialize reuses) and one pass over its degrees. EdgeView.Weight is 1 on
+// an unweighted input, which holds no weight column.
 func (sg *SG) RunEdgeKernel(k EdgeKernel) {
 	eu, ev := sg.EdgeColumns()
 	g, csr := sg.in.(*graph.Graph)
@@ -198,15 +203,22 @@ func (sg *SG) RunEdgeKernel(k EdgeKernel) {
 			}
 		})
 	}
+	weighted := sg.in.Weighted() // unweighted edges weigh 1: no lookup
 	parallel.ForChunks(len(eu), sg.workers, func(lo, hi int) {
 		r := new(rng.Rand)
 		for e := lo; e < hi; e++ {
 			id, u, v := graph.EdgeID(e), eu[e], ev[e]
-			view := EdgeView{ID: id, U: u, V: v}
+			view := EdgeView{ID: id, U: u, V: v, Weight: 1}
 			if csr {
-				view.DegU, view.DegV, view.Weight = g.Degree(u), g.Degree(v), g.EdgeWeight(id)
+				view.DegU, view.DegV = g.Degree(u), g.Degree(v)
+				if weighted {
+					view.Weight = g.EdgeWeight(id)
+				}
 			} else {
-				view.DegU, view.DegV, view.Weight = int(deg[u]), int(deg[v]), sg.in.EdgeWeight(id)
+				view.DegU, view.DegV = int(deg[u]), int(deg[v])
+				if weighted {
+					view.Weight = sg.in.EdgeWeight(id)
+				}
 			}
 			sg.reseed(r, kindEdge, uint64(e))
 			k(sg, r, view)

@@ -213,6 +213,47 @@ func TestFromCanonicalEdges(t *testing.T) {
 	}
 }
 
+// FuzzFromCanonicalEdges decodes its bytes into n ≤ 64, the directed and
+// weighted flags and an edge list — endpoints as signed bytes, so lists out
+// of range, self-loops, duplicates and lists out of order all turn up —
+// and builds it at workers 1 and 3: the two must return the same error text
+// or Equal graphs, and a list accepted must build the graph ReferenceBuild
+// does.
+func FuzzFromCanonicalEdges(f *testing.F) {
+	f.Add([]byte{5, 0, 0, 1, 4, 0, 4, 4, 1, 2, 4, 3, 4, 8})
+	f.Add([]byte{8, 3, 0, 1, 9, 1, 0, 2, 2, 3, 6, 2, 7, 3, 6, 0, 1})
+	f.Add([]byte{6, 0, 1, 0, 4})             // not normalized
+	f.Add([]byte{6, 1, 2, 3, 4, 0, 1, 4})    // out of order
+	f.Add([]byte{6, 2, 0, 0, 4})             // self-loop
+	f.Add([]byte{6, 0, 0, 200, 4, 0, 9, 4})  // out of range
+	f.Add([]byte{64, 1, 0, 63, 4, 63, 0, 4}) // the largest n
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(data[0]) % 65
+		directed, weighted := data[1]&1 != 0, data[1]&2 != 0
+		var edges []Edge
+		for rest := data[2:]; len(rest) >= 3; rest = rest[3:] {
+			edges = append(edges, Edge{U: NodeID(int8(rest[0])), V: NodeID(int8(rest[1])), W: float64(rest[2]) / 4})
+		}
+		g1, err1 := FromCanonicalEdges(n, directed, weighted, edges, 1)
+		g3, err3 := FromCanonicalEdges(n, directed, weighted, edges, 3)
+		if err1 != nil || err3 != nil {
+			if err1 == nil || err3 == nil || err1.Error() != err3.Error() {
+				t.Fatalf("workers 1 and 3 disagree: %v vs %v", err1, err3)
+			}
+			return
+		}
+		if !g1.Equal(g3) {
+			t.Fatal("workers 1 and 3 build different graphs")
+		}
+		if want := ReferenceBuild(n, directed, weighted, edges); !g1.Equal(want) {
+			t.Fatalf("accepted list builds %v, ReferenceBuild %v", g1, want)
+		}
+	})
+}
+
 func TestContractValidation(t *testing.T) {
 	g := FromEdges(4, false, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}})
 	if _, _, err := g.ContractChecked([]NodeID{0, 1}); err == nil {

@@ -526,26 +526,34 @@ func fromSortedCanonical(n int, directed, weighted bool, eu, ev []NodeID, ew []f
 			func(e int, pos int64) { g.inNbrs[pos] = eu[e] })
 		return g
 	}
-	// Undirected: scatter both arcs of every edge, in edge-ID order (arc 2e
-	// is U→V, arc 2e+1 is V→U), stably by source.
+	// Undirected: scatter both arcs of every edge, in edge-ID order (U→V,
+	// then V→U), stably by source — a blocked counting scatter over the
+	// edges, each block counting and then placing both arcs of its edges at
+	// its own cursors.
+	blocks := parallel.Blocks(m, n, workers)
+	cursor := make([]int64, blocks*n)
+	parallel.ForBlocks(m, blocks, workers, func(b, lo, hi int) {
+		local := cursor[b*n : (b+1)*n]
+		for e := lo; e < hi; e++ {
+			local[eu[e]]++
+			local[ev[e]]++
+		}
+	})
+	g.offsets = parallel.ScanCursors(cursor, blocks, n, workers)
 	g.nbrs = make([]NodeID, 2*m)
 	g.eids = make([]EdgeID, 2*m)
-	g.offsets = parallel.CountingScatter(2*m, n, workers,
-		func(a int) int {
-			if a&1 == 0 {
-				return int(eu[a>>1])
-			}
-			return int(ev[a>>1])
-		},
-		func(a int, pos int64) {
-			e := a >> 1
-			if a&1 == 0 {
-				g.nbrs[pos] = ev[e]
-			} else {
-				g.nbrs[pos] = eu[e]
-			}
-			g.eids[pos] = EdgeID(e)
-		})
+	parallel.ForBlocks(m, blocks, workers, func(b, lo, hi int) {
+		local := cursor[b*n : (b+1)*n]
+		for e := lo; e < hi; e++ {
+			u, v := eu[e], ev[e]
+			pu := local[u]
+			g.nbrs[pu], g.eids[pu] = v, EdgeID(e)
+			local[u] = pu + 1
+			pv := local[v]
+			g.nbrs[pv], g.eids[pv] = u, EdgeID(e)
+			local[v] = pv + 1
+		}
+	})
 	return g
 }
 

@@ -347,14 +347,12 @@ func ExclusiveScan(counts []int64, workers int) int64 {
 // sizes, length bins+1.
 //
 // This is the per-worker-cursor scheme of parallel counting sort: each block
-// histograms its range, a bucket-parallel column scan turns per-block counts
-// into per-block starting cursors, and each block rescans its range placing
-// items at its own cursors — two passes over the input, no atomics, no
-// comparison sort.
+// histograms its range, ScanCursors turns per-block counts into per-block
+// starting cursors, and each block rescans its range placing items at its
+// own cursors — two passes over the input, no atomics, no comparison sort.
 func CountingScatter(n, bins, workers int, key func(i int) int, place func(i int, pos int64)) []int64 {
-	offsets := make([]int64, bins+1)
 	if n <= 0 || bins <= 0 {
-		return offsets
+		return make([]int64, bins+1)
 	}
 	blocks := Blocks(n, bins, workers)
 	cursor := make([]int64, blocks*bins)
@@ -364,8 +362,31 @@ func CountingScatter(n, bins, workers int, key func(i int) int, place func(i int
 			local[key(i)]++
 		}
 	})
+	offsets := ScanCursors(cursor, blocks, bins, workers)
+	ForBlocks(n, blocks, workers, func(b, lo, hi int) {
+		local := cursor[b*bins : (b+1)*bins]
+		for i := lo; i < hi; i++ {
+			k := key(i)
+			place(i, local[k])
+			local[k]++
+		}
+	})
+	return offsets
+}
+
+// ScanCursors is the middle pass of a blocked counting scatter, for callers
+// that run its two item passes themselves. cursor is a blocks×bins matrix
+// whose row b counts the items of block b per bucket (the blocks of
+// ForBlocks over the items, in order); ScanCursors rewrites each entry in
+// place as the position block b's first bucket-k item goes to, and returns
+// the bucket offsets (length bins+1, the last one the item count). Blocks
+// that then place their items in input order at their own cursors,
+// advancing them, give every item the position a serial stable scatter
+// would, at every block count.
+func ScanCursors(cursor []int64, blocks, bins, workers int) []int64 {
+	offsets := make([]int64, bins+1)
 	// Column-wise scan: cursor[b][k] becomes the number of bucket-k items in
-	// blocks before b; offsets[k+1] temporarily holds bucket k's size.
+	// blocks before b; offsets[k] holds bucket k's size.
 	ForChunks(bins, workers, func(klo, khi int) {
 		for k := klo; k < khi; k++ {
 			var run int64
@@ -373,22 +394,18 @@ func CountingScatter(n, bins, workers int, key func(i int) int, place func(i int
 				c := &cursor[b*bins+k]
 				run, *c = run+*c, run
 			}
-			offsets[k+1] = run
+			offsets[k] = run
 		}
 	})
-	ExclusiveScan(offsets[1:], workers)
-	ForBlocks(n, blocks, workers, func(b, lo, hi int) {
-		local := cursor[b*bins : (b+1)*bins]
-		for i := lo; i < hi; i++ {
-			k := key(i)
-			place(i, offsets[k+1]+local[k])
-			local[k]++
+	offsets[bins] = ExclusiveScan(offsets[:bins], workers)
+	ForChunks(blocks, workers, func(blo, bhi int) {
+		for b := blo; b < bhi; b++ {
+			row := cursor[b*bins : (b+1)*bins]
+			for k, start := range offsets[:bins] {
+				row[k] += start
+			}
 		}
 	})
-	// offsets[1:] currently holds bucket starts; shift into canonical
-	// offsets form (offsets[k] = start of bucket k, offsets[bins] = n).
-	copy(offsets, offsets[1:])
-	offsets[bins] = int64(n)
 	return offsets
 }
 

@@ -11,12 +11,20 @@ package rng
 
 import "math"
 
+// golden is SplitMix64's increment, 2^64 divided by the golden ratio.
+const golden = 0x9e3779b97f4a7c15
+
 // SplitMix64 advances the given state and returns the next 64-bit output.
 // It is used to derive independent seeds for per-worker streams and as a
 // stateless hash of (seed, index) pairs.
 func SplitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+	*state += golden
+	return mix64(*state)
+}
+
+// mix64 is SplitMix64's output function: the k-th output from state s is
+// mix64(s + k·golden), so any one of them is computed without the others.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -27,14 +35,21 @@ func SplitMix64(state *uint64) uint64 {
 // without any shared state, which is what makes parallel kernels both
 // race-free and schedule-independent when element-keyed randomness is used.
 func Hash64(seed, x uint64) uint64 {
-	s := seed ^ (x+0x9e3779b97f4a7c15)*0xff51afd7ed558ccd
+	s := seed ^ (x+golden)*0xff51afd7ed558ccd
 	return SplitMix64(&s)
 }
 
 // Rand is a xoshiro256** generator. The zero value is not usable; construct
 // with New.
+//
+// Its state is seeded lazily: s[i] is the (i+1)-th SplitMix64 output from
+// seed, and pending says how much of it is still to be derived. A kernel
+// instance reseeds its generator and then mostly draws once or not at all,
+// and xoshiro256**'s first output reads s[1] alone.
 type Rand struct {
-	s [4]uint64
+	s       [4]uint64
+	seed    uint64
+	pending uint8 // 2: no word derived; 1: only s[1]; 0: s is the full state
 }
 
 // New returns a generator seeded from the given seed via SplitMix64, as
@@ -47,10 +62,10 @@ func New(seed uint64) *Rand {
 
 // Reseed restarts r in place as the stream New(seed) returns, so a loop over
 // millions of elements keeps one generator instead of allocating one each.
+// It only stores the seed: the first draw derives the one state word its
+// output reads (one SplitMix64 output), the second the other three.
 func (r *Rand) Reseed(seed uint64) {
-	for i := range r.s {
-		r.s[i] = SplitMix64(&seed)
-	}
+	r.seed, r.pending = seed, 2
 }
 
 // Split returns a new generator whose stream is independent of r's with
@@ -64,7 +79,29 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
+	if r.pending != 0 {
+		if r.pending == 2 {
+			// The first output reads s[1] alone, the second SplitMix64
+			// output; the step it would take waits for the second draw.
+			r.s[1] = mix64(r.seed + golden + golden)
+			r.pending = 1
+			return rotl(r.s[1]*5, 7) * 9
+		}
+		z := r.seed
+		r.s[0] = SplitMix64(&z)
+		z += golden // s[1] is derived
+		r.s[2] = SplitMix64(&z)
+		r.s[3] = SplitMix64(&z)
+		r.pending = 0
+		r.step()
+	}
 	result := rotl(r.s[1]*5, 7) * 9
+	r.step()
+	return result
+}
+
+// step advances the xoshiro256** state by one output.
+func (r *Rand) step() {
 	t := r.s[1] << 17
 	r.s[2] ^= r.s[0]
 	r.s[3] ^= r.s[1]
@@ -72,7 +109,6 @@ func (r *Rand) Uint64() uint64 {
 	r.s[0] ^= r.s[3]
 	r.s[2] ^= t
 	r.s[3] = rotl(r.s[3], 45)
-	return result
 }
 
 // Float64 returns a uniform float64 in [0, 1).

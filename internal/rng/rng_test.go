@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -17,14 +18,15 @@ func TestSplitMix64Deterministic(t *testing.T) {
 
 func TestSplitMix64KnownValues(t *testing.T) {
 	// Reference outputs for seed 1234567 from the canonical C implementation.
-	s := uint64(1234567)
-	first := SplitMix64(&s)
-	second := SplitMix64(&s)
-	if first == second {
-		t.Fatal("consecutive outputs equal")
+	want := []uint64{
+		6457827717110365317, 3203168211198807973, 9817491932198370423,
+		4593380528125082431, 16408922859458223821,
 	}
-	if first == 0 && second == 0 {
-		t.Fatal("degenerate zero outputs")
+	s := uint64(1234567)
+	for i, w := range want {
+		if got := SplitMix64(&s); got != w {
+			t.Fatalf("output %d: got %d, want %d", i, got, w)
+		}
 	}
 }
 
@@ -49,19 +51,93 @@ func TestRandReproducible(t *testing.T) {
 	}
 }
 
-// Reseed restarts a used generator as exactly the stream New returns — the
-// kernel loops rely on this to keep one generator per chunk.
-func TestReseedMatchesNew(t *testing.T) {
-	r := New(1)
-	for seed := uint64(0); seed < 50; seed++ {
-		r.Uint64() // leave the previous stream mid-way
-		r.Reseed(seed * 0x9e3779b97f4a7c15)
-		fresh := New(seed * 0x9e3779b97f4a7c15)
-		for i := 0; i < 8; i++ {
-			if x, y := r.Uint64(), fresh.Uint64(); x != y {
-				t.Fatalf("seed %d draw %d: reseeded %d, fresh %d", seed, i, x, y)
+// The first nine outputs of New(seed), recorded from the eager
+// implementation that seeded all four state words up front: a lazy seeding
+// must reproduce them exactly.
+func TestRandKnownValues(t *testing.T) {
+	want := map[uint64][9]uint64{
+		0: {
+			11091344671253066420, 13793997310169335082, 1900383378846508768,
+			7684712102626143532, 13521403990117723737, 18442103541295991498,
+			7788427924976520344, 9881088229871127103, 15781505947799885617,
+		},
+		1: {
+			12966619160104079557, 9600361134598540522, 10590380919521690900,
+			7218738570589545383, 12860671823995680371, 2648436617965840162,
+			1310552918490157286, 7031611932980406429, 15996139959407692321,
+		},
+		77: {
+			8103657047149143059, 4186339675336148520, 10722556873450953518,
+			17701272810226644525, 8785858499795011532, 3219259391645781394,
+			1257376689362882870, 12094175371442013651, 10182325389640084699,
+		},
+		math.MaxUint64: {
+			10328197420357168392, 14156678507024973869, 9357971779955476126,
+			13791585006304312367, 10463432026814718762, 13498236496097551653,
+			6831296623176769502, 14161350843019729634, 11558284878126271842,
+		},
+	}
+	for seed, w := range want {
+		r := New(seed)
+		for i, x := range w {
+			if got := r.Uint64(); got != x {
+				t.Fatalf("New(%d) output %d: got %d, want %d", seed, i, got, x)
 			}
 		}
+	}
+}
+
+// drawOp makes draw j after a reseed with one of the methods the kernels
+// use, chosen by op, and returns what it drew as one word.
+func drawOp(r *Rand, op, j int) uint64 {
+	switch op % 6 {
+	case 0:
+		return r.Uint64()
+	case 1:
+		return math.Float64bits(r.Float64())
+	case 2:
+		return uint64(r.Intn(3 + 7*j))
+	case 3:
+		return math.Float64bits(r.ExpFloat64(1.5))
+	case 4:
+		var h uint64
+		for _, v := range r.Perm(5) {
+			h = h*7 + uint64(v)
+		}
+		return h
+	default:
+		return r.Split().Uint64()
+	}
+}
+
+// Reseed restarts a used generator as exactly the stream New returns — the
+// kernel loops rely on this to keep one generator per chunk. The loop below
+// is theirs: one generator reseeded per element, a few draws each (0, 1, 2,
+// 3 or 9) through every method. Each element's draws must match a fresh
+// New(seed) making the same ones, and all of them together the digest
+// recorded from the eager implementation, so a defect that New shares
+// with Reseed still shows.
+func TestReseedMatchesNew(t *testing.T) {
+	const wantDigest uint64 = 11876956108721128184
+	draws := []int{0, 1, 2, 3, 9}
+	r := New(1)
+	r.Uint64() // leave the previous stream mid-way
+	digest := uint64(0xcbf29ce484222325)
+	for i := 0; i < 1200; i++ {
+		seed := uint64(i) * 0x9e3779b97f4a7c15
+		r.Reseed(seed)
+		fresh := New(seed)
+		for j := 0; j < draws[i%len(draws)]; j++ {
+			op := i/len(draws) + j
+			x, y := drawOp(r, op, j), drawOp(fresh, op, j)
+			if x != y {
+				t.Fatalf("element %d draw %d (op %d): reseeded %d, fresh %d", i, j, op%6, x, y)
+			}
+			digest = (digest ^ x) * 0x100000001b3
+		}
+	}
+	if digest != wantDigest {
+		t.Fatalf("digest %d, want %d", digest, wantDigest)
 	}
 }
 
@@ -236,6 +312,27 @@ func BenchmarkUint64(b *testing.B) {
 		sink ^= r.Uint64()
 	}
 	_ = sink
+}
+
+// BenchmarkReseed is what a kernel instance pays its generator: a reseed,
+// then k draws.
+func BenchmarkReseed(b *testing.B) {
+	for _, k := range []int{0, 1, 2, 3} {
+		b.Run(fmt.Sprintf("draws=%d", k), func(b *testing.B) {
+			r := New(1)
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				r.Reseed(uint64(i))
+				for j := 0; j < k; j++ {
+					sink ^= r.Uint64()
+				}
+			}
+			sink ^= r.Uint64()
+			if sink == 0 {
+				b.Log(sink) // keeps the draws observable
+			}
+		})
+	}
 }
 
 func BenchmarkHash64(b *testing.B) {

@@ -236,6 +236,25 @@ func TestInPlaceCompressRefusesCorruptPayload(t *testing.T) {
 	}
 }
 
+// TestCanonicalReadersRefuseForwardArcPastN: hubPayload's vertex v owns one
+// undirected edge, up to v+1. Rewritten to reach n, its list keeps its
+// forward-arc count, so no block's edge count gives the damage away — only
+// the endpoint's range does. Every canonical-edge reader must still refuse
+// it as a corrupt packed graph, at any worker count.
+func TestCanonicalReadersRefuseForwardArcPastN(t *testing.T) {
+	pg, victim := hubPayload(t)
+	bad := damage(t, pg, victim)["neighbor past n"]
+	for _, workers := range []int{1, 2} {
+		wantCorrupt(t, "Unpack", func() { bad.Unpack(workers) })
+		wantCorrupt(t, "in-place compress", func() {
+			sg := core.New(bad, 1, workers)
+			sg.RunEdgeKernel(func(*core.SG, *rng.Rand, core.EdgeView) {})
+			t.Errorf("kernel ran; returned %v", sg.Materialize())
+		})
+	}
+	wantCorrupt(t, "ForEdges", func() { bad.ForEdges(func(graph.EdgeID, graph.NodeID, graph.NodeID, float64) {}) })
+}
+
 // damagedPayloads returns damage's two copies of one packed graph of the
 // given case.
 func damagedPayloads(t *testing.T, c packCase) map[string]*PackedGraph {

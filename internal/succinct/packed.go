@@ -318,16 +318,19 @@ func forward(nbrs []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	return nbrs[i:]
 }
 
-// forCanonical decodes the canonical arcs block-parallel, invoking fn with
-// each edge's ID and endpoints — within a block, and with one worker over
-// all of them, in increasing edge-ID order. Lists decode strictly increasing
-// (doc.go), so what fn sees is canonical by construction once each endpoint
-// lies in [0, n), no arc is a self-loop and every block holds exactly the
-// edges its directory declares. A payload that breaks any of these panics
-// as a corrupt packed graph, from the calling goroutine once the blocks have
-// drained; fn never sees an edge ID outside its block or an endpoint outside
-// [0, n).
-func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u, v graph.NodeID)) {
+// forCanonical decodes the canonical arcs block-parallel, invoking fn once
+// per vertex u with the canonical edges u owns: their endpoints vs (its
+// forward list when undirected, its out-list when directed, in increasing
+// order) and the ID e of the first, the rest following consecutively —
+// within a block, and with one worker over all of them, in increasing
+// edge-ID order. Lists decode strictly increasing (doc.go), so what fn sees
+// is canonical by construction once each endpoint lies in [0, n), no arc is
+// a self-loop and every block holds exactly the edges its directory
+// declares. fn sees a list only after all of it passed those checks. A
+// payload that breaks any of them panics as a corrupt packed graph, from the
+// calling goroutine once the blocks have drained; fn never sees an edge ID
+// outside its block or an endpoint outside [0, n).
+func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u graph.NodeID, vs []graph.NodeID)) {
 	numBlocks := numBlocksFor(pg.n, pg.shift)
 	var err error
 	if declared := pg.edgeStart[numBlocks]; declared != int64(pg.m) {
@@ -340,21 +343,26 @@ func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u, v graph.Nod
 				if !pg.directed {
 					nbrs = forward(nbrs, u)
 				}
-				if err != nil {
+				if err != nil || len(nbrs) == 0 {
 					return
 				}
 				if e+int64(len(nbrs)) > end {
 					err = fmt.Errorf("block %d holds more than its %d edges", b, end-pg.edgeStart[b])
 					return
 				}
-				for _, v := range nbrs {
-					if uint(v) >= uint(pg.n) || v == u {
-						err = fmt.Errorf("vertex %d lists neighbor %d of %d", u, v, pg.n)
-						return
+				// A decoded list rises strictly from 0 up and a forward list
+				// starts above u, so only its last entry can be out of range;
+				// a directed list may hold u anywhere and is read whole.
+				if int(nbrs[len(nbrs)-1]) >= pg.n || pg.directed {
+					for _, v := range nbrs {
+						if uint(v) >= uint(pg.n) || v == u {
+							err = fmt.Errorf("vertex %d lists neighbor %d of %d", u, v, pg.n)
+							return
+						}
 					}
-					fn(e, u, v)
-					e++
 				}
+				fn(e, u, nbrs)
+				e += int64(len(nbrs))
 			})
 			if err == nil && e != end {
 				err = fmt.Errorf("block %d holds %d of its %d edges", b, e-pg.edgeStart[b], end-pg.edgeStart[b])
@@ -371,16 +379,26 @@ func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u, v graph.Nod
 // with its endpoints and weight, decoding the payload on the fly — the
 // graph.AdjacencyEdges view whole-graph kernels consume.
 func (pg *PackedGraph) ForEdges(fn func(e graph.EdgeID, u, v graph.NodeID, w float64)) {
-	pg.forCanonical(1, func(e int64, u, v graph.NodeID) {
-		fn(graph.EdgeID(e), u, v, pg.EdgeWeight(graph.EdgeID(e)))
+	pg.forCanonical(1, func(e int64, u graph.NodeID, vs []graph.NodeID) {
+		for i, v := range vs {
+			id := graph.EdgeID(e) + graph.EdgeID(i)
+			fn(id, u, v, pg.EdgeWeight(id))
+		}
 	})
 }
 
 // FillEdgeColumns decodes the canonical edge endpoints into eu and ev (len
 // M() each), block-parallel — the bulk edge fetch behind the packed triangle
-// engine build. workers <= 0 means all CPUs.
+// engine build and every in-place compress. It copies a list at a time.
+// workers <= 0 means all CPUs.
 func (pg *PackedGraph) FillEdgeColumns(eu, ev []graph.NodeID, workers int) {
-	pg.forCanonical(workers, func(e int64, u, v graph.NodeID) { eu[e], ev[e] = u, v })
+	pg.forCanonical(workers, func(e int64, u graph.NodeID, vs []graph.NodeID) {
+		us := eu[e : e+int64(len(vs))]
+		for i := range us {
+			us[i] = u
+		}
+		copy(ev[e:], vs)
+	})
 }
 
 // UnpackHook, when non-nil, observes every Unpack call before any decoding
@@ -398,8 +416,11 @@ func (pg *PackedGraph) Unpack(workers int) *graph.Graph {
 		UnpackHook(pg)
 	}
 	edges := make([]graph.Edge, pg.m)
-	pg.forCanonical(workers, func(e int64, u, v graph.NodeID) {
-		edges[e] = graph.Edge{U: u, V: v, W: pg.EdgeWeight(graph.EdgeID(e))}
+	pg.forCanonical(workers, func(e int64, u graph.NodeID, vs []graph.NodeID) {
+		for i, v := range vs {
+			id := graph.EdgeID(e) + graph.EdgeID(i)
+			edges[id] = graph.Edge{U: u, V: v, W: pg.EdgeWeight(id)}
+		}
 	})
 	g, err := graph.FromCanonicalEdges(pg.n, pg.directed, pg.weighted, edges, workers)
 	if err != nil {
