@@ -646,9 +646,10 @@ func PartitionByDegree(g *Graph, parts int) []PartitionRange {
 // the same worker count. See internal/cluster and cmd/slimgraphd -role.
 
 // ClusterOptions configures a Coordinator: shard base URLs in rank order,
-// the per-shard sub-request deadline, an optional HTTP client, and the
-// fault-tolerance knobs (retry policy, circuit-breaker threshold/cooldown,
-// background health-probe interval).
+// the per-shard sub-request deadline (each sub-request is one attempt; a
+// failed one fails over to the next replica), an optional HTTP client, and the
+// fault-tolerance knobs (circuit-breaker threshold/cooldown, background
+// health-probe interval).
 type ClusterOptions = cluster.Options
 
 // Coordinator serves the public API over shard replicas; it
@@ -681,13 +682,8 @@ func NewLocalCluster(n int, shardOpts ServerOptions, opts ClusterOptions) (*Loca
 }
 
 // Resilience: the fault-tolerance layer the cluster coordinator and server
-// ride on — retry with deterministic jitter, per-shard circuit breakers,
-// deadline propagation, and seeded fault injection. See internal/resilience.
-
-// RetryPolicy shapes retries of idempotent shard sub-requests: attempt
-// count, exponential backoff bounds, and the seed of the deterministic
-// jitter (pass via ClusterOptions.Retry).
-type RetryPolicy = resilience.RetryPolicy
+// ride on — per-shard circuit breakers, deadline propagation, and seeded
+// fault injection. See internal/resilience.
 
 // BreakerState is a circuit breaker's position: BreakerClosed,
 // BreakerHalfOpen, or BreakerOpen — the value of the

@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		demo      = fs.Int("demo", 0, "preload a demo R-MAT graph named \"demo\" at this scale (0 = off)")
 		debugAddr = fs.String("debug-addr", "", "serve /debug/pprof and a /metrics mirror on this extra address (empty = off)")
 		version   = fs.Bool("version", false, "print build/version info and exit")
-		retries   = fs.Int("retries", 0, "sub-request attempts per shard call (coordinator only; 0 = default 3)")
 		breakerN  = fs.Int("breaker-threshold", 0, "consecutive failures before a shard's breaker opens (coordinator only; 0 = default 3)")
 		breakerCD = fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (coordinator only; 0 = default 5s)")
 		probeIvl  = fs.Duration("probe-interval", 0, "background /readyz health-probe interval (coordinator only; 0 = off)")
@@ -122,7 +121,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"max-concurrent", "0 or more", *maxConc < 0},
 		{"max-workers", "0 or more", *maxWork < 0},
 		{"demo", "0 or more", *demo < 0},
-		{"retries", "0 or more", *retries < 0},
 		{"breaker-threshold", "0 or more", *breakerN < 0},
 		{"breaker-cooldown", "0 or more", *breakerCD < 0},
 		{"probe-interval", "0 or more", *probeIvl < 0},
@@ -196,7 +194,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		coord, err := cluster.NewCoordinator(cluster.Options{
 			Shards:           shards,
 			ShardTimeout:     *shardTO,
-			Retry:            resilience.RetryPolicy{MaxAttempts: *retries},
 			BreakerThreshold: *breakerN,
 			BreakerCooldown:  *breakerCD,
 			ProbeInterval:    *probeIvl,

@@ -79,9 +79,6 @@ func TestRunFlagValidation(t *testing.T) {
 			2, "-max-workers -1: want 0 or more"},
 		{"negative demo", []string{"-demo", "-3", "-addr", "127.0.0.1:-1"},
 			2, "-demo -3: want 0 or more"},
-		{"negative retries", []string{"-role", "coordinator", "-peers", "http://x:1",
-			"-retries", "-2", "-addr", "127.0.0.1:-1"},
-			2, "-retries -2: want 0 or more"},
 		{"negative breaker-threshold", []string{"-breaker-threshold", "-1", "-addr", "127.0.0.1:-1"},
 			2, "-breaker-threshold -1: want 0 or more"},
 		{"negative breaker-cooldown", []string{"-breaker-cooldown", "-1s", "-addr", "127.0.0.1:-1"},
@@ -91,7 +88,7 @@ func TestRunFlagValidation(t *testing.T) {
 		// The documented zero readings stand: the run gets as far as the
 		// listener.
 		{"zero defaults", []string{"-max-concurrent", "0", "-max-workers", "0", "-demo", "0",
-			"-retries", "0", "-breaker-threshold", "0", "-breaker-cooldown", "0",
+			"-breaker-threshold", "0", "-breaker-cooldown", "0",
 			"-probe-interval", "0", "-drain", "0", "-addr", "127.0.0.1:-1"},
 			1, "listen tcp"},
 	}

@@ -201,13 +201,14 @@
 // # Resilience
 //
 // The fault-tolerance layer (internal/resilience) keeps that contract
-// intact when shards misbehave. Idempotent sub-requests retry with
-// exponential backoff and deterministic seeded jitter, a bounded number of
-// attempts per call (RetryPolicy; creates never blind-retry), and per-shard
-// circuit breakers (BreakerState; closed → open after
-// consecutive failures, half-open probes after a cooldown) route traffic
-// around a dead shard — opened proactively by a background /readyz prober
-// when ClusterOptions.ProbeInterval is set. Degraded execution is
+// intact when shards misbehave. Every replica holds the same data, so the
+// retry for a failed sub-request is another replica: each sub-request is
+// one attempt under ClusterOptions.ShardTimeout, a query asks a replica
+// again only after every live one failed it fast and never asks a hung
+// one again, and per-shard circuit breakers (BreakerState;
+// closed → open after consecutive failures, half-open probes after a
+// cooldown) route traffic around a dead shard — opened proactively by a
+// background /readyz prober when ClusterOptions.ProbeInterval is set. Degraded execution is
 // lossless: a query fails over to the next live replica, which holds the
 // same data and so answers the same bytes (a reply cut short, which lacks
 // the closing newline every JSON body ends with, counts as a failure); compress answers from whichever

@@ -343,8 +343,8 @@ func TestReplicaAnswersThePublicQuery(t *testing.T) {
 }
 
 // TestShardIsPlainSlimgraphd: a shard serves the public API alone and a
-// sub-request retries only within its own attempts, so non-test code names
-// no /internal/v1 route, WrapShard, handleLoad or handleUnload,
+// query keeps no retry budget across its sub-requests, so non-test code
+// names no /internal/v1 route, WrapShard, handleLoad or handleUnload,
 // Server.Handle hook or RetryBudget (CHANGES.md: "a shard is a plain
 // slimgraphd").
 func TestShardIsPlainSlimgraphd(t *testing.T) {
@@ -352,6 +352,19 @@ func TestShardIsPlainSlimgraphd(t *testing.T) {
 		decls:  `^func \(\*Server\) Handle$`,
 		idents: `WrapShard|handle(Load|Unload)\b|RetryBudget`,
 		text:   `/internal/v1`,
+	})
+}
+
+// TestFailoverIsTheOnlyRetry: a sub-request is one attempt and the retry
+// for a failed replica is another replica, so internal/resilience/retry.go
+// is gone and non-test code names no RetryPolicy, Backoff, MaxAttempts or
+// noRetry and writes no "retries" flag (CHANGES.md: "failover is the
+// cluster's only retry").
+func TestFailoverIsTheOnlyRetry(t *testing.T) {
+	check(t, rule{
+		idents: `RetryPolicy|Backoff|MaxAttempts|noRetry`,
+		text:   `"retries"`,
+		paths:  []string{"internal/resilience/retry.go"},
 	})
 }
 

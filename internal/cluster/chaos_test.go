@@ -8,11 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"slimgraph/internal/obs"
 	"slimgraph/internal/resilience"
 	"slimgraph/internal/server"
 )
@@ -115,7 +117,7 @@ func TestClusterKillShardFailover(t *testing.T) {
 	}
 
 	// Degraded workload: every response must stay 200 with the exact same
-	// bytes — the first requests pay retries while the breaker is still
+	// bytes — the first requests fail over while the breaker is still
 	// counting, later ones route around the dead shard entirely.
 	for round := 0; round < 3; round++ {
 		for _, u := range queryURLs() {
@@ -191,6 +193,107 @@ func TestClusterKillShardFailover(t *testing.T) {
 		if code != http.StatusOK || !bytes.Equal(body, want[u]) {
 			t.Errorf("recovered cluster %s: status %d", u, code)
 		}
+	}
+}
+
+// TestFailoverPassesOverAFailedReplica: a sub-request is one attempt, and a
+// failed one goes to the next replica. With one of three replicas hung, the
+// first query routed to it waits one ShardTimeout and then answers from
+// another; with one answering 503 to every query, a query asks it at most
+// once and waits on no backoff. A replica is asked a second time only when
+// every live one failed fast, and one that ran out its ShardTimeout never
+// is. Every answer is the single node's.
+func TestFailoverPassesOverAFailedReplica(t *testing.T) {
+	const (
+		timeout = 300 * time.Millisecond
+		bfs     = "/v1/graphs/g/bfs"
+		u       = bfs + "?root=0&seed=42&workers=1"
+	)
+	g := testGraph(t)
+	single := mustServer(t, server.Options{MaxWorkers: 4})
+	sts := httptest.NewServer(single.Handler())
+	defer sts.Close()
+	if err := single.AddGraph("g", "", "test", g.Clone(), 1); err != nil {
+		t.Fatal(err)
+	}
+	_, want := get(t, sts.URL+u)
+	// The time checks are loose bounds over the slowest fault-free answer;
+	// the fault and sub-request counts are what show no replica was asked
+	// twice.
+	var healthy time.Duration
+	for range 6 {
+		start := time.Now()
+		get(t, sts.URL+u)
+		healthy = max(healthy, time.Since(start))
+	}
+
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		fault   *resilience.FaultRule
+		onFirst bool          // the fault reaches shard 0 only
+		queries int           // how many queries to send
+		bound   time.Duration // the longest any query may take
+		// The first query's faults, sub-requests and status. Every later
+		// one answers 200 and asks each replica at most once.
+		fires, subs int64
+		code        int
+	}{
+		{"hung", 3, &resilience.FaultRule{Path: bfs, Action: resilience.FaultDelay, Delay: time.Minute},
+			true, 6, timeout + 100*time.Millisecond, 1, 2, http.StatusOK},
+		{"503", 3, &resilience.FaultRule{Path: bfs, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+			true, 6, healthy + 20*time.Millisecond, 1, 2, http.StatusOK},
+		{"every replica fails fast once", 3, &resilience.FaultRule{Path: bfs, Times: 3, Action: resilience.FaultStatus, Status: http.StatusServiceUnavailable},
+			false, 6, healthy + 20*time.Millisecond, 3, 4, http.StatusOK},
+		{"the one replica hung", 1, &resilience.FaultRule{Path: bfs, Action: resilience.FaultDelay, Delay: time.Minute},
+			false, 1, timeout + 100*time.Millisecond, 1, 1, http.StatusBadGateway},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The rule's host is filled in once shard 0 has a port; nothing
+			// has been sent by then.
+			fault := tc.fault
+			lc, cts := startLocal(t, tc.shards, server.Options{MaxWorkers: 4}, Options{
+				ShardTimeout: timeout,
+				Client:       &http.Client{Transport: resilience.NewInjector(fault).RoundTripper(http.DefaultTransport)},
+			})
+			if tc.onFirst {
+				fault.Host = strings.TrimPrefix(lc.Addr(0), "http://")
+			}
+			if _, err := lc.Coordinator.Create(t.Context(), "g", "", "test", g.Clone(), 1); err != nil {
+				t.Fatal(err)
+			}
+			reg := lc.Front.Registry()
+			subs := func() (n int64) {
+				for i := range tc.shards {
+					n += reg.Counter("slimgraph_shard_requests_total", "", obs.Label{Key: "shard", Value: strconv.Itoa(i)}).Value()
+				}
+				return n
+			}
+			// The rotation leads with shard 0, so the first query is the
+			// one routed to the faulty replica.
+			for q := range tc.queries {
+				fired, sent, start := fault.Fired(), subs(), time.Now()
+				code, body := get(t, cts.URL+u)
+				if took := time.Since(start); took > tc.bound {
+					t.Errorf("query %d took %v, want at most %v", q, took, tc.bound)
+				}
+				fires, n := fault.Fired()-fired, subs()-sent
+				if q == 0 {
+					if fires != tc.fires || n != tc.subs || code != tc.code {
+						t.Fatalf("the first query: %d faults, %d sub-requests, status %d; want %d, %d, %d",
+							fires, n, code, tc.fires, tc.subs, tc.code)
+					}
+					if code != http.StatusOK {
+						continue
+					}
+				} else if fires > 1 || n != fires+1 {
+					t.Errorf("query %d: %d faults, %d sub-requests; want at most one fault and one more sub-request", q, fires, n)
+				}
+				if code != http.StatusOK || !bytes.Equal(body, want) {
+					t.Errorf("query %d: status %d: %.200s\nwant %.200s", q, code, body, want)
+				}
+			}
+		})
 	}
 }
 
@@ -301,8 +404,8 @@ func TestCompressWithMinorityLive(t *testing.T) {
 // coordinator→shard sub-requests. Every client-visible response must be a
 // 200 with bytes identical to the fault-free single-node twin, and the
 // shard caches must stay exact: no failed executions, misses equal to
-// executions, at most one execution per variant per shard — retries and
-// failovers never double-run a scheme.
+// executions, at most one execution per variant per shard — failovers
+// never double-run a scheme.
 func TestClusterChaosSoak(t *testing.T) {
 	g := testGraph(t)
 	single := mustServer(t, server.Options{MaxWorkers: 8})
@@ -313,10 +416,9 @@ func TestClusterChaosSoak(t *testing.T) {
 	}
 	want := expectedBodies(t, sts)
 
-	// Finite fault quotas (times=) keep the soak honest without making it
-	// flaky: about a hundred injected faults land somewhere in the run,
-	// but no single request can draw enough of them to exhaust its retry
-	// budget and every quota empties before the workload does.
+	// Finite fault quotas (times=) bound the faults a run injects: about
+	// fifty land somewhere in the run, but no single query draws a fault on
+	// every attempt of both of its passes over the replicas.
 	//
 	// The routed rules aim drops, torn replies and 503s at the replicas'
 	// public query routes, each query's one sub-request: BFS carries a
@@ -339,7 +441,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	inj := resilience.NewInjector(append([]*resilience.FaultRule{
 		{Path: "/triangles", P: 0.25, Seed: 44, Times: 20, Action: resilience.FaultDelay, Delay: 2 * time.Millisecond},
 	}, routed...)...)
-	// Provisioned for the workload: 8 concurrent clients (plus retry
+	// Provisioned for the workload: 8 concurrent clients (plus failover
 	// amplification) must never trip admission control on a slow 1-CPU CI
 	// box — this soak asserts fault tolerance, not load shedding.
 	lc, cts := startLocal(t, 3, server.Options{

@@ -50,8 +50,10 @@ type Options struct {
 	// follows it.
 	Shards []string
 	// ShardTimeout bounds every sub-request to a shard (default 15s). A
-	// shard that exceeds it fails the request with a 502 — the coordinator
-	// never hangs on a dead shard.
+	// sub-request is one attempt: a query whose replica exceeds it fails
+	// over to the next live replica and never asks that one again, so it
+	// waits at most one ShardTimeout per hung replica and answers 502 only
+	// when none answers — the coordinator never hangs on a dead shard.
 	ShardTimeout time.Duration
 	// Client is the HTTP client for shard calls (default: a dedicated
 	// client with keep-alives).
@@ -64,12 +66,6 @@ type Options struct {
 	// Logger receives the front server's structured request log in
 	// StartLocal-built clusters.
 	Logger obs.Logger
-	// Retry shapes the sub-request retry policy (see resilience.RetryPolicy;
-	// zero value = 3 attempts, 25ms base backoff, seeded jitter). Retries
-	// apply only to idempotent sub-requests — queries, compress
-	// (single-flight cached shard-side), stats, drop — never to create,
-	// a replayed unload, or a readiness probe.
-	Retry resilience.RetryPolicy
 	// BreakerThreshold and BreakerCooldown configure the per-shard circuit
 	// breakers (defaults: 3 consecutive failures, 5s cooldown).
 	BreakerThreshold int
@@ -144,8 +140,8 @@ func doRaw(ctx context.Context, client *http.Client, method, addr, path string, 
 	data, err := server.ReadBody(resp.Body, resp.ContentLength)
 	// Drain whatever is left (bounded — a broken body won't block) and
 	// close on every path, success or error: an undrained body poisons the
-	// keep-alive connection, and under retry load a leaked connection per
-	// failed attempt compounds fast.
+	// keep-alive connection, and under failover load a leaked connection
+	// per failed sub-request compounds fast.
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 256<<10))
 	resp.Body.Close()
 	if err != nil {

@@ -35,8 +35,7 @@ type Coordinator struct {
 	met atomic.Pointer[coordMetrics]
 
 	// Resilience state (see resilient.go): one breaker and one pending-
-	// repair queue per shard, the retry policy, and the prober lifecycle.
-	retry      resilience.RetryPolicy
+	// repair queue per shard, and the prober lifecycle.
 	breakers   []*resilience.Breaker
 	repairs    []*repairQueue
 	proberStop chan struct{}
@@ -81,7 +80,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		opts:   opts,
 		client: client,
 		start:  time.Now(),
-		retry:  opts.Retry,
 		graphs: map[string]server.GraphInfo{},
 	}
 	for i := range opts.Shards {
@@ -141,14 +139,18 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 	c.met.Store(m)
 }
 
-// observe wraps one sub-request attempt to shard i with the telemetry:
-// request count, in-flight, latency (per shard and aggregate), the up
-// gauge, and the shard's circuit breaker. A 4xx shard reply leaves the
-// shard up — it answered; only transport failures, timeouts, and 5xx mark
-// it down and count as failures. A canceled parent context says nothing
-// about the shard (the client hung up): the request counts, but neither
-// the up gauge, the failure count nor the breaker hears of it.
-func (c *Coordinator) observe(i int, fn func() error) error {
+// observe wraps one sub-request to shard i, sent under the parent context
+// ctx, with the telemetry: request count, in-flight, latency (per shard and
+// aggregate), the up gauge, and the shard's circuit breaker. A 4xx shard
+// reply leaves the shard up — it answered; only transport failures,
+// timeouts, and 5xx mark it down and count as failures. A failure after
+// ctx is done, canceled (the client hung up) or past the deadline the
+// client propagated, says nothing about the shard: the request counts, but
+// neither the up gauge, the failure count nor the breaker hears of it.
+// The cost is that clients whose deadlines are shorter than ShardTimeout
+// never mark a hung replica down; the sub-requests that run out their own
+// ShardTimeout on it do, and so does the prober if its /readyz hangs too.
+func (c *Coordinator) observe(ctx context.Context, i int, fn func() error) error {
 	m := c.met.Load()
 	if m != nil {
 		m.perShard[i].inflight.Add(1)
@@ -156,7 +158,7 @@ func (c *Coordinator) observe(i int, fn func() error) error {
 	start := time.Now()
 	err := fn()
 	up := err == nil || !shardFatal(err)
-	down := !up && !errors.Is(err, context.Canceled)
+	down := !up && ctx.Err() == nil
 	if m != nil {
 		sm, elapsed := &m.perShard[i], time.Since(start).Seconds()
 		sm.inflight.Add(-1)
@@ -186,7 +188,7 @@ func (c *Coordinator) observe(i int, fn func() error) error {
 // Readiness deliberately ignores breakers: it is the ground-truth poll
 // that feeds them.
 func (c *Coordinator) Ready() error {
-	errs := c.scatterOver(context.Background(), c.allShards(), "readyz", c.noRetry(),
+	errs := c.scatterOver(context.Background(), c.allShards(),
 		func(ctx context.Context, _, _ int, addr string) error {
 			return doJSON(ctx, c.client, http.MethodGet, addr, "/readyz", nil, "", nil, nil)
 		})
@@ -242,10 +244,9 @@ func (c *Coordinator) mergeErrorsOver(shards []int, errs []error) error {
 // packed once into the succinct v2 snapshot (the cheapest bytes to ship),
 // loaded by each shard under the client's memory policy. A partial failure
 // rolls back the shards that succeeded, so the catalog never diverges.
-// Create is deliberately strict — it requires full membership and never
-// blind-retries (a retried load that half-landed would 409) — so a down
-// shard fails the create rather than admitting a graph some replica doesn't
-// hold.
+// Create is deliberately strict — it requires full membership, one upload
+// per shard — so a down shard fails the create rather than admitting a
+// graph some replica doesn't hold.
 func (c *Coordinator) Create(ctx context.Context, name, memory, source string, g *graph.Graph, workers int) (*server.GraphInfo, error) {
 	var buf bytes.Buffer
 	if _, err := graphio.WritePacked(&buf, g); err != nil {
@@ -255,14 +256,14 @@ func (c *Coordinator) Create(ctx context.Context, name, memory, source string, g
 	q := url.Values{"name": {name}, "memory": {memory}, "directed": {strconv.FormatBool(g.Directed())}, "workers": {strconv.Itoa(workers)}}
 	infos := make([]server.GraphInfo, len(c.opts.Shards))
 	all := c.allShards()
-	errs := c.scatterOver(ctx, all, "create:"+name, c.noRetry(), func(ctx context.Context, _, i int, addr string) error {
+	errs := c.scatterOver(ctx, all, func(ctx context.Context, _, i int, addr string) error {
 		return doJSON(ctx, c.client, http.MethodPost, addr, "/v1/graphs", q,
 			"application/octet-stream", bytes.NewReader(data), &infos[i])
 	})
 	if err := c.mergeErrorsOver(all, errs); err != nil {
 		// Roll back the shards that accepted the graph; the ones that
 		// failed (or already held the name) are left untouched.
-		c.scatterOver(context.Background(), all, "create-rollback:"+name, c.noRetry(),
+		c.scatterOver(context.Background(), all,
 			func(ctx context.Context, _, i int, addr string) error {
 				if errs[i] != nil {
 					return nil
@@ -321,7 +322,7 @@ func (c *Coordinator) Drop(ctx context.Context, name string) (*server.DeleteResp
 	dropped := 0
 	var mu sync.Mutex
 	live := c.liveShards()
-	errs := c.scatterOver(ctx, live, "drop:"+name, c.retry, func(ctx context.Context, _, i int, addr string) error {
+	errs := c.scatterOver(ctx, live, func(ctx context.Context, _, i int, addr string) error {
 		var resp server.DeleteResponse
 		err := doJSON(ctx, c.client, http.MethodDelete, addr, graphPath(name), nil, "", nil, &resp)
 		if err == nil {
@@ -382,7 +383,7 @@ func (c *Coordinator) Compress(ctx context.Context, name, spec string, p server.
 	live := c.liveShards()
 	resps := make([]server.CompressResponse, len(live))
 	req := server.CompressRequest{Spec: spec, Seed: p.Seed, Workers: p.Workers}
-	errs := c.scatterOver(ctx, live, "compress:"+name, c.retry, func(ctx context.Context, pos, _ int, addr string) error {
+	errs := c.scatterOver(ctx, live, func(ctx context.Context, pos, _ int, addr string) error {
 		return postJSON(ctx, c.client, addr, graphPath(name)+"/compress", req, &resps[pos])
 	})
 	first := slices.Index(errs, nil)
@@ -425,25 +426,36 @@ func (c *Coordinator) Query(ctx context.Context, q server.Query) (any, error) {
 // picked by one atomic counter, so queries rotate over the live set, and
 // returns the reply's body.
 //
-// A replica whose sub-request fails fatally (after the retry policy's
-// attempts; a torn reply counts) is passed over and the query goes to the
-// next. Every replica holds the same data, so the reply does not depend on
-// which one serves it. A 4xx relays verbatim at once.
+// A replica whose sub-request fails fatally (a torn reply counts) is passed
+// over and the query goes to the next. A pass tries each live replica once;
+// only when every one of them failed does a second pass go round the ones
+// that failed fast (a drop, a 503, a torn reply), without backoff. A replica
+// that ran out its ShardTimeout is not asked again, so a query waits at most
+// one ShardTimeout per hung replica. Every replica holds the same data, so
+// the reply does not depend on which one serves it. A 4xx relays verbatim
+// at once.
 func (c *Coordinator) dispatch(ctx context.Context, q server.Query) ([]byte, error) {
 	k := q.Kernel
 	path := graphPath(q.Graph) + "/" + k.Name
 	args := subQuery(q)
-	bad := map[int]bool{}
+	tries := map[int]int{} // attempts per replica; 2 means it is not asked again
 	var err error = server.Errf(http.StatusBadGateway, "no live shards for %s", q.Graph)
 	for {
-		shards := slices.DeleteFunc(c.liveShards(), func(i int) bool { return bad[i] })
-		if len(shards) == 0 || ctx.Err() != nil {
+		live := c.liveShards()
+		pass := 2
+		for _, i := range live {
+			pass = min(pass, tries[i])
+		}
+		if pass == 2 || ctx.Err() != nil {
 			return nil, err
 		}
+		shards := slices.DeleteFunc(live, func(i int) bool { return tries[i] > pass })
 		i := shards[int((c.rotation.Add(1)-1)%uint64(len(shards)))]
 		var body []byte
-		err = c.callShard(ctx, i, k.Name+"/"+strconv.Itoa(i), c.retry, func(ctx context.Context) (err error) {
+		hung := false
+		err = c.callShard(ctx, i, func(ctx context.Context) (err error) {
 			body, err = doRaw(ctx, c.client, http.MethodGet, c.opts.Shards[i], path, args, "", nil)
+			hung = ctx.Err() != nil
 			return err
 		})
 		if err = c.mergeErrorsOver([]int{i}, []error{err}); err == nil {
@@ -452,7 +464,9 @@ func (c *Coordinator) dispatch(ctx context.Context, q server.Query) ([]byte, err
 		if server.StatusOf(err) != http.StatusBadGateway {
 			return nil, err // a rejection
 		}
-		bad[i] = true
+		if tries[i]++; hung {
+			tries[i] = 2
+		}
 	}
 }
 
@@ -486,7 +500,7 @@ func (c *Coordinator) Stats(ctx context.Context) (*server.StatsResponse, error) 
 		per[i] = server.ShardStats{Shard: i, Addr: addr}
 	}
 	live := c.liveShards()
-	errs := c.scatterOver(ctx, live, "stats", c.retry, func(ctx context.Context, _, i int, addr string) error {
+	errs := c.scatterOver(ctx, live, func(ctx context.Context, _, i int, addr string) error {
 		var resp server.StatsResponse
 		if err := doJSON(ctx, c.client, http.MethodGet, addr, "/v1/stats", nil, "", nil, &resp); err != nil {
 			return err

@@ -390,35 +390,77 @@ func TestReplicasKeepNoArena(t *testing.T) {
 }
 
 // TestClientHangUpLeavesShardUp: a client that gives up on a query says
-// nothing about the shard serving it. The abandoned sub-request counts, but
-// the shard's failure count, its up gauge and its breaker stay as they were.
+// nothing about the shard serving it, whether it hangs up or the deadline it
+// propagated in X-Slimgraph-Deadline passes. Each abandoned sub-request
+// counts, but the shard's failure count, its up gauge and its breaker stay
+// as they were, over as many abandoned queries as open a breaker. So such
+// clients never mark a hung shard down; the queries that then run out
+// ShardTimeout on it do, and open its breaker.
 func TestClientHangUpLeavesShardUp(t *testing.T) {
-	slow := resilience.NewInjector(&resilience.FaultRule{Path: "/bfs", Action: resilience.FaultDelay, Delay: 2 * time.Second})
-	lc, ts := startLocal(t, 1, server.Options{MaxWorkers: 4}, Options{
-		Client: &http.Client{Transport: slow.RoundTripper(http.DefaultTransport)},
-	})
-	if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
-		t.Fatal(err)
-	}
-	reg, shard := lc.Front.Registry(), obs.Label{Key: "shard", Value: "0"}
-	requests := reg.Counter("slimgraph_shard_requests_total", "", shard)
-	failures := reg.Counter("slimgraph_shard_failures_total", "", shard)
-	up := reg.Gauge("slimgraph_shard_up", "", shard)
-	sent := requests.Value()
-	impatient := &http.Client{Timeout: 100 * time.Millisecond}
-	if resp, err := impatient.Get(ts.URL + "/v1/graphs/g/bfs?root=0&seed=1&workers=1"); err == nil {
-		resp.Body.Close()
-		t.Fatalf("a query held 2s answered within the client's 100ms: status %d", resp.StatusCode)
-	}
-	for deadline := time.Now().Add(5 * time.Second); requests.Value() == sent; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the coordinator never finished the abandoned sub-request")
-		}
-	}
-	if n, u, b := failures.Value(), up.Value(), lc.Coordinator.BreakerState(0); n != 0 || u != 1 || b != resilience.BreakerClosed {
-		t.Errorf("after a client hang-up: failures=%d up=%v breaker=%v, want 0, 1, closed", n, u, b)
-	}
-	if got := requests.Value() - sent; got != 1 {
-		t.Errorf("the abandoned query counted %d sub-requests, want 1", got)
+	for _, tc := range []struct {
+		name string
+		// send sends the query and gives up on it after 100ms; answers
+		// says whether the client still reads a reply (the coordinator's
+		// own error for the expired deadline) or none at all.
+		send    func(url string) (*http.Response, error)
+		answers bool
+	}{
+		{"hang-up", func(url string) (*http.Response, error) {
+			return (&http.Client{Timeout: 100 * time.Millisecond}).Get(url)
+		}, false},
+		{"propagated deadline", func(url string) (*http.Response, error) {
+			req, err := http.NewRequest(http.MethodGet, url, nil)
+			if err != nil {
+				return nil, err
+			}
+			req.Header.Set(resilience.DeadlineHeader, resilience.FormatDeadline(time.Now().Add(100*time.Millisecond)))
+			return (&http.Client{Timeout: 5 * time.Second}).Do(req)
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slow := resilience.NewInjector(&resilience.FaultRule{Path: "/bfs", Action: resilience.FaultDelay, Delay: 2 * time.Second})
+			lc, ts := startLocal(t, 1, server.Options{MaxWorkers: 4}, Options{
+				ShardTimeout: 300 * time.Millisecond,
+				Client:       &http.Client{Transport: slow.RoundTripper(http.DefaultTransport)},
+			})
+			if _, err := lc.Coordinator.Create(t.Context(), "g", server.MemoryRaw, "test", testGraph(t), 1); err != nil {
+				t.Fatal(err)
+			}
+			reg, shard := lc.Front.Registry(), obs.Label{Key: "shard", Value: "0"}
+			requests := reg.Counter("slimgraph_shard_requests_total", "", shard)
+			failures := reg.Counter("slimgraph_shard_failures_total", "", shard)
+			up := reg.Gauge("slimgraph_shard_up", "", shard)
+			for q := range 3 { // the default breaker threshold
+				sent := requests.Value()
+				resp, err := tc.send(ts.URL + "/v1/graphs/g/bfs?root=0&seed=1&workers=1")
+				if err == nil {
+					resp.Body.Close()
+					if !tc.answers || resp.StatusCode == http.StatusOK {
+						t.Fatalf("query %d: a query held 2s answered within the client's 100ms: status %d", q, resp.StatusCode)
+					}
+				} else if tc.answers {
+					t.Fatalf("query %d: the coordinator did not answer the expired deadline: %v", q, err)
+				}
+				for deadline := time.Now().Add(5 * time.Second); requests.Value() == sent; time.Sleep(5 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("query %d: the coordinator never finished the abandoned sub-request", q)
+					}
+				}
+				if n, u, b := failures.Value(), up.Value(), lc.Coordinator.BreakerState(0); n != 0 || u != 1 || b != resilience.BreakerClosed {
+					t.Errorf("after %d abandoned queries: failures=%d up=%v breaker=%v, want 0, 1, closed", q+1, n, u, b)
+				}
+				if got := requests.Value() - sent; got != 1 {
+					t.Errorf("abandoned query %d counted %d sub-requests, want 1", q, got)
+				}
+			}
+			for q := range 3 {
+				if code, body := get(t, ts.URL+"/v1/graphs/g/bfs?root=0&seed=1&workers=1"); code != http.StatusBadGateway {
+					t.Fatalf("query %d with no deadline of its own: status %d: %s, want 502", q, code, body)
+				}
+			}
+			if n, b := failures.Value(), lc.Coordinator.BreakerState(0); n != 3 || b != resilience.BreakerOpen {
+				t.Errorf("after 3 queries that ran out ShardTimeout: failures=%d breaker=%v, want 3, open", n, b)
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,25 +13,18 @@ import (
 
 // This file is the coordinator's fault-tolerance layer: per-shard circuit
 // breakers fed by the observe wrapper, live-set routing with failover to
-// the next replica, per-call retries, a background health prober, and the
-// pending-repair queue that makes a drop idempotent across an unreachable
-// shard. Degraded execution keeps the byte-identity contract
-// (see dispatch); a variant needs no repair, because a replica computes it
-// when first asked.
-
-// noRetry is the single-attempt variant of the configured policy, for
-// calls that must not blind-retry (create and its rollback, repairs) and
-// for readiness probes.
-func (c *Coordinator) noRetry() resilience.RetryPolicy {
-	p := c.retry
-	p.MaxAttempts = 1
-	return p
-}
+// the next replica, a background health prober, and the pending-repair
+// queue that makes a drop idempotent across an unreachable shard. A
+// sub-request is one attempt: every replica holds the same data, so the
+// retry for a failed one is another replica; a query asks one again only
+// after every live replica failed it (see dispatch).
+// Degraded execution keeps the byte-identity contract (see dispatch); a
+// variant needs no repair, because a replica computes it when first asked.
 
 // shardFatal classifies an error as evidence against the shard itself —
 // transport failure, timeout, truncation, or a 5xx — as opposed to a 4xx
-// the request earned on its own merits. Fatal errors drive failover, repair
-// queueing and retries; 4xx errors relay to the client, never retried.
+// the request earned on its own merits. Fatal errors drive failover and
+// repair queueing; 4xx errors relay to the client.
 func shardFatal(err error) bool {
 	var he *httpError
 	if errors.As(err, &he) {
@@ -69,28 +61,24 @@ func (c *Coordinator) liveShards() []int {
 	return live
 }
 
-// callShard runs one logical sub-request against shard i: each attempt
-// gets its own ShardTimeout (so retries aren't squeezed into the first
-// attempt's budget) and flows through observe, which feeds the telemetry
-// and the breaker.
-func (c *Coordinator) callShard(ctx context.Context, i int, key string, policy resilience.RetryPolicy, fn func(ctx context.Context) error) error {
-	return policy.Do(ctx, key, shardFatal, func() error {
-		actx, cancel := context.WithTimeout(ctx, c.opts.timeout())
-		defer cancel()
-		return c.observe(i, func() error { return fn(actx) })
-	})
+// callShard runs one sub-request against shard i: one attempt, bounded by
+// ShardTimeout, through observe, which feeds the telemetry and the breaker.
+func (c *Coordinator) callShard(ctx context.Context, i int, fn func(ctx context.Context) error) error {
+	actx, cancel := context.WithTimeout(ctx, c.opts.timeout())
+	defer cancel()
+	return c.observe(ctx, i, func() error { return fn(actx) })
 }
 
-// scatterOver runs fn against the given shards concurrently under policy,
-// returning errors positionally (errs[pos] belongs to shards[pos]).
-func (c *Coordinator) scatterOver(ctx context.Context, shards []int, op string, policy resilience.RetryPolicy, fn func(ctx context.Context, pos, shard int, addr string) error) []error {
+// scatterOver runs fn against the given shards concurrently, returning
+// errors positionally (errs[pos] belongs to shards[pos]).
+func (c *Coordinator) scatterOver(ctx context.Context, shards []int, fn func(ctx context.Context, pos, shard int, addr string) error) []error {
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for pos, i := range shards {
 		wg.Add(1)
 		go func(pos, i int) {
 			defer wg.Done()
-			errs[pos] = c.callShard(ctx, i, op+"/"+strconv.Itoa(i), policy, func(actx context.Context) error {
+			errs[pos] = c.callShard(ctx, i, func(actx context.Context) error {
 				return fn(actx, pos, i, c.opts.Shards[i])
 			})
 		}(pos, i)
@@ -183,7 +171,7 @@ func (c *Coordinator) drainRepairs(i int) {
 // runRepair unloads graph from shard i; a 404 is the state the unload
 // wanted.
 func (c *Coordinator) runRepair(ctx context.Context, i int, graph string) error {
-	return c.callShard(ctx, i, "repair:unload:"+graph, c.noRetry(), func(actx context.Context) error {
+	return c.callShard(ctx, i, func(actx context.Context) error {
 		err := doJSON(actx, c.client, http.MethodDelete, c.opts.Shards[i], graphPath(graph), nil, "", nil, nil)
 		var he *httpError
 		if errors.As(err, &he) && he.code == http.StatusNotFound {
@@ -225,10 +213,8 @@ func (c *Coordinator) probeLoop() {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				actx, cancel := context.WithTimeout(context.Background(), c.opts.timeout())
-				defer cancel()
-				_ = c.observe(i, func() error {
-					return doJSON(actx, c.client, http.MethodGet, c.opts.Shards[i], "/readyz", nil, "", nil, nil)
+				_ = c.callShard(context.Background(), i, func(ctx context.Context) error {
+					return doJSON(ctx, c.client, http.MethodGet, c.opts.Shards[i], "/readyz", nil, "", nil, nil)
 				})
 			}(i)
 		}

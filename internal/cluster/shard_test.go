@@ -11,12 +11,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
 	"slimgraph/internal/graphio"
-	"slimgraph/internal/resilience"
 	"slimgraph/internal/server"
 	"slimgraph/internal/succinct"
 )
@@ -323,8 +321,7 @@ func TestShortWholeReplyFailsOver(t *testing.T) {
 			}
 			shards = append(shards, h)
 		}
-		coord, front := frontOver(t, Options{Retry: resilience.RetryPolicy{BaseDelay: time.Millisecond}},
-			server.Options{MaxWorkers: 4}, shards...)
+		coord, front := frontOver(t, Options{}, server.Options{MaxWorkers: 4}, shards...)
 		if _, err := coord.Create(t.Context(), "g", "", "test", g.Clone(), 1); err != nil {
 			t.Fatal(err)
 		}

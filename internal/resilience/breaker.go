@@ -1,16 +1,15 @@
 // Package resilience holds slimgraphd's fault-tolerance primitives: a
-// retry policy with exponential backoff and deterministic seeded jitter, a
 // per-peer circuit breaker, deadline propagation over HTTP headers, and a
-// deterministic fault-injection layer for chaos testing. Everything is
-// stdlib-only and carries no opinion about what it protects — the cluster
-// coordinator wires these around its shard sub-requests, and the server
-// wires the deadline and admission pieces around its handlers.
+// deterministic fault-injection layer for chaos testing. None of it carries
+// an opinion about what it protects — the cluster coordinator wires these
+// around its shard sub-requests, and the server wires the deadline and
+// admission pieces around its handlers.
 //
 // The design constraint inherited from the rest of the system is
-// determinism: retries jitter by a seeded hash (not the global RNG), the
-// fault injector makes every drop/delay/500 decision from a seeded counter
-// so a chaos run replays identically, and the breaker's clock is
-// injectable so tests step time instead of sleeping.
+// determinism: the fault injector makes every drop/delay/500 decision from
+// a seeded counter (internal/rng's SplitMix64, not the global RNG) so a
+// chaos run replays identically, and the breaker's clock is injectable so
+// tests step time instead of sleeping.
 package resilience
 
 import (

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"slimgraph/internal/rng"
 )
 
 // FaultAction is what a matched fault rule does to a request.
@@ -24,7 +26,7 @@ const (
 	// error body, without reaching the real handler.
 	FaultStatus
 	// FaultTruncate serves the real response but cuts the body in half
-	// mid-stream — the torn-read case retry and decode paths must survive.
+	// mid-stream — the torn-read case failover and decode paths must survive.
 	FaultTruncate
 )
 
@@ -83,7 +85,8 @@ func (r *FaultRule) decide() bool {
 		p = 1
 	}
 	if p < 1 {
-		frac := float64(splitmix64(r.Seed^uint64(n))>>11) / float64(1<<53)
+		s := r.Seed ^ uint64(n)
+		frac := float64(rng.SplitMix64(&s)>>11) / float64(1<<53)
 		if frac >= p {
 			return false
 		}
