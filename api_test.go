@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"slimgraph"
@@ -94,18 +95,23 @@ func TestCustomKernelThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestRegisteredKernelReceivesItsArguments: a scheme registered from outside
-// internal/schemes — a kernel plus a parameter table — is handed the seed,
-// the worker budget and its declared parameter, already parsed, checked and
-// defaulted, and is a first-class registry name: canonical spec, Result
-// labels, pipelines and table-driven errors included.
-func TestRegisteredKernelReceivesItsArguments(t *testing.T) {
-	var got struct {
-		seed    uint64
-		workers int
-		p       float64
-		hard    bool
-	}
+// The test-lowpair scheme is registered once per process — the registry
+// refuses a second registration of a name — so that the test below passes
+// under -count=N; each run resets lowPairArgs, what its kernel last received.
+var (
+	lowPairOnce sync.Once
+	lowPairArgs kernelArgs
+)
+
+type kernelArgs struct {
+	seed    uint64
+	workers int
+	p       float64
+	hard    bool
+}
+
+func registerLowPair() {
+	got := &lowPairArgs
 	slimgraph.RegisterScheme(slimgraph.SchemeInfo{
 		Name:  "test-lowpair",
 		About: "drop edges between two low-degree endpoints w.p. p (test only)",
@@ -125,6 +131,17 @@ func TestRegisteredKernelReceivesItsArguments(t *testing.T) {
 			return &slimgraph.Result{Output: sg.Materialize()}, nil
 		},
 	})
+}
+
+// TestRegisteredKernelReceivesItsArguments: a scheme registered from outside
+// internal/schemes — a kernel plus a parameter table — is handed the seed,
+// the worker budget and its declared parameter, already parsed, checked and
+// defaulted, and is a first-class registry name: canonical spec, Result
+// labels, pipelines and table-driven errors included.
+func TestRegisteredKernelReceivesItsArguments(t *testing.T) {
+	lowPairOnce.Do(registerLowPair)
+	lowPairArgs = kernelArgs{}
+	got := &lowPairArgs
 	g := slimgraph.GenerateBarabasiAlbert(2000, 3, 5)
 	s, err := slimgraph.ParseScheme("test-lowpair:p=0.3", slimgraph.WithSeed(7), slimgraph.WithWorkers(2))
 	if err != nil {

@@ -4,9 +4,10 @@ package centrality
 
 // Allocation pin for PageRankOn over a packed graph: a call allocates its
 // fixed vectors (degrees, dangling list, rank, next and two contrib buffers)
-// and one decode of the in-lists (graph.InListsOf: offsets plus the lists'
-// doubling growth) — nothing per vertex, and per iteration only the small
-// closure and goroutine start-up of one parallel pass, never a slice.
+// and one decode of the in-lists into place (graph.InListsOf: offsets, the
+// lists at their final size and a scan buffer) — nothing per vertex, and per
+// iteration only the small closure and goroutine start-up of one parallel
+// pass, never a slice.
 // Excluded under -race, whose instrumentation inflates AllocsPerRun.
 
 import (
@@ -30,9 +31,8 @@ func TestPageRankOnPackedAllocations(t *testing.T) {
 		return allocs, after.TotalAlloc - before.TotalAlloc
 	}
 
-	// One worker: the vectors, the doubling growth of the decoded in-lists
-	// and of the scan's list buffer, and a closure per iteration — whatever
-	// the graph size.
+	// One worker: the vectors, the decoded in-lists, the growth of the scan's
+	// list buffer, and a closure per iteration — whatever the graph size.
 	const perIter = 8
 	for _, pg := range []*succinct.PackedGraph{small, large} {
 		if allocs, _ := run(pg, 1, 2); allocs > 32+2*perIter {
@@ -49,6 +49,15 @@ func TestPageRankOnPackedAllocations(t *testing.T) {
 	extra := int64(longBytes) - int64(shortBytes)
 	if vector := int64(8 * large.N()); extra > vector/2 {
 		t.Errorf("40 extra iterations allocate %d bytes; an n-vector is %d", extra, vector)
+	}
+
+	// One decode into place: on packed rmat14 a one-worker call allocates the
+	// decoded in-lists' own bytes (4 per arc) and its n-vectors (offsets,
+	// degrees, ranks, contributions), nothing that grows with the lists.
+	rmat14 := succinct.Pack(gen.RMAT(14, 16, 0.57, 0.19, 0.19, 77), 0)
+	limit := 4*uint64(rmat14.NumArcs()) + 64*uint64(rmat14.N()+1)
+	if _, bytes := run(rmat14, 1, 20); bytes > limit {
+		t.Errorf("PageRank on packed rmat14 allocates %d B per call, want at most %d (4 per arc + 64 per vertex)", bytes, limit)
 	}
 
 	// Several workers: the decode's lists once per block, plus per iteration

@@ -447,6 +447,11 @@ func (c *Coordinator) dispatch(ctx context.Context, q server.Query) ([]byte, err
 			pass = min(pass, tries[i])
 		}
 		if pass == 2 || ctx.Err() != nil {
+			if d, ok := ctx.Deadline(); ok && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				// The client's own deadline, not the replica, ended the query.
+				return nil, server.Errf(http.StatusGatewayTimeout, "request deadline %s passed before a replica answered",
+					d.UTC().Format(time.RFC3339Nano))
+			}
 			return nil, err
 		}
 		shards := slices.DeleteFunc(live, func(i int) bool { return tries[i] > pass })

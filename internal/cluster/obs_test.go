@@ -391,7 +391,8 @@ func TestReplicasKeepNoArena(t *testing.T) {
 
 // TestClientHangUpLeavesShardUp: a client that gives up on a query says
 // nothing about the shard serving it, whether it hangs up or the deadline it
-// propagated in X-Slimgraph-Deadline passes. Each abandoned sub-request
+// propagated in X-Slimgraph-Deadline passes (answered with a 504 naming
+// that deadline, not a 502 naming the replica). Each abandoned sub-request
 // counts, but the shard's failure count, its up gauge and its breaker stay
 // as they were, over as many abandoned queries as open a breaker. So such
 // clients never mark a hung shard down; the queries that then run out
@@ -434,9 +435,16 @@ func TestClientHangUpLeavesShardUp(t *testing.T) {
 				sent := requests.Value()
 				resp, err := tc.send(ts.URL + "/v1/graphs/g/bfs?root=0&seed=1&workers=1")
 				if err == nil {
+					body, _ := io.ReadAll(resp.Body)
 					resp.Body.Close()
 					if !tc.answers || resp.StatusCode == http.StatusOK {
 						t.Fatalf("query %d: a query held 2s answered within the client's 100ms: status %d", q, resp.StatusCode)
+					}
+					// The client's deadline ended the query: a 504 naming it,
+					// not a 502 naming the healthy replica.
+					if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(body), "request deadline ") ||
+						!strings.Contains(string(body), " passed before a replica answered") {
+						t.Errorf("query %d: the expired deadline answered %d %s, want a 504 naming the request deadline", q, resp.StatusCode, body)
 					}
 				} else if tc.answers {
 					t.Fatalf("query %d: the coordinator did not answer the expired deadline: %v", q, err)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"slices"
 
 	"slimgraph/internal/bitset"
@@ -20,6 +21,9 @@ type Adjacency interface {
 	N() int
 	// Degree returns the out-degree of v.
 	Degree(v NodeID) int
+	// NumArcs returns the number of out-adjacency entries, the sum of every
+	// Degree: 2M for an undirected graph, M for a directed one.
+	NumArcs() int
 	// ForNeighbors invokes fn for every out-neighbor of v, in increasing
 	// order.
 	ForNeighbors(v NodeID, fn func(w NodeID))
@@ -146,10 +150,18 @@ func (g *Graph) EdgeColumns() (eu, ev []NodeID) {
 	return g.edgeU, g.edgeV
 }
 
+// canonicalLister is a representation that decodes its canonical edges list
+// by list (succinct.PackedGraph and its mapping): the walk behind both
+// EdgeColumnsOf and GatherCanonical.
+type canonicalLister interface {
+	CanonicalBlocks() int
+	ForCanonicalLists(workers int, fn func(b int, e int64, u NodeID, vs []NodeID))
+}
+
 // EdgeColumnsOf fetches the canonical edge columns of a: zero-copy views when
 // the representation exposes them (raw CSR, owned == false), a
-// block-parallel bulk decode when it supports one (packed), and a serial
-// ForEdges sweep otherwise. Callers must not modify borrowed columns.
+// block-parallel fill from its list walk when it decodes one (packed), and a
+// serial ForEdges sweep otherwise. Callers must not modify borrowed columns.
 func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) {
 	if t, ok := a.(interface {
 		EdgeColumns() (eu, ev []NodeID)
@@ -160,10 +172,14 @@ func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) 
 	m := a.M()
 	eu = make([]NodeID, m)
 	ev = make([]NodeID, m)
-	if t, ok := a.(interface {
-		FillEdgeColumns(eu, ev []NodeID, workers int)
-	}); ok {
-		t.FillEdgeColumns(eu, ev, workers)
+	if t, ok := a.(canonicalLister); ok {
+		t.ForCanonicalLists(workers, func(_ int, e int64, u NodeID, vs []NodeID) {
+			us := eu[e : e+int64(len(vs))]
+			for i := range us {
+				us[i] = u
+			}
+			copy(ev[e:], vs)
+		})
 		return eu, ev, true
 	}
 	a.ForEdges(func(e EdgeID, u, v NodeID, _ float64) {
@@ -172,15 +188,66 @@ func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) 
 	return eu, ev, true
 }
 
+// GatherCanonical walks the canonical edges of a list by list and returns,
+// in canonical order, what keep picks of them: keep(dst, e, u, vs) sees u's
+// edges with IDs e, e+1, … and endpoints vs (valid only until it returns)
+// and appends what it keeps to dst. A decoding representation hands out its
+// validated lists (ForCanonicalLists, per directory block); a raw CSR's
+// lists are runs of its zero-copy edge columns, over the edge-ID blocks of
+// parallel.Blocks(m, 0, workers). Blocks run in parallel, each appending to
+// its own dst, and are joined in block order — one dst for all of them when
+// one worker walks them in order, presized for share·m entries (share is
+// the fraction of edges keep is expected to keep) — so the result does not
+// depend on workers, and no array the size of the edge set is allocated
+// beyond what keep appends (a representation with neither walk is read
+// through EdgeColumnsOf's ForEdges sweep).
+func GatherCanonical[T any](a AdjacencyEdges, workers int, share float64, keep func(dst []T, e int64, u NodeID, vs []NodeID) []T) []T {
+	var blocks int
+	var walk func(workers int, fn func(b int, e int64, u NodeID, vs []NodeID))
+	if t, ok := a.(canonicalLister); ok {
+		blocks, walk = t.CanonicalBlocks(), t.ForCanonicalLists
+	} else {
+		eu, ev, _ := EdgeColumnsOf(a, workers)
+		blocks = parallel.Blocks(len(eu), 0, workers)
+		walk = func(workers int, fn func(b int, e int64, u NodeID, vs []NodeID)) {
+			parallel.ForBlocks(len(eu), blocks, workers, func(b, lo, hi int) {
+				for e := lo; e < hi; {
+					end := e + 1
+					for end < hi && eu[end] == eu[e] {
+						end++
+					}
+					fn(b, int64(e), eu[e], ev[e:end])
+					e = end
+				}
+			})
+		}
+	}
+	if parallel.Resolve(workers, blocks) == 1 {
+		// Room for the expected count and four standard deviations of it.
+		expect := share * float64(a.M())
+		out := make([]T, 0, int(expect+4*math.Sqrt(expect))+16)
+		walk(1, func(_ int, e int64, u NodeID, vs []NodeID) { out = keep(out, e, u, vs) })
+		return out
+	}
+	parts := make([][]T, blocks)
+	walk(workers, func(b int, e int64, u NodeID, vs []NodeID) { parts[b] = keep(parts[b], e, u, vs) })
+	return slices.Concat(parts...)
+}
+
 // InListsOf returns the in-lists of a as one CSR: v's in-neighbors are
 // nbrs[off[v]:off[v+1]], in increasing order. On a raw CSR they are
 // zero-copy views of its in-CSR, or of its out-CSR when undirected (owned ==
 // false; callers must not modify them). Any other representation is decoded
-// in one block-parallel ScanInLists pass, so its lists are exactly the ones
-// ScanInLists hands out over the blocks of parallel.Blocks(n, 0, workers) —
-// a list that does not decode reads as empty. This is the input of an
-// iterative pull kernel, which pays for the decode once per call rather
-// than once per iteration.
+// once, into place: off and nbrs are sized up front — from the arc count
+// when one block covers the graph, from the in-degrees (InDegree when the
+// representation has it, Degree otherwise) when several do — and each block
+// of parallel.Blocks(n, 0, workers) copies the lists its ScanInLists pass
+// hands out straight into its own stretch of nbrs. The lists are exactly
+// the ones that pass reads; a list that does not decode reads as empty.
+// Only when a damaged payload decodes to other lengths than its headers
+// declare does a second, serial pass refill nbrs block by block. This is the
+// input of an iterative pull kernel, which pays for the decode once per
+// call rather than once per iteration.
 func InListsOf(a Adjacency, workers int) (off []int64, nbrs []NodeID, owned bool) {
 	if g, ok := a.(*Graph); ok {
 		if g.directed {
@@ -189,28 +256,50 @@ func InListsOf(a Adjacency, workers int) (off []int64, nbrs []NodeID, owned bool
 		return g.offsets, g.nbrs, false
 	}
 	n := a.N()
-	off = make([]int64, n+1)
 	blocks := parallel.Blocks(n, 0, workers)
-	lists := make([][]NodeID, blocks)
-	parallel.ForBlocks(n, blocks, workers, func(b, lo, hi int) {
-		var out []NodeID
-		a.ScanInLists(NodeID(lo), NodeID(hi), nil, func(v NodeID, in []NodeID) {
-			if cap(out)-len(out) < len(in) {
-				// Double, not append's 1.25x: a block's lists run to
-				// megabytes, and regrowth copies would cost more than the decode.
-				out = slices.Grow(out, max(len(in), len(out)))
+	// starts[b] is where block b's lists begin in nbrs.
+	starts := make([]int64, blocks+1)
+	if blocks == 1 {
+		starts[1] = int64(a.NumArcs())
+	} else {
+		inDegree := a.Degree
+		if d, ok := a.(interface{ InDegree(v NodeID) int }); ok {
+			inDegree = d.InDegree
+		}
+		parallel.ForBlocks(n, blocks, workers, func(b, lo, hi int) {
+			var s int64
+			for v := lo; v < hi; v++ {
+				s += int64(inDegree(NodeID(v)))
 			}
-			out = append(out, in...)
+			starts[b+1] = s
+		})
+		for b := range blocks {
+			starts[b+1] += starts[b]
+		}
+	}
+	off = make([]int64, n+1)
+	nbrs = make([]NodeID, starts[blocks])
+	fits := make([]bool, blocks)
+	parallel.ForBlocks(n, blocks, workers, func(b, lo, hi int) {
+		at, end := starts[b], starts[b+1]
+		a.ScanInLists(NodeID(lo), NodeID(hi), nil, func(v NodeID, in []NodeID) {
+			if at+int64(len(in)) <= end {
+				copy(nbrs[at:], in)
+			}
+			at += int64(len(in))
 			off[v] = int64(len(in))
 		})
-		lists[b] = out
+		fits[b] = at == end
 	})
 	arcs := parallel.ExclusiveScan(off, workers)
-	if blocks == 1 {
-		return off, lists[0], true
+	if !slices.Contains(fits, false) {
+		return off, nbrs, true
 	}
-	nbrs = make([]NodeID, arcs)
-	parallel.ForBlocks(n, blocks, workers, func(b, lo, _ int) { copy(nbrs[off[lo]:], lists[b]) })
+	nbrs = make([]NodeID, 0, arcs)
+	for b := range blocks {
+		lo, hi := parallel.BlockRange(n, blocks, b)
+		a.ScanInLists(NodeID(lo), NodeID(hi), nil, func(_ NodeID, in []NodeID) { nbrs = append(nbrs, in...) })
+	}
 	return off, nbrs, true
 }
 

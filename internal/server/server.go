@@ -337,10 +337,13 @@ func (s *Server) reject(w http.ResponseWriter) {
 
 // --- JSON plumbing ---------------------------------------------------------
 
-// writeJSON is the server's one JSON response writer. It marshals before
+// writeJSON is the server's one JSON response writer. It encodes before
 // it writes the status, so a value encoding/json refuses (a NaN or an
 // infinity that slipped through validation) is a 500 with an error body,
-// never a 200 with an empty one.
+// never a 200 with an empty one. The two bulk bodies, *BFSResponse and
+// *DegreesResponse, append themselves (appendJSON, jsonbody.go) to
+// json.Marshal's exact bytes without reflection; one holding a NaN or ±Inf
+// declines, and json.Marshal then writes that 500 as for every other body.
 // Every body ends with one newline, the only raw newline compact JSON
 // holds, so a reader knows a body that lacks it is torn. A json.RawMessage
 // is a body written by writeJSON already (a replica's reply the cluster
@@ -348,10 +351,16 @@ func (s *Server) reject(w http.ResponseWriter) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	body, relayed := v.(json.RawMessage)
 	if !relayed {
-		var err error
-		if body, err = json.Marshal(v); err != nil {
-			code = http.StatusInternalServerError
-			body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+		appended := false
+		if a, ok := v.(interface{ appendJSON([]byte) ([]byte, bool) }); ok {
+			body, appended = a.appendJSON(nil)
+		}
+		if !appended {
+			var err error
+			if body, err = json.Marshal(v); err != nil {
+				code = http.StatusInternalServerError
+				body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+			}
 		}
 		body = append(body, '\n')
 	}

@@ -62,8 +62,10 @@
 //     graph.Graph, reached on the compression path only by the three
 //     schemes that build a graph on a new vertex set (summarize, relabel,
 //     tr-collapse's contraction). The canonical-edge readers — ForEdges,
-//     FillEdgeColumns (the edge columns every core kernel compresses a
-//     packed graph in place from) and Unpack — hand out only canonical edges: an endpoint outside [0, n), a
+//     ForCanonicalLists (the list walk graph.EdgeColumnsOf fills the edge
+//     columns every core kernel compresses a packed graph in place from,
+//     and DOULION's sample reads through graph.GatherCanonical) and Unpack
+//     — hand out only canonical edges: an endpoint outside [0, n), a
 //     self-loop, or a block holding more or fewer edges than the directory
 //     declares panics as a corrupt packed graph, in the caller's goroutine.
 //

@@ -210,7 +210,7 @@ func (pg *PackedGraph) M() int { return pg.m }
 
 // NumArcs returns the number of encoded out-adjacency entries (2M for
 // undirected graphs, M for directed ones).
-func (pg *PackedGraph) NumArcs() int64 { return pg.arcs }
+func (pg *PackedGraph) NumArcs() int { return int(pg.arcs) }
 
 // Directed reports whether the graph is directed.
 func (pg *PackedGraph) Directed() bool { return pg.directed }
@@ -318,19 +318,20 @@ func forward(nbrs []graph.NodeID, v graph.NodeID) []graph.NodeID {
 	return nbrs[i:]
 }
 
-// forCanonical decodes the canonical arcs block-parallel, invoking fn once
-// per vertex u with the canonical edges u owns: their endpoints vs (its
-// forward list when undirected, its out-list when directed, in increasing
-// order) and the ID e of the first, the rest following consecutively —
-// within a block, and with one worker over all of them, in increasing
-// edge-ID order. Lists decode strictly increasing (doc.go), so what fn sees
+// forCanonical decodes the canonical arcs block-parallel, invoking fn(b, e,
+// u, vs) once per vertex u of directory block b with the canonical edges u
+// owns: their endpoints vs (its forward list when undirected, its out-list
+// when directed, in increasing order) and the ID e of the first, the rest
+// following consecutively — within a block, and with one worker over all of
+// them, in increasing edge-ID order. Lists decode strictly increasing
+// (doc.go), so what fn sees
 // is canonical by construction once each endpoint lies in [0, n), no arc is
 // a self-loop and every block holds exactly the edges its directory
 // declares. fn sees a list only after all of it passed those checks. A
 // payload that breaks any of them panics as a corrupt packed graph, from the
 // calling goroutine once the blocks have drained; fn never sees an edge ID
 // outside its block or an endpoint outside [0, n).
-func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u graph.NodeID, vs []graph.NodeID)) {
+func (pg *PackedGraph) forCanonical(workers int, fn func(b int, e int64, u graph.NodeID, vs []graph.NodeID)) {
 	numBlocks := numBlocksFor(pg.n, pg.shift)
 	var err error
 	if declared := pg.edgeStart[numBlocks]; declared != int64(pg.m) {
@@ -361,7 +362,7 @@ func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u graph.NodeID
 						}
 					}
 				}
-				fn(e, u, nbrs)
+				fn(b, e, u, nbrs)
 				e += int64(len(nbrs))
 			})
 			if err == nil && e != end {
@@ -379,7 +380,7 @@ func (pg *PackedGraph) forCanonical(workers int, fn func(e int64, u graph.NodeID
 // with its endpoints and weight, decoding the payload on the fly — the
 // graph.AdjacencyEdges view whole-graph kernels consume.
 func (pg *PackedGraph) ForEdges(fn func(e graph.EdgeID, u, v graph.NodeID, w float64)) {
-	pg.forCanonical(1, func(e int64, u graph.NodeID, vs []graph.NodeID) {
+	pg.forCanonical(1, func(_ int, e int64, u graph.NodeID, vs []graph.NodeID) {
 		for i, v := range vs {
 			id := graph.EdgeID(e) + graph.EdgeID(i)
 			fn(id, u, v, pg.EdgeWeight(id))
@@ -387,18 +388,20 @@ func (pg *PackedGraph) ForEdges(fn func(e graph.EdgeID, u, v graph.NodeID, w flo
 	})
 }
 
-// FillEdgeColumns decodes the canonical edge endpoints into eu and ev (len
-// M() each), block-parallel — the bulk edge fetch behind the packed triangle
-// engine build and every in-place compress. It copies a list at a time.
+// CanonicalBlocks returns the number of blocks ForCanonicalLists walks: one
+// per vertex block of the offset directory.
+func (pg *PackedGraph) CanonicalBlocks() int { return numBlocksFor(pg.n, pg.shift) }
+
+// ForCanonicalLists is forCanonical's validated list-by-list walk of the
+// canonical edges, the one bulk read of them: fn(b, e, u, vs) sees vertex
+// u's canonical edges, IDs e, e+1, … with endpoints vs, from the goroutine
+// that owns block b in [0, CanonicalBlocks()), in increasing edge-ID order
+// within a block. vs is valid only until fn returns. graph.EdgeColumnsOf
+// fills the edge columns from it and graph.GatherCanonical keeps what a
+// caller picks of each list; a corrupt payload panics as forCanonical does.
 // workers <= 0 means all CPUs.
-func (pg *PackedGraph) FillEdgeColumns(eu, ev []graph.NodeID, workers int) {
-	pg.forCanonical(workers, func(e int64, u graph.NodeID, vs []graph.NodeID) {
-		us := eu[e : e+int64(len(vs))]
-		for i := range us {
-			us[i] = u
-		}
-		copy(ev[e:], vs)
-	})
+func (pg *PackedGraph) ForCanonicalLists(workers int, fn func(b int, e int64, u graph.NodeID, vs []graph.NodeID)) {
+	pg.forCanonical(workers, fn)
 }
 
 // UnpackHook, when non-nil, observes every Unpack call before any decoding
@@ -416,7 +419,7 @@ func (pg *PackedGraph) Unpack(workers int) *graph.Graph {
 		UnpackHook(pg)
 	}
 	edges := make([]graph.Edge, pg.m)
-	pg.forCanonical(workers, func(e int64, u graph.NodeID, vs []graph.NodeID) {
+	pg.forCanonical(workers, func(_ int, e int64, u graph.NodeID, vs []graph.NodeID) {
 		for i, v := range vs {
 			id := graph.EdgeID(e) + graph.EdgeID(i)
 			edges[id] = graph.Edge{U: u, V: v, W: pg.EdgeWeight(id)}

@@ -122,7 +122,7 @@ func TestAccessorsMatchGraph(t *testing.T) {
 		g := randomGraph(r, c, 120, 900)
 		pg := PackWithBlock(g, 16, 0)
 		if pg.N() != g.N() || pg.M() != g.M() || pg.Directed() != g.Directed() ||
-			pg.Weighted() != g.Weighted() || pg.NumArcs() != int64(g.NumArcs()) {
+			pg.Weighted() != g.Weighted() || pg.NumArcs() != g.NumArcs() {
 			t.Fatalf("%v: shape mismatch: %v vs %v", c, pg, g)
 		}
 		// Sets for the early-exit probe: empty, sparse, and all but vertex 0.

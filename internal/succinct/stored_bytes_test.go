@@ -70,7 +70,7 @@ func TestGapHistogramCountsThePayload(t *testing.T) {
 		for o := OrderNone; o <= OrderWindow; o++ {
 			rg, perm := relabeled(g, o)
 			pg := Pack(rg, 2)
-			if h := GapHistogram(g, perm, 2); h.PayloadBytes != int64(len(pg.payload)) || h.Values() != pg.NumArcs() {
+			if h := GapHistogram(g, perm, 2); h.PayloadBytes != int64(len(pg.payload)) || h.Values() != int64(pg.NumArcs()) {
 				t.Errorf("%s/%s: GapHistogram counts %d bytes and %d values, the payload has %d and %d",
 					name, o, h.PayloadBytes, h.Values(), len(pg.payload), pg.NumArcs())
 			}

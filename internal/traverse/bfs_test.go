@@ -122,3 +122,49 @@ func TestBFSTakesBothDirections(t *testing.T) {
 		}
 	}
 }
+
+// degreeReads records the vertices whose degree a search reads, in order.
+type degreeReads struct {
+	*graph.Graph
+	read []graph.NodeID
+}
+
+func (c *degreeReads) Degree(v graph.NodeID) int {
+	c.read = append(c.read, v)
+	return c.Graph.Degree(v)
+}
+
+// TestBFSSwitchReadsNoDegreeSweep: the direction switch reads the degree of
+// each vertex of a frontier it examines and takes the unvisited sum from the
+// arc count, so on the skewed rmat14 — whose levels do go bottom-up — the
+// degrees a one-worker search reads are frontier vertices', level by level,
+// each at most once: no pass over the unvisited vertices, from any of 16
+// roots.
+func TestBFSSwitchReadsNoDegreeSweep(t *testing.T) {
+	g := gen.RMAT(14, 16, 0.57, 0.19, 0.19, 77)
+	n := g.N()
+	wentUp := false
+	for i := range 16 {
+		root := graph.NodeID(i * n / 16)
+		c := &degreeReads{Graph: g}
+		p := &probeCounter{Graph: g}
+		res := BFS(c, root, 1)
+		BFS(p, root, 1)
+		wentUp = wentUp || p.probes > 0
+		if !slices.Equal(res.Dist, queueBFS(g, root)) {
+			t.Fatalf("root %d: levels differ from the queue search's", root)
+		}
+		seen := make([]bool, n)
+		level := int32(0)
+		for k, v := range c.read {
+			if d := res.Dist[v]; d < level || seen[v] {
+				t.Fatalf("root %d: read %d is the degree of vertex %d at level %d after level %d (seen before: %v) — not a frontier",
+					root, k, v, d, level, seen[v])
+			}
+			level, seen[v] = res.Dist[v], true
+		}
+	}
+	if !wentUp {
+		t.Fatal("no search went bottom-up: the switch was never asked")
+	}
+}

@@ -53,7 +53,10 @@ func (r *BFSResult) Ecc() int32 {
 // The direction switch of BFS is Beamer's: a level goes bottom-up when
 // bfsAlpha times its frontier's degree sum exceeds the degree sum of the
 // unvisited vertices, and the search returns top-down once the frontier holds
-// fewer than n/bfsBeta vertices.
+// fewer than n/bfsBeta vertices. While every level so far went top-down, the
+// unvisited sum is a running count: the arc count less each frontier's sum,
+// which the switch takes anyway. Only after a bottom-up phase, whose
+// discoveries no frontier summed, is it swept from the degrees.
 const (
 	bfsAlpha = 15
 	bfsBeta  = 18
@@ -137,10 +140,12 @@ func BFS(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
 		}
 	}
 	up := false
+	unvisited := int64(g.NumArcs()) // the degree sum no level has reached; -1 once unknown
 	for size := 1; size > 0; {
 		level++
-		if !up && bottomUpPays(g, frontier, parent) {
+		if !up && bottomUpPays(g, frontier, parent, &unvisited) {
 			up = true
+			unvisited = -1
 			if front == nil {
 				front, next = bitset.New(n), bitset.New(n)
 			}
@@ -183,23 +188,32 @@ func BFS(g graph.Adjacency, root graph.NodeID, workers int) *BFSResult {
 // frontier. A bottom-up level reads all n parent entries, so a frontier with
 // fewer than n arcs to follow is expanded without a further question — a
 // path, a grid or a star never sums a degree beyond its frontier's. The
-// unvisited sum is taken only behind that gate, and only until it settles
-// the comparison.
-func bottomUpPays(g graph.Adjacency, frontier, parent []graph.NodeID) bool {
+// frontier's sum comes off *unvisited, the running degree sum of the
+// vertices no level has reached (held at 0: a damaged payload's degrees
+// need not add up to its arc count); when that is unknown (-1, after a
+// bottom-up phase) it is swept behind the gate, only until it settles the
+// comparison.
+func bottomUpPays(g graph.Adjacency, frontier, parent []graph.NodeID, unvisited *int64) bool {
 	var arcs int64
 	for _, u := range frontier {
 		arcs += int64(g.Degree(u))
 	}
+	if *unvisited >= 0 {
+		*unvisited = max(*unvisited-arcs, 0)
+	}
 	if arcs < int64(len(parent)) {
 		return false
 	}
-	var unvisited int64
-	for v := 0; v < len(parent) && unvisited < bfsAlpha*arcs; v++ {
+	if *unvisited >= 0 {
+		return *unvisited < bfsAlpha*arcs
+	}
+	var sum int64
+	for v := 0; v < len(parent) && sum < bfsAlpha*arcs; v++ {
 		if parent[v] == -1 {
-			unvisited += int64(g.Degree(graph.NodeID(v)))
+			sum += int64(g.Degree(graph.NodeID(v)))
 		}
 	}
-	return unvisited < bfsAlpha*arcs
+	return sum < bfsAlpha*arcs
 }
 
 // BFSOn forwards to BFS for benchmark/ (frozen); the next benchmark PR deletes it.

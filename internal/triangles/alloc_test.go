@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"slimgraph/internal/gen"
+	"slimgraph/internal/graph"
+	"slimgraph/internal/succinct"
 )
 
 // Scratch is per worker, not per grain: a count on a prebuilt substrate —
@@ -46,6 +48,34 @@ func TestCountApproxKeepsItsWorkerBudget(t *testing.T) {
 	serial, wide := mallocs(1, run), mallocs(4, run)
 	if wide > serial {
 		t.Errorf("workers 1: %d allocations under GOMAXPROCS 4, %d under 1", wide, serial)
+	}
+}
+
+// TestCountApproxAllocatesTheSample: DOULION flips its coins inside the one
+// canonical scan and keeps only the winners, so a one-worker estimate on
+// RMAT(14, 16) at p = 0.1 allocates the sample and what is built from it —
+// at most 32 B per expected kept edge and 96 B per vertex — on the raw CSR
+// and on its packed form alike, never an edge column or an ID per edge. The
+// fewest bytes of five calls is compared, since another goroutine may
+// allocate beside any one of them.
+func TestCountApproxAllocatesTheSample(t *testing.T) {
+	g := gen.RMAT(14, 16, 0.57, 0.19, 0.19, 77)
+	const p = 0.1
+	limit := uint64(32*p*float64(g.M())) + 96*uint64(g.N())
+	for name, a := range map[string]graph.AdjacencyEdges{"raw": g, "packed": succinct.Pack(g, 0)} {
+		fewest := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			CountApprox(a, p, 1, 1)
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: %d B per estimate (limit %d)", name, fewest, limit)
+		if fewest > limit {
+			t.Errorf("%s: CountApprox at p = %g allocates %d B, want at most %d (32 per expected kept edge + 96 per vertex)",
+				name, p, fewest, limit)
+		}
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"fmt"
 
 	"slimgraph/internal/graph"
-	"slimgraph/internal/parallel"
 	"slimgraph/internal/rng"
 )
 
@@ -84,8 +83,11 @@ func PerEdge(g *graph.Graph, workers int) []int64 {
 // CountApprox estimates the triangle count with DOULION (Tsourakakis et
 // al.): sample each edge with probability p, count triangles in the sample,
 // scale by p^-3. The paper cites this family as what makes TR affordable on
-// the largest graphs. The coin flip hashes the canonical edge ID and kept
-// edges stay in canonical order, so every representation estimates the same.
+// the largest graphs. Each edge's coin hashes its canonical ID and is flipped
+// inside the one canonical scan (graph.GatherCanonical: a packed graph's
+// validated lists, a raw CSR's zero-copy columns), which keeps only the
+// winners, in canonical order — so every representation and worker count
+// estimates the same, and nothing the size of the edge set is allocated.
 func CountApprox(a graph.AdjacencyEdges, p float64, seed uint64, workers int) float64 {
 	if !(p > 0 && p <= 1) { // written so that NaN fails
 		panic("triangles: sampling probability must be in (0, 1]")
@@ -93,29 +95,13 @@ func CountApprox(a graph.AdjacencyEdges, p float64, seed uint64, workers int) fl
 	if a.Directed() {
 		panic("triangles: directed graphs are not supported; symmetrize first")
 	}
-	eu, ev, _ := graph.EdgeColumnsOf(a, workers)
-	// Each coin is flipped once: block b of the canonical order writes the IDs
-	// it keeps at the front of its own stretch of ids, and a scan of the block
-	// counts places them — canonical order, whatever the worker count.
-	m := a.M()
-	blocks := parallel.Blocks(m, 0, workers)
-	ids := make([]graph.EdgeID, m)
-	starts := make([]int64, blocks+1)
-	parallel.ForBlocks(m, blocks, workers, func(b, lo, hi int) {
-		k := lo
-		for e := lo; e < hi; e++ {
-			if float64(rng.Hash64(seed, uint64(e))>>11)/(1<<53) < p {
-				ids[k] = graph.EdgeID(e)
-				k++
+	kept := graph.GatherCanonical(a, workers, p, func(dst []graph.Edge, e int64, u graph.NodeID, vs []graph.NodeID) []graph.Edge {
+		for i, v := range vs {
+			if float64(rng.Hash64(seed, uint64(e)+uint64(i))>>11)/(1<<53) < p {
+				dst = append(dst, graph.Edge{U: u, V: v, W: 1})
 			}
 		}
-		starts[b] = int64(k - lo)
-	})
-	kept := make([]graph.Edge, parallel.ExclusiveScan(starts, 1))
-	parallel.ForBlocks(m, blocks, workers, func(b, lo, _ int) {
-		for i, e := range ids[lo : lo+int(starts[b+1]-starts[b])] {
-			kept[starts[b]+int64(i)] = graph.Edge{U: eu[e], V: ev[e], W: 1}
-		}
+		return dst
 	})
 	sampled, err := graph.FromCanonicalEdges(a.N(), false, false, kept, workers)
 	if err != nil {
