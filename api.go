@@ -64,7 +64,7 @@ func FromCanonicalEdges(n int, directed, weighted bool, edges []Edge) (*Graph, e
 
 // EdgeSet is a dense set of canonical EdgeIDs — the stage-1 mark container
 // of the compression engine. Kernels may Add concurrently; FilterEdgeSet
-// materializes the members through the direct CSR→CSR transform.
+// materializes the members from the kept canonical edge columns.
 type EdgeSet = graph.EdgeSet
 
 // NewEdgeSet returns an empty EdgeSet over the universe [0, m).

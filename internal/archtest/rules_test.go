@@ -279,13 +279,16 @@ func TestServerDecodesNothing(t *testing.T) {
 	})
 }
 
-// TestOneInputPath: core.SG reads its input one way and declares no Graph,
-// non-test internal/schemes reaches graph.CSROf only in summarizeDecoded,
-// relabel and collapseTR, and internal/ldd names no TreeEdges or FindEdge
-// (CHANGES.md: "one input path for every compression kernel").
+// TestOneInputPath: core.SG reads its input one way, declares no Graph and
+// names no FilterEdgeSet, internal/graph declares no packCSR beside the one
+// filter, non-test internal/schemes reaches graph.CSROf only in
+// summarizeDecoded, relabel and collapseTR, and internal/ldd names no
+// TreeEdges or FindEdge (CHANGES.md: "one input path for every compression
+// kernel", "one materialization path").
 func TestOneInputPath(t *testing.T) {
 	check(t,
-		rule{in: []string{"internal/core"}, tests: true, decls: `^func \(\*SG\) Graph$`},
+		rule{in: []string{"internal/core"}, tests: true, decls: `^func \(\*SG\) Graph$`, idents: `FilterEdgeSet$`},
+		rule{in: []string{"internal/graph"}, tests: true, decls: `^func packCSR$`},
 		rule{in: []string{"internal/schemes"}, idents: `CSROf$`, allow: `:func (summarizeDecoded|relabel|collapseTR)$`},
 		rule{in: []string{"internal/ldd"}, tests: true, idents: `TreeEdges|FindEdge`},
 	)

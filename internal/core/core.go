@@ -187,38 +187,27 @@ type EdgeView struct {
 type EdgeKernel func(sg *SG, r *rng.Rand, e EdgeView)
 
 // RunEdgeKernel executes the kernel once per canonical edge, in parallel. It
-// reads the input in place: a CSR through its zero-copy edge columns, any
-// other form through one block-parallel decode of its canonical edges (which
-// Materialize reuses) and one pass over its degrees. EdgeView.Weight is 1 on
-// an unweighted input, which holds no weight column.
+// reads the input in place, every form one way: its canonical edge columns
+// (zero-copy on a CSR, one block-parallel decode otherwise, which
+// Materialize reuses), one pass over its degrees and, on a weighted input
+// only, its EdgeWeight. EdgeView.Weight is 1 on an unweighted input, which
+// holds no weight column.
 func (sg *SG) RunEdgeKernel(k EdgeKernel) {
 	eu, ev := sg.EdgeColumns()
-	g, csr := sg.in.(*graph.Graph)
-	var deg []int32
-	if !csr {
-		deg = make([]int32, sg.in.N())
-		parallel.ForChunks(len(deg), sg.workers, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				deg[v] = int32(sg.in.Degree(graph.NodeID(v)))
-			}
-		})
-	}
+	deg := make([]int32, sg.in.N())
+	parallel.ForChunks(len(deg), sg.workers, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			deg[v] = int32(sg.in.Degree(graph.NodeID(v)))
+		}
+	})
 	weighted := sg.in.Weighted() // unweighted edges weigh 1: no lookup
 	parallel.ForChunks(len(eu), sg.workers, func(lo, hi int) {
 		r := new(rng.Rand)
 		for e := lo; e < hi; e++ {
 			id, u, v := graph.EdgeID(e), eu[e], ev[e]
-			view := EdgeView{ID: id, U: u, V: v, Weight: 1}
-			if csr {
-				view.DegU, view.DegV = g.Degree(u), g.Degree(v)
-				if weighted {
-					view.Weight = g.EdgeWeight(id)
-				}
-			} else {
-				view.DegU, view.DegV = int(deg[u]), int(deg[v])
-				if weighted {
-					view.Weight = sg.in.EdgeWeight(id)
-				}
+			view := EdgeView{ID: id, U: u, V: v, DegU: int(deg[u]), DegV: int(deg[v]), Weight: 1}
+			if weighted {
+				view.Weight = sg.in.EdgeWeight(id)
 			}
 			sg.reseed(r, kindEdge, uint64(e))
 			k(sg, r, view)
@@ -355,43 +344,37 @@ func (sg *SG) RunSubgraphKernel(mapping []int32, count int, k SubgraphKernel) {
 
 // Materialize produces the compressed graph from the deletion marks: edges
 // survive unless deleted directly or incident to a deleted vertex; new
-// weights from SetWeight apply. This is the stage-1 output of the engine.
+// weights from SetWeight apply. This is the stage-1 output of the engine,
+// and the one place that decides what a compression outputs.
 //
 // The kept-edge set is assembled with word-wise bitset passes: the
 // complement of the deletion marks, minus the edges with a deleted endpoint
-// (one sweep of the edge columns). A CSR input is materialized through the
-// direct CSR→CSR path (graph.FilterEdgeSet); any other form is built from
-// the kept canonical edges alone (graph.FilterColumns), under the SG's
-// worker budget. Either way: no edge list, no sorting, and bit-identical
-// outputs.
+// (one sweep of the edge columns). Every form is then built from the kept
+// canonical edges alone (graph.FilterColumns over EdgeColumns), under the
+// SG's worker budget: no edge list, no sorting, and bit-identical outputs.
 func (sg *SG) Materialize() *graph.Graph {
+	eu, ev := sg.EdgeColumns()
 	kept := graph.NewEdgeSet(sg.in.M())
 	kept.Fill()
 	kept.Subtract(sg.deletedEdges)
 	if sg.deletedVertices.Count() > 0 {
-		eu, ev := sg.EdgeColumns()
 		dead := graph.NewEdgeSet(sg.in.M())
 		dead.AddBatch(sg.workers, func(e graph.EdgeID) bool {
 			return sg.deletedVertices.Get(int(eu[e])) || sg.deletedVertices.Get(int(ev[e]))
 		})
 		kept.Subtract(dead)
 	}
-	var reweight func(e graph.EdgeID) float64
-	if sg.weightSet != nil {
-		reweight = func(e graph.EdgeID) float64 {
+	var weight func(e graph.EdgeID) float64
+	switch {
+	case sg.weightSet != nil:
+		weight = func(e graph.EdgeID) float64 {
 			if sg.weightSet.Contains(e) {
 				return math.Float64frombits(atomic.LoadUint64(&sg.weightBits[e]))
 			}
 			return sg.in.EdgeWeight(e)
 		}
-	}
-	if g, ok := sg.in.(*graph.Graph); ok {
-		return g.FilterEdgeSet(kept, reweight)
-	}
-	weight := reweight
-	if weight == nil && sg.in.Weighted() {
+	case sg.in.Weighted():
 		weight = sg.in.EdgeWeight
 	}
-	eu, ev := sg.EdgeColumns()
 	return graph.FilterColumns(sg.in.N(), sg.in.Directed(), eu, ev, kept, weight, sg.workers)
 }

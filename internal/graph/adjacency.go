@@ -159,9 +159,10 @@ type canonicalLister interface {
 }
 
 // EdgeColumnsOf fetches the canonical edge columns of a: zero-copy views when
-// the representation exposes them (raw CSR, owned == false), a
-// block-parallel fill from its list walk when it decodes one (packed), and a
-// serial ForEdges sweep otherwise. Callers must not modify borrowed columns.
+// the representation exposes them (raw CSR, owned == false), otherwise a
+// block-parallel fill from its list walk (succinct.PackedGraph and its
+// mapping, the only other forms; any other type panics, as CSROf's
+// assertion does). Callers must not modify borrowed columns.
 func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) {
 	if t, ok := a.(interface {
 		EdgeColumns() (eu, ev []NodeID)
@@ -169,21 +170,15 @@ func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) 
 		eu, ev = t.EdgeColumns()
 		return eu, ev, false
 	}
-	m := a.M()
-	eu = make([]NodeID, m)
-	ev = make([]NodeID, m)
-	if t, ok := a.(canonicalLister); ok {
-		t.ForCanonicalLists(workers, func(_ int, e int64, u NodeID, vs []NodeID) {
-			us := eu[e : e+int64(len(vs))]
-			for i := range us {
-				us[i] = u
-			}
-			copy(ev[e:], vs)
-		})
-		return eu, ev, true
-	}
-	a.ForEdges(func(e EdgeID, u, v NodeID, _ float64) {
-		eu[e], ev[e] = u, v
+	lists := a.(canonicalLister)
+	eu = make([]NodeID, a.M())
+	ev = make([]NodeID, a.M())
+	lists.ForCanonicalLists(workers, func(_ int, e int64, u NodeID, vs []NodeID) {
+		us := eu[e : e+int64(len(vs))]
+		for i := range us {
+			us[i] = u
+		}
+		copy(ev[e:], vs)
 	})
 	return eu, ev, true
 }
@@ -199,8 +194,7 @@ func EdgeColumnsOf(a AdjacencyEdges, workers int) (eu, ev []NodeID, owned bool) 
 // one worker walks them in order, presized for share·m entries (share is
 // the fraction of edges keep is expected to keep) — so the result does not
 // depend on workers, and no array the size of the edge set is allocated
-// beyond what keep appends (a representation with neither walk is read
-// through EdgeColumnsOf's ForEdges sweep).
+// beyond what keep appends.
 func GatherCanonical[T any](a AdjacencyEdges, workers int, share float64, keep func(dst []T, e int64, u NodeID, vs []NodeID) []T) []T {
 	var blocks int
 	var walk func(workers int, fn func(b int, e int64, u NodeID, vs []NodeID))

@@ -1,7 +1,7 @@
 package graph
 
 // Differential tests: every rebuild-free construction path (parallel
-// counting-sort build, sorted-canonical scatter, direct CSR→CSR filter)
+// counting-sort build, sorted-canonical scatter, the kept-column filter)
 // must produce graphs bit-identical to the serial sort-based
 // ReferenceBuild, over randomized directed/undirected × weighted/unweighted
 // inputs, and must be invariant under the worker count.
@@ -96,29 +96,6 @@ func TestFilterEdgesMatchesReference(t *testing.T) {
 				t.Fatalf("%v trial %d: filter differs from sort-based rebuild", c, trial)
 			}
 		}
-	}
-}
-
-// TestFilterEdgeSetMatchesFilterEdges: a keep set built bit by bit and one
-// built by AddBatch filter alike, and the CSR→CSR path equals FilterColumns
-// over the same canonical columns.
-func TestFilterEdgeSetMatchesFilterEdges(t *testing.T) {
-	r := rng.New(11)
-	g := FromEdges(40, false, randomEdges(r, 40, 250, false))
-	set := NewEdgeSet(g.M())
-	keep := make([]bool, g.M())
-	for e := 0; e < g.M(); e++ {
-		if r.Bernoulli(0.5) {
-			keep[e] = true
-			set.Add(EdgeID(e))
-		}
-	}
-	a := g.FilterEdgeSet(set, nil)
-	if b := filterBy(g, func(e EdgeID) bool { return keep[e] }, nil); !a.Equal(b) {
-		t.Fatal("FilterEdgeSet over per-bit and batch keep sets disagree")
-	}
-	if c := FilterColumns(g.N(), false, g.edgeU, g.edgeV, set, nil, 0); !a.Equal(c) {
-		t.Fatal("FilterEdgeSet and FilterColumns disagree")
 	}
 }
 

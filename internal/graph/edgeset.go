@@ -8,8 +8,8 @@ import (
 // EdgeSet is a dense set of canonical EdgeIDs backed by an atomic bitset.
 // It is the stage-1 mark container of the compression engine: kernels
 // running on many goroutines Add (or TestAndAdd) concurrently, and the
-// stage-2 materialization streams the set through the rebuild-free CSR
-// transforms (FilterEdgeSet) in a tight branch-free loop.
+// stage-2 materialization streams the set through the one filter
+// (FilterColumns), word by word.
 //
 // Per-bit operations (Add, Remove, Contains, TestAndAdd) are safe for
 // concurrent use. The bulk set operations (Fill, Subtract, UnionComplement,
@@ -81,5 +81,5 @@ func (s *EdgeSet) AddBatch(workers int, pred func(e EdgeID) bool) {
 }
 
 // words exposes the backing bitset words to the package-internal rank/pack
-// fast paths (FilterEdgeSet). Read-only; requires writer quiescence.
+// of the filter (FilterColumns). Read-only; requires writer quiescence.
 func (s *EdgeSet) words() []uint64 { return s.bits.Words() }

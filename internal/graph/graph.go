@@ -28,11 +28,11 @@
 //   - Input that is already a sorted canonical edge list (a compressed
 //     graph's surviving edges, a binary CSR snapshot) skips normalization,
 //     sorting, and deduplication entirely via FromCanonicalEdges and the
-//     internal fromSortedCanonical path. The filters in transform.go
-//     (FilterEdgeSet, FilterColumns) exploit this: deleting edges streams
-//     the old CSR, or the kept canonical columns, through a kept-edge
-//     bitset and an EdgeID remap without ever materializing or sorting an
-//     []Edge.
+//     internal fromSortedCanonical path. The one filter in transform.go
+//     (FilterColumns; FilterEdgeSet is it over a CSR's own columns)
+//     exploits this: deleting edges packs the kept canonical columns
+//     through a kept-edge bitset into that path without ever materializing
+//     or sorting an []Edge.
 //
 // All construction paths are deterministic: for a fixed input the CSR
 // arrays are bit-identical regardless of the worker count, which the
@@ -230,15 +230,6 @@ func (g *Graph) AvgDegree() float64 {
 		return 0
 	}
 	return float64(g.NumArcs()) / float64(g.n)
-}
-
-// DegreeHistogram returns counts[d] = number of vertices with out-degree d.
-func (g *Graph) DegreeHistogram() []int64 {
-	h := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < g.n; v++ {
-		h[g.Degree(NodeID(v))]++
-	}
-	return h
 }
 
 // String summarizes the graph for logs and error messages.

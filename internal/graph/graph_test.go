@@ -102,10 +102,10 @@ func TestDegreeStats(t *testing.T) {
 	if g.AvgDegree() != 2 {
 		t.Fatalf("AvgDegree = %v", g.AvgDegree())
 	}
-	h := g.DegreeHistogram()
-	// degrees: 2, 2, 3, 1
-	if h[1] != 1 || h[2] != 2 || h[3] != 1 {
-		t.Fatalf("histogram %v", h)
+	for v, want := range []int{2, 2, 3, 1} {
+		if d := g.Degree(NodeID(v)); d != want {
+			t.Fatalf("Degree(%d) = %d, want %d", v, d, want)
+		}
 	}
 }
 

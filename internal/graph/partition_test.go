@@ -1,12 +1,10 @@
 package graph_test
 
 import (
-	"slices"
 	"testing"
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
-	"slimgraph/internal/metrics"
 	"slimgraph/internal/succinct"
 )
 
@@ -77,28 +75,6 @@ func TestPartitionWorksOnPackedGraph(t *testing.T) {
 	for i := range raw {
 		if raw[i] != packed[i] {
 			t.Fatalf("range %d: raw %+v packed %+v", i, raw[i], packed[i])
-		}
-	}
-}
-
-func TestDegreeHistogramMatchesLocal(t *testing.T) {
-	// The partition's ranges tile the vertices: their histograms add up to
-	// the single-node histogram, raw or packed.
-	g := gen.BarabasiAlbert(1000, 3, 13)
-	local := g.DegreeHistogram()
-	for _, tc := range []struct {
-		name  string
-		adj   graph.Adjacency
-		parts int
-	}{{"raw", g, 7}, {"packed", succinct.Pack(g, 1), 3}} {
-		merged := make([]int64, len(local))
-		for _, r := range graph.PartitionByDegree(tc.adj, tc.parts) {
-			for d, c := range metrics.DegreeHistogram(tc.adj, r.Lo, r.Hi) {
-				merged[d] += c // a range's largest degree is at most the graph's
-			}
-		}
-		if !slices.Equal(merged, local) {
-			t.Fatalf("%s: merged histogram %v, want %v", tc.name, merged, local)
 		}
 	}
 }

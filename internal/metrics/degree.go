@@ -8,39 +8,25 @@ import (
 
 // DegreeDistribution returns fraction[d] = share of vertices with
 // (out-)degree d — the quantity plotted in Figures 7 and 8 — with max
-// degree + 1 bins (one for degree 0).
+// degree + 1 bins. There is always a degree-0 bin, so an empty graph reads
+// as one zero. One pass counts, the bins growing as larger degrees appear
+// (a packed graph pays one varint decode per vertex), and one divides.
 func DegreeDistribution(a graph.Adjacency) []float64 {
-	return Distribution(DegreeHistogram(a, 0, graph.NodeID(a.N())), a.N())
-}
-
-// DegreeHistogram returns h[d] = number of vertices in [lo, hi) with
-// (out-)degree d, sized to the range's largest degree + 1 (empty for an
-// empty range). One pass, the histogram growing as larger degrees appear,
-// so a packed graph pays one varint decode per vertex.
-func DegreeHistogram(a graph.Adjacency, lo, hi graph.NodeID) []int64 {
-	var h []int64
-	for v := lo; v < hi; v++ {
+	n := a.N()
+	dist := []float64{0}
+	for v := range graph.NodeID(n) {
 		d := a.Degree(v)
-		if d >= len(h) {
-			h = append(h, make([]int64, d+1-len(h))...)
+		if d >= len(dist) {
+			dist = append(dist, make([]float64, d+1-len(dist))...)
 		}
-		h[d]++
+		dist[d]++
 	}
-	return h
-}
-
-// Distribution turns the degree histogram of an n-vertex graph into
-// fractions of n. There is always a degree-0 bin, so an empty graph reads
-// as one zero.
-func Distribution(h []int64, n int) []float64 {
-	out := make([]float64, max(len(h), 1))
-	if n == 0 {
-		return out
+	if n > 0 {
+		for d := range dist {
+			dist[d] /= float64(n)
+		}
 	}
-	for d, c := range h {
-		out[d] = float64(c) / float64(n)
-	}
-	return out
+	return dist
 }
 
 // DegreeDistributionOn forwards to DegreeDistribution for benchmark/ (frozen); the next benchmark PR deletes it.

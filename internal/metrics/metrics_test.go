@@ -182,15 +182,84 @@ func TestBFSCriticalDropsWithSpanner(t *testing.T) {
 	}
 }
 
+// TestDegreeDistributionSums: on raw and packed forms alike the
+// distribution holds max degree + 1 bins, each vertex's share in its
+// degree's bin, and sums to 1 — down to the empty graph's single zero bin.
 func TestDegreeDistributionSums(t *testing.T) {
-	g := gen.BarabasiAlbert(500, 3, 3)
-	dist := DegreeDistribution(g)
-	s := 0.0
-	for _, f := range dist {
-		s += f
+	for name, g := range map[string]*graph.Graph{
+		"ba500":  gen.BarabasiAlbert(500, 3, 3),
+		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
+		"grid32": gen.Grid2D(32, 32, true),
+		"empty":  gen.ErdosRenyi(0, 0, 1),
+	} {
+		n := g.N()
+		want := make([]float64, g.MaxDegree()+1)
+		for v := range graph.NodeID(n) {
+			want[g.Degree(v)] += 1 / float64(n)
+		}
+		for form, a := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
+			dist := DegreeDistribution(a)
+			if n == 0 {
+				if !slices.Equal(dist, []float64{0}) {
+					t.Errorf("%s/%s: distribution %v, want the one zero bin", name, form, dist)
+				}
+				continue
+			}
+			if len(dist) != len(want) {
+				t.Fatalf("%s/%s: %d bins, want max degree + 1 = %d", name, form, len(dist), len(want))
+			}
+			s := 0.0
+			for d, f := range dist {
+				if math.Abs(f-want[d]) > 1e-9 {
+					t.Errorf("%s/%s: degree %d holds %v, want %v", name, form, d, f, want[d])
+				}
+				s += f
+			}
+			if math.Abs(s-1) > 1e-9 {
+				t.Errorf("%s/%s: distribution sums to %v", name, form, s)
+			}
+			if raw := DegreeDistribution(g); !slices.Equal(dist, raw) {
+				t.Errorf("%s/%s: distribution differs from the raw graph's", name, form)
+			}
+		}
 	}
-	if math.Abs(s-1) > 1e-9 {
-		t.Fatalf("distribution sums to %v", s)
+}
+
+// TestRangeHistogramsAddUpToDistribution: degree histograms counted over
+// vertex ranges that tile [0, n), added in any order and divided by n, are
+// DegreeDistribution bit for bit, on raw and packed forms, down to the
+// empty graph's single zero bin.
+func TestRangeHistogramsAddUpToDistribution(t *testing.T) {
+	for name, g := range map[string]*graph.Graph{
+		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
+		"grid32": gen.Grid2D(32, 32, true),
+		"empty":  gen.ErdosRenyi(0, 0, 1),
+	} {
+		n := g.N()
+		for form, a := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
+			want := DegreeDistribution(a)
+			for _, of := range []int{1, 2, 3, 7} {
+				sum := []int64{0}
+				for part := of - 1; part >= 0; part-- { // any order adds up
+					for v := graph.NodeID(n * part / of); v < graph.NodeID(n*(part+1)/of); v++ {
+						d := a.Degree(v)
+						if d >= len(sum) {
+							sum = append(sum, make([]int64, d+1-len(sum))...)
+						}
+						sum[d]++
+					}
+				}
+				got := make([]float64, len(sum))
+				for d, c := range sum {
+					if n > 0 {
+						got[d] = float64(c) / float64(n)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s/%s over %d ranges: distribution %v, DegreeDistribution %v", name, form, of, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -230,47 +299,6 @@ func BenchmarkReorderedPairs100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ReorderedPairs(orig, comp)
-	}
-}
-
-// TestRangeHistogramsAddUpToDistribution: the histograms of vertex ranges
-// that tile [0, n) add up to the whole graph's, and the distribution step
-// over the sum is DegreeDistribution bit for bit, on raw and packed forms,
-// down to the empty graph's single zero bin.
-func TestRangeHistogramsAddUpToDistribution(t *testing.T) {
-	for name, g := range map[string]*graph.Graph{
-		"rmat10": gen.RMAT(10, 16, 0.57, 0.19, 0.19, 77),
-		"grid32": gen.Grid2D(32, 32, true),
-		"empty":  gen.ErdosRenyi(0, 0, 1),
-	} {
-		n := g.N()
-		for form, a := range map[string]graph.Adjacency{"raw": g, "packed": succinct.Pack(g, 1)} {
-			whole := DegreeHistogram(a, 0, graph.NodeID(n))
-			if n > 0 && !slices.Equal(whole, g.DegreeHistogram()) {
-				t.Fatalf("%s/%s: whole-range histogram differs from the graph's own", name, form)
-			}
-			want := DegreeDistribution(a)
-			for _, of := range []int{1, 2, 3, 7} {
-				var sum []int64
-				for part := of - 1; part >= 0; part-- { // any order adds up
-					for d, c := range DegreeHistogram(a, graph.NodeID(n*part/of), graph.NodeID(n*(part+1)/of)) {
-						if d >= len(sum) {
-							sum = append(sum, make([]int64, d+1-len(sum))...)
-						}
-						sum[d] += c
-					}
-				}
-				if !slices.Equal(sum, whole) {
-					t.Errorf("%s/%s: %d range histograms add up to %v, whole graph %v", name, form, of, sum, whole)
-				}
-				if got := Distribution(sum, n); !slices.Equal(got, want) {
-					t.Errorf("%s/%s over %d ranges: distribution %v, DegreeDistribution %v", name, form, of, got, want)
-				}
-			}
-		}
-	}
-	if got := DegreeDistribution(gen.ErdosRenyi(0, 0, 1)); !slices.Equal(got, []float64{0}) {
-		t.Errorf("empty graph: distribution %v, want the one zero bin", got)
 	}
 }
 
