@@ -73,8 +73,6 @@ type SG struct {
 	weightOnce sync.Once
 	weightSet  *graph.EdgeSet // edges a kernel assigned a weight
 	weightBits []uint64       // their new weights as float64 bits
-
-	params map[string]float64
 }
 
 // New returns an SG over in: a *graph.Graph, or a packed or mapped graph,
@@ -88,7 +86,6 @@ func New(in graph.AdjacencyEdges, seed uint64, workers int) *SG {
 		deletedEdges:    graph.NewEdgeSet(in.M()),
 		deletedVertices: bitset.NewAtomic(in.N()),
 		considered:      graph.NewEdgeSet(in.M()),
-		params:          make(map[string]float64),
 	}
 }
 
@@ -101,12 +98,6 @@ func (sg *SG) EdgeColumns() (eu, ev []graph.NodeID) {
 	sg.edgesOnce.Do(func() { sg.eu, sg.ev, _ = graph.EdgeColumnsOf(sg.in, sg.workers) })
 	return sg.eu, sg.ev
 }
-
-// SetParam stores a named scheme parameter (the paper's SG.p, Upsilon, ...).
-func (sg *SG) SetParam(name string, v float64) { sg.params[name] = v }
-
-// Param returns a named scheme parameter (0 if unset).
-func (sg *SG) Param(name string) float64 { return sg.params[name] }
 
 // Del atomically deletes canonical edge e — both CSR directions disappear
 // at materialization.

@@ -238,15 +238,6 @@ func TestSubgraphKernelPartition(t *testing.T) {
 	}
 }
 
-func TestParamStore(t *testing.T) {
-	g := gen.Cycle(4)
-	sg := New(g, 1, 1)
-	sg.SetParam("p", 0.25)
-	if sg.Param("p") != 0.25 || sg.Param("missing") != 0 {
-		t.Fatal("param store broken")
-	}
-}
-
 // Property: a kernel deleting each edge with probability p leaves about
 // (1-p)m edges (binomial concentration).
 func TestUniformDeletionConcentrationProperty(t *testing.T) {

@@ -2,6 +2,11 @@
 // implementations the production kernels are compared against, and hostile
 // inputs every parsing route must refuse. It is test-only: no non-test file
 // may import it (CI enforces this), so nothing here is ever "the real path".
+// Its own test is the catalog model (catalog_test.go, TestCatalogModel):
+// seeded random sequences of creates, racing creates, compresses, queries,
+// deletes, restarts and crashes against a server node with a data
+// directory, each answer checked against a model of the catalog and the
+// disk tier and against a reference node without one.
 //
 // This file preserves the pre-engine triangle enumeration verbatim, as
 // graph.ReferenceBuild (internal/graph/reference_test.go) preserves the

@@ -35,7 +35,7 @@ var goldenSpecs = []struct {
 	{"tr-ct:p=0.7", false, false},
 	{"tr-maxweight:p=0.9", false, false},
 	{"tr:p=0.5,variant=EO-redirect", false, false},
-	{"tr-collapse:p=0.5", false, false},
+	{"tr-collapse:p=0.5", true, false},
 	{"summarize", true, true},
 	{"relabel:order=bfs", true, true},
 	{"lowdeg-iter", true, true},

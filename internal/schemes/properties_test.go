@@ -61,9 +61,10 @@ func TestEverySchemeReturnsSubgraphProperty(t *testing.T) {
 }
 
 func TestEverySchemeDeterministicAcrossWorkersProperty(t *testing.T) {
-	// For a fixed seed, worker count must not change the result (collapse
-	// excluded: its union-find merge order is seed-deterministic only at
-	// workers=1; max-weight TR documented likewise).
+	// For a fixed seed, worker count must not change the result (the four
+	// TR variants whose instances read each other's marks excluded; see
+	// Scheme.Apply). tr-collapse is in: its union order moves with the
+	// schedule, its partition does not.
 	g := gen.PlantedPartition(150, 15, 0.5, 120, 77)
 	run := func(workers int) []int {
 		outs := []*Result{
@@ -73,6 +74,7 @@ func TestEverySchemeDeterministicAcrossWorkersProperty(t *testing.T) {
 			applySpec(t, g, "lowdeg", 0, workers),
 			applySpec(t, g, "cut:rho=6", 5, workers),
 			applySpec(t, g, "vertexsample:p=0.8", 5, workers),
+			applySpec(t, g, "tr-collapse:p=0.5", 5, workers),
 		}
 		ms := make([]int, len(outs))
 		for i, r := range outs {

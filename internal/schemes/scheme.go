@@ -23,12 +23,14 @@ type Scheme interface {
 	// decode it once (graph.CSROf) — and never mutates it. The output is the
 	// same for every representation of g. Every scheme is deterministic per
 	// seed at one worker. With more workers the output is still the
-	// same for every scheme whose kernel instances share no state; the five
-	// that do — tr-eo, tr-ct, tr-maxweight, tr-eo-redirect (consider-state,
-	// liveness of the other two edges) and tr-collapse (union order) — are
+	// same for every scheme but the four whose kernel instances read state
+	// other instances write — tr-eo, tr-ct, tr-maxweight and tr-eo-redirect
+	// (consider-state, liveness of the other two edges) — which are
 	// order-sensitive under real parallelism and bit-repeatable only with
-	// WithWorkers(1). testdata/golden.txt's scheduleFree column pins exactly
-	// this split.
+	// WithWorkers(1). tr-collapse shares a union-find but not its order:
+	// the element-keyed coins fix the partition and Contract numbers the
+	// parts by first appearance over vertex IDs. goldenSpecs' scheduleFree
+	// column in the tests pins exactly this split.
 	Apply(g graph.AdjacencyEdges) (*Result, error)
 }
 

@@ -243,8 +243,12 @@ var errExists = errors.New("already exists")
 // (raw or packed) and disk-resident (servable snapshots under the store's
 // data directory, served memory-mapped).
 type catalog struct {
-	mu      sync.RWMutex
-	graphs  map[string]*entry
+	mu     sync.RWMutex
+	graphs map[string]*entry
+	// pending holds the names a put is writing through or a remove is
+	// deleting the files of: a create of one of them is refused, so no two
+	// writers ever share a name's files.
+	pending map[string]bool
 	nextGen uint64
 
 	// store is the disk tier; nil disables persistence and spilling (the
@@ -263,7 +267,7 @@ type catalog struct {
 }
 
 func newCatalog() *catalog {
-	return &catalog{graphs: map[string]*entry{}}
+	return &catalog{graphs: map[string]*entry{}, pending: map[string]bool{}}
 }
 
 func validName(name string) error {
@@ -277,10 +281,11 @@ func validName(name string) error {
 }
 
 // put stores g under name with the given memory policy, failing if the name
-// is taken. The graph is packed (and the raw CSR released) under
-// MemoryPacked. With a disk tier attached, the servable snapshot is written
-// through before the entry is published — the warm-restart guarantee — and
-// the memory budget is enforced afterwards.
+// is taken or reserved by a put or a remove in flight. The graph is packed
+// (and the raw CSR released) under MemoryPacked. With a disk tier attached,
+// the servable snapshot is written through before the entry is published —
+// the warm-restart guarantee — and the memory budget is enforced
+// afterwards.
 func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) (*entry, error) {
 	if err := validName(name); err != nil {
 		return nil, err
@@ -298,19 +303,21 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 	}
 	e := c.newEntry(heap, nil)
 	e.name, e.memory, e.source = name, memory, source
-	// Name availability is checked optimistically before the (possibly
-	// expensive) write-through, then authoritatively at insertion.
-	c.mu.RLock()
-	_, taken := c.graphs[name]
-	c.mu.RUnlock()
-	if taken {
+	// The name is reserved before the (possibly expensive) write-through:
+	// two creates of one name must not write its files at once.
+	c.mu.Lock()
+	if _, taken := c.graphs[name]; taken || c.pending[name] {
+		c.mu.Unlock()
 		return nil, fmt.Errorf("graph %q: %w (DELETE it first)", name, errExists)
 	}
+	c.pending[name] = true
+	c.mu.Unlock()
 	if c.store != nil {
 		if pg == nil {
 			pg = succinct.Pack(g, workers)
 		}
 		if err := c.store.saveGraph(name, pg, storeMeta{Memory: memory, Source: source}); err != nil {
+			c.release(name)
 			return nil, err
 		}
 		// Spilled variants belong to the graph that spilled them: whatever
@@ -318,10 +325,7 @@ func (c *catalog) put(name, memory, source string, g *graph.Graph, workers int) 
 		c.store.clearVariants(name)
 	}
 	c.mu.Lock()
-	if _, taken := c.graphs[name]; taken {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("graph %q: %w (DELETE it first)", name, errExists)
-	}
+	delete(c.pending, name)
 	c.nextGen++
 	e.gen = c.nextGen
 	e.lastUse = c.clock.Add(1)
@@ -379,11 +383,15 @@ func (c *catalog) get(name string) (*entry, bool) {
 }
 
 // remove drops the entry from the catalog, closes it (the munmap deferred
-// until the last in-flight reader drains), and deletes its disk-tier files.
+// until the last in-flight reader drains), and deletes its disk-tier files,
+// holding the name reserved until they are gone.
 func (c *catalog) remove(name string) bool {
 	c.mu.Lock()
 	e, ok := c.graphs[name]
-	delete(c.graphs, name)
+	if ok {
+		delete(c.graphs, name)
+		c.pending[name] = true
+	}
 	c.mu.Unlock()
 	if !ok {
 		return false
@@ -392,7 +400,15 @@ func (c *catalog) remove(name string) bool {
 	if c.store != nil {
 		c.store.removeGraph(name)
 	}
+	c.release(name)
 	return true
+}
+
+// release frees a name put or remove reserved.
+func (c *catalog) release(name string) {
+	c.mu.Lock()
+	delete(c.pending, name)
+	c.mu.Unlock()
 }
 
 // list returns the entries sorted by name.
