@@ -289,9 +289,8 @@ func WithUniformWeights(g *Graph, lo, hi float64, seed uint64) *Graph {
 	return gen.WithUniformWeights(g, lo, hi, seed)
 }
 
-// Compression schemes (Table 2 of the paper). All are deterministic per
-// seed at one worker; Scheme.Apply states which stay so at any worker count
-// (workers <= 0 means all CPUs).
+// Compression schemes (Table 2 of the paper). Each output is fixed by its
+// seed at any worker count (workers <= 0 means all CPUs).
 //
 // The surface is the Scheme interface plus the registry. The spec string is
 // the one way to build a scheme — ParseScheme("uniform:p=0.5"),

@@ -136,8 +136,7 @@
 // (BFS distances, PageRank top-k, exact or DOULION-approximate triangle
 // counts, degree distributions, and CompareGraphs quality reports) over
 // the original or any compressed variant. Variants live in an LRU cache
-// keyed by (graph, canonical spec, seed, worker budget) with single-flight
-// deduplication:
+// keyed by (graph, canonical spec, seed) with single-flight deduplication:
 // concurrent identical compress requests execute the scheme exactly once,
 // and failures are never cached. Requests default to a one-worker budget,
 // making responses byte-identical for a fixed seed.

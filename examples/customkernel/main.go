@@ -20,16 +20,17 @@ import (
 // one: both kernels read it as it is.
 func weakTies(g slimgraph.AdjacencyEdges, p float64, seed uint64, workers int) *slimgraph.Graph {
 	// Pass 1 (triangle kernel): mark every edge that closes a triangle.
+	inTriangle := slimgraph.NewEdgeSet(g.M())
 	sg := slimgraph.NewSG(g, seed, workers)
 	sg.RunTriangleKernel(func(sg *slimgraph.SG, r *slimgraph.Rand, t slimgraph.TriangleView) {
 		for _, e := range t.E {
-			sg.MarkConsidered(e) // reuse the Edge-Once flags as "in a triangle"
+			inTriangle.Add(e)
 		}
 	})
 	// Pass 2 (edge kernel): drop weak ties — edges in no triangle — with
 	// probability p.
 	sg.RunEdgeKernel(func(sg *slimgraph.SG, r *slimgraph.Rand, e slimgraph.EdgeView) {
-		if !sg.WasConsidered(e.ID) && r.Float64() < p {
+		if !inTriangle.Contains(e.ID) && r.Float64() < p {
 			sg.Del(e.ID)
 		}
 	})

@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// Max-weight TR: exact MST preservation, tiny compression on roads.
-	tr := compress(g, "tr-maxweight:p=1,workers=1", 5)
+	tr := compress(g, "tr-maxweight:p=1", 5)
 	fmt.Printf("\nmax-weight TR: ratio %.3f (roads have few triangles)\n", tr.CompressionRatio())
 	fmt.Printf("  MST weight: %.1f -> %.1f (preserved exactly: %v)\n",
 		origMST, slimgraph.MSTWeight(tr.Output),

@@ -395,3 +395,49 @@ func TestPageRankIsOneFunction(t *testing.T) {
 		rule{in: []string{"internal/parallel"}, decls: `^func SumFloat64$`},
 	)
 }
+
+// TestOutputsIgnoreTheWorkerCount: no scheme's output depends on the worker
+// count, so internal/schemes names no Sequential, internal/core declares no
+// Edge-Once consider flags and internal/server's cache Key has no Workers
+// field (CHANGES.md: "every scheme's output is independent of the worker
+// count").
+func TestOutputsIgnoreTheWorkerCount(t *testing.T) {
+	check(t,
+		rule{in: []string{"internal/schemes"}, tests: true, idents: `^Sequential$`},
+		rule{
+			in:    []string{"internal/core"},
+			tests: true,
+			decls: `^func (\([^)]*\) )?(ConsiderOnce|MarkConsidered|WasConsidered)$`,
+		},
+		rule{
+			in: []string{"internal/server"},
+			inspect: func(files []*file, report reporter) {
+				for _, f := range files {
+					for _, d := range f.ast.Decls {
+						gd, ok := d.(*ast.GenDecl)
+						if !ok {
+							continue
+						}
+						for _, spec := range gd.Specs {
+							ts, ok := spec.(*ast.TypeSpec)
+							if !ok || ts.Name.Name != "Key" {
+								continue
+							}
+							st, ok := ts.Type.(*ast.StructType)
+							if !ok {
+								continue
+							}
+							for _, field := range st.Fields.List {
+								for _, name := range field.Names {
+									if name.Name == "Workers" {
+										report(f, name.Pos(), "keys variants by Workers")
+									}
+								}
+							}
+						}
+					}
+				}
+			},
+		},
+	)
+}

@@ -90,8 +90,8 @@ func TestGuardedTriangleKernelAllocations(t *testing.T) {
 		sg := New(g, 1, 1)
 		sg.RunTriangleKernelOn(en, func(sg *SG, r *rng.Rand, tr TriangleView) {
 			sg.Del(tr.E[r.Intn(3)])
-		}, func(e [3]graph.EdgeID) bool {
-			return sg.Deleted(e[0]) && sg.Deleted(e[1]) && sg.Deleted(e[2])
+		}, func(t *triangles.Triangle) bool {
+			return sg.Deleted(t.E[0]) && sg.Deleted(t.E[1]) && sg.Deleted(t.E[2])
 		})
 	})
 	if allocs > 32 {

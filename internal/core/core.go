@@ -30,19 +30,19 @@
 // draws once (most do) or never pays for no more of the generator than it
 // uses. An edge instance looks its weight up only on a weighted input, and
 // kernels capture their parameters in the closure rather than looking them
-// up per instance. A triangle kernel may also name
-// an idle predicate (TriangleIdle): a condition on the triangle's three
-// edges under which the kernel changes nothing whatever it draws — for
-// Edge-Once, "all three edges already considered": the chosen edge is
-// considered, so nothing is deleted, and re-marking is idempotent. Such an
-// instance is retired before its key is hashed or its generator seeded.
-// Skipping it is exact under any schedule because a no-op has no effect to
-// reorder, and the flags the predicates read are monotone (set, never
-// cleared), so an instance idle when tested is idle when it would have run.
+// up per instance. A triangle kernel may also name an idle predicate
+// (TriangleIdle): a condition under which the kernel changes nothing
+// whatever it draws — for Edge-Once (DelOnce), "every edge already holds an
+// earlier triangle's claim" (OnceIdle). Such an instance is retired before
+// its key is hashed or its generator seeded. Skipping it is exact under any
+// schedule because a no-op has no effect to reorder, and the state the
+// predicates read only moves one way (a mark is never set back, a claim only
+// falls), so an instance idle when tested is idle when it would have run.
 package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +66,8 @@ type SG struct {
 
 	deletedEdges    *graph.EdgeSet // stage-1 deletion marks
 	deletedVertices *bitset.Atomic
-	considered      *graph.EdgeSet // Edge-Once flags (§4.3)
+	claimOnce       sync.Once // Edge-Once claims (DelOnce), alive for one triangle run
+	claims          []uint64
 
 	// Reweighting state, allocated by the first SetWeight: most schemes
 	// never reweight and pay nothing for the m-length column.
@@ -85,7 +86,6 @@ func New(in graph.AdjacencyEdges, seed uint64, workers int) *SG {
 		workers:         workers,
 		deletedEdges:    graph.NewEdgeSet(in.M()),
 		deletedVertices: bitset.NewAtomic(in.N()),
-		considered:      graph.NewEdgeSet(in.M()),
 	}
 }
 
@@ -119,20 +119,6 @@ func (sg *SG) DeleteUnmarked(keep *graph.EdgeSet) {
 // isolated) so per-vertex outputs stay comparable; use Compact afterwards
 // to renumber.
 func (sg *SG) DelVertex(v graph.NodeID) { sg.deletedVertices.Set(int(v)) }
-
-// ConsiderOnce implements the Edge-Once protocol: it atomically marks e as
-// considered and reports whether e had already been considered by an
-// earlier kernel instance.
-func (sg *SG) ConsiderOnce(e graph.EdgeID) (alreadyConsidered bool) {
-	return sg.considered.TestAndAdd(e)
-}
-
-// MarkConsidered marks e considered without reporting the previous state —
-// used to protect the surviving edges of a reduced triangle.
-func (sg *SG) MarkConsidered(e graph.EdgeID) { sg.considered.Add(e) }
-
-// WasConsidered reports the Edge-Once flag of e.
-func (sg *SG) WasConsidered(e graph.EdgeID) bool { return sg.considered.Contains(e) }
 
 // SetWeight assigns edge e a new weight in the compressed graph (the
 // spectral kernel's "e.weight = 1/edge_stays"). Safe when each edge is
@@ -241,10 +227,43 @@ type TriangleView struct {
 // TriangleKernel is a compression kernel whose scope is a triangle (§4.3).
 type TriangleKernel func(sg *SG, r *rng.Rand, t TriangleView)
 
-// TriangleIdle reports that a kernel instance on the triangle with edges e
-// would change nothing whatever it draws (see the package doc). It is tested
-// concurrently with running instances and must only read monotone state.
-type TriangleIdle func(e [3]graph.EdgeID) bool
+// TriangleIdle reports that a kernel instance on triangle t would change
+// nothing whatever it draws (see the package doc). It is tested concurrently
+// with running instances and must only read state that moves one way.
+type TriangleIdle func(t *triangles.Triangle) bool
+
+// rank is the triangle's place in the reference order of emission (lowest
+// edge, then third vertex; E[0] < 2³¹), shifted to leave DelOnce a bit.
+func rank(e0 graph.EdgeID, v2 graph.NodeID) uint64 { return (uint64(e0)<<32 | uint64(v2)) << 1 }
+
+// DelOnce is §4.3's Edge-Once — delete the chosen edge unless an earlier
+// triangle considered it, then consider all three — as a rule no schedule
+// moves: in the reference order an edge dies exactly when the earliest
+// sampled triangle holding it chose it. So t claims each edge by an atomic
+// min of its rank, low bit clear on the chosen one. Call it only from a
+// RunTriangleKernelOn kernel: the run deletes each edge its least claim chose.
+func (sg *SG) DelOnce(t TriangleView, chosen int) {
+	sg.claimOnce.Do(sg.allocClaims)
+	r := rank(t.E[0], t.V[2])
+	for i, e := range t.E {
+		claim, w := r|uint64(min(1, i^chosen)), &sg.claims[e] // low bit: not chosen
+		for old := atomic.LoadUint64(w); old > claim && !atomic.CompareAndSwapUint64(w, old, claim); {
+			old = atomic.LoadUint64(w)
+		}
+	}
+}
+
+// OnceIdle is the TriangleIdle of DelOnce: every edge of t holds an earlier
+// claim, and a claim only falls.
+func (sg *SG) OnceIdle(t *triangles.Triangle) bool {
+	sg.claimOnce.Do(sg.allocClaims)
+	r := rank(t.E[0], t.V[2])
+	return atomic.LoadUint64(&sg.claims[t.E[0]]) < r && atomic.LoadUint64(&sg.claims[t.E[1]]) < r &&
+		atomic.LoadUint64(&sg.claims[t.E[2]]) < r
+}
+
+// allocClaims leaves every edge unclaimed: the top word, low bit set.
+func (sg *SG) allocClaims() { sg.claims = slices.Repeat([]uint64{math.MaxUint64}, sg.in.M()) }
 
 // RunTriangleKernel enumerates all triangles (O(m^{3/2}) work) and executes
 // the kernel on each, in parallel: it builds a triangles.Engine over the
@@ -256,9 +275,9 @@ func (sg *SG) RunTriangleKernel(k TriangleKernel) {
 
 // RunTriangleKernelOn is RunTriangleKernel over a prebuilt enumeration
 // engine, so callers that already enumerated (e.g. for per-edge triangle
-// counts) pay for the forward CSR only once. The engine must have been
-// built for this SG's input. Instances for which idle (optional) holds are
-// retired without running the kernel.
+// counts) pay for the forward CSR only once. The engine must be built for
+// this SG's input. Instances for which idle (optional) holds are retired
+// without running the kernel. DelOnce claims become deletion marks on return.
 func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel, idle TriangleIdle) {
 	if en.Graph() != sg.in {
 		panic("core: triangle engine built for a different graph")
@@ -269,7 +288,7 @@ func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel, idle T
 		return func(batch []triangles.Triangle) {
 			for i := range batch {
 				t := &batch[i]
-				if idle != nil && idle(t.E) {
+				if idle != nil && idle(t) {
 					continue
 				}
 				view := TriangleView{V: t.V, E: t.E, Weights: [3]float64{1, 1, 1}}
@@ -284,6 +303,10 @@ func (sg *SG) RunTriangleKernelOn(en *triangles.Engine, k TriangleKernel, idle T
 			}
 		}
 	})
+	if claims := sg.claims; claims != nil {
+		sg.deletedEdges.AddBatch(sg.workers, func(e graph.EdgeID) bool { return claims[e]&1 == 0 })
+		sg.claims, sg.claimOnce = nil, sync.Once{}
+	}
 }
 
 // SubgraphView is the kernel argument for subgraph kernels (§4.5): the

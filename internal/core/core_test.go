@@ -198,18 +198,47 @@ func TestNoChangesMaterializesIdentical(t *testing.T) {
 	}
 }
 
-func TestConsiderOnceProtocol(t *testing.T) {
-	g := gen.Cycle(5)
-	sg := New(g, 1, 1)
-	if sg.ConsiderOnce(0) {
-		t.Fatal("first ConsiderOnce returned alreadyConsidered")
-	}
-	if !sg.ConsiderOnce(0) {
-		t.Fatal("second ConsiderOnce returned fresh")
-	}
-	sg.MarkConsidered(2)
-	if !sg.WasConsidered(2) || sg.WasConsidered(1) {
-		t.Fatal("MarkConsidered/WasConsidered inconsistent")
+// edgeOnceReference is the Edge-Once protocol as one worker runs it on
+// triangles in the reference order (oracle.ReferenceForEach at one worker):
+// the chosen edge dies unless an earlier triangle considered it, then all
+// three are considered. choose returns the chosen index of a triangle, or
+// -1 if it is not sampled.
+func edgeOnceReference(g *graph.Graph, choose func(t triangles.Triangle) int) *graph.EdgeSet {
+	considered, deleted := graph.NewEdgeSet(g.M()), graph.NewEdgeSet(g.M())
+	oracle.ReferenceForEach(g, 1, func(t triangles.Triangle) {
+		chosen := choose(t)
+		if chosen < 0 {
+			return
+		}
+		if !considered.TestAndAdd(t.E[chosen]) {
+			deleted.Add(t.E[chosen])
+		}
+		for _, e := range t.E {
+			considered.Add(e)
+		}
+	})
+	return deleted
+}
+
+func TestDelOnceProtocol(t *testing.T) {
+	g := gen.Complete(7)
+	for chosen := 0; chosen < 3; chosen++ {
+		want := edgeOnceReference(g, func(triangles.Triangle) int { return chosen })
+		for _, workers := range []int{1, 4} {
+			sg := New(g, 1, workers)
+			for run := 0; run < 2; run++ { // a second run claims afresh
+				sg.RunTriangleKernel(func(sg *SG, _ *rng.Rand, tr TriangleView) { sg.DelOnce(tr, chosen) })
+				if sg.claims != nil {
+					t.Fatal("claims outlived the run")
+				}
+				for e := 0; e < g.M(); e++ {
+					if got := sg.Deleted(graph.EdgeID(e)); got != want.Contains(graph.EdgeID(e)) {
+						t.Fatalf("chosen=%d workers=%d run %d: edge %d deleted=%v, one-worker protocol %v",
+							chosen, workers, run, e, got, !got)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -279,15 +308,15 @@ func referenceRunTriangleKernel(sg *SG, k TriangleKernel) {
 	})
 }
 
-// TestTriangleKernelDeletionsMatchReference pins the engine rewrite to the
-// pre-engine behaviour: for a deletion kernel the SG deletion marks are
-// identical whether triangles come from the Engine or from the reference
-// path. Order-independent kernels (PRNG keyed by edge IDs) must match at
-// any worker count; order-dependent Edge-Once kernels must match in the
-// sequential engine mode, whose enumeration order is the reference order.
-// The guarded cases run the engine with the kernel's idle predicate against
-// the unguarded reference: retiring idle instances must not move a single
-// deletion, and the predicate must actually fire.
+// TestTriangleKernelDeletionsMatchReference pins the engine to the
+// pre-engine behaviour: for a deletion kernel the SG deletion marks at any
+// worker count are identical to those of the reference path at one worker.
+// The basic kernel is its own reference (its PRNG is keyed by edge IDs);
+// the edge-once kernel claims through DelOnce and is held to the
+// consider-flag protocol run in the reference order (edgeOnceReference).
+// The guarded cases run the engine with the kernel's idle predicate:
+// retiring idle instances must not move a single deletion, and the
+// predicate must actually fire.
 func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 	g := gen.PlantedPartition(200, 15, 0.55, 120, 23)
 	basicKernel := func(sg *SG, r *rng.Rand, tr TriangleView) {
@@ -296,15 +325,9 @@ func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 		}
 	}
 	eoKernel := func(sg *SG, r *rng.Rand, tr TriangleView) {
-		if r.Float64() >= 0.7 {
-			return
+		if r.Float64() < 0.7 {
+			sg.DelOnce(tr, r.Intn(3))
 		}
-		chosen := r.Intn(3)
-		if !sg.ConsiderOnce(tr.E[chosen]) {
-			sg.Del(tr.E[chosen])
-		}
-		sg.MarkConsidered(tr.E[(chosen+1)%3])
-		sg.MarkConsidered(tr.E[(chosen+2)%3])
 	}
 	deletions := func(sg *SG) []graph.EdgeID {
 		var out []graph.EdgeID
@@ -315,36 +338,51 @@ func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 		}
 		return out
 	}
-	allDeleted := func(sg *SG) TriangleIdle {
-		return func(e [3]graph.EdgeID) bool {
-			return sg.Deleted(e[0]) && sg.Deleted(e[1]) && sg.Deleted(e[2])
+	refSG := New(g, 42, 1)
+	referenceRunTriangleKernel(refSG, basicKernel)
+	basicWant := deletions(refSG)
+	var eoWant []graph.EdgeID
+	eoRef := edgeOnceReference(g, func(t triangles.Triangle) int {
+		key := rng.Hash64(uint64(t.E[0]), rng.Hash64(uint64(t.E[1]), uint64(t.E[2])))
+		r := rng.New(rng.Hash64(42^kindTriangle, key))
+		if r.Float64() >= 0.7 {
+			return -1
+		}
+		return r.Intn(3)
+	})
+	for e := 0; e < g.M(); e++ {
+		if eoRef.Contains(graph.EdgeID(e)) {
+			eoWant = append(eoWant, graph.EdgeID(e))
 		}
 	}
-	allConsidered := func(sg *SG) TriangleIdle {
-		return func(e [3]graph.EdgeID) bool {
-			return sg.WasConsidered(e[0]) && sg.WasConsidered(e[1]) && sg.WasConsidered(e[2])
+	allDeleted := func(sg *SG) TriangleIdle {
+		return func(t *triangles.Triangle) bool {
+			return sg.Deleted(t.E[0]) && sg.Deleted(t.E[1]) && sg.Deleted(t.E[2])
 		}
 	}
 	cases := []struct {
-		name    string
-		kernel  TriangleKernel
-		idle    func(sg *SG) TriangleIdle // nil: unguarded
-		workers []int
+		name   string
+		kernel TriangleKernel
+		idle   func(sg *SG) TriangleIdle // nil: unguarded
+		want   []graph.EdgeID
 	}{
-		{"basic", basicKernel, nil, []int{1, 8}}, // schedule-independent: any worker count
-		{"edge-once", eoKernel, nil, []int{1}},   // order-dependent: sequential contract
-		{"basic guarded", basicKernel, allDeleted, []int{1, 8}},
-		{"edge-once guarded", eoKernel, allConsidered, []int{1}},
+		{"basic", basicKernel, nil, basicWant},
+		{"edge-once", eoKernel, nil, eoWant},
+		{"basic guarded", basicKernel, allDeleted, basicWant},
+		{"edge-once guarded", eoKernel, func(sg *SG) TriangleIdle { return sg.OnceIdle }, eoWant},
 	}
 	for _, c := range cases {
-		for _, workers := range c.workers {
+		if len(c.want) == 0 {
+			t.Fatalf("%s: degenerate test — no deletions", c.name)
+		}
+		for _, workers := range []int{1, 8} {
 			engineSG := New(g, 42, workers)
 			var idle TriangleIdle
 			var retired int64
 			if c.idle != nil {
 				inner := c.idle(engineSG)
-				idle = func(e [3]graph.EdgeID) bool {
-					if inner(e) {
+				idle = func(t *triangles.Triangle) bool {
+					if inner(t) {
 						atomic.AddInt64(&retired, 1)
 						return true
 					}
@@ -355,20 +393,15 @@ func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 			if c.idle != nil && retired == 0 {
 				t.Fatalf("%s workers=%d: the idle predicate never fired", c.name, workers)
 			}
-			refSG := New(g, 42, workers)
-			referenceRunTriangleKernel(refSG, c.kernel)
-			got, want := deletions(engineSG), deletions(refSG)
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: %d deletions, reference %d", c.name, workers, len(got), len(want))
+			got := deletions(engineSG)
+			if len(got) != len(c.want) {
+				t.Fatalf("%s workers=%d: %d deletions, reference %d", c.name, workers, len(got), len(c.want))
 			}
-			for i := range want {
-				if got[i] != want[i] {
+			for i := range c.want {
+				if got[i] != c.want[i] {
 					t.Fatalf("%s workers=%d: deletion set diverges at %d: %d vs %d",
-						c.name, workers, i, got[i], want[i])
+						c.name, workers, i, got[i], c.want[i])
 				}
-			}
-			if len(got) == 0 {
-				t.Fatalf("%s: degenerate test — no deletions", c.name)
 			}
 		}
 	}

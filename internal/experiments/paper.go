@@ -177,7 +177,8 @@ var Artifacts = []Artifact{
 		Cols: []Column{colGraph, col("ranks", func(r Row) string { return d2(r.workers) }),
 			param("removal p"), keptEdges("m"), colSlope, colR2, elapsed("wall time")}},
 
-	// tr-maxweight defaults to one worker, where MST preservation is exact.
+	// tr-maxweight keeps MST weight exact at any worker count: its greedy
+	// kernel runs on triangles in the reference order.
 	{Key: "weighted", ID: "§7.1 (weighted)",
 		Title:  "max-weight TR on weighted graphs: compression, MST weight, SSSP time",
 		Note:   "road networks barely compress under TR (few triangles); MST weight exact",

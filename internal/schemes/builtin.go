@@ -49,7 +49,7 @@ func init() {
 	for _, v := range []TRVariant{TREO, TRCT, TRMaxWeight, TRCollapse, TREORedirect} {
 		Register(Registration{Name: "tr-" + strings.ToLower(v.String()), Apply: triangleReduction(v),
 			About:  "Triangle p-1-Reduction, " + v.String() + " variant",
-			Params: trParams(1), Sequential: v == TRMaxWeight})
+			Params: trParams(1)})
 	}
 
 	Register(Registration{Name: "lowdeg", Apply: lowDegree,

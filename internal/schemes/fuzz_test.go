@@ -1,8 +1,11 @@
 package schemes
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"slimgraph/internal/graph"
 )
 
 // FuzzParseScheme throws arbitrary spec strings at the registry parser. For
@@ -60,6 +63,49 @@ func FuzzParseScheme(f *testing.F) {
 		// pipeline or stage separators beyond what the grammar allows.
 		if _, isPipe := s.(*Pipeline); !isPipe && strings.Contains(canonical, "|") {
 			t.Fatalf("single scheme %q produced pipeline spec %q", spec, canonical)
+		}
+	})
+}
+
+// FuzzTROrderFree builds a small undirected graph from the fuzzer's bytes —
+// a vertex count, a flags byte (weighted, keep probability), a seed, then
+// (u, v, weight) triples — and requires every order-sensitive TR variant to
+// give Equal outputs at one and three workers: Edge-Once through its claim
+// rule, the greedy variants through reference-order emission.
+func FuzzTROrderFree(f *testing.F) {
+	clique := []byte{5, 3, 1}
+	for u := byte(0); u < 5; u++ {
+		for v := u + 1; v < 5; v++ {
+			clique = append(clique, u, v, u^v)
+		}
+	}
+	f.Add(clique)
+	f.Add([]byte{12, 6, 9, 0, 1, 1, 1, 2, 2, 0, 2, 3, 2, 3, 1, 3, 4, 7, 4, 0, 2, 2, 4, 5, 5, 6, 1, 6, 2, 3})
+	f.Add([]byte("\x1f\x02\x07 the quick brown fox jumps over the lazy dog, twice: the quick brown fox"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n, weighted := 3+int(data[0]%30), data[1]&1 == 1
+		p := []float64{0.3, 0.5, 0.8, 1}[data[1]>>1&3]
+		seed := uint64(data[2])
+		var edges []graph.Edge
+		for b := data[3:]; len(b) >= 3 && len(edges) < 400; b = b[3:] {
+			edges = append(edges, graph.WE(graph.NodeID(int(b[0])%n), graph.NodeID(int(b[1])%n), 1+float64(b[2]%8)))
+		}
+		if !weighted {
+			for i := range edges {
+				edges[i].W = 1
+			}
+		}
+		g := graph.FromEdges(n, false, edges)
+		for _, name := range []string{"tr", "tr-eo", "tr-ct", "tr-maxweight", "tr-eo-redirect"} {
+			spec := fmt.Sprintf("%s:p=%g", name, p)
+			one, three := applySpec(t, g, spec, seed, 1).Output, applySpec(t, g, spec, seed, 3).Output
+			if !one.Equal(three) {
+				t.Fatalf("%s seed=%d on n=%d m=%d: m=%d at one worker, %d at three; want Equal outputs",
+					spec, seed, g.N(), g.M(), one.M(), three.M())
+			}
 		}
 	})
 }

@@ -19,7 +19,8 @@ import (
 
 // The golden file pins, for every registered scheme × graph × seed at one
 // worker, the output's edge count and a SHA-256 over (u, v, weight bits) of
-// its canonical edges. The first 90 lines were captured on the commit before
+// its canonical edges; every seed-1 output must also be Equal at 2 and 7
+// workers. The first 90 lines were captured on the commit before
 // the kernel engine was made allocation-free (in-place re-seed, idle
 // predicate, batched triangle emission), the 18 small-graph lines on the
 // commit before the registry became a parameter table, so the file is what
@@ -67,7 +68,7 @@ func TestGoldenOutputs(t *testing.T) {
 				key := fmt.Sprintf("%s %s %d", gg.name, sp.spec, seed)
 				got[key] = fmt.Sprintf("%d %s", out.M(), edgeDigest(out))
 				order = append(order, key)
-				if sp.scheduleFree && seed == 1 {
+				if seed == 1 {
 					for _, workers := range []int{2, 7} {
 						if par := applySpec(t, g, sp.spec, seed, workers).Output; !par.Equal(out) {
 							t.Errorf("%s workers=%d: output differs from the one-worker output", key, workers)

@@ -38,8 +38,8 @@ func TestTRIdlePredicatesAreExact(t *testing.T) {
 					var idle core.TriangleIdle
 					if guarded {
 						inner := trIdle(sg, v.variant)
-						idle = func(e [3]graph.EdgeID) bool {
-							if inner(e) {
+						idle = func(t *triangles.Triangle) bool {
+							if inner(t) {
 								retired++
 								return true
 							}

@@ -11,34 +11,32 @@ import (
 	"slimgraph/internal/succinct"
 )
 
-// goldenSpecs covers every registered name. scheduleFree marks the specs
-// whose output may not depend on the worker count (no state shared between
-// kernel instances); small sends a spec to the small graphs only — the
-// schemes that do not run on a core kernel loop (summarize takes 2 s on
-// rmat14) are pinned at a scale that keeps the test's runtime.
+// goldenSpecs covers every registered name. small sends a spec to the small
+// graphs only — the schemes that do not run on a core kernel loop
+// (summarize takes 2 s on rmat14) are pinned at a scale that keeps the
+// test's runtime.
 var goldenSpecs = []struct {
-	spec         string
-	scheduleFree bool
-	small        bool
+	spec  string
+	small bool
 }{
-	{"uniform:p=0.5", true, false},
-	{"spectral:p=0.5", true, false},
-	{"spectral:p=0.5,reweight=true", true, false},
-	{"vertexsample:p=0.7", true, false},
-	{"lowdeg", true, false},
-	{"cut", true, false},
-	{"spanner:k=8", true, false},
-	{"spanner:k=8,mode=perpair", true, false},
-	{"tr:p=0.5", true, false},
-	{"tr:p=0.5,x=2", true, false},
-	{"tr-eo:p=0.8", false, false},
-	{"tr-ct:p=0.7", false, false},
-	{"tr-maxweight:p=0.9", false, false},
-	{"tr:p=0.5,variant=EO-redirect", false, false},
-	{"tr-collapse:p=0.5", true, false},
-	{"summarize", true, true},
-	{"relabel:order=bfs", true, true},
-	{"lowdeg-iter", true, true},
+	{"uniform:p=0.5", false},
+	{"spectral:p=0.5", false},
+	{"spectral:p=0.5,reweight=true", false},
+	{"vertexsample:p=0.7", false},
+	{"lowdeg", false},
+	{"cut", false},
+	{"spanner:k=8", false},
+	{"spanner:k=8,mode=perpair", false},
+	{"tr:p=0.5", false},
+	{"tr:p=0.5,x=2", false},
+	{"tr-eo:p=0.8", false},
+	{"tr-ct:p=0.7", false},
+	{"tr-maxweight:p=0.9", false},
+	{"tr:p=0.5,variant=EO-redirect", false},
+	{"tr-collapse:p=0.5", false},
+	{"summarize", true},
+	{"relabel:order=bfs", true},
+	{"lowdeg-iter", true},
 }
 
 // needsUndirected reports whether a spec has a stage that refuses a directed
@@ -57,9 +55,7 @@ func needsUndirected(spec string) bool {
 // PackedGraph and on an OpenPacked mapping of its servable image returns a
 // graph Equal to Apply on the raw CSR, for every registration (goldenSpecs),
 // the edge kernels across their parameters and a pipeline, on directed and
-// undirected, weighted and unweighted inputs — at 1, 2 and 7 workers where
-// the output may not depend on the worker count (Scheme.Apply), at one
-// otherwise. The TR family and summarize have no directed form. Only the
+// undirected, weighted and unweighted inputs — at 1, 2 and 7 workers. The TR family and summarize have no directed form. Only the
 // three schemes that build a graph on a new vertex set — summarize, relabel
 // and tr-collapse's contraction — may unpack the input; the Unpack tripwire
 // fails every other.
@@ -72,15 +68,11 @@ func TestInPlaceCompressEqualsRaw(t *testing.T) {
 		"directed":            directed,
 		"directed-weighted":   gen.WithUniformWeights(directed, 1, 9, 8),
 	}
-	type inPlaceSpec struct {
-		spec         string
-		scheduleFree bool
-	}
-	specs := []inPlaceSpec{{"uniform:p=0", true}, {"uniform:p=0.3", true}, {"uniform:p=1", true},
-		{"spectral:p=1", true}, {"spectral:p=0.5,variant=avgdeg", true}, {"spectral:p=1,reweight=true", true},
-		{"spectral:p=0.5,variant=avgdeg,reweight=true", true}, {"uniform:p=0.5|tr-eo:p=0.8", false}}
+	specs := []string{"uniform:p=0", "uniform:p=0.3", "uniform:p=1", "spectral:p=1",
+		"spectral:p=0.5,variant=avgdeg", "spectral:p=1,reweight=true",
+		"spectral:p=0.5,variant=avgdeg,reweight=true", "uniform:p=0.5|tr-eo:p=0.8"}
 	for _, sp := range goldenSpecs {
-		specs = append(specs, inPlaceSpec{sp.spec, sp.scheduleFree})
+		specs = append(specs, sp.spec)
 	}
 	var current string
 	mayUnpack := false
@@ -108,26 +100,22 @@ func TestInPlaceCompressEqualsRaw(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		for _, sp := range specs {
-			if g.Directed() && needsUndirected(sp.spec) {
+		for _, spec := range specs {
+			if g.Directed() && needsUndirected(spec) {
 				continue
 			}
-			stage, _, _ := strings.Cut(sp.spec, ":")
-			current, mayUnpack = sp.spec, stage == "summarize" || stage == "relabel" || stage == "tr-collapse"
-			workerCounts := []int{1, 2, 7}
-			if !sp.scheduleFree {
-				workerCounts = workerCounts[:1]
-			}
-			for _, workers := range workerCounts {
-				want := applySpec(t, g, sp.spec, 3, workers).Output
+			stage, _, _ := strings.Cut(spec, ":")
+			current, mayUnpack = spec, stage == "summarize" || stage == "relabel" || stage == "tr-collapse"
+			for _, workers := range []int{1, 2, 7} {
+				want := applySpec(t, g, spec, 3, workers).Output
 				for form, in := range map[string]graph.AdjacencyEdges{"packed": pg, "mapped": m} {
-					res := applySpec(t, in, sp.spec, 3, workers)
+					res := applySpec(t, in, spec, 3, workers)
 					if !res.Output.Equal(want) {
 						t.Errorf("%s %s at %d workers on the %s form: m=%d, raw gives m=%d; want Equal outputs",
-							name, sp.spec, workers, form, res.Output.M(), want.M())
+							name, spec, workers, form, res.Output.M(), want.M())
 					}
 					if err := res.Output.Validate(); err != nil {
-						t.Errorf("%s %s on the %s form: %v", name, sp.spec, form, err)
+						t.Errorf("%s %s on the %s form: %v", name, spec, form, err)
 					}
 				}
 			}

@@ -61,31 +61,33 @@ func TestEverySchemeReturnsSubgraphProperty(t *testing.T) {
 }
 
 func TestEverySchemeDeterministicAcrossWorkersProperty(t *testing.T) {
-	// For a fixed seed, worker count must not change the result (the four
-	// TR variants whose instances read each other's marks excluded; see
-	// Scheme.Apply). tr-collapse is in: its union order moves with the
-	// schedule, its partition does not.
+	// For a fixed seed, the worker count must not change the output of any
+	// scheme (Scheme.Apply): not of the Edge-Once variants, whose claims
+	// follow an order-free rule, nor of the greedy ones, which run in the
+	// reference order, nor of tr-collapse, whose union order moves with the
+	// schedule but whose partition does not.
 	g := gen.PlantedPartition(150, 15, 0.5, 120, 77)
-	run := func(workers int) []int {
-		outs := []*Result{
+	weighted := gen.WithUniformWeights(g, 1, 100, 78)
+	run := func(workers int) []*Result {
+		return []*Result{
 			applySpec(t, g, "uniform:p=0.6", 5, workers),
 			applySpec(t, g, "spectral:p=1,variant=logn", 5, workers),
 			applySpec(t, g, "tr:p=0.7", 5, workers),
+			applySpec(t, g, "tr-eo:p=0.7", 5, workers),
+			applySpec(t, g, "tr-ct:p=0.7", 5, workers),
+			applySpec(t, weighted, "tr-maxweight:p=0.9", 5, workers),
+			applySpec(t, g, "tr-eo-redirect:p=0.7", 5, workers),
 			applySpec(t, g, "lowdeg", 0, workers),
 			applySpec(t, g, "cut:rho=6", 5, workers),
 			applySpec(t, g, "vertexsample:p=0.8", 5, workers),
 			applySpec(t, g, "tr-collapse:p=0.5", 5, workers),
 		}
-		ms := make([]int, len(outs))
-		for i, r := range outs {
-			ms[i] = r.Output.M()
-		}
-		return ms
 	}
 	a, b := run(1), run(8)
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("scheme %d: m=%d at workers=1 but %d at workers=8", i, a[i], b[i])
+		if !a[i].Output.Equal(b[i].Output) {
+			t.Errorf("%s: m=%d at workers=1 but the workers=8 output (m=%d) differs",
+				a[i].Scheme, a[i].Output.M(), b[i].Output.M())
 		}
 	}
 }

@@ -125,16 +125,13 @@ type Registration struct {
 	// it. The keys seed and workers belong to every scheme and may not be
 	// declared.
 	Params []Param
-	// Sequential pins the scheme to one worker unless the spec itself says
-	// workers=…: the WithWorkers default does not apply. tr-maxweight sets
-	// it, because its MST preservation is exact only sequentially.
-	Sequential bool
 	// Apply compresses g with the resolved arguments. g may be packed or
 	// mapped, and a kernel run through core.New reads it in place; only a
 	// scheme that builds a graph on a new vertex set (summarize, relabel,
 	// tr-collapse's contraction) takes a CSR of it through graph.CSROf. It
 	// fills the Result's Output (and VertexMap / Aux where the scheme has
-	// them); the registry stamps Scheme, Params, Input and Elapsed.
+	// them); the registry stamps Scheme, Params, Input and Elapsed. a.Workers
+	// may change how fast, never what: the output is fixed by g and a.Seed.
 	Apply func(g graph.AdjacencyEdges, a Args) (*Result, error)
 
 	defaults []string // canonical Default per row, filled by Register
@@ -334,9 +331,6 @@ func build(stage, name, params string, defaults []Option) (Scheme, error) {
 	a := &s.args
 	for _, set := range defaults {
 		set(a)
-	}
-	if reg.Sequential {
-		a.Workers = 1
 	}
 	a.params, a.values = reg.Params, append([]string(nil), reg.defaults...)
 	for _, kv := range pairs {

@@ -212,30 +212,6 @@ func TestParseAppliesDefaultsAndSpecWins(t *testing.T) {
 	}
 }
 
-func TestMaxWeightStaysSequentialUnderParseDefaults(t *testing.T) {
-	// Parse defaults (how the CLIs and experiment harness pass workers)
-	// must not defeat tr-maxweight's one-worker rule, which keeps its MST
-	// preservation exact.
-	s, err := Parse("tr-maxweight:p=1", WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w := s.(*scheme).args.Workers; w != 1 {
-		t.Fatalf("Parse default workers leaked into tr-maxweight: %d", w)
-	}
-	// The spec's own workers= is a deliberate override and wins, under the
-	// sugared spelling too.
-	for _, spec := range []string{"tr-maxweight:p=1,workers=8", "tr:variant=maxweight,workers=8"} {
-		s, err = Parse(spec, WithWorkers(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w := s.(*scheme).args.Workers; w != 8 {
-			t.Fatalf("%s: explicit workers override lost: %d", spec, w)
-		}
-	}
-}
-
 func TestLookupAndNames(t *testing.T) {
 	names := Names()
 	if len(names) < 12 {

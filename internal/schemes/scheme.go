@@ -21,16 +21,11 @@ type Scheme interface {
 	// every scheme reads in place but summarize, relabel and tr-collapse's
 	// contraction, the three that build a graph on a new vertex set and
 	// decode it once (graph.CSROf) — and never mutates it. The output is the
-	// same for every representation of g. Every scheme is deterministic per
-	// seed at one worker. With more workers the output is still the
-	// same for every scheme but the four whose kernel instances read state
-	// other instances write — tr-eo, tr-ct, tr-maxweight and tr-eo-redirect
-	// (consider-state, liveness of the other two edges) — which are
-	// order-sensitive under real parallelism and bit-repeatable only with
-	// WithWorkers(1). tr-collapse shares a union-find but not its order:
-	// the element-keyed coins fix the partition and Contract numbers the
-	// parts by first appearance over vertex IDs. goldenSpecs' scheduleFree
-	// column in the tests pins exactly this split.
+	// same for every representation of g and, per seed, at every worker
+	// count: kernels whose instances read what others write either follow
+	// an order-free rule (Edge-Once: core.SG.DelOnce) or run on triangles in
+	// the reference order (tr-maxweight, tr-eo-redirect); tr-collapse's
+	// shared union-find fixes a partition, whatever order it unions in.
 	Apply(g graph.AdjacencyEdges) (*Result, error)
 }
 
@@ -55,8 +50,8 @@ type Option func(*Args)
 // WithSeed sets the random seed. Every scheme is deterministic per seed.
 func WithSeed(seed uint64) Option { return func(a *Args) { a.Seed = seed } }
 
-// WithWorkers sets the parallelism (<= 0 means all CPUs). Which outputs
-// depend on it is stated once, on Scheme.Apply.
+// WithWorkers sets the parallelism (<= 0 means all CPUs). No output depends
+// on it (Scheme.Apply).
 func WithWorkers(workers int) Option { return func(a *Args) { a.Workers = workers } }
 
 // Args is what a registered kernel is handed at Apply time: the run

@@ -191,6 +191,20 @@ func TestTRMaxWeightPreservesMSTWeight(t *testing.T) {
 	}
 }
 
+// At seven workers too: the greedy kernel runs in the reference order, so
+// no race can delete an edge the MST needs.
+func TestTRMaxWeightPreservesMSTWeightInParallelProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		g := gen.WithUniformWeights(gen.PlantedPartition(60, 6, 0.6, 30, seed), 1, 20, seed+1)
+		before := props.Kruskal(g)
+		after := props.Kruskal(applySpec(t, g, "tr-maxweight:p=1", seed, 7).Output)
+		return math.Abs(before.Weight-after.Weight) < 1e-9 && before.Trees == after.Trees
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTRCollapseShrinksVertices(t *testing.T) {
 	g := gen.PlantedPartition(200, 20, 0.6, 100, 23)
 	res := applySpec(t, g, "tr-collapse:p=0.8", 29, 2)

@@ -21,8 +21,9 @@ const (
 	TRBasic TRVariant = iota
 	// TREO is Edge-Once p-1-TR: each edge is considered for removal at
 	// most once. A sampled triangle picks one edge u.a.r.; the edge is
-	// deleted only if no earlier kernel instance considered it, and the
-	// triangle's other two edges become protected ("considered") as well.
+	// deleted only if no earlier triangle in the reference order considered
+	// it (core.SG.DelOnce), and the triangle's other two edges become
+	// protected ("considered") as well.
 	// This realizes §4.3's protection of edges shared by many triangles
 	// (per-edge deletion probability <= p/3 regardless of how many
 	// triangles contain it) and the §6.1 analysis; it is also what keeps
@@ -42,9 +43,8 @@ const (
 	// TRMaxWeight removes the maximum-weight edge of a sampled triangle,
 	// and only when the triangle's other two edges are still present — the
 	// cycle property then guarantees the MST weight is preserved exactly
-	// (§4.3, §6.1). Exactness holds for the sequential engine (one worker,
-	// which is why its registration is Sequential); parallel runs preserve
-	// it up to rare races.
+	// (§4.3, §6.1). That greedy check has no order-free rule, so triangles
+	// are fed in the reference order (one emitting worker) at any worker count.
 	TRMaxWeight
 	// TRCollapse collapses each sampled triangle into a single vertex,
 	// shrinking the vertex set as well (§4.3 "Triangle p-Reduction by
@@ -57,6 +57,7 @@ const (
 	// under which Fig. 6's "EO removes more than basic" holds, at the cost
 	// of the §6.1 guarantees; it exists for the ablation study
 	// (experiments.AblationEO). Use TREO for the theory-grade behaviour.
+	// Like TRMaxWeight it is greedy and runs in the reference order.
 	TREORedirect
 )
 
@@ -95,6 +96,9 @@ func triangleReduction(variant TRVariant) func(graph.AdjacencyEdges, Args) (*Res
 		if variant == TRCT {
 			perEdge = eng.PerEdge()
 		}
+		if variant == TRMaxWeight || variant == TREORedirect {
+			eng = eng.WithWorkers(1) // greedy: the reference order decides
+		}
 		sg := core.New(g, a.Seed, a.Workers)
 		sg.RunTriangleKernelOn(eng, trKernel(variant, p, a.Int("x"), perEdge), trIdle(sg, variant))
 		return &Result{Output: sg.Materialize()}, nil
@@ -106,21 +110,18 @@ func triangleReduction(variant TRVariant) func(graph.AdjacencyEdges, Args) (*Res
 // not the triangle is sampled and whichever edge it picks.
 func trIdle(sg *core.SG, variant TRVariant) core.TriangleIdle {
 	switch variant {
-	case TRBasic:
-		// Every candidate is already deleted, and Del is idempotent.
-		return func(e [3]graph.EdgeID) bool {
-			return sg.Deleted(e[0]) && sg.Deleted(e[1]) && sg.Deleted(e[2])
-		}
+	case TREO, TRCT:
+		return sg.OnceIdle
 	case TRMaxWeight:
 		// The heaviest edge is gone, or the triangle is no longer a cycle.
-		return func(e [3]graph.EdgeID) bool {
-			return sg.Deleted(e[0]) || sg.Deleted(e[1]) || sg.Deleted(e[2])
+		return func(t *triangles.Triangle) bool {
+			return sg.Deleted(t.E[0]) || sg.Deleted(t.E[1]) || sg.Deleted(t.E[2])
 		}
 	default:
-		// EO, CT, EO-redirect: every edge was considered, so the candidate
-		// is not fresh and there is nothing left to mark.
-		return func(e [3]graph.EdgeID) bool {
-			return sg.WasConsidered(e[0]) && sg.WasConsidered(e[1]) && sg.WasConsidered(e[2])
+		// Basic, EO-redirect: every candidate is already deleted, and Del
+		// is idempotent.
+		return func(t *triangles.Triangle) bool {
+			return sg.Deleted(t.E[0]) && sg.Deleted(t.E[1]) && sg.Deleted(t.E[2])
 		}
 	}
 }
@@ -143,19 +144,14 @@ func trKernel(variant TRVariant, trStays float64, x int, perEdge []int64) core.T
 		case TREO:
 			// Pick one edge u.a.r.; delete it only if fresh, then protect
 			// the whole triangle (each edge considered at most once).
-			chosen := r.Intn(3)
-			if !sg.ConsiderOnce(t.E[chosen]) {
-				sg.Del(t.E[chosen])
-			}
-			sg.MarkConsidered(t.E[(chosen+1)%3])
-			sg.MarkConsidered(t.E[(chosen+2)%3])
+			sg.DelOnce(t, r.Intn(3))
 		case TREORedirect:
 			// Aggressive reading: first fresh edge in a random order dies;
-			// survivors stay fair game for other triangles.
+			// survivors stay fair game for other triangles. An edge is
+			// considered exactly when it is deleted.
 			first := r.Intn(3)
 			for i := 0; i < 3; i++ {
-				e := t.E[(first+i)%3]
-				if !sg.ConsiderOnce(e) {
+				if e := t.E[(first+i)%3]; !sg.Deleted(e) {
 					sg.Del(e)
 					break
 				}
@@ -169,11 +165,7 @@ func trKernel(variant TRVariant, trStays float64, x int, perEdge []int64) core.T
 					best = i
 				}
 			}
-			if !sg.ConsiderOnce(t.E[best]) {
-				sg.Del(t.E[best])
-			}
-			sg.MarkConsidered(t.E[(best+1)%3])
-			sg.MarkConsidered(t.E[(best+2)%3])
+			sg.DelOnce(t, best)
 		case TRMaxWeight:
 			// Heaviest edge, deleted only while the triangle is still a
 			// cycle (other two edges alive) — the MST cycle property.

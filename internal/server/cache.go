@@ -8,19 +8,15 @@ import (
 // Key identifies one compressed variant in the cache: the graph's identity
 // (name plus the catalog generation, so a re-uploaded graph never aliases a
 // stale variant), the canonical scheme spec — the registry's
-// Spec(Parse(spec)) round-trip fixpoint — the seed, and the worker budget.
-// Two requests that spell the same scheme differently ("uniform:p=0.5" vs
-// "uniform: p=0.5") land on the same Key. Workers are part of the Key
-// because the schemes whose kernel instances share state (listed once, on
-// Scheme.Apply in internal/schemes) are seed-deterministic only at
-// workers=1: a budget>1 execution must never be served to a default
-// deterministic request.
+// Spec(Parse(spec)) round-trip fixpoint — and the seed. Two requests that
+// spell the same scheme differently ("uniform:p=0.5" vs "uniform: p=0.5")
+// land on the same Key, and so do two worker budgets: no scheme's output
+// depends on one (Scheme.Apply in internal/schemes).
 type Key struct {
-	Graph   string
-	Gen     uint64
-	Spec    string
-	Seed    uint64
-	Workers int
+	Graph string
+	Gen   uint64
+	Spec  string
+	Seed  uint64
 }
 
 // CacheStats is a snapshot of the variant cache's counters.

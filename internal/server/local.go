@@ -227,9 +227,9 @@ func acquireView(e *entry) (*view, error) {
 // entry.
 func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res *compressed, canonical string, cached bool, err error) {
 	// In-spec seed/workers overrides are rejected: the canonical spec does
-	// not carry them, so two different in-spec values would collide on one
-	// cache Key. The request-level parameters are the only way to set them,
-	// and those do key the cache.
+	// not carry them, so two different in-spec seeds would collide on one
+	// cache Key. The request-level parameters are the only way to set them:
+	// the seed keys the cache, the worker budget only sets the speed.
 	if strings.Contains(spec, "seed=") || strings.Contains(spec, "workers=") {
 		return nil, "", false, Errf(http.StatusUnprocessableEntity,
 			"spec %q may not set seed or workers; use the request's seed/workers parameters", spec)
@@ -239,7 +239,7 @@ func (l *Local) variantOf(e *entry, spec string, seed uint64, workers int) (res 
 		return nil, "", false, Errf(http.StatusUnprocessableEntity, "%v", err)
 	}
 	canonical = schemes.Spec(sch)
-	key := Key{Graph: e.name, Gen: e.gen, Spec: canonical, Seed: seed, Workers: workers}
+	key := Key{Graph: e.name, Gen: e.gen, Spec: canonical, Seed: seed}
 	res, cached, err = l.cache.get(key, func() (*compressed, error) {
 		if r, ok := l.loadSpilledVariant(key); ok {
 			return r, nil

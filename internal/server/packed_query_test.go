@@ -6,7 +6,6 @@ import (
 	"net/url"
 	"reflect"
 	"regexp"
-	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -60,16 +59,12 @@ func TestPackedQueryPathsNeverUnpack(t *testing.T) {
 		t.Fatalf("residency %q, want %q (budget 1)", info.Residency, ResidencyMapped)
 	}
 
-	// Compress on every server: the responses agree but for timing. tr-eo
-	// runs at one worker, the only count at which its output is fixed
-	// (Scheme.Apply).
-	specs := []struct {
-		spec    string
-		workers int
-	}{{"uniform:p=0.5", 2}, {"spectral:p=1,reweight=true", 2}, {"tr-eo:p=0.8", 1}, {"spanner:k=8", 2}}
-	compress := func(base, spec string, workers int) CompressResponse {
+	// Compress on every server, at two workers: the responses agree but for
+	// timing.
+	specs := []string{"uniform:p=0.5", "spectral:p=1,reweight=true", "tr-eo:p=0.8", "spanner:k=8"}
+	compress := func(base, spec string) CompressResponse {
 		t.Helper()
-		code, body := postJSON(t, base+"/v1/graphs/g/compress", map[string]any{"spec": spec, "seed": 3, "workers": workers})
+		code, body := postJSON(t, base+"/v1/graphs/g/compress", map[string]any{"spec": spec, "seed": 3, "workers": 2})
 		mustStatus(t, http.StatusOK, code, body)
 		var r CompressResponse
 		mustJSON(t, body, &r)
@@ -79,14 +74,14 @@ func TestPackedQueryPathsNeverUnpack(t *testing.T) {
 		}
 		return r
 	}
-	for _, sp := range specs {
-		want := compress(rawTS.URL, sp.spec, sp.workers)
+	for _, spec := range specs {
+		want := compress(rawTS.URL, spec)
 		for _, base := range servers[1:] {
-			if got := compress(base, sp.spec, sp.workers); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s on %s: %+v, raw twin %+v", sp.spec, base, got, want)
+			if got := compress(base, spec); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: %+v, raw twin %+v", spec, base, got, want)
 			}
 		}
-		noUnpack("compress " + sp.spec)
+		noUnpack("compress " + spec)
 	}
 
 	queries := []string{
@@ -99,7 +94,7 @@ func TestPackedQueryPathsNeverUnpack(t *testing.T) {
 		"/v1/graphs/g/degrees?workers=2",
 	}
 	variant := func(i int) string {
-		return "spec=" + url.QueryEscape(specs[i].spec) + "&seed=3&workers=" + strconv.Itoa(specs[i].workers)
+		return "spec=" + url.QueryEscape(specs[i]) + "&seed=3&workers=2"
 	}
 	for i := range specs {
 		q := variant(i)

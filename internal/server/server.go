@@ -10,7 +10,7 @@
 //     snapshot version, sniffed by graphio.ReadAuto) or generated on demand,
 //     kept raw or succinctly packed per a memory policy;
 //   - the compressed-variant cache: an LRU keyed by (graph, canonical
-//     scheme spec, seed, worker budget) with single-flight deduplication,
+//     scheme spec, seed) with single-flight deduplication,
 //     so N concurrent identical compress requests run the scheme exactly
 //     once and failures are never cached;
 //   - query endpoints (BFS distances, PageRank top-k, exact or
@@ -524,9 +524,8 @@ func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 
 // --- request parameter helpers ---------------------------------------------
 
-// clampWorkers resolves a requested worker budget: <= 0 means the
-// deterministic default of one worker, and the result never exceeds
-// MaxWorkers.
+// clampWorkers resolves a requested worker budget: <= 0 means one worker,
+// the result never exceeds MaxWorkers, and it sets speed, never the variant.
 func (o Options) clampWorkers(workers int) int {
 	if workers <= 0 {
 		return 1

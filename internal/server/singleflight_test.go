@@ -94,13 +94,18 @@ func TestSingleFlightExactlyOnce(t *testing.T) {
 		t.Errorf("distinct seed reused the cached variant (executions %d, want 2)", got)
 	}
 
-	// So is a different worker budget: some schemes are only deterministic
-	// at workers=1, so budgets must never share a variant.
+	// A different worker budget is the same Key: no scheme's output depends
+	// on it, so the cached variant answers.
 	code, respBody = postJSON(t, ts.URL+"/v1/graphs/sf/compress",
 		CompressRequest{Spec: "test-count", Seed: 42, Workers: 2})
 	mustStatus(t, http.StatusOK, code, respBody)
-	if got := applyCount.Load(); got != 3 {
-		t.Errorf("distinct worker budget reused the cached variant (executions %d, want 3)", got)
+	if got := applyCount.Load(); got != 2 {
+		t.Errorf("a distinct worker budget executed again (executions %d, want 2)", got)
+	}
+	var resp CompressResponse
+	mustJSON(t, respBody, &resp)
+	if !resp.Cached {
+		t.Error("a distinct worker budget was not served from the cache")
 	}
 }
 

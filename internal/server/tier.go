@@ -26,10 +26,10 @@ import (
 //
 //	graphs/<name>.sgp         servable snapshot (mmap'd to serve)
 //	graphs/<name>.json        {"memory": ..., "source": ...}
-//	variants/<name>/<key>.sgp spilled variant outputs, key = fnv64a(spec|seed|workers)
+//	variants/<name>/<key>.sgp spilled variant outputs, key = fnv64a(spec|seed)
 //
-// A graph owns its variant directory: a create clears it before the graph
-// is published, and a DELETE removes it before the graph's own files.
+// A graph owns its variant directory, names of an older key layout included:
+// a create clears it before the graph is published, a DELETE before its files.
 type store struct {
 	dir string
 	// variants orders writes under variants/ against removals there: a
@@ -74,7 +74,7 @@ func (s *store) variantPath(name string, key Key) string {
 	// re-created graph (new generation) can never fault in a predecessor's
 	// variants.
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%d\x00%d", key.Spec, key.Seed, key.Workers)
+	fmt.Fprintf(h, "%s\x00%d", key.Spec, key.Seed)
 	return filepath.Join(s.variantDir(name), fmt.Sprintf("%016x.sgp", h.Sum64()))
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -463,7 +465,7 @@ func TestOrphanedVariantIsNotFaultedIn(t *testing.T) {
 	tiered, tierTS := newTestServer(t, tierOpts)
 
 	// The stale image: another graph's variant filed under g's key.
-	key := Key{Graph: "g", Spec: "uniform:p=0.5", Seed: 3, Workers: 1}
+	key := Key{Graph: "g", Spec: "uniform:p=0.5", Seed: 3}
 	if !tiered.Local().catalog.store.saveVariant("g", key, mustGen(t, 9), func() bool { return true }) {
 		t.Fatal("seeding the stale variant snapshot failed")
 	}
@@ -473,7 +475,7 @@ func TestOrphanedVariantIsNotFaultedIn(t *testing.T) {
 		})
 		mustStatus(t, http.StatusCreated, code, body)
 		code, body = postJSON(t, ts+"/v1/graphs/g/compress", map[string]any{
-			"spec": key.Spec, "seed": key.Seed, "workers": key.Workers,
+			"spec": key.Spec, "seed": key.Seed, "workers": 1,
 		})
 		mustStatus(t, http.StatusOK, code, body)
 	}
@@ -487,6 +489,50 @@ func TestOrphanedVariantIsNotFaultedIn(t *testing.T) {
 	mustStatus(t, http.StatusOK, code, gotBody)
 	if !bytes.Equal(wantBody, gotBody) {
 		t.Fatalf("variant of the re-created graph differs from its untiered twin\nheap:   %s\ntiered: %s", wantBody, gotBody)
+	}
+}
+
+// TestOldLayoutVariantIsNeverAttached: a data directory whose variants
+// were spilled under the earlier key layout, fnv64a(spec|seed|workers),
+// restarts and answers like an untiered server. A file under the old name —
+// here another graph's variant, so attaching it would show — is never
+// faulted in, and it goes when its graph is deleted.
+func TestOldLayoutVariantIsNeverAttached(t *testing.T) {
+	dir := t.TempDir()
+	_, firstTS := newTestServer(t, Options{MaxWorkers: 2, DataDir: dir})
+	_, heapTS := newTestServer(t, Options{MaxWorkers: 2})
+	for _, ts := range []string{firstTS.URL, heapTS.URL} {
+		code, body := postJSON(t, ts+"/v1/graphs", map[string]any{
+			"name": "g", "gen": "communities", "numVertices": 400, "seed": 11,
+		})
+		mustStatus(t, http.StatusCreated, code, body)
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s\x00%d\x00%d", "uniform:p=0.5", 3, 1)
+	old := filepath.Join(dir, "variants", "g", fmt.Sprintf("%016x.sgp", h.Sum64()))
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeServable(old, succinct.Pack(mustGen(t, 9), 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, ts := newTestServer(t, Options{MaxWorkers: 2, DataDir: dir})
+	q := "/v1/graphs/g/bfs?root=0&spec=uniform:p=0.5&seed=3&workers=1"
+	code, wantBody := get(t, heapTS.URL+q)
+	mustStatus(t, http.StatusOK, code, wantBody)
+	code, gotBody := get(t, ts.URL+q)
+	mustStatus(t, http.StatusOK, code, gotBody)
+	if !bytes.Equal(wantBody, gotBody) {
+		t.Fatalf("restarted server differs from its untiered twin\nheap:     %s\nrestarted: %s", wantBody, gotBody)
+	}
+	if n := restarted.Local().catalog.tier.variantFaultIns.Load(); n != 0 {
+		t.Fatalf("variant fault-ins = %d, want 0: the old-layout file was attached", n)
+	}
+	code, body := do(t, "DELETE", ts.URL+"/v1/graphs/g", "", nil)
+	mustStatus(t, http.StatusOK, code, body)
+	if _, err := os.Stat(old); !os.IsNotExist(err) {
+		t.Fatalf("old-layout variant outlived its graph: %v", err)
 	}
 }
 
@@ -547,7 +593,7 @@ func TestSpillRacingDeleteLeavesNoOrphan(t *testing.T) {
 
 	st := l.catalog.store
 	for _, spec := range specs {
-		path := st.variantPath("g", Key{Graph: "g", Spec: spec, Seed: 3, Workers: 1})
+		path := st.variantPath("g", Key{Graph: "g", Spec: spec, Seed: 3})
 		m, err := succinct.OpenPacked(path)
 		if err != nil {
 			continue // never spilled for the live graph
