@@ -441,3 +441,15 @@ func TestOutputsIgnoreTheWorkerCount(t *testing.T) {
 		},
 	)
 }
+
+// TestBuilderSortsByCounting: graph construction runs in linear passes, so
+// internal/graph's non-test code calls no comparison sort — no
+// sort.Slice, sort.SliceStable, sort.Sort, sort.Stable or slices.Sort* —
+// while sort.Search stays (CHANGES.md: "graph construction without a
+// comparison sort").
+func TestBuilderSortsByCounting(t *testing.T) {
+	check(t, rule{
+		in:     []string{"internal/graph"},
+		idents: `^(sort\.(Slice|SliceStable|Sort|Stable)|slices\.Sort(Func|StableFunc)?)$`,
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"slimgraph/internal/gen"
 	"slimgraph/internal/graph"
@@ -316,7 +317,13 @@ func referenceRunTriangleKernel(sg *SG, k TriangleKernel) {
 // consider-flag protocol run in the reference order (edgeOnceReference).
 // The guarded cases run the engine with the kernel's idle predicate:
 // retiring idle instances must not move a single deletion, and the
-// predicate must actually fire.
+// predicate must actually fire. Above one worker every case holds the
+// instances of the reference order's first edge until all other ranges
+// have gone quiet (no instance for 10 ms), so the ranges finish out of
+// order at any load: the lowest-ranked claims land last, on edges later
+// ranges already claimed. A range stalled longer than that only weakens the
+// check, since correct claims give the reference deletions under any
+// schedule.
 func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 	g := gen.PlantedPartition(200, 15, 0.55, 120, 23)
 	basicKernel := func(sg *SG, r *rng.Rand, tr TriangleView) {
@@ -371,26 +378,40 @@ func TestTriangleKernelDeletionsMatchReference(t *testing.T) {
 		{"basic guarded", basicKernel, allDeleted, basicWant},
 		{"edge-once guarded", eoKernel, func(sg *SG) TriangleIdle { return sg.OnceIdle }, eoWant},
 	}
+	first := graph.EdgeID(-1) // the reference order's first triangle edge
+	oracle.ReferenceForEach(g, 1, func(t triangles.Triangle) {
+		if first < 0 {
+			first = t.E[0]
+		}
+	})
 	for _, c := range cases {
 		if len(c.want) == 0 {
 			t.Fatalf("%s: degenerate test — no deletions", c.name)
 		}
 		for _, workers := range []int{1, 8} {
 			engineSG := New(g, 42, workers)
-			var idle TriangleIdle
-			var retired int64
+			var inner TriangleIdle
 			if c.idle != nil {
-				inner := c.idle(engineSG)
-				idle = func(t *triangles.Triangle) bool {
-					if inner(t) {
-						atomic.AddInt64(&retired, 1)
-						return true
+				inner = c.idle(engineSG)
+			}
+			var calls, retired atomic.Int64
+			var released atomic.Bool
+			idle := func(t *triangles.Triangle) bool {
+				calls.Add(1)
+				if workers > 1 && t.E[0] == first && !released.Load() {
+					for quiet := int64(-1); calls.Load() != quiet; time.Sleep(10 * time.Millisecond) {
+						quiet = calls.Load()
 					}
-					return false
+					released.Store(true)
 				}
+				if inner != nil && inner(t) {
+					retired.Add(1)
+					return true
+				}
+				return false
 			}
 			engineSG.RunTriangleKernelOn(triangles.NewEngine(g, workers), c.kernel, idle)
-			if c.idle != nil && retired == 0 {
+			if c.idle != nil && retired.Load() == 0 {
 				t.Fatalf("%s workers=%d: the idle predicate never fired", c.name, workers)
 			}
 			got := deletions(engineSG)

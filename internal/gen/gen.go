@@ -36,49 +36,59 @@ func ErdosRenyi(n, m int, seed uint64) *graph.Graph {
 // (0.57, 0.19, 0.19) it produces the skewed, triangle-rich structure of
 // social networks — the analog of the paper's s-* graphs.
 func RMAT(scale, edgeFactor int, a, b, c float64, seed uint64) *graph.Graph {
-	n := 1 << uint(scale)
-	m := edgeFactor * n
-	r := rng.New(seed)
-	edges := make([]graph.Edge, 0, m)
-	for i := 0; i < m; i++ {
-		u, v := rmatEdge(scale, a, b, c, r)
-		edges = append(edges, graph.Edge{U: u, V: v, W: 1})
-	}
-	return graph.FromEdges(n, false, edges)
+	return graph.FromEdges(1<<uint(scale), false, RMATEdges(scale, edgeFactor, a, b, c, seed))
 }
 
 // RMATDirected is RMAT but keeps arc directions — the analog of the paper's
 // hyperlink (h-*) graphs, whose out-degree distributions Fig. 8 plots.
 func RMATDirected(scale, edgeFactor int, a, b, c float64, seed uint64) *graph.Graph {
-	n := 1 << uint(scale)
-	m := edgeFactor * n
-	r := rng.New(seed)
-	edges := make([]graph.Edge, 0, m)
-	for i := 0; i < m; i++ {
-		u, v := rmatEdge(scale, a, b, c, r)
-		edges = append(edges, graph.Edge{U: u, V: v, W: 1})
-	}
-	return graph.FromEdges(n, true, edges)
+	return graph.FromEdges(1<<uint(scale), true, RMATEdges(scale, edgeFactor, a, b, c, seed))
 }
 
-func rmatEdge(scale int, a, b, c float64, r *rng.Rand) (graph.NodeID, graph.NodeID) {
-	var u, v int
-	for bit := 0; bit < scale; bit++ {
-		x := r.Float64()
-		switch {
-		case x < a:
-			// upper-left: no bits set
-		case x < a+b:
-			v |= 1 << uint(bit)
-		case x < a+b+c:
-			u |= 1 << uint(bit)
-		default:
-			u |= 1 << uint(bit)
-			v |= 1 << uint(bit)
+// RMATEdges returns the edgeFactor * 2^scale edges RMAT and RMATDirected
+// build from, in draw order: self-loops and duplicates included, unsorted.
+//
+// Each edge takes one draw per level. A level picks the first quadrant
+// whose cumulative probability exceeds its draw x = k/2⁵³ (k the top 53
+// bits): upper-left (x < a), upper-right (x < a+b, sets v's bit),
+// lower-left (x < a+b+c, sets u's bit) or lower-right (both). Since
+// k/2⁵³ < t ⇔ k < ⌈t·2⁵³⌉ exactly, the level compares k with three integer
+// thresholds instead of branching on floats: u's bit is k ≥ a ∧ k ≥ a+b,
+// v's is k ≥ a ∧ (k < a+b ∨ k ≥ a+b+c) — the same first match for every
+// (a, b, c), degenerate ones included, and the same stream of draws.
+func RMATEdges(scale, edgeFactor int, a, b, c float64, seed uint64) []graph.Edge {
+	m := edgeFactor << uint(scale)
+	ta, tab, tabc := threshold53(a), threshold53(a+b), threshold53(a+b+c)
+	r := rng.New(seed)
+	edges := make([]graph.Edge, m)
+	for i := range edges {
+		var u, v uint64
+		for bit := 0; bit < scale; bit++ {
+			k := r.Uint64() >> 11
+			geA, geAB, geABC := atLeast(k, ta), atLeast(k, tab), atLeast(k, tabc)
+			u |= (geA & geAB) << uint(bit)
+			v |= (geA & (geAB ^ 1 | geABC)) << uint(bit)
 		}
+		edges[i] = graph.Edge{U: graph.NodeID(u), V: graph.NodeID(v), W: 1}
 	}
-	return graph.NodeID(u), graph.NodeID(v)
+	return edges
 }
+
+// threshold53 returns ⌈t·2⁵³⌉ clamped to [0, 2⁵³]: the least 53-bit k
+// with k/2⁵³ ≥ t. A NaN t, which no draw is below, gives 0.
+func threshold53(t float64) uint64 {
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(t * (1 << 53)))
+}
+
+// atLeast returns 1 if k >= t and 0 otherwise, without a branch; both
+// operands are at most 2⁵³.
+func atLeast(k, t uint64) uint64 { return (k-t)>>63 ^ 1 }
 
 // BarabasiAlbert returns a preferential-attachment graph: n vertices, each
 // new vertex attaching k edges to existing vertices with probability

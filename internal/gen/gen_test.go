@@ -1,12 +1,15 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 
 	"slimgraph/internal/graph"
+	"slimgraph/internal/rng"
 )
 
 func TestErdosRenyi(t *testing.T) {
@@ -179,9 +182,91 @@ func TestLogNormalDegreeGraph(t *testing.T) {
 	}
 }
 
-func BenchmarkRMATScale14(b *testing.B) {
+// BenchmarkRMAT times the benchmark's pinned graph, rmat14: the draw and
+// the unsorted build. Run it with -cpu 1,2 to see the build's parallel part.
+func BenchmarkRMAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = RMAT(14, 8, 0.57, 0.19, 0.19, uint64(i))
+		_ = RMAT(14, 16, 0.57, 0.19, 0.19, 77)
+	}
+}
+
+// TestThreshold53MatchesFloatCompare checks the identity RMATEdges rests
+// on, k < threshold53(t) ⇔ k/2⁵³ < t, at and around every threshold of
+// random, dyadic, out-of-range and NaN probabilities.
+func TestThreshold53MatchesFloatCompare(t *testing.T) {
+	r := rng.New(9)
+	ts := []float64{math.NaN(), math.Inf(-1), -0.5, 0, 0x1p-53, 0x1p-54, 0.25, 0.5, 0.57, 0.76, 0.95, 1 - 0x1p-53, 1, 1.5, math.Inf(1)}
+	for i := 0; i < 2000; i++ {
+		ts = append(ts, r.Float64(), r.Float64()+r.Float64()*0x1p-40, 0.57+0.19*r.Float64())
+	}
+	for _, p := range ts {
+		th := threshold53(p)
+		for _, k := range []uint64{0, th - 1, th, th + 1, 1<<53 - 1, r.Uint64() >> 11} {
+			if k >= 1<<53 {
+				continue
+			}
+			if got, want := atLeast(k, th) == 0, float64(k)/(1<<53) < p; got != want {
+				t.Fatalf("t=%v k=%d: k < threshold53 is %v, k/2⁵³ < t is %v", p, k, got, want)
+			}
+		}
+	}
+}
+
+// columnsDigest is the SHA-256 of g's shape and canonical columns: n, the
+// directed flag, then every edge's endpoints and weight bits in ID order.
+func columnsDigest(g *graph.Graph) string {
+	h := sha256.New()
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], uint64(g.N()))
+	if g.Directed() {
+		buf[8] = 1
+	}
+	h.Write(buf[:9])
+	g.ForEdges(func(_ graph.EdgeID, u, v graph.NodeID, w float64) {
+		binary.LittleEndian.PutUint32(buf[0:], uint32(u))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(v))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(w))
+		h.Write(buf[:])
+	})
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestGeneratorDigestsPinned pins the exact output of every generator the
+// experiments and the benchmark build from: the benchmark's rmat14 (seed
+// 77), RMAT at two scales and three seeds, directed RMAT, RMAT at
+// degenerate partition probabilities (where the first matching quadrant
+// decides), and one call of each other generator. A draw or a builder may
+// get faster; it may not move one edge.
+func TestGeneratorDigestsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    func() *graph.Graph
+		want string
+	}{
+		{"rmat14-77", func() *graph.Graph { return RMAT(14, 16, 0.57, 0.19, 0.19, 77) }, "79e821273b00265a5108d88f07d923a85df0f4875c2d7351c8c8de00e2734c4f"},
+		{"rmat6-1", func() *graph.Graph { return RMAT(6, 16, 0.57, 0.19, 0.19, 1) }, "f82760a89aaeaf5c52676871518b0b453b5eff8c22d8344fd253975bf882bfdb"},
+		{"rmat6-2", func() *graph.Graph { return RMAT(6, 16, 0.57, 0.19, 0.19, 2) }, "a24d863bef756679101b103520b85cda04643d5b49ab443303556f5261c37692"},
+		{"rmat6-3", func() *graph.Graph { return RMAT(6, 16, 0.57, 0.19, 0.19, 3) }, "5deaa9ea79f671cfcba02c04ed1aaa723ebdb1dea710f0edee98e0bcff3b1b5f"},
+		{"rmat10-1", func() *graph.Graph { return RMAT(10, 16, 0.57, 0.19, 0.19, 1) }, "6c64848d99919dbd48db06f675d1b55d6a19ea51473694cbf4b5bf6e184a553c"},
+		{"rmat10-2", func() *graph.Graph { return RMAT(10, 16, 0.57, 0.19, 0.19, 2) }, "51c9cf609c832040fe58de4175ee55f91a46f587bbd66b93f863a0defe611e0a"},
+		{"rmat10-3", func() *graph.Graph { return RMAT(10, 16, 0.57, 0.19, 0.19, 3) }, "66ec59f86433af544a34550109b656514952d22dfbf8c27f31273da1f393dc96"},
+		{"rmat-directed10", func() *graph.Graph { return RMATDirected(10, 8, 0.57, 0.19, 0.19, 5) }, "70d6a8285d7926ece45023d34f7d42762f2087658cc65077f984d935c57acdd5"},
+		{"rmat-a1", func() *graph.Graph { return RMAT(8, 8, 1, 0, 0, 4) }, "51b09ceccfbec44595dd4241e6e2a693d279b72c899c8f60ec63524fe58b1d4f"},
+		{"rmat-d1", func() *graph.Graph { return RMAT(8, 8, 0, 0, 0, 4) }, "51b09ceccfbec44595dd4241e6e2a693d279b72c899c8f60ec63524fe58b1d4f"},
+		{"rmat-b1", func() *graph.Graph { return RMAT(8, 8, 0, 1, 0, 4) }, "e8a9baf56e873c94fbd4072d376f78b94c495d0d7d9f506438c34c0dadd3cecd"},
+		{"rmat-c1", func() *graph.Graph { return RMAT(8, 8, 0, 0, 1, 4) }, "e8a9baf56e873c94fbd4072d376f78b94c495d0d7d9f506438c34c0dadd3cecd"},
+		{"rmat-half", func() *graph.Graph { return RMAT(8, 8, 0.5, 0, 0.5, 4) }, "26b503ece3396ce00b931e13a293e210cbcdcf5b835f449d711f7d0bf27066be"},
+		{"rmat-uniform", func() *graph.Graph { return RMAT(8, 8, 0.25, 0.25, 0.25, 4) }, "6c931f406dca012626f933385f5888149a82a143d1a392f4022ab9947be2f983"},
+		{"er", func() *graph.Graph { return ErdosRenyi(2000, 16000, 6) }, "6f4be2ec615acaf001559757478adab5c6c323c9d51a1639c408d9fffcf765fa"},
+		{"ba", func() *graph.Graph { return BarabasiAlbert(2000, 4, 6) }, "3ea4ba72cb2438b7ac15b63ee634927b15268d8d5eaa7726e0084e4f24a32542"},
+		{"ws", func() *graph.Graph { return WattsStrogatz(2000, 8, 0.1, 6) }, "cadc9335f79e513716a840f367eb98ea74b7ba2856e33f2936ab4bbb1e403838"},
+		{"planted", func() *graph.Graph { return PlantedPartition(1000, 25, 0.5, 1000, 6) }, "445ca82241ed3664cdcf3de595279f4f52e00fd7769bc8189aa2d12047684cb4"},
+		{"grid", func() *graph.Graph { return Grid2D(40, 50, true) }, "41d9287338848d3d84e818162bbc59937d4472615cc47d3a394d460ca5df2fbe"},
+		{"lognormal", func() *graph.Graph { return LogNormalDegreeGraph(2000, 1.5, 1.0, 6) }, "0d0c3abbabddeb49c2913c9515bf35886621a4c72b607ca15cc1af29e7aa876c"},
+	} {
+		if got := columnsDigest(tc.g()); got != tc.want {
+			t.Errorf("%s: digest %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

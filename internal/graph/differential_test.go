@@ -7,8 +7,10 @@ package graph
 // inputs, and must be invariant under the worker count.
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"slimgraph/internal/rng"
@@ -227,6 +229,79 @@ func FuzzFromCanonicalEdges(f *testing.F) {
 		}
 		if want := ReferenceBuild(n, directed, weighted, edges); !g1.Equal(want) {
 			t.Fatalf("accepted list builds %v, ReferenceBuild %v", g1, want)
+		}
+	})
+}
+
+// FuzzBuild decodes its bytes into n ≤ 64, four flags and an unsorted edge
+// list — endpoints as signed bytes, so self-loops, duplicates and
+// out-of-range endpoints all turn up — and builds it. Flag bits: directed,
+// weighted (weights from the bytes plus the edge's index/1024, so
+// duplicates differ in weight; 1 otherwise), skewed (every other edge
+// leaves vertex 0, one hub bucket holding half the list), sorted (the list
+// is (U, V, W)-sorted first, the shortcut past both scatters). A list with
+// an endpoint out of range must fail Builder.Build with the first such
+// edge's error; any other must build, through FromEdges or
+// FromWeightedEdges, a graph that validates and is Equal to
+// ReferenceBuild's.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{5, 0, 0, 1, 4, 1, 0, 4, 4, 1, 2, 4, 3, 4, 8})
+	f.Add([]byte{8, 2, 3, 0, 9, 0, 3, 1, 1, 0, 2, 0, 1, 6, 3, 0, 6})  // weighted duplicates, the least one later
+	f.Add([]byte{9, 5, 1, 2, 0, 3, 4, 0, 5, 6, 0, 7, 8, 0, 2, 2, 1})  // directed, skewed
+	f.Add([]byte{7, 10, 0, 1, 1, 0, 1, 0, 0, 2, 5, 2, 3, 1, 2, 3, 0}) // weighted, sorted
+	f.Add([]byte{6, 0, 0, 200, 4, 0, 9, 4})                           // out of range
+	f.Add([]byte{64, 3, 0, 63, 4, 63, 0, 4, 63, 63, 1})               // the largest n
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(data[0]) % 65
+		directed, weighted := data[1]&1 != 0, data[1]&2 != 0
+		skewed, sorted := data[1]&4 != 0, data[1]&8 != 0
+		var edges []Edge
+		for rest := data[2:]; len(rest) >= 3; rest = rest[3:] {
+			e := Edge{U: NodeID(int8(rest[0])), V: NodeID(int8(rest[1])), W: 1}
+			if weighted {
+				e.W = float64(int8(rest[2])) + float64(len(edges))/1024
+			}
+			if skewed && len(edges)%2 == 0 {
+				e.U = 0
+			}
+			edges = append(edges, e)
+		}
+		if sorted {
+			slices.SortFunc(edges, func(a, b Edge) int {
+				return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.W, b.W))
+			})
+		}
+		b := NewBuilder(n, directed)
+		b.AddEdges(edges)
+		if weighted {
+			b.SetWeighted()
+		}
+		built, err := b.Build()
+		if i := slices.IndexFunc(edges, func(e Edge) bool {
+			return e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n
+		}); i >= 0 {
+			want := fmt.Sprintf("graph: edge (%d, %d) out of range [0, %d)", edges[i].U, edges[i].V, n)
+			if err == nil || err.Error() != want {
+				t.Fatalf("Build: %v, want %s", err, want)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		g := FromEdges(n, directed, edges)
+		if weighted {
+			g = FromWeightedEdges(n, directed, edges)
+		}
+		want := ReferenceBuild(n, directed, weighted, edges)
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if !g.Equal(want) || !built.Equal(want) {
+			t.Fatalf("built %v, ReferenceBuild %v", g, want)
 		}
 	})
 }

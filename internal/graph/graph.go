@@ -12,15 +12,16 @@
 // # Rebuild-free construction
 //
 // The package maintains one global invariant: the canonical edge list is
-// always sorted by (U, V). That invariant buys two construction paths that
-// never run a comparison sort over all edges:
+// always sorted by (U, V). That invariant buys construction paths that never
+// run a comparison sort:
 //
-//   - Arbitrary edge input (Builder, FromEdges) goes through a two-pass
-//     parallel counting sort: a stable scatter groups edges by U
-//     (parallel.CountingScatter), only the per-vertex buckets are sorted (in
-//     parallel, each bucket is at most one adjacency long), and duplicates
-//     are removed with a stable parallel compaction. The CSR adjacency is
-//     then produced by a second stable scatter of the arcs in edge-ID
+//   - Arbitrary edge input (Builder, FromEdges) is sorted by counting alone:
+//     a stable parallel scatter by V (parallel.CountingScatter's scheme,
+//     which also drops self-loops and orders undirected endpoints), then one
+//     by U, leaves the edges (U, V)-ordered with duplicates adjacent, and a
+//     stable parallel compaction keeps each duplicate run's minimum weight.
+//     Input already in canonical order skips both scatters. The CSR
+//     adjacency is then produced by a stable scatter of the arcs in edge-ID
 //     order, which — because the edge list is (U, V)-sorted — emits every
 //     adjacency list already sorted, so no per-vertex sort pass exists at
 //     all.
@@ -43,7 +44,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"slimgraph/internal/parallel"
 )
@@ -333,154 +336,164 @@ func (b *Builder) SetWeighted() { b.weighted = true }
 
 // Build constructs the CSR graph. It returns an error for out-of-range
 // endpoints.
-func (b *Builder) Build() (*Graph, error) {
-	for _, e := range b.edges {
-		if e.U < 0 || int(e.U) >= b.n || e.V < 0 || int(e.V) >= b.n {
-			return nil, fmt.Errorf("graph: edge (%d, %d) out of range [0, %d)", e.U, e.V, b.n)
-		}
-	}
-	return build(b.n, b.directed, b.weighted, b.edges), nil
-}
+func (b *Builder) Build() (*Graph, error) { return build(b.n, b.directed, b.weighted, b.edges) }
 
-// FromEdges builds a graph directly from an edge slice. It panics on
-// out-of-range endpoints (callers constructing graphs programmatically).
+// FromEdges builds a graph directly from an edge slice, which it neither
+// modifies nor keeps; the graph is weighted when any weight is not 1. It
+// panics on out-of-range endpoints (callers constructing graphs
+// programmatically).
 func FromEdges(n int, directed bool, edges []Edge) *Graph {
-	b := NewBuilder(n, directed)
-	b.AddEdges(edges)
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return mustBuild(build(n, directed, slices.ContainsFunc(edges, func(e Edge) bool { return e.W != 1 }), edges))
 }
 
 // FromWeightedEdges is FromEdges with the weighted flag forced on.
 func FromWeightedEdges(n int, directed bool, edges []Edge) *Graph {
-	b := NewBuilder(n, directed)
-	b.AddEdges(edges)
-	b.SetWeighted()
-	g, err := b.Build()
+	return mustBuild(build(n, directed, true, edges))
+}
+
+func mustBuild(g *Graph, err error) *Graph {
 	if err != nil {
 		panic(err)
 	}
 	return g
 }
 
-// build constructs a Graph from arbitrary edge input: a two-pass parallel
-// counting-sort construction. No comparison sort ever sees the full edge
-// list — edges are bucketed by U with a stable scatter, each bucket (one
-// adjacency) is sorted by (V, W) in parallel, and duplicates are removed
-// with a stable parallel compaction keeping the minimum-weight copy.
-func build(n int, directed, weighted bool, input []Edge) *Graph {
-	edges := normalizeEdges(directed, input)
-	if !edgesSorted(edges) {
-		sortEdgesByEndpoint(n, &edges)
+// build constructs a Graph from arbitrary edge input, which it does not
+// modify, in linear passes. Input already in canonical order goes straight
+// to deduplication. Any other input is sorted by counting alone: a stable
+// scatter by V, which also drops self-loops and puts undirected endpoints
+// in order (U <= V), then a stable scatter by U — a two-digit radix sort
+// that leaves the edges (U, V)-ordered with each run of duplicates in input
+// order. A stable parallel compaction then keeps one edge per run, with
+// the run's minimum weight.
+func build(n int, directed, weighted bool, input []Edge) (*Graph, error) {
+	for _, e := range input {
+		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+			return nil, fmt.Errorf("graph: edge (%d, %d) out of range [0, %d)", e.U, e.V, n)
+		}
+	}
+	edges := input
+	if !canonicalOrder(directed, input) {
+		edges = scatterEdges(n, directed, false, input)
+		edges = scatterEdges(n, directed, true, edges)
 	}
 	eu, ev, ew := dedupSorted(edges, weighted)
-	return fromSortedCanonical(n, directed, weighted, eu, ev, ew, 0)
+	return fromSortedCanonical(n, directed, weighted, eu, ev, ew, 0), nil
 }
 
-// edgesSorted reports whether edges are (U, V, W)-lexicographically
-// non-decreasing — the order the sort step would produce. Compressed
-// graphs, snapshot loads, and edge lists written by this package arrive
-// sorted, so this O(m) parallel check routinely saves the whole sort.
-func edgesSorted(edges []Edge) bool {
-	violations := parallel.SumInt64(len(edges)-1, 0, func(i int) int64 {
-		a, b := edges[i], edges[i+1]
-		if a.U != b.U {
-			if a.U > b.U {
-				return 1
-			}
-			return 0
-		}
-		if a.V != b.V {
-			if a.V > b.V {
-				return 1
-			}
-			return 0
-		}
-		if a.W > b.W {
-			return 1
-		}
-		return 0
-	})
-	return violations == 0
-}
-
-// normalizeEdges drops self-loops and canonicalizes undirected endpoints
-// (U <= V), compacting into a fresh slice with a stable parallel pack.
-func normalizeEdges(directed bool, input []Edge) []Edge {
-	notLoop := func(i int) bool { return input[i].U != input[i].V }
-	kept := make([]Edge, parallel.Pack(len(input), 0, notLoop, nil))
-	parallel.Pack(len(input), 0, notLoop, func(i int, pos int64) {
-		e := input[i]
-		if !directed && e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		kept[pos] = e
-	})
-	return kept
-}
-
-// sortEdgesByEndpoint sorts edges by (U, V, W) without a global comparison
-// sort: a stable counting scatter groups by U, then each U-bucket — at most
-// one adjacency long — is sorted by (V, W) in parallel.
-func sortEdgesByEndpoint(n int, edges *[]Edge) {
-	in := *edges
-	byU := make([]Edge, len(in))
-	offsets := parallel.CountingScatter(len(in), n, 0,
-		func(i int) int { return int(in[i].U) },
-		func(i int, pos int64) { byU[pos] = in[i] })
-	parallel.For(n, 0, func(u int) {
-		bucket := byU[offsets[u]:offsets[u+1]]
-		if len(bucket) <= 1 {
-			return
-		}
-		// Buckets are adjacency-sized: insertion sort beats sort.Slice's
-		// closure dispatch for the short ones that dominate.
-		if len(bucket) <= 24 {
-			for i := 1; i < len(bucket); i++ {
-				e := bucket[i]
-				j := i - 1
-				for j >= 0 && (bucket[j].V > e.V || (bucket[j].V == e.V && bucket[j].W > e.W)) {
-					bucket[j+1] = bucket[j]
-					j--
+// canonicalOrder reports whether edges hold no self-loop, no undirected
+// edge with U > V, and are (U, V, W)-lexicographically non-decreasing.
+// Compressed graphs, snapshot loads, and edge lists written by this package
+// arrive so, and this O(m) parallel check saves them both scatters; other
+// input usually fails it within its first few edges.
+func canonicalOrder(directed bool, edges []Edge) bool {
+	var unordered atomic.Bool
+	parallel.ForChunks(len(edges), 0, func(lo, hi int) {
+		for i := lo; i < hi && !unordered.Load(); i++ {
+			b := edges[i]
+			if b.U == b.V || (!directed && b.U > b.V) {
+				unordered.Store(true)
+			} else if i > 0 {
+				a := edges[i-1]
+				if a.U > b.U || (a.U == b.U && (a.V > b.V || (a.V == b.V && a.W > b.W))) {
+					unordered.Store(true)
 				}
-				bucket[j+1] = e
 			}
-			return
 		}
-		sort.Slice(bucket, func(i, j int) bool {
-			if bucket[i].V != bucket[j].V {
-				return bucket[i].V < bucket[j].V
-			}
-			return bucket[i].W < bucket[j].W
-		})
 	})
-	*edges = byU
+	return !unordered.Load()
 }
 
-// dedupSorted removes duplicate (U, V) pairs from a sorted edge list —
-// keeping the first (minimum-weight) copy — and splits the survivors into
-// the canonical column arrays. ew is nil when weighted is false.
-func dedupSorted(edges []Edge, weighted bool) (eu, ev []NodeID, ew []float64) {
-	first := func(i int) bool {
-		return i == 0 || edges[i].U != edges[i-1].U || edges[i].V != edges[i-1].V
+// scatterEdges returns src's edges without self-loops, undirected ones
+// with U <= V, stably scattered by U when byU and by V otherwise: one digit
+// of build's radix sort. It is parallel.CountingScatter with the key and
+// the move written inline, since a call per edge through two closures costs
+// more than the move itself.
+func scatterEdges(n int, directed, byU bool, src []Edge) []Edge {
+	blocks := parallel.Blocks(len(src), n, 0)
+	cursor := make([]int64, blocks*n)
+	parallel.ForBlocks(len(src), blocks, 0, func(b, lo, hi int) {
+		local := cursor[b*n : (b+1)*n]
+		for _, e := range src[lo:hi] {
+			if e, k := scatterKey(e, directed, byU); e.U != e.V {
+				local[k]++
+			}
+		}
+	})
+	dst := make([]Edge, parallel.ScanCursors(cursor, blocks, n, 0)[n])
+	parallel.ForBlocks(len(src), blocks, 0, func(b, lo, hi int) {
+		local := cursor[b*n : (b+1)*n]
+		for _, e := range src[lo:hi] {
+			if e, k := scatterKey(e, directed, byU); e.U != e.V {
+				dst[local[k]] = e
+				local[k]++
+			}
+		}
+	})
+	return dst
+}
+
+// scatterKey returns e with undirected endpoints in order (min and max
+// swap them without a branch) and its key for scatterEdges.
+func scatterKey(e Edge, directed, byU bool) (Edge, NodeID) {
+	if !directed {
+		e.U, e.V = min(e.U, e.V), max(e.U, e.V)
 	}
-	m := parallel.Pack(len(edges), 0, first, nil)
+	if byU {
+		return e, e.U
+	}
+	return e, e.V
+}
+
+// dedupSorted removes duplicate (U, V) pairs from a (U, V)-sorted edge
+// list, keeping each run's minimum weight (the first of equal minima), and
+// splits the survivors into the canonical column arrays. ew is nil when
+// weighted is false. A stable parallel compaction: blocks count the runs
+// that start in them, then copy those runs out at their offsets.
+func dedupSorted(edges []Edge, weighted bool) (eu, ev []NodeID, ew []float64) {
+	blocks := parallel.Blocks(len(edges), 0, 0)
+	base := make([]int64, blocks)
+	parallel.ForBlocks(len(edges), blocks, 0, func(b, lo, hi int) {
+		var runs int64
+		for i := lo; i < hi; i++ {
+			if runStart(edges, i) {
+				runs++
+			}
+		}
+		base[b] = runs
+	})
+	m := parallel.ExclusiveScan(base, 0)
 	eu = make([]NodeID, m)
 	ev = make([]NodeID, m)
 	if weighted {
 		ew = make([]float64, m)
 	}
-	parallel.Pack(len(edges), 0, first, func(i int, pos int64) {
-		eu[pos] = edges[i].U
-		ev[pos] = edges[i].V
-		if weighted {
-			ew[pos] = edges[i].W
+	parallel.ForBlocks(len(edges), blocks, 0, func(b, lo, hi int) {
+		pos := base[b]
+		for i := lo; i < hi; i++ {
+			if !runStart(edges, i) {
+				continue
+			}
+			e := edges[i]
+			eu[pos], ev[pos] = e.U, e.V
+			if weighted {
+				w := e.W
+				for j := i + 1; j < len(edges) && !runStart(edges, j); j++ {
+					if edges[j].W < w {
+						w = edges[j].W
+					}
+				}
+				ew[pos] = w
+			}
+			pos++
 		}
 	})
 	return eu, ev, ew
+}
+
+// runStart reports whether edges[i] starts a run of equal (U, V).
+func runStart(edges []Edge, i int) bool {
+	return i == 0 || edges[i].U != edges[i-1].U || edges[i].V != edges[i-1].V
 }
 
 // fromSortedCanonical builds the CSR directly from a canonical edge list:

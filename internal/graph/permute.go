@@ -58,10 +58,5 @@ func (g *Graph) Permute(perm []NodeID, workers int) (*Graph, error) {
 			edges[e] = Edge{U: perm[g.edgeU[e]], V: perm[g.edgeV[e]], W: w}
 		}
 	})
-	b := NewBuilder(g.n, g.directed)
-	b.AddEdges(edges)
-	if g.weighted {
-		b.SetWeighted()
-	}
-	return b.Build()
+	return build(g.n, g.directed, g.weighted, edges)
 }

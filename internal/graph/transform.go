@@ -173,7 +173,7 @@ func (g *Graph) ContractChecked(mapping []NodeID) (*Graph, []NodeID, error) {
 	})
 	// Contracted endpoints are in arbitrary label order: the full build
 	// (canonicalize, counting sort, min-weight dedup) applies.
-	return build(int(next), g.directed, g.weighted, edges), remap, nil
+	return mustBuild(build(int(next), g.directed, g.weighted, edges)), remap, nil
 }
 
 // Clone returns a deep structural copy (used by tests that need to assert

@@ -221,7 +221,7 @@ func Share(total int64, g, parts int) int64 {
 }
 
 // Blocks returns the block count used by the block-deterministic primitives
-// (Histogram, ExclusiveScan, CountingScatter, Pack) for a loop of length n:
+// (Histogram, ExclusiveScan, CountingScatter) for a loop of length n:
 // Resolve(workers, n) capped so per-block bookkeeping of width bins stays
 // small. The cap keeps CountingScatter's blocks×bins cursor matrix bounded
 // even for vertex-count-sized bins.
@@ -407,42 +407,6 @@ func ScanCursors(cursor []int64, blocks, bins, workers int) []int64 {
 		}
 	})
 	return offsets
-}
-
-// Pack stably compacts [0, n): move(i, pos) is called for every i with
-// keep(i) true, pos counting kept items in input order. Like CountingScatter
-// the positions are worker-count independent. Returns the number of kept
-// items. A nil move counts without placing — the sizing pass before
-// allocating the packed output.
-func Pack(n, workers int, keep func(i int) bool, move func(i int, pos int64)) int64 {
-	if n <= 0 {
-		return 0
-	}
-	blocks := Blocks(n, 0, workers)
-	base := make([]int64, blocks)
-	ForBlocks(n, blocks, workers, func(b, lo, hi int) {
-		var c int64
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				c++
-			}
-		}
-		base[b] = c
-	})
-	total := ExclusiveScan(base, workers)
-	if move == nil {
-		return total
-	}
-	ForBlocks(n, blocks, workers, func(b, lo, hi int) {
-		pos := base[b]
-		for i := lo; i < hi; i++ {
-			if keep(i) {
-				move(i, pos)
-				pos++
-			}
-		}
-	})
-	return total
 }
 
 // SumInt64 reduces body over [0, n) by summation. Each chunk accumulates

@@ -208,31 +208,6 @@ func TestCountingScatterEmpty(t *testing.T) {
 	}
 }
 
-func TestPackStable(t *testing.T) {
-	const n = 12347
-	keep := func(i int) bool { return i%3 != 1 }
-	var wantPos []int
-	for i := 0; i < n; i++ {
-		if keep(i) {
-			wantPos = append(wantPos, i)
-		}
-	}
-	for _, workers := range []int{1, 2, 8, 0} {
-		got := make([]int, 0, len(wantPos))
-		packed := make([]int, len(wantPos))
-		total := Pack(n, workers, keep, func(i int, pos int64) { packed[pos] = i })
-		if int(total) != len(wantPos) {
-			t.Fatalf("workers=%d total %d want %d", workers, total, len(wantPos))
-		}
-		got = append(got, packed...)
-		for j := range wantPos {
-			if got[j] != wantPos[j] {
-				t.Fatalf("workers=%d slot %d = %d, want %d", workers, j, got[j], wantPos[j])
-			}
-		}
-	}
-}
-
 func BenchmarkForOverhead(b *testing.B) {
 	var sink int64
 	for i := 0; i < b.N; i++ {
